@@ -19,22 +19,13 @@ race:
 race-all:
 	go test -race ./...
 
-# Machine-readable benchmark suite: the emulator speed matrix (three
-# loads, gated and ungated, plus a parallel row), the snapshot-fork
-# amortization rows (warm Fork(8) vs eight cold rebuilds), and the
-# sweep-throughput rows (emu/dse=*: fork-amortized vs cold-build DSE
-# over a 64-row grid, plus worker-pool scaling) as bench.json — the
-# artifact CI uploads. `make bench-go` runs the full go-test benches;
-# `go run ./cmd/nocbench -exp none -json x.json -filter <re>` runs one
-# row.
+# The repository benchmark (bench/README.md, BENCHMARK.json): all seven
+# workloads, untraced then traced, each in a child process, into
+# bench/out/results.json — the artifact CI uploads. Compare two result
+# files with `go run ./bench -compare old.json new.json`.
 .PHONY: bench
 bench:
-	go run ./cmd/nocbench -exp none -workers 4 -snapshot -json bench.json
-	@cat bench.json
-
-.PHONY: bench-go
-bench-go:
-	go test -bench=. -benchmem ./...
+	go run ./bench -seed 1
 
 .PHONY: vet
 vet:

@@ -3,7 +3,9 @@
 // benches for the design decisions the paper's speed argument rests on.
 //
 // Custom metrics: the Table-2 benches report emulated cycles per second
-// ("cycles/s"), which is the paper's headline number.
+// ("cycles/s"), which is the paper's headline number. Gating, scale and
+// dispatch rows are the repository benchmark's (go run ./bench), not
+// this file's.
 package nocemu_test
 
 import (
@@ -92,34 +94,6 @@ func BenchmarkTable2EmulatorParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2EmulatorGating ablates quiescence-aware scheduling
-// (the software clock gating of DESIGN.md §10) across injection loads.
-// Statistics are bit-identical with gating on or off; only cycles/s
-// moves. Expected shape: large wins at low load (mostly idle cycles
-// are skipped or fast-forwarded), parity at saturation (nothing is
-// ever quiet, and the fast path degenerates to the naive walk).
-func BenchmarkTable2EmulatorGating(b *testing.B) {
-	for _, load := range []float64{0.01, 0.10, 0.50} {
-		for _, gate := range []bool{true, false} {
-			b.Run(fmt.Sprintf("load=%.2f/gate=%v", load, gate), func(b *testing.B) {
-				benchCycles(b, 50_000, func(b *testing.B) func(uint64) {
-					cfg, err := platform.PaperConfig(platform.PaperOptions{Load: load})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg.NoGate = !gate
-					p, err := platform.Build(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(p.Close)
-					return p.RunCycles
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkTable2EmulatorTracing quantifies the event-tracing overhead
 // (DESIGN.md §11): the reference platform with the probe subsystem
 // enabled, events buffered in the per-producer rings and tallied into
@@ -177,91 +151,6 @@ func BenchmarkTable2RTLLike(b *testing.B) {
 		}
 		return p.RunCycles
 	})
-}
-
-// meshScaleCases is the BenchmarkMeshScale grid: mesh sizes from the
-// paper's 6-switch scale up to the 1024-node ROADMAP target, at low
-// and moderate injection.
-var meshScaleCases = []struct {
-	nodes int
-	inj   float64
-}{
-	{64, 0.02}, {64, 0.10},
-	{256, 0.02}, {256, 0.10},
-	{1024, 0.02}, {1024, 0.10},
-}
-
-func meshSide(nodes int) int {
-	side := 1
-	for side*side < nodes {
-		side++
-	}
-	return side
-}
-
-// BenchmarkMeshScale measures emulation speed on synthetic N×N meshes
-// under uniform-random traffic — the scale study behind the arena
-// scheduler (DESIGN.md §12). Cycles per iteration shrink with mesh
-// size so every case stays sub-second; the reported cycles/s metric is
-// comparable across sizes. Compare against BenchmarkMeshDispatch for
-// the arena-vs-interface ablation.
-func BenchmarkMeshScale(b *testing.B) {
-	for _, tc := range meshScaleCases {
-		tc := tc
-		cycles := uint64(200_000 / meshSide(tc.nodes)) // 25k / 12.5k / 6.25k
-		b.Run(fmt.Sprintf("nodes=%d/inj=%.2f", tc.nodes, tc.inj), func(b *testing.B) {
-			benchCycles(b, cycles, func(b *testing.B) func(uint64) {
-				cfg, err := platform.MeshConfig(platform.MeshOptions{
-					N: meshSide(tc.nodes), Injection: tc.inj,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p, err := platform.Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.RunCycles(cycles / 10) // warm-up
-				return p.RunCycles
-			})
-		})
-	}
-}
-
-// BenchmarkMeshDispatch ablates the struct-of-arrays arena scheduler
-// against per-component interface dispatch (SeparateWires) on the two
-// largest meshes, at low injection (walk overhead dominates — the
-// devirtualization and cache-locality win shows here) and at moderate
-// injection (approaching saturation, where real routing work amortizes
-// the dispatch cost). The gap is recorded in EXPERIMENTS.md.
-func BenchmarkMeshDispatch(b *testing.B) {
-	for _, nodes := range []int{256, 1024} {
-		for _, inj := range []float64{0.02, 0.10} {
-			for _, mode := range []struct {
-				name     string
-				separate bool
-			}{{"arena", false}, {"separate", true}} {
-				nodes, inj, mode := nodes, inj, mode
-				cycles := uint64(200_000 / meshSide(nodes))
-				b.Run(fmt.Sprintf("nodes=%d/inj=%.2f/dispatch=%s", nodes, inj, mode.name), func(b *testing.B) {
-					benchCycles(b, cycles, func(b *testing.B) func(uint64) {
-						cfg, err := platform.MeshConfig(platform.MeshOptions{
-							N: meshSide(nodes), Injection: inj, SeparateWires: mode.separate,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						p, err := platform.Build(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						p.RunCycles(cycles / 10)
-						return p.RunCycles
-					})
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkFigure1LinkLoad regenerates the slide-19 setup check: the

@@ -6,15 +6,16 @@
 //	nocbench -exp t2,f4               # a subset
 //	nocbench -csv results/            # also dump the figure series as CSV
 //	nocbench -exp t2 -cpuprofile c.pb # profile the selected runs (pprof)
+//
+// Speed tracking is not this command's job: the repository's benchmark
+// is `go run ./bench` (bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -30,13 +31,6 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write figure series as CSV")
 		workers = flag.Int("workers", 0, "add a parallel-kernel row to the t2 speed table with this many workers (0 = off)")
 		gate    = flag.Bool("gate", true, "quiescence-aware scheduling in the t2 speed rows (ablation: -gate=false; results are identical)")
-		jsonOut = flag.String("json", "", "write the benchmark suite (name, cycles/s, allocs/op) as JSON to this file")
-		doTrace = flag.Bool("trace", true, "include tracing-enabled overhead rows (emu/load=*/trace) in the -json bench suite")
-		doSnap  = flag.Bool("snapshot", false, "include snapshot-fork amortization rows (emu/fork=*) in the -json bench suite")
-		doZoo   = flag.Bool("zoo", true, "include 1k-node topology/workload zoo rows (emu/topo=*, emu/wl=*) in the -json bench suite")
-		doDSE   = flag.Bool("dse", true, "include sweep-throughput rows (emu/dse=*) in the -json bench suite")
-		doServe = flag.Bool("serve", true, "include co-simulation service rows (emu/serve=*: warm vs cold session starts, xfer oracle calls) in the -json bench suite")
-		filter  = flag.String("filter", "", "only run bench rows whose name matches this regexp (e.g. -filter 'emu/dse=')")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
 	)
@@ -67,21 +61,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
 	}
-	if *jsonOut != "" {
-		var match experiments.RowFilter
-		if *filter != "" {
-			re, err := regexp.Compile(*filter)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nocbench: -filter:", err)
-				os.Exit(2)
-			}
-			match = re.MatchString
-		}
-		if err := writeBenchJSON(*jsonOut, *workers, *doTrace, *doSnap, *doZoo, *doDSE, *doServe, match); err != nil {
-			fmt.Fprintln(os.Stderr, "nocbench:", err)
-			os.Exit(1)
-		}
-	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
@@ -95,51 +74,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeBenchJSON runs the machine-readable benchmark suite and writes
-// it to path — the artifact `make bench` produces and CI uploads.
-func writeBenchJSON(path string, workers int, traced, snapshot, zoo, dseRows, serveRows bool, match experiments.RowFilter) error {
-	rows, err := experiments.BenchSuite(0, workers, traced, match)
-	if err != nil {
-		return err
-	}
-	if zoo {
-		zooRows, err := experiments.BenchZoo(0, match)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, zooRows...)
-	}
-	if snapshot {
-		forkRows, err := experiments.BenchFork(0, 8, match)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, forkRows...)
-	}
-	if dseRows {
-		sweepRows, err := experiments.BenchDSE(0, match)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, sweepRows...)
-	}
-	if serveRows {
-		svRows, err := experiments.BenchServe(match)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, svRows...)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 func run(selected map[string]bool, csvDir string, workers int, noGate bool) error {

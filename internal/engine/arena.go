@@ -16,11 +16,12 @@
 // low-population and heterogeneous (traffic devices, watchdog, fault
 // controller, collector — O(1) or O(endpoints) instances whose dispatch
 // cost is noise). Arenas register through RegisterArena and appear in
-// the schedule as ONE component each, so every existing consumer of the
-// registry — the sequential kernel, quiescence gating, the event
-// calendar of internal/tlm, Lookup — keeps working unchanged; only the
-// parallel kernel treats them specially, sharding their index ranges
-// across workers instead of assigning whole components.
+// the schedule as ONE component each, so every consumer of the registry
+// — the sequential kernel, the event calendar of internal/tlm, Lookup
+// — keeps working unchanged. Two kernels look inside: the parallel
+// kernel shards an arena's index range across workers instead of
+// assigning it whole, and the sequential gated kernel parks and wakes
+// its elements one by one (quiesce.go).
 package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by
@@ -39,6 +40,18 @@ type Arena interface {
 	TickRange(lo, hi int, cycle uint64)
 	// CommitRange commits elements [lo, hi) for the given cycle.
 	CommitRange(lo, hi int, cycle uint64)
+
+	// The element-level quiet contract: what the sequential gated kernel
+	// needs to schedule the elements one by one (quiesce.go). TickList
+	// and CommitList evaluate exactly the listed elements, in list
+	// order; ElemNextWake and ElemSkipIdle are Quiescable's NextWake and
+	// SkipIdle for element i. The arena keeps no scheduling state of its
+	// own: Tick and Commit stay the full-population walk for kernels
+	// that do not gate per element.
+	TickList(idx []int, cycle uint64)
+	CommitList(idx []int, cycle uint64)
+	ElemNextWake(i int, cycle uint64) (wake uint64, quiet bool)
+	ElemSkipIdle(i int, from, n uint64)
 }
 
 // RegisterArena adds an arena to the evaluation schedule. The arena
@@ -72,16 +85,17 @@ func (e *Engine) Arenas() []Arena {
 	return append([]Arena(nil), e.arenas...)
 }
 
-// isArena reports whether component c was registered through
-// RegisterArena. The arena list is a handful of entries, so the linear
-// scan is cheaper than a map and runs only at shard-refresh time.
-func (e *Engine) isArena(c Component) bool {
-	for _, a := range e.arenas {
+// arenaOf returns the position in the arena list of a component that
+// was registered through RegisterArena, or -1. The list is a handful of
+// entries, so the linear scan is cheaper than a map and runs only when
+// shards, gates or arm hooks are set up.
+func (e *Engine) arenaOf(c Component) int {
+	for k, a := range e.arenas {
 		if Component(a) == c {
-			return true
+			return k
 		}
 	}
-	return false
+	return -1
 }
 
 type errArena string

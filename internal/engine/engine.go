@@ -208,8 +208,8 @@ func (e *Engine) Cycle() uint64 { return e.cycle }
 func (e *Engine) Step() {
 	if e.sched != nil {
 		e.schedEnter()
-		e.stepGatedInner()
-		e.settleParked()
+		e.stepGated()
+		e.settle()
 		return
 	}
 	c := e.cycle
@@ -281,10 +281,10 @@ func (e *Engine) RunUntil(maxCycles uint64) (executed uint64, stopped bool) {
 
 // Reset rewinds the cycle counter and re-arms the kernel's cached
 // run-control state: outstanding quiescence skip accounting is
-// settled, every parked component (including the cached Stopper and
-// Aborter components among them) returns to the active walk, and the
-// wake heap is cleared, so the next run polls and evaluates everything
-// afresh from cycle zero.
+// settled, every parked component and arena element (including the
+// cached Stopper and Aborter components among them) returns to the
+// active walk, and the wake heaps are cleared, so the next run polls
+// and evaluates everything afresh from cycle zero.
 //
 // Reset does NOT reset component state. Callers that reuse an engine
 // must re-initialize their components through the control plane (which
@@ -295,22 +295,4 @@ func (e *Engine) RunUntil(maxCycles uint64) (executed uint64, stopped bool) {
 // (state.go): the platform layer captures one at the end of Build and
 // exposes it as Platform.FullReset, which composes this Reset with a
 // LoadState walk over every component.
-func (e *Engine) Reset() {
-	if e.sched != nil {
-		e.schedEnter()
-		e.settleParked()
-		s := e.sched
-		s.heap = s.heap[:0]
-		s.armed = s.armed[:0]
-		for i := range s.parkedAt {
-			s.parkedAt[i] = 0
-			if s.quies[i] != nil {
-				s.nextTry[i] = 0 // backoffs reference the old timeline
-			}
-		}
-		for _, st := range s.settlers {
-			st.Rewind()
-		}
-	}
-	e.cycle = 0
-}
+func (e *Engine) Reset() { e.rebase(0) }

@@ -232,7 +232,7 @@ func (p *ParallelEngine) refreshShards() {
 			p.serial = append(p.serial, c)
 			continue
 		}
-		if p.eng.isArena(c) {
+		if p.eng.arenaOf(c) >= 0 {
 			continue // dealt by index range below, not as a whole
 		}
 		p.shards[w] = append(p.shards[w], c)

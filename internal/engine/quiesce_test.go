@@ -1,6 +1,11 @@
 package engine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"nocemu/internal/state"
+)
 
 // cycleCounter is the simplest honest Quiescable: it owns one
 // derivable per-cycle counter. Parked, the kernel owes it the skipped
@@ -272,9 +277,9 @@ func TestGatedArmWakesSameCycle(t *testing.T) {
 			e.MustRegister(consumer)
 			e.MustRegister(producer)
 		}
-		arm, ok := e.ArmerN("consumer")
+		arm, ok := e.Armer(Target{Name: "consumer"})
 		if !ok {
-			t.Fatal("ArmerN did not resolve consumer")
+			t.Fatal("Armer did not resolve consumer")
 		}
 		producer.armFn = arm
 		e.Run(100)
@@ -289,5 +294,180 @@ func TestGatedArmWakesSameCycle(t *testing.T) {
 			t.Errorf("producerFirst=%v: consumer ticked at %v, want %v",
 				producerFirst, consumer.tickedC, want)
 		}
+	}
+}
+
+// stubArena is a minimal Arena: each element owns one derivable
+// per-cycle counter (count = cycles executed + cycles paid through
+// ElemSkipIdle, so it must always equal the cycles a naive schedule
+// would have walked), is busy for a settable number of cycles, and can
+// run a hook from its Tick — the shape of a switch staging a flit for
+// a neighbour.
+type stubArena struct {
+	name  string
+	elems []stubElem
+}
+
+type stubElem struct {
+	busy   uint64
+	count  uint64
+	ticked []uint64
+	onTick func(cycle uint64)
+}
+
+func (a *stubArena) ComponentName() string { return a.name }
+func (a *stubArena) Len() int              { return len(a.elems) }
+func (a *stubArena) Tick(cycle uint64)     { a.TickRange(0, len(a.elems), cycle) }
+func (a *stubArena) Commit(cycle uint64)   { a.CommitRange(0, len(a.elems), cycle) }
+func (a *stubArena) TickRange(lo, hi int, cycle uint64) {
+	for i := lo; i < hi; i++ {
+		a.TickList([]int{i}, cycle)
+	}
+}
+func (a *stubArena) CommitRange(lo, hi int, cycle uint64) {
+	for i := lo; i < hi; i++ {
+		a.CommitList([]int{i}, cycle)
+	}
+}
+func (a *stubArena) TickList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		el := &a.elems[i]
+		el.count++
+		el.ticked = append(el.ticked, cycle)
+		if el.onTick != nil {
+			el.onTick(cycle)
+		}
+	}
+}
+func (a *stubArena) CommitList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		if a.elems[i].busy > 0 {
+			a.elems[i].busy--
+		}
+	}
+}
+func (a *stubArena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
+	return NeverWake, a.elems[i].busy == 0
+}
+func (a *stubArena) ElemSkipIdle(i int, from, n uint64) { a.elems[i].count += n }
+
+func (a *stubArena) counts() []uint64 {
+	out := make([]uint64, len(a.elems))
+	for i := range a.elems {
+		out[i] = a.elems[i].count
+	}
+	return out
+}
+
+// gatedArena returns a gated engine over a producer component and a
+// three-element stub arena, registered in that order (producers of an
+// arena's input tick ahead of it).
+func gatedArena(t *testing.T) (*Engine, *armCaller, *stubArena) {
+	t.Helper()
+	e := New()
+	e.SetGated(true)
+	producer := &armCaller{name: "producer"}
+	a := &stubArena{name: "arena", elems: make([]stubElem, 3)}
+	e.MustRegister(producer)
+	e.MustRegisterArena(a)
+	return e, producer, a
+}
+
+// TestGateElementArmedMidWalk drives the arm-on-input rule at element
+// level: the producer arms element 0, whose Tick in turn arms element 2
+// while the arena's walk is under way. Both must tick in that very
+// cycle; element 1, parked throughout, must never be ticked; and every
+// element's counter must still read the naive schedule's.
+func TestGateElementArmedMidWalk(t *testing.T) {
+	e, producer, a := gatedArena(t)
+	arm0, ok0 := e.Armer(Target{Name: "arena", Elem: 0})
+	arm2, ok2 := e.Armer(Target{Name: "arena", Elem: 2})
+	if _, bad := e.Armer(Target{Name: "arena", Elem: 3}); !ok0 || !ok2 || bad {
+		t.Fatalf("Armer resolution: elem0=%v elem2=%v out-of-range=%v", ok0, ok2, bad)
+	}
+	producer.at = 20
+	producer.armFn = func() { a.elems[0].busy = 2; arm0() }
+	a.elems[0].onTick = func(cycle uint64) {
+		if cycle == 20 {
+			a.elems[2].busy = 1
+			arm2()
+		}
+	}
+	e.Run(50)
+	// Cycle 0 is every element's honest first evaluation. Element 2 is
+	// quiet again once cycle 20 commits and parks at once; element 0 is
+	// still busy then, so the scan backs off and finds it quiet after
+	// cycle 20+parkRetry.
+	if got := a.elems[1].ticked; !slices.Equal(got, []uint64{0}) {
+		t.Errorf("parked element 1 ticked at %v, want only cycle 0", got)
+	}
+	if got := a.elems[2].ticked; !slices.Equal(got, []uint64{0, 20}) {
+		t.Errorf("element 2 ticked at %v, want cycle 0 and the cycle it was armed in", got)
+	}
+	if got := a.elems[0].ticked; len(got) != 2+parkRetry || got[0] != 0 || got[1] != 20 || got[len(got)-1] != 20+parkRetry {
+		t.Errorf("element 0 ticked at %v, want cycle 0 then %d..%d", got, 20, 20+parkRetry)
+	}
+	if got := a.counts(); !slices.Equal(got, []uint64{50, 50, 50}) {
+		t.Errorf("element counters after 50 cycles = %v, want all 50", got)
+	}
+}
+
+// TestGateSettlePaysOnce enters and leaves the kernel repeatedly —
+// each exit settles — and checks a parked element is paid every idle
+// cycle exactly once, without being re-activated by the entries.
+func TestGateSettlePaysOnce(t *testing.T) {
+	e, _, a := gatedArena(t)
+	for run := uint64(1); run <= 5; run++ {
+		e.Run(64)
+		if got, want := a.counts(), []uint64{64 * run, 64 * run, 64 * run}; !slices.Equal(got, want) {
+			t.Fatalf("after %d runs of 64 cycles: element counters %v, want %v", run, got, want)
+		}
+	}
+	for i := range a.elems {
+		if got := a.elems[i].ticked; !slices.Equal(got, []uint64{0}) {
+			t.Errorf("element %d ticked at %v; kernel entries must not re-arm arena elements", i, got)
+		}
+	}
+}
+
+// TestGateRebase covers the one step Reset and LoadState share: debt is
+// settled on the old timeline, watermarks restart on the new one, and
+// the parked set is re-derived from the elements' own state — which a
+// restore replaces after the engine section has loaded.
+func TestGateRebase(t *testing.T) {
+	e, _, a := gatedArena(t)
+	e.Run(100)
+	e.Reset()
+	if e.Cycle() != 0 {
+		t.Fatalf("cycle after Reset = %d, want 0", e.Cycle())
+	}
+	e.Run(30)
+	if got := a.counts(); !slices.Equal(got, []uint64{130, 130, 130}) {
+		t.Errorf("element counters after run/Reset/run = %v, want all 130", got)
+	}
+
+	w := state.NewWriter()
+	w.U64(5000)
+	if err := e.LoadState(state.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	a.elems[1].busy = 3 // the arena's section loads after the engine's
+	for i := range a.elems {
+		a.elems[i].ticked = nil
+	}
+	e.Run(40)
+	if e.Cycle() != 5040 {
+		t.Fatalf("cycle after LoadState+Run = %d, want 5040", e.Cycle())
+	}
+	if got := a.counts(); !slices.Equal(got, []uint64{170, 170, 170}) {
+		t.Errorf("element counters after restore = %v, want all 170", got)
+	}
+	for _, i := range []int{0, 2} {
+		if got := a.elems[i].ticked; !slices.Equal(got, []uint64{5000}) {
+			t.Errorf("quiet element %d ticked at %v, want only the restored cycle", i, got)
+		}
+	}
+	if got := a.elems[1].ticked; len(got) != 1+parkRetry || got[0] != 5000 || got[len(got)-1] != 5000+parkRetry {
+		t.Errorf("busy element 1 ticked at %v, want %d..%d", got, 5000, 5000+parkRetry)
 	}
 }

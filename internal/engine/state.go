@@ -2,9 +2,9 @@
 //
 // The kernel's own section is deliberately tiny: the cycle counter is
 // the only kernel state a snapshot carries. Everything else the kernel
-// holds — the wake heap, the armed list, park watermarks, shard
-// assignments — is scheduling ephemera that schedEnter rebuilds at
-// every kernel entry and settleParked retires at every kernel exit.
+// holds — wake heaps, active lists, park watermarks, shard assignments
+// — is scheduling ephemera that is settled at every kernel exit and
+// restarted by LoadState (quiesce.go, rebase).
 // Because none of it is serialized, a snapshot is configuration-free:
 // the same bytes restore into a sequential or parallel kernel, gated or
 // not, and the runs stay bit-identical.
@@ -34,34 +34,15 @@ func (e *Engine) SaveState(w *state.Writer) {
 }
 
 // LoadState restores the cycle counter. It must run before component
-// sections load: gated arenas rebuild their park watermarks from the
-// engine's restored cycle.
+// sections load: the gates restart with everything active on the
+// restored timeline, and the first executed cycle's park scan then
+// judges each component and arena element by its restored state.
 func (e *Engine) LoadState(r *state.Reader) error {
 	cycle := r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if e.sched != nil {
-		// Outstanding skip accounting references the old timeline; settle
-		// it before the counter moves (mirrors Reset).
-		e.schedEnter()
-		e.settleParked()
-		s := e.sched
-		s.heap = s.heap[:0]
-		s.armed = s.armed[:0]
-		for i := range s.parkedAt {
-			s.parkedAt[i] = 0
-			if s.quies[i] != nil {
-				s.nextTry[i] = 0
-			}
-		}
-	}
-	e.cycle = cycle
-	if e.sched != nil {
-		for _, st := range e.sched.settlers {
-			st.Rewind()
-		}
-	}
+	e.rebase(cycle)
 	return nil
 }
 

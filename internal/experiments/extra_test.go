@@ -115,49 +115,3 @@ func TestBufferStudyTradeoff(t *testing.T) {
 		t.Errorf("table malformed:\n%s", out)
 	}
 }
-
-func TestBenchForkRows(t *testing.T) {
-	rows, err := BenchFork(2_000, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	if rows[0].Name != "emu/fork=3/warm" || rows[1].Name != "emu/fork=3/cold" {
-		t.Errorf("row names %q, %q", rows[0].Name, rows[1].Name)
-	}
-	for _, r := range rows {
-		if r.CyclesPerSec <= 0 {
-			t.Errorf("%s: no speed measured", r.Name)
-		}
-	}
-	warmOnly, err := BenchFork(2_000, 3, func(name string) bool {
-		return strings.HasSuffix(name, "/warm")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warmOnly) != 1 || warmOnly[0].Name != "emu/fork=3/warm" {
-		t.Errorf("filtered rows = %+v", warmOnly)
-	}
-}
-
-func TestBenchDSERows(t *testing.T) {
-	// A scaled-down sweep space (cycles 8000 → warm 160, measure 20):
-	// content determinism and row naming, not timing, are under test.
-	rows, err := BenchDSE(8_000, func(name string) bool {
-		return name == "emu/dse=warm/forks=8" || name == "emu/dse=cold/forks=8"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows: %+v", len(rows), rows)
-	}
-	for _, r := range rows {
-		if r.CyclesPerSec <= 0 || r.PointsPerMin <= 0 {
-			t.Errorf("%s: speed %.1f, points/min %.1f", r.Name, r.CyclesPerSec, r.PointsPerMin)
-		}
-	}
-}

@@ -12,66 +12,44 @@ import "fmt"
 // clocking all nets at once; Config.SeparateWires restores one engine
 // component per wire instead.
 //
-// On a gated sequential platform the arena additionally gates each
-// wire internally: only wires with something staged or in flight are
-// committed, the rest hold a per-wire park watermark and are paid
-// their missed idle commits (flit-wire utilization denominators) when
-// a Send re-arms them or when the kernel settles. The arena itself
-// reports quiet to the engine exactly when its active lists are empty.
+// The arena is storage plus evaluation. Which wires are worth
+// committing in a given cycle is the engine's decision: its gate
+// schedules the arena element by element, where element i is the wire
+// pair (flit link i, credit link i) — a flit crossing one way and the
+// credit coming back keep the same pair busy.
 type Arena struct {
 	name    string
 	links   []Link
 	credits []CreditLink
-
-	// Internal gating state (gated sequential platforms only).
-	gated   bool
-	cycle   func() uint64 // engine cycle, for arm-time catch-up
-	actL    []int         // indices of links with traffic, unordered
-	actC    []int
-	lActive []bool
-	cActive []bool
-	lPark   []uint64 // first cycle link i has not committed
 }
 
-// NewArena returns an empty wire arena with fixed capacity. Capacities
-// are exact: the platform knows its wire count at build time, and a
-// fixed backing array keeps the *Link/*CreditLink handles returned by
-// NewLink/NewCredit stable.
-func NewArena(name string, nLinks, nCredits int) *Arena {
+// NewArena returns an empty wire arena with room for n wire pairs. The
+// capacity is exact: the platform knows its wire count at build time,
+// and a fixed backing array keeps the handles NewPair returns stable.
+func NewArena(name string, n int) *Arena {
 	return &Arena{
 		name:    name,
-		links:   make([]Link, 0, nLinks),
-		credits: make([]CreditLink, 0, nCredits),
+		links:   make([]Link, 0, n),
+		credits: make([]CreditLink, 0, n),
 	}
 }
 
-// NewLink appends a flit link to the arena and returns its handle. The
-// handle stays valid for the arena's lifetime. Exceeding the declared
-// capacity is a construction bug and panics (growth would move every
-// previously handed-out wire).
-func (a *Arena) NewLink(name string) *Link {
+// NewPair appends a flit link and its reverse credit link to the arena
+// as one element and returns their handles, which stay valid for the
+// arena's lifetime. Exceeding the declared capacity is a construction
+// bug and panics (growth would move every previously handed-out wire).
+func (a *Arena) NewPair(linkName, creditName string) (*Link, *CreditLink) {
 	if len(a.links) == cap(a.links) {
-		panic(fmt.Sprintf("link: arena %s flit capacity %d exceeded", a.name, cap(a.links)))
+		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
-	a.links = append(a.links, Link{name: name})
-	return &a.links[len(a.links)-1]
+	a.links = append(a.links, Link{name: linkName})
+	a.credits = append(a.credits, CreditLink{name: creditName})
+	return &a.links[len(a.links)-1], &a.credits[len(a.credits)-1]
 }
 
-// NewCredit appends a credit link to the arena and returns its handle.
-func (a *Arena) NewCredit(name string) *CreditLink {
-	if len(a.credits) == cap(a.credits) {
-		panic(fmt.Sprintf("link: arena %s credit capacity %d exceeded", a.name, cap(a.credits)))
-	}
-	a.credits = append(a.credits, CreditLink{name: name})
-	return &a.credits[len(a.credits)-1]
-}
-
-// NumLinks returns the number of flit links created so far; the next
-// NewLink call returns index NumLinks().
-func (a *Arena) NumLinks() int { return len(a.links) }
-
-// NumCredits returns the number of credit links created so far.
-func (a *Arena) NumCredits() int { return len(a.credits) }
+// Len implements engine.Arena: the number of wire pairs created so far;
+// the next NewPair call returns element Len().
+func (a *Arena) Len() int { return len(a.links) }
 
 // ComponentName implements engine.Component.
 func (a *Arena) ComponentName() string { return a.name }
@@ -79,137 +57,49 @@ func (a *Arena) ComponentName() string { return a.name }
 // Tick implements engine.Component; wires are passive during Tick.
 func (a *Arena) Tick(cycle uint64) {}
 
-// Commit implements engine.Component: every wire (or, gated, every
-// active wire) publishes its staged value.
-func (a *Arena) Commit(cycle uint64) {
-	if !a.gated {
-		for i := range a.links {
-			a.links[i].Commit(cycle)
-		}
-		for i := range a.credits {
-			a.credits[i].Commit(cycle)
-		}
-		return
-	}
-	keep := a.actL[:0]
-	for _, i := range a.actL {
-		l := &a.links[i]
-		l.Commit(cycle)
-		if l.Idle() {
-			a.lActive[i] = false
-			a.lPark[i] = cycle + 1
-		} else {
-			keep = append(keep, i)
-		}
-	}
-	a.actL = keep
-	keep = a.actC[:0]
-	for _, i := range a.actC {
-		c := &a.credits[i]
-		c.Commit(cycle)
-		if c.Idle() {
-			a.cActive[i] = false
-		} else {
-			keep = append(keep, i)
-		}
-	}
-	a.actC = keep
-}
-
-// Len implements engine.Arena: flit links first, then credit links, in
-// one index space.
-func (a *Arena) Len() int { return len(a.links) + len(a.credits) }
+// Commit implements engine.Component: every wire publishes its staged
+// value.
+func (a *Arena) Commit(cycle uint64) { a.CommitRange(0, a.Len(), cycle) }
 
 // TickRange implements engine.Arena; wires are passive during Tick.
 func (a *Arena) TickRange(lo, hi int, cycle uint64) {}
 
-// CommitRange implements engine.Arena: commit wires [lo, hi) of the
-// concatenated flit+credit index space. Only the ungated parallel
-// kernel calls it; internal gating is a sequential-kernel mode.
+// CommitRange implements engine.Arena: commit wire pairs [lo, hi).
 func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
-	nl := len(a.links)
-	for i := lo; i < hi && i < nl; i++ {
+	for i := lo; i < hi; i++ {
 		a.links[i].Commit(cycle)
-	}
-	lo -= nl
-	hi -= nl
-	if lo < 0 {
-		lo = 0
 	}
 	for i := lo; i < hi; i++ {
 		a.credits[i].Commit(cycle)
 	}
 }
 
-// EnableGating switches the arena to per-wire scheduling; cycle
-// supplies the engine's current cycle for arm-time skip accounting.
-func (a *Arena) EnableGating(cycle func() uint64) {
-	a.gated = true
-	a.cycle = cycle
-	a.lActive = make([]bool, len(a.links))
-	a.cActive = make([]bool, len(a.credits))
-	a.lPark = make([]uint64, len(a.links))
-}
+// TickList implements engine.Arena; wires are passive during Tick.
+func (a *Arena) TickList(idx []int, cycle uint64) {}
 
-// Gated reports whether per-wire internal gating is enabled.
-func (a *Arena) Gated() bool { return a.gated }
-
-// ArmLink re-activates flit wire i (called from its Send hook), paying
-// the idle commits it skipped while parked. Credit wires carry no
-// per-cycle counters, so ArmCredit pays nothing.
-func (a *Arena) ArmLink(i int) {
-	if a.lActive[i] {
-		return
-	}
-	a.lActive[i] = true
-	if c := a.cycle(); c > a.lPark[i] {
-		a.links[i].SkipIdle(a.lPark[i], c-a.lPark[i])
-	}
-	a.actL = append(a.actL, i)
-}
-
-// ArmCredit re-activates credit wire i (called from its Send hook).
-func (a *Arena) ArmCredit(i int) {
-	if a.cActive[i] {
-		return
-	}
-	a.cActive[i] = true
-	a.actC = append(a.actC, i)
-}
-
-// Settle implements engine.Settler: bring every internally parked flit
-// wire's utilization denominator up to date, so observers between runs
-// see exactly the naive schedule's counters.
-func (a *Arena) Settle(cycle uint64) {
-	if !a.gated {
-		return
-	}
-	for i := range a.links {
-		if !a.lActive[i] && cycle > a.lPark[i] {
-			a.links[i].SkipIdle(a.lPark[i], cycle-a.lPark[i])
-			a.lPark[i] = cycle
-		}
+// CommitList implements engine.Arena: commit the listed wire pairs.
+func (a *Arena) CommitList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		a.links[i].Commit(cycle)
+		a.credits[i].Commit(cycle)
 	}
 }
 
-// Rewind implements engine.Settler: after Engine.Reset the park
-// watermarks must restart from cycle zero (the kernel settled first,
-// so no debt is outstanding).
-func (a *Arena) Rewind() {
-	for i := range a.lPark {
-		a.lPark[i] = 0
-	}
+// ElemNextWake implements engine.Arena: a wire pair is quiet when both
+// halves are idle — nothing staged on either and nothing committed on
+// the flit wire (committed-but-uncollected credits accumulate without
+// commits and do not block quiescence). Only a Send ends that.
+func (a *Arena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
+	return ^uint64(0), a.links[i].Idle() && a.credits[i].Idle()
 }
 
-// NextWake implements engine.Quiescable: the arena is quiet when every
-// wire is idle — nothing staged anywhere and nothing committed on a
-// flit wire (committed-but-uncollected credits accumulate without
-// commits and do not block quiescence). Any Send on an arena wire arms
-// it, so staged values always commit on schedule.
+// ElemSkipIdle implements engine.Arena: an idle commit advances only
+// the flit wire's utilization denominator.
+func (a *Arena) ElemSkipIdle(i int, from, n uint64) { a.links[i].SkipIdle(from, n) }
+
+// NextWake implements engine.Quiescable for kernels that gate the
+// arena as a whole: quiet when every wire pair is.
 func (a *Arena) NextWake(cycle uint64) (uint64, bool) {
-	if a.gated {
-		return NeverWake, len(a.actL) == 0 && len(a.actC) == 0
-	}
 	for i := range a.links {
 		if !a.links[i].Idle() {
 			return 0, false
@@ -220,22 +110,12 @@ func (a *Arena) NextWake(cycle uint64) (uint64, bool) {
 			return 0, false
 		}
 	}
-	return NeverWake, true
+	return ^uint64(0), true
 }
 
-// SkipIdle implements engine.Quiescable: an idle commit advances only
-// each flit wire's utilization denominator. With internal gating the
-// per-wire park watermarks already account for skipped cycles (paid on
-// arm or Settle), so the arena-level call pays nothing.
+// SkipIdle implements engine.Quiescable.
 func (a *Arena) SkipIdle(from, n uint64) {
-	if a.gated {
-		return
-	}
 	for i := range a.links {
 		a.links[i].SkipIdle(from, n)
 	}
 }
-
-// NeverWake mirrors engine.NeverWake without importing the engine
-// package (link is below engine in the dependency order).
-const NeverWake = ^uint64(0)

@@ -2,12 +2,9 @@
 //
 // Wire sections hold only logical state: the committed flit on the
 // wire, a fault-held staged flit, the fault mode, and the statistic
-// counters. Gating ephemera (active lists, park watermarks) are NOT
-// serialized — snapshots are taken between runs, where the kernel has
-// settled all skip-accounting debt, so the gating view is derivable:
-// restore rebuilds the active lists from each wire's Idle predicate and
-// restarts the park watermarks at the restored cycle. That is what
-// makes one snapshot restorable into any kernel configuration
+// counters. Snapshots are taken between runs, where the kernel has
+// settled all skip-accounting debt, so the counters are the naive
+// schedule's and one snapshot restores into any kernel configuration
 // (sequential or parallel, gated or not).
 package link
 
@@ -90,9 +87,7 @@ func (c *CreditLink) LoadState(r *state.Reader) error {
 }
 
 // SaveState serializes the wire arena: the wire counts (validated on
-// restore), then every flit wire and credit wire in index order. The
-// internal gating lists are derivable and not written (see the package
-// comment of this file).
+// restore), then every flit wire and credit wire in index order.
 func (a *Arena) SaveState(w *state.Writer) {
 	w.Int(len(a.links))
 	w.Int(len(a.credits))
@@ -104,11 +99,7 @@ func (a *Arena) SaveState(w *state.Writer) {
 	}
 }
 
-// LoadState restores every wire and, when internal gating is enabled,
-// rebuilds the active lists from the restored wire states: a non-idle
-// wire re-enters the active list, an idle one parks with its watermark
-// at the restored cycle (the snapshot boundary settled all debt, so no
-// skip accounting is outstanding).
+// LoadState restores every wire.
 func (a *Arena) LoadState(r *state.Reader) error {
 	nl, nc := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
@@ -128,30 +119,5 @@ func (a *Arena) LoadState(r *state.Reader) error {
 			return err
 		}
 	}
-	if a.gated {
-		a.rebuildGating(a.cycle())
-	}
 	return r.Err()
-}
-
-// rebuildGating rederives the internal gating lists from wire state at
-// the given cycle.
-func (a *Arena) rebuildGating(cycle uint64) {
-	a.actL = a.actL[:0]
-	a.actC = a.actC[:0]
-	for i := range a.links {
-		idle := a.links[i].Idle()
-		a.lActive[i] = !idle
-		a.lPark[i] = cycle
-		if !idle {
-			a.actL = append(a.actL, i)
-		}
-	}
-	for i := range a.credits {
-		idle := a.credits[i].Idle()
-		a.cActive[i] = !idle
-		if !idle {
-			a.actC = append(a.actC, i)
-		}
-	}
 }

@@ -122,8 +122,9 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	fmt.Fprintln(w, "\n--- link loads ---")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "link\tfrom\tto\tload\tflits")
-	for i, ls := range p.Config().Topology.Links() {
-		fmt.Fprintf(tw, "%d\tsw%d\tsw%d\t%.4f\t%d\n", i, ls.From, ls.To, links[i].load, links[i].flits)
+	specs := p.Config().Topology.Links()
+	for i, r := range links { // the mapped links; see WriteJSON
+		fmt.Fprintf(tw, "%d\tsw%d\tsw%d\t%.4f\t%d\n", i, specs[i].From, specs[i].To, r.load, r.flits)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -297,9 +298,13 @@ func WriteJSON(w io.Writer, p *platform.Platform) error {
 			Congestion: r.congestion,
 		})
 	}
-	for i, ls := range p.Config().Topology.Links() {
+	// Link devices attach in topology order and a platform past the bus
+	// budget leaves the tail unmapped (Platform.Unmapped), so the rows
+	// read are a prefix of the topology's links.
+	specs := p.Config().Topology.Links()
+	for i, r := range links {
 		s.Links = append(s.Links, LinkSummary{
-			Index: i, From: int(ls.From), To: int(ls.To), Load: links[i].load,
+			Index: i, From: int(specs[i].From), To: int(specs[i].To), Load: r.load,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -133,6 +133,45 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// TestReportsPastBusBudget is the regression test for the link-row
+// indexing: a 17×17 mesh is the smallest one whose 1088 link devices
+// overflow the 1023 free slots of the auxiliary bus, and both reports
+// must emit exactly the link rows whose devices were mapped.
+func TestReportsPastBusBudget(t *testing.T) {
+	cfg, err := platform.MeshConfig(platform.MeshOptions{N: 17, Injection: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := platform.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Unmapped() == 0 {
+		t.Fatal("17x17 mesh fits the bus address space; the test no longer covers the spill")
+	}
+	p.RunCycles(200)
+	nLinks := len(cfg.Topology.Links())
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	var s Summary
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if want := nLinks - p.Unmapped(); len(s.Links) != want {
+		t.Errorf("JSON has %d link rows, want the %d mapped of %d", len(s.Links), want, nLinks)
+	}
+	last := s.Links[len(s.Links)-1]
+	if spec := cfg.Topology.Links()[last.Index]; last.Index != len(s.Links)-1 || last.From != int(spec.From) || last.To != int(spec.To) {
+		t.Errorf("last link row %+v does not describe topology link %d (%+v)", last, len(s.Links)-1, spec)
+	}
+	buf.Reset()
+	if err := WriteReport(&buf, p, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriteReportPerFlowSection(t *testing.T) {
 	p := ranPlatform(t, platform.PaperTrace)
 	var buf bytes.Buffer

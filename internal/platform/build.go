@@ -73,8 +73,7 @@ type Platform struct {
 	// initSnap is the cycle-zero snapshot captured when construction
 	// finishes, backing FullReset.
 	initSnap []byte
-	// wires is the dense wire arena (nil with SeparateWires); the arm
-	// hooks reach through it for per-wire gating.
+	// wires is the dense wire arena (nil with SeparateWires).
 	wires *link.Arena
 	// swArena is the dense switch arena (nil with SeparateWires).
 	swArena *switchfab.Arena
@@ -85,22 +84,19 @@ type Platform struct {
 	unmapped int
 }
 
-// wirePair remembers one registered wire pair and the engine name of
-// the component consuming the flit link, for arm-hook installation.
+// wirePair remembers one registered wire pair and what the engine
+// schedules on its behalf, for arm-hook installation.
 type wirePair struct {
-	l        *link.Link
-	c        *link.CreditLink
-	consumer string
+	l *link.Link
+	c *link.CreditLink
+	// flit and credit are the wires' own gating targets (the same arena
+	// element, or two components with SeparateWires); consumer is the
+	// switch or receptor reading the flit link.
+	flit, credit, consumer engine.Target
 	// inject marks a TG injection wire. Only these need to arm the
 	// watchdog: the watchdog parks only when the network is fully
 	// drained, and the first send after a drain is always an injection.
 	inject bool
-	// li/ci index this pair inside the wire arena (-1 with
-	// Config.SeparateWires), for the arena's per-wire gating.
-	li, ci int
-	// swIdx is the consuming switch's index in the switch arena, or -1
-	// when the consumer is a receptor or the platform uses SeparateWires.
-	swIdx int
 }
 
 // Build compiles a platform from its configuration.
@@ -134,58 +130,51 @@ func Build(cfg Config) (*Platform, error) {
 	// engine, link, switchfab): the wire count and switch count are both
 	// known from the topology, so the backing arrays are sized exactly.
 	// SeparateWires falls back to one engine component per device.
-	nWires := len(topo.Links()) + len(cfg.TGs) + len(cfg.TRs)
 	var (
 		wires   *link.Arena
 		swArena *switchfab.Arena
-		linkIdx map[*link.Link]int       // arena index of each flit wire
-		credIdx map[*link.CreditLink]int // arena index of each credit wire
 	)
 	if !cfg.SeparateWires {
-		wires = link.NewArena("wires", nWires, nWires)
+		wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs))
 		swArena = switchfab.NewArena("switches", topo.NumSwitches())
-		linkIdx = make(map[*link.Link]int, nWires)
-		credIdx = make(map[*link.CreditLink]int, nWires)
 		p.wires = wires
 		p.swArena = swArena
 	}
-	newLink := func(name string) *link.Link {
-		var l *link.Link
+	// newWires creates one flit link with its credit link; elem is the
+	// pair's index in the wire arena.
+	newWires := func(lname, cname string) (l *link.Link, c *link.CreditLink, elem int) {
 		if wires == nil {
-			l = link.NewLink(name)
+			l, c = link.NewLink(lname), link.NewCreditLink(cname)
 		} else {
-			l = wires.NewLink(name)
-			linkIdx[l] = wires.NumLinks() - 1
+			elem = wires.Len()
+			l, c = wires.NewPair(lname, cname)
 		}
 		p.snapLinks = append(p.snapLinks, l)
-		return l
-	}
-	newCredit := func(name string) *link.CreditLink {
-		var c *link.CreditLink
-		if wires == nil {
-			c = link.NewCreditLink(name)
-		} else {
-			c = wires.NewCredit(name)
-			credIdx[c] = wires.NumCredits() - 1
-		}
 		p.snapCredits = append(p.snapCredits, c)
-		return c
+		return l, c, elem
+	}
+	swTarget := func(s topology.NodeID) engine.Target {
+		if swArena == nil {
+			return engine.Target{Name: p.switches[s].ComponentName()}
+		}
+		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
 	}
 	var pairs []wirePair
-	registerWires := func(l *link.Link, c *link.CreditLink, consumer string, swIdx int, inject bool) {
+	registerWires := func(l *link.Link, c *link.CreditLink, elem int, consumer engine.Target, inject bool) {
 		l.SetDropHandler(p.pool.Release)
 		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 		p.allLinks = append(p.allLinks, l)
+		wp := wirePair{l: l, c: c, consumer: consumer, inject: inject}
 		if cfg.SeparateWires {
-			pairs = append(pairs, wirePair{l: l, c: c, consumer: consumer, inject: inject, li: -1, ci: -1, swIdx: -1})
+			wp.flit = engine.Target{Name: l.ComponentName()}
+			wp.credit = engine.Target{Name: c.ComponentName()}
 			p.eng.MustRegister(l)
 			p.eng.MustRegister(c)
-			return
+		} else {
+			wp.flit = engine.Target{Name: "wires", Elem: elem}
+			wp.credit = wp.flit
 		}
-		pairs = append(pairs, wirePair{
-			l: l, c: c, consumer: consumer, inject: inject,
-			li: linkIdx[l], ci: credIdx[c], swIdx: swIdx,
-		})
+		pairs = append(pairs, wp)
 	}
 
 	// Switches.
@@ -206,7 +195,7 @@ func Build(cfg Config) (*Platform, error) {
 		var sw *switchfab.Switch
 		var err error
 		if swArena != nil {
-			sw, err = swArena.New(swCfg) // arena index == int(s)
+			sw, err = swArena.New(swCfg)
 		} else {
 			sw, err = switchfab.New(swCfg)
 		}
@@ -220,9 +209,10 @@ func Build(cfg Config) (*Platform, error) {
 	specs := topo.Links()
 	p.links = make([]*link.Link, len(specs))
 	credits := make([]*link.CreditLink, len(specs))
-	for i, ls := range specs {
-		p.links[i] = newLink(fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To))
-		credits[i] = newCredit(fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From))
+	for i, ls := range specs { // the wire arena's elements [0, len(specs))
+		p.links[i], credits[i], _ = newWires(
+			fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To),
+			fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From))
 	}
 	// Wire link endpoints to switch ports by canonical port order.
 	for s := topology.NodeID(0); int(s) < topo.NumSwitches(); s++ {
@@ -257,8 +247,7 @@ func Build(cfg Config) (*Platform, error) {
 		if portIdx < 0 {
 			return nil, fmt.Errorf("platform %s: no input port for TG endpoint %d", cfg.Name, spec.Endpoint)
 		}
-		injL := newLink(fmt.Sprintf("inj%d", spec.Endpoint))
-		injCr := newCredit(fmt.Sprintf("injcr%d", spec.Endpoint))
+		injL, injCr, elem := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint))
 		if err := sw.ConnectInput(portIdx, injL, injCr); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -286,7 +275,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.tgByEndpoint[spec.Endpoint] = tg
 		tg.SetProbe(p.collector.NewProbe(tg.ComponentName()))
 		p.eng.MustRegister(tg)
-		registerWires(injL, injCr, sw.ComponentName(), int(ep.Switch), true)
+		registerWires(injL, injCr, elem, swTarget(ep.Switch), true)
 	}
 
 	// Traffic receptors.
@@ -303,8 +292,7 @@ func Build(cfg Config) (*Platform, error) {
 		if portIdx < 0 {
 			return nil, fmt.Errorf("platform %s: no output port for TR endpoint %d", cfg.Name, spec.Endpoint)
 		}
-		ejL := newLink(fmt.Sprintf("ej%d", spec.Endpoint))
-		ejCr := newCredit(fmt.Sprintf("ejcr%d", spec.Endpoint))
+		ejL, ejCr, elem := newWires(fmt.Sprintf("ej%d", spec.Endpoint), fmt.Sprintf("ejcr%d", spec.Endpoint))
 		depth := spec.BufDepth
 		if depth == 0 {
 			depth = cfg.SwitchBufDepth
@@ -331,7 +319,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.trByEndpoint[spec.Endpoint] = tr
 		tr.SetProbe(p.collector.NewProbe(tr.ComponentName()))
 		p.eng.MustRegister(tr)
-		registerWires(ejL, ejCr, tr.ComponentName(), -1, false)
+		registerWires(ejL, ejCr, elem, engine.Target{Name: tr.ComponentName()}, false)
 	}
 
 	// Register switches and inter-switch wires after endpoints so
@@ -349,7 +337,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.eng.MustRegisterArena(swArena)
 	}
 	for i := range p.links {
-		registerWires(p.links[i], credits[i], p.switches[specs[i].To].ComponentName(), int(specs[i].To), false)
+		registerWires(p.links[i], credits[i], i, swTarget(specs[i].To), false)
 	}
 	if wires != nil {
 		p.eng.MustRegisterArena(wires)
@@ -449,20 +437,18 @@ func Build(cfg Config) (*Platform, error) {
 
 	// Quiescence-aware scheduling (on unless cfg.NoGate). The parallel
 	// kernel gates the whole schedule (fast-forward only, no arm hooks
-	// needed); the sequential kernel parks individual components, which
-	// requires the arm-on-input hooks on every wire's Send path.
+	// needed); the sequential kernel parks individual components and
+	// arena elements, which requires the arm-on-input hooks on every
+	// wire's Send path.
 	if !cfg.NoGate {
 		if p.par != nil {
 			p.par.SetGated(true)
 		} else {
 			p.eng.SetGated(true)
-			if p.wires != nil {
-				p.wires.EnableGating(p.eng.Cycle)
+			p.wirePairs = pairs
+			for _, wp := range pairs {
+				p.bindArmHook(wp)
 			}
-			if p.swArena != nil {
-				p.swArena.EnableGating(p.eng.Cycle)
-			}
-			p.installArmHooks(pairs)
 		}
 	}
 	// Emit-time arming: any probe emission wakes the collector so ring
@@ -470,7 +456,7 @@ func Build(cfg Config) (*Platform, error) {
 	// — and thus the exported stream — schedule-dependent). The armer is
 	// a no-op on ungated and parallel kernels.
 	if p.collector != nil {
-		if arm, ok := p.eng.Armer("probe"); ok {
+		if arm, ok := p.eng.Armer(engine.Target{Name: "probe"}); ok {
 			p.collector.SetArm(arm)
 		}
 	}
@@ -482,59 +468,17 @@ func Build(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// installArmHooks binds the arm-on-input rule to every wire: staging a
-// flit arms the wire's scheduling component (the arena, or the wire
-// itself with SeparateWires) and the consuming switch or receptor.
-// Staging credits arms only the wire component: credits accumulate
-// losslessly, so the consumer collects an identical total whenever its
-// own input next wakes it. AttachWatchdog later rebinds the injection
-// wires to also arm the watchdog.
-func (p *Platform) installArmHooks(pairs []wirePair) {
-	p.wirePairs = pairs
-	for _, wp := range pairs {
-		p.bindArmHook(wp, "")
-	}
-}
-
-// bindArmHook installs the Send hooks of one wire pair, optionally
-// adding an extra arm target (the watchdog) to the flit wire. With the
-// arenas in place the engine-level targets are the arena components;
-// the hook additionally arms the specific wire (and consuming switch)
-// inside its arena, since the engine parks arenas only as a whole.
-func (p *Platform) bindArmHook(wp wirePair, extra string) {
-	selfName := "wires"
-	crName := "wires"
-	consumer := wp.consumer
-	if p.cfg.SeparateWires {
-		selfName = wp.l.ComponentName()
-		crName = wp.c.ComponentName()
-	} else if wp.swIdx >= 0 {
-		consumer = p.swArena.ComponentName()
-	}
-	targets := []string{selfName, consumer}
-	if extra != "" {
-		targets = append(targets, extra)
-	}
-	armFlit, ok1 := p.eng.ArmerN(targets...)
-	armCr, ok2 := p.eng.ArmerN(crName)
+// bindArmHook binds the arm-on-input rule to one wire pair: staging a
+// flit arms the wire and the consuming switch or receptor (plus any
+// extra target — AttachWatchdog rebinds the injection wires to also
+// arm the watchdog), staging credits arms only the wire. Credits
+// accumulate losslessly, so the consumer collects an identical total
+// whenever its own input next wakes it.
+func (p *Platform) bindArmHook(wp wirePair, extra ...engine.Target) {
+	armFlit, ok1 := p.eng.Armer(append([]engine.Target{wp.flit, wp.consumer}, extra...)...)
+	armCr, ok2 := p.eng.Armer(wp.credit)
 	if !ok1 || !ok2 {
-		panic(fmt.Sprintf("platform %s: arm hook target missing (%v)", p.cfg.Name, targets))
-	}
-	if wires := p.wires; wires != nil && wires.Gated() {
-		li, ci, si := wp.li, wp.ci, wp.swIdx
-		swArena := p.swArena
-		wp.l.SetSendHook(func() {
-			wires.ArmLink(li)
-			if si >= 0 {
-				swArena.Arm(si)
-			}
-			armFlit()
-		})
-		wp.c.SetSendHook(func() {
-			wires.ArmCredit(ci)
-			armCr()
-		})
-		return
+		panic(fmt.Sprintf("platform %s: arm hook target missing (%v %v %v)", p.cfg.Name, wp.flit, wp.consumer, extra))
 	}
 	wp.l.SetSendHook(armFlit)
 	wp.c.SetSendHook(armCr)

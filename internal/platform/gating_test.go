@@ -17,6 +17,7 @@ import (
 	"nocemu/internal/link"
 	"nocemu/internal/monitor"
 	"nocemu/internal/platform"
+	"nocemu/internal/topology"
 )
 
 // gatingWorkerCounts spans the sequential kernel and a worker sweep
@@ -119,6 +120,36 @@ func TestGatingPaperPlatformTrafficMatrix(t *testing.T) {
 				t.Errorf("reference run stopped=%v, want %v (executed %d)",
 					want.stopped, tc.wantStop, want.executed)
 			}
+		})
+	}
+}
+
+// TestGatingArenaScaleMatrix runs the matrix on platforms whose arenas
+// hold enough elements to matter: a 64-node mesh at light load, where
+// most switches and wire pairs are parked at any time and re-armed by
+// passing flits, and a flattened butterfly of 7-port switches. Element
+// park/re-arm is thereby compared against the naive sequential
+// reference directly, not only through SeparateWires.
+func TestGatingArenaScaleMatrix(t *testing.T) {
+	cases := []struct {
+		name, topo string
+		injection  float64
+		cycles     uint64
+	}{
+		{"mesh8x8-light", "mesh:w=8,h=8", 0.02, 3_000},
+		{"butterfly4x4", "butterfly:w=4,h=4", 0.1, 2_000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := topology.ParseSpec(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: tc.injection})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGatingMatrix(t, cfg, tc.cycles, nil)
 		})
 	}
 }

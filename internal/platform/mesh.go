@@ -9,7 +9,7 @@ import (
 
 // MeshOptions parameterizes a synthetic N×N mesh (or torus) platform
 // with one traffic generator and one receptor per node — the
-// large-scale scenario generator behind BenchmarkMeshScale and the
+// large-scale scenario generator behind the scale tests and the
 // topology studies. Everything is derived from the options and the
 // seed, so two calls with equal options build bit-identical platforms.
 type MeshOptions struct {

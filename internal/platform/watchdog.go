@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 
+	"nocemu/internal/engine"
 	"nocemu/internal/fault"
 )
 
@@ -42,7 +43,7 @@ func (p *Platform) AttachWatchdog(patience uint64) (*Watchdog, error) {
 	if p.par == nil && p.eng.Gated() {
 		for _, wp := range p.wirePairs {
 			if wp.inject {
-				p.bindArmHook(wp, w.name)
+				p.bindArmHook(wp, engine.Target{Name: w.name})
 			}
 		}
 	}

@@ -16,30 +16,14 @@ import (
 // what keeps the route/arbitrate loop cache-resident at 1k-node scale.
 // Config.SeparateWires restores one engine component per switch.
 //
-// On a gated sequential platform the arena also gates each switch
-// internally, mirroring the engine's own component gating: an idle
-// switch (empty buffers, nothing on its input wires) is parked with a
-// per-element watermark and is paid its missed cycles (cycle counters,
-// buffer occupancy denominators) when an input wire's Send hook re-arms
-// it or when the kernel settles. The arena reports quiet to the engine
-// exactly when every element is parked.
+// The arena is storage plus evaluation; which switches are worth
+// evaluating in a given cycle is the engine's decision (its gate
+// schedules the arena element by element through the *List and Elem*
+// methods).
 type Arena struct {
 	name string
 	sws  []Switch
-
-	// Internal gating state (gated sequential platforms only).
-	gated   bool
-	cycle   func() uint64 // engine cycle, for arm-time catch-up
-	active  []bool
-	act     []int    // indices of active switches, unordered
-	park    []uint64 // first cycle element i has not executed
-	nextTry []uint64 // park-scan backoff, as in the engine's scheduler
 }
-
-// parkRetry mirrors the engine's park-scan backoff: a busy switch is
-// re-examined for parking every parkRetry-th cycle instead of every
-// cycle. Parking is transparent, so the backoff never changes results.
-const parkRetry = 8
 
 // NewArena returns an empty switch arena with fixed capacity. The
 // capacity is exact: the platform knows its switch count at build time,
@@ -77,61 +61,16 @@ func (a *Arena) At(i int) *Switch { return &a.sws[i] }
 // ComponentName implements engine.Component.
 func (a *Arena) ComponentName() string { return a.name }
 
-// Tick implements engine.Component: evaluate every switch (or, gated,
-// every active switch).
-func (a *Arena) Tick(cycle uint64) {
-	if !a.gated {
-		for i := range a.sws {
-			a.sws[i].Tick(cycle)
-		}
-		return
-	}
-	// Growing bound: a switch ticked here may stage a flit onto a parked
-	// neighbour's input wire, whose Send hook appends the neighbour to
-	// act mid-walk; the new entry is then ticked in this same cycle —
-	// the arena-internal analogue of the engine's armed-list catch-up.
-	for n := 0; n < len(a.act); n++ {
-		a.sws[a.act[n]].Tick(cycle)
-	}
-}
+// Tick implements engine.Component: evaluate every switch.
+func (a *Arena) Tick(cycle uint64) { a.TickRange(0, len(a.sws), cycle) }
 
-// Commit implements engine.Component. Gated, it doubles as the park
-// scan: each active switch commits and, subject to the backoff, is
-// parked if quiet. The quiet predicate is safe here — mid-commit,
-// before the wires commit — because Switch.NextWake checks input wires
-// with PendingFlit, which sees staged flits, and no component stages
-// flits during the commit phase.
-func (a *Arena) Commit(cycle uint64) {
-	if !a.gated {
-		for i := range a.sws {
-			a.sws[i].Commit(cycle)
-		}
-		return
-	}
-	keep := a.act[:0]
-	for _, i := range a.act {
-		s := &a.sws[i]
-		s.Commit(cycle)
-		if cycle < a.nextTry[i] {
-			keep = append(keep, i)
-			continue
-		}
-		if _, quiet := s.NextWake(cycle); !quiet {
-			a.nextTry[i] = cycle + parkRetry
-			keep = append(keep, i)
-			continue
-		}
-		a.active[i] = false
-		a.park[i] = cycle + 1
-	}
-	a.act = keep
-}
+// Commit implements engine.Component.
+func (a *Arena) Commit(cycle uint64) { a.CommitRange(0, len(a.sws), cycle) }
 
 // Len implements engine.Arena.
 func (a *Arena) Len() int { return len(a.sws) }
 
-// TickRange implements engine.Arena: tick switches [lo, hi). Only the
-// parallel kernel calls it; internal gating is a sequential-kernel mode.
+// TickRange implements engine.Arena: tick switches [lo, hi).
 func (a *Arena) TickRange(lo, hi int, cycle uint64) {
 	for i := lo; i < hi; i++ {
 		a.sws[i].Tick(cycle)
@@ -145,92 +84,46 @@ func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
 	}
 }
 
-// EnableGating switches the arena to per-switch scheduling; cycle
-// supplies the engine's current cycle for arm-time skip accounting.
-// Every switch starts active, exactly like freshly registered engine
-// components.
-func (a *Arena) EnableGating(cycle func() uint64) {
-	a.gated = true
-	a.cycle = cycle
-	n := len(a.sws)
-	a.active = make([]bool, n)
-	a.act = make([]int, n)
-	a.park = make([]uint64, n)
-	a.nextTry = make([]uint64, n)
-	for i := range a.sws {
-		a.active[i] = true
-		a.act[i] = i
+// TickList implements engine.Arena: tick the listed switches.
+func (a *Arena) TickList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		a.sws[i].Tick(cycle)
 	}
 }
 
-// Arm re-activates switch i (called from its input wires' Send hooks),
-// paying the cycles it skipped while parked. No-op when the switch is
-// already active or the arena is ungated.
-func (a *Arena) Arm(i int) {
-	if !a.gated || a.active[i] {
-		return
+// CommitList implements engine.Arena: commit the listed switches.
+func (a *Arena) CommitList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		a.sws[i].Commit(cycle)
 	}
-	a.active[i] = true
-	c := a.cycle()
-	if c > a.park[i] {
-		a.sws[i].SkipIdle(a.park[i], c-a.park[i])
-	}
-	a.park[i] = c
-	a.nextTry[i] = 0
-	a.act = append(a.act, i)
 }
 
-// NextWake implements engine.Quiescable: the arena is quiet when every
-// switch is (gated: every element parked; ungated: direct scan). Input
-// wire Send hooks arm both the element and the arena component, so a
-// quiet arena never misses traffic.
+// ElemNextWake implements engine.Arena. The gate asks mid-commit,
+// before the wires commit; Switch.NextWake is safe there because it
+// checks input wires with PendingFlit, which sees staged flits, and no
+// component stages flits during the commit phase.
+func (a *Arena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
+	return a.sws[i].NextWake(cycle)
+}
+
+// ElemSkipIdle implements engine.Arena.
+func (a *Arena) ElemSkipIdle(i int, from, n uint64) { a.sws[i].SkipIdle(from, n) }
+
+// NextWake implements engine.Quiescable for kernels that gate the
+// arena as a whole: quiet when every switch is.
 func (a *Arena) NextWake(cycle uint64) (uint64, bool) {
-	if a.gated {
-		return NeverWake, len(a.act) == 0
-	}
 	for i := range a.sws {
 		if _, quiet := a.sws[i].NextWake(cycle); !quiet {
 			return 0, false
 		}
 	}
-	return NeverWake, true
+	return ^uint64(0), true
 }
 
-// SkipIdle implements engine.Quiescable. With internal gating the
-// per-element park watermarks already account for skipped cycles (paid
-// on arm or Settle), so the arena-level call pays nothing; ungated
-// (global fast-forward on a parallel kernel) it pays every element.
+// SkipIdle implements engine.Quiescable.
 func (a *Arena) SkipIdle(from, n uint64) {
-	if a.gated {
-		return
-	}
 	for i := range a.sws {
 		a.sws[i].SkipIdle(from, n)
-	}
-}
-
-// Settle implements engine.Settler: bring every internally parked
-// switch's counters up to date, so observers between runs see exactly
-// the naive schedule's statistics.
-func (a *Arena) Settle(cycle uint64) {
-	if !a.gated {
-		return
-	}
-	for i := range a.sws {
-		if !a.active[i] && cycle > a.park[i] {
-			a.sws[i].SkipIdle(a.park[i], cycle-a.park[i])
-			a.park[i] = cycle
-		}
-	}
-}
-
-// Rewind implements engine.Settler: after Engine.Reset the park
-// watermarks must restart from cycle zero (the kernel settled first, so
-// no debt is outstanding). Parked switches stay parked; their input
-// hooks re-arm them.
-func (a *Arena) Rewind() {
-	for i := range a.park {
-		a.park[i] = 0
 	}
 }
 
@@ -248,7 +141,3 @@ func (a *Arena) SetProbe(p *probe.Probe) {
 		a.sws[i].SetProbe(p)
 	}
 }
-
-// NeverWake mirrors engine.NeverWake without importing the engine
-// package (switchfab is below engine in the dependency order).
-const NeverWake = ^uint64(0)

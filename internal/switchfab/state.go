@@ -5,12 +5,6 @@
 // per-output credit counters and wormhole locks, the per-input route
 // grants, the arbiter priority state, and the statistics. The scratch
 // granted flags are per-cycle and always false between runs.
-//
-// Like the wire arena, the switch arena's internal gating state is
-// derivable and never serialized: restore re-parks every switch whose
-// quiet predicate holds at the restored cycle and re-activates the
-// rest, with park watermarks at the snapshot boundary (where the
-// kernel settled all skip debt).
 package switchfab
 
 import (
@@ -86,8 +80,7 @@ func (s *Switch) LoadState(r *state.Reader) error {
 }
 
 // SaveState serializes the switch arena: the element count (validated
-// on restore), then every switch in index order. Gating state is
-// derivable (see the file comment) and not written.
+// on restore), then every switch in index order.
 func (a *Arena) SaveState(w *state.Writer) {
 	w.Int(len(a.sws))
 	for i := range a.sws {
@@ -95,8 +88,7 @@ func (a *Arena) SaveState(w *state.Writer) {
 	}
 }
 
-// LoadState restores every switch and rebuilds the internal gating
-// view at the restored cycle.
+// LoadState restores every switch.
 func (a *Arena) LoadState(r *state.Reader) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -108,19 +100,6 @@ func (a *Arena) LoadState(r *state.Reader) error {
 	for i := range a.sws {
 		if err := a.sws[i].LoadState(r); err != nil {
 			return err
-		}
-	}
-	if a.gated {
-		cycle := a.cycle()
-		a.act = a.act[:0]
-		for i := range a.sws {
-			_, quiet := a.sws[i].NextWake(cycle)
-			a.active[i] = !quiet
-			a.park[i] = cycle
-			a.nextTry[i] = 0
-			if !quiet {
-				a.act = append(a.act, i)
-			}
 		}
 	}
 	return r.Err()
