@@ -84,6 +84,16 @@ topos-check:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
+# Line count, the ROADMAP's "goes down" bar as one command: non-test Go
+# lines per internal/* package and in total, leaving out bench/,
+# examples/ and *_test.go.
+.PHONY: loc
+loc:
+	@for d in internal/*; do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%6d total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' -exec cat {} + | wc -l)"
+
 # One-stop pre-commit gate: build, tests, vet, the codec fuzz smokes
 # (trace JSONL + snapshot framing), the REGISTERS.md and TOPOLOGIES.md
 # drift checks, and a gofmt check that fails (not just lists) when any

@@ -124,7 +124,6 @@ func BenchmarkTable2SystemCLike(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg.SeparateWires = true // per-signal kernel costs, as in SystemC
 		p, err := platform.Build(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -17,11 +17,12 @@
 // controller, collector — O(1) or O(endpoints) instances whose dispatch
 // cost is noise). Arenas register through RegisterArena and appear in
 // the schedule as ONE component each, so every consumer of the registry
-// — the sequential kernel, the event calendar of internal/tlm, Lookup
-// — keeps working unchanged. Two kernels look inside: the parallel
-// kernel shards an arena's index range across workers instead of
-// assigning it whole, and the sequential gated kernel parks and wakes
-// its elements one by one (quiesce.go).
+// — the sequential kernel, Lookup — keeps working unchanged. Three
+// schedulers look inside: the parallel kernel shards an arena's index
+// range across workers instead of assigning it whole, the sequential
+// gated kernel parks and wakes its elements one by one (quiesce.go),
+// and the event calendar of internal/tlm gives every element its own
+// processes, as a SystemC kernel would each signal and module.
 package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by

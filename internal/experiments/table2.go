@@ -96,14 +96,14 @@ func MeasureEmulatorRate(n uint64, workers int, noGate bool) (rate, cyclesPerPac
 }
 
 // MeasureTLMRate runs the reference platform under the SystemC-like
-// scheduler for n cycles and returns cycles/second. Wires register
-// individually, as SystemC primitive channels do with their kernel.
+// scheduler for n cycles and returns cycles/second. The scheduler
+// itself gives every wire pair and switch its own processes, as
+// SystemC primitive channels and modules get from their kernel.
 func MeasureTLMRate(n uint64) (float64, error) {
 	cfg, err := paperRefCfg()
 	if err != nil {
 		return 0, err
 	}
-	cfg.SeparateWires = true
 	p, err := platform.Build(cfg)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,10 @@
 package link
 
-import "fmt"
+import (
+	"fmt"
+
+	"nocemu/internal/flit"
+)
 
 // Arena is the dense wire store of a platform: every flit link and
 // credit link lives by value in one of two contiguous slices, and the
@@ -9,8 +13,7 @@ import "fmt"
 // directly — no interface dispatch, no pointer chasing between
 // neighbouring wires — which is what makes the per-cycle wire walk
 // cache-linear at 1k-node scale. The software analogue of the FPGA
-// clocking all nets at once; Config.SeparateWires restores one engine
-// component per wire instead.
+// clocking all nets at once.
 //
 // The arena is storage plus evaluation. Which wires are worth
 // committing in a given cycle is the engine's decision: its gate
@@ -117,5 +120,13 @@ func (a *Arena) NextWake(cycle uint64) (uint64, bool) {
 func (a *Arena) SkipIdle(from, n uint64) {
 	for i := range a.links {
 		a.links[i].SkipIdle(from, n)
+	}
+}
+
+// Drain releases every flit wire's in-flight state through release
+// (end-of-run reclamation).
+func (a *Arena) Drain(release func(*flit.Flit)) {
+	for i := range a.links {
+		a.links[i].Drain(release)
 	}
 }

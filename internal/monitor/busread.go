@@ -10,72 +10,76 @@ import (
 	"nocemu/internal/regmap"
 )
 
-// devHandle addresses one device on the internal buses. Every statistic
-// the monitor reports flows through these four accessors — the monitor
-// is a pure bus master, exactly like the paper's host PC behind the
-// platform's communication interface.
-type devHandle struct {
+// Dev addresses one device on the internal buses. Every statistic
+// the monitor and the co-simulation service (internal/serve) report
+// flows through these four accessors — both are pure bus masters,
+// exactly like the paper's host PC behind the platform's communication
+// interface.
+type Dev struct {
 	sys      *bus.System
 	bus, dev uint32
-	name     string
+	Name     string
 }
 
-func (d devHandle) read(reg uint32) (uint32, error) {
+// Read reads one 32-bit register.
+func (d Dev) Read(reg uint32) (uint32, error) {
 	return d.sys.Read(bus.MakeAddr(d.bus, d.dev, reg))
 }
 
-func (d devHandle) read64(reg uint32) (uint64, error) {
+// Read64 reads a lo/hi register pair.
+func (d Dev) Read64(reg uint32) (uint64, error) {
 	return d.sys.Read64(bus.MakeAddr(d.bus, d.dev, reg))
 }
 
-// readF64 reads a float64 result register (IEEE-754 bits as a lo/hi
+// ReadF64 reads a float64 result register (IEEE-754 bits as a lo/hi
 // pair) — the lossless path for analyzer results.
-func (d devHandle) readF64(reg uint32) (float64, error) {
-	v, err := d.read64(reg)
+func (d Dev) ReadF64(reg uint32) (float64, error) {
+	v, err := d.Read64(reg)
 	return math.Float64frombits(v), err
 }
 
-func (d devHandle) write(reg, v uint32) error {
+// Write writes one 32-bit register.
+func (d Dev) Write(reg, v uint32) error {
 	return d.sys.Write(bus.MakeAddr(d.bus, d.dev, reg), v)
 }
 
-// busView is the monitor's picture of a platform, discovered purely by
+// BusView is a bus master's picture of a platform, discovered purely by
 // walking the bus attachments and classifying each device by its TYPE
 // register. Slices keep bus order: TG/TR/switch/link devices are
 // attached in spec/topology order, so rows line up with the platform's.
-type busView struct {
-	ctrl     devHandle
-	tgs      []devHandle
-	trs      []devHandle
-	switches []devHandle
-	links    []devHandle
-	probes   []devHandle
+type BusView struct {
+	Ctrl     Dev
+	TGs      []Dev
+	TRs      []Dev
+	Switches []Dev
+	Links    []Dev
+	Probes   []Dev
 }
 
-// scanBus classifies every attached device by TYPE.
-func scanBus(sys *bus.System) (*busView, error) {
-	v := &busView{}
+// ScanBus classifies every attached device by TYPE.
+func ScanBus(sys *bus.System) (*BusView, error) {
+	v := &BusView{}
 	haveCtrl := false
 	for _, at := range sys.Attachments() {
-		d := devHandle{sys: sys, bus: at.Bus, dev: at.Dev, name: at.Device.DeviceName()}
-		typ, err := d.read(regmap.RegType)
+		d := Dev{sys: sys, bus: at.Bus, dev: at.Dev, Name: at.Device.DeviceName()}
+		typ, err := d.Read(regmap.RegType)
 		if err != nil {
-			return nil, fmt.Errorf("monitor: classify %s: %w", d.name, err)
+			return nil, fmt.Errorf("monitor: classify %s: %w", d.Name, err)
 		}
 		switch typ {
 		case regmap.TypeControl:
-			v.ctrl = d
+			v.Ctrl = d
 			haveCtrl = true
 		case regmap.TypeTG:
-			v.tgs = append(v.tgs, d)
+			v.TGs = append(v.TGs, d)
 		case regmap.TypeTR:
-			v.trs = append(v.trs, d)
+			v.TRs = append(v.TRs, d)
 		case regmap.TypeSwitch:
-			v.switches = append(v.switches, d)
+			v.Switches = append(v.Switches, d)
 		case regmap.TypeLink:
-			v.links = append(v.links, d)
+			v.Links = append(v.Links, d)
 		case regmap.TypeProbe:
-			v.probes = append(v.probes, d)
+			v.Probes = append(v.Probes, d)
 		}
 	}
 	if !haveCtrl {
@@ -124,11 +128,11 @@ type linkRow struct {
 	load  float64
 }
 
-func (v *busView) readTGs() ([]tgRow, error) {
-	rows := make([]tgRow, 0, len(v.tgs))
-	for _, d := range v.tgs {
-		r := tgRow{name: d.name}
-		sub, err := d.read(regmap.RegSubtype)
+func (v *BusView) readTGs() ([]tgRow, error) {
+	rows := make([]tgRow, 0, len(v.TGs))
+	for _, d := range v.TGs {
+		r := tgRow{name: d.Name}
+		sub, err := d.Read(regmap.RegSubtype)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +147,7 @@ func (v *busView) readTGs() ([]tgRow, error) {
 			{regmap.RegTGStallCycles, &r.stalls},
 			{regmap.RegTGBackpressure, &r.backpressure},
 		} {
-			if *c.dst, err = d.read64(c.reg); err != nil {
+			if *c.dst, err = d.Read64(c.reg); err != nil {
 				return nil, err
 			}
 		}
@@ -152,12 +156,12 @@ func (v *busView) readTGs() ([]tgRow, error) {
 	return rows, nil
 }
 
-func (v *busView) readTRs() ([]trRow, error) {
-	rows := make([]trRow, 0, len(v.trs))
-	for _, d := range v.trs {
-		r := trRow{name: d.name}
+func (v *BusView) readTRs() ([]trRow, error) {
+	rows := make([]trRow, 0, len(v.TRs))
+	for _, d := range v.TRs {
+		r := trRow{name: d.Name}
 		var err error
-		if r.subtype, err = d.read(regmap.RegSubtype); err != nil {
+		if r.subtype, err = d.Read(regmap.RegSubtype); err != nil {
 			return nil, err
 		}
 		r.mode = regmap.TRModeName(r.subtype)
@@ -170,35 +174,35 @@ func (v *busView) readTRs() ([]trRow, error) {
 			{regmap.RegTRRunningTime, &r.runningTime},
 			{regmap.RegTRCongestion, &r.congestion},
 		} {
-			if *c.dst, err = d.read64(c.reg); err != nil {
+			if *c.dst, err = d.Read64(c.reg); err != nil {
 				return nil, err
 			}
 		}
-		if r.latMean, err = d.readF64(regmap.RegTRNetLatMeanF64); err != nil {
+		if r.latMean, err = d.ReadF64(regmap.RegTRNetLatMeanF64); err != nil {
 			return nil, err
 		}
-		if r.latMax, err = d.readF64(regmap.RegTRNetLatMaxF64); err != nil {
+		if r.latMax, err = d.ReadF64(regmap.RegTRNetLatMaxF64); err != nil {
 			return nil, err
 		}
-		count, err := d.read(regmap.RegFlowCount)
+		count, err := d.Read(regmap.RegFlowCount)
 		if err != nil {
 			return nil, err
 		}
 		for i := uint32(0); i < count; i++ {
-			if err := d.write(regmap.RegFlowSel, i); err != nil {
+			if err := d.Write(regmap.RegFlowSel, i); err != nil {
 				return nil, err
 			}
 			var f flowRow
-			if f.src, err = d.read(regmap.RegFlowSrc); err != nil {
+			if f.src, err = d.Read(regmap.RegFlowSrc); err != nil {
 				return nil, err
 			}
-			if f.packets, err = d.read64(regmap.RegFlowPackets); err != nil {
+			if f.packets, err = d.Read64(regmap.RegFlowPackets); err != nil {
 				return nil, err
 			}
-			if f.mean, err = d.readF64(regmap.RegFlowMeanF64); err != nil {
+			if f.mean, err = d.ReadF64(regmap.RegFlowMeanF64); err != nil {
 				return nil, err
 			}
-			if f.max, err = d.readF64(regmap.RegFlowMaxF64); err != nil {
+			if f.max, err = d.ReadF64(regmap.RegFlowMaxF64); err != nil {
 				return nil, err
 			}
 			r.flows = append(r.flows, f)
@@ -208,10 +212,10 @@ func (v *busView) readTRs() ([]trRow, error) {
 	return rows, nil
 }
 
-func (v *busView) readSwitches() ([]swRow, error) {
-	rows := make([]swRow, 0, len(v.switches))
-	for _, d := range v.switches {
-		r := swRow{name: d.name}
+func (v *BusView) readSwitches() ([]swRow, error) {
+	rows := make([]swRow, 0, len(v.Switches))
+	for _, d := range v.Switches {
+		r := swRow{name: d.Name}
 		var err error
 		for _, c := range []struct {
 			reg uint32
@@ -221,7 +225,7 @@ func (v *busView) readSwitches() ([]swRow, error) {
 			{regmap.RegSwPacketsRouted, &r.packets},
 			{regmap.RegSwBlocked, &r.blocked},
 		} {
-			if *c.dst, err = d.read64(c.reg); err != nil {
+			if *c.dst, err = d.Read64(c.reg); err != nil {
 				return nil, err
 			}
 		}
@@ -233,19 +237,19 @@ func (v *busView) readSwitches() ([]swRow, error) {
 	return rows, nil
 }
 
-func (v *busView) readLinks() ([]linkRow, error) {
-	rows := make([]linkRow, 0, len(v.links))
-	for _, d := range v.links {
+func (v *BusView) readLinks() ([]linkRow, error) {
+	rows := make([]linkRow, 0, len(v.Links))
+	for _, d := range v.Links {
 		var r linkRow
 		var err error
-		if r.flits, err = d.read64(regmap.RegLinkFlits); err != nil {
+		if r.flits, err = d.Read64(regmap.RegLinkFlits); err != nil {
 			return nil, err
 		}
-		busy, err := d.read64(regmap.RegLinkBusy)
+		busy, err := d.Read64(regmap.RegLinkBusy)
 		if err != nil {
 			return nil, err
 		}
-		cycles, err := d.read64(regmap.RegLinkCycles)
+		cycles, err := d.Read64(regmap.RegLinkCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -260,9 +264,9 @@ func (v *busView) readLinks() ([]linkRow, error) {
 // totalsFromBus reconstructs platform.Totals from the rows, replicating
 // the accumulation order of Platform.Totals so the aggregate floats are
 // bit-identical to the struct-sourced ones.
-func (v *busView) totals(tgs []tgRow, trs []trRow, sws []swRow) (platform.Totals, error) {
+func (v *BusView) totals(tgs []tgRow, trs []trRow, sws []swRow) (platform.Totals, error) {
 	var t platform.Totals
-	cycles, err := v.ctrl.read64(control.RegCycleLo)
+	cycles, err := v.Ctrl.Read64(control.RegCycleLo)
 	if err != nil {
 		return t, err
 	}
@@ -298,33 +302,33 @@ func (v *busView) totals(tgs []tgRow, trs []trRow, sws []swRow) (platform.Totals
 
 // readHist reads one receptor histogram (selected by sel) bin by bin
 // over the readout window.
-func readHist(d devHandle, sel uint32) (binWidth uint64, bins []uint64, overflow uint64, err error) {
-	if err = d.write(regmap.RegHistSel, sel); err != nil {
+func readHist(d Dev, sel uint32) (binWidth uint64, bins []uint64, overflow uint64, err error) {
+	if err = d.Write(regmap.RegHistSel, sel); err != nil {
 		return
 	}
-	numBins, err := d.read(regmap.RegHistBins)
+	numBins, err := d.Read(regmap.RegHistBins)
 	if err != nil {
 		return
 	}
-	width, err := d.read(regmap.RegHistWidth)
+	width, err := d.Read(regmap.RegHistWidth)
 	if err != nil {
 		return
 	}
-	over, err := d.read(regmap.RegHistOver)
+	over, err := d.Read(regmap.RegHistOver)
 	if err != nil {
 		return
 	}
 	bins = make([]uint64, numBins)
 	for i := uint32(0); i < numBins; i++ {
-		if err = d.write(regmap.RegHistIdx, i); err != nil {
+		if err = d.Write(regmap.RegHistIdx, i); err != nil {
 			return
 		}
-		lo, e := d.read(regmap.RegHistData)
+		lo, e := d.Read(regmap.RegHistData)
 		if e != nil {
 			err = e
 			return
 		}
-		hi, e := d.read(regmap.RegHistDataHi)
+		hi, e := d.Read(regmap.RegHistDataHi)
 		if e != nil {
 			err = e
 			return

@@ -24,7 +24,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	if p == nil {
 		return fmt.Errorf("monitor: nil platform")
 	}
-	v, err := scanBus(p.System())
+	v, err := ScanBus(p.System())
 	if err != nil {
 		return err
 	}
@@ -154,16 +154,16 @@ func WriteSynthesis(w io.Writer, syn *resource.Report) error {
 // where present) as ASCII art, read bin by bin over each receptor's
 // histogram window.
 func WriteHistograms(w io.Writer, p *platform.Platform, width int) error {
-	v, err := scanBus(p.System())
+	v, err := ScanBus(p.System())
 	if err != nil {
 		return err
 	}
-	for _, d := range v.trs {
-		sub, err := d.read(regmap.RegSubtype)
+	for _, d := range v.TRs {
+		sub, err := d.Read(regmap.RegSubtype)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "--- %s ---\n", d.name)
+		fmt.Fprintf(w, "--- %s ---\n", d.Name)
 		if sub == regmap.SubtypeStochastic {
 			for _, h := range []struct {
 				title string
@@ -259,7 +259,7 @@ func WriteJSON(w io.Writer, p *platform.Platform) error {
 	if p == nil {
 		return fmt.Errorf("monitor: nil platform")
 	}
-	v, err := scanBus(p.System())
+	v, err := ScanBus(p.System())
 	if err != nil {
 		return err
 	}

@@ -30,28 +30,28 @@ type windowRow struct {
 	occ, busy            uint64
 }
 
-func (v *busView) readProbes() ([]probeRow, error) {
-	rows := make([]probeRow, 0, len(v.probes))
-	for _, d := range v.probes {
-		r := probeRow{name: d.name, kinds: make(map[probe.Kind]uint64)}
+func (v *BusView) readProbes() ([]probeRow, error) {
+	rows := make([]probeRow, 0, len(v.Probes))
+	for _, d := range v.Probes {
+		r := probeRow{name: d.Name, kinds: make(map[probe.Kind]uint64)}
 		var err error
-		if r.events, err = d.read64(regmap.RegProbeEvents); err != nil {
+		if r.events, err = d.Read64(regmap.RegProbeEvents); err != nil {
 			return nil, err
 		}
-		if r.dropped, err = d.read64(regmap.RegProbeDropped); err != nil {
+		if r.dropped, err = d.Read64(regmap.RegProbeDropped); err != nil {
 			return nil, err
 		}
-		if r.rings, err = d.read(regmap.RegProbeRings); err != nil {
+		if r.rings, err = d.Read(regmap.RegProbeRings); err != nil {
 			return nil, err
 		}
-		if r.winSize, err = d.read(regmap.RegProbeWinSize); err != nil {
+		if r.winSize, err = d.Read(regmap.RegProbeWinSize); err != nil {
 			return nil, err
 		}
 		for k := probe.KindInject; k <= probe.KindFF; k++ {
-			if err := d.write(regmap.RegProbeKindSel, uint32(k)); err != nil {
+			if err := d.Write(regmap.RegProbeKindSel, uint32(k)); err != nil {
 				return nil, err
 			}
-			n, err := d.read64(regmap.RegProbeKindCount)
+			n, err := d.Read64(regmap.RegProbeKindCount)
 			if err != nil {
 				return nil, err
 			}
@@ -59,26 +59,26 @@ func (v *busView) readProbes() ([]probeRow, error) {
 				r.kinds[k] = n
 			}
 		}
-		numVCs, err := d.read(regmap.RegProbeNumVCs)
+		numVCs, err := d.Read(regmap.RegProbeNumVCs)
 		if err != nil {
 			return nil, err
 		}
 		for vc := uint32(0); vc < numVCs; vc++ {
-			if err := d.write(regmap.RegProbeVCSel, vc); err != nil {
+			if err := d.Write(regmap.RegProbeVCSel, vc); err != nil {
 				return nil, err
 			}
-			n, err := d.read64(regmap.RegProbeVCStalls)
+			n, err := d.Read64(regmap.RegProbeVCStalls)
 			if err != nil {
 				return nil, err
 			}
 			r.vcStalls = append(r.vcStalls, n)
 		}
-		winCount, err := d.read(regmap.RegProbeWinCount)
+		winCount, err := d.Read(regmap.RegProbeWinCount)
 		if err != nil {
 			return nil, err
 		}
 		for k := uint32(0); k < winCount; k++ {
-			if err := d.write(regmap.RegProbeWinSel, k); err != nil {
+			if err := d.Write(regmap.RegProbeWinSel, k); err != nil {
 				return nil, err
 			}
 			var wr windowRow
@@ -94,7 +94,7 @@ func (v *busView) readProbes() ([]probeRow, error) {
 				{regmap.RegProbeWinOcc, &wr.occ},
 				{regmap.RegProbeWinBusy, &wr.busy},
 			} {
-				if *c.dst, err = d.read64(c.reg); err != nil {
+				if *c.dst, err = d.Read64(c.reg); err != nil {
 					return nil, err
 				}
 			}
@@ -112,7 +112,7 @@ func WriteTraceMetrics(w io.Writer, p *platform.Platform) error {
 	if p == nil {
 		return fmt.Errorf("monitor: nil platform")
 	}
-	v, err := scanBus(p.System())
+	v, err := ScanBus(p.System())
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,6 @@ type Platform struct {
 	tgs      []*traffic.TG
 	trs      []*receptor.TR
 	links    []*link.Link // indexed by topology link index
-	allLinks []*link.Link // every flit link, incl. injector/ejector wires
 	pool     *flit.Pool
 	ctrl     *control.Module
 	proc     *control.Processor
@@ -59,11 +58,6 @@ type Platform struct {
 	// wirePairs remembers the registered wires for arm-hook rebinding
 	// (AttachWatchdog adds the watchdog to the injection-wire hooks).
 	wirePairs []wirePair
-	// snapLinks/snapCredits list every wire in creation order — the wire
-	// arena's internal order — so the snapshot's wires section is
-	// byte-identical with and without SeparateWires (snapshot.go).
-	snapLinks   []*link.Link
-	snapCredits []*link.CreditLink
 	// wd and faults remember post-build attachments so snapshots cover
 	// them and Fork can replicate them on rebuilt platforms.
 	wd         *Watchdog
@@ -73,9 +67,9 @@ type Platform struct {
 	// initSnap is the cycle-zero snapshot captured when construction
 	// finishes, backing FullReset.
 	initSnap []byte
-	// wires is the dense wire arena (nil with SeparateWires).
-	wires *link.Arena
-	// swArena is the dense switch arena (nil with SeparateWires).
+	// wires and swArena are the dense stores every wire and switch lives
+	// in; both are snapshot sections (snapshot.go).
+	wires   *link.Arena
 	swArena *switchfab.Arena
 	// unmapped counts register devices the bus address space could not
 	// hold (bus.ErrBusFull). The paper's format caps each bus at 1024
@@ -89,10 +83,9 @@ type Platform struct {
 type wirePair struct {
 	l *link.Link
 	c *link.CreditLink
-	// flit and credit are the wires' own gating targets (the same arena
-	// element, or two components with SeparateWires); consumer is the
-	// switch or receptor reading the flit link.
-	flit, credit, consumer engine.Target
+	// elem is the pair's own gating target (its wire-arena element);
+	// consumer is the switch or receptor reading the flit link.
+	elem, consumer engine.Target
 	// inject marks a TG injection wire. Only these need to arm the
 	// watchdog: the watchdog parks only when the network is fully
 	// drained, and the first send after a drain is always an injection.
@@ -129,52 +122,22 @@ func Build(cfg Config) (*Platform, error) {
 	// Dense arenas for the high-population component types (arena.go in
 	// engine, link, switchfab): the wire count and switch count are both
 	// known from the topology, so the backing arrays are sized exactly.
-	// SeparateWires falls back to one engine component per device.
-	var (
-		wires   *link.Arena
-		swArena *switchfab.Arena
-	)
-	if !cfg.SeparateWires {
-		wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs))
-		swArena = switchfab.NewArena("switches", topo.NumSwitches())
-		p.wires = wires
-		p.swArena = swArena
-	}
-	// newWires creates one flit link with its credit link; elem is the
-	// pair's index in the wire arena.
-	newWires := func(lname, cname string) (l *link.Link, c *link.CreditLink, elem int) {
-		if wires == nil {
-			l, c = link.NewLink(lname), link.NewCreditLink(cname)
-		} else {
-			elem = wires.Len()
-			l, c = wires.NewPair(lname, cname)
-		}
-		p.snapLinks = append(p.snapLinks, l)
-		p.snapCredits = append(p.snapCredits, c)
-		return l, c, elem
-	}
+	p.wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs))
+	p.swArena = switchfab.NewArena("switches", topo.NumSwitches())
 	swTarget := func(s topology.NodeID) engine.Target {
-		if swArena == nil {
-			return engine.Target{Name: p.switches[s].ComponentName()}
-		}
 		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
 	}
+	// newWires appends one flit link with its credit link to the wire
+	// arena and records the pair for arm-hook installation. Probes attach
+	// later, at each device's registration, because probe ids follow
+	// build order.
 	var pairs []wirePair
-	registerWires := func(l *link.Link, c *link.CreditLink, elem int, consumer engine.Target, inject bool) {
+	newWires := func(lname, cname string, consumer engine.Target, inject bool) (*link.Link, *link.CreditLink) {
+		elem := engine.Target{Name: "wires", Elem: p.wires.Len()}
+		l, c := p.wires.NewPair(lname, cname)
 		l.SetDropHandler(p.pool.Release)
-		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
-		p.allLinks = append(p.allLinks, l)
-		wp := wirePair{l: l, c: c, consumer: consumer, inject: inject}
-		if cfg.SeparateWires {
-			wp.flit = engine.Target{Name: l.ComponentName()}
-			wp.credit = engine.Target{Name: c.ComponentName()}
-			p.eng.MustRegister(l)
-			p.eng.MustRegister(c)
-		} else {
-			wp.flit = engine.Target{Name: "wires", Elem: elem}
-			wp.credit = wp.flit
-		}
-		pairs = append(pairs, wp)
+		pairs = append(pairs, wirePair{l: l, c: c, elem: elem, consumer: consumer, inject: inject})
+		return l, c
 	}
 
 	// Switches.
@@ -192,13 +155,7 @@ func Build(cfg Config) (*Platform, error) {
 			BufDepth: cfg.SwitchBufDepth, Arb: cfg.Arb, Select: cfg.Select,
 			Table: table, Seed: cfg.Seed ^ uint32(0x5157C000+s),
 		}
-		var sw *switchfab.Switch
-		var err error
-		if swArena != nil {
-			sw, err = swArena.New(swCfg)
-		} else {
-			sw, err = switchfab.New(swCfg)
-		}
+		sw, err := p.swArena.New(swCfg)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -210,9 +167,10 @@ func Build(cfg Config) (*Platform, error) {
 	p.links = make([]*link.Link, len(specs))
 	credits := make([]*link.CreditLink, len(specs))
 	for i, ls := range specs { // the wire arena's elements [0, len(specs))
-		p.links[i], credits[i], _ = newWires(
+		p.links[i], credits[i] = newWires(
 			fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To),
-			fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From))
+			fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From),
+			swTarget(ls.To), false)
 	}
 	// Wire link endpoints to switch ports by canonical port order.
 	for s := topology.NodeID(0); int(s) < topo.NumSwitches(); s++ {
@@ -247,7 +205,8 @@ func Build(cfg Config) (*Platform, error) {
 		if portIdx < 0 {
 			return nil, fmt.Errorf("platform %s: no input port for TG endpoint %d", cfg.Name, spec.Endpoint)
 		}
-		injL, injCr, elem := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint))
+		injL, injCr := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint),
+			swTarget(ep.Switch), true)
 		if err := sw.ConnectInput(portIdx, injL, injCr); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -275,7 +234,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.tgByEndpoint[spec.Endpoint] = tg
 		tg.SetProbe(p.collector.NewProbe(tg.ComponentName()))
 		p.eng.MustRegister(tg)
-		registerWires(injL, injCr, elem, swTarget(ep.Switch), true)
+		injL.SetProbe(p.collector.NewProbe(injL.ComponentName()))
 	}
 
 	// Traffic receptors.
@@ -292,7 +251,9 @@ func Build(cfg Config) (*Platform, error) {
 		if portIdx < 0 {
 			return nil, fmt.Errorf("platform %s: no output port for TR endpoint %d", cfg.Name, spec.Endpoint)
 		}
-		ejL, ejCr, elem := newWires(fmt.Sprintf("ej%d", spec.Endpoint), fmt.Sprintf("ejcr%d", spec.Endpoint))
+		trName := fmt.Sprintf("tr%d", spec.Endpoint)
+		ejL, ejCr := newWires(fmt.Sprintf("ej%d", spec.Endpoint), fmt.Sprintf("ejcr%d", spec.Endpoint),
+			engine.Target{Name: trName}, false)
 		depth := spec.BufDepth
 		if depth == 0 {
 			depth = cfg.SwitchBufDepth
@@ -305,7 +266,7 @@ func Build(cfg Config) (*Platform, error) {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
 		tr, err := receptor.New(receptor.Config{
-			Name: fmt.Sprintf("tr%d", spec.Endpoint), Endpoint: spec.Endpoint,
+			Name: trName, Endpoint: spec.Endpoint,
 			Mode: spec.Mode, ExpectPackets: spec.ExpectPackets,
 			SizeBinWidth: spec.SizeBinWidth, SizeBins: spec.SizeBins,
 			GapBinWidth: spec.GapBinWidth, GapBins: spec.GapBins,
@@ -319,7 +280,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.trByEndpoint[spec.Endpoint] = tr
 		tr.SetProbe(p.collector.NewProbe(tr.ComponentName()))
 		p.eng.MustRegister(tr)
-		registerWires(ejL, ejCr, elem, engine.Target{Name: tr.ComponentName()}, false)
+		ejL.SetProbe(p.collector.NewProbe(ejL.ComponentName()))
 	}
 
 	// Register switches and inter-switch wires after endpoints so
@@ -329,19 +290,12 @@ func Build(cfg Config) (*Platform, error) {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
 		sw.SetProbe(p.collector.NewProbe(sw.ComponentName()))
-		if swArena == nil {
-			p.eng.MustRegister(sw)
-		}
 	}
-	if swArena != nil {
-		p.eng.MustRegisterArena(swArena)
+	p.eng.MustRegisterArena(p.swArena)
+	for _, l := range p.links {
+		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 	}
-	for i := range p.links {
-		registerWires(p.links[i], credits[i], i, swTarget(specs[i].To), false)
-	}
-	if wires != nil {
-		p.eng.MustRegisterArena(wires)
-	}
+	p.eng.MustRegisterArena(p.wires)
 	// The collector registers after every data component so its serial
 	// Tick drains behind them; the samplers read only skip-debt-free
 	// state (committed occupancy, link busy-cycles), keeping boundary
@@ -469,16 +423,16 @@ func Build(cfg Config) (*Platform, error) {
 }
 
 // bindArmHook binds the arm-on-input rule to one wire pair: staging a
-// flit arms the wire and the consuming switch or receptor (plus any
+// flit arms the pair and the consuming switch or receptor (plus any
 // extra target — AttachWatchdog rebinds the injection wires to also
-// arm the watchdog), staging credits arms only the wire. Credits
+// arm the watchdog), staging credits arms only the pair. Credits
 // accumulate losslessly, so the consumer collects an identical total
 // whenever its own input next wakes it.
 func (p *Platform) bindArmHook(wp wirePair, extra ...engine.Target) {
-	armFlit, ok1 := p.eng.Armer(append([]engine.Target{wp.flit, wp.consumer}, extra...)...)
-	armCr, ok2 := p.eng.Armer(wp.credit)
+	armFlit, ok1 := p.eng.Armer(append([]engine.Target{wp.elem, wp.consumer}, extra...)...)
+	armCr, ok2 := p.eng.Armer(wp.elem)
 	if !ok1 || !ok2 {
-		panic(fmt.Sprintf("platform %s: arm hook target missing (%v %v %v)", p.cfg.Name, wp.flit, wp.consumer, extra))
+		panic(fmt.Sprintf("platform %s: arm hook target missing (%v %v %v)", p.cfg.Name, wp.elem, wp.consumer, extra))
 	}
 	wp.l.SetSendHook(armFlit)
 	wp.c.SetSendHook(armCr)
@@ -639,12 +593,8 @@ func (p *Platform) Probe() *probe.Collector { return p.collector }
 // (or ResetRun) rather than more cycles. Statistics stay readable.
 func (p *Platform) Drain() {
 	release := p.pool.Release
-	for _, l := range p.allLinks {
-		l.Drain(release)
-	}
-	for _, sw := range p.switches {
-		sw.Drain(release)
-	}
+	p.wires.Drain(release)
+	p.swArena.Drain(release)
 	for _, tg := range p.tgs {
 		tg.Injector().Drain(release)
 	}

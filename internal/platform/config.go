@@ -138,12 +138,6 @@ type Config struct {
 	TRs []TRSpec
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
-	// SeparateWires registers every link and credit wire as its own
-	// engine component instead of one bundled wire bank. The bundled
-	// default is the emulator's static-netlist optimization; alternative
-	// schedulers (internal/tlm) set this to model per-signal kernel
-	// costs, as a SystemC primitive channel would incur.
-	SeparateWires bool
 	// Workers selects the simulation kernel: 0 runs the sequential
 	// two-phase engine on the caller's goroutine; N >= 1 drives the
 	// same schedule through engine.NewParallel with N workers — the

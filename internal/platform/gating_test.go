@@ -129,7 +129,7 @@ func TestGatingPaperPlatformTrafficMatrix(t *testing.T) {
 // most switches and wire pairs are parked at any time and re-armed by
 // passing flits, and a flattened butterfly of 7-port switches. Element
 // park/re-arm is thereby compared against the naive sequential
-// reference directly, not only through SeparateWires.
+// reference at arena scale.
 func TestGatingArenaScaleMatrix(t *testing.T) {
 	cases := []struct {
 		name, topo string

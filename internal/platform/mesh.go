@@ -33,10 +33,6 @@ type MeshOptions struct {
 	// Workers and NoGate select the kernel, as in Config.
 	Workers int
 	NoGate  bool
-	// SeparateWires registers every component individually instead of
-	// using the dense per-type arenas — the interface-dispatch ablation
-	// the scale benchmark compares against.
-	SeparateWires bool
 }
 
 func (o *MeshOptions) applyDefaults() {
@@ -77,15 +73,14 @@ func MeshConfig(o MeshOptions) (Config, error) {
 		kind = "torus"
 	}
 	cfg, err := NetConfig(NetOptions{
-		Topo:          topology.Spec{Kind: kind, Param: map[string]int{"w": o.N, "h": o.N}},
-		Workload:      "uniform",
-		Injection:     o.Injection,
-		PacketLen:     o.PacketLen,
-		PacketsPerTG:  o.PacketsPerTG,
-		Seed:          o.Seed,
-		Workers:       o.Workers,
-		NoGate:        o.NoGate,
-		SeparateWires: o.SeparateWires,
+		Topo:         topology.Spec{Kind: kind, Param: map[string]int{"w": o.N, "h": o.N}},
+		Workload:     "uniform",
+		Injection:    o.Injection,
+		PacketLen:    o.PacketLen,
+		PacketsPerTG: o.PacketsPerTG,
+		Seed:         o.Seed,
+		Workers:      o.Workers,
+		NoGate:       o.NoGate,
 	})
 	if err != nil {
 		return Config{}, err

@@ -34,9 +34,6 @@ type NetOptions struct {
 	// Workers and NoGate select the kernel, as in Config.
 	Workers int
 	NoGate  bool
-	// SeparateWires registers every component individually instead of
-	// using the dense per-type arenas (the dispatch ablation).
-	SeparateWires bool
 }
 
 func (o *NetOptions) applyDefaults() {
@@ -109,12 +106,11 @@ func NetConfig(o NetOptions) (Config, error) {
 		return Config{}, fmt.Errorf("platform: workload %q emitted %d configs for %d sources", o.Workload, len(specs), nT)
 	}
 	cfg := Config{
-		Name:          topo.Name(),
-		Topology:      topo,
-		Seed:          o.Seed,
-		Workers:       o.Workers,
-		NoGate:        o.NoGate,
-		SeparateWires: o.SeparateWires,
+		Name:     topo.Name(),
+		Topology: topo,
+		Seed:     o.Seed,
+		Workers:  o.Workers,
+		NoGate:   o.NoGate,
 	}
 	for i := range specs {
 		spec := TGSpec{

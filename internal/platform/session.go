@@ -1,9 +1,8 @@
 // Session handles: the platform surface a co-simulation session
 // (internal/serve) drives between kernel runs. Scripted injection
 // reaches the TG's ScriptGen; answers are read back over the register
-// buses, for which the device-number accessors map endpoints to their
-// bus slots (attach order is deterministic: spec order per bus, with
-// the control module at bus 0 slot 0 and switches after it).
+// buses, for which TRDev maps a sink endpoint to its TR device (attach
+// order is deterministic: spec order per bus).
 //
 // All of these are between-run operations: the engine re-evaluates
 // every parked component at each kernel entry, so a demand scripted
@@ -52,16 +51,6 @@ func (p *Platform) scriptGen(src flit.EndpointID) (*traffic.ScriptGen, error) {
 	return sg, nil
 }
 
-// TGDev returns the bus-1 device number of the TG at the endpoint.
-func (p *Platform) TGDev(ep flit.EndpointID) (uint32, bool) {
-	for i, spec := range p.cfg.TGs {
-		if spec.Endpoint == ep {
-			return uint32(i), true
-		}
-	}
-	return 0, false
-}
-
 // TRDev returns the bus-2 device number of the TR at the endpoint.
 func (p *Platform) TRDev(ep flit.EndpointID) (uint32, bool) {
 	for i, spec := range p.cfg.TRs {
@@ -70,13 +59,4 @@ func (p *Platform) TRDev(ep flit.EndpointID) (uint32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SwitchDev returns the bus-0 device number of switch s (the control
-// module holds slot 0).
-func (p *Platform) SwitchDev(s int) (uint32, bool) {
-	if s < 0 || s >= len(p.switches) {
-		return 0, false
-	}
-	return uint32(1 + s), true
 }

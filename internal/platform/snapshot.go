@@ -6,10 +6,9 @@
 // logical state — committed wires, buffered flit images, generator and
 // arbiter progress, statistics — never kernel scheduling ephemera, so
 // one snapshot restores into any kernel configuration: sequential or
-// parallel, gated or not, dense arenas or SeparateWires. Restore
-// validates every section name and type against the built platform and
-// fails loudly on drift; a restored platform continues bit-identically
-// with an uninterrupted run.
+// parallel, gated or not. Restore validates every section name and
+// type against the built platform and fails loudly on drift; a restored
+// platform continues bit-identically with an uninterrupted run.
 package platform
 
 import (
@@ -36,9 +35,8 @@ const (
 )
 
 // snapshotPlan returns the platform's section walk: names, types, and
-// the Stateful behind each, in build order. The engine section leads so
-// restore re-bases the cycle before any arena rebuilds its gating view
-// against it.
+// the Stateful behind each, in build order. The two arenas are their
+// own sections: element count(s), then every element in index order.
 func (p *Platform) snapshotPlan() (names, types []string, parts []engine.Stateful) {
 	add := func(name, typ string, s engine.Stateful) {
 		names = append(names, name)
@@ -53,8 +51,8 @@ func (p *Platform) snapshotPlan() (names, types []string, parts []engine.Statefu
 	for _, tr := range p.trs {
 		add(tr.ComponentName(), secTR, tr)
 	}
-	add("switches", secSwitchfab, switchesStateful{p})
-	add("wires", secWires, wiresStateful{p})
+	add("switches", secSwitchfab, p.swArena)
+	add("wires", secWires, p.wires)
 	if p.collector != nil {
 		add("probe", secProbe, p.collector)
 	}
@@ -218,88 +216,6 @@ func (p *Platform) Fork(n int) ([]*Platform, error) {
 		forks = append(forks, f)
 	}
 	return forks, nil
-}
-
-// switchesStateful serializes the switch population with one encoding
-// for both construction modes: the element count, then every switch in
-// topology order — exactly the switch arena's own encoding, so dense
-// and SeparateWires builds produce byte-identical sections.
-type switchesStateful struct{ p *Platform }
-
-func (s switchesStateful) SaveState(w *state.Writer) {
-	if s.p.swArena != nil {
-		s.p.swArena.SaveState(w)
-		return
-	}
-	w.Int(len(s.p.switches))
-	for _, sw := range s.p.switches {
-		sw.SaveState(w)
-	}
-}
-
-func (s switchesStateful) LoadState(r *state.Reader) error {
-	if s.p.swArena != nil {
-		return s.p.swArena.LoadState(r)
-	}
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(s.p.switches) {
-		return fmt.Errorf("snapshot has %d switches, built %d", n, len(s.p.switches))
-	}
-	for _, sw := range s.p.switches {
-		if err := sw.LoadState(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-// wiresStateful serializes the wire population with one encoding for
-// both construction modes: link count, credit count, then every wire in
-// creation order — exactly the wire arena's own encoding (snapLinks and
-// snapCredits record creation order, which is the arena's index order).
-type wiresStateful struct{ p *Platform }
-
-func (s wiresStateful) SaveState(w *state.Writer) {
-	if s.p.wires != nil {
-		s.p.wires.SaveState(w)
-		return
-	}
-	w.Int(len(s.p.snapLinks))
-	w.Int(len(s.p.snapCredits))
-	for _, l := range s.p.snapLinks {
-		l.SaveState(w)
-	}
-	for _, c := range s.p.snapCredits {
-		c.SaveState(w)
-	}
-}
-
-func (s wiresStateful) LoadState(r *state.Reader) error {
-	if s.p.wires != nil {
-		return s.p.wires.LoadState(r)
-	}
-	nl, nc := r.Int(), r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nl != len(s.p.snapLinks) || nc != len(s.p.snapCredits) {
-		return fmt.Errorf("snapshot has %d+%d wires, built %d+%d",
-			nl, nc, len(s.p.snapLinks), len(s.p.snapCredits))
-	}
-	for _, l := range s.p.snapLinks {
-		if err := l.LoadState(r); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.p.snapCredits {
-		if err := c.LoadState(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
 }
 
 // SaveState serializes the watchdog's progress tracker (the patience is

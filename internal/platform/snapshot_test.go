@@ -186,11 +186,9 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotKernelPortability checks configuration independence in
-// both directions and at both strengths. Byte level: the two
-// construction modes (dense arenas vs SeparateWires) of the same kernel
-// serialize byte-identically, and re-snapshotting an untouched platform
-// is idempotent (ring normalization is canonical). Semantic level: a
+// TestSnapshotKernelPortability checks configuration independence at
+// both strengths. Byte level: re-snapshotting an untouched platform is
+// idempotent (ring normalization is canonical). Semantic level: a
 // snapshot taken under ANY kernel — sequential or parallel, gated or
 // not — restores into the sequential gated kernel and finishes
 // byte-identically with the uninterrupted reference. (Byte equality
@@ -213,23 +211,17 @@ func TestSnapshotKernelPortability(t *testing.T) {
 	}
 
 	type variant struct {
-		workers       int
-		noGate        bool
-		separateWires bool
+		workers int
+		noGate  bool
 	}
 	variants := []variant{
-		{0, false, false},
-		{0, true, false},
-		{4, false, false},
-		{16, true, false},
-		{0, false, true},
-		{4, false, true},
+		{0, false},
+		{0, true},
+		{4, false},
+		{16, true},
 	}
-	snaps := make(map[variant][]byte)
 	for _, v := range variants {
-		c := cfg
-		c.SeparateWires = v.separateWires
-		p := buildSnap(t, c, v.workers, v.noGate, nil)
+		p := buildSnap(t, cfg, v.workers, v.noGate, nil)
 		p.RunCycles(cut)
 		snap, err := p.SnapshotBytes()
 		if err != nil {
@@ -244,10 +236,9 @@ func TestSnapshotKernelPortability(t *testing.T) {
 		if !bytes.Equal(snap, again) {
 			t.Errorf("%+v: re-snapshot differs", v)
 		}
-		snaps[v] = snap
 
 		// Semantic portability: every variant's snapshot continues to the
-		// reference output in the sequential gated arena kernel.
+		// reference output in the sequential gated kernel.
 		q := buildSnap(t, cfg, 0, false, nil)
 		if err := q.RestoreBytes(snap); err != nil {
 			q.Close()
@@ -261,16 +252,6 @@ func TestSnapshotKernelPortability(t *testing.T) {
 		q.Close()
 		if !got.equal(want) {
 			t.Errorf("%+v snapshot diverged after restore: %s", v, got.diff(want))
-		}
-	}
-
-	// Byte parity between construction modes of the same kernel.
-	for _, pair := range [][2]variant{
-		{{0, false, false}, {0, false, true}},
-		{{4, false, false}, {4, false, true}},
-	} {
-		if !bytes.Equal(snaps[pair[0]], snaps[pair[1]]) {
-			t.Errorf("arena %+v and SeparateWires %+v snapshots differ", pair[0], pair[1])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"nocemu/internal/flit"
 	"nocemu/internal/platform"
 	"nocemu/internal/routing"
+	"nocemu/internal/topology"
 )
 
 func TestRTLDeliversPaperTraffic(t *testing.T) {
@@ -44,36 +45,65 @@ func TestRTLDeliversPaperTraffic(t *testing.T) {
 // emulation engine, given the same configuration and seeds, deliver
 // exactly the same packets to the same receptors.
 func TestRTLMatchesEmulator(t *testing.T) {
-	for _, traf := range []platform.PaperTraffic{platform.PaperUniform, platform.PaperBurst} {
-		cfg, err := platform.PaperConfig(platform.PaperOptions{
-			Traffic: traf, PacketsPerTG: 80, Seed: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
+	type mkConfig func(perTG uint64) (platform.Config, error)
+	paper := func(traf platform.PaperTraffic) mkConfig {
+		return func(perTG uint64) (platform.Config, error) {
+			return platform.PaperConfig(platform.PaperOptions{Traffic: traf, PacketsPerTG: perTG, Seed: 3})
 		}
-		emu, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, stopped := emu.Run(2_000_000); !stopped {
-			t.Fatalf("%s: emulator did not finish", traf)
-		}
-		sim, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, done := sim.RunUntilDone(2_000_000); !done {
-			t.Fatalf("%s: rtl did not finish", traf)
-		}
-		for _, ep := range []flit.EndpointID{100, 101, 102, 103} {
-			etr, _ := emu.TR(ep)
-			if got, want := sim.PacketsReceivedAt(ep), etr.Stats().Packets; got != want {
-				t.Errorf("%s: TR %d rtl=%d emu=%d", traf, ep, got, want)
+	}
+	// Zoo platforms under NetConfig uniform traffic: their stochastic
+	// receptors never report done, so the cycle budget is sized to let
+	// every bounded generator finish and the network drain.
+	zoo := func(spec string) mkConfig {
+		return func(perTG uint64) (platform.Config, error) {
+			ts, err := topology.ParseSpec(spec)
+			if err != nil {
+				return platform.Config{}, err
 			}
+			return platform.NetConfig(platform.NetOptions{Topo: ts, PacketsPerTG: perTG, Seed: 3})
 		}
-		if sim.FlitsReceived() != emu.Totals().FlitsReceived {
-			t.Errorf("%s: flits rtl=%d emu=%d", traf, sim.FlitsReceived(), emu.Totals().FlitsReceived)
-		}
+	}
+	for _, tc := range []struct {
+		name          string
+		cfg           mkConfig
+		perTG, cycles uint64
+	}{
+		{"paper-uniform", paper(platform.PaperUniform), 80, 2_000_000},
+		{"paper-burst", paper(platform.PaperBurst), 80, 2_000_000},
+		{"mesh3x3", zoo("mesh:w=3,h=3"), 40, 20_000},
+		{"butterfly2x2", zoo("butterfly:w=2,h=2"), 40, 20_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := tc.cfg(tc.perTG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.perTG * uint64(len(cfg.TGs))
+			emu, err := platform.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emu.Run(tc.cycles)
+			if got := emu.Totals().PacketsReceived; got != want {
+				t.Fatalf("emulator delivered %d of %d packets", got, want)
+			}
+			sim, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, done := sim.RunUntilDone(tc.cycles); !done {
+				t.Fatal("rtl did not finish")
+			}
+			for _, spec := range cfg.TRs {
+				etr, _ := emu.TR(spec.Endpoint)
+				if got, want := sim.PacketsReceivedAt(spec.Endpoint), etr.Stats().Packets; got != want {
+					t.Errorf("TR %d rtl=%d emu=%d", spec.Endpoint, got, want)
+				}
+			}
+			if got, want := sim.FlitsReceived(), emu.Totals().FlitsReceived; got != want {
+				t.Errorf("flits rtl=%d emu=%d", got, want)
+			}
+		})
 	}
 }
 

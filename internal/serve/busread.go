@@ -11,90 +11,81 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
-	"nocemu/internal/bus"
 	"nocemu/internal/control"
 	"nocemu/internal/jsonio"
+	"nocemu/internal/monitor"
 	"nocemu/internal/platform"
 	"nocemu/internal/regmap"
 )
 
-// busView answers session queries over the platform's register buses.
-// The device counts come off the control module once at session start;
-// everything else is read per request, so answers always reflect the
-// committed state of the current cycle.
-type busView struct {
-	sys *bus.System
-	nTR int
-	nSw int
-}
+// busView answers session queries over the platform's register buses,
+// through the device handles of monitor's TYPE-classified scan. The
+// scan runs once per session attach (open, resume); everything else is
+// read per request, so answers always reflect the committed state of
+// the current cycle.
+type busView struct{ *monitor.BusView }
 
 func newBusView(p *platform.Platform) (*busView, error) {
-	v := &busView{sys: p.System()}
-	nTR, err := v.sys.Read(bus.MakeAddr(platform.BusControl, 0, control.RegNumTR))
+	v, err := monitor.ScanBus(p.System())
 	if err != nil {
-		return nil, fmt.Errorf("serve: read NUM_TR: %v", err)
+		return nil, busErr(err)
 	}
-	nSw, err := v.sys.Read(bus.MakeAddr(platform.BusControl, 0, control.RegNumSw))
-	if err != nil {
-		return nil, fmt.Errorf("serve: read NUM_SW: %v", err)
-	}
-	v.nTR, v.nSw = int(nTR), int(nSw)
-	return v, nil
+	return &busView{v}, nil
 }
+
+// busErr marks a bus access error as the service's; bus errors name the
+// device and register themselves.
+func busErr(err error) error { return fmt.Errorf("serve: %v", err) }
 
 // cycle reads the engine cycle counter off the control module.
 func (v *busView) cycle() uint64 {
-	c, err := v.sys.Read64(bus.MakeAddr(platform.BusControl, 0, control.RegCycleLo))
+	c, err := v.Ctrl.Read64(control.RegCycleLo)
 	if err != nil {
-		// The control module is always at bus 0 device 0; a read error
-		// here means the platform was torn down under the session.
+		// The scan found the control module; a read error here means the
+		// platform was torn down under the session.
 		panic(fmt.Sprintf("serve: read CYCLE: %v", err))
 	}
 	return c
 }
 
-// flow scans TR device dev's flow table for src and returns its
-// latency summary. A source the sink has not heard from yet is an
-// all-zero row, not an error: the flow simply has no packets.
-func (v *busView) flow(dev uint32, src uint16) (jsonio.ServeFlow, error) {
-	addr := func(reg uint32) bus.Addr { return bus.MakeAddr(platform.BusTR, dev, reg) }
-	count, err := v.sys.Read(addr(regmap.RegFlowCount))
+// flow scans the flow table of the tr-th TR device (spec order, as
+// platform.TRDev numbers them) for src and returns its latency
+// summary. A source the sink has not heard from yet is an all-zero
+// row, not an error: the flow simply has no packets.
+func (v *busView) flow(tr uint32, src uint16) (jsonio.ServeFlow, error) {
+	d := v.TRs[tr]
+	var fl jsonio.ServeFlow
+	count, err := d.Read(regmap.RegFlowCount)
 	if err != nil {
-		return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_COUNT: %v", err)
+		return fl, busErr(err)
 	}
 	for i := uint32(0); i < count; i++ {
-		if err := v.sys.Write(addr(regmap.RegFlowSel), i); err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: write FLOW_SEL: %v", err)
+		if err := d.Write(regmap.RegFlowSel, i); err != nil {
+			return fl, busErr(err)
 		}
-		s, err := v.sys.Read(addr(regmap.RegFlowSrc))
+		s, err := d.Read(regmap.RegFlowSrc)
 		if err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_SRC: %v", err)
+			return fl, busErr(err)
 		}
 		if s != uint32(src) {
 			continue
 		}
-		var fl jsonio.ServeFlow
-		if fl.Packets, err = v.sys.Read64(addr(regmap.RegFlowPackets)); err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_PACKETS: %v", err)
+		if fl.Packets, err = d.Read64(regmap.RegFlowPackets); err != nil {
+			return fl, busErr(err)
 		}
-		mean, err := v.sys.Read64(addr(regmap.RegFlowMeanF64))
-		if err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_MEAN_F64: %v", err)
+		if fl.Mean, err = d.ReadF64(regmap.RegFlowMeanF64); err != nil {
+			return fl, busErr(err)
 		}
-		max, err := v.sys.Read64(addr(regmap.RegFlowMaxF64))
-		if err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_MAX_F64: %v", err)
+		if fl.Max, err = d.ReadF64(regmap.RegFlowMaxF64); err != nil {
+			return fl, busErr(err)
 		}
-		if fl.Last, err = v.sys.Read64(addr(regmap.RegFlowLast)); err != nil {
-			return jsonio.ServeFlow{}, fmt.Errorf("serve: read FLOW_LAST: %v", err)
+		if fl.Last, err = d.Read64(regmap.RegFlowLast); err != nil {
+			return fl, busErr(err)
 		}
-		fl.Mean = math.Float64frombits(mean)
-		fl.Max = math.Float64frombits(max)
 		return fl, nil
 	}
-	return jsonio.ServeFlow{}, nil
+	return fl, nil
 }
 
 // stats aggregates the platform-wide statistics answer: every TR's
@@ -103,49 +94,48 @@ func (v *busView) flow(dev uint32, src uint16) (jsonio.ServeFlow, error) {
 func (v *busView) stats() (jsonio.ServeStats, error) {
 	var st jsonio.ServeStats
 	var weighted float64
-	for d := 0; d < v.nTR; d++ {
-		addr := func(reg uint32) bus.Addr { return bus.MakeAddr(platform.BusTR, uint32(d), reg) }
-		pk, err := v.sys.Read64(addr(regmap.RegTRPackets))
-		if err != nil {
-			return st, fmt.Errorf("serve: TR %d PACKETS: %v", d, err)
+	for _, d := range v.TRs {
+		var pk, fl, cong uint64
+		var err error
+		for _, c := range []struct {
+			reg uint32
+			dst *uint64
+		}{
+			{regmap.RegTRPackets, &pk},
+			{regmap.RegTRFlits, &fl},
+			{regmap.RegTRCongestion, &cong},
+		} {
+			if *c.dst, err = d.Read64(c.reg); err != nil {
+				return st, busErr(err)
+			}
 		}
-		fl, err := v.sys.Read64(addr(regmap.RegTRFlits))
+		mean, err := d.ReadF64(regmap.RegTRNetLatMeanF64)
 		if err != nil {
-			return st, fmt.Errorf("serve: TR %d FLITS: %v", d, err)
+			return st, busErr(err)
 		}
-		cong, err := v.sys.Read64(addr(regmap.RegTRCongestion))
+		max, err := d.ReadF64(regmap.RegTRNetLatMaxF64)
 		if err != nil {
-			return st, fmt.Errorf("serve: TR %d CONGESTION: %v", d, err)
-		}
-		meanBits, err := v.sys.Read64(addr(regmap.RegTRNetLatMeanF64))
-		if err != nil {
-			return st, fmt.Errorf("serve: TR %d NET_LAT_MEAN_F64: %v", d, err)
-		}
-		maxBits, err := v.sys.Read64(addr(regmap.RegTRNetLatMaxF64))
-		if err != nil {
-			return st, fmt.Errorf("serve: TR %d NET_LAT_MAX_F64: %v", d, err)
+			return st, busErr(err)
 		}
 		st.Packets += pk
 		st.Flits += fl
 		st.Congestion += cong
-		weighted += math.Float64frombits(meanBits) * float64(pk)
-		if max := math.Float64frombits(maxBits); max > st.LatencyMax {
+		weighted += mean * float64(pk)
+		if max > st.LatencyMax {
 			st.LatencyMax = max
 		}
 	}
 	if st.Packets > 0 {
 		st.LatencyMean = weighted / float64(st.Packets)
 	}
-	for s := 0; s < v.nSw; s++ {
-		// The control module holds bus 0 device 0; switches follow.
-		addr := func(reg uint32) bus.Addr { return bus.MakeAddr(platform.BusControl, uint32(1+s), reg) }
-		occ, err := v.sys.Read64(addr(regmap.RegSwOccupancy))
+	for _, d := range v.Switches {
+		occ, err := d.Read64(regmap.RegSwOccupancy)
 		if err != nil {
-			return st, fmt.Errorf("serve: switch %d OCCUPANCY: %v", s, err)
+			return st, busErr(err)
 		}
-		blk, err := v.sys.Read64(addr(regmap.RegSwBlocked))
+		blk, err := d.Read64(regmap.RegSwBlocked)
 		if err != nil {
-			return st, fmt.Errorf("serve: switch %d BLOCKED: %v", s, err)
+			return st, busErr(err)
 		}
 		st.Occupancy += occ
 		st.Blocked += blk

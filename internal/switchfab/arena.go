@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nocemu/internal/flit"
-	"nocemu/internal/probe"
 )
 
 // Arena is the dense switch store of a platform: every switch lives by
@@ -14,7 +13,6 @@ import (
 // concrete Tick/Commit directly over adjacent memory — no interface
 // dispatch, no pointer chasing between neighbouring switches — which is
 // what keeps the route/arbitrate loop cache-resident at 1k-node scale.
-// Config.SeparateWires restores one engine component per switch.
 //
 // The arena is storage plus evaluation; which switches are worth
 // evaluating in a given cycle is the engine's decision (its gate
@@ -50,13 +48,6 @@ func (a *Arena) New(cfg Config) (*Switch, error) {
 	}
 	return s, nil
 }
-
-// Num returns the number of switches created so far; the next New call
-// returns index Num().
-func (a *Arena) Num() int { return len(a.sws) }
-
-// At returns the switch at arena index i.
-func (a *Arena) At(i int) *Switch { return &a.sws[i] }
 
 // ComponentName implements engine.Component.
 func (a *Arena) ComponentName() string { return a.name }
@@ -132,12 +123,5 @@ func (a *Arena) SkipIdle(from, n uint64) {
 func (a *Arena) Drain(release func(*flit.Flit)) {
 	for i := range a.sws {
 		a.sws[i].Drain(release)
-	}
-}
-
-// SetProbe attaches the tracing probe to every switch.
-func (a *Arena) SetProbe(p *probe.Probe) {
-	for i := range a.sws {
-		a.sws[i].SetProbe(p)
 	}
 }

@@ -5,12 +5,14 @@
 // It drives the *same* component set as the emulation engine, so the
 // results are bit-identical; what changes is the scheduler. Where the
 // engine walks a static slice twice per cycle, this kernel models
-// SystemC's dynamic scheduling: every component is a process that
-// "waits on the clock" — it is re-inserted into a time-ordered event
-// calendar (a heap) on every cycle, for both the evaluate (Tick) and
-// update (Commit) phases. The per-cycle heap traffic is the structural
-// overhead a cycle-accurate SystemC simulation pays, and benchmarks
-// over this package regenerate the middle row of the paper's Table 2.
+// SystemC's dynamic scheduling: every component — and every element of
+// a dense arena, since a SystemC kernel sees each signal and module on
+// its own — is a process that "waits on the clock": it is re-inserted
+// into a time-ordered event calendar (a heap) on every cycle, for both
+// the evaluate (Tick) and update (Commit) phases. The per-cycle heap
+// traffic is the structural overhead a cycle-accurate SystemC
+// simulation pays, and benchmarks over this package regenerate the
+// middle row of the paper's Table 2.
 package tlm
 
 import (
@@ -26,8 +28,9 @@ const (
 	phaseUpdate   = 1
 )
 
+// process is one component's, or one arena element's, Tick or Commit.
 type process struct {
-	comp  engine.Component
+	run   func(cycle uint64)
 	phase int
 	seq   int
 	wake  uint64
@@ -83,13 +86,22 @@ func New(eng *engine.Engine) (*Simulator, error) {
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("tlm: engine has no components")
 	}
-	s := &Simulator{}
-	for i, c := range comps {
+	s := &Simulator{stoppers: eng.Stoppers()}
+	add := func(tick, commit func(uint64)) {
+		seq := len(s.cal) / 2
 		s.cal = append(s.cal,
-			&process{comp: c, phase: phaseEvaluate, seq: i},
-			&process{comp: c, phase: phaseUpdate, seq: i})
-		if st, ok := c.(engine.Stopper); ok {
-			s.stoppers = append(s.stoppers, st)
+			&process{run: tick, phase: phaseEvaluate, seq: seq},
+			&process{run: commit, phase: phaseUpdate, seq: seq})
+	}
+	for _, c := range comps {
+		a, ok := c.(engine.Arena)
+		if !ok {
+			add(c.Tick, c.Commit)
+			continue
+		}
+		for i := 0; i < a.Len(); i++ {
+			add(func(cycle uint64) { a.TickRange(i, i+1, cycle) },
+				func(cycle uint64) { a.CommitRange(i, i+1, cycle) })
 		}
 	}
 	heap.Init(&s.cal)
@@ -110,12 +122,7 @@ func (s *Simulator) step() {
 		p := heap.Pop(&s.cal).(*process)
 		s.stats.HeapOps++
 		s.stats.Dispatches++
-		switch p.phase {
-		case phaseEvaluate:
-			p.comp.Tick(target)
-		case phaseUpdate:
-			p.comp.Commit(target)
-		}
+		p.run(target)
 		// SystemC-style wait(clk): the process re-enters the calendar
 		// for the next cycle.
 		p.wake = target + 1

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"nocemu/internal/engine"
-	"nocemu/internal/flit"
 	"nocemu/internal/platform"
+	"nocemu/internal/topology"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -52,44 +52,103 @@ func TestPhaseOrderingPreserved(t *testing.T) {
 }
 
 // The equivalence check: TLM scheduling produces exactly the emulator's
-// results on the paper platform, because the components are shared and
-// the phase order is preserved.
+// results, because the components are shared and the phase order is
+// preserved — on the paper platform and on zoo platforms whose arenas
+// hold more elements (NetConfig uniform traffic; their stochastic
+// receptors never report done, so both backends run a fixed budget
+// sized to let every bounded generator finish and the network drain).
 func TestTLMMatchesEmulator(t *testing.T) {
-	cfg, err := platform.PaperConfig(platform.PaperOptions{
-		Traffic: platform.PaperBurst, PacketsPerTG: 60, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Engine run.
-	pe, err := platform.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, stopped := pe.Run(2_000_000); !stopped {
-		t.Fatal("emulator did not finish")
-	}
-	// TLM run over a fresh identical platform.
-	pt, err := platform.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := New(pt.Engine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, stopped := sim.RunUntil(2_000_000); !stopped {
-		t.Fatal("tlm did not finish")
-	}
-	for _, ep := range []flit.EndpointID{100, 101, 102, 103} {
-		a, _ := pe.TR(ep)
-		b, _ := pt.TR(ep)
-		if a.Stats() != b.Stats() {
-			t.Errorf("TR %d stats differ:\n%+v\n%+v", ep, a.Stats(), b.Stats())
+	const zooPerTG = 40
+	zoo := func(spec string) func() (platform.Config, error) {
+		return func() (platform.Config, error) {
+			ts, err := topology.ParseSpec(spec)
+			if err != nil {
+				return platform.Config{}, err
+			}
+			return platform.NetConfig(platform.NetOptions{Topo: ts, PacketsPerTG: zooPerTG, Seed: 5})
 		}
 	}
-	if st := sim.Stats(); st.HeapOps == 0 || st.Dispatches == 0 {
-		t.Errorf("stats empty: %+v", st)
+	for _, tc := range []struct {
+		name   string
+		cfg    func() (platform.Config, error)
+		cycles uint64
+		stops  bool
+	}{
+		{"paper-burst", func() (platform.Config, error) {
+			return platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperBurst, PacketsPerTG: 60, Seed: 5})
+		}, 2_000_000, true},
+		{"mesh3x3", zoo("mesh:w=3,h=3"), 20_000, false},
+		{"butterfly2x2", zoo("butterfly:w=2,h=2"), 20_000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := tc.cfg()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Engine run.
+			pe, err := platform.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, stopped := pe.Run(tc.cycles); stopped != tc.stops {
+				t.Fatalf("emulator stopped=%v, want %v", stopped, tc.stops)
+			}
+			// TLM run over a fresh identical platform.
+			pt, err := platform.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := New(pt.Engine())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, stopped := sim.RunUntil(tc.cycles); stopped != tc.stops {
+				t.Fatalf("tlm stopped=%v, want %v", stopped, tc.stops)
+			}
+			for _, spec := range cfg.TRs {
+				a, _ := pe.TR(spec.Endpoint)
+				b, _ := pt.TR(spec.Endpoint)
+				if a.Stats() != b.Stats() {
+					t.Errorf("TR %d stats differ:\n%+v\n%+v", spec.Endpoint, a.Stats(), b.Stats())
+				}
+			}
+			et, tt := pe.Totals(), pt.Totals()
+			if et.FlitsReceived != tt.FlitsReceived {
+				t.Errorf("flits tlm=%d emu=%d", tt.FlitsReceived, et.FlitsReceived)
+			}
+			if want := zooPerTG * uint64(len(cfg.TGs)); !tc.stops && tt.PacketsReceived != want {
+				t.Errorf("tlm delivered %d of %d packets within the budget", tt.PacketsReceived, want)
+			}
+		})
+	}
+}
+
+// TestDispatchesPerSignal pins the per-element expansion Table 2's
+// SystemC-like row rests on: every cycle dispatches one evaluate and
+// one update process per plain component and per arena element — wire
+// pair or switch — not one pair per arena.
+func TestDispatchesPerSignal(t *testing.T) {
+	cfg, err := platform.PaperConfig(platform.PaperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := platform.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := p.Engine()
+	procs := eng.NumComponents() - len(eng.Arenas())
+	for _, a := range eng.Arenas() {
+		procs += a.Len()
+	}
+	sim, err := New(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 50
+	sim.Run(cycles)
+	if got, want := sim.Stats().Dispatches, uint64(2*procs*cycles); got != want {
+		t.Errorf("dispatches = %d, want %d (2 x %d processes x %d cycles)", got, want, procs, cycles)
 	}
 }
 
