@@ -340,14 +340,14 @@ func BenchmarkAblationArbitration(b *testing.B) {
 }
 
 // BenchmarkExtensionVCStudy runs one packet length of the wormhole vs
-// dateline comparison on the cyclic ring.
+// dateline comparison on the torus rings (16 sources).
 func BenchmarkExtensionVCStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.VCStudy([]uint16{8}, 8, 20_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Rows[0].DatelineDelivered != 24 {
+		if res.Rows[0].DatelineDelivered != 16*8 {
 			b.Fatal("dateline study broken")
 		}
 	}

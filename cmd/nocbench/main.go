@@ -170,7 +170,7 @@ func run(selected map[string]bool, csvDir string, workers int, noGate bool) erro
 		fmt.Println(res.Table())
 	}
 	if selected["vc"] {
-		fmt.Println("=== Extension: wormhole vs 2-VC dateline on the cyclic ring ===")
+		fmt.Println("=== Extension: wormhole vs 2-VC dateline on the torus rings (torus:w=4,h=4,minimal=1, vcs=1 vs vcs=2) ===")
 		res, err := experiments.VCStudy(nil, 0, 0)
 		if err != nil {
 			return err

@@ -1,10 +1,9 @@
-// Virtual channels: the framework emulating a *different* NoC type —
-// the paper's HW part claims to cover "any NoC packet-switching
-// intercommunication scheme". A cyclic three-switch ring with two-hop
-// flows deadlocks under plain wormhole switching (demonstrated live,
-// caught by the platform watchdog in examples/faultinjection's
-// machinery); the same ring built from virtual-channel switches with a
-// dateline completes.
+// Virtual channels: one parameter of the platform's switch, reached
+// through the topology spec. Minimal routing on a torus closes a cycle
+// of channel dependencies around every ring, so on a single channel the
+// deadlock checker rejects it — and, built anyway, the rings wedge
+// under load (caught live by the platform watchdog). The same spec with
+// vcs=2 routes on dateline classes, passes the checker and completes.
 //
 //	go run ./examples/virtualchannels
 package main
@@ -13,13 +12,9 @@ import (
 	"fmt"
 	"log"
 
-	"nocemu/internal/arb"
-	"nocemu/internal/engine"
-	"nocemu/internal/flit"
-	"nocemu/internal/link"
-	"nocemu/internal/routing"
+	"nocemu/internal/experiments"
+	"nocemu/internal/platform"
 	"nocemu/internal/topology"
-	"nocemu/internal/vcswitch"
 )
 
 const (
@@ -28,101 +23,44 @@ const (
 )
 
 func main() {
-	fmt.Println("cyclic 3-ring, three 2-hop flows, 16-flit packets, 2-flit buffers")
+	fmt.Printf("%s: every switch streams %d packets of %d flits two hops east, 2-flit buffers\n",
+		experiments.VCStudyTopo, perSource, pktLen)
 
-	eng1, sinks1 := buildRing(1, false)
-	cycles1, done1 := eng1.RunUntil(100_000)
-	fmt.Printf("\n1 virtual channel (plain wormhole): done=%v after %d cycles\n", done1, cycles1)
-	report(sinks1)
+	// The spec alone, one channel: rejected at build.
+	cfg, err := experiments.VCStudyConfig(1, perSource, pktLen)
+	check(err)
+	cfg.AllowDeadlock = false
+	_, err = platform.Build(cfg)
+	fmt.Printf("\nvcs=1, deadlock check on: %v\n", err)
 
-	eng2, sinks2 := buildRing(2, true)
-	cycles2, done2 := eng2.RunUntil(100_000)
-	fmt.Printf("\n2 virtual channels + dateline:      done=%v after %d cycles\n", done2, cycles2)
-	report(sinks2)
-
+	done1 := run(1)
+	done2 := run(2)
 	if !done1 && done2 {
-		fmt.Println("\nthe dateline VC scheme broke the cyclic channel dependency")
+		fmt.Println("\nthe dateline classes broke the cyclic channel dependency")
 	}
 }
 
-func report(sinks []*vcswitch.Sink) {
-	var total uint64
-	for i, s := range sinks {
-		_, p := s.Received()
-		fmt.Printf("  sink %d: %d/%d packets\n", i, p, perSource)
-		total += p
-	}
-	fmt.Printf("  delivered %d of %d\n", total, 3*perSource)
-}
-
-// buildRing wires the unidirectional ring out of VC switches.
-func buildRing(numVC int, dateline bool) (*engine.Engine, []*vcswitch.Sink) {
-	eng := engine.New()
-	topo, err := topology.New("ring3", 3)
+// run builds the study network with the given channel count, runs it
+// under a watchdog and reports what arrived.
+func run(vcs int) bool {
+	cfg, err := experiments.VCStudyConfig(vcs, perSource, pktLen)
 	check(err)
-	for i := 0; i < 3; i++ {
-		check(topo.AddLink(topology.NodeID(i), topology.NodeID((i+1)%3)))
-		check(topo.AddSource(flit.EndpointID(i), topology.NodeID(i)))
-		check(topo.AddSink(flit.EndpointID(100+i), topology.NodeID(i)))
-	}
-	table, err := routing.BuildShortestPath(topo)
+	p, err := platform.Build(cfg)
 	check(err)
-
-	wire := func(name string) (*link.Link, []*link.CreditLink) {
-		l := link.NewLink(name)
-		eng.MustRegister(l)
-		crs := make([]*link.CreditLink, numVC)
-		for v := range crs {
-			crs[v] = link.NewCreditLink(fmt.Sprintf("%s.cr%d", name, v))
-			eng.MustRegister(crs[v])
-		}
-		return l, crs
+	defer p.Close()
+	wd, err := p.AttachWatchdog(1_000)
+	check(err)
+	cycles, done := p.Run(100_000)
+	fmt.Printf("\n%s: done=%v after %d cycles\n",
+		experiments.VCStudyTopo.With(topology.ParamVCs, vcs), done, cycles)
+	if stalled, at := wd.Stalled(); stalled {
+		fmt.Printf("  watchdog: flits in flight but no receptor progress, aborted at cycle %d\n", at)
 	}
-
-	switches := make([]*vcswitch.Switch, 3)
-	for n := 0; n < 3; n++ {
-		var vcmap vcswitch.VCMap
-		if dateline && n == 2 {
-			vcmap = vcswitch.Dateline(0) // crossing link 2->0 moves to VC 1
-		}
-		sw, err := vcswitch.New(vcswitch.Config{
-			Name: fmt.Sprintf("vs%d", n), Node: topology.NodeID(n),
-			NumIn: 2, NumOut: 2, NumVC: numVC, BufDepth: 2,
-			Arb: arb.RoundRobin, Table: table, VCMap: vcmap,
-		})
-		check(err)
-		switches[n] = sw
-	}
-	for n := 0; n < 3; n++ {
-		l, crs := wire(fmt.Sprintf("ring%d", n))
-		check(switches[n].ConnectOutput(0, l, crs, switches[(n+1)%3].BufDepth()))
-		check(switches[(n+1)%3].ConnectInput(0, l, crs))
-	}
-	var sinks []*vcswitch.Sink
-	for n := 0; n < 3; n++ {
-		l, crs := wire(fmt.Sprintf("inj%d", n))
-		check(switches[n].ConnectInput(1, l, crs))
-		planned := make([]flit.Packet, perSource)
-		for i := range planned {
-			planned[i] = flit.Packet{Dst: flit.EndpointID(100 + (n+2)%3), Len: pktLen}
-		}
-		src, err := vcswitch.NewSource(fmt.Sprintf("src%d", n), flit.EndpointID(n),
-			l, crs[0], switches[n].BufDepth(), planned)
-		check(err)
-		eng.MustRegister(src)
-
-		sl, scrs := wire(fmt.Sprintf("ej%d", n))
-		check(switches[n].ConnectOutput(1, sl, scrs, 4))
-		snk, err := vcswitch.NewSink(fmt.Sprintf("snk%d", n), flit.EndpointID(100+n), sl, scrs, perSource)
-		check(err)
-		sinks = append(sinks, snk)
-		eng.MustRegister(snk)
-	}
-	for _, sw := range switches {
-		check(sw.CheckWired())
-		eng.MustRegister(sw)
-	}
-	return eng, sinks
+	t := p.Totals()
+	fmt.Printf("  delivered %d of %d packets\n", t.PacketsReceived, len(cfg.TGs)*perSource)
+	p.Drain()
+	fmt.Printf("  flits left in the pool after drain: %d\n", p.Pool().Live())
+	return done
 }
 
 func check(err error) {

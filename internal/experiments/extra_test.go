@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nocemu/internal/platform"
 )
 
 func TestScaleGrowsAreaShrinksSpeed(t *testing.T) {
@@ -73,13 +75,14 @@ func TestVCStudyShowsDeadlockBoundary(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	// Under sustained injection the single-VC ring wedges on its buffer
-	// cycle at every packet length; the dateline ring always completes.
+	// Under sustained injection the single-class rings wedge on their
+	// buffer cycle at every packet length (the watchdog ends the run well
+	// inside the budget); the dateline rings always complete.
 	for _, row := range res.Rows {
-		if row.WormholeDone {
-			t.Errorf("plen %d: wormhole ring did not deadlock", row.PacketLen)
+		if row.WormholeDone || row.WormholeDelivered >= 16*8 || row.WormholeCycles >= 30_000 {
+			t.Errorf("plen %d: wormhole rings did not deadlock under the watchdog: %+v", row.PacketLen, row)
 		}
-		if !row.DatelineDone || row.DatelineDelivered != 24 {
+		if !row.DatelineDone || row.DatelineDelivered != 16*8 {
 			t.Errorf("plen %d: dateline failed: %+v", row.PacketLen, row)
 		}
 	}
@@ -90,6 +93,61 @@ func TestVCStudyShowsDeadlockBoundary(t *testing.T) {
 	out := res.Table()
 	if !strings.Contains(out, "DEADLOCK") {
 		t.Errorf("table missing deadlock marker:\n%s", out)
+	}
+}
+
+// TestDatelineBreaksRingDeadlock is the headline virtual-channel
+// result on the real platform: one topology spec, one set of flows, and
+// the channel count decides. On one channel the deadlock checker
+// rejects the table; built anyway it wedges, the watchdog fires and the
+// stuck flits stay live. On two the table passes the checker and the
+// network drains to an empty pool.
+func TestDatelineBreaksRingDeadlock(t *testing.T) {
+	const perSource, plen = 10, 16
+	run := func(vcs int) (*platform.Platform, *platform.Watchdog, bool) {
+		cfg, err := VCStudyConfig(vcs, perSource, plen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := platform.Build(cfg)
+		if err != nil {
+			t.Fatalf("vcs=%d: %v", vcs, err)
+		}
+		wd, err := p.AttachWatchdog(1_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stopped := p.Run(50_000)
+		return p, wd, stopped
+	}
+
+	cfg, err := VCStudyConfig(1, perSource, plen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AllowDeadlock = false
+	if _, err := platform.Build(cfg); err == nil {
+		t.Error("single-channel minimal torus passed the deadlock check")
+	}
+	p, wd, stopped := run(1)
+	if stalled, _ := wd.Stalled(); stopped || !stalled {
+		t.Errorf("single-channel rings: stopped=%v stalled=%v, want a watchdog abort", stopped, stalled)
+	}
+	if p.Pool().Live() == 0 || p.Totals().PacketsReceived >= vcStudySources*perSource {
+		t.Error("single-channel rings delivered everything")
+	}
+
+	p, wd, stopped = run(2)
+	if stalled, _ := wd.Stalled(); !stopped || stalled {
+		t.Fatalf("dateline rings: stopped=%v stalled=%v", stopped, stalled)
+	}
+	for _, tr := range p.TRs() {
+		if got := tr.Stats().Packets; got != perSource {
+			t.Errorf("%s received %d packets, want %d", tr.ComponentName(), got, perSource)
+		}
+	}
+	if live := p.Pool().Live(); live != 0 {
+		t.Errorf("%d flits still live after the dateline run drained", live)
 	}
 }
 

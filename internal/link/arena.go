@@ -18,36 +18,51 @@ import (
 // The arena is storage plus evaluation. Which wires are worth
 // committing in a given cycle is the engine's decision: its gate
 // schedules the arena element by element, where element i is the wire
-// pair (flit link i, credit link i) — a flit crossing one way and the
-// credit coming back keep the same pair busy.
+// pair (flit link i, its credit links) — a flit crossing one way and
+// the credit coming back keep the same pair busy. A pair has one credit
+// link per virtual channel: the flit wire is shared, the credit streams
+// are not.
 type Arena struct {
 	name    string
+	vcs     int
 	links   []Link
-	credits []CreditLink
+	credits []CreditLink // pair i owns credits[i*vcs : (i+1)*vcs]
 }
 
-// NewArena returns an empty wire arena with room for n wire pairs. The
-// capacity is exact: the platform knows its wire count at build time,
-// and a fixed backing array keeps the handles NewPair returns stable.
-func NewArena(name string, n int) *Arena {
+// NewArena returns an empty wire arena with room for n wire pairs of
+// vcs virtual channels each. The capacity is exact: the platform knows
+// its wire count at build time, and a fixed backing array keeps the
+// handles NewPair returns stable.
+func NewArena(name string, n, vcs int) *Arena {
 	return &Arena{
 		name:    name,
+		vcs:     vcs,
 		links:   make([]Link, 0, n),
-		credits: make([]CreditLink, 0, n),
+		credits: make([]CreditLink, 0, n*vcs),
 	}
 }
 
-// NewPair appends a flit link and its reverse credit link to the arena
-// as one element and returns their handles, which stay valid for the
-// arena's lifetime. Exceeding the declared capacity is a construction
-// bug and panics (growth would move every previously handed-out wire).
-func (a *Arena) NewPair(linkName, creditName string) (*Link, *CreditLink) {
+// NewPair appends a flit link and its reverse credit links, one per
+// virtual channel, to the arena as one element and returns their
+// handles, which stay valid for the arena's lifetime. Channel 0's
+// credit link is named creditName, channel v's "creditName.vcv".
+// Exceeding the declared capacity is a construction bug and panics
+// (growth would move every previously handed-out wire).
+func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	if len(a.links) == cap(a.links) {
 		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
 	a.links = append(a.links, Link{name: linkName})
-	a.credits = append(a.credits, CreditLink{name: creditName})
-	return &a.links[len(a.links)-1], &a.credits[len(a.credits)-1]
+	crs := make([]*CreditLink, a.vcs)
+	for v := range crs {
+		name := creditName
+		if v > 0 {
+			name = fmt.Sprintf("%s.vc%d", creditName, v)
+		}
+		a.credits = append(a.credits, CreditLink{name: name})
+		crs[v] = &a.credits[len(a.credits)-1]
+	}
+	return &a.links[len(a.links)-1], crs
 }
 
 // Len implements engine.Arena: the number of wire pairs created so far;
@@ -72,7 +87,7 @@ func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
 	for i := lo; i < hi; i++ {
 		a.links[i].Commit(cycle)
 	}
-	for i := lo; i < hi; i++ {
+	for i := lo * a.vcs; i < hi*a.vcs; i++ {
 		a.credits[i].Commit(cycle)
 	}
 }
@@ -84,16 +99,23 @@ func (a *Arena) TickList(idx []int, cycle uint64) {}
 func (a *Arena) CommitList(idx []int, cycle uint64) {
 	for _, i := range idx {
 		a.links[i].Commit(cycle)
-		a.credits[i].Commit(cycle)
+		for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
+			a.credits[c].Commit(cycle)
+		}
 	}
 }
 
-// ElemNextWake implements engine.Arena: a wire pair is quiet when both
-// halves are idle — nothing staged on either and nothing committed on
+// ElemNextWake implements engine.Arena: a wire pair is quiet when all
+// its wires are idle — nothing staged on any and nothing committed on
 // the flit wire (committed-but-uncollected credits accumulate without
 // commits and do not block quiescence). Only a Send ends that.
 func (a *Arena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
-	return ^uint64(0), a.links[i].Idle() && a.credits[i].Idle()
+	for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
+		if !a.credits[c].Idle() {
+			return 0, false
+		}
+	}
+	return ^uint64(0), a.links[i].Idle()
 }
 
 // ElemSkipIdle implements engine.Arena: an idle commit advances only

@@ -82,7 +82,7 @@ type Platform struct {
 // schedules on its behalf, for arm-hook installation.
 type wirePair struct {
 	l *link.Link
-	c *link.CreditLink
+	c []*link.CreditLink // one per virtual channel
 	// elem is the pair's own gating target (its wire-arena element);
 	// consumer is the switch or receptor reading the flit link.
 	elem, consumer engine.Target
@@ -122,7 +122,12 @@ func Build(cfg Config) (*Platform, error) {
 	// Dense arenas for the high-population component types (arena.go in
 	// engine, link, switchfab): the wire count and switch count are both
 	// known from the topology, so the backing arrays are sized exactly.
-	p.wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs))
+	// The topology also says how many virtual channels each port carries
+	// (its generator's "vcs" parameter); every switch and wire pair is
+	// built with that many lanes, and the endpoints use channel 0 of
+	// their injection and ejection wires.
+	numVC := topo.NumVC()
+	p.wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs), numVC)
 	p.swArena = switchfab.NewArena("switches", topo.NumSwitches())
 	swTarget := func(s topology.NodeID) engine.Target {
 		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
@@ -132,7 +137,7 @@ func Build(cfg Config) (*Platform, error) {
 	// later, at each device's registration, because probe ids follow
 	// build order.
 	var pairs []wirePair
-	newWires := func(lname, cname string, consumer engine.Target, inject bool) (*link.Link, *link.CreditLink) {
+	newWires := func(lname, cname string, consumer engine.Target, inject bool) (*link.Link, []*link.CreditLink) {
 		elem := engine.Target{Name: "wires", Elem: p.wires.Len()}
 		l, c := p.wires.NewPair(lname, cname)
 		l.SetDropHandler(p.pool.Release)
@@ -151,7 +156,7 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		swCfg := switchfab.Config{
 			Name: fmt.Sprintf("sw%d", s), Node: s,
-			NumIn: numIn, NumOut: numOut,
+			NumIn: numIn, NumOut: numOut, NumVC: numVC,
 			BufDepth: cfg.SwitchBufDepth, Arb: cfg.Arb, Select: cfg.Select,
 			Table: table, Seed: cfg.Seed ^ uint32(0x5157C000+s),
 		}
@@ -162,10 +167,11 @@ func Build(cfg Config) (*Platform, error) {
 		p.switches[s] = sw
 	}
 
-	// Inter-switch links: one flit link + one credit link each.
+	// Inter-switch links: one flit link + one credit link per virtual
+	// channel each.
 	specs := topo.Links()
 	p.links = make([]*link.Link, len(specs))
-	credits := make([]*link.CreditLink, len(specs))
+	credits := make([][]*link.CreditLink, len(specs))
 	for i, ls := range specs { // the wire arena's elements [0, len(specs))
 		p.links[i], credits[i] = newWires(
 			fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To),
@@ -176,7 +182,7 @@ func Build(cfg Config) (*Platform, error) {
 	for s := topology.NodeID(0); int(s) < topo.NumSwitches(); s++ {
 		for portIdx, ic := range topo.SwitchInputs(s) {
 			if ic.Link >= 0 {
-				if err := p.switches[s].ConnectInput(portIdx, p.links[ic.Link], credits[ic.Link]); err != nil {
+				if err := p.switches[s].ConnectInput(portIdx, p.links[ic.Link], credits[ic.Link]...); err != nil {
 					return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 				}
 			}
@@ -184,7 +190,7 @@ func Build(cfg Config) (*Platform, error) {
 		for portIdx, oc := range topo.SwitchOutputs(s) {
 			if oc.Link >= 0 {
 				downstream := p.switches[specs[oc.Link].To]
-				if err := p.switches[s].ConnectOutput(portIdx, p.links[oc.Link], credits[oc.Link], downstream.BufDepth()); err != nil {
+				if err := p.switches[s].ConnectOutput(portIdx, p.links[oc.Link], downstream.BufDepth(), credits[oc.Link]...); err != nil {
 					return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 				}
 			}
@@ -207,7 +213,7 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		injL, injCr := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint),
 			swTarget(ep.Switch), true)
-		if err := sw.ConnectInput(portIdx, injL, injCr); err != nil {
+		if err := sw.ConnectInput(portIdx, injL, injCr...); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
 		queue := spec.QueueFlits
@@ -215,7 +221,7 @@ func Build(cfg Config) (*Platform, error) {
 			queue = 32
 		}
 		shard := p.pool.Shard(fmt.Sprintf("tg%d", spec.Endpoint), spec.Endpoint)
-		inj, err := nic.NewInjector(spec.Endpoint, injL, injCr, sw.BufDepth(), queue, shard)
+		inj, err := nic.NewInjector(spec.Endpoint, injL, injCr[0], sw.BufDepth(), queue, shard)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -258,11 +264,11 @@ func Build(cfg Config) (*Platform, error) {
 		if depth == 0 {
 			depth = cfg.SwitchBufDepth
 		}
-		ej, err := nic.NewEjector(spec.Endpoint, ejL, ejCr, depth, p.pool)
+		ej, err := nic.NewEjector(spec.Endpoint, ejL, ejCr[0], depth, p.pool)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
-		if err := sw.ConnectOutput(portIdx, ejL, ejCr, ej.Depth()); err != nil {
+		if err := sw.ConnectOutput(portIdx, ejL, ej.Depth(), ejCr...); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
 		tr, err := receptor.New(receptor.Config{
@@ -435,7 +441,9 @@ func (p *Platform) bindArmHook(wp wirePair, extra ...engine.Target) {
 		panic(fmt.Sprintf("platform %s: arm hook target missing (%v %v %v)", p.cfg.Name, wp.elem, wp.consumer, extra))
 	}
 	wp.l.SetSendHook(armFlit)
-	wp.c.SetSendHook(armCr)
+	for _, c := range wp.c {
+		c.SetSendHook(armCr)
+	}
 }
 
 // Gated reports whether quiescence-aware scheduling is enabled on the

@@ -127,9 +127,10 @@ func TestGatingPaperPlatformTrafficMatrix(t *testing.T) {
 // TestGatingArenaScaleMatrix runs the matrix on platforms whose arenas
 // hold enough elements to matter: a 64-node mesh at light load, where
 // most switches and wire pairs are parked at any time and re-armed by
-// passing flits, and a flattened butterfly of 7-port switches. Element
-// park/re-arm is thereby compared against the naive sequential
-// reference at arena scale.
+// passing flits, a flattened butterfly of 7-port switches, and a
+// minimally routed torus on two virtual channels (two lanes per port,
+// two credit wires per pair). Element park/re-arm is thereby compared
+// against the naive sequential reference at arena scale.
 func TestGatingArenaScaleMatrix(t *testing.T) {
 	cases := []struct {
 		name, topo string
@@ -138,6 +139,7 @@ func TestGatingArenaScaleMatrix(t *testing.T) {
 	}{
 		{"mesh8x8-light", "mesh:w=8,h=8", 0.02, 3_000},
 		{"butterfly4x4", "butterfly:w=4,h=4", 0.1, 2_000},
+		{"torus4x4-dateline", "torus:w=4,h=4,minimal=1,vcs=2", 0.2, 2_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

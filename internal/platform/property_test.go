@@ -160,57 +160,94 @@ func TestDeterminismProperty(t *testing.T) {
 }
 
 // TestXYMeshDeadlockFreeUnderLoad: dimension-ordered routing is
-// deadlock-free; a heavily loaded mesh with crossing flows must always
-// drain, with the watchdog as the oracle.
+// deadlock-free — on the mesh by forbidding turns, on the minimally
+// routed torus by its dateline classes. A heavily loaded network with
+// crossing flows and two-flit buffers must always drain, with the
+// watchdog as the oracle: everything sent is received, no flit is left
+// in the pool, no wire overran.
 func TestXYMeshDeadlockFreeUnderLoad(t *testing.T) {
-	topo, err := topology.Mesh(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Name: "xy-stress", Topology: topo,
-		Routing:        RoutingXY,
-		SwitchBufDepth: 2, // tight buffers: deadlock would show
-	}
 	// Eight flows between opposite corners and edges, all crossing the
-	// center, each near full injection rate.
-	pairs := [][2]topology.NodeID{
+	// center of the mesh (on the torus they take the wrap links instead),
+	// each near full injection rate.
+	crossing := [][2]topology.NodeID{
 		{0, 15}, {15, 0}, {3, 12}, {12, 3},
 		{1, 14}, {14, 1}, {7, 8}, {8, 7},
 	}
-	for i, pr := range pairs {
-		src := flit.EndpointID(i)
-		dst := flit.EndpointID(100 + i)
-		if err := topo.AddSource(src, pr[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := topo.AddSink(dst, pr[1]); err != nil {
-			t.Fatal(err)
-		}
-		cfg.TGs = append(cfg.TGs, TGSpec{
-			Endpoint: src, Model: ModelUniform, Limit: 300,
-			Uniform: &traffic.UniformConfig{
-				LenMin: 8, LenMax: 8, GapMin: 0, GapMax: 0,
-				Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
-			},
+	// Four flows chasing each other two hops at a time around row 0 and
+	// four around column 1: their paths close both rings.
+	chasing := [][2]topology.NodeID{
+		{0, 2}, {1, 3}, {2, 0}, {3, 1},
+		{1, 9}, {5, 13}, {9, 1}, {13, 5},
+	}
+	for _, tc := range []struct {
+		topo    string
+		routing RoutingScheme
+		pairs   [][2]topology.NodeID
+	}{
+		{"mesh:w=4,h=4", RoutingXY, crossing},
+		{"torus:w=4,h=4,minimal=1,vcs=2", "", append(crossing, chasing...)},
+	} {
+		t.Run(tc.topo, func(t *testing.T) {
+			spec, err := topology.ParseSpec(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := topology.FromSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Name: "dor-stress", Topology: topo,
+				Routing:        tc.routing,
+				SwitchBufDepth: 2, // tight buffers: deadlock would show
+			}
+			for i, pr := range tc.pairs {
+				src := flit.EndpointID(i)
+				dst := flit.EndpointID(100 + i)
+				if err := topo.AddSource(src, pr[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := topo.AddSink(dst, pr[1]); err != nil {
+					t.Fatal(err)
+				}
+				cfg.TGs = append(cfg.TGs, TGSpec{
+					Endpoint: src, Model: ModelUniform, Limit: 300,
+					Uniform: &traffic.UniformConfig{
+						LenMin: 8, LenMax: 8, GapMin: 0, GapMax: 0,
+						Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
+					},
+				})
+				cfg.TRs = append(cfg.TRs, TRSpec{Endpoint: dst, Mode: receptor.Stochastic, ExpectPackets: 300})
+			}
+			p, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := p.AttachWatchdog(5_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, stopped := p.Run(5_000_000); !stopped {
+				if stalled, at := w.Stalled(); stalled {
+					t.Fatalf("deadlocked at cycle %d", at)
+				}
+				t.Fatal("run did not finish")
+			}
+			tot := p.Totals()
+			if want := uint64(len(tc.pairs)) * 300; tot.PacketsReceived != want {
+				t.Errorf("received = %d, want %d", tot.PacketsReceived, want)
+			}
+			if tot.FlitsSent != tot.FlitsReceived {
+				t.Errorf("flits sent %d, received %d", tot.FlitsSent, tot.FlitsReceived)
+			}
+			if live := p.Pool().Live(); live != 0 {
+				t.Errorf("%d flits still live after the run drained", live)
+			}
+			for i := range topo.Links() {
+				if l, _ := p.Link(i); l.Overruns() != 0 {
+					t.Errorf("link %d overran %d times", i, l.Overruns())
+				}
+			}
 		})
-		cfg.TRs = append(cfg.TRs, TRSpec{Endpoint: dst, Mode: receptor.Stochastic, ExpectPackets: 300})
-	}
-	p, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := p.AttachWatchdog(5_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, stopped := p.Run(5_000_000); !stopped {
-		if stalled, at := w.Stalled(); stalled {
-			t.Fatalf("XY mesh deadlocked at cycle %d", at)
-		}
-		t.Fatal("run did not finish")
-	}
-	if got := p.Totals().PacketsReceived; got != 8*300 {
-		t.Errorf("received = %d", got)
 	}
 }

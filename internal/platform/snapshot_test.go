@@ -16,12 +16,14 @@ import (
 	"testing"
 
 	"nocemu/internal/fault"
+	"nocemu/internal/flit"
 	"nocemu/internal/link"
 	"nocemu/internal/monitor"
 	"nocemu/internal/platform"
 	"nocemu/internal/probe"
 	"nocemu/internal/state"
 	"nocemu/internal/topology"
+	"nocemu/internal/traffic"
 )
 
 // snapWorkerCounts matches the acceptance matrix: sequential plus a
@@ -81,6 +83,31 @@ func paperSnapConfig(t *testing.T, packets uint64) platform.Config {
 		t.Fatal(err)
 	}
 	cfg.Trace = &probe.Config{}
+	return cfg
+}
+
+// torusSnapConfig is the multi-lane counterpart: minimal routing on a
+// 4x4 torus with vcs virtual channels per port (dateline classes from
+// two up; one is built with AllowDeadlock), every source streaming
+// packets to the sink five switches on — a permutation, so each
+// receptor expects exactly that many and the stoppers end the run.
+func torusSnapConfig(t *testing.T, vcs int, packets uint64) platform.Config {
+	t.Helper()
+	cfg, err := platform.NetConfig(platform.NetOptions{
+		Topo:         topology.Spec{Kind: "torus", Param: map[string]int{"w": 4, "h": 4, "minimal": 1, "vcs": vcs}},
+		Injection:    0.5,
+		PacketsPerTG: packets,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AllowDeadlock = vcs < 2
+	cfg.Trace = &probe.Config{}
+	for i := range cfg.TGs {
+		dst := cfg.TRs[(i+5)%len(cfg.TRs)].Endpoint
+		cfg.TGs[i].Uniform.Dst = traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}}
+		cfg.TRs[i].ExpectPackets = packets
+	}
 	return cfg
 }
 
@@ -197,8 +224,17 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 // credits between the credit wire and the injector is kernel-dependent —
 // equivalent state, different bytes.)
 func TestSnapshotKernelPortability(t *testing.T) {
-	cfg := paperSnapConfig(t, 15)
+	for name, cfg := range map[string]platform.Config{
+		"paper": paperSnapConfig(t, 15),
+		// Two lanes per port and two credit wires per pair in the arena
+		// sections.
+		"torus:w=4,h=4,minimal=1,vcs=2": torusSnapConfig(t, 2, 15),
+	} {
+		t.Run(name, func(t *testing.T) { snapshotKernelPortability(t, cfg) })
+	}
+}
 
+func snapshotKernelPortability(t *testing.T, cfg platform.Config) {
 	ref := buildSnap(t, cfg, 0, false, nil)
 	if _, stopped := ref.Run(1_000_000); !stopped {
 		t.Fatal("reference run did not complete")
@@ -439,6 +475,16 @@ func TestRestoreRejectsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The same platform name at another channel count: the arena
+	// sections count lanes and credit wires, so this is drift too.
+	two := buildSnap(t, torusSnapConfig(t, 2, 10), 0, false, nil)
+	defer two.Close()
+	two.RunCycles(300)
+	twoLane, err := two.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	fresh := func() *platform.Platform { return buildSnap(t, cfg, 0, false, nil) }
 	cases := []struct {
 		name string
@@ -474,6 +520,9 @@ func TestRestoreRejectsDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 			return p
+		}},
+		{"vcs=2 into vcs=1", twoLane, func() *platform.Platform {
+			return buildSnap(t, torusSnapConfig(t, 1, 10), 0, false, nil)
 		}},
 	}
 	for _, tc := range cases {
@@ -542,10 +591,19 @@ func TestGoldenSnapshotFixture(t *testing.T) {
 // forks are legitimately identical and only the cold-twin match is
 // asserted.
 func TestForkMatchesColdRunsZoo(t *testing.T) {
-	for _, workload := range []string{"flows", "incast"} {
-		t.Run(workload, func(t *testing.T) {
+	for _, tc := range []struct{ topo, workload string }{
+		{"mesh:w=3,h=3", "flows"},
+		{"mesh:w=3,h=3", "incast"},
+		{"torus:w=4,h=4,minimal=1,vcs=2", "flows"}, // per-lane state through the fork
+	} {
+		workload := tc.workload
+		t.Run(tc.topo+"/"+workload, func(t *testing.T) {
+			spec, err := topology.ParseSpec(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg, err := platform.NetConfig(platform.NetOptions{
-				Topo:      topology.Spec{Kind: "mesh", Param: map[string]int{"w": 3, "h": 3}},
+				Topo:      spec,
 				Workload:  workload,
 				Injection: 0.2,
 			})

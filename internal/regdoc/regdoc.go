@@ -12,12 +12,10 @@ import (
 	"strings"
 
 	"nocemu/internal/flit"
-	"nocemu/internal/link"
 	"nocemu/internal/platform"
 	"nocemu/internal/probe"
 	"nocemu/internal/regmap"
 	"nocemu/internal/traffic"
-	"nocemu/internal/vcswitch"
 )
 
 // SchemaBank is the documentation surface every declarative bank
@@ -194,19 +192,6 @@ func banks() ([]SchemaBank, error) {
 		}
 	}
 
-	// The virtual-channel demo endpoints are not part of the paper
-	// platform; construct minimal instances for their banks.
-	wire := link.NewLink("doc")
-	cr := link.NewCreditLink("doc.cr")
-	src, err := vcswitch.NewSource("doc-src", 0, wire, cr, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	snk, err := vcswitch.NewSink("doc-snk", 100, wire, []*link.CreditLink{cr}, 0)
-	if err != nil {
-		return nil, err
-	}
-
 	order := []uint32{
 		regmap.TypeControl, regmap.TypeTG, regmap.TypeTR,
 		regmap.TypeSwitch, regmap.TypeLink, regmap.TypePool,
@@ -222,9 +207,7 @@ func banks() ([]SchemaBank, error) {
 	// The probe bank is only attached when tracing is configured;
 	// document it from a standalone collector so the section is always
 	// present.
-	out = append(out, regmap.NewProbeDevice(probe.NewCollector(probe.Config{})))
-
-	return append(out, regmap.NewVCSourceDevice(src), regmap.NewVCSinkDevice(snk)), nil
+	return append(out, regmap.NewProbeDevice(probe.NewCollector(probe.Config{}))), nil
 }
 
 // Render produces the full REGISTERS.md content from the live schema.

@@ -37,8 +37,6 @@ func TestRenderCoversEveryDeviceClass(t *testing.T) {
 		"## Switch (TYPE = 3)",
 		"## Link (TYPE = 5)",
 		"## Flit pool (TYPE = 6)",
-		"## VC source (TYPE = 7)",
-		"## VC sink (TYPE = 8)",
 		"| uniform | len_min | len_max | gap_min | gap_max |",
 		"PARAM[i]",
 		"| 0x040/1 | LAT_MEAN_F64 | ro |",

@@ -1,8 +1,8 @@
 // Register banks for the devices the original control plane left
-// unmapped: the platform's links, the flit pool's accounting, and the
-// virtual-channel demo endpoints. With these every observable number in
-// the framework is reachable over the internal buses, so the monitor
-// never has to touch simulation structs directly.
+// unmapped: the platform's links and the flit pool's accounting. With
+// these every observable number in the framework is reachable over the
+// internal buses, so the monitor never has to touch simulation structs
+// directly.
 package regmap
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
-	"nocemu/internal/vcswitch"
 )
 
 // Link register offsets.
@@ -135,65 +134,5 @@ func NewPoolDevice(p *flit.Pool) *Bank {
 			}
 			return s.Allocated()
 		})
-	return b
-}
-
-// Virtual-channel endpoint register offsets.
-const (
-	RegVCPlanLen = 0x004 // ro: planned packets (source)
-	RegVCPlanPos = 0x005 // ro: packets expanded so far (source)
-	RegVCCredits = 0x006 // ro: current VC-0 credits (source)
-	RegVCDone    = 0x007 // ro: 1 when the endpoint reports done
-	RegVCFlits   = 0x010 // ro 64-bit: flits sent/received
-	RegVCPackets = 0x012 // ro 64-bit: packets sent/received
-	RegVCExpect  = 0x014 // ro 64-bit: expected packets (sink)
-	RegVCNumVC   = 0x008 // ro: virtual channels credited (sink)
-)
-
-func boolReg(f func() bool) func() uint32 {
-	return func() uint32 {
-		if f() {
-			return 1
-		}
-		return 0
-	}
-}
-
-// NewVCSourceDevice builds the register bank of a virtual-channel demo
-// source.
-func NewVCSourceDevice(s *vcswitch.Source) *Bank {
-	b := NewBank(s.ComponentName())
-	b.Describe("VC source (TYPE = 7)", "")
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeVCSource })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RO(RegVCPlanLen, "PLAN_LEN", "planned packets",
-		func() uint32 { return uint32(s.PlanLen()) })
-	b.RO(RegVCPlanPos, "PLAN_POS", "packets expanded so far",
-		func() uint32 { return uint32(s.PlanPos()) })
-	b.RO(RegVCCredits, "CREDITS", "current VC-0 credit balance",
-		func() uint32 { return uint32(s.Credits()) })
-	b.RO(RegVCDone, "DONE", "1 when the plan is fully injected", boolReg(s.Done))
-	b.RO64(RegVCFlits, "FLITS", "flits injected",
-		func() uint64 { f, _ := s.Sent(); return f })
-	b.RO64(RegVCPackets, "PACKETS", "packets injected",
-		func() uint64 { _, p := s.Sent(); return p })
-	return b
-}
-
-// NewVCSinkDevice builds the register bank of a virtual-channel demo
-// sink.
-func NewVCSinkDevice(k *vcswitch.Sink) *Bank {
-	b := NewBank(k.ComponentName())
-	b.Describe("VC sink (TYPE = 8)", "")
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeVCSink })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RO(RegVCDone, "DONE", "1 after the expected packets arrived", boolReg(k.Done))
-	b.RO(RegVCNumVC, "NUM_VC", "virtual channels credited",
-		func() uint32 { return uint32(k.NumVC()) })
-	b.RO64(RegVCFlits, "FLITS", "flits delivered",
-		func() uint64 { f, _ := k.Received(); return f })
-	b.RO64(RegVCPackets, "PACKETS", "packets delivered",
-		func() uint64 { _, p := k.Received(); return p })
-	b.RO64(RegVCExpect, "EXPECT", "packets after which the sink reports done", k.Expect)
 	return b
 }

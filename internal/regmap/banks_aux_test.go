@@ -6,7 +6,6 @@ import (
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
 	"nocemu/internal/receptor"
-	"nocemu/internal/vcswitch"
 )
 
 // --- TR histogram readout edge cases -------------------------------
@@ -191,53 +190,5 @@ func TestPoolDevice(t *testing.T) {
 	}
 	if _, err := d.ReadReg(RegShardOwner); err == nil {
 		t.Error("out-of-range shard owner read succeeded")
-	}
-}
-
-// --- vcswitch endpoint banks ---------------------------------------
-
-func TestVCSourceAndSinkDevices(t *testing.T) {
-	wire := link.NewLink("w")
-	cr := link.NewCreditLink("w.cr")
-	src, err := vcswitch.NewSource("src0", 0, wire, cr, 2, []flit.Packet{
-		{Dst: 100, Len: 2}, {Dst: 100, Len: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := NewVCSourceDevice(src)
-	if v, _ := ds.ReadReg(RegType); v != TypeVCSource {
-		t.Errorf("source type = %d", v)
-	}
-	if v, _ := ds.ReadReg(RegVCPlanLen); v != 2 {
-		t.Errorf("plan len = %d", v)
-	}
-	if v, _ := ds.ReadReg(RegVCPlanPos); v != 0 {
-		t.Errorf("plan pos = %d", v)
-	}
-	if v, _ := ds.ReadReg(RegVCCredits); v != 2 {
-		t.Errorf("credits = %d", v)
-	}
-	if v, _ := ds.ReadReg(RegVCDone); v != 0 {
-		t.Errorf("done = %d", v)
-	}
-
-	snk, err := vcswitch.NewSink("snk0", 100, wire,
-		[]*link.CreditLink{cr, link.NewCreditLink("w.cr1")}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dk := NewVCSinkDevice(snk)
-	if v, _ := dk.ReadReg(RegType); v != TypeVCSink {
-		t.Errorf("sink type = %d", v)
-	}
-	if v, _ := dk.ReadReg(RegVCNumVC); v != 2 {
-		t.Errorf("num vc = %d", v)
-	}
-	if v, _ := dk.ReadReg(RegVCExpect); v != 3 {
-		t.Errorf("expect = %d", v)
-	}
-	if v, _ := dk.ReadReg(RegVCDone); v != 0 {
-		t.Errorf("sink done = %d", v)
 	}
 }

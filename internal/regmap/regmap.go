@@ -34,15 +34,13 @@ import (
 
 // Device class codes (register TYPE).
 const (
-	TypeTG       = 1
-	TypeTR       = 2
-	TypeSwitch   = 3
-	TypeControl  = 4
-	TypeLink     = 5
-	TypePool     = 6
-	TypeVCSource = 7
-	TypeVCSink   = 8
-	TypeProbe    = 9
+	TypeTG      = 1
+	TypeTR      = 2
+	TypeSwitch  = 3
+	TypeControl = 4
+	TypeLink    = 5
+	TypePool    = 6
+	TypeProbe   = 9
 )
 
 // Common register offsets.

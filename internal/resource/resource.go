@@ -136,14 +136,17 @@ func TRTraceBill(latBins, counters int) Bill {
 	return Bill{FF: ff, LUT: lut}
 }
 
-// SwitchBill models a wormhole switch: per-input buffers (distributed
-// RAM), per-output arbiters and the crossbar.
-func SwitchBill(numIn, numOut, bufDepth int) Bill {
-	ff := numIn*(16+8) + // buffer pointers + route latch per input
-		numOut*(8+8) + // lock + credit counter per output
+// SwitchBill models a wormhole switch of numVC virtual channels per
+// port: per-lane input buffers (distributed RAM), per-output arbiters
+// over the input lanes, and the crossbar. Every virtual channel is a
+// further FIFO, route latch, lock and credit counter on each port.
+func SwitchBill(numIn, numOut, numVC, bufDepth int) Bill {
+	inLanes, outLanes := numIn*numVC, numOut*numVC
+	ff := inLanes*(16+8) + // buffer pointers + route latch per input lane
+		outLanes*(8+8) + // lock + credit counter per output lane
 		16
-	lut := numIn*bufDepth*flitBits/16 + // buffer LUT-RAM
-		numOut*numIn*12 + // crossbar muxes + arbitration
+	lut := inLanes*bufDepth*flitBits/16 + // buffer LUT-RAM
+		numOut*inLanes*12 + // crossbar muxes + arbitration
 		numOut*24 + // routing-table lookup slice
 		40
 	return Bill{FF: ff, LUT: lut}
@@ -187,7 +190,7 @@ func defaultTGStochastic() Bill { return TGStochasticBill(4, 5, 32) }
 func defaultTGTrace() Bill      { return TGTraceBill(5, 32) }
 func defaultTRStochastic() Bill { return TRStochasticBill(32, 32, 4) }
 func defaultTRTrace() Bill      { return TRTraceBill(64, 4) }
-func defaultSwitch() Bill       { return SwitchBill(4, 4, 8) }
+func defaultSwitch() Bill       { return SwitchBill(4, 4, 1, 8) }
 func defaultControl() Bill      { return ControlBill(15) }
 
 func init() {
@@ -250,9 +253,10 @@ func EstimateTRTrace(latBins, counters int) int {
 	return TRTraceBill(latBins, counters).Slices(kTRTrace)
 }
 
-// EstimateSwitch returns the slice estimate for a switch.
+// EstimateSwitch returns the slice estimate for a switch of one virtual
+// channel per port.
 func EstimateSwitch(numIn, numOut, bufDepth int) int {
-	return SwitchBill(numIn, numOut, bufDepth).Slices(kSwitch)
+	return SwitchBill(numIn, numOut, 1, bufDepth).Slices(kSwitch)
 }
 
 // EstimateControl returns the slice estimate for the control module.
@@ -318,7 +322,7 @@ func Estimate(p *platform.Platform, target TargetDevice) (*Report, error) {
 	for s, sw := range p.Switches() {
 		numIn := len(topo.SwitchInputs(sw.Node()))
 		numOut := len(topo.SwitchOutputs(sw.Node()))
-		b := SwitchBill(numIn, numOut, cfg.SwitchBufDepth)
+		b := SwitchBill(numIn, numOut, topo.NumVC(), cfg.SwitchBufDepth)
 		add(fmt.Sprintf("sw%d", s), "switch", b, b.Slices(kSwitch))
 	}
 	nDevices := len(cfg.TGs) + len(cfg.TRs) + topo.NumSwitches() + 1

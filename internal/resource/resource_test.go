@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocemu/internal/platform"
+	"nocemu/internal/topology"
 )
 
 func TestCalibrationReproducesPaperTable(t *testing.T) {
@@ -42,6 +43,34 @@ func TestBillsScaleWithParameters(t *testing.T) {
 	// Longer queues cost more.
 	if EstimateTGStochastic(4, 5, 128) <= EstimateTGStochastic(4, 5, 8) {
 		t.Error("TG area does not grow with queue depth")
+	}
+}
+
+// TestAreaGrowsWithVirtualChannels: every virtual channel is a further
+// FIFO, lock and credit counter per port, so at fixed buffer depth a
+// platform's area is strictly increasing in vcs — a sweep over area
+// cannot get channels for free.
+func TestAreaGrowsWithVirtualChannels(t *testing.T) {
+	prev := 0
+	for _, vcs := range []int{1, 2, 3, 4} {
+		cfg, err := platform.NetConfig(platform.NetOptions{
+			Topo: topology.Spec{Kind: "torus", Param: map[string]int{"w": 4, "h": 4, "vcs": vcs}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := platform.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Estimate(p, VirtexIIPro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TotalSlices <= prev {
+			t.Errorf("vcs=%d: %d slices, not above %d at vcs=%d", vcs, rep.TotalSlices, prev, vcs-1)
+		}
+		prev = rep.TotalSlices
 	}
 }
 

@@ -9,39 +9,42 @@ import (
 
 // CheckDeadlockFree verifies the classic Dally/Seitz condition on a
 // built route table: wormhole routing is deadlock-free iff the channel
-// dependency graph (CDG) — links as nodes, an edge L1->L2 whenever
-// some packet holding L1 can request L2 next — is acyclic. The CDG is
-// built from the table itself, restricted to feasible states: for each
-// sink, only (switch, arrival-link) states actually reachable from a
-// source's injection point contribute dependencies, so path-diverse
-// tables are not penalized for turns no packet can make. Injection
-// ports add no dependencies (nothing routes into an injection wire).
+// dependency graph (CDG) — channels as nodes, an edge C1->C2 whenever
+// some packet holding C1 can request C2 next — is acyclic. A channel is
+// one virtual-channel class of one link, (link, vc): the table's class
+// for a hop is part of the channel it occupies, which is what lets a
+// dateline scheme cut a ring's cycle. The CDG is built from the table
+// itself, restricted to feasible states: for each sink, only (switch,
+// arrival-channel) states actually reachable from a source's injection
+// point contribute dependencies, so path-diverse tables are not
+// penalized for turns no packet can make. Injection ports add no
+// dependencies (nothing routes into an injection wire).
 //
-// On a cycle the error names the links around it, which is the
-// platform's documented rejection for e.g. minimal torus routing
-// without dateline virtual channels.
+// On a cycle the error names the channels around it — the platform's
+// rejection of e.g. minimal torus routing on a single class.
 func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 	links := topo.Links()
-	nLinks := len(links)
-	if nLinks == 0 {
+	nv := topo.NumVC()
+	nCh := len(links) * nv // channel (link, vc) has index link*nv+vc
+	if nCh == 0 {
 		return nil
 	}
-	// dep[l1] = set of links some packet can request while holding l1.
-	dep := make([][]int, nLinks)
+	// dep[c1] = set of channels some packet can request while holding c1.
+	dep := make([][]int, nCh)
 	depSeen := make(map[[2]int]bool)
 
-	// Feasible-state BFS per sink. State = (switch, inLink); inLink -1
-	// means the packet is at its injection switch.
+	// Feasible-state BFS per sink. State = (switch, inCh); inCh -1 means
+	// the packet is at its injection switch.
 	n := topo.NumSwitches()
 	for _, sink := range topo.Sinks() {
-		// stateSeen[(sw+1)*(nLinks+1) + (inLink+1)] marks visited states.
-		stateSeen := make([]bool, (n+1)*(nLinks+1))
-		stateKey := func(sw topology.NodeID, inLink int) int {
-			return int(sw)*(nLinks+1) + inLink + 1
+		// stateSeen[sw*(nCh+1) + (inCh+1)] marks visited states.
+		stateSeen := make([]bool, (n+1)*(nCh+1))
+		stateKey := func(sw topology.NodeID, inCh int) int {
+			return int(sw)*(nCh+1) + inCh + 1
 		}
 		type state struct {
-			sw     topology.NodeID
-			inLink int
+			sw   topology.NodeID
+			inCh int
 		}
 		var queue []state
 		for _, src := range topo.Sources() {
@@ -58,6 +61,10 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 			if !ok {
 				continue // routing gap; Validate reports it separately
 			}
+			vc := int(t.VC(st.sw, sink.ID))
+			if vc >= nv {
+				continue // class out of range; Validate reports it separately
+			}
 			outs := topo.SwitchOutputs(st.sw)
 			for _, p := range ports {
 				if p < 0 || p >= len(outs) {
@@ -67,15 +74,16 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 				if oc.Link < 0 {
 					continue // ejection: the packet leaves the network
 				}
-				if st.inLink >= 0 && !depSeen[[2]int{st.inLink, oc.Link}] {
-					depSeen[[2]int{st.inLink, oc.Link}] = true
-					dep[st.inLink] = append(dep[st.inLink], oc.Link)
+				outCh := oc.Link*nv + vc
+				if st.inCh >= 0 && !depSeen[[2]int{st.inCh, outCh}] {
+					depSeen[[2]int{st.inCh, outCh}] = true
+					dep[st.inCh] = append(dep[st.inCh], outCh)
 				}
 				next := links[oc.Link].To
-				k := stateKey(next, oc.Link)
+				k := stateKey(next, outCh)
 				if !stateSeen[k] {
 					stateSeen[k] = true
-					queue = append(queue, state{next, oc.Link})
+					queue = append(queue, state{next, outCh})
 				}
 			}
 		}
@@ -88,35 +96,35 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 		grey  = 1
 		black = 2
 	)
-	color := make([]uint8, nLinks)
-	parent := make([]int, nLinks)
-	for l := 0; l < nLinks; l++ {
-		if color[l] != white {
+	color := make([]uint8, nCh)
+	parent := make([]int, nCh)
+	for c := 0; c < nCh; c++ {
+		if color[c] != white {
 			continue
 		}
 		type frame struct {
-			link int
+			ch   int
 			next int
 		}
-		stack := []frame{{link: l}}
-		color[l] = grey
-		parent[l] = -1
+		stack := []frame{{ch: c}}
+		color[c] = grey
+		parent[c] = -1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next >= len(dep[f.link]) {
-				color[f.link] = black
+			if f.next >= len(dep[f.ch]) {
+				color[f.ch] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			to := dep[f.link][f.next]
+			to := dep[f.ch][f.next]
 			f.next++
 			switch color[to] {
 			case white:
 				color[to] = grey
-				parent[to] = f.link
-				stack = append(stack, frame{link: to})
+				parent[to] = f.ch
+				stack = append(stack, frame{ch: to})
 			case grey:
-				return cdgCycleError(links, parent, f.link, to)
+				return cdgCycleError(links, nv, parent, f.ch, to)
 			}
 		}
 	}
@@ -125,7 +133,7 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 
 // cdgCycleError renders the dependency cycle closed by the edge
 // from->to, walking parents back from `from` to `to`.
-func cdgCycleError(links []topology.LinkSpec, parent []int, from, to int) error {
+func cdgCycleError(links []topology.LinkSpec, nv int, parent []int, from, to int) error {
 	cycle := []int{from}
 	for cur := from; cur != to; {
 		cur = parent[cur]
@@ -136,9 +144,10 @@ func cdgCycleError(links []topology.LinkSpec, parent []int, from, to int) error 
 		cycle[i], cycle[j] = cycle[j], cycle[i]
 	}
 	var b strings.Builder
-	for _, l := range cycle {
-		fmt.Fprintf(&b, "link %d (s%d->s%d) -> ", l, links[l].From, links[l].To)
+	for _, c := range cycle {
+		l := c / nv
+		fmt.Fprintf(&b, "link %d (s%d->s%d) vc%d -> ", l, links[l].From, links[l].To, c%nv)
 	}
-	fmt.Fprintf(&b, "link %d", cycle[0])
+	fmt.Fprintf(&b, "link %d vc%d", cycle[0]/nv, cycle[0]%nv)
 	return fmt.Errorf("routing: channel-dependency cycle (wormhole deadlock possible): %s", b.String())
 }

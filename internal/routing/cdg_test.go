@@ -94,6 +94,58 @@ func TestCDGMinimalTorusRejected(t *testing.T) {
 	}
 }
 
+// TestCDGMinimalTorusDatelineAccepted: the same routing on two virtual
+// channels carries dateline classes, the checker's channels are (link,
+// vc) pairs, and each ring's cycle is cut. Odd and mixed ring sizes
+// exercise the tie and the both-directions cases. The classes are what
+// does it: with every class zeroed the table is the rejected one again,
+// and a class the topology has no channel for fails validation.
+func TestCDGMinimalTorusDatelineAccepted(t *testing.T) {
+	for _, dims := range [][2]int{{4, 4}, {5, 3}, {3, 6}} {
+		spec := topology.Spec{Kind: "torus", Param: map[string]int{"w": dims[0], "h": dims[1], "minimal": 1, "vcs": 2}}
+		tp, err := topology.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := buildChecked(t, tp); err != nil {
+			t.Errorf("%s flagged cyclic: %v", spec, err)
+		}
+	}
+
+	tp, err := topology.FromSpec(topology.Spec{Kind: "torus", Param: map[string]int{"w": 4, "h": 4, "minimal": 1, "vcs": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkPerSwitch(t, tp)
+	tb, err := BuildTable(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classed := 0
+	for sw := topology.NodeID(0); int(sw) < tp.NumSwitches(); sw++ {
+		for _, dst := range tb.Destinations(sw) {
+			if tb.VC(sw, dst) != 0 {
+				classed++
+				if err := tb.SetVC(sw, dst, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if classed == 0 {
+		t.Fatal("dateline table carries no class-1 hop")
+	}
+	if err := CheckDeadlockFree(tp, tb); err == nil {
+		t.Error("table with the dateline classes zeroed passed the CDG check")
+	}
+	if err := tb.SetVC(0, tb.Destinations(0)[0], 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(tp, tb); err == nil {
+		t.Error("class 2 on a two-channel topology passed validation")
+	}
+}
+
 // TestCDGDefaultTorusAcyclic: the torus default stays wrap-ignoring XY
 // (the wraps carry no routed traffic), which keeps existing torus
 // scenarios deadlock-free and byte-identical.

@@ -42,14 +42,23 @@ func ValidPolicy(p Policy) bool {
 }
 
 // Table holds, for every switch, the candidate output ports toward each
-// destination endpoint.
+// destination endpoint and the virtual-channel class the hop travels
+// on. The class is data like the ports: a pure function of (switch,
+// destination) the topology's Router emits, so the switch needs no
+// per-packet state to follow a dateline scheme.
 type Table struct {
 	perSwitch []map[flit.EndpointID][]int
+	// vc holds the non-zero classes only (a missing entry is class 0),
+	// so single-class tables pay nothing for it.
+	vc []map[flit.EndpointID]uint8
 }
 
 // NewTable returns an empty table for n switches.
 func NewTable(n int) *Table {
-	t := &Table{perSwitch: make([]map[flit.EndpointID][]int, n)}
+	t := &Table{
+		perSwitch: make([]map[flit.EndpointID][]int, n),
+		vc:        make([]map[flit.EndpointID]uint8, n),
+	}
 	for i := range t.perSwitch {
 		t.perSwitch[i] = make(map[flit.EndpointID][]int)
 	}
@@ -85,6 +94,27 @@ func (t *Table) Lookup(sw topology.NodeID, dst flit.EndpointID) ([]int, error) {
 	}
 	return ports, nil
 }
+
+// SetVC sets the virtual-channel class of the hop (sw, dst) takes; the
+// default is class 0.
+func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
+	if int(sw) < 0 || int(sw) >= len(t.vc) {
+		return fmt.Errorf("routing: switch %d out of range", sw)
+	}
+	if vc == 0 {
+		delete(t.vc[sw], dst)
+		return nil
+	}
+	if t.vc[sw] == nil {
+		t.vc[sw] = make(map[flit.EndpointID]uint8)
+	}
+	t.vc[sw][dst] = vc
+	return nil
+}
+
+// VC returns the virtual-channel class packets to dst leave switch sw
+// on. sw must be a switch of the table.
+func (t *Table) VC(sw topology.NodeID, dst flit.EndpointID) uint8 { return t.vc[sw][dst] }
 
 // Destinations returns the destinations routable from switch sw.
 func (t *Table) Destinations(sw topology.NodeID) []flit.EndpointID {
@@ -194,11 +224,14 @@ func BuildTable(topo *topology.Topology) (*Table, error) {
 // the router's candidate order); at the sink's own switch the single
 // candidate is the sink's local port. Switches where the router
 // returns no hops get no entry — Validate catches the gap if a packet
-// would actually route through it.
+// would actually route through it. A router that also classifies its
+// hops (topology.VCRouter) has each hop's virtual-channel class stored
+// beside the ports; the ejection hop is always class 0.
 func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error) {
 	n := topo.NumSwitches()
 	t := NewTable(n)
 	links := topo.Links()
+	classes, _ := r.(topology.VCRouter)
 	portTo := func(sw, next topology.NodeID) (int, bool) {
 		for p, oc := range topo.SwitchOutputs(sw) {
 			if oc.Link >= 0 && links[oc.Link].To == next {
@@ -240,6 +273,11 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 			if err := t.Set(sw, sink.ID, ports); err != nil {
 				return nil, err
 			}
+			if classes != nil {
+				if err := t.SetVC(sw, sink.ID, classes.HopVC(sw, sink.Switch)); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	return t, nil
@@ -247,11 +285,20 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 
 // Validate walks every (source, sink) pair following first-candidate
 // routing and confirms the path terminates at the sink within a hop
-// budget, catching routing loops and dead ends at platform-compilation
-// time.
+// budget and stays on virtual channels the topology has, catching
+// routing loops, dead ends and out-of-range classes at
+// platform-compilation time.
 func Validate(topo *topology.Topology, t *Table) error {
 	maxHops := topo.NumSwitches() + 1
 	links := topo.Links()
+	nv := topo.NumVC()
+	for sw, classes := range t.vc {
+		for dst, vc := range classes {
+			if int(vc) >= nv {
+				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, dst, vc, nv)
+			}
+		}
+	}
 	for _, src := range topo.Sources() {
 		for _, sink := range topo.Sinks() {
 			sw := src.Switch
@@ -270,6 +317,9 @@ func Validate(topo *topology.Topology, t *Table) error {
 				}
 				oc := outs[p]
 				if oc.Link == -1 {
+					if vc := t.VC(sw, sink.ID); vc != 0 {
+						return fmt.Errorf("routing: switch %d ejects to endpoint %d on virtual channel %d (ejection wires carry 0 only)", sw, sink.ID, vc)
+					}
 					if oc.Endpoint != sink.ID {
 						return fmt.Errorf("routing: path %d->%d ejects at wrong endpoint %d", src.ID, sink.ID, oc.Endpoint)
 					}

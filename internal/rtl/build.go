@@ -34,6 +34,9 @@ func Build(cfg platform.Config) (*Platform, error) {
 		return nil, fmt.Errorf("rtl: adaptive selection not modelled")
 	}
 	topo := cfg.Topology
+	if n := topo.NumVC(); n > 1 {
+		return nil, fmt.Errorf("rtl: %d virtual channels per port not modelled (topology %s)", n, topo.Name())
+	}
 
 	table, err := platform.RouteTable(cfg)
 	if err != nil {

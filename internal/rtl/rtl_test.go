@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"strings"
 	"testing"
 
 	"nocemu/internal/flit"
@@ -107,6 +108,9 @@ func TestRTLMatchesEmulator(t *testing.T) {
 	}
 }
 
+// TestRTLRejectsAdaptive: the backend refuses, with an error, what it
+// does not model — adaptive selection, and virtual channels (its
+// switches have one lane per port).
 func TestRTLRejectsAdaptive(t *testing.T) {
 	cfg, err := platform.PaperConfig(platform.PaperOptions{})
 	if err != nil {
@@ -115,6 +119,18 @@ func TestRTLRejectsAdaptive(t *testing.T) {
 	cfg.Select = routing.Adaptive
 	if _, err := Build(cfg); err == nil {
 		t.Error("adaptive selection accepted")
+	}
+
+	spec, err := topology.ParseSpec("torus:w=4,h=4,minimal=1,vcs=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err = platform.NetConfig(platform.NetOptions{Topo: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "virtual channels") {
+		t.Errorf("two-channel torus: err = %v, want a virtual-channel rejection", err)
 	}
 }
 

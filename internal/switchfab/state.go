@@ -1,10 +1,13 @@
 // Snapshot support for the switch fabric (DESIGN.md §13).
 //
 // A switch section holds the full routing pipeline state: the random
-// register, the per-input FIFOs (with their queued flit images), the
-// per-output credit counters and wormhole locks, the per-input route
-// grants, the arbiter priority state, and the statistics. The scratch
-// granted flags are per-cycle and always false between runs.
+// register, the per-lane input FIFOs (with their queued flit images),
+// the per-lane route grants, credit counters and wormhole locks, the
+// per-port arbiter priority state, and the statistics. The scratch
+// granted flags are per-cycle and always false between runs. The two
+// leading counts are lane counts — port counts at one virtual channel —
+// so a snapshot restores only into a switch of the same shape and
+// channel count.
 package switchfab
 
 import (
@@ -16,17 +19,19 @@ import (
 // SaveState serializes one switch.
 func (s *Switch) SaveState(w *state.Writer) {
 	s.lfsr.SaveState(w)
-	w.Int(s.cfg.NumIn)
-	w.Int(s.cfg.NumOut)
+	w.Int(len(s.inBufs))
+	w.Int(len(s.lock))
 	for i := range s.inBufs {
 		s.inBufs[i].SaveState(w)
 	}
 	for i := range s.inRoute {
 		w.Int(s.inRoute[i])
 	}
-	for o := range s.credits {
-		w.Int(s.credits[o])
-		w.Int(s.lock[o])
+	for o := range s.arbiters {
+		for ol := o * s.cfg.NumVC; ol < (o+1)*s.cfg.NumVC; ol++ {
+			w.Int(s.credits[ol])
+			w.Int(s.lock[ol])
+		}
 		s.arbiters[o].SaveState(w)
 	}
 	w.U64(s.stats.FlitsRouted)
@@ -44,9 +49,9 @@ func (s *Switch) LoadState(r *state.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if nIn != s.cfg.NumIn || nOut != s.cfg.NumOut {
-		return fmt.Errorf("switchfab %s: snapshot is %dx%d, built %dx%d",
-			s.cfg.Name, nIn, nOut, s.cfg.NumIn, s.cfg.NumOut)
+	if nIn != len(s.inBufs) || nOut != len(s.lock) {
+		return fmt.Errorf("switchfab %s: snapshot has %dx%d lanes, built %dx%d (%d virtual channels)",
+			s.cfg.Name, nIn, nOut, len(s.inBufs), len(s.lock), s.cfg.NumVC)
 	}
 	for i := range s.inBufs {
 		if err := s.inBufs[i].LoadState(r); err != nil {
@@ -55,19 +60,21 @@ func (s *Switch) LoadState(r *state.Reader) error {
 	}
 	for i := range s.inRoute {
 		rt := r.Int()
-		if r.Err() == nil && (rt < -1 || rt >= s.cfg.NumOut) {
-			return fmt.Errorf("switchfab %s: snapshot routes input %d to port %d", s.cfg.Name, i, rt)
+		if r.Err() == nil && (rt < -1 || rt >= len(s.lock)) {
+			return fmt.Errorf("switchfab %s: snapshot routes input lane %d to output lane %d", s.cfg.Name, i, rt)
 		}
 		s.inRoute[i] = rt
 		s.granted[i] = false
 	}
-	for o := range s.credits {
-		s.credits[o] = r.Int()
-		lk := r.Int()
-		if r.Err() == nil && (lk < -1 || lk >= s.cfg.NumIn) {
-			return fmt.Errorf("switchfab %s: snapshot locks output %d to input %d", s.cfg.Name, o, lk)
+	for o := range s.arbiters {
+		for ol := o * s.cfg.NumVC; ol < (o+1)*s.cfg.NumVC; ol++ {
+			s.credits[ol] = r.Int()
+			lk := r.Int()
+			if r.Err() == nil && (lk < -1 || lk >= len(s.inBufs)) {
+				return fmt.Errorf("switchfab %s: snapshot locks output lane %d to input lane %d", s.cfg.Name, ol, lk)
+			}
+			s.lock[ol] = lk
 		}
-		s.lock[o] = lk
 		if err := s.arbiters[o].LoadState(r); err != nil {
 			return fmt.Errorf("switchfab %s: output %d arbiter: %w", s.cfg.Name, o, err)
 		}

@@ -5,11 +5,17 @@
 // switches; the parameters it studies are the number of inputs, the
 // number of outputs, and the size of the buffers. This switch is
 // input-buffered and wormhole-switched: a head flit arbitrates for an
-// output port, the port stays locked to that input until the tail flit
+// output, the output stays locked to that input until the tail flit
 // passes, and credit-based flow control guarantees buffers never
 // overflow. Each output port has its own arbiter; route candidates come
 // from a routing table and are narrowed to one port by a selection
 // policy (first / packet-modulo / random / adaptive).
+//
+// Every port carries NumVC virtual channels. The unit of buffering,
+// routing, locking and credit is the lane — one virtual channel of one
+// port, flat index port*NumVC+vc — while the physical port still moves
+// at most one flit per cycle. With one virtual channel a lane is a
+// port, and the switch is the plain wormhole switch of the paper.
 package switchfab
 
 import (
@@ -33,7 +39,9 @@ type Config struct {
 	Node topology.NodeID
 	// NumIn and NumOut are the port counts.
 	NumIn, NumOut int
-	// BufDepth is the per-input FIFO depth in flits.
+	// NumVC is the virtual channels per port (0 means 1).
+	NumVC int
+	// BufDepth is the per-lane FIFO depth in flits.
 	BufDepth int
 	// Arb selects the output-port arbitration policy.
 	Arb arb.Policy
@@ -77,18 +85,18 @@ type Switch struct {
 	cfg  Config
 	lfsr *rng.LFSR
 
-	inBufs    []buffer.FIFO // dense: one cache-linear block per switch
-	inLinks   []*link.Link
-	creditOut []*link.CreditLink // per input: returns credits upstream
+	inBufs    []buffer.FIFO      // per input lane; dense, one cache-linear block per switch
+	inLinks   []*link.Link       // per input port
+	creditOut []*link.CreditLink // per input lane: returns credits upstream
 
-	outLinks  []*link.Link
-	creditIn  []*link.CreditLink // per output: credits from downstream
-	credits   []int              // per output: available credits
-	lock      []int              // per output: input holding the wormhole lock, or -1
-	arbiters  []arb.Arbiter      // per output
-	inRoute   []int              // per input: chosen output for the packet in flight, or -1
-	granted   []bool             // per input: forwarded this cycle (reused scratch)
-	reqOut    int                // output being arbitrated (parameter of reqFn)
+	outLinks  []*link.Link       // per output port
+	creditIn  []*link.CreditLink // per output lane: credits from downstream
+	credits   []int              // per output lane: available credits
+	lock      []int              // per output lane: input lane holding the wormhole lock, or -1
+	arbiters  []arb.Arbiter      // per output port, over the input lanes
+	inRoute   []int              // per input lane: output lane of the packet in flight, or -1
+	granted   []bool             // per input lane: forwarded this cycle (reused scratch)
+	reqLane   int                // output lane being arbitrated (parameter of reqFn)
 	reqFn     arb.Requests       // pre-bound request predicate (no per-cycle closure)
 	wired     int
 	wiredOuts int
@@ -121,6 +129,12 @@ func initSwitch(s *Switch, cfg Config) error {
 	if cfg.NumIn < 1 || cfg.NumOut < 1 {
 		return fmt.Errorf("switchfab %s: %d inputs, %d outputs", cfg.Name, cfg.NumIn, cfg.NumOut)
 	}
+	if cfg.NumVC == 0 {
+		cfg.NumVC = 1
+	}
+	if cfg.NumVC < 1 || cfg.NumVC > topology.MaxVCs {
+		return fmt.Errorf("switchfab %s: %d virtual channels", cfg.Name, cfg.NumVC)
+	}
 	if cfg.BufDepth < 1 {
 		return fmt.Errorf("switchfab %s: buffer depth %d", cfg.Name, cfg.BufDepth)
 	}
@@ -130,34 +144,41 @@ func initSwitch(s *Switch, cfg Config) error {
 	if !routing.ValidPolicy(cfg.Select) {
 		return fmt.Errorf("switchfab %s: bad selection policy %q", cfg.Name, cfg.Select)
 	}
+	inLanes, outLanes := cfg.NumIn*cfg.NumVC, cfg.NumOut*cfg.NumVC
 	*s = Switch{
 		cfg:       cfg,
 		lfsr:      rng.New(cfg.Seed),
-		inBufs:    make([]buffer.FIFO, cfg.NumIn),
+		inBufs:    make([]buffer.FIFO, inLanes),
 		inLinks:   make([]*link.Link, cfg.NumIn),
-		creditOut: make([]*link.CreditLink, cfg.NumIn),
+		creditOut: make([]*link.CreditLink, inLanes),
 		outLinks:  make([]*link.Link, cfg.NumOut),
-		creditIn:  make([]*link.CreditLink, cfg.NumOut),
-		credits:   make([]int, cfg.NumOut),
-		lock:      make([]int, cfg.NumOut),
+		creditIn:  make([]*link.CreditLink, outLanes),
+		credits:   make([]int, outLanes),
+		lock:      make([]int, outLanes),
 		arbiters:  make([]arb.Arbiter, cfg.NumOut),
-		inRoute:   make([]int, cfg.NumIn),
-		granted:   make([]bool, cfg.NumIn),
+		inRoute:   make([]int, inLanes),
+		granted:   make([]bool, inLanes),
 	}
-	s.reqFn = func(i int) bool {
-		return !s.granted[i] && s.inRoute[i] == s.reqOut && s.inBufs[i].Peek() != nil
+	s.reqFn = func(r int) bool {
+		return !s.granted[r] && s.inRoute[r] == s.reqLane && s.inBufs[r].Peek() != nil
 	}
-	for i := 0; i < cfg.NumIn; i++ {
-		buffer.MustInit(&s.inBufs[i], fmt.Sprintf("%s/in%d", cfg.Name, i), cfg.BufDepth)
-		s.inRoute[i] = -1
+	for r := range s.inBufs {
+		name := fmt.Sprintf("%s/in%d", cfg.Name, r/cfg.NumVC)
+		if vc := r % cfg.NumVC; vc > 0 {
+			name = fmt.Sprintf("%s.vc%d", name, vc)
+		}
+		buffer.MustInit(&s.inBufs[r], name, cfg.BufDepth)
+		s.inRoute[r] = -1
 	}
-	for o := 0; o < cfg.NumOut; o++ {
-		a, err := arb.New(cfg.Arb, cfg.NumIn)
+	for o := range s.arbiters {
+		a, err := arb.New(cfg.Arb, inLanes)
 		if err != nil {
 			return fmt.Errorf("switchfab %s: %w", cfg.Name, err)
 		}
 		s.arbiters[o] = a
-		s.lock[o] = -1
+	}
+	for ol := range s.lock {
+		s.lock[ol] = -1
 	}
 	return nil
 }
@@ -168,50 +189,66 @@ func (s *Switch) ComponentName() string { return s.cfg.Name }
 // Node returns the switch's topology identifier.
 func (s *Switch) Node() topology.NodeID { return s.cfg.Node }
 
-// BufDepth returns the input buffer depth; the upstream sender must use
-// it as its initial credit count.
+// BufDepth returns the per-lane input buffer depth; the upstream sender
+// must use it as its initial credit count on every virtual channel.
 func (s *Switch) BufDepth() int { return s.cfg.BufDepth }
 
-// ConnectInput wires input port i: flits arrive on in, credits are
-// returned on creditBack (nil for a port without flow-control return,
-// which is invalid for NoC ports and only used in tests).
-func (s *Switch) ConnectInput(i int, in *link.Link, creditBack *link.CreditLink) error {
+// ConnectInput wires input port i: flits arrive on in, and each virtual
+// channel's credits are returned on its own wire of creditBack (one per
+// channel, in channel order).
+func (s *Switch) ConnectInput(i int, in *link.Link, creditBack ...*link.CreditLink) error {
 	if i < 0 || i >= s.cfg.NumIn {
 		return fmt.Errorf("switchfab %s: input %d out of range", s.cfg.Name, i)
 	}
 	if s.inLinks[i] != nil {
 		return fmt.Errorf("switchfab %s: input %d already wired", s.cfg.Name, i)
 	}
-	if in == nil || creditBack == nil {
-		return fmt.Errorf("switchfab %s: input %d nil wiring", s.cfg.Name, i)
+	if in == nil || !validCredits(creditBack, s.cfg.NumVC) {
+		return fmt.Errorf("switchfab %s: input %d needs a link and %d credit wires", s.cfg.Name, i, s.cfg.NumVC)
 	}
 	s.inLinks[i] = in
-	s.creditOut[i] = creditBack
+	copy(s.creditOut[i*s.cfg.NumVC:], creditBack)
 	s.wired++
 	return nil
 }
 
-// ConnectOutput wires output port o: flits leave on out, credits arrive
-// on creditIn, and initialCredits must equal the downstream input
-// buffer depth.
-func (s *Switch) ConnectOutput(o int, out *link.Link, creditIn *link.CreditLink, initialCredits int) error {
+// ConnectOutput wires output port o: flits leave on out, each virtual
+// channel's credits arrive on its own wire of creditIn, and
+// initialCredits must equal the downstream per-channel buffer depth.
+func (s *Switch) ConnectOutput(o int, out *link.Link, initialCredits int, creditIn ...*link.CreditLink) error {
 	if o < 0 || o >= s.cfg.NumOut {
 		return fmt.Errorf("switchfab %s: output %d out of range", s.cfg.Name, o)
 	}
 	if s.outLinks[o] != nil {
 		return fmt.Errorf("switchfab %s: output %d already wired", s.cfg.Name, o)
 	}
-	if out == nil || creditIn == nil {
-		return fmt.Errorf("switchfab %s: output %d nil wiring", s.cfg.Name, o)
+	if out == nil || !validCredits(creditIn, s.cfg.NumVC) {
+		return fmt.Errorf("switchfab %s: output %d needs a link and %d credit wires", s.cfg.Name, o, s.cfg.NumVC)
 	}
 	if initialCredits < 1 {
 		return fmt.Errorf("switchfab %s: output %d with %d credits", s.cfg.Name, o, initialCredits)
 	}
 	s.outLinks[o] = out
-	s.creditIn[o] = creditIn
-	s.credits[o] = initialCredits
+	for v, c := range creditIn {
+		s.creditIn[o*s.cfg.NumVC+v] = c
+		s.credits[o*s.cfg.NumVC+v] = initialCredits
+	}
 	s.wiredOuts++
 	return nil
+}
+
+// validCredits reports whether crs is one non-nil credit wire per
+// virtual channel.
+func validCredits(crs []*link.CreditLink, numVC int) bool {
+	if len(crs) != numVC {
+		return false
+	}
+	for _, c := range crs {
+		if c == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckWired verifies every port is connected; the platform builder
@@ -226,10 +263,12 @@ func (s *Switch) CheckWired() error {
 	return nil
 }
 
-// selectPort narrows route candidates to one output according to the
-// configured policy. Selection happens once per packet, when its head
-// flit reaches the front of an input buffer (route-computation stage).
-func (s *Switch) selectPort(candidates []int, f *flit.Flit) int {
+// selectPort narrows route candidates to one output port according to
+// the configured policy. Selection happens once per packet, when its
+// head flit reaches the front of an input buffer (route-computation
+// stage); vc is the virtual channel the packet will leave on, whose
+// credits the adaptive policy compares.
+func (s *Switch) selectPort(candidates []int, f *flit.Flit, vc int) int {
 	if len(candidates) == 1 {
 		return candidates[0]
 	}
@@ -241,7 +280,7 @@ func (s *Switch) selectPort(candidates []int, f *flit.Flit) int {
 	case routing.Adaptive:
 		best := candidates[0]
 		for _, c := range candidates[1:] {
-			if s.credits[c] > s.credits[best] {
+			if s.credits[c*s.cfg.NumVC+vc] > s.credits[best*s.cfg.NumVC+vc] {
 				best = c
 			}
 		}
@@ -254,93 +293,121 @@ func (s *Switch) selectPort(candidates []int, f *flit.Flit) int {
 // Tick implements engine.Component: accept arrivals, collect credits,
 // compute routes, arbitrate outputs and forward flits.
 func (s *Switch) Tick(cycle uint64) {
+	numVC := s.cfg.NumVC
 	// Collect returned credits first so this cycle's arbitration sees
 	// them (they were committed last cycle).
-	for o := range s.creditIn {
-		s.credits[o] += int(s.creditIn[o].Take())
+	for ol := range s.creditIn {
+		s.credits[ol] += int(s.creditIn[ol].Take())
 	}
 
-	// Accept arriving flits into input buffers. Credit flow control
-	// guarantees space; a push failure indicates a protocol bug and is
-	// surfaced via panic in this internal invariant.
+	// Accept arriving flits into the lane their channel tag names.
+	// Credit flow control guarantees space; a push failure indicates a
+	// protocol bug and is surfaced via panic in this internal invariant.
 	for i, in := range s.inLinks {
 		if f := in.Take(); f != nil {
-			if err := s.inBufs[i].Push(f); err != nil {
+			if int(f.VC) >= numVC {
+				panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
+			}
+			if err := s.inBufs[i*numVC+int(f.VC)].Push(f); err != nil {
 				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 			}
 		}
 	}
 
-	// Route computation for heads newly at the front of their buffers.
-	for i := range s.inBufs {
-		f := s.inBufs[i].Peek()
+	// Route computation for heads newly at the front of their buffers:
+	// the table gives the candidate ports and the channel of the hop.
+	for r := range s.inBufs {
+		f := s.inBufs[r].Peek()
 		if f == nil {
 			continue
 		}
-		if s.inRoute[i] == -1 {
+		if s.inRoute[r] == -1 {
 			if !f.Kind.IsHead() {
-				panic(fmt.Sprintf("switchfab %s: input %d has unrouted %s flit at head", s.cfg.Name, i, f.Kind))
+				panic(fmt.Sprintf("switchfab %s: input lane %d has unrouted %s flit at head", s.cfg.Name, r, f.Kind))
 			}
 			candidates, err := s.cfg.Table.Lookup(s.cfg.Node, f.Dst)
 			if err != nil {
 				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 			}
-			s.inRoute[i] = s.selectPort(candidates, f)
+			vc := int(s.cfg.Table.VC(s.cfg.Node, f.Dst))
+			if vc >= numVC {
+				panic(fmt.Sprintf("switchfab %s: table routes endpoint %d on virtual channel %d of %d", s.cfg.Name, f.Dst, vc, numVC))
+			}
+			s.inRoute[r] = s.selectPort(candidates, f, vc)*numVC + vc
 		}
 	}
 
-	// Per-output arbitration and forwarding.
+	// Per-output-port allocation and forwarding, one flit per port. The
+	// port's lanes are offered the physical channel in turn, from a
+	// start that rotates with the cycle so they share it fairly. A lane
+	// under a wormhole lock offers its holder's next flit; a free lane
+	// offers the arbitration winner among the heads seeking it. Either
+	// offer stands only with a flit to send and a credit downstream —
+	// checked after the grant, so the arbiter's priority moves on from a
+	// credit-starved winner — and otherwise the turn passes to the next
+	// lane: a stalled packet never holds the channel against another
+	// lane that can move, which is what dateline classes rely on. With
+	// one lane per port this is the plain wormhole switch: no
+	// arbitration while the output is locked.
 	granted := s.granted
-	for i := range granted {
-		granted[i] = false
+	for r := range granted {
+		granted[r] = false
 	}
+	rot := int(cycle % uint64(numVC))
 	for o := range s.outLinks {
-		var winner int
-		switch {
-		case s.lock[o] >= 0:
-			winner = s.lock[o]
-			if s.inBufs[winner].Peek() == nil {
-				continue // next flit of the locked packet not here yet
+		lo := o * numVC
+		winner, out := -1, lo+rot
+		for k := 0; k < numVC; k++ {
+			if h := s.lock[out]; h >= 0 {
+				if s.inBufs[h].Peek() != nil && s.credits[out] > 0 {
+					winner = h
+					break
+				}
+			} else {
+				s.reqLane = out
+				if w, ok := s.arbiters[o].Grant(s.reqFn); ok && s.credits[out] > 0 {
+					winner = w
+					break
+				}
 			}
-		default:
-			s.reqOut = o
-			w, ok := s.arbiters[o].Grant(s.reqFn)
-			if !ok {
-				continue
+			if out++; out == lo+numVC {
+				out = lo
 			}
-			winner = w
 		}
-		if s.credits[o] == 0 || s.outLinks[o].Busy() {
-			continue // counted as blocked in the sweep below
+		if winner < 0 || s.outLinks[o].Busy() {
+			continue // stalled heads are counted as blocked in the sweep below
 		}
 		f := s.inBufs[winner].Pop()
 		if f == nil {
-			panic(fmt.Sprintf("switchfab %s: pop failed on granted input %d", s.cfg.Name, winner))
+			panic(fmt.Sprintf("switchfab %s: pop failed on granted input lane %d", s.cfg.Name, winner))
 		}
+		f.VC = uint8(out - lo)
 		if err := s.outLinks[o].Send(f); err != nil {
 			panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 		}
-		s.credits[o]--
+		s.credits[out]--
 		s.creditOut[winner].Send(1)
 		granted[winner] = true
 		s.stats.FlitsRouted++
-		s.probe.FlitRoute(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, uint16(f.VC), uint32(winner), uint32(o))
+		if s.probe != nil { // the input port is a division away; skip it untraced
+			s.probe.FlitRoute(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, uint16(f.VC), uint32(winner/numVC), uint32(o))
+		}
 		if f.Kind.IsTail() {
 			s.stats.PacketsRouted++
-			s.lock[o] = -1
+			s.lock[out] = -1
 			s.inRoute[winner] = -1
 		} else {
-			s.lock[o] = winner
+			s.lock[out] = winner
 		}
 	}
 
-	// Every input whose head flit existed this cycle but did not move is
-	// blocked: it lost arbitration, found no downstream credit, or sits
-	// behind another packet's wormhole lock. Each stalled head counts
-	// exactly once per cycle.
-	for i := range s.inBufs {
-		q := &s.inBufs[i]
-		if !granted[i] && q.Peek() != nil && s.inRoute[i] >= 0 {
+	// Every input lane whose head flit existed this cycle but did not
+	// move is blocked: it lost arbitration, found no downstream credit,
+	// or sits behind another packet's wormhole lock. Each stalled head
+	// counts exactly once per cycle.
+	for r := range s.inBufs {
+		q := &s.inBufs[r]
+		if !granted[r] && q.Peek() != nil && s.inRoute[r] >= 0 {
 			q.MarkBlocked()
 			s.stats.BlockedCycles++
 		}
@@ -359,7 +426,7 @@ func (s *Switch) Commit(cycle uint64) {
 // input buffers are empty and no flit is committed on an input wire:
 // with no heads there is nothing to route, arbitrate, forward or mark
 // blocked, and pending credits accumulate losslessly on the wires until
-// the next evaluated cycle. Wormhole locks and per-input routes may
+// the next evaluated cycle. Wormhole locks and per-lane routes may
 // persist while quiet; they are frozen state, revisited when an input
 // arms the switch.
 func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
@@ -390,7 +457,7 @@ func (s *Switch) SkipIdle(from, n uint64) {
 }
 
 // Drain empties every input buffer through release and clears the
-// wormhole locks and per-input routes (end-of-run reclamation: a
+// wormhole locks and per-lane routes (end-of-run reclamation: a
 // drained packet's tail never arrives, so the locks must be force-
 // released). Credits and statistics are untouched.
 func (s *Switch) Drain(release func(*flit.Flit)) {
@@ -428,7 +495,7 @@ func (s *Switch) BufferedFlits() int {
 	return n
 }
 
-// BufferStats returns the per-input buffer statistics.
+// BufferStats returns the buffer statistics per input lane.
 func (s *Switch) BufferStats() []buffer.Stats {
 	out := make([]buffer.Stats, len(s.inBufs))
 	for i := range s.inBufs {

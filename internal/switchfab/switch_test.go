@@ -91,6 +91,8 @@ func TestNewValidates(t *testing.T) {
 		{Name: "s", NumIn: 1, NumOut: 1, BufDepth: 1, Arb: arb.RoundRobin, Select: routing.First, Table: nil},
 		{Name: "s", NumIn: 1, NumOut: 1, BufDepth: 1, Arb: arb.RoundRobin, Select: routing.Policy("x"), Table: tb},
 		{Name: "s", NumIn: 1, NumOut: 1, BufDepth: 1, Arb: arb.Policy("x"), Select: routing.First, Table: tb},
+		{Name: "s", NumIn: 1, NumOut: 1, NumVC: -1, BufDepth: 1, Arb: arb.RoundRobin, Select: routing.First, Table: tb},
+		{Name: "s", NumIn: 1, NumOut: 1, NumVC: topology.MaxVCs + 1, BufDepth: 1, Arb: arb.RoundRobin, Select: routing.First, Table: tb},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -130,16 +132,16 @@ func TestWiringErrors(t *testing.T) {
 	}
 	ol := link.NewLink("ol")
 	oc := link.NewCreditLink("oc")
-	if err := s.ConnectOutput(3, ol, oc, 2); err == nil {
+	if err := s.ConnectOutput(3, ol, 2, oc); err == nil {
 		t.Error("out-of-range output accepted")
 	}
-	if err := s.ConnectOutput(0, ol, oc, 0); err == nil {
+	if err := s.ConnectOutput(0, ol, 0, oc); err == nil {
 		t.Error("0 credits accepted")
 	}
-	if err := s.ConnectOutput(0, ol, oc, 2); err != nil {
+	if err := s.ConnectOutput(0, ol, 2, oc); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ConnectOutput(0, ol, oc, 2); err == nil {
+	if err := s.ConnectOutput(0, ol, 2, oc); err == nil {
 		t.Error("double output wiring accepted")
 	}
 	if err := s.CheckWired(); err != nil {
@@ -173,7 +175,7 @@ func buildSingle(t *testing.T, plan []plannedPacket) (*engine.Engine, *testSrc, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ConnectOutput(0, outL, outCr, ej.Depth()); err != nil {
+	if err := sw.ConnectOutput(0, outL, ej.Depth(), outCr); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.CheckWired(); err != nil {
@@ -288,7 +290,7 @@ func buildContention(t *testing.T, perSrc int, pktLen uint16) (*engine.Engine, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.ConnectOutput(0, outL, outCr, ej.Depth()); err != nil {
+	if err := sw.ConnectOutput(0, outL, ej.Depth(), outCr); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.CheckWired(); err != nil {
@@ -352,6 +354,121 @@ func TestContentionFairness(t *testing.T) {
 	}
 }
 
+// laneDst consumes a two-channel output wire directly: it records each
+// flit's owning packet and channel tag and returns the credit on the
+// channel the flit came on.
+type laneDst struct {
+	in    *link.Link
+	crs   []*link.CreditLink
+	want  int
+	order []flit.PacketID
+	vcs   []uint8
+}
+
+func (d *laneDst) ComponentName() string { return "lanedst" }
+func (d *laneDst) Tick(c uint64) {
+	if f := d.in.Take(); f != nil {
+		d.order = append(d.order, f.Packet)
+		d.vcs = append(d.vcs, f.VC)
+		d.crs[f.VC].Send(1)
+	}
+}
+func (d *laneDst) Commit(c uint64) {}
+func (d *laneDst) Done() bool      { return len(d.order) >= d.want }
+
+// buildLanes wires two injectors into a 2x1 switch of two virtual
+// channels; source i sends one pktLen-flit packet to dsts[i]. The table
+// routes endpoint 100 on channel 0 and endpoint 101 on channel 1 of the
+// one output port.
+func buildLanes(t *testing.T, dsts [2]flit.EndpointID, pktLen uint16) (*engine.Engine, *laneDst) {
+	t.Helper()
+	eng := engine.New()
+	tb := routing.NewTable(1)
+	for _, dst := range []flit.EndpointID{100, 101} {
+		if err := tb.Set(0, dst, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.SetVC(0, 101, 1); err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultCfg("sw0", 0, 2, 1, tb)
+	cfg.NumVC = 2
+	sw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire2 := func(name string) (*link.Link, []*link.CreditLink) {
+		l, c0 := wire(t, eng, name)
+		c1 := link.NewCreditLink(name + ".cr.vc1")
+		eng.MustRegister(c1)
+		return l, []*link.CreditLink{c0, c1}
+	}
+	for i, dst := range dsts {
+		l, crs := wire2([]string{"injA", "injB"}[i])
+		if err := sw.ConnectInput(i, l, crs[0]); err == nil {
+			t.Fatal("one credit wire accepted on a two-channel input")
+		}
+		if err := sw.ConnectInput(i, l, crs...); err != nil {
+			t.Fatal(err)
+		}
+		inj, err := nic.NewInjector(flit.EndpointID(i+1), l, crs[0], sw.BufDepth(), 32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.MustRegister(&testSrc{name: []string{"srcA", "srcB"}[i], inj: inj, plan: []plannedPacket{{dst, pktLen}}})
+	}
+	outL, outCrs := wire2("out")
+	if err := sw.ConnectOutput(0, outL, 4, outCrs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.CheckWired(); err != nil {
+		t.Fatal(err)
+	}
+	dst := &laneDst{in: outL, crs: outCrs, want: 2 * int(pktLen)}
+	eng.MustRegister(sw)
+	eng.MustRegister(dst)
+	return eng, dst
+}
+
+// TestLanesInterleaveOnSharedPort: two packets that leave on different
+// virtual channels of one output port share the physical channel flit
+// by flit — each holds its own lane's wormhole lock — while two packets
+// on the same lane stay contiguous, exactly as on the one-lane switch.
+func TestLanesInterleaveOnSharedPort(t *testing.T) {
+	const pktLen = 12
+	switches := func(order []flit.PacketID) int {
+		n := 0
+		for i := 1; i < len(order); i++ {
+			if order[i] != order[i-1] {
+				n++
+			}
+		}
+		return n
+	}
+
+	eng, dst := buildLanes(t, [2]flit.EndpointID{100, 101}, pktLen)
+	if _, stopped := eng.RunUntil(1000); !stopped {
+		t.Fatal("two-lane run did not finish")
+	}
+	if n := switches(dst.order); n < pktLen {
+		t.Errorf("packets on different lanes changed owner %d times over %d flits; want flit-by-flit interleaving", n, len(dst.order))
+	}
+	for i, id := range dst.order {
+		if want := uint8(id.Src() - 1); dst.vcs[i] != want {
+			t.Fatalf("flit %d of source %d left on channel %d, want %d", i, id.Src(), dst.vcs[i], want)
+		}
+	}
+
+	eng, dst = buildLanes(t, [2]flit.EndpointID{100, 100}, pktLen)
+	if _, stopped := eng.RunUntil(1000); !stopped {
+		t.Fatal("one-lane run did not finish")
+	}
+	if n := switches(dst.order); n != 1 {
+		t.Errorf("packets on the same lane changed owner %d times, want 1 (no interleaving)", n)
+	}
+}
+
 func TestSelectPortPolicies(t *testing.T) {
 	tb := routing.NewTable(1)
 	mk := func(sel routing.Policy) *Switch {
@@ -369,26 +486,26 @@ func TestSelectPortPolicies(t *testing.T) {
 	}
 	cand := []int{0, 1}
 
-	if got := mk(routing.First).selectPort(cand, head(0)); got != 0 {
+	if got := mk(routing.First).selectPort(cand, head(0), 0); got != 0 {
 		t.Errorf("First = %d", got)
 	}
 	s := mk(routing.PacketModulo)
-	if a, b := s.selectPort(cand, head(0)), s.selectPort(cand, head(1)); a != 0 || b != 1 {
+	if a, b := s.selectPort(cand, head(0), 0), s.selectPort(cand, head(1), 0); a != 0 || b != 1 {
 		t.Errorf("PacketModulo = %d,%d", a, b)
 	}
-	if got := mk(routing.Adaptive).selectPort(cand, head(0)); got != 1 {
+	if got := mk(routing.Adaptive).selectPort(cand, head(0), 0); got != 1 {
 		t.Errorf("Adaptive = %d, want port with more credits", got)
 	}
 	s = mk(routing.Random)
 	seen := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		seen[s.selectPort(cand, head(uint64(i)))] = true
+		seen[s.selectPort(cand, head(uint64(i)), 0)] = true
 	}
 	if !seen[0] || !seen[1] {
 		t.Errorf("Random never picked both ports: %v", seen)
 	}
 	// Single candidate bypasses policy.
-	if got := mk(routing.Random).selectPort([]int{1}, head(0)); got != 1 {
+	if got := mk(routing.Random).selectPort([]int{1}, head(0), 0); got != 1 {
 		t.Errorf("single candidate = %d", got)
 	}
 }

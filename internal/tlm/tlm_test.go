@@ -79,6 +79,9 @@ func TestTLMMatchesEmulator(t *testing.T) {
 		}, 2_000_000, true},
 		{"mesh3x3", zoo("mesh:w=3,h=3"), 20_000, false},
 		{"butterfly2x2", zoo("butterfly:w=2,h=2"), 20_000, false},
+		// Two lanes per switch port, two credit wires per arena pair: the
+		// arenas carry them, so this scheduler needs nothing for it.
+		{"torus4x4-dateline", zoo("torus:w=4,h=4,minimal=1,vcs=2"), 20_000, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := tc.cfg()

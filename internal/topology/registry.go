@@ -12,6 +12,12 @@ type ParamDoc struct {
 	Doc     string
 }
 
+// ParamVCs is the parameter name a generator declares when its Router
+// emits virtual-channel classes: FromSpec range-checks it and records
+// it on the built topology (NumVC), so the channel count travels with
+// the spec through every front end.
+const ParamVCs = "vcs"
+
 // Params carries a generator's resolved parameters: every documented
 // parameter is present (defaults filled in by FromSpec).
 type Params map[string]int
@@ -108,7 +114,16 @@ func FromSpec(s Spec) (*Topology, error) {
 		}
 		resolved[name] = v
 	}
-	return g.Build(resolved)
+	vcs, hasVCs := resolved[ParamVCs]
+	if hasVCs && (vcs < 1 || vcs > MaxVCs) {
+		return nil, fmt.Errorf("topology: kind %q: %s=%d out of [1,%d]", s.Kind, ParamVCs, vcs, MaxVCs)
+	}
+	t, err := g.Build(resolved)
+	if err != nil {
+		return nil, err
+	}
+	t.SetNumVC(vcs)
+	return t, nil
 }
 
 func paramNames(g Generator) []string {

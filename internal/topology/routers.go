@@ -24,6 +24,16 @@ type Router interface {
 	NextHops(t *Topology, at, dst NodeID) []NodeID
 }
 
+// VCRouter is a Router that also classifies its hops: HopVC names the
+// virtual channel a packet at switch `at` destined for an endpoint on
+// switch `dst` travels on for its next hop. The class is static, so
+// the route table holds it beside the ports; it must stay below the
+// topology's NumVC. Like NextHops it is not called with at == dst.
+type VCRouter interface {
+	Router
+	HopVC(at, dst NodeID) uint8
+}
+
 // XYRouter is dimension-ordered X-then-Y routing on a W-wide grid
 // numbered row-major (switch = y*W + x). It deliberately ignores any
 // wraparound links a torus adds: packets always travel the mesh
@@ -58,14 +68,19 @@ func (r XYRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
 
 // TorusMinimalRouter is wrap-aware dimension-ordered routing on a
 // W×H torus: each dimension independently picks the shorter way
-// around the ring (ties go the positive direction). Minimal torus
-// routing without dateline virtual channels closes a cycle of channel
-// dependencies around each ring, so platforms built with it are
-// rejected by the deadlock checker unless AllowDeadlock is set — it
-// exists as the documented deadlock-prone configuration.
+// around the ring (ties go the positive direction). On a single
+// virtual channel that closes a cycle of channel dependencies around
+// each ring, so the deadlock checker rejects the platform unless
+// AllowDeadlock is set. With Dateline set (the torus has at least two
+// virtual channels) every hop carries the static dateline class — 0
+// while the remaining path in the hop's dimension still crosses the
+// wrap link, 1 once it does not — which cuts each ring's cycle:
+// class-0 channels end at the wrap link, class-1 channels never use it.
 type TorusMinimalRouter struct {
 	// W, H are the torus dimensions.
 	W, H int
+	// Dateline emits the two dateline classes instead of class 0 only.
+	Dateline bool
 }
 
 // Name implements Router.
@@ -81,6 +96,22 @@ func (r TorusMinimalRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
 	}
 	ny := ringStep(y, dy, r.H)
 	return []NodeID{NodeID(ny*r.W + x)}
+}
+
+// HopVC implements VCRouter.
+func (r TorusMinimalRouter) HopVC(at, dst NodeID) uint8 {
+	if !r.Dateline {
+		return 0
+	}
+	a, b, n := int(at)%r.W, int(dst)%r.W, r.W
+	if a == b {
+		a, b, n = int(at)/r.W, int(dst)/r.W, r.H
+	}
+	positive := ringStep(a, b, n) == (a+1)%n
+	if positive == (b < a) {
+		return 0 // the wrap link is still ahead
+	}
+	return 1
 }
 
 // ringStep moves one hop from a toward b on a ring of n positions,

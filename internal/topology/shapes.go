@@ -53,13 +53,14 @@ func init() {
 		Params: []ParamDoc{
 			{Name: "w", Default: 4, Doc: "torus width"},
 			{Name: "h", Default: 4, Doc: "torus height"},
-			{Name: "minimal", Default: 0, Doc: "1 = wrap-aware minimal DOR (deadlock-prone without dateline VCs)"},
+			{Name: "minimal", Default: 0, Doc: "1 = wrap-aware minimal DOR (deadlock-prone on one virtual channel)"},
+			{Name: ParamVCs, Default: 1, Doc: "virtual channels per port; from 2 up, minimal=1 routes on dateline classes 0/1"},
 		},
 		RoutingDoc: "XY dimension-ordered (mesh interior; wrap links unused) — minimal=1 switches to wrap-aware DOR",
-		Notes:      "default XY routing is deadlock-free; minimal=1 closes ring dependency cycles and is rejected by the deadlock checker",
+		Notes:      "default XY routing is deadlock-free; minimal=1 closes ring dependency cycles and is rejected by the deadlock checker at vcs=1, accepted with the dateline classes of vcs>=2",
 		Example:    Spec{Kind: "torus", Param: map[string]int{"w": 4, "h": 4}},
 		Build: func(p Params) (*Topology, error) {
-			return buildTorus(p.Get("w"), p.Get("h"), p.Get("minimal") != 0)
+			return buildTorus(p.Get("w"), p.Get("h"), p.Get("minimal") != 0, p.Get(ParamVCs) >= 2)
 		},
 	})
 	Register(Generator{
@@ -185,7 +186,7 @@ func Torus(w, h int) (*Topology, error) {
 	return FromSpec(Spec{Kind: "torus", Param: map[string]int{"w": w, "h": h}})
 }
 
-func buildTorus(w, h int, minimal bool) (*Topology, error) {
+func buildTorus(w, h int, minimal, dateline bool) (*Topology, error) {
 	if w < 3 || h < 3 {
 		return nil, fmt.Errorf("topology: torus %dx%d needs both dims >= 3", w, h)
 	}
@@ -206,7 +207,7 @@ func buildTorus(w, h int, minimal bool) (*Topology, error) {
 		}
 	}
 	if minimal {
-		t.SetRouter(TorusMinimalRouter{W: w, H: h})
+		t.SetRouter(TorusMinimalRouter{W: w, H: h, Dateline: dateline})
 	}
 	return t, nil
 }

@@ -72,6 +72,37 @@ func TestFromSpecRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestFromSpecVirtualChannels: "vcs" is range-checked and recorded on
+// the topology for the generators that declare it, and is an unknown
+// parameter everywhere else.
+func TestFromSpecVirtualChannels(t *testing.T) {
+	for _, text := range []string{
+		"torus:vcs=0", "torus:vcs=-1", "torus:vcs=257", // out of [1, MaxVCs]
+		"mesh:vcs=2", "dragonfly:vcs=2", // generators whose routers emit no classes
+	} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromSpec(spec); err == nil {
+			t.Errorf("%s accepted", text)
+		}
+	}
+	for text, want := range map[string]int{"torus": 1, "torus:vcs=2": 2, "torus:minimal=1,vcs=256": 256, "mesh": 1} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := FromSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if got := topo.NumVC(); got != want {
+			t.Errorf("%s: NumVC = %d, want %d", text, got, want)
+		}
+	}
+}
+
 func TestRegistryListsEveryKind(t *testing.T) {
 	want := []string{
 		"butterfly", "dragonfly", "fattree", "full", "line",

@@ -83,6 +83,9 @@ type Topology struct {
 	// terminals lists where endpoints should attach, one entry per
 	// terminal slot (nil = one slot per switch).
 	terminals []NodeID
+	// numVC is the virtual-channel count the generator asked for
+	// (0 = one channel).
+	numVC int
 
 	// Port-list and endpoint caches. Platform compilation and routing
 	// validation call SwitchInputs/SwitchOutputs/Endpoint inside loops
@@ -102,6 +105,23 @@ func (t *Topology) SetRouter(r Router) { t.router = r }
 
 // Router returns the attached routing recipe, or nil.
 func (t *Topology) Router() Router { return t.router }
+
+// MaxVCs bounds the virtual channels per port: the flit's channel tag
+// is one byte.
+const MaxVCs = 256
+
+// SetNumVC records how many virtual channels every inter-switch port
+// carries; the platform sizes its switches and wires from it. FromSpec
+// sets it from a generator's "vcs" parameter.
+func (t *Topology) SetNumVC(n int) { t.numVC = n }
+
+// NumVC returns the virtual channels per port (at least 1).
+func (t *Topology) NumVC() int {
+	if t.numVC < 1 {
+		return 1
+	}
+	return t.numVC
+}
 
 // SetTerminals records where endpoint pairs should attach, one entry
 // per terminal slot; a switch may appear multiple times (a fat-tree
