@@ -33,8 +33,8 @@ func build(lambda uint16, depth int) (*nocemu.Platform, error) {
 			return nil, err
 		}
 		cfg.TGs = append(cfg.TGs, nocemu.TGSpec{
-			Endpoint: src, Model: nocemu.ModelPoisson, Limit: 500,
-			Poisson: &nocemu.PoissonConfig{
+			Endpoint: src, Limit: 500,
+			Gen: &nocemu.PoissonConfig{
 				Lambda: lambda, LenMin: 2, LenMax: 4,
 				Dst: nocemu.DstConfig{Policy: nocemu.DstFixed, Dsts: []nocemu.EndpointID{100}},
 			},

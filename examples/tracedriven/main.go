@@ -52,8 +52,8 @@ func main() {
 		Name:     "video-ring",
 		Topology: topo,
 		TGs: []nocemu.TGSpec{
-			{Endpoint: 0, Model: nocemu.ModelTrace, Trace: frames},
-			{Endpoint: 1, Model: nocemu.ModelTrace, Trace: controlMsgs},
+			{Endpoint: 0, Gen: &nocemu.TraceConfig{Trace: frames}},
+			{Endpoint: 1, Gen: &nocemu.TraceConfig{Trace: controlMsgs}},
 		},
 		TRs: []nocemu.TRSpec{
 			{Endpoint: 100, Mode: nocemu.TraceDriven, ExpectPackets: 40 * 16},

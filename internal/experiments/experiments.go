@@ -23,6 +23,7 @@ import (
 	"nocemu/internal/receptor"
 	"nocemu/internal/resource"
 	"nocemu/internal/trace"
+	"nocemu/internal/traffic"
 )
 
 // mixedPaperConfig builds the paper's device mix: TG0/TG1 stochastic
@@ -51,9 +52,7 @@ func mixedPaperConfig(packetsPerTG uint64) (platform.Config, error) {
 		if err != nil {
 			return platform.Config{}, err
 		}
-		cfg.TGs[i].Model = platform.ModelTrace
-		cfg.TGs[i].Uniform = nil
-		cfg.TGs[i].Trace = tr
+		cfg.TGs[i].Gen = &traffic.TraceConfig{Trace: tr}
 		cfg.TGs[i].Limit = 0
 	}
 	for i := range cfg.TRs {

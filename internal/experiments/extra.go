@@ -60,8 +60,8 @@ func meshPlatform(w int, seed uint32) (*platform.Platform, error) {
 			return nil, err
 		}
 		cfg.TGs = append(cfg.TGs, platform.TGSpec{
-			Endpoint: src, Model: platform.ModelUniform,
-			Uniform: &traffic.UniformConfig{
+			Endpoint: src,
+			Gen: &traffic.UniformConfig{
 				LenMin: 4, LenMax: 4, GapMin: 12, GapMax: 12,
 				Dst:         traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
 				RandomPhase: true,

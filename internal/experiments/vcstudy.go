@@ -77,8 +77,8 @@ func VCStudyConfig(vcs, perSource int, plen uint16) (platform.Config, error) {
 		}
 		dst := flit.EndpointID(100 + s/vcStudyW*vcStudyW + (s%vcStudyW+2)%vcStudyW)
 		cfg.TGs = append(cfg.TGs, platform.TGSpec{
-			Endpoint: src, Model: platform.ModelUniform, Limit: uint64(perSource),
-			Uniform: &traffic.UniformConfig{
+			Endpoint: src, Limit: uint64(perSource),
+			Gen: &traffic.UniformConfig{
 				LenMin: plen, LenMax: plen,
 				Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
 			},

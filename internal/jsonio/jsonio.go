@@ -4,6 +4,7 @@
 package jsonio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,69 +94,22 @@ func (spec TopologySpec) Spec() topology.Spec {
 	return s
 }
 
-// UniformSpec mirrors traffic.UniformConfig.
-type UniformSpec struct {
-	LenMin      uint16 `json:"len_min"`
-	LenMax      uint16 `json:"len_max"`
-	GapMin      uint32 `json:"gap_min"`
-	GapMax      uint32 `json:"gap_max"`
-	RandomPhase bool   `json:"random_phase,omitempty"`
-}
-
-// BurstSpec mirrors traffic.BurstConfig (probabilities in Q16).
-type BurstSpec struct {
-	POffOn uint16 `json:"p_off_on"`
-	POnOff uint16 `json:"p_on_off"`
-	LenMin uint16 `json:"len_min"`
-	LenMax uint16 `json:"len_max"`
-}
-
-// PoissonSpec mirrors traffic.PoissonConfig.
-type PoissonSpec struct {
-	Lambda uint16 `json:"lambda"`
-	LenMin uint16 `json:"len_min"`
-	LenMax uint16 `json:"len_max"`
-}
-
-// FlowSpec mirrors traffic.FlowConfig (flow arrivals with bounded-
-// Pareto sizes).
-type FlowSpec struct {
-	ArrivalQ16 uint16 `json:"arrival_q16"`
-	SizeMin    uint32 `json:"size_min"`
-	SizeMax    uint32 `json:"size_max"`
-	LenMin     uint16 `json:"len_min"`
-	LenMax     uint16 `json:"len_max"`
-}
-
-// IncastSpec mirrors traffic.IncastConfig (synchronized many-to-one
-// waves).
-type IncastSpec struct {
-	Epoch          uint64 `json:"epoch"`
-	PacketsPerWave uint32 `json:"packets_per_wave"`
-	LenMin         uint16 `json:"len_min"`
-	LenMax         uint16 `json:"len_max"`
-	Offset         uint64 `json:"offset,omitempty"`
-}
-
-// TGSpec configures one traffic generator.
+// TGSpec configures one traffic generator. In the file it is one flat
+// object; the model's parameter object sits under a key named after the
+// model, between the destination keys and trace_file:
+//
+//	{"endpoint": 0, "model": "uniform", "dst_policy": "fixed", "dsts": [100],
+//	 "uniform": {"len_min": 4, ...}, "limit": 1000}
 type TGSpec struct {
 	Endpoint uint16 `json:"endpoint"`
-	// Model: uniform, burst, poisson, flow, incast, trace.
+	// Model names a row of the traffic-model table (internal/traffic),
+	// which owns the schema of the model's parameter object.
 	Model string `json:"model"`
-	// DstPolicy: fixed, uniform, round-robin, hotspot; Dsts lists
-	// targets. Hot and HotQ16 configure the hotspot policy: each draw
-	// hits a Hot entry with probability HotQ16/65536, else falls back
-	// to a uniform draw over Dsts.
-	DstPolicy string   `json:"dst_policy"`
-	Dsts      []uint16 `json:"dsts"`
-	Hot       []uint16 `json:"hot,omitempty"`
-	HotQ16    uint16   `json:"hot_q16,omitempty"`
-
-	Uniform *UniformSpec `json:"uniform,omitempty"`
-	Burst   *BurstSpec   `json:"burst,omitempty"`
-	Poisson *PoissonSpec `json:"poisson,omitempty"`
-	Flow    *FlowSpec    `json:"flow,omitempty"`
-	Incast  *IncastSpec  `json:"incast,omitempty"`
+	// DstConfig carries dst_policy (fixed, uniform, round-robin,
+	// hotspot), dsts, and the hotspot policy's hot and hot_q16.
+	traffic.DstConfig
+	// Params is the model's parameter object, verbatim.
+	Params json.RawMessage `json:"-"`
 	// TraceFile is a path (relative to the config file) to a text or
 	// binary trace for the trace model.
 	TraceFile string `json:"trace_file,omitempty"`
@@ -163,6 +117,53 @@ type TGSpec struct {
 	Seed       uint32 `json:"seed,omitempty"`
 	Limit      uint64 `json:"limit,omitempty"`
 	QueueFlits int    `json:"queue_flits,omitempty"`
+}
+
+// tgFixedKeys is TGSpec without its methods: the keys encoding/json can
+// handle by itself.
+type tgFixedKeys TGSpec
+
+// UnmarshalJSON lifts the parameter object out from under the model's
+// name and decodes the remaining keys strictly.
+func (t *TGSpec) UnmarshalJSON(b []byte) error {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
+		return err
+	}
+	var model string
+	_ = json.Unmarshal(keys["model"], &model) // a malformed name fails the strict pass below
+	params := keys[model]
+	delete(keys, model)
+	fixed, err := json.Marshal(keys)
+	if err != nil {
+		return err
+	}
+	if err := decodeStrict(bytes.NewReader(fixed), (*tgFixedKeys)(t)); err != nil {
+		return err
+	}
+	t.Params = params
+	return nil
+}
+
+// MarshalJSON writes the flat object back, key order included. The keys
+// behind the parameter object are all omitempty, so the fixed keys
+// marshaled without them are a prefix of the fixed keys marshaled whole
+// (up to the closing brace), and the object goes in at the end of it.
+func (t TGSpec) MarshalJSON() ([]byte, error) {
+	all, err := json.Marshal(tgFixedKeys(t))
+	if err != nil || len(t.Params) == 0 {
+		return all, err
+	}
+	head := tgFixedKeys(t)
+	head.TraceFile, head.Seed, head.Limit, head.QueueFlits = "", 0, 0, 0
+	front, err := json.Marshal(head)
+	if err != nil {
+		return nil, err
+	}
+	n := len(front) - 1
+	out := append([]byte(nil), all[:n]...)
+	out = append(out, fmt.Sprintf(",%q:%s", t.Model, t.Params)...)
+	return append(out, all[n:]...), nil
 }
 
 // TRSpec configures one traffic receptor.
@@ -333,6 +334,34 @@ func loadTrace(path string) (*trace.Trace, error) {
 // ToConfig converts the JSON file into a platform configuration.
 // baseDir anchors relative trace paths.
 func (f *File) ToConfig(baseDir string) (platform.Config, error) {
+	cfg, err := f.endpoints(baseDir)
+	if err != nil {
+		return platform.Config{}, err
+	}
+	if f.Name != "" { // a workload platform is otherwise named after its topology
+		cfg.Name = f.Name
+	}
+	cfg.SwitchBufDepth = f.SwitchBufDepth
+	cfg.Arb = arb.Policy(f.Arb)
+	cfg.Select = routing.Policy(f.Select)
+	cfg.Routing = platform.RoutingScheme(f.Routing)
+	cfg.AllowDeadlock = f.AllowDeadlock
+	cfg.Seed = f.Seed
+	cfg.Workers = f.Workers
+	cfg.NoGate = f.NoGate
+	cfg.Trace = f.Trace
+	for _, ov := range f.Overrides {
+		cfg.Overrides = append(cfg.Overrides, platform.RouteOverride{
+			Switch: topology.NodeID(ov.Switch), Dst: flit.EndpointID(ov.Dst), Ports: ov.Ports,
+		})
+	}
+	return cfg, nil
+}
+
+// endpoints builds the part of the configuration the two file shapes
+// spell differently — the topology with its endpoints, the TGs and the
+// TRs: derived from the workload recipe, or listed explicitly.
+func (f *File) endpoints(baseDir string) (platform.Config, error) {
 	if f.Workload != nil {
 		return f.workloadConfig()
 	}
@@ -340,106 +369,26 @@ func (f *File) ToConfig(baseDir string) (platform.Config, error) {
 	if err != nil {
 		return platform.Config{}, err
 	}
-	cfg := platform.Config{
-		Name:           f.Name,
-		Topology:       topo,
-		SwitchBufDepth: f.SwitchBufDepth,
-		Arb:            arb.Policy(f.Arb),
-		Select:         routing.Policy(f.Select),
-		Routing:        platform.RoutingScheme(f.Routing),
-		AllowDeadlock:  f.AllowDeadlock,
-		Seed:           f.Seed,
-		Workers:        f.Workers,
-		NoGate:         f.NoGate,
-		Trace:          f.Trace,
-	}
-	for _, ov := range f.Overrides {
-		cfg.Overrides = append(cfg.Overrides, platform.RouteOverride{
-			Switch: topology.NodeID(ov.Switch), Dst: flit.EndpointID(ov.Dst), Ports: ov.Ports,
-		})
-	}
+	cfg := platform.Config{Topology: topo}
 	for _, tg := range f.TGs {
-		spec := platform.TGSpec{
-			Endpoint:   flit.EndpointID(tg.Endpoint),
-			Seed:       tg.Seed,
-			Limit:      tg.Limit,
-			QueueFlits: tg.QueueFlits,
-		}
-		dst := traffic.DstConfig{Policy: traffic.DstPolicy(tg.DstPolicy), HotQ16: tg.HotQ16}
-		for _, d := range tg.Dsts {
-			dst.Dsts = append(dst.Dsts, flit.EndpointID(d))
-		}
-		for _, d := range tg.Hot {
-			dst.Hot = append(dst.Hot, flit.EndpointID(d))
-		}
-		switch tg.Model {
-		case "uniform":
-			if tg.Uniform == nil {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: uniform model without config", tg.Endpoint)
-			}
-			spec.Model = platform.ModelUniform
-			spec.Uniform = &traffic.UniformConfig{
-				LenMin: tg.Uniform.LenMin, LenMax: tg.Uniform.LenMax,
-				GapMin: tg.Uniform.GapMin, GapMax: tg.Uniform.GapMax,
-				Dst: dst, RandomPhase: tg.Uniform.RandomPhase,
-			}
-		case "burst":
-			if tg.Burst == nil {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: burst model without config", tg.Endpoint)
-			}
-			spec.Model = platform.ModelBurst
-			spec.Burst = &traffic.BurstConfig{
-				POffOn: tg.Burst.POffOn, POnOff: tg.Burst.POnOff,
-				LenMin: tg.Burst.LenMin, LenMax: tg.Burst.LenMax, Dst: dst,
-			}
-		case "poisson":
-			if tg.Poisson == nil {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: poisson model without config", tg.Endpoint)
-			}
-			spec.Model = platform.ModelPoisson
-			spec.Poisson = &traffic.PoissonConfig{
-				Lambda: tg.Poisson.Lambda,
-				LenMin: tg.Poisson.LenMin, LenMax: tg.Poisson.LenMax, Dst: dst,
-			}
-		case "flow":
-			if tg.Flow == nil {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: flow model without config", tg.Endpoint)
-			}
-			spec.Model = platform.ModelFlow
-			spec.Flow = &traffic.FlowConfig{
-				ArrivalQ16: tg.Flow.ArrivalQ16,
-				SizeMin:    tg.Flow.SizeMin, SizeMax: tg.Flow.SizeMax,
-				LenMin: tg.Flow.LenMin, LenMax: tg.Flow.LenMax, Dst: dst,
-			}
-		case "incast":
-			if tg.Incast == nil {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: incast model without config", tg.Endpoint)
-			}
-			spec.Model = platform.ModelIncast
-			spec.Incast = &traffic.IncastConfig{
-				Epoch:          tg.Incast.Epoch,
-				PacketsPerWave: tg.Incast.PacketsPerWave,
-				LenMin:         tg.Incast.LenMin, LenMax: tg.Incast.LenMax,
-				Offset: tg.Incast.Offset, Dst: dst,
-			}
-		case "trace":
-			if tg.TraceFile == "" {
-				return platform.Config{}, fmt.Errorf("jsonio: TG %d: trace model without trace_file", tg.Endpoint)
-			}
-			path := tg.TraceFile
+		in := traffic.ModelInput{Params: tg.Params, Dst: tg.DstConfig}
+		if path := tg.TraceFile; path != "" {
 			if !filepath.IsAbs(path) {
 				path = filepath.Join(baseDir, path)
 			}
-			tr, err := loadTrace(path)
-			if err != nil {
-				return platform.Config{}, err
-			}
-			spec.Model = platform.ModelTrace
-			spec.Trace = tr
-		default:
-			return platform.Config{}, fmt.Errorf("jsonio: TG %d: unknown model %q", tg.Endpoint, tg.Model)
+			in.LoadTrace = func() (*trace.Trace, error) { return loadTrace(path) }
 		}
-		cfg.TGs = append(cfg.TGs, spec)
+		gen, err := traffic.DecodeModel(tg.Model, in)
+		if err != nil {
+			return platform.Config{}, fmt.Errorf("jsonio: TG %d: %w", tg.Endpoint, err)
+		}
+		cfg.TGs = append(cfg.TGs, platform.TGSpec{
+			Endpoint:   flit.EndpointID(tg.Endpoint),
+			Gen:        gen,
+			Seed:       tg.Seed,
+			Limit:      tg.Limit,
+			QueueFlits: tg.QueueFlits,
+		})
 	}
 	for _, tr := range f.TRs {
 		var mode receptor.Mode
@@ -465,9 +414,9 @@ func (f *File) ToConfig(baseDir string) (platform.Config, error) {
 	return cfg, nil
 }
 
-// workloadConfig builds the platform configuration for a file using
-// the workload recipe path: the topology spec resolves through the
-// generator registry and the workload derives one TG/TR per terminal.
+// workloadConfig builds the endpoints of a file using the workload
+// recipe path: the topology spec resolves through the generator
+// registry and the workload derives one TG/TR per terminal.
 func (f *File) workloadConfig() (platform.Config, error) {
 	if len(f.TGs) > 0 || len(f.TRs) > 0 {
 		return platform.Config{}, fmt.Errorf("jsonio: workload and explicit tgs/trs are mutually exclusive")
@@ -478,47 +427,42 @@ func (f *File) workloadConfig() (platform.Config, error) {
 	if len(f.Topology.Sources) > 0 || len(f.Topology.Sinks) > 0 {
 		return platform.Config{}, fmt.Errorf("jsonio: workload places its own endpoints; drop topology sources/sinks")
 	}
-	cfg, err := platform.NetConfig(platform.NetOptions{
+	return platform.NetConfig(platform.NetOptions{
 		Topo:         f.Topology.Spec(),
 		Workload:     f.Workload.Kind,
 		Injection:    f.Workload.Injection,
 		PacketLen:    f.Workload.PacketLen,
 		PacketsPerTG: f.Workload.PacketsPerTG,
-		Seed:         f.Seed,
 		WorkloadSeed: f.Workload.Seed,
-		Workers:      f.Workers,
-		NoGate:       f.NoGate,
 	})
+}
+
+// decodeStrict decodes one JSON value, rejecting unknown fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// load parses a JSON configuration from r into its platform
+// configuration and run-control keys; baseDir anchors relative paths.
+func load(r io.Reader, baseDir string) (platform.Config, RunSpec, error) {
+	var f File
+	if err := decodeStrict(r, &f); err != nil {
+		return platform.Config{}, RunSpec{}, fmt.Errorf("jsonio: %v", err)
+	}
+	cfg, err := f.ToConfig(baseDir)
 	if err != nil {
-		return platform.Config{}, err
+		return platform.Config{}, RunSpec{}, err
 	}
-	if f.Name != "" {
-		cfg.Name = f.Name
-	}
-	cfg.SwitchBufDepth = f.SwitchBufDepth
-	cfg.Arb = arb.Policy(f.Arb)
-	cfg.Select = routing.Policy(f.Select)
-	cfg.Routing = platform.RoutingScheme(f.Routing)
-	cfg.AllowDeadlock = f.AllowDeadlock
-	cfg.Trace = f.Trace
-	for _, ov := range f.Overrides {
-		cfg.Overrides = append(cfg.Overrides, platform.RouteOverride{
-			Switch: topology.NodeID(ov.Switch), Dst: flit.EndpointID(ov.Dst), Ports: ov.Ports,
-		})
-	}
-	return cfg, nil
+	return cfg, f.runSpec(baseDir), nil
 }
 
 // Load parses a JSON configuration from r; baseDir anchors relative
 // trace paths.
 func Load(r io.Reader, baseDir string) (platform.Config, error) {
-	var f File
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return platform.Config{}, fmt.Errorf("jsonio: %v", err)
-	}
-	return f.ToConfig(baseDir)
+	cfg, _, err := load(r, baseDir)
+	return cfg, err
 }
 
 // LoadFile parses a JSON configuration file.
@@ -536,18 +480,7 @@ func LoadFileRun(path string) (platform.Config, RunSpec, error) {
 		return platform.Config{}, RunSpec{}, err
 	}
 	defer r.Close()
-	baseDir := filepath.Dir(path)
-	var f File
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return platform.Config{}, RunSpec{}, fmt.Errorf("jsonio: %v", err)
-	}
-	cfg, err := f.ToConfig(baseDir)
-	if err != nil {
-		return platform.Config{}, RunSpec{}, err
-	}
-	return cfg, f.runSpec(baseDir), nil
+	return load(r, filepath.Dir(path))
 }
 
 // Example returns a commented-free sample configuration (the quickstart
@@ -557,9 +490,10 @@ func Example() *File {
 		Name:     "example-ring",
 		Topology: TopologySpec{Kind: "ring", N: 4, Sources: []EndpointAt{{ID: 0, Switch: 0}}, Sinks: []EndpointAt{{ID: 100, Switch: 2}}},
 		TGs: []TGSpec{{
-			Endpoint: 0, Model: "uniform", DstPolicy: "fixed", Dsts: []uint16{100},
-			Uniform: &UniformSpec{LenMin: 4, LenMax: 4, GapMin: 6, GapMax: 6, RandomPhase: true},
-			Limit:   1000,
+			Endpoint: 0, Model: "uniform",
+			DstConfig: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{100}},
+			Params:    json.RawMessage(`{"len_min":4,"len_max":4,"gap_min":6,"gap_max":6,"random_phase":true}`),
+			Limit:     1000,
 		}},
 		TRs: []TRSpec{{Endpoint: 100, Mode: "stochastic", ExpectPackets: 1000}},
 	}

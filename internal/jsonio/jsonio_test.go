@@ -1,6 +1,7 @@
 package jsonio
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -32,12 +33,40 @@ func TestExampleLoadsAndRuns(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsUnknownFields(t *testing.T) {
-	if _, err := Load(strings.NewReader(`{"bogus_field": 1}`), "."); err == nil {
-		t.Error("unknown field accepted")
+// TestLoadRejects: each misuse of the file format fails the load, by
+// name. Rows edit the example file, which is then marshaled and loaded
+// the way a user's file would be.
+func TestLoadRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(f *File)
+		want string
+	}{
+		{"unknown model", func(f *File) { f.TGs[0].Model = "warp" }, `unknown model "warp"`},
+		{"model without its object", func(f *File) { f.TGs[0].Params = nil }, `without its "uniform" object`},
+		{"unknown field in the model object", func(f *File) { f.TGs[0].Params = json.RawMessage(`{"len_min":4,"len_max":4,"warp":9}`) }, `unknown field "warp"`},
+		{"trace without trace_file", func(f *File) { f.TGs[0].Model, f.TGs[0].Params = "trace", nil }, "without trace_file"},
+		{"unknown TR mode", func(f *File) { f.TRs[0].Mode = "psychic" }, `unknown mode "psychic"`},
+	} {
+		f := Example()
+		c.edit(f)
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(data), "."); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
-	if _, err := Load(strings.NewReader(`not json`), "."); err == nil {
-		t.Error("garbage accepted")
+	for _, src := range []string{
+		`{"bogus_field": 1}`,
+		`{"tgs": [{"endpoint": 0, "model": "uniform", "bogus_field": 1}]}`,
+		`{"tgs": [{"endpoint": 0, "model": "uniform", "uniform": {}, "burst": {}}]}`, // only the named model's object
+		`not json`,
+	} {
+		if _, err := Load(strings.NewReader(src), "."); err == nil {
+			t.Errorf("%s accepted", src)
+		}
 	}
 }
 
@@ -63,35 +92,6 @@ func TestTopologyKinds(t *testing.T) {
 	}
 	if _, err := buildTopology(TopologySpec{Kind: "custom", NumSwitches: 2, Links: [][2]int{{0, 9}}}); err == nil {
 		t.Error("bad custom link accepted")
-	}
-}
-
-func TestModelValidation(t *testing.T) {
-	base := func() *File {
-		f := Example()
-		return f
-	}
-	f := base()
-	f.TGs[0].Model = "uniform"
-	f.TGs[0].Uniform = nil
-	if _, err := f.ToConfig("."); err == nil {
-		t.Error("uniform without config accepted")
-	}
-	f = base()
-	f.TGs[0].Model = "warp"
-	if _, err := f.ToConfig("."); err == nil {
-		t.Error("unknown model accepted")
-	}
-	f = base()
-	f.TGs[0].Model = "trace"
-	f.TGs[0].Uniform = nil
-	if _, err := f.ToConfig("."); err == nil {
-		t.Error("trace without file accepted")
-	}
-	f = base()
-	f.TRs[0].Mode = "psychic"
-	if _, err := f.ToConfig("."); err == nil {
-		t.Error("unknown TR mode accepted")
 	}
 }
 
@@ -125,7 +125,7 @@ func TestTraceFileLoading(t *testing.T) {
 	for _, name := range []string{"t.trace", "t.ntrc"} {
 		f := Example()
 		f.TGs[0].Model = "trace"
-		f.TGs[0].Uniform = nil
+		f.TGs[0].Params = nil
 		f.TGs[0].TraceFile = name
 		f.TGs[0].Limit = 0
 		f.TRs[0].ExpectPackets = 5
@@ -147,7 +147,7 @@ func TestTraceFileLoading(t *testing.T) {
 	// Missing file.
 	f := Example()
 	f.TGs[0].Model = "trace"
-	f.TGs[0].Uniform = nil
+	f.TGs[0].Params = nil
 	f.TGs[0].TraceFile = "missing.trace"
 	if _, err := f.ToConfig(dir); err == nil {
 		t.Error("missing trace file accepted")

@@ -4,7 +4,6 @@
 package jsonio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -135,9 +134,7 @@ func anchorPath(baseDir, path string) string {
 // relative journal/cache paths.
 func LoadSweep(r io.Reader, baseDir string) (dse.Config, error) {
 	var f SweepFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(r, &f); err != nil {
 		return dse.Config{}, fmt.Errorf("jsonio: %v", err)
 	}
 	return f.ToSweep(baseDir)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nocemu/internal/platform"
+	"nocemu/internal/traffic"
 )
 
 func loadString(t *testing.T, src string) (platform.Config, error) {
@@ -170,11 +171,11 @@ func TestFlowIncastHotspotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.TGs[2].Uniform.Dst; len(got.Hot) != 1 || got.Hot[0] != 10 || got.HotQ16 != 32768 {
+	if got := cfg.TGs[2].Gen.(*traffic.UniformConfig).Dst; len(got.Hot) != 1 || got.Hot[0] != 10 || got.HotQ16 != 32768 {
 		t.Errorf("hotspot dst config lost: hot=%v q16=%d", got.Hot, got.HotQ16)
 	}
-	if cfg.TGs[1].Incast.Offset != 3 {
-		t.Errorf("incast offset lost: %d", cfg.TGs[1].Incast.Offset)
+	if cfg.TGs[1].Gen.(*traffic.IncastConfig).Offset != 3 {
+		t.Errorf("incast offset lost: %d", cfg.TGs[1].Gen.(*traffic.IncastConfig).Offset)
 	}
 	p, err := platform.Build(cfg)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"nocemu/internal/control"
 	"nocemu/internal/platform"
 	"nocemu/internal/regmap"
+	"nocemu/internal/traffic"
 )
 
 // Dev addresses one device on the internal buses. Every statistic
@@ -136,7 +137,7 @@ func (v *BusView) readTGs() ([]tgRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.model = regmap.TGModelName(sub)
+		r.model = traffic.SubtypeName(sub)
 		for _, c := range []struct {
 			reg uint32
 			dst *uint64

@@ -9,6 +9,8 @@ import (
 	"nocemu/internal/platform"
 	"nocemu/internal/resource"
 	"nocemu/internal/stats"
+	"nocemu/internal/topology"
+	"nocemu/internal/traffic"
 )
 
 func ranPlatform(t *testing.T, traf platform.PaperTraffic) *platform.Platform {
@@ -133,12 +135,56 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// TestZooReportsNameEveryModel is the regression test for the model
+// column: the monitor decodes SUBTYPE through the traffic-model table,
+// so every registered workload's generators report by name (flows and
+// incast used to read "model(0)"). With each source made scriptable, as
+// a serve session does, the rows still name the model underneath.
+func TestZooReportsNameEveryModel(t *testing.T) {
+	want := map[string]string{
+		"uniform": "uniform", "hotspot": "uniform", "flows": "flow", "incast": "incast", "script": "script",
+	}
+	for _, kind := range traffic.WorkloadKinds() {
+		for _, scripted := range []bool{false, true} {
+			cfg, err := platform.NetConfig(platform.NetOptions{
+				Topo: topology.Spec{Kind: "mesh", Param: map[string]int{"w": 2, "h": 2}}, Workload: kind,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cfg.TGs {
+				cfg.TGs[i].Scripted = scripted
+			}
+			p, err := platform.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.RunCycles(50)
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			var s Summary
+			if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range s.TGs {
+				if row.Model != want[kind] {
+					t.Errorf("workload %s (scripted %v): %s reports model %q, want %q", kind, scripted, row.Name, row.Model, want[kind])
+				}
+			}
+		}
+	}
+}
+
 // TestReportsPastBusBudget is the regression test for the link-row
 // indexing: a 17×17 mesh is the smallest one whose 1088 link devices
 // overflow the 1023 free slots of the auxiliary bus, and both reports
 // must emit exactly the link rows whose devices were mapped.
 func TestReportsPastBusBudget(t *testing.T) {
-	cfg, err := platform.MeshConfig(platform.MeshOptions{N: 17, Injection: 0.05})
+	cfg, err := platform.NetConfig(platform.NetOptions{
+		Topo: topology.Spec{Kind: "mesh", Param: map[string]int{"w": 17, "h": 17}}, Injection: 0.05,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

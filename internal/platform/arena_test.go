@@ -8,7 +8,13 @@ import (
 	"testing"
 
 	"nocemu/internal/platform"
+	"nocemu/internal/topology"
 )
+
+// mesh is the spec of an n×n mesh.
+func mesh(n int) topology.Spec {
+	return topology.Spec{Kind: "mesh", Param: map[string]int{"w": n, "h": n}}
+}
 
 // TestMeshSteadyStateZeroAlloc is the at-scale allocation guard: on a
 // 16×16 mesh (256 nodes, the paper-scale target) the cycle loop must
@@ -17,7 +23,7 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	cfg, err := platform.MeshConfig(platform.MeshOptions{N: 16, Injection: 0.1})
+	cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Injection: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +45,7 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 // 16×16 mesh mid-flight, every pooled flit must be back on a freelist.
 func TestMeshDrainLeakFree(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		cfg, err := platform.MeshConfig(platform.MeshOptions{N: 16, Injection: 0.1, Workers: workers})
+		cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Injection: 0.1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

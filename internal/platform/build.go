@@ -216,12 +216,8 @@ func Build(cfg Config) (*Platform, error) {
 		if err := sw.ConnectInput(portIdx, injL, injCr...); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
-		queue := spec.QueueFlits
-		if queue == 0 {
-			queue = 32
-		}
 		shard := p.pool.Shard(fmt.Sprintf("tg%d", spec.Endpoint), spec.Endpoint)
-		inj, err := nic.NewInjector(spec.Endpoint, injL, injCr[0], sw.BufDepth(), queue, shard)
+		inj, err := nic.NewInjector(spec.Endpoint, injL, injCr[0], sw.BufDepth(), spec.QueueFlits, shard)
 		if err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -465,58 +461,17 @@ func DeriveTGSeed(platformSeed uint32, spec TGSpec) uint32 {
 	return platformSeed*2654435761 + uint32(spec.Endpoint) + 1
 }
 
-// BuildGenerator instantiates the generator named by a TG spec.
-// Exported so alternative backends drive the same traffic models.
+// BuildGenerator instantiates the generator a TG spec describes: the
+// spec's model, overlaid with a script queue when the spec asks for it,
+// or the pure script source when it names no model. Exported so
+// alternative backends drive the same traffic models.
 func BuildGenerator(spec TGSpec) (traffic.Generator, error) {
-	switch spec.Model {
-	case ModelUniform:
-		if spec.Uniform == nil {
-			return nil, fmt.Errorf("uniform model without config")
-		}
-		gen, err := traffic.NewUniform(*spec.Uniform)
-		return wrapScripted(gen, err, spec)
-	case ModelBurst:
-		if spec.Burst == nil {
-			return nil, fmt.Errorf("burst model without config")
-		}
-		gen, err := traffic.NewBurst(*spec.Burst)
-		return wrapScripted(gen, err, spec)
-	case ModelPoisson:
-		if spec.Poisson == nil {
-			return nil, fmt.Errorf("poisson model without config")
-		}
-		gen, err := traffic.NewPoisson(*spec.Poisson)
-		return wrapScripted(gen, err, spec)
-	case ModelTrace:
-		if spec.Trace == nil {
-			return nil, fmt.Errorf("trace model without trace")
-		}
-		gen, err := traffic.NewTraceGen(spec.Trace)
-		return wrapScripted(gen, err, spec)
-	case ModelFlow:
-		if spec.Flow == nil {
-			return nil, fmt.Errorf("flow model without config")
-		}
-		gen, err := traffic.NewFlowGen(*spec.Flow)
-		return wrapScripted(gen, err, spec)
-	case ModelIncast:
-		if spec.Incast == nil {
-			return nil, fmt.Errorf("incast model without config")
-		}
-		gen, err := traffic.NewIncastGen(*spec.Incast)
-		return wrapScripted(gen, err, spec)
-	case ModelScript:
+	if spec.Gen == nil {
 		return traffic.NewScript(nil), nil
-	default:
-		return nil, fmt.Errorf("unknown TG model %q", spec.Model)
 	}
-}
-
-// wrapScripted overlays a ScriptGen on the built model when the spec
-// asks for it.
-func wrapScripted(gen traffic.Generator, err error, spec TGSpec) (traffic.Generator, error) {
+	gen, err := spec.Gen.New()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s model: %w", spec.Gen.Model(), err)
 	}
 	if spec.Scripted {
 		return traffic.NewScript(gen), nil

@@ -15,40 +15,19 @@ import (
 	"nocemu/internal/receptor"
 	"nocemu/internal/routing"
 	"nocemu/internal/topology"
-	"nocemu/internal/trace"
 	"nocemu/internal/traffic"
-)
-
-// TGModel names a traffic-generator model.
-type TGModel string
-
-// Traffic-generator model names.
-const (
-	ModelUniform TGModel = "uniform"
-	ModelBurst   TGModel = "burst"
-	ModelPoisson TGModel = "poisson"
-	ModelTrace   TGModel = "trace"
-	ModelFlow    TGModel = "flow"
-	ModelIncast  TGModel = "incast"
-	// ModelScript is the pure externally scripted source: no model
-	// config, traffic arrives through Platform.InjectScript between
-	// runs (the co-simulation path, DESIGN.md §16).
-	ModelScript TGModel = "script"
 )
 
 // TGSpec configures the traffic generator for one source endpoint.
 type TGSpec struct {
 	// Endpoint must name a source in the topology.
 	Endpoint flit.EndpointID
-	// Model selects the generator; exactly the matching config field
-	// must be set.
-	Model   TGModel
-	Uniform *traffic.UniformConfig
-	Burst   *traffic.BurstConfig
-	Poisson *traffic.PoissonConfig
-	Trace   *trace.Trace
-	Flow    *traffic.FlowConfig
-	Incast  *traffic.IncastConfig
+	// Gen is the generator's traffic model and that model's
+	// configuration (&traffic.UniformConfig{...}, &traffic.TraceConfig{...},
+	// ...). Nil is the pure externally scripted source: no model of its
+	// own, traffic arrives through Platform.InjectScript between runs
+	// (the co-simulation path, DESIGN.md §16).
+	Gen traffic.Config
 	// Seed seeds this TG's random registers (0 uses a derived seed).
 	Seed uint32
 	// Limit bounds the packets generated (0 = unlimited/trace length).
@@ -57,8 +36,7 @@ type TGSpec struct {
 	QueueFlits int
 	// Scripted wraps the built model in a traffic.ScriptGen so
 	// externally scripted demands (Platform.InjectScript) overlay the
-	// model's own traffic. Implied by ModelScript (which has no inner
-	// model).
+	// model's own traffic. A nil Gen is scripted regardless.
 	Scripted bool
 }
 
@@ -177,6 +155,14 @@ func (c *Config) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 0x0C0FFEE
 	}
+	// The specs are defaulted on a copy: the caller's slice may back
+	// several configs being built at once (sweep forks).
+	c.TGs = append([]TGSpec(nil), c.TGs...)
+	for i := range c.TGs {
+		if c.TGs[i].QueueFlits == 0 {
+			c.TGs[i].QueueFlits = 32
+		}
+	}
 }
 
 // Normalize applies defaults and validates a configuration without
@@ -225,32 +211,6 @@ func (c *Config) validate() error {
 			return fmt.Errorf("platform %s: duplicate TG for endpoint %d", c.Name, spec.Endpoint)
 		}
 		seen[spec.Endpoint] = true
-		n := 0
-		if spec.Uniform != nil {
-			n++
-		}
-		if spec.Burst != nil {
-			n++
-		}
-		if spec.Poisson != nil {
-			n++
-		}
-		if spec.Trace != nil {
-			n++
-		}
-		if spec.Flow != nil {
-			n++
-		}
-		if spec.Incast != nil {
-			n++
-		}
-		if spec.Model == ModelScript {
-			if n != 0 {
-				return fmt.Errorf("platform %s: TG %d: script model takes no model config, has %d", c.Name, i, n)
-			}
-		} else if n != 1 {
-			return fmt.Errorf("platform %s: TG %d must set exactly one model config, has %d", c.Name, i, n)
-		}
 	}
 	sinks := c.Topology.Sinks()
 	if len(c.TRs) != len(sinks) {

@@ -127,9 +127,9 @@ func deadlockConfig(t *testing.T) Config {
 	mkTG := func(i int) TGSpec {
 		dst := flit.EndpointID(100 + (i+2)%3)
 		return TGSpec{
-			Endpoint: flit.EndpointID(i), Model: ModelUniform, Limit: 50,
+			Endpoint: flit.EndpointID(i), Limit: 50,
 			QueueFlits: 64,
-			Uniform: &traffic.UniformConfig{
+			Gen: &traffic.UniformConfig{
 				LenMin: 32, LenMax: 32, GapMin: 0, GapMax: 0,
 				Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
 			},

@@ -5,18 +5,26 @@ import (
 	"testing"
 
 	"nocemu/internal/flit"
+	"nocemu/internal/topology"
 )
 
-// TestMeshConfigBuilds builds small mesh and torus platforms, runs
+// meshNet is NetOptions for an n×n mesh (or torus) under the default
+// uniform workload.
+func meshNet(kind string, n int, o NetOptions) NetOptions {
+	o.Topo = topology.Spec{Kind: kind, Param: map[string]int{"w": n, "h": n}}
+	return o
+}
+
+// TestMeshNetBuilds builds small mesh and torus platforms, runs
 // them, and checks flit conservation end to end.
-func TestMeshConfigBuilds(t *testing.T) {
+func TestMeshNetBuilds(t *testing.T) {
 	for _, tc := range []struct {
-		n     int
-		torus bool
-	}{{2, false}, {4, false}, {4, true}, {8, false}} {
-		name := fmt.Sprintf("n=%d/torus=%v", tc.n, tc.torus)
+		n    int
+		kind string
+	}{{2, "mesh"}, {4, "mesh"}, {4, "torus"}, {8, "mesh"}} {
+		name := fmt.Sprintf("n=%d/%s", tc.n, tc.kind)
 		t.Run(name, func(t *testing.T) {
-			cfg, err := MeshConfig(MeshOptions{N: tc.n, Torus: tc.torus, Injection: 0.2})
+			cfg, err := NetConfig(meshNet(tc.kind, tc.n, NetOptions{Injection: 0.2}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,12 +56,12 @@ func TestMeshConfigBuilds(t *testing.T) {
 	}
 }
 
-// TestMeshConfigDeterministic checks that two identically-configured
+// TestMeshNetDeterministic checks that two identically-configured
 // mesh platforms produce identical statistics — the generator derives
 // everything from the options and seed.
-func TestMeshConfigDeterministic(t *testing.T) {
+func TestMeshNetDeterministic(t *testing.T) {
 	run := func() Totals {
-		cfg, err := MeshConfig(MeshOptions{N: 4, Injection: 0.3, Seed: 7})
+		cfg, err := NetConfig(meshNet("mesh", 4, NetOptions{Injection: 0.3, Seed: 7}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +78,11 @@ func TestMeshConfigDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeshConfigLimits exercises bounded generators: with PacketsPerTG
+// TestMeshNetLimits exercises bounded generators: with PacketsPerTG
 // set, the platform drains to completion and every node's receptors
 // collectively see every injected packet.
-func TestMeshConfigLimits(t *testing.T) {
-	cfg, err := MeshConfig(MeshOptions{N: 3, Injection: 0.5, PacketsPerTG: 20})
+func TestMeshNetLimits(t *testing.T) {
+	cfg, err := NetConfig(meshNet("mesh", 3, NetOptions{Injection: 0.5, PacketsPerTG: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +109,15 @@ func TestMeshConfigLimits(t *testing.T) {
 	}
 }
 
-// TestMeshConfigValidation covers option errors.
-func TestMeshConfigValidation(t *testing.T) {
-	if _, err := MeshConfig(MeshOptions{N: -1}); err == nil {
+// TestMeshNetValidation covers option errors.
+func TestMeshNetValidation(t *testing.T) {
+	if _, err := NetConfig(meshNet("mesh", -1, NetOptions{})); err == nil {
 		t.Error("negative N accepted")
 	}
-	if _, err := MeshConfig(MeshOptions{N: 2, Torus: true}); err == nil {
+	if _, err := NetConfig(meshNet("torus", 2, NetOptions{})); err == nil {
 		t.Error("2x2 torus accepted")
 	}
-	if _, err := MeshConfig(MeshOptions{Injection: 1.5}); err == nil {
+	if _, err := NetConfig(NetOptions{Injection: 1.5}); err == nil {
 		t.Error("injection > 1 accepted")
 	}
 }
@@ -117,7 +125,11 @@ func TestMeshConfigValidation(t *testing.T) {
 // TestMeshSink pins the endpoint numbering contract: sources are node
 // indices, sinks live above them.
 func TestMeshSink(t *testing.T) {
-	if got := MeshSink(4, 3); got != flit.EndpointID(19) {
-		t.Fatalf("MeshSink(4, 3) = %d, want 19", got)
+	cfg, err := NetConfig(meshNet("mesh", 4, NetOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, sink := cfg.TGs[3].Endpoint, cfg.TRs[3].Endpoint; src != 3 || sink != flit.EndpointID(19) {
+		t.Fatalf("node 3 of a 4x4 mesh: source %d, sink %d, want 3 and 19", src, sink)
 	}
 }

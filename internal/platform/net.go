@@ -113,15 +113,7 @@ func NetConfig(o NetOptions) (Config, error) {
 		NoGate:   o.NoGate,
 	}
 	for i := range specs {
-		spec := TGSpec{
-			Endpoint: sources[i],
-			Model:    TGModel(specs[i].Model),
-			Limit:    o.PacketsPerTG,
-			Uniform:  specs[i].Uniform,
-			Flow:     specs[i].Flow,
-			Incast:   specs[i].Incast,
-		}
-		cfg.TGs = append(cfg.TGs, spec)
+		cfg.TGs = append(cfg.TGs, TGSpec{Endpoint: sources[i], Gen: specs[i], Limit: o.PacketsPerTG})
 		cfg.TRs = append(cfg.TRs, TRSpec{Endpoint: sinks[i], Mode: receptor.Stochastic})
 	}
 	return cfg, nil

@@ -131,8 +131,7 @@ func PaperConfig(opts PaperOptions) (Config, error) {
 		switch opts.Traffic {
 		case PaperUniform:
 			gap := uint32(math.Round(float64(opts.FlitsPerPacket) * (1/opts.Load - 1)))
-			spec.Model = ModelUniform
-			spec.Uniform = &traffic.UniformConfig{
+			spec.Gen = &traffic.UniformConfig{
 				LenMin: uint16(opts.FlitsPerPacket), LenMax: uint16(opts.FlitsPerPacket),
 				GapMin: gap, GapMax: gap,
 				Dst: dstCfg, RandomPhase: true,
@@ -140,8 +139,7 @@ func PaperConfig(opts PaperOptions) (Config, error) {
 		case PaperPoisson:
 			// Packet rate lambda = Load / length per cycle.
 			lambda := uint16(math.Max(1, math.Round(65536*opts.Load/float64(opts.FlitsPerPacket))))
-			spec.Model = ModelPoisson
-			spec.Poisson = &traffic.PoissonConfig{
+			spec.Gen = &traffic.PoissonConfig{
 				Lambda: lambda,
 				LenMin: uint16(opts.FlitsPerPacket), LenMax: uint16(opts.FlitsPerPacket),
 				Dst: dstCfg,
@@ -156,8 +154,7 @@ func PaperConfig(opts PaperOptions) (Config, error) {
 			onCycles := float64(opts.FlitsPerPacket * opts.PacketsPerBurst)
 			offCycles := onCycles * (1 - opts.Load) / opts.Load
 			pOffOn := uint16(math.Max(1, math.Min(65535, math.Round(65536/offCycles))))
-			spec.Model = ModelBurst
-			spec.Burst = &traffic.BurstConfig{
+			spec.Gen = &traffic.BurstConfig{
 				POffOn: pOffOn, POnOff: pOnOff,
 				LenMin: uint16(opts.FlitsPerPacket), LenMax: uint16(opts.FlitsPerPacket),
 				Dst: dstCfg,
@@ -178,8 +175,7 @@ func PaperConfig(opts PaperOptions) (Config, error) {
 			if err != nil {
 				return Config{}, err
 			}
-			spec.Model = ModelTrace
-			spec.Trace = tr
+			spec.Gen = &traffic.TraceConfig{Trace: tr}
 			spec.Limit = 0 // trace length is the limit
 		default:
 			return Config{}, fmt.Errorf("platform: unknown paper traffic %q", opts.Traffic)

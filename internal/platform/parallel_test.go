@@ -132,8 +132,8 @@ func meshConfig(t *testing.T) platform.Config {
 			t.Fatal(err)
 		}
 		cfg.TGs = append(cfg.TGs, platform.TGSpec{
-			Endpoint: src, Model: platform.ModelUniform,
-			Uniform: &traffic.UniformConfig{
+			Endpoint: src,
+			Gen: &traffic.UniformConfig{
 				LenMin: 2, LenMax: 9, GapMin: 3, GapMax: 20,
 				Dst: traffic.DstConfig{
 					Policy: traffic.DstUniform,

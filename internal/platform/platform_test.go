@@ -19,8 +19,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	mkTG := func(ep flit.EndpointID) TGSpec {
 		return TGSpec{
-			Endpoint: ep, Model: ModelUniform,
-			Uniform: &traffic.UniformConfig{
+			Endpoint: ep,
+			Gen: &traffic.UniformConfig{
 				LenMin: 1, LenMax: 1, GapMin: 1, GapMax: 1,
 				Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{100}},
 			},
@@ -64,9 +64,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("duplicate TG endpoint accepted")
 	}
 	c = base()
-	c.TGs[0].Burst = &traffic.BurstConfig{}
+	c.TGs[0].Gen = &traffic.BurstConfig{}
 	if _, err := Build(c); err == nil {
-		t.Error("two model configs accepted")
+		t.Error("invalid model config accepted")
 	}
 	c = base()
 	c.TRs[0].Endpoint = 0
@@ -334,8 +334,8 @@ func TestMeshPlatformWithXYRouting(t *testing.T) {
 	}
 	mkTG := func(ep flit.EndpointID, dst flit.EndpointID) TGSpec {
 		return TGSpec{
-			Endpoint: ep, Model: ModelUniform, Limit: 100,
-			Uniform: &traffic.UniformConfig{
+			Endpoint: ep, Limit: 100,
+			Gen: &traffic.UniformConfig{
 				LenMin: 2, LenMax: 2, GapMin: 2, GapMax: 2,
 				Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
 			},

@@ -46,20 +46,17 @@ func randomConfig(t *testing.T, seed uint32, wSeed, hSeed, tgSeed, placSeed, mod
 		length := uint16(lenSeed%7) + 1
 		switch (int(modelSeed) + i) % 3 {
 		case 0:
-			spec.Model = ModelUniform
-			spec.Uniform = &traffic.UniformConfig{
+			spec.Gen = &traffic.UniformConfig{
 				LenMin: 1, LenMax: length, GapMin: 0, GapMax: uint32(modelSeed % 9),
 				Dst: dstCfg, RandomPhase: true,
 			}
 		case 1:
-			spec.Model = ModelBurst
-			spec.Burst = &traffic.BurstConfig{
+			spec.Gen = &traffic.BurstConfig{
 				POffOn: uint16(modelSeed)*97 + 500, POnOff: uint16(lenSeed)*131 + 2000,
 				LenMin: 1, LenMax: length, Dst: dstCfg,
 			}
 		case 2:
-			spec.Model = ModelPoisson
-			spec.Poisson = &traffic.PoissonConfig{
+			spec.Gen = &traffic.PoissonConfig{
 				Lambda: uint16(modelSeed)*61 + 800,
 				LenMin: 1, LenMax: length, Dst: dstCfg,
 			}
@@ -211,8 +208,8 @@ func TestXYMeshDeadlockFreeUnderLoad(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.TGs = append(cfg.TGs, TGSpec{
-					Endpoint: src, Model: ModelUniform, Limit: 300,
-					Uniform: &traffic.UniformConfig{
+					Endpoint: src, Limit: 300,
+					Gen: &traffic.UniformConfig{
 						LenMin: 8, LenMax: 8, GapMin: 0, GapMax: 0,
 						Dst: traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}},
 					},

@@ -73,7 +73,7 @@ func TestRecordAndReplayLoop(t *testing.T) {
 		Name:     "replay",
 		Topology: topo,
 		TGs: []TGSpec{{
-			Endpoint: 0, Model: ModelTrace, Trace: rec,
+			Endpoint: 0, Gen: &traffic.TraceConfig{Trace: rec},
 		}},
 		TRs: []TRSpec{{
 			Endpoint: 100, Mode: receptor.TraceDriven, ExpectPackets: 120,

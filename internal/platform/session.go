@@ -19,7 +19,8 @@ import (
 
 // InjectScript schedules one scripted packet on the TG at src, due at
 // cycle at (clamped up to the current kernel cycle at emission time).
-// The TG must have been built with ModelScript or TGSpec.Scripted.
+// The TG must have been built from a nil TGSpec.Gen or with
+// TGSpec.Scripted.
 func (p *Platform) InjectScript(src flit.EndpointID, rec traffic.ScriptRec) error {
 	sg, err := p.scriptGen(src)
 	if err != nil {

@@ -105,7 +105,7 @@ func torusSnapConfig(t *testing.T, vcs int, packets uint64) platform.Config {
 	cfg.Trace = &probe.Config{}
 	for i := range cfg.TGs {
 		dst := cfg.TRs[(i+5)%len(cfg.TRs)].Endpoint
-		cfg.TGs[i].Uniform.Dst = traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}}
+		cfg.TGs[i].Gen.(*traffic.UniformConfig).Dst = traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{dst}}
 		cfg.TRs[i].ExpectPackets = packets
 	}
 	return cfg
@@ -297,7 +297,7 @@ func snapshotKernelPortability(t *testing.T, cfg platform.Config) {
 // 512 endpoints) under fixed-cycle runs.
 func TestSnapshotRestoreMesh256(t *testing.T) {
 	mk := func() platform.Config {
-		cfg, err := platform.MeshConfig(platform.MeshOptions{N: 16, Seed: 11})
+		cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestRestoreRejectsDrift(t *testing.T) {
 		}(), fresh},
 		{"trailing garbage", append(append([]byte(nil), snap...), 0xFF), fresh},
 		{"wrong platform", snap, func() *platform.Platform {
-			mcfg, err := platform.MeshConfig(platform.MeshOptions{N: 4})
+			mcfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(4)})
 			if err != nil {
 				t.Fatal(err)
 			}

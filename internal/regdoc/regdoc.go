@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nocemu/internal/flit"
 	"nocemu/internal/platform"
 	"nocemu/internal/probe"
 	"nocemu/internal/regmap"
@@ -101,48 +100,30 @@ func renderBank(sb *strings.Builder, b SchemaBank) {
 	fmt.Fprintln(sb)
 }
 
-// docDst is the throwaway destination set the representative traffic
-// models are instantiated with.
-var docDst = traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{1}}
-
-// paramTables renders the model parameter window tables from each
-// traffic model's Parameterized implementation.
+// paramTables renders the model parameter window tables: one row per
+// traffic model in the table whose generator is Parameterized.
 func paramTables(sb *strings.Builder) error {
-	gens := []struct {
-		model string
-		mk    func() (traffic.Generator, error)
-	}{
-		{"uniform", func() (traffic.Generator, error) {
-			return traffic.NewUniform(traffic.UniformConfig{Dst: docDst, LenMin: 1, LenMax: 2, GapMin: 1, GapMax: 2})
-		}},
-		{"burst", func() (traffic.Generator, error) {
-			return traffic.NewBurst(traffic.BurstConfig{Dst: docDst, POffOn: 100, POnOff: 100, LenMin: 1, LenMax: 2})
-		}},
-		{"poisson", func() (traffic.Generator, error) {
-			return traffic.NewPoisson(traffic.PoissonConfig{Dst: docDst, Lambda: 100, LenMin: 1, LenMax: 2})
-		}},
-	}
 	fmt.Fprintln(sb, "### Model parameter windows")
 	fmt.Fprintln(sb)
-	fmt.Fprintln(sb, "`PARAM[i]` semantics per model (Q16 = probability × 65536);")
-	fmt.Fprintln(sb, "the trace model exposes `remaining` (read-only) at `PARAM[0]`:")
+	fmt.Fprintln(sb, "`PARAM[i]` semantics per model (Q16 = probability × 65536;")
+	fmt.Fprintln(sb, "the trace model's `remaining` is read-only):")
 	fmt.Fprintln(sb)
 	maxParams := 0
-	rows := make([][]string, 0, len(gens))
-	for _, g := range gens {
-		gen, err := g.mk()
+	var rows [][]string
+	for _, m := range traffic.Models() {
+		gen, err := m.Sample()
 		if err != nil {
-			return fmt.Errorf("regdoc: %s model: %w", g.model, err)
+			return fmt.Errorf("regdoc: %s model: %w", m.Name, err)
 		}
 		p, ok := gen.(traffic.Parameterized)
 		if !ok {
-			return fmt.Errorf("regdoc: %s model is not Parameterized", g.model)
+			continue
 		}
 		names := p.ParamNames()
 		if len(names) > maxParams {
 			maxParams = len(names)
 		}
-		rows = append(rows, append([]string{g.model}, names...))
+		rows = append(rows, append([]string{m.Name}, names...))
 	}
 	fmt.Fprint(sb, "| model |")
 	for i := 0; i < maxParams; i++ {

@@ -26,6 +26,7 @@ package regmap
 
 import (
 	"fmt"
+	"strings"
 
 	"nocemu/internal/receptor"
 	"nocemu/internal/switchfab"
@@ -141,35 +142,11 @@ const (
 	RegSwOccupancy = 0x018
 )
 
-// TG model subtype codes.
-const (
-	SubtypeUniform = 1
-	SubtypeBurst   = 2
-	SubtypePoisson = 3
-	SubtypeTrace   = 4
-)
-
 // TR mode subtype codes.
 const (
 	SubtypeStochastic = 1
 	SubtypeTraceTR    = 2
 )
-
-// TGModelName maps a TG SUBTYPE code back to the traffic model name —
-// the monitor's bus-side decode.
-func TGModelName(subtype uint32) string {
-	switch subtype {
-	case SubtypeUniform:
-		return "uniform"
-	case SubtypeBurst:
-		return "burst"
-	case SubtypePoisson:
-		return "poisson"
-	case SubtypeTrace:
-		return "trace"
-	}
-	return fmt.Sprintf("model(%d)", subtype)
-}
 
 // TRModeName maps a TR SUBTYPE code back to the receptor mode name.
 func TRModeName(subtype uint32) string {
@@ -194,19 +171,15 @@ func errBadReg(op string, reg uint32) error {
 	return fmt.Errorf("regmap: %s of unmapped register 0x%03x", op, reg)
 }
 
-func tgSubtype(g traffic.Generator) uint32 {
-	switch g.ModelName() {
-	case "uniform":
-		return SubtypeUniform
-	case "burst":
-		return SubtypeBurst
-	case "poisson":
-		return SubtypePoisson
-	case "trace":
-		return SubtypeTrace
+// modelCodesDoc is the TG SUBTYPE register's doc line: the codes of the
+// traffic-model table ("1 uniform, 2 burst, ...").
+var modelCodesDoc = func() string {
+	var codes []string
+	for _, m := range traffic.Models() {
+		codes = append(codes, fmt.Sprintf("%d %s", m.Subtype, m.Name))
 	}
-	return 0
-}
+	return strings.Join(codes, ", ") + " (a scripted overlay reports the model it wraps)"
+}()
 
 // NewTGDevice builds the register bank of a traffic generator.
 func NewTGDevice(tg *traffic.TG) *Bank {
@@ -220,8 +193,8 @@ func NewTGDevice(tg *traffic.TG) *Bank {
 	var limitLo, limitHi uint32
 
 	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTG })
-	b.RO(RegSubtype, "SUBTYPE", "1 uniform, 2 burst, 3 poisson, 4 trace",
-		func() uint32 { return tgSubtype(tg.Generator()) })
+	b.RO(RegSubtype, "SUBTYPE", modelCodesDoc,
+		func() uint32 { return traffic.Subtype(tg.Generator()) })
 	b.RW(RegCtrl, "CTRL", "bit0 enable, bit1 reset-stats",
 		func() uint32 {
 			if tg.Enabled() {

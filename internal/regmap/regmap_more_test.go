@@ -3,7 +3,6 @@ package regmap
 import (
 	"testing"
 
-	"nocemu/internal/flit"
 	"nocemu/internal/link"
 	"nocemu/internal/nic"
 	"nocemu/internal/receptor"
@@ -26,33 +25,25 @@ func mkTGWith(t *testing.T, gen traffic.Generator) *traffic.TG {
 	return tg
 }
 
+// TestTGDeviceSubtypes: SUBTYPE reads every model's code out of the
+// traffic-model table, and a scripted overlay reports the model it
+// wraps (a pure script source its own).
 func TestTGDeviceSubtypes(t *testing.T) {
-	dst := traffic.DstConfig{Policy: traffic.DstFixed, Dsts: []flit.EndpointID{1}}
-	burst, err := traffic.NewBurst(traffic.BurstConfig{POffOn: 100, POnOff: 100, LenMin: 1, LenMax: 1, Dst: dst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisson, err := traffic.NewPoisson(traffic.PoissonConfig{Lambda: 100, LenMin: 1, LenMax: 1, Dst: dst})
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range traffic.Models() {
+		gen, err := m.Sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []traffic.Generator{gen, traffic.NewScript(gen)} {
+			d := NewTGDevice(mkTGWith(t, g))
+			if v, err := d.ReadReg(RegSubtype); err != nil || v != m.Subtype || v == 0 {
+				t.Errorf("%s subtype = %d, %v, want %d", g.ModelName(), v, err, m.Subtype)
+			}
+		}
 	}
 	tgen, err := traffic.NewTraceGen(&trace.Trace{Records: []trace.Record{{Cycle: 0, Dst: 1, Len: 1}}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	cases := []struct {
-		gen  traffic.Generator
-		want uint32
-	}{
-		{burst, SubtypeBurst},
-		{poisson, SubtypePoisson},
-		{tgen, SubtypeTrace},
-	}
-	for _, c := range cases {
-		d := NewTGDevice(mkTGWith(t, c.gen))
-		if v, err := d.ReadReg(RegSubtype); err != nil || v != c.want {
-			t.Errorf("%s subtype = %d, want %d", c.gen.ModelName(), v, c.want)
-		}
 	}
 	// Trace generator exposes the remaining-records parameter.
 	d := NewTGDevice(mkTGWith(t, tgen))

@@ -49,7 +49,7 @@ func TestTGDeviceIdentity(t *testing.T) {
 	if v, _ := d.ReadReg(RegType); v != TypeTG {
 		t.Errorf("type = %d", v)
 	}
-	if v, _ := d.ReadReg(RegSubtype); v != SubtypeUniform {
+	if v, _ := d.ReadReg(RegSubtype); v != 1 { // uniform
 		t.Errorf("subtype = %d", v)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"nocemu/internal/platform"
 	"nocemu/internal/receptor"
+	"nocemu/internal/traffic"
 )
 
 // TargetDevice describes the FPGA the platform is fitted to.
@@ -286,15 +287,11 @@ func Estimate(p *platform.Platform, target TargetDevice) (*Report, error) {
 
 	for _, spec := range cfg.TGs {
 		tg, _ := p.TG(spec.Endpoint)
-		queue := spec.QueueFlits
-		if queue == 0 {
-			queue = 32
-		}
-		if spec.Model == platform.ModelTrace {
-			b := TGTraceBill(5, queue)
+		if _, replay := spec.Gen.(*traffic.TraceConfig); replay {
+			b := TGTraceBill(5, spec.QueueFlits)
 			add(tg.ComponentName(), "TG trace driven", b, b.Slices(kTGTrace))
 		} else {
-			b := TGStochasticBill(4, 5, queue)
+			b := TGStochasticBill(4, 5, spec.QueueFlits)
 			add(tg.ComponentName(), "TG stochastic", b, b.Slices(kTGStochastic))
 		}
 	}

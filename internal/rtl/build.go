@@ -139,13 +139,9 @@ func Build(cfg platform.Config) (*Platform, error) {
 		if !ok {
 			return nil, fmt.Errorf("rtl: no injection port for endpoint %d", spec.Endpoint)
 		}
-		queue := spec.QueueFlits
-		if queue == 0 {
-			queue = 32
-		}
 		tg := &rtlTG{
 			gen: gen, lfsr: rng.New(platform.DeriveTGSeed(cfg.Seed, spec)),
-			limit: spec.Limit, maxQ: queue, queue: make([]*flit.Flit, queue),
+			limit: spec.Limit, maxQ: spec.QueueFlits, queue: make([]*flit.Flit, spec.QueueFlits),
 			ep:        spec.Endpoint,
 			tx:        newTx(pt, cfg.SwitchBufDepth),
 			queueBank: newRegBank(k, fmt.Sprintf("tg%d.queue", spec.Endpoint)),

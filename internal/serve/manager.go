@@ -545,10 +545,13 @@ func (m *Manager) Shutdown() error {
 			continue
 		}
 		var err error
-		if m.opt.ParkDir != "" {
-			err = m.shutdownPark(s)
-		} else {
-			err = m.shutdownClose(s)
+		if m.opt.ParkDir == "" {
+			err = m.closeLocked(s)
+		} else if err = m.parkLocked(s, false); err != nil {
+			// A failed park leaves the session live; it ends with the
+			// process, so its platform is released here.
+			s.p.Close()
+			s.p, s.bus = nil, nil
 		}
 		s.mu.Unlock()
 		if err != nil && firstErr == nil {
@@ -567,42 +570,6 @@ func (m *Manager) Shutdown() error {
 		}
 	}
 	return firstErr
-}
-
-// shutdownPark parks one session during shutdown (pooling is moot:
-// the platform closes). Caller holds s.mu.
-func (m *Manager) shutdownPark(s *session) error {
-	snap, err := s.p.SnapshotBytes()
-	if err != nil {
-		s.p.Close()
-		s.p, s.bus = nil, nil
-		return fmt.Errorf("serve: snapshot session %q: %v", s.id, err)
-	}
-	pk := &parked{sp: s.sp, key: s.key, snap: snap, cycle: s.bus.cycle()}
-	err = writeParkFiles(m.opt.ParkDir, s.id, pk)
-	s.p.Close()
-	s.p, s.bus = nil, nil
-	m.mu.Lock()
-	m.parked[s.id] = pk
-	m.nParked++
-	m.mu.Unlock()
-	return err
-}
-
-// shutdownClose closes one session during shutdown. Caller holds s.mu.
-func (m *Manager) shutdownClose(s *session) error {
-	p := s.p
-	s.p, s.bus = nil, nil
-	p.Drain()
-	var err error
-	if live := p.Pool().Live(); live != 0 {
-		err = fmt.Errorf("serve: session %q leaked %d flits", s.id, live)
-	}
-	p.Close()
-	m.mu.Lock()
-	m.nClosed++
-	m.mu.Unlock()
-	return err
 }
 
 // parkPath names a parked session's files. Session ids hold arbitrary

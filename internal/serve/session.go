@@ -122,9 +122,7 @@ func sessionConfig(sp jsonio.ServePlatform) (platform.Config, error) {
 		cfg.Name = "serve"
 	}
 	for i := range cfg.TGs {
-		if cfg.TGs[i].Model != platform.ModelScript {
-			cfg.TGs[i].Scripted = true
-		}
+		cfg.TGs[i].Scripted = true // a source without a model already is
 		if cfg.TGs[i].QueueFlits == 0 {
 			cfg.TGs[i].QueueFlits = sp.QueueFlits
 		}

@@ -20,11 +20,13 @@ import (
 // many mice, few elephants.
 type FlowConfig struct {
 	// ArrivalQ16 is the per-idle-cycle flow arrival probability (Q16).
-	ArrivalQ16 uint16
+	ArrivalQ16 uint16 `json:"arrival_q16"`
 	// SizeMin, SizeMax bound the flow size in packets.
-	SizeMin, SizeMax uint32
-	LenMin, LenMax   uint16
-	Dst              DstConfig
+	SizeMin uint32    `json:"size_min"`
+	SizeMax uint32    `json:"size_max"`
+	LenMin  uint16    `json:"len_min"`
+	LenMax  uint16    `json:"len_max"`
+	Dst     DstConfig `json:"-"`
 }
 
 // FlowGen is the flow-based arrival model.
@@ -216,13 +218,14 @@ func (f *FlowGen) LoadState(r *state.Reader) error {
 // bursts that stress fan-in buffering.
 type IncastConfig struct {
 	// Epoch is the cycle period between wave starts (>= 1).
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// PacketsPerWave is the packets emitted per wave (>= 1).
-	PacketsPerWave uint32
-	LenMin, LenMax uint16
+	PacketsPerWave uint32 `json:"packets_per_wave"`
+	LenMin         uint16 `json:"len_min"`
+	LenMax         uint16 `json:"len_max"`
 	// Offset delays the first wave.
-	Offset uint64
-	Dst    DstConfig
+	Offset uint64    `json:"offset,omitempty"`
+	Dst    DstConfig `json:"-"`
 }
 
 // IncastGen is the synchronized-wave incast model.

@@ -25,15 +25,11 @@ func init() {
 	RegisterWorkload(Workload{
 		Kind:    "script",
 		Summary: "externally scripted: sources emit only demands appended at run time (co-simulation sessions)",
-		Build: func(env WorkloadEnv) ([]EndpointTraffic, error) {
+		Build: func(env WorkloadEnv) ([]Config, error) {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
-			out := make([]EndpointTraffic, len(env.Sources))
-			for i := range env.Sources {
-				out[i] = EndpointTraffic{Model: "script"}
-			}
-			return out, nil
+			return make([]Config, len(env.Sources)), nil // all nil: pure script sources
 		},
 	})
 }

@@ -12,6 +12,10 @@
 //   - poisson: Bernoulli-per-cycle packet arrivals (the "other models
 //     possible (i.e. Poisson)" of the paper);
 //   - trace: replays traffic recorded from a real-life application.
+//
+// dc.go adds the flow and incast models and script.go the externally
+// scripted source; the table in models.go is the complete list, and the
+// only one.
 package traffic
 
 import (
@@ -77,14 +81,15 @@ const (
 	DstHotspot DstPolicy = "hotspot"
 )
 
-// DstConfig parameterizes destination selection.
+// DstConfig parameterizes destination selection. The JSON tags are the
+// keys a TG carries in the platform-config file format.
 type DstConfig struct {
-	Policy DstPolicy
-	Dsts   []flit.EndpointID
+	Policy DstPolicy         `json:"dst_policy"`
+	Dsts   []flit.EndpointID `json:"dsts"`
 	// Hot and HotQ16 apply to DstHotspot: each draw goes to a uniform
 	// member of Hot with probability HotQ16 (Q16 fixed point).
-	Hot    []flit.EndpointID
-	HotQ16 uint16
+	Hot    []flit.EndpointID `json:"hot,omitempty"`
+	HotQ16 uint16            `json:"hot_q16,omitempty"`
 }
 
 type dstChooser struct {
@@ -155,12 +160,14 @@ func drawLen(r *rng.LFSR, min, max uint16) uint16 {
 // top of the packet's own serialization time. The mean offered load is
 // meanLen / (meanLen + meanGap) flits per cycle.
 type UniformConfig struct {
-	LenMin, LenMax uint16
-	GapMin, GapMax uint32
-	Dst            DstConfig
+	LenMin uint16    `json:"len_min"`
+	LenMax uint16    `json:"len_max"`
+	GapMin uint32    `json:"gap_min"`
+	GapMax uint32    `json:"gap_max"`
+	Dst    DstConfig `json:"-"`
 	// RandomPhase desynchronizes multiple generators by drawing the
 	// first emission offset from [0, len+gap).
-	RandomPhase bool
+	RandomPhase bool `json:"random_phase,omitempty"`
 }
 
 // Uniform is the paper's uniform traffic model.
@@ -251,11 +258,12 @@ func (u *Uniform) SkipSteps(n uint64) {
 // of the TG's parameter registers.
 type BurstConfig struct {
 	// POffOn is the per-cycle probability of leaving OFF.
-	POffOn uint16
+	POffOn uint16 `json:"p_off_on"`
 	// POnOff is the per-packet probability of ending the burst.
-	POnOff         uint16
-	LenMin, LenMax uint16
-	Dst            DstConfig
+	POnOff uint16    `json:"p_on_off"`
+	LenMin uint16    `json:"len_min"`
+	LenMax uint16    `json:"len_max"`
+	Dst    DstConfig `json:"-"`
 }
 
 // Burst is the paper's burst traffic model.
@@ -351,9 +359,10 @@ func (cfg BurstConfig) MeanLoad() float64 {
 // Poisson process.
 type PoissonConfig struct {
 	// Lambda is the per-cycle packet creation probability in Q16.
-	Lambda         uint16
-	LenMin, LenMax uint16
-	Dst            DstConfig
+	Lambda uint16    `json:"lambda"`
+	LenMin uint16    `json:"len_min"`
+	LenMax uint16    `json:"len_max"`
+	Dst    DstConfig `json:"-"`
 }
 
 // Poisson is a Poisson-arrivals traffic model.

@@ -22,26 +22,17 @@ type WorkloadEnv struct {
 	Seed      uint32
 }
 
-// EndpointTraffic is one source's generated traffic configuration:
-// exactly one model config is set, mirroring platform.TGSpec without
-// importing it (platform depends on traffic, not the reverse).
-type EndpointTraffic struct {
-	Model   string
-	Uniform *UniformConfig
-	Flow    *FlowConfig
-	Incast  *IncastConfig
-}
-
 // Workload is a registered traffic recipe: given the endpoint lists it
-// emits one EndpointTraffic per source. Registering a workload makes
-// it selectable from JSON configs and the -wl CLI flag.
+// emits one Config per source (nil for a pure script source).
+// Registering a workload makes it selectable from JSON configs and the
+// -wl CLI flag.
 type Workload struct {
 	// Kind is the registry key ("uniform", "hotspot", ...).
 	Kind string
 	// Summary is a one-line description for docs and flag help.
 	Summary string
 	// Build emits the per-source traffic configurations.
-	Build func(env WorkloadEnv) ([]EndpointTraffic, error)
+	Build func(env WorkloadEnv) ([]Config, error)
 }
 
 var workloads = map[string]Workload{}
@@ -122,20 +113,17 @@ func init() {
 	RegisterWorkload(Workload{
 		Kind:    "uniform",
 		Summary: "uniform random: every source sends fixed-length packets to uniformly drawn other sinks",
-		Build: func(env WorkloadEnv) ([]EndpointTraffic, error) {
+		Build: func(env WorkloadEnv) ([]Config, error) {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
-			out := make([]EndpointTraffic, len(env.Sources))
+			out := make([]Config, len(env.Sources))
 			for i := range env.Sources {
-				out[i] = EndpointTraffic{
-					Model: "uniform",
-					Uniform: &UniformConfig{
-						LenMin: env.PacketLen, LenMax: env.PacketLen,
-						GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
-						Dst:         DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
-						RandomPhase: true,
-					},
+				out[i] = &UniformConfig{
+					LenMin: env.PacketLen, LenMax: env.PacketLen,
+					GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
+					Dst:         DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
+					RandomPhase: true,
 				}
 			}
 			return out, nil
@@ -144,26 +132,23 @@ func init() {
 	RegisterWorkload(Workload{
 		Kind:    "hotspot",
 		Summary: "uniform background with 25% of traffic converging on one seed-picked victim sink",
-		Build: func(env WorkloadEnv) ([]EndpointTraffic, error) {
+		Build: func(env WorkloadEnv) ([]Config, error) {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
 			hot := env.Sinks[int(env.Seed)%len(env.Sinks)]
-			out := make([]EndpointTraffic, len(env.Sources))
+			out := make([]Config, len(env.Sources))
 			for i := range env.Sources {
-				out[i] = EndpointTraffic{
-					Model: "uniform",
-					Uniform: &UniformConfig{
-						LenMin: env.PacketLen, LenMax: env.PacketLen,
-						GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
-						Dst: DstConfig{
-							Policy: DstHotspot,
-							Dsts:   otherSinks(env, i),
-							Hot:    []flit.EndpointID{hot},
-							HotQ16: 16384, // 25% of draws hit the victim
-						},
-						RandomPhase: true,
+				out[i] = &UniformConfig{
+					LenMin: env.PacketLen, LenMax: env.PacketLen,
+					GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
+					Dst: DstConfig{
+						Policy: DstHotspot,
+						Dsts:   otherSinks(env, i),
+						Hot:    []flit.EndpointID{hot},
+						HotQ16: 16384, // 25% of draws hit the victim
 					},
+					RandomPhase: true,
 				}
 			}
 			return out, nil
@@ -172,7 +157,7 @@ func init() {
 	RegisterWorkload(Workload{
 		Kind:    "incast",
 		Summary: "synchronized many-to-one waves: all sources burst 8 packets at the same rotating victim each epoch",
-		Build: func(env WorkloadEnv) ([]EndpointTraffic, error) {
+		Build: func(env WorkloadEnv) ([]Config, error) {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
@@ -184,16 +169,13 @@ func init() {
 			if epoch < 1 {
 				epoch = 1
 			}
-			out := make([]EndpointTraffic, len(env.Sources))
+			out := make([]Config, len(env.Sources))
 			for i := range env.Sources {
-				out[i] = EndpointTraffic{
-					Model: "incast",
-					Incast: &IncastConfig{
-						Epoch:          epoch,
-						PacketsPerWave: packetsPerWave,
-						LenMin:         env.PacketLen, LenMax: env.PacketLen,
-						Dst: DstConfig{Policy: DstRoundRobin, Dsts: env.Sinks},
-					},
+				out[i] = &IncastConfig{
+					Epoch:          epoch,
+					PacketsPerWave: packetsPerWave,
+					LenMin:         env.PacketLen, LenMax: env.PacketLen,
+					Dst: DstConfig{Policy: DstRoundRobin, Dsts: env.Sinks},
 				}
 			}
 			return out, nil
@@ -202,7 +184,7 @@ func init() {
 	RegisterWorkload(Workload{
 		Kind:    "flows",
 		Summary: "flow-based arrivals with bounded-Pareto (heavy-tailed) flow sizes, 1-64 packets",
-		Build: func(env WorkloadEnv) ([]EndpointTraffic, error) {
+		Build: func(env WorkloadEnv) ([]Config, error) {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
@@ -223,16 +205,13 @@ func init() {
 					arrival = 0xFFFF
 				}
 			}
-			out := make([]EndpointTraffic, len(env.Sources))
+			out := make([]Config, len(env.Sources))
 			for i := range env.Sources {
-				out[i] = EndpointTraffic{
-					Model: "flow",
-					Flow: &FlowConfig{
-						ArrivalQ16: uint16(arrival),
-						SizeMin:    sizeMin, SizeMax: sizeMax,
-						LenMin: env.PacketLen, LenMax: env.PacketLen,
-						Dst: DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
-					},
+				out[i] = &FlowConfig{
+					ArrivalQ16: uint16(arrival),
+					SizeMin:    sizeMin, SizeMax: sizeMax,
+					LenMin: env.PacketLen, LenMax: env.PacketLen,
+					Dst: DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
 				}
 			}
 			return out, nil

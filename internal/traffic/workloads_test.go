@@ -48,25 +48,17 @@ func TestWorkloadsEmitValidConfigs(t *testing.T) {
 					t.Fatalf("%s n=%d: %d specs", w.Kind, n, len(specs))
 				}
 				for i, s := range specs {
-					models := 0
-					if s.Uniform != nil {
-						models++
-					}
-					if s.Flow != nil {
-						models++
-					}
-					if s.Incast != nil {
-						models++
-					}
 					// The script workload is config-free by design:
 					// its traffic arrives via ScriptGen.Append at run
 					// time.
-					wantModels := 1
-					if s.Model == "script" {
-						wantModels = 0
+					if s == nil {
+						if w.Kind != "script" {
+							t.Fatalf("%s source %d: no model config", w.Kind, i)
+						}
+						continue
 					}
-					if models != wantModels || s.Model == "" {
-						t.Fatalf("%s source %d: %d model configs (model %q)", w.Kind, i, models, s.Model)
+					if _, err := s.New(); err != nil {
+						t.Fatalf("%s source %d: %s config does not build: %v", w.Kind, i, s.Model(), err)
 					}
 				}
 			}
@@ -92,17 +84,18 @@ func TestHotspotVictimIsSeedControlled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := func(specs []EndpointTraffic) flit.EndpointID {
-		hot := specs[0].Uniform.Dst.Hot
+	victim := func(specs []Config) flit.EndpointID {
+		hot := specs[0].(*UniformConfig).Dst.Hot
 		if len(hot) != 1 {
 			t.Fatalf("hot set %v", hot)
 		}
 		for _, s := range specs {
-			if len(s.Uniform.Dst.Hot) != 1 || s.Uniform.Dst.Hot[0] != hot[0] {
+			dst := s.(*UniformConfig).Dst
+			if len(dst.Hot) != 1 || dst.Hot[0] != hot[0] {
 				t.Fatal("sources disagree on the victim")
 			}
-			if s.Uniform.Dst.HotQ16 != 16384 {
-				t.Fatalf("HotQ16 = %d", s.Uniform.Dst.HotQ16)
+			if dst.HotQ16 != 16384 {
+				t.Fatalf("HotQ16 = %d", dst.HotQ16)
 			}
 		}
 		return hot[0]
@@ -120,9 +113,9 @@ func TestIncastWaveSynchronization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := specs[0].Incast
+	first := specs[0].(*IncastConfig)
 	for i, s := range specs {
-		c := s.Incast
+		c := s.(*IncastConfig)
 		if c.Epoch != first.Epoch || c.Offset != first.Offset ||
 			c.PacketsPerWave != first.PacketsPerWave {
 			t.Fatalf("source %d wave schedule differs", i)
@@ -141,7 +134,7 @@ func TestFlowsArrivalSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := specs[0].Flow.ArrivalQ16; got != 0xFFFF {
+	if got := specs[0].(*FlowConfig).ArrivalQ16; got != 0xFFFF {
 		t.Errorf("ArrivalQ16 at injection 1.0 = %d, want 65535", got)
 	}
 }

@@ -116,7 +116,8 @@ const (
 // MakeAddr assembles a bus register address.
 func MakeAddr(busNo, dev, reg uint32) Addr { return bus.MakeAddr(busNo, dev, reg) }
 
-// Traffic model configuration types.
+// Traffic model configuration types: a TGSpec's Gen holds a pointer to
+// one of the model configs (&UniformConfig{...}, &TraceConfig{...}).
 type (
 	// UniformConfig parameterizes the uniform traffic model.
 	UniformConfig = traffic.UniformConfig
@@ -128,22 +129,14 @@ type (
 	FlowConfig = traffic.FlowConfig
 	// IncastConfig parameterizes synchronized many-to-one waves.
 	IncastConfig = traffic.IncastConfig
+	// TraceConfig replays a recorded trace.
+	TraceConfig = traffic.TraceConfig
 	// DstConfig selects packet destinations.
 	DstConfig = traffic.DstConfig
 	// BurstTraceConfig shapes a synthetic burst trace.
 	BurstTraceConfig = trace.BurstConfig
 	// CBRTraceConfig shapes a synthetic constant-bit-rate trace.
 	CBRTraceConfig = trace.CBRConfig
-)
-
-// Traffic generator model names for TGSpec.Model.
-const (
-	ModelUniform = platform.ModelUniform
-	ModelBurst   = platform.ModelBurst
-	ModelPoisson = platform.ModelPoisson
-	ModelFlow    = platform.ModelFlow
-	ModelIncast  = platform.ModelIncast
-	ModelTrace   = platform.ModelTrace
 )
 
 // Receptor modes for TRSpec.Mode.
@@ -242,10 +235,6 @@ var (
 // generator and one receptor per topology terminal, with the traffic
 // models derived from the named workload recipe (see TOPOLOGIES.md).
 func NetConfig(o NetOptions) (Config, error) { return platform.NetConfig(o) }
-
-// MeshConfig returns a classic mesh/torus platform configuration with
-// uniform random traffic — a thin wrapper over NetConfig.
-func MeshConfig(o platform.MeshOptions) (Config, error) { return platform.MeshConfig(o) }
 
 // Design-space exploration: the fork-amortized sweep engine behind
 // cmd/nocsweep (see DESIGN.md §15).

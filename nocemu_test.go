@@ -89,8 +89,8 @@ func TestFacadeCustomPlatform(t *testing.T) {
 		Name:     "ring-demo",
 		Topology: topo,
 		TGs: []nocemu.TGSpec{{
-			Endpoint: 0, Model: nocemu.ModelPoisson, Limit: 50,
-			Poisson: &nocemu.PoissonConfig{
+			Endpoint: 0, Limit: 50,
+			Gen: &nocemu.PoissonConfig{
 				Lambda: 6554, LenMin: 2, LenMax: 6,
 				Dst: nocemu.DstConfig{Policy: nocemu.DstFixed, Dsts: []nocemu.EndpointID{100}},
 			},
