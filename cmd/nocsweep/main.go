@@ -9,12 +9,13 @@
 //	nocsweep -config sweep.json -journal sweep.journal   # resumable
 //
 // With -journal, completed points stream to the journal as they land
-// and a killed sweep continues where it stopped; with -cache, warmed
-// platform snapshots persist so resumed sweeps skip warm-up too. The
-// canonical results (key-sorted JSONL) go to -out (default stdout);
-// the front goes to -pareto when given. A summary line lands on
-// stderr: grid size, evaluated/resumed/pruned points, front size,
-// points per minute.
+// and a killed sweep continues where it stopped (a journal belongs to
+// one sweep configuration); with -cache, warmed platform snapshots
+// persist under a key of everything their state depends on, so later
+// sweeps skip warm-up too. The canonical results (key-sorted JSONL) go
+// to -out (default stdout); the front goes to -pareto when given. A
+// summary line lands on stderr: grid size, evaluated/resumed/pruned
+// points, front size, points per minute.
 package main
 
 import (
@@ -46,8 +47,8 @@ func main() {
 		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers (0 = sequential)")
 		search  = flag.String("search", "", "search mode: grid or pareto")
 		objs    = flag.String("objectives", "", "comma-separated Pareto objectives (latency, throughput, area)")
-		journal = flag.String("journal", "", "JSONL journal for streaming results and resuming killed sweeps")
-		cache   = flag.String("cache", "", "directory for warmed .nocsnap snapshots keyed by structural point")
+		journal = flag.String("journal", "", "JSONL journal for streaming results and resuming killed sweeps; belongs to one sweep configuration (rows are matched by key: another -warm/-cycles is an error, another -seed or packet length cannot be detected)")
+		cache   = flag.String("cache", "", "directory for warmed .nocsnap snapshots, keyed by the whole warmed state (point, seeds, packet length, fault specs, warm-up); sweeps may share it")
 		out     = flag.String("out", "", "canonical key-sorted results JSONL (default stdout)")
 		pareto  = flag.String("pareto", "", "write the aggregated Pareto front as JSONL to this file")
 		quiet   = flag.Bool("q", false, "suppress per-point progress lines")

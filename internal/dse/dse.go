@@ -13,9 +13,9 @@
 //     (Config.PlatformWorkers).
 //  2. Build/warm-start amortization: each structural point is built and
 //     warmed up once; its seed replicates are cloned with Platform.Fork
-//     from the warmed snapshot, and the snapshot is cached per
-//     structural key so a resumed or repeated sweep skips construction
-//     and warm-up entirely.
+//     from the warmed snapshot, and the snapshot is stored under the
+//     key of the warmed state (platform.SnapStore) so a resumed or
+//     repeated sweep skips the warm-up.
 //  3. Pareto pruning: the "pareto" search mode expands lattice
 //     neighbours of the current non-dominated front instead of gridding
 //     exhaustively, evaluating a fraction of the full grid while
@@ -23,8 +23,9 @@
 //
 // Every row is a pure function of the sweep configuration — platform
 // runs are bit-identical across kernel configurations, fork replicates
-// reproduce cold-built twins exactly — so sweep results are
-// deterministic for any worker count and any warm/cold/cached mix.
+// reproduce cold-built twins exactly, a stored snapshot is reused only
+// under a key naming everything its state depends on — so sweep results
+// are deterministic for any worker count and any warm/cold/cached mix.
 package dse
 
 import (
@@ -120,11 +121,15 @@ type Config struct {
 	ColdBuild bool
 	// Journal, when non-empty, appends every completed row to this JSONL
 	// file as it lands and, on start, skips points whose rows are
-	// already journaled — a killed sweep resumes where it stopped.
+	// already journaled — a killed sweep resumes where it stopped. A
+	// journal belongs to one sweep configuration: a row recording
+	// another warm-up or measure length fails the sweep, but seed and
+	// packet length are not in the row format and cannot be checked.
 	Journal string
-	// CacheDir, when non-empty, persists one warmed .nocsnap per
-	// structural key so resumed or repeated sweeps skip construction
-	// warm-up too. Snapshots are always cached in memory within a sweep.
+	// CacheDir, when non-empty, persists one warmed .nocsnap per warmed
+	// state so resumed or repeated sweeps skip the warm-up too; sweeps
+	// of different configurations may share it. Snapshots are always
+	// stored in memory within a sweep.
 	CacheDir string
 	// StopAfterPoints stops dispatching after that many structural
 	// points have been evaluated (0 = run to completion) — the testing
@@ -319,9 +324,10 @@ func formatInj(inj float64) string {
 	return strconv.FormatFloat(inj, 'g', -1, 64)
 }
 
-// StructKey is the canonical identifier of a structural point — the
-// snapshot-cache and journal key prefix. Two sweeps with equal axes
-// values produce equal keys regardless of axis ordering.
+// StructKey labels a structural point in rows, journals and logs. It
+// names the axes values only — not the seeds, packet length, warm-up or
+// fault specs the point's state also depends on — so it is a label
+// within one sweep configuration, never a cache key (see stateKey).
 func (c *Config) StructKey(p Point) string {
 	return fmt.Sprintf("topo=%s|wl=%s|depth=%d|inj=%s|fault=%s",
 		c.Axes.Topos[p.Topo].String(),
@@ -336,12 +342,9 @@ func (c *Config) RowKey(p Point, fork int) string {
 	return fmt.Sprintf("%s|fork=%d", c.StructKey(p), fork)
 }
 
-// platformConfig lowers a structural point into a buildable platform
-// configuration: the zoo builder resolves topology and workload, the
-// depth axis overrides the switch buffer depth, and every receptor is
-// switched to trace-driven analysis so the sweep observes net latency.
-func (c *Config) platformConfig(p Point) (platform.Config, error) {
-	cfg, err := platform.NetConfig(platform.NetOptions{
+// netOptions is the zoo-builder half of a structural point.
+func (c *Config) netOptions(p Point) platform.NetOptions {
+	return platform.NetOptions{
 		Topo:         c.Axes.Topos[p.Topo],
 		Workload:     c.Axes.Workloads[p.Workload],
 		Injection:    c.Axes.Injections[p.Inj],
@@ -349,7 +352,24 @@ func (c *Config) platformConfig(p Point) (platform.Config, error) {
 		Seed:         c.Seed,
 		WorkloadSeed: c.WorkloadSeed,
 		Workers:      c.PlatformWorkers,
-	})
+	}
+}
+
+// stateKey identifies the point's warmed state in the snapshot store:
+// the key of what NetConfig lowers plus what platformConfig and the
+// evaluator apply after it — buffer depth, the campaign's fault specs
+// (a name may be reused over other specs) and the warm-up length.
+func (c *Config) stateKey(p Point) string {
+	return fmt.Sprintf("dse|%s|depth=%d|faults=%+v|warmup=%d", c.netOptions(p).Key(),
+		c.Axes.BufDepths[p.Depth], c.Axes.Faults[p.Fault].Specs, c.WarmupCycles)
+}
+
+// platformConfig lowers a structural point into a buildable platform
+// configuration: the zoo builder resolves topology and workload, the
+// depth axis overrides the switch buffer depth, and every receptor is
+// switched to trace-driven analysis so the sweep observes net latency.
+func (c *Config) platformConfig(p Point) (platform.Config, error) {
+	cfg, err := platform.NetConfig(c.netOptions(p))
 	if err != nil {
 		return platform.Config{}, err
 	}

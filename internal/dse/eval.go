@@ -1,98 +1,14 @@
 package dse
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-
 	"nocemu/internal/platform"
 	"nocemu/internal/resource"
 )
 
-// SnapCache holds one warmed-up platform snapshot per structural key.
-// It lives in memory; with a cache directory every snapshot is also
-// persisted as <fnv64(key)>.nocsnap so a resumed or repeated run skips
-// construction warm-up. Disk entries are written atomically (tmp +
-// rename) so a killed process never leaves a torn snapshot behind.
-// Exported because the co-simulation server (internal/serve) shares it
-// for warm session starts.
-type SnapCache struct {
-	dir string
-	mu  sync.Mutex
-	mem map[string][]byte
-	// hits counts warm-up skips served from the cache.
-	hits int
-}
-
-// NewSnapCache builds a snapshot cache; dir may be empty for a
-// memory-only cache.
-func NewSnapCache(dir string) *SnapCache {
-	return &SnapCache{dir: dir, mem: map[string][]byte{}}
-}
-
-// path maps a structural key to its cache file. Keys hold characters
-// unfit for filenames, so the name is the FNV-1a 64 hash of the key.
-func (c *SnapCache) path(key string) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return filepath.Join(c.dir, fmt.Sprintf("%016x.nocsnap", h))
-}
-
-func (c *SnapCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.mem[key]; ok {
-		c.hits++
-		return b, true
-	}
-	if c.dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	c.mem[key] = b
-	c.hits++
-	return b, true
-}
-
-func (c *SnapCache) Put(key string, snap []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mem[key] = snap
-	if c.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return // cache is best-effort; the sweep stays correct without it
-	}
-	path := c.path(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, path)
-}
-
-func (c *SnapCache) HitCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
 // evaluator runs structural points into result rows.
 type evaluator struct {
 	cfg   *Config
-	cache *SnapCache
+	store *platform.SnapStore
 }
 
 // errorRows marks every fork of a failed point with the same error so
@@ -145,10 +61,10 @@ func (e *evaluator) build(p Point) (*platform.Platform, error) {
 // evalPoint evaluates all forks of one structural point and returns one
 // row per fork, in fork order.
 //
-// Warm path (the default): build once, reach the warmed post-reset
-// state — restored from the snapshot cache when present, otherwise by
-// running the warm-up and caching the snapshot — then clone the state
-// with Platform.Fork so every replicate pays only its measure window.
+// Warm path (the default): one platform reaches the warmed post-reset
+// state through the snapshot store (restored when stored, otherwise
+// warmed and stored), then Platform.Fork clones it so every replicate
+// pays only its measure window.
 //
 // Cold path (ColdBuild): every fork builds its own platform and replays
 // the warm-up, reseeding at the fork cycle exactly as Fork does — the
@@ -157,25 +73,12 @@ func (e *evaluator) evalPoint(p Point) []Row {
 	if e.cfg.ColdBuild {
 		return e.evalPointCold(p)
 	}
-	src, err := e.build(p)
+	src, err := e.store.Warm(e.cfg.stateKey(p), e.cfg.WarmupCycles,
+		func() (*platform.Platform, error) { return e.build(p) })
 	if err != nil {
 		return e.errorRows(p, err)
 	}
 	defer src.Close()
-	key := e.cfg.StructKey(p)
-	if snap, ok := e.cache.Get(key); ok {
-		if err := src.RestoreBytes(snap); err != nil {
-			// A stale or foreign cache entry must not poison the sweep:
-			// rebuild and warm up from scratch.
-			src.Close()
-			if src, err = e.build(p); err != nil {
-				return e.errorRows(p, err)
-			}
-			e.warmAndCache(src, key)
-		}
-	} else {
-		e.warmAndCache(src, key)
-	}
 	area := areaSlices(src)
 	if e.cfg.Forks == 1 {
 		// Fork 0 is an exact continuation of the warmed state; with a
@@ -192,16 +95,6 @@ func (e *evaluator) evalPoint(p Point) []Row {
 		f.Close()
 	}
 	return rows
-}
-
-// warmAndCache runs the warm-up, excludes it from statistics, and
-// caches the resulting snapshot under the structural key.
-func (e *evaluator) warmAndCache(src *platform.Platform, key string) {
-	src.RunCycles(e.cfg.WarmupCycles)
-	src.ResetStats()
-	if snap, err := src.SnapshotBytes(); err == nil {
-		e.cache.Put(key, snap)
-	}
 }
 
 // evalPointCold is the amortization-free path: per fork, a cold build

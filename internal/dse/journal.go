@@ -2,6 +2,7 @@ package dse
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 )
@@ -17,24 +18,27 @@ type journal struct {
 	rows map[string]Row // every journaled row by key
 }
 
-// openJournal loads an existing journal (if any) and opens it for
-// appending. A missing file starts an empty journal.
-func openJournal(path string) (*journal, error) {
+// openJournal loads the sweep's existing journal (if any) and opens it
+// for appending. A missing file starts an empty journal. Rows are later
+// adopted by RowKey alone, so one recorded under another warm-up or
+// measure length — all the row format shows of the configuration — is
+// an error.
+func openJournal(cfg *Config) (*journal, error) {
 	j := &journal{rows: map[string]Row{}}
+	path := cfg.Journal
 	if path == "" {
 		return j, nil
 	}
-	if f, err := os.Open(path); err == nil {
-		rows, rerr := ReadRows(f)
-		f.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-		for _, r := range rows {
-			j.rows[r.Key] = r
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	rows, err := LoadJournal(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
+	}
+	for _, r := range rows {
+		if r.WarmupCycles != cfg.WarmupCycles || r.MeasureCycles != cfg.MeasureCycles {
+			return nil, fmt.Errorf("dse: journal %s: row %s has warmup_cycles=%d measure_cycles=%d, the sweep has %d and %d (a journal belongs to one sweep configuration)",
+				path, r.Key, r.WarmupCycles, r.MeasureCycles, cfg.WarmupCycles, cfg.MeasureCycles)
+		}
+		j.rows[r.Key] = r
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -88,17 +92,6 @@ func (j *journal) get(key string) (Row, bool) {
 	defer j.mu.Unlock()
 	r, ok := j.rows[key]
 	return r, ok
-}
-
-// all returns every journaled row, unsorted.
-func (j *journal) all() []Row {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Row, 0, len(j.rows))
-	for _, r := range j.rows {
-		out = append(out, r)
-	}
-	return out
 }
 
 func (j *journal) close() error {

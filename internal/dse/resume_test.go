@@ -2,9 +2,17 @@ package dse
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"nocemu/internal/fault"
+	"nocemu/internal/link"
+	"nocemu/internal/platform"
+	"nocemu/internal/topology"
 )
 
 // TestSweepResume checks the resumability acceptance criterion: a
@@ -80,6 +88,17 @@ func TestSweepResume(t *testing.T) {
 	if !bytes.Equal(marshalRows(t, tRes.Rows), want) {
 		t.Fatal("journal-only rerun differs from the uninterrupted run")
 	}
+
+	// A journal belongs to one sweep configuration: rows are adopted by
+	// key, so a sweep that disagrees with a recorded field must fail
+	// rather than emit the other configuration's rows.
+	fourth := tinySweep()
+	fourth.Journal = journal
+	fourth.MeasureCycles = 500
+	if _, err := Sweep(fourth); err == nil ||
+		!strings.Contains(err.Error(), "measure_cycles=400") || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("sweep over a journal of another measure length: err = %v, want both values named", err)
+	}
 }
 
 // TestSnapshotCacheResume checks the cache actually short-circuits the
@@ -145,4 +164,129 @@ func TestSnapshotCacheCorruptEntry(t *testing.T) {
 	if !bytes.Equal(marshalRows(t, fRes.Rows), marshalRows(t, sRes.Rows)) {
 		t.Fatal("sweep rows changed after cache corruption")
 	}
+}
+
+// TestSnapshotCacheKeyedByState pins the cache key against the stale
+// hit: two sweeps share one cache directory and differ in exactly one
+// input the warmed state depends on but the row label (StructKey) does
+// not name. The second sweep must miss on every point and produce the
+// rows of a cache-less sweep of its own configuration.
+func TestSnapshotCacheKeyedByState(t *testing.T) {
+	base := func() Config {
+		return Config{
+			Axes: Axes{
+				Topos:      []topology.Spec{{Kind: "mesh", Param: map[string]int{"w": 3, "h": 3}}},
+				Injections: []float64{0.2},
+				Faults: []FaultCampaign{{Name: "f", Specs: []fault.Spec{
+					{Link: 0, Mode: link.FaultStuck, From: 100, Until: 200},
+				}}},
+			},
+			Forks:         2,
+			WarmupCycles:  300,
+			MeasureCycles: 300,
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"Seed", func(c *Config) { c.Seed = 2 }},
+		{"WorkloadSeed", func(c *Config) { c.WorkloadSeed = 2 }},
+		{"PacketLen", func(c *Config) { c.PacketLen = 6 }},
+		{"WarmupCycles", func(c *Config) { c.WarmupCycles = 500 }},
+		{"FaultSpecs", func(c *Config) { c.Axes.Faults[0].Specs[0].Until = 290 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := t.TempDir()
+			first := base()
+			first.CacheDir = cache
+			if _, err := Sweep(first); err != nil {
+				t.Fatal(err)
+			}
+			second := base()
+			tc.mutate(&second)
+			fresh, err := Sweep(second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second.CacheDir = cache
+			cached, err := Sweep(second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached.CacheHits != 0 {
+				t.Errorf("sweep differing in %s hit the other sweep's snapshots %d times", tc.name, cached.CacheHits)
+			}
+			if !bytes.Equal(marshalRows(t, cached.Rows), marshalRows(t, fresh.Rows)) {
+				t.Errorf("sweep differing in %s: rows with a shared cache differ from a cache-less sweep", tc.name)
+			}
+		})
+	}
+}
+
+// perturb changes a settable value to a different one of its type.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.125)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Struct:
+		perturb(t, v.Field(0))
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(io.Discard))
+	default:
+		t.Fatalf("perturb: unhandled kind %s", v.Kind())
+	}
+}
+
+// TestCacheKeyCompleteness keeps the cache key from rotting: every
+// field of platform.NetOptions and every non-axis field of Config must
+// move the key, unless it is listed here as state-neutral. A field
+// added later fails this test until someone classifies it.
+func TestCacheKeyCompleteness(t *testing.T) {
+	neutral := map[string]bool{
+		// the kernel: snapshots restore into any
+		"Workers": true, "NoGate": true, "PlatformWorkers": true,
+		// applied after the warmed state is reached
+		"Forks": true, "MeasureCycles": true,
+		// what is visited and reported, not what a point's state is
+		"Search": true, "Objectives": true, "StopAfterPoints": true, "Log": true, "Name": true,
+		// where results and snapshots go; ColdBuild bypasses the store
+		"Journal": true, "CacheDir": true, "ColdBuild": true,
+	}
+	check := func(typ reflect.Type, key func(mutate func(reflect.Value)) string) {
+		want := key(func(reflect.Value) {})
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if name == "Axes" {
+				continue // the axes are the point; TestSnapshotCacheKeyedByState covers specs
+			}
+			got := key(func(v reflect.Value) { perturb(t, v.Field(i)) })
+			if moved := got != want; moved == neutral[name] {
+				t.Errorf("%s.%s: key moved = %v, state-neutral = %v", typ.Name(), name, moved, neutral[name])
+			}
+		}
+	}
+	check(reflect.TypeOf(platform.NetOptions{}), func(mutate func(reflect.Value)) string {
+		var o platform.NetOptions
+		mutate(reflect.ValueOf(&o).Elem())
+		return o.Key()
+	})
+	check(reflect.TypeOf(Config{}), func(mutate func(reflect.Value)) string {
+		c := tinySweep()
+		c.applyDefaults()
+		mutate(reflect.ValueOf(&c).Elem())
+		return c.stateKey(Point{})
+	})
 }

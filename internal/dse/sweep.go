@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"nocemu/internal/platform"
 )
 
 // Result is a completed sweep: the canonical key-sorted row set, the
@@ -49,7 +51,7 @@ func Sweep(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournal(cfg.Journal)
+	jnl, err := openJournal(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +60,7 @@ func Sweep(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg:  &cfg,
 		objs: objs,
-		eval: &evaluator{cfg: &cfg, cache: NewSnapCache(cfg.CacheDir)},
+		eval: &evaluator{cfg: &cfg, store: platform.NewSnapStore(cfg.CacheDir)},
 		jnl:  jnl,
 	}
 	start := time.Now()
@@ -77,7 +79,7 @@ func Sweep(cfg Config) (*Result, error) {
 		GridSize:  cfg.Axes.GridSize(),
 		Evaluated: r.evaluated,
 		Resumed:   r.resumed,
-		CacheHits: r.eval.cache.HitCount(),
+		CacheHits: r.eval.store.Hits(),
 		Stopped:   r.stopped,
 		Elapsed:   elapsed,
 	}

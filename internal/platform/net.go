@@ -51,6 +51,17 @@ func (o *NetOptions) applyDefaults() {
 	}
 }
 
+// Key identifies the state NetConfig's platform reaches: the defaulted
+// options with the kernel selection zeroed, since snapshots restore
+// into any kernel and nothing else here is state-neutral. Printing the
+// whole struct keeps the key complete as fields are added. A caller
+// appends what it patches onto the lowered Config afterwards.
+func (o NetOptions) Key() string {
+	o.applyDefaults()
+	o.Workers, o.NoGate = 0, false
+	return fmt.Sprintf("%+v", o)
+}
+
 // NetConfig builds the configuration of a platform with one traffic
 // generator and one receptor per topology terminal: the topology spec
 // resolves through the generator registry (terminal placement and

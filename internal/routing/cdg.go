@@ -35,12 +35,16 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 
 	// Feasible-state BFS per sink. State = (switch, inCh); inCh -1 means
 	// the packet is at its injection switch.
-	n := topo.NumSwitches()
 	for _, sink := range topo.Sinks() {
-		// stateSeen[sw*(nCh+1) + (inCh+1)] marks visited states.
-		stateSeen := make([]bool, (n+1)*(nCh+1))
+		// A channel determines its downstream switch, so in-network
+		// states are marked by channel alone and injection states by
+		// switch, behind the channels.
+		stateSeen := make([]bool, nCh+topo.NumSwitches())
 		stateKey := func(sw topology.NodeID, inCh int) int {
-			return int(sw)*(nCh+1) + inCh + 1
+			if inCh < 0 {
+				return nCh + int(sw)
+			}
+			return inCh
 		}
 		type state struct {
 			sw   topology.NodeID

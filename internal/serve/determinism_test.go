@@ -76,6 +76,28 @@ func TestWarmColdStartsMatch(t *testing.T) {
 	}
 }
 
+// TestWarmSnapshotSharedAcrossKernels: the warm-snapshot key names the
+// state, not the kernel — snapshots restore into any — so opens that
+// differ only in workers/no_gate share the first one's warm-up.
+func TestWarmSnapshotSharedAcrossKernels(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Shutdown()
+	base := runScript(m, sessionScript("k", loadedPlatform(0, false, 128), 2))
+	for _, k := range []struct {
+		workers int
+		noGate  bool
+	}{{4, false}, {0, true}} {
+		hits := m.Stats().WarmHits
+		got := runScript(m, sessionScript("k", loadedPlatform(k.workers, k.noGate, 128), 2))
+		if !bytes.Equal(got, base) {
+			t.Errorf("workers=%d no_gate=%v: transcript differs from the sequential gated one", k.workers, k.noGate)
+		}
+		if after := m.Stats().WarmHits; after != hits+1 {
+			t.Errorf("workers=%d no_gate=%v: warm hits %d -> %d, want one more", k.workers, k.noGate, hits, after)
+		}
+	}
+}
+
 // TestParkResumeAcrossRestart splits the canonical script at its park
 // boundary: the first half runs on one manager which then shuts down
 // (parking to disk), the second half on a fresh manager pointed at

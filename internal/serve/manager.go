@@ -13,12 +13,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"nocemu/internal/dse"
 	"nocemu/internal/jsonio"
 	"nocemu/internal/platform"
 )
@@ -29,7 +26,7 @@ type Options struct {
 	// recently used session is parked automatically (default 64).
 	MaxSessions int
 	// PoolPerKey is how many idle platforms the pool retains per
-	// structural key (default 2).
+	// pool key — state plus kernel (default 2).
 	PoolPerKey int
 	// CacheDir persists warm-up snapshots ("" = in-memory cache only).
 	CacheDir string
@@ -51,32 +48,26 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// parked is a session snapshotted out of its platform.
-type parked struct {
-	sp    jsonio.ServePlatform
-	key   string
-	snap  []byte
-	cycle uint64
-}
-
-// parkMeta is the on-disk header beside a parked snapshot.
+// parkMeta is the park store's header entry beside a parked snapshot.
 type parkMeta struct {
 	Sid      string               `json:"sid"`
 	Platform jsonio.ServePlatform `json:"platform"`
 	Cycle    uint64               `json:"cycle"`
 }
 
-// Manager owns every session, the platform pool and the warm cache.
+// Manager owns every session, the platform pool, the warm-snapshot
+// store and the park store.
 type Manager struct {
 	opt   Options
-	cache *dse.SnapCache
+	cache *platform.SnapStore
+	park  *platform.SnapStore // two entries per parked session
 	sem   chan struct{}
 
 	mu       sync.Mutex
 	closed   bool
 	wg       sync.WaitGroup // in-flight dispatches; Add under mu after the closed check
 	sessions map[string]*session
-	parked   map[string]*parked
+	parked   map[string]bool // sessions this process parked or failed to resume
 	pool     map[string][]*platform.Platform
 	clock    uint64 // logical op counter driving LRU eviction
 
@@ -88,9 +79,10 @@ func NewManager(opt Options) *Manager {
 	opt.applyDefaults()
 	m := &Manager{
 		opt:      opt,
-		cache:    dse.NewSnapCache(opt.CacheDir),
+		cache:    platform.NewSnapStore(opt.CacheDir),
+		park:     platform.NewSnapStore(opt.ParkDir),
 		sessions: map[string]*session{},
-		parked:   map[string]*parked{},
+		parked:   map[string]bool{},
 		pool:     map[string][]*platform.Platform{},
 	}
 	if opt.Workers > 0 {
@@ -122,7 +114,7 @@ func (m *Manager) Stats() Stats {
 		LiveSessions:    len(m.sessions),
 		ParkedSessions:  len(m.parked),
 		PooledPlatforms: pooled,
-		WarmHits:        m.cache.HitCount(),
+		WarmHits:        m.cache.Hits(),
 		Opened:          m.nOpened,
 		Closed:          m.nClosed,
 		Parked:          m.nParked,
@@ -170,7 +162,7 @@ func (m *Manager) Dispatch(req jsonio.ServeRequest) jsonio.ServeResponse {
 // built) platform, warm it from the snapshot cache when possible.
 func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	sp := normalizePlatform(*req.Platform)
-	s := &session{id: req.Sid, sp: sp, key: structKey(sp)}
+	s := &session{id: req.Sid, sp: sp}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -180,7 +172,7 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 		resp.Err = fmt.Sprintf("serve: session %q already open", req.Sid)
 		return
 	}
-	if _, dup := m.parked[req.Sid]; dup {
+	if m.parked[req.Sid] {
 		m.mu.Unlock()
 		resp.Err = fmt.Sprintf("serve: session %q is parked (resume it)", req.Sid)
 		return
@@ -190,7 +182,7 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.sessions[req.Sid] = s
 	m.mu.Unlock()
 
-	p, err := m.warmPlatform(sp)
+	p, err := m.warmPlatform(s)
 	if err != nil {
 		m.mu.Lock()
 		delete(m.sessions, req.Sid)
@@ -216,42 +208,25 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.evictOverCap()
 }
 
-// warmPlatform acquires a platform for the description and brings it
-// to the warmed, statistics-reset state — restored from the snapshot
-// cache when a prior session already paid the warm-up, otherwise by
-// running the warm-up and caching the result for the next session.
-func (m *Manager) warmPlatform(sp jsonio.ServePlatform) (*platform.Platform, error) {
-	p, err := m.acquirePlatform(sp)
+// warmPlatform keys the session and acquires its platform in the
+// warmed, statistics-reset state: through the warm-snapshot store, so
+// only the first session of a state pays the warm-up.
+func (m *Manager) warmPlatform(s *session) (*platform.Platform, error) {
+	pool, warm, err := sessionKeys(s.sp)
 	if err != nil {
 		return nil, err
 	}
-	if sp.Warmup == 0 {
-		return p, nil
+	s.key = pool
+	acquire := func() (*platform.Platform, error) { return m.acquirePlatform(s.key, s.sp) }
+	if s.sp.Warmup == 0 {
+		return acquire()
 	}
-	wk := warmKey(sp)
-	if snap, ok := m.cache.Get(wk); ok {
-		if err := p.RestoreBytes(snap); err == nil {
-			return p, nil
-		}
-		// A stale or foreign cache entry must not poison the session:
-		// fall back to a fresh build and a replayed warm-up.
-		p.Close()
-		if p, err = buildPlatform(sp); err != nil {
-			return nil, err
-		}
-	}
-	p.RunCycles(sp.Warmup)
-	p.ResetStats()
-	if snap, err := p.SnapshotBytes(); err == nil {
-		m.cache.Put(wk, snap)
-	}
-	return p, nil
+	return m.cache.Warm(warm, s.sp.Warmup, acquire)
 }
 
-// acquirePlatform pops a pooled platform for the structural key
-// (already fully reset) or builds a new one.
-func (m *Manager) acquirePlatform(sp jsonio.ServePlatform) (*platform.Platform, error) {
-	key := structKey(sp)
+// acquirePlatform pops a pooled platform for the pool key (already
+// fully reset) or builds a new one.
+func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform) (*platform.Platform, error) {
 	m.mu.Lock()
 	if l := m.pool[key]; len(l) > 0 {
 		p := l[len(l)-1]
@@ -288,7 +263,7 @@ func (m *Manager) sessionOp(req jsonio.ServeRequest, resp *jsonio.ServeResponse)
 		m.clock++
 		s.lastOp = m.clock
 	}
-	_, isParked := m.parked[req.Sid]
+	isParked := m.parked[req.Sid]
 	m.mu.Unlock()
 	if s == nil {
 		switch {
@@ -355,17 +330,14 @@ func (m *Manager) parkLocked(s *session, evicted bool) error {
 	if err != nil {
 		return fmt.Errorf("serve: snapshot session %q: %v", s.id, err)
 	}
-	pk := &parked{sp: s.sp, key: s.key, snap: snap, cycle: s.bus.cycle()}
-	if m.opt.ParkDir != "" {
-		if err := writeParkFiles(m.opt.ParkDir, s.id, pk); err != nil {
-			return err
-		}
+	if err := m.writePark(s, snap); err != nil {
+		return err
 	}
 	p := s.p
 	s.p, s.bus = nil, nil
 	m.mu.Lock()
 	delete(m.sessions, s.id)
-	m.parked[s.id] = pk
+	m.parked[s.id] = true
 	if evicted {
 		m.nEvicted++
 	} else {
@@ -397,7 +369,7 @@ func (m *Manager) closeLocked(s *session) error {
 // closeParked discards a parked session without resuming it.
 func (m *Manager) closeParked(sid string, resp *jsonio.ServeResponse) {
 	m.mu.Lock()
-	_, ok := m.parked[sid]
+	ok := m.parked[sid]
 	delete(m.parked, sid)
 	if ok {
 		m.nClosed++
@@ -407,55 +379,48 @@ func (m *Manager) closeParked(sid string, resp *jsonio.ServeResponse) {
 		resp.Err = fmt.Sprintf("serve: unknown session %q", sid)
 		return
 	}
-	if m.opt.ParkDir != "" {
-		removeParkFiles(m.opt.ParkDir, sid)
-	}
+	m.removePark(sid)
 	resp.OK = true
 }
 
-// resume restores a parked session — from memory, or from the park
-// directory when the parking server has since restarted.
+// resume restores a parked session from the park store — its memory,
+// or the park directory when the parking server has since restarted.
 func (m *Manager) resume(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
+	s := &session{id: req.Sid}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m.mu.Lock()
 	if _, dup := m.sessions[req.Sid]; dup {
 		m.mu.Unlock()
 		resp.Err = fmt.Sprintf("serve: session %q already open", req.Sid)
 		return
 	}
-	pk := m.parked[req.Sid]
 	delete(m.parked, req.Sid)
-	m.mu.Unlock()
-	if pk == nil && m.opt.ParkDir != "" {
-		pk = readParkFiles(m.opt.ParkDir, req.Sid)
-	}
-	if pk == nil {
-		resp.Err = fmt.Sprintf("serve: no parked session %q", req.Sid)
-		return
-	}
-
-	s := &session{id: req.Sid, sp: pk.sp, key: pk.key}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m.mu.Lock()
 	m.clock++
 	s.lastOp = m.clock
 	m.sessions[req.Sid] = s
 	m.mu.Unlock()
 
+	snap, found := m.readPark(s)
 	fail := func(err error) {
 		m.mu.Lock()
 		delete(m.sessions, req.Sid)
-		// Keep the parked state so the client can retry.
-		m.parked[req.Sid] = pk
+		if found {
+			m.parked[req.Sid] = true // the entries stay, so the client can retry
+		}
 		m.mu.Unlock()
 		resp.Err = err.Error()
 	}
-	p, err := m.acquirePlatform(pk.sp)
+	if !found {
+		fail(fmt.Errorf("serve: no parked session %q", req.Sid))
+		return
+	}
+	p, err := m.acquirePlatform(s.key, s.sp)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if err := p.RestoreBytes(pk.snap); err != nil {
+	if err := p.RestoreBytes(snap); err != nil {
 		p.Close()
 		fail(fmt.Errorf("serve: restore session %q: %v", req.Sid, err))
 		return
@@ -466,9 +431,7 @@ func (m *Manager) resume(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 		fail(err)
 		return
 	}
-	if m.opt.ParkDir != "" {
-		removeParkFiles(m.opt.ParkDir, req.Sid)
-	}
+	m.removePark(req.Sid)
 	s.p, s.bus = p, bv
 	m.mu.Lock()
 	m.nResumed++
@@ -572,73 +535,50 @@ func (m *Manager) Shutdown() error {
 	return firstErr
 }
 
-// parkPath names a parked session's files. Session ids hold arbitrary
-// characters, so the stem is the FNV-1a 64 hash of the id (the meta
-// file records the id for verification).
-func parkPath(dir, sid string) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(sid); i++ {
-		h ^= uint64(sid[i])
-		h *= prime64
-	}
-	return filepath.Join(dir, fmt.Sprintf("%016x.park", h))
-}
+// A parked session is two entries of the park store. Session ids hold
+// arbitrary characters; the store hashes its keys into file names and
+// the meta entry records the id for verification.
+func parkSnapKey(sid string) string { return "park|snap|" + sid }
+func parkMetaKey(sid string) string { return "park|meta|" + sid }
 
-// writeParkFiles persists a parked session atomically (tmp + rename
-// per file; the meta file is written last so a torn park never
-// presents a meta without its snapshot).
-func writeParkFiles(dir, sid string, pk *parked) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: park dir: %v", err)
+// writePark stores a parked session: the snapshot first, so a torn
+// park never presents a meta without its snapshot.
+func (m *Manager) writePark(s *session, snap []byte) error {
+	meta, err := json.Marshal(parkMeta{Sid: s.id, Platform: s.sp, Cycle: s.bus.cycle()})
+	if err == nil {
+		err = m.park.Put(parkSnapKey(s.id), snap)
 	}
-	stem := parkPath(dir, sid)
-	if err := atomicWrite(stem+".nocsnap", pk.snap); err != nil {
-		return fmt.Errorf("serve: park session %q: %v", sid, err)
+	if err == nil {
+		err = m.park.Put(parkMetaKey(s.id), meta)
 	}
-	meta, err := json.Marshal(parkMeta{Sid: sid, Platform: pk.sp, Cycle: pk.cycle})
 	if err != nil {
-		return fmt.Errorf("serve: park session %q: %v", sid, err)
-	}
-	if err := atomicWrite(stem+".json", meta); err != nil {
-		return fmt.Errorf("serve: park session %q: %v", sid, err)
+		m.removePark(s.id) // a failed Put still serves from memory
+		return fmt.Errorf("serve: park session %q: %v", s.id, err)
 	}
 	return nil
 }
 
-func atomicWrite(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// readParkFiles loads a parked session from disk, or nil when absent
-// or torn.
-func readParkFiles(dir, sid string) *parked {
-	stem := parkPath(dir, sid)
-	metaBytes, err := os.ReadFile(stem + ".json")
-	if err != nil {
-		return nil
+// readPark loads the session's description, pool key and snapshot from
+// the park store; false when absent or torn.
+func (m *Manager) readPark(s *session) ([]byte, bool) {
+	metaBytes, ok := m.park.Get(parkMetaKey(s.id))
+	if !ok {
+		return nil, false
 	}
 	var meta parkMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.Sid != sid {
-		return nil
+	if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.Sid != s.id {
+		return nil, false
 	}
-	snap, err := os.ReadFile(stem + ".nocsnap")
+	s.sp = normalizePlatform(meta.Platform)
+	pool, _, err := sessionKeys(s.sp)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	sp := normalizePlatform(meta.Platform)
-	return &parked{sp: sp, key: structKey(sp), snap: snap, cycle: meta.Cycle}
+	s.key = pool
+	return m.park.Get(parkSnapKey(s.id))
 }
 
-func removeParkFiles(dir, sid string) {
-	stem := parkPath(dir, sid)
-	os.Remove(stem + ".json")
-	os.Remove(stem + ".nocsnap")
+func (m *Manager) removePark(sid string) {
+	m.park.Delete(parkMetaKey(sid))
+	m.park.Delete(parkSnapKey(sid))
 }

@@ -36,7 +36,7 @@ const (
 type session struct {
 	id  string
 	sp  jsonio.ServePlatform // normalized
-	key string               // structural pool key
+	key string               // platform pool key
 
 	mu  sync.Mutex
 	p   *platform.Platform // nil once parked, closed or failed to open
@@ -48,7 +48,7 @@ type session struct {
 }
 
 // normalizePlatform fills client-facing defaults so equal platform
-// descriptions share one pool key and one warm-snapshot key.
+// descriptions share one state key.
 func normalizePlatform(sp jsonio.ServePlatform) jsonio.ServePlatform {
 	if sp.Config == nil {
 		if sp.Topo == "" {
@@ -67,23 +67,49 @@ func normalizePlatform(sp jsonio.ServePlatform) jsonio.ServePlatform {
 	return sp
 }
 
-// structKey is the platform pool key: every structural input, with the
-// state-only fields (warm-up length, byte conversion) zeroed so
-// sessions differing only in those share pooled platforms. JSON of a
-// fixed struct is canonical (declaration-order keys, sorted maps).
-func structKey(sp jsonio.ServePlatform) string {
-	sp.Warmup = 0
-	sp.FlitBytes = 0
-	b, err := json.Marshal(sp)
+// netOptions is the spec form of a normalized description as the zoo
+// builder takes it.
+func netOptions(sp jsonio.ServePlatform) (platform.NetOptions, error) {
+	spec, err := topology.ParseSpec(sp.Topo)
 	if err != nil {
-		panic(fmt.Sprintf("serve: marshal platform key: %v", err))
+		return platform.NetOptions{}, fmt.Errorf("serve: topo: %v", err)
 	}
-	return "serve|" + string(b)
+	return platform.NetOptions{
+		Topo:         spec,
+		Workload:     sp.Workload,
+		Injection:    sp.Injection,
+		PacketLen:    sp.PacketLen,
+		Seed:         sp.Seed,
+		WorkloadSeed: sp.WorkloadSeed,
+		Workers:      sp.Workers,
+		NoGate:       sp.NoGate,
+	}, nil
 }
 
-// warmKey names the warmed post-reset snapshot in the cache.
-func warmKey(sp jsonio.ServePlatform) string {
-	return fmt.Sprintf("%s|warmup=%d", structKey(sp), sp.Warmup)
+// sessionKeys names a normalized description twice over one state key:
+// the key of what NetConfig lowers, or an inline config's canonical
+// JSON (fixed struct: declaration-order keys, sorted maps), plus the
+// queue depth sessionConfig patches on; kernel selection and byte
+// conversion are not state. The pool key adds the kernel (a pooled
+// platform is a built kernel), the warm-snapshot key the warm-up.
+func sessionKeys(sp jsonio.ServePlatform) (pool, warm string, err error) {
+	var desc string
+	if sp.Config == nil {
+		o, err := netOptions(sp)
+		if err != nil {
+			return "", "", err
+		}
+		desc = o.Key()
+	} else {
+		b, err := json.Marshal(sp.Config)
+		if err != nil {
+			return "", "", fmt.Errorf("serve: platform key: %v", err)
+		}
+		desc = string(b)
+	}
+	state := fmt.Sprintf("serve|%s|queue=%d", desc, sp.QueueFlits)
+	return fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Workers, sp.NoGate),
+		fmt.Sprintf("%s|warmup=%d", state, sp.Warmup), nil
 }
 
 // sessionConfig lowers a normalized platform description to a platform
@@ -100,21 +126,11 @@ func sessionConfig(sp jsonio.ServePlatform) (platform.Config, error) {
 		cfg.Workers = sp.Workers
 		cfg.NoGate = sp.NoGate
 	} else {
-		spec, err := topology.ParseSpec(sp.Topo)
+		o, err := netOptions(sp)
 		if err != nil {
-			return platform.Config{}, fmt.Errorf("serve: topo: %v", err)
+			return platform.Config{}, err
 		}
-		cfg, err = platform.NetConfig(platform.NetOptions{
-			Topo:         spec,
-			Workload:     sp.Workload,
-			Injection:    sp.Injection,
-			PacketLen:    sp.PacketLen,
-			Seed:         sp.Seed,
-			WorkloadSeed: sp.WorkloadSeed,
-			Workers:      sp.Workers,
-			NoGate:       sp.NoGate,
-		})
-		if err != nil {
+		if cfg, err = platform.NetConfig(o); err != nil {
 			return platform.Config{}, fmt.Errorf("serve: %v", err)
 		}
 	}
