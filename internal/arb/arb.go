@@ -10,19 +10,21 @@ package arb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocemu/internal/state"
 )
 
-// Requests reports, for requester index i in [0, n), whether i is
-// requesting a grant this cycle.
-type Requests func(i int) bool
+// Words returns the length of a request mask over n requesters.
+func Words(n int) int { return (n + 63) / 64 }
 
 // Arbiter picks one winner among n requesters per cycle.
 type Arbiter interface {
 	// Grant returns the granted requester index, or ok=false when no
-	// requester is active.
-	Grant(req Requests) (winner int, ok bool)
+	// requester is active. req is the request mask, Words(N()) long:
+	// requester i is active when bit i%64 of word i/64 is set, and no
+	// bit at or above N() may be.
+	Grant(req []uint64) (winner int, ok bool)
 	// N returns the number of requesters.
 	N() int
 	// Reset restores the arbiter's initial priority state.
@@ -73,12 +75,28 @@ func (a *roundRobin) N() int { return a.n }
 
 func (a *roundRobin) Reset() { a.next = 0 }
 
-func (a *roundRobin) Grant(req Requests) (int, bool) {
-	for k := 0; k < a.n; k++ {
-		i := (a.next + k) % a.n
-		if req(i) {
-			a.next = (i + 1) % a.n
-			return i, true
+func (a *roundRobin) Grant(req []uint64) (int, bool) {
+	i, ok := firstFrom(req, a.next)
+	if !ok {
+		if i, ok = firstFrom(req, 0); !ok {
+			return 0, false
+		}
+	}
+	if a.next = i + 1; a.next == a.n {
+		a.next = 0
+	}
+	return i, true
+}
+
+// firstFrom returns the lowest active requester at or above from.
+func firstFrom(req []uint64, from int) (int, bool) {
+	w := from >> 6
+	if m := req[w] &^ (1<<(from&63) - 1); m != 0 {
+		return w<<6 + bits.TrailingZeros64(m), true
+	}
+	for w++; w < len(req); w++ {
+		if req[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(req[w]), true
 		}
 	}
 	return 0, false
@@ -104,14 +122,7 @@ func (a *fixed) N() int { return a.n }
 
 func (a *fixed) Reset() {}
 
-func (a *fixed) Grant(req Requests) (int, bool) {
-	for i := 0; i < a.n; i++ {
-		if req(i) {
-			return i, true
-		}
-	}
-	return 0, false
-}
+func (a *fixed) Grant(req []uint64) (int, bool) { return firstFrom(req, 0) }
 
 // SaveState writes nothing: fixed priority carries no state, and the
 // empty section keeps the framing walk uniform.
@@ -132,9 +143,9 @@ func (a *lrg) Reset() {
 	}
 }
 
-func (a *lrg) Grant(req Requests) (int, bool) {
+func (a *lrg) Grant(req []uint64) (int, bool) {
 	for pos, i := range a.order {
-		if req(i) {
+		if req[i>>6]>>(i&63)&1 != 0 {
 			// Move winner to the back: it becomes lowest priority.
 			copy(a.order[pos:], a.order[pos+1:])
 			a.order[a.n-1] = i

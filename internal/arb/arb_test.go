@@ -1,13 +1,16 @@
 package arb
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nocemu/internal/state"
 )
 
-func maskReq(mask uint) Requests {
-	return func(i int) bool { return mask&(1<<uint(i)) != 0 }
-}
+func maskReq(mask uint) []uint64 { return []uint64{uint64(mask)} }
 
 func TestNewValidates(t *testing.T) {
 	if _, err := New(RoundRobin, 0); err == nil {
@@ -150,7 +153,7 @@ func TestRoundRobinStarvationFreeProperty(t *testing.T) {
 		n := 6
 		v := int(victim) % n
 		a, _ := New(RoundRobin, n)
-		req := func(i int) bool { return i == v || uint(other)&(1<<uint(i)) != 0 }
+		req := maskReq(1<<uint(v) | uint(other)&(1<<uint(n)-1))
 		for wait := 0; wait < n; wait++ {
 			w, ok := a.Grant(req)
 			if !ok {
@@ -164,5 +167,113 @@ func TestRoundRobinStarvationFreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanModel is the reference arbiter: the scan over a request predicate
+// the mask arbiters replaced, one model for all three policies.
+type scanModel struct {
+	policy Policy
+	next   int   // round-robin pointer
+	order  []int // lrg priority order
+}
+
+func (m *scanModel) grant(n int, req func(int) bool) (int, bool) {
+	for k := 0; k < n; k++ {
+		i := k
+		switch m.policy {
+		case RoundRobin:
+			i = (m.next + k) % n
+		case LeastRecentlyGranted:
+			i = m.order[k]
+		}
+		if req(i) {
+			m.next = (i + 1) % n
+			if m.policy == LeastRecentlyGranted {
+				copy(m.order[k:], m.order[k+1:])
+				m.order[n-1] = i
+			}
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func savedState(a Arbiter) []byte {
+	w := state.NewWriter()
+	a.SaveState(w)
+	return w.Bytes()
+}
+
+// Property: over random request-mask sequences every policy grants what
+// the scan model grants and saves the model's priority state after
+// every grant, at sizes on both sides of a word boundary; the sequence
+// includes empty masks, masks with bits only in the last word, and a
+// save/load round trip into a fresh arbiter midway.
+func TestMaskGrantMatchesScanModel(t *testing.T) {
+	for _, p := range []Policy{RoundRobin, FixedPriority, LeastRecentlyGranted} {
+		for _, n := range []int{1, 5, 31, 64, 65, 130} {
+			t.Run(fmt.Sprintf("%s/%d", p, n), func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(int64(n)))
+				a, err := New(p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := &scanModel{policy: p, order: make([]int, n)}
+				for i := range m.order {
+					m.order[i] = i
+				}
+				req := make([]uint64, Words(n))
+				const steps = 400
+				for step := 0; step < steps; step++ {
+					for w := range req {
+						req[w] = 0
+					}
+					switch rnd.Intn(8) {
+					case 0: // nobody requests
+					case 1: // requests in the last word only
+						req[len(req)-1] = rnd.Uint64()
+					case 2: // a single requester
+						i := rnd.Intn(n)
+						req[i>>6] = 1 << (i & 63)
+					case 3: // sparse
+						for w := range req {
+							req[w] = rnd.Uint64() & rnd.Uint64() & rnd.Uint64()
+						}
+					default:
+						for w := range req {
+							req[w] = rnd.Uint64()
+						}
+					}
+					if tail := n & 63; tail != 0 {
+						req[len(req)-1] &= 1<<tail - 1
+					}
+					want, wantOK := m.grant(n, func(i int) bool { return req[i>>6]>>(i&63)&1 != 0 })
+					got, ok := a.Grant(req)
+					if ok != wantOK || ok && got != want {
+						t.Fatalf("step %d mask %x: grant = %d,%v, scan model %d,%v", step, req, got, ok, want, wantOK)
+					}
+					w := state.NewWriter() // the model's state as SaveState writes it
+					switch p {
+					case RoundRobin:
+						w.Int(m.next)
+					case LeastRecentlyGranted:
+						for _, i := range m.order {
+							w.Int(i)
+						}
+					}
+					if !bytes.Equal(savedState(a), w.Bytes()) {
+						t.Fatalf("step %d mask %x: priority state diverged from the scan model", step, req)
+					}
+					if step == steps/2 {
+						fresh, _ := New(p, n)
+						if err := fresh.LoadState(state.NewReader(savedState(a))); err != nil {
+							t.Fatal(err)
+						}
+						a = fresh
+					}
+				}
+			})
+		}
 	}
 }

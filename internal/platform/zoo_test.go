@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nocemu/internal/platform"
@@ -130,6 +131,32 @@ func TestZooScaleBuilds(t *testing.T) {
 				t.Errorf("no flits delivered after 300 cycles (sent %d)", tot.FlitsSent)
 			}
 		})
+	}
+}
+
+// TestBuildRetainedHeap guards what a built 1 024-node platform keeps
+// alive. The routing table is the term that scales with switches ×
+// sinks: as per-switch maps it alone held 88 MB of the 123 MB this
+// build retained; the flat table brings the whole platform near 50 MB.
+func TestBuildRetainedHeap(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("1k-node build; the race detector's shadow memory is not the platform's")
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	p, err := platform.Build(zooConfig(t, "mesh:w=32,h=32", "uniform", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := float64(live()-before) / (1 << 20); got > 60 {
+		t.Errorf("built mesh:w=32,h=32 retains %.1f MB, want under 60", got)
 	}
 }
 

@@ -34,35 +34,38 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 	depSeen := make(map[[2]int]bool)
 
 	// Feasible-state BFS per sink. State = (switch, inCh); inCh -1 means
-	// the packet is at its injection switch.
-	for _, sink := range topo.Sinks() {
-		// A channel determines its downstream switch, so in-network
-		// states are marked by channel alone and injection states by
-		// switch, behind the channels.
-		stateSeen := make([]bool, nCh+topo.NumSwitches())
-		stateKey := func(sw topology.NodeID, inCh int) int {
-			if inCh < 0 {
-				return nCh + int(sw)
-			}
-			return inCh
+	// the packet is at its injection switch. A channel determines its
+	// downstream switch, so in-network states are marked by channel alone
+	// and injection states by switch, behind the channels. The marks and
+	// the queue are shared by all sinks: a mark counts when it holds the
+	// current sink's stamp.
+	stateSeen := make([]int, nCh+topo.NumSwitches())
+	stateKey := func(sw topology.NodeID, inCh int) int {
+		if inCh < 0 {
+			return nCh + int(sw)
 		}
-		type state struct {
-			sw   topology.NodeID
-			inCh int
-		}
-		var queue []state
-		for _, src := range topo.Sources() {
+		return inCh
+	}
+	type state struct {
+		sw   topology.NodeID
+		inCh int
+	}
+	var queue []state
+	srcs := topo.Sources()
+	for i, sink := range topo.Sinks() {
+		stamp := i + 1
+		queue = queue[:0]
+		for _, src := range srcs {
 			k := stateKey(src.Switch, -1)
-			if !stateSeen[k] {
-				stateSeen[k] = true
+			if stateSeen[k] != stamp {
+				stateSeen[k] = stamp
 				queue = append(queue, state{src.Switch, -1})
 			}
 		}
-		for len(queue) > 0 {
-			st := queue[0]
-			queue = queue[1:]
-			ports, ok := t.perSwitch[st.sw][sink.ID]
-			if !ok {
+		for head := 0; head < len(queue); head++ {
+			st := queue[head]
+			ports, err := t.Lookup(st.sw, sink.ID)
+			if err != nil {
 				continue // routing gap; Validate reports it separately
 			}
 			vc := int(t.VC(st.sw, sink.ID))
@@ -85,8 +88,8 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 				}
 				next := links[oc.Link].To
 				k := stateKey(next, outCh)
-				if !stateSeen[k] {
-					stateSeen[k] = true
+				if stateSeen[k] != stamp {
+					stateSeen[k] = stamp
 					queue = append(queue, state{next, outCh})
 				}
 			}

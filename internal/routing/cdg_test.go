@@ -11,7 +11,7 @@ import (
 // sinkPerSwitch attaches one source and one sink per terminal, as
 // platform.NetConfig does: the checker walks only states reachable
 // from source switches, so sources define where traffic can enter.
-func sinkPerSwitch(t *testing.T, tp *topology.Topology) {
+func sinkPerSwitch(t testing.TB, tp *topology.Topology) {
 	t.Helper()
 	n := len(tp.Terminals())
 	for i, sw := range tp.Terminals() {

@@ -12,6 +12,8 @@ package routing
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"nocemu/internal/flit"
 	"nocemu/internal/topology"
@@ -46,82 +48,151 @@ func ValidPolicy(p Policy) bool {
 // on. The class is data like the ports: a pure function of (switch,
 // destination) the topology's Router emits, so the switch needs no
 // per-packet state to follow a dateline scheme.
+//
+// The store is flat: a row of entries per switch, one column per
+// destination, each entry naming a run of the shared candidate pool. A
+// lookup is two indexings, and a table costs 8 bytes per (switch,
+// destination) plus one int per candidate port.
 type Table struct {
-	perSwitch []map[flit.EndpointID][]int
-	// vc holds the non-zero classes only (a missing entry is class 0),
-	// so single-class tables pay nothing for it.
-	vc []map[flit.EndpointID]uint8
+	// col maps a destination id to its column plus one (0: the table has
+	// never seen the id); ids is the inverse. Columns are handed out in
+	// order of first use, so a row is as wide as the destination count
+	// whatever the id numbering.
+	col  []int32
+	ids  []flit.EndpointID
+	rows [][]entry // per switch; a row may stop short of len(ids)
+	pool []int
+}
+
+// entry is one (switch, destination) cell: n candidate ports at
+// pool[off:], leaving on class vc. n == 0 means no route.
+type entry struct {
+	off uint32
+	n   uint16
+	vc  uint8
 }
 
 // NewTable returns an empty table for n switches.
-func NewTable(n int) *Table {
-	t := &Table{
-		perSwitch: make([]map[flit.EndpointID][]int, n),
-		vc:        make([]map[flit.EndpointID]uint8, n),
+func NewTable(n int) *Table { return &Table{rows: make([][]entry, n)} }
+
+// newTableFor returns an empty table for n switches sized for sinks: a
+// column each and full-width rows cut from one slab, so filling it
+// reallocates no row.
+func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
+	t := NewTable(n)
+	for _, sink := range sinks {
+		t.column(sink.ID)
 	}
-	for i := range t.perSwitch {
-		t.perSwitch[i] = make(map[flit.EndpointID][]int)
+	w := len(t.ids)
+	slab := make([]entry, len(t.rows)*w)
+	for sw := range t.rows {
+		t.rows[sw] = slab[sw*w : (sw+1)*w : (sw+1)*w]
 	}
+	t.pool = make([]int, 0, len(slab))
 	return t
 }
 
 // NumSwitches returns the number of switches the table covers.
-func (t *Table) NumSwitches() int { return len(t.perSwitch) }
+func (t *Table) NumSwitches() int { return len(t.rows) }
+
+// column returns dst's column, assigning the next free one on first use.
+func (t *Table) column(dst flit.EndpointID) int {
+	if int(dst) >= len(t.col) {
+		t.col = append(t.col, make([]int32, int(dst)+1-len(t.col))...)
+	}
+	if t.col[dst] == 0 {
+		t.ids = append(t.ids, dst)
+		t.col[dst] = int32(len(t.ids))
+	}
+	return int(t.col[dst]) - 1
+}
+
+// slot returns the cell of (sw, dst) for writing, widening the row to
+// reach it. sw must be in range.
+func (t *Table) slot(sw topology.NodeID, dst flit.EndpointID) *entry {
+	c := t.column(dst)
+	if c >= len(t.rows[sw]) {
+		t.rows[sw] = append(t.rows[sw], make([]entry, c+1-len(t.rows[sw]))...)
+	}
+	return &t.rows[sw][c]
+}
+
+// find returns the cell of (sw, dst), zero when the table has none. sw
+// must be in range.
+func (t *Table) find(sw topology.NodeID, dst flit.EndpointID) entry {
+	if int(dst) < len(t.col) {
+		if c := int(t.col[dst]) - 1; c >= 0 && c < len(t.rows[sw]) {
+			return t.rows[sw][c]
+		}
+	}
+	return entry{}
+}
 
 // Set replaces the candidate ports for (sw, dst). The experiments use
 // this to pin specific paths (e.g. to construct the paper's two
-// 90%-loaded links).
+// 90%-loaded links). A replacement no longer than the list it replaces
+// is written over it; a longer one is appended to the pool and the old
+// run is abandoned there, so only a table rewritten over and over grows.
 func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error {
-	if int(sw) < 0 || int(sw) >= len(t.perSwitch) {
+	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return fmt.Errorf("routing: switch %d out of range", sw)
 	}
 	if len(ports) == 0 {
 		return fmt.Errorf("routing: empty port list for switch %d dst %d", sw, dst)
 	}
-	t.perSwitch[sw][dst] = append([]int(nil), ports...)
+	if len(ports) > math.MaxUint16 {
+		return fmt.Errorf("routing: %d candidate ports for switch %d dst %d", len(ports), sw, dst)
+	}
+	e := t.slot(sw, dst)
+	if len(ports) > int(e.n) {
+		e.off = uint32(len(t.pool))
+		t.pool = append(t.pool, ports...)
+	} else {
+		copy(t.pool[e.off:], ports)
+	}
+	e.n = uint16(len(ports))
 	return nil
 }
 
 // Lookup returns the candidate output ports at switch sw for packets to
-// dst.
+// dst. The result is a view into the table: callers must not write
+// through it (appending is safe, its capacity is its length).
 func (t *Table) Lookup(sw topology.NodeID, dst flit.EndpointID) ([]int, error) {
-	if int(sw) < 0 || int(sw) >= len(t.perSwitch) {
+	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return nil, fmt.Errorf("routing: switch %d out of range", sw)
 	}
-	ports, ok := t.perSwitch[sw][dst]
-	if !ok {
+	e := t.find(sw, dst)
+	if e.n == 0 {
 		return nil, fmt.Errorf("routing: no route at switch %d to endpoint %d", sw, dst)
 	}
-	return ports, nil
+	end := int(e.off) + int(e.n)
+	return t.pool[e.off:end:end], nil
 }
 
 // SetVC sets the virtual-channel class of the hop (sw, dst) takes; the
 // default is class 0.
 func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
-	if int(sw) < 0 || int(sw) >= len(t.vc) {
+	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return fmt.Errorf("routing: switch %d out of range", sw)
 	}
-	if vc == 0 {
-		delete(t.vc[sw], dst)
-		return nil
-	}
-	if t.vc[sw] == nil {
-		t.vc[sw] = make(map[flit.EndpointID]uint8)
-	}
-	t.vc[sw][dst] = vc
+	t.slot(sw, dst).vc = vc
 	return nil
 }
 
 // VC returns the virtual-channel class packets to dst leave switch sw
 // on. sw must be a switch of the table.
-func (t *Table) VC(sw topology.NodeID, dst flit.EndpointID) uint8 { return t.vc[sw][dst] }
+func (t *Table) VC(sw topology.NodeID, dst flit.EndpointID) uint8 { return t.find(sw, dst).vc }
 
-// Destinations returns the destinations routable from switch sw.
+// Destinations returns the destinations routable from switch sw, in
+// ascending id order. Only tests call it.
 func (t *Table) Destinations(sw topology.NodeID) []flit.EndpointID {
 	var out []flit.EndpointID
-	for d := range t.perSwitch[sw] {
-		out = append(out, d)
+	for c, e := range t.rows[sw] {
+		if e.n > 0 {
+			out = append(out, t.ids[c])
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -132,13 +203,16 @@ func (t *Table) Destinations(sw topology.NodeID) []flit.EndpointID {
 // is the sink's local port. Every (reachable switch, sink) pair gets an
 // entry.
 func BuildShortestPath(topo *topology.Topology) (*Table, error) {
-	t := NewTable(topo.NumSwitches())
+	sinks := topo.Sinks()
+	t := newTableFor(topo.NumSwitches(), sinks)
+	links := topo.Links()
 	// Reverse adjacency for backward BFS from each sink switch.
 	radj := make([][]topology.NodeID, topo.NumSwitches())
-	for _, l := range topo.Links() {
+	for _, l := range links {
 		radj[l.To] = append(radj[l.To], l.From)
 	}
-	for _, sink := range topo.Sinks() {
+	var ports []int // scratch: Set copies it
+	for _, sink := range sinks {
 		dist := bfsDistances(radj, sink.Switch, topo.NumSwitches())
 		for sw := topology.NodeID(0); int(sw) < topo.NumSwitches(); sw++ {
 			outs := topo.SwitchOutputs(sw)
@@ -162,8 +236,7 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 			if d < 0 {
 				continue // sink unreachable from here
 			}
-			var ports []int
-			links := topo.Links()
+			ports = ports[:0]
 			for p, oc := range outs {
 				if oc.Link < 0 {
 					continue
@@ -229,7 +302,8 @@ func BuildTable(topo *topology.Topology) (*Table, error) {
 // beside the ports; the ejection hop is always class 0.
 func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error) {
 	n := topo.NumSwitches()
-	t := NewTable(n)
+	sinks := topo.Sinks()
+	t := newTableFor(n, sinks)
 	links := topo.Links()
 	classes, _ := r.(topology.VCRouter)
 	portTo := func(sw, next topology.NodeID) (int, bool) {
@@ -240,7 +314,8 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 		}
 		return 0, false
 	}
-	for _, sink := range topo.Sinks() {
+	var ports []int // scratch: Set copies it
+	for _, sink := range sinks {
 		for sw := topology.NodeID(0); int(sw) < n; sw++ {
 			if sw == sink.Switch {
 				port := -1
@@ -262,7 +337,7 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 			if len(hops) == 0 {
 				continue
 			}
-			ports := make([]int, 0, len(hops))
+			ports = ports[:0]
 			for _, next := range hops {
 				port, ok := portTo(sw, next)
 				if !ok {
@@ -288,21 +363,35 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 // budget and stays on virtual channels the topology has, catching
 // routing loops, dead ends and out-of-range classes at
 // platform-compilation time.
+//
+// First-candidate routing toward a sink depends on the switch alone, so
+// a walk stops at the first switch an earlier walk already took to that
+// sink: every pair is still checked, in the same order, at a cost of
+// one step per (switch, sink) instead of a full path per pair.
 func Validate(topo *topology.Topology, t *Table) error {
-	maxHops := topo.NumSwitches() + 1
+	n := topo.NumSwitches()
+	maxHops := n + 1
 	links := topo.Links()
 	nv := topo.NumVC()
-	for sw, classes := range t.vc {
-		for dst, vc := range classes {
-			if int(vc) >= nv {
-				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, dst, vc, nv)
+	for sw, row := range t.rows {
+		for c, e := range row {
+			if int(e.vc) >= nv {
+				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, t.ids[c], e.vc, nv)
 			}
 		}
 	}
-	for _, src := range topo.Sources() {
-		for _, sink := range topo.Sinks() {
+	srcs, sinks := topo.Sources(), topo.Sinks()
+	// Bit k*n+sw: the walk from switch sw delivers to sinks[k].
+	delivers := make([]uint64, (len(sinks)*n+63)/64)
+	var path []topology.NodeID
+	for _, src := range srcs {
+		for k, sink := range sinks {
 			sw := src.Switch
+			path = path[:0]
 			for hop := 0; ; hop++ {
+				if b := k*n + int(sw); delivers[b>>6]>>(b&63)&1 != 0 {
+					break
+				}
 				if hop > maxHops {
 					return fmt.Errorf("routing: loop routing %d->%d (stuck near switch %d)", src.ID, sink.ID, sw)
 				}
@@ -315,6 +404,7 @@ func Validate(topo *topology.Topology, t *Table) error {
 				if p < 0 || p >= len(outs) {
 					return fmt.Errorf("routing: switch %d port %d out of range", sw, p)
 				}
+				path = append(path, sw)
 				oc := outs[p]
 				if oc.Link == -1 {
 					if vc := t.VC(sw, sink.ID); vc != 0 {
@@ -326,6 +416,10 @@ func Validate(topo *topology.Topology, t *Table) error {
 					break
 				}
 				sw = links[oc.Link].To
+			}
+			for _, sw := range path {
+				b := k*n + int(sw)
+				delivers[b>>6] |= 1 << (b & 63)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package routing
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +387,336 @@ func TestShortestPathAllShapesProperty(t *testing.T) {
 			if err != nil || len(ports) < 2 {
 				t.Errorf("torus multipath candidates = %v, %v", ports, err)
 			}
+		}
+	}
+}
+
+// TestTableSparseIDs: rows are as wide as the destination count, not
+// the largest id — the paper platform numbers its sinks from 100 — and
+// ids the table never saw miss like any other.
+func TestTableSparseIDs(t *testing.T) {
+	tb := NewTable(3)
+	for sw := topology.NodeID(0); sw < 3; sw++ {
+		for i := 0; i < 4; i++ {
+			if err := tb.Set(sw, flit.EndpointID(100+i), []int{int(sw), i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for sw := topology.NodeID(0); sw < 3; sw++ {
+		if w := len(tb.rows[sw]); w != 4 {
+			t.Errorf("switch %d row is %d entries wide for 4 destinations", sw, w)
+		}
+		for i := 0; i < 4; i++ {
+			ports, err := tb.Lookup(sw, flit.EndpointID(100+i))
+			if err != nil || !slices.Equal(ports, []int{int(sw), i}) {
+				t.Errorf("lookup(%d, %d) = %v, %v", sw, 100+i, ports, err)
+			}
+		}
+	}
+	// Destinations come back in ascending id order whatever order they
+	// were set in.
+	if err := tb.Set(1, 7, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.Destinations(1), []flit.EndpointID{7, 100, 101, 102, 103}; !slices.Equal(got, want) {
+		t.Errorf("destinations = %v, want %v", got, want)
+	}
+	// Switch 0 never set id 7: its row stops short of that column.
+	for _, dst := range []flit.EndpointID{7, 99, 104, 60000} {
+		_, err := tb.Lookup(0, dst)
+		if want := fmt.Sprintf("routing: no route at switch 0 to endpoint %d", dst); err == nil || err.Error() != want {
+			t.Errorf("lookup(0, %d) error = %v, want %q", dst, err, want)
+		}
+		if vc := tb.VC(0, dst); vc != 0 {
+			t.Errorf("VC(0, %d) = %d, want the default 0", dst, vc)
+		}
+	}
+}
+
+// TestTableSetReplaces: Set over an existing entry (a route override)
+// takes a shorter and a longer list, and leaves the neighbouring
+// entries' candidates alone either way — also when a caller appends to
+// a Lookup result.
+func TestTableSetReplaces(t *testing.T) {
+	tb := NewTable(1)
+	want := map[flit.EndpointID][]int{100: {1, 2, 3}, 101: {4, 5}, 102: {6}}
+	check := func(when string) {
+		t.Helper()
+		for dst, ports := range want {
+			if got, err := tb.Lookup(0, dst); err != nil || !slices.Equal(got, ports) {
+				t.Errorf("%s: lookup(0, %d) = %v, %v, want %v", when, dst, got, err, ports)
+			}
+		}
+	}
+	set := func(dst flit.EndpointID, ports ...int) {
+		t.Helper()
+		if err := tb.Set(0, dst, ports); err != nil {
+			t.Fatal(err)
+		}
+		want[dst] = ports
+	}
+	for _, dst := range []flit.EndpointID{100, 101, 102} {
+		set(dst, want[dst]...)
+	}
+	check("filled")
+	set(100, 9) // shorter
+	check("shorter list")
+	set(101, 7, 8, 9, 10) // longer
+	check("longer list")
+	set(100, 11, 12, 13) // back to the original length, in place
+	check("regrown list")
+	ports, _ := tb.Lookup(0, 100)
+	_ = append(ports, 99)
+	check("append to a lookup result")
+}
+
+// TestTableErrorTexts pins the messages callers and golden outputs see.
+func TestTableErrorTexts(t *testing.T) {
+	tb := NewTable(2)
+	for what, got := range map[string]error{
+		"routing: switch 2 out of range":                  tb.Set(2, 1, []int{0}),
+		"routing: switch -1 out of range":                 tb.SetVC(-1, 1, 1),
+		"routing: empty port list for switch 0 dst 1":     tb.Set(0, 1, nil),
+		"routing: no route at switch 1 to endpoint 1":     func() error { _, err := tb.Lookup(1, 1); return err }(),
+		"routing: switch 5 out of range":                  func() error { _, err := tb.Lookup(5, 1); return err }(),
+		"routing: no route at switch 0 to endpoint 65535": func() error { _, err := tb.Lookup(0, 65535); return err }(),
+	} {
+		if got == nil || got.Error() != what {
+			t.Errorf("error = %v, want %q", got, what)
+		}
+	}
+	// A class set before any route is kept, and is not a route.
+	if err := tb.SetVC(0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Lookup(0, 3); err == nil {
+		t.Error("a class without ports is a route")
+	}
+	if err := tb.Set(0, 3, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if vc := tb.VC(0, 3); vc != 1 {
+		t.Errorf("VC after Set = %d, want 1", vc)
+	}
+}
+
+// lineAllEndpoints is a bidirectional line of n switches with source i
+// and sink 100+i on switch i, routed shortest-path.
+func lineAllEndpoints(t *testing.T, n int) (*topology.Topology, *Table) {
+	t.Helper()
+	tp, err := topology.Line(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tp.AddSource(flit.EndpointID(i), topology.NodeID(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.AddSink(flit.EndpointID(100+i), topology.NodeID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb, err := BuildShortestPath(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp, tb
+}
+
+// portTo returns the output port of sw that leads to switch next, or to
+// sink endpoint eject when next is negative.
+func portTo(t *testing.T, tp *topology.Topology, sw topology.NodeID, next int, eject flit.EndpointID) int {
+	t.Helper()
+	for p, oc := range tp.SwitchOutputs(sw) {
+		if next < 0 && oc.Link == -1 && oc.Endpoint == eject {
+			return p
+		}
+		if next >= 0 && oc.Link >= 0 && tp.Links()[oc.Link].To == topology.NodeID(next) {
+			return p
+		}
+	}
+	t.Fatalf("switch %d has no such port", sw)
+	return 0
+}
+
+// TestValidateFirstFailureBehindEarlierWalks: Validate stops a walk at a
+// switch an earlier walk already took to the sink, so the defects here
+// sit where the first source's walks never go. The pair reported, and
+// its message, are those of walking every pair in full.
+func TestValidateFirstFailureBehindEarlierWalks(t *testing.T) {
+	// Sink 100 is on switch 0: source 0 ejects locally, source 1 is the
+	// first to route through the far end of the line.
+	t.Run("loop", func(t *testing.T) {
+		tp, tb := lineAllEndpoints(t, 3)
+		if err := tb.Set(1, 100, []int{portTo(t, tp, 1, 2, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		err := Validate(tp, tb)
+		if want := "routing: loop routing 1->100 (stuck near switch 2)"; err == nil || err.Error() != want {
+			t.Errorf("validate = %v, want %q", err, want)
+		}
+	})
+	t.Run("wrong eject", func(t *testing.T) {
+		tp, tb := lineAllEndpoints(t, 3)
+		if err := tb.Set(2, 100, []int{portTo(t, tp, 2, -1, 102)}); err != nil {
+			t.Fatal(err)
+		}
+		err := Validate(tp, tb)
+		if want := "routing: path 2->100 ejects at wrong endpoint 102"; err == nil || err.Error() != want {
+			t.Errorf("validate = %v, want %q", err, want)
+		}
+	})
+}
+
+// validateEveryPair is the reference for Validate's walk: every (source,
+// sink) path followed hop by hop to the end, nothing remembered between
+// pairs.
+func validateEveryPair(topo *topology.Topology, t *Table) error {
+	maxHops := topo.NumSwitches() + 1
+	links := topo.Links()
+	for _, src := range topo.Sources() {
+		for _, sink := range topo.Sinks() {
+			sw := src.Switch
+			for hop := 0; ; hop++ {
+				if hop > maxHops {
+					return fmt.Errorf("routing: loop routing %d->%d (stuck near switch %d)", src.ID, sink.ID, sw)
+				}
+				ports, err := t.Lookup(sw, sink.ID)
+				if err != nil {
+					return err
+				}
+				outs := topo.SwitchOutputs(sw)
+				p := ports[0]
+				if p < 0 || p >= len(outs) {
+					return fmt.Errorf("routing: switch %d port %d out of range", sw, p)
+				}
+				oc := outs[p]
+				if oc.Link == -1 {
+					if vc := t.VC(sw, sink.ID); vc != 0 {
+						return fmt.Errorf("routing: switch %d ejects to endpoint %d on virtual channel %d (ejection wires carry 0 only)", sw, sink.ID, vc)
+					}
+					if oc.Endpoint != sink.ID {
+						return fmt.Errorf("routing: path %d->%d ejects at wrong endpoint %d", src.ID, sink.ID, oc.Endpoint)
+					}
+					break
+				}
+				sw = links[oc.Link].To
+			}
+		}
+	}
+	return nil
+}
+
+// Property: on XY mesh tables with a few random defects — a first
+// candidate redirected to any port or out of range, an entry missing, a
+// hop moved to class 1 — Validate returns exactly what the every-pair
+// walk returns, error text included.
+func TestValidateMatchesEveryPairWalk(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	// The defects must produce every verdict Validate has.
+	verdicts := []string{"<nil>", "loop routing", "no route", "out of range", "ejection wires", "wrong endpoint"}
+	seen := map[string]int{}
+	for trial := 0; trial < 300; trial++ {
+		tp, err := topology.Mesh(4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp.SetNumVC(2) // class 1 is in range: only the ejection check can object
+		sinkPerSwitch(t, tp)
+		built, err := BuildTable(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Copy the table entry by entry, planting the defects on the way.
+		n := tp.NumSwitches()
+		tb := NewTable(n)
+		for sw := topology.NodeID(0); int(sw) < n; sw++ {
+			for _, dst := range built.Destinations(sw) {
+				ports, _ := built.Lookup(sw, dst)
+				switch rnd.Intn(40) {
+				case 0:
+					continue // routing gap
+				case 1:
+					ports = []int{rnd.Intn(len(tp.SwitchOutputs(sw)) + 1)}
+				case 2:
+					if err := tb.SetVC(sw, dst, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tb.Set(sw, dst, ports); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, want := Validate(tp, tb), validateEveryPair(tp, tb)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: validate = %v, every-pair walk = %v", trial, got, want)
+		}
+		for _, v := range verdicts {
+			if strings.Contains(fmt.Sprint(want), v) {
+				seen[v]++
+			}
+		}
+	}
+	for _, v := range verdicts {
+		if seen[v] == 0 {
+			t.Errorf("no trial ended in %q: %v", v, seen)
+		}
+	}
+}
+
+// mesh32 is the 1 024-switch mesh of the benchmark's largest workload,
+// one source and one sink per switch, XY-routed.
+func mesh32(b *testing.B) (*topology.Topology, *Table) {
+	tp, err := topology.Mesh(32, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sinkPerSwitch(b, tp)
+	tb, err := BuildTable(tp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tp, tb
+}
+
+var lookupSink int
+
+// BenchmarkTableLookup times the per-head-flit route lookup — candidates
+// and class — over scattered (switch, destination) pairs.
+func BenchmarkTableLookup(b *testing.B) {
+	tp, tb := mesh32(b)
+	sinks := tp.Sinks()
+	rnd := rand.New(rand.NewSource(1))
+	type pair struct {
+		sw  topology.NodeID
+		dst flit.EndpointID
+	}
+	pairs := make([]pair, 1<<12)
+	for i := range pairs {
+		pairs[i] = pair{topology.NodeID(rnd.Intn(tp.NumSwitches())), sinks[rnd.Intn(len(sinks))].ID}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i&(len(pairs)-1)]
+		ports, err := tb.Lookup(p.sw, p.dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lookupSink += ports[0] + int(tb.VC(p.sw, p.dst))
+	}
+}
+
+// BenchmarkValidate times routing.Validate over all 1 024 × 1 024
+// (source, sink) pairs.
+func BenchmarkValidate(b *testing.B) {
+	tp, tb := mesh32(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Validate(tp, tb); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -233,8 +233,16 @@ func (s *rtlSwitch) onEdge() {
 		}
 		s.inRoute[i] = s.selectPort(cands, f)
 	}
-	// Per-output forwarding.
-	granted := make([]bool, len(s.inBufs))
+	// Per-output forwarding. An input requests the output it is routed
+	// to while it has a flit to send; an input forwards at most once per
+	// edge, through that one output, so the masks hold for the whole edge.
+	words := arb.Words(len(s.inBufs))
+	req := make([]uint64, len(s.outTx)*words)
+	for i, q := range s.inBufs {
+		if s.inRoute[i] >= 0 && q.peek() != nil {
+			req[s.inRoute[i]*words+i>>6] |= 1 << (i & 63)
+		}
+	}
 	for o, tx := range s.outTx {
 		var winner int
 		if s.lock[o] >= 0 {
@@ -243,9 +251,7 @@ func (s *rtlSwitch) onEdge() {
 				continue
 			}
 		} else {
-			w, ok := s.arbs[o].Grant(func(i int) bool {
-				return !granted[i] && s.inRoute[i] == o && s.inBufs[i].peek() != nil
-			})
+			w, ok := s.arbs[o].Grant(req[o*words : (o+1)*words])
 			if !ok {
 				continue
 			}
@@ -257,7 +263,6 @@ func (s *rtlSwitch) onEdge() {
 		f := s.inBufs[winner].pop()
 		tx.send(f)
 		s.inRx[winner].credit(1)
-		granted[winner] = true
 		s.flitsRouted++
 		if f.Kind.IsTail() {
 			s.lock[o] = -1

@@ -31,11 +31,10 @@ func NewArena(name string, n int) *Arena {
 	return &Arena{name: name, sws: make([]Switch, 0, n)}
 }
 
-// New appends a switch to the arena, initializing it in place (the
-// arbitration request closure must capture the element's final resting
-// address), and returns its handle. The handle stays valid for the
-// arena's lifetime. Exceeding the declared capacity is a construction
-// bug and panics (growth would move every previously handed-out switch).
+// New appends a switch to the arena, initializing it in place, and
+// returns its handle. The handle stays valid for the arena's lifetime.
+// Exceeding the declared capacity is a construction bug and panics
+// (growth would move every previously handed-out switch).
 func (a *Arena) New(cfg Config) (*Switch, error) {
 	if len(a.sws) == cap(a.sws) {
 		panic(fmt.Sprintf("switchfab: arena %s capacity %d exceeded", a.name, cap(a.sws)))

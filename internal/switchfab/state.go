@@ -3,8 +3,8 @@
 // A switch section holds the full routing pipeline state: the random
 // register, the per-lane input FIFOs (with their queued flit images),
 // the per-lane route grants, credit counters and wormhole locks, the
-// per-port arbiter priority state, and the statistics. The scratch
-// granted flags are per-cycle and always false between runs. The two
+// per-port arbiter priority state, and the statistics. The granted
+// flags and request masks are scratch, rebuilt every cycle. The two
 // leading counts are lane counts — port counts at one virtual channel —
 // so a snapshot restores only into a switch of the same shape and
 // channel count.

@@ -96,8 +96,7 @@ type Switch struct {
 	arbiters  []arb.Arbiter      // per output port, over the input lanes
 	inRoute   []int              // per input lane: output lane of the packet in flight, or -1
 	granted   []bool             // per input lane: forwarded this cycle (reused scratch)
-	reqLane   int                // output lane being arbitrated (parameter of reqFn)
-	reqFn     arb.Requests       // pre-bound request predicate (no per-cycle closure)
+	req       []uint64           // per output lane: mask of the input lanes requesting it (rebuilt each Tick)
 	wired     int
 	wiredOuts int
 
@@ -118,10 +117,8 @@ func New(cfg Config) (*Switch, error) {
 	return s, nil
 }
 
-// initSwitch initializes a switch in place. Arena construction needs
-// this form: elements live as values in the arena's backing slice, and
-// the reqFn closure below must capture the final resting address (a
-// copied Switch value would arbitrate against the original's state).
+// initSwitch initializes a switch in place: arena elements live as
+// values in the arena's backing slice.
 func initSwitch(s *Switch, cfg Config) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("switchfab: empty name")
@@ -158,9 +155,7 @@ func initSwitch(s *Switch, cfg Config) error {
 		arbiters:  make([]arb.Arbiter, cfg.NumOut),
 		inRoute:   make([]int, inLanes),
 		granted:   make([]bool, inLanes),
-	}
-	s.reqFn = func(r int) bool {
-		return !s.granted[r] && s.inRoute[r] == s.reqLane && s.inBufs[r].Peek() != nil
+		req:       make([]uint64, outLanes*arb.Words(inLanes)),
 	}
 	for r := range s.inBufs {
 		name := fmt.Sprintf("%s/in%d", cfg.Name, r/cfg.NumVC)
@@ -316,6 +311,11 @@ func (s *Switch) Tick(cycle uint64) {
 
 	// Route computation for heads newly at the front of their buffers:
 	// the table gives the candidate ports and the channel of the hop.
+	// The same pass rebuilds the request masks: an input lane with a flit
+	// at its head requests the one output lane it is routed to. Both
+	// facts are committed state, so a mask holds for the whole Tick.
+	words := arb.Words(len(s.inBufs))
+	clear(s.req)
 	for r := range s.inBufs {
 		f := s.inBufs[r].Peek()
 		if f == nil {
@@ -335,6 +335,7 @@ func (s *Switch) Tick(cycle uint64) {
 			}
 			s.inRoute[r] = s.selectPort(candidates, f, vc)*numVC + vc
 		}
+		s.req[s.inRoute[r]*words+r>>6] |= 1 << (r & 63)
 	}
 
 	// Per-output-port allocation and forwarding, one flit per port. The
@@ -363,12 +364,9 @@ func (s *Switch) Tick(cycle uint64) {
 					winner = h
 					break
 				}
-			} else {
-				s.reqLane = out
-				if w, ok := s.arbiters[o].Grant(s.reqFn); ok && s.credits[out] > 0 {
-					winner = w
-					break
-				}
+			} else if w, ok := s.arbiters[o].Grant(s.req[out*words : (out+1)*words]); ok && s.credits[out] > 0 {
+				winner = w
+				break
 			}
 			if out++; out == lo+numVC {
 				out = lo

@@ -1,6 +1,7 @@
 package switchfab
 
 import (
+	"slices"
 	"testing"
 
 	"nocemu/internal/arb"
@@ -534,5 +535,178 @@ func TestCongestionRateZeroWhenIdle(t *testing.T) {
 	s := Stats{BlockedCycles: 3, FlitsRouted: 1}
 	if got := s.CongestionRate(); got != 0.75 {
 		t.Errorf("congestion = %v, want 0.75", got)
+	}
+}
+
+// rig is one switch driven by hand, without the engine: the test stages
+// flits on the input wires, steps the clock itself and reads the output
+// wires. Every sink id is 100 + its output port and is routed on
+// channel 0.
+type rig struct {
+	sw    *Switch
+	in    []*link.Link
+	out   []*link.Link
+	wires []interface{ Commit(uint64) }
+	outCr []*link.CreditLink // channel 0 of each output port
+	cycle uint64
+}
+
+func newRig(tb testing.TB, numIn, numOut, numVC, credits int) *rig {
+	tb.Helper()
+	table := routing.NewTable(1)
+	for o := 0; o < numOut; o++ {
+		if err := table.Set(0, flit.EndpointID(100+o), []int{o}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cfg := defaultCfg("sw0", 0, numIn, numOut, table)
+	cfg.NumVC = numVC
+	sw, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &rig{sw: sw}
+	newWire := func() (*link.Link, []*link.CreditLink) {
+		l := link.NewLink("l")
+		r.wires = append(r.wires, l)
+		crs := make([]*link.CreditLink, numVC)
+		for v := range crs {
+			crs[v] = link.NewCreditLink("cr")
+			r.wires = append(r.wires, crs[v])
+		}
+		return l, crs
+	}
+	for i := 0; i < numIn; i++ {
+		l, crs := newWire()
+		if err := sw.ConnectInput(i, l, crs...); err != nil {
+			tb.Fatal(err)
+		}
+		r.in = append(r.in, l)
+	}
+	for o := 0; o < numOut; o++ {
+		l, crs := newWire()
+		if err := sw.ConnectOutput(o, l, credits, crs...); err != nil {
+			tb.Fatal(err)
+		}
+		r.out = append(r.out, l)
+		r.outCr = append(r.outCr, crs[0])
+	}
+	return r
+}
+
+// send stages a single-flit packet from src on input port i, channel vc,
+// to the sink of output port o.
+func (r *rig) send(i, vc, o int, src flit.EndpointID) {
+	f := &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(src, r.cycle), Src: src,
+		Dst: flit.EndpointID(100 + o), PacketLen: 1, VC: uint8(vc)}
+	if err := r.in[i].Send(f); err != nil {
+		panic(err)
+	}
+}
+
+// step runs one cycle: the switch ticks, every flit on an output wire is
+// consumed and its credit returned, then switch and wires commit. The
+// sources of the consumed flits are appended to order, in output-port
+// order.
+func (r *rig) step(order *[]flit.EndpointID) {
+	r.sw.Tick(r.cycle)
+	for o, l := range r.out {
+		if f := l.Take(); f != nil {
+			if order != nil {
+				*order = append(*order, f.Src)
+			}
+			r.outCr[o].Send(1)
+		}
+	}
+	r.sw.Commit(r.cycle)
+	for _, w := range r.wires {
+		w.Commit(r.cycle)
+	}
+	r.cycle++
+}
+
+// TestWideSwitchRoundRobinAcrossWords: with more than 64 input lanes the
+// request mask of an output lane spans two words. Three input lanes —
+// one in the first word, two in the second — contend for one output;
+// round-robin must pick the second-word lanes past a requesting
+// first-word lane, and wrap from the second word back to the first.
+func TestWideSwitchRoundRobinAcrossWords(t *testing.T) {
+	r := newRig(t, 35, 1, 2, 4)
+	// Input lane = port*2 + channel: lanes 10, 66 and 69, which send 3, 2
+	// and 1 packets; the source id names the lane.
+	plan := []struct{ port, vc, packets int }{{5, 0, 3}, {33, 0, 2}, {34, 1, 1}}
+	var order []flit.EndpointID
+	for c := 0; c < 12; c++ {
+		for _, p := range plan {
+			if c < p.packets {
+				r.send(p.port, p.vc, 0, flit.EndpointID(p.port*2+p.vc))
+			}
+		}
+		r.step(&order)
+	}
+	// Pointer: 0 -> 11 -> 67 -> 0 (lane 69 is the last but one) -> 11 ->
+	// 67, from where only lane 10 is left and the search wraps.
+	want := []flit.EndpointID{10, 66, 69, 10, 66, 10}
+	if !slices.Equal(order, want) {
+		t.Errorf("output order by input lane = %v, want %v", order, want)
+	}
+}
+
+// TestCreditStarvedWinnerAdvancesPointer: the arbiter grants before the
+// switch checks the downstream credit, so a winner that cannot move for
+// lack of credit still rotates the round-robin pointer. With one credit
+// in flight every other cycle is starved, and the lane after the starved
+// winner goes next: 0, then (1 starved) 2, then (1 starved again, the
+// pointer passes it) 1.
+func TestCreditStarvedWinnerAdvancesPointer(t *testing.T) {
+	r := newRig(t, 3, 1, 1, 1)
+	for i := 0; i < 3; i++ {
+		r.send(i, 0, 0, flit.EndpointID(i))
+	}
+	var order []flit.EndpointID
+	for c := 0; c < 12; c++ {
+		r.step(&order)
+	}
+	if want := []flit.EndpointID{0, 2, 1}; !slices.Equal(order, want) {
+		t.Errorf("output order by input lane = %v, want %v", order, want)
+	}
+	if got := r.sw.Stats().BlockedCycles; got != 2+2+1+1 {
+		t.Errorf("blocked cycles = %d, want 6 (lanes 1 and 2 wait two cycles, lane 1 two more)", got)
+	}
+}
+
+// BenchmarkSwitchTick times one cycle of one switch and its wires at
+// three radices with every output carrying a flit per cycle (input i
+// sends to output i, so each output lane has exactly one request), and
+// at radix 31 with nothing to do — the per-cycle cost an idle high-radix
+// switch pays before the gate parks it.
+func BenchmarkSwitchTick(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		radix int
+		load  bool
+	}{{"radix5", 5, true}, {"radix31", 31, true}, {"radix63", 63, true}, {"radix31idle", 31, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := newRig(b, bc.radix, bc.radix, 1, 4)
+			// Flits are reused: one is back off its output wire three
+			// cycles after it was staged.
+			ring := make([]flit.Flit, 4*bc.radix)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if bc.load {
+					for i, l := range r.in {
+						f := &ring[n%4*bc.radix+i]
+						*f = flit.Flit{Kind: flit.HeadTail, Dst: flit.EndpointID(100 + i), PacketLen: 1}
+						if err := l.Send(f); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				r.step(nil)
+			}
+			if got := r.sw.Stats().FlitsRouted; bc.load && got < uint64(bc.radix*max(b.N-3, 0)) {
+				b.Fatalf("%d flits routed in %d cycles: the switch is not at one flit per output per cycle", got, b.N)
+			}
+		})
 	}
 }

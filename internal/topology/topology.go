@@ -316,20 +316,30 @@ type Edge struct {
 
 // Reachable returns the set of switches reachable from s (including s).
 func (t *Topology) Reachable(s NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{s: true}
-	queue := []NodeID{s}
-	adj := t.Adjacency()
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[cur] {
-			if !seen[e.To] {
-				seen[e.To] = true
+	seen := make(map[NodeID]bool)
+	for _, r := range reach(t.Adjacency(), s, make([]int, t.numSwitches), 1, nil) {
+		seen[r] = true
+	}
+	return seen
+}
+
+// reach lists the switches reachable from s (including s) in
+// breadth-first order, into queue's storage. seen is the caller's
+// visited set, one int per switch: an entry equal to stamp is visited,
+// so a caller searching from many starts reuses seen and queue with a
+// fresh stamp each time instead of clearing them.
+func reach(adj [][]Edge, s NodeID, seen []int, stamp int, queue []NodeID) []NodeID {
+	seen[s] = stamp
+	queue = append(queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		for _, e := range adj[queue[i]] {
+			if seen[e.To] != stamp {
+				seen[e.To] = stamp
 				queue = append(queue, e.To)
 			}
 		}
 	}
-	return seen
+	return queue
 }
 
 // Validate checks the structural invariants needed before platform
@@ -343,10 +353,13 @@ func (t *Topology) Validate() error {
 	if len(sinks) == 0 {
 		return fmt.Errorf("topology %s: no sinks", t.name)
 	}
-	for _, src := range srcs {
-		reach := t.Reachable(src.Switch)
+	adj := t.Adjacency()
+	seen := make([]int, t.numSwitches)
+	var queue []NodeID
+	for i, src := range srcs {
+		queue = reach(adj, src.Switch, seen, i+1, queue)
 		for _, snk := range sinks {
-			if !reach[snk.Switch] {
+			if seen[snk.Switch] != i+1 {
 				return fmt.Errorf("topology %s: sink %d (switch %d) unreachable from source %d (switch %d)",
 					t.name, snk.ID, snk.Switch, src.ID, src.Switch)
 			}
