@@ -10,6 +10,13 @@
 // the Tick phase operate on committed state and stage their effects;
 // Commit applies them. Readers within the same cycle therefore always
 // observe the state as of the previous cycle, like a synchronous RAM.
+//
+// Commit also advances the occupancy statistics by one cycle, which is
+// all it does in a cycle that staged nothing, and SkipIdle pays exactly
+// that for any number of cycles at once. So the switch calls Commit only
+// for a lane with a staged push or pop, and pays the cycles in between
+// from its own cycle count (SettleTo) before the lane next commits and
+// wherever the counters are read, saved or the queue is drained.
 package buffer
 
 import (
@@ -175,11 +182,21 @@ func (q *FIFO) Commit(cycle uint64) {
 
 // SkipIdle accounts n skipped cycles during which the owner staged no
 // operations: each would have committed nothing but still advanced the
-// occupancy statistics by the (unchanged) committed size.
+// occupancy statistics by the (unchanged) committed size. That includes
+// the maximum: no push, no rise, but ResetStats clears it under a queue
+// that still holds flits and the next commit brings it back.
 func (q *FIFO) SkipIdle(n uint64) {
 	q.cycles += n
 	q.sumOccupancy += uint64(q.size) * n
+	if n > 0 && q.size > q.maxOccupancy {
+		q.maxOccupancy = q.size
+	}
 }
+
+// SettleTo pays the idle cycles a lazily committed FIFO is owed: cycles
+// is its owner's count of cycles so far, which the FIFO's own count
+// trails by the cycles it was left out of.
+func (q *FIFO) SettleTo(cycles uint64) { q.SkipIdle(cycles - q.cycles) }
 
 // Drain removes every queued flit — committed entries and a staged
 // push alike — passing each to release (which may be nil). It is the

@@ -241,3 +241,46 @@ func TestFIFOCapacityInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: a FIFO committed only in the cycles that stage an operation,
+// and paid the cycles in between through SettleTo, counts what a FIFO
+// committed every cycle counts — for any interleaving of pushes, pops,
+// stalls, idle cycles and statistics resets (a reset under a non-empty
+// queue is where the maximum has to come back without a push).
+func TestLazyCommitMatchesEveryCycle(t *testing.T) {
+	f := func(ops []uint8) bool {
+		every, lazy := MustNew("q", 3), MustNew("q", 3)
+		cycles := uint64(0) // the owner's count, reset with the statistics
+		for c, op := range ops {
+			staged := false
+			for _, q := range []*FIFO{every, lazy} {
+				switch op % 8 {
+				case 0, 1:
+					if !q.Full() {
+						staged = q.Push(mkFlit(uint64(c))) == nil
+					}
+				case 2, 3:
+					staged = q.Pop() != nil
+				case 4:
+					q.ResetStats()
+					cycles = 0
+				case 5:
+					if !q.Empty() {
+						q.MarkBlocked()
+					}
+				}
+			}
+			every.Commit(uint64(c))
+			if staged {
+				lazy.SettleTo(cycles)
+				lazy.Commit(uint64(c))
+			}
+			cycles++
+		}
+		lazy.SettleTo(cycles)
+		return every.Stats() == lazy.Stats() && every.Len() == lazy.Len()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

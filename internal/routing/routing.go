@@ -52,7 +52,9 @@ func ValidPolicy(p Policy) bool {
 // The store is flat: a row of entries per switch, one column per
 // destination, each entry naming a run of the shared candidate pool. A
 // lookup is two indexings, and a table costs 8 bytes per (switch,
-// destination) plus one int per candidate port.
+// destination) plus one int per candidate of a multi-port list: one-port
+// lists naming the same port share a pool cell, so a single-path table
+// (any XY-routed grid) has a pool of a few cells that stays in cache.
 type Table struct {
 	// col maps a destination id to its column plus one (0: the table has
 	// never seen the id); ids is the inverse. Columns are handed out in
@@ -62,6 +64,9 @@ type Table struct {
 	ids  []flit.EndpointID
 	rows [][]entry // per switch; a row may stop short of len(ids)
 	pool []int
+	// one maps a port number to the offset plus one of the pool cell that
+	// holds it for every one-port list (0: no such list yet).
+	one []uint32
 }
 
 // entry is one (switch, destination) cell: n candidate ports at
@@ -77,7 +82,7 @@ func NewTable(n int) *Table { return &Table{rows: make([][]entry, n)} }
 
 // newTableFor returns an empty table for n switches sized for sinks: a
 // column each and full-width rows cut from one slab, so filling it
-// reallocates no row.
+// reallocates no row. The pool grows as multi-port lists arrive.
 func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
 	t := NewTable(n)
 	for _, sink := range sinks {
@@ -88,7 +93,6 @@ func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
 	for sw := range t.rows {
 		t.rows[sw] = slab[sw*w : (sw+1)*w : (sw+1)*w]
 	}
-	t.pool = make([]int, 0, len(slab))
 	return t
 }
 
@@ -130,9 +134,11 @@ func (t *Table) find(sw topology.NodeID, dst flit.EndpointID) entry {
 
 // Set replaces the candidate ports for (sw, dst). The experiments use
 // this to pin specific paths (e.g. to construct the paper's two
-// 90%-loaded links). A replacement no longer than the list it replaces
-// is written over it; a longer one is appended to the pool and the old
-// run is abandoned there, so only a table rewritten over and over grows.
+// 90%-loaded links). It never writes over the run an entry had — a
+// one-port run is shared, writing in place would reroute the neighbours
+// — but re-points the entry at the port's shared cell, or at a copy of a
+// multi-port list appended to the pool; an abandoned multi-port run
+// stays there, so only a table rewritten over and over grows.
 func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error {
 	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return fmt.Errorf("routing: switch %d out of range", sw)
@@ -144,13 +150,21 @@ func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error 
 		return fmt.Errorf("routing: %d candidate ports for switch %d dst %d", len(ports), sw, dst)
 	}
 	e := t.slot(sw, dst)
-	if len(ports) > int(e.n) {
-		e.off = uint32(len(t.pool))
-		t.pool = append(t.pool, ports...)
-	} else {
-		copy(t.pool[e.off:], ports)
-	}
 	e.n = uint16(len(ports))
+	// Below 64k only: a port no switch has must not size the index.
+	if p := ports[0]; len(ports) == 1 && uint(p) <= math.MaxUint16 {
+		if p >= len(t.one) {
+			t.one = append(t.one, make([]uint32, p+1-len(t.one))...)
+		}
+		if t.one[p] == 0 {
+			t.pool = append(t.pool, p)
+			t.one[p] = uint32(len(t.pool))
+		}
+		e.off = t.one[p] - 1
+		return nil
+	}
+	e.off = uint32(len(t.pool))
+	t.pool = append(t.pool, ports...)
 	return nil
 }
 

@@ -437,10 +437,11 @@ func TestTableSparseIDs(t *testing.T) {
 // TestTableSetReplaces: Set over an existing entry (a route override)
 // takes a shorter and a longer list, and leaves the neighbouring
 // entries' candidates alone either way — also when a caller appends to
-// a Lookup result.
+// a Lookup result, and also in a row of identical one-port entries,
+// which share one pool cell.
 func TestTableSetReplaces(t *testing.T) {
 	tb := NewTable(1)
-	want := map[flit.EndpointID][]int{100: {1, 2, 3}, 101: {4, 5}, 102: {6}}
+	want := map[flit.EndpointID][]int{100: {1, 2, 3}, 101: {4, 5}, 102: {6}, 103: {6}, 104: {6}, 105: {6}}
 	check := func(when string) {
 		t.Helper()
 		for dst, ports := range want {
@@ -456,18 +457,29 @@ func TestTableSetReplaces(t *testing.T) {
 		}
 		want[dst] = ports
 	}
-	for _, dst := range []flit.EndpointID{100, 101, 102} {
+	for _, dst := range []flit.EndpointID{100, 101, 102, 103, 104, 105} {
 		set(dst, want[dst]...)
 	}
 	check("filled")
+	if n := len(tb.pool); n != 3+2+1 {
+		t.Errorf("pool holds %d cells, want 6: the four one-port lists naming port 6 share one", n)
+	}
+	set(103, 7) // one of the row of equal one-port entries
+	check("one-port list over a shared one")
+	set(104, 7, 8)
+	check("two-port list over a shared one")
+	set(104, 6) // and back onto the shared cell
+	check("shared one-port list over a two-port one")
 	set(100, 9) // shorter
 	check("shorter list")
 	set(101, 7, 8, 9, 10) // longer
 	check("longer list")
-	set(100, 11, 12, 13) // back to the original length, in place
+	set(100, 11, 12, 13) // back to the original length
 	check("regrown list")
-	ports, _ := tb.Lookup(0, 100)
-	_ = append(ports, 99)
+	for _, dst := range []flit.EndpointID{100, 102} { // a multi-port run, the shared cell
+		ports, _ := tb.Lookup(0, dst)
+		_ = append(ports, 99)
+	}
 	check("append to a lookup result")
 }
 

@@ -1,0 +1,304 @@
+package switchfab
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"nocemu/internal/buffer"
+	"nocemu/internal/flit"
+	"nocemu/internal/state"
+)
+
+// The switch commits a lane only in a cycle that staged a push or a pop
+// there and owes it the other cycles until somebody looks (DESIGN.md
+// §14, "Work follows occupancy"). These tests pin that the debt is
+// invisible: in every counter, in the bytes of a snapshot, and across
+// the word boundary of the lane masks.
+
+// trickle feeds a rig a seeded trickle of one- to three-flit packets
+// from its first ins input ports to its first outs output ports: at most
+// one flit per port per cycle, a packet's flits in order on one channel,
+// and never more flits on a lane than the switch has returned credits
+// for.
+type trickle struct {
+	r      *rig
+	rng    *rand.Rand
+	outs   int
+	credit []int        // per input lane: buffer slots known free
+	next   []*flit.Flit // per feeding input port: the flit to send next, nil between packets
+}
+
+func newTrickle(r *rig, seed int64, ins, outs int) *trickle {
+	d := &trickle{r: r, rng: rand.New(rand.NewSource(seed)), outs: outs,
+		credit: make([]int, len(r.sw.inBufs)), next: make([]*flit.Flit, ins)}
+	for l := range d.credit {
+		d.credit[l] = r.sw.BufDepth()
+	}
+	return d
+}
+
+// collect reads the credits the switch returned last cycle; call it once
+// per cycle, before feed.
+func (d *trickle) collect() {
+	for i, crs := range d.r.inCr {
+		for v, c := range crs {
+			d.credit[i*len(crs)+v] += int(c.Take())
+		}
+	}
+}
+
+// feed stages this cycle's flits; with start false it only finishes the
+// packets under way.
+func (d *trickle) feed(start bool) {
+	numVC := d.r.sw.cfg.NumVC
+	for i := range d.next {
+		if d.next[i] == nil && start && d.rng.Intn(4) == 0 {
+			d.next[i] = &flit.Flit{Kind: flit.Head, Packet: flit.MakePacketID(flit.EndpointID(i), d.r.cycle), Src: flit.EndpointID(i),
+				Dst: flit.EndpointID(100 + d.rng.Intn(d.outs)), PacketLen: uint16(1 + d.rng.Intn(3)), VC: uint8(d.rng.Intn(numVC))}
+		}
+		f := d.next[i]
+		if f == nil || d.credit[i*numVC+int(f.VC)] == 0 {
+			continue
+		}
+		d.next[i] = nil
+		if last := f.Index+1 == f.PacketLen; last && f.Kind == flit.Head {
+			f.Kind = flit.HeadTail
+		} else if last {
+			f.Kind = flit.Tail
+		} else {
+			body := *f
+			body.Kind, body.Index = flit.Body, f.Index+1
+			d.next[i] = &body
+		}
+		d.credit[i*numVC+int(f.VC)]--
+		d.r.sendFlit(i, f)
+	}
+}
+
+func saved(sw *Switch) []byte {
+	w := state.NewWriter()
+	sw.SaveState(w)
+	return w.Bytes()
+}
+
+// TestLazyLaneStatisticsAreInvisible runs two rigs under the same sparse
+// stimulus. The eager one reads BufferStats after every cycle, so no
+// lane is ever owed more than the cycle just committed; the lazy one is
+// left alone to the end, but for a snapshot round trip in mid-run. Both
+// reset their statistics after step 14 — under a lane that holds a
+// flit, which is where the maximum occupancy has to come back without a
+// push — and, in the gated variant, both sleep 1000 cycles through
+// SkipIdle the way the clock gate parks a quiet switch. Counters and
+// snapshot bytes must agree at the end, and the last input lane, which
+// has output port 2 and its single credit to itself, must show the
+// history worked out by hand below.
+func TestLazyLaneStatisticsAreInvisible(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		numVC  int
+		parked uint64
+	}{{"one channel", 1, 0}, {"two channels", 2, 0}, {"parked in the middle", 1, 1000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pinned, steps, resetAt, parkAt, reloadAt = 3, 80, 15, 45, 53
+			eager, lazy := newRig(t, 4, 3, tc.numVC, 1), newRig(t, 4, 3, tc.numVC, 1)
+			de, dl := newTrickle(eager, 7, pinned, 2), newTrickle(lazy, 7, pinned, 2)
+			for step := 0; step < steps; step++ {
+				for _, d := range []*trickle{de, dl} {
+					r := d.r
+					switch step {
+					case resetAt:
+						r.sw.ResetStats()
+					case parkAt:
+						if _, quiet := r.sw.NextWake(r.cycle); !quiet {
+							t.Fatalf("switch not quiet at step %d: the stimulus windows need retuning", step)
+						}
+						r.sw.SkipIdle(r.cycle, tc.parked)
+						r.cycle += tc.parked
+					case reloadAt:
+						if r == lazy {
+							if err := r.sw.LoadState(state.NewReader(saved(r.sw))); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					d.collect()
+					d.feed(step < 14 || step >= 50 && step < 64)
+					// The pinned lane: four packets before the reset, two after.
+					if slices.Contains([]int{10, 11, 12, 13, 50, 51}, step) {
+						r.send(pinned, 0, 2, 9)
+					}
+					r.step(nil)
+					if r == eager {
+						r.sw.BufferStats()
+					}
+				}
+			}
+			if a, b := eager.sw.Stats(), lazy.sw.Stats(); a != b {
+				t.Errorf("switch stats: eager %+v, lazy %+v", a, b)
+			}
+			if eager.sw.Stats().FlitsRouted < 20 || eager.sw.Stats().BlockedCycles < 5 {
+				t.Errorf("stats %+v: the stimulus is too thin to tell anything", eager.sw.Stats())
+			}
+			if a, b := eager.sw.BufferStats(), lazy.sw.BufferStats(); !slices.Equal(a, b) {
+				t.Errorf("buffer stats:\neager %+v\nlazy  %+v", a, b)
+			}
+			if !bytes.Equal(saved(eager.sw), saved(lazy.sw)) {
+				t.Error("snapshot bytes differ between the eagerly and the lazily settled switch")
+			}
+			// With one credit a flit leaves every other cycle (s: lane size
+			// after the commit of the step, b: head blocked in it):
+			//   sent at 10..13: step 11 s=1, 12 s=1, 13 s=2 b, 14 s=2, reset,
+			//   15 s=2 b, 16 s=1, 17 s=1 b, 18 s=0 — two pops, two stalls, and
+			//   a maximum of 2 that no push brought back;
+			//   sent at 50, 51: step 51 s=1, 52 s=1, 53 s=1 b, 54 s=0.
+			cycles := uint64(steps-resetAt) + tc.parked
+			want := buffer.Stats{Pushes: 2, Pops: 4, Blocked: 3, Cycles: cycles, MaxOccupancy: 2,
+				MeanOccupancy: 7 / float64(cycles)}
+			if got := lazy.sw.BufferStats()[pinned*tc.numVC]; got != want {
+				t.Errorf("pinned lane: %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestLaneMasksAcrossWords: 70 input lanes put the lane masks on two
+// words. Lanes 10 (first word) and 69 (second) stream to output 0 while
+// lane 66 holds output 1's wormhole lock with an empty buffer, its body
+// flits late: port 1 is then wanted by nobody and skipped, which must
+// look exactly like offering it and finding nothing — no flit out, no
+// arbiter movement, nobody blocked — and the lock must still be there
+// for the rest of the packet.
+func TestLaneMasksAcrossWords(t *testing.T) {
+	r := newRig(t, 35, 2, 2, 4)
+	part := func(kind flit.Kind, index uint16) *flit.Flit {
+		return &flit.Flit{Kind: kind, Packet: flit.MakePacketID(66, 0), Src: 66, Dst: 101, PacketLen: 3, Index: index}
+	}
+	var order []flit.EndpointID
+	r.sendFlit(33, part(flit.Head, 0))
+	for c := 0; c < 3; c++ {
+		r.step(&order)
+	}
+	if r.sw.lock[2] != 66 || !r.sw.inBufs[66].Empty() {
+		t.Fatalf("lock[2] = %d, lane 66 holds %d flits: want the head gone and the lock held", r.sw.lock[2], r.sw.inBufs[66].Len())
+	}
+	arbiter := func() []byte {
+		w := state.NewWriter()
+		r.sw.arbiters[1].SaveState(w)
+		return w.Bytes()
+	}
+	before, blocked := arbiter(), r.sw.Stats().BlockedCycles
+	for c := 0; c < 9; c++ {
+		if c < 3 {
+			r.send(5, 0, 0, 10)
+			r.send(34, 1, 0, 69)
+		}
+		r.step(&order)
+	}
+	if want := []flit.EndpointID{66, 10, 69, 10, 69, 10, 69}; !slices.Equal(order, want) {
+		t.Errorf("output order by input lane = %v, want %v", order, want)
+	}
+	if got := r.sw.Stats().BlockedCycles - blocked; got != 5 {
+		t.Errorf("%d blocked cycles, want 5: one of lanes 10 and 69 waits in each cycle but the last, lane 66 never", got)
+	}
+	if !bytes.Equal(arbiter(), before) {
+		t.Error("output 1's arbiter moved while nobody requested the port")
+	}
+	order = order[:0]
+	r.sendFlit(33, part(flit.Body, 1))
+	r.step(&order)
+	r.sendFlit(33, part(flit.Tail, 2))
+	for c := 0; c < 4; c++ {
+		r.step(&order)
+	}
+	if want := []flit.EndpointID{66, 66}; !slices.Equal(order, want) || r.sw.lock[2] != -1 {
+		t.Errorf("rest of the packet: %v out, lock[2] = %d, want %v and the lock released", order, r.sw.lock[2], want)
+	}
+}
+
+// TestDrainWithStagedPush: Drain between Tick and Commit drops the push
+// Tick staged along with the buffered flits, and leaves nothing behind
+// that the next cycle would act on.
+func TestDrainWithStagedPush(t *testing.T) {
+	r := newRig(t, 2, 1, 1, 1)
+	r.send(0, 0, 0, 1)
+	r.step(nil)
+	r.send(0, 0, 0, 2)
+	r.step(nil)
+	r.send(1, 0, 0, 3)
+	r.step(nil) // packet 1 left on the only credit, 2 is buffered, 3 on its wire
+	// Stages the push of packet 3; packet 2 stalls, the credit is not back.
+	r.sw.Tick(r.cycle)
+	released := 0
+	r.sw.Drain(func(*flit.Flit) { released++ })
+	if released != 2 {
+		t.Errorf("released %d flits, want 2: one buffered, one staged", released)
+	}
+	if _, quiet := r.sw.NextWake(r.cycle); !quiet {
+		t.Error("drained switch is not quiet")
+	}
+	r.sw.Commit(r.cycle)
+	for _, w := range r.wires {
+		w.Commit(r.cycle)
+	}
+	r.cycle++
+	want := r.sw.Stats()
+	var order []flit.EndpointID
+	for c := 0; c < 3; c++ {
+		r.step(&order)
+	}
+	want.Cycles += 3
+	if got := r.sw.Stats(); got != want || want.FlitsRouted != 1 || want.BlockedCycles != 1 {
+		t.Errorf("stats after the drain %+v, want %+v with 1 flit routed and 1 stall", got, want)
+	}
+	if bs := r.sw.BufferStats(); bs[0].Pushes != 2 || bs[1].Pushes != 0 || r.sw.BufferedFlits() != 0 {
+		t.Errorf("lanes pushed %d and %d flits and hold %d, want 2, 0 (the staged push is gone) and 0",
+			bs[0].Pushes, bs[1].Pushes, r.sw.BufferedFlits())
+	}
+	if !slices.Equal(order, []flit.EndpointID{1}) {
+		t.Errorf("flits out after the drain: %v, want only packet 1, on its wire since before", order)
+	}
+}
+
+// TestStepAllocatesNothing: the masks are allocated with the switch; a
+// cycle allocates nothing, idle or loaded.
+func TestStepAllocatesNothing(t *testing.T) {
+	r := newRig(t, 5, 5, 2, 4)
+	ring := make([]flit.Flit, 4*len(r.in))
+	for _, load := range []int{0, 1, len(r.in)} {
+		if n := testing.AllocsPerRun(100, func() {
+			r.loadRing(ring, int(r.cycle), load)
+			r.step(nil)
+		}); n != 0 {
+			t.Errorf("%v allocations per cycle with %d inputs sending", n, load)
+		}
+	}
+	if r.sw.Stats().FlitsRouted < 500 {
+		t.Errorf("%d flits routed: the loaded runs did not load the switch", r.sw.Stats().FlitsRouted)
+	}
+}
+
+// TestLoadStateRejectsLockWithoutRoute: a section whose wormhole lock
+// names an input lane routed elsewhere, or nowhere, used to load and
+// then panic in Tick ("pop failed on granted input lane": the lane won
+// both the locked port and the port it was bound for).
+func TestLoadStateRejectsLockWithoutRoute(t *testing.T) {
+	for _, route := range []int{-1, 1} {
+		r := newRig(t, 1, 2, 1, 4)
+		r.send(0, 0, 1, 1)
+		r.step(nil)
+		r.step(nil) // buffered on lane 0, bound for output 1
+		r.sw.lock[0], r.sw.inRoute[0] = 0, route
+		err := newRig(t, 1, 2, 1, 4).sw.LoadState(state.NewReader(saved(r.sw)))
+		var lre *LockRouteError
+		if !errors.As(err, &lre) || *lre != (LockRouteError{Switch: "sw0", OutLane: 0, InLane: 0, Route: route}) {
+			t.Errorf("route %d: LoadState = %v, want a LockRouteError for lock[0] = 0", route, err)
+		}
+		r.sw.lock[0], r.sw.inRoute[0] = -1, route
+		if err := newRig(t, 1, 2, 1, 4).sw.LoadState(state.NewReader(saved(r.sw))); err != nil {
+			t.Errorf("route %d without the lock: %v", route, err)
+		}
+	}
+}

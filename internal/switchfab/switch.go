@@ -20,6 +20,7 @@ package switchfab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocemu/internal/arb"
 	"nocemu/internal/buffer"
@@ -95,10 +96,18 @@ type Switch struct {
 	lock      []int              // per output lane: input lane holding the wormhole lock, or -1
 	arbiters  []arb.Arbiter      // per output port, over the input lanes
 	inRoute   []int              // per input lane: output lane of the packet in flight, or -1
-	granted   []bool             // per input lane: forwarded this cycle (reused scratch)
-	req       []uint64           // per output lane: mask of the input lanes requesting it (rebuilt each Tick)
+	req       []uint64           // per output lane: mask of the input lanes requesting it (built and cleared within a Tick)
 	wired     int
 	wiredOuts int
+
+	// Work follows these masks, not the lane count (DESIGN.md §14): a bit
+	// per input lane in occ, dirty and moved, per output port in want. occ
+	// is derived from the FIFOs, the rest is scratch of a cycle.
+	masks []uint64 // backing of the four
+	occ   []uint64 // the committed FIFO holds a flit
+	dirty []uint64 // a push is staged this cycle
+	moved []uint64 // forwarded this cycle: a pop is staged
+	want  []uint64 // some occupied lane is routed to this port (set and cleared within a Tick)
 
 	stats Stats
 
@@ -142,6 +151,8 @@ func initSwitch(s *Switch, cfg Config) error {
 		return fmt.Errorf("switchfab %s: bad selection policy %q", cfg.Name, cfg.Select)
 	}
 	inLanes, outLanes := cfg.NumIn*cfg.NumVC, cfg.NumOut*cfg.NumVC
+	words := arb.Words(inLanes)
+	masks := make([]uint64, 3*words+arb.Words(cfg.NumOut))
 	*s = Switch{
 		cfg:       cfg,
 		lfsr:      rng.New(cfg.Seed),
@@ -154,8 +165,12 @@ func initSwitch(s *Switch, cfg Config) error {
 		lock:      make([]int, outLanes),
 		arbiters:  make([]arb.Arbiter, cfg.NumOut),
 		inRoute:   make([]int, inLanes),
-		granted:   make([]bool, inLanes),
-		req:       make([]uint64, outLanes*arb.Words(inLanes)),
+		req:       make([]uint64, outLanes*words),
+		masks:     masks,
+		occ:       masks[:words:words],
+		dirty:     masks[words : 2*words : 2*words],
+		moved:     masks[2*words : 3*words : 3*words],
+		want:      masks[3*words:],
 	}
 	for r := range s.inBufs {
 		name := fmt.Sprintf("%s/in%d", cfg.Name, r/cfg.NumVC)
@@ -286,7 +301,8 @@ func (s *Switch) selectPort(candidates []int, f *flit.Flit, vc int) int {
 }
 
 // Tick implements engine.Component: accept arrivals, collect credits,
-// compute routes, arbitrate outputs and forward flits.
+// compute routes, arbitrate outputs and forward flits. Past the two
+// polls of the wires every pass walks the set bits of a mask.
 func (s *Switch) Tick(cycle uint64) {
 	numVC := s.cfg.NumVC
 	// Collect returned credits first so this cycle's arbitration sees
@@ -303,99 +319,114 @@ func (s *Switch) Tick(cycle uint64) {
 			if int(f.VC) >= numVC {
 				panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
 			}
-			if err := s.inBufs[i*numVC+int(f.VC)].Push(f); err != nil {
+			r := i*numVC + int(f.VC)
+			if err := s.inBufs[r].Push(f); err != nil {
 				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 			}
+			s.dirty[r>>6] |= 1 << (r & 63)
 		}
 	}
 
 	// Route computation for heads newly at the front of their buffers:
 	// the table gives the candidate ports and the channel of the hop.
-	// The same pass rebuilds the request masks: an input lane with a flit
-	// at its head requests the one output lane it is routed to. Both
-	// facts are committed state, so a mask holds for the whole Tick.
-	words := arb.Words(len(s.inBufs))
-	clear(s.req)
-	for r := range s.inBufs {
-		f := s.inBufs[r].Peek()
-		if f == nil {
-			continue
+	// The same pass builds the request masks: an input lane with a flit
+	// at its head requests the one output lane it is routed to, and marks
+	// that lane's port as wanted. Both facts are committed state, so a
+	// mask holds for the whole Tick.
+	words := len(s.occ)
+	for w, m := range s.occ {
+		for ; m != 0; m &= m - 1 {
+			r := w<<6 + bits.TrailingZeros64(m)
+			if s.inRoute[r] == -1 {
+				f := s.inBufs[r].Peek()
+				if !f.Kind.IsHead() {
+					panic(fmt.Sprintf("switchfab %s: input lane %d has unrouted %s flit at head", s.cfg.Name, r, f.Kind))
+				}
+				candidates, err := s.cfg.Table.Lookup(s.cfg.Node, f.Dst)
+				if err != nil {
+					panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
+				}
+				vc := int(s.cfg.Table.VC(s.cfg.Node, f.Dst))
+				if vc >= numVC {
+					panic(fmt.Sprintf("switchfab %s: table routes endpoint %d on virtual channel %d of %d", s.cfg.Name, f.Dst, vc, numVC))
+				}
+				s.inRoute[r] = s.selectPort(candidates, f, vc)*numVC + vc
+			}
+			o := s.inRoute[r]
+			s.req[o*words+w] |= m & -m
+			if numVC > 1 {
+				o /= numVC
+			}
+			s.want[o>>6] |= 1 << (o & 63)
 		}
-		if s.inRoute[r] == -1 {
-			if !f.Kind.IsHead() {
-				panic(fmt.Sprintf("switchfab %s: input lane %d has unrouted %s flit at head", s.cfg.Name, r, f.Kind))
-			}
-			candidates, err := s.cfg.Table.Lookup(s.cfg.Node, f.Dst)
-			if err != nil {
-				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
-			}
-			vc := int(s.cfg.Table.VC(s.cfg.Node, f.Dst))
-			if vc >= numVC {
-				panic(fmt.Sprintf("switchfab %s: table routes endpoint %d on virtual channel %d of %d", s.cfg.Name, f.Dst, vc, numVC))
-			}
-			s.inRoute[r] = s.selectPort(candidates, f, vc)*numVC + vc
-		}
-		s.req[s.inRoute[r]*words+r>>6] |= 1 << (r & 63)
 	}
 
-	// Per-output-port allocation and forwarding, one flit per port. The
-	// port's lanes are offered the physical channel in turn, from a
-	// start that rotates with the cycle so they share it fairly. A lane
-	// under a wormhole lock offers its holder's next flit; a free lane
-	// offers the arbitration winner among the heads seeking it. Either
-	// offer stands only with a flit to send and a credit downstream —
-	// checked after the grant, so the arbiter's priority moves on from a
-	// credit-starved winner — and otherwise the turn passes to the next
-	// lane: a stalled packet never holds the channel against another
-	// lane that can move, which is what dateline classes rely on. With
-	// one lane per port this is the plain wormhole switch: no
-	// arbitration while the output is locked.
-	granted := s.granted
-	for r := range granted {
-		granted[r] = false
+	// Per-output-port allocation and forwarding, one flit per port, over
+	// the wanted ports only: an unwanted port has no winner, as Grant on
+	// an empty mask moves no arbiter and a lock's holder is always routed
+	// to the lane it holds. The port's lanes are offered the physical
+	// channel in turn, from a start that rotates with the cycle so they
+	// share it fairly. A lane under a wormhole lock offers its holder's
+	// next flit; a free lane offers the arbitration winner among the
+	// heads seeking it. Either offer stands only with a flit to send and
+	// a credit downstream — checked after the grant, so the arbiter's
+	// priority moves on from a credit-starved winner — and otherwise the
+	// turn passes to the next lane: a stalled packet never holds the
+	// channel against another lane that can move, which is what dateline
+	// classes rely on. With one lane per port this is the plain wormhole
+	// switch: no arbitration while the output is locked.
+	rot := 0
+	if numVC > 1 {
+		rot = int(cycle % uint64(numVC))
 	}
-	rot := int(cycle % uint64(numVC))
-	for o := range s.outLinks {
-		lo := o * numVC
-		winner, out := -1, lo+rot
-		for k := 0; k < numVC; k++ {
-			if h := s.lock[out]; h >= 0 {
-				if s.inBufs[h].Peek() != nil && s.credits[out] > 0 {
-					winner = h
+	for pw, pm := range s.want {
+		s.want[pw] = 0
+		for ; pm != 0; pm &= pm - 1 {
+			o := pw<<6 + bits.TrailingZeros64(pm)
+			lo := o * numVC
+			winner, out := -1, lo+rot
+			for k := 0; k < numVC; k++ {
+				if h := s.lock[out]; h >= 0 {
+					if s.inBufs[h].Peek() != nil && s.credits[out] > 0 {
+						winner = h
+						break
+					}
+				} else if w, ok := s.arbiters[o].Grant(s.req[out*words : (out+1)*words]); ok && s.credits[out] > 0 {
+					winner = w
 					break
 				}
-			} else if w, ok := s.arbiters[o].Grant(s.req[out*words : (out+1)*words]); ok && s.credits[out] > 0 {
-				winner = w
-				break
+				if out++; out == lo+numVC {
+					out = lo
+				}
 			}
-			if out++; out == lo+numVC {
-				out = lo
+			for i := lo * words; i < (lo+numVC)*words; i++ {
+				s.req[i] = 0 // a word or two: a loop, not a call to clear
 			}
-		}
-		if winner < 0 || s.outLinks[o].Busy() {
-			continue // stalled heads are counted as blocked in the sweep below
-		}
-		f := s.inBufs[winner].Pop()
-		if f == nil {
-			panic(fmt.Sprintf("switchfab %s: pop failed on granted input lane %d", s.cfg.Name, winner))
-		}
-		f.VC = uint8(out - lo)
-		if err := s.outLinks[o].Send(f); err != nil {
-			panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
-		}
-		s.credits[out]--
-		s.creditOut[winner].Send(1)
-		granted[winner] = true
-		s.stats.FlitsRouted++
-		if s.probe != nil { // the input port is a division away; skip it untraced
-			s.probe.FlitRoute(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, uint16(f.VC), uint32(winner/numVC), uint32(o))
-		}
-		if f.Kind.IsTail() {
-			s.stats.PacketsRouted++
-			s.lock[out] = -1
-			s.inRoute[winner] = -1
-		} else {
-			s.lock[out] = winner
+			if winner < 0 || s.outLinks[o].Busy() {
+				continue // stalled heads are counted as blocked in the sweep below
+			}
+			f := s.inBufs[winner].Pop()
+			if f == nil {
+				panic(fmt.Sprintf("switchfab %s: pop failed on granted input lane %d", s.cfg.Name, winner))
+			}
+			f.VC = uint8(out - lo)
+			if err := s.outLinks[o].Send(f); err != nil {
+				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
+			}
+			s.credits[out]--
+			s.creditOut[winner].Send(1)
+			s.moved[winner>>6] |= 1 << (winner & 63)
+			s.stats.FlitsRouted++
+			if s.probe != nil { // the input port is a division away; skip it untraced
+				s.probe.FlitRoute(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, uint16(f.VC), uint32(winner/numVC), uint32(o))
+			}
+			if f.Kind.IsTail() {
+				s.stats.PacketsRouted++
+				s.lock[out] = -1
+				s.inRoute[winner] = -1
+			} else {
+				s.lock[out] = winner
+			}
 		}
 	}
 
@@ -403,33 +434,59 @@ func (s *Switch) Tick(cycle uint64) {
 	// move is blocked: it lost arbitration, found no downstream credit,
 	// or sits behind another packet's wormhole lock. Each stalled head
 	// counts exactly once per cycle.
-	for r := range s.inBufs {
-		q := &s.inBufs[r]
-		if !granted[r] && q.Peek() != nil && s.inRoute[r] >= 0 {
-			q.MarkBlocked()
+	for w, m := range s.occ {
+		for m &^= s.moved[w]; m != 0; m &= m - 1 {
+			s.inBufs[w<<6+bits.TrailingZeros64(m)].MarkBlocked()
 			s.stats.BlockedCycles++
 		}
 	}
 }
 
-// Commit implements engine.Component.
+// Commit implements engine.Component: commit the lanes with a staged
+// push or pop, each first paid the idle cycles since it last committed,
+// and note which hold a flit now. The other lanes are owed this cycle.
 func (s *Switch) Commit(cycle uint64) {
-	for i := range s.inBufs {
-		s.inBufs[i].Commit(cycle)
+	for w := range s.dirty {
+		m := s.dirty[w] | s.moved[w]
+		if m == 0 {
+			continue
+		}
+		s.dirty[w], s.moved[w] = 0, 0
+		occ := s.occ[w] &^ m
+		for ; m != 0; m &= m - 1 {
+			q := &s.inBufs[w<<6+bits.TrailingZeros64(m)]
+			q.SettleTo(s.stats.Cycles)
+			q.Commit(cycle)
+			if !q.Empty() {
+				occ |= m & -m
+			}
+		}
+		s.occ[w] = occ
 	}
 	s.stats.Cycles++
 }
 
-// NextWake implements engine.Quiescable. The switch is quiet when all
-// input buffers are empty and no flit is committed on an input wire:
-// with no heads there is nothing to route, arbitrate, forward or mark
-// blocked, and pending credits accumulate losslessly on the wires until
-// the next evaluated cycle. Wormhole locks and per-lane routes may
-// persist while quiet; they are frozen state, revisited when an input
-// arms the switch.
-func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
+// settle pays every lane the idle cycles it is owed — the difference of
+// the switch's cycle count and the lane's, which are counted, skipped,
+// reset, saved and loaded together — wherever the FIFO counters leave
+// the switch or the occupancy they integrate changes outside Commit.
+func (s *Switch) settle() {
 	for i := range s.inBufs {
-		if !s.inBufs[i].Empty() {
+		s.inBufs[i].SettleTo(s.stats.Cycles)
+	}
+}
+
+// NextWake implements engine.Quiescable. The switch is quiet when no
+// lane is occupied and no flit is committed on an input wire: with no
+// heads there is nothing to route, arbitrate, forward or mark blocked,
+// and pending credits accumulate losslessly on the wires until the next
+// evaluated cycle. The gate asks after this switch's Commit, so occ
+// already counts a flit pushed this cycle. Wormhole locks and per-lane
+// routes may persist while quiet; they are frozen state, revisited when
+// an input arms the switch.
+func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
+	for _, m := range s.occ {
+		if m != 0 {
 			return 0, false
 		}
 	}
@@ -446,27 +503,24 @@ func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 }
 
 // SkipIdle implements engine.Quiescable: each skipped cycle would have
-// committed empty buffers and counted one switch cycle.
-func (s *Switch) SkipIdle(from, n uint64) {
-	s.stats.Cycles += n
-	for i := range s.inBufs {
-		s.inBufs[i].SkipIdle(n)
-	}
-}
+// counted one switch cycle and committed empty buffers, which the lanes
+// are paid for like any cycle Commit passed them over (settle).
+func (s *Switch) SkipIdle(from, n uint64) { s.stats.Cycles += n }
 
-// Drain empties every input buffer through release and clears the
-// wormhole locks and per-lane routes (end-of-run reclamation: a
-// drained packet's tail never arrives, so the locks must be force-
-// released). Credits and statistics are untouched.
+// Drain empties every input buffer through release — a push staged this
+// cycle included — and clears the wormhole locks and per-lane routes
+// (end-of-run reclamation: a drained packet's tail never arrives, so the
+// locks must be force-released). Credits and statistics are untouched.
 func (s *Switch) Drain(release func(*flit.Flit)) {
+	s.settle() // at the occupancy the owed cycles were spent at
 	for i := range s.inBufs {
 		s.inBufs[i].Drain(release)
 		s.inRoute[i] = -1
-		s.granted[i] = false
 	}
 	for o := range s.lock {
 		s.lock[o] = -1
 	}
+	clear(s.masks)
 }
 
 // SetProbe attaches the tracing probe (nil disables tracing) and shares
@@ -495,6 +549,7 @@ func (s *Switch) BufferedFlits() int {
 
 // BufferStats returns the buffer statistics per input lane.
 func (s *Switch) BufferStats() []buffer.Stats {
+	s.settle()
 	out := make([]buffer.Stats, len(s.inBufs))
 	for i := range s.inBufs {
 		out[i] = s.inBufs[i].Stats()
@@ -502,8 +557,9 @@ func (s *Switch) BufferStats() []buffer.Stats {
 	return out
 }
 
-// ResetStats clears the activity counters (and buffer counters) without
-// disturbing in-flight traffic, so measurements can exclude warm-up.
+// ResetStats clears the activity counters (and buffer counters, the idle
+// cycles they are owed included) without disturbing in-flight traffic,
+// so measurements can exclude warm-up.
 func (s *Switch) ResetStats() {
 	s.stats = Stats{}
 	for i := range s.inBufs {

@@ -547,7 +547,8 @@ type rig struct {
 	in    []*link.Link
 	out   []*link.Link
 	wires []interface{ Commit(uint64) }
-	outCr []*link.CreditLink // channel 0 of each output port
+	inCr  [][]*link.CreditLink // per input port, per channel
+	outCr []*link.CreditLink   // channel 0 of each output port
 	cycle uint64
 }
 
@@ -582,6 +583,7 @@ func newRig(tb testing.TB, numIn, numOut, numVC, credits int) *rig {
 			tb.Fatal(err)
 		}
 		r.in = append(r.in, l)
+		r.inCr = append(r.inCr, crs)
 	}
 	for o := 0; o < numOut; o++ {
 		l, crs := newWire()
@@ -597,8 +599,12 @@ func newRig(tb testing.TB, numIn, numOut, numVC, credits int) *rig {
 // send stages a single-flit packet from src on input port i, channel vc,
 // to the sink of output port o.
 func (r *rig) send(i, vc, o int, src flit.EndpointID) {
-	f := &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(src, r.cycle), Src: src,
-		Dst: flit.EndpointID(100 + o), PacketLen: 1, VC: uint8(vc)}
+	r.sendFlit(i, &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(src, r.cycle), Src: src,
+		Dst: flit.EndpointID(100 + o), PacketLen: 1, VC: uint8(vc)})
+}
+
+// sendFlit stages f on input port i.
+func (r *rig) sendFlit(i int, f *flit.Flit) {
 	if err := r.in[i].Send(f); err != nil {
 		panic(err)
 	}
@@ -675,37 +681,43 @@ func TestCreditStarvedWinnerAdvancesPointer(t *testing.T) {
 	}
 }
 
-// BenchmarkSwitchTick times one cycle of one switch and its wires at
-// three radices with every output carrying a flit per cycle (input i
-// sends to output i, so each output lane has exactly one request), and
-// at radix 31 with nothing to do — the per-cycle cost an idle high-radix
-// switch pays before the gate parks it.
+// loadRing stages one reused single-flit packet on each of n input ports
+// from port first on, input i bound for output i, so each output lane has
+// at most one request. ring holds 4*len(r.in) flits: one is back off its
+// output wire three cycles after it was staged.
+func (r *rig) loadRing(ring []flit.Flit, first, n int) {
+	for k := 0; k < n; k++ {
+		i := (first + k) % len(r.in)
+		f := &ring[int(r.cycle%4)*len(r.in)+i]
+		*f = flit.Flit{Kind: flit.HeadTail, Dst: flit.EndpointID(100 + i), PacketLen: 1}
+		r.sendFlit(i, f)
+	}
+}
+
+// BenchmarkSwitchTick times one cycle of one switch and its wires in the
+// three regimes a switch lives in: every output carrying a flit per
+// cycle, at three radices (a duty no workload reaches); one flit per
+// cycle through the switch, entering by each input in turn, the other
+// lanes empty — where the benchmark workloads are; and nothing to do,
+// the per-cycle cost an idle switch pays before the gate parks it.
 func BenchmarkSwitchTick(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		radix int
-		load  bool
-	}{{"radix5", 5, true}, {"radix31", 31, true}, {"radix63", 63, true}, {"radix31idle", 31, false}} {
+		name        string
+		radix, load int // load: inputs that send each cycle
+	}{
+		{"radix5", 5, 5}, {"radix31", 31, 31}, {"radix63", 63, 63},
+		{"radix5one", 5, 1}, {"radix31one", 31, 1}, {"radix31idle", 31, 0},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := newRig(b, bc.radix, bc.radix, 1, 4)
-			// Flits are reused: one is back off its output wire three
-			// cycles after it was staged.
 			ring := make([]flit.Flit, 4*bc.radix)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				if bc.load {
-					for i, l := range r.in {
-						f := &ring[n%4*bc.radix+i]
-						*f = flit.Flit{Kind: flit.HeadTail, Dst: flit.EndpointID(100 + i), PacketLen: 1}
-						if err := l.Send(f); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
+				r.loadRing(ring, n, bc.load)
 				r.step(nil)
 			}
-			if got := r.sw.Stats().FlitsRouted; bc.load && got < uint64(bc.radix*max(b.N-3, 0)) {
-				b.Fatalf("%d flits routed in %d cycles: the switch is not at one flit per output per cycle", got, b.N)
+			if got := r.sw.Stats().FlitsRouted; got < uint64(bc.load*max(b.N-3, 0)) {
+				b.Fatalf("%d flits routed in %d cycles, want %d a cycle", got, b.N, bc.load)
 			}
 		})
 	}
