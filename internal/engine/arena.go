@@ -45,13 +45,16 @@ type Arena interface {
 	// The element-level quiet contract: what the sequential gated kernel
 	// needs to schedule the elements one by one (quiesce.go). TickList
 	// and CommitList evaluate exactly the listed elements, in list
-	// order; ElemNextWake and ElemSkipIdle are Quiescable's NextWake and
-	// SkipIdle for element i. The arena keeps no scheduling state of its
-	// own: Tick and Commit stay the full-population walk for kernels
-	// that do not gate per element.
+	// order. CommitList also appends to quiet, and returns, the position
+	// in idx of every element with nothing to do from the next cycle on
+	// until input arms it — Quiescable's NextWake without a wake cycle,
+	// answered from the element's own state and its input wires' staged
+	// state (not everything else has committed yet). ElemSkipIdle is
+	// Quiescable's SkipIdle for element i. The arena keeps no scheduling
+	// state of its own: Tick and Commit stay the full-population walk
+	// for kernels that do not gate per element.
 	TickList(idx []int, cycle uint64)
-	CommitList(idx []int, cycle uint64)
-	ElemNextWake(i int, cycle uint64) (wake uint64, quiet bool)
+	CommitList(idx []int, cycle uint64, quiet []int) []int
 	ElemSkipIdle(i int, from, n uint64)
 }
 

@@ -31,13 +31,18 @@
 //     reads, stats resets) always see the same numbers the naive
 //     schedule would have produced.
 //
-// The whole policy — who is active, when to look for a park, how long
-// to back off, who is owed what — is one type, clockGate, below. The
+// Who is active and who is owed what is one type, clockGate, below. The
 // sequential kernel instantiates it once over the component registry
 // and once over the elements of every registered arena; an arena's gate
 // then stands in the arena's registry slot, so gating nests: the
 // registry parks the slot when the arena's gate has nothing active. The
-// arenas themselves only store and evaluate elements (arena.go).
+// gate never asks an element whether it is quiet: the population's
+// commit reports the ones that went quiet. An arena knows that inside
+// its own commit loop, on state it just touched, and an arena element
+// only ever wakes on input. The registry (sched) has to ask each
+// component through an interface, so it rations the looks with a
+// backoff, and it keeps the timers. The arenas themselves only store and
+// evaluate elements (arena.go).
 package engine
 
 // NeverWake is the wake cycle of a component that only input can
@@ -62,13 +67,12 @@ type Quiescable interface {
 	SkipIdle(from, n uint64)
 }
 
-// wakeEntry is a heap record: element idx sleeps until wake. gen
-// guards against stale entries (the element woke and re-parked since
-// the push); entries are discarded lazily on pop.
+// wakeEntry is a heap record: component idx sleeps until wake. An entry
+// goes stale when the component wakes on input first (sched.valid);
+// stale entries are discarded lazily on pop.
 type wakeEntry struct {
 	wake uint64
 	idx  int
-	gen  uint64
 }
 
 type wakeHeap []wakeEntry
@@ -110,28 +114,24 @@ func (h *wakeHeap) pop() wakeEntry {
 }
 
 // population is the view a gate has of what it schedules: n elements
-// addressed by index, evaluated in batches, each able to say whether
-// it is quiet and to absorb skipped cycles. The sequential kernel's
-// registry (sched, below) and every Arena implement it.
+// addressed by index, evaluated in batches, each able to absorb skipped
+// cycles. CommitList also reports, as positions in idx, the elements
+// that stay quiet from the next cycle on until input arms them or a
+// timer their population keeps wakes them (Arena has the contract). The
+// sequential kernel's registry (sched, below) and every Arena implement
+// it.
 type population interface {
 	TickList(idx []int, cycle uint64)
-	CommitList(idx []int, cycle uint64)
-	ElemNextWake(i int, cycle uint64) (wake uint64, quiet bool)
+	CommitList(idx []int, cycle uint64, quiet []int) []int
 	ElemSkipIdle(i int, from, n uint64)
 }
 
-// parkRetry is the scan backoff: an element found busy is re-examined
-// for parking every parkRetry-th cycle instead of every cycle. Parking
-// is transparent, so delaying it never changes results — it only trims
-// the scan cost at saturation.
-const parkRetry = 8
-
 // clockGate schedules one population: it keeps the set of active elements,
-// walks only those, parks the ones that report quiet, wakes them on a
-// timer (wake heap) or on input (arm), and remembers from which cycle
-// each parked element is owed idle cycles. A gate is itself a
-// Quiescable component — quiet when nothing in it is active — which is
-// what lets an arena's gate sit in the registry gate's walk.
+// walks only those, parks the ones its population reports quiet, wakes
+// them on input (arm), and remembers from which cycle each parked
+// element is owed idle cycles. A gate is itself a Quiescable component
+// — quiet when nothing in it is active — which is what lets an arena's
+// gate sit in the registry gate's walk.
 type clockGate struct {
 	name string
 	pop  population
@@ -146,12 +146,7 @@ type clockGate struct {
 	active []bool
 	act    []int    // the active elements; the per-cycle walk
 	park   []uint64 // first cycle a parked element has not executed
-	// nextTry is the cycle from which an active element is next
-	// considered for parking: a busy one backs off parkRetry cycles, one
-	// that cannot park at all (not Quiescable) holds NeverWake.
-	nextTry []uint64
-	gen     []uint64 // bumped on every park/wake; validates heap entries
-	heap    wakeHeap
+	quiet  []int    // scratch of Commit: positions in act reported quiet; cap = population
 	// log, when set, is told of every park (true) and wake (false). The
 	// registry gate reports them to the engine's SchedTrace; arena gates
 	// stay silent, as element scheduling always has.
@@ -159,16 +154,10 @@ type clockGate struct {
 }
 
 // add appends one active element slot.
-func (g *clockGate) add(canPark bool, cycle uint64) {
-	try := NeverWake
-	if canPark {
-		try = 0
-	}
+func (g *clockGate) add(cycle uint64) {
 	g.act = append(g.act, len(g.active))
 	g.active = append(g.active, true)
 	g.park = append(g.park, cycle)
-	g.nextTry = append(g.nextTry, try)
-	g.gen = append(g.gen, 0)
 }
 
 // arm re-activates element i at the given cycle if it is parked.
@@ -186,11 +175,9 @@ func (g *clockGate) arm(i int, cycle uint64) {
 // mid-walk still tick this cycle (Tick's growing bound).
 func (g *clockGate) wake(i int, cycle uint64) {
 	g.active[i] = true
-	g.gen[i]++
 	if g.park[i] < cycle {
 		g.pop.ElemSkipIdle(i, g.park[i], cycle-g.park[i])
 	}
-	g.nextTry[i] = 0
 	g.act = append(g.act, i)
 	g.dirty = true
 	if g.log != nil {
@@ -201,19 +188,12 @@ func (g *clockGate) wake(i int, cycle uint64) {
 // ComponentName implements Component.
 func (g *clockGate) ComponentName() string { return g.name }
 
-// Tick implements Component: wake every validly parked element whose
-// timer has run out, then tick the active list. The bound grows: an
+// Tick implements Component: tick the active list. The bound grows: an
 // element ticked here may stage input for a parked one, whose arm hook
 // appends it to act, and the next batch picks it up in this same
 // cycle. It was quiet, so its catch-up tick stages nothing and reads
 // nothing another element staged this cycle.
 func (g *clockGate) Tick(cycle uint64) {
-	for len(g.heap) > 0 && g.heap[0].wake <= cycle {
-		ent := g.heap.pop()
-		if g.gen[ent.idx] == ent.gen { // still the park that pushed it
-			g.wake(ent.idx, cycle)
-		}
-	}
 	if g.ordered && g.dirty {
 		g.relist()
 	}
@@ -224,34 +204,29 @@ func (g *clockGate) Tick(cycle uint64) {
 	}
 }
 
-// Commit implements Component and doubles as the park scan: commit the
-// active list, then park each element that is due a look and reports
-// quiet beyond the next cycle. For an arena's gate this runs inside the
-// registry's commit phase, before later components have committed, so
-// an element's quiet predicate must not depend on them (the switch
-// checks its input wires with PendingFlit, which sees staged flits).
+// Commit implements Component: commit the active list, park the
+// elements the population reports quiet — an idle element leaves the
+// walk in the cycle it goes idle, a busy one costs nothing here — and
+// close the list up from the first of them. An element armed during the
+// commit sits behind the committed ones and stays. An arena's gate runs
+// inside the registry's commit phase, before later components have
+// committed: hence the limits on what a quiet report may look at.
 func (g *clockGate) Commit(cycle uint64) {
-	g.pop.CommitList(g.act, cycle)
-	w := 0
-	for r := 0; r < len(g.act); r++ { // len re-read: a commit may arm
+	g.quiet = g.pop.CommitList(g.act, cycle, g.quiet[:0])
+	if len(g.quiet) == 0 {
+		return
+	}
+	w, q := g.quiet[0], 0
+	for r := w; r < len(g.act); r++ {
 		i := g.act[r]
-		if cycle >= g.nextTry[i] {
-			wake, quiet := g.pop.ElemNextWake(i, cycle)
-			if quiet && wake > cycle+1 {
-				g.active[i] = false
-				g.park[i] = cycle + 1
-				g.gen[i]++
-				if wake != NeverWake {
-					g.heap.push(wakeEntry{wake: wake, idx: i, gen: g.gen[i]})
-				}
-				if g.log != nil {
-					g.log(true, cycle, i)
-				}
-				continue
+		if q < len(g.quiet) && g.quiet[q] == r {
+			q++
+			g.active[i] = false
+			g.park[i] = cycle + 1
+			if g.log != nil {
+				g.log(true, cycle, i)
 			}
-			if !quiet {
-				g.nextTry[i] = cycle + parkRetry
-			}
+			continue
 		}
 		g.act[w] = i
 		w++
@@ -260,18 +235,9 @@ func (g *clockGate) Commit(cycle uint64) {
 }
 
 // NextWake implements Quiescable: the gate is quiet when nothing in it
-// is active, until its earliest valid timer.
+// is active, until input arms an element.
 func (g *clockGate) NextWake(cycle uint64) (uint64, bool) {
-	if len(g.act) > 0 {
-		return 0, false
-	}
-	for len(g.heap) > 0 {
-		if top := g.heap[0]; g.gen[top.idx] == top.gen {
-			return top.wake, true
-		}
-		g.heap.pop()
-	}
-	return NeverWake, true
+	return NeverWake, len(g.act) == 0
 }
 
 // SkipIdle implements Quiescable: the per-element watermarks already
@@ -304,18 +270,14 @@ func (g *clockGate) settle(cycle uint64) {
 
 // rebase restarts the gate at the given cycle after the timeline moved
 // or element state was replaced under it (Reset, LoadState): every
-// element is active again with its watermark and backoff on the new
-// timeline, timers are dropped, and the next executed cycle's scan
-// re-derives the parked set from the elements' own state. The caller
-// settles first, so no debt is outstanding.
+// element is active again with its watermark on the new timeline, and
+// the next executed cycle's commit re-derives the parked set from the
+// elements' own state. The caller settles first, so no debt is
+// outstanding.
 func (g *clockGate) rebase(cycle uint64) {
-	g.heap = g.heap[:0]
 	for i := range g.active {
 		g.active[i] = true
 		g.park[i] = cycle
-		if g.nextTry[i] != NeverWake {
-			g.nextTry[i] = 0
-		}
 	}
 	g.relist()
 }
@@ -328,9 +290,14 @@ type Target struct {
 	Elem int
 }
 
+// parkRetry is the registry's scan backoff: a component found busy is
+// asked again every parkRetry-th cycle, not every cycle. Parking is
+// transparent, so delaying it only trims the calls a busy registry pays.
+const parkRetry = 8
+
 // sched is the gating state of a sequential Engine: the registry gate,
 // one gate per registered arena, and the walk the registry gate drives.
-// It is the registry gate's population.
+// As the registry gate's population it keeps the park scan and the timers.
 type sched struct {
 	reg    clockGate
 	arenas []*clockGate // by position in Engine.arenas
@@ -338,6 +305,11 @@ type sched struct {
 	// quies is walk[i] as a Quiescable, nil when it cannot park.
 	walk  []Component
 	quies []Quiescable
+	// nextTry is the cycle from which a component is next asked whether it
+	// is quiet (a wake finds it due); wakeAt the timer its latest park set.
+	nextTry []uint64
+	wakeAt  []uint64
+	heap    wakeHeap
 }
 
 func (s *sched) TickList(idx []int, cycle uint64) {
@@ -346,20 +318,78 @@ func (s *sched) TickList(idx []int, cycle uint64) {
 	}
 }
 
-func (s *sched) CommitList(idx []int, cycle uint64) {
+// CommitList commits the listed components, then asks each one that is
+// due a look whether it is quiet beyond the next cycle — after all of
+// them have committed, so the answers see the whole cycle.
+func (s *sched) CommitList(idx []int, cycle uint64, quiet []int) []int {
 	for _, i := range idx {
 		s.walk[i].Commit(cycle)
 	}
-}
-
-func (s *sched) ElemNextWake(i int, cycle uint64) (uint64, bool) {
-	return s.quies[i].NextWake(cycle)
+	for r, i := range idx {
+		q := s.quies[i]
+		if q == nil || cycle < s.nextTry[i] {
+			continue
+		}
+		if wake, ok := q.NextWake(cycle); !ok {
+			s.nextTry[i] = cycle + parkRetry
+		} else if wake > cycle+1 {
+			quiet = append(quiet, r)
+			s.wakeAt[i] = wake
+			if wake != NeverWake {
+				s.heap.push(wakeEntry{wake: wake, idx: i})
+			}
+		}
+	}
+	return quiet
 }
 
 func (s *sched) ElemSkipIdle(i int, from, n uint64) {
 	if q := s.quies[i]; q != nil {
 		q.SkipIdle(from, n)
 	}
+}
+
+// valid reports whether a timer still stands: its component is parked,
+// by the park that set it (or one that set the same cycle).
+func (s *sched) valid(ent wakeEntry) bool {
+	return !s.reg.active[ent.idx] && s.wakeAt[ent.idx] == ent.wake
+}
+
+// wakeDue wakes every parked component whose timer has run out.
+func (s *sched) wakeDue(cycle uint64) {
+	for len(s.heap) > 0 && s.heap[0].wake <= cycle {
+		if ent := s.heap.pop(); s.valid(ent) {
+			s.reg.wake(ent.idx, cycle)
+		}
+	}
+}
+
+// nextWake reports whether the whole registry is parked and, if so,
+// until which cycle: its earliest standing timer.
+func (s *sched) nextWake() (uint64, bool) {
+	if len(s.reg.act) > 0 {
+		return 0, false
+	}
+	for len(s.heap) > 0 {
+		if top := s.heap[0]; s.valid(top) {
+			return top.wake, true
+		}
+		s.heap.pop()
+	}
+	return NeverWake, true
+}
+
+// ref is a resolved Target: its registry slot and, for an arena element,
+// the arena's position in Engine.arenas (-1: a plain component) and the
+// element. Narrow fields: an arm table holds one per wire pair.
+type ref struct{ arena, elem, slot int32 }
+
+// wakeElem wakes a parked arena element and then the arena's registry
+// slot: the slot parks only on an empty gate and every wake goes through
+// here, so it needs a look only when the element was parked.
+func (s *sched) wakeElem(r ref, cycle uint64) {
+	s.arenas[r.arena].wake(int(r.elem), cycle)
+	s.reg.arm(int(r.slot), cycle)
 }
 
 // SetGated enables or disables quiescence-aware scheduling. Disabled
@@ -400,46 +430,111 @@ func (e *Engine) logSched(park bool, cycle uint64, i int) {
 	}
 }
 
+func (e *Engine) resolve(t Target) (ref, bool) {
+	slot, ok := e.names[t.Name]
+	if !ok {
+		return ref{}, false
+	}
+	k := e.arenaOf(e.components[slot])
+	if k >= 0 && (t.Elem < 0 || t.Elem >= e.arenas[k].Len()) {
+		return ref{}, false
+	}
+	return ref{arena: int32(k), elem: int32(t.Elem), slot: int32(slot)}, true
+}
+
 // Armer returns one closure that re-activates every target — the
-// scheduler half of the arm-on-input rule. The platform binds one to
-// each wire's Send hook so the wire, its consumer and (on injection
-// wires) the watchdog wake in the same cycle the input is staged;
-// arming an arena element also arms the arena's registry slot. The
-// closure costs a flag test per target when everything is active and
-// is safe to call when gating is off.
+// scheduler half of the arm-on-input rule for a single hook (the probe
+// collector's emit-time arm; the wires of an arena share an ArmTable).
+// The closure costs a flag test per target when everything is active
+// and is safe to call when gating is off.
 func (e *Engine) Armer(targets ...Target) (func(), bool) {
-	type ref struct{ arena, elem, slot int } // arena -1: a plain component
 	refs := make([]ref, len(targets))
 	for n, t := range targets {
-		slot, ok := e.names[t.Name]
+		r, ok := e.resolve(t)
 		if !ok {
 			return nil, false
 		}
-		k := e.arenaOf(e.components[slot])
-		if k >= 0 && (t.Elem < 0 || t.Elem >= e.arenas[k].Len()) {
-			return nil, false
-		}
-		refs[n] = ref{arena: k, elem: t.Elem, slot: slot}
+		refs[n] = r
 	}
 	return func() {
-		s := e.sched
-		if s == nil {
-			return
-		}
 		for _, r := range refs {
-			if r.arena < 0 {
-				s.reg.arm(r.slot, e.cycle)
-			} else if r.arena < len(s.arenas) { // gates exist from the first kernel entry
-				// An active element implies an active slot (the slot parks
-				// only on an empty gate, and every wake goes through here),
-				// so the slot needs a look only when the element was parked.
-				if g := s.arenas[r.arena]; !g.active[r.elem] {
-					g.wake(r.elem, e.cycle)
-					s.reg.arm(r.slot, e.cycle)
-				}
+			if s := e.sched; s == nil {
+				return
+			} else if r.arena < 0 {
+				s.reg.arm(int(r.slot), e.cycle)
+			} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
+				s.wakeElem(r, e.cycle) // gates exist from the first kernel entry
 			}
 		}
 	}, true
+}
+
+// ArmTable is the arm-on-input rule of a whole wire arena as data: a
+// row per wire pair instead of two closures per wire. The arena's wires
+// call Flit and Credit with their pair's index from their Send paths.
+type ArmTable struct {
+	e     *Engine
+	wires ref     // the arena; elem is the caller's
+	rows  []ref   // per pair: who reads its flit wire
+	also  []int32 // per pair: one more registry slot to arm, -1 for none
+}
+
+// ArmTable builds the table for the named arena; consumers[i] reads the
+// flit wire of pair i.
+func (e *Engine) ArmTable(arena string, consumers []Target) (*ArmTable, error) {
+	w, ok := e.resolve(Target{Name: arena})
+	if !ok || w.arena < 0 || len(consumers) != e.arenas[w.arena].Len() {
+		return nil, errArena("arm table: " + arena + " is not an arena of that many elements")
+	}
+	t := &ArmTable{e: e, wires: w, rows: make([]ref, len(consumers)), also: make([]int32, len(consumers))}
+	for i, c := range consumers {
+		if t.rows[i], ok = e.resolve(c); !ok {
+			return nil, errArena("arm table: unknown consumer " + c.Name)
+		}
+		t.also[i] = -1
+	}
+	return t, nil
+}
+
+// Also makes a flit staged on pair i arm the named plain component too
+// (the watchdog, on injection wires).
+func (t *ArmTable) Also(i int, name string) error {
+	r, ok := t.e.resolve(Target{Name: name})
+	if !ok || r.arena >= 0 || i < 0 || i >= len(t.also) {
+		return errArena("arm table: cannot also arm " + name)
+	}
+	t.also[i] = r.slot
+	return nil
+}
+
+// Flit is the Send hook of the arena's flit wires: staging a flit arms
+// the pair, the consumer and what Also added — flag tests, free of calls,
+// when they are awake. No gates yet means nothing is parked yet.
+func (t *ArmTable) Flit(i int) {
+	s, w := t.e.sched, t.wires
+	if s == nil || int(w.arena) >= len(s.arenas) {
+		return
+	}
+	if !s.arenas[w.arena].active[i] {
+		s.wakeElem(ref{w.arena, int32(i), w.slot}, t.e.cycle)
+	}
+	if r := t.rows[i]; r.arena < 0 {
+		s.reg.arm(int(r.slot), t.e.cycle)
+	} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
+		s.wakeElem(r, t.e.cycle)
+	}
+	if a := t.also[i]; a >= 0 {
+		s.reg.arm(int(a), t.e.cycle)
+	}
+}
+
+// Credit is the Send hook of the arena's credit wires: it arms only the
+// pair. The consumer collects when it next runs; SkipIdle keeps that exact.
+func (t *ArmTable) Credit(i int) {
+	s, w := t.e.sched, t.wires
+	if s != nil && int(w.arena) < len(s.arenas) && !s.arenas[w.arena].active[i] {
+		s.wakeElem(ref{w.arena, int32(i), w.slot}, t.e.cycle)
+	}
 }
 
 // schedEnter syncs the gates with the registry and re-activates every
@@ -455,9 +550,9 @@ func (e *Engine) schedEnter() {
 		c := e.components[n]
 		if k := e.arenaOf(c); k >= 0 {
 			a := e.arenas[k]
-			g := &clockGate{name: a.ComponentName(), pop: a}
+			g := &clockGate{name: a.ComponentName(), pop: a, quiet: make([]int, 0, a.Len())}
 			for i := 0; i < a.Len(); i++ {
-				g.add(true, e.cycle)
+				g.add(e.cycle)
 			}
 			s.arenas = append(s.arenas, g)
 			c = g
@@ -465,12 +560,17 @@ func (e *Engine) schedEnter() {
 		q, _ := c.(Quiescable)
 		s.walk = append(s.walk, c)
 		s.quies = append(s.quies, q)
-		s.reg.add(q != nil, e.cycle)
+		s.nextTry = append(s.nextTry, 0)
+		s.wakeAt = append(s.wakeAt, NeverWake)
+		s.reg.add(e.cycle)
+	}
+	if cap(s.reg.quiet) < len(s.walk) {
+		s.reg.quiet = make([]int, 0, len(s.walk))
 	}
 	for i := range s.reg.active {
 		s.reg.arm(i, e.cycle)
 	}
-	s.reg.heap = s.reg.heap[:0]
+	s.heap = s.heap[:0]
 }
 
 // settle pays the outstanding skip accounting of every parked component
@@ -493,6 +593,7 @@ func (e *Engine) rebase(cycle uint64) {
 	if s := e.sched; s != nil {
 		e.schedEnter()
 		e.settle()
+		clear(s.nextTry) // the backoff restarts on the new timeline too
 		s.reg.rebase(cycle)
 		for _, g := range s.arenas {
 			g.rebase(cycle)
@@ -503,9 +604,10 @@ func (e *Engine) rebase(cycle uint64) {
 
 // stepGated executes one cycle over the active set.
 func (e *Engine) stepGated() {
-	g := &e.sched.reg
-	g.Tick(e.cycle)
-	g.Commit(e.cycle)
+	s := e.sched
+	s.wakeDue(e.cycle)
+	s.reg.Tick(e.cycle)
+	s.reg.Commit(e.cycle)
 	e.cycle++
 }
 
@@ -523,7 +625,7 @@ func (e *Engine) runGated(maxCycles uint64, poll bool) (executed uint64, stopped
 				return executed, byStopper
 			}
 		}
-		if wake, quiet := e.sched.reg.NextWake(e.cycle); quiet && wake > e.cycle {
+		if wake, quiet := e.sched.nextWake(); quiet && wake > e.cycle {
 			// Everything is parked: fast-forward to the earliest timer,
 			// bounded by the remaining cycle budget. The cycle executed
 			// there wakes whatever is due.

@@ -35,8 +35,8 @@ func (e *Engine) SaveState(w *state.Writer) {
 
 // LoadState restores the cycle counter. It must run before component
 // sections load: the gates restart with everything active on the
-// restored timeline, and the first executed cycle's park scan then
-// judges each component and arena element by its restored state.
+// restored timeline, and the first executed cycle's commit then judges
+// each component and arena element by its restored state.
 func (e *Engine) LoadState(r *state.Reader) error {
 	cycle := r.U64()
 	if err := r.Err(); err != nil {

@@ -52,17 +52,30 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	if len(a.links) == cap(a.links) {
 		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
-	a.links = append(a.links, Link{name: linkName})
+	elem := int32(len(a.links))
+	a.links = append(a.links, Link{name: linkName, elem: elem})
 	crs := make([]*CreditLink, a.vcs)
 	for v := range crs {
 		name := creditName
 		if v > 0 {
 			name = fmt.Sprintf("%s.vc%d", creditName, v)
 		}
-		a.credits = append(a.credits, CreditLink{name: name})
+		a.credits = append(a.credits, CreditLink{name: name, elem: elem})
 		crs[v] = &a.credits[len(a.credits)-1]
 	}
 	return &a.links[len(a.links)-1], crs
+}
+
+// SetSendHooks installs the gated scheduler's arm-on-input hooks on
+// every wire created so far: staging a flit on pair i calls flit(i),
+// staging credits credit(i). The wires carry only their index.
+func (a *Arena) SetSendHooks(flit, credit func(elem int)) {
+	for i := range a.links {
+		a.links[i].onSend = flit
+	}
+	for i := range a.credits {
+		a.credits[i].onSend = credit
+	}
 }
 
 // Len implements engine.Arena: the number of wire pairs created so far;
@@ -95,27 +108,23 @@ func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
 // TickList implements engine.Arena; wires are passive during Tick.
 func (a *Arena) TickList(idx []int, cycle uint64) {}
 
-// CommitList implements engine.Arena: commit the listed wire pairs.
-func (a *Arena) CommitList(idx []int, cycle uint64) {
-	for _, i := range idx {
-		a.links[i].Commit(cycle)
+// CommitList implements engine.Arena: commit the listed wire pairs and
+// report which went quiet. A pair just committed has no credits staged,
+// so it is quiet when its flit wire holds nothing, committed or held by
+// a stuck fault (committed-but-uncollected credits accumulate without
+// commits and do not block quiescence). Only a Send ends that.
+func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
+	for r, i := range idx {
+		l := &a.links[i]
+		l.Commit(cycle)
 		for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
 			a.credits[c].Commit(cycle)
 		}
-	}
-}
-
-// ElemNextWake implements engine.Arena: a wire pair is quiet when all
-// its wires are idle — nothing staged on any and nothing committed on
-// the flit wire (committed-but-uncollected credits accumulate without
-// commits and do not block quiescence). Only a Send ends that.
-func (a *Arena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
-	for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
-		if !a.credits[c].Idle() {
-			return 0, false
+		if l.Idle() {
+			quiet = append(quiet, r)
 		}
 	}
-	return ^uint64(0), a.links[i].Idle()
+	return quiet
 }
 
 // ElemSkipIdle implements engine.Arena: an idle commit advances only

@@ -11,14 +11,22 @@ type CreditLink struct {
 	name string
 	cur  uint32
 	next uint32
+	// The latest commit that added credits added lastN, in cycle lastAt:
+	// what TakeBefore leaves behind. Not state: LoadState clears it.
+	lastN  uint32
+	elem   int32 // the wire pair's index in its Arena; what onSend is told
+	lastAt uint64
 
 	sent uint64
 
 	// onSend fires on every Send — the gated scheduler's arm hook, so a
-	// parked wire commits the staged credits. Uncollected credits need
-	// no wake on the consumer side: they accumulate on the wire and the
-	// consumer collects the same total whenever it next runs.
-	onSend func()
+	// parked wire commits the staged credits. The consumer is not woken:
+	// uncollected credits accumulate on the wire, and a consumer parked
+	// meanwhile collects them through TakeBefore as if it had run.
+	onSend func(elem int)
+	// arrived is the consuming switch's flag for this wire, set by the
+	// Commit that makes credits visible; nil when the consumer polls.
+	arrived *uint8
 }
 
 // NewCreditLink returns an empty credit wire.
@@ -37,13 +45,13 @@ func (c *CreditLink) Send(n uint32) {
 	c.next += n
 	c.sent += uint64(n)
 	if c.onSend != nil {
-		c.onSend()
+		c.onSend(int(c.elem))
 	}
 }
 
-// SetSendHook installs the callback fired on every Send (the gated
-// scheduler's arm closure).
-func (c *CreditLink) SetSendHook(h func()) { c.onSend = h }
+// NotifyArrival makes every Commit that puts credits on the wire set
+// *flag. The consuming switch owns the byte; the wire only ever sets it.
+func (c *CreditLink) NotifyArrival(flag *uint8) { c.arrived = flag }
 
 // Idle reports whether no credits are staged; committed-but-untaken
 // credits keep accumulating without commits, so they do not block
@@ -66,14 +74,35 @@ func (c *CreditLink) Take() uint32 {
 	return n
 }
 
+// TakeBefore collects the credits committed before the given cycle and
+// leaves those its own commit added: what a consumer ticking every
+// cycle has taken once it has ticked in that cycle, and so what a
+// parked one's SkipIdle takes. cycle must not precede the latest commit.
+func (c *CreditLink) TakeBefore(cycle uint64) uint32 {
+	var keep uint32
+	if c.lastAt == cycle {
+		keep = min(c.lastN, c.cur) // less after a Take in between
+	}
+	n := c.cur - keep
+	c.cur = keep
+	return n
+}
+
 // Pending returns the credits currently visible without taking them.
 func (c *CreditLink) Pending() uint32 { return c.cur }
 
 // Commit implements engine.Component: staged credits become visible,
 // accumulating with any uncollected ones.
 func (c *CreditLink) Commit(cycle uint64) {
+	if c.next == 0 {
+		return
+	}
 	c.cur += c.next
+	c.lastN, c.lastAt = c.next, cycle
 	c.next = 0
+	if c.arrived != nil {
+		*c.arrived = 1
+	}
 }
 
 // TotalSent returns the total credits ever staged, for conservation

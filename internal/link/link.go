@@ -43,6 +43,7 @@ type Link struct {
 	next  *flit.Flit
 	taken bool
 	fault FaultMode
+	elem  int32 // the wire pair's index in its Arena; what onSend is told
 
 	busyCycles  uint64
 	totalCycles uint64
@@ -57,8 +58,13 @@ type Link struct {
 	onDrop func(*flit.Flit)
 	// onSend fires on every successful Send — the arm-on-input hook the
 	// gated scheduler uses to wake this wire and its consumer in the
-	// same cycle the producer stages a flit. Nil when gating is off.
-	onSend func()
+	// same cycle the producer stages a flit; one function serves every
+	// wire of an arena (Arena.SetSendHooks). Nil when gating is off.
+	onSend func(elem int)
+	// arrived is the consuming switch's flag for this wire, set by the
+	// Commit that makes a flit visible (DESIGN.md §10, "Who tells whom");
+	// nil when the consumer polls (an ejector, a test).
+	arrived *uint8
 	// probe records drop and fault-fire events; nil when tracing is off.
 	probe *probe.Probe
 }
@@ -85,15 +91,14 @@ func (l *Link) Send(f *flit.Flit) error {
 	}
 	l.next = f
 	if l.onSend != nil {
-		l.onSend()
+		l.onSend(int(l.elem))
 	}
 	return nil
 }
 
-// SetSendHook installs the callback fired on every successful Send;
-// the platform binds the gated scheduler's arm closures here so parked
-// consumers wake the cycle their input is staged.
-func (l *Link) SetSendHook(h func()) { l.onSend = h }
+// NotifyArrival makes every Commit that puts a flit on the wire set
+// *flag. The consuming switch owns the byte; the wire only ever sets it.
+func (l *Link) NotifyArrival(flag *uint8) { l.arrived = flag }
 
 // Idle reports whether the wire holds nothing, committed or staged —
 // the link's quiescence condition. An idle commit advances only the
@@ -174,6 +179,9 @@ func (l *Link) Commit(cycle uint64) {
 	}
 	if l.next != nil {
 		l.flits++
+		if l.arrived != nil {
+			*l.arrived = 1
+		}
 	}
 	l.next = nil
 	l.taken = false

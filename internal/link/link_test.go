@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"nocemu/internal/flit"
+	"nocemu/internal/state"
 )
 
 func mkFlit(seq uint64) *flit.Flit {
@@ -275,5 +276,94 @@ func TestLinkDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCreditLinkTakeBefore: TakeBefore(c) leaves on the wire what the
+// commit of cycle c added and takes the rest — where a consumer that
+// ticks every cycle stands once it has ticked in cycle c.
+func TestCreditLinkTakeBefore(t *testing.T) {
+	type commit struct {
+		at uint64
+		n  uint32
+	}
+	for _, tc := range []struct {
+		name       string
+		commits    []commit
+		take, load bool // a plain Take, or a save and load, after the commits
+		limit      uint64
+		want, left uint32
+	}{
+		{name: "nothing committed", limit: 7},
+		{name: "nothing committed, cycle 0", limit: 0},
+		{name: "committed earlier", commits: []commit{{3, 2}}, limit: 7, want: 2},
+		{name: "committed at the limit", commits: []commit{{7, 2}}, limit: 7, left: 2},
+		{name: "two commits, one at the limit", commits: []commit{{5, 1}, {7, 3}}, limit: 7, want: 1, left: 3},
+		{name: "two commits before the limit", commits: []commit{{5, 1}, {6, 3}}, limit: 7, want: 4},
+		{name: "after a plain Take", commits: []commit{{5, 1}, {7, 3}}, take: true, limit: 7},
+		{name: "after LoadState", commits: []commit{{5, 1}, {7, 3}}, load: true, limit: 7, want: 4},
+	} {
+		c := NewCreditLink("cr")
+		for _, cm := range tc.commits {
+			c.Send(cm.n)
+			c.Commit(cm.at)
+		}
+		if tc.take {
+			c.Take()
+		}
+		if tc.load {
+			w := state.NewWriter()
+			c.SaveState(w)
+			if err := c.LoadState(state.NewReader(w.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.TakeBefore(tc.limit); got != tc.want || c.Pending() != tc.left {
+			t.Errorf("%s: TakeBefore(%d) = %d leaving %d, want %d leaving %d", tc.name, tc.limit, got, c.Pending(), tc.want, tc.left)
+		}
+		if got := c.TakeBefore(tc.limit); got != 0 || c.Pending() != tc.left {
+			t.Errorf("%s: a second TakeBefore took %d more", tc.name, got)
+		}
+		if got := c.Take(); got != tc.left {
+			t.Errorf("%s: the Take that follows = %d, want the %d left", tc.name, got, tc.left)
+		}
+	}
+}
+
+// TestArrivalFlags: a wire sets its consumer's flag in the commit that
+// makes a flit or credits visible, in no other commit — an empty one, a
+// stuck fault holding the flit back. The consumer owns the flag and
+// clears it; the wire never does.
+func TestArrivalFlags(t *testing.T) {
+	var arr, cred uint8
+	l, c := NewLink("l"), NewCreditLink("cr")
+	l.NotifyArrival(&arr)
+	c.NotifyArrival(&cred)
+	commit := func(cycle uint64) (uint8, uint8) {
+		arr, cred = 0, 0
+		l.Commit(cycle)
+		c.Commit(cycle)
+		return arr, cred
+	}
+	if a, cr := commit(0); a != 0 || cr != 0 {
+		t.Errorf("idle commit raised flags %d/%d", a, cr)
+	}
+	l.SetFault(FaultStuck)
+	if err := l.Send(mkFlit(1)); err != nil {
+		t.Fatal(err)
+	}
+	c.Send(2)
+	if a, cr := commit(1); a != 0 || cr != 1 {
+		t.Errorf("stuck flit, credits delivered: flags %d/%d, want 0/1", a, cr)
+	}
+	if a, cr := commit(2); a != 0 || cr != 0 || l.Peek() != nil || c.Pending() != 2 {
+		t.Errorf("flit still held, uncollected credits: flags %d/%d, want 0/0", a, cr)
+	}
+	l.SetFault(FaultNone)
+	if a, _ := commit(3); a != 1 || l.Peek() == nil {
+		t.Errorf("the delivering commit left the arrival flag at %d", a)
+	}
+	if a, _ := commit(4); a != 0 || l.Take() == nil {
+		t.Errorf("an untaken flit staying on the wire raised the flag again (%d)", a)
 	}
 }

@@ -3,9 +3,12 @@
 // Wire sections hold only logical state: the committed flit on the
 // wire, a fault-held staged flit, the fault mode, and the statistic
 // counters. Snapshots are taken between runs, where the kernel has
-// settled all skip-accounting debt, so the counters are the naive
-// schedule's and one snapshot restores into any kernel configuration
-// (sequential or parallel, gated or not).
+// settled all skip-accounting debt — a parked consumer's uncollected
+// credits included, all but the last cycle's (TakeBefore) — so counters
+// and credits stand where the naive schedule has them: the bytes do not
+// depend on the kernel that wrote them, and restore into any (sequential
+// or parallel, gated or not). The consumers' arrival flags and the credit
+// wire's last-commit note are not state; a load raises or clears them.
 package link
 
 import (
@@ -82,6 +85,7 @@ func (c *CreditLink) SaveState(w *state.Writer) {
 func (c *CreditLink) LoadState(r *state.Reader) error {
 	c.cur = r.U32()
 	c.next = 0
+	c.lastN = 0 // restored credits are old: TakeBefore leaves none behind
 	c.sent = r.U64()
 	return r.Err()
 }

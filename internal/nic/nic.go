@@ -154,6 +154,14 @@ func (n *Injector) Pump(cycle uint64) {
 	n.probe.FlitInject(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
 }
 
+// SkipIdle accounts the k cycles [from, from+k) the owning TG spent
+// parked with an empty queue: each skipped Pump would only have
+// collected the credits committed the cycle before, all but the last
+// skipped cycle's own by now (link.CreditLink.TakeBefore).
+func (n *Injector) SkipIdle(from, k uint64) {
+	n.credits += int(n.creditIn.TakeBefore(from + k - 1))
+}
+
 // Drain releases every queued flit through release (end-of-run
 // reclamation) and empties the queue. Statistics are untouched.
 func (n *Injector) Drain(release func(*flit.Flit)) {

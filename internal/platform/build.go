@@ -55,9 +55,10 @@ type Platform struct {
 	tgByEndpoint map[flit.EndpointID]*traffic.TG
 	trByEndpoint map[flit.EndpointID]*receptor.TR
 
-	// wirePairs remembers the registered wires for arm-hook rebinding
-	// (AttachWatchdog adds the watchdog to the injection-wire hooks).
-	wirePairs []wirePair
+	// arms is the wire arena's arm-on-input table; nil unless the
+	// sequential kernel gates (AttachWatchdog adds the watchdog to the
+	// injection wires' rows).
+	arms *engine.ArmTable
 	// wd and faults remember post-build attachments so snapshots cover
 	// them and Fork can replicate them on rebuilt platforms.
 	wd         *Watchdog
@@ -76,20 +77,6 @@ type Platform struct {
 	// devices; platforms beyond that budget still emulate every device —
 	// only its memory-mapped register view is missing.
 	unmapped int
-}
-
-// wirePair remembers one registered wire pair and what the engine
-// schedules on its behalf, for arm-hook installation.
-type wirePair struct {
-	l *link.Link
-	c []*link.CreditLink // one per virtual channel
-	// elem is the pair's own gating target (its wire-arena element);
-	// consumer is the switch or receptor reading the flit link.
-	elem, consumer engine.Target
-	// inject marks a TG injection wire. Only these need to arm the
-	// watchdog: the watchdog parks only when the network is fully
-	// drained, and the first send after a drain is always an injection.
-	inject bool
 }
 
 // Build compiles a platform from its configuration.
@@ -132,16 +119,17 @@ func Build(cfg Config) (*Platform, error) {
 	swTarget := func(s topology.NodeID) engine.Target {
 		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
 	}
-	// newWires appends one flit link with its credit link to the wire
-	// arena and records the pair for arm-hook installation. Probes attach
-	// later, at each device's registration, because probe ids follow
-	// build order.
-	var pairs []wirePair
-	newWires := func(lname, cname string, consumer engine.Target, inject bool) (*link.Link, []*link.CreditLink) {
-		elem := engine.Target{Name: "wires", Elem: p.wires.Len()}
+	// newWires appends one flit link with its credit links to the wire
+	// arena and records who reads the flit link, for the arm table. The
+	// arena's elements are the inter-switch links in topology order, then
+	// the injection wires in TG order, then the ejection wires. Probes
+	// attach later, at each device's registration, because probe ids
+	// follow build order.
+	var consumers []engine.Target
+	newWires := func(lname, cname string, consumer engine.Target) (*link.Link, []*link.CreditLink) {
 		l, c := p.wires.NewPair(lname, cname)
 		l.SetDropHandler(p.pool.Release)
-		pairs = append(pairs, wirePair{l: l, c: c, elem: elem, consumer: consumer, inject: inject})
+		consumers = append(consumers, consumer)
 		return l, c
 	}
 
@@ -176,7 +164,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.links[i], credits[i] = newWires(
 			fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To),
 			fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From),
-			swTarget(ls.To), false)
+			swTarget(ls.To))
 	}
 	// Wire link endpoints to switch ports by canonical port order.
 	for s := topology.NodeID(0); int(s) < topo.NumSwitches(); s++ {
@@ -212,7 +200,7 @@ func Build(cfg Config) (*Platform, error) {
 			return nil, fmt.Errorf("platform %s: no input port for TG endpoint %d", cfg.Name, spec.Endpoint)
 		}
 		injL, injCr := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint),
-			swTarget(ep.Switch), true)
+			swTarget(ep.Switch))
 		if err := sw.ConnectInput(portIdx, injL, injCr...); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -255,7 +243,7 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		trName := fmt.Sprintf("tr%d", spec.Endpoint)
 		ejL, ejCr := newWires(fmt.Sprintf("ej%d", spec.Endpoint), fmt.Sprintf("ejcr%d", spec.Endpoint),
-			engine.Target{Name: trName}, false)
+			engine.Target{Name: trName})
 		depth := spec.BufDepth
 		if depth == 0 {
 			depth = cfg.SwitchBufDepth
@@ -394,17 +382,18 @@ func Build(cfg Config) (*Platform, error) {
 	// Quiescence-aware scheduling (on unless cfg.NoGate). The parallel
 	// kernel gates the whole schedule (fast-forward only, no arm hooks
 	// needed); the sequential kernel parks individual components and
-	// arena elements, which requires the arm-on-input hooks on every
-	// wire's Send path.
+	// arena elements, which requires the arm-on-input rule on every
+	// wire's Send path: staging a flit arms the pair and the switch or
+	// receptor that reads it, staging credits arms only the pair.
 	if !cfg.NoGate {
 		if p.par != nil {
 			p.par.SetGated(true)
 		} else {
 			p.eng.SetGated(true)
-			p.wirePairs = pairs
-			for _, wp := range pairs {
-				p.bindArmHook(wp)
+			if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
+				return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 			}
+			p.wires.SetSendHooks(p.arms.Flit, p.arms.Credit)
 		}
 	}
 	// Emit-time arming: any probe emission wakes the collector so ring
@@ -422,24 +411,6 @@ func Build(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("platform %s: init snapshot: %w", cfg.Name, err)
 	}
 	return p, nil
-}
-
-// bindArmHook binds the arm-on-input rule to one wire pair: staging a
-// flit arms the pair and the consuming switch or receptor (plus any
-// extra target — AttachWatchdog rebinds the injection wires to also
-// arm the watchdog), staging credits arms only the pair. Credits
-// accumulate losslessly, so the consumer collects an identical total
-// whenever its own input next wakes it.
-func (p *Platform) bindArmHook(wp wirePair, extra ...engine.Target) {
-	armFlit, ok1 := p.eng.Armer(append([]engine.Target{wp.elem, wp.consumer}, extra...)...)
-	armCr, ok2 := p.eng.Armer(wp.elem)
-	if !ok1 || !ok2 {
-		panic(fmt.Sprintf("platform %s: arm hook target missing (%v %v %v)", p.cfg.Name, wp.elem, wp.consumer, extra))
-	}
-	wp.l.SetSendHook(armFlit)
-	for _, c := range wp.c {
-		c.SetSendHook(armCr)
-	}
 }
 
 // Gated reports whether quiescence-aware scheduling is enabled on the

@@ -219,10 +219,7 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 // snapshot taken under ANY kernel — sequential or parallel, gated or
 // not — restores into the sequential gated kernel and finishes
 // byte-identically with the uninterrupted reference. (Byte equality
-// across kernels is deliberately NOT claimed: the gating ablation defers
-// credit collection while a device is parked, so the split of in-flight
-// credits between the credit wire and the injector is kernel-dependent —
-// equivalent state, different bytes.)
+// across kernels is TestSnapshotBytesIgnoreSchedule's.)
 func TestSnapshotKernelPortability(t *testing.T) {
 	for name, cfg := range map[string]platform.Config{
 		"paper": paperSnapConfig(t, 15),
@@ -578,6 +575,109 @@ func TestGoldenSnapshotFixture(t *testing.T) {
 	}
 	if _, stopped := q.Run(1_000_000); !stopped {
 		t.Fatal("restored fixture run did not complete")
+	}
+}
+
+// TestGoldenSnapshotGatedPR19 keeps the fixture's previous bytes alive.
+// Up to PR 19 a parked device left the credits it slept through on the
+// wire, so the gated kernel wrote the same state with a different split
+// between wires and counters (the bytes NoGate wrote then are the
+// fixture's now). The format did not change: the old file restores and
+// continues to the monitor JSON and trace bytes of an uninterrupted run.
+func TestGoldenSnapshotGatedPR19(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "paper_cycle600_gated_pr19.nocsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := paperSnapConfig(t, 5)
+	ref := buildSnap(t, cfg, 0, false, nil)
+	defer ref.Close()
+	ref.RunCycles(600)
+	ref.RunCycles(400)
+	want := capture(t, ref)
+	for _, noGate := range []bool{false, true} {
+		p := buildSnap(t, cfg, 0, noGate, nil)
+		if err := p.RestoreBytes(old); err != nil {
+			t.Fatalf("noGate=%v: the PR 19 fixture does not restore: %v", noGate, err)
+		}
+		p.RunCycles(400)
+		if got := capture(t, p); !got.equal(want) {
+			t.Errorf("noGate=%v: continued from the PR 19 fixture: %s", noGate, got.diff(want))
+		}
+		p.Close()
+	}
+}
+
+// TestSnapshotBytesIgnoreSchedule: a snapshot says where the platform
+// is, not how the kernel got there. The same run — split over two
+// RunCycles so a settle happens on the way — is snapshotted under the
+// sequential kernel with and without gating and under two workers with
+// and without fast-forward. The sequential pair agrees on every byte;
+// the parallel pair agrees with them on every section but the flit
+// pool's, whose allocation ledger records which worker's return ramp
+// handed a flit back first — host order, not simulated state. What the
+// schedules used to disagree on is where a parked device's returning
+// credits stood: on the wire, or in its counter (DESIGN.md §13).
+func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
+	type run struct {
+		name   string
+		cfg    platform.Config
+		cycles uint64
+	}
+	paper := paperSnapConfig(t, 5)
+	runs := []run{{"paper", paper, 600}}
+	for _, topo := range []string{"mesh:w=4,h=4", "mesh:w=8,h=8", "butterfly:w=4,h=4", "torus:w=4,h=4,minimal=1,vcs=2", "fattree:k=4"} {
+		spec, err := topology.ParseSpec(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inj := range []float64{0.02, 0.05, 0.30} {
+			cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cycles := range []uint64{1237, 3001} {
+				runs = append(runs, run{fmt.Sprintf("%s@%.2f/%d", topo, inj, cycles), cfg, cycles})
+			}
+		}
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			snap := func(workers int, noGate bool) []state.Section {
+				p := buildSnap(t, r.cfg, workers, noGate, nil)
+				defer p.Close()
+				p.RunCycles(r.cycles / 3)
+				p.RunCycles(r.cycles - r.cycles/3)
+				b, err := p.SnapshotBytes()
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, sections, err := state.ReadSnapshot(bytes.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sections
+			}
+			want := snap(0, true)
+			for _, v := range []struct {
+				workers int
+				noGate  bool
+			}{{0, false}, {2, false}, {2, true}} {
+				got := snap(v.workers, v.noGate)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d noGate=%v: %d sections, the ungated sequential kernel writes %d", v.workers, v.noGate, len(got), len(want))
+				}
+				var differ []string
+				for i := range want {
+					if !bytes.Equal(got[i].Body, want[i].Body) && (v.workers == 0 || want[i].Name != "pool") {
+						differ = append(differ, want[i].Name)
+					}
+				}
+				if len(differ) > 0 {
+					t.Errorf("workers=%d noGate=%v: sections %v differ from the ungated sequential kernel's", v.workers, v.noGate, differ)
+				}
+			}
+		})
 	}
 }
 

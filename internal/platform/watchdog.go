@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"nocemu/internal/engine"
 	"nocemu/internal/fault"
 )
 
@@ -38,12 +37,13 @@ func (p *Platform) AttachWatchdog(patience uint64) (*Watchdog, error) {
 	}
 	// On a gated sequential platform the watchdog parks once the network
 	// drains; the first send after a drain is always an injection, so
-	// re-arming it from the injection-wire hooks alone is sufficient
-	// (no other wire can fire while sent == recv).
-	if p.par == nil && p.eng.Gated() {
-		for _, wp := range p.wirePairs {
-			if wp.inject {
-				p.bindArmHook(wp, engine.Target{Name: w.name})
+	// re-arming it from the injection wires alone is sufficient (no other
+	// wire can fire while sent == recv). They follow the inter-switch
+	// links in the wire arena, in TG order.
+	if p.arms != nil {
+		for i := range p.tgs {
+			if err := p.arms.Also(len(p.links)+i, w.name); err != nil {
+				return nil, err
 			}
 		}
 	}

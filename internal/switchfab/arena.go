@@ -81,19 +81,21 @@ func (a *Arena) TickList(idx []int, cycle uint64) {
 	}
 }
 
-// CommitList implements engine.Arena: commit the listed switches.
-func (a *Arena) CommitList(idx []int, cycle uint64) {
-	for _, i := range idx {
-		a.sws[i].Commit(cycle)
+// CommitList implements engine.Arena: commit the listed switches and
+// report which went quiet. This runs mid-commit, before the wires
+// commit; Switch.NextWake is safe there because it checks input wires
+// with PendingFlit, which sees staged flits, and no component stages
+// flits during the commit phase. A busy switch answers from its first
+// occupancy word.
+func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
+	for r, i := range idx {
+		s := &a.sws[i]
+		s.Commit(cycle)
+		if _, q := s.NextWake(cycle); q {
+			quiet = append(quiet, r)
+		}
 	}
-}
-
-// ElemNextWake implements engine.Arena. The gate asks mid-commit,
-// before the wires commit; Switch.NextWake is safe there because it
-// checks input wires with PendingFlit, which sees staged flits, and no
-// component stages flits during the commit phase.
-func (a *Arena) ElemNextWake(i int, cycle uint64) (uint64, bool) {
-	return a.sws[i].NextWake(cycle)
+	return quiet
 }
 
 // ElemSkipIdle implements engine.Arena.

@@ -1,0 +1,214 @@
+package switchfab
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"nocemu/internal/flit"
+	"nocemu/internal/link"
+	"nocemu/internal/state"
+)
+
+// The switch looks at a wire only when the wire's commit raised its flag
+// (DESIGN.md §10, "Who tells whom"), and a parked switch collects the
+// credits it slept through cycle for cycle in SkipIdle. These tests pin
+// both by hand-built rigs: flags on either side of the 8-byte load, stale
+// and reloaded flags, a flit held back by a stuck fault, and a settle
+// that stops exactly where the every-cycle schedule stands.
+
+func savedWire(c *link.CreditLink) []byte {
+	w := state.NewWriter()
+	c.SaveState(w)
+	return w.Bytes()
+}
+
+// commitWires commits the rig's wires and advances its clock: a cycle in
+// which the switch itself may or may not have run.
+func (r *rig) commitWires() {
+	for _, w := range r.wires {
+		w.Commit(r.cycle)
+	}
+	r.cycle++
+}
+
+// TestSkipIdleSettlesCreditsExactly: two switches send three flits down
+// output 0 and go quiet with the credits still out. One then ticks every
+// cycle; the other sleeps 40 cycles while the credits come back in three
+// of them, the last skipped cycle among them. After SkipIdle the sleeper
+// and its credit wire serialize to the twin's bytes — two credits in the
+// counter, the last cycle's still on the wire — and again after the Tick
+// that follows.
+func TestSkipIdleSettlesCreditsExactly(t *testing.T) {
+	const parkAt, parked = 10, 40
+	returns := []uint64{parkAt + 5, parkAt + 20, parkAt + parked - 1}
+	awake, asleep := newRig(t, 2, 2, 1, 4), newRig(t, 2, 2, 1, 4)
+	for _, r := range []*rig{awake, asleep} {
+		for r.cycle < parkAt {
+			if r.cycle < 3 {
+				r.send(0, 0, 0, 1)
+			}
+			r.sw.Tick(r.cycle)
+			r.out[0].Take() // the credit is kept back
+			r.sw.Commit(r.cycle)
+			r.commitWires()
+		}
+		if _, quiet := r.sw.NextWake(r.cycle); !quiet || r.sw.credits[0] != 1 {
+			t.Fatalf("before the park: quiet = %v with %d credits, want a quiet switch with 1", quiet, r.sw.credits[0])
+		}
+		for r.cycle < parkAt+parked {
+			if r == awake {
+				r.sw.Tick(r.cycle)
+				r.sw.Commit(r.cycle)
+			}
+			if slices.Contains(returns, r.cycle) {
+				r.outCr[0].Send(1)
+			}
+			r.commitWires()
+		}
+	}
+	same := func(when string, credits int, onWire uint32) {
+		t.Helper()
+		if !bytes.Equal(saved(asleep.sw), saved(awake.sw)) {
+			t.Errorf("%s: the parked switch does not serialize to the every-cycle twin's bytes", when)
+		}
+		if !bytes.Equal(savedWire(asleep.outCr[0]), savedWire(awake.outCr[0])) {
+			t.Errorf("%s: the parked switch's credit wire does not serialize to the twin's bytes", when)
+		}
+		if got, wire := asleep.sw.credits[0], asleep.outCr[0].Pending(); got != credits || wire != onWire {
+			t.Errorf("%s: %d credits in the counter and %d on the wire, want %d and %d", when, got, wire, credits, onWire)
+		}
+	}
+	if bytes.Equal(saved(asleep.sw), saved(awake.sw)) {
+		t.Fatal("the sleeper matches before it is settled: the rig returns no credits while it sleeps")
+	}
+	asleep.sw.SkipIdle(parkAt, parked)
+	same("after SkipIdle", 3, 1)
+	for _, r := range []*rig{awake, asleep} {
+		r.step(nil)
+	}
+	same("after the next Tick", 4, 0)
+}
+
+// TestFlagsAcrossWords: 35 input ports put the arrival flags on five
+// loads, the last with three real bytes and five of padding; ten output
+// lanes put the credit flags on two. Flits arrive on the ports either
+// side of a load boundary and on the padding-adjacent one, credits on the
+// lanes either side of the boundary and on the last.
+func TestFlagsAcrossWords(t *testing.T) {
+	r := newRig(t, 35, 5, 2, 4)
+	if len(r.sw.arr) != 40 || len(r.sw.cred) != 16 {
+		t.Fatalf("flag runs of %d and %d bytes, want 40 and 16", len(r.sw.arr), len(r.sw.cred))
+	}
+	r.step(nil) // clears the flags every switch starts with
+	arrivals := []struct{ port, vc int }{{7, 1}, {8, 0}, {34, 1}, {0, 0}}
+	for _, a := range arrivals {
+		r.send(a.port, a.vc, a.port%5, flit.EndpointID(a.port))
+	}
+	lanes := []int{7, 8, 9}
+	for _, ol := range lanes {
+		r.sw.creditIn[ol].Send(uint32(ol))
+	}
+	r.step(nil) // the wires commit and raise their flags
+	for i, f := range r.sw.arr {
+		if want := slices.ContainsFunc(arrivals, func(a struct{ port, vc int }) bool { return a.port == i }); (f != 0) != want {
+			t.Errorf("arrival flag %d = %d after the commit", i, f)
+		}
+	}
+	for ol, f := range r.sw.cred {
+		if want := slices.Contains(lanes, ol); (f != 0) != want {
+			t.Errorf("credit flag %d = %d after the commit", ol, f)
+		}
+	}
+	r.step(nil) // the switch takes what the flags name
+	if slices.Max(r.sw.arr) != 0 || slices.Max(r.sw.cred) != 0 {
+		t.Errorf("flags left set after the Tick: arrivals %v, credits %v", r.sw.arr, r.sw.cred)
+	}
+	for _, a := range arrivals {
+		if n := r.sw.inBufs[a.port*2+a.vc].Len(); n != 1 {
+			t.Errorf("input port %d channel %d buffers %d flits, want the one that arrived", a.port, a.vc, n)
+		}
+	}
+	for _, ol := range lanes {
+		if got := r.sw.credits[ol]; got != 4+ol {
+			t.Errorf("output lane %d has %d credits, want %d", ol, got, 4+ol)
+		}
+	}
+	var order []flit.EndpointID
+	for c := 0; c < 4; c++ {
+		r.step(&order)
+	}
+	slices.Sort(order)
+	if want := []flit.EndpointID{0, 7, 8, 34}; !slices.Equal(order, want) {
+		t.Errorf("delivered from ports %v, want %v", order, want)
+	}
+}
+
+// TestStaleFlagsAreHarmless: set means look, not take. With every flag
+// raised over empty wires a Tick changes nothing, allocates nothing and
+// clears them.
+func TestStaleFlagsAreHarmless(t *testing.T) {
+	r := newRig(t, 9, 9, 2, 4)
+	r.step(nil)
+	before := saved(r.sw)
+	if n := testing.AllocsPerRun(100, func() {
+		r.sw.raiseFlags()
+		r.sw.Tick(r.cycle)
+	}); n != 0 {
+		t.Errorf("%v allocations per Tick over stale flags", n)
+	}
+	if !bytes.Equal(saved(r.sw), before) {
+		t.Error("a Tick over stale flags changed the switch")
+	}
+	if slices.Max(r.sw.arr) != 0 || slices.Max(r.sw.cred) != 0 {
+		t.Error("the Tick left flags set")
+	}
+}
+
+// TestLoadStateRaisesFlags: flags are not in a snapshot, so a load must
+// leave the switch looking at every wire. Here they were all cleared
+// behind its back while a flit sat on an input wire and credits on an
+// output's; the Tick after the load takes both.
+func TestLoadStateRaisesFlags(t *testing.T) {
+	r := newRig(t, 9, 9, 1, 4)
+	r.step(nil)
+	r.send(8, 0, 3, 1)
+	r.outCr[8].Send(2)
+	r.commitWires()
+	blob := saved(r.sw)
+	clear(r.sw.arr)
+	clear(r.sw.cred)
+	if err := r.sw.LoadState(state.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	r.step(nil)
+	if r.sw.BufferedFlits() != 1 || r.sw.credits[8] != 6 {
+		t.Errorf("after the load: %d flits buffered and %d credits on lane 8, want 1 and 6", r.sw.BufferedFlits(), r.sw.credits[8])
+	}
+}
+
+// TestStuckWireKeepsSwitchAwake: a stuck fault holds a staged flit on
+// the wire without raising the consumer's flag. The switch must not go
+// quiet meanwhile — nothing would wake it when the fault clears — and
+// the commit that finally delivers the flit raises the flag, so the next
+// Tick takes it.
+func TestStuckWireKeepsSwitchAwake(t *testing.T) {
+	r := newRig(t, 2, 2, 1, 4)
+	r.in[1].SetFault(link.FaultStuck)
+	r.send(1, 0, 0, 1)
+	for c := 0; c < 5; c++ {
+		r.step(nil)
+		if _, quiet := r.sw.NextWake(r.cycle); quiet || r.sw.arr[1] != 0 || r.sw.BufferedFlits() != 0 {
+			t.Fatalf("cycle %d, flit held: quiet = %v, flag = %d, %d flits buffered", c, quiet, r.sw.arr[1], r.sw.BufferedFlits())
+		}
+	}
+	r.in[1].SetFault(link.FaultNone)
+	r.step(nil)
+	if r.sw.arr[1] != 1 {
+		t.Fatal("the delivering commit did not raise the arrival flag")
+	}
+	r.step(nil)
+	if r.sw.arr[1] != 0 || r.sw.BufferedFlits() != 1 {
+		t.Errorf("the cycle after delivery: flag = %d, %d flits buffered, want the flit taken", r.sw.arr[1], r.sw.BufferedFlits())
+	}
+}

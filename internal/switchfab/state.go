@@ -7,6 +7,8 @@
 // serialized: all are empty between cycles but the occupied-lane mask,
 // which is rebuilt from the FIFOs on load; the FIFO counters are written
 // settled, so the bytes do not say which lanes were committed lazily.
+// The arrival and credit flags are not state either: a load raises them
+// all, and a raised flag only means look.
 // The two leading counts are lane counts — port counts at one virtual
 // channel — so a snapshot restores only into a switch of the same shape
 // and channel count.
@@ -70,6 +72,7 @@ func (s *Switch) LoadState(r *state.Reader) error {
 			s.cfg.Name, nIn, nOut, len(s.inBufs), len(s.lock), s.cfg.NumVC)
 	}
 	clear(s.masks)
+	s.raiseFlags() // whatever the wires hold now, the next Tick looks
 	for i := range s.inBufs {
 		if err := s.inBufs[i].LoadState(r); err != nil {
 			return err

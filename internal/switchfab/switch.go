@@ -19,6 +19,7 @@
 package switchfab
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -109,6 +110,18 @@ type Switch struct {
 	moved []uint64 // forwarded this cycle: a pop is staged
 	want  []uint64 // some occupied lane is routed to this port (set and cleared within a Tick)
 
+	// The wires say where to look (DESIGN.md §10, "Who tells whom"): a
+	// byte per input port in arr and per output lane in cred, each run
+	// padded to whole 8-byte loads. A wire's Commit sets its byte and
+	// writes nothing else here; only this switch's Tick, SkipIdle and
+	// LoadState read, clear or raise them. Clear proves there is nothing
+	// to take, set means look, so flags are not state (a load raises them
+	// all). Bytes, not bits: wires commit on different
+	// workers, and distinct bytes written in the Commit phase and read in
+	// the Tick phase need no atomics (make race is the check).
+	arr  []uint8
+	cred []uint8
+
 	stats Stats
 
 	// probe records route events for forwarded flits; nil when tracing
@@ -153,6 +166,8 @@ func initSwitch(s *Switch, cfg Config) error {
 	inLanes, outLanes := cfg.NumIn*cfg.NumVC, cfg.NumOut*cfg.NumVC
 	words := arb.Words(inLanes)
 	masks := make([]uint64, 3*words+arb.Words(cfg.NumOut))
+	arrLen := (cfg.NumIn + 7) &^ 7
+	flags := make([]uint8, arrLen+(outLanes+7)&^7)
 	*s = Switch{
 		cfg:       cfg,
 		lfsr:      rng.New(cfg.Seed),
@@ -171,7 +186,10 @@ func initSwitch(s *Switch, cfg Config) error {
 		dirty:     masks[words : 2*words : 2*words],
 		moved:     masks[2*words : 3*words : 3*words],
 		want:      masks[3*words:],
+		arr:       flags[:arrLen],
+		cred:      flags[arrLen:],
 	}
+	s.raiseFlags()
 	for r := range s.inBufs {
 		name := fmt.Sprintf("%s/in%d", cfg.Name, r/cfg.NumVC)
 		if vc := r % cfg.NumVC; vc > 0 {
@@ -217,6 +235,7 @@ func (s *Switch) ConnectInput(i int, in *link.Link, creditBack ...*link.CreditLi
 		return fmt.Errorf("switchfab %s: input %d needs a link and %d credit wires", s.cfg.Name, i, s.cfg.NumVC)
 	}
 	s.inLinks[i] = in
+	in.NotifyArrival(&s.arr[i])
 	copy(s.creditOut[i*s.cfg.NumVC:], creditBack)
 	s.wired++
 	return nil
@@ -242,6 +261,7 @@ func (s *Switch) ConnectOutput(o int, out *link.Link, initialCredits int, credit
 	for v, c := range creditIn {
 		s.creditIn[o*s.cfg.NumVC+v] = c
 		s.credits[o*s.cfg.NumVC+v] = initialCredits
+		c.NotifyArrival(&s.cred[o*s.cfg.NumVC+v])
 	}
 	s.wiredOuts++
 	return nil
@@ -300,30 +320,52 @@ func (s *Switch) selectPort(candidates []int, f *flit.Flit, vc int) int {
 	}
 }
 
+// raiseFlags makes the next Tick look at every wire. The padding stays
+// clear for good.
+func (s *Switch) raiseFlags() {
+	for i := range s.inLinks {
+		s.arr[i] = 1
+	}
+	for ol := range s.creditIn {
+		s.cred[ol] = 1
+	}
+}
+
 // Tick implements engine.Component: accept arrivals, collect credits,
-// compute routes, arbitrate outputs and forward flits. Past the two
-// polls of the wires every pass walks the set bits of a mask.
+// compute routes, arbitrate outputs and forward flits. No pass walks
+// the ports: the first two walk the flags the wires set, eight to a
+// load, the others the set bits of a mask.
 func (s *Switch) Tick(cycle uint64) {
 	numVC := s.cfg.NumVC
 	// Collect returned credits first so this cycle's arbitration sees
 	// them (they were committed last cycle).
-	for ol := range s.creditIn {
-		s.credits[ol] += int(s.creditIn[ol].Take())
+	for w := 0; w < len(s.cred); w += 8 {
+		m := binary.LittleEndian.Uint64(s.cred[w:])
+		binary.LittleEndian.PutUint64(s.cred[w:], 0) // a store, not a call to clear
+		for ; m != 0; m &= m - 1 {
+			ol := w + bits.TrailingZeros64(m)>>3
+			s.credits[ol] += int(s.creditIn[ol].Take())
+		}
 	}
 
 	// Accept arriving flits into the lane their channel tag names.
 	// Credit flow control guarantees space; a push failure indicates a
 	// protocol bug and is surfaced via panic in this internal invariant.
-	for i, in := range s.inLinks {
-		if f := in.Take(); f != nil {
-			if int(f.VC) >= numVC {
-				panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
+	for w := 0; w < len(s.arr); w += 8 {
+		m := binary.LittleEndian.Uint64(s.arr[w:])
+		binary.LittleEndian.PutUint64(s.arr[w:], 0)
+		for ; m != 0; m &= m - 1 {
+			i := w + bits.TrailingZeros64(m)>>3
+			if f := s.inLinks[i].Take(); f != nil { // nil: a stale flag, set means look
+				if int(f.VC) >= numVC {
+					panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
+				}
+				r := i*numVC + int(f.VC)
+				if err := s.inBufs[r].Push(f); err != nil {
+					panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
+				}
+				s.dirty[r>>6] |= 1 << (r & 63)
 			}
-			r := i*numVC + int(f.VC)
-			if err := s.inBufs[r].Push(f); err != nil {
-				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
-			}
-			s.dirty[r>>6] |= 1 << (r & 63)
 		}
 	}
 
@@ -477,20 +519,22 @@ func (s *Switch) settle() {
 }
 
 // NextWake implements engine.Quiescable. The switch is quiet when no
-// lane is occupied and no flit is committed on an input wire: with no
-// heads there is nothing to route, arbitrate, forward or mark blocked,
-// and pending credits accumulate losslessly on the wires until the next
-// evaluated cycle. The gate asks after this switch's Commit, so occ
+// lane is occupied and no flit is committed on, or held for, an input
+// wire: with no heads there is nothing to route, arbitrate, forward or
+// mark blocked, and credits that come back meanwhile wait on their wires
+// for SkipIdle. The arena asks right after this switch's Commit, so occ
 // already counts a flit pushed this cycle. Wormhole locks and per-lane
 // routes may persist while quiet; they are frozen state, revisited when
-// an input arms the switch.
+// an input arms the switch. The input loop is the one per-port walk
+// left: a stuck fault holds a staged flit for this switch with no flag
+// raised, and nothing would wake it at the delivering commit.
 func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 	for _, m := range s.occ {
 		if m != 0 {
 			return 0, false
 		}
 	}
-	// PendingFlit rather than Peek: the arena's park scan runs during
+	// PendingFlit rather than Peek: the arena's quiet report runs during
 	// the commit phase, before the wires commit, where a flit staged
 	// this cycle is visible only as pending state. After the wires
 	// commit (the engine-level scan position) the two are identical.
@@ -503,9 +547,22 @@ func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 }
 
 // SkipIdle implements engine.Quiescable: each skipped cycle would have
-// counted one switch cycle and committed empty buffers, which the lanes
-// are paid for like any cycle Commit passed them over (settle).
-func (s *Switch) SkipIdle(from, n uint64) { s.stats.Cycles += n }
+// counted one switch cycle, committed empty buffers — which the lanes
+// are paid for like any cycle Commit passed them over (settle) — and
+// collected the credits committed the cycle before. The last skipped
+// Tick runs in cycle from+n-1: what was committed before it moves to
+// the counters, its own credits stay on the wire, and a settle leaves
+// the switch where the every-cycle schedule has it, snapshot bytes
+// included. The flags stay set for the Tick of the wake.
+func (s *Switch) SkipIdle(from, n uint64) {
+	s.stats.Cycles += n
+	for w := 0; w < len(s.cred); w += 8 {
+		for m := binary.LittleEndian.Uint64(s.cred[w:]); m != 0; m &= m - 1 {
+			ol := w + bits.TrailingZeros64(m)>>3
+			s.credits[ol] += int(s.creditIn[ol].TakeBefore(from + n - 1))
+		}
+	}
+}
 
 // Drain empties every input buffer through release — a push staged this
 // cycle included — and clears the wormhole locks and per-lane routes

@@ -110,8 +110,9 @@ func (t *TG) Commit(cycle uint64) {}
 // generator either will never emit again (budget/trace exhausted, or
 // disabled — Done cannot change while quiet) or promises a pure
 // countdown sleep, in which case the wake cycle is the first Step that
-// may emit. Uncollected credits accumulate on the credit wire, so
-// skipping the per-cycle collection is invisible.
+// may emit. Credits that come back meanwhile wait on the credit wire;
+// SkipIdle collects them cycle for cycle as the skipped Pumps would
+// have, so the counter stands where the every-cycle schedule has it.
 func (t *TG) NextWake(cycle uint64) (uint64, bool) {
 	if t.hasPending || !t.inj.Drained() {
 		return 0, false
@@ -127,13 +128,15 @@ func (t *TG) NextWake(cycle uint64) (uint64, bool) {
 }
 
 // SkipIdle implements engine.Quiescable: repay the generator the Step
-// calls the skipped cycles would have made. Nothing else advances per
-// cycle while the TG is quiet (the injector neither stalls nor pumps
-// with an empty queue).
+// calls the skipped cycles would have made, and the injector the
+// credits it would have collected. Nothing else advances per cycle
+// while the TG is quiet (the injector neither stalls nor pumps with an
+// empty queue).
 func (t *TG) SkipIdle(from, n uint64) {
 	if t.enabled && !t.hasPending && !t.limitReached() && !t.gen.Exhausted() {
 		t.gen.SkipSteps(n)
 	}
+	t.inj.SkipIdle(from, n)
 }
 
 // Done implements engine.Stopper: the TG is done when its packet budget
