@@ -85,6 +85,9 @@ type Attachment struct {
 // slots.
 type System struct {
 	buses [NumBuses]map[uint32]Device
+	// free[b] is a slot below which bus b has none free: devices are
+	// never detached, so AttachNext resumes its search there.
+	free [NumBuses]uint32
 
 	reads, writes uint64
 }
@@ -122,12 +125,19 @@ func (s *System) AttachNext(bus uint32, d Device) (uint32, error) {
 	if bus >= NumBuses {
 		return 0, fmt.Errorf("bus: bus %d out of range", bus)
 	}
-	for dev := uint32(0); dev < DevicesPerBus; dev++ {
+	for dev := s.free[bus]; dev < DevicesPerBus; dev++ {
 		if _, ok := s.buses[bus][dev]; !ok {
+			s.free[bus] = dev
 			return dev, s.Attach(bus, dev, d)
 		}
 	}
 	return 0, fmt.Errorf("%w: bus %d", ErrBusFull, bus)
+}
+
+// Full reports whether AttachNext on the given bus would report
+// ErrBusFull, so a caller can skip building a device nothing will map.
+func (s *System) Full(bus uint32) bool {
+	return bus < NumBuses && len(s.buses[bus]) == DevicesPerBus
 }
 
 // Lookup returns the device at (bus, dev).

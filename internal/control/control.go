@@ -52,34 +52,34 @@ func NewModule(name string, cycleFn func() uint64, tgs []Enabler, numTR, numSw i
 	if cycleFn == nil {
 		return nil, fmt.Errorf("control: nil cycle source")
 	}
-	b := regmap.NewBank(name)
-	b.Describe("Control module (TYPE = 4)", "")
-	b.RO(regmap.RegType, "TYPE", "device class", func() uint32 { return regmap.TypeControl })
-	b.RO(regmap.RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RW(regmap.RegCtrl, "CTRL", "bit0: global traffic enable, fanned out to every TG",
-		func() uint32 {
-			for _, tg := range tgs {
-				if !tg.Enabled() {
-					return 0
+	return &Module{Bank: regmap.Lazy(name, func(b *regmap.Bank) {
+		b.Describe("Control module (TYPE = 4)", "")
+		b.RO(regmap.RegType, "TYPE", "device class", func() uint32 { return regmap.TypeControl })
+		b.RO(regmap.RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
+		b.RW(regmap.RegCtrl, "CTRL", "bit0: global traffic enable, fanned out to every TG",
+			func() uint32 {
+				for _, tg := range tgs {
+					if !tg.Enabled() {
+						return 0
+					}
 				}
-			}
-			return regmap.CtrlEnable
-		},
-		func(v uint32) error {
-			on := v&regmap.CtrlEnable != 0
-			for _, tg := range tgs {
-				tg.SetEnabled(on)
-			}
-			return nil
-		})
-	b.RO64(RegCycleLo, "CYCLE", "engine cycle counter", cycleFn)
-	b.RO(RegNumTG, "NUM_TG", "traffic generators on the platform",
-		func() uint32 { return uint32(len(tgs)) })
-	b.RO(RegNumTR, "NUM_TR", "traffic receptors",
-		func() uint32 { return uint32(numTR) })
-	b.RO(RegNumSw, "NUM_SW", "switches",
-		func() uint32 { return uint32(numSw) })
-	return &Module{Bank: b}, nil
+				return regmap.CtrlEnable
+			},
+			func(v uint32) error {
+				on := v&regmap.CtrlEnable != 0
+				for _, tg := range tgs {
+					tg.SetEnabled(on)
+				}
+				return nil
+			})
+		b.RO64(RegCycleLo, "CYCLE", "engine cycle counter", cycleFn)
+		b.RO(RegNumTG, "NUM_TG", "traffic generators on the platform",
+			func() uint32 { return uint32(len(tgs)) })
+		b.RO(RegNumTR, "NUM_TR", "traffic receptors",
+			func() uint32 { return uint32(numTR) })
+		b.RO(RegNumSw, "NUM_SW", "switches",
+			func() uint32 { return uint32(numSw) })
+	})}, nil
 }
 
 // OpKind enumerates program instructions.

@@ -63,8 +63,9 @@ func (e *evaluator) build(p Point) (*platform.Platform, error) {
 //
 // Warm path (the default): one platform reaches the warmed post-reset
 // state through the snapshot store (restored when stored, otherwise
-// warmed and stored), then Platform.Fork clones it so every replicate
-// pays only its measure window.
+// warmed and stored) and measures every fork itself: fork 0 continues,
+// fork i > 0 restores the warmed state and reseeds (ReseedFork), so a
+// replicate pays a restore and its measure window, never a build.
 //
 // Cold path (ColdBuild): every fork builds its own platform and replays
 // the warm-up, reseeding at the fork cycle exactly as Fork does — the
@@ -80,25 +81,28 @@ func (e *evaluator) evalPoint(p Point) []Row {
 	}
 	defer src.Close()
 	area := areaSlices(src)
-	if e.cfg.Forks == 1 {
-		// Fork 0 is an exact continuation of the warmed state; with a
-		// single replicate the source platform is that continuation.
-		return []Row{e.measure(src, p, 0, area)}
-	}
-	forks, err := src.Fork(e.cfg.Forks)
-	if err != nil {
-		return e.errorRows(p, err)
+	var warmed []byte
+	if e.cfg.Forks > 1 {
+		if warmed, err = src.SnapshotBytes(); err != nil {
+			return e.errorRows(p, err)
+		}
 	}
 	rows := make([]Row, e.cfg.Forks)
-	for i, f := range forks {
-		rows[i] = e.measure(f, p, i, area)
-		f.Close()
+	for i := range rows {
+		if i > 0 {
+			if err := src.RestoreBytes(warmed); err != nil {
+				return e.errorRows(p, err)
+			}
+			src.ReseedFork(i)
+		}
+		rows[i] = e.measure(src, p, i, area)
 	}
 	return rows
 }
 
 // evalPointCold is the amortization-free path: per fork, a cold build
-// replaying warm-up and reseed — semantically identical to Fork.
+// replaying warm-up and reseed — what the warm path's restore and
+// ReseedFork stand for.
 func (e *evaluator) evalPointCold(p Point) []Row {
 	rows := make([]Row, e.cfg.Forks)
 	for i := range rows {
@@ -108,11 +112,7 @@ func (e *evaluator) evalPointCold(p Point) []Row {
 		}
 		pl.RunCycles(e.cfg.WarmupCycles)
 		pl.ResetStats()
-		if i > 0 {
-			for _, tg := range pl.TGs() {
-				tg.Reseed(platform.ForkSeed(pl.Config().Seed, uint16(tg.Injector().Endpoint()), i))
-			}
-		}
+		pl.ReseedFork(i)
 		rows[i] = e.measure(pl, p, i, areaSlices(pl))
 		pl.Close()
 	}

@@ -48,8 +48,8 @@ type Arena interface {
 	// order. CommitList also appends to quiet, and returns, the position
 	// in idx of every element with nothing to do from the next cycle on
 	// until input arms it — Quiescable's NextWake without a wake cycle,
-	// answered from the element's own state and its input wires' staged
-	// state (not everything else has committed yet). ElemSkipIdle is
+	// answered from the element's own state alone (not everything else
+	// has committed yet). ElemSkipIdle is
 	// Quiescable's SkipIdle for element i. The arena keeps no scheduling
 	// state of its own: Tick and Commit stay the full-population walk
 	// for kernels that do not gate per element.

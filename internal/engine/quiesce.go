@@ -6,11 +6,11 @@
 // kernel still walks it twice per cycle. A component that can prove it
 // will stage and commit nothing for a while implements Quiescable; the
 // kernel then parks it — removes it from the per-cycle walk — until
-// either its declared wake cycle arrives (wake heap) or a neighbour
-// stages something onto one of its input wires (arm hook, installed by
-// the platform on the link Send path). When every component is parked
-// the kernel fast-forwards the global cycle counter straight to the
-// earliest wake.
+// either its declared wake cycle arrives (wake heap) or input reaches it
+// (arm hooks, installed by the platform on the wires: a Send wakes the
+// wire, the commit that delivers the flit wakes its reader). When every
+// component is parked the kernel fast-forwards the global cycle counter
+// straight to the earliest wake.
 //
 // Two rules make the skipping invisible:
 //
@@ -470,8 +470,9 @@ func (e *Engine) Armer(targets ...Target) (func(), bool) {
 }
 
 // ArmTable is the arm-on-input rule of a whole wire arena as data: a
-// row per wire pair instead of two closures per wire. The arena's wires
-// call Flit and Credit with their pair's index from their Send paths.
+// row per wire pair instead of closures per wire. The arena's wires call
+// Flit and Credit with their pair's index from their Send paths, and the
+// arena calls Deliver with the pairs whose commit made a flit visible.
 type ArmTable struct {
 	e     *Engine
 	wires ref     // the arena; elem is the caller's
@@ -480,7 +481,9 @@ type ArmTable struct {
 }
 
 // ArmTable builds the table for the named arena; consumers[i] reads the
-// flit wire of pair i.
+// flit wire of pair i. A consumer that is an arena element must be
+// registered no later than the wires: Deliver wakes it from the wires'
+// commit, and a gate committing behind them would commit it un-ticked.
 func (e *Engine) ArmTable(arena string, consumers []Target) (*ArmTable, error) {
 	w, ok := e.resolve(Target{Name: arena})
 	if !ok || w.arena < 0 || len(consumers) != e.arenas[w.arena].Len() {
@@ -490,6 +493,9 @@ func (e *Engine) ArmTable(arena string, consumers []Target) (*ArmTable, error) {
 	for i, c := range consumers {
 		if t.rows[i], ok = e.resolve(c); !ok {
 			return nil, errArena("arm table: unknown consumer " + c.Name)
+		}
+		if t.rows[i].arena >= 0 && t.rows[i].slot > w.slot {
+			return nil, errArena("arm table: consumer arena " + c.Name + " commits behind " + arena)
 		}
 		t.also[i] = -1
 	}
@@ -508,8 +514,10 @@ func (t *ArmTable) Also(i int, name string) error {
 }
 
 // Flit is the Send hook of the arena's flit wires: staging a flit arms
-// the pair, the consumer and what Also added — flag tests, free of calls,
-// when they are awake. No gates yet means nothing is parked yet.
+// the pair, which has to commit it, and what Also added — flag tests,
+// free of calls, when they are awake. The consumer cannot see the flit
+// before that commit and is left to Deliver. No gates yet means nothing
+// is parked yet.
 func (t *ArmTable) Flit(i int) {
 	s, w := t.e.sched, t.wires
 	if s == nil || int(w.arena) >= len(s.arenas) {
@@ -518,13 +526,25 @@ func (t *ArmTable) Flit(i int) {
 	if !s.arenas[w.arena].active[i] {
 		s.wakeElem(ref{w.arena, int32(i), w.slot}, t.e.cycle)
 	}
-	if r := t.rows[i]; r.arena < 0 {
-		s.reg.arm(int(r.slot), t.e.cycle)
-	} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
-		s.wakeElem(r, t.e.cycle)
-	}
 	if a := t.also[i]; a >= 0 {
 		s.reg.arm(int(a), t.e.cycle)
+	}
+}
+
+// Deliver is the hook of the commits that made the listed pairs' flits
+// visible: each consumer first runs in the next cycle, the first in
+// which it can take the flit, paid its idle cycles through this one. It
+// is called from inside the wire arena's commit walk — once per walk,
+// the flag tests of a busy network then cost no call each — so only a
+// gate gets here.
+func (t *ArmTable) Deliver(pairs []int) {
+	s, next := t.e.sched, t.e.cycle+1
+	for _, i := range pairs {
+		if r := t.rows[i]; r.arena < 0 {
+			s.reg.arm(int(r.slot), next)
+		} else if !s.arenas[r.arena].active[r.elem] {
+			s.wakeElem(r, next)
+		}
 	}
 }
 

@@ -543,24 +543,35 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 	}
 }
 
-// TestArmTable: staging a flit on pair i arms the pair, its consumer —
-// an element of another arena or a plain component — and what Also
-// added; staging credits arms the pair alone.
+// TestArmTable: staging a flit on pair i arms the pair and what Also
+// added, staging credits the pair alone; the consumer — an element of
+// another arena or a plain component — is woken by Deliver, called from
+// the wires' commit walk, for the next cycle: paid through the
+// delivering one, not committed in it, ticked in the one after.
 func TestArmTable(t *testing.T) {
 	e := New()
 	e.SetGated(true)
 	sink, dog := &tickSink{name: "sink"}, &tickSink{name: "dog"}
 	consumers := &stubArena{name: "consumers", elems: make([]stubElem, 2)}
 	wires := &stubArena{name: "wires", elems: make([]stubElem, 3)}
+	late := &stubArena{name: "late", elems: make([]stubElem, 1)}
+	step := &armCaller{name: "step"} // the producer: ahead of the wires
+	e.MustRegister(step)
 	e.MustRegister(sink)
 	e.MustRegisterArena(consumers)
 	e.MustRegisterArena(wires)
 	e.MustRegister(dog)
+	e.MustRegisterArena(late)
 	if _, err := e.ArmTable("wires", make([]Target, 2)); err == nil {
 		t.Error("a table of two rows for three wires was accepted")
 	}
 	if _, err := e.ArmTable("sink", nil); err == nil {
 		t.Error("a table over a plain component was accepted")
+	}
+	// Its gate commits after the wires': an element Deliver woke would be
+	// committed without having ticked.
+	if _, err := e.ArmTable("wires", []Target{{Name: "late"}, {Name: "sink"}, {Name: "dog"}}); err == nil {
+		t.Error("a consumer arena registered behind the wire arena was accepted")
 	}
 	tbl, err := e.ArmTable("wires", []Target{{Name: "consumers", Elem: 1}, {Name: "sink"}, {Name: "consumers", Elem: 0}})
 	if err != nil {
@@ -573,43 +584,79 @@ func TestArmTable(t *testing.T) {
 		t.Error("Also accepted a row out of range, an arena or an unknown name")
 	}
 	tbl.Flit(0) // before the first kernel entry there are no gates: a no-op
-	step := &armCaller{name: "step"}
-	e.MustRegister(step)
+	// A wire delivers two cycles after it was staged on (busy holds it in
+	// the walk meanwhile, as a stuck fault would): from inside its commit.
+	deliverAt := NeverWake
+	var committed [][2]uint64 // (cycle, consumer element)
+	for i := range wires.elems {
+		wires.elems[i].onCommit = func(cycle uint64) {
+			if cycle != deliverAt {
+				return
+			}
+			tbl.Deliver([]int{i})
+			if c := tbl.rows[i]; c.arena >= 0 && consumers.elems[c.elem].count != cycle+1 {
+				t.Errorf("cycle %d: Deliver left consumer %d paid %d cycles, want %d: through the delivering one",
+					cycle, c.elem, consumers.elems[c.elem].count, cycle+1)
+			}
+		}
+	}
+	for i := range consumers.elems {
+		consumers.elems[i].onCommit = func(cycle uint64) { committed = append(committed, [2]uint64{cycle, uint64(i)}) }
+	}
+	e.Run(1)
+	committed = committed[:0] // every element commits the first cycle
 	for _, tc := range []struct {
-		at        uint64
-		fire      func()
-		wires     []int // elements of each arena that tick in that cycle
-		consumers []int
-		sink, dog bool
+		at                  uint64
+		fire                func(i int)
+		wire                int
+		consumers           []int // elements that tick in the cycle after the delivery
+		dog, sinkAfterwards bool
 	}{
-		{at: 5, fire: func() { tbl.Flit(0) }, wires: []int{0}, consumers: []int{1}},
-		{at: 9, fire: func() { tbl.Flit(1) }, wires: []int{1}, sink: true, dog: true},
-		{at: 14, fire: func() { tbl.Credit(2) }, wires: []int{2}},
+		// A case starts a cycle after its Run does: every entry walks the
+		// plain components once.
+		{at: 5, fire: tbl.Flit, wire: 0, consumers: []int{1}},
+		{at: 10, fire: tbl.Flit, wire: 1, dog: true, sinkAfterwards: true},
+		{at: 15, fire: tbl.Credit, wire: 2},
 	} {
-		step.at, step.armFn = tc.at, tc.fire
-		e.Run(tc.at + 1 - e.Cycle())
-		ticked := func(a *stubArena) (out []int) {
+		step.at, step.armFn = tc.at, func() { wires.elems[tc.wire].busy = 3; tc.fire(tc.wire) }
+		deliverAt = NeverWake
+		if tc.consumers != nil || tc.sinkAfterwards {
+			deliverAt = tc.at + 2
+		}
+		tickedAt := func(a *stubArena, cycle uint64) (out []int) {
 			for i := range a.elems {
-				if n := len(a.elems[i].ticked); n > 0 && a.elems[i].ticked[n-1] == tc.at {
+				if slices.Contains(a.elems[i].ticked, cycle) {
 					out = append(out, i)
 				}
 			}
 			return out
 		}
-		if got := ticked(wires); !slices.Equal(got, tc.wires) {
-			t.Errorf("cycle %d: wires %v ticked, want %v", tc.at, got, tc.wires)
-		}
-		if got := ticked(consumers); !slices.Equal(got, tc.consumers) {
-			t.Errorf("cycle %d: consumers %v ticked, want %v", tc.at, got, tc.consumers)
-		}
-		for _, c := range []struct {
-			s    *tickSink
-			want bool
-		}{{sink, tc.sink}, {dog, tc.dog}} {
-			if got := c.s.tickedC[len(c.s.tickedC)-1] == tc.at; got != c.want {
-				t.Errorf("cycle %d: %s ticked = %v, want %v", tc.at, c.s.name, got, c.want)
+		e.Run(tc.at + 4 - e.Cycle())
+		for c := tc.at; c < tc.at+3; c++ {
+			if got := tickedAt(wires, c); !slices.Equal(got, []int{tc.wire}) {
+				t.Errorf("cycle %d: wires %v ticked, want the one staged on in cycle %d", c, got, tc.at)
+			}
+			if got := tickedAt(consumers, c); got != nil {
+				t.Errorf("cycle %d: consumers %v ticked with nothing delivered yet", c, got)
+			}
+			if got := slices.Contains(sink.tickedC, c); got {
+				t.Errorf("cycle %d: the sink ticked with nothing delivered yet", c)
 			}
 		}
+		if got := slices.Contains(dog.tickedC, tc.at); got != tc.dog {
+			t.Errorf("cycle %d: dog ticked = %v, want %v", tc.at, got, tc.dog)
+		}
+		if got := tickedAt(consumers, tc.at+3); !slices.Equal(got, tc.consumers) {
+			t.Errorf("cycle %d: consumers %v ticked, want %v", tc.at+3, got, tc.consumers)
+		}
+		if got := slices.Contains(sink.tickedC, tc.at+3); got != tc.sinkAfterwards {
+			t.Errorf("cycle %d: sink ticked = %v, want %v", tc.at+3, got, tc.sinkAfterwards)
+		}
+	}
+	// Consumer 1 was woken inside the commit phase of cycle 7: its first
+	// commit is cycle 8's, behind its first tick.
+	if want := [][2]uint64{{8, 1}}; !slices.Equal(committed, want) {
+		t.Errorf("consumers committed at (cycle, element) %v, want %v", committed, want)
 	}
 }
 

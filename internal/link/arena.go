@@ -27,6 +27,11 @@ type Arena struct {
 	vcs     int
 	links   []Link
 	credits []CreditLink // pair i owns credits[i*vcs : (i+1)*vcs]
+	// onDeliver is told, once per CommitList, of the pairs whose commit
+	// made a flit visible — the gated scheduler's wake of each wire's
+	// consumer. delivered is that list's backing, cap = pairs.
+	onDeliver func(elems []int)
+	delivered []int
 }
 
 // NewArena returns an empty wire arena with room for n wire pairs of
@@ -66,10 +71,12 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	return &a.links[len(a.links)-1], crs
 }
 
-// SetSendHooks installs the gated scheduler's arm-on-input hooks on
-// every wire created so far: staging a flit on pair i calls flit(i),
-// staging credits credit(i). The wires carry only their index.
-func (a *Arena) SetSendHooks(flit, credit func(elem int)) {
+// SetHooks installs the gated scheduler's arm-on-input hooks on every
+// wire created so far: staging a flit on pair i calls flit(i), staging
+// credits credit(i), and a CommitList that puts flits on wires calls
+// deliver with their pairs. The wires carry only their index.
+func (a *Arena) SetHooks(flit, credit func(elem int), deliver func(elems []int)) {
+	a.onDeliver, a.delivered = deliver, make([]int, 0, len(a.links))
 	for i := range a.links {
 		a.links[i].onSend = flit
 	}
@@ -108,21 +115,29 @@ func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
 // TickList implements engine.Arena; wires are passive during Tick.
 func (a *Arena) TickList(idx []int, cycle uint64) {}
 
-// CommitList implements engine.Arena: commit the listed wire pairs and
-// report which went quiet. A pair just committed has no credits staged,
+// CommitList implements engine.Arena: commit the listed wire pairs,
+// tell the deliver hook which flit wires put a flit on view — a stuck
+// fault holds the flit back, and the hook with it — and report which
+// pairs went quiet. A pair just committed has no credits staged,
 // so it is quiet when its flit wire holds nothing, committed or held by
 // a stuck fault (committed-but-uncollected credits accumulate without
 // commits and do not block quiescence). Only a Send ends that.
 func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
+	delivered := a.delivered[:0]
 	for r, i := range idx {
 		l := &a.links[i]
-		l.Commit(cycle)
+		if l.commit(cycle) && a.onDeliver != nil {
+			delivered = append(delivered, i)
+		}
 		for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
 			a.credits[c].Commit(cycle)
 		}
 		if l.Idle() {
 			quiet = append(quiet, r)
 		}
+	}
+	if len(delivered) > 0 {
+		a.onDeliver(delivered)
 	}
 	return quiet
 }

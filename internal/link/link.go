@@ -57,9 +57,9 @@ type Link struct {
 	// leaves dropped flits to the garbage collector.
 	onDrop func(*flit.Flit)
 	// onSend fires on every successful Send — the arm-on-input hook the
-	// gated scheduler uses to wake this wire and its consumer in the
-	// same cycle the producer stages a flit; one function serves every
-	// wire of an arena (Arena.SetSendHooks). Nil when gating is off.
+	// gated scheduler uses to wake this wire in the same cycle the
+	// producer stages a flit; one function serves every wire of an arena
+	// (Arena.SetHooks). Nil when gating is off.
 	onSend func(elem int)
 	// arrived is the consuming switch's flag for this wire, set by the
 	// Commit that makes a flit visible (DESIGN.md §10, "Who tells whom");
@@ -118,15 +118,6 @@ func (l *Link) SkipIdle(from, n uint64) { l.totalCycles += n }
 // Busy reports whether a flit has already been staged this cycle.
 func (l *Link) Busy() bool { return l.next != nil }
 
-// PendingFlit reports whether a flit will be visible on the wire after
-// its next commit: a committed flit not yet taken, or a staged one.
-// Consumers' quiescence checks use it so the answer is the same whether
-// they run before or after the wire's commit in the same cycle — after
-// commit it degenerates to Peek() != nil.
-func (l *Link) PendingFlit() bool {
-	return (l.cur != nil && !l.taken) || l.next != nil
-}
-
 // Peek returns the committed flit on the wire, if any, without
 // consuming it.
 func (l *Link) Peek() *flit.Flit { return l.cur }
@@ -145,7 +136,12 @@ func (l *Link) Take() *flit.Flit {
 // and utilization counters advance. An unconsumed flit that would be
 // overwritten is counted as an overrun and dropped; with correct credit
 // flow control this never happens, and tests assert Overruns()==0.
-func (l *Link) Commit(cycle uint64) {
+func (l *Link) Commit(cycle uint64) { l.commit(cycle) }
+
+// commit is Commit, reporting whether it put a flit on the wire: the
+// commit that raises the arrival flag, and the one Arena.CommitList
+// tells its deliver hook of.
+func (l *Link) commit(cycle uint64) (delivered bool) {
 	l.totalCycles++
 	if l.cur != nil {
 		l.busyCycles++
@@ -160,7 +156,7 @@ func (l *Link) Commit(cycle uint64) {
 		if l.next != nil {
 			l.heldCycles++
 		}
-		return
+		return false
 	}
 	if l.cur != nil && !l.taken && l.next != nil {
 		l.overruns++
@@ -177,7 +173,8 @@ func (l *Link) Commit(cycle uint64) {
 	if l.taken || l.next != nil {
 		l.cur = l.next
 	}
-	if l.next != nil {
+	delivered = l.next != nil
+	if delivered {
 		l.flits++
 		if l.arrived != nil {
 			*l.arrived = 1
@@ -185,6 +182,7 @@ func (l *Link) Commit(cycle uint64) {
 	}
 	l.next = nil
 	l.taken = false
+	return delivered
 }
 
 // SetFault switches the link's fault mode; FaultNone restores normal

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"errors"
 	"fmt"
 
 	"nocemu/internal/bus"
@@ -321,31 +320,31 @@ func Build(cfg Config) (*Platform, error) {
 	// (1024 switches + the control module, thousands of link devices).
 	// Register devices are passive views — they never tick, and TG
 	// enabling goes through the single control module — so a device that
-	// does not fit is simply left unmapped and counted; emulation results
-	// are unaffected. Attach order is preserved exactly (a spill maps
-	// nothing), keeping device numbering on smaller platforms unchanged.
-	attachNext := func(b uint32, d bus.Device) error {
-		if _, err := p.sys.AttachNext(b, d); err != nil {
-			if errors.Is(err, bus.ErrBusFull) {
-				p.unmapped++
-				return nil
-			}
-			return err
+	// does not fit is simply left unmapped, unbuilt and counted; emulation
+	// results are unaffected. Attach order is preserved exactly (a spill
+	// maps nothing), keeping device numbering on smaller platforms
+	// unchanged. A mapped device is a bank that declares its registers on
+	// first access (regmap.Lazy): Build declares none.
+	attachNext := func(b uint32, dev func() bus.Device) error {
+		if p.sys.Full(b) {
+			p.unmapped++
+			return nil
 		}
-		return nil
+		_, err := p.sys.AttachNext(b, dev())
+		return err
 	}
 	for _, sw := range p.switches {
-		if err := attachNext(BusControl, regmap.NewSwitchDevice(sw)); err != nil {
+		if err := attachNext(BusControl, func() bus.Device { return regmap.NewSwitchDevice(sw) }); err != nil {
 			return nil, err
 		}
 	}
 	for _, tg := range p.tgs {
-		if err := attachNext(BusTG, regmap.NewTGDevice(tg)); err != nil {
+		if err := attachNext(BusTG, func() bus.Device { return regmap.NewTGDevice(tg) }); err != nil {
 			return nil, err
 		}
 	}
 	for _, tr := range p.trs {
-		if err := attachNext(BusTR, regmap.NewTRDevice(tr)); err != nil {
+		if err := attachNext(BusTR, func() bus.Device { return regmap.NewTRDevice(tr) }); err != nil {
 			return nil, err
 		}
 	}
@@ -353,12 +352,12 @@ func Build(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	for _, l := range p.links {
-		if err := attachNext(BusAux, regmap.NewLinkDevice(l)); err != nil {
+		if err := attachNext(BusAux, func() bus.Device { return regmap.NewLinkDevice(l) }); err != nil {
 			return nil, err
 		}
 	}
 	if p.collector != nil {
-		if err := attachNext(BusAux, regmap.NewProbeDevice(p.collector)); err != nil {
+		if err := attachNext(BusAux, func() bus.Device { return regmap.NewProbeDevice(p.collector) }); err != nil {
 			return nil, err
 		}
 	}
@@ -393,7 +392,7 @@ func Build(cfg Config) (*Platform, error) {
 			if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
 				return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 			}
-			p.wires.SetSendHooks(p.arms.Flit, p.arms.Credit)
+			p.wires.SetHooks(p.arms.Flit, p.arms.Credit, p.arms.Deliver)
 		}
 	}
 	// Emit-time arming: any probe emission wakes the collector so ring

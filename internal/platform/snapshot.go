@@ -165,6 +165,19 @@ func ForkSeed(platformSeed uint32, ep uint16, fork int) uint32 {
 	return s
 }
 
+// ReseedFork makes the platform fork i of the state it is in: fork 0 is
+// the exact continuation, fork i > 0 reseeds every TG's random registers
+// with ForkSeed. What Fork does to each platform it builds; a caller that
+// runs its forks one after the other restores one platform and calls
+// this instead.
+func (p *Platform) ReseedFork(i int) {
+	if i > 0 {
+		for _, tg := range p.tgs {
+			tg.Reseed(ForkSeed(p.cfg.Seed, uint16(tg.Injector().Endpoint()), i))
+		}
+	}
+}
+
 // Fork snapshots the platform once and builds n independent platforms
 // restored from it — warm starts that share the paid-for warm-up.
 // Post-build attachments (watchdog, fault campaigns) are replicated.
@@ -208,11 +221,7 @@ func (p *Platform) Fork(n int) ([]*Platform, error) {
 			f.Close()
 			return fail(fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err))
 		}
-		if i > 0 {
-			for _, tg := range f.tgs {
-				tg.Reseed(ForkSeed(f.cfg.Seed, uint16(tg.Injector().Endpoint()), i))
-			}
-		}
+		f.ReseedFork(i)
 		forks = append(forks, f)
 	}
 	return forks, nil

@@ -681,6 +681,87 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesIgnoreScheduleHeldFlit: the wake a gated consumer gets
+// from the commit that delivers its flit, with nothing else in the
+// network to wake it by accident. Every generator sends two packets and
+// falls silent; a stuck fault holds a flit on one inter-switch wire from
+// cycle 0 until long after the rest has drained. Mid-hold and after the
+// fault has cleared and the packet behind it has been ejected, the gated
+// sequential kernel agrees with the ungated one on every snapshot byte,
+// and on the monitor and the trace, eject cycles included.
+func TestSnapshotBytesIgnoreScheduleHeldFlit(t *testing.T) {
+	const midHold, until, end = 1_500, 4_000, 4_500
+	cfg, err := platform.NetConfig(platform.NetOptions{
+		Topo:      topology.Spec{Kind: "mesh", Param: map[string]int{"w": 3, "h": 3}},
+		Injection: 0.3, PacketsPerTG: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trace = &probe.Config{}
+	// The wire to hold: the first one the unfaulted run sends a flit over.
+	held := -1
+	scout := buildSnap(t, cfg, 0, true, nil)
+	scout.RunCycles(midHold)
+	for i := 0; held < 0; i++ {
+		l, ok := scout.Link(i)
+		if !ok {
+			t.Fatal("the unfaulted run sent no flit over any inter-switch wire")
+		}
+		if l.Flits() > 0 {
+			held = i
+		}
+	}
+	scout.Close()
+	type result struct {
+		mid, end []byte
+		out      runOutput
+	}
+	run := func(noGate bool) (r result) {
+		p := buildSnap(t, cfg, 0, noGate, []fault.Spec{{Link: held, Mode: link.FaultStuck, From: 0, Until: until}})
+		defer p.Close()
+		moved := func() (n uint64) {
+			for i := 0; ; i++ {
+				l, ok := p.Link(i)
+				if !ok {
+					return n
+				}
+				n += l.Flits()
+			}
+		}
+		p.RunCycles(midHold)
+		if r.mid, err = p.SnapshotBytes(); err != nil {
+			t.Fatal(err)
+		}
+		before := moved()
+		p.RunCycles(until - midHold)
+		l, _ := p.Link(held)
+		if got := moved(); got != before || l.HeldCycles() < until-midHold {
+			t.Fatalf("noGate=%v: %d flits crossed wires in cycles [%d, %d) and wire %d held one for %d cycles, want a network at rest but for the held flit",
+				noGate, got-before, midHold, until, held, l.HeldCycles())
+		}
+		p.RunCycles(end - until)
+		if !p.Drained() || l.Flits() == 0 {
+			t.Fatalf("noGate=%v: drained = %v with %d flits over the held wire, want the packet delivered after the fault cleared", noGate, p.Drained(), l.Flits())
+		}
+		if r.end, err = p.SnapshotBytes(); err != nil {
+			t.Fatal(err)
+		}
+		r.out = capture(t, p)
+		return r
+	}
+	want, got := run(true), run(false)
+	if !bytes.Equal(got.mid, want.mid) {
+		t.Errorf("mid-hold snapshots differ between the gated and the ungated kernel")
+	}
+	if !bytes.Equal(got.end, want.end) {
+		t.Errorf("final snapshots differ between the gated and the ungated kernel")
+	}
+	if !got.out.equal(want.out) {
+		t.Errorf("gated output diverged: %s", got.out.diff(want.out))
+	}
+}
+
 // TestForkMatchesColdRunsZoo extends the fork determinism property to
 // the workload zoo: every fork must byte-match a cold-built twin that
 // replays the warm-up and reseeds at the same cycle. "flows" draws

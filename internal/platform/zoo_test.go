@@ -138,7 +138,11 @@ func TestZooScaleBuilds(t *testing.T) {
 // alive. The routing table is the term that scales with switches ×
 // sinks: as per-switch maps it alone held 88 MB of the 123 MB this
 // build retained; the flat table brought the whole platform near 42 MB,
-// and sharing the one-port runs of its candidate pool to 34 MB.
+// sharing the one-port runs of its candidate pool to 34 MB, and two-byte
+// cells plus register banks that declare nothing before their first
+// access (16 MB of closures) to under 14. The banks stay undeclared
+// through everything that is not a bus access: the kernel, the
+// struct-side totals, snapshot, restore and full reset retain no more.
 func TestBuildRetainedHeap(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("1k-node build; the race detector's shadow memory is not the platform's")
@@ -156,9 +160,49 @@ func TestBuildRetainedHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if got := float64(live()-before) / (1 << 20); got > 45 {
-		t.Errorf("built mesh:w=32,h=32 retains %.1f MB, want under 45", got)
+	if got := float64(live()-before) / (1 << 20); got > 16 {
+		t.Errorf("built mesh:w=32,h=32 retains %.1f MB, want under 16", got)
 	}
+	p.RunCycles(200)
+	p.Totals()
+	snap, err := p.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestoreBytes(snap); err != nil {
+		t.Fatal(err)
+	}
+	snap = nil
+	if err := p.FullReset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(live()-before) / (1 << 20); got > 16 {
+		t.Errorf("mesh:w=32,h=32 retains %.1f MB after a run, totals, a snapshot, a restore and a full reset, want under 16: some path declares register banks", got)
+	}
+}
+
+// BenchmarkBuildNet times NetConfig + Build — what every sweep point,
+// fork-less run and cold session pays before its first cycle — and
+// reports what the pair allocates.
+func BenchmarkBuildNet(b *testing.B) {
+	b.Run("mesh1024", func(b *testing.B) {
+		spec, err := topology.ParseSpec("mesh:w=32,h=32")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: 0.02, Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := platform.Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Close()
+		}
+	})
 }
 
 // TestZooDeterministicRebuild: two builds from equal zoo options are

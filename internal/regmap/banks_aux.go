@@ -26,37 +26,37 @@ const (
 // NewLinkDevice builds the register bank of a link: drop/overrun and
 // utilization counters, plus fault injection over the bus.
 func NewLinkDevice(l *link.Link) *Bank {
-	b := NewBank(l.ComponentName())
-	b.Describe("Link (TYPE = 5)",
-		"Utilization is BUSY/CYCLES. OVERRUNS stays zero under correct credit flow "+
-			"control; writing FAULT injects the paper's functional-validation faults "+
-			"without touching the platform.")
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeLink })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
-		func() uint32 { return 0 },
-		func(v uint32) error {
-			if v&CtrlResetStats != 0 {
-				l.ResetStats()
-			}
-			return nil
-		})
-	b.RW(RegLinkFault, "FAULT", "fault mode: 0 none, 1 stuck, 2 corrupt",
-		func() uint32 { return uint32(l.Fault()) },
-		func(v uint32) error {
-			if v > uint32(link.FaultCorrupt) {
-				return fmt.Errorf("regmap: %s fault mode %d", b.DeviceName(), v)
-			}
-			l.SetFault(link.FaultMode(v))
-			return nil
-		})
-	b.RO64(RegLinkFlits, "FLITS", "flits transported", l.Flits)
-	b.RO64(RegLinkBusy, "BUSY", "cycles the wire carried a flit", l.BusyCycles)
-	b.RO64(RegLinkCycles, "CYCLES", "committed cycles observed", l.TotalCycles)
-	b.RO64(RegLinkOverruns, "OVERRUNS", "flits lost to double occupancy", l.Overruns)
-	b.RO64(RegLinkCorrupt, "CORRUPTED", "flits whose payload a fault flipped", l.Corrupted)
-	b.RO64(RegLinkHeld, "HELD", "cycles a staged flit was held by a stuck fault", l.HeldCycles)
-	return b
+	return Lazy(l.ComponentName(), func(b *Bank) {
+		b.Describe("Link (TYPE = 5)",
+			"Utilization is BUSY/CYCLES. OVERRUNS stays zero under correct credit flow "+
+				"control; writing FAULT injects the paper's functional-validation faults "+
+				"without touching the platform.")
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeLink })
+		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
+		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
+			func() uint32 { return 0 },
+			func(v uint32) error {
+				if v&CtrlResetStats != 0 {
+					l.ResetStats()
+				}
+				return nil
+			})
+		b.RW(RegLinkFault, "FAULT", "fault mode: 0 none, 1 stuck, 2 corrupt",
+			func() uint32 { return uint32(l.Fault()) },
+			func(v uint32) error {
+				if v > uint32(link.FaultCorrupt) {
+					return fmt.Errorf("regmap: %s fault mode %d", b.DeviceName(), v)
+				}
+				l.SetFault(link.FaultMode(v))
+				return nil
+			})
+		b.RO64(RegLinkFlits, "FLITS", "flits transported", l.Flits)
+		b.RO64(RegLinkBusy, "BUSY", "cycles the wire carried a flit", l.BusyCycles)
+		b.RO64(RegLinkCycles, "CYCLES", "committed cycles observed", l.TotalCycles)
+		b.RO64(RegLinkOverruns, "OVERRUNS", "flits lost to double occupancy", l.Overruns)
+		b.RO64(RegLinkCorrupt, "CORRUPTED", "flits whose payload a fault flipped", l.Corrupted)
+		b.RO64(RegLinkHeld, "HELD", "cycles a staged flit was held by a stuck fault", l.HeldCycles)
+	})
 }
 
 // Pool register offsets.
@@ -77,62 +77,62 @@ const (
 // the leak ledger (LIVE must read zero after a drained run) and the
 // per-shard breakdown behind SHARD_SEL.
 func NewPoolDevice(p *flit.Pool) *Bank {
-	b := NewBank("pool")
-	b.Describe("Flit pool (TYPE = 6)",
-		"LIVE is acquired minus released as a two's-complement 64-bit value: zero "+
-			"after a fully drained run, positive on a leak. Read while quiesced, like "+
-			"any statistic.")
-	var shardSel uint32
-	shard := func() (*flit.Shard, error) {
-		sh := p.Shards()
-		if int(shardSel) >= len(sh) {
-			return nil, fmt.Errorf("regmap: pool shard %d out of range (shards %d)", shardSel, len(sh))
+	return Lazy("pool", func(b *Bank) {
+		b.Describe("Flit pool (TYPE = 6)",
+			"LIVE is acquired minus released as a two's-complement 64-bit value: zero "+
+				"after a fully drained run, positive on a leak. Read while quiesced, like "+
+				"any statistic.")
+		var shardSel uint32
+		shard := func() (*flit.Shard, error) {
+			sh := p.Shards()
+			if int(shardSel) >= len(sh) {
+				return nil, fmt.Errorf("regmap: pool shard %d out of range (shards %d)", shardSel, len(sh))
+			}
+			return sh[shardSel], nil
 		}
-		return sh[shardSel], nil
-	}
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypePool })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RO(RegPoolShards, "SHARDS", "number of per-endpoint shards",
-		func() uint32 { return uint32(len(p.Shards())) })
-	b.RO64(RegPoolAcquired, "ACQUIRED", "Acquire calls served across all shards", p.Acquired)
-	b.RO64(RegPoolReleased, "RELEASED", "flits returned across all shards (orphans included)", p.Released)
-	b.RO64(RegPoolAllocated, "ALLOCATED", "flits ever created (peak live population)", p.Allocated)
-	b.RO64(RegPoolLive, "LIVE", "acquired minus released (two's complement)",
-		func() uint64 { return uint64(p.Live()) })
-	b.RW(RegShardSel, "SHARD_SEL", "shard index, creation order",
-		func() uint32 { return shardSel },
-		func(v uint32) error { shardSel = v; return nil })
-	b.ROErr(RegShardOwner, "SHARD_OWNER", "selected shard's owning endpoint",
-		func() (uint32, error) {
-			s, err := shard()
-			if err != nil {
-				return 0, err
-			}
-			return uint32(s.Owner()), nil
-		})
-	b.RO64(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls",
-		func() uint64 {
-			s, err := shard()
-			if err != nil {
-				return 0
-			}
-			return s.Acquired()
-		})
-	b.RO64(RegShardReleased, "SHARD_REL", "selected shard's returned flits",
-		func() uint64 {
-			s, err := shard()
-			if err != nil {
-				return 0
-			}
-			return s.Released()
-		})
-	b.RO64(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations",
-		func() uint64 {
-			s, err := shard()
-			if err != nil {
-				return 0
-			}
-			return s.Allocated()
-		})
-	return b
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypePool })
+		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
+		b.RO(RegPoolShards, "SHARDS", "number of per-endpoint shards",
+			func() uint32 { return uint32(len(p.Shards())) })
+		b.RO64(RegPoolAcquired, "ACQUIRED", "Acquire calls served across all shards", p.Acquired)
+		b.RO64(RegPoolReleased, "RELEASED", "flits returned across all shards (orphans included)", p.Released)
+		b.RO64(RegPoolAllocated, "ALLOCATED", "flits ever created (peak live population)", p.Allocated)
+		b.RO64(RegPoolLive, "LIVE", "acquired minus released (two's complement)",
+			func() uint64 { return uint64(p.Live()) })
+		b.RW(RegShardSel, "SHARD_SEL", "shard index, creation order",
+			func() uint32 { return shardSel },
+			func(v uint32) error { shardSel = v; return nil })
+		b.ROErr(RegShardOwner, "SHARD_OWNER", "selected shard's owning endpoint",
+			func() (uint32, error) {
+				s, err := shard()
+				if err != nil {
+					return 0, err
+				}
+				return uint32(s.Owner()), nil
+			})
+		b.RO64(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls",
+			func() uint64 {
+				s, err := shard()
+				if err != nil {
+					return 0
+				}
+				return s.Acquired()
+			})
+		b.RO64(RegShardReleased, "SHARD_REL", "selected shard's returned flits",
+			func() uint64 {
+				s, err := shard()
+				if err != nil {
+					return 0
+				}
+				return s.Released()
+			})
+		b.RO64(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations",
+			func() uint64 {
+				s, err := shard()
+				if err != nil {
+					return 0
+				}
+				return s.Allocated()
+			})
+	})
 }

@@ -34,68 +34,68 @@ const (
 // time-series metrics store the monitor pulls over the bus. Like every
 // statistics bank, it is read while the emulation is quiesced.
 func NewProbeDevice(c *probe.Collector) *Bank {
-	b := NewBank("probe")
-	b.Describe("Trace metrics (TYPE = 9)",
-		"Cycle-sampled metrics from the event-tracing collector. WIN_SEL "+
-			"addresses one sampling window; WIN_OCC and WIN_BUSY derive from "+
-			"boundary samples of buffer occupancy and link busy-cycles, so "+
-			"they are exact regardless of quiescence fast-forwarding.")
-	var kindSel, vcSel, winSel uint32
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeProbe })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
-		func() uint32 { return 0 },
-		func(v uint32) error {
-			if v&CtrlResetStats != 0 {
-				c.ResetStats()
+	return Lazy("probe", func(b *Bank) {
+		b.Describe("Trace metrics (TYPE = 9)",
+			"Cycle-sampled metrics from the event-tracing collector. WIN_SEL "+
+				"addresses one sampling window; WIN_OCC and WIN_BUSY derive from "+
+				"boundary samples of buffer occupancy and link busy-cycles, so "+
+				"they are exact regardless of quiescence fast-forwarding.")
+		var kindSel, vcSel, winSel uint32
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeProbe })
+		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
+		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
+			func() uint32 { return 0 },
+			func(v uint32) error {
+				if v&CtrlResetStats != 0 {
+					c.ResetStats()
+				}
+				return nil
+			})
+		b.RO(RegProbeRings, "RINGS", "event rings registered",
+			func() uint32 { return uint32(c.NumRings()) })
+		b.RO(RegProbeWinSize, "WIN_SIZE", "sampling window in cycles",
+			func() uint32 { return uint32(c.WindowSize()) })
+		b.RO(RegProbeWinCount, "WIN_COUNT", "windows recorded so far",
+			func() uint32 { return uint32(c.WindowCount()) })
+		b.RO(RegProbeNumVCs, "NUM_VCS", "per-VC stall counters recorded",
+			func() uint32 { return uint32(c.NumVCs()) })
+		b.RW(RegProbeKindSel, "KIND_SEL", "event-kind code for KIND_COUNT",
+			func() uint32 { return kindSel },
+			func(v uint32) error { kindSel = v; return nil })
+		b.RW(RegProbeVCSel, "VC_SEL", "virtual channel for VC_STALLS",
+			func() uint32 { return vcSel },
+			func(v uint32) error { vcSel = v; return nil })
+		b.RW(RegProbeWinSel, "WIN_SEL", "window index for the WIN_* bank",
+			func() uint32 { return winSel },
+			func(v uint32) error { winSel = v; return nil })
+		b.RO64(RegProbeEvents, "EVENTS", "events collected", c.Total)
+		b.RO64(RegProbeDropped, "DROPPED", "events lost to ring overflow", c.Dropped)
+		b.RO64(RegProbeKindCount, "KIND_COUNT", "events of the selected kind",
+			func() uint64 { return c.KindCount(probe.Kind(kindSel)) })
+		b.RO64(RegProbeVCStalls, "VC_STALLS", "credit stalls on the selected VC",
+			func() uint64 { return c.VCStalls(int(vcSel)) })
+		win := func(pick func(probe.WindowTally) uint64) func() uint64 {
+			return func() uint64 {
+				t, ok := c.WindowCounts(int(winSel))
+				if !ok {
+					return 0
+				}
+				return pick(t)
 			}
-			return nil
-		})
-	b.RO(RegProbeRings, "RINGS", "event rings registered",
-		func() uint32 { return uint32(c.NumRings()) })
-	b.RO(RegProbeWinSize, "WIN_SIZE", "sampling window in cycles",
-		func() uint32 { return uint32(c.WindowSize()) })
-	b.RO(RegProbeWinCount, "WIN_COUNT", "windows recorded so far",
-		func() uint32 { return uint32(c.WindowCount()) })
-	b.RO(RegProbeNumVCs, "NUM_VCS", "per-VC stall counters recorded",
-		func() uint32 { return uint32(c.NumVCs()) })
-	b.RW(RegProbeKindSel, "KIND_SEL", "event-kind code for KIND_COUNT",
-		func() uint32 { return kindSel },
-		func(v uint32) error { kindSel = v; return nil })
-	b.RW(RegProbeVCSel, "VC_SEL", "virtual channel for VC_STALLS",
-		func() uint32 { return vcSel },
-		func(v uint32) error { vcSel = v; return nil })
-	b.RW(RegProbeWinSel, "WIN_SEL", "window index for the WIN_* bank",
-		func() uint32 { return winSel },
-		func(v uint32) error { winSel = v; return nil })
-	b.RO64(RegProbeEvents, "EVENTS", "events collected", c.Total)
-	b.RO64(RegProbeDropped, "DROPPED", "events lost to ring overflow", c.Dropped)
-	b.RO64(RegProbeKindCount, "KIND_COUNT", "events of the selected kind",
-		func() uint64 { return c.KindCount(probe.Kind(kindSel)) })
-	b.RO64(RegProbeVCStalls, "VC_STALLS", "credit stalls on the selected VC",
-		func() uint64 { return c.VCStalls(int(vcSel)) })
-	win := func(pick func(probe.WindowTally) uint64) func() uint64 {
-		return func() uint64 {
-			t, ok := c.WindowCounts(int(winSel))
-			if !ok {
-				return 0
-			}
-			return pick(t)
 		}
-	}
-	b.RO64(RegProbeWinInject, "WIN_INJECT", "injects in the selected window",
-		win(func(t probe.WindowTally) uint64 { return t.Inject }))
-	b.RO64(RegProbeWinEject, "WIN_EJECT", "ejects in the selected window",
-		win(func(t probe.WindowTally) uint64 { return t.Eject }))
-	b.RO64(RegProbeWinRoute, "WIN_ROUTE", "routes in the selected window",
-		win(func(t probe.WindowTally) uint64 { return t.Route }))
-	b.RO64(RegProbeWinDrop, "WIN_DROP", "drops in the selected window",
-		win(func(t probe.WindowTally) uint64 { return t.Drop }))
-	b.RO64(RegProbeWinStall, "WIN_STALL", "credit stalls in the selected window",
-		win(func(t probe.WindowTally) uint64 { return t.Stall }))
-	b.RO64(RegProbeWinOcc, "WIN_OCC", "buffered flits at the window boundary",
-		func() uint64 { return c.WindowOcc(int(winSel)) })
-	b.RO64(RegProbeWinBusy, "WIN_BUSY", "link-busy cycles inside the window",
-		func() uint64 { return c.WindowBusy(int(winSel)) })
-	return b
+		b.RO64(RegProbeWinInject, "WIN_INJECT", "injects in the selected window",
+			win(func(t probe.WindowTally) uint64 { return t.Inject }))
+		b.RO64(RegProbeWinEject, "WIN_EJECT", "ejects in the selected window",
+			win(func(t probe.WindowTally) uint64 { return t.Eject }))
+		b.RO64(RegProbeWinRoute, "WIN_ROUTE", "routes in the selected window",
+			win(func(t probe.WindowTally) uint64 { return t.Route }))
+		b.RO64(RegProbeWinDrop, "WIN_DROP", "drops in the selected window",
+			win(func(t probe.WindowTally) uint64 { return t.Drop }))
+		b.RO64(RegProbeWinStall, "WIN_STALL", "credit stalls in the selected window",
+			win(func(t probe.WindowTally) uint64 { return t.Stall }))
+		b.RO64(RegProbeWinOcc, "WIN_OCC", "buffered flits at the window boundary",
+			func() uint64 { return c.WindowOcc(int(winSel)) })
+		b.RO64(RegProbeWinBusy, "WIN_BUSY", "link-busy cycles inside the window",
+			func() uint64 { return c.WindowBusy(int(winSel)) })
+	})
 }

@@ -4,10 +4,10 @@
 // reads out.
 //
 // Banks are built on the declarative schema in schema.go: each device
-// constructor declares its registers (name, offset, access mode,
-// closures) on a Bank, and the Bank supplies bus.Device dispatch,
-// tear-free 64-bit readout and the metadata `nocgen regs` renders
-// REGISTERS.md from.
+// constructor hands a Bank the function that declares its registers
+// (name, offset, access mode, closures), run on the bank's first access,
+// and the Bank supplies bus.Device dispatch, tear-free 64-bit readout and
+// the metadata `nocgen regs` renders REGISTERS.md from.
 //
 // Common layout (12-bit register offsets):
 //
@@ -183,315 +183,315 @@ var modelCodesDoc = func() string {
 
 // NewTGDevice builds the register bank of a traffic generator.
 func NewTGDevice(tg *traffic.TG) *Bank {
-	b := NewBank(tg.ComponentName())
-	b.Describe("Traffic generator (TYPE = 1)",
-		"Model parameter windows are model-specific; see the parameter tables below. "+
-			"Writes that would break a model invariant (e.g. `len_min > len_max`) are "+
-			"rejected with a bus error; write order matters.")
-	// The LIMIT halves are bank-local staging registers: the 64-bit
-	// budget reaches the TG on each half's write.
-	var limitLo, limitHi uint32
+	return Lazy(tg.ComponentName(), func(b *Bank) {
+		b.Describe("Traffic generator (TYPE = 1)",
+			"Model parameter windows are model-specific; see the parameter tables below. "+
+				"Writes that would break a model invariant (e.g. `len_min > len_max`) are "+
+				"rejected with a bus error; write order matters.")
+		// The LIMIT halves are bank-local staging registers: the 64-bit
+		// budget reaches the TG on each half's write.
+		var limitLo, limitHi uint32
 
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTG })
-	b.RO(RegSubtype, "SUBTYPE", modelCodesDoc,
-		func() uint32 { return traffic.Subtype(tg.Generator()) })
-	b.RW(RegCtrl, "CTRL", "bit0 enable, bit1 reset-stats",
-		func() uint32 {
-			if tg.Enabled() {
-				return CtrlEnable
-			}
-			return 0
-		},
-		func(v uint32) error {
-			tg.SetEnabled(v&CtrlEnable != 0)
-			if v&CtrlResetStats != 0 {
-				tg.ResetStats()
-			}
-			return nil
-		})
-	b.WO(RegSeed, "SEED", "reseed the random-initialization registers",
-		func(v uint32) error { tg.Reseed(v); return nil })
-	b.RW(RegLimitLo, "LIMIT_LO", "packet budget, low word (0 = unlimited)",
-		func() uint32 { return limitLo },
-		func(v uint32) error {
-			limitLo = v
-			tg.SetLimit(uint64(limitHi)<<32 | uint64(limitLo))
-			return nil
-		})
-	b.RW(RegLimitHi, "LIMIT_HI", "packet budget, high word",
-		func() uint32 { return limitHi },
-		func(v uint32) error {
-			limitHi = v
-			tg.SetLimit(uint64(limitHi)<<32 | uint64(limitLo))
-			return nil
-		})
-	b.RO64(RegTGOffered, "OFFERED", "packets created by the generator",
-		func() uint64 { return tg.Stats().Offered })
-	b.RO64(RegTGPacketsSent, "PKTS_SENT", "packets fully injected",
-		func() uint64 { return tg.Stats().Injector.PacketsSent })
-	b.RO64(RegTGFlitsSent, "FLITS_SENT", "flits injected",
-		func() uint64 { return tg.Stats().Injector.FlitsSent })
-	b.RO64(RegTGStallCycles, "STALL", "injector stall cycles (no credit / busy wire)",
-		func() uint64 { return tg.Stats().Injector.StallCycles })
-	b.RO64(RegTGBackpressure, "BACKPRESSURE", "cycles a demand waited for queue space",
-		func() uint64 { return tg.Stats().BackpressureCycles })
-	b.Window(RegParamBase, NumParamRegs, "PARAM", RW,
-		"model parameters, index-aligned with the model's parameter table",
-		func(i uint32) (uint32, error) {
-			if p, ok := tg.Generator().(traffic.Parameterized); ok {
-				if v, ok := p.ReadParam(i); ok {
-					return v, nil
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTG })
+		b.RO(RegSubtype, "SUBTYPE", modelCodesDoc,
+			func() uint32 { return traffic.Subtype(tg.Generator()) })
+		b.RW(RegCtrl, "CTRL", "bit0 enable, bit1 reset-stats",
+			func() uint32 {
+				if tg.Enabled() {
+					return CtrlEnable
 				}
-			}
-			return 0, errBadReg("read", RegParamBase+i)
-		},
-		func(i, v uint32) error {
-			p, ok := tg.Generator().(traffic.Parameterized)
-			if !ok {
-				return fmt.Errorf("regmap: %s has no parameter registers", b.DeviceName())
-			}
-			if !p.WriteParam(i, v) {
-				return fmt.Errorf("regmap: %s rejected parameter 0x%03x = %d", b.DeviceName(), RegParamBase+i, v)
-			}
-			return nil
-		})
-	return b
+				return 0
+			},
+			func(v uint32) error {
+				tg.SetEnabled(v&CtrlEnable != 0)
+				if v&CtrlResetStats != 0 {
+					tg.ResetStats()
+				}
+				return nil
+			})
+		b.WO(RegSeed, "SEED", "reseed the random-initialization registers",
+			func(v uint32) error { tg.Reseed(v); return nil })
+		b.RW(RegLimitLo, "LIMIT_LO", "packet budget, low word (0 = unlimited)",
+			func() uint32 { return limitLo },
+			func(v uint32) error {
+				limitLo = v
+				tg.SetLimit(uint64(limitHi)<<32 | uint64(limitLo))
+				return nil
+			})
+		b.RW(RegLimitHi, "LIMIT_HI", "packet budget, high word",
+			func() uint32 { return limitHi },
+			func(v uint32) error {
+				limitHi = v
+				tg.SetLimit(uint64(limitHi)<<32 | uint64(limitLo))
+				return nil
+			})
+		b.RO64(RegTGOffered, "OFFERED", "packets created by the generator",
+			func() uint64 { return tg.Stats().Offered })
+		b.RO64(RegTGPacketsSent, "PKTS_SENT", "packets fully injected",
+			func() uint64 { return tg.Stats().Injector.PacketsSent })
+		b.RO64(RegTGFlitsSent, "FLITS_SENT", "flits injected",
+			func() uint64 { return tg.Stats().Injector.FlitsSent })
+		b.RO64(RegTGStallCycles, "STALL", "injector stall cycles (no credit / busy wire)",
+			func() uint64 { return tg.Stats().Injector.StallCycles })
+		b.RO64(RegTGBackpressure, "BACKPRESSURE", "cycles a demand waited for queue space",
+			func() uint64 { return tg.Stats().BackpressureCycles })
+		b.Window(RegParamBase, NumParamRegs, "PARAM", RW,
+			"model parameters, index-aligned with the model's parameter table",
+			func(i uint32) (uint32, error) {
+				if p, ok := tg.Generator().(traffic.Parameterized); ok {
+					if v, ok := p.ReadParam(i); ok {
+						return v, nil
+					}
+				}
+				return 0, errBadReg("read", RegParamBase+i)
+			},
+			func(i, v uint32) error {
+				p, ok := tg.Generator().(traffic.Parameterized)
+				if !ok {
+					return fmt.Errorf("regmap: %s has no parameter registers", b.DeviceName())
+				}
+				if !p.WriteParam(i, v) {
+					return fmt.Errorf("regmap: %s rejected parameter 0x%03x = %d", b.DeviceName(), RegParamBase+i, v)
+				}
+				return nil
+			})
+	})
 }
 
 // NewTRDevice builds the register bank of a traffic receptor.
 func NewTRDevice(tr *receptor.TR) *Bank {
-	b := NewBank(tr.ComponentName())
-	b.Describe("Traffic receptor (TYPE = 2)",
-		"Latency registers carry data in trace mode; size/gap histograms exist in "+
-			"stochastic mode. Reading an absent histogram or an out-of-range bin or "+
-			"flow index is a bus error.")
-	var expectLo, expectHi uint32
-	var histSel, histIdx uint32
-	var flowSel uint32
+	return Lazy(tr.ComponentName(), func(b *Bank) {
+		b.Describe("Traffic receptor (TYPE = 2)",
+			"Latency registers carry data in trace mode; size/gap histograms exist in "+
+				"stochastic mode. Reading an absent histogram or an out-of-range bin or "+
+				"flow index is a bus error.")
+		var expectLo, expectHi uint32
+		var histSel, histIdx uint32
+		var flowSel uint32
 
-	hist := func() (h interface {
-		NumBins() int
-		BinWidth() uint64
-		Overflow() uint64
-		Bin(int) uint64
-	}, err error) {
-		switch histSel {
-		case HistSize:
-			if tr.SizeHist() != nil {
-				return tr.SizeHist(), nil
+		hist := func() (h interface {
+			NumBins() int
+			BinWidth() uint64
+			Overflow() uint64
+			Bin(int) uint64
+		}, err error) {
+			switch histSel {
+			case HistSize:
+				if tr.SizeHist() != nil {
+					return tr.SizeHist(), nil
+				}
+			case HistGap:
+				if tr.GapHist() != nil {
+					return tr.GapHist(), nil
+				}
+			case HistLat:
+				if tr.LatHist() != nil {
+					return tr.LatHist(), nil
+				}
 			}
-		case HistGap:
-			if tr.GapHist() != nil {
-				return tr.GapHist(), nil
-			}
-		case HistLat:
-			if tr.LatHist() != nil {
-				return tr.LatHist(), nil
-			}
+			return nil, fmt.Errorf("regmap: %s has no histogram %d", b.DeviceName(), histSel)
 		}
-		return nil, fmt.Errorf("regmap: %s has no histogram %d", b.DeviceName(), histSel)
-	}
-	// bin returns the selected histogram bin, validating the index
-	// against the bin count (out-of-range reads are bus errors, not
-	// silent zeros).
-	bin := func() (uint64, error) {
-		h, err := hist()
-		if err != nil {
-			return 0, err
-		}
-		if int(histIdx) >= h.NumBins() {
-			return 0, fmt.Errorf("regmap: %s histogram bin %d out of range (bins %d)",
-				b.DeviceName(), histIdx, h.NumBins())
-		}
-		return h.Bin(int(histIdx)), nil
-	}
-	// flow returns the selected per-source latency row.
-	flow := func() (receptor.SourceLatency, error) {
-		fl := tr.PerSourceLatency()
-		if int(flowSel) >= len(fl) {
-			return receptor.SourceLatency{}, fmt.Errorf("regmap: %s flow %d out of range (flows %d)",
-				b.DeviceName(), flowSel, len(fl))
-		}
-		return fl[flowSel], nil
-	}
-
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTR })
-	b.RO(RegSubtype, "SUBTYPE", "1 stochastic, 2 trace-driven",
-		func() uint32 {
-			if tr.Mode() == receptor.Stochastic {
-				return SubtypeStochastic
-			}
-			return SubtypeTraceTR
-		})
-	b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
-		func() uint32 { return 0 },
-		func(v uint32) error {
-			if v&CtrlResetStats != 0 {
-				tr.ResetStats()
-			}
-			return nil
-		})
-	b.RW(RegLimitLo, "EXPECT_LO", "packets after which the TR reports done, low word",
-		func() uint32 { return expectLo },
-		func(v uint32) error {
-			expectLo = v
-			tr.SetExpect(uint64(expectHi)<<32 | uint64(expectLo))
-			return nil
-		})
-	b.RW(RegLimitHi, "EXPECT_HI", "expected packet count, high word",
-		func() uint32 { return expectHi },
-		func(v uint32) error {
-			expectHi = v
-			tr.SetExpect(uint64(expectHi)<<32 | uint64(expectLo))
-			return nil
-		})
-	b.RO64(RegTRPackets, "PACKETS", "packets received",
-		func() uint64 { return tr.Stats().Packets })
-	b.RO64(RegTRFlits, "FLITS", "flits received",
-		func() uint64 { return tr.Stats().Flits })
-	b.RO64(RegTRRunningTime, "RUN_TIME", "total running time (first to last flit)",
-		func() uint64 { return tr.Stats().RunningTime })
-	b.RO64(RegTRCongestion, "CONGESTION", "congestion counter (excess latency cycles)",
-		func() uint64 { return tr.Stats().CongestionCycles })
-	b.RO(RegTRNetLatMeanQ8, "LAT_MEAN", "mean network latency, Q8 fixed point",
-		func() uint32 { return q8(tr.Stats().NetLatencyMean) })
-	b.RO(RegTRNetLatMin, "LAT_MIN", "min network latency (cycles)",
-		func() uint32 { return uint32(tr.Stats().NetLatencyMin) })
-	b.RO(RegTRNetLatMax, "LAT_MAX", "max network latency (cycles)",
-		func() uint32 { return uint32(tr.Stats().NetLatencyMax) })
-	b.RO(RegTRNetLatStdQ8, "LAT_STD", "latency std deviation, Q8",
-		func() uint32 { return q8(tr.Stats().NetLatencyStd) })
-	b.RO(RegTRTotLatMeanQ8, "TLAT_MEAN", "mean total (birth to delivery) latency, Q8",
-		func() uint32 { return q8(tr.Stats().TotLatencyMean) })
-	b.RO(RegTRNetLatP95, "LAT_P95", "95th-percentile latency bound from the histogram (cycles)",
-		func() uint32 { return uint32(tr.Stats().NetLatencyP95) })
-
-	b.RW(RegHistSel, "HIST_SEL", "0 = sizes, 1 = inter-arrival gaps, 2 = latency",
-		func() uint32 { return histSel },
-		func(v uint32) error {
-			if v > HistLat {
-				return fmt.Errorf("regmap: %s histogram selector %d", b.DeviceName(), v)
-			}
-			histSel = v
-			return nil
-		})
-	b.RW(RegHistIdx, "HIST_IDX", "bin index for HIST_DATA",
-		func() uint32 { return histIdx },
-		func(v uint32) error { histIdx = v; return nil })
-	b.ROErr(RegHistData, "HIST_DATA", "selected histogram bin count, low word",
-		func() (uint32, error) {
-			v, err := bin()
-			return uint32(v), err
-		})
-	b.ROErr(RegHistBins, "HIST_BINS", "number of bins",
-		func() (uint32, error) {
+		// bin returns the selected histogram bin, validating the index
+		// against the bin count (out-of-range reads are bus errors, not
+		// silent zeros).
+		bin := func() (uint64, error) {
 			h, err := hist()
 			if err != nil {
 				return 0, err
 			}
-			return uint32(h.NumBins()), nil
-		})
-	b.ROErr(RegHistWidth, "HIST_WIDTH", "bin width",
-		func() (uint32, error) {
-			h, err := hist()
-			if err != nil {
-				return 0, err
+			if int(histIdx) >= h.NumBins() {
+				return 0, fmt.Errorf("regmap: %s histogram bin %d out of range (bins %d)",
+					b.DeviceName(), histIdx, h.NumBins())
 			}
-			return uint32(h.BinWidth()), nil
-		})
-	b.ROErr(RegHistOver, "HIST_OVER", "overflow count",
-		func() (uint32, error) {
-			h, err := hist()
-			if err != nil {
-				return 0, err
+			return h.Bin(int(histIdx)), nil
+		}
+		// flow returns the selected per-source latency row.
+		flow := func() (receptor.SourceLatency, error) {
+			fl := tr.PerSourceLatency()
+			if int(flowSel) >= len(fl) {
+				return receptor.SourceLatency{}, fmt.Errorf("regmap: %s flow %d out of range (flows %d)",
+					b.DeviceName(), flowSel, len(fl))
 			}
-			return uint32(h.Overflow()), nil
-		})
-	b.ROErr(RegHistDataHi, "HIST_DATA_HI", "selected histogram bin count, high word",
-		func() (uint32, error) {
-			v, err := bin()
-			return uint32(v >> 32), err
-		})
+			return fl[flowSel], nil
+		}
 
-	b.F64(RegTRNetLatMeanF64, "LAT_MEAN_F64", "mean network latency",
-		func() float64 { return tr.Stats().NetLatencyMean })
-	b.F64(RegTRNetLatMinF64, "LAT_MIN_F64", "min network latency",
-		func() float64 { return tr.Stats().NetLatencyMin })
-	b.F64(RegTRNetLatMaxF64, "LAT_MAX_F64", "max network latency",
-		func() float64 { return tr.Stats().NetLatencyMax })
-	b.F64(RegTRNetLatStdF64, "LAT_STD_F64", "latency std deviation",
-		func() float64 { return tr.Stats().NetLatencyStd })
-	b.F64(RegTRTotLatMeanF64, "TLAT_MEAN_F64", "mean total latency",
-		func() float64 { return tr.Stats().TotLatencyMean })
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTR })
+		b.RO(RegSubtype, "SUBTYPE", "1 stochastic, 2 trace-driven",
+			func() uint32 {
+				if tr.Mode() == receptor.Stochastic {
+					return SubtypeStochastic
+				}
+				return SubtypeTraceTR
+			})
+		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
+			func() uint32 { return 0 },
+			func(v uint32) error {
+				if v&CtrlResetStats != 0 {
+					tr.ResetStats()
+				}
+				return nil
+			})
+		b.RW(RegLimitLo, "EXPECT_LO", "packets after which the TR reports done, low word",
+			func() uint32 { return expectLo },
+			func(v uint32) error {
+				expectLo = v
+				tr.SetExpect(uint64(expectHi)<<32 | uint64(expectLo))
+				return nil
+			})
+		b.RW(RegLimitHi, "EXPECT_HI", "expected packet count, high word",
+			func() uint32 { return expectHi },
+			func(v uint32) error {
+				expectHi = v
+				tr.SetExpect(uint64(expectHi)<<32 | uint64(expectLo))
+				return nil
+			})
+		b.RO64(RegTRPackets, "PACKETS", "packets received",
+			func() uint64 { return tr.Stats().Packets })
+		b.RO64(RegTRFlits, "FLITS", "flits received",
+			func() uint64 { return tr.Stats().Flits })
+		b.RO64(RegTRRunningTime, "RUN_TIME", "total running time (first to last flit)",
+			func() uint64 { return tr.Stats().RunningTime })
+		b.RO64(RegTRCongestion, "CONGESTION", "congestion counter (excess latency cycles)",
+			func() uint64 { return tr.Stats().CongestionCycles })
+		b.RO(RegTRNetLatMeanQ8, "LAT_MEAN", "mean network latency, Q8 fixed point",
+			func() uint32 { return q8(tr.Stats().NetLatencyMean) })
+		b.RO(RegTRNetLatMin, "LAT_MIN", "min network latency (cycles)",
+			func() uint32 { return uint32(tr.Stats().NetLatencyMin) })
+		b.RO(RegTRNetLatMax, "LAT_MAX", "max network latency (cycles)",
+			func() uint32 { return uint32(tr.Stats().NetLatencyMax) })
+		b.RO(RegTRNetLatStdQ8, "LAT_STD", "latency std deviation, Q8",
+			func() uint32 { return q8(tr.Stats().NetLatencyStd) })
+		b.RO(RegTRTotLatMeanQ8, "TLAT_MEAN", "mean total (birth to delivery) latency, Q8",
+			func() uint32 { return q8(tr.Stats().TotLatencyMean) })
+		b.RO(RegTRNetLatP95, "LAT_P95", "95th-percentile latency bound from the histogram (cycles)",
+			func() uint32 { return uint32(tr.Stats().NetLatencyP95) })
 
-	b.RW(RegFlowSel, "FLOW_SEL", "flow index, ordered by source endpoint",
-		func() uint32 { return flowSel },
-		func(v uint32) error { flowSel = v; return nil })
-	b.RO(RegFlowCount, "FLOW_COUNT", "number of flows the latency analyzer observed",
-		func() uint32 { return uint32(len(tr.PerSourceLatency())) })
-	b.ROErr(RegFlowSrc, "FLOW_SRC", "selected flow's source endpoint",
-		func() (uint32, error) {
-			fl, err := flow()
-			return uint32(fl.Src), err
-		})
-	b.RO64(RegFlowPackets, "FLOW_PACKETS", "selected flow's packet count",
-		func() uint64 {
-			fl, err := flow()
-			if err != nil {
-				return 0
-			}
-			return fl.Packets
-		})
-	b.F64(RegFlowMeanF64, "FLOW_MEAN_F64", "selected flow's mean network latency",
-		func() float64 {
-			fl, err := flow()
-			if err != nil {
-				return 0
-			}
-			return fl.Mean
-		})
-	b.F64(RegFlowMaxF64, "FLOW_MAX_F64", "selected flow's max network latency",
-		func() float64 {
-			fl, err := flow()
-			if err != nil {
-				return 0
-			}
-			return fl.Max
-		})
-	b.RO64(RegFlowLast, "FLOW_LAST", "selected flow's most recent packet latency (0 unless TrackLast)",
-		func() uint64 {
-			fl, err := flow()
-			if err != nil {
-				return 0
-			}
-			return fl.Last
-		})
-	return b
+		b.RW(RegHistSel, "HIST_SEL", "0 = sizes, 1 = inter-arrival gaps, 2 = latency",
+			func() uint32 { return histSel },
+			func(v uint32) error {
+				if v > HistLat {
+					return fmt.Errorf("regmap: %s histogram selector %d", b.DeviceName(), v)
+				}
+				histSel = v
+				return nil
+			})
+		b.RW(RegHistIdx, "HIST_IDX", "bin index for HIST_DATA",
+			func() uint32 { return histIdx },
+			func(v uint32) error { histIdx = v; return nil })
+		b.ROErr(RegHistData, "HIST_DATA", "selected histogram bin count, low word",
+			func() (uint32, error) {
+				v, err := bin()
+				return uint32(v), err
+			})
+		b.ROErr(RegHistBins, "HIST_BINS", "number of bins",
+			func() (uint32, error) {
+				h, err := hist()
+				if err != nil {
+					return 0, err
+				}
+				return uint32(h.NumBins()), nil
+			})
+		b.ROErr(RegHistWidth, "HIST_WIDTH", "bin width",
+			func() (uint32, error) {
+				h, err := hist()
+				if err != nil {
+					return 0, err
+				}
+				return uint32(h.BinWidth()), nil
+			})
+		b.ROErr(RegHistOver, "HIST_OVER", "overflow count",
+			func() (uint32, error) {
+				h, err := hist()
+				if err != nil {
+					return 0, err
+				}
+				return uint32(h.Overflow()), nil
+			})
+		b.ROErr(RegHistDataHi, "HIST_DATA_HI", "selected histogram bin count, high word",
+			func() (uint32, error) {
+				v, err := bin()
+				return uint32(v >> 32), err
+			})
+
+		b.F64(RegTRNetLatMeanF64, "LAT_MEAN_F64", "mean network latency",
+			func() float64 { return tr.Stats().NetLatencyMean })
+		b.F64(RegTRNetLatMinF64, "LAT_MIN_F64", "min network latency",
+			func() float64 { return tr.Stats().NetLatencyMin })
+		b.F64(RegTRNetLatMaxF64, "LAT_MAX_F64", "max network latency",
+			func() float64 { return tr.Stats().NetLatencyMax })
+		b.F64(RegTRNetLatStdF64, "LAT_STD_F64", "latency std deviation",
+			func() float64 { return tr.Stats().NetLatencyStd })
+		b.F64(RegTRTotLatMeanF64, "TLAT_MEAN_F64", "mean total latency",
+			func() float64 { return tr.Stats().TotLatencyMean })
+
+		b.RW(RegFlowSel, "FLOW_SEL", "flow index, ordered by source endpoint",
+			func() uint32 { return flowSel },
+			func(v uint32) error { flowSel = v; return nil })
+		b.RO(RegFlowCount, "FLOW_COUNT", "number of flows the latency analyzer observed",
+			func() uint32 { return uint32(len(tr.PerSourceLatency())) })
+		b.ROErr(RegFlowSrc, "FLOW_SRC", "selected flow's source endpoint",
+			func() (uint32, error) {
+				fl, err := flow()
+				return uint32(fl.Src), err
+			})
+		b.RO64(RegFlowPackets, "FLOW_PACKETS", "selected flow's packet count",
+			func() uint64 {
+				fl, err := flow()
+				if err != nil {
+					return 0
+				}
+				return fl.Packets
+			})
+		b.F64(RegFlowMeanF64, "FLOW_MEAN_F64", "selected flow's mean network latency",
+			func() float64 {
+				fl, err := flow()
+				if err != nil {
+					return 0
+				}
+				return fl.Mean
+			})
+		b.F64(RegFlowMaxF64, "FLOW_MAX_F64", "selected flow's max network latency",
+			func() float64 {
+				fl, err := flow()
+				if err != nil {
+					return 0
+				}
+				return fl.Max
+			})
+		b.RO64(RegFlowLast, "FLOW_LAST", "selected flow's most recent packet latency (0 unless TrackLast)",
+			func() uint64 {
+				fl, err := flow()
+				if err != nil {
+					return 0
+				}
+				return fl.Last
+			})
+	})
 }
 
 // NewSwitchDevice builds the register bank of a switch.
 func NewSwitchDevice(sw *switchfab.Switch) *Bank {
-	b := NewBank(sw.ComponentName())
-	b.Describe("Switch (TYPE = 3)", "")
-	b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeSwitch })
-	b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-	b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
-		func() uint32 { return 0 },
-		func(v uint32) error {
-			if v&CtrlResetStats != 0 {
-				sw.ResetStats()
-			}
-			return nil
-		})
-	b.RO64(RegSwFlitsRouted, "FLITS", "flits routed",
-		func() uint64 { return sw.Stats().FlitsRouted })
-	b.RO64(RegSwPacketsRouted, "PACKETS", "packets routed (tails forwarded)",
-		func() uint64 { return sw.Stats().PacketsRouted })
-	b.RO64(RegSwBlocked, "BLOCKED", "blocked head-flit cycles (congestion)",
-		func() uint64 { return sw.Stats().BlockedCycles })
-	b.RO64(RegSwCycles, "CYCLES", "committed cycles",
-		func() uint64 { return sw.Stats().Cycles })
-	b.RO64(RegSwOccupancy, "OCCUPANCY", "flits buffered in the input FIFOs (committed)",
-		func() uint64 { return uint64(sw.BufferedFlits()) })
-	return b
+	return Lazy(sw.ComponentName(), func(b *Bank) {
+		b.Describe("Switch (TYPE = 3)", "")
+		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeSwitch })
+		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
+		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
+			func() uint32 { return 0 },
+			func(v uint32) error {
+				if v&CtrlResetStats != 0 {
+					sw.ResetStats()
+				}
+				return nil
+			})
+		b.RO64(RegSwFlitsRouted, "FLITS", "flits routed",
+			func() uint64 { return sw.Stats().FlitsRouted })
+		b.RO64(RegSwPacketsRouted, "PACKETS", "packets routed (tails forwarded)",
+			func() uint64 { return sw.Stats().PacketsRouted })
+		b.RO64(RegSwBlocked, "BLOCKED", "blocked head-flit cycles (congestion)",
+			func() uint64 { return sw.Stats().BlockedCycles })
+		b.RO64(RegSwCycles, "CYCLES", "committed cycles",
+			func() uint64 { return sw.Stats().Cycles })
+		b.RO64(RegSwOccupancy, "OCCUPANCY", "flits buffered in the input FIFOs (committed)",
+			func() uint64 { return uint64(sw.BufferedFlits()) })
+	})
 }

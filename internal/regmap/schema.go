@@ -8,7 +8,10 @@
 // documentation generator (`nocgen regs`) and the monitor rely on. One
 // declaration therefore buys configuration, statistics extraction and
 // documentation at once, which is the contract the paper's
-// memory-mapped control plane implies.
+// memory-mapped control plane implies. A device bank runs its
+// declaration on first access (Lazy): the paper's monitor reads the
+// bench of registers when a run ends, and a run that reads nothing pays
+// for none of it.
 //
 // 64-bit counters are declared once (RO64/F64) and expand to a lo/hi
 // register pair. Reading the LO register latches the HI word, so a
@@ -95,10 +98,20 @@ type window struct {
 }
 
 // Bank is a declarative register bank. Devices declare registers with
-// RO/RW/WO/RO64/F64/Window during construction; Bank implements
-// bus.Device and exposes the declared schema via Specs.
+// RO/RW/WO/RO64/F64/Window; Bank implements bus.Device and exposes the
+// declared schema via Specs.
 type Bank struct {
-	name    string
+	name string
+	// declare is the device's declaration, run by the first register
+	// access or schema query (ready); schema is nil until then. A
+	// platform holds a bank per device and most runs never read most of
+	// them. Unlocked, like the bus the banks sit on.
+	declare func(*Bank)
+	*schema
+}
+
+// schema is what a declaration fills in.
+type schema struct {
 	title   string
 	note    string
 	entries map[uint32]*regEntry
@@ -106,9 +119,26 @@ type Bank struct {
 	specs   []*RegSpec
 }
 
-// NewBank returns an empty bank for the named device instance.
+// NewBank returns an empty bank for the named device instance, to be
+// declared on by the caller.
 func NewBank(name string) *Bank {
-	return &Bank{name: name, entries: make(map[uint32]*regEntry)}
+	return &Bank{name: name, schema: &schema{entries: make(map[uint32]*regEntry)}}
+}
+
+// Lazy returns a bank for the named device instance that holds only
+// declare until its first ReadReg, WriteReg, Specs or DocInfo, which
+// runs it once on the then empty bank. Staging registers a declaration
+// keeps in its closure start at zero either way.
+func Lazy(name string, declare func(*Bank)) *Bank {
+	return &Bank{name: name, declare: declare}
+}
+
+// ready runs a pending declaration.
+func (b *Bank) ready() {
+	if b.schema == nil {
+		b.schema = &schema{entries: make(map[uint32]*regEntry)}
+		b.declare(b)
+	}
 }
 
 // Describe attaches documentation metadata: a bank title (the device
@@ -118,13 +148,17 @@ func (b *Bank) Describe(title, note string) {
 }
 
 // DocInfo returns the bank's documentation metadata.
-func (b *Bank) DocInfo() (title, note string) { return b.title, b.note }
+func (b *Bank) DocInfo() (title, note string) {
+	b.ready()
+	return b.title, b.note
+}
 
 // DeviceName implements bus.Device.
 func (b *Bank) DeviceName() string { return b.name }
 
 // Specs returns the declared registers ordered by offset.
 func (b *Bank) Specs() []RegSpec {
+	b.ready()
 	out := make([]RegSpec, len(b.specs))
 	for i, s := range b.specs {
 		out[i] = *s
@@ -215,6 +249,7 @@ func (b *Bank) Window(base, count uint32, name string, access Access, doc string
 
 // ReadReg implements bus.Device by schema dispatch.
 func (b *Bank) ReadReg(reg uint32) (uint32, error) {
+	b.ready()
 	if e, ok := b.entries[reg]; ok {
 		switch {
 		case e.lo64 != nil:
@@ -246,6 +281,7 @@ func (b *Bank) ReadReg(reg uint32) (uint32, error) {
 
 // WriteReg implements bus.Device by schema dispatch.
 func (b *Bank) WriteReg(reg, v uint32) error {
+	b.ready()
 	if e, ok := b.entries[reg]; ok {
 		if e.write == nil {
 			return fmt.Errorf("regmap: write of read-only register 0x%03x (%s)", reg, e.spec.Name)

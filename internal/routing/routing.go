@@ -49,12 +49,13 @@ func ValidPolicy(p Policy) bool {
 // destination) the topology's Router emits, so the switch needs no
 // per-packet state to follow a dateline scheme.
 //
-// The store is flat: a row of entries per switch, one column per
-// destination, each entry naming a run of the shared candidate pool. A
-// lookup is two indexings, and a table costs 8 bytes per (switch,
-// destination) plus one int per candidate of a multi-port list: one-port
-// lists naming the same port share a pool cell, so a single-path table
-// (any XY-routed grid) has a pool of a few cells that stays in cache.
+// The store is flat and a cell is two bytes (DESIGN.md §14, "Table
+// layout"): a row per switch, a column per destination, each cell the
+// index of a dictionary entry that names a run of the shared candidate
+// pool and the class. Tables repeat themselves — an XY mesh has five
+// distinct entries, a 31-port butterfly 31 — so a lookup is one cold
+// 2-byte load plus loads from a dictionary and a pool that stay in L1.
+// Entries are shared and immutable: Set and SetVC re-point the cell.
 type Table struct {
 	// col maps a destination id to its column plus one (0: the table has
 	// never seen the id); ids is the inverse. Columns are handed out in
@@ -62,15 +63,16 @@ type Table struct {
 	// whatever the id numbering.
 	col  []int32
 	ids  []flit.EndpointID
-	rows [][]entry // per switch; a row may stop short of len(ids)
-	pool []int
-	// one maps a port number to the offset plus one of the pool cell that
-	// holds it for every one-port list (0: no such list yet).
-	one []uint32
+	rows [][]uint16 // per switch; a row may stop short of len(ids)
+	// dict[0] is "no route, class 0", what an unset cell says; index is
+	// dict's inverse.
+	dict  []entry
+	index map[entry]uint16
+	pool  []int
 }
 
-// entry is one (switch, destination) cell: n candidate ports at
-// pool[off:], leaving on class vc. n == 0 means no route.
+// entry is what a cell says: n candidate ports at pool[off:], leaving on
+// class vc. n == 0 means no route.
 type entry struct {
 	off uint32
 	n   uint16
@@ -78,18 +80,20 @@ type entry struct {
 }
 
 // NewTable returns an empty table for n switches.
-func NewTable(n int) *Table { return &Table{rows: make([][]entry, n)} }
+func NewTable(n int) *Table {
+	return &Table{rows: make([][]uint16, n), dict: make([]entry, 1), index: map[entry]uint16{{}: 0}}
+}
 
 // newTableFor returns an empty table for n switches sized for sinks: a
 // column each and full-width rows cut from one slab, so filling it
-// reallocates no row. The pool grows as multi-port lists arrive.
+// reallocates no row. The pool grows as distinct lists arrive.
 func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
 	t := NewTable(n)
 	for _, sink := range sinks {
 		t.column(sink.ID)
 	}
 	w := len(t.ids)
-	slab := make([]entry, len(t.rows)*w)
+	slab := make([]uint16, len(t.rows)*w)
 	for sw := range t.rows {
 		t.rows[sw] = slab[sw*w : (sw+1)*w : (sw+1)*w]
 	}
@@ -113,32 +117,47 @@ func (t *Table) column(dst flit.EndpointID) int {
 
 // slot returns the cell of (sw, dst) for writing, widening the row to
 // reach it. sw must be in range.
-func (t *Table) slot(sw topology.NodeID, dst flit.EndpointID) *entry {
+func (t *Table) slot(sw topology.NodeID, dst flit.EndpointID) *uint16 {
 	c := t.column(dst)
 	if c >= len(t.rows[sw]) {
-		t.rows[sw] = append(t.rows[sw], make([]entry, c+1-len(t.rows[sw]))...)
+		t.rows[sw] = append(t.rows[sw], make([]uint16, c+1-len(t.rows[sw]))...)
 	}
 	return &t.rows[sw][c]
 }
 
-// find returns the cell of (sw, dst), zero when the table has none. sw
-// must be in range.
+// find returns what the cell of (sw, dst) says, the zero entry when the
+// table has no such cell. sw must be in range.
 func (t *Table) find(sw topology.NodeID, dst flit.EndpointID) entry {
 	if int(dst) < len(t.col) {
 		if c := int(t.col[dst]) - 1; c >= 0 && c < len(t.rows[sw]) {
-			return t.rows[sw][c]
+			return t.dict[t.rows[sw][c]]
 		}
 	}
 	return entry{}
 }
 
+// point makes the cell of (sw, dst) say e, through e's dictionary entry,
+// added on first use. The dictionary is full at 65 536 entries; the cell
+// is untouched then.
+func (t *Table) point(sw topology.NodeID, dst flit.EndpointID, e entry) error {
+	i, ok := t.index[e]
+	if !ok {
+		if len(t.dict) > math.MaxUint16 {
+			return fmt.Errorf("routing: switch %d dst %d needs a %dth distinct table entry", sw, dst, len(t.dict)+1)
+		}
+		i = uint16(len(t.dict))
+		t.dict = append(t.dict, e)
+		t.index[e] = i
+	}
+	*t.slot(sw, dst) = i
+	return nil
+}
+
 // Set replaces the candidate ports for (sw, dst). The experiments use
 // this to pin specific paths (e.g. to construct the paper's two
-// 90%-loaded links). It never writes over the run an entry had — a
-// one-port run is shared, writing in place would reroute the neighbours
-// — but re-points the entry at the port's shared cell, or at a copy of a
-// multi-port list appended to the pool; an abandoned multi-port run
-// stays there, so only a table rewritten over and over grows.
+// 90%-loaded links). A list some dictionary entry already names is
+// reused, pool run included; a new one is appended to the pool. Nothing
+// is written in place, so rewriting a cell back and forth grows nothing.
 func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error {
 	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return fmt.Errorf("routing: switch %d out of range", sw)
@@ -149,22 +168,23 @@ func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error 
 	if len(ports) > math.MaxUint16 {
 		return fmt.Errorf("routing: %d candidate ports for switch %d dst %d", len(ports), sw, dst)
 	}
-	e := t.slot(sw, dst)
-	e.n = uint16(len(ports))
-	// Below 64k only: a port no switch has must not size the index.
-	if p := ports[0]; len(ports) == 1 && uint(p) <= math.MaxUint16 {
-		if p >= len(t.one) {
-			t.one = append(t.one, make([]uint32, p+1-len(t.one))...)
+	cell := t.slot(sw, dst)
+	e := entry{off: uint32(len(t.pool)), n: uint16(len(ports)), vc: t.dict[*cell].vc}
+	for i, d := range t.dict {
+		if d.n == e.n && slices.Equal(t.pool[d.off:int(d.off)+len(ports)], ports) {
+			if d.vc == e.vc { // the common case, spared the index's hash
+				*cell = uint16(i)
+				return nil
+			}
+			e.off = d.off
 		}
-		if t.one[p] == 0 {
-			t.pool = append(t.pool, p)
-			t.one[p] = uint32(len(t.pool))
-		}
-		e.off = t.one[p] - 1
-		return nil
 	}
-	e.off = uint32(len(t.pool))
-	t.pool = append(t.pool, ports...)
+	if err := t.point(sw, dst, e); err != nil {
+		return err
+	}
+	if int(e.off) == len(t.pool) {
+		t.pool = append(t.pool, ports...)
+	}
 	return nil
 }
 
@@ -189,8 +209,9 @@ func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
 	if int(sw) < 0 || int(sw) >= len(t.rows) {
 		return fmt.Errorf("routing: switch %d out of range", sw)
 	}
-	t.slot(sw, dst).vc = vc
-	return nil
+	e := t.find(sw, dst)
+	e.vc = vc
+	return t.point(sw, dst, e)
 }
 
 // VC returns the virtual-channel class packets to dst leave switch sw
@@ -201,8 +222,8 @@ func (t *Table) VC(sw topology.NodeID, dst flit.EndpointID) uint8 { return t.fin
 // ascending id order. Only tests call it.
 func (t *Table) Destinations(sw topology.NodeID) []flit.EndpointID {
 	var out []flit.EndpointID
-	for c, e := range t.rows[sw] {
-		if e.n > 0 {
+	for c, i := range t.rows[sw] {
+		if t.dict[i].n > 0 {
 			out = append(out, t.ids[c])
 		}
 	}
@@ -388,9 +409,9 @@ func Validate(topo *topology.Topology, t *Table) error {
 	links := topo.Links()
 	nv := topo.NumVC()
 	for sw, row := range t.rows {
-		for c, e := range row {
-			if int(e.vc) >= nv {
-				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, t.ids[c], e.vc, nv)
+		for c, i := range row {
+			if vc := t.dict[i].vc; int(vc) >= nv {
+				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, t.ids[c], vc, nv)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -481,6 +482,108 @@ func TestTableSetReplaces(t *testing.T) {
 		_ = append(ports, 99)
 	}
 	check("append to a lookup result")
+	// A cell rewritten over and over grows nothing: both lists are in the
+	// dictionary, and the pool, after the second Set.
+	var pool, dict int
+	for i := 0; i < 10_000; i++ {
+		if i%2 == 0 {
+			set(101, 20, 21, 22)
+		} else {
+			set(101, 30, 31)
+		}
+		if i == 1 {
+			pool, dict = len(tb.pool), len(tb.dict)
+		}
+	}
+	check("10 000 alternating rewrites")
+	if len(tb.pool) != pool || len(tb.dict) != dict {
+		t.Errorf("after 10 000 alternating Sets: pool %d cells, dictionary %d entries; after the second %d and %d", len(tb.pool), len(tb.dict), pool, dict)
+	}
+}
+
+// TestTableDictionary: cells share dictionary entries, and nothing a
+// caller does to one cell shows through the entry to its neighbours.
+func TestTableDictionary(t *testing.T) {
+	tp, tb := lineAllEndpoints(t, 4)
+	// On a line every cell is one of: west, east, or the local port.
+	if n := len(tb.dict); n > 1+3 {
+		t.Errorf("a shortest-path line table has %d dictionary entries, want the empty one and at most three", n)
+	}
+	type cell struct {
+		ports []int
+		vc    uint8
+	}
+	read := func() map[[2]int]cell {
+		out := map[[2]int]cell{}
+		for sw := 0; sw < 4; sw++ {
+			for _, dst := range tb.Destinations(topology.NodeID(sw)) {
+				ports, err := tb.Lookup(topology.NodeID(sw), dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[[2]int{sw, int(dst)}] = cell{slices.Clone(ports), tb.VC(topology.NodeID(sw), dst)}
+			}
+		}
+		return out
+	}
+	want := read()
+	if len(want) != 16 {
+		t.Fatalf("%d routed cells on a 4-switch line with 4 sinks", len(want))
+	}
+	// Switch 1 and switch 2 reach sink 103 through the same entry.
+	if tb.rows[1][tb.col[103]-1] != tb.rows[2][tb.col[103]-1] {
+		t.Fatal("two cells with the same port and class do not share a dictionary entry")
+	}
+	if err := tb.SetVC(1, 103, 1); err != nil {
+		t.Fatal(err)
+	}
+	want[[2]int{1, 103}] = cell{want[[2]int{1, 103}].ports, 1}
+	if got := read(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after SetVC on one cell the table reads %v, want %v", got, want)
+	}
+	if err := tb.Set(1, 103, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	want[[2]int{1, 103}] = cell{[]int{0, 1}, 1}
+	if got := read(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Set on one cell the table reads %v, want %v", got, want)
+	}
+	// Validate reports through the dictionary as it did through the cells.
+	if err := Validate(tp, tb); err == nil || err.Error() != "routing: switch 1 routes to endpoint 103 on virtual channel 1 of 1" {
+		t.Errorf("Validate = %v, want the class of (1, 103) out of range", err)
+	}
+
+	// The dictionary holds 65 535 entries besides the empty one: 256
+	// one-port lists on 256 classes, less one. That one is an error, not
+	// cell 0 again, and leaves its cell alone.
+	full := NewTable(1)
+	for port := 0; port < 256; port++ {
+		dst := flit.EndpointID(port)
+		if err := full.Set(0, dst, []int{port}); err != nil {
+			t.Fatal(err)
+		}
+		for vc := 1; vc < 256 && port+vc < 510; vc++ {
+			if err := full.SetVC(0, dst, uint8(vc)); err != nil {
+				t.Fatalf("entry %d: %v", len(full.dict), err)
+			}
+		}
+	}
+	if len(full.dict) != 1<<16 {
+		t.Fatalf("%d dictionary entries, want %d", len(full.dict), 1<<16)
+	}
+	err := full.SetVC(0, 255, 255)
+	if want := "routing: switch 0 dst 255 needs a 65537th distinct table entry"; err == nil || err.Error() != want {
+		t.Errorf("a 65 537th entry: error %v, want %q", err, want)
+	}
+	if err, n := full.Set(0, 255, []int{1, 2}), len(full.pool); err == nil || n != 256 {
+		t.Errorf("Set of a new list into a full dictionary: error %v, pool of %d cells, want an error and the 256 there were", err, n)
+	}
+	if ports, _ := full.Lookup(0, 255); !slices.Equal(ports, []int{255}) || full.VC(0, 255) != 254 {
+		t.Errorf("the refused writes changed the cell: ports %v class %d", ports, full.VC(0, 255))
+	}
+	if err := full.SetVC(0, 255, 7); err != nil { // an entry the dictionary holds
+		t.Errorf("re-pointing at an existing entry in a full dictionary: %v", err)
+	}
 }
 
 // TestTableErrorTexts pins the messages callers and golden outputs see.
@@ -696,27 +799,37 @@ func mesh32(b *testing.B) (*topology.Topology, *Table) {
 var lookupSink int
 
 // BenchmarkTableLookup times the per-head-flit route lookup — candidates
-// and class — over scattered (switch, destination) pairs.
+// and class — over a 1 024 × 1 024 table. mesh1024_hot cycles through
+// 4 096 scattered (switch, destination) pairs, whose cells stay cached;
+// mesh1024_random draws a million, so nearly every lookup's cell is a
+// cache miss, as a head flit's is in a large run.
 func BenchmarkTableLookup(b *testing.B) {
 	tp, tb := mesh32(b)
 	sinks := tp.Sinks()
-	rnd := rand.New(rand.NewSource(1))
-	type pair struct {
-		sw  topology.NodeID
-		dst flit.EndpointID
-	}
-	pairs := make([]pair, 1<<12)
-	for i := range pairs {
-		pairs[i] = pair{topology.NodeID(rnd.Intn(tp.NumSwitches())), sinks[rnd.Intn(len(sinks))].ID}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&(len(pairs)-1)]
-		ports, err := tb.Lookup(p.sw, p.dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookupSink += ports[0] + int(tb.VC(p.sw, p.dst))
+	for _, bc := range []struct {
+		name  string
+		pairs int
+	}{{"mesh1024_hot", 1 << 12}, {"mesh1024_random", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rnd := rand.New(rand.NewSource(1))
+			type pair struct {
+				sw  uint16
+				dst flit.EndpointID
+			}
+			pairs := make([]pair, bc.pairs)
+			for i := range pairs {
+				pairs[i] = pair{uint16(rnd.Intn(tp.NumSwitches())), sinks[rnd.Intn(len(sinks))].ID}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i&(len(pairs)-1)]
+				ports, err := tb.Lookup(topology.NodeID(p.sw), p.dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lookupSink += ports[0] + int(tb.VC(topology.NodeID(p.sw), p.dst))
+			}
+		})
 	}
 }
 

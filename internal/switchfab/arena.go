@@ -82,11 +82,9 @@ func (a *Arena) TickList(idx []int, cycle uint64) {
 }
 
 // CommitList implements engine.Arena: commit the listed switches and
-// report which went quiet. This runs mid-commit, before the wires
-// commit; Switch.NextWake is safe there because it checks input wires
-// with PendingFlit, which sees staged flits, and no component stages
-// flits during the commit phase. A busy switch answers from its first
-// occupancy word.
+// report which went quiet — no lane occupied, state this commit just
+// touched, so the answer does not depend on the wires committing later
+// in the cycle. A busy switch answers from its first occupancy word.
 func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
 	for r, i := range idx {
 		s := &a.sws[i]

@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"nocemu/internal/engine"
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
+	"nocemu/internal/routing"
 	"nocemu/internal/state"
 )
 
@@ -14,8 +16,9 @@ import (
 // (DESIGN.md §10, "Who tells whom"), and a parked switch collects the
 // credits it slept through cycle for cycle in SkipIdle. These tests pin
 // both by hand-built rigs: flags on either side of the 8-byte load, stale
-// and reloaded flags, a flit held back by a stuck fault, and a settle
-// that stops exactly where the every-cycle schedule stands.
+// and reloaded flags, a settle that stops exactly where the every-cycle
+// schedule stands, and — under an engine's gate — a flit held back by a
+// stuck fault, whose delivering commit is what wakes the switch.
 
 func savedWire(c *link.CreditLink) []byte {
 	w := state.NewWriter()
@@ -187,28 +190,141 @@ func TestLoadStateRaisesFlags(t *testing.T) {
 	}
 }
 
-// TestStuckWireKeepsSwitchAwake: a stuck fault holds a staged flit on
-// the wire without raising the consumer's flag. The switch must not go
-// quiet meanwhile — nothing would wake it when the fault clears — and
-// the commit that finally delivers the flit raises the flag, so the next
-// Tick takes it.
-func TestStuckWireKeepsSwitchAwake(t *testing.T) {
-	r := newRig(t, 2, 2, 1, 4)
-	r.in[1].SetFault(link.FaultStuck)
-	r.send(1, 0, 0, 1)
-	for c := 0; c < 5; c++ {
-		r.step(nil)
-		if _, quiet := r.sw.NextWake(r.cycle); quiet || r.sw.arr[1] != 0 || r.sw.BufferedFlits() != 0 {
-			t.Fatalf("cycle %d, flit held: quiet = %v, flag = %d, %d flits buffered", c, quiet, r.sw.arr[1], r.sw.BufferedFlits())
+// feeder is the world around a one-switch arena under an engine: it
+// stages one flit on input 1 in cycle sendAt, holds that wire with a stuck
+// fault over [stuckFrom, stuckTo), and consumes the outputs, returning
+// their credits. Not Quiescable, so it is walked every cycle.
+type feeder struct {
+	in      *link.Link
+	out     []*link.Link
+	outCr   []*link.CreditLink
+	sendAt  uint64
+	stuck   [2]uint64
+	gotAt   []uint64 // cycles a flit came out of the switch
+	tookAt  []uint64 // cycles the held wire's Take would have returned the flit
+	pending *flit.Flit
+}
+
+func (f *feeder) ComponentName() string { return "feeder" }
+func (f *feeder) Tick(cycle uint64) {
+	if cycle == f.stuck[0] {
+		f.in.SetFault(link.FaultStuck)
+	}
+	if cycle == f.stuck[1] {
+		f.in.SetFault(link.FaultNone)
+	}
+	if cycle == f.sendAt {
+		if err := f.in.Send(f.pending); err != nil {
+			panic(err)
 		}
 	}
-	r.in[1].SetFault(link.FaultNone)
-	r.step(nil)
-	if r.sw.arr[1] != 1 {
-		t.Fatal("the delivering commit did not raise the arrival flag")
+	if f.in.Peek() != nil {
+		f.tookAt = append(f.tookAt, cycle)
 	}
-	r.step(nil)
-	if r.sw.arr[1] != 0 || r.sw.BufferedFlits() != 1 {
-		t.Errorf("the cycle after delivery: flag = %d, %d flits buffered, want the flit taken", r.sw.arr[1], r.sw.BufferedFlits())
+	for o, l := range f.out {
+		if l.Take() != nil {
+			f.gotAt = append(f.gotAt, cycle)
+			f.outCr[o].Send(1)
+		}
+	}
+}
+func (f *feeder) Commit(cycle uint64) {}
+
+// spyArena records the cycles the gate ticks its one switch in.
+type spyArena struct {
+	*Arena
+	ticked []uint64
+}
+
+func (a *spyArena) TickList(idx []int, cycle uint64) {
+	a.ticked = append(a.ticked, cycle)
+	a.Arena.TickList(idx, cycle)
+}
+
+// underEngine builds feeder, a one-switch arena and a wire arena under an
+// engine, gated with the platform's hooks or walked every cycle.
+func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) {
+	t.Helper()
+	table := routing.NewTable(1)
+	for o := 0; o < 2; o++ {
+		if err := table.Set(0, flit.EndpointID(100+o), []int{o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sws := &spyArena{Arena: NewArena("switches", 1)}
+	sw, err := sws.New(defaultCfg("sw0", 0, 2, 2, table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := link.NewArena("wires", 4, 1)
+	f := &feeder{pending: &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(1, 0), Src: 1, Dst: 100, PacketLen: 1}}
+	var consumers []engine.Target
+	for i := 0; i < 2; i++ {
+		l, cr := wires.NewPair("in", "incr")
+		if err := sw.ConnectInput(i, l, cr...); err != nil {
+			t.Fatal(err)
+		}
+		f.in = l // input 1 in the end
+		consumers = append(consumers, engine.Target{Name: "switches", Elem: 0})
+	}
+	for o := 0; o < 2; o++ {
+		l, cr := wires.NewPair("out", "outcr")
+		if err := sw.ConnectOutput(o, l, 4, cr...); err != nil {
+			t.Fatal(err)
+		}
+		f.out, f.outCr = append(f.out, l), append(f.outCr, cr[0])
+		consumers = append(consumers, engine.Target{Name: "feeder"})
+	}
+	e := engine.New()
+	e.MustRegister(f)
+	e.MustRegisterArena(sws)
+	e.MustRegisterArena(wires)
+	if gated {
+		e.SetGated(true)
+		arms, err := e.ArmTable("wires", consumers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires.SetHooks(arms.Flit, arms.Credit, arms.Deliver)
+	}
+	return e, f, sws
+}
+
+// TestDeliveringCommitWakesConsumer: a stuck fault holds a staged flit on
+// the wire for ten cycles. The switch behind it parks — nobody polls the
+// wire for it — and the commit that finally puts the flit on view wakes
+// it: it ticks in exactly the first cycle Take returns the flit, then
+// while the flit crosses it, and never otherwise. Before, during and after
+// the hold its state is the bytes of a twin walked every cycle.
+func TestDeliveringCommitWakesConsumer(t *testing.T) {
+	const sendAt, stuckFrom, stuckTo, end = 5, 3, 15, 30
+	e, f, spy := underEngine(t, true)
+	twinE, twinF, twin := underEngine(t, false)
+	for _, x := range []*feeder{f, twinF} {
+		x.sendAt, x.stuck = sendAt, [2]uint64{stuckFrom, stuckTo}
+	}
+	for c := 0; c < end; c++ {
+		e.Run(1)
+		twinE.Run(1)
+		if !bytes.Equal(saved(&spy.sws[0]), saved(&twin.sws[0])) {
+			t.Fatalf("after cycle %d: the gated switch does not serialize to the every-cycle twin's bytes", c)
+		}
+	}
+	// The fault clears in the Tick phase of cycle stuckTo, that cycle's
+	// commit delivers, and stuckTo+1 is the first cycle the flit can be
+	// taken in.
+	if want := []uint64{stuckTo + 1}; !slices.Equal(f.tookAt, want) || !slices.Equal(twinF.tookAt, want) {
+		t.Fatalf("the flit was on view in cycles %v (twin %v), want %v", f.tookAt, twinF.tookAt, want)
+	}
+	// Cycle 0 is every element's first; then the take, the forward, and
+	// the returned credit's pair waking nobody.
+	if want := []uint64{0, stuckTo + 1, stuckTo + 2}; !slices.Equal(spy.ticked, want) {
+		t.Errorf("the gated switch ticked in cycles %v, want %v", spy.ticked, want)
+	}
+	if len(twin.ticked) != 0 {
+		t.Errorf("the twin was ticked by element in cycles %v: it is not walked every cycle", twin.ticked)
+	}
+	if want := []uint64{stuckTo + 3}; !slices.Equal(f.gotAt, want) || !slices.Equal(twinF.gotAt, want) {
+		t.Errorf("the flit left the switch in cycles %v (twin %v), want %v", f.gotAt, twinF.gotAt, want)
 	}
 }

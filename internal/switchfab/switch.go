@@ -519,27 +519,17 @@ func (s *Switch) settle() {
 }
 
 // NextWake implements engine.Quiescable. The switch is quiet when no
-// lane is occupied and no flit is committed on, or held for, an input
-// wire: with no heads there is nothing to route, arbitrate, forward or
-// mark blocked, and credits that come back meanwhile wait on their wires
-// for SkipIdle. The arena asks right after this switch's Commit, so occ
-// already counts a flit pushed this cycle. Wormhole locks and per-lane
-// routes may persist while quiet; they are frozen state, revisited when
-// an input arms the switch. The input loop is the one per-port walk
-// left: a stuck fault holds a staged flit for this switch with no flag
-// raised, and nothing would wake it at the delivering commit.
+// lane is occupied: with no heads there is nothing to route, arbitrate,
+// forward or mark blocked, and credits that come back meanwhile wait on
+// their wires for SkipIdle. The arena asks right after this switch's
+// Commit, so occ already counts a flit pushed this cycle. Wormhole locks
+// and per-lane routes may persist while quiet; they are frozen state,
+// revisited when input arms the switch. The input wires are not looked
+// at: the commit that puts a flit on one wakes the switch for the next
+// cycle (DESIGN.md §10), the first whose Tick could take it.
 func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 	for _, m := range s.occ {
 		if m != 0 {
-			return 0, false
-		}
-	}
-	// PendingFlit rather than Peek: the arena's quiet report runs during
-	// the commit phase, before the wires commit, where a flit staged
-	// this cycle is visible only as pending state. After the wires
-	// commit (the engine-level scan position) the two are identical.
-	for _, in := range s.inLinks {
-		if in.PendingFlit() {
 			return 0, false
 		}
 	}
