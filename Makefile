@@ -5,10 +5,10 @@ test:
 	go test ./...
 
 # Tier-1.5: race-detector pass over the concurrency-bearing packages.
-# The parallel kernel's determinism property tests (including the
-# golden-trace and tracing observer-effect matrices) run the full
-# worker matrix under -race here; slower than tier-1, so a separate
-# target.
+# The run-loop contract test (internal/engine) and the pooled walk's
+# determinism property tests (including the golden-trace and tracing
+# observer-effect matrices) run the full worker matrix under -race
+# here; slower than tier-1, so a separate target.
 .PHONY: race
 race:
 	go test -race ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/...

@@ -9,7 +9,6 @@
 package nocemu_test
 
 import (
-	"fmt"
 	"testing"
 
 	"nocemu/internal/arb"
@@ -65,33 +64,6 @@ func BenchmarkTable2Emulator(b *testing.B) {
 		}
 		return p.RunCycles
 	})
-}
-
-// BenchmarkTable2EmulatorParallel measures the two-phase engine under
-// the sharded parallel kernel — the software analogue of the FPGA
-// evaluating every device concurrently. Statistics are bit-identical to
-// the sequential engine for every worker count; only the cycles/s
-// metric moves. Compare against BenchmarkTable2Emulator (see
-// EXPERIMENTS.md for the recommended sweep).
-func BenchmarkTable2EmulatorParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchCycles(b, 50_000, func(b *testing.B) func(uint64) {
-				cfg, err := platform.PaperConfig(platform.PaperOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Workers = workers
-				p, err := platform.Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(p.Close)
-				return p.RunCycles
-			})
-		})
-	}
 }
 
 // BenchmarkTable2EmulatorTracing quantifies the event-tracing overhead

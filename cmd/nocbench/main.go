@@ -29,17 +29,12 @@ func main() {
 	var (
 		exps    = flag.String("exp", "t1,t2,f1,f2,f3,f4,scale,sat,vc,buf", "comma-separated experiments to run (t1,t2,f1..f4,scale,sat,vc,buf; 'none' skips all)")
 		csvDir  = flag.String("csv", "", "directory to write figure series as CSV")
-		workers = flag.Int("workers", 0, "add a parallel-kernel row to the t2 speed table with this many workers (0 = off)")
 		gate    = flag.Bool("gate", true, "quiescence-aware scheduling in the t2 speed rows (ablation: -gate=false; results are identical)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
 	)
 	flag.Parse()
 
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "nocbench: negative worker count %d\n", *workers)
-		os.Exit(2)
-	}
 	selected := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
 		selected[strings.TrimSpace(e)] = true
@@ -57,7 +52,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(selected, *csvDir, *workers, !*gate); err != nil {
+	if err := run(selected, *csvDir, !*gate); err != nil {
 		fmt.Fprintln(os.Stderr, "nocbench:", err)
 		os.Exit(1)
 	}
@@ -76,7 +71,7 @@ func main() {
 	}
 }
 
-func run(selected map[string]bool, csvDir string, workers int, noGate bool) error {
+func run(selected map[string]bool, csvDir string, noGate bool) error {
 	writeCSV := func(name string, series ...stats.Series) error {
 		if csvDir == "" {
 			return nil
@@ -102,7 +97,7 @@ func run(selected map[string]bool, csvDir string, workers int, noGate bool) erro
 	}
 	if selected["t2"] {
 		fmt.Println("=== Table 2: simulation speed comparison (slide 18) ===")
-		res, err := experiments.Table2(experiments.Table2Options{Workers: workers, NoGate: noGate})
+		res, err := experiments.Table2(experiments.Table2Options{NoGate: noGate})
 		if err != nil {
 			return err
 		}

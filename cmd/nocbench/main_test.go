@@ -15,7 +15,7 @@ func TestRunSubsetWithCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Stdout = null
-	runErr := run(map[string]bool{"t1": true, "f4": true, "vc": true}, dir, 0, false)
+	runErr := run(map[string]bool{"t1": true, "f4": true, "vc": true}, dir, false)
 	os.Stdout = old
 	null.Close()
 	if runErr != nil {
@@ -27,7 +27,7 @@ func TestRunSubsetWithCSV(t *testing.T) {
 }
 
 func TestRunUnknownSelectionIsNoop(t *testing.T) {
-	if err := run(map[string]bool{"bogus": true}, "", 2, false); err != nil {
+	if err := run(map[string]bool{"bogus": true}, "", false); err != nil {
 		t.Errorf("unknown selection errored: %v", err)
 	}
 }

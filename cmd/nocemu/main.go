@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"nocemu/internal/control"
 	"nocemu/internal/flow"
@@ -31,6 +32,7 @@ import (
 	"nocemu/internal/probe"
 	"nocemu/internal/topology"
 	"nocemu/internal/trace"
+	"nocemu/internal/traffic"
 )
 
 func main() {
@@ -38,9 +40,9 @@ func main() {
 		configPath = flag.String("config", "", "JSON platform configuration file")
 		paper      = flag.Bool("paper", false, "run the paper's 6-switch reference platform")
 		topoSpec   = flag.String("topo", "", "build a synthetic platform over this topology spec, e.g. mesh:w=8,h=8 or fattree:k=16 (see `nocgen topos` for the catalog)")
-		workload   = flag.String("wl", "uniform", "workload recipe for -topo platforms: uniform, hotspot, incast, flows")
+		workload   = flag.String("wl", "uniform", "workload recipe for -topo platforms: "+strings.Join(traffic.WorkloadKinds(), ", "))
 		inj        = flag.Float64("inj", 0.1, "offered load per terminal in flits/cycle (-topo platforms)")
-		traffic    = flag.String("traffic", "uniform", "paper traffic flavor: uniform, burst, poisson, trace")
+		flavor     = flag.String("traffic", "uniform", "paper traffic flavor: uniform, burst, poisson, trace")
 		packets    = flag.Uint64("packets", 1000, "packets per traffic generator (0 = unlimited)")
 		load       = flag.Float64("load", 0.45, "offered load per TG in flits/cycle (paper platform)")
 		flits      = flag.Int("flits", 9, "flits per packet (paper platform)")
@@ -63,7 +65,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, run, err := buildConfig(*configPath, *paper, *topoSpec, *workload, *inj, *traffic, *packets, *load, *flits, *burst, *bufDepth, uint32(*seed))
+	cfg, run, err := buildConfig(*configPath, *paper, *topoSpec, *workload, *inj, *flavor, *packets, *load, *flits, *burst, *bufDepth, uint32(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nocemu:", err)
 		os.Exit(1)

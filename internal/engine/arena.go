@@ -17,33 +17,33 @@
 // controller, collector — O(1) or O(endpoints) instances whose dispatch
 // cost is noise). Arenas register through RegisterArena and appear in
 // the schedule as ONE component each, so every consumer of the registry
-// — the sequential kernel, Lookup — keeps working unchanged. Three
-// schedulers look inside: the parallel kernel shards an arena's index
-// range across workers instead of assigning it whole, the sequential
-// gated kernel parks and wakes its elements one by one (quiesce.go),
+// — the plain walk, Lookup — keeps working unchanged. Three
+// schedulers look inside: the pooled walk shards an arena's index
+// range across workers instead of assigning it whole (pool.go), the
+// gated walk parks and wakes its elements one by one (quiesce.go),
 // and the event calendar of internal/tlm gives every element its own
 // processes, as a SystemC kernel would each signal and module.
 package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by
 // range loops. Tick/Commit (the Component methods) must be equivalent
-// to TickRange/CommitRange over the full range [0, Len()); the parallel
-// kernel partitions [0, Len()) into contiguous per-worker spans, so
+// to TickRange/CommitRange over the full range [0, Len()); the pooled
+// walk partitions [0, Len()) into contiguous per-worker spans, so
 // elements must be independent within a phase, exactly like distinct
 // registered components are.
 type Arena interface {
 	Component
-	// Len returns the element count. It must stay constant while any
-	// kernel is running; the parallel kernel re-reads it only when the
-	// registration count changes.
+	// Len returns the element count. It must stay constant once the
+	// engine has run; the pool re-reads it only when the registration
+	// count changes, the gates never.
 	Len() int
 	// TickRange ticks elements [lo, hi) for the given cycle.
 	TickRange(lo, hi int, cycle uint64)
 	// CommitRange commits elements [lo, hi) for the given cycle.
 	CommitRange(lo, hi int, cycle uint64)
 
-	// The element-level quiet contract: what the sequential gated kernel
-	// needs to schedule the elements one by one (quiesce.go). TickList
+	// The element-level quiet contract: what the gated walk needs to
+	// schedule the elements one by one (quiesce.go). TickList
 	// and CommitList evaluate exactly the listed elements, in list
 	// order. CommitList also appends to quiet, and returns, the position
 	// in idx of every element with nothing to do from the next cycle on
@@ -60,8 +60,8 @@ type Arena interface {
 
 // RegisterArena adds an arena to the evaluation schedule. The arena
 // occupies one slot in the component registry (its ComponentName must
-// be unique like any component's); the parallel kernel additionally
-// shards its index range across workers.
+// be unique like any component's); the pooled walk additionally shards
+// its index range across workers.
 func (e *Engine) RegisterArena(a Arena) error {
 	if a == nil {
 		return errArena("nil arena")

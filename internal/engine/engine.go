@@ -12,11 +12,12 @@
 // (the property the paper credits for its four orders of magnitude over
 // event-driven simulation).
 //
-// Two kernels share that schedule. Engine walks it sequentially on the
-// caller's goroutine. ParallelEngine shards it over a persistent worker
-// pool and recovers the paper's other performance property — every
-// device evaluated concurrently within a phase — while producing
-// bit-identical results (see parallel.go).
+// One Engine drives that schedule through one run loop (run, below).
+// Two optional states pick how a cycle is walked: the clock gates of
+// quiesce.go park idle components, and the worker pool of pool.go
+// recovers the paper's other performance property — every device
+// evaluated concurrently within a phase. Results are bit-identical
+// whichever walk executes them.
 package engine
 
 import (
@@ -31,7 +32,7 @@ import (
 // during Commit it must flip its staged state to committed. Components
 // must not observe other components' staged state.
 //
-// The parallel kernel relies on one further discipline, which every
+// The pooled walk relies on one further discipline, which every
 // component of the platform already obeys by construction: during a
 // phase, a component touches only its own state plus the disjoint
 // per-endpoint halves of the wires it is connected to (a link's
@@ -49,9 +50,9 @@ type Component interface {
 
 // SerialTicker marks a component whose Tick reads state owned by other
 // components — e.g. a watchdog summing platform-wide statistics. The
-// parallel kernel evaluates such components alone on the coordinator,
-// after the sharded part of the Tick phase; the sequential kernel runs
-// them in registration order like any other component. The two kernels
+// pooled walk evaluates such components alone on the coordinator,
+// after the sharded part of the Tick phase; the sequential walks run
+// them in registration order like any other component. The walks
 // produce identical results provided a SerialTicker is registered after
 // every component it observes (the platform registers watchdogs last)
 // and its Tick does not write state that other components read in the
@@ -77,23 +78,12 @@ type Aborter interface {
 	Aborted() bool
 }
 
-// Kernel is the run-control surface shared by the sequential Engine and
-// the ParallelEngine, letting callers hold either interchangeably.
-type Kernel interface {
-	Step()
-	Run(n uint64) uint64
-	RunUntil(maxCycles uint64) (executed uint64, stopped bool)
-	Cycle() uint64
-	Reset()
-}
-
 // Engine drives a set of components cycle by cycle.
 type Engine struct {
 	components []Component
 	names      map[string]int
 	// stoppers and aborters cache the interface assertions at Register
-	// time so RunUntil (and the parallel kernel, which polls between
-	// cycles) never rebuilds them.
+	// time so the run loop never rebuilds them.
 	stoppers []Stopper
 	aborters []Aborter
 	// sortedNames caches the Names() result; namesStale marks it for a
@@ -101,13 +91,17 @@ type Engine struct {
 	sortedNames []string
 	namesStale  bool
 	// arenas lists the components registered through RegisterArena
-	// (arena.go); the parallel kernel shards their index ranges instead
-	// of assigning them whole.
+	// (arena.go); the pooled walk shards their index ranges instead of
+	// assigning them whole.
 	arenas []Arena
 	cycle  uint64
-	// sched holds the quiescence-aware scheduling state (quiesce.go);
-	// nil when gating is off, which is the default.
+	// The two optional states, decided in reshape and nowhere else:
+	// sched (quiesce.go) exists iff the engine is gated and sequential,
+	// pool (pool.go) iff it has workers. A gated pool keeps no parking
+	// state: it skips the windows in which every component is quiet.
+	gated bool
 	sched *sched
+	pool  *pool
 	// strace receives kernel scheduling events (trace.go); nil — the
 	// default — disables them.
 	strace SchedTrace
@@ -205,41 +199,28 @@ func (e *Engine) Aborters() []Aborter {
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
 // Step advances the simulation by exactly one cycle.
-func (e *Engine) Step() {
-	if e.sched != nil {
-		e.schedEnter()
-		e.stepGated()
-		e.settle()
-		return
-	}
-	c := e.cycle
-	for _, comp := range e.components {
-		comp.Tick(c)
-	}
-	for _, comp := range e.components {
-		comp.Commit(c)
-	}
-	e.cycle++
-}
+func (e *Engine) Step() { e.run(1, false) }
 
 // Run advances the simulation by n cycles and returns the number of
-// cycles actually executed (always n; with gating enabled, cycles
-// skipped by fast-forward count as executed).
+// cycles actually executed (always n; cycles skipped by fast-forward
+// count as executed).
 func (e *Engine) Run(n uint64) uint64 {
-	if e.sched != nil {
-		executed, _ := e.runGated(n, false)
-		return executed
-	}
-	for i := uint64(0); i < n; i++ {
-		e.Step()
-	}
-	return n
+	executed, _ := e.run(n, false)
+	return executed
 }
 
-// pollStop evaluates the stop condition exactly as RunUntil does before
-// each cycle: any fired Aborter ends the run unstopped; otherwise the
-// run is stopped when there is at least one Stopper and all are done.
-// Both kernels share this predicate so their stop cycles are identical.
+// RunUntil steps the engine until every registered Stopper reports
+// Done, until any Aborter fires, or until maxCycles have elapsed since
+// the call. It returns the number of cycles executed and whether the
+// stop condition (rather than the cycle cap or an abort) ended the run.
+// An engine with no Stoppers runs to the cap.
+func (e *Engine) RunUntil(maxCycles uint64) (executed uint64, stopped bool) {
+	return e.run(maxCycles, true)
+}
+
+// pollStop evaluates the stop condition: any fired Aborter ends the run
+// unstopped; otherwise the run is stopped when there is at least one
+// Stopper and all are done.
 func (e *Engine) pollStop() (stop, byStopper bool) {
 	for _, a := range e.aborters {
 		if a.Aborted() {
@@ -257,26 +238,168 @@ func (e *Engine) pollStop() (stop, byStopper bool) {
 	return true, true
 }
 
-// RunUntil steps the engine until every registered Stopper reports
-// Done, until any Aborter fires, or until maxCycles have elapsed since
-// the call. It returns the number of cycles executed and whether the
-// stop condition (rather than the cycle cap or an abort) ended the run.
-// An engine with no Stoppers runs to the cap.
-func (e *Engine) RunUntil(maxCycles uint64) (executed uint64, stopped bool) {
-	if len(e.stoppers) == 0 && len(e.aborters) == 0 {
-		return e.Run(maxCycles), false
+// run is the one run loop behind Step, Run and RunUntil, whichever walk
+// executes the cycles. Its order is the contract the determinism
+// matrices police: the stop predicate is polled before every executed
+// cycle — the first one and the one a fast-forward lands on included —
+// and before any skip; a skip never outruns the budget. The quiet
+// contract (quiesce.go) guarantees that no Stopper or Aborter answer
+// changes inside a skipped window, so every walk stops on the same
+// cycle. A coarser every-K-cycles poll was rejected: per-cycle counters
+// (switch cycles, link utilization) advance even in an idle network, so
+// overshooting the stop by one cycle would break bit-identity.
+func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
+	poll = poll && len(e.stoppers)+len(e.aborters) > 0
+	// Enter: the pool syncs its shards with the registry, the gates
+	// their slots (schedEnter).
+	if e.pool != nil {
+		e.pool.enter(e)
+	} else if e.sched != nil {
+		e.schedEnter()
 	}
-	if e.sched != nil {
-		return e.runGated(maxCycles, true)
-	}
-	for executed < maxCycles {
-		if stop, byStopper := e.pollStop(); stop {
-			return executed, byStopper
+	for executed < max {
+		if poll {
+			if stop, byStopper := e.pollStop(); stop {
+				stopped = byStopper
+				break
+			}
 		}
-		e.Step()
+		if e.gated {
+			if n := e.skip(max - executed); n > 0 {
+				executed += n
+				continue
+			}
+		}
+		e.walk()
 		executed++
 	}
-	return executed, false
+	// Leave: the workers go back to sleep; the gates pay what the parked
+	// are owed, so observers between runs read the counters a naive
+	// schedule would have produced.
+	if e.pool != nil {
+		e.pool.leave()
+	} else if e.sched != nil {
+		e.settle()
+	}
+	return executed, stopped
+}
+
+// walk executes one cycle and counts it.
+func (e *Engine) walk() {
+	switch {
+	case e.pool != nil:
+		e.pool.walk(e.cycle)
+	case e.sched != nil:
+		e.sched.wakeDue(e.cycle)
+		e.sched.reg.Tick(e.cycle)
+		e.sched.reg.Commit(e.cycle)
+	default:
+		c := e.cycle
+		for _, comp := range e.components {
+			comp.Tick(c)
+		}
+		for _, comp := range e.components {
+			comp.Commit(c)
+		}
+	}
+	e.cycle++
+}
+
+// skip fast-forwards the cycle counter over a window in which nothing
+// would happen — to the earliest wake, or to the end of the budget if
+// that comes first — and returns the cycles skipped. Only a gated
+// engine skips. The gates carry the skipped cycles as debt on their
+// watermarks; the pool, which keeps none, pays every component on the
+// spot.
+func (e *Engine) skip(budget uint64) uint64 {
+	var wake uint64
+	var quiet bool
+	if e.pool != nil {
+		wake, quiet = e.pool.nextWake(e.cycle)
+	} else {
+		wake, quiet = e.sched.nextWake()
+	}
+	if !quiet || wake <= e.cycle {
+		return 0
+	}
+	target := e.cycle + budget
+	if target < e.cycle || wake < target { // overflow, or a timer first
+		target = wake
+	}
+	if e.strace != nil {
+		e.strace.SchedFastForward(e.cycle, target)
+	}
+	n := target - e.cycle
+	if e.pool != nil {
+		for _, q := range e.pool.quies {
+			q.SkipIdle(e.cycle, n)
+		}
+	}
+	e.cycle = target
+	return n
+}
+
+// SetGated enables or disables quiescence-aware scheduling. Disabled
+// (the default for a fresh engine) every component is walked every
+// cycle. Results are bit-identical either way; gating only changes how
+// fast idle cycles execute. A sequential engine gates per component and
+// arena element, which needs the arm-on-input hooks of quiesce.go on
+// every path that hands a parked component input; an engine with
+// workers needs none.
+func (e *Engine) SetGated(on bool) {
+	e.gated = on
+	e.reshape()
+}
+
+// Gated reports whether quiescence-aware scheduling is enabled.
+func (e *Engine) Gated() bool { return e.gated }
+
+// SetWorkers makes the engine evaluate each phase of a cycle on n
+// goroutines, the caller's included (pool.go); 0, the default, walks
+// the schedule on the caller's alone. Workers may exceed the component
+// count; surplus shards are empty. The goroutines start at the next
+// run; Close releases them.
+func (e *Engine) SetWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("engine: %d workers", n)
+	}
+	e.Close()
+	e.pool = nil
+	if n > 0 {
+		e.pool = &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
+	}
+	e.reshape()
+	return nil
+}
+
+// reshape is the one decision point for the optional states: the gates
+// exist iff the engine is gated and has no workers. Dropping them
+// settles their outstanding skip accounting first.
+func (e *Engine) reshape() {
+	switch want := e.gated && e.pool == nil; {
+	case want && e.sched == nil:
+		s := &sched{}
+		s.reg = clockGate{name: "registry", pop: s, ordered: true, log: e.logSched}
+		e.sched = s
+	case !want && e.sched != nil:
+		e.schedEnter()
+		e.settle()
+		e.sched = nil
+	}
+}
+
+// Close releases the pool's goroutines — asleep between runs, so they
+// exit at once — and returns when they have. It does nothing on an
+// engine without workers or before the first run, and may be called
+// again. A later run starts them afresh.
+func (e *Engine) Close() {
+	if p := e.pool; p != nil {
+		for _, ch := range p.work {
+			close(ch)
+		}
+		p.work = nil
+		p.exited.Wait()
+	}
 }
 
 // Reset rewinds the cycle counter and re-arms the kernel's cached

@@ -31,10 +31,10 @@
 //     reads, stats resets) always see the same numbers the naive
 //     schedule would have produced.
 //
-// Who is active and who is owed what is one type, clockGate, below. The
-// sequential kernel instantiates it once over the component registry
-// and once over the elements of every registered arena; an arena's gate
-// then stands in the arena's registry slot, so gating nests: the
+// Who is active and who is owed what is one type, clockGate, below. A
+// gated engine without workers instantiates it once over the component
+// registry and once over the elements of every registered arena; an
+// arena's gate then stands in the arena's registry slot, so gating nests: the
 // registry parks the slot when the arena's gate has nothing active. The
 // gate never asks an element whether it is quiet: the population's
 // commit reports the ones that went quiet. An arena knows that inside
@@ -118,8 +118,7 @@ func (h *wakeHeap) pop() wakeEntry {
 // cycles. CommitList also reports, as positions in idx, the elements
 // that stay quiet from the next cycle on until input arms them or a
 // timer their population keeps wakes them (Arena has the contract). The
-// sequential kernel's registry (sched, below) and every Arena implement
-// it.
+// registry (sched, below) and every Arena implement it.
 type population interface {
 	TickList(idx []int, cycle uint64)
 	CommitList(idx []int, cycle uint64, quiet []int) []int
@@ -392,31 +391,6 @@ func (s *sched) wakeElem(r ref, cycle uint64) {
 	s.reg.arm(int(r.slot), cycle)
 }
 
-// SetGated enables or disables quiescence-aware scheduling. Disabled
-// (the default for a fresh engine) the kernel walks every component
-// every cycle, exactly as before this optimisation existed. Switching
-// off settles any outstanding skip accounting first. Results are
-// bit-identical either way; gating only changes how fast idle cycles
-// execute.
-func (e *Engine) SetGated(on bool) {
-	if on {
-		if e.sched == nil {
-			s := &sched{}
-			s.reg = clockGate{name: "registry", pop: s, ordered: true, log: e.logSched}
-			e.sched = s
-		}
-		return
-	}
-	if e.sched != nil {
-		e.schedEnter()
-		e.settle()
-		e.sched = nil
-	}
-}
-
-// Gated reports whether quiescence-aware scheduling is enabled.
-func (e *Engine) Gated() bool { return e.sched != nil }
-
 // logSched forwards the registry gate's transitions to the SchedTrace.
 func (e *Engine) logSched(park bool, cycle uint64, i int) {
 	if e.strace == nil {
@@ -620,49 +594,4 @@ func (e *Engine) rebase(cycle uint64) {
 		}
 	}
 	e.cycle = cycle
-}
-
-// stepGated executes one cycle over the active set.
-func (e *Engine) stepGated() {
-	s := e.sched
-	s.wakeDue(e.cycle)
-	s.reg.Tick(e.cycle)
-	s.reg.Commit(e.cycle)
-	e.cycle++
-}
-
-// runGated is the gated core of Run and RunUntil. The stop predicate
-// is evaluated at exactly the same points as the naive kernel — before
-// every executed cycle, including cycles reached by fast-forward — so
-// the stop cycle is bit-identical: the quiet contract guarantees no
-// Stopper/Aborter answer changes inside a skipped window.
-func (e *Engine) runGated(maxCycles uint64, poll bool) (executed uint64, stopped bool) {
-	e.schedEnter()
-	for executed < maxCycles {
-		if poll {
-			if stop, byStopper := e.pollStop(); stop {
-				e.settle()
-				return executed, byStopper
-			}
-		}
-		if wake, quiet := e.sched.nextWake(); quiet && wake > e.cycle {
-			// Everything is parked: fast-forward to the earliest timer,
-			// bounded by the remaining cycle budget. The cycle executed
-			// there wakes whatever is due.
-			target := e.cycle + (maxCycles - executed)
-			if target < e.cycle || wake < target { // overflow, or a timer first
-				target = wake
-			}
-			if e.strace != nil {
-				e.strace.SchedFastForward(e.cycle, target)
-			}
-			executed += target - e.cycle
-			e.cycle = target
-			continue
-		}
-		e.stepGated()
-		executed++
-	}
-	e.settle()
-	return executed, false
 }

@@ -53,54 +53,6 @@ func (a *alarm) NextWake(cycle uint64) (uint64, bool) {
 }
 func (a *alarm) SkipIdle(from, n uint64) { a.skipped += n }
 
-// timedStopper is a cycle-driven Stopper obeying the quiet contract:
-// it declares its flip cycle as its wake, flips only when ticked at or
-// after it, so a fast-forward can never jump past the stop.
-type timedStopper struct {
-	name   string
-	doneAt uint64
-	done   bool
-}
-
-func (s *timedStopper) ComponentName() string { return s.name }
-func (s *timedStopper) Tick(cycle uint64) {
-	if cycle >= s.doneAt {
-		s.done = true
-	}
-}
-func (s *timedStopper) Commit(cycle uint64) {}
-func (s *timedStopper) Done() bool          { return s.done }
-func (s *timedStopper) NextWake(cycle uint64) (uint64, bool) {
-	if s.done {
-		return NeverWake, true
-	}
-	return s.doneAt, true
-}
-func (s *timedStopper) SkipIdle(from, n uint64) {}
-
-// timedAborter is the Aborter analogue of timedStopper.
-type timedAborter struct {
-	name    string
-	abortAt uint64
-	fired   bool
-}
-
-func (a *timedAborter) ComponentName() string { return a.name }
-func (a *timedAborter) Tick(cycle uint64) {
-	if cycle >= a.abortAt {
-		a.fired = true
-	}
-}
-func (a *timedAborter) Commit(cycle uint64) {}
-func (a *timedAborter) Aborted() bool       { return a.fired }
-func (a *timedAborter) NextWake(cycle uint64) (uint64, bool) {
-	if a.fired {
-		return NeverWake, true
-	}
-	return a.abortAt, true
-}
-func (a *timedAborter) SkipIdle(from, n uint64) {}
-
 // TestGatedRunFastForwards checks that an all-quiet schedule executes
 // by fast-forward: the cycle counter still sees every cycle (via
 // SkipIdle) while almost nothing is actually walked.
@@ -120,54 +72,6 @@ func TestGatedRunFastForwards(t *testing.T) {
 	}
 	if c.ticks > 10 {
 		t.Errorf("counter was walked %d times; gating should have parked it", c.ticks)
-	}
-}
-
-// TestGatedStopperMidSkipStopsExactly pits a far-future alarm against
-// a Stopper that flips inside the would-be skip window: the run must
-// stop at exactly the naive schedule's cycle, never at the alarm's.
-func TestGatedStopperMidSkipStopsExactly(t *testing.T) {
-	build := func(gated bool) (*Engine, *timedStopper) {
-		e := New()
-		e.SetGated(gated)
-		s := &timedStopper{name: "stop", doneAt: 137}
-		e.MustRegister(s)
-		e.MustRegister(&alarm{name: "far", wakes: []uint64{90_000}})
-		return e, s
-	}
-	naive, _ := build(false)
-	wantN, wantStopped := naive.RunUntil(100_000)
-	gated, _ := build(true)
-	gotN, gotStopped := gated.RunUntil(100_000)
-	if gotN != wantN || gotStopped != wantStopped {
-		t.Errorf("gated run (%d,%v), naive (%d,%v)", gotN, gotStopped, wantN, wantStopped)
-	}
-	if wantN != 138 || !wantStopped {
-		t.Errorf("naive baseline (%d,%v), want (138,true)", wantN, wantStopped)
-	}
-}
-
-// TestGatedAborterNeverSkippedPast is the Aborter version: the abort
-// cycle bounds every fast-forward, so the run ends exactly there even
-// though every other component sleeps far beyond it.
-func TestGatedAborterNeverSkippedPast(t *testing.T) {
-	build := func(gated bool) *Engine {
-		e := New()
-		e.SetGated(gated)
-		e.MustRegister(&timedAborter{name: "abort", abortAt: 211})
-		e.MustRegister(&alarm{name: "far", wakes: []uint64{80_000}})
-		e.MustRegister(&cycleCounter{name: "c"})
-		return e
-	}
-	naive := build(false)
-	wantN, wantStopped := naive.RunUntil(100_000)
-	gated := build(true)
-	gotN, gotStopped := gated.RunUntil(100_000)
-	if gotN != wantN || gotStopped != wantStopped {
-		t.Errorf("gated run (%d,%v), naive (%d,%v)", gotN, gotStopped, wantN, wantStopped)
-	}
-	if wantN != 212 || wantStopped {
-		t.Errorf("naive baseline (%d,%v), want (212,false)", wantN, wantStopped)
 	}
 }
 

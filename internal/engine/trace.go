@@ -1,17 +1,17 @@
 package engine
 
 // SchedTrace receives kernel scheduling events — the probe subsystem's
-// window into the machinery of quiesce.go and parallel.go. Unlike the
+// window into the gates of quiesce.go and the run loop's skips. Unlike the
 // data-path events the probes emit, scheduling events describe the
 // kernel rather than the emulated platform: which components park,
 // when, and how far the cycle counter fast-forwards legitimately
 // depend on the kernel and gating choices, so consumers must not treat
 // these events as emulation results.
 //
-// Implementations are called from single-threaded kernel contexts
-// only: park and wake fire on the engine's goroutine inside the
-// sequential gated walk, and fast-forward fires either there or inside
-// the parallel coordinator's quiesced window. No locking is required.
+// Implementations are called on the engine's own goroutine only: park
+// and wake fire inside the gated walk, fast-forward in the run loop
+// between two cycles — with workers, while they spin at the commit
+// gate. No locking is required.
 type SchedTrace interface {
 	// SchedPark reports that the component was removed from the walk
 	// at the end of the given cycle.
@@ -24,6 +24,5 @@ type SchedTrace interface {
 }
 
 // SetSchedTrace installs (or, with nil, removes) the scheduling-event
-// consumer. The parallel kernel shares the underlying engine's
 // consumer.
 func (e *Engine) SetSchedTrace(t SchedTrace) { e.strace = t }

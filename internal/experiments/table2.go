@@ -42,10 +42,6 @@ type Table2Options struct {
 	EmuCycles uint64
 	TLMCycles uint64
 	RTLCycles uint64
-	// Workers, when > 0, appends a fourth row measuring the two-phase
-	// engine under the parallel kernel with that many workers (the
-	// software stand-in for the FPGA's all-devices-at-once evaluation).
-	Workers int
 	// NoGate disables quiescence-aware scheduling in the emulator rows
 	// (the ablation behind cmd/nocbench -gate=false). Statistics are
 	// bit-identical; only the measured speed changes.
@@ -69,22 +65,19 @@ func paperRefCfg() (platform.Config, error) {
 }
 
 // MeasureEmulatorRate runs the reference platform on the fast engine
-// for n cycles and returns cycles/second plus cycles/packet. A workers
-// count > 0 selects the parallel kernel; noGate disables
-// quiescence-aware scheduling (statistics are identical either way;
-// only wall-clock speed changes).
-func MeasureEmulatorRate(n uint64, workers int, noGate bool) (rate, cyclesPerPacket float64, err error) {
+// for n cycles and returns cycles/second plus cycles/packet. noGate
+// disables quiescence-aware scheduling (statistics are identical either
+// way; only wall-clock speed changes).
+func MeasureEmulatorRate(n uint64, noGate bool) (rate, cyclesPerPacket float64, err error) {
 	cfg, err := paperRefCfg()
 	if err != nil {
 		return 0, 0, err
 	}
-	cfg.Workers = workers
 	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer p.Close()
 	start := time.Now()
 	p.RunCycles(n)
 	el := time.Since(start)
@@ -137,7 +130,7 @@ func MeasureRTLRate(n uint64) (float64, error) {
 // workload sizes.
 func Table2(opt Table2Options) (*Table2Result, error) {
 	opt.applyDefaults()
-	emuRate, cpp, err := MeasureEmulatorRate(opt.EmuCycles, 0, opt.NoGate)
+	emuRate, cpp, err := MeasureEmulatorRate(opt.EmuCycles, opt.NoGate)
 	if err != nil {
 		return nil, err
 	}
@@ -168,13 +161,6 @@ func Table2(opt Table2Options) (*Table2Result, error) {
 	add("emulation (two-phase engine)", emuRate, 50e6, "3.2 s", "3 min 20 s")
 	add("SystemC-like (event calendar)", tlmRate, 20e3, "2 h 13 min", "5 d 19 h")
 	add("RTL-like (signal events)", rtlRate, 3.2e3, "13 h 53 min", "36 d 4 h")
-	if opt.Workers > 0 {
-		parRate, _, err := MeasureEmulatorRate(opt.EmuCycles, opt.Workers, opt.NoGate)
-		if err != nil {
-			return nil, err
-		}
-		add(fmt.Sprintf("emulation (parallel, %d workers)", opt.Workers), parRate, 50e6, "3.2 s", "3 min 20 s")
-	}
 	return res, nil
 }
 

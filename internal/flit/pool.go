@@ -11,7 +11,7 @@
 // rate is zero, so emulation speed no longer degrades with offered
 // load (the axis the paper's Table 2 sweeps).
 //
-// Concurrency: the pool composes with engine.ParallelEngine, where the
+// Concurrency: the pool composes with an engine that has workers, where the
 // acquiring component (a TG) and the releasing component (a TR) may
 // tick on different workers in the same phase. Acquire is owner-only
 // and touches only the shard's private freelist; Release may be called

@@ -33,8 +33,6 @@ const (
 type Platform struct {
 	cfg   Config
 	eng   *engine.Engine
-	kern  engine.Kernel
-	par   *engine.ParallelEngine // non-nil when cfg.Workers > 0
 	sys   *bus.System
 	table *routing.Table
 
@@ -54,8 +52,8 @@ type Platform struct {
 	tgByEndpoint map[flit.EndpointID]*traffic.TG
 	trByEndpoint map[flit.EndpointID]*receptor.TR
 
-	// arms is the wire arena's arm-on-input table; nil unless the
-	// sequential kernel gates (AttachWatchdog adds the watchdog to the
+	// arms is the wire arena's arm-on-input table; nil unless the engine
+	// gates per element (AttachWatchdog adds the watchdog to the
 	// injection wires' rows).
 	arms *engine.ArmTable
 	// wd and faults remember post-build attachments so snapshots cover
@@ -361,44 +359,33 @@ func Build(cfg Config) (*Platform, error) {
 			return nil, err
 		}
 	}
-	// Kernel selection: the sequential engine, or the sharded parallel
-	// kernel over the same component schedule (bit-identical results).
-	p.kern = p.eng
-	if cfg.Workers > 0 {
-		par, err := engine.NewParallel(p.eng, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
-		}
-		p.par = par
-		p.kern = par
+	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
+	// goroutines, or on the caller's alone; gated unless cfg.NoGate.
+	// Results are bit-identical whichever it is.
+	if err := p.eng.SetWorkers(cfg.Workers); err != nil {
+		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 	}
-	proc, err := control.NewProcessor(p.sys, p.kern)
+	p.eng.SetGated(!cfg.NoGate)
+	proc, err := control.NewProcessor(p.sys, p.eng)
 	if err != nil {
 		return nil, err
 	}
 	p.proc = proc
-
-	// Quiescence-aware scheduling (on unless cfg.NoGate). The parallel
-	// kernel gates the whole schedule (fast-forward only, no arm hooks
-	// needed); the sequential kernel parks individual components and
+	// A gated engine without workers parks individual components and
 	// arena elements, which requires the arm-on-input rule on every
 	// wire's Send path: staging a flit arms the pair and the switch or
-	// receptor that reads it, staging credits arms only the pair.
-	if !cfg.NoGate {
-		if p.par != nil {
-			p.par.SetGated(true)
-		} else {
-			p.eng.SetGated(true)
-			if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
-				return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
-			}
-			p.wires.SetHooks(p.arms.Flit, p.arms.Credit, p.arms.Deliver)
+	// receptor that reads it, staging credits arms only the pair. With
+	// workers it only skips globally idle windows and needs no hooks.
+	if !cfg.NoGate && cfg.Workers == 0 {
+		if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
+			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
+		p.wires.SetHooks(p.arms.Flit, p.arms.Credit, p.arms.Deliver)
 	}
 	// Emit-time arming: any probe emission wakes the collector so ring
 	// fills never depend on the parking schedule (which would make drops
 	// — and thus the exported stream — schedule-dependent). The armer is
-	// a no-op on ungated and parallel kernels.
+	// a no-op on an engine that parks nothing.
 	if p.collector != nil {
 		if arm, ok := p.eng.Armer(engine.Target{Name: "probe"}); ok {
 			p.collector.SetArm(arm)
@@ -413,13 +400,8 @@ func Build(cfg Config) (*Platform, error) {
 }
 
 // Gated reports whether quiescence-aware scheduling is enabled on the
-// platform's kernel.
-func (p *Platform) Gated() bool {
-	if p.par != nil {
-		return p.par.Gated()
-	}
-	return p.eng.Gated()
-}
+// platform's engine.
+func (p *Platform) Gated() bool { return p.eng.Gated() }
 
 // DeriveTGSeed returns the random seed a TG gets: the spec's own seed,
 // or a platform-seed-derived default. Exported so alternative backends
@@ -456,22 +438,13 @@ func (p *Platform) Name() string { return p.cfg.Name }
 // from.
 func (p *Platform) Config() Config { return p.cfg }
 
-// Engine returns the cycle engine (registry and cycle counter; with
-// Workers > 0 the run-control entry points are on Kernel instead).
+// Engine returns the cycle engine.
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
-// Kernel returns the run-control kernel the platform executes on: the
-// engine itself, or the parallel kernel when Config.Workers > 0.
-func (p *Platform) Kernel() engine.Kernel { return p.kern }
-
-// Close releases the worker pool of a parallel platform. It is a no-op
-// for sequential platforms and is idempotent; the platform must not be
-// run after Close (statistics stay readable).
-func (p *Platform) Close() {
-	if p.par != nil {
-		p.par.Close()
-	}
-}
+// Close releases the engine's worker goroutines (Config.Workers > 0;
+// otherwise there are none). It is idempotent, and statistics stay
+// readable; running the platform again would start them again.
+func (p *Platform) Close() { p.eng.Close() }
 
 // System returns the internal bus system.
 func (p *Platform) System() *bus.System { return p.sys }
@@ -547,11 +520,11 @@ func (p *Platform) Link(i int) (*link.Link, bool) {
 // Run advances the platform until all stoppers are done or maxCycles
 // elapse.
 func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
-	return p.kern.RunUntil(maxCycles)
+	return p.eng.RunUntil(maxCycles)
 }
 
 // RunCycles advances exactly n cycles.
-func (p *Platform) RunCycles(n uint64) { p.kern.Run(n) }
+func (p *Platform) RunCycles(n uint64) { p.eng.Run(n) }
 
 // ResetStats clears every statistic counter (switches, links, TGs, TRs)
 // without disturbing in-flight state — used to exclude warm-up from

@@ -116,13 +116,13 @@ type Config struct {
 	TRs []TRSpec
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
-	// Workers selects the simulation kernel: 0 runs the sequential
-	// two-phase engine on the caller's goroutine; N >= 1 drives the
-	// same schedule through engine.NewParallel with N workers — the
-	// software analogue of the FPGA evaluating every device in
-	// parallel. Results are bit-identical for every value. Platforms
-	// built with Workers > 0 hold a goroutine pool; call
-	// Platform.Close when done with them.
+	// Workers selects how the engine walks a cycle: 0 walks the
+	// schedule on the caller's goroutine; N >= 1 evaluates each phase
+	// on N workers (engine.SetWorkers) — the software analogue of the
+	// FPGA evaluating every device in parallel. Results are
+	// bit-identical for every value. A platform with Workers > 0
+	// holds N-1 goroutines from its first run on; call Platform.Close
+	// when done with it.
 	Workers int
 	// NoGate disables quiescence-aware scheduling (the software
 	// analogue of clock gating, on by default): with gating the kernel

@@ -119,12 +119,6 @@ type schema struct {
 	specs   []*RegSpec
 }
 
-// NewBank returns an empty bank for the named device instance, to be
-// declared on by the caller.
-func NewBank(name string) *Bank {
-	return &Bank{name: name, schema: &schema{entries: make(map[uint32]*regEntry)}}
-}
-
 // Lazy returns a bank for the named device instance that holds only
 // declare until its first ReadReg, WriteReg, Specs or DocInfo, which
 // runs it once on the then empty bank. Staging registers a declaration

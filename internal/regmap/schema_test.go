@@ -11,8 +11,9 @@ import (
 // the LO read instead of tearing.
 func TestRO64LatchTearFree(t *testing.T) {
 	v := uint64(0x0000_0000_FFFF_FFFF)
-	b := NewBank("dev")
-	b.RO64(0x10, "CTR", "test counter", func() uint64 { return v })
+	b := Lazy("dev", func(b *Bank) {
+		b.RO64(0x10, "CTR", "test counter", func() uint64 { return v })
+	})
 
 	lo, err := b.ReadReg(0x10)
 	if err != nil {
@@ -39,8 +40,9 @@ func TestRO64LatchTearFree(t *testing.T) {
 // LO latch) samples the live counter.
 func TestRO64HiWithoutLatchSamplesFresh(t *testing.T) {
 	v := uint64(5) << 32
-	b := NewBank("dev")
-	b.RO64(0x10, "CTR", "test counter", func() uint64 { return v })
+	b := Lazy("dev", func(b *Bank) {
+		b.RO64(0x10, "CTR", "test counter", func() uint64 { return v })
+	})
 	hi, err := b.ReadReg(0x11)
 	if err != nil {
 		t.Fatal(err)
@@ -83,16 +85,17 @@ func TestBankOverlapPanics(t *testing.T) {
 					t.Error("overlapping declaration did not panic")
 				}
 			}()
-			tc.declare(NewBank("dev"))
+			Lazy("dev", tc.declare).Specs() // the first access declares
 		})
 	}
 }
 
 func TestAccessModeErrors(t *testing.T) {
-	b := NewBank("dev")
-	b.RO(0x01, "STAT", "", func() uint32 { return 7 })
 	var seed uint32
-	b.WO(0x02, "SEED", "", func(v uint32) error { seed = v; return nil })
+	b := Lazy("dev", func(b *Bank) {
+		b.RO(0x01, "STAT", "", func() uint32 { return 7 })
+		b.WO(0x02, "SEED", "", func(v uint32) error { seed = v; return nil })
+	})
 
 	if _, err := b.ReadReg(0x02); err == nil || !strings.Contains(err.Error(), "write-only") {
 		t.Errorf("WO read error = %v", err)
@@ -112,11 +115,12 @@ func TestAccessModeErrors(t *testing.T) {
 }
 
 func TestWindowDispatch(t *testing.T) {
-	b := NewBank("dev")
 	store := make([]uint32, 4)
-	b.Window(0x20, 4, "PARAM", RW, "",
-		func(i uint32) (uint32, error) { return store[i], nil },
-		func(i, v uint32) error { store[i] = v; return nil })
+	b := Lazy("dev", func(b *Bank) {
+		b.Window(0x20, 4, "PARAM", RW, "",
+			func(i uint32) (uint32, error) { return store[i], nil },
+			func(i, v uint32) error { store[i] = v; return nil })
+	})
 	for i := uint32(0); i < 4; i++ {
 		if err := b.WriteReg(0x20+i, 100+i); err != nil {
 			t.Fatal(err)
@@ -134,11 +138,12 @@ func TestWindowDispatch(t *testing.T) {
 }
 
 func TestSpecsSortedAndComplete(t *testing.T) {
-	b := NewBank("dev")
-	b.RO64(0x10, "CTR", "", func() uint64 { return 0 })
-	b.RO(0x00, "TYPE", "", func() uint32 { return 0 })
-	b.Window(0x20, 8, "W", RO, "",
-		func(i uint32) (uint32, error) { return 0, nil }, nil)
+	b := Lazy("dev", func(b *Bank) {
+		b.RO64(0x10, "CTR", "", func() uint64 { return 0 })
+		b.RO(0x00, "TYPE", "", func() uint32 { return 0 })
+		b.Window(0x20, 8, "W", RO, "",
+			func(i uint32) (uint32, error) { return 0, nil }, nil)
+	})
 	specs := b.Specs()
 	if len(specs) != 3 {
 		t.Fatalf("specs = %d, want 3 (pair declared once)", len(specs))
@@ -152,9 +157,10 @@ func TestSpecsSortedAndComplete(t *testing.T) {
 }
 
 func TestReadOnlyWindowRejectsWrites(t *testing.T) {
-	b := NewBank("dev")
-	b.Window(0x20, 2, "W", RO, "",
-		func(i uint32) (uint32, error) { return i, nil }, nil)
+	b := Lazy("dev", func(b *Bank) {
+		b.Window(0x20, 2, "W", RO, "",
+			func(i uint32) (uint32, error) { return i, nil }, nil)
+	})
 	if err := b.WriteReg(0x21, 1); err == nil {
 		t.Error("write to read-only window succeeded")
 	}
