@@ -38,13 +38,17 @@ vet:
 # codec (arbitrary section payloads must round-trip, and mutated
 # headers must be rejected, never crash), and the strict serve-protocol
 # decoder (no panic on garbage; accepted frames survive a wire round
-# trip). The corpora grow under each package's testdata over time;
-# `make fuzz` explores for a few seconds beyond them.
+# trip), and every traffic model's snapshot and register face (a
+# restore either fails or re-saves to its input and runs; a register
+# write is accepted exactly when the constructor accepts the result).
+# The corpora grow under each package's testdata over time; `make fuzz`
+# explores for a few seconds beyond them.
 .PHONY: fuzz
 fuzz:
 	go test -run FuzzTraceRoundTrip -fuzz FuzzTraceRoundTrip -fuzztime 5s ./internal/probe
 	go test -run FuzzSnapshotRoundTrip -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/state
 	go test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
+	go test -run FuzzGeneratorState -fuzz FuzzGeneratorState -fuzztime 5s ./internal/traffic
 
 # Coverage profile for CI: runs tier-1 tests with -coverprofile and
 # prints the per-function summary tail (total coverage) to the log.

@@ -409,13 +409,10 @@ func (e *Engine) Close() {
 // active walk, and the wake heaps are cleared, so the next run polls
 // and evaluates everything afresh from cycle zero.
 //
-// Reset does NOT reset component state. Callers that reuse an engine
-// must re-initialize their components through the control plane (which
-// is the point of the paper's software-driven re-initialization);
-// otherwise the next run continues from the components' current state
-// at cycle zero. A full rewind — component state included — is a
-// restore of a cycle-zero snapshot through the Stateful contract
-// (state.go): the platform layer captures one at the end of Build and
-// exposes it as Platform.FullReset, which composes this Reset with a
-// LoadState walk over every component.
+// Reset does NOT reset component state: the next run continues from
+// the components' current state at cycle zero. A full rewind —
+// component state included — is a restore of a cycle-zero snapshot
+// through the Stateful contract (state.go): the platform layer captures
+// one at the end of Build and exposes it as Platform.FullReset, which
+// composes this Reset with a LoadState walk over every component.
 func (e *Engine) Reset() { e.rebase(0) }

@@ -58,15 +58,6 @@ func (c *CreditLink) NotifyArrival(flag *uint8) { c.arrived = flag }
 // quiescence.
 func (c *CreditLink) Idle() bool { return c.next == 0 }
 
-// NextWake implements engine.Quiescable.
-func (c *CreditLink) NextWake(cycle uint64) (uint64, bool) {
-	return ^uint64(0), c.next == 0
-}
-
-// SkipIdle implements engine.Quiescable: an idle credit commit is a
-// pure no-op.
-func (c *CreditLink) SkipIdle(from, n uint64) {}
-
 // Take collects all visible credits, zeroing the wire.
 func (c *CreditLink) Take() uint32 {
 	n := c.cur

@@ -105,14 +105,9 @@ func (l *Link) NotifyArrival(flag *uint8) { l.arrived = flag }
 // utilization denominator, whatever the fault mode.
 func (l *Link) Idle() bool { return l.cur == nil && l.next == nil }
 
-// NextWake implements engine.Quiescable: an idle wire stays idle until
-// a producer stages a flit (the Send hook re-arms it).
-func (l *Link) NextWake(cycle uint64) (uint64, bool) {
-	return ^uint64(0), l.Idle()
-}
-
-// SkipIdle implements engine.Quiescable: n skipped idle commits would
-// each have advanced only the utilization denominator.
+// SkipIdle accounts n commits the wire skipped while idle (the arena's
+// ElemSkipIdle): each would have advanced only the utilization
+// denominator.
 func (l *Link) SkipIdle(from, n uint64) { l.totalCycles += n }
 
 // Busy reports whether a flit has already been staged this cycle.

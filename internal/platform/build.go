@@ -496,7 +496,7 @@ func (p *Platform) Probe() *probe.Collector { return p.collector }
 // ejector buffers. After Drain the pool's Live count must be zero —
 // any residue is a leaked flit. The run is over once drained: packets
 // caught mid-flight are abandoned, so continue with a fresh platform
-// (or ResetRun) rather than more cycles. Statistics stay readable.
+// rather than more cycles. Statistics stay readable.
 func (p *Platform) Drain() {
 	release := p.pool.Release
 	p.wires.Drain(release)

@@ -238,7 +238,7 @@ func NewTGDevice(tg *traffic.TG) *Bank {
 		b.Window(RegParamBase, NumParamRegs, "PARAM", RW,
 			"model parameters, index-aligned with the model's parameter table",
 			func(i uint32) (uint32, error) {
-				if p, ok := tg.Generator().(traffic.Parameterized); ok {
+				if p, ok := traffic.Params(tg.Generator()); ok {
 					if v, ok := p.ReadParam(i); ok {
 						return v, nil
 					}
@@ -246,7 +246,7 @@ func NewTGDevice(tg *traffic.TG) *Bank {
 				return 0, errBadReg("read", RegParamBase+i)
 			},
 			func(i, v uint32) error {
-				p, ok := tg.Generator().(traffic.Parameterized)
+				p, ok := traffic.Params(tg.Generator())
 				if !ok {
 					return fmt.Errorf("regmap: %s has no parameter registers", b.DeviceName())
 				}

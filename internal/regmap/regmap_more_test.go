@@ -55,6 +55,37 @@ func TestTGDeviceSubtypes(t *testing.T) {
 	}
 }
 
+// TestTGDeviceScriptedParams: the PARAM window of a scripted overlay is
+// the wrapped model's, as its SUBTYPE is — every nocserve session's TGs
+// are scripted overlays on uniform. A pure script source has none.
+func TestTGDeviceScriptedParams(t *testing.T) {
+	m, _ := traffic.LookupModel("uniform")
+	inner, err := m.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewTGDevice(mkTGWith(t, traffic.NewScript(inner)))
+	if err := d.WriteReg(RegParamBase+1, 6); err != nil { // len_max
+		t.Fatal(err)
+	}
+	if err := d.WriteReg(RegParamBase+0, 4); err != nil { // len_min
+		t.Fatal(err)
+	}
+	if v, err := d.ReadReg(RegParamBase + 0); err != nil || v != 4 {
+		t.Errorf("scripted uniform PARAM 0 (len_min) = %d, %v, want 4", v, err)
+	}
+	if v, _ := inner.(traffic.Parameterized).ReadParam(1); v != 6 {
+		t.Errorf("wrapped model's len_max = %d after a bus write of 6", v)
+	}
+	if err := d.WriteReg(RegParamBase+0, 7); err == nil {
+		t.Error("len_min above len_max accepted through the overlay")
+	}
+	pure := NewTGDevice(mkTGWith(t, traffic.NewScript(nil)))
+	if _, err := pure.ReadReg(RegParamBase + 0); err == nil {
+		t.Error("pure script source reads a parameter register")
+	}
+}
+
 func TestTGDeviceHighWords(t *testing.T) {
 	d := NewTGDevice(mkUniformTG(t))
 	// All hi words of the 64-bit counters must read (zero here).

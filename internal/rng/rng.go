@@ -71,6 +71,14 @@ func (l *LFSR) Intn(n int) int {
 	if n <= 0 {
 		panic(fmt.Sprintf("rng: Intn(%d)", n))
 	}
+	if uint64(n) > 1<<32-1 { // wider than one draw: a full 32-bit gap range
+		max := ^uint64(0) - ^uint64(0)%uint64(n)
+		for {
+			if v := l.Uint64(); v < max {
+				return int(v % uint64(n))
+			}
+		}
+	}
 	// Rejection sampling to avoid modulo bias.
 	max := ^uint32(0) - ^uint32(0)%uint32(n)
 	for {

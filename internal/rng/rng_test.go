@@ -64,6 +64,20 @@ func TestIntnBounds(t *testing.T) {
 			}
 		}
 	}
+	// Past one 32-bit draw: a full 32-bit gap range spans 2^32 values.
+	// Only reachable where int is wider than 32 bits.
+	for _, w := range []uint64{1 << 32, 1<<32 + 65535} {
+		if w > math.MaxInt {
+			continue
+		}
+		n := int(w)
+		for i := 0; i < 200; i++ {
+			v := l.Intn(n)
+			if v < 0 || v >= n {
+				t.Fatalf("Intn(%d) = %d", n, v)
+			}
+		}
+	}
 }
 
 func TestIntnPanics(t *testing.T) {

@@ -1,7 +1,7 @@
 // Data-centre-flavoured traffic models (flow arrivals with heavy-tailed
 // sizes, synchronized incast waves), after the patterns catalogued in
 // "Traffic Generation for Benchmarking Data Centre Networks". They
-// implement the same Generator/Parameterized/snapshot contracts as the
+// declare their registers and implement the snapshot contract like the
 // paper's uniform/burst/poisson models.
 package traffic
 
@@ -29,10 +29,28 @@ type FlowConfig struct {
 	Dst     DstConfig `json:"-"`
 }
 
+var flowRegs = &registers[FlowConfig]{
+	params: []param[FlowConfig]{
+		reg("arrival_q16", func(c *FlowConfig) *uint16 { return &c.ArrivalQ16 }),
+		reg("size_min", func(c *FlowConfig) *uint32 { return &c.SizeMin }),
+		reg("size_max", func(c *FlowConfig) *uint32 { return &c.SizeMax }),
+		reg("len_min", func(c *FlowConfig) *uint16 { return &c.LenMin }),
+		reg("len_max", func(c *FlowConfig) *uint16 { return &c.LenMax }),
+	},
+	check: func(c *FlowConfig) error {
+		if c.ArrivalQ16 == 0 {
+			return fmt.Errorf("traffic: flow arrival probability is zero")
+		}
+		if c.SizeMin < 1 || c.SizeMax < c.SizeMin {
+			return fmt.Errorf("traffic: flow size range [%d,%d]", c.SizeMin, c.SizeMax)
+		}
+		return checkLenRange(c.LenMin, c.LenMax)
+	},
+}
+
 // FlowGen is the flow-based arrival model.
 type FlowGen struct {
-	cfg       FlowConfig
-	dst       *dstChooser
+	bank[FlowConfig]
 	remaining uint32 // packets left in the current flow
 	flowDst   uint16 // destination of the current flow (flit.EndpointID)
 	busy      uint64 // serialization countdown of the last packet
@@ -40,32 +58,11 @@ type FlowGen struct {
 
 // NewFlowGen validates the configuration and builds the model.
 func NewFlowGen(cfg FlowConfig) (*FlowGen, error) {
-	if cfg.ArrivalQ16 == 0 {
-		return nil, fmt.Errorf("traffic: flow arrival probability is zero")
-	}
-	if cfg.SizeMin < 1 || cfg.SizeMax < cfg.SizeMin {
-		return nil, fmt.Errorf("traffic: flow size range [%d,%d]", cfg.SizeMin, cfg.SizeMax)
-	}
-	if err := checkLenRange(cfg.LenMin, cfg.LenMax); err != nil {
+	g := &FlowGen{}
+	if err := g.init(flowRegs, cfg, cfg.Dst); err != nil {
 		return nil, err
 	}
-	dst, err := newDstChooser(cfg.Dst)
-	if err != nil {
-		return nil, err
-	}
-	return &FlowGen{cfg: cfg, dst: dst}, nil
-}
-
-// ModelName implements Generator.
-func (f *FlowGen) ModelName() string { return "flow" }
-
-// Exhausted implements Generator.
-func (f *FlowGen) Exhausted() bool { return false }
-
-// Reset implements Generator.
-func (f *FlowGen) Reset() {
-	f.remaining, f.flowDst, f.busy = 0, 0, 0
-	f.dst.reset()
+	return g, nil
 }
 
 // drawFlowSize draws a bounded-Pareto (α = 1) flow size: with u
@@ -116,69 +113,9 @@ func (f *FlowGen) SkipSteps(n uint64) {
 	f.busy -= n
 }
 
-// ParamNames implements Parameterized for the flow model.
-func (f *FlowGen) ParamNames() []string {
-	return []string{"arrival_q16", "size_min", "size_max", "len_min", "len_max"}
-}
-
-// ReadParam implements Parameterized.
-func (f *FlowGen) ReadParam(i uint32) (uint32, bool) {
-	switch i {
-	case 0:
-		return uint32(f.cfg.ArrivalQ16), true
-	case 1:
-		return f.cfg.SizeMin, true
-	case 2:
-		return f.cfg.SizeMax, true
-	case 3:
-		return uint32(f.cfg.LenMin), true
-	case 4:
-		return uint32(f.cfg.LenMax), true
-	}
-	return 0, false
-}
-
-// WriteParam implements Parameterized.
-func (f *FlowGen) WriteParam(i uint32, v uint32) bool {
-	switch i {
-	case 0:
-		if v == 0 || v > 0xFFFF {
-			return false
-		}
-		f.cfg.ArrivalQ16 = uint16(v)
-	case 1:
-		if v < 1 || v > f.cfg.SizeMax {
-			return false
-		}
-		f.cfg.SizeMin = v
-	case 2:
-		if v < f.cfg.SizeMin {
-			return false
-		}
-		f.cfg.SizeMax = v
-	case 3:
-		if v < 1 || v > 0xFFFF || uint16(v) > f.cfg.LenMax {
-			return false
-		}
-		f.cfg.LenMin = uint16(v)
-	case 4:
-		if v > 0xFFFF || uint16(v) < f.cfg.LenMin {
-			return false
-		}
-		f.cfg.LenMax = uint16(v)
-	default:
-		return false
-	}
-	return true
-}
-
 // SaveState implements Generator.
 func (f *FlowGen) SaveState(w *state.Writer) {
-	w.U16(f.cfg.ArrivalQ16)
-	w.U32(f.cfg.SizeMin)
-	w.U32(f.cfg.SizeMax)
-	w.U16(f.cfg.LenMin)
-	w.U16(f.cfg.LenMax)
+	f.saveParams(w)
 	w.U32(f.remaining)
 	w.U16(f.flowDst)
 	w.U64(f.busy)
@@ -187,24 +124,9 @@ func (f *FlowGen) SaveState(w *state.Writer) {
 
 // LoadState implements Generator.
 func (f *FlowGen) LoadState(r *state.Reader) error {
-	arrival := r.U16()
-	sizeMin, sizeMax := r.U32(), r.U32()
-	lenMin, lenMax := r.U16(), r.U16()
-	if err := r.Err(); err != nil {
+	if err := f.loadParams(r); err != nil {
 		return err
 	}
-	if arrival == 0 {
-		return fmt.Errorf("traffic: snapshot flow arrival probability is zero")
-	}
-	if sizeMin < 1 || sizeMax < sizeMin {
-		return fmt.Errorf("traffic: snapshot flow size range [%d,%d]", sizeMin, sizeMax)
-	}
-	if err := checkLenRange(lenMin, lenMax); err != nil {
-		return err
-	}
-	f.cfg.ArrivalQ16 = arrival
-	f.cfg.SizeMin, f.cfg.SizeMax = sizeMin, sizeMax
-	f.cfg.LenMin, f.cfg.LenMax = lenMin, lenMax
 	f.remaining = r.U32()
 	f.flowDst = r.U16()
 	f.busy = r.U64()
@@ -228,10 +150,28 @@ type IncastConfig struct {
 	Dst    DstConfig `json:"-"`
 }
 
+// incastRegs leaves the epoch and offset out of the registers: they
+// are construction-time configuration shared across the wave group.
+var incastRegs = &registers[IncastConfig]{
+	params: []param[IncastConfig]{
+		reg("packets_per_wave", func(c *IncastConfig) *uint32 { return &c.PacketsPerWave }),
+		reg("len_min", func(c *IncastConfig) *uint16 { return &c.LenMin }),
+		reg("len_max", func(c *IncastConfig) *uint16 { return &c.LenMax }),
+	},
+	check: func(c *IncastConfig) error {
+		if c.Epoch < 1 {
+			return fmt.Errorf("traffic: incast epoch %d", c.Epoch)
+		}
+		if c.PacketsPerWave < 1 {
+			return fmt.Errorf("traffic: incast wave of %d packets", c.PacketsPerWave)
+		}
+		return checkLenRange(c.LenMin, c.LenMax)
+	},
+}
+
 // IncastGen is the synchronized-wave incast model.
 type IncastGen struct {
-	cfg       IncastConfig
-	dst       *dstChooser
+	bank[IncastConfig]
 	remaining uint32 // packets left in the current wave
 	waveDst   uint16 // destination of the current wave
 	busy      uint64 // serialization countdown
@@ -240,33 +180,11 @@ type IncastGen struct {
 
 // NewIncastGen validates the configuration and builds the model.
 func NewIncastGen(cfg IncastConfig) (*IncastGen, error) {
-	if cfg.Epoch < 1 {
-		return nil, fmt.Errorf("traffic: incast epoch %d", cfg.Epoch)
-	}
-	if cfg.PacketsPerWave < 1 {
-		return nil, fmt.Errorf("traffic: incast wave of %d packets", cfg.PacketsPerWave)
-	}
-	if err := checkLenRange(cfg.LenMin, cfg.LenMax); err != nil {
+	g := &IncastGen{nextWave: cfg.Offset}
+	if err := g.init(incastRegs, cfg, cfg.Dst); err != nil {
 		return nil, err
 	}
-	dst, err := newDstChooser(cfg.Dst)
-	if err != nil {
-		return nil, err
-	}
-	return &IncastGen{cfg: cfg, dst: dst, nextWave: cfg.Offset}, nil
-}
-
-// ModelName implements Generator.
-func (g *IncastGen) ModelName() string { return "incast" }
-
-// Exhausted implements Generator.
-func (g *IncastGen) Exhausted() bool { return false }
-
-// Reset implements Generator.
-func (g *IncastGen) Reset() {
-	g.remaining, g.waveDst, g.busy = 0, 0, 0
-	g.nextWave = g.cfg.Offset
-	g.dst.reset()
+	return g, nil
 }
 
 // Step implements Generator.
@@ -319,54 +237,9 @@ func (g *IncastGen) SkipSteps(n uint64) {
 	g.busy -= n
 }
 
-// ParamNames implements Parameterized for the incast model (the epoch
-// is construction-time configuration shared across the wave group).
-func (g *IncastGen) ParamNames() []string {
-	return []string{"packets_per_wave", "len_min", "len_max"}
-}
-
-// ReadParam implements Parameterized.
-func (g *IncastGen) ReadParam(i uint32) (uint32, bool) {
-	switch i {
-	case 0:
-		return g.cfg.PacketsPerWave, true
-	case 1:
-		return uint32(g.cfg.LenMin), true
-	case 2:
-		return uint32(g.cfg.LenMax), true
-	}
-	return 0, false
-}
-
-// WriteParam implements Parameterized.
-func (g *IncastGen) WriteParam(i uint32, v uint32) bool {
-	switch i {
-	case 0:
-		if v < 1 {
-			return false
-		}
-		g.cfg.PacketsPerWave = v
-	case 1:
-		if v < 1 || v > 0xFFFF || uint16(v) > g.cfg.LenMax {
-			return false
-		}
-		g.cfg.LenMin = uint16(v)
-	case 2:
-		if v > 0xFFFF || uint16(v) < g.cfg.LenMin {
-			return false
-		}
-		g.cfg.LenMax = uint16(v)
-	default:
-		return false
-	}
-	return true
-}
-
 // SaveState implements Generator.
 func (g *IncastGen) SaveState(w *state.Writer) {
-	w.U32(g.cfg.PacketsPerWave)
-	w.U16(g.cfg.LenMin)
-	w.U16(g.cfg.LenMax)
+	g.saveParams(w)
 	w.U32(g.remaining)
 	w.U16(g.waveDst)
 	w.U64(g.busy)
@@ -376,19 +249,9 @@ func (g *IncastGen) SaveState(w *state.Writer) {
 
 // LoadState implements Generator.
 func (g *IncastGen) LoadState(r *state.Reader) error {
-	ppw := r.U32()
-	lenMin, lenMax := r.U16(), r.U16()
-	if err := r.Err(); err != nil {
+	if err := g.loadParams(r); err != nil {
 		return err
 	}
-	if ppw < 1 {
-		return fmt.Errorf("traffic: snapshot incast wave of %d packets", ppw)
-	}
-	if err := checkLenRange(lenMin, lenMax); err != nil {
-		return err
-	}
-	g.cfg.PacketsPerWave = ppw
-	g.cfg.LenMin, g.cfg.LenMax = lenMin, lenMax
 	g.remaining = r.U32()
 	g.waveDst = r.U16()
 	g.busy = r.U64()

@@ -32,13 +32,14 @@ type TraceConfig struct {
 }
 
 // Model implements Config for each model's configuration; the names are
-// the table's.
-func (*UniformConfig) Model() string { return "uniform" }
-func (*BurstConfig) Model() string   { return "burst" }
-func (*PoissonConfig) Model() string { return "poisson" }
-func (*TraceConfig) Model() string   { return "trace" }
-func (*FlowConfig) Model() string    { return "flow" }
-func (*IncastConfig) Model() string  { return "incast" }
+// the table's, and a stochastic model's generator reports its
+// configuration's (bank.ModelName).
+func (UniformConfig) Model() string { return "uniform" }
+func (BurstConfig) Model() string   { return "burst" }
+func (PoissonConfig) Model() string { return "poisson" }
+func (TraceConfig) Model() string   { return "trace" }
+func (FlowConfig) Model() string    { return "flow" }
+func (IncastConfig) Model() string  { return "incast" }
 
 // New implements Config for each model's configuration.
 func (c *UniformConfig) New() (Generator, error) { return NewUniform(*c) }
@@ -165,14 +166,28 @@ func (m Model) Sample() (Generator, error) {
 	return cfg.New()
 }
 
+// modelOf returns the model a built generator runs: the wrapped one for
+// a scripted overlay, the generator itself otherwise.
+func modelOf(g Generator) Generator {
+	if s, ok := g.(*ScriptGen); ok && s.inner != nil {
+		return s.inner
+	}
+	return g
+}
+
 // Subtype returns the SUBTYPE register code of a built generator. A
 // scripted overlay reports the model it wraps.
 func Subtype(g Generator) uint32 {
-	if s, ok := g.(*ScriptGen); ok && s.inner != nil {
-		g = s.inner
-	}
-	m, _ := LookupModel(g.ModelName())
+	m, _ := LookupModel(modelOf(g).ModelName())
 	return m.Subtype
+}
+
+// Params returns the parameter registers of a built generator. A
+// scripted overlay exposes those of the model it wraps, as Subtype
+// reports that model's code.
+func Params(g Generator) (Parameterized, bool) {
+	p, ok := modelOf(g).(Parameterized)
+	return p, ok
 }
 
 // SubtypeName decodes a SUBTYPE register value back to the model name —

@@ -1,5 +1,11 @@
 package traffic
 
+import (
+	"fmt"
+
+	"nocemu/internal/state"
+)
+
 // Parameterized is implemented by generators whose model parameters are
 // exposed as numbered 32-bit registers — the paper's "bench of
 // registers for traffic parameterization". Register semantics are
@@ -14,144 +20,125 @@ type Parameterized interface {
 	WriteParam(i uint32, v uint32) bool
 }
 
-// ParamNames implements Parameterized for the uniform model.
-func (u *Uniform) ParamNames() []string {
-	return []string{"len_min", "len_max", "gap_min", "gap_max"}
+// param is one parameter register: its name — the key of the model's
+// JSON object — and the configuration field behind it.
+type param[C any] struct {
+	name string
+	get  func(*C) uint32
+	set  func(*C, uint32) bool // false when the value does not fit
+}
+
+// reg declares a register backed by a 16- or 32-bit field of C.
+func reg[C any, F uint16 | uint32](name string, field func(*C) *F) param[C] {
+	return param[C]{
+		name: name,
+		get:  func(c *C) uint32 { return uint32(*field(c)) },
+		set: func(c *C, v uint32) bool {
+			if uint32(F(v)) != v {
+				return false
+			}
+			*field(c) = F(v)
+			return true
+		},
+	}
+}
+
+// registers is a model's one declaration of its parameter registers:
+// the registers in PARAM-window order, which is also their snapshot
+// order, and the invariant every configuration of the model satisfies.
+// One package-level declaration serves every instance of the model.
+type registers[C any] struct {
+	params []param[C]
+	check  func(*C) error
+}
+
+// bank is the half every stochastic model shares: the live
+// configuration, its declaration, and the destination chooser. The
+// declaration alone validates the configuration at construction, on a
+// register write and on snapshot restore, so a model's own code keeps
+// only its progress state. Embedding a bank makes a model
+// Parameterized; the configuration's Model names it.
+type bank[C interface{ Model() string }] struct {
+	cfg  C
+	regs *registers[C]
+	dst  *dstChooser
+}
+
+// init validates cfg against the declaration and builds the
+// destination chooser.
+func (b *bank[C]) init(regs *registers[C], cfg C, dst DstConfig) (err error) {
+	b.cfg, b.regs = cfg, regs
+	if err = regs.check(&b.cfg); err != nil {
+		return err
+	}
+	b.dst, err = newDstChooser(dst)
+	return err
+}
+
+// ModelName implements Generator.
+func (b *bank[C]) ModelName() string { return b.cfg.Model() }
+
+// Exhausted implements Generator: a stochastic model never ends.
+func (b *bank[C]) Exhausted() bool { return false }
+
+// ParamNames implements Parameterized.
+func (b *bank[C]) ParamNames() []string {
+	names := make([]string, len(b.regs.params))
+	for i, p := range b.regs.params {
+		names[i] = p.name
+	}
+	return names
 }
 
 // ReadParam implements Parameterized.
-func (u *Uniform) ReadParam(i uint32) (uint32, bool) {
-	switch i {
-	case 0:
-		return uint32(u.cfg.LenMin), true
-	case 1:
-		return uint32(u.cfg.LenMax), true
-	case 2:
-		return u.cfg.GapMin, true
-	case 3:
-		return u.cfg.GapMax, true
+func (b *bank[C]) ReadParam(i uint32) (uint32, bool) {
+	if i >= uint32(len(b.regs.params)) {
+		return 0, false
 	}
-	return 0, false
+	return b.regs.params[i].get(&b.cfg), true
 }
 
-// WriteParam implements Parameterized.
-func (u *Uniform) WriteParam(i uint32, v uint32) bool {
-	switch i {
-	case 0:
-		if v < 1 || v > 0xFFFF || uint16(v) > u.cfg.LenMax {
-			return false
-		}
-		u.cfg.LenMin = uint16(v)
-	case 1:
-		if v > 0xFFFF || uint16(v) < u.cfg.LenMin {
-			return false
-		}
-		u.cfg.LenMax = uint16(v)
-	case 2:
-		if v > u.cfg.GapMax {
-			return false
-		}
-		u.cfg.GapMin = v
-	case 3:
-		if v < u.cfg.GapMin {
-			return false
-		}
-		u.cfg.GapMax = v
-	default:
+// WriteParam implements Parameterized: a write the field cannot hold,
+// or that leaves the model's invariant broken, is rolled back.
+func (b *bank[C]) WriteParam(i uint32, v uint32) bool {
+	if i >= uint32(len(b.regs.params)) {
+		return false
+	}
+	old := b.cfg
+	if !b.regs.params[i].set(&b.cfg, v) || b.regs.check(&b.cfg) != nil {
+		b.cfg = old
 		return false
 	}
 	return true
 }
 
-// ParamNames implements Parameterized for the burst model.
-func (b *Burst) ParamNames() []string {
-	return []string{"p_off_on", "p_on_off", "len_min", "len_max"}
-}
-
-// ReadParam implements Parameterized.
-func (b *Burst) ReadParam(i uint32) (uint32, bool) {
-	switch i {
-	case 0:
-		return uint32(b.cfg.POffOn), true
-	case 1:
-		return uint32(b.cfg.POnOff), true
-	case 2:
-		return uint32(b.cfg.LenMin), true
-	case 3:
-		return uint32(b.cfg.LenMax), true
+// saveParams serializes the parameter registers in declaration order
+// (a 16-bit field encodes as the same varint as a 32-bit one).
+func (b *bank[C]) saveParams(w *state.Writer) {
+	for _, p := range b.regs.params {
+		w.U32(p.get(&b.cfg))
 	}
-	return 0, false
 }
 
-// WriteParam implements Parameterized.
-func (b *Burst) WriteParam(i uint32, v uint32) bool {
-	switch i {
-	case 0:
-		if v == 0 || v > 0xFFFF {
-			return false
+// loadParams restores the parameter registers under the same rule as
+// WriteParam, so a snapshot cannot carry a parameterization the
+// register interface would have rejected.
+func (b *bank[C]) loadParams(r *state.Reader) error {
+	old := b.cfg
+	for _, p := range b.regs.params {
+		if v := r.U32(); !p.set(&b.cfg, v) {
+			b.cfg = old
+			return fmt.Errorf("traffic: snapshot %s = %d overflows its register", p.name, v)
 		}
-		b.cfg.POffOn = uint16(v)
-	case 1:
-		if v == 0 || v > 0xFFFF {
-			return false
-		}
-		b.cfg.POnOff = uint16(v)
-	case 2:
-		if v < 1 || v > 0xFFFF || uint16(v) > b.cfg.LenMax {
-			return false
-		}
-		b.cfg.LenMin = uint16(v)
-	case 3:
-		if v > 0xFFFF || uint16(v) < b.cfg.LenMin {
-			return false
-		}
-		b.cfg.LenMax = uint16(v)
-	default:
-		return false
 	}
-	return true
-}
-
-// ParamNames implements Parameterized for the Poisson model.
-func (p *Poisson) ParamNames() []string {
-	return []string{"lambda", "len_min", "len_max"}
-}
-
-// ReadParam implements Parameterized.
-func (p *Poisson) ReadParam(i uint32) (uint32, bool) {
-	switch i {
-	case 0:
-		return uint32(p.cfg.Lambda), true
-	case 1:
-		return uint32(p.cfg.LenMin), true
-	case 2:
-		return uint32(p.cfg.LenMax), true
+	err := r.Err()
+	if err == nil {
+		err = b.regs.check(&b.cfg)
 	}
-	return 0, false
-}
-
-// WriteParam implements Parameterized.
-func (p *Poisson) WriteParam(i uint32, v uint32) bool {
-	switch i {
-	case 0:
-		if v == 0 || v > 0xFFFF {
-			return false
-		}
-		p.cfg.Lambda = uint16(v)
-	case 1:
-		if v < 1 || v > 0xFFFF || uint16(v) > p.cfg.LenMax {
-			return false
-		}
-		p.cfg.LenMin = uint16(v)
-	case 2:
-		if v > 0xFFFF || uint16(v) < p.cfg.LenMin {
-			return false
-		}
-		p.cfg.LenMax = uint16(v)
-	default:
-		return false
+	if err != nil {
+		b.cfg = old
 	}
-	return true
+	return err
 }
 
 // ParamNames implements Parameterized for trace replay (read-only

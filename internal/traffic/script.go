@@ -80,9 +80,6 @@ func (s *ScriptGen) Append(rec ScriptRec) error {
 // Backlog reports the scripted demands not yet emitted.
 func (s *ScriptGen) Backlog() int { return len(s.queue) - s.pos }
 
-// Inner returns the wrapped generator (nil for a pure script source).
-func (s *ScriptGen) Inner() Generator { return s.inner }
-
 // ModelName implements Generator.
 func (s *ScriptGen) ModelName() string {
 	if s.inner != nil {
@@ -94,14 +91,6 @@ func (s *ScriptGen) ModelName() string {
 // Exhausted implements Generator: a script source can always receive
 // more records, so it never reports exhaustion.
 func (s *ScriptGen) Exhausted() bool { return false }
-
-// Reset implements Generator: rewind the script and the inner model.
-func (s *ScriptGen) Reset() {
-	s.pos = 0
-	if s.inner != nil {
-		s.inner.Reset()
-	}
-}
 
 // Step implements Generator: emit the front scripted record once due,
 // else delegate to the inner model.
@@ -176,7 +165,8 @@ func (s *ScriptGen) SaveState(w *state.Writer) {
 	}
 }
 
-// LoadState implements Generator.
+// LoadState implements Generator. The queue is rebuilt through Append,
+// so a snapshot cannot hold a record Append would have refused.
 func (s *ScriptGen) LoadState(r *state.Reader) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -185,14 +175,15 @@ func (s *ScriptGen) LoadState(r *state.Reader) error {
 	if n < 0 {
 		return fmt.Errorf("traffic: snapshot script queue of %d records", n)
 	}
-	queue := make([]ScriptRec, 0, n)
+	var restored ScriptGen
 	for i := 0; i < n; i++ {
-		queue = append(queue, ScriptRec{
-			At:      r.U64(),
-			Dst:     flit.EndpointID(r.U16()),
-			Len:     r.U16(),
-			Payload: r.U32(),
-		})
+		rec := ScriptRec{At: r.U64(), Dst: flit.EndpointID(r.U16()), Len: r.U16(), Payload: r.U32()}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if err := restored.Append(rec); err != nil {
+			return fmt.Errorf("traffic: snapshot script record %d: %w", i, err)
+		}
 	}
 	pos := r.Int()
 	hasInner := r.Bool()
@@ -205,7 +196,7 @@ func (s *ScriptGen) LoadState(r *state.Reader) error {
 	if hasInner != (s.inner != nil) {
 		return fmt.Errorf("traffic: snapshot script inner-model %v, built %v", hasInner, s.inner != nil)
 	}
-	s.queue, s.pos = queue, pos
+	s.queue, s.pos = restored.queue, pos
 	if s.inner != nil {
 		return s.inner.LoadState(r)
 	}

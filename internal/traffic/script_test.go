@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"nocemu/internal/flit"
@@ -157,5 +158,47 @@ func TestScriptGenSaveLoadRoundTrip(t *testing.T) {
 	}
 	if err := NewScript(inner).LoadState(state.NewReader(w.Bytes())); err == nil {
 		t.Fatal("inner-model shape mismatch must fail")
+	}
+}
+
+// TestScriptGenLoadRejectsWhatAppendRefuses: a restored script queue
+// passes Append's own checks, so a zero-length record or one due before
+// its predecessor is refused at load with an error naming the TG.
+func TestScriptGenLoadRejectsWhatAppendRefuses(t *testing.T) {
+	mk := func() *tgHarness { return newTGHarness(t, NewScript(nil), TGConfig{Name: "tg3", Seed: 1}) }
+	src := mk()
+	for _, rec := range []ScriptRec{{At: 3, Dst: 1, Len: 2}, {At: 8, Dst: 1, Len: 4}} {
+		if err := src.tg.gen.(*ScriptGen).Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := state.NewWriter()
+	src.tg.SaveState(w)
+	// After the LFSR: the record count, then At, Dst, Len, Payload per
+	// record — one byte each here.
+	second := encodedLen(src.tg.lfsr.SaveState) + 1 + 4
+	if b := w.Bytes(); b[second] != 8 || b[second+2] != 4 {
+		t.Fatalf("second record not where expected: % x", b[second:second+4])
+	}
+	for _, c := range []struct {
+		name string
+		off  int
+		v    byte
+	}{
+		{"zero-length record", second + 2, 0},
+		{"record due before its predecessor", second, 2},
+	} {
+		snap := append([]byte(nil), w.Bytes()...)
+		snap[c.off] = c.v
+		h := mk()
+		err := h.tg.LoadState(state.NewReader(snap))
+		if err == nil {
+			h.run(20)
+			t.Errorf("%s: restored", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "tg3") {
+			t.Errorf("%s: error %q does not name the TG", c.name, err)
+		}
 	}
 }

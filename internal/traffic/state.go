@@ -1,13 +1,11 @@
 // Snapshot support for the traffic-generator layer (DESIGN.md §13).
 //
-// Generators serialize two kinds of state: progress (countdowns, Markov
-// state, trace position, destination rotation) and the parameter
-// registers that software can rewrite at run time through WriteParam
-// (packet-length bounds, gaps, probabilities). Construction-only
-// configuration — destination sets, random phase, the trace itself — is
-// not written. LoadState enforces the same invariants WriteParam does,
-// so a corrupted snapshot cannot smuggle in a parameterization the
-// register interface would have rejected.
+// Generators serialize two kinds of state: the parameter registers that
+// software can rewrite at run time through WriteParam, written and
+// checked by the model's one declaration (params.go), then progress
+// (countdowns, Markov state, trace position, destination rotation).
+// Construction-only configuration — destination sets, random phase, the
+// trace itself — is not written.
 package traffic
 
 import (
@@ -35,10 +33,7 @@ func (d *dstChooser) LoadState(r *state.Reader) error {
 
 // SaveState implements Generator.
 func (u *Uniform) SaveState(w *state.Writer) {
-	w.U16(u.cfg.LenMin)
-	w.U16(u.cfg.LenMax)
-	w.U32(u.cfg.GapMin)
-	w.U32(u.cfg.GapMax)
+	u.saveParams(w)
 	w.U64(u.wait)
 	w.Bool(u.started)
 	u.dst.SaveState(w)
@@ -46,19 +41,9 @@ func (u *Uniform) SaveState(w *state.Writer) {
 
 // LoadState implements Generator.
 func (u *Uniform) LoadState(r *state.Reader) error {
-	lenMin, lenMax := r.U16(), r.U16()
-	gapMin, gapMax := r.U32(), r.U32()
-	if err := r.Err(); err != nil {
+	if err := u.loadParams(r); err != nil {
 		return err
 	}
-	if err := checkLenRange(lenMin, lenMax); err != nil {
-		return err
-	}
-	if gapMax < gapMin {
-		return fmt.Errorf("traffic: snapshot gap range [%d,%d]", gapMin, gapMax)
-	}
-	u.cfg.LenMin, u.cfg.LenMax = lenMin, lenMax
-	u.cfg.GapMin, u.cfg.GapMax = gapMin, gapMax
 	u.wait = r.U64()
 	u.started = r.Bool()
 	return u.dst.LoadState(r)
@@ -66,10 +51,7 @@ func (u *Uniform) LoadState(r *state.Reader) error {
 
 // SaveState implements Generator.
 func (b *Burst) SaveState(w *state.Writer) {
-	w.U16(b.cfg.POffOn)
-	w.U16(b.cfg.POnOff)
-	w.U16(b.cfg.LenMin)
-	w.U16(b.cfg.LenMax)
+	b.saveParams(w)
 	w.Bool(b.on)
 	w.U64(b.busy)
 	b.dst.SaveState(w)
@@ -77,19 +59,9 @@ func (b *Burst) SaveState(w *state.Writer) {
 
 // LoadState implements Generator.
 func (b *Burst) LoadState(r *state.Reader) error {
-	pOffOn, pOnOff := r.U16(), r.U16()
-	lenMin, lenMax := r.U16(), r.U16()
-	if err := r.Err(); err != nil {
+	if err := b.loadParams(r); err != nil {
 		return err
 	}
-	if pOffOn == 0 || pOnOff == 0 {
-		return fmt.Errorf("traffic: snapshot burst probabilities %d/%d", pOffOn, pOnOff)
-	}
-	if err := checkLenRange(lenMin, lenMax); err != nil {
-		return err
-	}
-	b.cfg.POffOn, b.cfg.POnOff = pOffOn, pOnOff
-	b.cfg.LenMin, b.cfg.LenMax = lenMin, lenMax
 	b.on = r.Bool()
 	b.busy = r.U64()
 	return b.dst.LoadState(r)
@@ -97,27 +69,15 @@ func (b *Burst) LoadState(r *state.Reader) error {
 
 // SaveState implements Generator.
 func (p *Poisson) SaveState(w *state.Writer) {
-	w.U16(p.cfg.Lambda)
-	w.U16(p.cfg.LenMin)
-	w.U16(p.cfg.LenMax)
+	p.saveParams(w)
 	p.dst.SaveState(w)
 }
 
 // LoadState implements Generator.
 func (p *Poisson) LoadState(r *state.Reader) error {
-	lambda := r.U16()
-	lenMin, lenMax := r.U16(), r.U16()
-	if err := r.Err(); err != nil {
+	if err := p.loadParams(r); err != nil {
 		return err
 	}
-	if lambda == 0 {
-		return fmt.Errorf("traffic: snapshot poisson lambda is zero")
-	}
-	if err := checkLenRange(lenMin, lenMax); err != nil {
-		return err
-	}
-	p.cfg.Lambda = lambda
-	p.cfg.LenMin, p.cfg.LenMax = lenMin, lenMax
 	return p.dst.LoadState(r)
 }
 
@@ -155,7 +115,9 @@ func (t *TG) SaveState(w *state.Writer) {
 	t.inj.SaveState(w)
 }
 
-// LoadState restores the TG device.
+// LoadState restores the TG device. A held demand of zero flits, which
+// no generator emits, is refused here rather than panicking in the
+// injector at the next Tick.
 func (t *TG) LoadState(r *state.Reader) error {
 	if err := t.lfsr.LoadState(r); err != nil {
 		return fmt.Errorf("traffic: TG %s: %w", t.cfg.Name, err)
@@ -167,6 +129,9 @@ func (t *TG) LoadState(r *state.Reader) error {
 	t.pending.Dst = flit.EndpointID(r.U16())
 	t.pending.Len = r.U16()
 	t.pending.Payload = r.U32()
+	if t.hasPending && t.pending.Len == 0 && r.Err() == nil {
+		return fmt.Errorf("traffic: TG %s: snapshot holds a zero-length pending packet", t.cfg.Name)
+	}
 	t.enabled = r.Bool()
 	t.cfg.Limit = r.U64()
 	t.offered = r.U64()

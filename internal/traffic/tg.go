@@ -174,15 +174,3 @@ func (t *TG) ResetStats() {
 	t.offered, t.backCycles = 0, 0
 	t.inj.ResetStats()
 }
-
-// ResetRun rewinds the device for a software-only re-run: generator
-// state, counters, and pending demand. Queued flits must already have
-// drained (it panics otherwise, as that would lose traffic).
-func (t *TG) ResetRun() {
-	if !t.inj.Drained() {
-		panic(fmt.Sprintf("traffic: TG %s reset with queued flits", t.cfg.Name))
-	}
-	t.hasPending = false
-	t.gen.Reset()
-	t.ResetStats()
-}

@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"nocemu/internal/link"
 	"nocemu/internal/nic"
+	"nocemu/internal/state"
 	"nocemu/internal/trace"
 )
 
@@ -16,7 +18,7 @@ type tgHarness struct {
 	cr  *link.CreditLink
 }
 
-func newTGHarness(t *testing.T, gen Generator, cfg TGConfig) *tgHarness {
+func newTGHarness(t testing.TB, gen Generator, cfg TGConfig) *tgHarness {
 	t.Helper()
 	out := link.NewLink("out")
 	cr := link.NewCreditLink("cr")
@@ -155,24 +157,50 @@ func TestTGBackpressureHoldsDemands(t *testing.T) {
 	}
 }
 
-func TestTGResetRun(t *testing.T) {
-	g, _ := NewUniform(UniformConfig{LenMin: 1, LenMax: 1, GapMin: 1, GapMax: 1, Dst: fixedDst(1)})
-	h := newTGHarness(t, g, TGConfig{Name: "tg", Seed: 1, Limit: 3})
-	h.run(100)
-	if !h.tg.Done() {
-		t.Fatal("not done")
+// encodedLen returns the number of bytes save writes — in a TG
+// snapshot, the offset of whatever follows the saved part.
+func encodedLen(save func(*state.Writer)) int {
+	w := state.NewWriter()
+	save(w)
+	return w.Len()
+}
+
+// TestTGLoadRejectsZeroLengthPending: a snapshot whose held demand has
+// zero flits, which no generator emits, is refused at load with an error
+// naming the TG — not restored into a Tick that panics in the injector.
+func TestTGLoadRejectsZeroLengthPending(t *testing.T) {
+	mk := func() *tgHarness {
+		g, _ := NewUniform(UniformConfig{LenMin: 8, LenMax: 8, GapMin: 0, GapMax: 0, Dst: fixedDst(1)})
+		return newTGHarness(t, g, TGConfig{Name: "tg7", Seed: 1})
 	}
-	h.tg.ResetRun()
-	st := h.tg.Stats()
-	if st.Offered != 0 || st.Injector.FlitsSent != 0 {
-		t.Errorf("stats after reset = %+v", st)
+	src := mk()
+	// No credit comes back: two packets fill the queue, the third is held.
+	for c := uint64(0); c < 20; c++ {
+		src.tg.Tick(c)
+		src.out.Take()
+		src.tg.Commit(c)
+		src.out.Commit(c)
+		src.cr.Commit(c)
 	}
-	if h.tg.Done() {
-		t.Error("done right after reset")
+	w := state.NewWriter()
+	src.tg.SaveState(w)
+	snap := w.Bytes()
+	// After the LFSR and the generator: hasPending, Dst, Len — one byte
+	// each here.
+	at := encodedLen(src.tg.lfsr.SaveState) + encodedLen(src.tg.gen.SaveState)
+	if snap[at] != 1 || snap[at+2] != 8 {
+		t.Fatalf("held demand not where expected: % x", snap[at:at+3])
 	}
-	_, packets := h.run(100)
-	if packets != 3 {
-		t.Errorf("re-run packets = %d", packets)
+	snap[at+2] = 0
+
+	h := mk()
+	err := h.tg.LoadState(state.NewReader(snap))
+	if err == nil {
+		h.run(10)
+		t.Fatal("zero-length held demand restored")
+	}
+	if !strings.Contains(err.Error(), "tg7") {
+		t.Errorf("error %q does not name the TG", err)
 	}
 }
 

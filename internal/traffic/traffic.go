@@ -45,9 +45,6 @@ type Generator interface {
 	// Exhausted reports that the generator will never emit again
 	// (always false for stochastic models).
 	Exhausted() bool
-	// Reset rewinds generator state (trace position, Markov state) for
-	// a software-only re-run.
-	Reset()
 	// Sleep reports how many upcoming Step calls after the given cycle
 	// are guaranteed to be no-ops that consume no randomness (a pure
 	// countdown, or waiting for a trace record's cycle). ok=false means
@@ -61,7 +58,7 @@ type Generator interface {
 	// SaveState serializes the model's progress and runtime-writable
 	// parameters (DESIGN.md §13).
 	SaveState(w *state.Writer)
-	// LoadState restores them, enforcing WriteParam's invariants.
+	// LoadState restores them, refusing parameters WriteParam would.
 	LoadState(r *state.Reader) error
 }
 
@@ -136,8 +133,6 @@ func (d *dstChooser) next(r *rng.LFSR) flit.EndpointID {
 	}
 }
 
-func (d *dstChooser) reset() { d.i = 0 }
-
 // checkLenRange validates a packet-length range.
 func checkLenRange(min, max uint16) error {
 	if min < 1 || max < min {
@@ -170,39 +165,38 @@ type UniformConfig struct {
 	RandomPhase bool `json:"random_phase,omitempty"`
 }
 
+var uniformRegs = &registers[UniformConfig]{
+	params: []param[UniformConfig]{
+		reg("len_min", func(c *UniformConfig) *uint16 { return &c.LenMin }),
+		reg("len_max", func(c *UniformConfig) *uint16 { return &c.LenMax }),
+		reg("gap_min", func(c *UniformConfig) *uint32 { return &c.GapMin }),
+		reg("gap_max", func(c *UniformConfig) *uint32 { return &c.GapMax }),
+	},
+	check: func(c *UniformConfig) error {
+		if err := checkLenRange(c.LenMin, c.LenMax); err != nil {
+			return err
+		}
+		if c.GapMax < c.GapMin {
+			return fmt.Errorf("traffic: gap range [%d,%d]", c.GapMin, c.GapMax)
+		}
+		return nil
+	},
+}
+
 // Uniform is the paper's uniform traffic model.
 type Uniform struct {
-	cfg     UniformConfig
-	dst     *dstChooser
+	bank[UniformConfig]
 	wait    uint64
 	started bool
 }
 
 // NewUniform validates the configuration and builds the model.
 func NewUniform(cfg UniformConfig) (*Uniform, error) {
-	if err := checkLenRange(cfg.LenMin, cfg.LenMax); err != nil {
+	g := &Uniform{}
+	if err := g.init(uniformRegs, cfg, cfg.Dst); err != nil {
 		return nil, err
 	}
-	if cfg.GapMax < cfg.GapMin {
-		return nil, fmt.Errorf("traffic: gap range [%d,%d]", cfg.GapMin, cfg.GapMax)
-	}
-	dst, err := newDstChooser(cfg.Dst)
-	if err != nil {
-		return nil, err
-	}
-	return &Uniform{cfg: cfg, dst: dst}, nil
-}
-
-// ModelName implements Generator.
-func (u *Uniform) ModelName() string { return "uniform" }
-
-// Exhausted implements Generator; the uniform model never ends.
-func (u *Uniform) Exhausted() bool { return false }
-
-// Reset implements Generator.
-func (u *Uniform) Reset() {
-	u.wait, u.started = 0, false
-	u.dst.reset()
+	return g, nil
 }
 
 func (u *Uniform) gap(r *rng.LFSR) uint64 {
@@ -266,42 +260,41 @@ type BurstConfig struct {
 	Dst    DstConfig `json:"-"`
 }
 
+var burstRegs = &registers[BurstConfig]{
+	params: []param[BurstConfig]{
+		reg("p_off_on", func(c *BurstConfig) *uint16 { return &c.POffOn }),
+		reg("p_on_off", func(c *BurstConfig) *uint16 { return &c.POnOff }),
+		reg("len_min", func(c *BurstConfig) *uint16 { return &c.LenMin }),
+		reg("len_max", func(c *BurstConfig) *uint16 { return &c.LenMax }),
+	},
+	check: func(c *BurstConfig) error {
+		if err := checkLenRange(c.LenMin, c.LenMax); err != nil {
+			return err
+		}
+		if c.POffOn == 0 {
+			return fmt.Errorf("traffic: burst POffOn is zero (generator would never start)")
+		}
+		if c.POnOff == 0 {
+			return fmt.Errorf("traffic: burst POnOff is zero (burst would never end)")
+		}
+		return nil
+	},
+}
+
 // Burst is the paper's burst traffic model.
 type Burst struct {
-	cfg  BurstConfig
-	dst  *dstChooser
+	bank[BurstConfig]
 	on   bool
 	busy uint64
 }
 
 // NewBurst validates the configuration and builds the model.
 func NewBurst(cfg BurstConfig) (*Burst, error) {
-	if err := checkLenRange(cfg.LenMin, cfg.LenMax); err != nil {
+	g := &Burst{}
+	if err := g.init(burstRegs, cfg, cfg.Dst); err != nil {
 		return nil, err
 	}
-	if cfg.POffOn == 0 {
-		return nil, fmt.Errorf("traffic: burst POffOn is zero (generator would never start)")
-	}
-	if cfg.POnOff == 0 {
-		return nil, fmt.Errorf("traffic: burst POnOff is zero (burst would never end)")
-	}
-	dst, err := newDstChooser(cfg.Dst)
-	if err != nil {
-		return nil, err
-	}
-	return &Burst{cfg: cfg, dst: dst}, nil
-}
-
-// ModelName implements Generator.
-func (b *Burst) ModelName() string { return "burst" }
-
-// Exhausted implements Generator.
-func (b *Burst) Exhausted() bool { return false }
-
-// Reset implements Generator.
-func (b *Burst) Reset() {
-	b.on, b.busy = false, 0
-	b.dst.reset()
+	return g, nil
 }
 
 // Step implements Generator.
@@ -365,35 +358,33 @@ type PoissonConfig struct {
 	Dst    DstConfig `json:"-"`
 }
 
+var poissonRegs = &registers[PoissonConfig]{
+	params: []param[PoissonConfig]{
+		reg("lambda", func(c *PoissonConfig) *uint16 { return &c.Lambda }),
+		reg("len_min", func(c *PoissonConfig) *uint16 { return &c.LenMin }),
+		reg("len_max", func(c *PoissonConfig) *uint16 { return &c.LenMax }),
+	},
+	check: func(c *PoissonConfig) error {
+		if c.Lambda == 0 {
+			return fmt.Errorf("traffic: poisson lambda is zero")
+		}
+		return checkLenRange(c.LenMin, c.LenMax)
+	},
+}
+
 // Poisson is a Poisson-arrivals traffic model.
 type Poisson struct {
-	cfg PoissonConfig
-	dst *dstChooser
+	bank[PoissonConfig]
 }
 
 // NewPoisson validates the configuration and builds the model.
 func NewPoisson(cfg PoissonConfig) (*Poisson, error) {
-	if cfg.Lambda == 0 {
-		return nil, fmt.Errorf("traffic: poisson lambda is zero")
-	}
-	if err := checkLenRange(cfg.LenMin, cfg.LenMax); err != nil {
+	g := &Poisson{}
+	if err := g.init(poissonRegs, cfg, cfg.Dst); err != nil {
 		return nil, err
 	}
-	dst, err := newDstChooser(cfg.Dst)
-	if err != nil {
-		return nil, err
-	}
-	return &Poisson{cfg: cfg, dst: dst}, nil
+	return g, nil
 }
-
-// ModelName implements Generator.
-func (p *Poisson) ModelName() string { return "poisson" }
-
-// Exhausted implements Generator.
-func (p *Poisson) Exhausted() bool { return false }
-
-// Reset implements Generator.
-func (p *Poisson) Reset() { p.dst.reset() }
 
 // Step implements Generator.
 func (p *Poisson) Step(cycle uint64, r *rng.LFSR, d *Demand) bool {
@@ -431,9 +422,6 @@ func (g *TraceGen) ModelName() string { return "trace" }
 
 // Exhausted implements Generator.
 func (g *TraceGen) Exhausted() bool { return g.idx >= len(g.tr.Records) }
-
-// Reset implements Generator.
-func (g *TraceGen) Reset() { g.idx = 0 }
 
 // Remaining returns the number of records not yet emitted.
 func (g *TraceGen) Remaining() int { return len(g.tr.Records) - g.idx }

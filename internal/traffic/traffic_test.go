@@ -57,10 +57,6 @@ func TestDstPolicies(t *testing.T) {
 			t.Fatalf("round robin = %v", got)
 		}
 	}
-	d.reset()
-	if d.next(r) != 10 {
-		t.Error("reset did not rewind round robin")
-	}
 
 	d, _ = newDstChooser(DstConfig{Policy: DstUniform, Dsts: set})
 	seen := map[flit.EndpointID]bool{}
@@ -149,17 +145,6 @@ func TestUniformRandomPhaseDesynchronizes(t *testing.T) {
 	}
 }
 
-func TestUniformReset(t *testing.T) {
-	g, _ := NewUniform(UniformConfig{LenMin: 2, LenMax: 2, GapMin: 3, GapMax: 3, Dst: fixedDst(1)})
-	r := rng.New(5)
-	drive(g, r, 17)
-	g.Reset()
-	var d Demand
-	if !g.Step(0, r, &d) {
-		t.Error("after reset first step did not emit")
-	}
-}
-
 func TestNewBurstValidation(t *testing.T) {
 	bad := []BurstConfig{
 		{POffOn: 0, POnOff: 100, LenMin: 1, LenMax: 1, Dst: fixedDst(1)},
@@ -240,7 +225,6 @@ func TestPoissonRate(t *testing.T) {
 	if g.ModelName() != "poisson" {
 		t.Error("model name")
 	}
-	g.Reset() // must not panic
 }
 
 func TestTraceGen(t *testing.T) {
@@ -267,10 +251,6 @@ func TestTraceGen(t *testing.T) {
 	}
 	if !g.Exhausted() || g.Remaining() != 0 {
 		t.Error("not exhausted after replay")
-	}
-	g.Reset()
-	if g.Exhausted() || g.Remaining() != 3 {
-		t.Error("reset did not rewind")
 	}
 	bad := &trace.Trace{Records: []trace.Record{{Cycle: 0, Dst: 1, Len: 0}}}
 	if _, err := NewTraceGen(bad); err == nil {
