@@ -89,11 +89,11 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Line count, the ROADMAP's "goes down" bar as one command: non-test Go
-# lines per internal/* package and in total, leaving out bench/,
-# examples/ and *_test.go.
+# lines per internal/* package and cmd/* binary and in total, leaving
+# out bench/, examples/ and *_test.go.
 .PHONY: loc
 loc:
-	@for d in internal/*; do \
+	@for d in internal/* cmd/*; do \
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
 	@printf '%6d total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' -exec cat {} + | wc -l)"

@@ -1,20 +1,12 @@
-// Package experiments regenerates every table and figure of the
-// paper's evaluation (DESIGN.md carries the index):
-//
-//	Table 1  (slide 17) — FPGA slices per device and platform total;
-//	Table 2  (slide 18) — emulation vs SystemC-like vs RTL-like speed;
-//	Figure 1 (slide 19) — the experimental setup's two 90% links;
-//	Figure 2 (slide 20) — run-time vs packets sent, uniform vs burst;
-//	Figure 3 (slide 21) — congestion rate vs packets/burst, by flits/packet;
-//	Figure 4 (slide 22) — average latency vs packets/burst, saturating.
-//
-// Each function returns a structured result with a Table() rendering;
-// cmd/nocbench prints them and the root bench_test.go wraps each in a
-// benchmark.
+// Package experiments regenerates the paper's evaluation — two tables
+// and four figures, slides 17–22 — and four extension studies. Each
+// function returns a structured result with a Table() rendering;
+// Artifacts lists them as cmd/nocbench prints them.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -25,6 +17,50 @@ import (
 	"nocemu/internal/trace"
 	"nocemu/internal/traffic"
 )
+
+// Artifact is one table or figure as cmd/nocbench prints it: Key is
+// its -exp selector, Title its === banner, Run regenerates it at its
+// defaults, and CSV names the file a figure's CSV() series go to.
+type Artifact struct {
+	Key, Title, CSV string
+	Run             func() (Result, error)
+}
+
+// Result is an artifact's output, rendered as a text table.
+type Result interface{ Table() string }
+
+// Artifacts is the evaluation in print order.
+var Artifacts = []Artifact{
+	{"t1", "Table 1: FPGA resources per device (slide 17)", "", func() (Result, error) { return Table1() }},
+	{"t2", "Table 2: simulation speed comparison (slide 18)", "", func() (Result, error) { return Table2(Table2Options{}) }},
+	{"f1", "Figure 1: experimental setup link loads (slide 19)", "", func() (Result, error) { return Figure1(0, 0) }},
+	{"f2", "Figure 2: run-time vs packets sent (slide 20)", "figure2.csv", func() (Result, error) { return Figure2(nil) }},
+	{"f3", "Figure 3: congestion vs packets/burst (slide 21)", "figure3.csv", func() (Result, error) { return Figure3(nil, nil, 0) }},
+	{"scale", "Extension: platform scaling (paper conclusion)", "", func() (Result, error) { return Scale(nil, 0) }},
+	{"sat", "Extension: load/latency saturation on the reference platform", "saturation.csv", func() (Result, error) { return Saturation(nil, 0) }},
+	{"buf", "Extension: buffer-depth trade-off (the third switch parameter)", "", func() (Result, error) { return BufferStudy(nil, 0) }},
+	{"vc", "Extension: wormhole vs 2-VC dateline on the torus rings (torus:w=4,h=4,minimal=1, vcs=1 vs vcs=2)", "", func() (Result, error) { return VCStudy(nil, 0, 0) }},
+	{"f4", "Figure 4: average latency vs packets/burst (slide 22)", "figure4.csv", func() (Result, error) { return Figure4(nil, 0, 0) }},
+}
+
+// Select returns the artifacts a comma-separated key list names, in table
+// order; "none" names nothing, and an unknown key is an error.
+func Select(list string) (out []Artifact, err error) {
+	want := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
+	var keys []string
+	for _, a := range Artifacts {
+		keys = append(keys, a.Key)
+		if slices.Contains(want, a.Key) {
+			out = append(out, a)
+		}
+	}
+	for _, k := range want {
+		if k != "none" && !slices.Contains(keys, k) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, none)", k, strings.Join(keys, ","))
+		}
+	}
+	return out, nil
+}
 
 // mixedPaperConfig builds the paper's device mix: TG0/TG1 stochastic
 // uniform, TG2/TG3 trace-driven; TR100/TR101 stochastic, TR102/TR103
@@ -114,11 +150,8 @@ func Table1() (*Table1Result, error) {
 	}
 	seen := map[string]bool{}
 	for _, r := range rep.Rows {
-		if seen[r.Kind] && r.Kind != "switch" {
+		if seen[r.Kind] {
 			continue // one representative row per device kind
-		}
-		if r.Kind == "switch" && seen[r.Kind] {
-			continue
 		}
 		seen[r.Kind] = true
 		res.Rows = append(res.Rows, Table1Row{

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"nocemu/internal/arb"
+	"nocemu/internal/platform"
+	"nocemu/internal/routing"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
@@ -91,6 +96,43 @@ func TestFigure1HotLinks(t *testing.T) {
 	}
 	if out := res.Table(); !strings.Contains(out, "hot links") {
 		t.Errorf("table malformed:\n%s", out)
+	}
+	// The setup's counterfactuals: spreading packets over both routes
+	// halves the hot links, and no arbitration policy changes what a
+	// link below saturation carries.
+	for _, c := range []struct {
+		sel  routing.Policy
+		arb  arb.Policy
+		want float64
+	}{
+		{routing.PacketModulo, arb.RoundRobin, 0.45},
+		{routing.First, arb.FixedPriority, 0.90},
+		{routing.First, arb.LeastRecentlyGranted, 0.90},
+	} {
+		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Arb = c.arb
+		if c.sel != routing.First {
+			cfg.Select, cfg.Overrides = c.sel, nil
+		}
+		p, err := platform.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RunCycles(4_000)
+		p.ResetStats()
+		p.RunCycles(60_000)
+		hotA, hotB, err := p.PaperHotLinks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []float64{p.LinkLoads()[hotA], p.LinkLoads()[hotB]} {
+			if math.Abs(load-c.want) > 0.05 {
+				t.Errorf("%s/%s: hot link load = %.3f, want ~%.2f", c.sel, c.arb, load, c.want)
+			}
+		}
 	}
 }
 

@@ -188,6 +188,9 @@ func (r *SaturationResult) Table() string {
 	return sb.String()
 }
 
+// CSV returns the latency and throughput curves.
+func (r *SaturationResult) CSV() []stats.Series { return []stats.Series{r.Latency, r.Throughput} }
+
 // BufferRow is one buffer-depth point of the buffer study.
 type BufferRow struct {
 	Depth int

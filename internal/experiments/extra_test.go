@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocemu/internal/platform"
+	"nocemu/internal/resource"
 )
 
 func TestScaleGrowsAreaShrinksSpeed(t *testing.T) {
@@ -29,6 +30,13 @@ func TestScaleGrowsAreaShrinksSpeed(t *testing.T) {
 	// The 2x2 platform must fit the paper's own FPGA.
 	if !small.FitsOK || !strings.Contains(small.Fits, "XC2VP") {
 		t.Errorf("small platform fit: %q", small.Fits)
+	}
+	// A platform fits exactly when the family's largest part holds it.
+	largest := resource.VirtexIIProFamily[len(resource.VirtexIIProFamily)-1].Slices
+	for _, row := range res.Rows {
+		if row.FitsOK != (row.Slices <= largest) {
+			t.Errorf("%dx%d: %d slices, fits = %v", row.MeshW, row.MeshW, row.Slices, row.FitsOK)
+		}
 	}
 	if out := res.Table(); !strings.Contains(out, "smallest FPGA") {
 		t.Errorf("table malformed:\n%s", out)
@@ -68,11 +76,11 @@ func TestSaturationKneeNearHalfLoad(t *testing.T) {
 }
 
 func TestVCStudyShowsDeadlockBoundary(t *testing.T) {
-	res, err := VCStudy([]uint16{1, 16}, 8, 30_000)
+	res, err := VCStudy([]uint16{1, 8, 16}, 8, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
+	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// Under sustained injection the single-class rings wedge on their
@@ -87,7 +95,7 @@ func TestVCStudyShowsDeadlockBoundary(t *testing.T) {
 		}
 	}
 	// Dateline run time grows with the traffic volume.
-	if res.Rows[1].DatelineCycles <= res.Rows[0].DatelineCycles {
+	if res.Rows[2].DatelineCycles <= res.Rows[0].DatelineCycles {
 		t.Error("dateline cycles did not grow with packet length")
 	}
 	out := res.Table()

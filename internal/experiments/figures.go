@@ -139,6 +139,9 @@ func (r *Figure2Result) Table() string {
 	return sb.String()
 }
 
+// CSV returns the two curves.
+func (r *Figure2Result) CSV() []stats.Series { return []stats.Series{r.Uniform, r.Burst} }
+
 // Figure3Curve is one flits/packet curve of figure 3.
 type Figure3Curve struct {
 	FlitsPerPacket int
@@ -148,9 +151,6 @@ type Figure3Curve struct {
 	// fraction is scale-invariant in flit length; the per-packet
 	// excess is what separates the paper's flits/packet curves.
 	Series stats.Series
-	// BlockedRate is the platform blocked fraction at each burst size,
-	// aligned with Series (secondary, for the ablation benches).
-	BlockedRate stats.Series
 }
 
 // Figure3Result reproduces slide 21: congestion rate versus number of
@@ -195,7 +195,6 @@ func Figure3(packetsPerBurst []int, flitsPerPacket []int, packetsPerTG uint64) (
 				perPacket = float64(tot.CongestionCycles) / float64(tot.PacketsReceived)
 			}
 			curve.Series.Add(float64(ppb), perPacket)
-			curve.BlockedRate.Add(float64(ppb), tot.CongestionRate)
 		}
 		res.Curves = append(res.Curves, curve)
 	}
@@ -227,6 +226,14 @@ func (r *Figure3Result) Table() string {
 	}
 	tw.Flush()
 	return sb.String()
+}
+
+// CSV returns one curve per packet length.
+func (r *Figure3Result) CSV() (s []stats.Series) {
+	for _, c := range r.Curves {
+		s = append(s, c.Series)
+	}
+	return s
 }
 
 // Figure4Result reproduces slide 22: average packet latency versus
@@ -289,3 +296,6 @@ func (r *Figure4Result) Table() string {
 	fmt.Fprintf(&sb, "latency maximum: %.1f cycles at %d flits/packet\n", r.MaxLatency, r.FlitsPerPacket)
 	return sb.String()
 }
+
+// CSV returns the latency curve.
+func (r *Figure4Result) CSV() []stats.Series { return []stats.Series{r.Series} }

@@ -42,10 +42,6 @@ type Table2Options struct {
 	EmuCycles uint64
 	TLMCycles uint64
 	RTLCycles uint64
-	// NoGate disables quiescence-aware scheduling in the emulator rows
-	// (the ablation behind cmd/nocbench -gate=false). Statistics are
-	// bit-identical; only the measured speed changes.
-	NoGate bool
 }
 
 func (o *Table2Options) applyDefaults() {
@@ -65,15 +61,12 @@ func paperRefCfg() (platform.Config, error) {
 }
 
 // MeasureEmulatorRate runs the reference platform on the fast engine
-// for n cycles and returns cycles/second plus cycles/packet. noGate
-// disables quiescence-aware scheduling (statistics are identical either
-// way; only wall-clock speed changes).
-func MeasureEmulatorRate(n uint64, noGate bool) (rate, cyclesPerPacket float64, err error) {
+// for n cycles and returns cycles/second plus cycles/packet.
+func MeasureEmulatorRate(n uint64) (rate, cyclesPerPacket float64, err error) {
 	cfg, err := paperRefCfg()
 	if err != nil {
 		return 0, 0, err
 	}
-	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -130,7 +123,7 @@ func MeasureRTLRate(n uint64) (float64, error) {
 // workload sizes.
 func Table2(opt Table2Options) (*Table2Result, error) {
 	opt.applyDefaults()
-	emuRate, cpp, err := MeasureEmulatorRate(opt.EmuCycles, opt.NoGate)
+	emuRate, cpp, err := MeasureEmulatorRate(opt.EmuCycles)
 	if err != nil {
 		return nil, err
 	}

@@ -36,6 +36,13 @@ func TestBillsScaleWithParameters(t *testing.T) {
 	if EstimateSwitch(8, 8, 8) <= EstimateSwitch(2, 2, 8) {
 		t.Error("switch area does not grow with ports")
 	}
+	for in := 2; in <= 8; in++ {
+		for out := 2; out <= 8; out++ {
+			if s := EstimateSwitch(in, out, 8); s <= 0 {
+				t.Errorf("%dx%d switch: %d slices", in, out, s)
+			}
+		}
+	}
 	// Bigger histograms cost more.
 	if EstimateTRStochastic(128, 128, 4) <= EstimateTRStochastic(8, 8, 4) {
 		t.Error("TR area does not grow with bins")
