@@ -64,7 +64,8 @@ func main() {
 	fmt.Printf("collector: %d packets, mean latency %.1f cycles (max %.0f)\n\n",
 		st.Packets, st.NetLatencyMean, st.NetLatencyMax)
 	fmt.Println("per-producer fairness at the hotspot:")
-	for _, fl := range tr.PerSourceLatency() {
+	for i := 0; i < tr.Flows(); i++ {
+		fl, _ := tr.Flow(i)
 		fmt.Printf("  producer %d: %4d packets, latency mean %6.1f max %5.0f\n",
 			fl.Src, fl.Packets, fl.Mean, fl.Max)
 	}

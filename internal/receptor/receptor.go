@@ -14,6 +14,7 @@ package receptor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocemu/internal/flit"
@@ -66,7 +67,7 @@ type Config struct {
 	// remember each source's most recent network latency, served over
 	// the bus as FLOW_LAST — the per-request answer a co-simulation
 	// session reads after injecting a scripted packet. Off by default:
-	// the extra map joins the snapshot layout only when enabled, so
+	// the extra section joins the snapshot layout only when enabled, so
 	// existing snapshots are unaffected.
 	TrackLast bool
 }
@@ -115,10 +116,8 @@ type TR struct {
 	netLat     stats.Welford
 	totLat     stats.Welford
 	headInject map[flit.PacketID]uint64
-	minLat     map[flit.EndpointID]uint64
-	perSource  map[flit.EndpointID]*stats.Welford
-	lastNet    map[flit.EndpointID]uint64 // nil unless cfg.TrackLast
-	congestion uint64                     // accumulated excess cycles over per-source best
+	flows      []flowRow // one per source heard from, sorted by source
+	congestion uint64    // accumulated excess cycles over per-source best
 
 	recorded *trace.Trace
 }
@@ -149,11 +148,6 @@ func New(cfg Config, ej *nic.Ejector) (*TR, error) {
 	case TraceDriven:
 		tr.latHist = stats.MustNewHistogram(cfg.LatBinWidth, cfg.LatBins)
 		tr.headInject = make(map[flit.PacketID]uint64)
-		tr.minLat = make(map[flit.EndpointID]uint64)
-		tr.perSource = make(map[flit.EndpointID]*stats.Welford)
-		if cfg.TrackLast {
-			tr.lastNet = make(map[flit.EndpointID]uint64)
-		}
 	}
 	return tr, nil
 }
@@ -212,19 +206,13 @@ func (t *TR) Tick(cycle uint64) {
 			t.latHist.Add(net)
 			t.netLat.Add(float64(net))
 			t.totLat.Add(float64(cycle - p.BirthCycle))
-			w := t.perSource[p.Src]
-			if w == nil {
-				w = &stats.Welford{}
-				t.perSource[p.Src] = w
+			f := t.flow(p.Src)
+			f.lat.Add(float64(net))
+			if t.cfg.TrackLast {
+				f.last = net
 			}
-			w.Add(float64(net))
-			if t.lastNet != nil {
-				t.lastNet[p.Src] = net
-			}
-			if best, ok := t.minLat[p.Src]; !ok || net < best {
-				t.minLat[p.Src] = net
-			}
-			t.congestion += net - t.minLat[p.Src]
+			f.min = min(f.min, net)
+			t.congestion += net - f.min
 		}
 	})
 }
@@ -281,32 +269,57 @@ type Stats struct {
 	CorruptedFlits uint64
 }
 
-// Stats returns the current snapshot.
+// Stats returns the current snapshot. The latency fields read zero in
+// stochastic mode: the analyzer never runs there.
 func (t *TR) Stats() Stats {
 	s := Stats{
-		Mode: t.cfg.Mode, Packets: t.packets, Flits: t.flits,
-		CorruptedFlits: t.ej.CorruptedFlits(),
+		Mode: t.cfg.Mode, Packets: t.packets, Flits: t.flits, RunningTime: t.RunningTime(),
+		NetLatencyMean: t.netLat.Mean(), NetLatencyMin: t.netLat.Min(), NetLatencyMax: t.netLat.Max(),
+		NetLatencyStd: t.netLat.Std(), NetLatencyP95: t.NetLatencyP95(), TotLatencyMean: t.totLat.Mean(),
+		CongestionCycles: t.congestion, CorruptedFlits: t.ej.CorruptedFlits(),
 	}
-	if t.sawFirst {
-		s.RunningTime = t.lastCycle - t.firstCycle + 1
+	if t.cfg.Mode == Stochastic {
+		s.MeanSize, s.MeanGap = t.sizeHist.Mean(), t.gapHist.Mean()
 	}
-	switch t.cfg.Mode {
-	case Stochastic:
-		s.MeanSize = t.sizeHist.Mean()
-		s.MeanGap = t.gapHist.Mean()
-	case TraceDriven:
-		s.NetLatencyMean = t.netLat.Mean()
-		s.NetLatencyMin = t.netLat.Min()
-		s.NetLatencyMax = t.netLat.Max()
-		s.NetLatencyStd = t.netLat.Std()
-		s.NetLatencyP95 = t.latHist.Quantile(0.95)
-		s.TotLatencyMean = t.totLat.Mean()
-		s.CongestionCycles = t.congestion
-		if t.packets > 0 {
-			s.CongestionPerPacket = float64(t.congestion) / float64(t.packets)
-		}
+	if t.packets > 0 {
+		s.CongestionPerPacket = float64(t.congestion) / float64(t.packets)
 	}
 	return s
+}
+
+// The accessors below are Stats fields one at a time, for a reader (a
+// register) that wants one value without computing the others.
+
+// Packets returns the packets received.
+func (t *TR) Packets() uint64 { return t.packets }
+
+// Flits returns the flits received.
+func (t *TR) Flits() uint64 { return t.flits }
+
+// RunningTime returns the cycle span from first to last received flit.
+func (t *TR) RunningTime() uint64 {
+	if !t.sawFirst {
+		return 0
+	}
+	return t.lastCycle - t.firstCycle + 1
+}
+
+// CongestionCycles returns the congestion counter.
+func (t *TR) CongestionCycles() uint64 { return t.congestion }
+
+// NetLatency returns the network-latency accumulator; read-only.
+func (t *TR) NetLatency() *stats.Welford { return &t.netLat }
+
+// TotLatency returns the birth-to-delivery latency accumulator; read-only.
+func (t *TR) TotLatency() *stats.Welford { return &t.totLat }
+
+// NetLatencyP95 returns the 95th-percentile latency bound from the
+// latency histogram.
+func (t *TR) NetLatencyP95() uint64 {
+	if t.latHist == nil {
+		return 0
+	}
+	return t.latHist.Quantile(0.95)
 }
 
 // SizeHist returns the packet-size histogram (stochastic mode; nil
@@ -330,23 +343,35 @@ type SourceLatency struct {
 	Last uint64
 }
 
-// PerSourceLatency returns the latency analyzer's per-flow breakdown
-// (trace mode; nil otherwise), ordered by source endpoint.
-func (t *TR) PerSourceLatency() []SourceLatency {
-	if t.perSource == nil {
-		return nil
+// flowRow is one source's entry in the latency analyzer's flow table.
+type flowRow struct {
+	src  flit.EndpointID
+	lat  stats.Welford
+	min  uint64 // latency floor, the congestion counter's baseline
+	last uint64 // zero unless Config.TrackLast
+}
+
+// flow returns src's row, inserting it in source order on first sight.
+func (t *TR) flow(src flit.EndpointID) *flowRow {
+	i := sort.Search(len(t.flows), func(i int) bool { return t.flows[i].src >= src })
+	if i == len(t.flows) || t.flows[i].src != src {
+		t.flows = slices.Insert(t.flows, i, flowRow{src: src, min: ^uint64(0)})
 	}
-	srcs := make([]flit.EndpointID, 0, len(t.perSource))
-	for s := range t.perSource {
-		srcs = append(srcs, s)
+	return &t.flows[i]
+}
+
+// Flows returns the number of sources the latency analyzer has heard
+// from (trace mode; 0 otherwise).
+func (t *TR) Flows() int { return len(t.flows) }
+
+// Flow returns the i-th source's latency summary, flows ordered by
+// source endpoint; ok is false past Flows.
+func (t *TR) Flow(i int) (SourceLatency, bool) {
+	if i < 0 || i >= len(t.flows) {
+		return SourceLatency{}, false
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	out := make([]SourceLatency, 0, len(srcs))
-	for _, s := range srcs {
-		w := t.perSource[s]
-		out = append(out, SourceLatency{Src: s, Packets: w.N(), Mean: w.Mean(), Max: w.Max(), Last: t.lastNet[s]})
-	}
-	return out
+	f := &t.flows[i]
+	return SourceLatency{Src: f.src, Packets: f.lat.N(), Mean: f.lat.Mean(), Max: f.lat.Max(), Last: f.last}, true
 }
 
 // Recorded returns the recorded arrival trace (nil unless RecordTrace
@@ -359,24 +384,12 @@ func (t *TR) ResetStats() {
 	t.packets, t.flits = 0, 0
 	t.sawFirst, t.sawPkt = false, false
 	t.congestion = 0
-	if t.sizeHist != nil {
-		t.sizeHist.Reset()
-	}
-	if t.gapHist != nil {
-		t.gapHist.Reset()
-	}
-	if t.latHist != nil {
-		t.latHist.Reset()
+	for _, h := range []*stats.Histogram{t.sizeHist, t.gapHist, t.latHist} {
+		if h != nil {
+			h.Reset()
+		}
 	}
 	t.netLat.Reset()
 	t.totLat.Reset()
-	if t.minLat != nil {
-		t.minLat = make(map[flit.EndpointID]uint64)
-	}
-	if t.perSource != nil {
-		t.perSource = make(map[flit.EndpointID]*stats.Welford)
-	}
-	if t.lastNet != nil {
-		t.lastNet = make(map[flit.EndpointID]uint64)
-	}
+	t.flows = t.flows[:0]
 }

@@ -2,12 +2,15 @@
 //
 // The TR section holds its counters, the analysis state of whichever
 // flavor was built (histograms and inter-arrival tracking for the
-// stochastic receptor; Welford accumulators, the head-inject and
-// latency-floor tables, and the congestion counter for the trace-driven
-// one), the recorded arrival trace when trace recording is on, and the
-// network interface. Maps are written sorted by key so the encoding is
-// deterministic. The receptor flavor is construction state: restoring a
-// snapshot of the other flavor fails loudly.
+// stochastic receptor; Welford accumulators, the head-inject table, the
+// flow table and the congestion counter for the trace-driven one), the
+// recorded arrival trace when trace recording is on, and the network
+// interface. The head-inject map is written sorted by packet ID. The
+// flow table is written in the layout of the three per-source maps it
+// replaced — latency floors, accumulators, and (TrackLast only) last
+// latencies — each section listing every source in order. The receptor
+// flavor is construction state: restoring a snapshot of the other
+// flavor fails loudly.
 package receptor
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"nocemu/internal/flit"
 	"nocemu/internal/state"
-	"nocemu/internal/stats"
 	"nocemu/internal/trace"
 )
 
@@ -42,14 +44,22 @@ func (t *TR) SaveState(w *state.Writer) {
 		t.netLat.SaveState(w)
 		t.totLat.SaveState(w)
 		savePacketCycleMap(w, t.headInject)
-		saveEndpointCycleMap(w, t.minLat)
-		saveWelfordMap(w, t.perSource)
+		// The flow table goes out as three per-source sections.
+		section := func(put func(f *flowRow)) {
+			w.Int(len(t.flows))
+			for i := range t.flows {
+				w.U16(uint16(t.flows[i].src))
+				put(&t.flows[i])
+			}
+		}
+		section(func(f *flowRow) { w.U64(f.min) })
+		section(func(f *flowRow) { f.lat.SaveState(w) })
 		w.U64(t.congestion)
-		// The last-latency table joins the layout only when TrackLast
-		// built it; snapshots of plain trace-driven receptors are
+		// The last-latency section joins the layout only under
+		// TrackLast; snapshots of plain trace-driven receptors are
 		// byte-identical to the pre-TrackLast format.
-		if t.lastNet != nil {
-			saveEndpointCycleMap(w, t.lastNet)
+		if t.cfg.TrackLast {
+			section(func(f *flowRow) { w.U64(f.last) })
 		}
 	}
 	if t.recorded != nil {
@@ -108,15 +118,16 @@ func (t *TR) LoadState(r *state.Reader) error {
 		if t.headInject, err = loadPacketCycleMap(r); err != nil {
 			return err
 		}
-		if t.minLat, err = loadEndpointCycleMap(r); err != nil {
+		if err = t.loadFlowSection(r, true, func(f *flowRow) { f.min = r.U64() }); err != nil {
 			return err
 		}
-		if t.perSource, err = loadWelfordMap(r); err != nil {
+		// A Welford load error is the reader's, reported by r.Err().
+		if err = t.loadFlowSection(r, false, func(f *flowRow) { _ = f.lat.LoadState(r) }); err != nil {
 			return err
 		}
 		t.congestion = r.U64()
-		if t.lastNet != nil {
-			if t.lastNet, err = loadEndpointCycleMap(r); err != nil {
+		if t.cfg.TrackLast {
+			if err = t.loadFlowSection(r, false, func(f *flowRow) { f.last = r.U64() }); err != nil {
 				return err
 			}
 		}
@@ -167,64 +178,39 @@ func loadPacketCycleMap(r *state.Reader) (map[flit.PacketID]uint64, error) {
 	return m, r.Err()
 }
 
-func saveEndpointCycleMap(w *state.Writer, m map[flit.EndpointID]uint64) {
-	eps := make([]flit.EndpointID, 0, len(m))
-	for ep := range m {
-		eps = append(eps, ep)
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	w.Int(len(eps))
-	for _, ep := range eps {
-		w.U16(uint16(ep))
-		w.U64(m[ep])
-	}
-}
-
-func loadEndpointCycleMap(r *state.Reader) (map[flit.EndpointID]uint64, error) {
+// loadFlowSection reads one per-source section of the flow table. The
+// first, the latency floors, sets the sources, strictly increasing;
+// each later section must list the same ones.
+func (t *TR) loadFlowSection(r *state.Reader, first bool, read func(*flowRow)) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("receptor: map with %d entries", n)
+	switch {
+	case first && n < 0:
+		return fmt.Errorf("receptor %s: snapshot with %d flows", t.cfg.Name, n)
+	case first:
+		// Grown row by row: no rows of an earlier session survive, and
+		// a count the snapshot's bytes cannot back allocates nothing.
+		t.flows = nil
+	case n != len(t.flows):
+		return fmt.Errorf("receptor %s: snapshot flow sections list %d and %d sources", t.cfg.Name, len(t.flows), n)
 	}
-	m := make(map[flit.EndpointID]uint64, n)
 	for i := 0; i < n; i++ {
-		ep := flit.EndpointID(r.U16())
-		m[ep] = r.U64()
-	}
-	return m, r.Err()
-}
-
-func saveWelfordMap(w *state.Writer, m map[flit.EndpointID]*stats.Welford) {
-	eps := make([]flit.EndpointID, 0, len(m))
-	for ep := range m {
-		eps = append(eps, ep)
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	w.Int(len(eps))
-	for _, ep := range eps {
-		w.U16(uint16(ep))
-		m[ep].SaveState(w)
-	}
-}
-
-func loadWelfordMap(r *state.Reader) (map[flit.EndpointID]*stats.Welford, error) {
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("receptor: map with %d entries", n)
-	}
-	m := make(map[flit.EndpointID]*stats.Welford, n)
-	for i := 0; i < n; i++ {
-		ep := flit.EndpointID(r.U16())
-		wf := &stats.Welford{}
-		if err := wf.LoadState(r); err != nil {
-			return nil, err
+		src := flit.EndpointID(r.U16())
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("receptor %s: flow %d of %d: %w", t.cfg.Name, i, n, err)
 		}
-		m[ep] = wf
+		switch {
+		case first && i > 0 && src <= t.flows[i-1].src:
+			return fmt.Errorf("receptor %s: snapshot flow sources out of order (%d after %d)", t.cfg.Name, src, t.flows[i-1].src)
+		case first:
+			t.flows = append(t.flows, flowRow{src: src})
+		case src != t.flows[i].src:
+			return fmt.Errorf("receptor %s: snapshot flow sections disagree: source %d where the floors list %d",
+				t.cfg.Name, src, t.flows[i].src)
+		}
+		read(&t.flows[i])
 	}
-	return m, r.Err()
+	return r.Err()
 }

@@ -307,12 +307,12 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 		}
 		// flow returns the selected per-source latency row.
 		flow := func() (receptor.SourceLatency, error) {
-			fl := tr.PerSourceLatency()
-			if int(flowSel) >= len(fl) {
-				return receptor.SourceLatency{}, fmt.Errorf("regmap: %s flow %d out of range (flows %d)",
-					b.DeviceName(), flowSel, len(fl))
+			fl, ok := tr.Flow(int(flowSel))
+			if !ok {
+				return fl, fmt.Errorf("regmap: %s flow %d out of range (flows %d)",
+					b.DeviceName(), flowSel, tr.Flows())
 			}
-			return fl[flowSel], nil
+			return fl, nil
 		}
 
 		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTR })
@@ -346,25 +346,25 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 				return nil
 			})
 		b.RO64(RegTRPackets, "PACKETS", "packets received",
-			func() uint64 { return tr.Stats().Packets })
+			tr.Packets)
 		b.RO64(RegTRFlits, "FLITS", "flits received",
-			func() uint64 { return tr.Stats().Flits })
+			tr.Flits)
 		b.RO64(RegTRRunningTime, "RUN_TIME", "total running time (first to last flit)",
-			func() uint64 { return tr.Stats().RunningTime })
+			tr.RunningTime)
 		b.RO64(RegTRCongestion, "CONGESTION", "congestion counter (excess latency cycles)",
-			func() uint64 { return tr.Stats().CongestionCycles })
+			tr.CongestionCycles)
 		b.RO(RegTRNetLatMeanQ8, "LAT_MEAN", "mean network latency, Q8 fixed point",
-			func() uint32 { return q8(tr.Stats().NetLatencyMean) })
+			func() uint32 { return q8(tr.NetLatency().Mean()) })
 		b.RO(RegTRNetLatMin, "LAT_MIN", "min network latency (cycles)",
-			func() uint32 { return uint32(tr.Stats().NetLatencyMin) })
+			func() uint32 { return uint32(tr.NetLatency().Min()) })
 		b.RO(RegTRNetLatMax, "LAT_MAX", "max network latency (cycles)",
-			func() uint32 { return uint32(tr.Stats().NetLatencyMax) })
+			func() uint32 { return uint32(tr.NetLatency().Max()) })
 		b.RO(RegTRNetLatStdQ8, "LAT_STD", "latency std deviation, Q8",
-			func() uint32 { return q8(tr.Stats().NetLatencyStd) })
+			func() uint32 { return q8(tr.NetLatency().Std()) })
 		b.RO(RegTRTotLatMeanQ8, "TLAT_MEAN", "mean total (birth to delivery) latency, Q8",
-			func() uint32 { return q8(tr.Stats().TotLatencyMean) })
+			func() uint32 { return q8(tr.TotLatency().Mean()) })
 		b.RO(RegTRNetLatP95, "LAT_P95", "95th-percentile latency bound from the histogram (cycles)",
-			func() uint32 { return uint32(tr.Stats().NetLatencyP95) })
+			func() uint32 { return uint32(tr.NetLatencyP95()) })
 
 		b.RW(RegHistSel, "HIST_SEL", "0 = sizes, 1 = inter-arrival gaps, 2 = latency",
 			func() uint32 { return histSel },
@@ -414,57 +414,45 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 			})
 
 		b.F64(RegTRNetLatMeanF64, "LAT_MEAN_F64", "mean network latency",
-			func() float64 { return tr.Stats().NetLatencyMean })
+			tr.NetLatency().Mean)
 		b.F64(RegTRNetLatMinF64, "LAT_MIN_F64", "min network latency",
-			func() float64 { return tr.Stats().NetLatencyMin })
+			tr.NetLatency().Min)
 		b.F64(RegTRNetLatMaxF64, "LAT_MAX_F64", "max network latency",
-			func() float64 { return tr.Stats().NetLatencyMax })
+			tr.NetLatency().Max)
 		b.F64(RegTRNetLatStdF64, "LAT_STD_F64", "latency std deviation",
-			func() float64 { return tr.Stats().NetLatencyStd })
+			tr.NetLatency().Std)
 		b.F64(RegTRTotLatMeanF64, "TLAT_MEAN_F64", "mean total latency",
-			func() float64 { return tr.Stats().TotLatencyMean })
+			tr.TotLatency().Mean)
 
 		b.RW(RegFlowSel, "FLOW_SEL", "flow index, ordered by source endpoint",
 			func() uint32 { return flowSel },
 			func(v uint32) error { flowSel = v; return nil })
 		b.RO(RegFlowCount, "FLOW_COUNT", "number of flows the latency analyzer observed",
-			func() uint32 { return uint32(len(tr.PerSourceLatency())) })
+			func() uint32 { return uint32(tr.Flows()) })
 		b.ROErr(RegFlowSrc, "FLOW_SRC", "selected flow's source endpoint",
 			func() (uint32, error) {
 				fl, err := flow()
 				return uint32(fl.Src), err
 			})
-		b.RO64(RegFlowPackets, "FLOW_PACKETS", "selected flow's packet count",
-			func() uint64 {
+		b.RO64Err(RegFlowPackets, "FLOW_PACKETS", "selected flow's packet count",
+			func() (uint64, error) {
 				fl, err := flow()
-				if err != nil {
-					return 0
-				}
-				return fl.Packets
+				return fl.Packets, err
 			})
-		b.F64(RegFlowMeanF64, "FLOW_MEAN_F64", "selected flow's mean network latency",
-			func() float64 {
+		b.F64Err(RegFlowMeanF64, "FLOW_MEAN_F64", "selected flow's mean network latency",
+			func() (float64, error) {
 				fl, err := flow()
-				if err != nil {
-					return 0
-				}
-				return fl.Mean
+				return fl.Mean, err
 			})
-		b.F64(RegFlowMaxF64, "FLOW_MAX_F64", "selected flow's max network latency",
-			func() float64 {
+		b.F64Err(RegFlowMaxF64, "FLOW_MAX_F64", "selected flow's max network latency",
+			func() (float64, error) {
 				fl, err := flow()
-				if err != nil {
-					return 0
-				}
-				return fl.Max
+				return fl.Max, err
 			})
-		b.RO64(RegFlowLast, "FLOW_LAST", "selected flow's most recent packet latency (0 unless TrackLast)",
-			func() uint64 {
+		b.RO64Err(RegFlowLast, "FLOW_LAST", "selected flow's most recent packet latency (0 unless TrackLast)",
+			func() (uint64, error) {
 				fl, err := flow()
-				if err != nil {
-					return 0
-				}
-				return fl.Last
+				return fl.Last, err
 			})
 	})
 }

@@ -13,12 +13,13 @@
 // bench of registers when a run ends, and a run that reads nothing pays
 // for none of it.
 //
-// 64-bit counters are declared once (RO64/F64) and expand to a lo/hi
-// register pair. Reading the LO register latches the HI word, so a
-// lo-then-hi sequence over the bus observes one consistent 64-bit value
-// even while the emulation advances between the two reads — the way a
-// hardware monitor would read a wide counter. The latch is consumed by
-// the HI read; a HI read with no pending latch samples fresh.
+// 64-bit counters are declared once (RO64/F64, or RO64Err/F64Err when a
+// read can fail) and expand to a lo/hi register pair. Reading the LO
+// register latches the HI word, so a lo-then-hi sequence over the bus
+// observes one consistent 64-bit value even while the emulation advances
+// between the two reads — the way a hardware monitor would read a wide
+// counter. The latch is consumed by the HI read; a HI read with no
+// pending latch samples fresh.
 package regmap
 
 import (
@@ -73,7 +74,7 @@ type RegSpec struct {
 
 // reg64 is the shared state of a 64-bit register pair.
 type reg64 struct {
-	read func() uint64
+	read func() (uint64, error)
 	// latched holds the HI word captured by the last LO read; valid is
 	// cleared when the HI read consumes it.
 	latched uint32
@@ -98,8 +99,8 @@ type window struct {
 }
 
 // Bank is a declarative register bank. Devices declare registers with
-// RO/RW/WO/RO64/F64/Window; Bank implements bus.Device and exposes the
-// declared schema via Specs.
+// RO/RW/WO/RO64/F64/Window and their fallible forms; Bank implements
+// bus.Device and exposes the declared schema via Specs.
 type Bank struct {
 	name string
 	// declare is the device's declaration, run by the first register
@@ -209,6 +210,13 @@ func (b *Bank) WO(off uint32, name, doc string, write func(uint32) error) {
 // RO64 declares a 64-bit read-only counter as a lo/hi pair at off and
 // off+1. Reading LO latches HI (tear-free lo-then-hi readout).
 func (b *Bank) RO64(off uint32, name, doc string, read func() uint64) {
+	b.RO64Err(off, name, doc, func() (uint64, error) { return read(), nil })
+}
+
+// RO64Err declares a 64-bit read-only register backed by a fallible
+// closure; a failed read is a bus error on either half and latches
+// nothing.
+func (b *Bank) RO64Err(off uint32, name, doc string, read func() (uint64, error)) {
 	spec := &RegSpec{Offset: off, Name: name, Access: RO, Doc: doc, Words: 2}
 	r := &reg64{read: read}
 	b.claim(off, &regEntry{spec: spec, lo64: r})
@@ -220,8 +228,16 @@ func (b *Bank) RO64(off uint32, name, doc string, read func() uint64) {
 // pattern in a lo/hi pair — the monitor reads analyzer results (means,
 // deviations) bit-exactly this way.
 func (b *Bank) F64(off uint32, name, doc string, read func() float64) {
-	b.RO64(off, name, doc, func() uint64 { return math.Float64bits(read()) })
-	b.specs[len(b.specs)-1].Doc = doc + " (float64 bits)"
+	b.RO64Err(off, name, doc+" (float64 bits)", func() (uint64, error) { return math.Float64bits(read()), nil })
+}
+
+// F64Err declares a float64 register backed by a fallible closure, as
+// RO64Err.
+func (b *Bank) F64Err(off uint32, name, doc string, read func() (float64, error)) {
+	b.RO64Err(off, name, doc+" (float64 bits)", func() (uint64, error) {
+		v, err := read()
+		return math.Float64bits(v), err
+	})
 }
 
 // Window declares count consecutive registers at base served by indexed
@@ -247,16 +263,16 @@ func (b *Bank) ReadReg(reg uint32) (uint32, error) {
 	if e, ok := b.entries[reg]; ok {
 		switch {
 		case e.lo64 != nil:
-			v := e.lo64.read()
-			e.lo64.latched = uint32(v >> 32)
-			e.lo64.valid = true
-			return uint32(v), nil
+			v, err := e.lo64.read()
+			e.lo64.latched, e.lo64.valid = uint32(v>>32), err == nil
+			return uint32(v), err
 		case e.hi64 != nil:
 			if e.hi64.valid {
 				e.hi64.valid = false
 				return e.hi64.latched, nil
 			}
-			return uint32(e.hi64.read() >> 32), nil
+			v, err := e.hi64.read()
+			return uint32(v >> 32), err
 		case e.read != nil:
 			return e.read()
 		}

@@ -78,7 +78,7 @@ func referenceReport(w io.Writer, p *platform.Platform) error {
 
 	var flowRows bool
 	for _, tr := range p.TRs() {
-		if len(tr.PerSourceLatency()) > 0 {
+		if tr.Flows() > 0 {
 			flowRows = true
 			break
 		}
@@ -88,7 +88,8 @@ func referenceReport(w io.Writer, p *platform.Platform) error {
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "flow\tpackets\tlat mean\tlat max")
 		for _, tr := range p.TRs() {
-			for _, fl := range tr.PerSourceLatency() {
+			for i := 0; i < tr.Flows(); i++ {
+				fl, _ := tr.Flow(i)
 				fmt.Fprintf(tw, "tg%d -> %s\t%d\t%.2f\t%.0f\n",
 					fl.Src, tr.ComponentName(), fl.Packets, fl.Mean, fl.Max)
 			}
