@@ -116,8 +116,8 @@ type Config struct {
 	Objectives []string
 	// ColdBuild disables the fork/snapshot amortization: every row is
 	// evaluated on its own cold-built platform that replays the warm-up.
-	// Rows are byte-identical either way; this is the ablation baseline
-	// the emu/dse=* benches compare against.
+	// Rows are byte-identical either way; this is the baseline the
+	// benchmark's dse.sweep_cold_s times.
 	ColdBuild bool
 	// Journal, when non-empty, appends every completed row to this JSONL
 	// file as it lands and, on start, skips points whose rows are

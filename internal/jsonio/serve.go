@@ -37,10 +37,11 @@ const (
 )
 
 // ServePlatform pins a session's platform: either an inline JSON
-// platform config (Config) or a topology-spec × workload description
-// lowered through platform.NetConfig. The server forces every TG
-// scriptable and every TR into trace-driven last-latency analysis —
-// that is what makes inject/xfer/flow answerable over the buses.
+// platform config (Config) or a topology-spec × workload shorthand,
+// which stands for the workload-recipe config it spells. The server
+// forces every TG scriptable and every TR into trace-driven
+// last-latency analysis — that is what makes inject/xfer/flow
+// answerable over the buses.
 type ServePlatform struct {
 	// Config is a complete inline platform config (same schema as the
 	// nocemu JSON file format). When set, the spec fields below are

@@ -82,7 +82,7 @@ type Collector struct {
 	// The retained log stores pointer-free records with component
 	// names interned in comps — an all-scalar slice costs no GC scans
 	// and no zeroing on growth, which matters when a long traced run
-	// retains millions of events (see BenchmarkTable2EmulatorTracing).
+	// retains millions of events.
 	events    []rec
 	comps     []string          // comp name per index; [i] = ring i's name
 	schedComp map[string]uint32 // interned scheduler comp names

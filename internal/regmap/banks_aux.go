@@ -110,29 +110,22 @@ func NewPoolDevice(p *flit.Pool) *Bank {
 				}
 				return uint32(s.Owner()), nil
 			})
-		b.RO64(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls",
-			func() uint64 {
+		// A counter of the selected shard; out of range is a bus error on
+		// both halves, like SHARD_OWNER.
+		counter := func(read func(*flit.Shard) uint64) func() (uint64, error) {
+			return func() (uint64, error) {
 				s, err := shard()
 				if err != nil {
-					return 0
+					return 0, err
 				}
-				return s.Acquired()
-			})
-		b.RO64(RegShardReleased, "SHARD_REL", "selected shard's returned flits",
-			func() uint64 {
-				s, err := shard()
-				if err != nil {
-					return 0
-				}
-				return s.Released()
-			})
-		b.RO64(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations",
-			func() uint64 {
-				s, err := shard()
-				if err != nil {
-					return 0
-				}
-				return s.Allocated()
-			})
+				return read(s), nil
+			}
+		}
+		b.RO64Err(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls",
+			counter((*flit.Shard).Acquired))
+		b.RO64Err(RegShardReleased, "SHARD_REL", "selected shard's returned flits",
+			counter((*flit.Shard).Released))
+		b.RO64Err(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations",
+			counter((*flit.Shard).Allocated))
 	})
 }

@@ -1,6 +1,7 @@
 package regmap
 
 import (
+	"math"
 	"testing"
 
 	"nocemu/internal/flit"
@@ -185,10 +186,21 @@ func TestPoolDevice(t *testing.T) {
 	if v, _ := d.ReadReg(RegShardAcquired); v != 1 {
 		t.Errorf("shard acquired = %d", v)
 	}
-	if err := d.WriteReg(RegShardSel, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ReadReg(RegShardOwner); err == nil {
-		t.Error("out-of-range shard owner read succeeded")
+	// Out of range, every shard register is a bus error, on both halves
+	// of the 64-bit counters.
+	for _, sel := range []uint32{1, 2, math.MaxUint32} {
+		if err := d.WriteReg(RegShardSel, sel); err != nil {
+			t.Fatal(err)
+		}
+		for _, reg := range []uint32{
+			RegShardOwner,
+			RegShardAcquired, RegShardAcquired + 1,
+			RegShardReleased, RegShardReleased + 1,
+			RegShardAlloc, RegShardAlloc + 1,
+		} {
+			if v, err := d.ReadReg(reg); err == nil {
+				t.Errorf("SHARD_SEL %d: read of 0x%03x = %d, want a bus error", sel, reg, v)
+			}
+		}
 	}
 }

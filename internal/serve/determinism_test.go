@@ -98,6 +98,35 @@ func TestWarmSnapshotSharedAcrossKernels(t *testing.T) {
 	}
 }
 
+// TestShorthandIsItsInlineConfig: the topo/workload shorthand and the
+// inline config it stands for, written out by hand, are one platform —
+// the same transcript across open/xfer/stats/park/resume, and the
+// inline open restores the shorthand's warm snapshot.
+func TestShorthandIsItsInlineConfig(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Shutdown()
+	short := runScript(m, sessionScript("eq", loadedPlatform(0, false, 128), 2))
+	open, err := jsonio.DecodeServeRequest([]byte(`{"v":1,"op":"open","sid":"eq","platform":{"config":` +
+		`{"topology":{"kind":"mesh","params":{"w":2,"h":2}},` +
+		`"workload":{"kind":"uniform","injection":0.05,"packet_len":2}},"warmup":128}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := m.Stats().WarmHits
+	inline := runScript(m, sessionScript("eq", open.Platform, 2))
+	if !bytes.Equal(inline, short) {
+		t.Errorf("inline config transcript differs from the shorthand's:\ninline: %s\nshort:  %s", inline, short)
+	}
+	if after := m.Stats().WarmHits; after != hits+1 {
+		t.Errorf("inline open: warm hits %d -> %d, want a hit on the shorthand's snapshot", hits, after)
+	}
+	for _, r := range decodeLines(t, short) {
+		if !r.OK {
+			t.Fatalf("request failed: %s", r.Err)
+		}
+	}
+}
+
 // TestParkResumeAcrossRestart splits the canonical script at its park
 // boundary: the first half runs on one manager which then shuts down
 // (parking to disk), the second half on a fresh manager pointed at

@@ -11,6 +11,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -48,19 +49,12 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// parkMeta is the park store's header entry beside a parked snapshot.
-type parkMeta struct {
-	Sid      string               `json:"sid"`
-	Platform jsonio.ServePlatform `json:"platform"`
-	Cycle    uint64               `json:"cycle"`
-}
-
 // Manager owns every session, the platform pool, the warm-snapshot
 // store and the park store.
 type Manager struct {
 	opt   Options
 	cache *platform.SnapStore
-	park  *platform.SnapStore // two entries per parked session
+	park  *platform.SnapStore // one entry per parked session
 	sem   chan struct{}
 
 	mu       sync.Mutex
@@ -161,8 +155,7 @@ func (m *Manager) Dispatch(req jsonio.ServeRequest) jsonio.ServeResponse {
 // open creates a session: reserve the id, take a pooled (or freshly
 // built) platform, warm it from the snapshot cache when possible.
 func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
-	sp := normalizePlatform(*req.Platform)
-	s := &session{id: req.Sid, sp: sp}
+	s := &session{id: req.Sid}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -182,7 +175,7 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.sessions[req.Sid] = s
 	m.mu.Unlock()
 
-	p, err := m.warmPlatform(s)
+	p, err := m.warmPlatform(s, *req.Platform)
 	if err != nil {
 		m.mu.Lock()
 		delete(m.sessions, req.Sid)
@@ -208,10 +201,14 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.evictOverCap()
 }
 
-// warmPlatform keys the session and acquires its platform in the
-// warmed, statistics-reset state: through the warm-snapshot store, so
-// only the first session of a state pays the warm-up.
-func (m *Manager) warmPlatform(s *session) (*platform.Platform, error) {
+// warmPlatform normalizes and keys the session's platform and acquires
+// it in the warmed, statistics-reset state: through the warm-snapshot
+// store, so only the first session of a state pays the warm-up.
+func (m *Manager) warmPlatform(s *session, sp jsonio.ServePlatform) (*platform.Platform, error) {
+	var err error
+	if s.sp, err = normalizePlatform(sp); err != nil {
+		return nil, err
+	}
 	pool, warm, err := sessionKeys(s.sp)
 	if err != nil {
 		return nil, err
@@ -330,8 +327,13 @@ func (m *Manager) parkLocked(s *session, evicted bool) error {
 	if err != nil {
 		return fmt.Errorf("serve: snapshot session %q: %v", s.id, err)
 	}
-	if err := m.writePark(s, snap); err != nil {
-		return err
+	entry, err := encodePark(parkHeader{Sid: s.id, Platform: s.sp, Cycle: s.bus.cycle()}, snap)
+	if err == nil {
+		err = m.park.Put(parkKey(s.id), entry)
+	}
+	if err != nil {
+		m.park.Delete(parkKey(s.id)) // a failed Put still serves from memory
+		return fmt.Errorf("serve: park session %q: %v", s.id, err)
 	}
 	p := s.p
 	s.p, s.bus = nil, nil
@@ -379,7 +381,7 @@ func (m *Manager) closeParked(sid string, resp *jsonio.ServeResponse) {
 		resp.Err = fmt.Sprintf("serve: unknown session %q", sid)
 		return
 	}
-	m.removePark(sid)
+	m.park.Delete(parkKey(sid))
 	resp.OK = true
 }
 
@@ -401,12 +403,12 @@ func (m *Manager) resume(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.sessions[req.Sid] = s
 	m.mu.Unlock()
 
-	snap, found := m.readPark(s)
+	entry, found := m.park.Get(parkKey(req.Sid))
 	fail := func(err error) {
 		m.mu.Lock()
 		delete(m.sessions, req.Sid)
 		if found {
-			m.parked[req.Sid] = true // the entries stay, so the client can retry
+			m.parked[req.Sid] = true // the entry stays, so the client can retry
 		}
 		m.mu.Unlock()
 		resp.Err = err.Error()
@@ -415,23 +417,12 @@ func (m *Manager) resume(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 		fail(fmt.Errorf("serve: no parked session %q", req.Sid))
 		return
 	}
-	p, err := m.acquirePlatform(s.key, s.sp)
+	p, bv, err := m.unpark(s, entry)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if err := p.RestoreBytes(snap); err != nil {
-		p.Close()
-		fail(fmt.Errorf("serve: restore session %q: %v", req.Sid, err))
-		return
-	}
-	bv, err := newBusView(p)
-	if err != nil {
-		p.Close()
-		fail(err)
-		return
-	}
-	m.removePark(req.Sid)
+	m.park.Delete(parkKey(req.Sid))
 	s.p, s.bus = p, bv
 	m.mu.Lock()
 	m.nResumed++
@@ -535,50 +526,59 @@ func (m *Manager) Shutdown() error {
 	return firstErr
 }
 
-// A parked session is two entries of the park store. Session ids hold
-// arbitrary characters; the store hashes its keys into file names and
-// the meta entry records the id for verification.
-func parkSnapKey(sid string) string { return "park|snap|" + sid }
-func parkMetaKey(sid string) string { return "park|meta|" + sid }
-
-// writePark stores a parked session: the snapshot first, so a torn
-// park never presents a meta without its snapshot.
-func (m *Manager) writePark(s *session, snap []byte) error {
-	meta, err := json.Marshal(parkMeta{Sid: s.id, Platform: s.sp, Cycle: s.bus.cycle()})
-	if err == nil {
-		err = m.park.Put(parkSnapKey(s.id), snap)
-	}
-	if err == nil {
-		err = m.park.Put(parkMetaKey(s.id), meta)
-	}
-	if err != nil {
-		m.removePark(s.id) // a failed Put still serves from memory
-		return fmt.Errorf("serve: park session %q: %v", s.id, err)
-	}
-	return nil
+// A parked session is one park-store entry, written by one Put and read
+// by one Get: a header line naming the session, its normalized platform
+// and the cycle it parked at, then the snapshot. JSON holds no raw
+// newline, so the first one ends the header. Session ids hold arbitrary
+// characters; the store hashes its keys into file names and the header
+// records the id for verification.
+type parkHeader struct {
+	Sid      string               `json:"sid"`
+	Platform jsonio.ServePlatform `json:"platform"`
+	Cycle    uint64               `json:"cycle"`
 }
 
-// readPark loads the session's description, pool key and snapshot from
-// the park store; false when absent or torn.
-func (m *Manager) readPark(s *session) ([]byte, bool) {
-	metaBytes, ok := m.park.Get(parkMetaKey(s.id))
-	if !ok {
-		return nil, false
-	}
-	var meta parkMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.Sid != s.id {
-		return nil, false
-	}
-	s.sp = normalizePlatform(meta.Platform)
-	pool, _, err := sessionKeys(s.sp)
-	if err != nil {
-		return nil, false
-	}
-	s.key = pool
-	return m.park.Get(parkSnapKey(s.id))
+func parkKey(sid string) string { return "park|" + sid }
+
+func encodePark(h parkHeader, snap []byte) ([]byte, error) {
+	b, err := json.Marshal(h)
+	return append(append(b, '\n'), snap...), err
 }
 
-func (m *Manager) removePark(sid string) {
-	m.park.Delete(parkMetaKey(sid))
-	m.park.Delete(parkSnapKey(sid))
+// unpark rebuilds a parked session from its entry: the header must name
+// the session and a platform, the snapshot must restore into that
+// platform, and the restored clock must read the header's cycle. On
+// error nothing is held: the platform, if acquired, is closed.
+func (m *Manager) unpark(s *session, entry []byte) (*platform.Platform, *busView, error) {
+	head, snap, _ := bytes.Cut(entry, []byte{'\n'})
+	var h parkHeader
+	if err := json.Unmarshal(head, &h); err != nil {
+		return nil, nil, fmt.Errorf("serve: park entry of session %q: %v", s.id, err)
+	}
+	if h.Sid != s.id {
+		return nil, nil, fmt.Errorf("serve: park entry of session %q names session %q", s.id, h.Sid)
+	}
+	if h.Platform.Config == nil {
+		return nil, nil, fmt.Errorf("serve: park entry of session %q has no platform", s.id)
+	}
+	s.sp = h.Platform
+	var err error
+	if s.key, _, err = sessionKeys(s.sp); err != nil {
+		return nil, nil, err
+	}
+	p, err := m.acquirePlatform(s.key, s.sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	var bv *busView
+	if err = p.RestoreBytes(snap); err != nil {
+		err = fmt.Errorf("serve: restore session %q: %v", s.id, err)
+	} else if bv, err = newBusView(p); err == nil && bv.cycle() != h.Cycle {
+		err = fmt.Errorf("serve: restore session %q: snapshot at cycle %d, parked at %d", s.id, bv.cycle(), h.Cycle)
+	}
+	if err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return p, bv, nil
 }

@@ -35,7 +35,7 @@ const (
 // session is one client's pinned platform.
 type session struct {
 	id  string
-	sp  jsonio.ServePlatform // normalized
+	sp  jsonio.ServePlatform // normalized: an inline config
 	key string               // platform pool key
 
 	mu  sync.Mutex
@@ -47,68 +47,63 @@ type session struct {
 	lastOp uint64
 }
 
-// normalizePlatform fills client-facing defaults so equal platform
-// descriptions share one state key.
-func normalizePlatform(sp jsonio.ServePlatform) jsonio.ServePlatform {
-	if sp.Config == nil {
+// normalizePlatform rewrites a description in the one form sessions are
+// lowered, keyed and parked by: an inline config carrying everything
+// that shapes the platform, the kernel included, and the serve tunables
+// with their defaults. The topo/workload shorthand becomes the config
+// it means; an inline config takes the request's kernel selection.
+func normalizePlatform(sp jsonio.ServePlatform) (jsonio.ServePlatform, error) {
+	var f jsonio.File
+	if sp.Config != nil {
+		f = *sp.Config
+	} else {
 		if sp.Topo == "" {
 			sp.Topo = "mesh:w=4,h=4"
 		}
 		if sp.Workload == "" {
 			sp.Workload = "script"
 		}
+		spec, err := topology.ParseSpec(sp.Topo)
+		if err != nil {
+			return jsonio.ServePlatform{}, fmt.Errorf("serve: topo: %v", err)
+		}
+		f = jsonio.File{
+			Topology: jsonio.TopologySpec{Kind: spec.Kind, Params: spec.Param},
+			Workload: &jsonio.WorkloadSpec{
+				Kind:      sp.Workload,
+				Injection: sp.Injection,
+				PacketLen: sp.PacketLen,
+				Seed:      sp.WorkloadSeed,
+			},
+			Seed: sp.Seed,
+		}
 	}
-	if sp.FlitBytes == 0 {
-		sp.FlitBytes = defaultFlitBytes
+	f.Workers, f.NoGate = sp.Workers, sp.NoGate
+	norm := jsonio.ServePlatform{Config: &f, Warmup: sp.Warmup, FlitBytes: sp.FlitBytes, QueueFlits: sp.QueueFlits}
+	if norm.FlitBytes == 0 {
+		norm.FlitBytes = defaultFlitBytes
 	}
-	if sp.QueueFlits == 0 {
-		sp.QueueFlits = defaultQueueFlits
+	if norm.QueueFlits == 0 {
+		norm.QueueFlits = defaultQueueFlits
 	}
-	return sp
-}
-
-// netOptions is the spec form of a normalized description as the zoo
-// builder takes it.
-func netOptions(sp jsonio.ServePlatform) (platform.NetOptions, error) {
-	spec, err := topology.ParseSpec(sp.Topo)
-	if err != nil {
-		return platform.NetOptions{}, fmt.Errorf("serve: topo: %v", err)
-	}
-	return platform.NetOptions{
-		Topo:         spec,
-		Workload:     sp.Workload,
-		Injection:    sp.Injection,
-		PacketLen:    sp.PacketLen,
-		Seed:         sp.Seed,
-		WorkloadSeed: sp.WorkloadSeed,
-		Workers:      sp.Workers,
-		NoGate:       sp.NoGate,
-	}, nil
+	return norm, nil
 }
 
 // sessionKeys names a normalized description twice over one state key:
-// the key of what NetConfig lowers, or an inline config's canonical
-// JSON (fixed struct: declaration-order keys, sorted maps), plus the
-// queue depth sessionConfig patches on; kernel selection and byte
-// conversion are not state. The pool key adds the kernel (a pooled
-// platform is a built kernel), the warm-snapshot key the warm-up.
+// the config's canonical JSON (fixed struct: declaration-order keys,
+// sorted maps) with the kernel fields zeroed, since snapshots restore
+// into any kernel, plus the queue depth sessionConfig patches on. The
+// pool key adds the kernel (a pooled platform is a built kernel), the
+// warm-snapshot key the warm-up.
 func sessionKeys(sp jsonio.ServePlatform) (pool, warm string, err error) {
-	var desc string
-	if sp.Config == nil {
-		o, err := netOptions(sp)
-		if err != nil {
-			return "", "", err
-		}
-		desc = o.Key()
-	} else {
-		b, err := json.Marshal(sp.Config)
-		if err != nil {
-			return "", "", fmt.Errorf("serve: platform key: %v", err)
-		}
-		desc = string(b)
+	f := *sp.Config
+	f.Workers, f.NoGate = 0, false
+	b, err := json.Marshal(f)
+	if err != nil {
+		return "", "", fmt.Errorf("serve: platform key: %v", err)
 	}
-	state := fmt.Sprintf("serve|%s|queue=%d", desc, sp.QueueFlits)
-	return fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Workers, sp.NoGate),
+	state := fmt.Sprintf("serve|%s|queue=%d", b, sp.QueueFlits)
+	return fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Config.Workers, sp.Config.NoGate),
 		fmt.Sprintf("%s|warmup=%d", state, sp.Warmup), nil
 }
 
@@ -117,22 +112,9 @@ func sessionKeys(sp jsonio.ServePlatform) (pool, warm string, err error) {
 // (InjectScript reaches it) and every sink a trace-driven analyzer
 // with last-latency tracking (FLOW_LAST answers xfer).
 func sessionConfig(sp jsonio.ServePlatform) (platform.Config, error) {
-	var cfg platform.Config
-	var err error
-	if sp.Config != nil {
-		if cfg, err = sp.Config.ToConfig(""); err != nil {
-			return platform.Config{}, fmt.Errorf("serve: platform config: %v", err)
-		}
-		cfg.Workers = sp.Workers
-		cfg.NoGate = sp.NoGate
-	} else {
-		o, err := netOptions(sp)
-		if err != nil {
-			return platform.Config{}, err
-		}
-		if cfg, err = platform.NetConfig(o); err != nil {
-			return platform.Config{}, fmt.Errorf("serve: %v", err)
-		}
+	cfg, err := sp.Config.ToConfig("")
+	if err != nil {
+		return platform.Config{}, fmt.Errorf("serve: platform config: %v", err)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "serve"
