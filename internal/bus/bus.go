@@ -5,8 +5,10 @@
 // "The processor can access each component by accessing their specific
 // addresses. In our design, we allow up to 4 internal busses and 1024
 // devices in each internal bus." Each device decodes a 12-bit register
-// offset, so an address is [bus:2][device:10][reg:12] in the low 24
-// bits of a 32-bit word address.
+// offset. The device field is 18 bits wide rather than the paper's 10,
+// so an address is [bus:2][device:18][reg:12], the whole 32-bit word:
+// the paper's 4 × 1024 map is its low corner, and a platform of any
+// size still gives every device an address.
 package bus
 
 import (
@@ -17,13 +19,14 @@ import (
 const (
 	// NumBuses is the number of internal buses (paper: 4).
 	NumBuses = 4
-	// DevicesPerBus is the device capacity of one bus (paper: 1024).
-	DevicesPerBus = 1024
+	// DevicesPerBus is the device capacity of one bus (paper: 1024;
+	// see the package comment).
+	DevicesPerBus = 1 << devBits
 	// RegsPerDevice is the register space decoded by one device.
 	RegsPerDevice = 1 << 12
 
 	regBits = 12
-	devBits = 10
+	devBits = 18
 )
 
 // Addr is a platform register address.
@@ -69,10 +72,7 @@ type Device interface {
 // ErrNoDevice is wrapped by accesses to unmapped addresses.
 var ErrNoDevice = fmt.Errorf("bus: no device at address")
 
-// ErrBusFull is wrapped by AttachNext when a bus has no free slot —
-// the paper's address format caps each bus at DevicesPerBus devices.
-// Platforms larger than the address budget treat this as a soft limit:
-// devices beyond it are emulated but not memory-mapped.
+// ErrBusFull is wrapped by AttachNext when a bus has no free slot.
 var ErrBusFull = fmt.Errorf("bus: no free device slot")
 
 // Attachment records a mapped device.
@@ -132,12 +132,6 @@ func (s *System) AttachNext(bus uint32, d Device) (uint32, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w: bus %d", ErrBusFull, bus)
-}
-
-// Full reports whether AttachNext on the given bus would report
-// ErrBusFull, so a caller can skip building a device nothing will map.
-func (s *System) Full(bus uint32) bool {
-	return bus < NumBuses && len(s.buses[bus]) == DevicesPerBus
 }
 
 // Lookup returns the device at (bus, dev).

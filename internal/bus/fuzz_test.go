@@ -7,9 +7,9 @@ import "testing"
 // re-assembling the decoded fields reproduces the address bit for bit.
 func FuzzAddr(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0))
-	f.Add(uint32(3), uint32(1023), uint32(4095))
+	f.Add(uint32(3), uint32(DevicesPerBus-1), uint32(4095))
 	f.Add(uint32(1), uint32(2), uint32(0x010))
-	f.Add(uint32(4), uint32(1024), uint32(4096)) // one past each field
+	f.Add(uint32(4), uint32(DevicesPerBus), uint32(4096)) // one past each field
 	f.Add(^uint32(0), ^uint32(0), ^uint32(0))
 	f.Fuzz(func(t *testing.T, busN, dev, reg uint32) {
 		a := MakeAddr(busN, dev, reg)
@@ -24,9 +24,6 @@ func FuzzAddr(f *testing.F) {
 		}
 		if back := MakeAddr(a.Bus(), a.Device(), a.Reg()); back != a {
 			t.Fatalf("re-assembled address %v != %v", back, a)
-		}
-		if uint32(a)>>(devBits+regBits+2) != 0 {
-			t.Fatalf("address %#x has bits above the 24-bit field span", uint32(a))
 		}
 	})
 }

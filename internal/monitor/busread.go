@@ -46,15 +46,17 @@ func (d Dev) Write(reg, v uint32) error {
 
 // BusView is a bus master's picture of a platform, discovered purely by
 // walking the bus attachments and classifying each device by its TYPE
-// register. Slices keep bus order: TG/TR/switch/link devices are
-// attached in spec/topology order, so rows line up with the platform's.
+// register. Slices keep bus order: TG/TR/switch devices are attached in
+// spec/topology order, so rows line up with the platform's.
 type BusView struct {
 	Ctrl     Dev
 	TGs      []Dev
 	TRs      []Dev
 	Switches []Dev
-	Links    []Dev
-	Probes   []Dev
+	// Links is the one device of every inter-switch link; LINK_SEL picks
+	// a link by topology index.
+	Links  Dev
+	Probes []Dev
 }
 
 // ScanBus classifies every attached device by TYPE.
@@ -78,7 +80,7 @@ func ScanBus(sys *bus.System) (*BusView, error) {
 		case regmap.TypeSwitch:
 			v.Switches = append(v.Switches, d)
 		case regmap.TypeLink:
-			v.Links = append(v.Links, d)
+			v.Links = d
 		case regmap.TypeProbe:
 			v.Probes = append(v.Probes, d)
 		}
@@ -239,11 +241,17 @@ func (v *BusView) readSwitches() ([]swRow, error) {
 }
 
 func (v *BusView) readLinks() ([]linkRow, error) {
-	rows := make([]linkRow, 0, len(v.Links))
-	for _, d := range v.Links {
-		var r linkRow
-		var err error
-		if r.flits, err = d.Read64(regmap.RegLinkFlits); err != nil {
+	d := v.Links
+	n, err := d.Read(regmap.RegLinkCount)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]linkRow, n)
+	for i := range rows {
+		if err := d.Write(regmap.RegLinkSel, uint32(i)); err != nil {
+			return nil, err
+		}
+		if rows[i].flits, err = d.Read64(regmap.RegLinkFlits); err != nil {
 			return nil, err
 		}
 		busy, err := d.Read64(regmap.RegLinkBusy)
@@ -255,11 +263,49 @@ func (v *BusView) readLinks() ([]linkRow, error) {
 			return nil, err
 		}
 		if cycles != 0 {
-			r.load = float64(busy) / float64(cycles)
+			rows[i].load = float64(busy) / float64(cycles)
 		}
-		rows = append(rows, r)
 	}
 	return rows, nil
+}
+
+// readout is what a report shows, read over the buses: a row per TG,
+// TR, switch and link, and the totals they sum to.
+type readout struct {
+	tgs   []tgRow
+	trs   []trRow
+	sws   []swRow
+	links []linkRow
+	tot   platform.Totals
+}
+
+// readAll scans the platform's buses and reads a report's rows and
+// totals.
+func readAll(p *platform.Platform) (*readout, error) {
+	if p == nil {
+		return nil, fmt.Errorf("monitor: nil platform")
+	}
+	v, err := ScanBus(p.System())
+	if err != nil {
+		return nil, err
+	}
+	r := &readout{}
+	if r.tgs, err = v.readTGs(); err != nil {
+		return nil, err
+	}
+	if r.trs, err = v.readTRs(); err != nil {
+		return nil, err
+	}
+	if r.sws, err = v.readSwitches(); err != nil {
+		return nil, err
+	}
+	if r.links, err = v.readLinks(); err != nil {
+		return nil, err
+	}
+	if r.tot, err = v.totals(r.tgs, r.trs, r.sws); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // totalsFromBus reconstructs platform.Totals from the rows, replicating

@@ -21,34 +21,11 @@ import (
 // WriteReport renders the full post-emulation report. syn may be nil to
 // omit the synthesis section.
 func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error {
-	if p == nil {
-		return fmt.Errorf("monitor: nil platform")
-	}
-	v, err := ScanBus(p.System())
+	rd, err := readAll(p)
 	if err != nil {
 		return err
 	}
-	tgs, err := v.readTGs()
-	if err != nil {
-		return err
-	}
-	trs, err := v.readTRs()
-	if err != nil {
-		return err
-	}
-	sws, err := v.readSwitches()
-	if err != nil {
-		return err
-	}
-	links, err := v.readLinks()
-	if err != nil {
-		return err
-	}
-	tot, err := v.totals(tgs, trs, sws)
-	if err != nil {
-		return err
-	}
-
+	tot := rd.tot
 	fmt.Fprintf(w, "=== NoC emulation report: %s ===\n", p.Name())
 	fmt.Fprintf(w, "cycles: %d\n", tot.Cycles)
 	fmt.Fprintf(w, "packets: offered %d, sent %d, received %d\n",
@@ -65,7 +42,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "\n--- traffic generators ---")
 	fmt.Fprintln(tw, "device\tmodel\toffered\tsent\tflits\tstalls\tbackpressure")
-	for _, r := range tgs {
+	for _, r := range rd.tgs {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
 			r.name, r.model, r.offered, r.sent, r.flits, r.stalls, r.backpressure)
 	}
@@ -76,7 +53,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	fmt.Fprintln(w, "\n--- traffic receptors ---")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "device\tmode\tpackets\tflits\trun time\tlat mean\tlat max\tcongestion")
-	for _, r := range trs {
+	for _, r := range rd.trs {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f\t%.0f\t%d\n",
 			r.name, r.mode, r.packets, r.flits, r.runningTime,
 			r.latMean, r.latMax, r.congestion)
@@ -87,7 +64,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 
 	// Per-flow latency breakdown from the trace-driven receptors.
 	var flowRows bool
-	for _, r := range trs {
+	for _, r := range rd.trs {
 		if len(r.flows) > 0 {
 			flowRows = true
 			break
@@ -97,7 +74,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 		fmt.Fprintln(w, "\n--- per-flow latency ---")
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "flow\tpackets\tlat mean\tlat max")
-		for _, r := range trs {
+		for _, r := range rd.trs {
 			for _, fl := range r.flows {
 				fmt.Fprintf(tw, "tg%d -> %s\t%d\t%.2f\t%.0f\n",
 					fl.src, r.name, fl.packets, fl.mean, fl.max)
@@ -111,7 +88,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	fmt.Fprintln(w, "\n--- switches ---")
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "device\tflits\tpackets\tblocked\tcongestion")
-	for _, r := range sws {
+	for _, r := range rd.sws {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.4f\n",
 			r.name, r.flits, r.packets, r.blocked, r.rate)
 	}
@@ -123,7 +100,7 @@ func WriteReport(w io.Writer, p *platform.Platform, syn *resource.Report) error 
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "link\tfrom\tto\tload\tflits")
 	specs := p.Config().Topology.Links()
-	for i, r := range links { // the mapped links; see WriteJSON
+	for i, r := range rd.links {
 		fmt.Fprintf(tw, "%d\tsw%d\tsw%d\t%.4f\t%d\n", i, specs[i].From, specs[i].To, r.load, r.flits)
 	}
 	if err := tw.Flush(); err != nil {
@@ -256,41 +233,18 @@ type LinkSummary struct {
 
 // WriteJSON emits the platform snapshot as indented JSON.
 func WriteJSON(w io.Writer, p *platform.Platform) error {
-	if p == nil {
-		return fmt.Errorf("monitor: nil platform")
-	}
-	v, err := ScanBus(p.System())
+	rd, err := readAll(p)
 	if err != nil {
 		return err
 	}
-	tgs, err := v.readTGs()
-	if err != nil {
-		return err
-	}
-	trs, err := v.readTRs()
-	if err != nil {
-		return err
-	}
-	sws, err := v.readSwitches()
-	if err != nil {
-		return err
-	}
-	links, err := v.readLinks()
-	if err != nil {
-		return err
-	}
-	tot, err := v.totals(tgs, trs, sws)
-	if err != nil {
-		return err
-	}
-	s := Summary{Name: p.Name(), Totals: tot}
-	for _, r := range tgs {
+	s := Summary{Name: p.Name(), Totals: rd.tot}
+	for _, r := range rd.tgs {
 		s.TGs = append(s.TGs, TGSummary{
 			Name: r.name, Model: r.model,
 			Offered: r.offered, Sent: r.sent, Flits: r.flits,
 		})
 	}
-	for _, r := range trs {
+	for _, r := range rd.trs {
 		s.TRs = append(s.TRs, TRSummary{
 			Name: r.name, Mode: r.mode,
 			Packets: r.packets, Flits: r.flits,
@@ -298,11 +252,8 @@ func WriteJSON(w io.Writer, p *platform.Platform) error {
 			Congestion: r.congestion,
 		})
 	}
-	// Link devices attach in topology order and a platform past the bus
-	// budget leaves the tail unmapped (Platform.Unmapped), so the rows
-	// read are a prefix of the topology's links.
 	specs := p.Config().Topology.Links()
-	for i, r := range links {
+	for i, r := range rd.links {
 		s.Links = append(s.Links, LinkSummary{
 			Index: i, From: int(specs[i].From), To: int(specs[i].To), Load: r.load,
 		})

@@ -177,44 +177,55 @@ func TestZooReportsNameEveryModel(t *testing.T) {
 	}
 }
 
-// TestReportsPastBusBudget is the regression test for the link-row
-// indexing: a 17×17 mesh is the smallest one whose 1088 link devices
-// overflow the 1023 free slots of the auxiliary bus, and both reports
-// must emit exactly the link rows whose devices were mapped.
-func TestReportsPastBusBudget(t *testing.T) {
-	cfg, err := platform.NetConfig(platform.NetOptions{
-		Topo: topology.Spec{Kind: "mesh", Param: map[string]int{"w": 17, "h": 17}}, Injection: 0.05,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := platform.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Unmapped() == 0 {
-		t.Fatal("17x17 mesh fits the bus address space; the test no longer covers the spill")
-	}
-	p.RunCycles(200)
-	nLinks := len(cfg.Topology.Links())
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	var s Summary
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if want := nLinks - p.Unmapped(); len(s.Links) != want {
-		t.Errorf("JSON has %d link rows, want the %d mapped of %d", len(s.Links), want, nLinks)
-	}
-	last := s.Links[len(s.Links)-1]
-	if spec := cfg.Topology.Links()[last.Index]; last.Index != len(s.Links)-1 || last.From != int(spec.From) || last.To != int(spec.To) {
-		t.Errorf("last link row %+v does not describe topology link %d (%+v)", last, len(s.Links)-1, spec)
-	}
-	buf.Reset()
-	if err := WriteReport(&buf, p, nil); err != nil {
-		t.Fatal(err)
+// TestReportsEveryDeviceAtScale: past the paper's 4 × 1024 devices
+// every device still has a bus address, so the bus-sourced JSON has a
+// row per TG, TR and topology link and totals equal to the platform's
+// own — sw1023 included on the 32×32 mesh, all 7 680 links of the
+// 16×16 butterfly, and the dragonfly's 1 056 TGs and TRs.
+func TestReportsEveryDeviceAtScale(t *testing.T) {
+	for _, topo := range []string{"mesh:w=32,h=32", "butterfly:w=16,h=16", "dragonfly:p=4,a=8,h=4"} {
+		t.Run(topo, func(t *testing.T) {
+			spec, err := topology.ParseSpec(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: 0.05, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := platform.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			p.RunCycles(300)
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			var s Summary
+			if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+				t.Fatalf("invalid JSON: %v", err)
+			}
+			if want := p.Totals(); s.Totals != want || want.FlitsRouted == 0 {
+				t.Errorf("bus-sourced totals %+v, platform totals %+v", s.Totals, want)
+			}
+			links := cfg.Topology.Links()
+			if len(s.TGs) != len(cfg.TGs) || len(s.TRs) != len(cfg.TRs) || len(s.Links) != len(links) {
+				t.Fatalf("JSON has %d TG, %d TR and %d link rows; the platform has %d, %d and %d",
+					len(s.TGs), len(s.TRs), len(s.Links), len(cfg.TGs), len(cfg.TRs), len(links))
+			}
+			loads := p.LinkLoads()
+			for i, l := range s.Links {
+				if l.Index != i || l.From != int(links[i].From) || l.To != int(links[i].To) || l.Load != loads[i] {
+					t.Fatalf("link row %d = %+v, want topology link %+v at load %v", i, l, links[i], loads[i])
+				}
+			}
+			buf.Reset()
+			if err := WriteReport(&buf, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

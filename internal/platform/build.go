@@ -21,7 +21,8 @@ import (
 
 // Bus assignment: control module on bus 0 slot 0, switches after it,
 // TGs on bus 1, TRs on bus 2, auxiliary devices (flit pool at slot 0,
-// inter-switch links after it, in topology order) on bus 3.
+// the one device of every inter-switch link at slot 1, the probe after
+// it) on bus 3.
 const (
 	BusControl = 0
 	BusTG      = 1
@@ -69,11 +70,6 @@ type Platform struct {
 	// in; both are snapshot sections (snapshot.go).
 	wires   *link.Arena
 	swArena *switchfab.Arena
-	// unmapped counts register devices the bus address space could not
-	// hold (bus.ErrBusFull). The paper's format caps each bus at 1024
-	// devices; platforms beyond that budget still emulate every device —
-	// only its memory-mapped register view is missing.
-	unmapped int
 }
 
 // Build compiles a platform from its configuration.
@@ -310,54 +306,33 @@ func Build(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 	}
 	p.ctrl = ctrl
-	if err := p.sys.Attach(BusControl, 0, ctrl); err != nil {
-		return nil, err
-	}
-	// attachNext with graceful spill: the paper's address format caps
-	// each bus at 1024 devices, and a 1k-node mesh overflows that budget
-	// (1024 switches + the control module, thousands of link devices).
-	// Register devices are passive views — they never tick, and TG
-	// enabling goes through the single control module — so a device that
-	// does not fit is simply left unmapped, unbuilt and counted; emulation
-	// results are unaffected. Attach order is preserved exactly (a spill
-	// maps nothing), keeping device numbering on smaller platforms
-	// unchanged. A mapped device is a bank that declares its registers on
-	// first access (regmap.Lazy): Build declares none.
-	attachNext := func(b uint32, dev func() bus.Device) error {
-		if p.sys.Full(b) {
-			p.unmapped++
-			return nil
+	// Every device gets an address, in the same order at every size: a
+	// bus holds bus.DevicesPerBus devices and the links share one. A
+	// device is a bank that declares its registers on first access
+	// (regmap.Lazy): Build declares none.
+	var attachErr error
+	attach := func(b uint32, d bus.Device) {
+		if attachErr == nil {
+			_, attachErr = p.sys.AttachNext(b, d)
 		}
-		_, err := p.sys.AttachNext(b, dev())
-		return err
 	}
+	attach(BusControl, ctrl)
 	for _, sw := range p.switches {
-		if err := attachNext(BusControl, func() bus.Device { return regmap.NewSwitchDevice(sw) }); err != nil {
-			return nil, err
-		}
+		attach(BusControl, regmap.NewSwitchDevice(sw))
 	}
 	for _, tg := range p.tgs {
-		if err := attachNext(BusTG, func() bus.Device { return regmap.NewTGDevice(tg) }); err != nil {
-			return nil, err
-		}
+		attach(BusTG, regmap.NewTGDevice(tg))
 	}
 	for _, tr := range p.trs {
-		if err := attachNext(BusTR, func() bus.Device { return regmap.NewTRDevice(tr) }); err != nil {
-			return nil, err
-		}
+		attach(BusTR, regmap.NewTRDevice(tr))
 	}
-	if err := p.sys.Attach(BusAux, 0, regmap.NewPoolDevice(p.pool)); err != nil {
-		return nil, err
-	}
-	for _, l := range p.links {
-		if err := attachNext(BusAux, func() bus.Device { return regmap.NewLinkDevice(l) }); err != nil {
-			return nil, err
-		}
-	}
+	attach(BusAux, regmap.NewPoolDevice(p.pool))
+	attach(BusAux, regmap.NewLinkDevice(p.links))
 	if p.collector != nil {
-		if err := attachNext(BusAux, func() bus.Device { return regmap.NewProbeDevice(p.collector) }); err != nil {
-			return nil, err
-		}
+		attach(BusAux, regmap.NewProbeDevice(p.collector))
+	}
+	if attachErr != nil {
+		return nil, fmt.Errorf("platform %s: %w", cfg.Name, attachErr)
 	}
 	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
 	// goroutines, or on the caller's alone; gated unless cfg.NoGate.
@@ -480,10 +455,9 @@ func (p *Platform) TR(ep flit.EndpointID) (*receptor.TR, bool) {
 // Released). Read it only while the platform is quiesced.
 func (p *Platform) Pool() *flit.Pool { return p.pool }
 
-// Unmapped reports how many register devices did not fit the paper's
-// fixed 4×1024 bus address space and run without a memory mapping
-// (DESIGN.md §12, "Scale spill"). Zero on paper-scale platforms.
-func (p *Platform) Unmapped() int { return p.unmapped }
+// Unmapped is always 0: every device has a bus address at any size. It
+// stays only because the benchmark harness (bench/kernel.go) calls it.
+func (p *Platform) Unmapped() int { return 0 }
 
 // Probe returns the event-tracing collector, or nil when the platform
 // was built without Config.Trace. Read (export, metrics) only while the

@@ -32,7 +32,9 @@ const header = `# REGISTERS — the platform's memory map
 
 The paper's processor "can access each component by accessing their
 specific addresses ... up to 4 internal busses and 1024 devices in each
-internal bus". This file documents the reproduction's register map,
+internal bus". The reproduction keeps the 4 buses and widens the device
+field, so that map is the low corner of one where every device of a
+platform of any size has an address. This file documents the register map,
 implemented by ` + "`internal/bus`" + ` (decode) and ` + "`internal/regmap`" + ` /
 ` + "`internal/control`" + ` (device banks). All registers are 32-bit; 64-bit
 counters are exposed as little-endian lo/hi pairs (` + "`bus.Read64`" + `).
@@ -42,8 +44,8 @@ sequence observes one consistent value even mid-run.
 ## Address format
 
 ` + "```" + `
-bit  23 22 | 21 ............. 12 | 11 ............. 0
-     bus   | device (0..1023)    | register offset
+bit  31 30 | 29 ............. 12 | 11 ............. 0
+     bus   | device (0..262143)  | register offset
 ` + "```" + `
 
 ` + "`bus.MakeAddr(bus, dev, reg)`" + ` assembles an address;
@@ -56,7 +58,7 @@ bit  23 22 | 21 ............. 12 | 11 ............. 0
 | 0 | control module (dev 0), then one device per switch |
 | 1 | traffic generators, in spec order |
 | 2 | traffic receptors, in spec order |
-| 3 | flit pool (dev 0), then one device per inter-switch link, in topology order, then the trace-metrics probe when tracing is enabled |
+| 3 | flit pool (dev 0), the links (dev 1: one device for every inter-switch link, selected by ` + "`LINK_SEL`" + `), then the trace-metrics probe when tracing is enabled |
 `
 
 const footer = `## Programs

@@ -15,6 +15,8 @@ import (
 // Link register offsets.
 const (
 	RegLinkFault    = 0x006 // rw: 0 none, 1 stuck, 2 corrupt
+	RegLinkSel      = 0x008 // rw: link index, topology order
+	RegLinkCount    = 0x009 // ro: number of inter-switch links
 	RegLinkFlits    = 0x010 // ro 64-bit: flits transported
 	RegLinkBusy     = 0x012 // ro 64-bit: cycles the wire carried a flit
 	RegLinkCycles   = 0x014 // ro 64-bit: committed cycles
@@ -23,39 +25,54 @@ const (
 	RegLinkHeld     = 0x01A // ro 64-bit: cycles a stuck fault held a flit
 )
 
-// NewLinkDevice builds the register bank of a link: drop/overrun and
-// utilization counters, plus fault injection over the bus.
-func NewLinkDevice(l *link.Link) *Bank {
-	return Lazy(l.ComponentName(), func(b *Bank) {
+// NewLinkDevice builds the one register device of a platform's
+// inter-switch links: LINK_SEL picks a link by topology index, and the
+// link register file behind it — drop/overrun and utilization counters,
+// fault injection — serves that link. Links are the one device class
+// that grows with the link count rather than the node count, so they
+// share one address instead of taking one each.
+func NewLinkDevice(links []*link.Link) *Bank {
+	return Lazy("links", func(b *Bank) {
 		b.Describe("Link (TYPE = 5)",
-			"Utilization is BUSY/CYCLES. OVERRUNS stays zero under correct credit flow "+
+			"One device for every inter-switch link: write LINK_SEL, then read or write "+
+				"the selected link's registers; each is a bus error at or past LINK_COUNT. "+
+				"Utilization is BUSY/CYCLES. OVERRUNS stays zero under correct credit flow "+
 				"control; writing FAULT injects the paper's functional-validation faults "+
 				"without touching the platform.")
 		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeLink })
 		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
-		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
-			func() uint32 { return 0 },
+		b.RO(RegLinkCount, "LINK_COUNT", "number of inter-switch links",
+			func() uint32 { return uint32(len(links)) })
+		sel := Select(b, RegLinkSel, "LINK_SEL", "link index, topology order",
+			func(i int) (*link.Link, bool) { return index(links, i) })
+		b.RWErr(RegCtrl, "CTRL", "bit1 reset-stats of the selected link",
+			Of(sel, func(*link.Link) uint32 { return 0 }),
 			func(v uint32) error {
-				if v&CtrlResetStats != 0 {
+				l, err := sel()
+				if err == nil && v&CtrlResetStats != 0 {
 					l.ResetStats()
 				}
-				return nil
+				return err
 			})
-		b.RW(RegLinkFault, "FAULT", "fault mode: 0 none, 1 stuck, 2 corrupt",
-			func() uint32 { return uint32(l.Fault()) },
+		b.RWErr(RegLinkFault, "FAULT", "fault mode: 0 none, 1 stuck, 2 corrupt",
+			Of(sel, func(l *link.Link) uint32 { return uint32(l.Fault()) }),
 			func(v uint32) error {
+				l, err := sel()
+				if err != nil {
+					return err
+				}
 				if v > uint32(link.FaultCorrupt) {
 					return fmt.Errorf("regmap: %s fault mode %d", b.DeviceName(), v)
 				}
 				l.SetFault(link.FaultMode(v))
 				return nil
 			})
-		b.RO64(RegLinkFlits, "FLITS", "flits transported", l.Flits)
-		b.RO64(RegLinkBusy, "BUSY", "cycles the wire carried a flit", l.BusyCycles)
-		b.RO64(RegLinkCycles, "CYCLES", "committed cycles observed", l.TotalCycles)
-		b.RO64(RegLinkOverruns, "OVERRUNS", "flits lost to double occupancy", l.Overruns)
-		b.RO64(RegLinkCorrupt, "CORRUPTED", "flits whose payload a fault flipped", l.Corrupted)
-		b.RO64(RegLinkHeld, "HELD", "cycles a staged flit was held by a stuck fault", l.HeldCycles)
+		b.RO64Err(RegLinkFlits, "FLITS", "flits transported", Of(sel, (*link.Link).Flits))
+		b.RO64Err(RegLinkBusy, "BUSY", "cycles the wire carried a flit", Of(sel, (*link.Link).BusyCycles))
+		b.RO64Err(RegLinkCycles, "CYCLES", "committed cycles observed", Of(sel, (*link.Link).TotalCycles))
+		b.RO64Err(RegLinkOverruns, "OVERRUNS", "flits lost to double occupancy", Of(sel, (*link.Link).Overruns))
+		b.RO64Err(RegLinkCorrupt, "CORRUPTED", "flits whose payload a fault flipped", Of(sel, (*link.Link).Corrupted))
+		b.RO64Err(RegLinkHeld, "HELD", "cycles a staged flit was held by a stuck fault", Of(sel, (*link.Link).HeldCycles))
 	})
 }
 
@@ -82,14 +99,6 @@ func NewPoolDevice(p *flit.Pool) *Bank {
 			"LIVE is acquired minus released as a two's-complement 64-bit value: zero "+
 				"after a fully drained run, positive on a leak. Read while quiesced, like "+
 				"any statistic.")
-		var shardSel uint32
-		shard := func() (*flit.Shard, error) {
-			sh := p.Shards()
-			if int(shardSel) >= len(sh) {
-				return nil, fmt.Errorf("regmap: pool shard %d out of range (shards %d)", shardSel, len(sh))
-			}
-			return sh[shardSel], nil
-		}
 		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypePool })
 		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
 		b.RO(RegPoolShards, "SHARDS", "number of per-endpoint shards",
@@ -99,33 +108,12 @@ func NewPoolDevice(p *flit.Pool) *Bank {
 		b.RO64(RegPoolAllocated, "ALLOCATED", "flits ever created (peak live population)", p.Allocated)
 		b.RO64(RegPoolLive, "LIVE", "acquired minus released (two's complement)",
 			func() uint64 { return uint64(p.Live()) })
-		b.RW(RegShardSel, "SHARD_SEL", "shard index, creation order",
-			func() uint32 { return shardSel },
-			func(v uint32) error { shardSel = v; return nil })
+		shard := Select(b, RegShardSel, "SHARD_SEL", "shard index, creation order",
+			func(i int) (*flit.Shard, bool) { return index(p.Shards(), i) })
 		b.ROErr(RegShardOwner, "SHARD_OWNER", "selected shard's owning endpoint",
-			func() (uint32, error) {
-				s, err := shard()
-				if err != nil {
-					return 0, err
-				}
-				return uint32(s.Owner()), nil
-			})
-		// A counter of the selected shard; out of range is a bus error on
-		// both halves, like SHARD_OWNER.
-		counter := func(read func(*flit.Shard) uint64) func() (uint64, error) {
-			return func() (uint64, error) {
-				s, err := shard()
-				if err != nil {
-					return 0, err
-				}
-				return read(s), nil
-			}
-		}
-		b.RO64Err(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls",
-			counter((*flit.Shard).Acquired))
-		b.RO64Err(RegShardReleased, "SHARD_REL", "selected shard's returned flits",
-			counter((*flit.Shard).Released))
-		b.RO64Err(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations",
-			counter((*flit.Shard).Allocated))
+			Of(shard, func(s *flit.Shard) uint32 { return uint32(s.Owner()) }))
+		b.RO64Err(RegShardAcquired, "SHARD_ACQ", "selected shard's Acquire calls", Of(shard, (*flit.Shard).Acquired))
+		b.RO64Err(RegShardReleased, "SHARD_REL", "selected shard's returned flits", Of(shard, (*flit.Shard).Released))
+		b.RO64Err(RegShardAlloc, "SHARD_ALLOC", "selected shard's allocations", Of(shard, (*flit.Shard).Allocated))
 	})
 }

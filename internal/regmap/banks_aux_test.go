@@ -93,10 +93,16 @@ func TestTRHistReadoutAfterReset(t *testing.T) {
 // --- link bank ------------------------------------------------------
 
 func TestLinkDevice(t *testing.T) {
-	l := link.NewLink("link0")
-	d := NewLinkDevice(l)
+	idle, l := link.NewLink("link0"), link.NewLink("link1")
+	d := NewLinkDevice([]*link.Link{idle, l})
 	if v, _ := d.ReadReg(RegType); v != TypeLink {
 		t.Errorf("type = %d", v)
+	}
+	if v, _ := d.ReadReg(RegLinkCount); v != 2 {
+		t.Errorf("link count = %d", v)
+	}
+	if err := d.WriteReg(RegLinkSel, 1); err != nil {
+		t.Fatal(err)
 	}
 
 	f := &flit.Flit{Kind: flit.HeadTail}
@@ -141,6 +147,30 @@ func TestLinkDevice(t *testing.T) {
 	}
 	if v, _ := d.ReadReg(RegLinkCycles); v != 0 {
 		t.Errorf("cycles = %d after reset", v)
+	}
+	if idle.Fault() != link.FaultNone {
+		t.Errorf("the unselected link's fault = %d", idle.Fault())
+	}
+
+	// Past LINK_COUNT every per-link register is a bus error, on both
+	// halves of the 64-bit counters, and a write reaches no link.
+	for _, sel := range []uint32{2, 3, math.MaxUint32} {
+		if err := d.WriteReg(RegLinkSel, sel); err != nil {
+			t.Fatal(err)
+		}
+		for reg := uint32(RegLinkFlits); reg <= RegLinkHeld+1; reg++ {
+			if v, err := d.ReadReg(reg); err == nil {
+				t.Errorf("LINK_SEL %d: read of 0x%03x = %d, want a bus error", sel, reg, v)
+			}
+		}
+		for _, reg := range []uint32{RegCtrl, RegLinkFault} {
+			if v, err := d.ReadReg(reg); err == nil {
+				t.Errorf("LINK_SEL %d: read of 0x%03x = %d, want a bus error", sel, reg, v)
+			}
+			if err := d.WriteReg(reg, 0); err == nil {
+				t.Errorf("LINK_SEL %d: write of 0x%03x accepted", sel, reg)
+			}
+		}
 	}
 }
 

@@ -39,8 +39,10 @@ func NewProbeDevice(c *probe.Collector) *Bank {
 			"Cycle-sampled metrics from the event-tracing collector. WIN_SEL "+
 				"addresses one sampling window; WIN_OCC and WIN_BUSY derive from "+
 				"boundary samples of buffer occupancy and link busy-cycles, so "+
-				"they are exact regardless of quiescence fast-forwarding.")
-		var kindSel, vcSel, winSel uint32
+				"they are exact regardless of quiescence fast-forwarding. The selected "+
+				"counters are bus errors while their selector is out of range: KIND_SEL "+
+				"0 or past the last kind code, VC_SEL at or past NUM_VCS, WIN_SEL at or "+
+				"past WIN_COUNT.")
 		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeProbe })
 		b.RO(RegSubtype, "SUBTYPE", "always 0", func() uint32 { return 0 })
 		b.RW(RegCtrl, "CTRL", "bit1 reset-stats",
@@ -59,43 +61,37 @@ func NewProbeDevice(c *probe.Collector) *Bank {
 			func() uint32 { return uint32(c.WindowCount()) })
 		b.RO(RegProbeNumVCs, "NUM_VCS", "per-VC stall counters recorded",
 			func() uint32 { return uint32(c.NumVCs()) })
-		b.RW(RegProbeKindSel, "KIND_SEL", "event-kind code for KIND_COUNT",
-			func() uint32 { return kindSel },
-			func(v uint32) error { kindSel = v; return nil })
-		b.RW(RegProbeVCSel, "VC_SEL", "virtual channel for VC_STALLS",
-			func() uint32 { return vcSel },
-			func(v uint32) error { vcSel = v; return nil })
-		b.RW(RegProbeWinSel, "WIN_SEL", "window index for the WIN_* bank",
-			func() uint32 { return winSel },
-			func(v uint32) error { winSel = v; return nil })
+		kind := Select(b, RegProbeKindSel, "KIND_SEL", "event-kind code for KIND_COUNT",
+			func(i int) (probe.Kind, bool) {
+				return probe.Kind(i), i >= int(probe.KindInject) && i <= int(probe.KindFF)
+			})
+		vc := Select(b, RegProbeVCSel, "VC_SEL", "virtual channel for VC_STALLS",
+			func(i int) (int, bool) { return i, i < c.NumVCs() })
+		win := Select(b, RegProbeWinSel, "WIN_SEL", "window index for the WIN_* bank",
+			func(i int) (int, bool) { return i, i < c.WindowCount() })
 		b.RO64(RegProbeEvents, "EVENTS", "events collected", c.Total)
 		b.RO64(RegProbeDropped, "DROPPED", "events lost to ring overflow", c.Dropped)
-		b.RO64(RegProbeKindCount, "KIND_COUNT", "events of the selected kind",
-			func() uint64 { return c.KindCount(probe.Kind(kindSel)) })
-		b.RO64(RegProbeVCStalls, "VC_STALLS", "credit stalls on the selected VC",
-			func() uint64 { return c.VCStalls(int(vcSel)) })
-		win := func(pick func(probe.WindowTally) uint64) func() uint64 {
-			return func() uint64 {
-				t, ok := c.WindowCounts(int(winSel))
-				if !ok {
-					return 0
-				}
+		b.RO64Err(RegProbeKindCount, "KIND_COUNT", "events of the selected kind", Of(kind, c.KindCount))
+		b.RO64Err(RegProbeVCStalls, "VC_STALLS", "credit stalls on the selected VC", Of(vc, c.VCStalls))
+		// A window's tallies; in range, a window with boundary samples but
+		// no events yet reads zero counts.
+		tally := func(pick func(probe.WindowTally) uint64) func() (uint64, error) {
+			return Of(win, func(k int) uint64 {
+				t, _ := c.WindowCounts(k)
 				return pick(t)
-			}
+			})
 		}
-		b.RO64(RegProbeWinInject, "WIN_INJECT", "injects in the selected window",
-			win(func(t probe.WindowTally) uint64 { return t.Inject }))
-		b.RO64(RegProbeWinEject, "WIN_EJECT", "ejects in the selected window",
-			win(func(t probe.WindowTally) uint64 { return t.Eject }))
-		b.RO64(RegProbeWinRoute, "WIN_ROUTE", "routes in the selected window",
-			win(func(t probe.WindowTally) uint64 { return t.Route }))
-		b.RO64(RegProbeWinDrop, "WIN_DROP", "drops in the selected window",
-			win(func(t probe.WindowTally) uint64 { return t.Drop }))
-		b.RO64(RegProbeWinStall, "WIN_STALL", "credit stalls in the selected window",
-			win(func(t probe.WindowTally) uint64 { return t.Stall }))
-		b.RO64(RegProbeWinOcc, "WIN_OCC", "buffered flits at the window boundary",
-			func() uint64 { return c.WindowOcc(int(winSel)) })
-		b.RO64(RegProbeWinBusy, "WIN_BUSY", "link-busy cycles inside the window",
-			func() uint64 { return c.WindowBusy(int(winSel)) })
+		b.RO64Err(RegProbeWinInject, "WIN_INJECT", "injects in the selected window",
+			tally(func(t probe.WindowTally) uint64 { return t.Inject }))
+		b.RO64Err(RegProbeWinEject, "WIN_EJECT", "ejects in the selected window",
+			tally(func(t probe.WindowTally) uint64 { return t.Eject }))
+		b.RO64Err(RegProbeWinRoute, "WIN_ROUTE", "routes in the selected window",
+			tally(func(t probe.WindowTally) uint64 { return t.Route }))
+		b.RO64Err(RegProbeWinDrop, "WIN_DROP", "drops in the selected window",
+			tally(func(t probe.WindowTally) uint64 { return t.Drop }))
+		b.RO64Err(RegProbeWinStall, "WIN_STALL", "credit stalls in the selected window",
+			tally(func(t probe.WindowTally) uint64 { return t.Stall }))
+		b.RO64Err(RegProbeWinOcc, "WIN_OCC", "buffered flits at the window boundary", Of(win, c.WindowOcc))
+		b.RO64Err(RegProbeWinBusy, "WIN_BUSY", "link-busy cycles inside the window", Of(win, c.WindowBusy))
 	})
 }

@@ -267,7 +267,6 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 				"flow index is a bus error.")
 		var expectLo, expectHi uint32
 		var histSel, histIdx uint32
-		var flowSel uint32
 
 		hist := func() (h interface {
 			NumBins() int
@@ -305,16 +304,6 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 			}
 			return h.Bin(int(histIdx)), nil
 		}
-		// flow returns the selected per-source latency row.
-		flow := func() (receptor.SourceLatency, error) {
-			fl, ok := tr.Flow(int(flowSel))
-			if !ok {
-				return fl, fmt.Errorf("regmap: %s flow %d out of range (flows %d)",
-					b.DeviceName(), flowSel, tr.Flows())
-			}
-			return fl, nil
-		}
-
 		b.RO(RegType, "TYPE", "device class", func() uint32 { return TypeTR })
 		b.RO(RegSubtype, "SUBTYPE", "1 stochastic, 2 trace-driven",
 			func() uint32 {
@@ -424,36 +413,19 @@ func NewTRDevice(tr *receptor.TR) *Bank {
 		b.F64(RegTRTotLatMeanF64, "TLAT_MEAN_F64", "mean total latency",
 			tr.TotLatency().Mean)
 
-		b.RW(RegFlowSel, "FLOW_SEL", "flow index, ordered by source endpoint",
-			func() uint32 { return flowSel },
-			func(v uint32) error { flowSel = v; return nil })
+		flow := Select(b, RegFlowSel, "FLOW_SEL", "flow index, ordered by source endpoint", tr.Flow)
 		b.RO(RegFlowCount, "FLOW_COUNT", "number of flows the latency analyzer observed",
 			func() uint32 { return uint32(tr.Flows()) })
 		b.ROErr(RegFlowSrc, "FLOW_SRC", "selected flow's source endpoint",
-			func() (uint32, error) {
-				fl, err := flow()
-				return uint32(fl.Src), err
-			})
+			Of(flow, func(fl receptor.SourceLatency) uint32 { return uint32(fl.Src) }))
 		b.RO64Err(RegFlowPackets, "FLOW_PACKETS", "selected flow's packet count",
-			func() (uint64, error) {
-				fl, err := flow()
-				return fl.Packets, err
-			})
+			Of(flow, func(fl receptor.SourceLatency) uint64 { return fl.Packets }))
 		b.F64Err(RegFlowMeanF64, "FLOW_MEAN_F64", "selected flow's mean network latency",
-			func() (float64, error) {
-				fl, err := flow()
-				return fl.Mean, err
-			})
+			Of(flow, func(fl receptor.SourceLatency) float64 { return fl.Mean }))
 		b.F64Err(RegFlowMaxF64, "FLOW_MAX_F64", "selected flow's max network latency",
-			func() (float64, error) {
-				fl, err := flow()
-				return fl.Max, err
-			})
+			Of(flow, func(fl receptor.SourceLatency) float64 { return fl.Max }))
 		b.RO64Err(RegFlowLast, "FLOW_LAST", "selected flow's most recent packet latency (0 unless TrackLast)",
-			func() (uint64, error) {
-				fl, err := flow()
-				return fl.Last, err
-			})
+			Of(flow, func(fl receptor.SourceLatency) uint64 { return fl.Last }))
 	})
 }
 

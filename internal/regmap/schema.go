@@ -191,12 +191,13 @@ func (b *Bank) RO(off uint32, name, doc string, read func() uint32) {
 
 // RW declares a read-write register.
 func (b *Bank) RW(off uint32, name, doc string, read func() uint32, write func(uint32) error) {
+	b.RWErr(off, name, doc, func() (uint32, error) { return read(), nil }, write)
+}
+
+// RWErr declares a read-write register whose read can fail.
+func (b *Bank) RWErr(off uint32, name, doc string, read func() (uint32, error), write func(uint32) error) {
 	spec := &RegSpec{Offset: off, Name: name, Access: RW, Doc: doc, Words: 1}
-	b.claim(off, &regEntry{
-		spec:  spec,
-		read:  func() (uint32, error) { return read(), nil },
-		write: write,
-	})
+	b.claim(off, &regEntry{spec: spec, read: read, write: write})
 	b.specs = append(b.specs, spec)
 }
 
@@ -255,6 +256,49 @@ func (b *Bank) Window(base, count uint32, name string, access Access, doc string
 	spec := &RegSpec{Offset: base, Name: name, Access: access, Doc: doc, Words: 1, Count: count}
 	b.windows = append(b.windows, &window{spec: spec, read: read, write: write})
 	b.specs = append(b.specs, spec)
+}
+
+// Selected yields the element a selector register picks, or the bus
+// error of a selector out of range.
+type Selected[T any] func() (T, error)
+
+// Select declares the selector register name at off — a plain RW
+// register, any value accepted — and returns the element it selects:
+// at(sel), or an "out of range" error when at reports none. Every
+// register read through the result (Of, or a closure calling it) is
+// then a bus error past the range, on both halves of a 64-bit pair.
+func Select[T any](b *Bank, off uint32, name, doc string, at func(sel int) (T, bool)) Selected[T] {
+	var sel uint32
+	b.RW(off, name, doc, func() uint32 { return sel }, func(v uint32) error { sel = v; return nil })
+	return func() (T, error) {
+		e, ok := at(int(sel))
+		if !ok {
+			return e, fmt.Errorf("regmap: %s %s %d out of range", b.name, name, sel)
+		}
+		return e, nil
+	}
+}
+
+// Of is the fallible register read of one field of the selected
+// element, for ROErr, RO64Err or F64Err.
+func Of[T, V any](s Selected[T], read func(T) V) func() (V, error) {
+	return func() (V, error) {
+		e, err := s()
+		if err != nil {
+			var zero V
+			return zero, err
+		}
+		return read(e), nil
+	}
+}
+
+// index is at for a slice: element i, or none past its end.
+func index[T any](s []T, i int) (T, bool) {
+	if i < 0 || i >= len(s) {
+		var zero T
+		return zero, false
+	}
+	return s[i], true
 }
 
 // ReadReg implements bus.Device by schema dispatch.

@@ -220,3 +220,38 @@ func TestShutdownRejectsRequests(t *testing.T) {
 		t.Fatalf("second shutdown: %v", err)
 	}
 }
+
+// TestSessionsPastThePaperBusMap: platforms with more devices than the
+// paper's 4 × 1024 bus map open as sessions, land a transfer and answer
+// stats, because every sink and switch the answers read has an address.
+func TestSessionsPastThePaperBusMap(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Shutdown()
+	for _, c := range []struct {
+		topo     string
+		src, dst uint16
+	}{
+		{"mesh:w=32,h=32", 0, 2047},      // sinks 1024-2047: the far corner
+		{"butterfly:w=16,h=16", 17, 511}, // sinks 256-511
+	} {
+		t.Run(c.topo, func(t *testing.T) {
+			open := req(1, jsonio.OpOpen, c.topo)
+			open.Platform = &jsonio.ServePlatform{Topo: c.topo}
+			xfer := req(2, jsonio.OpXfer, c.topo)
+			xfer.Src, xfer.Dst, xfer.Bytes = c.src, c.dst, 64
+			script := []jsonio.ServeRequest{open, xfer, req(3, jsonio.OpStats, c.topo), req(4, jsonio.OpClose, c.topo)}
+			resps := decodeLines(t, runScript(m, script))
+			for i, r := range resps {
+				if !r.OK {
+					t.Fatalf("request %d (%s) failed: %s", i, script[i].Op, r.Err)
+				}
+			}
+			if x := resps[1]; !x.Delivered || x.Latency == 0 {
+				t.Errorf("xfer %+v, want delivered with nonzero latency", x)
+			}
+			if st := resps[2].Stats; st == nil || st.Packets != 1 || st.LatencyMean == 0 {
+				t.Errorf("stats %+v, want the one transfer's packet and latency", st)
+			}
+		})
+	}
+}

@@ -133,7 +133,7 @@ func sessionConfig(sp jsonio.ServePlatform) (platform.Config, error) {
 }
 
 // buildPlatform builds a session platform from its normalized
-// description and rejects shapes whose answers would be unreadable.
+// description.
 func buildPlatform(sp jsonio.ServePlatform) (*platform.Platform, error) {
 	cfg, err := sessionConfig(sp)
 	if err != nil {
@@ -142,10 +142,6 @@ func buildPlatform(sp jsonio.ServePlatform) (*platform.Platform, error) {
 	p, err := platform.Build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: build platform: %v", err)
-	}
-	if n := p.Unmapped(); n > 0 {
-		p.Close()
-		return nil, fmt.Errorf("serve: platform leaves %d devices off the buses", n)
 	}
 	return p, nil
 }

@@ -9,7 +9,8 @@
 // Poisson) or trace-driven traffic generators and observed by
 // stochastic (histograms, running time) or trace-driven (latency
 // analyzer, congestion counter) traffic receptors. A memory-mapped bus
-// system (4 internal buses x 1024 devices) exposes every device's
+// system (the paper's 4 internal buses, the device field widened from
+// 1024 slots to 2^18 so any platform fits) exposes every device's
 // parameter and statistics registers to a control processor, so
 // emulation parameters change in software with no platform rebuild —
 // the paper's answer to hardware re-synthesis cost.

@@ -6,7 +6,9 @@
 #      inline platform config that parks too — then a second server
 #      process resumes both from the shared park directory (restart
 #      survival).
-#   2. HTTP: health endpoint plus one open/xfer/close session.
+#   2. HTTP: health endpoint plus one open/xfer/close session, and a
+#      1 024-node mesh session (past the paper's 4 × 1024 bus map) that
+#      lands one xfer and answers stats.
 #
 # Checks: every response ok, the xfer answers carry nonzero latency,
 # each resumed session continues at its parked cycle, the park
@@ -94,6 +96,18 @@ echo "$xfer_resp" | grep -q '"delivered":true' || { echo "FAIL: http xfer: $xfer
 echo "$xfer_resp" | grep -q '"latency":0[,}]' && { echo "FAIL: zero http xfer latency"; exit 1; }
 curl -fsS -X POST --data '{"v":1,"id":3,"op":"close","sid":"http"}' "http://$ADDR/v1/rpc" | grep -q '"ok":true' || { echo "FAIL: http close"; exit 1; }
 printf '%s\n%s\n' "$open_resp" "$xfer_resp" >> "$OUT/transcript.jsonl"
+
+# Every device of a 32x32 mesh has a bus address, so the session opens
+# and its answers come off the buses like a small one's.
+rpc() { curl -fsS -X POST --data "$1" "http://$ADDR/v1/rpc"; }
+big_open=$(rpc '{"v":1,"id":4,"op":"open","sid":"big","platform":{"topo":"mesh:w=32,h=32"}}')
+echo "$big_open" | grep -q '"ok":true' || { echo "FAIL: 32x32 open: $big_open"; exit 1; }
+big_xfer=$(rpc '{"v":1,"id":5,"op":"xfer","sid":"big","src":0,"dst":2047,"bytes":64}')
+echo "$big_xfer" | grep -q '"delivered":true' || { echo "FAIL: 32x32 xfer: $big_xfer"; exit 1; }
+big_stats=$(rpc '{"v":1,"id":6,"op":"stats","sid":"big"}')
+echo "$big_stats" | grep -q '"stats":{"packets":1,' || { echo "FAIL: 32x32 stats: $big_stats"; exit 1; }
+rpc '{"v":1,"id":7,"op":"close","sid":"big"}' | grep -q '"ok":true' || { echo "FAIL: 32x32 close"; exit 1; }
+printf '%s\n%s\n%s\n' "$big_open" "$big_xfer" "$big_stats" >> "$OUT/transcript.jsonl"
 
 # Graceful shutdown: SIGTERM, then the process must exit on its own.
 kill -TERM $SRV
