@@ -1,8 +1,9 @@
 package dse
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -23,29 +24,55 @@ type journal struct {
 // adopted by RowKey alone, so one recorded under another warm-up or
 // measure length — all the row format shows of the configuration — is
 // an error.
+//
+// A sweep killed mid-write leaves a last row without its newline. That
+// tail is cut off, back to the last newline, and its point is evaluated
+// again like any point the journal lacks a row of; a malformed row that
+// did get its newline stays an error naming the row.
 func openJournal(cfg *Config) (*journal, error) {
 	j := &journal{rows: map[string]Row{}}
 	path := cfg.Journal
 	if path == "" {
 		return j, nil
 	}
-	rows, err := LoadJournal(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := readJournal(f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	for _, r := range rows {
 		if r.WarmupCycles != cfg.WarmupCycles || r.MeasureCycles != cfg.MeasureCycles {
+			f.Close()
 			return nil, fmt.Errorf("dse: journal %s: row %s has warmup_cycles=%d measure_cycles=%d, the sweep has %d and %d (a journal belongs to one sweep configuration)",
 				path, r.Key, r.WarmupCycles, r.MeasureCycles, cfg.WarmupCycles, cfg.MeasureCycles)
 		}
 		j.rows[r.Key] = r
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j.f = f
+	return j, nil
+}
+
+// readJournal parses a journal open for reading and writing, first
+// truncating an unterminated last row.
+func readJournal(f *os.File) ([]Row, error) {
+	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, err
 	}
-	j.f = f
-	return j, nil
+	if keep := bytes.LastIndexByte(data, '\n') + 1; keep < len(data) {
+		if err := f.Truncate(int64(keep)); err != nil {
+			return nil, err
+		}
+		if err := f.Sync(); err != nil {
+			return nil, err
+		}
+		data = data[:keep]
+	}
+	return ReadRows(bytes.NewReader(data))
 }
 
 // has reports whether every fork row of a structural point is already

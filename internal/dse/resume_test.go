@@ -101,6 +101,64 @@ func TestSweepResume(t *testing.T) {
 	}
 }
 
+// TestSweepResumesTornJournalTail: a sweep killed while writing a row
+// leaves that row without its newline. Resuming cuts the torn tail off,
+// evaluates its point again, and the merged output is byte-identical
+// to an uninterrupted sweep's, wherever the row was cut. A malformed
+// row that did get its newline is corruption, not a torn write, and
+// stays an error naming the row.
+func TestSweepResumesTornJournalTail(t *testing.T) {
+	ref, err := Sweep(tinySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalRows(t, ref.Rows)
+
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	first := tinySweep()
+	first.Journal = journal
+	first.StopAfterPoints = 3
+	if _, err := Sweep(first); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1 // the last row's first byte
+	rowLen := len(full) - last                                // newline included
+	for _, cut := range []int{1, rowLen / 2, rowLen - 1} {
+		if err := os.WriteFile(journal, full[:last+cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resume := tinySweep()
+		resume.Journal = journal
+		res, err := Sweep(resume)
+		if err != nil {
+			t.Fatalf("cut %d of %d bytes into the last row: %v", cut, rowLen, err)
+		}
+		if res.Resumed != 2 || res.Evaluated != 6 {
+			t.Errorf("cut %d: resumed=%d evaluated=%d, want 2/6 (the torn row's point evaluated again)", cut, res.Resumed, res.Evaluated)
+		}
+		if !bytes.Equal(marshalRows(t, res.Rows), want) {
+			t.Errorf("cut %d: merged JSONL differs from the uninterrupted run", cut)
+		}
+		rows, err := LoadJournal(journal)
+		if err != nil || len(rows) != 16 {
+			t.Errorf("cut %d: journal after the resume holds %d rows (%v), want 16", cut, len(rows), err)
+		}
+	}
+
+	if err := os.WriteFile(journal, append(full[:last:last], "{\"key\":\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume := tinySweep()
+	resume.Journal = journal
+	if _, err := Sweep(resume); err == nil || !strings.HasPrefix(err.Error(), "dse: row 6: ") {
+		t.Errorf("newline-terminated malformed row: err = %v, want one naming row 6", err)
+	}
+}
+
 // TestSnapshotCacheResume checks the cache actually short-circuits the
 // warm-up: a second sweep over the same space with a shared cache but a
 // fresh journal re-evaluates every point from cached snapshots and

@@ -20,6 +20,7 @@ import (
 	"nocemu/internal/platform"
 	"nocemu/internal/probe"
 	"nocemu/internal/topology"
+	"nocemu/internal/traffic"
 )
 
 // zooConfig builds a NetConfig platform from a -topo style spec
@@ -134,15 +135,19 @@ func TestZooScaleBuilds(t *testing.T) {
 	}
 }
 
-// TestBuildRetainedHeap guards what a built 1 024-node platform keeps
-// alive. The routing table is the term that scales with switches ×
+// TestBuildRetainedHeap guards what a built platform keeps alive. At
+// 1 024 nodes the routing table is the term that scales with switches ×
 // sinks: as per-switch maps it alone held 88 MB of the 123 MB this
 // build retained; the flat table brought the whole platform near 42 MB,
 // sharing the one-port runs of its candidate pool to 34 MB, and two-byte
 // cells plus register banks that declare nothing before their first
-// access (16 MB of closures) to under 14. The banks stay undeclared
-// through everything that is not a bus access: the kernel, the
-// struct-side totals, snapshot, restore and full reset retain no more.
+// access (16 MB of closures) to under 14. One shared sink list in place
+// of a copy per source took it from 12.1 to 10.1 MB. The banks stay
+// undeclared through everything that is not a bus access: the kernel,
+// the struct-side totals, snapshot, restore and full reset retain no
+// more. The butterfly row has 7 680 links and retains 6.4 MB: keeping
+// the topology's construction-time link index alive past compilation
+// adds 0.4 MB and fails it.
 func TestBuildRetainedHeap(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("1k-node build; the race detector's shadow memory is not the platform's")
@@ -154,55 +159,115 @@ func TestBuildRetainedHeap(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := live()
-	p, err := platform.Build(zooConfig(t, "mesh:w=32,h=32", "uniform", 0))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		spec  string
+		limit float64 // MB
+	}{
+		{"mesh:w=32,h=32", 11},
+		{"butterfly:w=16,h=16", 6.6},
+	} {
+		before := live()
+		p, err := platform.Build(zooConfig(t, c.spec, "uniform", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := float64(live()-before) / (1 << 20); got > c.limit {
+			t.Errorf("built %s retains %.1f MB, want under %g", c.spec, got, c.limit)
+		}
+		p.RunCycles(200)
+		p.Totals()
+		snap, err := p.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.RestoreBytes(snap); err != nil {
+			t.Fatal(err)
+		}
+		snap = nil
+		if err := p.FullReset(); err != nil {
+			t.Fatal(err)
+		}
+		if got := float64(live()-before) / (1 << 20); got > c.limit {
+			t.Errorf("%s retains %.1f MB after a run, totals, a snapshot, a restore and a full reset, want under %g: some path declares register banks or keeps construction state", c.spec, got, c.limit)
+		}
+		p.Close()
 	}
-	defer p.Close()
-	if got := float64(live()-before) / (1 << 20); got > 16 {
-		t.Errorf("built mesh:w=32,h=32 retains %.1f MB, want under 16", got)
+}
+
+// TestNetConfigSharesSinkList: every TG a workload emits draws from the
+// one sink list NetConfig built, not from a copy of its own, and the
+// hotspot victim list is one slice too. With one terminal there is no
+// other sink, and the build fails as it did when the list was copied:
+// the shared list with its one entry excluded is empty.
+func TestNetConfigSharesSinkList(t *testing.T) {
+	for _, wl := range []string{"uniform", "hotspot", "flows"} {
+		cfg := zooConfig(t, "mesh:w=4,h=4", wl, 0)
+		var first, hot *traffic.DstConfig
+		for i, tg := range cfg.TGs {
+			var dst *traffic.DstConfig
+			switch c := tg.Gen.(type) {
+			case *traffic.UniformConfig:
+				dst = &c.Dst
+			case *traffic.FlowConfig:
+				dst = &c.Dst
+			default:
+				t.Fatalf("%s TG %d: model %s", wl, i, tg.Gen.Model())
+			}
+			if len(dst.Dsts) != len(cfg.TRs) {
+				t.Fatalf("%s TG %d: %d sinks listed, %d exist", wl, i, len(dst.Dsts), len(cfg.TRs))
+			}
+			if first == nil {
+				first = dst
+			} else if &dst.Dsts[0] != &first.Dsts[0] {
+				t.Fatalf("%s TG %d: its sink list is a copy", wl, i)
+			}
+			if wl == "hotspot" {
+				if hot == nil {
+					hot = dst
+				} else if &dst.Hot[0] != &hot.Hot[0] {
+					t.Fatalf("hotspot TG %d: its victim list is a copy", i)
+				}
+			}
+		}
 	}
-	p.RunCycles(200)
-	p.Totals()
-	snap, err := p.SnapshotBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RestoreBytes(snap); err != nil {
-		t.Fatal(err)
-	}
-	snap = nil
-	if err := p.FullReset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := float64(live()-before) / (1 << 20); got > 16 {
-		t.Errorf("mesh:w=32,h=32 retains %.1f MB after a run, totals, a snapshot, a restore and a full reset, want under 16: some path declares register banks", got)
+	for wl, model := range map[string]string{"uniform": "uniform", "hotspot": "uniform", "flows": "flow"} {
+		_, err := platform.Build(zooConfig(t, "line:n=1", wl, 0))
+		if want := "platform line-1: TG 0: " + model + " model: traffic: no destinations"; err == nil || err.Error() != want {
+			t.Errorf("one-terminal %s build: err = %v, want %s", wl, err, want)
+		}
 	}
 }
 
 // BenchmarkBuildNet times NetConfig + Build — what every sweep point,
 // fork-less run and cold session pays before its first cycle — and
-// reports what the pair allocates.
+// reports what the pair allocates. The butterflies are the radix-heavy
+// case: 7 680 links at 256 nodes and 63 488 at 1 024, so a stage that
+// scans pairs of links, sinks or ports shows there first.
 func BenchmarkBuildNet(b *testing.B) {
-	b.Run("mesh1024", func(b *testing.B) {
-		spec, err := topology.ParseSpec("mesh:w=32,h=32")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: 0.02, Seed: 7})
+	for _, c := range []struct{ name, spec string }{
+		{"mesh1024", "mesh:w=32,h=32"},
+		{"bfly256", "butterfly:w=16,h=16"},
+		{"bfly1024", "butterfly:w=32,h=32"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec, err := topology.ParseSpec(c.spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			p, err := platform.Build(cfg)
-			if err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: 0.02, Seed: 7})
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := platform.Build(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.Close()
 			}
-			p.Close()
-		}
-	})
+		})
+	}
 }
 
 // TestZooDeterministicRebuild: two builds from equal zoo options are

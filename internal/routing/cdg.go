@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nocemu/internal/topology"
@@ -29,9 +30,15 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 	if nCh == 0 {
 		return nil
 	}
-	// dep[c1] = set of channels some packet can request while holding c1.
-	dep := make([][]int, nCh)
-	depSeen := make(map[[2]int]bool)
+	// Every dependency the walk meets, in the order met; they are grouped
+	// and deduplicated below. A channel's dependencies are a function of
+	// the table entry its downstream switch applies, so a state whose
+	// entry is among the last few its channel recorded records nothing:
+	// that drops most repeats (a mesh channel sees one entry per
+	// direction, a run of sinks at a time) before they take memory.
+	type dep struct{ from, to int32 }
+	var found []dep
+	recent := make([][4]entry, nCh) // most recent first
 
 	// Feasible-state BFS per sink. State = (switch, inCh); inCh -1 means
 	// the packet is at its injection switch. A channel determines its
@@ -64,16 +71,25 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 		}
 		for head := 0; head < len(queue); head++ {
 			st := queue[head]
-			ports, err := t.Lookup(st.sw, sink.ID)
-			if err != nil {
+			if int(st.sw) >= len(t.rows) {
+				continue // Validate reports the table's size separately
+			}
+			e := t.find(st.sw, sink.ID) // ports and class, one cell read
+			if e.n == 0 {
 				continue // routing gap; Validate reports it separately
 			}
-			vc := int(t.VC(st.sw, sink.ID))
+			vc := int(e.vc)
 			if vc >= nv {
 				continue // class out of range; Validate reports it separately
 			}
+			record := st.inCh >= 0 && !slices.Contains(recent[st.inCh][:], e)
+			if record {
+				r := &recent[st.inCh]
+				copy(r[1:], r[:])
+				r[0] = e
+			}
 			outs := topo.SwitchOutputs(st.sw)
-			for _, p := range ports {
+			for _, p := range t.run(e) {
 				if p < 0 || p >= len(outs) {
 					continue
 				}
@@ -82,9 +98,8 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 					continue // ejection: the packet leaves the network
 				}
 				outCh := oc.Link*nv + vc
-				if st.inCh >= 0 && !depSeen[[2]int{st.inCh, outCh}] {
-					depSeen[[2]int{st.inCh, outCh}] = true
-					dep[st.inCh] = append(dep[st.inCh], outCh)
+				if record {
+					found = append(found, dep{int32(st.inCh), int32(outCh)})
 				}
 				next := links[oc.Link].To
 				k := stateKey(next, outCh)
@@ -95,6 +110,42 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 			}
 		}
 	}
+
+	// The dependency graph: the channels some packet can request while
+	// holding c are to[off[c]:off[c+1]]. A stable counting sort by
+	// holding channel keeps each channel's dependencies in the order the
+	// walk first met them, and a stamp per requested channel drops the
+	// repeats. The lists, and so the cycle the search below names, are
+	// those of a set consulted at every dependency, without its hashing.
+	off := make([]int32, nCh+1)
+	for _, d := range found {
+		off[d.from+1]++
+	}
+	for c := 0; c < nCh; c++ {
+		off[c+1] += off[c]
+	}
+	to := make([]int32, len(found))
+	cursor := append([]int32(nil), off[:nCh]...)
+	for _, d := range found {
+		to[cursor[d.from]] = d.to
+		cursor[d.from]++
+	}
+	found = nil
+	stamp := cursor // reused: stamp[x] == c+1 once c's list holds x
+	clear(stamp)
+	n := int32(0)
+	for c := 0; c < nCh; c++ {
+		start, end := off[c], off[c+1]
+		off[c] = n
+		for _, x := range to[start:end] {
+			if stamp[x] != int32(c+1) {
+				stamp[x] = int32(c + 1)
+				to[n] = x
+				n++
+			}
+		}
+	}
+	off[nCh] = n
 
 	// Cycle detection over the dependency graph (iterative DFS with
 	// white/grey/black coloring; the grey stack reconstructs the cycle).
@@ -113,25 +164,25 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 			ch   int
 			next int
 		}
-		stack := []frame{{ch: c}}
+		stack := []frame{{ch: c, next: int(off[c])}}
 		color[c] = grey
 		parent[c] = -1
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next >= len(dep[f.ch]) {
+			if f.next >= int(off[f.ch+1]) {
 				color[f.ch] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			to := dep[f.ch][f.next]
+			next := int(to[f.next])
 			f.next++
-			switch color[to] {
+			switch color[next] {
 			case white:
-				color[to] = grey
-				parent[to] = f.ch
-				stack = append(stack, frame{ch: to})
+				color[next] = grey
+				parent[next] = f.ch
+				stack = append(stack, frame{ch: next, next: int(off[next])})
 			case grey:
-				return cdgCycleError(links, nv, parent, f.ch, to)
+				return cdgCycleError(links, nv, parent, f.ch, next)
 			}
 		}
 	}

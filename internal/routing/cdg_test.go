@@ -159,6 +159,47 @@ func TestCDGDefaultTorusAcyclic(t *testing.T) {
 	}
 }
 
+// TestCDGCycleTextPinned pins the cycle each rejection names. The
+// search follows every channel's dependencies in the order the walk
+// first met them, so the same cycle is named however the dependencies
+// are stored and deduplicated; visiting each channel's list in reverse
+// names another cycle in every case here.
+func TestCDGCycleTextPinned(t *testing.T) {
+	const prefix = "routing: channel-dependency cycle (wormhole deadlock possible): "
+	for _, c := range []struct {
+		spec     string
+		shortest bool // all-minimal-paths routing instead of the generator's router
+		want     string
+	}{
+		{"torus:w=4,h=4,minimal=1", false, "link 0 (s0->s1) vc0 -> link 4 (s1->s2) vc0 -> link 8 (s2->s3) vc0 -> link 48 (s3->s0) vc0 -> link 0 vc0"},
+		{"torus:w=4,h=4", true, "link 0 (s0->s1) vc0 -> link 4 (s1->s2) vc0 -> link 8 (s2->s3) vc0 -> link 48 (s3->s0) vc0 -> link 0 vc0"},
+		{"mesh:w=4,h=4", true, "link 1 (s1->s0) vc0 -> link 2 (s0->s4) vc0 -> link 14 (s4->s5) vc0 -> link 7 (s5->s1) vc0 -> link 1 vc0"},
+		{"dragonfly:p=2,a=4,h=2", true, "link 0 (s0->s1) vc0 -> link 112 (s1->s14) vc0 -> link 46 (s14->s15) vc0 -> link 127 (s15->s4) vc0 -> link 16 (s4->s7) vc0 -> link 109 (s7->s0) vc0 -> link 0 vc0"},
+		{"butterfly:w=3,h=3", true, "link 0 (s0->s1) vc0 -> link 24 (s1->s4) vc0 -> link 7 (s4->s3) vc0 -> link 19 (s3->s0) vc0 -> link 0 vc0"},
+	} {
+		spec, err := topology.ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, err := topology.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkPerSwitch(t, tp)
+		build := BuildTable
+		if c.shortest {
+			build = BuildShortestPath
+		}
+		tb, err := build(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckDeadlockFree(tp, tb); err == nil || err.Error() != prefix+c.want {
+			t.Errorf("%s (shortest=%v):\n got %v\nwant %s", c.spec, c.shortest, err, prefix+c.want)
+		}
+	}
+}
+
 // TestCDGCatchesRingCycle: unidirectional-ring shortest-path routing
 // is the smallest cyclic CDG; the checker must find it.
 func TestCDGCatchesRingCycle(t *testing.T) {

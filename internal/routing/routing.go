@@ -11,6 +11,7 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -199,8 +200,13 @@ func (t *Table) Lookup(sw topology.NodeID, dst flit.EndpointID) ([]int, error) {
 	if e.n == 0 {
 		return nil, fmt.Errorf("routing: no route at switch %d to endpoint %d", sw, dst)
 	}
+	return t.run(e), nil
+}
+
+// run returns e's candidate ports, capacity-capped.
+func (t *Table) run(e entry) []int {
 	end := int(e.off) + int(e.n)
-	return t.pool[e.off:end:end], nil
+	return t.pool[e.off:end:end]
 }
 
 // SetVC sets the virtual-channel class of the hop (sw, dst) takes; the
@@ -341,13 +347,34 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 	t := newTableFor(n, sinks)
 	links := topo.Links()
 	classes, _ := r.(topology.VCRouter)
-	portTo := func(sw, next topology.NodeID) (int, bool) {
+	// The output port toward each neighbour, built once: switch sw's
+	// neighbours are nbrs[nbrOff[sw]:nbrOff[sw+1]], in ascending order.
+	// Links are unique per ordered switch pair, so a neighbour has one
+	// port, and resolving a hop is a binary search over the switch's
+	// radix, not a scan of its outputs per (switch, sink).
+	type nbr struct {
+		sw   topology.NodeID
+		port int
+	}
+	nbrs := make([]nbr, 0, len(links))
+	nbrOff := make([]int, n+1)
+	for sw := topology.NodeID(0); int(sw) < n; sw++ {
+		start := len(nbrs)
 		for p, oc := range topo.SwitchOutputs(sw) {
-			if oc.Link >= 0 && links[oc.Link].To == next {
-				return p, true
+			if oc.Link >= 0 {
+				nbrs = append(nbrs, nbr{links[oc.Link].To, p})
 			}
 		}
-		return 0, false
+		slices.SortFunc(nbrs[start:], func(a, b nbr) int { return cmp.Compare(a.sw, b.sw) })
+		nbrOff[sw+1] = len(nbrs)
+	}
+	portTo := func(sw, next topology.NodeID) (int, bool) {
+		ns := nbrs[nbrOff[sw]:nbrOff[sw+1]]
+		i, ok := slices.BinarySearchFunc(ns, next, func(a nbr, next topology.NodeID) int { return cmp.Compare(a.sw, next) })
+		if !ok {
+			return 0, false
+		}
+		return ns[i].port, true
 	}
 	var ports []int // scratch: Set copies it
 	for _, sink := range sinks {

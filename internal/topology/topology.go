@@ -87,15 +87,22 @@ type Topology struct {
 	// (0 = one channel).
 	numVC int
 
-	// Port-list and endpoint caches. Platform compilation and routing
-	// validation call SwitchInputs/SwitchOutputs/Endpoint inside loops
-	// over switches × sinks; recomputing them by scanning every link
-	// each call turns a 1k-switch build into minutes. The caches are
-	// built lazily on first read and invalidated by any mutation
-	// (AddLink, AddSource, AddSink).
+	// Port-list caches. Platform compilation and routing validation call
+	// SwitchInputs/SwitchOutputs inside loops over switches × sinks;
+	// recomputing them by scanning every link each call turns a
+	// 1k-switch build into minutes. They are built lazily on first read
+	// and dropped by any mutation (AddLink, AddSource, AddSink).
 	inCache  [][]InConn
 	outCache [][]OutConn
-	epCache  map[flit.EndpointID]EndpointSpec
+	// linkSet indexes the links for AddLink's duplicate check, which
+	// scanned every earlier link. It is construction state: building the
+	// port caches drops it, since a compiled topology is read, not grown,
+	// and an AddLink after that re-derives it.
+	linkSet map[LinkSpec]struct{}
+	// epIndex maps an endpoint id to its attachment, for Endpoint and
+	// for addEndpoint's duplicate check. It is built on first use and
+	// kept current by addEndpoint.
+	epIndex map[flit.EndpointID]EndpointSpec
 }
 
 // SetRouter attaches the topology's routing recipe. Generators call it
@@ -142,14 +149,10 @@ func (t *Topology) Terminals() []NodeID {
 	return ts
 }
 
-// invalidate drops the derived caches after a mutation.
-func (t *Topology) invalidate() {
-	t.inCache, t.outCache, t.epCache = nil, nil, nil
-}
-
 // buildPortCaches fills the per-switch canonical port lists in one pass
-// over the links and endpoints.
+// over the links and endpoints, and drops the link index.
 func (t *Topology) buildPortCaches() {
+	t.linkSet = nil
 	t.inCache = make([][]InConn, t.numSwitches)
 	t.outCache = make([][]OutConn, t.numSwitches)
 	for i, l := range t.links {
@@ -206,13 +209,19 @@ func (t *Topology) AddLink(from, to NodeID) error {
 	if from == to {
 		return fmt.Errorf("topology %s: self-loop at switch %d", t.name, from)
 	}
-	for _, l := range t.links {
-		if l.From == from && l.To == to {
-			return fmt.Errorf("topology %s: duplicate link %d->%d", t.name, from, to)
+	if t.linkSet == nil {
+		t.linkSet = make(map[LinkSpec]struct{}, len(t.links))
+		for _, l := range t.links {
+			t.linkSet[l] = struct{}{}
 		}
 	}
-	t.links = append(t.links, LinkSpec{From: from, To: to})
-	t.invalidate()
+	l := LinkSpec{From: from, To: to}
+	if _, dup := t.linkSet[l]; dup {
+		return fmt.Errorf("topology %s: duplicate link %d->%d", t.name, from, to)
+	}
+	t.linkSet[l] = struct{}{}
+	t.links = append(t.links, l)
+	t.inCache, t.outCache = nil, nil
 	return nil
 }
 
@@ -228,13 +237,13 @@ func (t *Topology) addEndpoint(id flit.EndpointID, sw NodeID, role Role) error {
 	if err := t.checkNode(sw); err != nil {
 		return err
 	}
-	for _, e := range t.endpoints {
-		if e.ID == id {
-			return fmt.Errorf("topology %s: duplicate endpoint %d", t.name, id)
-		}
+	if _, dup := t.Endpoint(id); dup {
+		return fmt.Errorf("topology %s: duplicate endpoint %d", t.name, id)
 	}
-	t.endpoints = append(t.endpoints, EndpointSpec{ID: id, Switch: sw, Role: role})
-	t.invalidate()
+	e := EndpointSpec{ID: id, Switch: sw, Role: role}
+	t.endpoints = append(t.endpoints, e)
+	t.epIndex[id] = e
+	t.inCache, t.outCache = nil, nil
 	return nil
 }
 
@@ -250,13 +259,13 @@ func (t *Topology) AddSink(id flit.EndpointID, sw NodeID) error {
 
 // Endpoint returns the attachment of the given endpoint.
 func (t *Topology) Endpoint(id flit.EndpointID) (EndpointSpec, bool) {
-	if t.epCache == nil {
-		t.epCache = make(map[flit.EndpointID]EndpointSpec, len(t.endpoints))
+	if t.epIndex == nil {
+		t.epIndex = make(map[flit.EndpointID]EndpointSpec, len(t.endpoints))
 		for _, e := range t.endpoints {
-			t.epCache[e.ID] = e
+			t.epIndex[e.ID] = e
 		}
 	}
-	e, ok := t.epCache[id]
+	e, ok := t.epIndex[id]
 	return e, ok
 }
 
@@ -345,6 +354,12 @@ func reach(adj [][]Edge, s NodeID, seen []int, stamp int, queue []NodeID) []Node
 // Validate checks the structural invariants needed before platform
 // compilation: at least one source and one sink, every source able to
 // reach every sink's switch, and no switch with zero ports.
+//
+// Every switch of a strongly connected component reaches what the others
+// reach, so reachability is searched once per component that holds a
+// source, not once per source: once for any topology with links both
+// ways. The first failing (source, sink) pair is still the one a search
+// per source finds first.
 func (t *Topology) Validate() error {
 	srcs, sinks := t.Sources(), t.Sinks()
 	if len(srcs) == 0 {
@@ -354,14 +369,29 @@ func (t *Topology) Validate() error {
 		return fmt.Errorf("topology %s: no sinks", t.name)
 	}
 	adj := t.Adjacency()
-	seen := make([]int, t.numSwitches)
+	radj := make([][]Edge, t.numSwitches)
+	for i, l := range t.links {
+		radj[l.To] = append(radj[l.To], Edge{Link: i, To: l.From})
+	}
+	fwd, back := make([]int, t.numSwitches), make([]int, t.numSwitches)
+	checked := make([]bool, t.numSwitches) // in the component of a checked source
 	var queue []NodeID
 	for i, src := range srcs {
-		queue = reach(adj, src.Switch, seen, i+1, queue)
+		if checked[src.Switch] {
+			continue
+		}
+		queue = reach(adj, src.Switch, fwd, i+1, queue)
 		for _, snk := range sinks {
-			if seen[snk.Switch] != i+1 {
+			if fwd[snk.Switch] != i+1 {
 				return fmt.Errorf("topology %s: sink %d (switch %d) unreachable from source %d (switch %d)",
 					t.name, snk.ID, snk.Switch, src.ID, src.Switch)
+			}
+		}
+		// The component is what src reaches and what reaches src.
+		queue = reach(radj, src.Switch, back, i+1, queue)
+		for _, s := range queue {
+			if fwd[s] == i+1 {
+				checked[s] = true
 			}
 		}
 	}

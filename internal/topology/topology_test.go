@@ -43,6 +43,42 @@ func TestAddLinkErrors(t *testing.T) {
 	}
 }
 
+// TestDuplicateErrorsAfterCompilation: the duplicate checks read an
+// index, not the lists, and say what the list scans said, word for
+// word. Building the port caches drops the link index (construction
+// state a compiled topology does not keep); an AddLink after that
+// re-derives it, and the port lists then include the new link.
+func TestDuplicateErrorsAfterCompilation(t *testing.T) {
+	tp, _ := New("t", 3)
+	if err := tp.AddBiLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.AddSource(5, 0); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := tp.AddLink(1, 0); err == nil || err.Error() != "topology t: duplicate link 1->0" {
+			t.Errorf("%s: duplicate link: %v", when, err)
+		}
+		if err := tp.AddSink(5, 2); err == nil || err.Error() != "topology t: duplicate endpoint 5" {
+			t.Errorf("%s: duplicate endpoint: %v", when, err)
+		}
+	}
+	check("while building")
+	if len(tp.SwitchOutputs(1)) != 1 || tp.linkSet != nil {
+		t.Fatalf("compiled: outputs %v, link index kept = %v", tp.SwitchOutputs(1), tp.linkSet != nil)
+	}
+	check("after the port caches")
+	if err := tp.AddLink(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := tp.SwitchOutputs(1); len(got) != 2 || got[1].Link != 2 {
+		t.Errorf("outputs after a late AddLink = %v", got)
+	}
+	check("after a late AddLink")
+}
+
 func TestEndpointAttachment(t *testing.T) {
 	tp, _ := New("t", 2)
 	if err := tp.AddSource(1, 0); err != nil {
@@ -149,6 +185,34 @@ func TestValidateCatchesUnreachableSink(t *testing.T) {
 	}
 	if err := tp.Validate(); err != nil {
 		t.Errorf("valid topology rejected: %v", err)
+	}
+}
+
+// TestValidateNamesFirstUnreachablePair: reachability is searched once
+// per strongly connected component holding a source, yet the error
+// names the pair a search per source finds first. Switch 0 feeds the
+// cycle 1 <-> 2 and nothing returns to it: the source on 0 reaches
+// every sink, the one on 1 fails, and the one on 2 — in the same
+// component — is never searched.
+func TestValidateNamesFirstUnreachablePair(t *testing.T) {
+	tp, _ := New("t", 3)
+	for _, l := range [][2]NodeID{{0, 1}, {1, 2}, {2, 1}} {
+		if err := tp.AddLink(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []struct {
+		id   flit.EndpointID
+		sw   NodeID
+		role Role
+	}{{10, 0, Source}, {12, 1, Source}, {11, 2, Source}, {20, 1, Sink}, {21, 0, Sink}, {22, 2, Sink}} {
+		if err := tp.addEndpoint(e.id, e.sw, e.role); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "topology t: sink 21 (switch 0) unreachable from source 12 (switch 1)"
+	if err := tp.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %s", err, want)
 	}
 }
 

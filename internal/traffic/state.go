@@ -24,8 +24,8 @@ func (d *dstChooser) LoadState(r *state.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if i < 0 || i >= len(d.cfg.Dsts) {
-		return fmt.Errorf("traffic: destination cursor %d of %d", i, len(d.cfg.Dsts))
+	if i < 0 || i >= d.cfg.len() {
+		return fmt.Errorf("traffic: destination cursor %d of %d", i, d.cfg.len())
 	}
 	d.i = i
 	return nil

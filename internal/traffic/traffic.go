@@ -87,6 +87,29 @@ type DstConfig struct {
 	// member of Hot with probability HotQ16 (Q16 fixed point).
 	Hot    []flit.EndpointID `json:"hot,omitempty"`
 	HotQ16 uint16            `json:"hot_q16,omitempty"`
+	// skip is one plus the index of the Dsts entry that is not a
+	// destination (0: every entry is). It lets the workloads hand every
+	// source one shared sink list instead of a copy of "every sink but
+	// mine" each. JSON does not carry it: a config read from a file lists
+	// its destinations in full.
+	skip int
+}
+
+// len returns the number of destinations.
+func (c *DstConfig) len() int {
+	if c.skip > 0 {
+		return len(c.Dsts) - 1
+	}
+	return len(c.Dsts)
+}
+
+// at returns destination i of [0, len()): the Dsts entry i, stepping past
+// the skipped one.
+func (c *DstConfig) at(i int) flit.EndpointID {
+	if c.skip > 0 && i >= c.skip-1 {
+		i++
+	}
+	return c.Dsts[i]
 }
 
 type dstChooser struct {
@@ -95,7 +118,7 @@ type dstChooser struct {
 }
 
 func newDstChooser(cfg DstConfig) (*dstChooser, error) {
-	if len(cfg.Dsts) == 0 {
+	if cfg.len() == 0 {
 		return nil, fmt.Errorf("traffic: no destinations")
 	}
 	switch cfg.Policy {
@@ -116,10 +139,10 @@ func newDstChooser(cfg DstConfig) (*dstChooser, error) {
 func (d *dstChooser) next(r *rng.LFSR) flit.EndpointID {
 	switch d.cfg.Policy {
 	case DstUniform:
-		return d.cfg.Dsts[r.Intn(len(d.cfg.Dsts))]
+		return d.cfg.at(r.Intn(d.cfg.len()))
 	case DstRoundRobin:
-		dst := d.cfg.Dsts[d.i]
-		d.i = (d.i + 1) % len(d.cfg.Dsts)
+		dst := d.cfg.at(d.i)
+		d.i = (d.i + 1) % d.cfg.len()
 		return dst
 	case DstHotspot:
 		// Stateless draws keep the chooser's snapshot format (the
@@ -127,9 +150,9 @@ func (d *dstChooser) next(r *rng.LFSR) flit.EndpointID {
 		if r.Bernoulli16(d.cfg.HotQ16) {
 			return d.cfg.Hot[r.Intn(len(d.cfg.Hot))]
 		}
-		return d.cfg.Dsts[r.Intn(len(d.cfg.Dsts))]
+		return d.cfg.at(r.Intn(d.cfg.len()))
 	default:
-		return d.cfg.Dsts[0]
+		return d.cfg.at(0)
 	}
 }
 

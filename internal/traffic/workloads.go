@@ -13,7 +13,8 @@ import (
 // flits per cycle per source, the packet length, and a seed that
 // controls the workload's structural choices (e.g. which sink is the
 // hotspot victim). Per-generator random streams are seeded separately
-// by the platform layer.
+// by the platform layer. The emitted configs share Sinks rather than
+// copy it, so the caller must not modify it afterwards.
 type WorkloadEnv struct {
 	Sources   []flit.EndpointID
 	Sinks     []flit.EndpointID
@@ -91,15 +92,12 @@ func (e WorkloadEnv) check() error {
 	return nil
 }
 
-// otherSinks returns the sinks excluding index self, in order.
-func otherSinks(env WorkloadEnv, self int) []flit.EndpointID {
-	dsts := make([]flit.EndpointID, 0, len(env.Sinks)-1)
-	for j, s := range env.Sinks {
-		if j != self {
-			dsts = append(dsts, s)
-		}
-	}
-	return dsts
+// otherSinks is source self's destination set under policy: every sink
+// but its own. The sink list is shared by every source, not copied per
+// source: a draw of r.Intn(n-1) that steps past self picks what the
+// same draw picks from a copy without self.
+func otherSinks(env WorkloadEnv, policy DstPolicy, self int) DstConfig {
+	return DstConfig{Policy: policy, Dsts: env.Sinks, skip: self + 1}
 }
 
 // uniformGapMax sizes the uniform model's gap so the mean offered load
@@ -122,7 +120,7 @@ func init() {
 				out[i] = &UniformConfig{
 					LenMin: env.PacketLen, LenMax: env.PacketLen,
 					GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
-					Dst:         DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
+					Dst:         otherSinks(env, DstUniform, i),
 					RandomPhase: true,
 				}
 			}
@@ -136,18 +134,15 @@ func init() {
 			if err := env.check(); err != nil {
 				return nil, err
 			}
-			hot := env.Sinks[int(env.Seed)%len(env.Sinks)]
+			hot := []flit.EndpointID{env.Sinks[int(env.Seed)%len(env.Sinks)]}
 			out := make([]Config, len(env.Sources))
 			for i := range env.Sources {
+				dst := otherSinks(env, DstHotspot, i)
+				dst.Hot, dst.HotQ16 = hot, 16384 // 25% of draws hit the victim
 				out[i] = &UniformConfig{
 					LenMin: env.PacketLen, LenMax: env.PacketLen,
 					GapMin: 0, GapMax: uniformGapMax(env.PacketLen, env.Injection),
-					Dst: DstConfig{
-						Policy: DstHotspot,
-						Dsts:   otherSinks(env, i),
-						Hot:    []flit.EndpointID{hot},
-						HotQ16: 16384, // 25% of draws hit the victim
-					},
+					Dst:         dst,
 					RandomPhase: true,
 				}
 			}
@@ -211,7 +206,7 @@ func init() {
 					ArrivalQ16: uint16(arrival),
 					SizeMin:    sizeMin, SizeMax: sizeMax,
 					LenMin: env.PacketLen, LenMax: env.PacketLen,
-					Dst: DstConfig{Policy: DstUniform, Dsts: otherSinks(env, i)},
+					Dst: otherSinks(env, DstUniform, i),
 				}
 			}
 			return out, nil

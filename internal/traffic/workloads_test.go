@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nocemu/internal/flit"
+	"nocemu/internal/rng"
 )
 
 func zooEnv(n int, inj float64, seed uint32) WorkloadEnv {
@@ -122,6 +123,59 @@ func TestIncastWaveSynchronization(t *testing.T) {
 		}
 		if c.Dst.Policy != DstRoundRobin || len(c.Dst.Dsts) != 6 {
 			t.Fatalf("source %d rotation %v over %d sinks", i, c.Dst.Policy, len(c.Dst.Dsts))
+		}
+	}
+}
+
+// TestSharedSinkDrawsMatchCopies: the uniform, hotspot and flows
+// workloads hand every source the one shared sink list with its own
+// index excluded. Every draw, and the random stream behind it, must be
+// what the same seed draws from a materialized "every sink but mine"
+// list, the form every fixture was recorded with. One stream of 10 000
+// draws per size visits the sources in turn, so every source draws.
+func TestSharedSinkDrawsMatchCopies(t *testing.T) {
+	const draws = 10_000
+	for _, kind := range []string{"uniform", "hotspot", "flows"} {
+		w, _ := LookupWorkload(kind)
+		for _, n := range []int{2, 3, 17, 1024} {
+			env := zooEnv(n, 0.1, 5)
+			specs, err := w.Build(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := make([]*dstChooser, n)
+			copies := make([]*dstChooser, n)
+			for self, s := range specs {
+				var dst DstConfig
+				switch c := s.(type) {
+				case *UniformConfig:
+					dst = c.Dst
+				case *FlowConfig:
+					dst = c.Dst
+				}
+				if &dst.Dsts[0] != &env.Sinks[0] {
+					t.Fatalf("%s n=%d source %d: sink list copied, not shared", kind, n, self)
+				}
+				copied := dst
+				copied.skip = 0
+				copied.Dsts = append(append([]flit.EndpointID(nil), env.Sinks[:self]...), env.Sinks[self+1:]...)
+				if shared[self], err = newDstChooser(dst); err != nil {
+					t.Fatal(err)
+				}
+				if copies[self], err = newDstChooser(copied); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ra, rb := rng.New(0xACE1), rng.New(0xACE1)
+			for i := 0; i < draws; i++ {
+				self := i % n
+				if x, y := shared[self].next(ra), copies[self].next(rb); x != y {
+					t.Fatalf("%s n=%d source %d draw %d: shared list gives %d, a copy %d", kind, n, self, i, x, y)
+				}
+			}
+			if ra.State() != rb.State() {
+				t.Fatalf("%s n=%d: random streams diverged", kind, n)
+			}
 		}
 	}
 }
