@@ -1,0 +1,192 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// hookedArena is a stub arena with arm hooks: it records in which cycle
+// the engine switched them, and to what.
+type hookedArena struct {
+	*stubArena
+	e     *Engine
+	flips []hookFlip
+}
+
+type hookFlip struct {
+	cycle uint64
+	on    bool
+}
+
+func (h *hookedArena) ArmHooks(on bool) { h.flips = append(h.flips, hookFlip{h.e.Cycle(), on}) }
+
+// dutyRig is a gated engine over one hooked arena of eight elements,
+// the first busy elements of which never go quiet.
+func dutyRig(busy int) (*Engine, *hookedArena) {
+	e := New()
+	e.SetGated(true)
+	a := &hookedArena{stubArena: &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}, e: e}
+	for i := 0; i < busy; i++ {
+		a.elems[i].busy = NeverWake
+	}
+	e.MustRegisterArena(a)
+	return e, a
+}
+
+// TestGateStandsDown drives the duty cycle of duty.go: an arena whose
+// elements are all busy stands its gate down after one probe window, for
+// stretches that double while every probe finds it still busy, with the
+// hooks off exactly while the plain schedule walks; a probe that finds
+// it mostly idle keeps the gate up and the stretch short again. Every
+// element's counter reads the naive schedule's throughout.
+func TestGateStandsDown(t *testing.T) {
+	e, a := dutyRig(8)
+	e.Run(1000)
+	want := []hookFlip{{64, false}, {320, true}, {384, false}, {896, true}, {960, false}}
+	if !slices.Equal(a.flips, want) {
+		t.Fatalf("hooks switched at %v, want %v", a.flips, want)
+	}
+	if d := e.sched.duty; !d.down || d.next != 1984 || d.stretch != 2048 {
+		t.Fatalf("after 1000 busy cycles: down=%v until %d, next stretch %d; want down until 1984, next 2048", d.down, d.next, d.stretch)
+	}
+
+	// The load falls to one element of eight mid-stretch: the next probe
+	// finds the arena below the share, so the gate stays up and parks the
+	// seven idle elements, and the stretch is back at its shortest.
+	for i := 1; i < len(a.elems); i++ {
+		a.elems[i].busy = 0
+	}
+	ticks := a.ticks
+	e.Run(1500)
+	if want := append(want, hookFlip{1984, true}); !slices.Equal(a.flips, want) {
+		t.Errorf("hooks switched at %v, want %v", a.flips, want)
+	}
+	if d := e.sched.duty; d.down || d.stretch != minStretch {
+		t.Errorf("after a quiet probe: down=%v, next stretch %d; want up and %d", d.down, d.stretch, minStretch)
+	}
+	// Plain cycles 1000–1983 tick all eight, the first gated cycle all
+	// eight, and the rest only the busy one.
+	if got, want := a.ticks-ticks, uint64(984*8+8+515); got != want {
+		t.Errorf("%d element-cycles ticked in cycles 1000–2499, want %d", got, want)
+	}
+	for i, c := range a.counts() {
+		if c != 2500 {
+			t.Errorf("element %d counts %d cycles after 2500", i, c)
+		}
+	}
+}
+
+// pulse wakes every 40th cycle and hands every element of its arena
+// input that keeps it busy for eight cycles.
+type pulse struct {
+	a   *stubArena
+	arm func()
+}
+
+func (p *pulse) ComponentName() string { return "pulse" }
+func (p *pulse) Tick(c uint64) {
+	if c%40 == 0 {
+		for i := range p.a.elems {
+			p.a.elems[i].busy = 8
+		}
+		p.arm()
+	}
+}
+func (p *pulse) Commit(uint64)                    {}
+func (p *pulse) NextWake(c uint64) (uint64, bool) { return c + 40 - c%40, true }
+func (p *pulse) SkipIdle(from, n uint64)          {}
+
+// TestGateProbeCountsSkippedCycles: a probe window averages over its
+// cycles, fast-forwarded ones included. Every element is active in seven
+// of the nine cycles the engine walks per pulse, but it skips the other
+// 31 of 40, so the gate stays up.
+func TestGateProbeCountsSkippedCycles(t *testing.T) {
+	e := New()
+	e.SetGated(true)
+	a := &hookedArena{stubArena: &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}, e: e}
+	p := &pulse{a: a.stubArena}
+	e.MustRegister(p) // ahead of the arena whose input it stages
+	e.MustRegisterArena(a)
+	var targets []Target
+	for i := range a.elems {
+		targets = append(targets, Target{Name: "arena", Elem: i})
+	}
+	p.arm, _ = e.Armer(targets...)
+	e.Run(2000)
+	if len(a.flips) != 0 || e.StandingDown() {
+		t.Errorf("hooks switched at %v, standing down %v; want the gate up throughout", a.flips, e.StandingDown())
+	}
+	for i, c := range a.counts() {
+		if c != 2000 {
+			t.Errorf("element %d counts %d cycles after 2000", i, c)
+		}
+	}
+}
+
+// schedLog is a SchedTrace that keeps the parks and wakes.
+type schedLog []string
+
+func (l *schedLog) SchedPark(c uint64, comp string) {
+	*l = append(*l, fmt.Sprint("park ", comp, " ", c))
+}
+func (l *schedLog) SchedWake(c uint64, comp string) {
+	*l = append(*l, fmt.Sprint("wake ", comp, " ", c))
+}
+func (l *schedLog) SchedFastForward(from, to uint64) {}
+
+// TestGateStandDownPaysTheParked forces a stand-down after every probe
+// window while seven of eight elements and a sleeping component are
+// parked: they are paid their idle cycles before the plain walk ticks
+// them, the component's wake is traced like any other, and all of them
+// park again in the first cycle the gate is back up.
+func TestGateStandDownPaysTheParked(t *testing.T) {
+	e, a := dutyRig(1)
+	e.sched.duty.share = 0
+	sleeper := far()
+	e.MustRegister(sleeper)
+	var log schedLog
+	e.SetSchedTrace(&log)
+	e.Run(465)
+	if want := []string{"park far 0", "wake far 64", "park far 320", "wake far 384"}; !slices.Equal(log, want) {
+		t.Errorf("traced %q, want %q", log, want)
+	}
+	sleeper.check(t, "far", 0, 465, false)
+	// Gated 0–63 (all eight in cycle 0, then the busy one), plain 64–319,
+	// gated 320–383, plain again from 384.
+	if want := uint64(8 + 63 + 256*8 + 8 + 63 + 81*8); a.ticks != want {
+		t.Errorf("%d element-cycles ticked, want %d", a.ticks, want)
+	}
+	for i, c := range a.counts() {
+		if c != 465 {
+			t.Errorf("element %d counts %d cycles after 465", i, c)
+		}
+	}
+}
+
+// TestGateStandUpOnRebaseAndUngating: a new timeline and an engine that
+// stops gating both end a stand-down at once, hooks on — a later gated
+// run must never find them off.
+func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(e *Engine)
+	}{
+		{"Reset", func(e *Engine) { e.Reset() }},
+		{"SetGated(false)", func(e *Engine) { e.SetGated(false) }},
+		{"SetWorkers(2)", func(e *Engine) { _ = e.SetWorkers(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, a := dutyRig(8)
+			defer e.Close()
+			e.Run(100)
+			tc.end(e)
+			if want := []hookFlip{{64, false}, {100, true}}; !slices.Equal(a.flips, want) {
+				t.Errorf("hooks switched at %v, want %v", a.flips, want)
+			}
+			if s := e.sched; s != nil && (s.duty.down || s.duty.from != 0 || s.duty.next != probeCycles || s.duty.stretch != minStretch) {
+				t.Errorf("after %s: %+v, want up and probing afresh", tc.name, s.duty)
+			}
+		})
+	}
+}

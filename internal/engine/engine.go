@@ -14,7 +14,8 @@
 //
 // One Engine drives that schedule through one run loop (run, below).
 // Two optional states pick how a cycle is walked: the clock gates of
-// quiesce.go park idle components, and the worker pool of pool.go
+// quiesce.go park idle components — and stand down for the plain walk
+// while nearly everything is busy (duty.go) — and the worker pool of pool.go
 // recovers the paper's other performance property — every device
 // evaluated concurrently within a phase. Results are bit-identical
 // whichever walk executes them.
@@ -284,15 +285,17 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	return executed, stopped
 }
 
-// walk executes one cycle and counts it.
+// walk executes one cycle and counts it. A gated engine whose gates
+// stand down (duty.go) walks the plain schedule.
 func (e *Engine) walk() {
-	switch {
+	switch s := e.sched; {
 	case e.pool != nil:
 		e.pool.walk(e.cycle)
-	case e.sched != nil:
-		e.sched.wakeDue(e.cycle)
-		e.sched.reg.Tick(e.cycle)
-		e.sched.reg.Commit(e.cycle)
+	case s != nil && e.gatesUp():
+		s.wakeDue(e.cycle)
+		s.reg.Tick(e.cycle)
+		s.reg.Commit(e.cycle)
+		s.duty.count(s.arenas)
 	default:
 		c := e.cycle
 		for _, comp := range e.components {
@@ -378,12 +381,14 @@ func (e *Engine) SetWorkers(n int) error {
 func (e *Engine) reshape() {
 	switch want := e.gated && e.pool == nil; {
 	case want && e.sched == nil:
-		s := &sched{}
+		s := &sched{duty: duty{share: standDownShare}}
 		s.reg = clockGate{name: "registry", pop: s, ordered: true, log: e.logSched}
+		s.duty.restart(e.cycle)
 		e.sched = s
 	case !want && e.sched != nil:
 		e.schedEnter()
 		e.settle()
+		e.standUp()
 		e.sched = nil
 	}
 }

@@ -42,7 +42,9 @@
 // only ever wakes on input. The registry (sched) has to ask each
 // component through an interface, so it rations the looks with a
 // backoff, and it keeps the timers. The arenas themselves only store and
-// evaluate elements (arena.go).
+// evaluate elements (arena.go). On a network busy enough that parking
+// costs more than it saves, the gates stand down for the plain walk
+// (duty.go).
 package engine
 
 // NeverWake is the wake cycle of a component that only input can
@@ -309,6 +311,8 @@ type sched struct {
 	nextTry []uint64
 	wakeAt  []uint64
 	heap    wakeHeap
+	// duty decides when the gates stand down for the plain walk (duty.go).
+	duty duty
 }
 
 func (s *sched) TickList(idx []int, cycle uint64) {
@@ -549,6 +553,7 @@ func (e *Engine) schedEnter() {
 				g.add(e.cycle)
 			}
 			s.arenas = append(s.arenas, g)
+			s.duty.size += a.Len()
 			c = g
 		}
 		q, _ := c.(Quiescable)
@@ -582,11 +587,13 @@ func (e *Engine) settle() {
 // rebase moves the cycle counter — the one step Reset and LoadState
 // share. Outstanding skip accounting references the old timeline, so it
 // is settled before the counter moves; then every gate restarts on the
-// new one.
+// new one, up and probing afresh.
 func (e *Engine) rebase(cycle uint64) {
 	if s := e.sched; s != nil {
 		e.schedEnter()
 		e.settle()
+		e.standUp()
+		s.duty.restart(cycle)
 		clear(s.nextTry) // the backoff restarts on the new timeline too
 		s.reg.rebase(cycle)
 		for _, g := range s.arenas {

@@ -179,21 +179,24 @@ func far() *stub { return &stub{name: "far", wakes: []uint64{5000}} }
 // the same entry points over the same components return the same
 // (executed, stopped, Cycle()), act in the same cycles, and account for
 // every cycle exactly once — executed or paid as idle — whether the
-// schedule is walked plainly, gated, or by a pool of 1, 2 or 7 workers,
-// gated or not. It also pins the pool's lifetime: no goroutine before
+// schedule is walked plainly, gated, gated with the gates standing down
+// and resuming every few hundred cycles, or by a pool of 1, 2 or 7
+// workers, gated or not. It also pins the pool's lifetime: no goroutine before
 // the first run, none after Close.
 func TestRunLoopContract(t *testing.T) {
 	walks := []struct {
 		name    string
 		gated   bool
 		workers int
+		down    bool // the gates stand down after every probe window (duty.go)
 	}{
-		{"ungated", false, 0}, // the reference
-		{"gated", true, 0},
-		{"pool1", true, 1},
-		{"pool2", true, 2},
-		{"pool7", true, 7},
-		{"pool2-ungated", false, 2},
+		{"ungated", false, 0, false}, // the reference
+		{"gated", true, 0, false},
+		{"gated-standing-down", true, 0, true},
+		{"pool1", true, 1, false},
+		{"pool2", true, 2, false},
+		{"pool7", true, 7, false},
+		{"pool2-ungated", false, 2, false},
 	}
 	entries := []struct {
 		name  string
@@ -289,6 +292,9 @@ func TestRunLoopContract(t *testing.T) {
 				}
 				defer r.e.Close()
 				r.e.SetGated(w.gated)
+				if w.down {
+					r.e.sched.duty.share = 0
+				}
 				for _, c := range en.stubs() {
 					r.add(c)
 				}

@@ -32,6 +32,9 @@ type Arena struct {
 	// consumer. delivered is that list's backing, cap = pairs.
 	onDeliver func(elems []int)
 	delivered []int
+	// onFlit and onCredit are the Send hooks SetHooks installed; ArmHooks
+	// takes them off the wires and puts them back.
+	onFlit, onCredit func(elem int)
 }
 
 // NewArena returns an empty wire arena with room for n wire pairs of
@@ -77,6 +80,18 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 // deliver with their pairs. The wires carry only their index.
 func (a *Arena) SetHooks(flit, credit func(elem int), deliver func(elems []int)) {
 	a.onDeliver, a.delivered = deliver, make([]int, 0, len(a.links))
+	a.onFlit, a.onCredit = flit, credit
+	a.ArmHooks(true)
+}
+
+// ArmHooks implements engine.Hooked: off, a Send calls nothing — the
+// engine walks every wire anyway while its gates stand down; on, the
+// hooks SetHooks installed fire again.
+func (a *Arena) ArmHooks(on bool) {
+	flit, credit := a.onFlit, a.onCredit
+	if !on {
+		flit, credit = nil, nil
+	}
 	for i := range a.links {
 		a.links[i].onSend = flit
 	}

@@ -367,3 +367,30 @@ func TestArrivalFlags(t *testing.T) {
 		t.Errorf("an untaken flit staying on the wire raised the flag again (%d)", a)
 	}
 }
+
+// TestArenaArmHooks: the hooks SetHooks installs fire on every Send with
+// the wire pair's index; ArmHooks(false) silences every wire of the arena
+// and ArmHooks(true) restores the same hooks.
+func TestArenaArmHooks(t *testing.T) {
+	a := NewArena("wires", 2, 2)
+	a.NewPair("l0", "c0")
+	l1, crs := a.NewPair("l1", "c1")
+	var flits, credits []int
+	a.SetHooks(func(i int) { flits = append(flits, i) }, func(i int) { credits = append(credits, i) }, nil)
+	send := func(cycle uint64) {
+		l1.Take()
+		if err := l1.Send(mkFlit(cycle)); err != nil {
+			t.Fatal(err)
+		}
+		crs[1].Send(1)
+		a.Commit(cycle)
+	}
+	send(0)
+	a.ArmHooks(false)
+	send(1)
+	a.ArmHooks(true)
+	send(2)
+	if len(flits) != 2 || flits[0] != 1 || flits[1] != 1 || len(credits) != 2 || credits[0] != 1 || credits[1] != 1 || l1.Overruns() != 0 {
+		t.Errorf("hooks saw flits %v and credits %v, want pair 1 twice each: on, off, on", flits, credits)
+	}
+}

@@ -30,6 +30,9 @@ const (
 	BusAux     = 3
 )
 
+// The wire arena's arm hooks go off while the gates stand down.
+var _ engine.Hooked = (*link.Arena)(nil)
+
 // Platform is a fully wired emulation platform.
 type Platform struct {
 	cfg   Config
@@ -351,6 +354,8 @@ func Build(cfg Config) (*Platform, error) {
 	// wire's Send path: staging a flit arms the pair and the switch or
 	// receptor that reads it, staging credits arms only the pair. With
 	// workers it only skips globally idle windows and needs no hooks.
+	// While its gates stand down on a busy network the engine switches
+	// the hooks off and on again (the wire arena is engine.Hooked).
 	if !cfg.NoGate && cfg.Workers == 0 {
 		if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)

@@ -129,9 +129,11 @@ type Config struct {
 	// parks provably idle devices and fast-forwards through globally
 	// idle spans, producing bit-identical results to the naive
 	// every-device-every-cycle schedule at a fraction of the cost at
-	// low load. NoGate runs the naive schedule: the gating test
-	// matrices hold it to the same results, and the benchmark's
-	// engine.gate_ratio times the two against each other.
+	// low load, and stands its gates down for the naive schedule on a
+	// network too busy for parking to pay. NoGate is the ablation and
+	// test hook, not a tuning knob: the gating test matrices hold it to
+	// the same results, and the benchmark's engine.gate_ratio times the
+	// two against each other.
 	NoGate bool
 	// Trace enables the event-tracing and time-series metrics subsystem
 	// (internal/probe): every data-path component gets a probe feeding a

@@ -127,10 +127,12 @@ func TestGatingPaperPlatformTrafficMatrix(t *testing.T) {
 // TestGatingArenaScaleMatrix runs the matrix on platforms whose arenas
 // hold enough elements to matter: a 64-node mesh at light load, where
 // most switches and wire pairs are parked at any time and re-armed by
-// passing flits, a flattened butterfly of 7-port switches, and a
-// minimally routed torus on two virtual channels (two lanes per port,
-// two credit wires per pair). Element park/re-arm is thereby compared
-// against the naive sequential reference at arena scale.
+// passing flits, the same mesh saturated, where the gates stand down
+// and resume twice over, a flattened butterfly of 7-port
+// switches, and a minimally routed torus on two virtual channels (two
+// lanes per port, two credit wires per pair). Element park/re-arm is
+// thereby compared against the naive sequential reference at arena
+// scale.
 func TestGatingArenaScaleMatrix(t *testing.T) {
 	cases := []struct {
 		name, topo string
@@ -138,6 +140,7 @@ func TestGatingArenaScaleMatrix(t *testing.T) {
 		cycles     uint64
 	}{
 		{"mesh8x8-light", "mesh:w=8,h=8", 0.02, 3_000},
+		{"mesh8x8-saturated", "mesh:w=8,h=8", 0.3, 1_000},
 		{"butterfly4x4", "butterfly:w=4,h=4", 0.1, 2_000},
 		{"torus4x4-dateline", "torus:w=4,h=4,minimal=1,vcs=2", 0.2, 2_000},
 	}
@@ -152,6 +155,54 @@ func TestGatingArenaScaleMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertGatingMatrix(t, cfg, tc.cycles, nil)
+		})
+	}
+}
+
+// TestGatingStandsDownWhenBusy: the gates stand down on a saturated
+// mesh and on the paper platform at its 45 % load, where parking costs
+// more than it saves, and never on the same mesh lightly loaded, where
+// it saves most of the cycle (EXPERIMENTS.md, "A gate that stands
+// down").
+func TestGatingStandsDownWhenBusy(t *testing.T) {
+	paper, err := platform.PaperConfig(platform.PaperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := func(inj float64) platform.Config {
+		spec, err := topology.ParseSpec("mesh:w=8,h=8")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  platform.Config
+		want bool
+	}{
+		{"paper", paper, true},
+		{"mesh8x8-saturated", mesh(0.3), true},
+		{"mesh8x8-light", mesh(0.02), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := platform.Build(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			down := false
+			for c := 0; c < 2_000 && !down; c += 16 {
+				p.RunCycles(16)
+				down = p.Engine().StandingDown()
+			}
+			if down != tc.want {
+				t.Errorf("stood down within 2 000 cycles: %v, want %v", down, tc.want)
+			}
 		})
 	}
 }
