@@ -8,10 +8,14 @@ test:
 # The run-loop contract test (internal/engine) and the pooled walk's
 # determinism property tests (including the golden-trace and tracing
 # observer-effect matrices) run the full worker matrix under -race
-# here; slower than tier-1, so a separate target.
+# here; slower than tier-1, so a separate target. The wire layer and its
+# endpoints are in it because the pooled walk's race freedom rests on
+# their slot discipline: a wire's producer and consumer touch different
+# cycle-parity slots and flag banks within one phase, without atomics.
 .PHONY: race
 race:
-	go test -race ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/...
+	go test -race ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/... \
+		./internal/link/... ./internal/switchfab/... ./internal/nic/... ./internal/fault/... ./internal/tlm/...
 
 # Full race sweep (everything, including the root-package experiment
 # tests). Slow; for pre-release checks.

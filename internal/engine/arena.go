@@ -3,7 +3,7 @@
 // The kernel's generic schedule walks []Component — flexible, but every
 // call is an itab dispatch on a pointer that may land anywhere on the
 // heap. At the 1k-node scale the platform targets, the high-population
-// component types (wires, switches) dominate that walk, and they are
+// component type (switches) dominates that walk, and it is
 // homogeneous: same concrete type, same Tick body, thousands of
 // instances. An Arena stores such a population as one dense value slice
 // and exposes batch evaluation over index ranges, so the inner loop is
@@ -11,18 +11,18 @@
 // len(population) interface calls.
 //
 // Placement rule: a type goes into an arena when its population grows
-// with the platform (links, credit wires, switches — O(nodes) or
-// O(links) instances); it stays on the interface path when it is
-// low-population and heterogeneous (traffic devices, watchdog, fault
-// controller, collector — O(1) or O(endpoints) instances whose dispatch
-// cost is noise). Arenas register through RegisterArena and appear in
+// with the platform (switches — O(nodes); the wires grow too, but their
+// writers update them and they are no component); it stays on the
+// interface path when it is low-population and heterogeneous (traffic
+// devices, watchdog, fault controller, collector — O(1) or O(endpoints)
+// instances whose dispatch cost is noise). Arenas register through RegisterArena and appear in
 // the schedule as ONE component each, so every consumer of the registry
 // — the plain walk, Lookup — keeps working unchanged. Three
 // schedulers look inside: the pooled walk shards an arena's index
 // range across workers instead of assigning it whole (pool.go), the
 // gated walk parks and wakes its elements one by one (quiesce.go),
 // and the event calendar of internal/tlm gives every element its own
-// processes, as a SystemC kernel would each signal and module.
+// processes, as a SystemC kernel would each module.
 package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by

@@ -1,15 +1,15 @@
 // The duty cycle: a gate that stands down.
 //
 // Parking pays only where there is something to park. On a busy network
-// nearly every switch and wire pair is active every cycle, and then the
-// gates' bookkeeping — active lists, quiet reports, the registry's
-// looks, an arm hook on every Send — is pure cost over the plain walk.
+// nearly every switch is active every cycle, and then the gates'
+// bookkeeping — active lists, quiet reports, the registry's looks, a
+// wake hook on every Send — is pure cost over the plain walk.
 // So a gated engine measures how busy its arenas are: over a probe
 // window of probeCycles cycles it sums the active elements of every
 // arena gate after each gated commit (a fast-forwarded cycle adds none).
 // When that sum reaches standDownShare of everything the gates hold in
 // every cycle of the window, the gates stand down: every parked element
-// is paid and woken, the arenas' arm hooks go off, and the engine walks
+// is paid and woken, the wires' wake hooks go off, and the engine walks
 // the plain schedule for a stretch. When the stretch ends the hooks go
 // back on and the gates resume with everything active — the first
 // commit parks the idle again — for another probe window. A stretch
@@ -25,27 +25,16 @@
 // serialized, and restarted — gates up, probing afresh — by rebase.
 package engine
 
-// Hooked is an Arena whose elements call arm hooks (ArmTable) on their
-// input paths. While the gates stand down everything is awake, so an arm
-// would find nothing to do: the engine switches the hooks off then, and
-// on again before the gates resume.
-type Hooked interface {
-	ArmHooks(on bool)
-}
-
 // The duty cycle's constants. A probe window is short against a stretch
 // so that a busy run spends almost all of its cycles on the plain walk.
 // The share is where the walks part (EXPERIMENTS.md, "A gate that
-// stands down"): the gates lose 12–20 % on platforms that keep 0.36–0.47
-// of their arena elements active (8×8, 16×16 and 32×32 meshes at 0.30
-// injection, the paper platform at its 45 % load), run even on a
-// two-lane torus at 0.20, and win 1.8–3.2× at 0.02–0.23 (the same
-// meshes at 0.02, a butterfly, the paper platform at 10 %).
+// stands down"): the gates lose 6–20 % on platforms that keep 0.59–1.00
+// of their switches active, and win 1.08–2.1× at 0.15–0.44.
 const (
 	probeCycles    = 64
 	minStretch     = 256
 	maxStretch     = 8192
-	standDownShare = 22 // sixty-fourths of the arena elements, on average over a window
+	standDownShare = 33 // sixty-fourths of the arena elements, on average over a window
 )
 
 // duty is the stand-down state of a sched.
@@ -146,11 +135,13 @@ func (e *Engine) standUp() {
 // the engine walks the plain schedule, hooks off, until its next probe.
 func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.down }
 
-// armHooks switches the arm hooks of every Hooked arena.
+// armHooks switches the hook of every arm table: while the gates stand
+// down everything is awake, and a Send calls nothing.
 func (e *Engine) armHooks(on bool) {
-	for _, a := range e.arenas {
-		if h, ok := a.(Hooked); ok {
-			h.ArmHooks(on)
+	for _, t := range e.tables {
+		t.hook = nil
+		if on {
+			t.hook = t.send
 		}
 	}
 }

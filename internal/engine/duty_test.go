@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// hookedArena is a stub arena with arm hooks: it records in which cycle
-// the engine switched them, and to what.
-type hookedArena struct {
-	*stubArena
-	e     *Engine
+// hookWatch is a plain component that records in which cycle it finds
+// an arm table's hook switched, and to what. It is walked every cycle,
+// on either walk, and the switch happens before a cycle is walked.
+type hookWatch struct {
+	tbl   *ArmTable
+	on    bool
 	flips []hookFlip
 }
 
@@ -19,19 +20,33 @@ type hookFlip struct {
 	on    bool
 }
 
-func (h *hookedArena) ArmHooks(on bool) { h.flips = append(h.flips, hookFlip{h.e.Cycle(), on}) }
+func (w *hookWatch) ComponentName() string { return "hookwatch" }
+func (w *hookWatch) Commit(uint64)         {}
+func (w *hookWatch) Tick(cycle uint64) {
+	if on := *w.tbl.Hook() != nil; on != w.on {
+		w.on = on
+		w.flips = append(w.flips, hookFlip{cycle, on})
+	}
+}
 
-// dutyRig is a gated engine over one hooked arena of eight elements,
-// the first busy elements of which never go quiet.
-func dutyRig(busy int) (*Engine, *hookedArena) {
+// dutyRig is a gated engine over one arena of eight elements, the first
+// busy elements of which never go quiet, and an arm table whose hook
+// the duty cycle switches.
+func dutyRig(busy int) (*Engine, *stubArena, *hookWatch) {
 	e := New()
 	e.SetGated(true)
-	a := &hookedArena{stubArena: &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}, e: e}
+	a := &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}
 	for i := 0; i < busy; i++ {
 		a.elems[i].busy = NeverWake
 	}
 	e.MustRegisterArena(a)
-	return e, a
+	tbl, err := e.ArmTable(nil)
+	if err != nil {
+		panic(err)
+	}
+	w := &hookWatch{tbl: tbl, on: true}
+	e.MustRegister(w)
+	return e, a, w
 }
 
 // TestGateStandsDown drives the duty cycle of duty.go: an arena whose
@@ -41,11 +56,11 @@ func dutyRig(busy int) (*Engine, *hookedArena) {
 // it mostly idle keeps the gate up and the stretch short again. Every
 // element's counter reads the naive schedule's throughout.
 func TestGateStandsDown(t *testing.T) {
-	e, a := dutyRig(8)
+	e, a, w := dutyRig(8)
 	e.Run(1000)
 	want := []hookFlip{{64, false}, {320, true}, {384, false}, {896, true}, {960, false}}
-	if !slices.Equal(a.flips, want) {
-		t.Fatalf("hooks switched at %v, want %v", a.flips, want)
+	if !slices.Equal(w.flips, want) {
+		t.Fatalf("hooks switched at %v, want %v", w.flips, want)
 	}
 	if d := e.sched.duty; !d.down || d.next != 1984 || d.stretch != 2048 {
 		t.Fatalf("after 1000 busy cycles: down=%v until %d, next stretch %d; want down until 1984, next 2048", d.down, d.next, d.stretch)
@@ -59,8 +74,8 @@ func TestGateStandsDown(t *testing.T) {
 	}
 	ticks := a.ticks
 	e.Run(1500)
-	if want := append(want, hookFlip{1984, true}); !slices.Equal(a.flips, want) {
-		t.Errorf("hooks switched at %v, want %v", a.flips, want)
+	if want := append(want, hookFlip{1984, true}); !slices.Equal(w.flips, want) {
+		t.Errorf("hooks switched at %v, want %v", w.flips, want)
 	}
 	if d := e.sched.duty; d.down || d.stretch != minStretch {
 		t.Errorf("after a quiet probe: down=%v, next stretch %d; want up and %d", d.down, d.stretch, minStretch)
@@ -80,12 +95,14 @@ func TestGateStandsDown(t *testing.T) {
 // pulse wakes every 40th cycle and hands every element of its arena
 // input that keeps it busy for eight cycles.
 type pulse struct {
-	a   *stubArena
-	arm func()
+	a     *stubArena
+	arm   func()
+	ticks int
 }
 
 func (p *pulse) ComponentName() string { return "pulse" }
 func (p *pulse) Tick(c uint64) {
+	p.ticks++
 	if c%40 == 0 {
 		for i := range p.a.elems {
 			p.a.elems[i].busy = 8
@@ -100,12 +117,13 @@ func (p *pulse) SkipIdle(from, n uint64)          {}
 // TestGateProbeCountsSkippedCycles: a probe window averages over its
 // cycles, fast-forwarded ones included. Every element is active in seven
 // of the nine cycles the engine walks per pulse, but it skips the other
-// 31 of 40, so the gate stays up.
+// 31 of 40, so the gate stays up: the pulse ticks on its timer alone,
+// never in a plain stretch.
 func TestGateProbeCountsSkippedCycles(t *testing.T) {
 	e := New()
 	e.SetGated(true)
-	a := &hookedArena{stubArena: &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}, e: e}
-	p := &pulse{a: a.stubArena}
+	a := &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}
+	p := &pulse{a: a}
 	e.MustRegister(p) // ahead of the arena whose input it stages
 	e.MustRegisterArena(a)
 	var targets []Target
@@ -114,8 +132,8 @@ func TestGateProbeCountsSkippedCycles(t *testing.T) {
 	}
 	p.arm, _ = e.Armer(targets...)
 	e.Run(2000)
-	if len(a.flips) != 0 || e.StandingDown() {
-		t.Errorf("hooks switched at %v, standing down %v; want the gate up throughout", a.flips, e.StandingDown())
+	if p.ticks != 2000/40 || e.StandingDown() {
+		t.Errorf("the pulse ticked %d times, standing down %v; want the gate up throughout", p.ticks, e.StandingDown())
 	}
 	for i, c := range a.counts() {
 		if c != 2000 {
@@ -141,7 +159,7 @@ func (l *schedLog) SchedFastForward(from, to uint64) {}
 // them, the component's wake is traced like any other, and all of them
 // park again in the first cycle the gate is back up.
 func TestGateStandDownPaysTheParked(t *testing.T) {
-	e, a := dutyRig(1)
+	e, a, _ := dutyRig(1)
 	e.sched.duty.share = 0
 	sleeper := far()
 	e.MustRegister(sleeper)
@@ -177,12 +195,12 @@ func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 		{"SetWorkers(2)", func(e *Engine) { _ = e.SetWorkers(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, a := dutyRig(8)
+			e, _, w := dutyRig(8)
 			defer e.Close()
 			e.Run(100)
 			tc.end(e)
-			if want := []hookFlip{{64, false}, {100, true}}; !slices.Equal(a.flips, want) {
-				t.Errorf("hooks switched at %v, want %v", a.flips, want)
+			if want := []hookFlip{{64, false}}; !slices.Equal(w.flips, want) || *w.tbl.Hook() == nil {
+				t.Errorf("hooks switched at %v and on = %v, want %v and on again", w.flips, *w.tbl.Hook() != nil, want)
 			}
 			if s := e.sched; s != nil && (s.duty.down || s.duty.from != 0 || s.duty.next != probeCycles || s.duty.stretch != minStretch) {
 				t.Errorf("after %s: %+v, want up and probing afresh", tc.name, s.duty)

@@ -94,8 +94,10 @@ type Engine struct {
 	// arenas lists the components registered through RegisterArena
 	// (arena.go); the pooled walk shards their index ranges instead of
 	// assigning them whole.
-	arenas []Arena
-	cycle  uint64
+	arenas  []Arena
+	tables  []*ArmTable          // the wires' (quiesce.go); flushed after each gated commit phase
+	rewound []func(delta uint64) // told of every Reset (OnReset)
+	cycle   uint64
 	// The two optional states, decided in reshape and nowhere else:
 	// sched (quiesce.go) exists iff the engine is gated and sequential,
 	// pool (pool.go) iff it has workers. A gated pool keeps no parking
@@ -295,6 +297,9 @@ func (e *Engine) walk() {
 		s.wakeDue(e.cycle)
 		s.reg.Tick(e.cycle)
 		s.reg.Commit(e.cycle)
+		for _, t := range e.tables {
+			t.flush(s, e.cycle+1)
+		}
 		s.duty.count(s.arenas)
 	default:
 		c := e.cycle
@@ -407,6 +412,12 @@ func (e *Engine) Close() {
 	}
 }
 
+// OnReset registers f to be told of every Reset, once the old timeline
+// is settled and before the counter moves, of the jump (new minus old
+// cycle, mod 2^64), so that state stamped with cycles can move along; a
+// LoadState replaces such state.
+func (e *Engine) OnReset(f func(delta uint64)) { e.rewound = append(e.rewound, f) }
+
 // Reset rewinds the cycle counter and re-arms the kernel's cached
 // run-control state: outstanding quiescence skip accounting is
 // settled, every parked component and arena element (including the
@@ -420,4 +431,4 @@ func (e *Engine) Close() {
 // through the Stateful contract (state.go): the platform layer captures
 // one at the end of Build and exposes it as Platform.FullReset, which
 // composes this Reset with a LoadState walk over every component.
-func (e *Engine) Reset() { e.rebase(0) }
+func (e *Engine) Reset() { e.rebase(0, e.rewound) }

@@ -28,10 +28,11 @@
 // paying the skipped cycles into the per-cycle counters with SkipIdle.
 //
 // Flit ownership under sharding: a flit handed from one component to
-// another (via a link) may cross worker shards, but the two-phase
-// protocol already serializes that handoff — the sender stages during
-// Tick, the link publishes during Commit, the receiver reads a
-// committed pointer next Tick, all separated by the gates' barriers.
+// another (via a link) may cross worker shards, but the wire already
+// serializes that handoff — the sender writes the slot of the next
+// cycle's parity during Tick, the receiver reads it in the next cycle's
+// Tick, the gates' barriers between them; within one phase the two
+// touch different slots and flag banks.
 // The one cross-shard mutation outside that pattern is flit.Pool
 // release: an ejector on worker A may release a flit whose home shard
 // is drained by an injector on worker B. The pool carries that handoff

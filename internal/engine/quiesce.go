@@ -8,7 +8,7 @@
 // kernel then parks it — removes it from the per-cycle walk — until
 // either its declared wake cycle arrives (wake heap) or input reaches it
 // (arm hooks, installed by the platform on the wires: a Send wakes the
-// wire, the commit that delivers the flit wakes its reader). When every
+// flit's reader for the next cycle, the first it can take it in). When every
 // component is parked the kernel fast-forwards the global cycle counter
 // straight to the earliest wake.
 //
@@ -384,7 +384,7 @@ func (s *sched) nextWake() (uint64, bool) {
 
 // ref is a resolved Target: its registry slot and, for an arena element,
 // the arena's position in Engine.arenas (-1: a plain component) and the
-// element. Narrow fields: an arm table holds one per wire pair.
+// element. Narrow fields: an arm table holds one per wire.
 type ref struct{ arena, elem, slot int32 }
 
 // wakeElem wakes a parked arena element and then the arena's registry
@@ -447,41 +447,50 @@ func (e *Engine) Armer(targets ...Target) (func(), bool) {
 	}, true
 }
 
-// ArmTable is the arm-on-input rule of a whole wire arena as data: a
-// row per wire pair instead of closures per wire. The arena's wires call
-// Flit and Credit with their pair's index from their Send paths, and the
-// arena calls Deliver with the pairs whose commit made a flit visible.
+// ArmTable is the arm-on-input rule of a whole wire population as data:
+// a row per wire instead of closures per wire. A wire that puts a flit
+// on view for the next cycle calls Send with its index; the table
+// queues the wake of its reader, and the gated walk applies the queue
+// after the commit phase (flush), so the reader first runs in the cycle
+// it can take the flit. Credits wake nobody: SkipIdle collects them.
 type ArmTable struct {
-	e     *Engine
-	wires ref     // the arena; elem is the caller's
-	rows  []ref   // per pair: who reads its flit wire
-	also  []int32 // per pair: one more registry slot to arm, -1 for none
+	e    *Engine
+	rows []ref   // per wire: who reads it
+	also []int32 // per wire: one more registry slot to arm, -1 for none
+	// pending is the wires whose readers are queued this cycle; cap =
+	// rows, so a cycle in which every wire sends appends without growing.
+	pending []int32
+	// hook is what the wires call (Hook): send — Send, bound once — or
+	// nil while the gates stand down and a Send would find all awake.
+	hook, send func(i int)
 }
 
-// ArmTable builds the table for the named arena; consumers[i] reads the
-// flit wire of pair i. A consumer that is an arena element must be
-// registered no later than the wires: Deliver wakes it from the wires'
-// commit, and a gate committing behind them would commit it un-ticked.
-func (e *Engine) ArmTable(arena string, consumers []Target) (*ArmTable, error) {
-	w, ok := e.resolve(Target{Name: arena})
-	if !ok || w.arena < 0 || len(consumers) != e.arenas[w.arena].Len() {
-		return nil, errArena("arm table: " + arena + " is not an arena of that many elements")
+// ArmTable builds the table for a wire population; consumers[i] reads
+// wire i.
+func (e *Engine) ArmTable(consumers []Target) (*ArmTable, error) {
+	t := &ArmTable{
+		e: e, rows: make([]ref, len(consumers)), also: make([]int32, len(consumers)),
+		pending: make([]int32, 0, len(consumers)),
 	}
-	t := &ArmTable{e: e, wires: w, rows: make([]ref, len(consumers)), also: make([]int32, len(consumers))}
+	t.send = t.Send
+	t.hook = t.send
 	for i, c := range consumers {
+		var ok bool
 		if t.rows[i], ok = e.resolve(c); !ok {
 			return nil, errArena("arm table: unknown consumer " + c.Name)
 		}
-		if t.rows[i].arena >= 0 && t.rows[i].slot > w.slot {
-			return nil, errArena("arm table: consumer arena " + c.Name + " commits behind " + arena)
-		}
 		t.also[i] = -1
 	}
+	e.tables = append(e.tables, t)
 	return t, nil
 }
 
-// Also makes a flit staged on pair i arm the named plain component too
-// (the watchdog, on injection wires).
+// Hook returns the variable the wires call through; the engine sets it
+// to nil while its gates stand down, and back to Send.
+func (t *ArmTable) Hook() *func(i int) { return &t.hook }
+
+// Also makes a flit sent on wire i arm the named plain component too,
+// in the same cycle (the watchdog, on injection wires).
 func (t *ArmTable) Also(i int, name string) error {
 	r, ok := t.e.resolve(Target{Name: name})
 	if !ok || r.arena >= 0 || i < 0 || i >= len(t.also) {
@@ -491,48 +500,37 @@ func (t *ArmTable) Also(i int, name string) error {
 	return nil
 }
 
-// Flit is the Send hook of the arena's flit wires: staging a flit arms
-// the pair, which has to commit it, and what Also added — flag tests,
-// free of calls, when they are awake. The consumer cannot see the flit
-// before that commit and is left to Deliver. No gates yet means nothing
-// is parked yet.
-func (t *ArmTable) Flit(i int) {
-	s, w := t.e.sched, t.wires
-	if s == nil || int(w.arena) >= len(s.arenas) {
+// Send is the wires' hook: wire i put a flit on view for the next
+// cycle. A parked reader is queued; an awake one stays awake, since its
+// quiet report counts the flit arriving. What Also added is armed now.
+// No gates yet means nothing is parked yet.
+func (t *ArmTable) Send(i int) {
+	s := t.e.sched
+	if s == nil {
 		return
 	}
-	if !s.arenas[w.arena].active[i] {
-		s.wakeElem(ref{w.arena, int32(i), w.slot}, t.e.cycle)
+	if r := t.rows[i]; r.arena < 0 {
+		if int(r.slot) < len(s.reg.active) && !s.reg.active[r.slot] {
+			t.pending = append(t.pending, int32(i))
+		}
+	} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
+		t.pending = append(t.pending, int32(i))
 	}
 	if a := t.also[i]; a >= 0 {
 		s.reg.arm(int(a), t.e.cycle)
 	}
 }
 
-// Deliver is the hook of the commits that made the listed pairs' flits
-// visible: each consumer first runs in the next cycle, the first in
-// which it can take the flit, paid its idle cycles through this one. It
-// is called from inside the wire arena's commit walk — once per walk,
-// the flag tests of a busy network then cost no call each — so only a
-// gate gets here.
-func (t *ArmTable) Deliver(pairs []int) {
-	s, next := t.e.sched, t.e.cycle+1
-	for _, i := range pairs {
+// flush wakes the readers queued this cycle for the next one.
+func (t *ArmTable) flush(s *sched, next uint64) {
+	for _, i := range t.pending {
 		if r := t.rows[i]; r.arena < 0 {
 			s.reg.arm(int(r.slot), next)
 		} else if !s.arenas[r.arena].active[r.elem] {
 			s.wakeElem(r, next)
 		}
 	}
-}
-
-// Credit is the Send hook of the arena's credit wires: it arms only the
-// pair. The consumer collects when it next runs; SkipIdle keeps that exact.
-func (t *ArmTable) Credit(i int) {
-	s, w := t.e.sched, t.wires
-	if s != nil && int(w.arena) < len(s.arenas) && !s.arenas[w.arena].active[i] {
-		s.wakeElem(ref{w.arena, int32(i), w.slot}, t.e.cycle)
-	}
+	t.pending = t.pending[:0]
 }
 
 // schedEnter syncs the gates with the registry and re-activates every
@@ -586,12 +584,19 @@ func (e *Engine) settle() {
 
 // rebase moves the cycle counter — the one step Reset and LoadState
 // share. Outstanding skip accounting references the old timeline, so it
-// is settled before the counter moves; then every gate restarts on the
-// new one, up and probing afresh.
-func (e *Engine) rebase(cycle uint64) {
-	if s := e.sched; s != nil {
+// is settled before the counter moves; then the observers are told of
+// the jump, and every gate restarts on the new timeline, up and probing
+// afresh.
+func (e *Engine) rebase(cycle uint64, observers []func(delta uint64)) {
+	s := e.sched
+	if s != nil {
 		e.schedEnter()
 		e.settle()
+	}
+	for _, f := range observers {
+		f(cycle - e.cycle)
+	}
+	if s != nil {
 		e.standUp()
 		s.duty.restart(cycle)
 		clear(s.nextTry) // the backoff restarts on the new timeline too

@@ -447,126 +447,90 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 	}
 }
 
-// TestArmTable: staging a flit on pair i arms the pair and what Also
-// added, staging credits the pair alone; the consumer — an element of
-// another arena or a plain component — is woken by Deliver, called from
-// the wires' commit walk, for the next cycle: paid through the
-// delivering one, not committed in it, ticked in the one after.
+// TestArmTable: a Send on wire i queues the wake of its reader — an
+// arena element or a plain component — for the next cycle, applied after
+// the commit phase: paid through the sending cycle, not committed in it,
+// ticked in the one after. What Also added is armed in the sending cycle
+// itself.
 func TestArmTable(t *testing.T) {
 	e := New()
 	e.SetGated(true)
 	sink, dog := &tickSink{name: "sink"}, &tickSink{name: "dog"}
 	consumers := &stubArena{name: "consumers", elems: make([]stubElem, 2)}
-	wires := &stubArena{name: "wires", elems: make([]stubElem, 3)}
-	late := &stubArena{name: "late", elems: make([]stubElem, 1)}
-	step := &armCaller{name: "step"} // the producer: ahead of the wires
+	step := &armCaller{name: "step"} // the producer
 	e.MustRegister(step)
 	e.MustRegister(sink)
 	e.MustRegisterArena(consumers)
-	e.MustRegisterArena(wires)
 	e.MustRegister(dog)
-	e.MustRegisterArena(late)
-	if _, err := e.ArmTable("wires", make([]Target, 2)); err == nil {
-		t.Error("a table of two rows for three wires was accepted")
+	if _, err := e.ArmTable([]Target{{Name: "nobody"}}); err == nil {
+		t.Error("a table with an unknown consumer was accepted")
 	}
-	if _, err := e.ArmTable("sink", nil); err == nil {
-		t.Error("a table over a plain component was accepted")
-	}
-	// Its gate commits after the wires': an element Deliver woke would be
-	// committed without having ticked.
-	if _, err := e.ArmTable("wires", []Target{{Name: "late"}, {Name: "sink"}, {Name: "dog"}}); err == nil {
-		t.Error("a consumer arena registered behind the wire arena was accepted")
-	}
-	tbl, err := e.ArmTable("wires", []Target{{Name: "consumers", Elem: 1}, {Name: "sink"}, {Name: "consumers", Elem: 0}})
+	tbl, err := e.ArmTable([]Target{{Name: "consumers", Elem: 1}, {Name: "sink"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Also(1, "dog"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Also(3, "dog") == nil || tbl.Also(0, "consumers") == nil || tbl.Also(0, "nobody") == nil {
+	if tbl.Also(2, "dog") == nil || tbl.Also(0, "consumers") == nil || tbl.Also(0, "nobody") == nil {
 		t.Error("Also accepted a row out of range, an arena or an unknown name")
 	}
-	tbl.Flit(0) // before the first kernel entry there are no gates: a no-op
-	// A wire delivers two cycles after it was staged on (busy holds it in
-	// the walk meanwhile, as a stuck fault would): from inside its commit.
-	deliverAt := NeverWake
+	tbl.Send(0)               // before the first kernel entry there are no gates: a no-op
 	var committed [][2]uint64 // (cycle, consumer element)
-	for i := range wires.elems {
-		wires.elems[i].onCommit = func(cycle uint64) {
-			if cycle != deliverAt {
-				return
-			}
-			tbl.Deliver([]int{i})
-			if c := tbl.rows[i]; c.arena >= 0 && consumers.elems[c.elem].count != cycle+1 {
-				t.Errorf("cycle %d: Deliver left consumer %d paid %d cycles, want %d: through the delivering one",
-					cycle, c.elem, consumers.elems[c.elem].count, cycle+1)
+	for i := range consumers.elems {
+		consumers.elems[i].onTick = func(cycle uint64) {
+			if got := consumers.elems[i].count; got != cycle+1 {
+				t.Errorf("cycle %d: consumer %d ticks having counted %d cycles, want %d: paid through the sending one", cycle, i, got, cycle+1)
 			}
 		}
-	}
-	for i := range consumers.elems {
 		consumers.elems[i].onCommit = func(cycle uint64) { committed = append(committed, [2]uint64{cycle, uint64(i)}) }
 	}
 	e.Run(1)
 	committed = committed[:0] // every element commits the first cycle
+	tickedAt := func(cycle uint64) (out []int) {
+		for i := range consumers.elems {
+			if slices.Contains(consumers.elems[i].ticked, cycle) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
 	for _, tc := range []struct {
-		at                  uint64
-		fire                func(i int)
-		wire                int
-		consumers           []int // elements that tick in the cycle after the delivery
-		dog, sinkAfterwards bool
+		at        uint64
+		wire      int
+		consumers []int // elements that tick in the cycle after the send
+		dog, sink bool
 	}{
 		// A case starts a cycle after its Run does: every entry walks the
 		// plain components once.
-		{at: 5, fire: tbl.Flit, wire: 0, consumers: []int{1}},
-		{at: 10, fire: tbl.Flit, wire: 1, dog: true, sinkAfterwards: true},
-		{at: 15, fire: tbl.Credit, wire: 2},
+		{at: 5, wire: 0, consumers: []int{1}},
+		{at: 10, wire: 1, dog: true, sink: true},
 	} {
-		step.at, step.armFn = tc.at, func() { wires.elems[tc.wire].busy = 3; tc.fire(tc.wire) }
-		deliverAt = NeverWake
-		if tc.consumers != nil || tc.sinkAfterwards {
-			deliverAt = tc.at + 2
-		}
-		tickedAt := func(a *stubArena, cycle uint64) (out []int) {
-			for i := range a.elems {
-				if slices.Contains(a.elems[i].ticked, cycle) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		e.Run(tc.at + 4 - e.Cycle())
-		for c := tc.at; c < tc.at+3; c++ {
-			if got := tickedAt(wires, c); !slices.Equal(got, []int{tc.wire}) {
-				t.Errorf("cycle %d: wires %v ticked, want the one staged on in cycle %d", c, got, tc.at)
-			}
-			if got := tickedAt(consumers, c); got != nil {
-				t.Errorf("cycle %d: consumers %v ticked with nothing delivered yet", c, got)
-			}
-			if got := slices.Contains(sink.tickedC, c); got {
-				t.Errorf("cycle %d: the sink ticked with nothing delivered yet", c)
-			}
+		step.at, step.armFn = tc.at, func() { tbl.Send(tc.wire) }
+		e.Run(tc.at + 3 - e.Cycle())
+		if got := tickedAt(tc.at); got != nil || slices.Contains(sink.tickedC, tc.at) {
+			t.Errorf("cycle %d: consumers %v (and the sink: %v) ticked in the sending cycle", tc.at, got, slices.Contains(sink.tickedC, tc.at))
 		}
 		if got := slices.Contains(dog.tickedC, tc.at); got != tc.dog {
 			t.Errorf("cycle %d: dog ticked = %v, want %v", tc.at, got, tc.dog)
 		}
-		if got := tickedAt(consumers, tc.at+3); !slices.Equal(got, tc.consumers) {
-			t.Errorf("cycle %d: consumers %v ticked, want %v", tc.at+3, got, tc.consumers)
+		if got := tickedAt(tc.at + 1); !slices.Equal(got, tc.consumers) {
+			t.Errorf("cycle %d: consumers %v ticked, want %v", tc.at+1, got, tc.consumers)
 		}
-		if got := slices.Contains(sink.tickedC, tc.at+3); got != tc.sinkAfterwards {
-			t.Errorf("cycle %d: sink ticked = %v, want %v", tc.at+3, got, tc.sinkAfterwards)
+		if got := slices.Contains(sink.tickedC, tc.at+1); got != tc.sink {
+			t.Errorf("cycle %d: sink ticked = %v, want %v", tc.at+1, got, tc.sink)
 		}
 	}
-	// Consumer 1 was woken inside the commit phase of cycle 7: its first
-	// commit is cycle 8's, behind its first tick.
-	if want := [][2]uint64{{8, 1}}; !slices.Equal(committed, want) {
+	// Consumer 1 was woken after the commit phase of cycle 5: its first
+	// commit is cycle 6's, behind its first tick.
+	if want := [][2]uint64{{6, 1}}; !slices.Equal(committed, want) {
 		t.Errorf("consumers committed at (cycle, element) %v, want %v", committed, want)
 	}
 }
 
 // BenchmarkGateChurn times the gate alone: a stub arena of 1 024
-// elements, 64 of them armed every cycle through the arm table, each
-// busy one to three cycles — so some 130 are active at a time, they park
+// elements, 64 of them armed every cycle through the arm table for the
+// next, each busy one to three cycles — so some 130 are active at a time, they park
 // in the cycle they go quiet, and the active list is closed up every
 // cycle. Reported per element-cycle ticked; nothing is allocated.
 func BenchmarkGateChurn(b *testing.B) {
@@ -576,7 +540,7 @@ func BenchmarkGateChurn(b *testing.B) {
 	for i := range self {
 		self[i] = Target{Name: "arena", Elem: i}
 	}
-	tbl, err := e.ArmTable("arena", self)
+	tbl, err := e.ArmTable(self)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -587,7 +551,7 @@ func BenchmarkGateChurn(b *testing.B) {
 			i := next & 1023
 			next += 7 // odd: every element in turn
 			a.elems[i].busy = uint64(1 + next%3)
-			tbl.Credit(i)
+			tbl.Send(i)
 		}
 	}
 	e.Run(64) // the lists reach their final capacity

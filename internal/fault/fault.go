@@ -95,8 +95,15 @@ func (c *Controller) Tick(cycle uint64) {
 	}
 }
 
-// Commit implements engine.Component.
+// Commit implements engine.Component; the faulted wires' commits are
+// their arena's.
 func (c *Controller) Commit(cycle uint64) {}
+
+// TickSerially implements engine.SerialTicker: a SetFault that faults a
+// wire appends it to its arena's list, which another controller may be
+// appending to in the same cycle, so the pooled walk ticks controllers
+// alone. Their Tick reads no other component's state.
+func (c *Controller) TickSerially() {}
 
 // appliedPerCycle counts the specs Tick would apply at the given cycle,
 // mirroring its domination order (an active stuck window on the same

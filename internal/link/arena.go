@@ -4,37 +4,28 @@ import (
 	"fmt"
 
 	"nocemu/internal/flit"
+	"nocemu/internal/probe"
 )
 
 // Arena is the dense wire store of a platform: every flit link and
-// credit link lives by value in one of two contiguous slices, and the
-// whole population registers with the engine as a single component
-// (engine.Arena). Batch commit loops call the concrete methods
-// directly — no interface dispatch, no pointer chasing between
-// neighbouring wires — which is what makes the per-cycle wire walk
-// cache-linear at 1k-node scale. The software analogue of the FPGA
-// clocking all nets at once.
-//
-// The arena is storage plus evaluation. Which wires are worth
-// committing in a given cycle is the engine's decision: its gate
-// schedules the arena element by element, where element i is the wire
-// pair (flit link i, its credit links) — a flit crossing one way and
-// the credit coming back keep the same pair busy. A pair has one credit
-// link per virtual channel: the flit wire is shared, the credit streams
-// are not.
+// credit link lives by value in one of two contiguous slices, pair i
+// being flit link i and its credit links, one per virtual channel; what
+// the wires share lives here once. A healthy wire needs no evaluation,
+// so the arena is a plain component that commits only the faulted wires
+// and is quiet while there are none; OnFault tells its owner to wake it.
 type Arena struct {
 	name    string
 	vcs     int
 	links   []Link
 	credits []CreditLink // pair i owns credits[i*vcs : (i+1)*vcs]
-	// onDeliver is told, once per CommitList, of the pairs whose commit
-	// made a flit visible — the gated scheduler's wake of each wire's
-	// consumer. delivered is that list's backing, cap = pairs.
-	onDeliver func(elems []int)
-	delivered []int
-	// onFlit and onCredit are the Send hooks SetHooks installed; ArmHooks
-	// takes them off the wires and puts them back.
-	onFlit, onCredit func(elem int)
+	names   []string     // per flit link
+	cnames  []string     // per credit link
+	clock   func() uint64
+	faulted []*Link // with a fault mode or a held flit
+	onFault func()
+	onDrop  func(*flit.Flit)
+	send    *func(elem int)
+	probes  []*probe.Probe // per flit link; nil until one is set
 }
 
 // NewArena returns an empty wire arena with room for n wire pairs of
@@ -47,6 +38,8 @@ func NewArena(name string, n, vcs int) *Arena {
 		vcs:     vcs,
 		links:   make([]Link, 0, n),
 		credits: make([]CreditLink, 0, n*vcs),
+		names:   make([]string, 0, n),
+		cnames:  make([]string, 0, n*vcs),
 	}
 }
 
@@ -60,49 +53,46 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	if len(a.links) == cap(a.links) {
 		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
-	elem := int32(len(a.links))
-	a.links = append(a.links, Link{name: linkName, elem: elem})
+	a.links = append(a.links, Link{vis: [2]uint64{never, never}, arena: a, elem: int32(len(a.links))})
+	a.names = append(a.names, linkName)
 	crs := make([]*CreditLink, a.vcs)
 	for v := range crs {
 		name := creditName
 		if v > 0 {
 			name = fmt.Sprintf("%s.vc%d", creditName, v)
 		}
-		a.credits = append(a.credits, CreditLink{name: name, elem: elem})
+		a.credits = append(a.credits, CreditLink{arena: a, elem: int32(len(a.credits))})
+		a.cnames = append(a.cnames, name)
 		crs[v] = &a.credits[len(a.credits)-1]
 	}
 	return &a.links[len(a.links)-1], crs
 }
 
-// SetHooks installs the gated scheduler's arm-on-input hooks on every
-// wire created so far: staging a flit on pair i calls flit(i), staging
-// credits credit(i), and a CommitList that puts flits on wires calls
-// deliver with their pairs. The wires carry only their index.
-func (a *Arena) SetHooks(flit, credit func(elem int), deliver func(elems []int)) {
-	a.onDeliver, a.delivered = deliver, make([]int, 0, len(a.links))
-	a.onFlit, a.onCredit = flit, credit
-	a.ArmHooks(true)
+// SetClock installs the cycle reader (the engine's counter) the wires'
+// derived counters and snapshots are read at between runs; unset, they
+// read cycle 0.
+func (a *Arena) SetClock(clock func() uint64) { a.clock = clock }
+
+func (a *Arena) now() uint64 {
+	if a.clock == nil {
+		return 0
+	}
+	return a.clock()
 }
 
-// ArmHooks implements engine.Hooked: off, a Send calls nothing — the
-// engine walks every wire anyway while its gates stand down; on, the
-// hooks SetHooks installed fire again.
-func (a *Arena) ArmHooks(on bool) {
-	flit, credit := a.onFlit, a.onCredit
-	if !on {
-		flit, credit = nil, nil
-	}
-	for i := range a.links {
-		a.links[i].onSend = flit
-	}
-	for i := range a.credits {
-		a.credits[i].onSend = credit
-	}
-}
+// OnFault installs the callback told whenever a wire joins the faulted
+// list (SetFault, or a LoadState restoring a fault).
+func (a *Arena) OnFault(f func()) { a.onFault = f }
 
-// Len implements engine.Arena: the number of wire pairs created so far;
-// the next NewPair call returns element Len().
-func (a *Arena) Len() int { return len(a.links) }
+// SetDropHandler installs the callback invoked with any flit a wire
+// loses (overrun drop) — the pooled datapath's fault-drop release path;
+// unset, dropped flits go to the garbage collector.
+func (a *Arena) SetDropHandler(h func(*flit.Flit)) { a.onDrop = h }
+
+// SetHooks installs the gated scheduler's wake hook: putting a flit on
+// wire i calls *send(i) unless *send is nil (engine.ArmTable.Hook).
+// Credits wake nobody.
+func (a *Arena) SetHooks(send *func(elem int)) { a.send = send }
 
 // ComponentName implements engine.Component.
 func (a *Arena) ComponentName() string { return a.name }
@@ -110,77 +100,60 @@ func (a *Arena) ComponentName() string { return a.name }
 // Tick implements engine.Component; wires are passive during Tick.
 func (a *Arena) Tick(cycle uint64) {}
 
-// Commit implements engine.Component: every wire publishes its staged
-// value.
-func (a *Arena) Commit(cycle uint64) { a.CommitRange(0, a.Len(), cycle) }
-
-// TickRange implements engine.Arena; wires are passive during Tick.
-func (a *Arena) TickRange(lo, hi int, cycle uint64) {}
-
-// CommitRange implements engine.Arena: commit wire pairs [lo, hi).
-func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
-	for i := lo; i < hi; i++ {
-		a.links[i].Commit(cycle)
+// Commit implements engine.Component: commit the faulted wires, and
+// drop from the list those left with neither a fault nor a held flit.
+func (a *Arena) Commit(cycle uint64) {
+	keep := a.faulted[:0]
+	for _, l := range a.faulted {
+		l.Commit(cycle)
+		if l.fault == FaultNone && l.held == nil {
+			l.listed = false
+			continue
+		}
+		keep = append(keep, l)
 	}
-	for i := lo * a.vcs; i < hi*a.vcs; i++ {
-		a.credits[i].Commit(cycle)
-	}
+	clear(a.faulted[len(keep):])
+	a.faulted = keep
 }
 
-// TickList implements engine.Arena; wires are passive during Tick.
-func (a *Arena) TickList(idx []int, cycle uint64) {}
+// NextWake implements engine.Quiescable: quiet until a wire faults.
+func (a *Arena) NextWake(cycle uint64) (uint64, bool) { return ^uint64(0), len(a.faulted) == 0 }
 
-// CommitList implements engine.Arena: commit the listed wire pairs,
-// tell the deliver hook which flit wires put a flit on view — a stuck
-// fault holds the flit back, and the hook with it — and report which
-// pairs went quiet. A pair just committed has no credits staged,
-// so it is quiet when its flit wire holds nothing, committed or held by
-// a stuck fault (committed-but-uncollected credits accumulate without
-// commits and do not block quiescence). Only a Send ends that.
-func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
-	delivered := a.delivered[:0]
-	for r, i := range idx {
-		l := &a.links[i]
-		if l.commit(cycle) && a.onDeliver != nil {
-			delivered = append(delivered, i)
-		}
-		for c := i * a.vcs; c < (i+1)*a.vcs; c++ {
-			a.credits[c].Commit(cycle)
-		}
-		if l.Idle() {
-			quiet = append(quiet, r)
-		}
-	}
-	if len(delivered) > 0 {
-		a.onDeliver(delivered)
-	}
-	return quiet
-}
+// SkipIdle implements engine.Quiescable: an arena with nothing to commit
+// owes nothing.
+func (a *Arena) SkipIdle(from, n uint64) {}
 
-// ElemSkipIdle implements engine.Arena: an idle commit advances only
-// the flit wire's utilization denominator.
-func (a *Arena) ElemSkipIdle(i int, from, n uint64) { a.links[i].SkipIdle(from, n) }
-
-// NextWake implements engine.Quiescable for kernels that gate the
-// arena as a whole: quiet when every wire pair is.
-func (a *Arena) NextWake(cycle uint64) (uint64, bool) {
+// Shift moves every wire along a timeline that jumped by delta cycles
+// without executing any (Engine.OnReset): the stamps move along, the
+// slots swap when the parity flipped, and the readers are told to look
+// where their values now are. CYCLES keeps counting.
+func (a *Arena) Shift(delta uint64) {
+	odd := delta&1 != 0
 	for i := range a.links {
-		if !a.links[i].Idle() {
-			return 0, false
+		l := &a.links[i]
+		if odd {
+			l.slot[0], l.slot[1], l.vis[0], l.vis[1] = l.slot[1], l.slot[0], l.vis[1], l.vis[0]
 		}
+		for p := range l.vis {
+			if l.vis[p] != never {
+				l.vis[p] += delta
+			}
+			if l.slot[p] != nil && l.arrived[p] != nil {
+				*l.arrived[p] = 1
+			}
+		}
+		l.cycleBase += delta
 	}
 	for i := range a.credits {
-		if !a.credits[i].Idle() {
-			return 0, false
+		c := &a.credits[i]
+		if c.at += delta; odd {
+			c.n[0], c.n[1] = c.n[1], c.n[0]
 		}
-	}
-	return ^uint64(0), true
-}
-
-// SkipIdle implements engine.Quiescable.
-func (a *Arena) SkipIdle(from, n uint64) {
-	for i := range a.links {
-		a.links[i].SkipIdle(from, n)
+		for p, n := range c.n {
+			if n != 0 && c.arrived[p] != nil {
+				*c.arrived[p] = 1
+			}
+		}
 	}
 }
 

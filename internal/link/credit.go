@@ -3,99 +3,82 @@ package link
 // CreditLink is the reverse wire of a flit link: the downstream input
 // buffer returns one credit per freed slot, with one cycle of latency,
 // and the upstream sender accumulates them into its credit counter.
-//
-// Credits staged during Tick become visible at the next Commit. Credits
-// that the sender does not collect are never lost: they accumulate on
-// the wire until taken.
+// Like a flit link it is two cycle-parity slots: credits sent in cycle
+// c land in slot (c+1)&1 and a Take in cycle c collects slot c&1.
+// Uncollected credits are never lost: they accumulate in their slot,
+// the consumer is not woken, and TakeBefore collects both slots.
 type CreditLink struct {
-	name string
-	cur  uint32
-	next uint32
-	// The latest commit that added credits added lastN, in cycle lastAt:
-	// what TakeBefore leaves behind. Not state: LoadState clears it.
-	lastN  uint32
-	elem   int32 // the wire pair's index in its Arena; what onSend is told
-	lastAt uint64
-
-	sent uint64
-
-	// onSend fires on every Send — the gated scheduler's arm hook, so a
-	// parked wire commits the staged credits. The consumer is not woken:
-	// uncollected credits accumulate on the wire, and a consumer parked
-	// meanwhile collects them through TakeBefore as if it had run.
-	onSend func(elem int)
-	// arrived is the consuming switch's flag for this wire, set by the
-	// Commit that makes credits visible; nil when the consumer polls.
-	arrived *uint8
+	// n[p] is the credits waiting in slot p; of them, last were sent in
+	// the cycle before at — what TakeBefore leaves behind.
+	n       [2]uint32
+	last    uint32
+	elem    int32 // the wire's index among its arena's credit wires
+	at      uint64
+	sent    uint64
+	arrived [2]*uint8 // as Link's
+	arena   *Arena
 }
 
-// NewCreditLink returns an empty credit wire.
+// NewCreditLink returns an empty credit wire, in an arena of its own
+// (no clock: its snapshot is read at cycle 0).
 func NewCreditLink(name string) *CreditLink {
-	return &CreditLink{name: name}
+	a := NewArena(name, 0, 1)
+	a.credits = append(make([]CreditLink, 0, 1), CreditLink{arena: a})
+	a.cnames = []string{name}
+	return &a.credits[0]
 }
 
-// ComponentName implements engine.Component.
-func (c *CreditLink) ComponentName() string { return c.name }
+// ComponentName returns the credit wire's instance name.
+func (c *CreditLink) ComponentName() string { return c.arena.cnames[c.elem] }
 
-// Tick implements engine.Component; credit wires are passive in Tick.
-func (c *CreditLink) Tick(cycle uint64) {}
-
-// Send stages n credits for delivery next cycle.
-func (c *CreditLink) Send(n uint32) {
-	c.next += n
+// Send returns n credits in the given cycle; they are visible in the
+// next.
+func (c *CreditLink) Send(cycle uint64, n uint32) {
+	p := (cycle + 1) & 1
+	if c.at != cycle+1 {
+		c.at, c.last = cycle+1, 0
+	}
+	c.n[p] += n
+	c.last += n
 	c.sent += uint64(n)
-	if c.onSend != nil {
-		c.onSend(int(c.elem))
+	if a := c.arrived[p]; a != nil {
+		*a = 1
 	}
 }
 
-// NotifyArrival makes every Commit that puts credits on the wire set
-// *flag. The consuming switch owns the byte; the wire only ever sets it.
-func (c *CreditLink) NotifyArrival(flag *uint8) { c.arrived = flag }
+// NotifyArrival makes every Send into slot p raise *flags[p]. The
+// consuming switch owns the bytes; the wire only ever sets them.
+func (c *CreditLink) NotifyArrival(flags [2]*uint8) { c.arrived = flags }
 
-// Idle reports whether no credits are staged; committed-but-untaken
-// credits keep accumulating without commits, so they do not block
-// quiescence.
-func (c *CreditLink) Idle() bool { return c.next == 0 }
-
-// Take collects all visible credits, zeroing the wire.
-func (c *CreditLink) Take() uint32 {
-	n := c.cur
-	c.cur = 0
+// Take collects the credits visible in the given cycle. A consumer that
+// takes every cycle, or catches up with TakeBefore, leaves nothing in
+// the slot the sender writes.
+func (c *CreditLink) Take(cycle uint64) uint32 {
+	p := cycle & 1
+	n := c.n[p]
+	c.n[p] = 0
 	return n
 }
 
-// TakeBefore collects the credits committed before the given cycle and
-// leaves those its own commit added: what a consumer ticking every
-// cycle has taken once it has ticked in that cycle, and so what a
-// parked one's SkipIdle takes. cycle must not precede the latest commit.
+// TakeBefore collects the credits visible in the given cycle or before
+// and leaves those sent in it: what a consumer ticking every cycle has
+// taken once it has ticked in that cycle, and so what a parked one's
+// SkipIdle takes. Call it between cycles, never from a Tick.
 func (c *CreditLink) TakeBefore(cycle uint64) uint32 {
-	var keep uint32
-	if c.lastAt == cycle {
-		keep = min(c.lastN, c.cur) // less after a Take in between
+	var keep [2]uint32
+	if c.at == cycle+1 {
+		p := c.at & 1
+		keep[p] = min(c.last, c.n[p]) // less after a Take in between
 	}
-	n := c.cur - keep
-	c.cur = keep
+	n := c.n[0] + c.n[1] - keep[0] - keep[1]
+	c.n = keep
 	return n
 }
 
-// Pending returns the credits currently visible without taking them.
-func (c *CreditLink) Pending() uint32 { return c.cur }
+// Pending returns the credits on the wire, visible or not yet, without
+// taking them.
+func (c *CreditLink) Pending() uint32 { return c.n[0] + c.n[1] }
 
-// Commit implements engine.Component: staged credits become visible,
-// accumulating with any uncollected ones.
-func (c *CreditLink) Commit(cycle uint64) {
-	if c.next == 0 {
-		return
-	}
-	c.cur += c.next
-	c.lastN, c.lastAt = c.next, cycle
-	c.next = 0
-	if c.arrived != nil {
-		*c.arrived = 1
-	}
-}
-
-// TotalSent returns the total credits ever staged, for conservation
+// TotalSent returns the total credits ever sent, for conservation
 // checks in tests.
 func (c *CreditLink) TotalSent() uint64 { return c.sent }

@@ -8,9 +8,11 @@
 // the free space in the downstream input buffer and only transmits when
 // a credit is available, so buffers can never overrun.
 //
-// Both types are engine components: they stage values during the Tick
-// phase and make them visible at Commit, preserving the two-phase
-// order-independence of the kernel.
+// A wire is a pair of cycle-parity slots, the FPGA's output register:
+// Send in cycle c writes slot (c+1)&1 and Take in cycle c reads slot
+// c&1, so producer and consumer never write the same word in one phase
+// and nothing commits a healthy wire. Only a faulted wire has commit
+// work, done by its arena (arena.go); per-cycle counters are derived.
 package link
 
 import (
@@ -36,178 +38,181 @@ const (
 	FaultCorrupt
 )
 
-// Link is a one-flit-per-cycle registered wire.
+// never is the visible cycle of an empty slot.
+const never = ^uint64(0)
+
+// Link is a one-flit-per-cycle registered wire. What the wires of a
+// platform share — names, clock, hook, drop handler — lives in their
+// Arena.
 type Link struct {
-	name  string
-	cur   *flit.Flit
-	next  *flit.Flit
-	taken bool
-	fault FaultMode
-	elem  int32 // the wire pair's index in its Arena; what onSend is told
-
-	busyCycles  uint64
-	totalCycles uint64
-	flits       uint64
-	overruns    uint64
-	corrupted   uint64
-	heldCycles  uint64
-
-	// onDrop receives any flit the link loses (an overrun overwrite) so
-	// pooled flits return to their freelist instead of leaking; nil
-	// leaves dropped flits to the garbage collector.
-	onDrop func(*flit.Flit)
-	// onSend fires on every successful Send — the arm-on-input hook the
-	// gated scheduler uses to wake this wire in the same cycle the
-	// producer stages a flit; one function serves every wire of an arena
-	// (Arena.SetHooks). Nil when gating is off.
-	onSend func(elem int)
-	// arrived is the consuming switch's flag for this wire, set by the
-	// Commit that makes a flit visible (DESIGN.md §10, "Who tells whom");
-	// nil when the consumer polls (an ejector, a test).
-	arrived *uint8
-	// probe records drop and fault-fire events; nil when tracing is off.
-	probe *probe.Probe
+	// slot[p] holds the flit visible in the cycles of parity p; vis[p] is
+	// the cycle the flit last put there is visible in (never: none). Take
+	// clears a slot but not its vis: the counters and SaveState read it.
+	slot [2]*flit.Flit
+	vis  [2]uint64
+	// flits counts the flits put on the wire; BUSY subtracts busyBase
+	// and those not yet past their visible cycle, CYCLES is the clock's
+	// distance from cycleBase. ResetStats and LoadState set the bases.
+	flits, busyBase, cycleBase      uint64
+	overruns, corrupted, heldCycles uint64
+	held                            *flit.Flit // kept off the wire by a stuck fault
+	arrived                         [2]*uint8  // the reader's flag per parity bank; nil when it polls
+	arena                           *Arena
+	elem                            int32 // the wire's index in its arena; what the hook is told
+	fault                           FaultMode
+	listed                          bool // on the arena's faulted list
 }
 
-// NewLink returns an idle link with the given instance name.
+// NewLink returns an idle link with the given instance name, in an
+// arena of its own (no clock: the derived counters read cycle 0).
 func NewLink(name string) *Link {
-	return &Link{name: name}
+	l, _ := NewArena(name, 1, 0).NewPair(name, "")
+	return l
 }
 
-// ComponentName implements engine.Component.
-func (l *Link) ComponentName() string { return l.name }
+// ComponentName returns the link's instance name.
+func (l *Link) ComponentName() string { return l.arena.names[l.elem] }
 
-// Tick implements engine.Component; links are passive during Tick.
-func (l *Link) Tick(cycle uint64) {}
-
-// Send stages a flit for delivery next cycle. It returns an error if a
-// flit was already staged this cycle (two drivers on one wire).
-func (l *Link) Send(f *flit.Flit) error {
+// Send puts a flit on the wire in the given cycle, visible in the next;
+// a second Send in one cycle is an error (two drivers on one wire). A
+// flit left in the slot since two cycles back was never taken: it is an
+// overrun, handed to the drop handler — never, under correct flow
+// control, and tests assert Overruns()==0.
+func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 	if f == nil {
-		return fmt.Errorf("link %s: send nil flit", l.name)
+		return fmt.Errorf("link %s: send nil flit", l.ComponentName())
 	}
-	if l.next != nil {
-		return fmt.Errorf("link %s: double drive in one cycle", l.name)
+	p := (cycle + 1) & 1
+	if old := l.slot[p]; old != nil {
+		if l.vis[p] == cycle+1 {
+			return fmt.Errorf("link %s: double drive in one cycle", l.ComponentName())
+		}
+		l.overruns++
+		l.probe().FlitDrop(cycle, uint64(old.Packet), uint16(old.Src), uint16(old.Dst), old.Index)
+		if l.arena.onDrop != nil {
+			l.arena.onDrop(old)
+		}
 	}
-	l.next = f
-	if l.onSend != nil {
-		l.onSend(int(l.elem))
+	l.put(p, cycle+1, f)
+	return nil
+}
+
+// put writes a flit into slot p, visible in cycle vis, and tells the
+// reader.
+func (l *Link) put(p, vis uint64, f *flit.Flit) {
+	l.slot[p], l.vis[p] = f, vis
+	l.flits++
+	if a := l.arrived[p]; a != nil {
+		*a = 1
+	}
+	if h := l.arena.send; h != nil && *h != nil {
+		(*h)(int(l.elem))
+	}
+}
+
+// NotifyArrival makes every flit put into slot p raise *flags[p]. The
+// consuming switch owns the bytes; the wire only ever sets them.
+func (l *Link) NotifyArrival(flags [2]*uint8) { l.arrived = flags }
+
+// Busy reports whether the wire cannot take a flit in the given cycle:
+// one was already sent in it, or a stuck fault holds one.
+func (l *Link) Busy(cycle uint64) bool {
+	p := (cycle + 1) & 1
+	return l.held != nil || (l.slot[p] != nil && l.vis[p] == cycle+1)
+}
+
+// Peek returns the flit visible in the given cycle, if any, without
+// consuming it.
+func (l *Link) Peek(cycle uint64) *flit.Flit {
+	if l.vis[cycle&1] != cycle {
+		return nil
+	}
+	return l.slot[cycle&1]
+}
+
+// Take consumes the flit visible in the given cycle. It returns nil if
+// there is none or it was already taken.
+func (l *Link) Take(cycle uint64) *flit.Flit {
+	f := l.Peek(cycle)
+	if f != nil {
+		l.slot[cycle&1] = nil
+	}
+	return f
+}
+
+// Commit is a faulted wire's end of cycle: a stuck fault holds the flit
+// sent this cycle, so the sender sees Busy and stalls, and releases it
+// for the next cycle once cleared; a corrupt fault flips the flit that
+// becomes visible next cycle.
+func (l *Link) Commit(cycle uint64) {
+	p := (cycle + 1) & 1
+	sent := l.slot[p] != nil && l.vis[p] == cycle+1
+	switch {
+	case l.fault == FaultStuck:
+		if l.held == nil && sent {
+			l.held, l.slot[p], l.vis[p] = l.slot[p], nil, never
+			l.flits-- // not on the wire after all
+		}
+		if l.held != nil {
+			l.heldCycles++
+		}
+		return
+	case l.held != nil:
+		l.put(p, cycle+1, l.held)
+		l.held, sent = nil, true
+	}
+	if f := l.slot[p]; sent && l.fault == FaultCorrupt {
+		f.Payload = ^f.Payload
+		l.corrupted++
+		l.probe().FaultFire(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
+	}
+}
+
+// SetFault switches the link's fault mode; FaultNone restores normal
+// operation (a held flit resumes at the next commit). A faulted wire
+// joins its arena's faulted list, which commits it.
+func (l *Link) SetFault(m FaultMode) {
+	l.fault = m
+	if a := l.arena; m != FaultNone && !l.listed {
+		l.listed = true
+		a.faulted = append(a.faulted, l)
+		if a.onFault != nil {
+			a.onFault()
+		}
+	}
+}
+
+// SetProbe attaches the tracing probe (nil disables tracing). Probes
+// record only drops and fault fires: the arena keeps them, in a slice
+// allocated with the first.
+func (l *Link) SetProbe(p *probe.Probe) {
+	if a := l.arena; a.probes == nil && p != nil {
+		a.probes = make([]*probe.Probe, cap(a.links))
+	}
+	if ps := l.arena.probes; ps != nil {
+		ps[l.elem] = p
+	}
+}
+
+func (l *Link) probe() *probe.Probe {
+	if ps := l.arena.probes; ps != nil {
+		return ps[l.elem]
 	}
 	return nil
 }
 
-// NotifyArrival makes every Commit that puts a flit on the wire set
-// *flag. The consuming switch owns the byte; the wire only ever sets it.
-func (l *Link) NotifyArrival(flag *uint8) { l.arrived = flag }
-
-// Idle reports whether the wire holds nothing, committed or staged —
-// the link's quiescence condition. An idle commit advances only the
-// utilization denominator, whatever the fault mode.
-func (l *Link) Idle() bool { return l.cur == nil && l.next == nil }
-
-// SkipIdle accounts n commits the wire skipped while idle (the arena's
-// ElemSkipIdle): each would have advanced only the utilization
-// denominator.
-func (l *Link) SkipIdle(from, n uint64) { l.totalCycles += n }
-
-// Busy reports whether a flit has already been staged this cycle.
-func (l *Link) Busy() bool { return l.next != nil }
-
-// Peek returns the committed flit on the wire, if any, without
-// consuming it.
-func (l *Link) Peek() *flit.Flit { return l.cur }
-
-// Take consumes the committed flit on the wire. It returns nil if the
-// wire is idle or the flit was already taken this cycle.
-func (l *Link) Take() *flit.Flit {
-	if l.cur == nil || l.taken {
-		return nil
-	}
-	l.taken = true
-	return l.cur
-}
-
-// Commit implements engine.Component: the staged flit becomes visible
-// and utilization counters advance. An unconsumed flit that would be
-// overwritten is counted as an overrun and dropped; with correct credit
-// flow control this never happens, and tests assert Overruns()==0.
-func (l *Link) Commit(cycle uint64) { l.commit(cycle) }
-
-// commit is Commit, reporting whether it put a flit on the wire: the
-// commit that raises the arrival flag, and the one Arena.CommitList
-// tells its deliver hook of.
-func (l *Link) commit(cycle uint64) (delivered bool) {
-	l.totalCycles++
-	if l.cur != nil {
-		l.busyCycles++
-	}
-	if l.fault == FaultStuck {
-		// The wire is down: consume a taken flit but hold the staged
-		// one in place, so the sender keeps seeing Busy() and stalls.
-		if l.taken {
-			l.cur = nil
-			l.taken = false
-		}
-		if l.next != nil {
-			l.heldCycles++
-		}
-		return false
-	}
-	if l.cur != nil && !l.taken && l.next != nil {
-		l.overruns++
-		l.probe.FlitDrop(cycle, uint64(l.cur.Packet), uint16(l.cur.Src), uint16(l.cur.Dst), l.cur.Index)
-		if l.onDrop != nil {
-			l.onDrop(l.cur) // the staged flit overwrites this one
-		}
-	}
-	if l.next != nil && l.fault == FaultCorrupt {
-		l.next.Payload = ^l.next.Payload
-		l.corrupted++
-		l.probe.FaultFire(cycle, uint64(l.next.Packet), uint16(l.next.Src), uint16(l.next.Dst), l.next.Index)
-	}
-	if l.taken || l.next != nil {
-		l.cur = l.next
-	}
-	delivered = l.next != nil
-	if delivered {
-		l.flits++
-		if l.arrived != nil {
-			*l.arrived = 1
-		}
-	}
-	l.next = nil
-	l.taken = false
-	return delivered
-}
-
-// SetFault switches the link's fault mode; FaultNone restores normal
-// operation (a held flit resumes on the next commit).
-func (l *Link) SetFault(m FaultMode) { l.fault = m }
-
-// SetDropHandler installs the callback invoked with any flit the link
-// loses (overrun drop) — the pooled datapath's fault-drop release path.
-func (l *Link) SetDropHandler(h func(*flit.Flit)) { l.onDrop = h }
-
-// SetProbe attaches the tracing probe (nil disables tracing).
-func (l *Link) SetProbe(p *probe.Probe) { l.probe = p }
-
 // Drain releases the link's in-flight state through release (which may
-// be nil): the committed flit on the wire and any staged flit a stuck
-// fault is holding. End-of-run reclamation; counters are untouched.
+// be nil): the flits on the wire and any flit a stuck fault is holding.
+// End-of-run reclamation; the counters read what they read before.
 func (l *Link) Drain(release func(*flit.Flit)) {
-	if l.cur != nil && !l.taken {
-		if release != nil {
-			release(l.cur)
+	busy, flits := l.BusyCycles(), l.Flits()
+	for _, f := range append(l.slot[:], l.held) {
+		if f != nil && release != nil {
+			release(f)
 		}
 	}
-	l.cur = nil
-	l.taken = false
-	if l.next != nil {
-		if release != nil {
-			release(l.next)
-		}
-		l.next = nil
-	}
+	l.slot, l.vis, l.held = [2]*flit.Flit{}, [2]uint64{never, never}, nil
+	l.flits, l.busyBase = flits, flits-busy
 }
 
 // Fault returns the active fault mode.
@@ -220,34 +225,61 @@ func (l *Link) Corrupted() uint64 { return l.corrupted }
 // fault.
 func (l *Link) HeldCycles() uint64 { return l.heldCycles }
 
-// Utilization returns the fraction of committed cycles during which the
-// wire carried a flit — the paper's link-load metric (the experimental
-// setup loads two inter-switch links at 90%).
-func (l *Link) Utilization() float64 {
-	if l.totalCycles == 0 {
-		return 0
-	}
-	return float64(l.busyCycles) / float64(l.totalCycles)
-}
-
-// Flits returns the number of flits transported.
-func (l *Link) Flits() uint64 { return l.flits }
-
-// BusyCycles returns the committed cycles during which the wire carried
-// a flit (the numerator of Utilization).
-func (l *Link) BusyCycles() uint64 { return l.busyCycles }
-
-// TotalCycles returns the committed cycles observed (the denominator of
-// Utilization).
-func (l *Link) TotalCycles() uint64 { return l.totalCycles }
-
 // Overruns returns the number of flits lost to double occupancy; always
 // zero under correct flow control.
 func (l *Link) Overruns() uint64 { return l.overruns }
 
+// Utilization returns the fraction of elapsed cycles during which the
+// wire carried a flit — the paper's link-load metric (the experimental
+// setup loads two inter-switch links at 90%).
+func (l *Link) Utilization() float64 {
+	total := l.TotalCycles()
+	if total == 0 {
+		return 0
+	}
+	return float64(l.BusyCycles()) / float64(total)
+}
+
+// onWire counts the flits put on the wire that are visible from cycle
+// from on, read in the given cycle: at most the one visible in it and,
+// mid-cycle, one sent in it.
+func (l *Link) onWire(from, cycle uint64) (n uint64) {
+	for _, v := range l.vis {
+		if v != never && v >= from && v <= cycle+1 {
+			n++
+		}
+	}
+	return n
+}
+
+// Flits returns the number of flits transported: put on the wire by
+// the end of the last completed cycle.
+func (l *Link) Flits() uint64 {
+	now := l.arena.now()
+	return l.flits - l.onWire(now+1, now)
+}
+
+// BusyCycles returns the elapsed cycles during which the wire carried a
+// flit (the numerator of Utilization).
+func (l *Link) BusyCycles() uint64 { return l.BusyAt(l.arena.now()) }
+
+// BusyAt is BusyCycles read in the given cycle — the cycles before it
+// in which the wire carried a flit, not the one visible in it. The
+// trace collector samples it in its Tick.
+func (l *Link) BusyAt(cycle uint64) uint64 {
+	return l.flits - l.onWire(cycle, cycle) - l.busyBase
+}
+
+// TotalCycles returns the cycles elapsed since the counters were reset
+// (the denominator of Utilization).
+func (l *Link) TotalCycles() uint64 { return l.arena.now() - l.cycleBase }
+
 // ResetStats clears the utilization counters without touching in-flight
 // state, so measurements can exclude warm-up.
 func (l *Link) ResetStats() {
-	l.busyCycles, l.totalCycles, l.flits, l.overruns = 0, 0, 0, 0
-	l.corrupted, l.heldCycles = 0, 0
+	now := l.arena.now()
+	l.flits = l.onWire(now+1, now)
+	l.busyBase = l.flits - l.onWire(now, now)
+	l.cycleBase = now
+	l.overruns, l.corrupted, l.heldCycles = 0, 0, 0
 }

@@ -1,14 +1,14 @@
 // Snapshot support for the wire layer (DESIGN.md §13).
 //
-// Wire sections hold only logical state: the committed flit on the
-// wire, a fault-held staged flit, the fault mode, and the statistic
-// counters. Snapshots are taken between runs, where the kernel has
-// settled all skip-accounting debt — a parked consumer's uncollected
-// credits included, all but the last cycle's (TakeBefore) — so counters
-// and credits stand where the naive schedule has them: the bytes do not
-// depend on the kernel that wrote them, and restore into any (sequential
-// or parallel, gated or not). The consumers' arrival flags and the credit
-// wire's last-commit note are not state; a load raises or clears them.
+// Wire sections hold only logical state, read at the clock's cycle N:
+// the flit visible in N, a fault-held flit, the fault mode, and the
+// statistic counters. Snapshots are taken between runs, where the
+// kernel has settled all skip-accounting debt — a parked consumer's
+// uncollected credits included, all but the last cycle's (TakeBefore)
+// — so the bytes do not depend on the kernel that wrote them, and
+// restore into any. Which slot holds a value is not state (N's parity
+// says), and neither are the consumers' flags or the credit wire's
+// last-send note; a load raises or clears them.
 package link
 
 import (
@@ -18,74 +18,76 @@ import (
 	"nocemu/internal/state"
 )
 
-// SaveState serializes one flit wire. A staged flit is only legal
-// under a stuck fault (any other staged flit would mean the snapshot
-// was taken mid-cycle, which is a sequencing bug).
+// SaveState serializes one flit wire at the clock's cycle N: the flit
+// visible in N, and the held one. A flit taken in N or sent in N means
+// the snapshot was taken mid-cycle, one left untaken before N a flow-
+// control bug: either panics.
 func (l *Link) SaveState(w *state.Writer) {
-	if l.taken {
-		panic(fmt.Sprintf("link %s: snapshot with taken flag set (mid-cycle)", l.name))
-	}
-	if l.next != nil && l.fault != FaultStuck {
-		panic(fmt.Sprintf("link %s: snapshot with staged flit outside a stuck fault", l.name))
+	now := l.arena.now()
+	cur := l.slot[now&1]
+	if l.slot[(now+1)&1] != nil || (cur == nil) == (l.vis[now&1] == now) {
+		panic(fmt.Sprintf("link %s: snapshot in cycle %d with a flit taken, sent or left untaken (mid-cycle)", l.ComponentName(), now))
 	}
 	w.U8(uint8(l.fault))
-	flit.SaveFlit(w, l.cur)
-	flit.SaveFlit(w, l.next)
-	w.U64(l.busyCycles)
-	w.U64(l.totalCycles)
-	w.U64(l.flits)
+	flit.SaveFlit(w, cur)
+	flit.SaveFlit(w, l.held)
+	w.U64(l.BusyCycles())
+	w.U64(l.TotalCycles())
+	w.U64(l.Flits())
 	w.U64(l.overruns)
 	w.U64(l.corrupted)
 	w.U64(l.heldCycles)
 }
 
-// LoadState restores one flit wire.
+// LoadState restores one flit wire at the clock's cycle: the visible
+// flit goes into that cycle's slot.
 func (l *Link) LoadState(r *state.Reader) error {
 	mode := FaultMode(r.U8())
 	if r.Err() == nil && mode > FaultCorrupt {
-		return fmt.Errorf("link %s: snapshot fault mode %d", l.name, mode)
+		return fmt.Errorf("link %s: snapshot fault mode %d", l.ComponentName(), mode)
 	}
 	cur, err := flit.LoadFlit(r)
 	if err != nil {
 		return err
 	}
-	next, err := flit.LoadFlit(r)
+	held, err := flit.LoadFlit(r)
 	if err != nil {
 		return err
 	}
-	if next != nil && mode != FaultStuck {
-		return fmt.Errorf("link %s: snapshot stages a flit without a stuck fault", l.name)
+	if held != nil && mode != FaultStuck {
+		return fmt.Errorf("link %s: snapshot stages a flit without a stuck fault", l.ComponentName())
 	}
-	l.fault = mode
-	l.cur = cur
-	l.next = next
-	l.taken = false
-	l.busyCycles = r.U64()
-	l.totalCycles = r.U64()
-	l.flits = r.U64()
-	l.overruns = r.U64()
-	l.corrupted = r.U64()
-	l.heldCycles = r.U64()
+	busy, total, flits := r.U64(), r.U64(), r.U64()
+	now := l.arena.now()
+	l.slot, l.vis, l.held = [2]*flit.Flit{}, [2]uint64{never, never}, held
+	if cur != nil {
+		l.slot[now&1], l.vis[now&1] = cur, now
+	}
+	l.flits = flits
+	l.busyBase = flits - l.onWire(now, now) - busy
+	l.cycleBase = now - total
+	l.overruns, l.corrupted, l.heldCycles = r.U64(), r.U64(), r.U64()
+	l.SetFault(mode) // a held flit comes with a stuck fault: listed either way
 	return r.Err()
 }
 
-// SaveState serializes one credit wire. Between runs every staged
-// credit has committed (Send arms the wire, so it always commits on
-// schedule); only the accumulated uncollected credits and the
-// conservation counter are state.
+// SaveState serializes one credit wire: the credits on it and the
+// conservation counter. Credits sent in the clock's cycle would mean
+// the snapshot was taken mid-cycle, which panics.
 func (c *CreditLink) SaveState(w *state.Writer) {
-	if c.next != 0 {
-		panic(fmt.Sprintf("credit %s: snapshot with staged credits (mid-cycle)", c.name))
+	if now := c.arena.now(); c.at == now+1 && c.last != 0 {
+		panic(fmt.Sprintf("credit %s: snapshot with credits sent in cycle %d (mid-cycle)", c.ComponentName(), now))
 	}
-	w.U32(c.cur)
+	w.U32(c.Pending())
 	w.U64(c.sent)
 }
 
-// LoadState restores one credit wire.
+// LoadState restores one credit wire: every restored credit is visible
+// in the clock's cycle, and old — TakeBefore leaves none behind.
 func (c *CreditLink) LoadState(r *state.Reader) error {
-	c.cur = r.U32()
-	c.next = 0
-	c.lastN = 0 // restored credits are old: TakeBefore leaves none behind
+	n := r.U32()
+	c.n, c.last, c.at = [2]uint32{}, 0, 0
+	c.n[c.arena.now()&1] = n
 	c.sent = r.U64()
 	return r.Err()
 }

@@ -128,11 +128,11 @@ func (n *Injector) Offer(dst flit.EndpointID, length uint16, payload uint32, bir
 // next queued flit on the wire if a credit is available. The owning TG
 // calls it once per Tick, after generating traffic.
 func (n *Injector) Pump(cycle uint64) {
-	n.credits += int(n.creditIn.Take())
+	n.credits += int(n.creditIn.Take(cycle))
 	if n.count == 0 {
 		return
 	}
-	if n.credits == 0 || n.out.Busy() {
+	if n.credits == 0 || n.out.Busy(cycle) {
 		n.stallCycles++
 		n.probe.CreditStall(cycle, uint16(n.ring[n.head].VC))
 		return
@@ -143,7 +143,7 @@ func (n *Injector) Pump(cycle uint64) {
 	n.count--
 	f.InjectCycle = cycle
 	f.Check = f.Checksum()
-	if err := n.out.Send(f); err != nil {
+	if err := n.out.Send(cycle, f); err != nil {
 		panic(fmt.Sprintf("nic: injector %d: %v", n.endpoint, err))
 	}
 	n.credits--
@@ -156,8 +156,8 @@ func (n *Injector) Pump(cycle uint64) {
 
 // SkipIdle accounts the k cycles [from, from+k) the owning TG spent
 // parked with an empty queue: each skipped Pump would only have
-// collected the credits committed the cycle before, all but the last
-// skipped cycle's own by now (link.CreditLink.TakeBefore).
+// collected the credits sent the cycle before, all but those sent in
+// the last skipped cycle by now (link.CreditLink.TakeBefore).
 func (n *Injector) SkipIdle(from, k uint64) {
 	n.credits += int(n.creditIn.TakeBefore(from + k - 1))
 }
@@ -260,7 +260,7 @@ func (e *Ejector) Endpoint() flit.EndpointID { return e.endpoint }
 // return; the packet passed to onPacket is assembler scratch, valid
 // only during the call.
 func (e *Ejector) Pump(cycle uint64, onFlit func(*flit.Flit), onPacket func(*flit.Packet, *flit.Flit)) {
-	if f := e.in.Take(); f != nil {
+	if f := e.in.Take(cycle); f != nil {
 		if err := e.buf.Push(f); err != nil {
 			panic(fmt.Sprintf("nic: ejector %d: %v", e.endpoint, err))
 		}
@@ -269,7 +269,7 @@ func (e *Ejector) Pump(cycle uint64, onFlit func(*flit.Flit), onPacket func(*fli
 	if f == nil {
 		return
 	}
-	e.creditUp.Send(1)
+	e.creditUp.Send(cycle, 1)
 	e.probe.CreditGrant(cycle)
 	e.flitsReceived++
 	corrupted := f.Check != f.Checksum()
@@ -297,10 +297,11 @@ func (e *Ejector) Pump(cycle uint64, onFlit func(*flit.Flit), onPacket func(*fli
 // from its own Commit.
 func (e *Ejector) Commit(cycle uint64) { e.buf.Commit(cycle) }
 
-// Idle reports the ejector's quiescence condition: nothing committed
-// on the input wire and an empty reassembly buffer — a Pump would do
-// nothing. Valid between cycles (no staged buffer operations).
-func (e *Ejector) Idle() bool { return e.in.Peek() == nil && e.buf.Empty() }
+// Idle reports the ejector's quiescence condition after the given
+// cycle: no flit on the input wire for the next one and an empty
+// reassembly buffer — a Pump would do nothing. Valid between cycles (no
+// staged buffer operations).
+func (e *Ejector) Idle(cycle uint64) bool { return e.in.Peek(cycle+1) == nil && e.buf.Empty() }
 
 // SkipIdle accounts n skipped idle cycles: only the buffer's occupancy
 // statistics advance while the ejector is quiet.

@@ -72,11 +72,9 @@ func TestInjectorPumpRespectsCredits(t *testing.T) {
 	var sent []*flit.Flit
 	for c := uint64(0); c < 6; c++ {
 		inj.Pump(c)
-		if f := out.Take(); f != nil {
+		if f := out.Take(c); f != nil {
 			sent = append(sent, f)
 		}
-		out.Commit(c)
-		cr.Commit(c)
 	}
 	// Only 2 credits, none returned: exactly 2 flits on the wire.
 	if len(sent) != 2 {
@@ -90,11 +88,9 @@ func TestInjectorPumpRespectsCredits(t *testing.T) {
 		t.Error("no stalls recorded while starved of credits")
 	}
 	// Return credits: the tail goes out and the packet completes.
-	cr.Send(2)
-	cr.Commit(6)
+	cr.Send(6, 2)
 	inj.Pump(7)
-	out.Commit(7)
-	if f := out.Take(); f == nil || !f.Kind.IsTail() {
+	if f := out.Take(8); f == nil || !f.Kind.IsTail() {
 		t.Fatalf("tail not sent: %v", f)
 	}
 	if inj.Stats().PacketsSent != 1 {
@@ -111,8 +107,7 @@ func TestInjectorStampsInjectCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Pump(9)
-	out.Commit(9)
-	f := out.Take()
+	f := out.Take(10)
 	if f == nil {
 		t.Fatal("no flit")
 	}
@@ -127,7 +122,7 @@ func TestInjectorResetStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Pump(0)
-	out.Take()
+	out.Take(1)
 	inj.ResetStats()
 	st := inj.Stats()
 	if st.FlitsSent != 0 || st.PacketsSent != 0 || st.StallCycles != 0 {
@@ -157,15 +152,13 @@ func TestInjectorRingBounded(t *testing.T) {
 			}
 		}
 		inj.Pump(cycle)
-		if f := out.Take(); f != nil {
+		if f := out.Take(cycle); f != nil {
 			if f.Packet.Seq() < wantSeq {
 				t.Fatalf("round %d: flit of packet %d after packet %d", round, f.Packet.Seq(), wantSeq)
 			}
 			wantSeq = f.Packet.Seq()
-			cr.Send(1) // immediate credit return: sustained full rate
+			cr.Send(cycle, 1) // immediate credit return: sustained full rate
 		}
-		out.Commit(cycle)
-		cr.Commit(cycle)
 		if inj.QueueCap() != cap0 {
 			t.Fatalf("round %d: QueueCap grew to %d", round, inj.QueueCap())
 		}
@@ -210,8 +203,6 @@ func TestInjectorEjectorPoolLifecycle(t *testing.T) {
 			}
 			pkts++
 		})
-		wire.Commit(cycle)
-		cr.Commit(cycle)
 		ej.Commit(cycle)
 		cycle++
 	}
@@ -219,8 +210,6 @@ func TestInjectorEjectorPoolLifecycle(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		inj.Pump(cycle)
 		ej.Pump(cycle, nil, func(*flit.Packet, *flit.Flit) { pkts++ })
-		wire.Commit(cycle)
-		cr.Commit(cycle)
 		ej.Commit(cycle)
 		cycle++
 	}
@@ -306,15 +295,13 @@ func TestEjectorReassemblyAndCredits(t *testing.T) {
 	cycle := uint64(0)
 	for i := 0; i < len(flits)+3; i++ {
 		if i < len(flits) {
-			if err := in.Send(flits[i]); err != nil {
+			if err := in.Send(cycle, flits[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ej.Pump(cycle, func(*flit.Flit) { gotFlits++ }, func(pkt *flit.Packet, last *flit.Flit) {
 			gotPkts = append(gotPkts, pkt)
 		})
-		in.Commit(cycle)
-		cr.Commit(cycle)
 		ej.Commit(cycle)
 		cycle++
 	}
@@ -343,13 +330,11 @@ func TestEjectorPanicsOnMisroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(1, 0), Src: 1, Dst: 8, PacketLen: 1}
-	if err := in.Send(wrong); err != nil {
+	if err := in.Send(0, wrong); err != nil {
 		t.Fatal(err)
 	}
-	in.Commit(0)
 	ej.Pump(1, nil, nil)
 	ej.Commit(1)
-	in.Commit(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("misrouted flit not detected")

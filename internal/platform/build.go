@@ -30,8 +30,9 @@ const (
 	BusAux     = 3
 )
 
-// The wire arena's arm hooks go off while the gates stand down.
-var _ engine.Hooked = (*link.Arena)(nil)
+// The wire arena is a plain component that commits the faulted wires,
+// quiet while there are none.
+var _ engine.Quiescable = (*link.Arena)(nil)
 
 // Platform is a fully wired emulation platform.
 type Platform struct {
@@ -56,7 +57,7 @@ type Platform struct {
 	tgByEndpoint map[flit.EndpointID]*traffic.TG
 	trByEndpoint map[flit.EndpointID]*receptor.TR
 
-	// arms is the wire arena's arm-on-input table; nil unless the engine
+	// arms is the wires' arm-on-input table; nil unless the engine
 	// gates per element (AttachWatchdog adds the watchdog to the
 	// injection wires' rows).
 	arms *engine.ArmTable
@@ -70,7 +71,9 @@ type Platform struct {
 	// finishes, backing FullReset.
 	initSnap []byte
 	// wires and swArena are the dense stores every wire and switch lives
-	// in; both are snapshot sections (snapshot.go).
+	// in; both are snapshot sections (snapshot.go). Only the switches are
+	// an engine arena: a wire needs no evaluation unless it faults, so the
+	// wires are one plain component that commits the faulted ones.
 	wires   *link.Arena
 	swArena *switchfab.Arena
 }
@@ -102,15 +105,17 @@ func Build(cfg Config) (*Platform, error) {
 	if cfg.Trace != nil {
 		p.collector = probe.NewCollector(*cfg.Trace)
 	}
-	// Dense arenas for the high-population component types (arena.go in
-	// engine, link, switchfab): the wire count and switch count are both
-	// known from the topology, so the backing arrays are sized exactly.
+	// Dense stores for the high-population types (arena.go in link and
+	// switchfab; only the switches are an engine arena): the wire count
+	// and switch count are both known from the topology, so the backing
+	// arrays are sized exactly.
 	// The topology also says how many virtual channels each port carries
 	// (its generator's "vcs" parameter); every switch and wire pair is
 	// built with that many lanes, and the endpoints use channel 0 of
 	// their injection and ejection wires.
 	numVC := topo.NumVC()
 	p.wires = link.NewArena("wires", len(topo.Links())+len(cfg.TGs)+len(cfg.TRs), numVC)
+	p.wires.SetDropHandler(p.pool.Release)
 	p.swArena = switchfab.NewArena("switches", topo.NumSwitches())
 	swTarget := func(s topology.NodeID) engine.Target {
 		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
@@ -124,7 +129,6 @@ func Build(cfg Config) (*Platform, error) {
 	var consumers []engine.Target
 	newWires := func(lname, cname string, consumer engine.Target) (*link.Link, []*link.CreditLink) {
 		l, c := p.wires.NewPair(lname, cname)
-		l.SetDropHandler(p.pool.Release)
 		consumers = append(consumers, consumer)
 		return l, c
 	}
@@ -281,18 +285,25 @@ func Build(cfg Config) (*Platform, error) {
 	for _, l := range p.links {
 		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 	}
-	p.eng.MustRegisterArena(p.wires)
+	// The wire arena commits only faulted wires and is quiet without
+	// them. The wires read the engine's clock for what they derive from
+	// it (CYCLES, BUSY and FLITS between runs, snapshots).
+	p.eng.MustRegister(p.wires)
+	p.wires.SetClock(p.eng.Cycle)
+	p.eng.OnReset(p.wires.Shift)
 	// The collector registers after every data component so its serial
 	// Tick drains behind them; the samplers read only skip-debt-free
-	// state (committed occupancy, link busy-cycles), keeping boundary
-	// samples bit-identical across kernels and gating modes.
+	// state (committed occupancy, link busy-cycles at the sampling
+	// cycle), keeping boundary samples bit-identical across kernels and
+	// gating modes.
 	if p.collector != nil {
 		for _, sw := range p.switches {
 			p.collector.AddOccupancySampler(sw.BufferedFlits)
 		}
 		for _, l := range p.links {
-			p.collector.AddBusySampler(l.BusyCycles)
+			p.collector.AddBusySampler(l.BusyAt)
 		}
+		p.collector.SetClock(p.eng.Cycle)
 		p.eng.MustRegister(p.collector)
 		if cfg.Trace.Sched {
 			p.eng.SetSchedTrace(p.collector)
@@ -351,17 +362,21 @@ func Build(cfg Config) (*Platform, error) {
 	p.proc = proc
 	// A gated engine without workers parks individual components and
 	// arena elements, which requires the arm-on-input rule on every
-	// wire's Send path: staging a flit arms the pair and the switch or
-	// receptor that reads it, staging credits arms only the pair. With
-	// workers it only skips globally idle windows and needs no hooks.
-	// While its gates stand down on a busy network the engine switches
-	// the hooks off and on again (the wire arena is engine.Hooked).
+	// wire's Send path: a flit sent to a parked switch or receptor wakes
+	// it for the next cycle, the first it can take the flit in; credits
+	// wake nobody. With workers it only skips globally idle windows and
+	// needs no hooks. While its gates stand down on a busy network the
+	// engine switches the hook off and on again.
 	if !cfg.NoGate && cfg.Workers == 0 {
-		if p.arms, err = p.eng.ArmTable("wires", consumers); err != nil {
+		if p.arms, err = p.eng.ArmTable(consumers); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
-		p.wires.SetHooks(p.arms.Flit, p.arms.Credit, p.arms.Deliver)
+		p.wires.SetHooks(p.arms.Hook())
 	}
+	// A wire that faults mid-run (a fault controller's Tick, a register
+	// write) wakes the parked wire arena, so it is committed that cycle.
+	armWires, _ := p.eng.Armer(engine.Target{Name: p.wires.ComponentName()})
+	p.wires.OnFault(armWires)
 	// Emit-time arming: any probe emission wakes the collector so ring
 	// fills never depend on the parking schedule (which would make drops
 	// — and thus the exported stream — schedule-dependent). The armer is

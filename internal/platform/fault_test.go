@@ -1,12 +1,16 @@
 package platform
 
 import (
+	"bytes"
 	"testing"
 
+	"nocemu/internal/engine"
 	"nocemu/internal/fault"
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
 	"nocemu/internal/receptor"
+	"nocemu/internal/regmap"
+	"nocemu/internal/state"
 	"nocemu/internal/topology"
 	"nocemu/internal/traffic"
 )
@@ -213,5 +217,115 @@ func TestWatchdogReset(t *testing.T) {
 	w.Reset(p.Engine().Cycle())
 	if stalled, _ := w.Stalled(); stalled {
 		t.Error("reset did not re-arm")
+	}
+}
+
+// writeLinkFault sets link i's fault mode through the LINK bank's FAULT
+// register, as a host does over the bus.
+func writeLinkFault(t *testing.T, p *Platform, i int, m link.FaultMode) {
+	t.Helper()
+	a, ok := p.System().Find("links")
+	if !ok {
+		t.Fatal("no links device")
+	}
+	d, _ := p.System().Lookup(a.Bus(), a.Device())
+	if err := d.WriteReg(regmap.RegLinkSel, uint32(i)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteReg(regmap.RegLinkFault, uint32(m)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultControllerName pins a campaign's controller name — its
+// snapshot section and the Comp of its trace events — to the component
+// count Build leaves, whatever was faulted before AddFaults.
+func TestFaultControllerName(t *testing.T) {
+	for _, preFault := range []bool{false, true} {
+		p, err := BuildPaper(PaperOptions{PacketsPerTG: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preFault {
+			writeLinkFault(t, p, 0, link.FaultStuck)
+		}
+		ctrl, err := p.AddFaults([]fault.Spec{{Link: 1, Mode: link.FaultCorrupt, From: 10, Until: 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ctrl.ComponentName(), "faults10"; got != want {
+			t.Errorf("preFault=%v: controller %q, want %q", preFault, got, want)
+		}
+	}
+}
+
+// TestForkAfterRegisterFault forks a platform that carries a fault
+// campaign and a fault set over the bus before it: the fork rebuilds,
+// re-adds the campaign and must restore the snapshot, then run on
+// exactly as the original does.
+func TestForkAfterRegisterFault(t *testing.T) {
+	p, err := BuildPaper(PaperOptions{Traffic: PaperUniform, PacketsPerTG: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotA, hotB, err := p.PaperHotLinks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeLinkFault(t, p, hotB, link.FaultCorrupt)
+	if _, err := p.AddFaults([]fault.Spec{{Link: hotA, Mode: link.FaultStuck, From: 100, Until: 700}}); err != nil {
+		t.Fatal(err)
+	}
+	p.RunCycles(400)
+	forks, err := p.Fork(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := forks[0]
+	p.RunCycles(1_000)
+	f.RunCycles(1_000)
+	// Every section but the pool's, whose free lists keep the order
+	// flits were released in, which a restore does not replay.
+	want, got := sectionsOf(t, p), sectionsOf(t, f)
+	for i := range want {
+		if want[i].Name != "pool" && !bytes.Equal(got[i].Body, want[i].Body) {
+			t.Errorf("fork diverged from the original in section %s", want[i].Name)
+		}
+	}
+	if p.Totals() != f.Totals() {
+		t.Errorf("totals: original %+v, fork %+v", p.Totals(), f.Totals())
+	}
+	if p.CorruptedFlits() == 0 || p.CorruptedFlits() != f.CorruptedFlits() {
+		t.Errorf("corrupted flits: original %d, fork %d", p.CorruptedFlits(), f.CorruptedFlits())
+	}
+}
+
+func sectionsOf(t *testing.T, p *Platform) []state.Section {
+	t.Helper()
+	b, err := p.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, err := state.ReadSnapshot(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return secs
+}
+
+// TestWiresAreOnePlainComponent: the wire arena is registered once, by
+// Build, as a plain component — never as an engine arena.
+func TestWiresAreOnePlainComponent(t *testing.T) {
+	p, err := BuildPaper(PaperOptions{PacketsPerTG: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range p.eng.Arenas() {
+		if a.ComponentName() == p.wires.ComponentName() {
+			t.Error("the wire arena is an engine arena")
+		}
+	}
+	if c, ok := p.eng.Lookup(p.wires.ComponentName()); !ok || c != engine.Component(p.wires) {
+		t.Error("the wire arena is not registered")
 	}
 }

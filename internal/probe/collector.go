@@ -94,7 +94,10 @@ type Collector struct {
 	wins      []WindowTally
 	bound     []boundary
 	occFns    []func() int
-	busyFns   []func() uint64
+	busyFns   []func(cycle uint64) uint64
+	// clock reads the current cycle between runs: where the still-open
+	// window's live busy count is read (SetClock).
+	clock func() uint64
 }
 
 // NewCollector builds the tracing subsystem for one platform.
@@ -134,11 +137,21 @@ func (c *Collector) AddOccupancySampler(f func() int) {
 	}
 }
 
-// AddBusySampler registers a link cumulative-busy-cycles closure; the
-// per-window delta of the sum is the platform's link utilization.
-func (c *Collector) AddBusySampler(f func() uint64) {
+// AddBusySampler registers a link cumulative-busy-cycles closure, read
+// as of the given cycle; the per-window delta of the sum is the
+// platform's link utilization.
+func (c *Collector) AddBusySampler(f func(cycle uint64) uint64) {
 	if c != nil {
 		c.busyFns = append(c.busyFns, f)
+	}
+}
+
+// SetClock installs the cycle reader WindowBusy reads the open window's
+// live count at (the platform binds the engine's cycle). Unset, it
+// reads cycle 0.
+func (c *Collector) SetClock(f func() uint64) {
+	if c != nil {
+		c.clock = f
 	}
 }
 
@@ -229,7 +242,7 @@ func (c *Collector) sampleBoundary(cycle uint64) {
 		c.bound = append(c.bound, boundary{
 			Cycle: uint64(len(c.bound)) * c.cfg.Window,
 			Occ:   c.liveOcc(),
-			Busy:  c.liveBusy(),
+			Busy:  c.liveBusy(cycle),
 		})
 	}
 	for len(c.wins) < len(c.bound) {
@@ -245,10 +258,10 @@ func (c *Collector) liveOcc() uint64 {
 	return occ
 }
 
-func (c *Collector) liveBusy() uint64 {
+func (c *Collector) liveBusy(cycle uint64) uint64 {
 	var busy uint64
 	for _, f := range c.busyFns {
-		busy += f()
+		busy += f(cycle)
 	}
 	return busy
 }
@@ -431,7 +444,11 @@ func (c *Collector) WindowBusy(k int) uint64 {
 	if k+1 < len(c.bound) {
 		return c.bound[k+1].Busy - c.bound[k].Busy
 	}
-	return c.liveBusy() - c.bound[k].Busy
+	var now uint64
+	if c.clock != nil {
+		now = c.clock()
+	}
+	return c.liveBusy(now) - c.bound[k].Busy
 }
 
 // ResetStats clears the event log, the metrics store, and every ring,

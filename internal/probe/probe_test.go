@@ -30,7 +30,7 @@ func TestNilProbeIsFree(t *testing.T) {
 	}
 	c.SetArm(func() {})
 	c.AddOccupancySampler(func() int { return 0 })
-	c.AddBusySampler(func() uint64 { return 0 })
+	c.AddBusySampler(func(uint64) uint64 { return 0 })
 }
 
 func TestCanonicalOrder(t *testing.T) {
@@ -85,7 +85,7 @@ func TestMetricsAccounting(t *testing.T) {
 	p := c.NewProbe("x")
 	c.AddOccupancySampler(func() int { return 3 })
 	busy := uint64(0)
-	c.AddBusySampler(func() uint64 { return busy })
+	c.AddBusySampler(func(uint64) uint64 { return busy })
 
 	p.FlitInject(1, 1, 0, 1, 0)
 	p.FlitInject(2, 2, 0, 1, 0)

@@ -222,10 +222,10 @@ func (t *TR) Commit(cycle uint64) { t.ej.Commit(cycle) }
 
 // NextWake implements engine.Quiescable. Every receptor statistic is
 // arrival-driven, so the TR is quiet exactly when its ejector is idle;
-// it is woken by the upstream switch staging a flit onto its input
+// it is woken by the upstream switch sending a flit onto its input
 // wire. Done is monotonic and cannot change without an arrival.
 func (t *TR) NextWake(cycle uint64) (uint64, bool) {
-	return ^uint64(0), t.ej.Idle()
+	return ^uint64(0), t.ej.Idle(cycle)
 }
 
 // SkipIdle implements engine.Quiescable: only the ejector buffer's

@@ -51,16 +51,14 @@ func (h *harness) sendPacket(src flit.EndpointID, seq uint64, length uint16, inj
 // run advances n cycles, delivering one queued flit per cycle.
 func (h *harness) run(n int) {
 	for i := 0; i < n; i++ {
-		if len(h.queue) > 0 && !h.in.Busy() {
-			if err := h.in.Send(h.queue[0]); err != nil {
+		if len(h.queue) > 0 && !h.in.Busy(h.cycle) {
+			if err := h.in.Send(h.cycle, h.queue[0]); err != nil {
 				panic(err)
 			}
 			h.queue = h.queue[1:]
 		}
 		h.tr.Tick(h.cycle)
 		h.tr.Commit(h.cycle)
-		h.in.Commit(h.cycle)
-		h.cr.Commit(h.cycle)
 		h.cycle++
 	}
 }

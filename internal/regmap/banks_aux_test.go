@@ -93,7 +93,11 @@ func TestTRHistReadoutAfterReset(t *testing.T) {
 // --- link bank ------------------------------------------------------
 
 func TestLinkDevice(t *testing.T) {
-	idle, l := link.NewLink("link0"), link.NewLink("link1")
+	wires := link.NewArena("wires", 2, 1)
+	idle, _ := wires.NewPair("link0", "credit0")
+	l, _ := wires.NewPair("link1", "credit1")
+	now := uint64(0)
+	wires.SetClock(func() uint64 { return now })
 	d := NewLinkDevice([]*link.Link{idle, l})
 	if v, _ := d.ReadReg(RegType); v != TypeLink {
 		t.Errorf("type = %d", v)
@@ -106,13 +110,11 @@ func TestLinkDevice(t *testing.T) {
 	}
 
 	f := &flit.Flit{Kind: flit.HeadTail}
-	if err := l.Send(f); err != nil {
+	if err := l.Send(0, f); err != nil {
 		t.Fatal(err)
 	}
-	l.Commit(0)
-	l.Take()
-	l.Commit(1)
-	l.Commit(2)
+	l.Take(1)
+	now = 3
 
 	if v, _ := d.ReadReg(RegLinkFlits); v != 1 {
 		t.Errorf("flits = %d", v)

@@ -33,7 +33,7 @@ func flowTR(t testing.TB, mode receptor.Mode, trackLast bool, srcs ...flit.Endpo
 		}
 		// Back-date each packet by its position so latencies differ.
 		fs[0].InjectCycle = cycle - min(cycle, uint64(i))
-		if err := in.Send(fs[0]); err != nil {
+		if err := in.Send(cycle, fs[0]); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < 3; j++ {

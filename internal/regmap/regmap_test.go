@@ -180,10 +180,10 @@ func feedTR(tr *receptor.TR, in *link.Link, cr *link.CreditLink, n int, length u
 		}
 		for _, f := range fs {
 			f.InjectCycle = cycle
-			for in.Busy() {
+			for in.Busy(cycle) {
 				cycle = pump(tr, in, cr, cycle)
 			}
-			if err := in.Send(f); err != nil {
+			if err := in.Send(cycle, f); err != nil {
 				panic(err)
 			}
 			cycle = pump(tr, in, cr, cycle)
@@ -197,8 +197,6 @@ func feedTR(tr *receptor.TR, in *link.Link, cr *link.CreditLink, n int, length u
 func pump(tr *receptor.TR, in *link.Link, cr *link.CreditLink, cycle uint64) uint64 {
 	tr.Tick(cycle)
 	tr.Commit(cycle)
-	in.Commit(cycle)
-	cr.Commit(cycle)
 	return cycle + 1
 }
 

@@ -82,9 +82,10 @@ func (a *Arena) TickList(idx []int, cycle uint64) {
 }
 
 // CommitList implements engine.Arena: commit the listed switches and
-// report which went quiet — no lane occupied, state this commit just
-// touched, so the answer does not depend on the wires committing later
-// in the cycle. A busy switch answers from its first occupancy word.
+// report which went quiet — no lane occupied and no flit arriving next
+// cycle, state this commit just touched or the cycle's Sends raised, so
+// the answer does not depend on what commits later in the cycle. A busy
+// switch answers from its first occupancy word.
 func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
 	for r, i := range idx {
 		s := &a.sws[i]

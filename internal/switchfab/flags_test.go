@@ -12,13 +12,14 @@ import (
 	"nocemu/internal/state"
 )
 
-// The switch looks at a wire only when the wire's commit raised its flag
-// (DESIGN.md §10, "Who tells whom"), and a parked switch collects the
-// credits it slept through cycle for cycle in SkipIdle. These tests pin
-// both by hand-built rigs: flags on either side of the 8-byte load, stale
-// and reloaded flags, a settle that stops exactly where the every-cycle
+// The switch looks at a wire only when the wire's Send raised its flag
+// in the bank of the cycle it is visible in (DESIGN.md §10, "Who tells
+// whom"), and a parked switch collects the credits it slept through
+// cycle for cycle in SkipIdle. These tests pin both by hand-built rigs:
+// flags on either side of the 8-byte load, in either bank, stale and
+// reloaded flags, a settle that stops exactly where the every-cycle
 // schedule stands, and — under an engine's gate — a flit held back by a
-// stuck fault, whose delivering commit is what wakes the switch.
+// stuck fault, whose release is what wakes the switch.
 
 func savedWire(c *link.CreditLink) []byte {
 	w := state.NewWriter()
@@ -26,13 +27,16 @@ func savedWire(c *link.CreditLink) []byte {
 	return w.Bytes()
 }
 
-// commitWires commits the rig's wires and advances its clock: a cycle in
-// which the switch itself may or may not have run.
-func (r *rig) commitWires() {
-	for _, w := range r.wires {
-		w.Commit(r.cycle)
+// idle advances the rig's clock: a cycle in which the switch itself may
+// or may not have run. The wires need no commit.
+func (r *rig) idle() { r.cycle++ }
+
+// clearFlags lowers every flag of both banks behind the switch's back.
+func (r *rig) clearFlags() {
+	for b := range r.sw.arr {
+		clear(r.sw.arr[b])
+		clear(r.sw.cred[b])
 	}
-	r.cycle++
 }
 
 // TestSkipIdleSettlesCreditsExactly: two switches send three flits down
@@ -52,9 +56,9 @@ func TestSkipIdleSettlesCreditsExactly(t *testing.T) {
 				r.send(0, 0, 0, 1)
 			}
 			r.sw.Tick(r.cycle)
-			r.out[0].Take() // the credit is kept back
+			r.out[0].Take(r.cycle) // the credit is kept back
 			r.sw.Commit(r.cycle)
-			r.commitWires()
+			r.idle()
 		}
 		if _, quiet := r.sw.NextWake(r.cycle); !quiet || r.sw.credits[0] != 1 {
 			t.Fatalf("before the park: quiet = %v with %d credits, want a quiet switch with 1", quiet, r.sw.credits[0])
@@ -65,9 +69,9 @@ func TestSkipIdleSettlesCreditsExactly(t *testing.T) {
 				r.sw.Commit(r.cycle)
 			}
 			if slices.Contains(returns, r.cycle) {
-				r.outCr[0].Send(1)
+				r.outCr[0].Send(r.cycle, 1)
 			}
-			r.commitWires()
+			r.idle()
 		}
 	}
 	same := func(when string, credits int, onWire uint32) {
@@ -97,35 +101,46 @@ func TestSkipIdleSettlesCreditsExactly(t *testing.T) {
 // loads, the last with three real bytes and five of padding; ten output
 // lanes put the credit flags on two. Flits arrive on the ports either
 // side of a load boundary and on the padding-adjacent one, credits on the
-// lanes either side of the boundary and on the last.
+// lanes either side of the boundary and on the last. A Send raises the
+// flag in the bank of the cycle it is visible in, and only that cycle's
+// Tick reads and clears it.
 func TestFlagsAcrossWords(t *testing.T) {
 	r := newRig(t, 35, 5, 2, 4)
-	if len(r.sw.arr) != 40 || len(r.sw.cred) != 16 {
-		t.Fatalf("flag runs of %d and %d bytes, want 40 and 16", len(r.sw.arr), len(r.sw.cred))
+	for b := range r.sw.arr {
+		if len(r.sw.arr[b]) != 40 || len(r.sw.cred[b]) != 16 {
+			t.Fatalf("bank %d: flag runs of %d and %d bytes, want 40 and 16", b, len(r.sw.arr[b]), len(r.sw.cred[b]))
+		}
 	}
-	r.step(nil) // clears the flags every switch starts with
+	r.step(nil)
+	r.step(nil) // the two Ticks clear the flags every switch starts with
 	arrivals := []struct{ port, vc int }{{7, 1}, {8, 0}, {34, 1}, {0, 0}}
 	for _, a := range arrivals {
 		r.send(a.port, a.vc, a.port%5, flit.EndpointID(a.port))
 	}
 	lanes := []int{7, 8, 9}
 	for _, ol := range lanes {
-		r.sw.creditIn[ol].Send(uint32(ol))
+		r.sw.creditIn[ol].Send(r.cycle, uint32(ol))
 	}
-	r.step(nil) // the wires commit and raise their flags
-	for i, f := range r.sw.arr {
+	next, now := (r.cycle+1)&1, r.cycle&1
+	for i, f := range r.sw.arr[next] {
 		if want := slices.ContainsFunc(arrivals, func(a struct{ port, vc int }) bool { return a.port == i }); (f != 0) != want {
-			t.Errorf("arrival flag %d = %d after the commit", i, f)
+			t.Errorf("arrival flag %d = %d after the sends", i, f)
 		}
 	}
-	for ol, f := range r.sw.cred {
+	for ol, f := range r.sw.cred[next] {
 		if want := slices.Contains(lanes, ol); (f != 0) != want {
-			t.Errorf("credit flag %d = %d after the commit", ol, f)
+			t.Errorf("credit flag %d = %d after the sends", ol, f)
 		}
 	}
+	if slices.Max(r.sw.arr[now]) != 0 || slices.Max(r.sw.cred[now]) != 0 {
+		t.Errorf("the sends raised flags in the bank of their own cycle")
+	}
+	r.step(nil) // this cycle's Tick reads the other bank
 	r.step(nil) // the switch takes what the flags name
-	if slices.Max(r.sw.arr) != 0 || slices.Max(r.sw.cred) != 0 {
-		t.Errorf("flags left set after the Tick: arrivals %v, credits %v", r.sw.arr, r.sw.cred)
+	for b := range r.sw.arr {
+		if slices.Max(r.sw.arr[b]) != 0 || slices.Max(r.sw.cred[b]) != 0 {
+			t.Errorf("bank %d: flags left set after the Ticks: arrivals %v, credits %v", b, r.sw.arr[b], r.sw.cred[b])
+		}
 	}
 	for _, a := range arrivals {
 		if n := r.sw.inBufs[a.port*2+a.vc].Len(); n != 1 {
@@ -149,9 +164,10 @@ func TestFlagsAcrossWords(t *testing.T) {
 
 // TestStaleFlagsAreHarmless: set means look, not take. With every flag
 // raised over empty wires a Tick changes nothing, allocates nothing and
-// clears them.
+// clears the flags of its cycle's bank.
 func TestStaleFlagsAreHarmless(t *testing.T) {
 	r := newRig(t, 9, 9, 2, 4)
+	r.step(nil)
 	r.step(nil)
 	before := saved(r.sw)
 	if n := testing.AllocsPerRun(100, func() {
@@ -163,8 +179,8 @@ func TestStaleFlagsAreHarmless(t *testing.T) {
 	if !bytes.Equal(saved(r.sw), before) {
 		t.Error("a Tick over stale flags changed the switch")
 	}
-	if slices.Max(r.sw.arr) != 0 || slices.Max(r.sw.cred) != 0 {
-		t.Error("the Tick left flags set")
+	if b := r.cycle & 1; slices.Max(r.sw.arr[b]) != 0 || slices.Max(r.sw.cred[b]) != 0 {
+		t.Error("the Tick left flags of its bank set")
 	}
 }
 
@@ -176,11 +192,10 @@ func TestLoadStateRaisesFlags(t *testing.T) {
 	r := newRig(t, 9, 9, 1, 4)
 	r.step(nil)
 	r.send(8, 0, 3, 1)
-	r.outCr[8].Send(2)
-	r.commitWires()
+	r.outCr[8].Send(r.cycle, 2)
+	r.idle()
 	blob := saved(r.sw)
-	clear(r.sw.arr)
-	clear(r.sw.cred)
+	r.clearFlags()
 	if err := r.sw.LoadState(state.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +206,7 @@ func TestLoadStateRaisesFlags(t *testing.T) {
 }
 
 // feeder is the world around a one-switch arena under an engine: it
-// stages one flit on input 1 in cycle sendAt, holds that wire with a stuck
+// sends one flit on input 1 in cycle sendAt, holds that wire with a stuck
 // fault over [stuckFrom, stuckTo), and consumes the outputs, returning
 // their credits. Not Quiescable, so it is walked every cycle.
 type feeder struct {
@@ -214,17 +229,17 @@ func (f *feeder) Tick(cycle uint64) {
 		f.in.SetFault(link.FaultNone)
 	}
 	if cycle == f.sendAt {
-		if err := f.in.Send(f.pending); err != nil {
+		if err := f.in.Send(cycle, f.pending); err != nil {
 			panic(err)
 		}
 	}
-	if f.in.Peek() != nil {
+	if f.in.Peek(cycle) != nil {
 		f.tookAt = append(f.tookAt, cycle)
 	}
 	for o, l := range f.out {
-		if l.Take() != nil {
+		if l.Take(cycle) != nil {
 			f.gotAt = append(f.gotAt, cycle)
-			f.outCr[o].Send(1)
+			f.outCr[o].Send(cycle, 1)
 		}
 	}
 }
@@ -242,7 +257,9 @@ func (a *spyArena) TickList(idx []int, cycle uint64) {
 }
 
 // underEngine builds feeder, a one-switch arena and a wire arena under an
-// engine, gated with the platform's hooks or walked every cycle.
+// engine, gated with the platform's hooks or walked every cycle. The wire
+// arena is in the schedule, as a platform's is: it commits the faulted
+// wire, and the fault arms it.
 func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) {
 	t.Helper()
 	table := routing.NewTable(1)
@@ -278,24 +295,27 @@ func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) 
 	e := engine.New()
 	e.MustRegister(f)
 	e.MustRegisterArena(sws)
-	e.MustRegisterArena(wires)
+	e.MustRegister(wires)
 	if gated {
 		e.SetGated(true)
-		arms, err := e.ArmTable("wires", consumers)
+		arms, err := e.ArmTable(consumers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wires.SetHooks(arms.Flit, arms.Credit, arms.Deliver)
+		wires.SetHooks(arms.Hook())
+		arm, _ := e.Armer(engine.Target{Name: "wires"})
+		wires.OnFault(arm)
 	}
 	return e, f, sws
 }
 
-// TestDeliveringCommitWakesConsumer: a stuck fault holds a staged flit on
-// the wire for ten cycles. The switch behind it parks — nobody polls the
-// wire for it — and the commit that finally puts the flit on view wakes
-// it: it ticks in exactly the first cycle Take returns the flit, then
-// while the flit crosses it, and never otherwise. Before, during and after
-// the hold its state is the bytes of a twin walked every cycle.
+// TestDeliveringCommitWakesConsumer: a stuck wire holds its flit across
+// the fault window. The switch behind it parks — nobody polls the wire
+// for it — and the commit that finally puts the flit on view wakes it:
+// it ticks in exactly the first cycle Take returns the flit, then while
+// the flit crosses it, and otherwise only where the gate has to look.
+// Before, during and after the hold its state is the bytes of a twin
+// walked every cycle.
 func TestDeliveringCommitWakesConsumer(t *testing.T) {
 	const sendAt, stuckFrom, stuckTo, end = 5, 3, 15, 30
 	e, f, spy := underEngine(t, true)
@@ -316,9 +336,11 @@ func TestDeliveringCommitWakesConsumer(t *testing.T) {
 	if want := []uint64{stuckTo + 1}; !slices.Equal(f.tookAt, want) || !slices.Equal(twinF.tookAt, want) {
 		t.Fatalf("the flit was on view in cycles %v (twin %v), want %v", f.tookAt, twinF.tookAt, want)
 	}
-	// Cycle 0 is every element's first; then the take, the forward, and
-	// the returned credit's pair waking nobody.
-	if want := []uint64{0, stuckTo + 1, stuckTo + 2}; !slices.Equal(spy.ticked, want) {
+	// Cycles 0 and 1 clear the two banks of flags every switch starts
+	// with; the Send the fault then holds wakes it once for nothing in
+	// sendAt+1; then the take, the forward, and the returned credit
+	// waking nobody.
+	if want := []uint64{0, 1, sendAt + 1, stuckTo + 1, stuckTo + 2}; !slices.Equal(spy.ticked, want) {
 		t.Errorf("the gated switch ticked in cycles %v, want %v", spy.ticked, want)
 	}
 	if len(twin.ticked) != 0 {

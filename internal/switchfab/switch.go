@@ -112,15 +112,16 @@ type Switch struct {
 
 	// The wires say where to look (DESIGN.md §10, "Who tells whom"): a
 	// byte per input port in arr and per output lane in cred, each run
-	// padded to whole 8-byte loads. A wire's Commit sets its byte and
+	// padded to whole 8-byte loads, in two banks by cycle parity. A wire
+	// sets the byte of bank (c+1)&1 when it is sent to in cycle c and
 	// writes nothing else here; only this switch's Tick, SkipIdle and
-	// LoadState read, clear or raise them. Clear proves there is nothing
-	// to take, set means look, so flags are not state (a load raises them
-	// all). Bytes, not bits: wires commit on different
-	// workers, and distinct bytes written in the Commit phase and read in
-	// the Tick phase need no atomics (make race is the check).
-	arr  []uint8
-	cred []uint8
+	// LoadState read, clear or raise them, and Tick in cycle c touches
+	// bank c&1 alone — so the senders of one Tick phase and this switch
+	// never share a word, and the pooled walk needs no atomics (make race
+	// is the check). Clear proves there is nothing to take, set means
+	// look, so flags are not state (a load raises them all).
+	arr  [2][]uint8
+	cred [2][]uint8
 
 	stats Stats
 
@@ -166,8 +167,8 @@ func initSwitch(s *Switch, cfg Config) error {
 	inLanes, outLanes := cfg.NumIn*cfg.NumVC, cfg.NumOut*cfg.NumVC
 	words := arb.Words(inLanes)
 	masks := make([]uint64, 3*words+arb.Words(cfg.NumOut))
-	arrLen := (cfg.NumIn + 7) &^ 7
-	flags := make([]uint8, arrLen+(outLanes+7)&^7)
+	arrLen, credLen := (cfg.NumIn+7)&^7, (outLanes+7)&^7
+	flags := make([]uint8, 2*(arrLen+credLen))
 	*s = Switch{
 		cfg:       cfg,
 		lfsr:      rng.New(cfg.Seed),
@@ -186,8 +187,10 @@ func initSwitch(s *Switch, cfg Config) error {
 		dirty:     masks[words : 2*words : 2*words],
 		moved:     masks[2*words : 3*words : 3*words],
 		want:      masks[3*words:],
-		arr:       flags[:arrLen],
-		cred:      flags[arrLen:],
+	}
+	for b := range s.arr {
+		bank := flags[b*(arrLen+credLen) : (b+1)*(arrLen+credLen)]
+		s.arr[b], s.cred[b] = bank[:arrLen:arrLen], bank[arrLen:]
 	}
 	s.raiseFlags()
 	for r := range s.inBufs {
@@ -235,7 +238,7 @@ func (s *Switch) ConnectInput(i int, in *link.Link, creditBack ...*link.CreditLi
 		return fmt.Errorf("switchfab %s: input %d needs a link and %d credit wires", s.cfg.Name, i, s.cfg.NumVC)
 	}
 	s.inLinks[i] = in
-	in.NotifyArrival(&s.arr[i])
+	in.NotifyArrival([2]*uint8{&s.arr[0][i], &s.arr[1][i]})
 	copy(s.creditOut[i*s.cfg.NumVC:], creditBack)
 	s.wired++
 	return nil
@@ -261,7 +264,8 @@ func (s *Switch) ConnectOutput(o int, out *link.Link, initialCredits int, credit
 	for v, c := range creditIn {
 		s.creditIn[o*s.cfg.NumVC+v] = c
 		s.credits[o*s.cfg.NumVC+v] = initialCredits
-		c.NotifyArrival(&s.cred[o*s.cfg.NumVC+v])
+		ol := o*s.cfg.NumVC + v
+		c.NotifyArrival([2]*uint8{&s.cred[0][ol], &s.cred[1][ol]})
 	}
 	s.wiredOuts++
 	return nil
@@ -320,43 +324,46 @@ func (s *Switch) selectPort(candidates []int, f *flit.Flit, vc int) int {
 	}
 }
 
-// raiseFlags makes the next Tick look at every wire. The padding stays
-// clear for good.
+// raiseFlags makes the next two Ticks look at every wire. The padding
+// stays clear for good.
 func (s *Switch) raiseFlags() {
-	for i := range s.inLinks {
-		s.arr[i] = 1
-	}
-	for ol := range s.creditIn {
-		s.cred[ol] = 1
+	for b := range s.arr {
+		for i := range s.inLinks {
+			s.arr[b][i] = 1
+		}
+		for ol := range s.creditIn {
+			s.cred[b][ol] = 1
+		}
 	}
 }
 
 // Tick implements engine.Component: accept arrivals, collect credits,
 // compute routes, arbitrate outputs and forward flits. No pass walks
-// the ports: the first two walk the flags the wires set, eight to a
-// load, the others the set bits of a mask.
+// the ports: the first two walk this cycle's bank of the flags the
+// wires set, eight to a load, the others the set bits of a mask.
 func (s *Switch) Tick(cycle uint64) {
 	numVC := s.cfg.NumVC
+	arr, cred := s.arr[cycle&1], s.cred[cycle&1]
 	// Collect returned credits first so this cycle's arbitration sees
-	// them (they were committed last cycle).
-	for w := 0; w < len(s.cred); w += 8 {
-		m := binary.LittleEndian.Uint64(s.cred[w:])
-		binary.LittleEndian.PutUint64(s.cred[w:], 0) // a store, not a call to clear
+	// them (they were sent last cycle).
+	for w := 0; w < len(cred); w += 8 {
+		m := binary.LittleEndian.Uint64(cred[w:])
+		binary.LittleEndian.PutUint64(cred[w:], 0) // a store, not a call to clear
 		for ; m != 0; m &= m - 1 {
 			ol := w + bits.TrailingZeros64(m)>>3
-			s.credits[ol] += int(s.creditIn[ol].Take())
+			s.credits[ol] += int(s.creditIn[ol].Take(cycle))
 		}
 	}
 
 	// Accept arriving flits into the lane their channel tag names.
 	// Credit flow control guarantees space; a push failure indicates a
 	// protocol bug and is surfaced via panic in this internal invariant.
-	for w := 0; w < len(s.arr); w += 8 {
-		m := binary.LittleEndian.Uint64(s.arr[w:])
-		binary.LittleEndian.PutUint64(s.arr[w:], 0)
+	for w := 0; w < len(arr); w += 8 {
+		m := binary.LittleEndian.Uint64(arr[w:])
+		binary.LittleEndian.PutUint64(arr[w:], 0)
 		for ; m != 0; m &= m - 1 {
 			i := w + bits.TrailingZeros64(m)>>3
-			if f := s.inLinks[i].Take(); f != nil { // nil: a stale flag, set means look
+			if f := s.inLinks[i].Take(cycle); f != nil { // nil: a stale flag, set means look
 				if int(f.VC) >= numVC {
 					panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
 				}
@@ -444,7 +451,7 @@ func (s *Switch) Tick(cycle uint64) {
 			for i := lo * words; i < (lo+numVC)*words; i++ {
 				s.req[i] = 0 // a word or two: a loop, not a call to clear
 			}
-			if winner < 0 || s.outLinks[o].Busy() {
+			if winner < 0 || s.outLinks[o].Busy(cycle) {
 				continue // stalled heads are counted as blocked in the sweep below
 			}
 			f := s.inBufs[winner].Pop()
@@ -452,11 +459,11 @@ func (s *Switch) Tick(cycle uint64) {
 				panic(fmt.Sprintf("switchfab %s: pop failed on granted input lane %d", s.cfg.Name, winner))
 			}
 			f.VC = uint8(out - lo)
-			if err := s.outLinks[o].Send(f); err != nil {
+			if err := s.outLinks[o].Send(cycle, f); err != nil {
 				panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 			}
 			s.credits[out]--
-			s.creditOut[winner].Send(1)
+			s.creditOut[winner].Send(cycle, 1)
 			s.moved[winner>>6] |= 1 << (winner & 63)
 			s.stats.FlitsRouted++
 			if s.probe != nil { // the input port is a division away; skip it untraced
@@ -519,17 +526,24 @@ func (s *Switch) settle() {
 }
 
 // NextWake implements engine.Quiescable. The switch is quiet when no
-// lane is occupied: with no heads there is nothing to route, arbitrate,
-// forward or mark blocked, and credits that come back meanwhile wait on
-// their wires for SkipIdle. The arena asks right after this switch's
-// Commit, so occ already counts a flit pushed this cycle. Wormhole locks
-// and per-lane routes may persist while quiet; they are frozen state,
-// revisited when input arms the switch. The input wires are not looked
-// at: the commit that puts a flit on one wakes the switch for the next
-// cycle (DESIGN.md §10), the first whose Tick could take it.
+// lane is occupied and no flit arrives in the next cycle: with no heads
+// there is nothing to route, arbitrate, forward or mark blocked, and
+// credits that come back meanwhile wait on their wires for SkipIdle.
+// The arena asks right after this switch's Commit, so occ already
+// counts a flit pushed this cycle, and every Send of the cycle has
+// raised its flag in the next cycle's bank. Wormhole locks and per-lane
+// routes may persist while quiet; they are frozen state, revisited when
+// input wakes the switch: a flit sent to it while it is parked wakes it
+// for the cycle the flit is visible in (DESIGN.md §10).
 func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 	for _, m := range s.occ {
 		if m != 0 {
+			return 0, false
+		}
+	}
+	arr := s.arr[(cycle+1)&1]
+	for w := 0; w < len(arr); w += 8 {
+		if binary.LittleEndian.Uint64(arr[w:]) != 0 {
 			return 0, false
 		}
 	}
@@ -539,17 +553,19 @@ func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 // SkipIdle implements engine.Quiescable: each skipped cycle would have
 // counted one switch cycle, committed empty buffers — which the lanes
 // are paid for like any cycle Commit passed them over (settle) — and
-// collected the credits committed the cycle before. The last skipped
-// Tick runs in cycle from+n-1: what was committed before it moves to
-// the counters, its own credits stay on the wire, and a settle leaves
+// collected the credits sent the cycle before. The last skipped Tick
+// runs in cycle from+n-1: what is visible by then moves to the
+// counters, credits sent in it stay on the wire, and a settle leaves
 // the switch where the every-cycle schedule has it, snapshot bytes
-// included. The flags stay set for the Tick of the wake.
+// included. The flags of both banks stay set for the Ticks to come.
 func (s *Switch) SkipIdle(from, n uint64) {
 	s.stats.Cycles += n
-	for w := 0; w < len(s.cred); w += 8 {
-		for m := binary.LittleEndian.Uint64(s.cred[w:]); m != 0; m &= m - 1 {
-			ol := w + bits.TrailingZeros64(m)>>3
-			s.credits[ol] += int(s.creditIn[ol].TakeBefore(from + n - 1))
+	for _, cred := range s.cred {
+		for w := 0; w < len(cred); w += 8 {
+			for m := binary.LittleEndian.Uint64(cred[w:]); m != 0; m &= m - 1 {
+				ol := w + bits.TrailingZeros64(m)>>3
+				s.credits[ol] += int(s.creditIn[ol].TakeBefore(from + n - 1))
+			}
 		}
 	}
 }

@@ -67,11 +67,7 @@ func (d *testDst) Done() bool      { return len(d.got) >= d.want }
 
 func wire(t *testing.T, eng *engine.Engine, name string) (*link.Link, *link.CreditLink) {
 	t.Helper()
-	l := link.NewLink(name)
-	c := link.NewCreditLink(name + ".cr")
-	eng.MustRegister(l)
-	eng.MustRegister(c)
-	return l, c
+	return link.NewLink(name), link.NewCreditLink(name + ".cr")
 }
 
 func defaultCfg(name string, node topology.NodeID, in, out int, table *routing.Table) Config {
@@ -368,10 +364,10 @@ type laneDst struct {
 
 func (d *laneDst) ComponentName() string { return "lanedst" }
 func (d *laneDst) Tick(c uint64) {
-	if f := d.in.Take(); f != nil {
+	if f := d.in.Take(c); f != nil {
 		d.order = append(d.order, f.Packet)
 		d.vcs = append(d.vcs, f.VC)
-		d.crs[f.VC].Send(1)
+		d.crs[f.VC].Send(c, 1)
 	}
 }
 func (d *laneDst) Commit(c uint64) {}
@@ -401,9 +397,7 @@ func buildLanes(t *testing.T, dsts [2]flit.EndpointID, pktLen uint16) (*engine.E
 	}
 	wire2 := func(name string) (*link.Link, []*link.CreditLink) {
 		l, c0 := wire(t, eng, name)
-		c1 := link.NewCreditLink(name + ".cr.vc1")
-		eng.MustRegister(c1)
-		return l, []*link.CreditLink{c0, c1}
+		return l, []*link.CreditLink{c0, link.NewCreditLink(name + ".cr.vc1")}
 	}
 	for i, dst := range dsts {
 		l, crs := wire2([]string{"injA", "injB"}[i])
@@ -546,7 +540,6 @@ type rig struct {
 	sw    *Switch
 	in    []*link.Link
 	out   []*link.Link
-	wires []interface{ Commit(uint64) }
 	inCr  [][]*link.CreditLink // per input port, per channel
 	outCr []*link.CreditLink   // channel 0 of each output port
 	cycle uint64
@@ -569,11 +562,9 @@ func newRig(tb testing.TB, numIn, numOut, numVC, credits int) *rig {
 	r := &rig{sw: sw}
 	newWire := func() (*link.Link, []*link.CreditLink) {
 		l := link.NewLink("l")
-		r.wires = append(r.wires, l)
 		crs := make([]*link.CreditLink, numVC)
 		for v := range crs {
 			crs[v] = link.NewCreditLink("cr")
-			r.wires = append(r.wires, crs[v])
 		}
 		return l, crs
 	}
@@ -605,29 +596,26 @@ func (r *rig) send(i, vc, o int, src flit.EndpointID) {
 
 // sendFlit stages f on input port i.
 func (r *rig) sendFlit(i int, f *flit.Flit) {
-	if err := r.in[i].Send(f); err != nil {
+	if err := r.in[i].Send(r.cycle, f); err != nil {
 		panic(err)
 	}
 }
 
 // step runs one cycle: the switch ticks, every flit on an output wire is
-// consumed and its credit returned, then switch and wires commit. The
+// consumed and its credit returned, then the switch commits. The
 // sources of the consumed flits are appended to order, in output-port
 // order.
 func (r *rig) step(order *[]flit.EndpointID) {
 	r.sw.Tick(r.cycle)
 	for o, l := range r.out {
-		if f := l.Take(); f != nil {
+		if f := l.Take(r.cycle); f != nil {
 			if order != nil {
 				*order = append(*order, f.Src)
 			}
-			r.outCr[o].Send(1)
+			r.outCr[o].Send(r.cycle, 1)
 		}
 	}
 	r.sw.Commit(r.cycle)
-	for _, w := range r.wires {
-		w.Commit(r.cycle)
-	}
 	r.cycle++
 }
 

@@ -6,13 +6,18 @@
 // results are bit-identical; what changes is the scheduler. Where the
 // engine walks a static slice twice per cycle, this kernel models
 // SystemC's dynamic scheduling: every component — and every element of
-// a dense arena, since a SystemC kernel sees each signal and module on
-// its own — is a process that "waits on the clock": it is re-inserted
-// into a time-ordered event calendar (a heap) on every cycle, for both
-// the evaluate (Tick) and update (Commit) phases. The per-cycle heap
-// traffic is the structural overhead a cycle-accurate SystemC
-// simulation pays, and benchmarks over this package regenerate the
-// middle row of the paper's Table 2.
+// a dense arena, since a SystemC kernel sees each module on its own —
+// is a process that "waits on the clock": it is re-inserted into a
+// time-ordered event calendar (a heap) on every cycle, for both the
+// evaluate (Tick) and update (Commit) phases. A wire gets no process:
+// it is modelled as a signal its writer updates — the parity slot the
+// sender writes is what the reader sees next cycle — rather than as a
+// primitive channel with an update process of its own. The wire arena
+// is one plain component (it commits faulted wires only), so it is one
+// process pair, not one per wire. The per-cycle heap traffic is the
+// structural overhead a cycle-accurate SystemC simulation pays, and
+// benchmarks over this package regenerate the middle row of the
+// paper's Table 2.
 package tlm
 
 import (

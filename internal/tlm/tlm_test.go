@@ -128,8 +128,10 @@ func TestTLMMatchesEmulator(t *testing.T) {
 
 // TestDispatchesPerSignal pins the per-element expansion Table 2's
 // SystemC-like row rests on: every cycle dispatches one evaluate and
-// one update process per plain component and per arena element — wire
-// pair or switch — not one pair per arena.
+// one update process per plain component and per arena element — each
+// switch — not one pair per arena. A wire is no component: its writer
+// updates it, and the wire arena, which commits faulted wires only, is
+// one plain component.
 func TestDispatchesPerSignal(t *testing.T) {
 	cfg, err := platform.PaperConfig(platform.PaperOptions{})
 	if err != nil {

@@ -102,7 +102,7 @@ func (t *TG) Tick(cycle uint64) {
 }
 
 // Commit implements engine.Component; TG state is owned entirely by the
-// Tick phase (its links commit separately).
+// Tick phase (its wires need no commit).
 func (t *TG) Commit(cycle uint64) {}
 
 // NextWake implements engine.Quiescable. The TG is quiet when it holds

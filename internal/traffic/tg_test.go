@@ -37,16 +37,14 @@ func newTGHarness(t testing.TB, gen Generator, cfg TGConfig) *tgHarness {
 func (h *tgHarness) run(n uint64) (flits int, packets int) {
 	for c := uint64(0); c < n; c++ {
 		h.tg.Tick(c)
-		if f := h.out.Take(); f != nil {
+		if f := h.out.Take(c); f != nil {
 			flits++
 			if f.Kind.IsTail() {
 				packets++
 			}
-			h.cr.Send(1)
+			h.cr.Send(c, 1)
 		}
 		h.tg.Commit(c)
-		h.out.Commit(c)
-		h.cr.Commit(c)
 	}
 	return flits, packets
 }
@@ -139,10 +137,8 @@ func TestTGBackpressureHoldsDemands(t *testing.T) {
 	}
 	for c := uint64(0); c < 100; c++ {
 		tg.Tick(c)
-		out.Take() // consume but never credit back
+		out.Take(c) // consume but never credit back
 		tg.Commit(c)
-		out.Commit(c)
-		cr.Commit(c)
 	}
 	st := tg.Stats()
 	// 2 packets fit in the queue; the third waits in pending.
@@ -177,10 +173,8 @@ func TestTGLoadRejectsZeroLengthPending(t *testing.T) {
 	// No credit comes back: two packets fill the queue, the third is held.
 	for c := uint64(0); c < 20; c++ {
 		src.tg.Tick(c)
-		src.out.Take()
+		src.out.Take(c)
 		src.tg.Commit(c)
-		src.out.Commit(c)
-		src.cr.Commit(c)
 	}
 	w := state.NewWriter()
 	src.tg.SaveState(w)
@@ -214,15 +208,13 @@ func TestTGReseedReproducesTraffic(t *testing.T) {
 		var sizes []uint64
 		for c := uint64(0); c < 500; c++ {
 			h.tg.Tick(c)
-			if f := h.out.Take(); f != nil {
+			if f := h.out.Take(c); f != nil {
 				if f.Kind.IsHead() {
 					sizes = append(sizes, uint64(f.PacketLen))
 				}
-				h.cr.Send(1)
+				h.cr.Send(c, 1)
 			}
 			h.tg.Commit(c)
-			h.out.Commit(c)
-			h.cr.Commit(c)
 		}
 		return sizes
 	}
