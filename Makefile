@@ -44,7 +44,9 @@ vet:
 # decoder (no panic on garbage; accepted frames survive a wire round
 # trip), and every traffic model's snapshot and register face (a
 # restore either fails or re-saves to its input and runs; a register
-# write is accepted exactly when the constructor accepts the result).
+# write is accepted exactly when the constructor accepts the result),
+# and the switch's snapshot face (a restore either fails or re-saves to
+# its input and ticks).
 # The corpora grow under each package's testdata over time; `make fuzz`
 # explores for a few seconds beyond them.
 .PHONY: fuzz
@@ -53,6 +55,7 @@ fuzz:
 	go test -run FuzzSnapshotRoundTrip -fuzz FuzzSnapshotRoundTrip -fuzztime 5s ./internal/state
 	go test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 	go test -run FuzzGeneratorState -fuzz FuzzGeneratorState -fuzztime 5s ./internal/traffic
+	go test -run FuzzSwitchState -fuzz FuzzSwitchState -fuzztime 5s ./internal/switchfab
 
 # Coverage profile for CI: runs tier-1 tests with -coverprofile and
 # prints the per-function summary tail (total coverage) to the log.

@@ -18,23 +18,6 @@ import (
 // Words returns the length of a request mask over n requesters.
 func Words(n int) int { return (n + 63) / 64 }
 
-// Arbiter picks one winner among n requesters per cycle.
-type Arbiter interface {
-	// Grant returns the granted requester index, or ok=false when no
-	// requester is active. req is the request mask, Words(N()) long:
-	// requester i is active when bit i%64 of word i/64 is set, and no
-	// bit at or above N() may be.
-	Grant(req []uint64) (winner int, ok bool)
-	// N returns the number of requesters.
-	N() int
-	// Reset restores the arbiter's initial priority state.
-	Reset()
-	// SaveState serializes the priority state (DESIGN.md §13).
-	SaveState(w *state.Writer)
-	// LoadState restores the priority state.
-	LoadState(r *state.Reader) error
-}
-
 // Policy names an arbitration policy for configuration files.
 type Policy string
 
@@ -47,35 +30,64 @@ const (
 	LeastRecentlyGranted Policy = "lrg"
 )
 
+// Arbiter picks one winner among n requesters per cycle. It is a value
+// with its policy as a field: a switch keeps one per output port in a
+// slice, with no interface or heap object between a port and its
+// priority state.
+type Arbiter struct {
+	policy Policy
+	n      int
+	next   int   // round-robin: highest-priority requester this cycle
+	order  []int // least-recently-granted: order[0] has highest priority
+}
+
 // New builds an arbiter of the given policy for n requesters.
 func New(policy Policy, n int) (Arbiter, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("arb: %d requesters", n)
+		return Arbiter{}, fmt.Errorf("arb: %d requesters", n)
 	}
+	a := Arbiter{policy: policy, n: n}
 	switch policy {
-	case RoundRobin:
-		return &roundRobin{n: n, next: 0}, nil
-	case FixedPriority:
-		return &fixed{n: n}, nil
+	case RoundRobin, FixedPriority:
 	case LeastRecentlyGranted:
-		a := &lrg{n: n, order: make([]int, n)}
+		a.order = make([]int, n)
 		a.Reset()
-		return a, nil
 	default:
-		return nil, fmt.Errorf("arb: unknown policy %q", policy)
+		return Arbiter{}, fmt.Errorf("arb: unknown policy %q", policy)
+	}
+	return a, nil
+}
+
+// N returns the number of requesters.
+func (a *Arbiter) N() int { return a.n }
+
+// Reset restores the arbiter's initial priority state.
+func (a *Arbiter) Reset() {
+	a.next = 0
+	for i := range a.order {
+		a.order[i] = i
 	}
 }
 
-type roundRobin struct {
-	n    int
-	next int // highest-priority requester this cycle
-}
-
-func (a *roundRobin) N() int { return a.n }
-
-func (a *roundRobin) Reset() { a.next = 0 }
-
-func (a *roundRobin) Grant(req []uint64) (int, bool) {
+// Grant returns the granted requester index, or ok=false when no
+// requester is active. req is the request mask, Words(N()) long:
+// requester i is active when bit i%64 of word i/64 is set, and no bit at
+// or above N() may be.
+func (a *Arbiter) Grant(req []uint64) (int, bool) {
+	switch a.policy {
+	case FixedPriority:
+		return firstFrom(req, 0)
+	case LeastRecentlyGranted:
+		for pos, i := range a.order {
+			if req[i>>6]>>(i&63)&1 != 0 {
+				// Move winner to the back: it becomes lowest priority.
+				copy(a.order[pos:], a.order[pos+1:])
+				a.order[a.n-1] = i
+				return i, true
+			}
+		}
+		return 0, false
+	}
 	i, ok := firstFrom(req, a.next)
 	if !ok {
 		if i, ok = firstFrom(req, 0); !ok {
@@ -102,79 +114,47 @@ func firstFrom(req []uint64, from int) (int, bool) {
 	return 0, false
 }
 
-func (a *roundRobin) SaveState(w *state.Writer) { w.Int(a.next) }
-
-func (a *roundRobin) LoadState(r *state.Reader) error {
-	next := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if next < 0 || next >= a.n {
-		return fmt.Errorf("arb: round-robin pointer %d of %d requesters", next, a.n)
-	}
-	a.next = next
-	return nil
-}
-
-type fixed struct{ n int }
-
-func (a *fixed) N() int { return a.n }
-
-func (a *fixed) Reset() {}
-
-func (a *fixed) Grant(req []uint64) (int, bool) { return firstFrom(req, 0) }
-
-// SaveState writes nothing: fixed priority carries no state, and the
-// empty section keeps the framing walk uniform.
-func (a *fixed) SaveState(w *state.Writer) {}
-
-func (a *fixed) LoadState(r *state.Reader) error { return r.Err() }
-
-type lrg struct {
-	n     int
-	order []int // order[0] has highest priority
-}
-
-func (a *lrg) N() int { return a.n }
-
-func (a *lrg) Reset() {
-	for i := range a.order {
-		a.order[i] = i
-	}
-}
-
-func (a *lrg) Grant(req []uint64) (int, bool) {
-	for pos, i := range a.order {
-		if req[i>>6]>>(i&63)&1 != 0 {
-			// Move winner to the back: it becomes lowest priority.
-			copy(a.order[pos:], a.order[pos+1:])
-			a.order[a.n-1] = i
-			return i, true
+// SaveState serializes the priority state (DESIGN.md §13): the
+// round-robin pointer, the least-recently-granted order, and nothing for
+// fixed priority, whose empty section keeps the framing walk uniform.
+func (a *Arbiter) SaveState(w *state.Writer) {
+	switch a.policy {
+	case RoundRobin:
+		w.Int(a.next)
+	case LeastRecentlyGranted:
+		for _, i := range a.order {
+			w.Int(i)
 		}
 	}
-	return 0, false
 }
 
-func (a *lrg) SaveState(w *state.Writer) {
-	for _, i := range a.order {
-		w.Int(i)
-	}
-}
-
-func (a *lrg) LoadState(r *state.Reader) error {
-	order := make([]int, a.n)
-	seen := make([]bool, a.n)
-	for k := range order {
-		i := r.Int()
-		if r.Err() != nil {
-			return r.Err()
+// LoadState restores the priority state.
+func (a *Arbiter) LoadState(r *state.Reader) error {
+	switch a.policy {
+	case RoundRobin:
+		next := r.Int()
+		if err := r.Err(); err != nil {
+			return err
 		}
-		if i < 0 || i >= a.n || seen[i] {
-			return fmt.Errorf("arb: lrg order is not a permutation of %d requesters", a.n)
+		if next < 0 || next >= a.n {
+			return fmt.Errorf("arb: round-robin pointer %d of %d requesters", next, a.n)
 		}
-		seen[i] = true
-		order[k] = i
+		a.next = next
+	case LeastRecentlyGranted:
+		order := make([]int, a.n)
+		seen := make([]bool, a.n)
+		for k := range order {
+			i := r.Int()
+			if r.Err() != nil {
+				return r.Err()
+			}
+			if i < 0 || i >= a.n || seen[i] {
+				return fmt.Errorf("arb: lrg order is not a permutation of %d requesters", a.n)
+			}
+			seen[i] = true
+			order[k] = i
+		}
+		copy(a.order, order)
 	}
-	copy(a.order, order)
-	return nil
+	return r.Err()
 }

@@ -1,79 +1,208 @@
-// Package buffer implements the two-phase FIFO queues used as switch
-// input buffers.
+// Package buffer implements the emulated input buffers: the flit queue
+// record a switch keeps per lane over its slab of slots (Queue), the
+// ejector's FIFO built on the same record, and the occupancy counters
+// both keep.
 //
 // Buffer size is one of the three switch parameters the paper sweeps
 // (number of inputs, number of outputs, size of buffers), and buffer
 // occupancy is the raw signal behind the congestion statistics of the
 // trace-driven receptors.
 //
-// The FIFO follows the kernel's two-phase protocol: Push and Pop during
-// the Tick phase operate on committed state and stage their effects;
-// Commit applies them. Readers within the same cycle therefore always
-// observe the state as of the previous cycle, like a synchronous RAM.
+// A push or a pop takes effect at once: nothing is staged for a commit
+// phase. The cycle boundary lives in the wires (a flit sent in one cycle
+// is taken in the next), and a buffer is read only by its owner, which
+// orders its own reads — the ejector pops the head present at the start
+// of the cycle before it pushes the arrival, and the switch works from a
+// mask of the lanes occupied at the start of the cycle.
 //
-// Commit also advances the occupancy statistics by one cycle, which is
-// all it does in a cycle that staged nothing, and SkipIdle pays exactly
-// that for any number of cycles at once. So the switch calls Commit only
-// for a lane with a staged push or pop, and pays the cycles in between
-// from its own cycle count (SettleTo) before the lane next commits and
-// wherever the counters are read, saved or the queue is drained.
+// The owner ends each cycle it evaluated with EndCycle (Counters.Cycle
+// for a switch lane), which advances the occupancy statistics by that
+// cycle; SkipIdle (Counters.Idle) pays the same for any number of cycles
+// at an unchanged size. So a switch counts a lane only in a cycle that
+// pushed or popped it, and pays the cycles in between from its own cycle
+// count (Counters.SettleTo) before the lane next counts and wherever the
+// counters are read, saved or the queue is drained.
 package buffer
 
 import (
 	"fmt"
 
 	"nocemu/internal/flit"
-	"nocemu/internal/probe"
+	"nocemu/internal/state"
 )
 
-// FIFO is a fixed-capacity two-phase flit queue.
-type FIFO struct {
-	name  string
-	items []*flit.Flit // ring buffer
-	head  int
-	size  int
-
-	pendingPush *flit.Flit
-	pendingPop  bool
-
-	pushes       uint64
-	pops         uint64
-	sumOccupancy uint64
-	maxOccupancy int
+// Counters are one buffer's activity and occupancy counters.
+type Counters struct {
+	pushes, pops uint64
+	sumOcc       uint64 // occupancy summed over the counted cycles
+	maxOcc       int
 	cycles       uint64
 	blocked      uint64
-
-	// probe records committed pushes with post-push occupancy; nil when
-	// tracing is off.
-	probe *probe.Probe
 }
 
-// Init initializes a FIFO in place with the given capacity (>= 1) —
-// the construction path for dense FIFO storage, where queues live as
-// values inside their owning component (switch input buffers) instead
-// of behind individual heap pointers.
-func Init(q *FIFO, name string, capacity int) error {
-	if capacity < 1 {
-		return fmt.Errorf("buffer %s: capacity %d < 1", name, capacity)
+// Pushed counts one push.
+func (c *Counters) Pushed() { c.pushes++ }
+
+// Popped counts one pop.
+func (c *Counters) Popped() { c.pops++ }
+
+// MarkBlocked records that the head flit existed this cycle but could
+// not advance (lost arbitration or no downstream credit). This is the
+// congestion signal the paper's receptors count.
+func (c *Counters) MarkBlocked() { c.blocked++ }
+
+// Cycle counts one cycle that ends with size flits queued.
+func (c *Counters) Cycle(size int) {
+	c.cycles++
+	c.sumOcc += uint64(size)
+	if size > c.maxOcc {
+		c.maxOcc = size
 	}
-	*q = FIFO{name: name, items: make([]*flit.Flit, capacity)}
-	return nil
 }
 
-// MustInit is Init for construction paths where the capacity is static.
-func MustInit(q *FIFO, name string, capacity int) {
-	if err := Init(q, name, capacity); err != nil {
-		panic(err)
+// Idle counts n cycles in which the owner neither pushed nor popped, at
+// the unchanged size. That includes the maximum: no push, no rise, but
+// Reset clears it under a queue that still holds flits and the next
+// counted cycle brings it back.
+func (c *Counters) Idle(size int, n uint64) {
+	c.cycles += n
+	c.sumOcc += uint64(size) * n
+	if n > 0 && size > c.maxOcc {
+		c.maxOcc = size
 	}
+}
+
+// SettleTo pays the idle cycles a lazily counted buffer of the given
+// size is owed: cycles is its owner's count of cycles so far, which the
+// buffer's own count trails by the cycles it was left out of.
+func (c *Counters) SettleTo(size int, cycles uint64) { c.Idle(size, cycles-c.cycles) }
+
+// Cycles returns the counted cycles.
+func (c *Counters) Cycles() uint64 { return c.cycles }
+
+// Stats returns the current counter snapshot.
+func (c *Counters) Stats() Stats {
+	s := Stats{
+		Pushes: c.pushes, Pops: c.pops, Blocked: c.blocked,
+		Cycles: c.cycles, MaxOccupancy: c.maxOcc,
+	}
+	if c.cycles > 0 {
+		s.MeanOccupancy = float64(c.sumOcc) / float64(c.cycles)
+	}
+	return s
+}
+
+// Reset clears the counters.
+func (c *Counters) Reset() { *c = Counters{} }
+
+// SaveState serializes the counters (DESIGN.md §13).
+func (c *Counters) SaveState(w *state.Writer) {
+	w.U64(c.pushes)
+	w.U64(c.pops)
+	w.U64(c.sumOcc)
+	w.Int(c.maxOcc)
+	w.U64(c.cycles)
+	w.U64(c.blocked)
+}
+
+// LoadState restores the counters.
+func (c *Counters) LoadState(r *state.Reader) error {
+	c.pushes = r.U64()
+	c.pops = r.U64()
+	c.sumOcc = r.U64()
+	c.maxOcc = r.Int()
+	c.cycles = r.U64()
+	c.blocked = r.U64()
+	return r.Err()
+}
+
+// Stats is a snapshot of a buffer's counters.
+type Stats struct {
+	Pushes, Pops  uint64
+	Blocked       uint64
+	Cycles        uint64
+	MaxOccupancy  int
+	MeanOccupancy float64
+}
+
+// Queue is a flit queue's record over slots its owner keeps: where the
+// ring starts in them, how many flits it holds, and its counters. A
+// switch keeps every lane's slots in one slab beside a Queue per lane;
+// a FIFO keeps its own.
+type Queue struct {
+	head, size int32
+	Counters
+}
+
+// Len returns the occupancy.
+func (q *Queue) Len() int { return int(q.size) }
+
+// at returns the position in slots of the k-th flit from the head.
+func (q *Queue) at(slots []*flit.Flit, k int) int {
+	i := int(q.head) + k
+	if i >= len(slots) {
+		i -= len(slots)
+	}
+	return i
+}
+
+// Peek returns the k-th flit from the head; k must be below Len.
+func (q *Queue) Peek(slots []*flit.Flit, k int) *flit.Flit { return slots[q.at(slots, k)] }
+
+// Push appends a flit and reports whether there was room: a push into a
+// full queue is a flow-control violation, which the owner reports.
+func (q *Queue) Push(slots []*flit.Flit, f *flit.Flit) bool {
+	if int(q.size) == len(slots) {
+		return false
+	}
+	slots[q.at(slots, int(q.size))] = f
+	q.size++
+	q.Pushed()
+	return true
+}
+
+// Pop removes and returns the head flit, or nil when empty.
+func (q *Queue) Pop(slots []*flit.Flit) *flit.Flit {
+	if q.size == 0 {
+		return nil
+	}
+	f := slots[q.head]
+	slots[q.head] = nil
+	q.head = int32(q.at(slots, 1))
+	q.size--
+	q.Popped()
+	return f
+}
+
+// Drain removes every queued flit, passing each to release (which may
+// be nil). It is the end-of-run reclamation path: with pooled flits,
+// every occupied slot holds an owned flit that must go back to its
+// freelist. Counters are untouched.
+func (q *Queue) Drain(slots []*flit.Flit, release func(*flit.Flit)) {
+	for ; q.size > 0; q.size-- {
+		f := slots[q.head]
+		slots[q.head] = nil
+		q.head = int32(q.at(slots, 1))
+		if release != nil && f != nil {
+			release(f)
+		}
+	}
+	q.head = 0
+}
+
+// FIFO is a fixed-capacity flit queue with its own slots.
+type FIFO struct {
+	name  string
+	items []*flit.Flit
+	Queue
 }
 
 // New returns an empty FIFO with the given capacity (>= 1).
 func New(name string, capacity int) (*FIFO, error) {
-	q := &FIFO{}
-	if err := Init(q, name, capacity); err != nil {
-		return nil, err
+	if capacity < 1 {
+		return nil, fmt.Errorf("buffer %s: capacity %d < 1", name, capacity)
 	}
-	return q, nil
+	return &FIFO{name: name, items: make([]*flit.Flit, capacity)}, nil
 }
 
 // MustNew is New for construction paths where the capacity is static.
@@ -91,160 +220,44 @@ func (q *FIFO) Name() string { return q.name }
 // Cap returns the configured capacity.
 func (q *FIFO) Cap() int { return len(q.items) }
 
-// Len returns the committed occupancy.
-func (q *FIFO) Len() int { return q.size }
-
-// Empty reports whether the committed queue is empty.
+// Empty reports whether the queue is empty.
 func (q *FIFO) Empty() bool { return q.size == 0 }
 
-// Full reports whether the committed queue plus staged pushes has no
-// room for another push this cycle.
-func (q *FIFO) Full() bool {
-	n := q.size
-	if q.pendingPush != nil {
-		n++
-	}
-	if q.pendingPop {
-		n--
-	}
-	return n >= len(q.items)
-}
+// Full reports whether the queue has no room for another push.
+func (q *FIFO) Full() bool { return int(q.size) == len(q.items) }
 
-// Peek returns the committed head flit, or nil when empty.
+// Peek returns the head flit, or nil when empty.
 func (q *FIFO) Peek() *flit.Flit {
 	if q.size == 0 {
 		return nil
 	}
-	return q.items[q.head]
+	return q.Queue.Peek(q.items, 0)
 }
 
-// Push stages the insertion of a flit. At most one push per cycle is
-// allowed (the buffer has one write port). Pushing into a full buffer is
-// a flow-control violation and returns an error.
+// Push appends a flit. Pushing into a full buffer is a flow-control
+// violation and returns an error.
 func (q *FIFO) Push(f *flit.Flit) error {
 	if f == nil {
 		return fmt.Errorf("buffer %s: push nil", q.name)
 	}
-	if q.pendingPush != nil {
-		return fmt.Errorf("buffer %s: double push in one cycle", q.name)
-	}
-	if q.Full() {
+	if !q.Queue.Push(q.items, f) {
 		return fmt.Errorf("buffer %s: push into full buffer (credit protocol violated)", q.name)
 	}
-	q.pendingPush = f
 	return nil
 }
 
-// Pop stages the removal of the committed head flit and returns it. At
-// most one pop per cycle is allowed (one read port). Pop on an empty
-// queue returns nil.
-func (q *FIFO) Pop() *flit.Flit {
-	if q.size == 0 || q.pendingPop {
-		return nil
-	}
-	q.pendingPop = true
-	return q.items[q.head]
-}
+// Pop removes and returns the head flit, or nil when empty.
+func (q *FIFO) Pop() *flit.Flit { return q.Queue.Pop(q.items) }
 
-// MarkBlocked records that the head flit existed this cycle but could
-// not advance (lost arbitration or no downstream credit). This is the
-// congestion signal the paper's receptors count.
-func (q *FIFO) MarkBlocked() { q.blocked++ }
+// EndCycle counts the cycle just evaluated at the current occupancy.
+func (q *FIFO) EndCycle() { q.Cycle(int(q.size)) }
 
-// SetProbe attaches the tracing probe (nil disables tracing). The
-// owning component commits this FIFO, so the probe shares that
-// component's single-producer discipline.
-func (q *FIFO) SetProbe(p *probe.Probe) { q.probe = p }
+// SkipIdle counts n skipped cycles in which the owner neither pushed nor
+// popped.
+func (q *FIFO) SkipIdle(n uint64) { q.Idle(int(q.size), n) }
 
-// Commit applies staged operations and advances the occupancy
-// statistics.
-func (q *FIFO) Commit(cycle uint64) {
-	if q.pendingPop {
-		q.items[q.head] = nil
-		q.head = (q.head + 1) % len(q.items)
-		q.size--
-		q.pops++
-		q.pendingPop = false
-	}
-	if q.pendingPush != nil {
-		q.probe.FlitBuffer(cycle, uint64(q.pendingPush.Packet), q.size+1)
-		q.items[(q.head+q.size)%len(q.items)] = q.pendingPush
-		q.size++
-		q.pushes++
-		q.pendingPush = nil
-	}
-	q.cycles++
-	q.sumOccupancy += uint64(q.size)
-	if q.size > q.maxOccupancy {
-		q.maxOccupancy = q.size
-	}
-}
-
-// SkipIdle accounts n skipped cycles during which the owner staged no
-// operations: each would have committed nothing but still advanced the
-// occupancy statistics by the (unchanged) committed size. That includes
-// the maximum: no push, no rise, but ResetStats clears it under a queue
-// that still holds flits and the next commit brings it back.
-func (q *FIFO) SkipIdle(n uint64) {
-	q.cycles += n
-	q.sumOccupancy += uint64(q.size) * n
-	if n > 0 && q.size > q.maxOccupancy {
-		q.maxOccupancy = q.size
-	}
-}
-
-// SettleTo pays the idle cycles a lazily committed FIFO is owed: cycles
-// is its owner's count of cycles so far, which the FIFO's own count
-// trails by the cycles it was left out of.
-func (q *FIFO) SettleTo(cycles uint64) { q.SkipIdle(cycles - q.cycles) }
-
-// Drain removes every queued flit — committed entries and a staged
-// push alike — passing each to release (which may be nil). It is the
-// end-of-run reclamation path: with pooled flits, every occupied slot
-// holds an owned flit that must go back to its freelist. Counters are
-// untouched.
-func (q *FIFO) Drain(release func(*flit.Flit)) {
-	for ; q.size > 0; q.size-- {
-		f := q.items[q.head]
-		q.items[q.head] = nil
-		q.head = (q.head + 1) % len(q.items)
-		if release != nil && f != nil {
-			release(f)
-		}
-	}
-	q.head = 0
-	if q.pendingPush != nil {
-		if release != nil {
-			release(q.pendingPush)
-		}
-		q.pendingPush = nil
-	}
-	q.pendingPop = false
-}
-
-// Stats is a snapshot of the buffer's counters.
-type Stats struct {
-	Pushes, Pops  uint64
-	Blocked       uint64
-	Cycles        uint64
-	MaxOccupancy  int
-	MeanOccupancy float64
-}
-
-// Stats returns the current counter snapshot.
-func (q *FIFO) Stats() Stats {
-	s := Stats{
-		Pushes: q.pushes, Pops: q.pops, Blocked: q.blocked,
-		Cycles: q.cycles, MaxOccupancy: q.maxOccupancy,
-	}
-	if q.cycles > 0 {
-		s.MeanOccupancy = float64(q.sumOccupancy) / float64(q.cycles)
-	}
-	return s
-}
+// Drain removes every queued flit through release (see Queue.Drain).
+func (q *FIFO) Drain(release func(*flit.Flit)) { q.Queue.Drain(q.items, release) }
 
 // ResetStats clears the counters without touching queued flits.
-func (q *FIFO) ResetStats() {
-	q.pushes, q.pops, q.blocked, q.cycles, q.sumOccupancy = 0, 0, 0, 0, 0
-	q.maxOccupancy = 0
-}
+func (q *FIFO) ResetStats() { q.Reset() }

@@ -39,64 +39,62 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew("q", 0)
 }
 
-func TestPushVisibleAfterCommit(t *testing.T) {
+func TestPushVisibleAtOnce(t *testing.T) {
 	q := MustNew("q", 2)
 	f := mkFlit(0)
 	if err := q.Push(f); err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 0 || q.Peek() != nil {
-		t.Error("push visible before commit")
-	}
-	q.Commit(0)
 	if q.Len() != 1 || q.Peek() != f {
-		t.Error("push not visible after commit")
+		t.Errorf("after the push: len=%d peek=%v", q.Len(), q.Peek())
+	}
+	if s := q.Stats(); s.Pushes != 1 || s.Cycles != 0 {
+		t.Errorf("stats = %+v: a push counts itself, not a cycle", s)
 	}
 }
 
-func TestPopTwoPhase(t *testing.T) {
+func TestPopTakesEffectAtOnce(t *testing.T) {
 	q := MustNew("q", 2)
 	f0, f1 := mkFlit(0), mkFlit(1)
-	if err := q.Push(f0); err != nil {
-		t.Fatal(err)
+	for _, f := range []*flit.Flit{f0, f1} {
+		if err := q.Push(f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	q.Commit(0)
-	if err := q.Push(f1); err != nil {
-		t.Fatal(err)
-	}
-	got := q.Pop()
-	if got != f0 {
+	if got := q.Pop(); got != f0 {
 		t.Errorf("pop = %v, want f0", got)
 	}
-	// Committed state unchanged until commit.
-	if q.Len() != 1 || q.Peek() != f0 {
-		t.Error("pop applied before commit")
-	}
-	if q.Pop() != nil {
-		t.Error("double pop in one cycle succeeded")
-	}
-	q.Commit(1)
 	if q.Len() != 1 || q.Peek() != f1 {
-		t.Errorf("after commit: len=%d peek=%v", q.Len(), q.Peek())
+		t.Errorf("after the pop: len=%d peek=%v", q.Len(), q.Peek())
+	}
+	if got := q.Pop(); got != f1 || !q.Empty() {
+		t.Errorf("second pop = %v with len %d, want f1 and an empty queue", got, q.Len())
 	}
 }
 
+// TestSimultaneousPushPopAtFull: an owner that pops the head before it
+// pushes — the ejector's order within a cycle — moves a flit through a
+// full buffer every cycle.
 func TestSimultaneousPushPopAtFull(t *testing.T) {
 	q := MustNew("q", 1)
 	if err := q.Push(mkFlit(0)); err != nil {
 		t.Fatal(err)
 	}
-	q.Commit(0)
-	// Full buffer: pop frees a slot in the same cycle, so push is legal.
+	q.EndCycle()
+	// Full buffer: the pop frees a slot in the same cycle, so the push is
+	// legal.
 	if q.Pop() == nil {
 		t.Fatal("pop failed")
 	}
 	if err := q.Push(mkFlit(1)); err != nil {
 		t.Errorf("push after pop rejected: %v", err)
 	}
-	q.Commit(1)
+	q.EndCycle()
 	if q.Len() != 1 || q.Peek().Packet.Seq() != 1 {
 		t.Error("simultaneous push/pop produced wrong state")
+	}
+	if s := q.Stats(); s.Cycles != 2 || s.MaxOccupancy != 1 || s.MeanOccupancy != 1 {
+		t.Errorf("stats = %+v, want 2 cycles at occupancy 1", s)
 	}
 }
 
@@ -108,15 +106,14 @@ func TestPushErrors(t *testing.T) {
 	if err := q.Push(mkFlit(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(mkFlit(1)); err == nil {
-		t.Error("double push accepted")
-	}
-	q.Commit(0)
 	if !q.Full() {
 		t.Error("Full() false on full buffer")
 	}
 	if err := q.Push(mkFlit(2)); err == nil {
 		t.Error("push into full buffer accepted")
+	}
+	if q.Len() != 1 || q.Stats().Pushes != 1 {
+		t.Errorf("a rejected push changed the queue: len=%d, %+v", q.Len(), q.Stats())
 	}
 }
 
@@ -136,11 +133,11 @@ func TestStatsCounters(t *testing.T) {
 		if err := q.Push(mkFlit(c)); err != nil {
 			t.Fatal(err)
 		}
-		q.Commit(c)
+		q.EndCycle()
 	}
 	q.MarkBlocked()
 	q.Pop()
-	q.Commit(3)
+	q.EndCycle()
 	s := q.Stats()
 	if s.Pushes != 3 || s.Pops != 1 || s.Blocked != 1 || s.Cycles != 4 {
 		t.Errorf("stats = %+v", s)
@@ -148,7 +145,7 @@ func TestStatsCounters(t *testing.T) {
 	if s.MaxOccupancy != 3 {
 		t.Errorf("max occupancy = %d, want 3", s.MaxOccupancy)
 	}
-	// Occupancies after each commit: 1,2,3,2 -> mean 2.
+	// Occupancies at the end of each cycle: 1,2,3,2 -> mean 2.
 	if s.MeanOccupancy != 2 {
 		t.Errorf("mean occupancy = %v, want 2", s.MeanOccupancy)
 	}
@@ -170,7 +167,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 		q := MustNew("q", capacity)
 		var pushed, popped []uint64
 		seq := uint64(0)
-		for c, isPush := range ops {
+		for _, isPush := range ops {
 			if isPush {
 				if !q.Full() {
 					if err := q.Push(mkFlit(seq)); err != nil {
@@ -182,7 +179,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 			} else if f := q.Pop(); f != nil {
 				popped = append(popped, f.Packet.Seq())
 			}
-			q.Commit(uint64(c))
+			q.EndCycle()
 		}
 		// Drain.
 		for !q.Empty() {
@@ -191,7 +188,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				return false
 			}
 			popped = append(popped, f.Packet.Seq())
-			q.Commit(999)
+			q.EndCycle()
 		}
 		if len(popped) != len(pushed) {
 			return false
@@ -230,7 +227,7 @@ func TestFIFOCapacityInvariant(t *testing.T) {
 				}
 				q.Pop()
 			}
-			q.Commit(uint64(c))
+			q.EndCycle()
 			if q.Len() > q.Cap() {
 				return false
 			}
@@ -242,9 +239,9 @@ func TestFIFOCapacityInvariant(t *testing.T) {
 	}
 }
 
-// Property: a FIFO committed only in the cycles that stage an operation,
-// and paid the cycles in between through SettleTo, counts what a FIFO
-// committed every cycle counts — for any interleaving of pushes, pops,
+// Property: a FIFO counted only in the cycles that push or pop it, and
+// paid the cycles in between through SettleTo, counts what a FIFO
+// counted every cycle counts — for any interleaving of pushes, pops,
 // stalls, idle cycles and statistics resets (a reset under a non-empty
 // queue is where the maximum has to come back without a push).
 func TestLazyCommitMatchesEveryCycle(t *testing.T) {
@@ -252,15 +249,13 @@ func TestLazyCommitMatchesEveryCycle(t *testing.T) {
 		every, lazy := MustNew("q", 3), MustNew("q", 3)
 		cycles := uint64(0) // the owner's count, reset with the statistics
 		for c, op := range ops {
-			staged := false
+			start, acted := every.Len(), false
 			for _, q := range []*FIFO{every, lazy} {
 				switch op % 8 {
 				case 0, 1:
-					if !q.Full() {
-						staged = q.Push(mkFlit(uint64(c))) == nil
-					}
+					acted = !q.Full() && q.Push(mkFlit(uint64(c))) == nil
 				case 2, 3:
-					staged = q.Pop() != nil
+					acted = q.Pop() != nil
 				case 4:
 					q.ResetStats()
 					cycles = 0
@@ -270,14 +265,14 @@ func TestLazyCommitMatchesEveryCycle(t *testing.T) {
 					}
 				}
 			}
-			every.Commit(uint64(c))
-			if staged {
-				lazy.SettleTo(cycles)
-				lazy.Commit(uint64(c))
+			every.EndCycle()
+			if acted {
+				lazy.Counters.SettleTo(start, cycles) // at the size the idle cycles had
+				lazy.EndCycle()
 			}
 			cycles++
 		}
-		lazy.SettleTo(cycles)
+		lazy.Counters.SettleTo(lazy.Len(), cycles)
 		return every.Stats() == lazy.Stats() && every.Len() == lazy.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {

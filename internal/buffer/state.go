@@ -7,62 +7,53 @@ import (
 	"nocemu/internal/state"
 )
 
-// SaveState serializes the FIFO: capacity (validated on restore — the
-// capacity is platform configuration), the queued flits in queue order,
-// and the occupancy counters. Snapshots are taken between runs, after
-// the kernel's commit phase, so no push or pop is staged; a staged
-// operation here is a sequencing bug and panics rather than silently
-// snapshotting a mid-cycle state.
-func (q *FIFO) SaveState(w *state.Writer) {
-	if q.pendingPush != nil || q.pendingPop {
-		panic(fmt.Sprintf("buffer %s: snapshot with staged operations (mid-cycle)", q.name))
+// SaveState serializes the queue over its slots: capacity (validated on
+// restore — the capacity is platform configuration), the queued flits in
+// queue order, and the counters.
+func (q *Queue) SaveState(w *state.Writer, slots []*flit.Flit) {
+	w.Int(len(slots))
+	w.Int(int(q.size))
+	for k := 0; k < int(q.size); k++ {
+		q.Peek(slots, k).SaveState(w)
 	}
-	w.Int(len(q.items))
-	w.Int(q.size)
-	for i := 0; i < q.size; i++ {
-		q.items[(q.head+i)%len(q.items)].SaveState(w)
-	}
-	w.U64(q.pushes)
-	w.U64(q.pops)
-	w.U64(q.sumOccupancy)
-	w.Int(q.maxOccupancy)
-	w.U64(q.cycles)
-	w.U64(q.blocked)
+	q.Counters.SaveState(w)
 }
 
-// LoadState restores the FIFO, materializing the queued flits as fresh
-// pool-adoptable images and normalizing the ring to head 0 (the head
-// index is not observable, so the normalized form keeps re-snapshots
-// canonical).
-func (q *FIFO) LoadState(r *state.Reader) error {
+// LoadState restores the queue into its slots, materializing the queued
+// flits as fresh pool-adoptable images and normalizing the ring to head
+// 0 (the head index is not observable, so the normalized form keeps
+// re-snapshots canonical).
+func (q *Queue) LoadState(r *state.Reader, slots []*flit.Flit) error {
 	capacity := r.Int()
 	size := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if capacity != len(q.items) {
-		return fmt.Errorf("buffer %s: snapshot capacity %d, built %d", q.name, capacity, len(q.items))
+	if capacity != len(slots) {
+		return fmt.Errorf("snapshot capacity %d, built %d", capacity, len(slots))
 	}
 	if size < 0 || size > capacity {
-		return fmt.Errorf("buffer %s: snapshot occupancy %d of %d", q.name, size, capacity)
+		return fmt.Errorf("snapshot occupancy %d of %d", size, capacity)
 	}
-	clear(q.items)
-	q.head = 0
-	q.size = size
-	q.pendingPush = nil
-	q.pendingPop = false
+	clear(slots)
+	q.head, q.size = 0, int32(size)
 	for i := 0; i < size; i++ {
 		f := &flit.Flit{}
 		if err := f.LoadState(r); err != nil {
 			return err
 		}
-		q.items[i] = f
+		slots[i] = f
 	}
-	q.pushes = r.U64()
-	q.pops = r.U64()
-	q.sumOccupancy = r.U64()
-	q.maxOccupancy = r.Int()
-	q.cycles = r.U64()
-	q.blocked = r.U64()
-	return r.Err()
+	return q.Counters.LoadState(r)
+}
+
+// SaveState serializes the FIFO (see Queue.SaveState).
+func (q *FIFO) SaveState(w *state.Writer) { q.Queue.SaveState(w, q.items) }
+
+// LoadState restores the FIFO (see Queue.LoadState).
+func (q *FIFO) LoadState(r *state.Reader) error {
+	if err := q.Queue.LoadState(r, q.items); err != nil {
+		return fmt.Errorf("buffer %s: %w", q.name, err)
+	}
+	return nil
 }

@@ -3,13 +3,15 @@
 //
 // The FPGA evaluates every emulated device in parallel once per clock
 // cycle. The kernel reproduces those semantics with a two-phase
-// protocol: in the Tick phase every component reads only *committed*
-// state (link outputs, buffer heads) and stages its writes; in the
-// Commit phase all staged writes become visible at once. The result is
-// independent of component evaluation order, exactly like synchronous
-// hardware, and is what makes the emulator fast: the schedule is a
-// static slice walked twice per cycle, with no dynamic event management
-// (the property the paper credits for its four orders of magnitude over
+// protocol: in the Tick phase no component reads what another wrote in
+// the same cycle — the wires carry every hand-off, and what is sent in
+// one cycle is taken in the next — and the Commit phase is left for
+// what still has to be applied after every Tick (a faulted wire's
+// hold, the clock gates' quiet reports). The result is independent of
+// component evaluation order, exactly like synchronous hardware, and is
+// what makes the emulator fast: the schedule is a static slice walked
+// once or twice per cycle, with no dynamic event management (the
+// property the paper credits for its four orders of magnitude over
 // event-driven simulation).
 //
 // One Engine drives that schedule through one run loop (run, below).
@@ -29,9 +31,13 @@ import (
 
 // Component is a synchronous device evaluated once per cycle.
 //
-// During Tick a component may read committed inputs and stage outputs;
-// during Commit it must flip its staged state to committed. Components
-// must not observe other components' staged state.
+// During Tick a component reads its inputs as of the start of the cycle
+// — a wire shows in cycle c what was sent to it in c-1 — and writes its
+// outputs for the next; state only the component itself reads (a
+// switch's lanes, an ejector's buffer) may change at once, in an order
+// the component keeps. Commit applies what must wait until every Tick
+// of the cycle has run; most components have nothing there and leave it
+// empty (the faulted-wire arena and the clock gates do not).
 //
 // The pooled walk relies on one further discipline, which every
 // component of the platform already obeys by construction: during a
@@ -45,7 +51,7 @@ type Component interface {
 	ComponentName() string
 	// Tick computes the component's next state for the given cycle.
 	Tick(cycle uint64)
-	// Commit makes the state staged during Tick visible.
+	// Commit applies what this cycle's Ticks left to the end of it.
 	Commit(cycle uint64)
 }
 

@@ -4,10 +4,10 @@
 // per clock. An engine with workers (SetWorkers) recovers that property
 // in software: the registered components are partitioned into per-worker
 // shards and each cycle is driven as two barrier-synchronized phases
-// (Tick, Commit). Because the two-phase protocol guarantees a component
-// reads only committed state during Tick, the schedule is
-// order-independent within each phase, so any sharding produces results
-// bit-identical to the sequential walks.
+// (Tick, Commit). Because the two-phase protocol guarantees no
+// component reads during Tick what another wrote in the same cycle, the
+// schedule is order-independent within each phase, so any sharding
+// produces results bit-identical to the sequential walks.
 //
 // Synchronization is built for cycle-rate use: the goroutines are
 // spawned at the first run and sleep on a channel between runs; within

@@ -19,8 +19,7 @@ import (
 // state to the section writer; LoadState restores it from a section
 // reader, validating shape against the built configuration and failing
 // loudly on drift. Both are called only between runs (after a commit
-// phase), never mid-cycle, so staged wire/buffer operations are a
-// sequencing bug, not state.
+// phase), never mid-cycle.
 type Stateful interface {
 	// SaveState serializes the component's logical state.
 	SaveState(w *state.Writer)

@@ -1,8 +1,12 @@
 package flit
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"nocemu/internal/state"
 )
 
 func TestKindString(t *testing.T) {
@@ -263,5 +267,59 @@ func TestAssemblerLengthMismatch(t *testing.T) {
 	bad.Kind = Body
 	if _, _, err := a.Push(&bad); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// TestAssemblerStateRoundTrip: the partial-assembly table saves in
+// packet-ID order whatever order the heads arrived in, loads back into
+// an assembler that finishes the packets, and a table naming one packet
+// twice is rejected instead of silently keeping the last record.
+func TestAssemblerStateRoundTrip(t *testing.T) {
+	a := NewAssembler()
+	var tails []*Flit
+	for _, src := range []EndpointID{5, 2, 9} {
+		fs := mustFlits(t, &Packet{ID: MakePacketID(src, 0), Src: src, Dst: 1, Len: 2})
+		if _, _, err := a.Push(fs[0]); err != nil {
+			t.Fatal(err)
+		}
+		tails = append(tails, fs[1])
+	}
+	w := state.NewWriter()
+	a.SaveState(w)
+	want := state.NewWriter()
+	want.Int(3)
+	for _, src := range []EndpointID{2, 5, 9} {
+		want.U64(uint64(MakePacketID(src, 0)))
+		want.U16(1)
+		want.U16(2)
+	}
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Fatalf("saved table %x, want %x", w.Bytes(), want.Bytes())
+	}
+	b := NewAssembler()
+	if err := b.LoadState(state.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tails {
+		if _, done, err := b.Push(f); err != nil || !done {
+			t.Errorf("tail of packet %d after the load: done %v, %v", f.Packet, done, err)
+		}
+	}
+	if b.Pending() != 0 {
+		t.Errorf("%d packets pending after their tails", b.Pending())
+	}
+
+	dup := state.NewWriter()
+	dup.Int(2)
+	for _, got := range []uint16{1, 2} {
+		dup.U64(uint64(MakePacketID(4, 0)))
+		dup.U16(got)
+		dup.U16(3)
+	}
+	if err := b.LoadState(state.NewReader(dup.Bytes())); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("LoadState of a table naming one packet twice = %v, want an error", err)
+	}
+	if b.Pending() != 0 {
+		t.Errorf("a rejected table left %d packets pending", b.Pending())
 	}
 }

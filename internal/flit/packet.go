@@ -1,6 +1,9 @@
 package flit
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Packet describes one packet to be injected by a network interface.
 // It is the unit the traffic generators speak; the NIC turns it into
@@ -77,29 +80,41 @@ func (p *Packet) Flits() ([]*Flit, error) {
 // Assembler reconstructs packets from a stream of flits arriving at one
 // receptor. Wormhole switching guarantees the flits of one packet arrive
 // in order on one input, but packets from different sources may
-// interleave, so the assembler keys partial packets by packet identifier.
+// interleave — one per virtual channel of the ejection port — so the
+// assembler keeps its partial packets in a short slice sorted by packet
+// identifier.
 //
 // The assembler retains no flit pointers: every flit's metadata is
 // folded into the per-packet progress record as it arrives, so the
 // caller may release each flit back to its pool as soon as Push
 // returns.
 type Assembler struct {
-	partial map[PacketID]assembly
+	partial []assembly // sorted by id, no id twice
 	scratch Packet
 }
 
 type assembly struct {
+	id   PacketID
 	got  uint16
 	want uint16
 }
 
 // NewAssembler returns an empty assembler.
-func NewAssembler() *Assembler {
-	return &Assembler{partial: make(map[PacketID]assembly)}
-}
+func NewAssembler() *Assembler { return &Assembler{} }
 
 // Pending reports how many packets are partially assembled.
 func (a *Assembler) Pending() int { return len(a.partial) }
+
+// find returns the position of the partial packet id, or where it would
+// be inserted. A scan: the slice holds a packet or two.
+func (a *Assembler) find(id PacketID) (int, bool) {
+	for i := range a.partial {
+		if a.partial[i].id >= id {
+			return i, a.partial[i].id == id
+		}
+	}
+	return len(a.partial), false
+}
 
 // Push adds one flit. When the flit completes a packet, Push returns the
 // completed packet description with done=true. The returned packet is a
@@ -110,14 +125,15 @@ func (a *Assembler) Push(f *Flit) (pkt *Packet, done bool, err error) {
 	if err := f.Validate(); err != nil {
 		return nil, false, err
 	}
-	st, ok := a.partial[f.Packet]
-	if !ok {
-		if !f.Kind.IsHead() {
-			return nil, false, fmt.Errorf("assembler: packet %d starts with %s flit", f.Packet, f.Kind)
+	i, ok := a.find(f.Packet)
+	st := assembly{id: f.Packet, want: f.PacketLen}
+	if ok {
+		if f.Kind.IsHead() {
+			return nil, false, fmt.Errorf("assembler: duplicate head for packet %d", f.Packet)
 		}
-		st = assembly{want: f.PacketLen}
-	} else if f.Kind.IsHead() {
-		return nil, false, fmt.Errorf("assembler: duplicate head for packet %d", f.Packet)
+		st = a.partial[i]
+	} else if !f.Kind.IsHead() {
+		return nil, false, fmt.Errorf("assembler: packet %d starts with %s flit", f.Packet, f.Kind)
 	}
 	if f.Index != st.got {
 		return nil, false, fmt.Errorf("assembler: packet %d flit %d arrived, expected %d", f.Packet, f.Index, st.got)
@@ -126,11 +142,16 @@ func (a *Assembler) Push(f *Flit) (pkt *Packet, done bool, err error) {
 		return nil, false, fmt.Errorf("assembler: packet %d length %d != %d", f.Packet, f.PacketLen, st.want)
 	}
 	st.got++
-	if st.got < st.want {
-		a.partial[f.Packet] = st
+	switch {
+	case st.got < st.want && ok:
+		a.partial[i] = st
 		return nil, false, nil
+	case st.got < st.want:
+		a.partial = slices.Insert(a.partial, i, st)
+		return nil, false, nil
+	case ok:
+		a.partial = slices.Delete(a.partial, i, i+1)
 	}
-	delete(a.partial, f.Packet)
 	// Every flit carries the full packet metadata, so the completing
 	// (tail) flit reconstructs the description without a retained head.
 	a.scratch = Packet{
@@ -147,6 +168,4 @@ func (a *Assembler) Push(f *Flit) (pkt *Packet, done bool, err error) {
 // Reset discards all partial assemblies (used by the platform's
 // end-of-run drain, which releases in-flight flits and therefore
 // abandons packets mid-reassembly).
-func (a *Assembler) Reset() {
-	clear(a.partial)
-}
+func (a *Assembler) Reset() { a.partial = a.partial[:0] }

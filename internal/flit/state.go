@@ -14,7 +14,9 @@
 package flit
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nocemu/internal/state"
 )
@@ -75,28 +77,20 @@ func LoadFlit(r *state.Reader) (*Flit, error) {
 	return f, nil
 }
 
-// SaveState serializes the partial-assembly table, sorted by packet ID
-// so the encoding is deterministic (map iteration order is not).
+// SaveState serializes the partial-assembly table in packet-ID order,
+// the order the assembler keeps it in.
 func (a *Assembler) SaveState(w *state.Writer) {
-	ids := make([]PacketID, 0, len(a.partial))
-	for id := range a.partial {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	w.Int(len(ids))
-	for _, id := range ids {
-		st := a.partial[id]
-		w.U64(uint64(id))
+	w.Int(len(a.partial))
+	for _, st := range a.partial {
+		w.U64(uint64(st.id))
 		w.U16(st.got)
 		w.U16(st.want)
 	}
 }
 
-// LoadState restores the partial-assembly table.
+// LoadState restores the partial-assembly table. A table naming one
+// packet twice is rejected: the assembler cannot tell which record its
+// next flit continues.
 func (a *Assembler) LoadState(r *state.Reader) error {
 	n := r.Int()
 	if r.Err() != nil {
@@ -105,13 +99,22 @@ func (a *Assembler) LoadState(r *state.Reader) error {
 	if n < 0 {
 		return fmt.Errorf("flit: assembler with %d partial packets", n)
 	}
-	clear(a.partial)
-	for i := 0; i < n; i++ {
-		id := PacketID(r.U64())
-		st := assembly{got: r.U16(), want: r.U16()}
-		a.partial[id] = st
+	a.partial = a.partial[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		a.partial = append(a.partial, assembly{id: PacketID(r.U64()), got: r.U16(), want: r.U16()})
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	slices.SortFunc(a.partial, func(x, y assembly) int { return cmp.Compare(x.id, y.id) })
+	for i := 1; i < len(a.partial); i++ {
+		if a.partial[i].id == a.partial[i-1].id {
+			id := a.partial[i].id
+			a.partial = a.partial[:0]
+			return fmt.Errorf("flit: assembler snapshot holds packet %d twice", id)
+		}
+	}
+	return nil
 }
 
 // SaveState serializes the shard ledger. The freelist and return ramp

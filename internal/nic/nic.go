@@ -134,7 +134,9 @@ func (n *Injector) Pump(cycle uint64) {
 	}
 	if n.credits == 0 || n.out.Busy(cycle) {
 		n.stallCycles++
-		n.probe.CreditStall(cycle, uint16(n.ring[n.head].VC))
+		if n.probe != nil { // the channel is a load away; skip it untraced
+			n.probe.CreditStall(cycle, uint16(n.ring[n.head].VC))
+		}
 		return
 	}
 	f := n.ring[n.head]
@@ -151,7 +153,9 @@ func (n *Injector) Pump(cycle uint64) {
 	if f.Kind.IsTail() {
 		n.packetsSent++
 	}
-	n.probe.FlitInject(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
+	if n.probe != nil {
+		n.probe.FlitInject(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
+	}
 }
 
 // SkipIdle accounts the k cycles [from, from+k) the owning TG spent
@@ -210,9 +214,11 @@ func (n *Injector) ResetStats() {
 // Ejector receives flits from a switch output port into a small FIFO,
 // returns one credit per consumed flit, and reassembles packets. The
 // owning TR drives it once per Tick and receives completed packets
-// through the callback. Consumed flits are released back to the pool
-// once the callbacks return; callbacks must keep flit and packet
-// values, not the pointers.
+// through the callback. The FIFO acts within the cycle: Pump consumes
+// the head present at the start of the cycle before it pushes the
+// arrival, so a flit is never consumed in the cycle it arrives.
+// Consumed flits are released back to the pool once the callbacks
+// return; callbacks must keep flit and packet values, not the pointers.
 type Ejector struct {
 	endpoint flit.EndpointID
 	in       *link.Link
@@ -253,30 +259,39 @@ func NewEjector(endpoint flit.EndpointID, in *link.Link, creditUp *link.CreditLi
 // Endpoint returns the ejector's endpoint identifier.
 func (e *Ejector) Endpoint() flit.EndpointID { return e.endpoint }
 
-// Pump advances the ejector one cycle: accept an arriving flit, consume
-// one buffered flit, return a credit for it, and invoke onFlit (always)
-// and onPacket (when the flit completes a packet). Callbacks may be
-// nil. The consumed flit is released to the pool after the callbacks
-// return; the packet passed to onPacket is assembler scratch, valid
-// only during the call.
+// Pump advances the ejector one cycle: consume the buffered head flit,
+// return a credit for it and invoke onFlit (always) and onPacket (when
+// the flit completes a packet); then push the arriving flit and count
+// the cycle. Callbacks may be nil. The consumed flit is released to the
+// pool after the callbacks return; the packet passed to onPacket is
+// assembler scratch, valid only during the call.
 func (e *Ejector) Pump(cycle uint64, onFlit func(*flit.Flit), onPacket func(*flit.Packet, *flit.Flit)) {
+	if f := e.buf.Pop(); f != nil {
+		e.consume(cycle, f, onFlit, onPacket)
+	}
 	if f := e.in.Take(cycle); f != nil {
 		if err := e.buf.Push(f); err != nil {
 			panic(fmt.Sprintf("nic: ejector %d: %v", e.endpoint, err))
 		}
+		if e.probe != nil {
+			e.probe.FlitBuffer(cycle, uint64(f.Packet), e.buf.Len())
+		}
 	}
-	f := e.buf.Pop()
-	if f == nil {
-		return
-	}
+	e.buf.EndCycle()
+}
+
+// consume delivers one flit popped from the buffer.
+func (e *Ejector) consume(cycle uint64, f *flit.Flit, onFlit func(*flit.Flit), onPacket func(*flit.Packet, *flit.Flit)) {
 	e.creditUp.Send(cycle, 1)
-	e.probe.CreditGrant(cycle)
 	e.flitsReceived++
 	corrupted := f.Check != f.Checksum()
 	if corrupted {
 		e.corruptedFlits++
 	}
-	e.probe.FlitEject(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, corrupted)
+	if e.probe != nil {
+		e.probe.CreditGrant(cycle)
+		e.probe.FlitEject(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index, corrupted)
+	}
 	if f.Dst != e.endpoint {
 		panic(fmt.Sprintf("nic: ejector %d received flit for %d (misroute)", e.endpoint, f.Dst))
 	}
@@ -293,14 +308,9 @@ func (e *Ejector) Pump(cycle uint64, onFlit func(*flit.Flit), onPacket func(*fli
 	e.pool.Release(f)
 }
 
-// Commit commits the ejector's internal buffer; the owning TR calls it
-// from its own Commit.
-func (e *Ejector) Commit(cycle uint64) { e.buf.Commit(cycle) }
-
 // Idle reports the ejector's quiescence condition after the given
 // cycle: no flit on the input wire for the next one and an empty
-// reassembly buffer — a Pump would do nothing. Valid between cycles (no
-// staged buffer operations).
+// reassembly buffer — a Pump would do nothing.
 func (e *Ejector) Idle(cycle uint64) bool { return e.in.Peek(cycle+1) == nil && e.buf.Empty() }
 
 // SkipIdle accounts n skipped idle cycles: only the buffer's occupancy
@@ -328,10 +338,5 @@ func (e *Ejector) PendingPackets() int { return e.asm.Pending() }
 // switch output must be initialized with).
 func (e *Ejector) Depth() int { return e.buf.Cap() }
 
-// SetProbe attaches the tracing probe (nil disables tracing). The
-// internal reassembly buffer shares it: both are driven only from the
-// owning TR's Tick/Commit.
-func (e *Ejector) SetProbe(p *probe.Probe) {
-	e.probe = p
-	e.buf.SetProbe(p)
-}
+// SetProbe attaches the tracing probe (nil disables tracing).
+func (e *Ejector) SetProbe(p *probe.Probe) { e.probe = p }

@@ -203,14 +203,12 @@ func TestInjectorEjectorPoolLifecycle(t *testing.T) {
 			}
 			pkts++
 		})
-		ej.Commit(cycle)
 		cycle++
 	}
 	// Stop offering; run the pipe dry.
 	for i := 0; i < 16; i++ {
 		inj.Pump(cycle)
 		ej.Pump(cycle, nil, func(*flit.Packet, *flit.Flit) { pkts++ })
-		ej.Commit(cycle)
 		cycle++
 	}
 	if pkts == 0 {
@@ -302,7 +300,6 @@ func TestEjectorReassemblyAndCredits(t *testing.T) {
 		ej.Pump(cycle, func(*flit.Flit) { gotFlits++ }, func(pkt *flit.Packet, last *flit.Flit) {
 			gotPkts = append(gotPkts, pkt)
 		})
-		ej.Commit(cycle)
 		cycle++
 	}
 	if gotFlits != 3 {
@@ -334,7 +331,6 @@ func TestEjectorPanicsOnMisroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	ej.Pump(1, nil, nil)
-	ej.Commit(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("misrouted flit not detected")

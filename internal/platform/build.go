@@ -282,6 +282,7 @@ func Build(cfg Config) (*Platform, error) {
 		sw.SetProbe(p.collector.NewProbe(sw.ComponentName()))
 	}
 	p.eng.MustRegisterArena(p.swArena)
+	p.eng.OnReset(p.swArena.Shift) // the cycle stamp of BufferedFlitsAt
 	for _, l := range p.links {
 		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 	}
@@ -293,12 +294,12 @@ func Build(cfg Config) (*Platform, error) {
 	p.eng.OnReset(p.wires.Shift)
 	// The collector registers after every data component so its serial
 	// Tick drains behind them; the samplers read only skip-debt-free
-	// state (committed occupancy, link busy-cycles at the sampling
-	// cycle), keeping boundary samples bit-identical across kernels and
-	// gating modes.
+	// state as of the start of the sampling cycle (switch occupancy and
+	// link busy-cycles), keeping boundary samples bit-identical across
+	// kernels and gating modes.
 	if p.collector != nil {
 		for _, sw := range p.switches {
-			p.collector.AddOccupancySampler(sw.BufferedFlits)
+			p.collector.AddOccupancySampler(sw.BufferedFlitsAt)
 		}
 		for _, l := range p.links {
 			p.collector.AddBusySampler(l.BusyAt)

@@ -66,8 +66,8 @@ func (p *Platform) snapshotPlan() (names, types []string, parts []engine.Statefu
 }
 
 // Snapshot serializes the platform's complete logical state. Call it
-// only between runs (never mid-cycle); staged wire or buffer operations
-// panic. The platform keeps running unperturbed afterwards.
+// only between runs (never mid-cycle). The platform keeps running
+// unperturbed afterwards.
 func (p *Platform) Snapshot(out io.Writer) error {
 	names, types, parts := p.snapshotPlan()
 	if err := state.WriteHeader(out, p.cfg.Name, len(parts)); err != nil {

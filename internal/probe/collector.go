@@ -93,7 +93,7 @@ type Collector struct {
 	vcStalls  []uint64
 	wins      []WindowTally
 	bound     []boundary
-	occFns    []func() int
+	occFns    []func(cycle uint64) int
 	busyFns   []func(cycle uint64) uint64
 	// clock reads the current cycle between runs: where the still-open
 	// window's live busy count is read (SetClock).
@@ -129,9 +129,9 @@ func (c *Collector) SetArm(f func()) {
 	}
 }
 
-// AddOccupancySampler registers a FIFO occupancy closure, summed at
-// every window boundary.
-func (c *Collector) AddOccupancySampler(f func() int) {
+// AddOccupancySampler registers a buffer occupancy closure, read as of
+// the start of the given cycle and summed at every window boundary.
+func (c *Collector) AddOccupancySampler(f func(cycle uint64) int) {
 	if c != nil {
 		c.occFns = append(c.occFns, f)
 	}
@@ -241,7 +241,7 @@ func (c *Collector) sampleBoundary(cycle uint64) {
 	for len(c.bound) <= k {
 		c.bound = append(c.bound, boundary{
 			Cycle: uint64(len(c.bound)) * c.cfg.Window,
-			Occ:   c.liveOcc(),
+			Occ:   c.liveOcc(cycle),
 			Busy:  c.liveBusy(cycle),
 		})
 	}
@@ -250,10 +250,10 @@ func (c *Collector) sampleBoundary(cycle uint64) {
 	}
 }
 
-func (c *Collector) liveOcc() uint64 {
+func (c *Collector) liveOcc(cycle uint64) uint64 {
 	var occ uint64
 	for _, f := range c.occFns {
-		occ += uint64(f())
+		occ += uint64(f(cycle))
 	}
 	return occ
 }

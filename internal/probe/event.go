@@ -39,7 +39,7 @@ const (
 	KindInject Kind = 1 + iota
 	// KindRoute: a switch forwarded a flit (Port = output, Val = input).
 	KindRoute
-	// KindBuffer: a committed FIFO push (Val = occupancy after push).
+	// KindBuffer: a buffer push (Val = occupancy after push).
 	KindBuffer
 	// KindEject: a flit left the network at an ejector (Val = 1 when
 	// the integrity check failed).

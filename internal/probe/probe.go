@@ -38,8 +38,8 @@ func (p *Probe) FlitRoute(cycle, pkt uint64, src, dst, idx, vc uint16, in, out u
 		VC: vc, Port: out, Val: uint64(in)})
 }
 
-// FlitBuffer records a committed FIFO push; occ is the occupancy after
-// the push.
+// FlitBuffer records a buffer push — a switch lane's or an ejector's;
+// occ is the occupancy at the end of the cycle.
 func (p *Probe) FlitBuffer(cycle, pkt uint64, occ int) {
 	p.emit(Event{Cycle: cycle, Kind: KindBuffer, Pkt: pkt, Val: uint64(occ)})
 }

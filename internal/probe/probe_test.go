@@ -29,7 +29,7 @@ func TestNilProbeIsFree(t *testing.T) {
 		t.Fatalf("nil collector NewProbe = %v, want nil", got)
 	}
 	c.SetArm(func() {})
-	c.AddOccupancySampler(func() int { return 0 })
+	c.AddOccupancySampler(func(uint64) int { return 0 })
 	c.AddBusySampler(func(uint64) uint64 { return 0 })
 }
 
@@ -83,7 +83,7 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	c := NewCollector(Config{Window: 8})
 	p := c.NewProbe("x")
-	c.AddOccupancySampler(func() int { return 3 })
+	c.AddOccupancySampler(func(uint64) int { return 3 })
 	busy := uint64(0)
 	c.AddBusySampler(func(uint64) uint64 { return busy })
 

@@ -217,8 +217,9 @@ func (t *TR) Tick(cycle uint64) {
 	})
 }
 
-// Commit implements engine.Component.
-func (t *TR) Commit(cycle uint64) { t.ej.Commit(cycle) }
+// Commit implements engine.Component. The ejector's buffer acts within
+// the cycle and Pump counts it, so there is nothing to commit.
+func (t *TR) Commit(cycle uint64) {}
 
 // NextWake implements engine.Quiescable. Every receptor statistic is
 // arrival-driven, so the TR is quiet exactly when its ejector is idle;

@@ -193,14 +193,22 @@ func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error 
 // dst. The result is a view into the table: callers must not write
 // through it (appending is safe, its capacity is its length).
 func (t *Table) Lookup(sw topology.NodeID, dst flit.EndpointID) ([]int, error) {
+	ports, _, err := t.Route(sw, dst)
+	return ports, err
+}
+
+// Route returns the candidate output ports for (sw, dst) and the
+// virtual-channel class of the hop, from one read of the cell: what a
+// switch needs for a head flit, Lookup and VC together.
+func (t *Table) Route(sw topology.NodeID, dst flit.EndpointID) ([]int, uint8, error) {
 	if int(sw) < 0 || int(sw) >= len(t.rows) {
-		return nil, fmt.Errorf("routing: switch %d out of range", sw)
+		return nil, 0, fmt.Errorf("routing: switch %d out of range", sw)
 	}
 	e := t.find(sw, dst)
 	if e.n == 0 {
-		return nil, fmt.Errorf("routing: no route at switch %d to endpoint %d", sw, dst)
+		return nil, 0, fmt.Errorf("routing: no route at switch %d to endpoint %d", sw, dst)
 	}
-	return t.run(e), nil
+	return t.run(e), e.vc, nil
 }
 
 // run returns e's candidate ports, capacity-capped.
@@ -457,7 +465,7 @@ func Validate(topo *topology.Topology, t *Table) error {
 				if hop > maxHops {
 					return fmt.Errorf("routing: loop routing %d->%d (stuck near switch %d)", src.ID, sink.ID, sw)
 				}
-				ports, err := t.Lookup(sw, sink.ID)
+				ports, vc, err := t.Route(sw, sink.ID)
 				if err != nil {
 					return err
 				}
@@ -469,7 +477,7 @@ func Validate(topo *topology.Topology, t *Table) error {
 				path = append(path, sw)
 				oc := outs[p]
 				if oc.Link == -1 {
-					if vc := t.VC(sw, sink.ID); vc != 0 {
+					if vc != 0 {
 						return fmt.Errorf("routing: switch %d ejects to endpoint %d on virtual channel %d (ejection wires carry 0 only)", sw, sink.ID, vc)
 					}
 					if oc.Endpoint != sink.ID {

@@ -614,6 +614,19 @@ func TestTableErrorTexts(t *testing.T) {
 	if vc := tb.VC(0, 3); vc != 1 {
 		t.Errorf("VC after Set = %d, want 1", vc)
 	}
+	// Route is Lookup and VC from one read of the cell, errors included.
+	if ports, vc, err := tb.Route(0, 3); err != nil || !slices.Equal(ports, []int{2}) || vc != 1 {
+		t.Errorf("Route(0, 3) = %v, %d, %v; want [2], 1", ports, vc, err)
+	}
+	for _, q := range []struct {
+		sw  topology.NodeID
+		dst flit.EndpointID
+	}{{1, 1}, {5, 1}, {0, 65535}} {
+		_, lerr := tb.Lookup(q.sw, q.dst)
+		if _, _, err := tb.Route(q.sw, q.dst); err == nil || err.Error() != lerr.Error() {
+			t.Errorf("Route(%d, %d) = %v, want Lookup's %v", q.sw, q.dst, err, lerr)
+		}
+	}
 }
 
 // lineAllEndpoints is a bidirectional line of n switches with source i
@@ -799,7 +812,8 @@ func mesh32(b *testing.B) (*topology.Topology, *Table) {
 var lookupSink int
 
 // BenchmarkTableLookup times the per-head-flit route lookup — candidates
-// and class — over a 1 024 × 1 024 table. mesh1024_hot cycles through
+// and class, as Lookup then VC and as one Route (the _route rows, what
+// a switch calls) — over a 1 024 × 1 024 table. mesh1024_hot cycles through
 // 4 096 scattered (switch, destination) pairs, whose cells stay cached;
 // mesh1024_random draws a million, so nearly every lookup's cell is a
 // cache miss, as a head flit's is in a large run.
@@ -810,17 +824,16 @@ func BenchmarkTableLookup(b *testing.B) {
 		name  string
 		pairs int
 	}{{"mesh1024_hot", 1 << 12}, {"mesh1024_random", 1 << 20}} {
+		rnd := rand.New(rand.NewSource(1))
+		type pair struct {
+			sw  uint16
+			dst flit.EndpointID
+		}
+		pairs := make([]pair, bc.pairs)
+		for i := range pairs {
+			pairs[i] = pair{uint16(rnd.Intn(tp.NumSwitches())), sinks[rnd.Intn(len(sinks))].ID}
+		}
 		b.Run(bc.name, func(b *testing.B) {
-			rnd := rand.New(rand.NewSource(1))
-			type pair struct {
-				sw  uint16
-				dst flit.EndpointID
-			}
-			pairs := make([]pair, bc.pairs)
-			for i := range pairs {
-				pairs[i] = pair{uint16(rnd.Intn(tp.NumSwitches())), sinks[rnd.Intn(len(sinks))].ID}
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i&(len(pairs)-1)]
 				ports, err := tb.Lookup(topology.NodeID(p.sw), p.dst)
@@ -828,6 +841,16 @@ func BenchmarkTableLookup(b *testing.B) {
 					b.Fatal(err)
 				}
 				lookupSink += ports[0] + int(tb.VC(topology.NodeID(p.sw), p.dst))
+			}
+		})
+		b.Run(bc.name+"_route", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := pairs[i&(len(pairs)-1)]
+				ports, vc, err := tb.Route(topology.NodeID(p.sw), p.dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lookupSink += ports[0] + int(vc)
 			}
 		})
 	}

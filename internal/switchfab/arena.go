@@ -10,9 +10,11 @@ import (
 // value in one contiguous slice (each with its own dense input-buffer
 // block), and the whole population registers with the engine as a
 // single component (engine.Arena). The per-cycle walk calls the
-// concrete Tick/Commit directly over adjacent memory — no interface
-// dispatch, no pointer chasing between neighbouring switches — which is
-// what keeps the route/arbitrate loop cache-resident at 1k-node scale.
+// concrete Tick directly over adjacent memory — no interface dispatch,
+// no pointer chasing between neighbouring switches — which is what
+// keeps the route/arbitrate loop cache-resident at 1k-node scale. A
+// switch's lanes act within its Tick, so the arena's commits are empty
+// but for the quiet report the gate asks for.
 //
 // The arena is storage plus evaluation; which switches are worth
 // evaluating in a given cycle is the engine's decision (its gate
@@ -54,8 +56,9 @@ func (a *Arena) ComponentName() string { return a.name }
 // Tick implements engine.Component: evaluate every switch.
 func (a *Arena) Tick(cycle uint64) { a.TickRange(0, len(a.sws), cycle) }
 
-// Commit implements engine.Component.
-func (a *Arena) Commit(cycle uint64) { a.CommitRange(0, len(a.sws), cycle) }
+// Commit implements engine.Component: the switches have nothing to
+// commit (Switch.Commit).
+func (a *Arena) Commit(cycle uint64) {}
 
 // Len implements engine.Arena.
 func (a *Arena) Len() int { return len(a.sws) }
@@ -67,12 +70,9 @@ func (a *Arena) TickRange(lo, hi int, cycle uint64) {
 	}
 }
 
-// CommitRange implements engine.Arena: commit switches [lo, hi).
-func (a *Arena) CommitRange(lo, hi int, cycle uint64) {
-	for i := lo; i < hi; i++ {
-		a.sws[i].Commit(cycle)
-	}
-}
+// CommitRange implements engine.Arena: the switches have nothing to
+// commit.
+func (a *Arena) CommitRange(lo, hi int, cycle uint64) {}
 
 // TickList implements engine.Arena: tick the listed switches.
 func (a *Arena) TickList(idx []int, cycle uint64) {
@@ -81,16 +81,14 @@ func (a *Arena) TickList(idx []int, cycle uint64) {
 	}
 }
 
-// CommitList implements engine.Arena: commit the listed switches and
-// report which went quiet — no lane occupied and no flit arriving next
-// cycle, state this commit just touched or the cycle's Sends raised, so
-// the answer does not depend on what commits later in the cycle. A busy
+// CommitList implements engine.Arena: report which of the listed
+// switches went quiet — no lane occupied and no flit arriving next
+// cycle, state their Ticks left or the cycle's Sends raised, so the
+// answer does not depend on what else runs in the Commit phase. A busy
 // switch answers from its first occupancy word.
 func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
 	for r, i := range idx {
-		s := &a.sws[i]
-		s.Commit(cycle)
-		if _, q := s.NextWake(cycle); q {
+		if _, q := a.sws[i].NextWake(cycle); q {
 			quiet = append(quiet, r)
 		}
 	}
@@ -118,7 +116,15 @@ func (a *Arena) SkipIdle(from, n uint64) {
 	}
 }
 
-// Drain empties every switch's input buffers through release and clears
+// Shift moves every switch's cycle stamp along an engine rewind
+// (engine.OnReset).
+func (a *Arena) Shift(delta uint64) {
+	for i := range a.sws {
+		a.sws[i].Shift(delta)
+	}
+}
+
+// Drain empties every switch's input lanes through release and clears
 // wormhole locks (end-of-run reclamation).
 func (a *Arena) Drain(release func(*flit.Flit)) {
 	for i := range a.sws {

@@ -12,11 +12,13 @@ import (
 	"nocemu/internal/state"
 )
 
-// The switch commits a lane only in a cycle that staged a push or a pop
-// there and owes it the other cycles until somebody looks (DESIGN.md
-// §14, "Work follows occupancy"). These tests pin that the debt is
-// invisible: in every counter, in the bytes of a snapshot, and across
-// the word boundary of the lane masks.
+// The switch counts a lane only in a cycle that pushed or popped it and
+// owes it the other cycles until somebody looks (DESIGN.md §14, "Work
+// follows occupancy"). These tests pin that the debt is invisible: in
+// every counter, in the bytes of a snapshot, and across the word
+// boundary of the lane masks; and that a lane acting within the cycle
+// still behaves as a buffer written at the clock edge ("Buffers act in
+// the cycle").
 
 // trickle feeds a rig a seeded trickle of one- to three-flit packets
 // from its first ins input ports to its first outs output ports: at most
@@ -33,7 +35,7 @@ type trickle struct {
 
 func newTrickle(r *rig, seed int64, ins, outs int) *trickle {
 	d := &trickle{r: r, rng: rand.New(rand.NewSource(seed)), outs: outs,
-		credit: make([]int, len(r.sw.inBufs)), next: make([]*flit.Flit, ins)}
+		credit: make([]int, len(r.sw.lanes)), next: make([]*flit.Flit, ins)}
 	for l := range d.credit {
 		d.credit[l] = r.sw.BufDepth()
 	}
@@ -50,9 +52,9 @@ func (d *trickle) collect() {
 	}
 }
 
-// feed stages this cycle's flits; with start false it only finishes the
-// packets under way.
-func (d *trickle) feed(start bool) {
+// feed stages this cycle's flits and returns them; with start false it
+// only finishes the packets under way.
+func (d *trickle) feed(start bool) (sent []*flit.Flit) {
 	numVC := d.r.sw.cfg.NumVC
 	for i := range d.next {
 		if d.next[i] == nil && start && d.rng.Intn(4) == 0 {
@@ -75,7 +77,9 @@ func (d *trickle) feed(start bool) {
 		}
 		d.credit[i*numVC+int(f.VC)]--
 		d.r.sendFlit(i, f)
+		sent = append(sent, f)
 	}
+	return sent
 }
 
 func saved(sw *Switch) []byte {
@@ -181,8 +185,8 @@ func TestLaneMasksAcrossWords(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		r.step(&order)
 	}
-	if r.sw.lock[2] != 66 || !r.sw.inBufs[66].Empty() {
-		t.Fatalf("lock[2] = %d, lane 66 holds %d flits: want the head gone and the lock held", r.sw.lock[2], r.sw.inBufs[66].Len())
+	if r.sw.lock[2] != 66 || r.sw.lanes[66].Len() != 0 {
+		t.Fatalf("lock[2] = %d, lane 66 holds %d flits: want the head gone and the lock held", r.sw.lock[2], r.sw.lanes[66].Len())
 	}
 	arbiter := func() []byte {
 		w := state.NewWriter()
@@ -218,10 +222,10 @@ func TestLaneMasksAcrossWords(t *testing.T) {
 	}
 }
 
-// TestDrainWithStagedPush: Drain between Tick and Commit drops the push
-// Tick staged along with the buffered flits, and leaves nothing behind
-// that the next cycle would act on.
-func TestDrainWithStagedPush(t *testing.T) {
+// TestDrainAfterTickReleasesArrival: a Drain after a Tick releases the
+// flit that arrived in that Tick along with the flits buffered before
+// it, and leaves nothing behind that the next cycle would act on.
+func TestDrainAfterTickReleasesArrival(t *testing.T) {
 	r := newRig(t, 2, 1, 1, 1)
 	r.send(0, 0, 0, 1)
 	r.step(nil)
@@ -229,22 +233,24 @@ func TestDrainWithStagedPush(t *testing.T) {
 	r.step(nil)
 	r.send(1, 0, 0, 3)
 	r.step(nil) // packet 1 left on the only credit, 2 is buffered, 3 on its wire
-	// Stages the push of packet 3; packet 2 stalls, the credit is not back.
-	// Packet 1 is taken off its wire, as every cycle's consumer does.
+	// Packet 3 arrives in this Tick; packet 2 stalls, the credit is not
+	// back. Packet 1 is taken off its wire, as every cycle's consumer does.
 	r.sw.Tick(r.cycle)
 	var order []flit.EndpointID
 	if f := r.out[0].Take(r.cycle); f != nil {
 		order = append(order, f.Src)
 	}
+	if r.sw.BufferedFlits() != 2 {
+		t.Fatalf("%d flits buffered after the Tick, want 2: packet 2 and the arrival", r.sw.BufferedFlits())
+	}
 	released := 0
 	r.sw.Drain(func(*flit.Flit) { released++ })
 	if released != 2 {
-		t.Errorf("released %d flits, want 2: one buffered, one staged", released)
+		t.Errorf("released %d flits, want 2: one buffered, one that arrived in the Tick", released)
 	}
 	if _, quiet := r.sw.NextWake(r.cycle); !quiet {
 		t.Error("drained switch is not quiet")
 	}
-	r.sw.Commit(r.cycle)
 	r.cycle++
 	want := r.sw.Stats()
 	for c := 0; c < 3; c++ {
@@ -254,12 +260,151 @@ func TestDrainWithStagedPush(t *testing.T) {
 	if got := r.sw.Stats(); got != want || want.FlitsRouted != 1 || want.BlockedCycles != 1 {
 		t.Errorf("stats after the drain %+v, want %+v with 1 flit routed and 1 stall", got, want)
 	}
-	if bs := r.sw.BufferStats(); bs[0].Pushes != 2 || bs[1].Pushes != 0 || r.sw.BufferedFlits() != 0 {
-		t.Errorf("lanes pushed %d and %d flits and hold %d, want 2, 0 (the staged push is gone) and 0",
+	if bs := r.sw.BufferStats(); bs[0].Pushes != 2 || bs[1].Pushes != 1 || r.sw.BufferedFlits() != 0 {
+		t.Errorf("lanes pushed %d and %d flits and hold %d, want 2, 1 (the drained arrival) and 0",
 			bs[0].Pushes, bs[1].Pushes, r.sw.BufferedFlits())
 	}
 	if !slices.Equal(order, []flit.EndpointID{1}) {
 		t.Errorf("flits out from the drain on: %v, want only packet 1, on its wire since before", order)
+	}
+}
+
+// TestArrivalsWaitForTheNextCycle: a lane's buffer acts within the
+// cycle, but a Tick works from the lanes occupied at its start. So a
+// flit pushed into an empty lane is neither routed nor forwarded in the
+// cycle it arrives, and a wormhole lock's holder whose lane was empty at
+// the start of the cycle does not forward the body flit that arrives in
+// it; both go out one cycle later.
+func TestArrivalsWaitForTheNextCycle(t *testing.T) {
+	r := newRig(t, 1, 1, 1, 4)
+	part := func(kind flit.Kind, index uint16) *flit.Flit {
+		return &flit.Flit{Kind: kind, Packet: flit.MakePacketID(7, 0), Src: 7, Dst: 100, PacketLen: 2, Index: index}
+	}
+	// tick steps one cycle and reports whether the switch sent a flit.
+	tick := func() bool {
+		r.step(nil)
+		return r.out[0].Peek(r.cycle) != nil
+	}
+	r.sendFlit(0, part(flit.Head, 0))
+	r.idle()
+	if sent := tick(); sent || r.sw.inRoute[0] != -1 || r.sw.lanes[0].Len() != 1 {
+		t.Fatalf("head's arrival cycle: sent %v, route %d, %d buffered; want nothing sent, no route, 1 buffered", sent, r.sw.inRoute[0], r.sw.lanes[0].Len())
+	}
+	if sent := tick(); !sent || r.sw.lock[0] != 0 {
+		t.Fatalf("cycle after the head's arrival: sent %v, lock %d; want the head sent and the lock held by lane 0", sent, r.sw.lock[0])
+	}
+	r.sendFlit(0, part(flit.Tail, 1))
+	r.idle()
+	if sent := tick(); sent || r.sw.lanes[0].Len() != 1 {
+		t.Fatalf("tail's arrival cycle: sent %v, %d buffered; want the holder to wait", sent, r.sw.lanes[0].Len())
+	}
+	if blocked := r.sw.Stats().BlockedCycles; blocked != 0 {
+		t.Errorf("%d blocked cycles: a lane empty at the start of a cycle has no head to block", blocked)
+	}
+	if sent := tick(); !sent || r.sw.lock[0] != -1 {
+		t.Errorf("cycle after the tail's arrival: sent %v, lock %d; want the tail sent and the lock released", sent, r.sw.lock[0])
+	}
+}
+
+// laneModel is the reference two-phase buffer of one lane: pushes and
+// pops of a cycle take effect when it ends, and every cycle — skipped
+// ones too — adds the size it ends with to the occupancy sum.
+type laneModel struct {
+	size  int
+	stats buffer.Stats
+	sum   uint64
+}
+
+func (m *laneModel) cycle(push, pop bool) {
+	if m.size > 0 && !pop {
+		m.stats.Blocked++
+	}
+	if pop {
+		m.size--
+		m.stats.Pops++
+	}
+	if push {
+		m.size++
+		m.stats.Pushes++
+	}
+	m.skip(1)
+}
+
+func (m *laneModel) skip(n uint64) {
+	m.stats.Cycles += n
+	m.sum += uint64(m.size) * n
+	if n > 0 {
+		m.stats.MaxOccupancy = max(m.stats.MaxOccupancy, m.size)
+	}
+	m.stats.MeanOccupancy = 0
+	if m.stats.Cycles > 0 {
+		m.stats.MeanOccupancy = float64(m.sum) / float64(m.stats.Cycles)
+	}
+}
+
+// TestBufferStatsMatchTwoPhaseModel drives a two-channel switch with a
+// seeded trickle, broken by statistics resets and by gaps the switch
+// sleeps through in SkipIdle, and holds every lane's BufferStats to the
+// reference two-phase model, fed from outside: a flit sent in one cycle
+// is a push in the next, a flit on an output wire a pop of the lane it
+// entered by.
+func TestBufferStatsMatchTwoPhaseModel(t *testing.T) {
+	r := newRig(t, 4, 3, 2, 2)
+	d := newTrickle(r, 11, 4, 3)
+	models := make([]laneModel, len(r.sw.lanes))
+	laneOf := map[*flit.Flit]int{}
+	var arriving []int // lanes whose flit is visible in the next cycle
+	skips, forwarded := 0, 0
+	for step := 0; step < 400; step++ {
+		switch {
+		case step%97 == 60:
+			r.sw.ResetStats()
+			for i := range models {
+				models[i].stats, models[i].sum = buffer.Stats{}, 0
+			}
+		case step%50 == 49:
+			if _, quiet := r.sw.NextWake(r.cycle); quiet && len(arriving) == 0 {
+				n := uint64(5 + step%7)
+				r.sw.SkipIdle(r.cycle, n)
+				r.cycle += n
+				skips++
+				for i := range models {
+					models[i].skip(n)
+				}
+			}
+		}
+		pushed := make([]bool, len(models))
+		for _, l := range arriving {
+			pushed[l] = true
+		}
+		arriving = arriving[:0]
+		d.collect()
+		for _, f := range d.feed(step%50 < 35) {
+			l := int(f.Src)*r.sw.cfg.NumVC + int(f.VC)
+			laneOf[f] = l
+			arriving = append(arriving, l)
+		}
+		popped := make([]bool, len(models))
+		r.step(nil)
+		for _, w := range r.out {
+			if f := w.Peek(r.cycle); f != nil { // sent in the cycle just stepped
+				popped[laneOf[f]] = true
+				forwarded++
+			}
+		}
+		for i := range models {
+			models[i].cycle(pushed[i], popped[i])
+		}
+		if step%13 == 0 || step == 399 {
+			for i, got := range r.sw.BufferStats() {
+				if got != models[i].stats {
+					t.Fatalf("step %d lane %d: %+v, model %+v", step, i, got, models[i].stats)
+				}
+			}
+		}
+	}
+	if forwarded < 300 || skips < 4 {
+		t.Errorf("%d flits forwarded, %d sleeps: the stimulus is too thin to tell anything", forwarded, skips)
 	}
 }
 
@@ -300,6 +445,32 @@ func TestLoadStateRejectsLockWithoutRoute(t *testing.T) {
 		r.sw.lock[0], r.sw.inRoute[0] = -1, route
 		if err := newRig(t, 1, 2, 1, 4).sw.LoadState(state.NewReader(saved(r.sw))); err != nil {
 			t.Errorf("route %d without the lock: %v", route, err)
+		}
+	}
+}
+
+// TestLoadStateRejectsUnroutableQueue: a section whose lane would put a
+// flit the next Tick cannot route at the front of an unrouted lane — a
+// body flit behind a tail, or a head for an endpoint the table does not
+// know — is rejected at load instead of panicking in Tick. The tail of
+// the packet at the front loads.
+func TestLoadStateRejectsUnroutableQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second flit.Flit
+		ok            bool
+	}{
+		{"tail of the packet", flit.Flit{Kind: flit.Head, Dst: 100, PacketLen: 2}, flit.Flit{Kind: flit.Tail, Dst: 100, PacketLen: 2, Index: 1}, true},
+		{"body behind a tail", flit.Flit{Kind: flit.HeadTail, Dst: 100, PacketLen: 1}, flit.Flit{Kind: flit.Body, Dst: 100, PacketLen: 3, Index: 1}, false},
+		{"head nobody routes", flit.Flit{Kind: flit.HeadTail, Dst: 100, PacketLen: 1}, flit.Flit{Kind: flit.HeadTail, Dst: 99, PacketLen: 1}, false},
+	} {
+		r := newRig(t, 1, 1, 1, 4)
+		for _, f := range []*flit.Flit{&tc.first, &tc.second} {
+			r.sw.lanes[0].Push(r.sw.ring(0), f)
+		}
+		err := newRig(t, 1, 1, 1, 4).sw.LoadState(state.NewReader(saved(r.sw)))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: LoadState = %v, want ok %v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -16,6 +16,16 @@
 // port, flat index port*NumVC+vc — while the physical port still moves
 // at most one flit per cycle. With one virtual channel a lane is a
 // port, and the switch is the plain wormhole switch of the paper.
+//
+// A lane's buffer acts within the cycle: an arrival is pushed at once and
+// a forwarded flit popped at once, and nothing is left for a commit
+// phase. What the hardware reads from its registers at the clock edge,
+// Tick reads from the occupancy mask, which holds each lane's occupancy
+// at the start of the cycle: route computation, the lock holder's test
+// and arbitration see only lanes that held a flit then, so a flit is
+// never routed or forwarded in the cycle it arrives. One pass at the end
+// of Tick counts the cycle on the lanes it touched and brings the mask
+// up to date.
 package switchfab
 
 import (
@@ -66,7 +76,7 @@ type Stats struct {
 	// downstream credit). This is the congestion signal of the paper's
 	// congestion counters.
 	BlockedCycles uint64
-	// Cycles counts committed cycles.
+	// Cycles counts evaluated and skipped cycles.
 	Cycles uint64
 }
 
@@ -87,7 +97,11 @@ type Switch struct {
 	cfg  Config
 	lfsr *rng.LFSR
 
-	inBufs    []buffer.FIFO      // per input lane; dense, one cache-linear block per switch
+	// The input lanes: every lane's flits live in one slab, lane r's ring
+	// at slots [r*BufDepth, (r+1)*BufDepth) (ring), next to a small record
+	// per lane — one cache-linear block per switch.
+	slots     []*flit.Flit
+	lanes     []buffer.Queue
 	inLinks   []*link.Link       // per input port
 	creditOut []*link.CreditLink // per input lane: returns credits upstream
 
@@ -103,12 +117,19 @@ type Switch struct {
 
 	// Work follows these masks, not the lane count (DESIGN.md §14): a bit
 	// per input lane in occ, dirty and moved, per output port in want. occ
-	// is derived from the FIFOs, the rest is scratch of a cycle.
+	// holds the lanes occupied at the start of the cycle, the rest is
+	// scratch of a cycle.
 	masks []uint64 // backing of the four
-	occ   []uint64 // the committed FIFO holds a flit
-	dirty []uint64 // a push is staged this cycle
-	moved []uint64 // forwarded this cycle: a pop is staged
+	occ   []uint64 // the lane held a flit at the start of the cycle
+	dirty []uint64 // a flit was pushed this cycle
+	moved []uint64 // a flit was forwarded (popped) this cycle
 	want  []uint64 // some occupied lane is routed to this port (set and cleared within a Tick)
+
+	// flits counts the buffered flits; before is the count at the start
+	// of the cycle tickedAt, the last this switch evaluated (never after a
+	// load or a drain), for the readers that run after it in that cycle.
+	flits, before int
+	tickedAt      uint64
 
 	// The wires say where to look (DESIGN.md §10, "Who tells whom"): a
 	// byte per input port in arr and per output lane in cred, each run
@@ -125,11 +146,12 @@ type Switch struct {
 
 	stats Stats
 
-	// probe records route events for forwarded flits; nil when tracing
-	// is off. The input buffers share it (they commit from this switch's
-	// Commit, preserving the single-producer discipline).
+	// probe records route and buffer events; nil when tracing is off.
 	probe *probe.Probe
 }
+
+// never stamps a switch that has evaluated no cycle of the timeline.
+const never = ^uint64(0)
 
 // New builds a switch from its configuration.
 func New(cfg Config) (*Switch, error) {
@@ -172,7 +194,8 @@ func initSwitch(s *Switch, cfg Config) error {
 	*s = Switch{
 		cfg:       cfg,
 		lfsr:      rng.New(cfg.Seed),
-		inBufs:    make([]buffer.FIFO, inLanes),
+		slots:     make([]*flit.Flit, inLanes*cfg.BufDepth),
+		lanes:     make([]buffer.Queue, inLanes),
 		inLinks:   make([]*link.Link, cfg.NumIn),
 		creditOut: make([]*link.CreditLink, inLanes),
 		outLinks:  make([]*link.Link, cfg.NumOut),
@@ -187,18 +210,14 @@ func initSwitch(s *Switch, cfg Config) error {
 		dirty:     masks[words : 2*words : 2*words],
 		moved:     masks[2*words : 3*words : 3*words],
 		want:      masks[3*words:],
+		tickedAt:  never,
 	}
 	for b := range s.arr {
 		bank := flags[b*(arrLen+credLen) : (b+1)*(arrLen+credLen)]
 		s.arr[b], s.cred[b] = bank[:arrLen:arrLen], bank[arrLen:]
 	}
 	s.raiseFlags()
-	for r := range s.inBufs {
-		name := fmt.Sprintf("%s/in%d", cfg.Name, r/cfg.NumVC)
-		if vc := r % cfg.NumVC; vc > 0 {
-			name = fmt.Sprintf("%s.vc%d", name, vc)
-		}
-		buffer.MustInit(&s.inBufs[r], name, cfg.BufDepth)
+	for r := range s.inRoute {
 		s.inRoute[r] = -1
 	}
 	for o := range s.arbiters {
@@ -337,12 +356,14 @@ func (s *Switch) raiseFlags() {
 	}
 }
 
-// Tick implements engine.Component: accept arrivals, collect credits,
-// compute routes, arbitrate outputs and forward flits. No pass walks
-// the ports: the first two walk this cycle's bank of the flags the
-// wires set, eight to a load, the others the set bits of a mask.
+// Tick implements engine.Component: collect credits, accept arrivals,
+// compute routes, arbitrate outputs, forward flits and count the cycle.
+// No pass walks the ports: the first two walk this cycle's bank of the
+// flags the wires set, eight to a load, the others the set bits of a
+// mask.
 func (s *Switch) Tick(cycle uint64) {
 	numVC := s.cfg.NumVC
+	s.tickedAt, s.before = cycle, s.flits
 	arr, cred := s.arr[cycle&1], s.cred[cycle&1]
 	// Collect returned credits first so this cycle's arbitration sees
 	// them (they were sent last cycle).
@@ -355,9 +376,9 @@ func (s *Switch) Tick(cycle uint64) {
 		}
 	}
 
-	// Accept arriving flits into the lane their channel tag names.
-	// Credit flow control guarantees space; a push failure indicates a
-	// protocol bug and is surfaced via panic in this internal invariant.
+	// Push arriving flits into the lane their channel tag names. Credit
+	// flow control guarantees space; a full lane indicates a protocol bug
+	// and is surfaced via panic in this internal invariant.
 	for w := 0; w < len(arr); w += 8 {
 		m := binary.LittleEndian.Uint64(arr[w:])
 		binary.LittleEndian.PutUint64(arr[w:], 0)
@@ -368,34 +389,35 @@ func (s *Switch) Tick(cycle uint64) {
 					panic(fmt.Sprintf("switchfab %s: input %d received a flit on virtual channel %d of %d", s.cfg.Name, i, f.VC, numVC))
 				}
 				r := i*numVC + int(f.VC)
-				if err := s.inBufs[r].Push(f); err != nil {
-					panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
+				if !s.lanes[r].Push(s.ring(r), f) {
+					panic(fmt.Sprintf("switchfab %s: push into full input lane %d (credit protocol violated)", s.cfg.Name, r))
 				}
 				s.dirty[r>>6] |= 1 << (r & 63)
 			}
 		}
 	}
 
-	// Route computation for heads newly at the front of their buffers:
-	// the table gives the candidate ports and the channel of the hop.
-	// The same pass builds the request masks: an input lane with a flit
-	// at its head requests the one output lane it is routed to, and marks
-	// that lane's port as wanted. Both facts are committed state, so a
-	// mask holds for the whole Tick.
+	// Route computation for heads newly at the front of their lanes: the
+	// table gives the candidate ports and the channel of the hop. The same
+	// pass builds the request masks: an input lane that held a flit at
+	// the start of the cycle requests the one output lane it is routed
+	// to, and marks that lane's port as wanted. A flit pushed this cycle
+	// sits behind the head, or in a lane outside occ, so both masks hold
+	// for the whole Tick.
 	words := len(s.occ)
 	for w, m := range s.occ {
 		for ; m != 0; m &= m - 1 {
 			r := w<<6 + bits.TrailingZeros64(m)
 			if s.inRoute[r] == -1 {
-				f := s.inBufs[r].Peek()
+				f := s.lanes[r].Peek(s.ring(r), 0)
 				if !f.Kind.IsHead() {
 					panic(fmt.Sprintf("switchfab %s: input lane %d has unrouted %s flit at head", s.cfg.Name, r, f.Kind))
 				}
-				candidates, err := s.cfg.Table.Lookup(s.cfg.Node, f.Dst)
+				candidates, class, err := s.cfg.Table.Route(s.cfg.Node, f.Dst)
 				if err != nil {
 					panic(fmt.Sprintf("switchfab %s: %v", s.cfg.Name, err))
 				}
-				vc := int(s.cfg.Table.VC(s.cfg.Node, f.Dst))
+				vc := int(class)
 				if vc >= numVC {
 					panic(fmt.Sprintf("switchfab %s: table routes endpoint %d on virtual channel %d of %d", s.cfg.Name, f.Dst, vc, numVC))
 				}
@@ -416,14 +438,15 @@ func (s *Switch) Tick(cycle uint64) {
 	// to the lane it holds. The port's lanes are offered the physical
 	// channel in turn, from a start that rotates with the cycle so they
 	// share it fairly. A lane under a wormhole lock offers its holder's
-	// next flit; a free lane offers the arbitration winner among the
-	// heads seeking it. Either offer stands only with a flit to send and
-	// a credit downstream — checked after the grant, so the arbiter's
-	// priority moves on from a credit-starved winner — and otherwise the
-	// turn passes to the next lane: a stalled packet never holds the
-	// channel against another lane that can move, which is what dateline
-	// classes rely on. With one lane per port this is the plain wormhole
-	// switch: no arbitration while the output is locked.
+	// next flit if the holder's lane was occupied at the start of the
+	// cycle; a free lane offers the arbitration winner among the heads
+	// seeking it. Either offer stands only with a credit downstream —
+	// checked after the grant, so the arbiter's priority moves on from a
+	// credit-starved winner — and otherwise the turn passes to the next
+	// lane: a stalled packet never holds the channel against another lane
+	// that can move, which is what dateline classes rely on. With one lane
+	// per port this is the plain wormhole switch: no arbitration while the
+	// output is locked.
 	rot := 0
 	if numVC > 1 {
 		rot = int(cycle % uint64(numVC))
@@ -436,7 +459,7 @@ func (s *Switch) Tick(cycle uint64) {
 			winner, out := -1, lo+rot
 			for k := 0; k < numVC; k++ {
 				if h := s.lock[out]; h >= 0 {
-					if s.inBufs[h].Peek() != nil && s.credits[out] > 0 {
+					if s.occ[h>>6]>>(h&63)&1 != 0 && s.credits[out] > 0 {
 						winner = h
 						break
 					}
@@ -454,7 +477,7 @@ func (s *Switch) Tick(cycle uint64) {
 			if winner < 0 || s.outLinks[o].Busy(cycle) {
 				continue // stalled heads are counted as blocked in the sweep below
 			}
-			f := s.inBufs[winner].Pop()
+			f := s.lanes[winner].Pop(s.ring(winner))
 			if f == nil {
 				panic(fmt.Sprintf("switchfab %s: pop failed on granted input lane %d", s.cfg.Name, winner))
 			}
@@ -485,29 +508,36 @@ func (s *Switch) Tick(cycle uint64) {
 	// counts exactly once per cycle.
 	for w, m := range s.occ {
 		for m &^= s.moved[w]; m != 0; m &= m - 1 {
-			s.inBufs[w<<6+bits.TrailingZeros64(m)].MarkBlocked()
+			s.lanes[w<<6+bits.TrailingZeros64(m)].MarkBlocked()
 			s.stats.BlockedCycles++
 		}
 	}
-}
 
-// Commit implements engine.Component: commit the lanes with a staged
-// push or pop, each first paid the idle cycles since it last committed,
-// and note which hold a flit now. The other lanes are owed this cycle.
-func (s *Switch) Commit(cycle uint64) {
-	for w := range s.dirty {
-		m := s.dirty[w] | s.moved[w]
+	// Count the cycle on the lanes it pushed or popped, each first paid
+	// the idle cycles since it was last counted at the size it held
+	// through them — its size at the start of this cycle — and note which
+	// hold a flit for the next. The other lanes are owed this cycle.
+	for w, pushed := range s.dirty {
+		popped := s.moved[w]
+		m := pushed | popped
 		if m == 0 {
 			continue
 		}
 		s.dirty[w], s.moved[w] = 0, 0
+		s.flits += bits.OnesCount64(pushed) - bits.OnesCount64(popped)
 		occ := s.occ[w] &^ m
 		for ; m != 0; m &= m - 1 {
-			q := &s.inBufs[w<<6+bits.TrailingZeros64(m)]
-			q.SettleTo(s.stats.Cycles)
-			q.Commit(cycle)
-			if !q.Empty() {
-				occ |= m & -m
+			b := bits.TrailingZeros64(m)
+			r := w<<6 + b
+			l := &s.lanes[r]
+			size := l.Len()
+			l.SettleTo(size-int(pushed>>b&1)+int(popped>>b&1), s.stats.Cycles)
+			l.Cycle(size)
+			if size > 0 {
+				occ |= 1 << b
+			}
+			if s.probe != nil && pushed>>b&1 != 0 {
+				s.probe.FlitBuffer(cycle, uint64(l.Peek(s.ring(r), size-1).Packet), size)
 			}
 		}
 		s.occ[w] = occ
@@ -515,13 +545,24 @@ func (s *Switch) Commit(cycle uint64) {
 	s.stats.Cycles++
 }
 
+// ring returns input lane r's slots.
+func (s *Switch) ring(r int) []*flit.Flit {
+	d := s.cfg.BufDepth
+	return s.slots[r*d : (r+1)*d : (r+1)*d]
+}
+
+// Commit implements engine.Component. A switch's lanes act within the
+// cycle and Tick counts it, so there is nothing left to commit.
+func (s *Switch) Commit(cycle uint64) {}
+
 // settle pays every lane the idle cycles it is owed — the difference of
 // the switch's cycle count and the lane's, which are counted, skipped,
-// reset, saved and loaded together — wherever the FIFO counters leave
-// the switch or the occupancy they integrate changes outside Commit.
+// reset, saved and loaded together — wherever the lane counters leave
+// the switch or the occupancy they integrate changes outside Tick.
 func (s *Switch) settle() {
-	for i := range s.inBufs {
-		s.inBufs[i].SettleTo(s.stats.Cycles)
+	for r := range s.lanes {
+		l := &s.lanes[r]
+		l.SettleTo(l.Len(), s.stats.Cycles)
 	}
 }
 
@@ -529,12 +570,12 @@ func (s *Switch) settle() {
 // lane is occupied and no flit arrives in the next cycle: with no heads
 // there is nothing to route, arbitrate, forward or mark blocked, and
 // credits that come back meanwhile wait on their wires for SkipIdle.
-// The arena asks right after this switch's Commit, so occ already
-// counts a flit pushed this cycle, and every Send of the cycle has
-// raised its flag in the next cycle's bank. Wormhole locks and per-lane
-// routes may persist while quiet; they are frozen state, revisited when
-// input wakes the switch: a flit sent to it while it is parked wakes it
-// for the cycle the flit is visible in (DESIGN.md §10).
+// Tick has already brought occ up to date with this cycle's pushes and
+// pops, and every Send of the cycle has raised its flag in the next
+// cycle's bank. Wormhole locks and per-lane routes may persist while
+// quiet; they are frozen state, revisited when input wakes the switch:
+// a flit sent to it while it is parked wakes it for the cycle the flit
+// is visible in (DESIGN.md §10).
 func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 	for _, m := range s.occ {
 		if m != 0 {
@@ -551,13 +592,13 @@ func (s *Switch) NextWake(cycle uint64) (uint64, bool) {
 }
 
 // SkipIdle implements engine.Quiescable: each skipped cycle would have
-// counted one switch cycle, committed empty buffers — which the lanes
-// are paid for like any cycle Commit passed them over (settle) — and
-// collected the credits sent the cycle before. The last skipped Tick
-// runs in cycle from+n-1: what is visible by then moves to the
-// counters, credits sent in it stay on the wire, and a settle leaves
-// the switch where the every-cycle schedule has it, snapshot bytes
-// included. The flags of both banks stay set for the Ticks to come.
+// counted one switch cycle over empty lanes — which the lanes are paid
+// for like any cycle Tick passed them over (settle) — and collected the
+// credits sent the cycle before. The last skipped Tick runs in cycle
+// from+n-1: what is visible by then moves to the counters, credits sent
+// in it stay on the wire, and a settle leaves the switch where the
+// every-cycle schedule has it, snapshot bytes included. The flags of
+// both banks stay set for the Ticks to come.
 func (s *Switch) SkipIdle(from, n uint64) {
 	s.stats.Cycles += n
 	for _, cred := range s.cred {
@@ -570,62 +611,72 @@ func (s *Switch) SkipIdle(from, n uint64) {
 	}
 }
 
-// Drain empties every input buffer through release — a push staged this
-// cycle included — and clears the wormhole locks and per-lane routes
-// (end-of-run reclamation: a drained packet's tail never arrives, so the
-// locks must be force-released). Credits and statistics are untouched.
+// Shift moves the cycle stamp along an engine rewind of delta cycles
+// (engine.OnReset), so a cycle of the old timeline never passes for one
+// of the new.
+func (s *Switch) Shift(delta uint64) {
+	if s.tickedAt != never {
+		s.tickedAt += delta
+	}
+}
+
+// Drain empties every input lane through release — the flits pushed in
+// the last Tick included — and clears the wormhole locks and per-lane
+// routes (end-of-run reclamation: a drained packet's tail never arrives,
+// so the locks must be force-released). Credits and statistics are
+// untouched.
 func (s *Switch) Drain(release func(*flit.Flit)) {
 	s.settle() // at the occupancy the owed cycles were spent at
-	for i := range s.inBufs {
-		s.inBufs[i].Drain(release)
-		s.inRoute[i] = -1
+	for r := range s.lanes {
+		s.lanes[r].Drain(s.ring(r), release)
+		s.inRoute[r] = -1
 	}
 	for o := range s.lock {
 		s.lock[o] = -1
 	}
 	clear(s.masks)
+	s.flits, s.before, s.tickedAt = 0, 0, never
 }
 
-// SetProbe attaches the tracing probe (nil disables tracing) and shares
-// it with the input buffers.
-func (s *Switch) SetProbe(p *probe.Probe) {
-	s.probe = p
-	for i := range s.inBufs {
-		s.inBufs[i].SetProbe(p)
-	}
-}
+// SetProbe attaches the tracing probe (nil disables tracing).
+func (s *Switch) SetProbe(p *probe.Probe) { s.probe = p }
 
 // Stats returns the activity counters.
 func (s *Switch) Stats() Stats { return s.stats }
 
-// BufferedFlits returns the committed occupancy summed over the input
-// buffers — the trace collector's boundary-sample source. Unlike the
-// mean-occupancy statistic it carries no skipped-cycle debt, so it is
-// exact whether or not the switch is parked.
-func (s *Switch) BufferedFlits() int {
-	n := 0
-	for i := range s.inBufs {
-		n += s.inBufs[i].Len()
+// BufferedFlits returns the occupancy summed over the input lanes, as of
+// the end of the last evaluated cycle — the OCCUPANCY register, read
+// between runs.
+func (s *Switch) BufferedFlits() int { return s.flits }
+
+// BufferedFlitsAt returns the occupancy summed over the input lanes as
+// of the start of the given cycle, for readers that run after this
+// switch in the cycle — the trace collector's boundary-sample source.
+// Unlike the mean-occupancy statistic it carries no skipped-cycle debt,
+// so it is exact whether or not the switch is parked.
+func (s *Switch) BufferedFlitsAt(cycle uint64) int {
+	if s.tickedAt == cycle {
+		return s.before
 	}
-	return n
+	return s.flits
 }
 
 // BufferStats returns the buffer statistics per input lane.
 func (s *Switch) BufferStats() []buffer.Stats {
 	s.settle()
-	out := make([]buffer.Stats, len(s.inBufs))
-	for i := range s.inBufs {
-		out[i] = s.inBufs[i].Stats()
+	out := make([]buffer.Stats, len(s.lanes))
+	for r := range s.lanes {
+		out[r] = s.lanes[r].Stats()
 	}
 	return out
 }
 
-// ResetStats clears the activity counters (and buffer counters, the idle
+// ResetStats clears the activity counters (and lane counters, the idle
 // cycles they are owed included) without disturbing in-flight traffic,
 // so measurements can exclude warm-up.
 func (s *Switch) ResetStats() {
 	s.stats = Stats{}
-	for i := range s.inBufs {
-		s.inBufs[i].ResetStats()
+	for r := range s.lanes {
+		s.lanes[r].Reset()
 	}
 }

@@ -62,7 +62,7 @@ func (d *testDst) Tick(c uint64) {
 			d.cycles = append(d.cycles, c)
 		})
 }
-func (d *testDst) Commit(c uint64) { d.ej.Commit(c) }
+func (d *testDst) Commit(c uint64) {}
 func (d *testDst) Done() bool      { return len(d.got) >= d.want }
 
 func wire(t *testing.T, eng *engine.Engine, name string) (*link.Link, *link.CreditLink) {
@@ -601,10 +601,9 @@ func (r *rig) sendFlit(i int, f *flit.Flit) {
 	}
 }
 
-// step runs one cycle: the switch ticks, every flit on an output wire is
-// consumed and its credit returned, then the switch commits. The
-// sources of the consumed flits are appended to order, in output-port
-// order.
+// step runs one cycle: the switch ticks, then every flit on an output
+// wire is consumed and its credit returned. The sources of the consumed
+// flits are appended to order, in output-port order.
 func (r *rig) step(order *[]flit.EndpointID) {
 	r.sw.Tick(r.cycle)
 	for o, l := range r.out {
@@ -615,7 +614,6 @@ func (r *rig) step(order *[]flit.EndpointID) {
 			r.outCr[o].Send(r.cycle, 1)
 		}
 	}
-	r.sw.Commit(r.cycle)
 	r.cycle++
 }
 
