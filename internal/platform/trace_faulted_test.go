@@ -91,3 +91,68 @@ func TestGoldenTraceFaulted(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultedRestoreAtBoundaries cuts the faulted run around every
+// window edge — the cycle before, at and after it — and continues from
+// the snapshot in a fresh platform under each walk: the trace must
+// still be the fixture. A restored wire must apply its fault to the
+// first cycle's flits exactly as the uninterrupted run does.
+func TestFaultedRestoreAtBoundaries(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "trace_faulted.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(workers int, noGate bool) *platform.Platform {
+		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace = &probe.Config{}
+		cfg.Workers = workers
+		cfg.NoGate = noGate
+		p, err := platform.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.AddFaults(faultedSpecs); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cuts := map[uint64]bool{}
+	for _, s := range faultedSpecs {
+		for _, edge := range []uint64{s.From, s.Until} {
+			cuts[edge-1], cuts[edge], cuts[edge+1] = true, true, true
+		}
+	}
+	for cut := range cuts {
+		src := build(0, false)
+		src.RunCycles(cut)
+		snap, err := src.SnapshotBytes()
+		src.Close()
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for _, v := range []struct {
+			workers int
+			noGate  bool
+		}{{0, true}, {0, false}, {2, false}} {
+			p := build(v.workers, v.noGate)
+			if err := p.RestoreBytes(snap); err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if _, stopped := p.Run(1_000_000); !stopped {
+				t.Fatalf("cut %d: run did not complete", cut)
+			}
+			var buf bytes.Buffer
+			if err := p.Probe().WriteJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("cut %d, workers=%d noGate=%v: trace diverged:\n%s",
+					cut, v.workers, v.noGate, firstTraceDiff(want, buf.Bytes()))
+			}
+		}
+	}
+}
