@@ -11,11 +11,13 @@ test:
 # here; slower than tier-1, so a separate target. The wire layer and its
 # endpoints are in it because the pooled walk's race freedom rests on
 # their slot discipline: a wire's producer and consumer touch different
-# cycle-parity slots and flag banks within one phase, without atomics.
+# cycle-parity slots and flag banks within one cycle, without atomics.
+# The flit pool is in it for its return ramp, the pooled walk's one
+# cross-worker mutation (a CAS push).
 .PHONY: race
 race:
 	go test -race ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/... \
-		./internal/link/... ./internal/switchfab/... ./internal/nic/... ./internal/fault/... ./internal/tlm/...
+		./internal/link/... ./internal/switchfab/... ./internal/nic/... ./internal/fault/... ./internal/tlm/... ./internal/flit/...
 
 # Full race sweep (everything, including the root-package experiment
 # tests). Slow; for pre-release checks.

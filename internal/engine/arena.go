@@ -26,11 +26,11 @@
 package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by
-// range loops. Tick/Commit (the Component methods) must be equivalent
-// to TickRange/CommitRange over the full range [0, Len()); the pooled
-// walk partitions [0, Len()) into contiguous per-worker spans, so
-// elements must be independent within a phase, exactly like distinct
-// registered components are.
+// range loops. Tick (the Component method) must be equivalent to
+// TickRange over the full range [0, Len()); the pooled walk partitions
+// [0, Len()) into contiguous per-worker spans, so elements must be
+// independent within a cycle, exactly like distinct registered
+// components are.
 type Arena interface {
 	Component
 	// Len returns the element count. It must stay constant once the
@@ -39,22 +39,20 @@ type Arena interface {
 	Len() int
 	// TickRange ticks elements [lo, hi) for the given cycle.
 	TickRange(lo, hi int, cycle uint64)
-	// CommitRange commits elements [lo, hi) for the given cycle.
-	CommitRange(lo, hi int, cycle uint64)
 
 	// The element-level quiet contract: what the gated walk needs to
-	// schedule the elements one by one (quiesce.go). TickList
-	// and CommitList evaluate exactly the listed elements, in list
-	// order. CommitList also appends to quiet, and returns, the position
-	// in idx of every element with nothing to do from the next cycle on
-	// until input arms it — Quiescable's NextWake without a wake cycle,
-	// answered from the element's own state alone (not everything else
-	// has committed yet). ElemSkipIdle is
-	// Quiescable's SkipIdle for element i. The arena keeps no scheduling
-	// state of its own: Tick and Commit stay the full-population walk
-	// for kernels that do not gate per element.
+	// schedule the elements one by one (quiesce.go). TickList ticks
+	// exactly the listed elements, in list order. QuietList is the quiet
+	// report the engine runs after the cycle's Ticks: it appends to
+	// quiet, and returns, the position in idx of every listed element
+	// with nothing to do from the next cycle on until input arms it —
+	// Quiescable's NextWake without a wake cycle, answered from the
+	// element's own state alone. ElemSkipIdle is Quiescable's SkipIdle
+	// for element i. The arena keeps no scheduling state of its own:
+	// Tick stays the full-population walk for kernels that do not gate
+	// per element.
 	TickList(idx []int, cycle uint64)
-	CommitList(idx []int, cycle uint64, quiet []int) []int
+	QuietList(idx []int, cycle uint64, quiet []int) []int
 	ElemSkipIdle(i int, from, n uint64)
 }
 

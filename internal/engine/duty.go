@@ -6,13 +6,13 @@
 // wake hook on every Send — is pure cost over the plain walk.
 // So a gated engine measures how busy its arenas are: over a probe
 // window of probeCycles cycles it sums the active elements of every
-// arena gate after each gated commit (a fast-forwarded cycle adds none).
+// arena gate after each gated cycle (a fast-forwarded cycle adds none).
 // When that sum reaches standDownShare of everything the gates hold in
 // every cycle of the window, the gates stand down: every parked element
 // is paid and woken, the wires' wake hooks go off, and the engine walks
 // the plain schedule for a stretch. When the stretch ends the hooks go
 // back on and the gates resume with everything active — the first
-// commit parks the idle again — for another probe window. A stretch
+// quiet report parks the idle again — for another probe window. A stretch
 // doubles each time a probe finds the network still busy, up to
 // maxStretch, and drops back to minStretch as soon as one does not: a
 // steady busy run pays one probe window in thousands of cycles, and a
@@ -40,7 +40,7 @@ const (
 // duty is the stand-down state of a sched.
 type duty struct {
 	size int    // arena elements under the gates
-	busy int    // active arena elements summed over the window's gated commits
+	busy int    // active arena elements summed over the window's gated cycles
 	from uint64 // the cycle the probe window began
 	// share is the stand-down threshold in sixty-fourths; a rig may set
 	// it (0 stands down after every window, above 64 never).
@@ -50,7 +50,7 @@ type duty struct {
 	stretch uint64 // the next stand-down's length
 }
 
-// count adds the arena gates' active elements after a gated commit.
+// count adds the arena gates' active elements after a gated cycle.
 func (d *duty) count(arenas []*clockGate) {
 	for _, g := range arenas {
 		d.busy += len(g.act)
@@ -122,7 +122,7 @@ func (e *Engine) standDown() {
 // standUp ends a stand-down — its stretch ran out, the timeline moved,
 // or the gates are going away — so whatever comes next finds the hooks
 // on and a probe window open. The gates are already everything-active;
-// their first commit parks the idle again.
+// their first quiet report parks the idle again.
 func (e *Engine) standUp() {
 	if d := &e.sched.duty; d.down {
 		d.down = false

@@ -2,24 +2,23 @@
 // stands in for the FPGA fabric of the paper's emulation platform.
 //
 // The FPGA evaluates every emulated device in parallel once per clock
-// cycle. The kernel reproduces those semantics with a two-phase
-// protocol: in the Tick phase no component reads what another wrote in
-// the same cycle — the wires carry every hand-off, and what is sent in
-// one cycle is taken in the next — and the Commit phase is left for
-// what still has to be applied after every Tick (a faulted wire's
-// hold, the clock gates' quiet reports). The result is independent of
-// component evaluation order, exactly like synchronous hardware, and is
-// what makes the emulator fast: the schedule is a static slice walked
-// once or twice per cycle, with no dynamic event management (the
-// property the paper credits for its four orders of magnitude over
-// event-driven simulation).
+// cycle, its registers being the cycle boundary. The kernel reproduces
+// those semantics in one pass per cycle: no component reads what
+// another wrote in the same cycle, because the boundary lives in the
+// state itself — a wire's cycle-parity slots (what is sent in one cycle
+// is taken in the next) and a switch's start-of-cycle occupancy mask.
+// The result is independent of component evaluation order, exactly like
+// synchronous hardware, and is what makes the emulator fast: the
+// schedule is a static slice walked once per cycle, with no dynamic
+// event management (the property the paper credits for its four orders
+// of magnitude over event-driven simulation).
 //
 // One Engine drives that schedule through one run loop (run, below).
 // Two optional states pick how a cycle is walked: the clock gates of
 // quiesce.go park idle components — and stand down for the plain walk
 // while nearly everything is busy (duty.go) — and the worker pool of pool.go
 // recovers the paper's other performance property — every device
-// evaluated concurrently within a phase. Results are bit-identical
+// evaluated concurrently within a cycle. Results are bit-identical
 // whichever walk executes them.
 package engine
 
@@ -35,30 +34,32 @@ import (
 // — a wire shows in cycle c what was sent to it in c-1 — and writes its
 // outputs for the next; state only the component itself reads (a
 // switch's lanes, an ejector's buffer) may change at once, in an order
-// the component keeps. Commit applies what must wait until every Tick
-// of the cycle has run; most components have nothing there and leave it
-// empty (the faulted-wire arena and the clock gates do not).
+// the component keeps. Nothing is left for after the cycle's other
+// Ticks: the wires' parity slots are the cycle boundary, and the engine
+// never calls Commit.
 //
 // The pooled walk relies on one further discipline, which every
 // component of the platform already obeys by construction: during a
-// phase, a component touches only its own state plus the disjoint
+// cycle, a component touches only its own state plus the disjoint
 // per-endpoint halves of the wires it is connected to (a link's
-// producer stages, its consumer takes). A component whose Tick instead
-// observes other components' state must additionally implement
-// SerialTicker.
+// producer writes next cycle's slot, its consumer takes this cycle's).
+// A component whose Tick instead observes other components' state must
+// additionally implement SerialTicker.
 type Component interface {
 	// ComponentName returns a stable, human-readable instance name.
 	ComponentName() string
 	// Tick computes the component's next state for the given cycle.
 	Tick(cycle uint64)
-	// Commit applies what this cycle's Ticks left to the end of it.
+	// Commit is no phase of the kernel, and every component's is empty.
+	// It stays because code that walks the components itself, beside
+	// the kernel, calls it (bench/kernel.go's per-class walk).
 	Commit(cycle uint64)
 }
 
 // SerialTicker marks a component whose Tick reads state owned by other
 // components — e.g. a watchdog summing platform-wide statistics. The
 // pooled walk evaluates such components alone on the coordinator,
-// after the sharded part of the Tick phase; the sequential walks run
+// after every worker's share of the cycle; the sequential walks run
 // them in registration order like any other component. The walks
 // produce identical results provided a SerialTicker is registered after
 // every component it observes (the platform registers watchdogs last)
@@ -101,7 +102,7 @@ type Engine struct {
 	// (arena.go); the pooled walk shards their index ranges instead of
 	// assigning them whole.
 	arenas  []Arena
-	tables  []*ArmTable          // the wires' (quiesce.go); flushed after each gated commit phase
+	tables  []*ArmTable          // the wires' (quiesce.go); flushed after each gated cycle's quiet report
 	rewound []func(delta uint64) // told of every Reset (OnReset)
 	cycle   uint64
 	// The two optional states, decided in reshape and nowhere else:
@@ -126,9 +127,9 @@ func New() *Engine {
 var ErrDuplicateName = errors.New("engine: duplicate component name")
 
 // Register adds a component to the evaluation schedule. Registration
-// order is the evaluation order; because of the two-phase protocol the
-// simulation result does not depend on it, but keeping it stable keeps
-// profiles and debug output stable.
+// order is the evaluation order; because no component reads what
+// another wrote in the same cycle the simulation result does not depend
+// on it, but keeping it stable keeps profiles and debug output stable.
 func (e *Engine) Register(c Component) error {
 	if c == nil {
 		return errors.New("engine: nil component")
@@ -302,7 +303,7 @@ func (e *Engine) walk() {
 	case s != nil && e.gatesUp():
 		s.wakeDue(e.cycle)
 		s.reg.Tick(e.cycle)
-		s.reg.Commit(e.cycle)
+		s.report(e.cycle)
 		for _, t := range e.tables {
 			t.flush(s, e.cycle+1)
 		}
@@ -311,9 +312,6 @@ func (e *Engine) walk() {
 		c := e.cycle
 		for _, comp := range e.components {
 			comp.Tick(c)
-		}
-		for _, comp := range e.components {
-			comp.Commit(c)
 		}
 	}
 	e.cycle++
@@ -368,8 +366,8 @@ func (e *Engine) SetGated(on bool) {
 // Gated reports whether quiescence-aware scheduling is enabled.
 func (e *Engine) Gated() bool { return e.gated }
 
-// SetWorkers makes the engine evaluate each phase of a cycle on n
-// goroutines, the caller's included (pool.go); 0, the default, walks
+// SetWorkers makes the engine evaluate each cycle on n goroutines,
+// the caller's included (pool.go); 0, the default, walks
 // the schedule on the caller's alone. Workers may exceed the component
 // count; surplus shards are empty. The goroutines start at the next
 // run; Close releases them.
@@ -393,7 +391,7 @@ func (e *Engine) reshape() {
 	switch want := e.gated && e.pool == nil; {
 	case want && e.sched == nil:
 		s := &sched{duty: duty{share: standDownShare}}
-		s.reg = clockGate{name: "registry", pop: s, ordered: true, log: e.logSched}
+		s.reg = clockGate{pop: s, ordered: true, log: e.logSched}
 		s.duty.restart(e.cycle)
 		e.sched = s
 	case !want && e.sched != nil:

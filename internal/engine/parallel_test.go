@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// reg is a two-phase register wire used to connect counter components:
-// writes staged during Tick become readable after Commit.
-type reg struct {
-	cur, next uint64
-}
+// reg is a cycle-parity register wire connecting counter components,
+// as the platform's wires are: a write in cycle c lands in slot
+// (c+1)&1 and a read in cycle c sees slot c&1, so reader and writer
+// never touch the same slot in one cycle.
+type reg struct{ slot [2]uint64 }
 
-func (r *reg) commit() { r.cur, r.next = r.next, 0 }
+func (r *reg) read(c uint64) uint64 { return r.slot[c&1] }
+func (r *reg) write(c, v uint64)    { r.slot[(c+1)&1] = v }
 
 // chainNode reads its input register and stages a transformed value on
 // its output register — a minimal component with real cross-component
@@ -22,7 +23,7 @@ type chainNode struct {
 	acc     uint64 // running mix of everything seen, order-sensitive
 	doneAt  uint64
 	ticks   uint64
-	commits uint64
+	commits uint64 // the kernel never calls Commit: stays 0
 }
 
 func (n *chainNode) ComponentName() string { return n.name }
@@ -31,20 +32,15 @@ func (n *chainNode) Tick(c uint64) {
 	n.ticks++
 	v := uint64(0)
 	if n.in != nil {
-		v = n.in.cur
+		v = n.in.read(c)
 	}
 	n.acc = n.acc*6364136223846793005 + v + c + 1
 	if n.out != nil {
-		n.out.next = v + 1
+		n.out.write(c, v+1)
 	}
 }
 
-func (n *chainNode) Commit(c uint64) {
-	n.commits++
-	if n.out != nil {
-		n.out.commit()
-	}
-}
+func (n *chainNode) Commit(c uint64) { n.commits++ }
 
 func (n *chainNode) Done() bool { return n.doneAt > 0 && n.ticks >= n.doneAt }
 
@@ -136,8 +132,8 @@ func TestParallelStepAdvancesOneCycle(t *testing.T) {
 		t.Errorf("cycle = %d, want 2", p.Cycle())
 	}
 	for _, n := range ns {
-		if n.ticks != 2 || n.commits != 2 {
-			t.Errorf("%s: ticks=%d commits=%d, want 2,2", n.name, n.ticks, n.commits)
+		if n.ticks != 2 || n.commits != 0 {
+			t.Errorf("%s: ticks=%d commits=%d, want 2,0", n.name, n.ticks, n.commits)
 		}
 	}
 }
@@ -203,7 +199,7 @@ func TestParallelRunUntilAborts(t *testing.T) {
 
 // serialObserver sums every chain node's tick counter during Tick — a
 // cross-component read that is only legal because SerialTicker moves it
-// out of the sharded phase.
+// behind the workers' shards.
 type serialObserver struct {
 	peers []*chainNode
 	seen  []uint64
@@ -257,8 +253,8 @@ func TestParallelPicksUpLateRegistrations(t *testing.T) {
 	late := &chainNode{name: "late"}
 	e.MustRegister(late)
 	p.Run(10)
-	if late.ticks != 10 || late.commits != 10 {
-		t.Errorf("late component: ticks=%d commits=%d, want 10,10", late.ticks, late.commits)
+	if late.ticks != 10 || late.commits != 0 {
+		t.Errorf("late component: ticks=%d commits=%d, want 10,0", late.ticks, late.commits)
 	}
 }
 

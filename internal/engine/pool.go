@@ -3,36 +3,37 @@
 // The paper's FPGA evaluates every emulated device concurrently once
 // per clock. An engine with workers (SetWorkers) recovers that property
 // in software: the registered components are partitioned into per-worker
-// shards and each cycle is driven as two barrier-synchronized phases
-// (Tick, Commit). Because the two-phase protocol guarantees no
-// component reads during Tick what another wrote in the same cycle, the
-// schedule is order-independent within each phase, so any sharding
-// produces results bit-identical to the sequential walks.
+// shards and each cycle is one pass of every worker over its shard,
+// ended by one barrier. No component reads in a cycle what another
+// wrote in it — the cycle boundary lives in the wires' parity slots and
+// the switches' start-of-cycle occupancy — so the schedule is
+// order-independent and any sharding produces results bit-identical to
+// the sequential walks.
 //
 // Synchronization is built for cycle-rate use: the goroutines are
 // spawned at the first run and sleep on a channel between runs; within
-// a run they free-run, meeting at two coordinator-released spin gates
+// a run they free-run, meeting at one coordinator-released spin gate
 // per cycle (no per-cycle goroutine spawning, no per-cycle channel
 // traffic). The caller's goroutine is worker 0 and the coordinator: it
-// evaluates its own shard, runs SerialTicker components alone between
-// the gates, and owns the commit-gate release — so between two cycles
-// the workers spin at that gate while the run loop (Engine.run) polls
-// the stop predicate and looks for a window to skip, on a fully
-// committed cycle and before any worker begins the next. The stop
-// decision is therefore exact.
+// evaluates its own shard and owns the gate's release. Between the
+// last arrival and the next release — while the workers spin at the
+// gate, on a fully executed cycle — it ticks the SerialTicker
+// components alone, and the run loop (Engine.run) polls the stop
+// predicate and looks for a window to skip. The stop decision is
+// therefore exact.
 //
 // Gating: the pool parks nothing. Workers always walk their full shards
-// (a quiet component's Tick/Commit is a no-op, so this is bit-identical
-// to the gates' per-component parking), and the run loop fast-forwards
-// over the windows in which every component reports quiet (nextWake),
-// paying the skipped cycles into the per-cycle counters with SkipIdle.
+// (a quiet component's Tick is a no-op, so this is bit-identical to the
+// gates' per-component parking), and the run loop fast-forwards over
+// the windows in which every component reports quiet (nextWake), paying
+// the skipped cycles into the per-cycle counters with SkipIdle.
 //
 // Flit ownership under sharding: a flit handed from one component to
 // another (via a link) may cross worker shards, but the wire already
 // serializes that handoff — the sender writes the slot of the next
-// cycle's parity during Tick, the receiver reads it in the next cycle's
-// Tick, the gates' barriers between them; within one phase the two
-// touch different slots and flag banks.
+// cycle's parity, the receiver reads it in the next cycle, the gate
+// between them; within one cycle the two touch different slots and
+// flag banks.
 // The one cross-shard mutation outside that pattern is flit.Pool
 // release: an ejector on worker A may release a flit whose home shard
 // is drained by an injector on worker B. The pool carries that handoff
@@ -106,7 +107,7 @@ func (g *gate) release(cmd uint32) {
 }
 
 // pool is the state of an engine with workers: the shards, the
-// goroutines evaluating them and the two gates they meet at.
+// goroutines evaluating them and the gate they meet at.
 type pool struct {
 	// shards are static per-worker component slices, rebuilt only when
 	// the registration count changes. Components are dealt round-robin:
@@ -124,12 +125,11 @@ type pool struct {
 	// them are, the condition for skipping anything.
 	quies []Quiescable
 
-	work       []chan struct{} // one sleeping goroutine per channel; nil until the first run
-	exited     sync.WaitGroup
-	tickGate   gate
-	commitGate gate
-	// live says the workers are inside a run, spinning at the commit
-	// gate: a cycle of this run has executed. next carries the cycle to
+	work   []chan struct{} // one sleeping goroutine per channel; nil until the first run
+	exited sync.WaitGroup
+	gate   gate
+	// live says the workers are inside a run, spinning at the gate: a
+	// cycle of this run has executed. next carries the cycle to
 	// evaluate to them; it is written before the channel send or gate
 	// release that starts the cycle and read after it, which orders it.
 	live bool
@@ -176,8 +176,8 @@ func (p *pool) enter(e *Engine) {
 	dealSpans(e.arenas, p.spans)
 }
 
-// tick and commit evaluate one phase of worker id's share of the
-// schedule: its arena spans, then its components.
+// tick evaluates worker id's share of cycle c: its arena spans, then
+// its components.
 func (p *pool) tick(id int, c uint64) {
 	for _, s := range p.spans[id] {
 		s.a.TickRange(s.lo, s.hi, c)
@@ -187,66 +187,45 @@ func (p *pool) tick(id int, c uint64) {
 	}
 }
 
-func (p *pool) commit(id int, c uint64) {
-	for _, s := range p.spans[id] {
-		s.a.CommitRange(s.lo, s.hi, c)
-	}
-	for _, comp := range p.shards[id] {
-		comp.Commit(c)
-	}
-}
-
 // runWorker is the pool goroutine body: sleep on the channel, then
-// free-run, meeting the coordinator at the two gates each cycle until a
+// free-run, meeting the coordinator at the gate after each cycle until a
 // release says stop.
 func (p *pool) runWorker(id int, wake chan struct{}) {
 	defer p.exited.Done()
-	te := p.tickGate.epoch.Load()
-	ce := p.commitGate.epoch.Load()
+	epoch := p.gate.epoch.Load()
 	for range wake {
 		for cmd := cmdGo; cmd != cmdStop; {
-			c := p.next
-			p.tick(id, c)
-			te, _ = p.tickGate.await(te)
-			p.commit(id, c)
-			ce, cmd = p.commitGate.await(ce)
+			p.tick(id, p.next)
+			epoch, cmd = p.gate.await(epoch)
 		}
 	}
 }
 
 // walk executes cycle c: the first of a run wakes the workers, a later
-// one releases them from the commit gate, where walk leaves them again
-// once everything has committed. SerialTickers tick alone, between the
-// arrivals at the tick gate and its release.
+// one releases them from the gate, where walk leaves them again once
+// every shard has ticked and the SerialTickers have, alone.
 func (p *pool) walk(c uint64) {
 	p.next = c
 	if p.live {
-		p.commitGate.release(cmdGo)
+		p.gate.release(cmdGo)
 	} else {
 		p.live = true
 		for _, ch := range p.work {
 			ch <- struct{}{}
 		}
 	}
-	others := int32(len(p.work))
 	p.tick(0, c)
-	p.tickGate.waitOthers(others)
+	p.gate.waitOthers(int32(len(p.work)))
 	for _, comp := range p.serial {
 		comp.Tick(c)
 	}
-	p.tickGate.release(cmdGo)
-	p.commit(0, c)
-	for _, comp := range p.serial {
-		comp.Commit(c)
-	}
-	p.commitGate.waitOthers(others)
 }
 
 // leave sends the workers back to sleep.
 func (p *pool) leave() {
 	if p.live {
 		p.live = false
-		p.commitGate.release(cmdStop)
+		p.gate.release(cmdStop)
 	}
 }
 

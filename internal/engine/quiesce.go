@@ -3,8 +3,8 @@
 // Most cycles of a realistic emulation run are idle: generators sleep
 // through inter-packet gaps, switches sit with empty buffers, links
 // carry nothing. The FPGA pays nothing for an idle device; the naive
-// kernel still walks it twice per cycle. A component that can prove it
-// will stage and commit nothing for a while implements Quiescable; the
+// kernel still walks it every cycle. A component that can prove it
+// will do nothing for a while implements Quiescable; the
 // kernel then parks it — removes it from the per-cycle walk — until
 // either its declared wake cycle arrives (wake heap) or input reaches it
 // (arm hooks, installed by the platform on the wires: a Send wakes the
@@ -15,8 +15,8 @@
 // Two rules make the skipping invisible:
 //
 //   - The quiet contract. A component may report quiet only if, absent
-//     new input, every skipped Tick/Commit pair would have been a
-//     no-op apart from derivable per-cycle counters (link utilization
+//     new input, every skipped Tick would have been a no-op apart
+//     from derivable per-cycle counters (link utilization
 //     denominators, buffer occupancy integrals), consumed no
 //     randomness, and left its Stopper/Aborter answers unchanged
 //     before the returned wake cycle. A cycle-driven Stopper or
@@ -37,9 +37,10 @@
 // arena's gate then stands in the arena's registry slot, so gating nests: the
 // registry parks the slot when the arena's gate has nothing active. The
 // gate never asks an element whether it is quiet: the population's
-// commit reports the ones that went quiet. An arena knows that inside
-// its own commit loop, on state it just touched, and an arena element
-// only ever wakes on input. The registry (sched) has to ask each
+// quiet report, run after the cycle's Ticks, names the ones that went
+// quiet. An arena answers it from the state its elements' Ticks just
+// left, and an arena element only ever wakes on input. The registry
+// (sched) has to ask each
 // component through an interface, so it rations the looks with a
 // backoff, and it keeps the timers. The arenas themselves only store and
 // evaluate elements (arena.go). On a network busy enough that parking
@@ -56,16 +57,15 @@ const NeverWake = ^uint64(0)
 // that cannot honour it simply does not implement the interface and is
 // walked every cycle.
 type Quiescable interface {
-	Component
 	// NextWake reports whether the component is quiet as of the end of
-	// the given (just committed) cycle and, if so, the first future
+	// the given (just executed) cycle and, if so, the first future
 	// cycle at which it may act again absent new input (NeverWake if
 	// only input reactivates it).
 	NextWake(cycle uint64) (wake uint64, quiet bool)
 	// SkipIdle accounts n skipped cycles [from, from+n) during which
 	// the component was parked: per-cycle counters and internal
-	// countdowns advance exactly as n no-op Tick/Commit pairs would
-	// have advanced them.
+	// countdowns advance exactly as n no-op Ticks would have advanced
+	// them.
 	SkipIdle(from, n uint64)
 }
 
@@ -117,25 +117,24 @@ func (h *wakeHeap) pop() wakeEntry {
 
 // population is the view a gate has of what it schedules: n elements
 // addressed by index, evaluated in batches, each able to absorb skipped
-// cycles. CommitList also reports, as positions in idx, the elements
-// that stay quiet from the next cycle on until input arms them or a
-// timer their population keeps wakes them (Arena has the contract). The
+// cycles. QuietList reports, as positions in idx, the elements that
+// stay quiet from the next cycle on until input arms them or a timer
+// their population keeps wakes them (Arena has the contract). The
 // registry (sched, below) and every Arena implement it.
 type population interface {
 	TickList(idx []int, cycle uint64)
-	CommitList(idx []int, cycle uint64, quiet []int) []int
+	QuietList(idx []int, cycle uint64, quiet []int) []int
 	ElemSkipIdle(i int, from, n uint64)
 }
 
 // clockGate schedules one population: it keeps the set of active elements,
 // walks only those, parks the ones its population reports quiet, wakes
 // them on input (arm), and remembers from which cycle each parked
-// element is owed idle cycles. A gate is itself a Quiescable component
-// — quiet when nothing in it is active — which is what lets an arena's
+// element is owed idle cycles. A gate itself ticks and is Quiescable —
+// quiet when nothing in it is active — which is what lets an arena's
 // gate sit in the registry gate's walk.
 type clockGate struct {
-	name string
-	pop  population
+	pop population
 	// ordered makes the walk follow index order: the list is re-derived
 	// from the flags after any wake. The registry needs it (a
 	// SerialTicker must tick behind the components it observes, and the
@@ -147,7 +146,7 @@ type clockGate struct {
 	active []bool
 	act    []int    // the active elements; the per-cycle walk
 	park   []uint64 // first cycle a parked element has not executed
-	quiet  []int    // scratch of Commit: positions in act reported quiet; cap = population
+	quiet  []int    // scratch of report: positions in act reported quiet; cap = population
 	// log, when set, is told of every park (true) and wake (false). The
 	// registry gate reports them to the engine's SchedTrace; arena gates
 	// stay silent, as element scheduling always has.
@@ -186,10 +185,7 @@ func (g *clockGate) wake(i int, cycle uint64) {
 	}
 }
 
-// ComponentName implements Component.
-func (g *clockGate) ComponentName() string { return g.name }
-
-// Tick implements Component: tick the active list. The bound grows: an
+// Tick ticks the active list. The bound grows: an
 // element ticked here may stage input for a parked one, whose arm hook
 // appends it to act, and the next batch picks it up in this same
 // cycle. It was quiet, so its catch-up tick stages nothing and reads
@@ -205,15 +201,12 @@ func (g *clockGate) Tick(cycle uint64) {
 	}
 }
 
-// Commit implements Component: commit the active list, park the
-// elements the population reports quiet — an idle element leaves the
-// walk in the cycle it goes idle, a busy one costs nothing here — and
-// close the list up from the first of them. An element armed during the
-// commit sits behind the committed ones and stays. An arena's gate runs
-// inside the registry's commit phase, before later components have
-// committed: hence the limits on what a quiet report may look at.
-func (g *clockGate) Commit(cycle uint64) {
-	g.quiet = g.pop.CommitList(g.act, cycle, g.quiet[:0])
+// report parks the active elements the population reports quiet after
+// the cycle's Ticks — an idle element leaves the walk in the cycle it
+// goes idle, a busy one costs nothing here — and closes the list up
+// from the first of them.
+func (g *clockGate) report(cycle uint64) {
+	g.quiet = g.pop.QuietList(g.act, cycle, g.quiet[:0])
 	if len(g.quiet) == 0 {
 		return
 	}
@@ -272,8 +265,8 @@ func (g *clockGate) settle(cycle uint64) {
 // rebase restarts the gate at the given cycle after the timeline moved
 // or element state was replaced under it (Reset, LoadState): every
 // element is active again with its watermark on the new timeline, and
-// the next executed cycle's commit re-derives the parked set from the
-// elements' own state. The caller settles first, so no debt is
+// the next executed cycle's quiet report re-derives the parked set from
+// the elements' own state. The caller settles first, so no debt is
 // outstanding.
 func (g *clockGate) rebase(cycle uint64) {
 	for i := range g.active {
@@ -304,7 +297,7 @@ type sched struct {
 	arenas []*clockGate // by position in Engine.arenas
 	// walk is the component list with every arena replaced by its gate;
 	// quies is walk[i] as a Quiescable, nil when it cannot park.
-	walk  []Component
+	walk  []interface{ Tick(cycle uint64) }
 	quies []Quiescable
 	// nextTry is the cycle from which a component is next asked whether it
 	// is quiet (a wake finds it due); wakeAt the timer its latest park set.
@@ -321,13 +314,20 @@ func (s *sched) TickList(idx []int, cycle uint64) {
 	}
 }
 
-// CommitList commits the listed components, then asks each one that is
-// due a look whether it is quiet beyond the next cycle — after all of
-// them have committed, so the answers see the whole cycle.
-func (s *sched) CommitList(idx []int, cycle uint64, quiet []int) []int {
-	for _, i := range idx {
-		s.walk[i].Commit(cycle)
+// report is the gated cycle's quiet report: every arena gate parks its
+// quiet elements, then the registry gate its quiet components — an
+// arena's slot among them once its gate has nothing active.
+func (s *sched) report(cycle uint64) {
+	for _, g := range s.arenas {
+		g.report(cycle)
 	}
+	s.reg.report(cycle)
+}
+
+// QuietList asks each listed component that is due a look whether it
+// is quiet beyond the next cycle — after every Tick of the cycle, so
+// the answers see the whole cycle.
+func (s *sched) QuietList(idx []int, cycle uint64, quiet []int) []int {
 	for r, i := range idx {
 		q := s.quies[i]
 		if q == nil || cycle < s.nextTry[i] {
@@ -451,7 +451,7 @@ func (e *Engine) Armer(targets ...Target) (func(), bool) {
 // a row per wire instead of closures per wire. A wire that puts a flit
 // on view for the next cycle calls Send with its index; the table
 // queues the wake of its reader, and the gated walk applies the queue
-// after the commit phase (flush), so the reader first runs in the cycle
+// after the quiet report (flush), so the reader first runs in the cycle
 // it can take the flit. Credits wake nobody: SkipIdle collects them.
 type ArmTable struct {
 	e    *Engine
@@ -543,10 +543,10 @@ func (t *ArmTable) flush(s *sched, next uint64) {
 func (e *Engine) schedEnter() {
 	s := e.sched
 	for n := len(s.walk); n < len(e.components); n++ {
-		c := e.components[n]
-		if k := e.arenaOf(c); k >= 0 {
+		var c interface{ Tick(cycle uint64) } = e.components[n]
+		if k := e.arenaOf(e.components[n]); k >= 0 {
 			a := e.arenas[k]
-			g := &clockGate{name: a.ComponentName(), pop: a, quiet: make([]int, 0, a.Len())}
+			g := &clockGate{pop: a, quiet: make([]int, 0, a.Len())}
 			for i := 0; i < a.Len(); i++ {
 				g.add(e.cycle)
 			}

@@ -210,7 +210,7 @@ func TestGatedArmWakesSameCycle(t *testing.T) {
 type stubArena struct {
 	name    string
 	elems   []stubElem
-	batches int      // TickList + CommitList calls
+	batches int      // TickList + QuietList calls
 	skips   int      // ElemSkipIdle calls: the one call a gate makes per element
 	ticks   uint64   // element-cycles ticked
 	walked  [][2]int // every tick as (cycle, element), in walk order
@@ -222,21 +222,16 @@ type stubElem struct {
 	count    uint64
 	ticked   []uint64
 	onTick   func(cycle uint64)
-	onCommit func(cycle uint64)
+	onReport func(cycle uint64)
 }
 
 func (a *stubArena) ComponentName() string { return a.name }
 func (a *stubArena) Len() int              { return len(a.elems) }
 func (a *stubArena) Tick(cycle uint64)     { a.TickRange(0, len(a.elems), cycle) }
-func (a *stubArena) Commit(cycle uint64)   { a.CommitRange(0, len(a.elems), cycle) }
+func (a *stubArena) Commit(cycle uint64)   {}
 func (a *stubArena) TickRange(lo, hi int, cycle uint64) {
 	for i := lo; i < hi; i++ {
 		a.TickList([]int{i}, cycle)
-	}
-}
-func (a *stubArena) CommitRange(lo, hi int, cycle uint64) {
-	for i := lo; i < hi; i++ {
-		a.CommitList([]int{i}, cycle, nil)
 	}
 }
 func (a *stubArena) TickList(idx []int, cycle uint64) {
@@ -254,12 +249,12 @@ func (a *stubArena) TickList(idx []int, cycle uint64) {
 		}
 	}
 }
-func (a *stubArena) CommitList(idx []int, cycle uint64, quiet []int) []int {
+func (a *stubArena) QuietList(idx []int, cycle uint64, quiet []int) []int {
 	a.batches++
 	for r, i := range idx {
 		el := &a.elems[i]
-		if el.onCommit != nil {
-			el.onCommit(cycle)
+		if el.onReport != nil {
+			el.onReport(cycle)
 		}
 		if el.busy > 0 {
 			el.busy--
@@ -395,11 +390,11 @@ func TestGateRebase(t *testing.T) {
 }
 
 // TestGateParksOnTheCommitsWord: the gate asks nobody. An element leaves
-// the walk in the very cycle its arena's commit reports it quiet; a busy
+// the walk in the very cycle its arena's quiet report names it; a busy
 // element costs the gate no call of its own — the arena is called at
 // most twice a cycle whatever it holds, and once per element only to pay
 // idle cycles, at a wake or a settle; closing the list up keeps its
-// order; and an element armed while the list commits stays on it.
+// order; and an element armed during the report stays on the list.
 func TestGateParksOnTheCommitsWord(t *testing.T) {
 	e, producer, a := gatedArena(6)
 	arm := make([]func(), len(a.elems))
@@ -416,10 +411,10 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 			arm[w.i]()
 		}
 	}
-	a.elems[1].onCommit = func(cycle uint64) {
+	a.elems[1].onReport = func(cycle uint64) {
 		if cycle == 11 {
 			a.elems[2].busy = 1
-			arm[2]() // parked since cycle 0; lands behind the list being committed
+			arm[2]() // parked since cycle 0; lands behind the list being reported
 		}
 	}
 	e.Run(10)
@@ -436,10 +431,10 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 	if a.skips != 1+6 || a.batches > 2*4 {
 		t.Errorf("%d ElemSkipIdle calls and %d batch calls in 4 cycles, want 7 and at most 8", a.skips, a.batches)
 	}
-	// Element 2 was armed after cycle 11's tick phase: it is paid up to
-	// cycle 10 and ticks from 12. Arming in the commit phase is exact only
-	// for an element that owes nothing per cycle, like the probe collector,
-	// the one component armed there. The others read the naive count.
+	// Element 2 was armed after cycle 11's Ticks: it is paid up to cycle
+	// 10 and ticks from 12. Arming during the quiet report is exact only
+	// for an element that owes nothing per cycle; nothing in the platform
+	// arms there. The others read the naive count.
 	for _, i := range []int{0, 1, 3, 4, 5} {
 		if got := a.elems[i].count; got != 14 {
 			t.Errorf("element %d counts %d cycles after 14", i, got)
@@ -449,9 +444,9 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 
 // TestArmTable: a Send on wire i queues the wake of its reader — an
 // arena element or a plain component — for the next cycle, applied after
-// the commit phase: paid through the sending cycle, not committed in it,
-// ticked in the one after. What Also added is armed in the sending cycle
-// itself.
+// the quiet report: paid through the sending cycle, not reported on in
+// it, ticked in the one after. What Also added is armed in the sending
+// cycle itself.
 func TestArmTable(t *testing.T) {
 	e := New()
 	e.SetGated(true)
@@ -475,18 +470,18 @@ func TestArmTable(t *testing.T) {
 	if tbl.Also(2, "dog") == nil || tbl.Also(0, "consumers") == nil || tbl.Also(0, "nobody") == nil {
 		t.Error("Also accepted a row out of range, an arena or an unknown name")
 	}
-	tbl.Send(0)               // before the first kernel entry there are no gates: a no-op
-	var committed [][2]uint64 // (cycle, consumer element)
+	tbl.Send(0)              // before the first kernel entry there are no gates: a no-op
+	var reported [][2]uint64 // (cycle, consumer element)
 	for i := range consumers.elems {
 		consumers.elems[i].onTick = func(cycle uint64) {
 			if got := consumers.elems[i].count; got != cycle+1 {
 				t.Errorf("cycle %d: consumer %d ticks having counted %d cycles, want %d: paid through the sending one", cycle, i, got, cycle+1)
 			}
 		}
-		consumers.elems[i].onCommit = func(cycle uint64) { committed = append(committed, [2]uint64{cycle, uint64(i)}) }
+		consumers.elems[i].onReport = func(cycle uint64) { reported = append(reported, [2]uint64{cycle, uint64(i)}) }
 	}
 	e.Run(1)
-	committed = committed[:0] // every element commits the first cycle
+	reported = reported[:0] // every element is reported on the first cycle
 	tickedAt := func(cycle uint64) (out []int) {
 		for i := range consumers.elems {
 			if slices.Contains(consumers.elems[i].ticked, cycle) {
@@ -521,10 +516,10 @@ func TestArmTable(t *testing.T) {
 			t.Errorf("cycle %d: sink ticked = %v, want %v", tc.at+1, got, tc.sink)
 		}
 	}
-	// Consumer 1 was woken after the commit phase of cycle 5: its first
-	// commit is cycle 6's, behind its first tick.
-	if want := [][2]uint64{{6, 1}}; !slices.Equal(committed, want) {
-		t.Errorf("consumers committed at (cycle, element) %v, want %v", committed, want)
+	// Consumer 1 was woken after the quiet report of cycle 5: its first
+	// report is cycle 6's, behind its first tick.
+	if want := [][2]uint64{{6, 1}}; !slices.Equal(reported, want) {
+		t.Errorf("consumers reported on at (cycle, element) %v, want %v", reported, want)
 	}
 }
 

@@ -13,15 +13,16 @@ import (
 const horizon = 12_000
 
 // ledger records what one component (or arena element) was given, cycle
-// by cycle: a tick, a commit, or a skipped cycle paid through SkipIdle.
+// by cycle: a tick, a skipped cycle paid through SkipIdle, or a Commit —
+// which the kernel never calls.
 type ledger struct {
 	ticks, commits, skips [horizon]uint8
 }
 
 // check asserts the accounting every walk owes: each cycle of
-// [from, upto) was either executed — ticked and committed once — or paid
-// as idle once, never both and never neither, and nothing outside that
-// range was touched. A busy component may not be skipped at all.
+// [from, upto) was either executed — ticked once, never committed — or
+// paid as idle once, never both and never neither, and nothing outside
+// that range was touched. A busy component may not be skipped at all.
 func (l *ledger) check(t *testing.T, who string, from, upto uint64, busy bool) {
 	t.Helper()
 	for c := uint64(0); c < horizon; c++ {
@@ -30,7 +31,7 @@ func (l *ledger) check(t *testing.T, who string, from, upto uint64, busy bool) {
 		switch {
 		case !in && tk+cm+sk != 0:
 			t.Fatalf("%s: cycle %d outside [%d,%d) got tick=%d commit=%d skip=%d", who, c, from, upto, tk, cm, sk)
-		case in && (tk != cm || tk+sk != 1):
+		case in && (cm != 0 || tk+sk != 1):
 			t.Fatalf("%s: cycle %d got tick=%d commit=%d skip=%d, want executed once or skipped once", who, c, tk, cm, sk)
 		case in && busy && sk != 0:
 			t.Fatalf("%s: busy, yet cycle %d was skipped", who, c)
@@ -107,15 +108,14 @@ type ledgerArena struct {
 func (a *ledgerArena) ComponentName() string { return a.name }
 func (a *ledgerArena) Len() int              { return len(a.elems) }
 func (a *ledgerArena) Tick(c uint64)         { a.TickRange(0, len(a.elems), c) }
-func (a *ledgerArena) Commit(c uint64)       { a.CommitRange(0, len(a.elems), c) }
+func (a *ledgerArena) Commit(c uint64) {
+	for i := range a.elems {
+		a.elems[i].commits[c]++
+	}
+}
 func (a *ledgerArena) TickRange(lo, hi int, c uint64) {
 	for i := lo; i < hi; i++ {
 		a.elems[i].ticks[c]++
-	}
-}
-func (a *ledgerArena) CommitRange(lo, hi int, c uint64) {
-	for i := lo; i < hi; i++ {
-		a.elems[i].commits[c]++
 	}
 }
 func (a *ledgerArena) TickList(idx []int, c uint64) {
@@ -123,9 +123,8 @@ func (a *ledgerArena) TickList(idx []int, c uint64) {
 		a.elems[i].ticks[c]++
 	}
 }
-func (a *ledgerArena) CommitList(idx []int, c uint64, quiet []int) []int {
-	for r, i := range idx {
-		a.elems[i].commits[c]++
+func (a *ledgerArena) QuietList(idx []int, c uint64, quiet []int) []int {
+	for r := range idx {
 		quiet = append(quiet, r)
 	}
 	return quiet

@@ -18,8 +18,8 @@ import (
 // the platform implements. SaveState appends the component's logical
 // state to the section writer; LoadState restores it from a section
 // reader, validating shape against the built configuration and failing
-// loudly on drift. Both are called only between runs (after a commit
-// phase), never mid-cycle.
+// loudly on drift. Both are called only between runs, never
+// mid-cycle.
 type Stateful interface {
 	// SaveState serializes the component's logical state.
 	SaveState(w *state.Writer)
@@ -34,7 +34,7 @@ func (e *Engine) SaveState(w *state.Writer) {
 
 // LoadState restores the cycle counter. It must run before component
 // sections load: the gates restart with everything active on the
-// restored timeline, and the first executed cycle's commit then judges
+// restored timeline, and the first executed cycle's quiet report judges
 // each component and arena element by its restored state.
 func (e *Engine) LoadState(r *state.Reader) error {
 	cycle := r.U64()

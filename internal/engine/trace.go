@@ -10,7 +10,7 @@ package engine
 //
 // Implementations are called on the engine's own goroutine only: park
 // and wake fire inside the gated walk, fast-forward in the run loop
-// between two cycles — with workers, while they spin at the commit
+// between two cycles — with workers, while they spin at the pool's
 // gate. No locking is required.
 type SchedTrace interface {
 	// SchedPark reports that the component was removed from the walk

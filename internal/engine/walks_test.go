@@ -17,9 +17,8 @@ import (
 )
 
 // The wire contract across walks. A wire takes its cycle from the Tick
-// of whoever sends on it or takes from it, never from the engine, and is
-// committed only while it is faulted; every counter read from it is
-// derived. So every walk of one platform — plain, gated, gated with the
+// of whoever sends on it, takes from it or faults it, never from the
+// engine; every counter read from it is derived. So every walk of one platform — plain, gated, gated with the
 // gates standing down after every probe window, two workers, and a class
 // walk that drives Engine.Components itself with its own cycle numbers,
 // as the repository benchmark's does — must leave the same totals, the

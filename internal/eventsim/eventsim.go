@@ -2,7 +2,7 @@
 // the style of an HDL simulator (the paper's "Verilog (ModelSim)"
 // baseline, reported at 3.2 Kcycles/s against the emulator's 50 M).
 //
-// Unlike the emulator's static two-phase loop, this kernel pays the
+// Unlike the emulator's static one-pass loop, this kernel pays the
 // classic event-driven costs on every clock edge: per-signal update
 // events through a time-ordered calendar, delta cycles until
 // quiescence, and dynamic activation of processes from sensitivity

@@ -153,7 +153,7 @@ func Table2(opt Table2Options) (*Table2Result, error) {
 			PaperT1000M:       p1000,
 		})
 	}
-	add("emulation (two-phase engine)", emuRate, 50e6, "3.2 s", "3 min 20 s")
+	add("emulation (one-pass engine)", emuRate, 50e6, "3.2 s", "3 min 20 s")
 	add("SystemC-like (event calendar)", tlmRate, 20e3, "2 h 13 min", "5 d 19 h")
 	add("RTL-like (signal events)", rtlRate, 3.2e3, "13 h 53 min", "36 d 4 h")
 	return res, nil

@@ -65,44 +65,54 @@ func NewController(name string, links []*link.Link, specs []Spec) (*Controller, 
 // ComponentName implements engine.Component.
 func (c *Controller) ComponentName() string { return c.name }
 
-// Tick implements engine.Component: recompute each targeted link's
-// fault mode for this cycle (stuck dominates corrupt when windows
-// overlap).
+// Tick implements engine.Component: impose each targeted link's fault
+// mode for this cycle (stuck dominates corrupt when windows overlap)
+// until the next window edge, where Tick runs again. The platform
+// registers the controller behind every sender and the pooled walk
+// ticks it alone after them, so the modes judge the flits sent in this
+// cycle (link.SetFaultAt).
 func (c *Controller) Tick(cycle uint64) {
-	// Reset targeted links, then apply active windows. Window transitions
-	// are traced exactly once: the quiescence contract guarantees Tick
-	// executes at every From/Until boundary (NextWake targets them), so
-	// the equality tests below cannot be skipped over.
+	// Window transitions are traced exactly once: the quiescence
+	// contract guarantees Tick executes at every From/Until boundary
+	// (NextWake targets them), so the equality tests below cannot be
+	// skipped over.
 	for _, s := range c.specs {
-		c.links[s.Link].SetFault(link.FaultNone)
 		if cycle == s.Until {
 			c.probe.FaultClear(cycle, uint32(s.Link))
 		}
 	}
 	for _, s := range c.specs {
-		if cycle < s.From || cycle >= s.Until {
-			continue
-		}
 		if cycle == s.From {
 			c.probe.FaultArm(cycle, uint32(s.Link), uint64(s.Mode))
 		}
-		l := c.links[s.Link]
-		if l.Fault() == link.FaultStuck {
-			continue // stuck dominates
-		}
-		l.SetFault(s.Mode)
-		c.applied++
+	}
+	c.applied += c.appliedPerCycle(cycle)
+	next, _ := c.NextWake(cycle)
+	for _, s := range c.specs {
+		c.links[s.Link].SetFaultAt(cycle, c.mode(s.Link, cycle), next)
 	}
 }
 
-// Commit implements engine.Component; the faulted wires' commits are
-// their arena's.
-func (c *Controller) Commit(cycle uint64) {}
+// Commit implements engine.Component; the kernel never calls it.
+func (c *Controller) Commit(uint64) {}
 
-// TickSerially implements engine.SerialTicker: a SetFault that faults a
-// wire appends it to its arena's list, which another controller may be
-// appending to in the same cycle, so the pooled walk ticks controllers
-// alone. Their Tick reads no other component's state.
+// mode is the fault mode the campaign imposes on link i at the given
+// cycle: stuck if a stuck window is open on it, else corrupt if a
+// corrupt one is.
+func (c *Controller) mode(i int, cycle uint64) link.FaultMode {
+	m := link.FaultNone
+	for _, s := range c.specs {
+		if s.Link == i && cycle >= s.From && cycle < s.Until && m != link.FaultStuck {
+			m = s.Mode
+		}
+	}
+	return m
+}
+
+// TickSerially implements engine.SerialTicker: SetFaultAt judges
+// the flits every sender put on the wire this cycle, so the pooled walk
+// ticks controllers alone, after them. Their Tick reads no other
+// component's state.
 func (c *Controller) TickSerially() {}
 
 // appliedPerCycle counts the specs Tick would apply at the given cycle,

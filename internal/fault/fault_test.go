@@ -62,7 +62,6 @@ func TestControllerWindows(t *testing.T) {
 	}
 	for cycle := uint64(0); cycle < 8; cycle++ {
 		c.Tick(cycle)
-		c.Commit(cycle)
 		if w, ok := want[cycle]; ok {
 			if links[0].Fault() != w.a || links[1].Fault() != w.b {
 				t.Errorf("cycle %d: modes = %d,%d want %d,%d",

@@ -15,7 +15,9 @@ func (c *Controller) SaveState(w *state.Writer) {
 	w.U64(c.applied)
 }
 
-// LoadState restores the fault controller.
+// LoadState restores the fault controller. The restored links judge
+// no flit at Send until Tick has run on the restored timeline: a window
+// may open or close in its first cycle.
 func (c *Controller) LoadState(r *state.Reader) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
@@ -25,5 +27,8 @@ func (c *Controller) LoadState(r *state.Reader) error {
 		return fmt.Errorf("fault %s: snapshot campaign has %d specs, built %d", c.name, n, len(c.specs))
 	}
 	c.applied = r.U64()
+	for _, s := range c.specs {
+		c.links[s.Link].AwaitSetFault()
+	}
 	return r.Err()
 }

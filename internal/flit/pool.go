@@ -13,7 +13,7 @@
 //
 // Concurrency: the pool composes with an engine that has workers, where the
 // acquiring component (a TG) and the releasing component (a TR) may
-// tick on different workers in the same phase. Acquire is owner-only
+// tick on different workers in the same cycle. Acquire is owner-only
 // and touches only the shard's private freelist; Release may be called
 // from any goroutine and pushes onto the shard's "return ramp", a
 // Treiber stack over an atomic pointer (CAS push; the owner takes the
@@ -35,7 +35,7 @@ import (
 )
 
 // Shard is one endpoint's private flit freelist. Acquire must only be
-// called by the shard's owning component (single goroutine per phase);
+// called by the shard's owning component (single goroutine per cycle);
 // Release on the parent Pool may be called by anyone.
 //
 // A nil *Shard is valid and simply allocates: Acquire on nil returns a
@@ -131,14 +131,14 @@ func (s *Shard) Allocated() uint64 {
 // Pool routes released flits back to the shard of their source
 // endpoint. Build it once per platform: NewPool, then Shard() per
 // injecting endpoint, then share the Pool with every releasing
-// component. The shard map is read-only after construction, so Release
-// is safe from any goroutine.
+// component. The shard index is read-only after construction, so
+// Release is safe from any goroutine.
 //
 // A nil *Pool is valid: Release on nil is a no-op (the flit goes to the
 // garbage collector), matching the nil-Shard allocation fallback.
 type Pool struct {
 	shards []*Shard
-	byEP   map[EndpointID]*Shard
+	byEP   []*Shard // indexed by owner endpoint; nil where none owns a shard
 	// orphan collects released flits whose source has no shard (flits
 	// built outside the pool); they become reusable spares for nobody
 	// but still count in the ledger, keeping Live exact.
@@ -147,7 +147,7 @@ type Pool struct {
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	p := &Pool{byEP: make(map[EndpointID]*Shard)}
+	p := &Pool{}
 	p.orphan.name = "orphan"
 	return p
 }
@@ -155,7 +155,10 @@ func NewPool() *Pool {
 // Shard creates (or returns) the freelist for an injecting endpoint.
 // Must be called during construction, before Release can race with it.
 func (p *Pool) Shard(name string, owner EndpointID) *Shard {
-	if s, ok := p.byEP[owner]; ok {
+	for int(owner) >= len(p.byEP) {
+		p.byEP = append(p.byEP, nil)
+	}
+	if s := p.byEP[owner]; s != nil {
 		return s
 	}
 	s := &Shard{name: name, owner: owner}
@@ -171,9 +174,9 @@ func (p *Pool) Release(f *Flit) {
 	if p == nil || f == nil {
 		return
 	}
-	s, ok := p.byEP[f.Src]
-	if !ok {
-		s = &p.orphan
+	s := &p.orphan
+	if int(f.Src) < len(p.byEP) && p.byEP[f.Src] != nil {
+		s = p.byEP[f.Src]
 	}
 	s.release(f)
 }

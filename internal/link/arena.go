@@ -10,9 +10,10 @@ import (
 // Arena is the dense wire store of a platform: every flit link and
 // credit link lives by value in one of two contiguous slices, pair i
 // being flit link i and its credit links, one per virtual channel; what
-// the wires share lives here once. A healthy wire needs no evaluation,
-// so the arena is a plain component that commits only the faulted wires
-// and is quiet while there are none; OnFault tells its owner to wake it.
+// the wires share lives here once. No wire needs evaluation — a faulted
+// one included, as its fault acts on Send and SetFault — so the arena
+// is no engine component: the platform snapshots it and attaches its
+// links to the bus.
 type Arena struct {
 	name    string
 	vcs     int
@@ -21,8 +22,6 @@ type Arena struct {
 	names   []string     // per flit link
 	cnames  []string     // per credit link
 	clock   func() uint64
-	faulted []*Link // with a fault mode or a held flit
-	onFault func()
 	onDrop  func(*flit.Flit)
 	send    *func(elem int)
 	probes  []*probe.Probe // per flit link; nil until one is set
@@ -53,7 +52,7 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	if len(a.links) == cap(a.links) {
 		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
-	a.links = append(a.links, Link{vis: [2]uint64{never, never}, arena: a, elem: int32(len(a.links))})
+	a.links = append(a.links, Link{vis: [2]uint64{never, never}, until: never, arena: a, elem: int32(len(a.links))})
 	a.names = append(a.names, linkName)
 	crs := make([]*CreditLink, a.vcs)
 	for v := range crs {
@@ -80,10 +79,6 @@ func (a *Arena) now() uint64 {
 	return a.clock()
 }
 
-// OnFault installs the callback told whenever a wire joins the faulted
-// list (SetFault, or a LoadState restoring a fault).
-func (a *Arena) OnFault(f func()) { a.onFault = f }
-
 // SetDropHandler installs the callback invoked with any flit a wire
 // loses (overrun drop) — the pooled datapath's fault-drop release path;
 // unset, dropped flits go to the garbage collector.
@@ -94,39 +89,11 @@ func (a *Arena) SetDropHandler(h func(*flit.Flit)) { a.onDrop = h }
 // Credits wake nobody.
 func (a *Arena) SetHooks(send *func(elem int)) { a.send = send }
 
-// ComponentName implements engine.Component.
-func (a *Arena) ComponentName() string { return a.name }
-
-// Tick implements engine.Component; wires are passive during Tick.
-func (a *Arena) Tick(cycle uint64) {}
-
-// Commit implements engine.Component: commit the faulted wires, and
-// drop from the list those left with neither a fault nor a held flit.
-func (a *Arena) Commit(cycle uint64) {
-	keep := a.faulted[:0]
-	for _, l := range a.faulted {
-		l.Commit(cycle)
-		if l.fault == FaultNone && l.held == nil {
-			l.listed = false
-			continue
-		}
-		keep = append(keep, l)
-	}
-	clear(a.faulted[len(keep):])
-	a.faulted = keep
-}
-
-// NextWake implements engine.Quiescable: quiet until a wire faults.
-func (a *Arena) NextWake(cycle uint64) (uint64, bool) { return ^uint64(0), len(a.faulted) == 0 }
-
-// SkipIdle implements engine.Quiescable: an arena with nothing to commit
-// owes nothing.
-func (a *Arena) SkipIdle(from, n uint64) {}
-
 // Shift moves every wire along a timeline that jumped by delta cycles
 // without executing any (Engine.OnReset): the stamps move along, the
 // slots swap when the parity flipped, and the readers are told to look
-// where their values now are. CYCLES keeps counting.
+// where their values now are. CYCLES and HELD keep counting; a fault
+// controller's mode waits for its first Tick on the new timeline.
 func (a *Arena) Shift(delta uint64) {
 	odd := delta&1 != 0
 	for i := range a.links {
@@ -143,6 +110,10 @@ func (a *Arena) Shift(delta uint64) {
 			}
 		}
 		l.cycleBase += delta
+		l.heldAt += delta
+		if l.until != never {
+			l.until = 0
+		}
 	}
 	for i := range a.credits {
 		c := &a.credits[i]

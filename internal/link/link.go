@@ -10,9 +10,10 @@
 //
 // A wire is a pair of cycle-parity slots, the FPGA's output register:
 // Send in cycle c writes slot (c+1)&1 and Take in cycle c reads slot
-// c&1, so producer and consumer never write the same word in one phase
-// and nothing commits a healthy wire. Only a faulted wire has commit
-// work, done by its arena (arena.go); per-cycle counters are derived.
+// c&1, so producer and consumer never write the same word in one cycle
+// and nothing commits a wire. A fault acts on the write side: Send
+// holds or flips the flit it is given, and SetFault judges the flits
+// of the cycle it is called in. Per-cycle counters are derived.
 package link
 
 import (
@@ -29,7 +30,7 @@ type FaultMode uint8
 const (
 	// FaultNone is normal operation.
 	FaultNone FaultMode = iota
-	// FaultStuck holds the wire: staged flits are not transferred until
+	// FaultStuck holds the wire: a sent flit is not transferred until
 	// the fault clears. Upstream sees a busy wire and stalls — the
 	// credit protocol preserves every flit.
 	FaultStuck
@@ -56,11 +57,18 @@ type Link struct {
 	flits, busyBase, cycleBase      uint64
 	overruns, corrupted, heldCycles uint64
 	held                            *flit.Flit // kept off the wire by a stuck fault
-	arrived                         [2]*uint8  // the reader's flag per parity bank; nil when it polls
-	arena                           *Arena
-	elem                            int32 // the wire's index in its arena; what the hook is told
-	fault                           FaultMode
-	listed                          bool // on the arena's faulted list
+	// heldAt is, while a flit is held, the cycle it was held in (HELD
+	// adds the cycles since); once it is released, the cycle it is
+	// visible in (a snapshot between runs stores it as still held).
+	heldAt uint64
+	// until is the first cycle whose flits the fault mode does not
+	// judge at Send: a fault controller sets its next window edge, where
+	// its SetFaultAt judges them. SetFault leaves it at never.
+	until   uint64
+	arrived [2]*uint8 // the reader's flag per parity bank; nil when it polls
+	arena   *Arena
+	elem    int32 // the wire's index in its arena; what the hook is told
+	fault   FaultMode
 }
 
 // NewLink returns an idle link with the given instance name, in an
@@ -77,7 +85,8 @@ func (l *Link) ComponentName() string { return l.arena.names[l.elem] }
 // a second Send in one cycle is an error (two drivers on one wire). A
 // flit left in the slot since two cycles back was never taken: it is an
 // overrun, handed to the drop handler — never, under correct flow
-// control, and tests assert Overruns()==0.
+// control, and tests assert Overruns()==0. A stuck wire holds the flit
+// instead, and a corrupting one flips it on the way.
 func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 	if f == nil {
 		return fmt.Errorf("link %s: send nil flit", l.ComponentName())
@@ -93,8 +102,24 @@ func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 			l.arena.onDrop(old)
 		}
 	}
+	if l.fault != FaultNone && cycle < l.until {
+		if l.fault == FaultCorrupt {
+			l.corrupt(cycle, f)
+		} else if l.held == nil {
+			l.held, l.heldAt = f, cycle
+			return nil
+		}
+	}
 	l.put(p, cycle+1, f)
 	return nil
+}
+
+// corrupt flips the payload of a flit the wire carries from the given
+// cycle on.
+func (l *Link) corrupt(cycle uint64, f *flit.Flit) {
+	f.Payload = ^f.Payload
+	l.corrupted++
+	l.probe().FaultFire(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
 }
 
 // put writes a flit into slot p, visible in cycle vis, and tells the
@@ -140,47 +165,44 @@ func (l *Link) Take(cycle uint64) *flit.Flit {
 	return f
 }
 
-// Commit is a faulted wire's end of cycle: a stuck fault holds the flit
-// sent this cycle, so the sender sees Busy and stalls, and releases it
-// for the next cycle once cleared; a corrupt fault flips the flit that
-// becomes visible next cycle.
-func (l *Link) Commit(cycle uint64) {
+// SetFault switches the link's fault mode between runs, for every flit
+// sent from the clock's cycle on; FaultNone restores normal operation,
+// and a held flit resumes, visible in the next cycle.
+func (l *Link) SetFault(m FaultMode) { l.SetFaultAt(l.arena.now(), m, never) }
+
+// SetFaultAt is SetFault from a Tick of the given cycle that runs behind
+// every sender's (a fault controller's), for a mode that may change at
+// cycle until: Send judges no flit sent in that cycle or later, the
+// next SetFaultAt of its cycle does. This one judges the flit sent in
+// its own cycle that no mode judged yet, as the mode it sets would have
+// at Send.
+func (l *Link) SetFaultAt(cycle uint64, m FaultMode, until uint64) {
 	p := (cycle + 1) & 1
-	sent := l.slot[p] != nil && l.vis[p] == cycle+1
+	unjudged := l.slot[p] != nil && l.vis[p] == cycle+1 && (l.fault == FaultNone || cycle >= l.until)
+	l.fault, l.until = m, until
 	switch {
-	case l.fault == FaultStuck:
-		if l.held == nil && sent {
-			l.held, l.slot[p], l.vis[p] = l.slot[p], nil, never
+	case m == FaultStuck:
+		if unjudged && l.held == nil {
+			l.held, l.heldAt, l.slot[p], l.vis[p] = l.slot[p], cycle, nil, never
 			l.flits-- // not on the wire after all
-		}
-		if l.held != nil {
-			l.heldCycles++
 		}
 		return
 	case l.held != nil:
-		l.put(p, cycle+1, l.held)
-		l.held, sent = nil, true
+		f := l.held
+		l.heldCycles += cycle - l.heldAt
+		l.held, l.heldAt = nil, cycle+1
+		l.put(p, cycle+1, f)
+		unjudged = true
 	}
-	if f := l.slot[p]; sent && l.fault == FaultCorrupt {
-		f.Payload = ^f.Payload
-		l.corrupted++
-		l.probe().FaultFire(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
+	if unjudged && m == FaultCorrupt {
+		l.corrupt(cycle, l.slot[p])
 	}
 }
 
-// SetFault switches the link's fault mode; FaultNone restores normal
-// operation (a held flit resumes at the next commit). A faulted wire
-// joins its arena's faulted list, which commits it.
-func (l *Link) SetFault(m FaultMode) {
-	l.fault = m
-	if a := l.arena; m != FaultNone && !l.listed {
-		l.listed = true
-		a.faulted = append(a.faulted, l)
-		if a.onFault != nil {
-			a.onFault()
-		}
-	}
-}
+// AwaitSetFault leaves every flit sent from now on to the next
+// SetFaultAt of its cycle. A fault controller calls it on the wires it
+// restores: a window may open or close in the first cycle after.
+func (l *Link) AwaitSetFault() { l.until = 0 }
 
 // SetProbe attaches the tracing probe (nil disables tracing). Probes
 // record only drops and fault fires: the arena keeps them, in a slice
@@ -206,6 +228,7 @@ func (l *Link) probe() *probe.Probe {
 // End-of-run reclamation; the counters read what they read before.
 func (l *Link) Drain(release func(*flit.Flit)) {
 	busy, flits := l.BusyCycles(), l.Flits()
+	l.heldCycles = l.HeldCycles()
 	for _, f := range append(l.slot[:], l.held) {
 		if f != nil && release != nil {
 			release(f)
@@ -221,9 +244,14 @@ func (l *Link) Fault() FaultMode { return l.fault }
 // Corrupted returns the number of flits whose payload a fault flipped.
 func (l *Link) Corrupted() uint64 { return l.corrupted }
 
-// HeldCycles returns the cycles a staged flit was held by a stuck
-// fault.
-func (l *Link) HeldCycles() uint64 { return l.heldCycles }
+// HeldCycles returns the cycles a sent flit was held by a stuck fault:
+// every cycle from the one it was held in, up to the clock's.
+func (l *Link) HeldCycles() uint64 {
+	if l.held == nil {
+		return l.heldCycles
+	}
+	return l.heldCycles + l.arena.now() - l.heldAt
+}
 
 // Overruns returns the number of flits lost to double occupancy; always
 // zero under correct flow control.
@@ -282,4 +310,7 @@ func (l *Link) ResetStats() {
 	l.busyBase = l.flits - l.onWire(now, now)
 	l.cycleBase = now
 	l.overruns, l.corrupted, l.heldCycles = 0, 0, 0
+	if l.held != nil {
+		l.heldAt = now
+	}
 }

@@ -144,17 +144,18 @@ func TestLinkDropHandlerReceivesOverrun(t *testing.T) {
 }
 
 func TestLinkDrainReleasesWireAndHeldFlit(t *testing.T) {
-	l := NewLink("l0")
+	p := newPair()
+	l := p.l
 	onWire, held := mkFlit(0), mkFlit(1)
 	if err := l.Send(0, onWire); err != nil {
 		t.Fatal(err)
 	}
-	// A stuck fault holds the next flit off the wire.
+	// A stuck fault set before cycle 1 holds the next flit off the wire.
+	p.now = 1
 	l.SetFault(FaultStuck)
 	if err := l.Send(1, held); err != nil {
 		t.Fatal(err)
 	}
-	l.Commit(1)
 	var got []*flit.Flit
 	l.Drain(func(f *flit.Flit) { got = append(got, f) })
 	if len(got) != 2 {
@@ -439,7 +440,8 @@ func TestCreditLinkTakeBefore(t *testing.T) {
 // flags and clears them; the wire never does.
 func TestArrivalFlags(t *testing.T) {
 	var arr, cred [2]uint8
-	l, c := NewLink("l"), NewCreditLink("cr")
+	p := newPair()
+	l, c := p.l, p.cr
 	l.NotifyArrival([2]*uint8{&arr[0], &arr[1]})
 	c.NotifyArrival([2]*uint8{&cred[0], &cred[1]})
 	if err := l.Send(4, mkFlit(0)); err != nil {
@@ -451,24 +453,21 @@ func TestArrivalFlags(t *testing.T) {
 	}
 	arr, cred = [2]uint8{}, [2]uint8{}
 	l.Take(5)
-	l.Commit(5)
 	if arr != [2]uint8{} {
-		t.Errorf("a take and an empty commit raised flags %v", arr)
+		t.Errorf("a take raised flags %v", arr)
 	}
+	p.now = 6
 	l.SetFault(FaultStuck)
 	if err := l.Send(6, mkFlit(1)); err != nil {
 		t.Fatal(err)
 	}
-	l.Commit(6)
-	arr = [2]uint8{}
-	l.Commit(7)
 	if arr != [2]uint8{} || l.Peek(7) != nil || l.Peek(8) != nil {
 		t.Errorf("a held flit raised flags %v", arr)
 	}
+	p.now = 8
 	l.SetFault(FaultNone)
-	l.Commit(8)
 	if arr != [2]uint8{0, 1} || l.Peek(9) == nil {
-		t.Errorf("the releasing commit left the arrival flags at %v", arr)
+		t.Errorf("the release left the arrival flags at %v", arr)
 	}
 }
 

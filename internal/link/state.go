@@ -19,28 +19,33 @@ import (
 )
 
 // SaveState serializes one flit wire at the clock's cycle N: the flit
-// visible in N, and the held one. A flit taken in N or sent in N means
-// the snapshot was taken mid-cycle, one left untaken before N a flow-
-// control bug: either panics.
+// visible in N, and the held one — a flit a SetFault released in N is
+// still held as far as N's commits go. A flit taken in N or sent in N
+// means the snapshot was taken mid-cycle, one left untaken before N a
+// flow-control bug: either panics.
 func (l *Link) SaveState(w *state.Writer) {
 	now := l.arena.now()
-	cur := l.slot[now&1]
-	if l.slot[(now+1)&1] != nil || (cur == nil) == (l.vis[now&1] == now) {
+	cur, next, held := l.slot[now&1], l.slot[(now+1)&1], l.held
+	if next != nil && l.heldAt == now+1 && l.vis[(now+1)&1] == now+1 {
+		next, held = nil, next
+	}
+	if next != nil || (cur == nil) == (l.vis[now&1] == now) {
 		panic(fmt.Sprintf("link %s: snapshot in cycle %d with a flit taken, sent or left untaken (mid-cycle)", l.ComponentName(), now))
 	}
 	w.U8(uint8(l.fault))
 	flit.SaveFlit(w, cur)
-	flit.SaveFlit(w, l.held)
+	flit.SaveFlit(w, held)
 	w.U64(l.BusyCycles())
 	w.U64(l.TotalCycles())
 	w.U64(l.Flits())
 	w.U64(l.overruns)
 	w.U64(l.corrupted)
-	w.U64(l.heldCycles)
+	w.U64(l.HeldCycles())
 }
 
 // LoadState restores one flit wire at the clock's cycle: the visible
-// flit goes into that cycle's slot.
+// flit goes into that cycle's slot, and a held flit without a stuck
+// fault is released into the next.
 func (l *Link) LoadState(r *state.Reader) error {
 	mode := FaultMode(r.U8())
 	if r.Err() == nil && mode > FaultCorrupt {
@@ -54,12 +59,9 @@ func (l *Link) LoadState(r *state.Reader) error {
 	if err != nil {
 		return err
 	}
-	if held != nil && mode != FaultStuck {
-		return fmt.Errorf("link %s: snapshot stages a flit without a stuck fault", l.ComponentName())
-	}
 	busy, total, flits := r.U64(), r.U64(), r.U64()
 	now := l.arena.now()
-	l.slot, l.vis, l.held = [2]*flit.Flit{}, [2]uint64{never, never}, held
+	l.slot, l.vis, l.held, l.heldAt = [2]*flit.Flit{}, [2]uint64{never, never}, held, now
 	if cur != nil {
 		l.slot[now&1], l.vis[now&1] = cur, now
 	}
@@ -67,7 +69,7 @@ func (l *Link) LoadState(r *state.Reader) error {
 	l.busyBase = flits - l.onWire(now, now) - busy
 	l.cycleBase = now - total
 	l.overruns, l.corrupted, l.heldCycles = r.U64(), r.U64(), r.U64()
-	l.SetFault(mode) // a held flit comes with a stuck fault: listed either way
+	l.SetFault(mode)
 	return r.Err()
 }
 

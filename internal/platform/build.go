@@ -30,10 +30,6 @@ const (
 	BusAux     = 3
 )
 
-// The wire arena is a plain component that commits the faulted wires,
-// quiet while there are none.
-var _ engine.Quiescable = (*link.Arena)(nil)
-
 // Platform is a fully wired emulation platform.
 type Platform struct {
 	cfg   Config
@@ -72,8 +68,8 @@ type Platform struct {
 	initSnap []byte
 	// wires and swArena are the dense stores every wire and switch lives
 	// in; both are snapshot sections (snapshot.go). Only the switches are
-	// an engine arena: a wire needs no evaluation unless it faults, so the
-	// wires are one plain component that commits the faulted ones.
+	// an engine arena: a wire needs no evaluation, a faulted one included
+	// (its fault acts on Send and SetFault), so the wires are no component.
 	wires   *link.Arena
 	swArena *switchfab.Arena
 }
@@ -286,10 +282,9 @@ func Build(cfg Config) (*Platform, error) {
 	for _, l := range p.links {
 		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 	}
-	// The wire arena commits only faulted wires and is quiet without
-	// them. The wires read the engine's clock for what they derive from
-	// it (CYCLES, BUSY and FLITS between runs, snapshots).
-	p.eng.MustRegister(p.wires)
+	// The wires need no evaluation, so the wire arena is no component.
+	// They read the engine's clock for what they derive from it (CYCLES,
+	// BUSY and FLITS between runs, HELD, snapshots, a fault's cycle).
 	p.wires.SetClock(p.eng.Cycle)
 	p.eng.OnReset(p.wires.Shift)
 	// The collector registers after every data component so its serial
@@ -374,10 +369,6 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		p.wires.SetHooks(p.arms.Hook())
 	}
-	// A wire that faults mid-run (a fault controller's Tick, a register
-	// write) wakes the parked wire arena, so it is committed that cycle.
-	armWires, _ := p.eng.Armer(engine.Target{Name: p.wires.ComponentName()})
-	p.wires.OnFault(armWires)
 	// Emit-time arming: any probe emission wakes the collector so ring
 	// fills never depend on the parking schedule (which would make drops
 	// — and thus the exported stream — schedule-dependent). The armer is

@@ -117,7 +117,7 @@ type Config struct {
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
 	// Workers selects how the engine walks a cycle: 0 walks the
-	// schedule on the caller's goroutine; N >= 1 evaluates each phase
+	// schedule on the caller's goroutine; N >= 1 evaluates each cycle
 	// on N workers (engine.SetWorkers) — the software analogue of the
 	// FPGA evaluating every device in parallel. Results are
 	// bit-identical for every value. A platform with Workers > 0

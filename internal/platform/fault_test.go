@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"nocemu/internal/engine"
 	"nocemu/internal/fault"
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
@@ -313,19 +312,19 @@ func sectionsOf(t *testing.T, p *Platform) []state.Section {
 	return secs
 }
 
-// TestWiresAreOnePlainComponent: the wire arena is registered once, by
-// Build, as a plain component — never as an engine arena.
-func TestWiresAreOnePlainComponent(t *testing.T) {
+// TestWiresAreNoComponent: no wire needs evaluation, a faulted one
+// included, so the wire arena stays out of the engine's schedule; the
+// bus still reaches its links.
+func TestWiresAreNoComponent(t *testing.T) {
 	p, err := BuildPaper(PaperOptions{PacketsPerTG: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range p.eng.Arenas() {
-		if a.ComponentName() == p.wires.ComponentName() {
-			t.Error("the wire arena is an engine arena")
-		}
+	if _, ok := p.eng.Lookup("wires"); ok {
+		t.Error("the wire arena is registered")
 	}
-	if c, ok := p.eng.Lookup(p.wires.ComponentName()); !ok || c != engine.Component(p.wires) {
-		t.Error("the wire arena is not registered")
+	writeLinkFault(t, p, 0, link.FaultStuck)
+	if l, _ := p.Link(0); l.Fault() != link.FaultStuck {
+		t.Errorf("the bus wrote fault mode %d, want stuck", l.Fault())
 	}
 }

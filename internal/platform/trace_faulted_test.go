@@ -2,6 +2,8 @@ package platform_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -153,6 +155,46 @@ func TestFaultedRestoreAtBoundaries(t *testing.T) {
 				t.Errorf("cut %d, workers=%d noGate=%v: trace diverged:\n%s",
 					cut, v.workers, v.noGate, firstTraceDiff(want, buf.Bytes()))
 			}
+		}
+	}
+}
+
+// TestFaultedSnapshotsPinned snapshots the faulted run after every cycle
+// — a held flit's HELD count, a release between two cycles, a flipped
+// payload on the wire — and folds the snapshot hashes into one digest,
+// taken from the code before wires judged faults at Send. The trace
+// does not carry these counters; the snapshot does.
+func TestFaultedSnapshotsPinned(t *testing.T) {
+	const want = "6d14ee4d544984275adea93c92fb43e068187ab38fdcf6feb6cc119a9c422518"
+	for _, v := range []struct {
+		workers int
+		noGate  bool
+	}{{0, true}, {0, false}, {2, false}} {
+		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace = &probe.Config{}
+		cfg.Workers, cfg.NoGate = v.workers, v.noGate
+		p, err := platform.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.AddFaults(faultedSpecs); err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		for c := uint64(1); c <= 170; c++ {
+			p.RunCycles(1)
+			b, err := p.SnapshotBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&log, "%d %x\n", c, sha256.Sum256(b))
+		}
+		p.Close()
+		if got := fmt.Sprintf("%x", sha256.Sum256(log.Bytes())); got != want {
+			t.Errorf("workers=%d noGate=%v: snapshot digest %s, want %s", v.workers, v.noGate, got, want)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func (w *Watchdog) ComponentName() string { return w.name }
 
 // TickSerially implements engine.SerialTicker: the watchdog's Tick sums
 // statistics owned by every TG and TR, so the parallel kernel must
-// evaluate it alone, after the sharded Tick phase. Registration after
+// evaluate it alone, after every worker's share of the cycle. Registration after
 // platform build keeps it behind the devices it observes, which makes
 // the serialized evaluation bit-identical to the sequential kernel.
 func (w *Watchdog) TickSerially() {}
@@ -85,8 +85,8 @@ func (w *Watchdog) Tick(cycle uint64) {
 	}
 }
 
-// Commit implements engine.Component.
-func (w *Watchdog) Commit(cycle uint64) {}
+// Commit implements engine.Component; the kernel never calls it.
+func (w *Watchdog) Commit(uint64) {}
 
 // NextWake implements engine.Quiescable. The watchdog is quiet only
 // when the network is fully drained (every sent flit consumed and the
@@ -126,7 +126,9 @@ func (w *Watchdog) Reset(cycle uint64) {
 // inter-switch links and returns its controller. Must be called before
 // the run starts.
 func (p *Platform) AddFaults(specs []fault.Spec) (*fault.Controller, error) {
-	ctrl, err := fault.NewController(fmt.Sprintf("faults%d", p.eng.NumComponents()), p.links, specs)
+	// Campaign names number the registry as it stood when the wire arena
+	// held a slot in it: snapshot sections and traces carry them.
+	ctrl, err := fault.NewController(fmt.Sprintf("faults%d", p.eng.NumComponents()+1), p.links, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -65,11 +65,8 @@ type boundary struct {
 //   - Tick drains all rings and, at window boundaries, samples the
 //     occupancy/utilization closures. Under the parallel kernel the
 //     collector is a SerialTicker, so the drain runs in the exclusive
-//     coordinator window between the tick and commit gates — the only
-//     point where no worker is writing any ring.
-//   - Commit is a no-op: the parallel kernel commits serial components
-//     concurrently with the worker shards, so the commit phase is not
-//     a safe drain point.
+//     coordinator window between the workers' arrival at the gate and
+//     its release — the only point where no worker is writing any ring.
 //   - It is Quiescable (quiet when every ring is empty, waking at the
 //     next window boundary), which keeps schedule-wide fast-forward
 //     alive with tracing enabled; emit-time arming wakes it the moment
@@ -167,9 +164,8 @@ func (c *Collector) Tick(cycle uint64) {
 	}
 }
 
-// Commit implements engine.Component (no-op; see the type comment for
-// why draining here would race under the parallel kernel).
-func (c *Collector) Commit(cycle uint64) {}
+// Commit implements engine.Component; the kernel never calls it.
+func (c *Collector) Commit(uint64) {}
 
 // TickSerially implements engine.SerialTicker: the drain reads rings
 // owned by components in other shards.
@@ -320,8 +316,8 @@ func (c *Collector) SchedFastForward(from, to uint64) {
 	c.sched(Event{Cycle: from, Kind: KindFF, Comp: "kernel", Val: to})
 }
 
-// finalize drains any still-buffered events (the last commit phase's
-// emissions have not seen a Tick) and canonically orders the log:
+// finalize drains any still-buffered events (those emitted behind the
+// last cycle's Tick) and canonically orders the log:
 // a stable sort by (cycle, ring id). Stability preserves each ring's
 // emission order, and because the drained multiset and the ring ids
 // are pure functions of the emulation results and the build order, the

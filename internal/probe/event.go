@@ -13,7 +13,8 @@
 // race-free under the parallel kernel), and a Collector — an engine
 // component registered last — drains every ring during its Tick, which
 // the parallel kernel runs in the exclusive serialized window between
-// the tick and commit gates. Draining order therefore varies with the
+// the workers' arrival at its gate and the release. Draining order
+// therefore varies with the
 // kernel; the exported trace does not: events are canonically ordered
 // at export time by (cycle, ring id), with a stable sort preserving
 // each ring's emission order, and ring ids are assigned in

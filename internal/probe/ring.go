@@ -46,9 +46,9 @@ func recOf(ev Event, ringID, compIdx uint32) rec {
 
 // ring is a fixed-capacity event buffer with exactly one producer (the
 // emitting component, always evaluated by a single worker within a
-// phase) and one consumer (the Collector, draining in a serialized
+// cycle) and one consumer (the Collector, draining in a serialized
 // window). Producer and consumer never run concurrently — the kernel's
-// phase gates order them — so no atomics are needed: the buffer is
+// gate orders them — so no atomics are needed: the buffer is
 // ordinary component state, like a FIFO's.
 //
 // The consumer always drains the ring completely, so the buffer is a

@@ -58,7 +58,6 @@ func (h *harness) run(n int) {
 			h.queue = h.queue[1:]
 		}
 		h.tr.Tick(h.cycle)
-		h.tr.Commit(h.cycle)
 		h.cycle++
 	}
 }

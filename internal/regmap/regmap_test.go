@@ -133,7 +133,6 @@ func TestTGDeviceStatsRoundTrip(t *testing.T) {
 	// Drive a few cycles so counters move.
 	for c := uint64(0); c < 30; c++ {
 		tg.Tick(c)
-		tg.Commit(c)
 	}
 	off, _ := d.ReadReg(RegTGOffered)
 	if off == 0 {
@@ -196,7 +195,6 @@ func feedTR(tr *receptor.TR, in *link.Link, cr *link.CreditLink, n int, length u
 
 func pump(tr *receptor.TR, in *link.Link, cr *link.CreditLink, cycle uint64) uint64 {
 	tr.Tick(cycle)
-	tr.Commit(cycle)
 	return cycle + 1
 }
 

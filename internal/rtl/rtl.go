@@ -7,7 +7,7 @@
 // device is a clocked process on the kernel's sensitivity machinery.
 // Each emulated cycle therefore costs calendar events, delta cycles and
 // dynamic activations per signal — the overhead the FPGA emulator (and
-// our static two-phase engine) avoids, and the reason the paper sees
+// our static one-pass engine) avoids, and the reason the paper sees
 // four orders of magnitude between the two.
 //
 // The devices implement the same transfer semantics as the fast

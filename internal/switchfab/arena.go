@@ -13,8 +13,8 @@ import (
 // concrete Tick directly over adjacent memory — no interface dispatch,
 // no pointer chasing between neighbouring switches — which is what
 // keeps the route/arbitrate loop cache-resident at 1k-node scale. A
-// switch's lanes act within its Tick, so the arena's commits are empty
-// but for the quiet report the gate asks for.
+// switch's lanes act within its Tick; after it, the gate asks the arena
+// for its quiet report.
 //
 // The arena is storage plus evaluation; which switches are worth
 // evaluating in a given cycle is the engine's decision (its gate
@@ -56,10 +56,6 @@ func (a *Arena) ComponentName() string { return a.name }
 // Tick implements engine.Component: evaluate every switch.
 func (a *Arena) Tick(cycle uint64) { a.TickRange(0, len(a.sws), cycle) }
 
-// Commit implements engine.Component: the switches have nothing to
-// commit (Switch.Commit).
-func (a *Arena) Commit(cycle uint64) {}
-
 // Len implements engine.Arena.
 func (a *Arena) Len() int { return len(a.sws) }
 
@@ -70,9 +66,8 @@ func (a *Arena) TickRange(lo, hi int, cycle uint64) {
 	}
 }
 
-// CommitRange implements engine.Arena: the switches have nothing to
-// commit.
-func (a *Arena) CommitRange(lo, hi int, cycle uint64) {}
+// Commit implements engine.Component; the kernel never calls it.
+func (a *Arena) Commit(uint64) {}
 
 // TickList implements engine.Arena: tick the listed switches.
 func (a *Arena) TickList(idx []int, cycle uint64) {
@@ -81,12 +76,11 @@ func (a *Arena) TickList(idx []int, cycle uint64) {
 	}
 }
 
-// CommitList implements engine.Arena: report which of the listed
+// QuietList implements engine.Arena: report which of the listed
 // switches went quiet — no lane occupied and no flit arriving next
-// cycle, state their Ticks left or the cycle's Sends raised, so the
-// answer does not depend on what else runs in the Commit phase. A busy
+// cycle, state their Ticks left or the cycle's Sends raised. A busy
 // switch answers from its first occupancy word.
-func (a *Arena) CommitList(idx []int, cycle uint64, quiet []int) []int {
+func (a *Arena) QuietList(idx []int, cycle uint64, quiet []int) []int {
 	for r, i := range idx {
 		if _, q := a.sws[i].NextWake(cycle); q {
 			quiet = append(quiet, r)

@@ -137,7 +137,7 @@ type Switch struct {
 	// sets the byte of bank (c+1)&1 when it is sent to in cycle c and
 	// writes nothing else here; only this switch's Tick, SkipIdle and
 	// LoadState read, clear or raise them, and Tick in cycle c touches
-	// bank c&1 alone — so the senders of one Tick phase and this switch
+	// bank c&1 alone — so the senders of one cycle and this switch
 	// never share a word, and the pooled walk needs no atomics (make race
 	// is the check). Clear proves there is nothing to take, set means
 	// look, so flags are not state (a load raises them all).
@@ -550,10 +550,6 @@ func (s *Switch) ring(r int) []*flit.Flit {
 	d := s.cfg.BufDepth
 	return s.slots[r*d : (r+1)*d : (r+1)*d]
 }
-
-// Commit implements engine.Component. A switch's lanes act within the
-// cycle and Tick counts it, so there is nothing left to commit.
-func (s *Switch) Commit(cycle uint64) {}
 
 // settle pays every lane the idle cycles it is owed — the difference of
 // the switch's cycle count and the lane's, which are counted, skipped,

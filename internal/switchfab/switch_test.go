@@ -146,6 +146,12 @@ func TestWiringErrors(t *testing.T) {
 	}
 }
 
+// alone registers one switch as a component of its own; a platform
+// registers its switches as one arena.
+type alone struct{ *Switch }
+
+func (alone) Commit(uint64) {}
+
 // buildSingle wires inj -> switch -> ej on a 1x1 switch and returns the
 // pieces; dst endpoint is 100.
 func buildSingle(t *testing.T, plan []plannedPacket) (*engine.Engine, *testSrc, *testDst, *Switch) {
@@ -181,7 +187,7 @@ func buildSingle(t *testing.T, plan []plannedPacket) (*engine.Engine, *testSrc, 
 	src := &testSrc{name: "src", inj: inj, plan: plan}
 	dst := &testDst{name: "dst", ej: ej, want: len(plan)}
 	eng.MustRegister(src)
-	eng.MustRegister(sw)
+	eng.MustRegister(alone{sw})
 	eng.MustRegister(dst)
 	return eng, src, dst, sw
 }
@@ -294,7 +300,7 @@ func buildContention(t *testing.T, perSrc int, pktLen uint16) (*engine.Engine, *
 		t.Fatal(err)
 	}
 	dst := &testDst{name: "dst", ej: ej, want: 2 * perSrc}
-	eng.MustRegister(sw)
+	eng.MustRegister(alone{sw})
 	eng.MustRegister(dst)
 	return eng, dst, sw
 }
@@ -421,7 +427,7 @@ func buildLanes(t *testing.T, dsts [2]flit.EndpointID, pktLen uint16) (*engine.E
 		t.Fatal(err)
 	}
 	dst := &laneDst{in: outL, crs: outCrs, want: 2 * int(pktLen)}
-	eng.MustRegister(sw)
+	eng.MustRegister(alone{sw})
 	eng.MustRegister(dst)
 	return eng, dst
 }

@@ -4,20 +4,21 @@
 //
 // It drives the *same* component set as the emulation engine, so the
 // results are bit-identical; what changes is the scheduler. Where the
-// engine walks a static slice twice per cycle, this kernel models
+// engine walks a static slice once per cycle, this kernel models
 // SystemC's dynamic scheduling: every component — and every element of
 // a dense arena, since a SystemC kernel sees each module on its own —
 // is a process that "waits on the clock": it is re-inserted into a
 // time-ordered event calendar (a heap) on every cycle, for both the
-// evaluate (Tick) and update (Commit) phases. A wire gets no process:
-// it is modelled as a signal its writer updates — the parity slot the
-// sender writes is what the reader sees next cycle — rather than as a
-// primitive channel with an update process of its own. The wire arena
-// is one plain component (it commits faulted wires only), so it is one
-// process pair, not one per wire. The per-cycle heap traffic is the
-// structural overhead a cycle-accurate SystemC simulation pays, and
-// benchmarks over this package regenerate the middle row of the
-// paper's Table 2.
+// evaluate and the update phase. The components need no update phase —
+// the wires' parity slots are their registers — but a SystemC kernel
+// runs one, so each evaluate process (Tick) is paired with an update
+// process that the calendar schedules and dispatches like any other.
+// A wire gets no process: it is modelled as a signal its writer
+// updates — the parity slot the sender writes is what the reader sees
+// next cycle — rather than as a primitive channel with an update
+// process of its own. The per-cycle heap traffic is the structural
+// overhead a cycle-accurate SystemC simulation pays, and benchmarks
+// over this package regenerate the middle row of the paper's Table 2.
 package tlm
 
 import (
@@ -33,7 +34,8 @@ const (
 	phaseUpdate   = 1
 )
 
-// process is one component's, or one arena element's, Tick or Commit.
+// process is one component's, or one arena element's, evaluate (Tick)
+// or update process.
 type process struct {
 	run   func(cycle uint64)
 	phase int
@@ -92,21 +94,21 @@ func New(eng *engine.Engine) (*Simulator, error) {
 		return nil, fmt.Errorf("tlm: engine has no components")
 	}
 	s := &Simulator{stoppers: eng.Stoppers()}
-	add := func(tick, commit func(uint64)) {
+	update := func(uint64) {}
+	add := func(tick func(uint64)) {
 		seq := len(s.cal) / 2
 		s.cal = append(s.cal,
 			&process{run: tick, phase: phaseEvaluate, seq: seq},
-			&process{run: commit, phase: phaseUpdate, seq: seq})
+			&process{run: update, phase: phaseUpdate, seq: seq})
 	}
 	for _, c := range comps {
 		a, ok := c.(engine.Arena)
 		if !ok {
-			add(c.Tick, c.Commit)
+			add(c.Tick)
 			continue
 		}
 		for i := 0; i < a.Len(); i++ {
-			add(func(cycle uint64) { a.TickRange(i, i+1, cycle) },
-				func(cycle uint64) { a.CommitRange(i, i+1, cycle) })
+			add(func(cycle uint64) { a.TickRange(i, i+1, cycle) })
 		}
 	}
 	heap.Init(&s.cal)

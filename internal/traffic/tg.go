@@ -101,9 +101,8 @@ func (t *TG) Tick(cycle uint64) {
 	t.inj.Pump(cycle)
 }
 
-// Commit implements engine.Component; TG state is owned entirely by the
-// Tick phase (its wires need no commit).
-func (t *TG) Commit(cycle uint64) {}
+// Commit implements engine.Component; the kernel never calls it.
+func (t *TG) Commit(uint64) {}
 
 // NextWake implements engine.Quiescable. The TG is quiet when it holds
 // no backpressured demand, its source queue has drained, and the

@@ -44,7 +44,6 @@ func (h *tgHarness) run(n uint64) (flits int, packets int) {
 			}
 			h.cr.Send(c, 1)
 		}
-		h.tg.Commit(c)
 	}
 	return flits, packets
 }
@@ -138,7 +137,6 @@ func TestTGBackpressureHoldsDemands(t *testing.T) {
 	for c := uint64(0); c < 100; c++ {
 		tg.Tick(c)
 		out.Take(c) // consume but never credit back
-		tg.Commit(c)
 	}
 	st := tg.Stats()
 	// 2 packets fit in the queue; the third waits in pending.
@@ -174,7 +172,6 @@ func TestTGLoadRejectsZeroLengthPending(t *testing.T) {
 	for c := uint64(0); c < 20; c++ {
 		src.tg.Tick(c)
 		src.out.Take(c)
-		src.tg.Commit(c)
 	}
 	w := state.NewWriter()
 	src.tg.SaveState(w)
@@ -214,7 +211,6 @@ func TestTGReseedReproducesTraffic(t *testing.T) {
 				}
 				h.cr.Send(c, 1)
 			}
-			h.tg.Commit(c)
 		}
 		return sizes
 	}

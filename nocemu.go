@@ -17,7 +17,7 @@
 //
 // Three interchangeable backends run the same platform:
 //
-//   - the emulation engine (static two-phase schedule — the FPGA
+//   - the emulation engine (static one-pass schedule — the FPGA
 //     stand-in, fastest);
 //   - a SystemC-like kernel (dynamic event calendar over the same
 //     components);
