@@ -52,7 +52,7 @@ func (a *Arena) NewPair(linkName, creditName string) (*Link, []*CreditLink) {
 	if len(a.links) == cap(a.links) {
 		panic(fmt.Sprintf("link: arena %s capacity %d exceeded", a.name, cap(a.links)))
 	}
-	a.links = append(a.links, Link{vis: [2]uint64{never, never}, until: never, arena: a, elem: int32(len(a.links))})
+	a.links = append(a.links, Link{vis: [2]uint64{never, never}, arena: a, elem: int32(len(a.links))})
 	a.names = append(a.names, linkName)
 	crs := make([]*CreditLink, a.vcs)
 	for v := range crs {
@@ -110,9 +110,11 @@ func (a *Arena) Shift(delta uint64) {
 			}
 		}
 		l.cycleBase += delta
-		l.heldAt += delta
-		if l.until != never {
-			l.until = 0
+		if fs := l.fs; fs != nil {
+			fs.heldAt += delta
+			if fs.until != never {
+				fs.until = 0
+			}
 		}
 	}
 	for i := range a.credits {

@@ -54,9 +54,18 @@ type Link struct {
 	// flits counts the flits put on the wire; BUSY subtracts busyBase
 	// and those not yet past their visible cycle, CYCLES is the clock's
 	// distance from cycleBase. ResetStats and LoadState set the bases.
-	flits, busyBase, cycleBase      uint64
-	overruns, corrupted, heldCycles uint64
-	held                            *flit.Flit // kept off the wire by a stuck fault
+	flits, busyBase, cycleBase, overruns uint64
+	fs                                   *faultState // nil until the wire first faults
+	arrived                              [2]*uint8   // the reader's flag per parity bank; nil when it polls
+	arena                                *Arena
+	elem                                 int32 // the wire's index in its arena; what the hook is told
+	fault                                FaultMode
+}
+
+// faultState is what a wire keeps once a fault has been set on it, off
+// the struct every Send and Take touches: most wires never fault.
+type faultState struct {
+	held *flit.Flit // kept off the wire by a stuck fault
 	// heldAt is, while a flit is held, the cycle it was held in (HELD
 	// adds the cycles since); once it is released, the cycle it is
 	// visible in (a snapshot between runs stores it as still held).
@@ -64,11 +73,8 @@ type Link struct {
 	// until is the first cycle whose flits the fault mode does not
 	// judge at Send: a fault controller sets its next window edge, where
 	// its SetFaultAt judges them. SetFault leaves it at never.
-	until   uint64
-	arrived [2]*uint8 // the reader's flag per parity bank; nil when it polls
-	arena   *Arena
-	elem    int32 // the wire's index in its arena; what the hook is told
-	fault   FaultMode
+	until                 uint64
+	corrupted, heldCycles uint64
 }
 
 // NewLink returns an idle link with the given instance name, in an
@@ -102,11 +108,11 @@ func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 			l.arena.onDrop(old)
 		}
 	}
-	if l.fault != FaultNone && cycle < l.until {
+	if fs := l.fs; l.fault != FaultNone && cycle < fs.until {
 		if l.fault == FaultCorrupt {
 			l.corrupt(cycle, f)
-		} else if l.held == nil {
-			l.held, l.heldAt = f, cycle
+		} else if fs.held == nil {
+			fs.held, fs.heldAt = f, cycle
 			return nil
 		}
 	}
@@ -118,7 +124,7 @@ func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 // cycle on.
 func (l *Link) corrupt(cycle uint64, f *flit.Flit) {
 	f.Payload = ^f.Payload
-	l.corrupted++
+	l.fs.corrupted++
 	l.probe().FaultFire(cycle, uint64(f.Packet), uint16(f.Src), uint16(f.Dst), f.Index)
 }
 
@@ -143,7 +149,7 @@ func (l *Link) NotifyArrival(flags [2]*uint8) { l.arrived = flags }
 // one was already sent in it, or a stuck fault holds one.
 func (l *Link) Busy(cycle uint64) bool {
 	p := (cycle + 1) & 1
-	return l.held != nil || (l.slot[p] != nil && l.vis[p] == cycle+1)
+	return (l.slot[p] != nil && l.vis[p] == cycle+1) || (l.fs != nil && l.fs.held != nil)
 }
 
 // Peek returns the flit visible in the given cycle, if any, without
@@ -177,20 +183,28 @@ func (l *Link) SetFault(m FaultMode) { l.SetFaultAt(l.arena.now(), m, never) }
 // its own cycle that no mode judged yet, as the mode it sets would have
 // at Send.
 func (l *Link) SetFaultAt(cycle uint64, m FaultMode, until uint64) {
+	fs := l.fs
+	if fs == nil {
+		if m == FaultNone {
+			return // never faulted: nothing held, nothing to judge
+		}
+		fs = &faultState{}
+		l.fs = fs
+	}
 	p := (cycle + 1) & 1
-	unjudged := l.slot[p] != nil && l.vis[p] == cycle+1 && (l.fault == FaultNone || cycle >= l.until)
-	l.fault, l.until = m, until
+	unjudged := l.slot[p] != nil && l.vis[p] == cycle+1 && (l.fault == FaultNone || cycle >= fs.until)
+	l.fault, fs.until = m, until
 	switch {
 	case m == FaultStuck:
-		if unjudged && l.held == nil {
-			l.held, l.heldAt, l.slot[p], l.vis[p] = l.slot[p], cycle, nil, never
+		if unjudged && fs.held == nil {
+			fs.held, fs.heldAt, l.slot[p], l.vis[p] = l.slot[p], cycle, nil, never
 			l.flits-- // not on the wire after all
 		}
 		return
-	case l.held != nil:
-		f := l.held
-		l.heldCycles += cycle - l.heldAt
-		l.held, l.heldAt = nil, cycle+1
+	case fs.held != nil:
+		f := fs.held
+		fs.heldCycles += cycle - fs.heldAt
+		fs.held, fs.heldAt = nil, cycle+1
 		l.put(p, cycle+1, f)
 		unjudged = true
 	}
@@ -202,7 +216,11 @@ func (l *Link) SetFaultAt(cycle uint64, m FaultMode, until uint64) {
 // AwaitSetFault leaves every flit sent from now on to the next
 // SetFaultAt of its cycle. A fault controller calls it on the wires it
 // restores: a window may open or close in the first cycle after.
-func (l *Link) AwaitSetFault() { l.until = 0 }
+func (l *Link) AwaitSetFault() {
+	if l.fs != nil {
+		l.fs.until = 0
+	}
+}
 
 // SetProbe attaches the tracing probe (nil disables tracing). Probes
 // record only drops and fault fires: the arena keeps them, in a slice
@@ -228,29 +246,49 @@ func (l *Link) probe() *probe.Probe {
 // End-of-run reclamation; the counters read what they read before.
 func (l *Link) Drain(release func(*flit.Flit)) {
 	busy, flits := l.BusyCycles(), l.Flits()
-	l.heldCycles = l.HeldCycles()
-	for _, f := range append(l.slot[:], l.held) {
+	held := l.held()
+	if fs := l.fs; fs != nil {
+		fs.heldCycles, fs.held = l.HeldCycles(), nil
+	}
+	for _, f := range append(l.slot[:], held) {
 		if f != nil && release != nil {
 			release(f)
 		}
 	}
-	l.slot, l.vis, l.held = [2]*flit.Flit{}, [2]uint64{never, never}, nil
+	l.slot, l.vis = [2]*flit.Flit{}, [2]uint64{never, never}
 	l.flits, l.busyBase = flits, flits-busy
 }
 
 // Fault returns the active fault mode.
 func (l *Link) Fault() FaultMode { return l.fault }
 
+// held returns the flit a stuck fault holds, if any.
+func (l *Link) held() *flit.Flit {
+	if l.fs == nil {
+		return nil
+	}
+	return l.fs.held
+}
+
 // Corrupted returns the number of flits whose payload a fault flipped.
-func (l *Link) Corrupted() uint64 { return l.corrupted }
+func (l *Link) Corrupted() uint64 {
+	if l.fs == nil {
+		return 0
+	}
+	return l.fs.corrupted
+}
 
 // HeldCycles returns the cycles a sent flit was held by a stuck fault:
 // every cycle from the one it was held in, up to the clock's.
 func (l *Link) HeldCycles() uint64 {
-	if l.held == nil {
-		return l.heldCycles
+	switch fs := l.fs; {
+	case fs == nil:
+		return 0
+	case fs.held == nil:
+		return fs.heldCycles
+	default:
+		return fs.heldCycles + l.arena.now() - fs.heldAt
 	}
-	return l.heldCycles + l.arena.now() - l.heldAt
 }
 
 // Overruns returns the number of flits lost to double occupancy; always
@@ -309,8 +347,8 @@ func (l *Link) ResetStats() {
 	l.flits = l.onWire(now+1, now)
 	l.busyBase = l.flits - l.onWire(now, now)
 	l.cycleBase = now
-	l.overruns, l.corrupted, l.heldCycles = 0, 0, 0
-	if l.held != nil {
-		l.heldAt = now
+	l.overruns = 0
+	if fs := l.fs; fs != nil {
+		fs.corrupted, fs.heldCycles, fs.heldAt = 0, 0, now
 	}
 }

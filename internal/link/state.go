@@ -25,8 +25,8 @@ import (
 // flow-control bug: either panics.
 func (l *Link) SaveState(w *state.Writer) {
 	now := l.arena.now()
-	cur, next, held := l.slot[now&1], l.slot[(now+1)&1], l.held
-	if next != nil && l.heldAt == now+1 && l.vis[(now+1)&1] == now+1 {
+	cur, next, held := l.slot[now&1], l.slot[(now+1)&1], l.held()
+	if next != nil && l.fs != nil && l.fs.heldAt == now+1 && l.vis[(now+1)&1] == now+1 {
 		next, held = nil, next
 	}
 	if next != nil || (cur == nil) == (l.vis[now&1] == now) {
@@ -39,7 +39,7 @@ func (l *Link) SaveState(w *state.Writer) {
 	w.U64(l.TotalCycles())
 	w.U64(l.Flits())
 	w.U64(l.overruns)
-	w.U64(l.corrupted)
+	w.U64(l.Corrupted())
 	w.U64(l.HeldCycles())
 }
 
@@ -61,14 +61,19 @@ func (l *Link) LoadState(r *state.Reader) error {
 	}
 	busy, total, flits := r.U64(), r.U64(), r.U64()
 	now := l.arena.now()
-	l.slot, l.vis, l.held, l.heldAt = [2]*flit.Flit{}, [2]uint64{never, never}, held, now
+	l.slot, l.vis = [2]*flit.Flit{}, [2]uint64{never, never}
 	if cur != nil {
 		l.slot[now&1], l.vis[now&1] = cur, now
 	}
 	l.flits = flits
 	l.busyBase = flits - l.onWire(now, now) - busy
 	l.cycleBase = now - total
-	l.overruns, l.corrupted, l.heldCycles = r.U64(), r.U64(), r.U64()
+	l.overruns = r.U64()
+	corrupted, heldCycles := r.U64(), r.U64()
+	l.fs, l.fault = nil, FaultNone
+	if held != nil || corrupted != 0 || heldCycles != 0 || mode != FaultNone {
+		l.fs = &faultState{held: held, heldAt: now, until: never, corrupted: corrupted, heldCycles: heldCycles}
+	}
 	l.SetFault(mode)
 	return r.Err()
 }
