@@ -199,12 +199,6 @@ func (e *Engine) Stoppers() []Stopper {
 	return append([]Stopper(nil), e.stoppers...)
 }
 
-// Aborters returns the registered components that implement Aborter, in
-// registration order (the cached list, copied).
-func (e *Engine) Aborters() []Aborter {
-	return append([]Aborter(nil), e.aborters...)
-}
-
 // Cycle returns the number of completed cycles.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 

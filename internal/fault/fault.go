@@ -67,10 +67,9 @@ func (c *Controller) ComponentName() string { return c.name }
 
 // Tick implements engine.Component: impose each targeted link's fault
 // mode for this cycle (stuck dominates corrupt when windows overlap)
-// until the next window edge, where Tick runs again. The platform
-// registers the controller behind every sender and the pooled walk
-// ticks it alone after them, so the modes judge the flits sent in this
-// cycle (link.SetFaultAt).
+// until the next window edge. Registered behind every sender, and
+// ticked alone after them by the pooled walk, it judges the flits sent
+// in this cycle (link.SetFaultAt).
 func (c *Controller) Tick(cycle uint64) {
 	// Window transitions are traced exactly once: the quiescence
 	// contract guarantees Tick executes at every From/Until boundary
@@ -89,30 +88,22 @@ func (c *Controller) Tick(cycle uint64) {
 	c.applied += c.appliedPerCycle(cycle)
 	next, _ := c.NextWake(cycle)
 	for _, s := range c.specs {
-		c.links[s.Link].SetFaultAt(cycle, c.mode(s.Link, cycle), next)
+		m := link.FaultNone
+		for _, t := range c.specs {
+			if t.Link == s.Link && cycle >= t.From && cycle < t.Until && m != link.FaultStuck {
+				m = t.Mode
+			}
+		}
+		c.links[s.Link].SetFaultAt(cycle, m, next)
 	}
 }
 
 // Commit implements engine.Component; the kernel never calls it.
 func (c *Controller) Commit(uint64) {}
 
-// mode is the fault mode the campaign imposes on link i at the given
-// cycle: stuck if a stuck window is open on it, else corrupt if a
-// corrupt one is.
-func (c *Controller) mode(i int, cycle uint64) link.FaultMode {
-	m := link.FaultNone
-	for _, s := range c.specs {
-		if s.Link == i && cycle >= s.From && cycle < s.Until && m != link.FaultStuck {
-			m = s.Mode
-		}
-	}
-	return m
-}
-
-// TickSerially implements engine.SerialTicker: SetFaultAt judges
-// the flits every sender put on the wire this cycle, so the pooled walk
-// ticks controllers alone, after them. Their Tick reads no other
-// component's state.
+// TickSerially implements engine.SerialTicker: SetFaultAt judges the
+// flits every sender put on the wire this cycle, so the pooled walk
+// ticks controllers alone, after them.
 func (c *Controller) TickSerially() {}
 
 // appliedPerCycle counts the specs Tick would apply at the given cycle,

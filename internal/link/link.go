@@ -66,13 +66,11 @@ type Link struct {
 // the struct every Send and Take touches: most wires never fault.
 type faultState struct {
 	held *flit.Flit // kept off the wire by a stuck fault
-	// heldAt is, while a flit is held, the cycle it was held in (HELD
-	// adds the cycles since); once it is released, the cycle it is
-	// visible in (a snapshot between runs stores it as still held).
+	// heldAt is the cycle the held flit was held in (HELD adds the cycles
+	// since), or, once released, the cycle it is visible in.
 	heldAt uint64
-	// until is the first cycle whose flits the fault mode does not
-	// judge at Send: a fault controller sets its next window edge, where
-	// its SetFaultAt judges them. SetFault leaves it at never.
+	// until is the first cycle whose flits the mode does not judge at
+	// Send, left to SetFaultAt: a fault controller's next window edge.
 	until                 uint64
 	corrupted, heldCycles uint64
 }
@@ -176,12 +174,10 @@ func (l *Link) Take(cycle uint64) *flit.Flit {
 // and a held flit resumes, visible in the next cycle.
 func (l *Link) SetFault(m FaultMode) { l.SetFaultAt(l.arena.now(), m, never) }
 
-// SetFaultAt is SetFault from a Tick of the given cycle that runs behind
-// every sender's (a fault controller's), for a mode that may change at
-// cycle until: Send judges no flit sent in that cycle or later, the
-// next SetFaultAt of its cycle does. This one judges the flit sent in
-// its own cycle that no mode judged yet, as the mode it sets would have
-// at Send.
+// SetFaultAt is SetFault from a Tick of the given cycle behind every
+// sender's (a fault controller's), for a mode that may change at cycle
+// until, whose flits it leaves to the next SetFaultAt. It judges the
+// flit sent in its own cycle that no mode judged, as Send would have.
 func (l *Link) SetFaultAt(cycle uint64, m FaultMode, until uint64) {
 	fs := l.fs
 	if fs == nil {
@@ -214,8 +210,7 @@ func (l *Link) SetFaultAt(cycle uint64, m FaultMode, until uint64) {
 }
 
 // AwaitSetFault leaves every flit sent from now on to the next
-// SetFaultAt of its cycle. A fault controller calls it on the wires it
-// restores: a window may open or close in the first cycle after.
+// SetFaultAt of its cycle: a restored controller's window may turn.
 func (l *Link) AwaitSetFault() {
 	if l.fs != nil {
 		l.fs.until = 0
@@ -246,7 +241,7 @@ func (l *Link) probe() *probe.Probe {
 // End-of-run reclamation; the counters read what they read before.
 func (l *Link) Drain(release func(*flit.Flit)) {
 	busy, flits := l.BusyCycles(), l.Flits()
-	held := l.held()
+	held := l.faults().held
 	if fs := l.fs; fs != nil {
 		fs.heldCycles, fs.held = l.HeldCycles(), nil
 	}
@@ -262,33 +257,24 @@ func (l *Link) Drain(release func(*flit.Flit)) {
 // Fault returns the active fault mode.
 func (l *Link) Fault() FaultMode { return l.fault }
 
-// held returns the flit a stuck fault holds, if any.
-func (l *Link) held() *flit.Flit {
-	if l.fs == nil {
-		return nil
+// faults returns the wire's fault state, a zero one if it never faulted.
+func (l *Link) faults() (fs faultState) {
+	if l.fs != nil {
+		fs = *l.fs
 	}
-	return l.fs.held
+	return fs
 }
 
 // Corrupted returns the number of flits whose payload a fault flipped.
-func (l *Link) Corrupted() uint64 {
-	if l.fs == nil {
-		return 0
-	}
-	return l.fs.corrupted
-}
+func (l *Link) Corrupted() uint64 { return l.faults().corrupted }
 
 // HeldCycles returns the cycles a sent flit was held by a stuck fault:
 // every cycle from the one it was held in, up to the clock's.
 func (l *Link) HeldCycles() uint64 {
-	switch fs := l.fs; {
-	case fs == nil:
-		return 0
-	case fs.held == nil:
-		return fs.heldCycles
-	default:
+	if fs := l.faults(); fs.held != nil {
 		return fs.heldCycles + l.arena.now() - fs.heldAt
 	}
+	return l.faults().heldCycles
 }
 
 // Overruns returns the number of flits lost to double occupancy; always

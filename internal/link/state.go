@@ -25,8 +25,8 @@ import (
 // flow-control bug: either panics.
 func (l *Link) SaveState(w *state.Writer) {
 	now := l.arena.now()
-	cur, next, held := l.slot[now&1], l.slot[(now+1)&1], l.held()
-	if next != nil && l.fs != nil && l.fs.heldAt == now+1 && l.vis[(now+1)&1] == now+1 {
+	cur, next, held := l.slot[now&1], l.slot[(now+1)&1], l.faults().held
+	if next != nil && l.faults().heldAt == now+1 && l.vis[(now+1)&1] == now+1 {
 		next, held = nil, next
 	}
 	if next != nil || (cur == nil) == (l.vis[now&1] == now) {
