@@ -85,8 +85,7 @@ func MeasureEmulatorRate(n uint64) (rate, cyclesPerPacket float64, err error) {
 // scheduler for n cycles and returns cycles/second. The scheduler
 // itself gives every switch its own processes, as SystemC modules get
 // from their kernel; a wire is a signal its writer updates, with no
-// process of its own (the wire arena, one plain component committing
-// faulted wires only, is one process pair).
+// process of its own.
 func MeasureTLMRate(n uint64) (float64, error) {
 	cfg, err := paperRefCfg()
 	if err != nil {

@@ -19,8 +19,8 @@ import (
 )
 
 // SaveState serializes one flit wire at the clock's cycle N: the flit
-// visible in N, and the held one — a flit a SetFault released in N is
-// still held as far as N's commits go. A flit taken in N or sent in N
+// visible in N, and the held one — a flit a SetFault between runs
+// released for N+1 is written as still held. A flit taken in N or sent in N
 // means the snapshot was taken mid-cycle, one left untaken before N a
 // flow-control bug: either panics.
 func (l *Link) SaveState(w *state.Writer) {
