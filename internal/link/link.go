@@ -271,10 +271,11 @@ func (l *Link) Corrupted() uint64 { return l.faults().corrupted }
 // HeldCycles returns the cycles a sent flit was held by a stuck fault:
 // every cycle from the one it was held in, up to the clock's.
 func (l *Link) HeldCycles() uint64 {
-	if fs := l.faults(); fs.held != nil {
+	fs := l.faults()
+	if fs.held != nil {
 		return fs.heldCycles + l.arena.now() - fs.heldAt
 	}
-	return l.faults().heldCycles
+	return fs.heldCycles
 }
 
 // Overruns returns the number of flits lost to double occupancy; always
