@@ -50,7 +50,7 @@ func main() {
 		bufDepth   = flag.Int("buf", 8, "switch input buffer depth (paper platform)")
 		seed       = flag.Uint("seed", 1, "platform seed")
 		cycles     = flag.Uint64("cycles", 10_000_000, "maximum emulated cycles")
-		workers    = flag.Int("workers", 0, "simulation worker goroutines (0 = sequential kernel; results are identical)")
+		workers    = flag.Int("workers", 0, "simulation worker goroutines on every cycle (0 = the default kernel, which pools only a large platform's busy stretches; results are identical)")
 		gate       = flag.Bool("gate", true, "quiescence-aware scheduling (clock gating); false is the ablation, results are identical either way")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of the text report")
 		hist       = flag.Bool("hist", false, "append receptor histograms")

@@ -43,8 +43,8 @@ func main() {
 		warm    = flag.Uint64("warm", 0, "warm-up cycles before measurement")
 		cycles  = flag.Uint64("cycles", 0, "measured cycles per point")
 		seed    = flag.Uint("seed", 0, "platform base seed")
-		workers = flag.Int("workers", 0, "sweep worker pool size")
-		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers (0 = sequential)")
+		workers = flag.Int("workers", 0, "sweep worker pool size (points evaluated at once; their kernels share one budget of helper goroutines)")
+		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers, forced on every cycle (0 = the default kernel, which pools only a large platform's busy stretches)")
 		search  = flag.String("search", "", "search mode: grid or pareto")
 		objs    = flag.String("objectives", "", "comma-separated Pareto objectives (latency, throughput, area)")
 		journal = flag.String("journal", "", "JSONL journal for streaming results and resuming killed sweeps; belongs to one sweep configuration (rows are matched by key: another -warm/-cycles is an error, another -seed or packet length cannot be detected)")

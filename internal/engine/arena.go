@@ -111,23 +111,27 @@ type arenaSpan struct {
 }
 
 // dealSpans partitions each arena's [0, Len()) into len(out) contiguous
-// spans, one per worker, appending to out[w]. Remainder elements go to
-// the lowest-numbered workers so span sizes differ by at most one.
+// spans, one per worker, appending to out[w].
 func dealSpans(arenas []Arena, out [][]arenaSpan) {
-	w := len(out)
 	for _, a := range arenas {
-		n := a.Len()
-		size, rem := n/w, n%w
-		lo := 0
-		for i := 0; i < w; i++ {
-			hi := lo + size
-			if i < rem {
-				hi++
-			}
-			if hi > lo {
-				out[i] = append(out[i], arenaSpan{a: a, lo: lo, hi: hi})
-			}
-			lo = hi
+		deal(a.Len(), len(out), func(w, lo, hi int) { out[w] = append(out[w], arenaSpan{a: a, lo: lo, hi: hi}) })
+	}
+}
+
+// deal cuts [0, n) into w contiguous ranges and calls f with each
+// non-empty one and its worker. Remainder elements go to the
+// lowest-numbered workers, so range sizes differ by at most one.
+func deal(n, w int, f func(worker, lo, hi int)) {
+	size, rem := n/w, n%w
+	lo := 0
+	for i := 0; i < w; i++ {
+		hi := lo + size
+		if i < rem {
+			hi++
 		}
+		if hi > lo {
+			f(i, lo, hi)
+		}
+		lo = hi
 	}
 }

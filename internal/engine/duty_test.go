@@ -2,8 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // hookWatch is a plain component that records in which cycle it finds
@@ -206,5 +210,149 @@ func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 				t.Errorf("after %s: %+v, want up and probing afresh", tc.name, s.duty)
 			}
 		})
+	}
+}
+
+// spanArena is an arena of elements that never go quiet, safe to tick
+// from several workers at once: each element keeps its own count, and
+// every TickRange notes whether it covered part of the arena only — a
+// pool's span — and the helpers the stand-down pools hold.
+type spanArena struct {
+	name    string
+	counts  []uint64
+	partial atomic.Int64
+	peak    atomic.Int32
+}
+
+func (a *spanArena) ComponentName() string { return a.name }
+func (a *spanArena) Len() int              { return len(a.counts) }
+func (a *spanArena) Tick(c uint64)         { a.TickRange(0, len(a.counts), c) }
+func (a *spanArena) Commit(uint64)         {}
+func (a *spanArena) TickRange(lo, hi int, c uint64) {
+	if hi-lo < len(a.counts) {
+		a.partial.Add(1)
+	}
+	for h := helpers.Load(); ; {
+		p := a.peak.Load()
+		if h <= p || a.peak.CompareAndSwap(p, h) {
+			break
+		}
+	}
+	for i := lo; i < hi; i++ {
+		a.counts[i]++
+	}
+}
+func (a *spanArena) TickList(idx []int, c uint64) {
+	for _, i := range idx {
+		a.counts[i]++
+	}
+}
+func (a *spanArena) QuietList(idx []int, c uint64, quiet []int) []int { return quiet }
+func (a *spanArena) ElemSkipIdle(i int, from, n uint64)               { a.counts[i] += n }
+
+// stopAt is a Stopper done once it has ticked cycle at.
+type stopAt struct {
+	at   uint64
+	done bool
+}
+
+func (s *stopAt) ComponentName() string { return "stop" }
+func (s *stopAt) Tick(c uint64)         { s.done = s.done || c >= s.at }
+func (s *stopAt) Commit(uint64)         {}
+func (s *stopAt) Done() bool            { return s.done }
+
+// busyEngine is a gated engine over a 256-element arena that never goes
+// quiet — four workers' worth of poolSpan — and a Stopper done after
+// cycle stop.
+func busyEngine(name string, stop uint64) (*Engine, *spanArena) {
+	e := New()
+	e.SetGated(true)
+	a := &spanArena{name: name, counts: make([]uint64, 4*poolSpan)}
+	e.MustRegisterArena(a)
+	e.MustRegister(&stopAt{at: stop})
+	return e, a
+}
+
+// settledGoroutines waits for the goroutine count to come back to want
+// at most: a goroutine a pool has waited for — or an earlier test's —
+// may still be on its way out.
+func settledGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d at most", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// TestStandDownPoolLifetime: a gated engine without workers walks its
+// stand-down stretches on a pool where the host has a second processor
+// — and only there, so that a one-processor run never starts one — yet
+// holds no goroutine and no helper between runs, after a run that ends
+// with its budget or one a Stopper ends inside a stretch alike. Every
+// element counts every cycle either way.
+func TestStandDownPoolLifetime(t *testing.T) {
+	e, a := busyEngine("arena", 700)
+	before := runtime.NumGoroutine()
+	e.Run(500) // stands down at 64, up at 320, down again at 384 until 896
+	settledGoroutines(t, before)
+	if executed, stopped := e.RunUntil(10_000); executed != 201 || !stopped || !e.StandingDown() {
+		t.Fatalf("RunUntil: %d cycles, stopped %v, standing down %v; want 201, stopped inside the stretch", executed, stopped, e.StandingDown())
+	}
+	settledGoroutines(t, before)
+	if n := helpers.Load(); n != 0 {
+		t.Errorf("%d helpers held between runs", n)
+	}
+	pooled := e.PooledCycles()
+	if multi := runtime.GOMAXPROCS(0) > 1; (pooled > 0) != multi || (a.partial.Load() > 0) != multi {
+		t.Errorf("GOMAXPROCS %d: %d cycles walked on a pool, %d partial arena ticks", runtime.GOMAXPROCS(0), pooled, a.partial.Load())
+	}
+	if want := uint64(701 - 64 - 64); pooled != 0 && pooled != want {
+		t.Errorf("%d cycles walked on a pool, want the %d of the stretches", pooled, want)
+	}
+	for i, c := range a.counts {
+		if c != 701 {
+			t.Fatalf("element %d counts %d cycles after 701", i, c)
+		}
+	}
+}
+
+// TestStandDownPoolBudget: engines that stand down at the same time
+// share one budget of GOMAXPROCS−1 helpers. Each of two 256-element
+// engines alone would take all of it (up to three); together they never
+// hold more, and between them they walk a pool where there is a budget.
+func TestStandDownPoolBudget(t *testing.T) {
+	limit := int32(runtime.GOMAXPROCS(0) - 1)
+	var arenas [2]*spanArena
+	var pooled [2]uint64
+	var wg sync.WaitGroup
+	for k := range arenas {
+		e, a := busyEngine(fmt.Sprint("arena", k), NeverWake)
+		arenas[k] = a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				e.Run(300)
+			}
+			pooled[k] = e.PooledCycles()
+		}()
+	}
+	wg.Wait()
+	for k, a := range arenas {
+		if p := a.peak.Load(); p > limit {
+			t.Errorf("engine %d saw %d helpers held, budget %d", k, p, limit)
+		}
+		for i, c := range a.counts {
+			if c != 6000 {
+				t.Fatalf("engine %d element %d counts %d cycles after 6000", k, i, c)
+			}
+		}
+	}
+	if (pooled[0]+pooled[1] > 0) != (limit > 0) {
+		t.Errorf("cycles walked on a pool %v with a budget of %d", pooled, limit)
+	}
+	if n := helpers.Load(); n != 0 {
+		t.Errorf("%d helpers held after both runs", n)
 	}
 }

@@ -15,11 +15,14 @@
 //
 // One Engine drives that schedule through one run loop (run, below).
 // Two optional states pick how a cycle is walked: the clock gates of
-// quiesce.go park idle components — and stand down for the plain walk
-// while nearly everything is busy (duty.go) — and the worker pool of pool.go
+// quiesce.go park idle components, and the worker pool of pool.go
 // recovers the paper's other performance property — every device
-// evaluated concurrently within a cycle. Results are bit-identical
-// whichever walk executes them.
+// evaluated concurrently within a cycle. The two meet in duty.go: while
+// nearly everything is busy the gates stand down, and a gated engine
+// without workers of its own walks the stretch on a pool where the
+// platform is big enough to pay for one and the host has the
+// processors, plainly where not. Results are bit-identical whichever
+// walk executes them.
 package engine
 
 import (
@@ -106,15 +109,19 @@ type Engine struct {
 	rewound []func(delta uint64) // told of every Reset (OnReset)
 	cycle   uint64
 	// The two optional states, decided in reshape and nowhere else:
-	// sched (quiesce.go) exists iff the engine is gated and sequential,
-	// pool (pool.go) iff it has workers. A gated pool keeps no parking
-	// state: it skips the windows in which every component is quiet.
+	// sched (quiesce.go) exists iff the engine is gated and has no
+	// workers of its own — its stand-down stretches may borrow a pool
+	// (duty.go) — and pool (pool.go) iff it has. A gated pool keeps no
+	// parking state: it skips the windows in which every component is
+	// quiet.
 	gated bool
 	sched *sched
 	pool  *pool
 	// strace receives kernel scheduling events (trace.go); nil — the
 	// default — disables them.
 	strace SchedTrace
+	// pooled counts the cycles walked on a pool (PooledCycles).
+	pooled uint64
 }
 
 // New returns an empty engine at cycle zero.
@@ -202,6 +209,12 @@ func (e *Engine) Stoppers() []Stopper {
 // Cycle returns the number of completed cycles.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
+// PooledCycles returns how many cycles the engine has walked on a pool
+// of workers since it was built — its own (SetWorkers) or a stand-down
+// stretch's (duty.go). Like every scheduling choice it never shows in
+// results.
+func (e *Engine) PooledCycles() uint64 { return e.pooled }
+
 // Step advances the simulation by exactly one cycle.
 func (e *Engine) Step() { e.run(1, false) }
 
@@ -255,11 +268,15 @@ func (e *Engine) pollStop() (stop, byStopper bool) {
 func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	poll = poll && len(e.stoppers)+len(e.aborters) > 0
 	// Enter: the pool syncs its shards with the registry, the gates
-	// their slots (schedEnter).
+	// their slots (schedEnter); a stand-down stretch that goes on into
+	// this run gets its workers back (duty.go).
 	if e.pool != nil {
 		e.pool.enter(e)
 	} else if e.sched != nil {
 		e.schedEnter()
+		if e.sched.duty.down {
+			e.hire()
+		}
 	}
 	for executed < max {
 		if poll {
@@ -277,23 +294,26 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 		e.walk()
 		executed++
 	}
-	// Leave: the workers go back to sleep; the gates pay what the parked
-	// are owed, so observers between runs read the counters a naive
-	// schedule would have produced.
+	// Leave: the workers go back to sleep, a stretch's for good; the
+	// gates pay what the parked are owed, so observers between runs read
+	// the counters a naive schedule would have produced.
 	if e.pool != nil {
 		e.pool.leave()
 	} else if e.sched != nil {
+		e.dismiss()
 		e.settle()
 	}
 	return executed, stopped
 }
 
 // walk executes one cycle and counts it. A gated engine whose gates
-// stand down (duty.go) walks the plain schedule.
+// stand down (duty.go) walks the plain schedule, on the stretch's pool
+// when it has one.
 func (e *Engine) walk() {
 	switch s := e.sched; {
 	case e.pool != nil:
 		e.pool.walk(e.cycle)
+		e.pooled++
 	case s != nil && e.gatesUp():
 		s.wakeDue(e.cycle)
 		s.reg.Tick(e.cycle)
@@ -302,6 +322,9 @@ func (e *Engine) walk() {
 			t.flush(s, e.cycle+1)
 		}
 		s.duty.count(s.arenas)
+	case s != nil && s.duty.crew != nil:
+		s.duty.crew.walk(e.cycle)
+		e.pooled++
 	default:
 		c := e.cycle
 		for _, comp := range e.components {
@@ -360,11 +383,15 @@ func (e *Engine) SetGated(on bool) {
 // Gated reports whether quiescence-aware scheduling is enabled.
 func (e *Engine) Gated() bool { return e.gated }
 
-// SetWorkers makes the engine evaluate each cycle on n goroutines,
-// the caller's included (pool.go); 0, the default, walks
-// the schedule on the caller's alone. Workers may exceed the component
-// count; surplus shards are empty. The goroutines start at the next
-// run; Close releases them.
+// SetWorkers makes the engine evaluate every cycle on n goroutines,
+// the caller's included (pool.go), gated or not. 0, the default, leaves
+// the choice to the engine: a gated one walks the busy stretches in
+// which its gates stand down on a pool when the platform is big enough
+// to pay for one (duty.go), and every other cycle on the caller's
+// goroutine alone. Workers may exceed the component count; surplus
+// shards are empty. The goroutines of n > 0 start at the next run and
+// stay, asleep between runs, until Close; those of a stand-down stretch
+// never outlive the run.
 func (e *Engine) SetWorkers(n int) error {
 	if n < 0 {
 		return fmt.Errorf("engine: %d workers", n)
@@ -372,7 +399,7 @@ func (e *Engine) SetWorkers(n int) error {
 	e.Close()
 	e.pool = nil
 	if n > 0 {
-		e.pool = &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
+		e.pool = newPool(n)
 	}
 	e.reshape()
 	return nil
@@ -384,7 +411,7 @@ func (e *Engine) SetWorkers(n int) error {
 func (e *Engine) reshape() {
 	switch want := e.gated && e.pool == nil; {
 	case want && e.sched == nil:
-		s := &sched{duty: duty{share: standDownShare}}
+		s := &sched{duty: duty{share: standDownShare, span: poolSpan}}
 		s.reg = clockGate{pop: s, ordered: true, log: e.logSched}
 		s.duty.restart(e.cycle)
 		e.sched = s
@@ -396,17 +423,14 @@ func (e *Engine) reshape() {
 	}
 }
 
-// Close releases the pool's goroutines — asleep between runs, so they
-// exit at once — and returns when they have. It does nothing on an
-// engine without workers or before the first run, and may be called
-// again. A later run starts them afresh.
+// Close releases the goroutines of an engine with workers (SetWorkers
+// n > 0) — asleep between runs, so they exit at once — and returns when
+// they have. It does nothing on an engine without workers, whose
+// stand-down pools end with their runs, or before the first run, and
+// may be called again. A later run starts them afresh.
 func (e *Engine) Close() {
-	if p := e.pool; p != nil {
-		for _, ch := range p.work {
-			close(ch)
-		}
-		p.work = nil
-		p.exited.Wait()
+	if e.pool != nil {
+		e.pool.close()
 	}
 }
 

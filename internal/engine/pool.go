@@ -1,17 +1,22 @@
 // The pooled walk: a cycle evaluated by a worker pool.
 //
 // The paper's FPGA evaluates every emulated device concurrently once
-// per clock. An engine with workers (SetWorkers) recovers that property
-// in software: the registered components are partitioned into per-worker
-// shards and each cycle is one pass of every worker over its shard,
-// ended by one barrier. No component reads in a cycle what another
-// wrote in it — the cycle boundary lives in the wires' parity slots and
-// the switches' start-of-cycle occupancy — so the schedule is
-// order-independent and any sharding produces results bit-identical to
-// the sequential walks.
+// per clock. A pool recovers that property in software: the registered
+// components are partitioned into per-worker shards — runs of same-type
+// registrations and arenas alike by contiguous index range, so that an
+// endpoint's devices share a worker with their switch — and each cycle
+// is one pass of every worker over its shard, ended by one barrier. An
+// engine with workers (SetWorkers) walks every cycle on one; a gated
+// engine without them, the stretches its gates stand down for, when
+// the platform is big enough (duty.go). No component reads in a cycle
+// what another wrote in it — the cycle boundary lives in the wires'
+// parity slots and the switches' start-of-cycle occupancy — so the
+// schedule is order-independent and any sharding produces results
+// bit-identical to the sequential walks.
 //
 // Synchronization is built for cycle-rate use: the goroutines are
-// spawned at the first run and sleep on a channel between runs; within
+// spawned at the first run and sleep on a channel between runs (a
+// stand-down stretch's exit when it ends, or its run does); within
 // a run they free-run, meeting at one coordinator-released spin gate
 // per cycle (no per-cycle goroutine spawning, no per-cycle channel
 // traffic). The caller's goroutine is worker 0 and the coordinator: it
@@ -22,11 +27,12 @@
 // predicate and looks for a window to skip. The stop decision is
 // therefore exact.
 //
-// Gating: the pool parks nothing. Workers always walk their full shards
-// (a quiet component's Tick is a no-op, so this is bit-identical to the
-// gates' per-component parking), and the run loop fast-forwards over
-// the windows in which every component reports quiet (nextWake), paying
-// the skipped cycles into the per-cycle counters with SkipIdle.
+// Gating: an engine's own pool parks nothing. Workers always walk their
+// full shards (a quiet component's Tick is a no-op, so this is
+// bit-identical to the gates' per-component parking), and the run loop
+// fast-forwards over the windows in which every component reports quiet
+// (nextWake), paying the skipped cycles into the per-cycle counters with
+// SkipIdle. A stand-down stretch has nothing parked to begin with.
 //
 // Flit ownership under sharding: a flit handed from one component to
 // another (via a link) may cross worker shards, but the wire already
@@ -38,12 +44,15 @@
 // release: an ejector on worker A may release a flit whose home shard
 // is drained by an injector on worker B. The pool carries that handoff
 // on a per-shard MPSC atomic stack (CAS push by any worker, take-all
-// swap by the owner), so no gate ordering is required and reuse timing
-// cannot perturb simulation state: Acquire fully resets the flit, and
-// no component observes flit pointer identity.
+// swap by the owner), so no gate ordering is required, and reuse timing
+// cannot perturb simulation state: Acquire fully resets the flit, no
+// component observes flit pointer identity, and no flit is reused in
+// the cycle it was released in, so the pool's ledger is the sequential
+// walk's.
 package engine
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -106,13 +115,13 @@ func (g *gate) release(cmd uint32) {
 	g.epoch.Add(1)
 }
 
-// pool is the state of an engine with workers: the shards, the
-// goroutines evaluating them and the gate they meet at.
+// pool is the state of a worker pool: the shards, the goroutines
+// evaluating them and the gate they meet at. An engine with workers
+// keeps one for good (Engine.pool); a gated engine without them hands
+// its stand-down stretches to one (duty.go).
 type pool struct {
 	// shards are static per-worker component slices, rebuilt only when
-	// the registration count changes. Components are dealt round-robin:
-	// the platform registers devices grouped by type, so interleaving
-	// gives every shard a mix of cheap wires and expensive switches.
+	// the registration count changes (dealRuns).
 	shards [][]Component
 	// spans partitions every registered arena's index range into one
 	// contiguous slice per worker (arena.go): an arena is too big to be
@@ -134,6 +143,12 @@ type pool struct {
 	// release that starts the cycle and read after it, which orders it.
 	live bool
 	next uint64
+}
+
+// newPool returns a pool of n workers, the caller's goroutine among
+// them; its goroutines start at the first enter.
+func newPool(n int) *pool {
+	return &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
 }
 
 // enter readies the pool for a run, while every worker sleeps: the
@@ -158,7 +173,7 @@ func (p *pool) enter(e *Engine) {
 	}
 	p.serial = p.serial[:0]
 	p.quies = p.quies[:0]
-	w := 0
+	var dealt []Component
 	for _, c := range e.components {
 		if q, ok := c.(Quiescable); ok {
 			p.quies = append(p.quies, q)
@@ -166,14 +181,43 @@ func (p *pool) enter(e *Engine) {
 		if _, ok := c.(SerialTicker); ok {
 			p.serial = append(p.serial, c)
 		} else if e.arenaOf(c) < 0 { // an arena is dealt by index range below, not as a whole
-			p.shards[w] = append(p.shards[w], c)
-			w = (w + 1) % len(p.shards)
+			dealt = append(dealt, c)
 		}
 	}
 	if len(p.quies) != len(e.components) {
 		p.quies = p.quies[:0]
 	}
+	dealRuns(dealt, p.shards)
 	dealSpans(e.arenas, p.spans)
+}
+
+// dealRuns deals components to the shards one run at a time — a run is
+// consecutive registrations of one concrete type — cutting each run into
+// contiguous index ranges as dealSpans cuts an arena. The platform
+// registers its generators and its receptors in endpoint order, and
+// endpoint order follows the switch arena's element order, so a
+// generator or receptor lands on the worker whose span holds its switch
+// and the flits between them stay on one core.
+func dealRuns(comps []Component, out [][]Component) {
+	for lo := 0; lo < len(comps); {
+		t, hi := reflect.TypeOf(comps[lo]), lo+1
+		for hi < len(comps) && reflect.TypeOf(comps[hi]) == t {
+			hi++
+		}
+		run := comps[lo:hi]
+		deal(len(run), len(out), func(w, a, b int) { out[w] = append(out[w], run[a:b]...) })
+		lo = hi
+	}
+}
+
+// close ends the pool's goroutines — asleep between runs, they exit at
+// once — and returns when they have. The next enter starts them afresh.
+func (p *pool) close() {
+	for _, ch := range p.work {
+		close(ch)
+	}
+	p.work = nil
+	p.exited.Wait()
 }
 
 // tick evaluates worker id's share of cycle c: its arena spans, then

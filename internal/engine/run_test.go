@@ -179,23 +179,26 @@ func far() *stub { return &stub{name: "far", wakes: []uint64{5000}} }
 // (executed, stopped, Cycle()), act in the same cycles, and account for
 // every cycle exactly once — executed or paid as idle — whether the
 // schedule is walked plainly, gated, gated with the gates standing down
-// and resuming every few hundred cycles, or by a pool of 1, 2 or 7
-// workers, gated or not. It also pins the pool's lifetime: no goroutine before
-// the first run, none after Close.
+// and resuming every few hundred cycles (plain, or on a pool of one
+// worker per arena element where the host has the processors), or by a
+// pool of 1, 2 or 7 workers, gated or not. It also pins the pool's
+// lifetime: no goroutine before the first run, none after Close.
 func TestRunLoopContract(t *testing.T) {
 	walks := []struct {
 		name    string
 		gated   bool
 		workers int
 		down    bool // the gates stand down after every probe window (duty.go)
+		span    int  // arena elements per worker of a pooled stretch; 0 keeps poolSpan
 	}{
-		{"ungated", false, 0, false}, // the reference
-		{"gated", true, 0, false},
-		{"gated-standing-down", true, 0, true},
-		{"pool1", true, 1, false},
-		{"pool2", true, 2, false},
-		{"pool7", true, 7, false},
-		{"pool2-ungated", false, 2, false},
+		{"ungated", false, 0, false, 0}, // the reference
+		{"gated", true, 0, false, 0},
+		{"gated-standing-down", true, 0, true, 0},
+		{"gated-standing-down-pooled", true, 0, true, 1},
+		{"pool1", true, 1, false, 0},
+		{"pool2", true, 2, false, 0},
+		{"pool7", true, 7, false, 0},
+		{"pool2-ungated", false, 2, false, 0},
 	}
 	entries := []struct {
 		name  string
@@ -294,6 +297,9 @@ func TestRunLoopContract(t *testing.T) {
 				if w.down {
 					r.e.sched.duty.share = 0
 				}
+				if w.span > 0 {
+					r.e.sched.duty.span = w.span
+				}
 				for _, c := range en.stubs() {
 					r.add(c)
 				}
@@ -301,6 +307,9 @@ func TestRunLoopContract(t *testing.T) {
 				en.drive(r)
 
 				upto := r.e.Cycle()
+				if pooled := r.e.PooledCycles() > 0; w.span > 0 && upto > 2*probeCycles && pooled != (runtime.GOMAXPROCS(0) > 1) {
+					t.Errorf("pooled stretches: %v at GOMAXPROCS %d", pooled, runtime.GOMAXPROCS(0))
+				}
 				for _, s := range r.stubs {
 					s.check(t, s.name, s.from, upto, s.busy)
 				}

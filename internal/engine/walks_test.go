@@ -119,9 +119,8 @@ func observe(t *testing.T, p *platform.Platform) observation {
 	return o
 }
 
-// differ names what o does not share with want; the pool section is
-// compared only between sequential walks (a worker's freelist is its own).
-func (o observation) differ(want observation, pooled bool) (out []string) {
+// differ names what o does not share with want.
+func (o observation) differ(want observation) (out []string) {
 	if o.totals != want.totals {
 		out = append(out, fmt.Sprintf("totals %+v, want %+v", o.totals, want.totals))
 	}
@@ -137,7 +136,7 @@ func (o observation) differ(want observation, pooled bool) (out []string) {
 		return append(out, fmt.Sprintf("%d snapshot sections, want %d", len(o.sections), len(want.sections)))
 	}
 	for i, s := range want.sections {
-		if !bytes.Equal(o.sections[i].Body, s.Body) && !(pooled && s.Name == "pool") {
+		if !bytes.Equal(o.sections[i].Body, s.Body) {
 			out = append(out, "snapshot section "+s.Name)
 		}
 	}
@@ -202,7 +201,7 @@ func TestWireContractAcrossWalks(t *testing.T) {
 					continue
 				}
 				for k, when := range []string{"at the split", "at the end"} {
-					if d := got[k].differ(want[k], w.workers > 0); len(d) > 0 {
+					if d := got[k].differ(want[k]); len(d) > 0 {
 						t.Errorf("%s %s differs from the plain walk: %v", w.name, when, d)
 					}
 				}

@@ -106,6 +106,9 @@ type Flit struct {
 	// is released; it is meaningless (and unused) while the flit is live
 	// in the network.
 	next *Flit
+	// freed is the cycle the flit was last released in: its shard
+	// reuses it from the next cycle on, whichever worker released it.
+	freed uint64
 	// pooled marks a flit currently owned by the pool, so a double
 	// release is caught as an invariant violation instead of corrupting
 	// the freelist.

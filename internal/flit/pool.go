@@ -11,10 +11,10 @@
 // rate is zero, so emulation speed no longer degrades with offered
 // load (the axis the paper's Table 2 sweeps).
 //
-// Concurrency: the pool composes with an engine that has workers, where the
+// Concurrency: the pool composes with a pooled walk, where the
 // acquiring component (a TG) and the releasing component (a TR) may
 // tick on different workers in the same cycle. Acquire is owner-only
-// and touches only the shard's private freelist; Release may be called
+// and touches only the shard's private freelists; Release may be called
 // from any goroutine and pushes onto the shard's "return ramp", a
 // Treiber stack over an atomic pointer (CAS push; the owner takes the
 // whole stack with a single Swap, so there is no ABA window). The
@@ -22,11 +22,14 @@
 // that hands the flit's memory from the releasing worker to the
 // acquiring one, so the refill path is race-clean without locks.
 //
-// Determinism: which *Flit object* an Acquire returns can differ
-// between runs (cross-worker release order is timing-dependent), but
-// Acquire fully resets the flit, and no simulation state depends on
-// flit object identity — so results stay bit-identical across worker
-// counts, which the platform's worker-matrix property tests enforce.
+// Determinism: both ends name their cycle, and an Acquire never reuses
+// a flit released in its own cycle — the flit waits on the shard until
+// the next. A sequential walk ticks every generator before any
+// releaser, so it never meets such a flit; a pooled walk may, on
+// another worker, and holds it back. The ledger (Allocated above all)
+// is therefore the same under every walk. Which *Flit object* an
+// Acquire returns can still differ, but Acquire fully resets the flit,
+// and no simulation state depends on flit object identity.
 package flit
 
 import (
@@ -45,8 +48,11 @@ type Shard struct {
 	name  string
 	owner EndpointID
 
-	// free is the owner-only intrusive LIFO freelist.
-	free *Flit
+	// free is the owner-only intrusive LIFO freelist; held, owner-only
+	// too, the flits the ramp gave back in cycle heldAt, released in it.
+	free   *Flit
+	held   *Flit
+	heldAt uint64
 	// ramp is the multi-producer return stack: any goroutine CAS-pushes
 	// released flits here; the owner drains it wholesale when free runs
 	// dry.
@@ -65,21 +71,21 @@ func (s *Shard) Name() string { return s.name }
 // Owner returns the endpoint whose flits recycle through this shard.
 func (s *Shard) Owner() EndpointID { return s.owner }
 
-// Acquire returns a zeroed flit, reusing a released one when available.
-// Owner-only. On a nil shard it falls back to plain allocation.
-func (s *Shard) Acquire() *Flit {
+// Acquire returns a zeroed flit in the given cycle, reusing one
+// released before it when available. Owner-only. On a nil shard it
+// falls back to plain allocation.
+func (s *Shard) Acquire(cycle uint64) *Flit {
 	if s == nil {
 		return &Flit{}
 	}
+	if s.free == nil {
+		s.refill(cycle)
+	}
 	f := s.free
 	if f == nil {
-		// Local list dry: take the whole return ramp in one swap.
-		f = s.ramp.Swap(nil)
-		if f == nil {
-			s.acquired++
-			s.allocated++
-			return &Flit{}
-		}
+		s.acquired++
+		s.allocated++
+		return &Flit{}
 	}
 	s.free = f.next
 	*f = Flit{}
@@ -87,12 +93,32 @@ func (s *Shard) Acquire() *Flit {
 	return f
 }
 
-// release pushes f onto the return ramp. Safe from any goroutine.
-func (s *Shard) release(f *Flit) {
+// refill restocks the empty freelist for the given cycle: with the flits
+// held back in an earlier cycle or, when there are none, with the return
+// ramp, taken whole in one swap. The ramp is a stack, so what was
+// released in this cycle lies on top of everything released before it:
+// that run is held, the rest is the freelist.
+func (s *Shard) refill(cycle uint64) {
+	if s.held != nil && s.heldAt != cycle {
+		s.free, s.held = s.held, nil
+		return
+	}
+	f := s.ramp.Swap(nil)
+	for f != nil && f.freed == cycle {
+		next := f.next
+		f.next, s.held, s.heldAt = s.held, f, cycle
+		f = next
+	}
+	s.free = f
+}
+
+// release pushes f, released in the given cycle, onto the return ramp.
+// Safe from any goroutine.
+func (s *Shard) release(f *Flit, cycle uint64) {
 	if f.pooled {
 		panic(fmt.Sprintf("flit: double release of %s (shard %s)", f, s.name))
 	}
-	f.pooled = true
+	f.pooled, f.freed = true, cycle
 	for {
 		head := s.ramp.Load()
 		f.next = head
@@ -167,10 +193,11 @@ func (p *Pool) Shard(name string, owner EndpointID) *Shard {
 	return s
 }
 
-// Release returns a flit to the shard of its source endpoint. Safe from
-// any goroutine; releasing the same flit twice panics. On a nil pool it
-// is a no-op.
-func (p *Pool) Release(f *Flit) {
+// Release returns a flit to the shard of its source endpoint in the
+// given cycle; the shard reuses it from the next. Safe from any
+// goroutine; releasing the same flit twice panics. On a nil pool it is a
+// no-op.
+func (p *Pool) Release(f *Flit, cycle uint64) {
 	if p == nil || f == nil {
 		return
 	}
@@ -178,7 +205,7 @@ func (p *Pool) Release(f *Flit) {
 	if int(f.Src) < len(p.byEP) && p.byEP[f.Src] != nil {
 		s = p.byEP[f.Src]
 	}
-	s.release(f)
+	s.release(f, cycle)
 }
 
 // Shards returns the per-endpoint shards in creation order.

@@ -117,7 +117,7 @@ func (a *Assembler) LoadState(r *state.Reader) error {
 	return nil
 }
 
-// SaveState serializes the shard ledger. The freelist and return ramp
+// SaveState serializes the shard ledger. The freelists and return ramp
 // are not state: they hold recycled capacity, and restore re-grows
 // them on demand.
 func (s *Shard) SaveState(w *state.Writer) {
@@ -140,7 +140,7 @@ func (s *Shard) LoadState(r *state.Reader) error {
 	if name != s.name || owner != s.owner {
 		return fmt.Errorf("flit: snapshot shard %q/ep%d, built %q/ep%d", name, owner, s.name, s.owner)
 	}
-	s.free = nil
+	s.free, s.held = nil, nil
 	s.ramp.Store(nil)
 	s.acquired = r.U64()
 	s.allocated = r.U64()
@@ -175,7 +175,7 @@ func (p *Pool) LoadState(r *state.Reader) error {
 			return err
 		}
 	}
-	p.orphan.free = nil
+	p.orphan.free, p.orphan.held = nil, nil
 	p.orphan.ramp.Store(nil)
 	p.orphan.acquired = r.U64()
 	p.orphan.allocated = r.U64()

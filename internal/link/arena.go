@@ -22,7 +22,7 @@ type Arena struct {
 	names   []string     // per flit link
 	cnames  []string     // per credit link
 	clock   func() uint64
-	onDrop  func(*flit.Flit)
+	onDrop  func(f *flit.Flit, cycle uint64)
 	send    *func(elem int)
 	probes  []*probe.Probe // per flit link; nil until one is set
 }
@@ -80,9 +80,10 @@ func (a *Arena) now() uint64 {
 }
 
 // SetDropHandler installs the callback invoked with any flit a wire
-// loses (overrun drop) — the pooled datapath's fault-drop release path;
-// unset, dropped flits go to the garbage collector.
-func (a *Arena) SetDropHandler(h func(*flit.Flit)) { a.onDrop = h }
+// loses (overrun drop) and the cycle it is lost in — the pooled
+// datapath's fault-drop release path; unset, dropped flits go to the
+// garbage collector.
+func (a *Arena) SetDropHandler(h func(f *flit.Flit, cycle uint64)) { a.onDrop = h }
 
 // SetHooks installs the gated scheduler's wake hook: putting a flit on
 // wire i calls *send(i) unless *send is nil (engine.ArmTable.Hook).

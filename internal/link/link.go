@@ -103,7 +103,7 @@ func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 		l.overruns++
 		l.probe().FlitDrop(cycle, uint64(old.Packet), uint16(old.Src), uint16(old.Dst), old.Index)
 		if l.arena.onDrop != nil {
-			l.arena.onDrop(old)
+			l.arena.onDrop(old, cycle)
 		}
 	}
 	if fs := l.fs; l.fault != FaultNone && cycle < fs.until {

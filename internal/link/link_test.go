@@ -82,7 +82,7 @@ func TestLinkDoubleDrive(t *testing.T) {
 func TestLinkHoldsUntakenFlit(t *testing.T) {
 	p := newPair()
 	var dropped []*flit.Flit
-	p.a.SetDropHandler(func(f *flit.Flit) { dropped = append(dropped, f) })
+	p.a.SetDropHandler(func(f *flit.Flit, _ uint64) { dropped = append(dropped, f) })
 	f := mkFlit(0)
 	if err := p.l.Send(0, f); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestLinkOverrunDetection(t *testing.T) {
 func TestLinkDropHandlerReceivesOverrun(t *testing.T) {
 	p := newPair()
 	var dropped []*flit.Flit
-	p.a.SetDropHandler(func(f *flit.Flit) { dropped = append(dropped, f) })
+	p.a.SetDropHandler(func(f *flit.Flit, _ uint64) { dropped = append(dropped, f) })
 	lost := mkFlit(0)
 	if err := p.l.Send(0, lost); err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func (n *Injector) Offer(dst flit.EndpointID, length uint16, payload uint32, bir
 	}
 	n.seq++
 	for i := uint16(0); i < length; i++ {
-		f := n.shard.Acquire()
+		f := n.shard.Acquire(birthCycle)
 		p.Fill(f, i)
 		n.ring[(n.head+n.count)%len(n.ring)] = f
 		n.count++
@@ -305,7 +305,7 @@ func (e *Ejector) consume(cycle uint64, f *flit.Flit, onFlit func(*flit.Flit), o
 	if done && onPacket != nil {
 		onPacket(pkt, f)
 	}
-	e.pool.Release(f)
+	e.pool.Release(f, cycle)
 }
 
 // Idle reports the ejector's quiescence condition after the given

@@ -246,7 +246,7 @@ func TestInjectorDrainReleases(t *testing.T) {
 	if pool.Live() != 5 {
 		t.Fatalf("Live = %d after offer, want 5", pool.Live())
 	}
-	inj.Drain(pool.Release)
+	inj.Drain(func(f *flit.Flit) { pool.Release(f, 0) })
 	if pool.Live() != 0 {
 		t.Errorf("Live = %d after drain, want 0", pool.Live())
 	}

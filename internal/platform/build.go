@@ -345,8 +345,9 @@ func Build(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, attachErr)
 	}
 	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
-	// goroutines, or on the caller's alone; gated unless cfg.NoGate.
-	// Results are bit-identical whichever it is.
+	// goroutines, or on the caller's alone but for the stretches its
+	// gates stand down for, gated unless cfg.NoGate. Results are
+	// bit-identical whichever it is.
 	if err := p.eng.SetWorkers(cfg.Workers); err != nil {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 	}
@@ -429,8 +430,9 @@ func (p *Platform) Config() Config { return p.cfg }
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
 // Close releases the engine's worker goroutines (Config.Workers > 0;
-// otherwise there are none). It is idempotent, and statistics stay
-// readable; running the platform again would start them again.
+// otherwise there are none between runs: a stand-down stretch's pool
+// ends with its run). It is idempotent, and statistics stay readable;
+// running the platform again would start them again.
 func (p *Platform) Close() { p.eng.Close() }
 
 // System returns the internal bus system.
@@ -484,7 +486,7 @@ func (p *Platform) Probe() *probe.Collector { return p.collector }
 // caught mid-flight are abandoned, so continue with a fresh platform
 // rather than more cycles. Statistics stay readable.
 func (p *Platform) Drain() {
-	release := p.pool.Release
+	release := func(f *flit.Flit) { p.pool.Release(f, p.eng.Cycle()) }
 	p.wires.Drain(release)
 	p.swArena.Drain(release)
 	for _, tg := range p.tgs {

@@ -116,13 +116,16 @@ type Config struct {
 	TRs []TRSpec
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
-	// Workers selects how the engine walks a cycle: 0 walks the
-	// schedule on the caller's goroutine; N >= 1 evaluates each cycle
-	// on N workers (engine.SetWorkers) — the software analogue of the
-	// FPGA evaluating every device in parallel. Results are
-	// bit-identical for every value. A platform with Workers > 0
-	// holds N-1 goroutines from its first run on; call Platform.Close
-	// when done with it.
+	// Workers selects how the engine walks a cycle. 0 lets the engine
+	// choose: it walks on the caller's goroutine, and hands the busy
+	// stretches in which its gates stand down to a pool of workers when
+	// the platform has at least 64 switches per worker and the host a
+	// processor to spare (engine/duty.go), whose goroutines end with each
+	// run. N >= 1 forces a pool of N workers on every cycle
+	// (engine.SetWorkers) — the software analogue of the FPGA evaluating
+	// every device in parallel. Results are bit-identical for every
+	// value. A platform with Workers > 0 holds N-1 goroutines from its
+	// first run on; call Platform.Close when done with it.
 	Workers int
 	// NoGate disables quiescence-aware scheduling (the software
 	// analogue of clock gating, on by default): with gating the kernel

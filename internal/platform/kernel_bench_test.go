@@ -7,12 +7,15 @@ import (
 	"nocemu/internal/topology"
 )
 
-// BenchmarkKernelMatrix times one cycle of four platforms under the
-// gated sequential walk ("seq") and under a two-worker pool ("w2"): the
-// paper platform at its 0.45 load, a busy 16×16 mesh, a lightly loaded
-// 32×32 mesh and a 16×16 flattened butterfly. Divide a platform's seq
-// ns/op by its w2 ns/op for the pool's speed-up (EXPERIMENTS.md,
-// "Kernel matrix"). Each run warms the platform up first, untimed.
+// BenchmarkKernelMatrix times one cycle of four platforms under three
+// kernels: the plain sequential walk ("plain", NoGate), the default
+// gated walk ("seq", Workers 0 — which hands the stretches its gates
+// stand down for to a pool when the platform is big enough) and a
+// two-worker pool ("w2"): the paper platform at its 0.45 load, a busy
+// 16×16 mesh, a lightly loaded 32×32 mesh and a 16×16 flattened
+// butterfly. Divide a platform's plain or seq ns/op by its w2 ns/op for
+// the pool's speed-up (EXPERIMENTS.md, "Kernel matrix"). Each run warms
+// the platform up first, untimed.
 func BenchmarkKernelMatrix(b *testing.B) {
 	for _, c := range []struct {
 		name, spec string // spec "" is the paper platform
@@ -23,12 +26,12 @@ func BenchmarkKernelMatrix(b *testing.B) {
 		{"mesh1024_002", "mesh:w=32,h=32", 0.02},
 		{"bfly256_010", "butterfly:w=16,h=16", 0.10},
 	} {
-		for _, workers := range []int{0, 2} {
-			name := c.name + "/seq"
-			if workers > 0 {
-				name = c.name + "/w2"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, k := range []struct {
+			name    string
+			workers int
+			noGate  bool
+		}{{"plain", 0, true}, {"seq", 0, false}, {"w2", 2, false}} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
 				var cfg platform.Config
 				var err error
 				if c.spec == "" {
@@ -42,7 +45,7 @@ func BenchmarkKernelMatrix(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.Workers = workers
+				cfg.Workers, cfg.NoGate = k.workers, k.noGate
 				p, err := platform.Build(cfg)
 				if err != nil {
 					b.Fatal(err)

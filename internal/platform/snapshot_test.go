@@ -612,12 +612,12 @@ func TestGoldenSnapshotGatedPR19(t *testing.T) {
 // is, not how the kernel got there. The same run — split over two
 // RunCycles so a settle happens on the way — is snapshotted under the
 // sequential kernel with and without gating and under two workers with
-// and without fast-forward. The sequential pair agrees on every byte;
-// the parallel pair agrees with them on every section but the flit
-// pool's, whose allocation ledger records which worker's return ramp
-// handed a flit back first — host order, not simulated state. What the
-// schedules used to disagree on is where a parked device's returning
-// credits stood: on the wire, or in its counter (DESIGN.md §13).
+// and without fast-forward, and all four agree on every byte. The flit
+// pool's allocation ledger is among them: a shard reuses no flit in the
+// cycle it was released in, whichever worker released it first. What
+// the schedules used to disagree on is where a parked device's
+// returning credits stood: on the wire, or in its counter (DESIGN.md
+// §13).
 func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 	type run struct {
 		name   string
@@ -669,7 +669,7 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 				}
 				var differ []string
 				for i := range want {
-					if !bytes.Equal(got[i].Body, want[i].Body) && (v.workers == 0 || want[i].Name != "pool") {
+					if !bytes.Equal(got[i].Body, want[i].Body) {
 						differ = append(differ, want[i].Name)
 					}
 				}

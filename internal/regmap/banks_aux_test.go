@@ -189,7 +189,7 @@ func TestPoolDevice(t *testing.T) {
 		t.Errorf("shards = %d", v)
 	}
 
-	f := sh.Acquire()
+	f := sh.Acquire(0)
 	f.Src = 1
 	if v, _ := d.ReadReg(RegPoolAcquired); v != 1 {
 		t.Errorf("acquired = %d", v)
@@ -197,7 +197,7 @@ func TestPoolDevice(t *testing.T) {
 	if v, _ := d.ReadReg(RegPoolLive); v != 1 {
 		t.Errorf("live = %d", v)
 	}
-	p.Release(f)
+	p.Release(f, 0)
 	if v, _ := d.ReadReg(RegPoolReleased); v != 1 {
 		t.Errorf("released = %d", v)
 	}
