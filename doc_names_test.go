@@ -13,16 +13,17 @@ import (
 )
 
 // TestDocNamesResolve is the documents' tripwire: every backticked Go
-// name in DESIGN.md, README.md and EXPERIMENTS.md — pkg.Name,
-// pkg.Type.Member, Type.Member — must name something the module still
-// declares, and every backticked repository path and Go or Markdown
-// file name must exist. A change that renames or removes what the prose
-// describes fails here until the prose follows; a name the prose keeps
-// for history goes without backticks. Lower-case names after a package
-// (metric keys such as engine.gate_ratio, JSON fields) and paths under
-// ignored output directories are not judged. bench/README.md is not
-// checked: bench/ is the benchmark's own directory, changed only with
-// the benchmark, and its stale names wait for that change.
+// name in DESIGN.md, README.md, EXPERIMENTS.md, TOPOLOGIES.md, PAPER.md
+// and .claude/skills/verify/SKILL.md — pkg.Name, pkg.Type.Member,
+// Type.Member — must name something the module still declares, and
+// every backticked repository path and Go or Markdown file name must
+// exist. A change that renames or removes what the prose describes
+// fails here until the prose follows; a name the prose keeps for history
+// goes without backticks. Lower-case names after a package (metric keys
+// such as engine.gate_ratio, JSON fields) and paths under ignored output
+// directories are not judged. bench/README.md is not checked: bench/ is
+// the benchmark's own directory, changed only with the benchmark, and
+// its stale names wait for that change.
 func TestDocNamesResolve(t *testing.T) {
 	mod := parseModule(t)
 	files := map[string]bool{} // base names of the repository's files
@@ -42,7 +43,7 @@ func TestDocNamesResolve(t *testing.T) {
 	ident := regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*(\.[A-Za-z][A-Za-z0-9]*){1,2}$`)
 	pathLike := regexp.MustCompile(`^[A-Za-z0-9_.\-/*]+$`)
 	output := regexp.MustCompile(`\.(jsonl|json|csv|txt|pb|nocsnap|state)$`) // a run's output file
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "TOPOLOGIES.md", "PAPER.md", ".claude/skills/verify/SKILL.md"} {
 		b, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -186,23 +186,23 @@ func TestGateStandDownPaysTheParked(t *testing.T) {
 	}
 }
 
-// TestGateStandUpOnRebaseAndUngating: a new timeline and an engine that
-// stops gating both end a stand-down at once, hooks on — a later gated
-// run must never find them off.
+// TestGateStandUpOnRebaseAndUngating: a restore mid-stretch and an
+// engine that stops gating both end a stand-down at once, hooks on — a
+// later gated run must never find them off.
 func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		end  func(e *Engine)
+		end  func(t *testing.T, e *Engine)
 	}{
-		{"Reset", func(e *Engine) { e.Reset() }},
-		{"SetGated(false)", func(e *Engine) { e.SetGated(false) }},
-		{"SetWorkers(2)", func(e *Engine) { _ = e.SetWorkers(2) }},
+		{"LoadState", func(t *testing.T, e *Engine) { restoreCycle(t, e, 0) }},
+		{"SetGated(false)", func(_ *testing.T, e *Engine) { e.SetGated(false) }},
+		{"SetWorkers(2)", func(_ *testing.T, e *Engine) { _ = e.SetWorkers(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _, w := dutyRig(8)
 			defer e.Close()
 			e.Run(100)
-			tc.end(e)
+			tc.end(t, e)
 			if want := []hookFlip{{64, false}}; !slices.Equal(w.flips, want) || *w.tbl.Hook() == nil {
 				t.Errorf("hooks switched at %v and on = %v, want %v and on again", w.flips, *w.tbl.Hook() != nil, want)
 			}

@@ -104,10 +104,11 @@ type Engine struct {
 	// arenas lists the components registered through RegisterArena
 	// (arena.go); the pooled walk shards their index ranges instead of
 	// assigning them whole.
-	arenas  []Arena
-	tables  []*ArmTable          // the wires' (quiesce.go); flushed after each gated cycle's quiet report
-	rewound []func(delta uint64) // told of every Reset (OnReset)
-	cycle   uint64
+	arenas []Arena
+	tables []*ArmTable // the wires' (quiesce.go); flushed after each gated cycle's quiet report
+	// cycle is the completed-cycle counter. It moves only by running or
+	// by LoadState (state.go).
+	cycle uint64
 	// The two optional states, decided in reshape and nowhere else:
 	// sched (quiesce.go) exists iff the engine is gated and has no
 	// workers of its own — its stand-down stretches may borrow a pool
@@ -433,24 +434,3 @@ func (e *Engine) Close() {
 		e.pool.close()
 	}
 }
-
-// OnReset registers f to be told of every Reset, once the old timeline
-// is settled and before the counter moves, of the jump (new minus old
-// cycle, mod 2^64), so that state stamped with cycles can move along; a
-// LoadState replaces such state.
-func (e *Engine) OnReset(f func(delta uint64)) { e.rewound = append(e.rewound, f) }
-
-// Reset rewinds the cycle counter and re-arms the kernel's cached
-// run-control state: outstanding quiescence skip accounting is
-// settled, every parked component and arena element (including the
-// cached Stopper and Aborter components among them) returns to the
-// active walk, and the wake heaps are cleared, so the next run polls
-// and evaluates everything afresh from cycle zero.
-//
-// Reset does NOT reset component state: the next run continues from
-// the components' current state at cycle zero. A full rewind —
-// component state included — is a restore of a cycle-zero snapshot
-// through the Stateful contract (state.go): the platform layer captures
-// one at the end of Build and exposes it as Platform.FullReset, which
-// composes this Reset with a LoadState walk over every component.
-func (e *Engine) Reset() { e.rebase(0, e.rewound) }

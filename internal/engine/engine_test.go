@@ -133,21 +133,6 @@ func TestLookupAndNames(t *testing.T) {
 	}
 }
 
-func TestResetRewindsCycleOnly(t *testing.T) {
-	e := New()
-	var ev []string
-	p := &phaseRecorder{name: "a", events: &ev, doneAt: 1 << 62}
-	e.MustRegister(p)
-	e.Run(4)
-	e.Reset()
-	if e.Cycle() != 0 {
-		t.Errorf("cycle after reset = %d", e.Cycle())
-	}
-	if p.ticks != 4 {
-		t.Errorf("component state was touched: ticks=%d", p.ticks)
-	}
-}
-
 func TestMustRegisterPanicsOnDuplicate(t *testing.T) {
 	e := New()
 	var ev []string

@@ -292,16 +292,3 @@ func TestParallelCloseIsIdempotentAndEngineSurvives(t *testing.T) {
 		t.Errorf("engine cycle after pool close = %d, want 10", e.Cycle())
 	}
 }
-
-func TestParallelResetRewindsCycleOnly(t *testing.T) {
-	e, ns := buildChain(t, 2, 0)
-	p := pooled(t, e, 2)
-	p.Run(4)
-	p.Reset()
-	if p.Cycle() != 0 {
-		t.Errorf("cycle after reset = %d", p.Cycle())
-	}
-	if ns[0].ticks != 4 {
-		t.Errorf("component state was touched: ticks=%d", ns[0].ticks)
-	}
-}

@@ -262,11 +262,11 @@ func (g *clockGate) settle(cycle uint64) {
 	}
 }
 
-// rebase restarts the gate at the given cycle after the timeline moved
-// or element state was replaced under it (Reset, LoadState): every
-// element is active again with its watermark on the new timeline, and
-// the next executed cycle's quiet report re-derives the parked set from
-// the elements' own state. The caller settles first, so no debt is
+// rebase restarts the gate at the given cycle after a LoadState moved
+// the timeline and replaced element state under it: every element is
+// active again with its watermark on the new timeline, and the next
+// executed cycle's quiet report re-derives the parked set from the
+// elements' own state. The caller settles first, so no debt is
 // outstanding.
 func (g *clockGate) rebase(cycle uint64) {
 	for i := range g.active {
@@ -582,21 +582,15 @@ func (e *Engine) settle() {
 	}
 }
 
-// rebase moves the cycle counter — the one step Reset and LoadState
-// share. Outstanding skip accounting references the old timeline, so it
-// is settled before the counter moves; then the observers are told of
-// the jump, and every gate restarts on the new timeline, up and probing
-// afresh.
-func (e *Engine) rebase(cycle uint64, observers []func(delta uint64)) {
+// rebase moves the cycle counter — LoadState's step. Outstanding skip
+// accounting references the old timeline, so it is settled before the
+// counter moves; then every gate restarts on the new timeline, up and
+// probing afresh.
+func (e *Engine) rebase(cycle uint64) {
 	s := e.sched
 	if s != nil {
 		e.schedEnter()
 		e.settle()
-	}
-	for _, f := range observers {
-		f(cycle - e.cycle)
-	}
-	if s != nil {
 		e.standUp()
 		s.duty.restart(cycle)
 		clear(s.nextTry) // the backoff restarts on the new timeline too

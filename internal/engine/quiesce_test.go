@@ -95,11 +95,22 @@ func TestGatedAlarmScheduleExact(t *testing.T) {
 	}
 }
 
-// TestGatedResetMatchesNaive runs the same run/Reset/run sequence on a
-// gated and a naive engine: the gated kernel must settle outstanding
-// skip debt at Reset and restart its watermarks on the new timeline,
-// so the counters agree at every observation point.
-func TestGatedResetMatchesNaive(t *testing.T) {
+// restoreCycle rewinds e the one way an engine rewinds: a LoadState of
+// an engine section holding cycle.
+func restoreCycle(t *testing.T, e *Engine, cycle uint64) {
+	t.Helper()
+	w := state.NewWriter()
+	w.U64(cycle)
+	if err := e.LoadState(state.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatedRestoreMatchesNaive runs the same run/restore/run sequence on
+// a gated and a naive engine: the gated kernel must settle outstanding
+// skip debt at the restore and restart its watermarks on the new
+// timeline, so the counters agree at every observation point.
+func TestGatedRestoreMatchesNaive(t *testing.T) {
 	build := func(gated bool) (*Engine, *cycleCounter, *alarm) {
 		e := New()
 		e.SetGated(gated)
@@ -113,7 +124,7 @@ func TestGatedResetMatchesNaive(t *testing.T) {
 		e, c, a := build(gated)
 		e.Run(100)
 		counts[0], ticked[0] = c.count, len(a.tickedC)
-		e.Reset()
+		restoreCycle(t, e, 0)
 		e.Run(200)
 		counts[1], ticked[1] = c.count, len(a.tickedC)
 		return
@@ -121,10 +132,10 @@ func TestGatedResetMatchesNaive(t *testing.T) {
 	wantCounts, wantTicked := run(false)
 	gotCounts, gotTicked := run(true)
 	if gotCounts != wantCounts {
-		t.Errorf("counter after run/Reset/run = %v, naive %v", gotCounts, wantCounts)
+		t.Errorf("counter after run/restore/run = %v, naive %v", gotCounts, wantCounts)
 	}
 	if gotTicked != wantTicked {
-		t.Errorf("alarm ticks after run/Reset/run = %v, naive %v", gotTicked, wantTicked)
+		t.Errorf("alarm ticks after run/restore/run = %v, naive %v", gotTicked, wantTicked)
 	}
 	if wantCounts != [2]uint64{100, 300} {
 		t.Errorf("naive baseline counters = %v, want [100 300]", wantCounts)
@@ -347,27 +358,23 @@ func TestGateSettlePaysOnce(t *testing.T) {
 	}
 }
 
-// TestGateRebase covers the one step Reset and LoadState share: debt is
-// settled on the old timeline, watermarks restart on the new one, and
-// the parked set is re-derived from the elements' own state — which a
-// restore replaces after the engine section has loaded.
+// TestGateRebase covers the step LoadState takes: debt is settled on the
+// old timeline, watermarks restart on the new one, and the parked set is
+// re-derived from the elements' own state — which a restore replaces
+// after the engine section has loaded.
 func TestGateRebase(t *testing.T) {
 	e, _, a := gatedArena(3)
 	e.Run(100)
-	e.Reset()
+	restoreCycle(t, e, 0)
 	if e.Cycle() != 0 {
-		t.Fatalf("cycle after Reset = %d, want 0", e.Cycle())
+		t.Fatalf("cycle after restoring cycle 0 = %d, want 0", e.Cycle())
 	}
 	e.Run(30)
 	if got := a.counts(); !slices.Equal(got, []uint64{130, 130, 130}) {
-		t.Errorf("element counters after run/Reset/run = %v, want all 130", got)
+		t.Errorf("element counters after run/restore/run = %v, want all 130", got)
 	}
 
-	w := state.NewWriter()
-	w.U64(5000)
-	if err := e.LoadState(state.NewReader(w.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restoreCycle(t, e, 5000)
 	a.elems[1].busy = 3 // the arena's section loads after the engine's
 	for i := range a.elems {
 		a.elems[i].ticked = nil

@@ -41,7 +41,7 @@ func (e *Engine) LoadState(r *state.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	e.rebase(cycle, nil) // a LoadState replaces the observers' state
+	e.rebase(cycle)
 	return nil
 }
 

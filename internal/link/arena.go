@@ -90,47 +90,6 @@ func (a *Arena) SetDropHandler(h func(f *flit.Flit, cycle uint64)) { a.onDrop = 
 // Credits wake nobody.
 func (a *Arena) SetHooks(send *func(elem int)) { a.send = send }
 
-// Shift moves every wire along a timeline that jumped by delta cycles
-// without executing any (Engine.OnReset): the stamps move along, the
-// slots swap when the parity flipped, and the readers are told to look
-// where their values now are. CYCLES and HELD keep counting; a fault
-// controller's mode waits for its first Tick on the new timeline.
-func (a *Arena) Shift(delta uint64) {
-	odd := delta&1 != 0
-	for i := range a.links {
-		l := &a.links[i]
-		if odd {
-			l.slot[0], l.slot[1], l.vis[0], l.vis[1] = l.slot[1], l.slot[0], l.vis[1], l.vis[0]
-		}
-		for p := range l.vis {
-			if l.vis[p] != never {
-				l.vis[p] += delta
-			}
-			if l.slot[p] != nil && l.arrived[p] != nil {
-				*l.arrived[p] = 1
-			}
-		}
-		l.cycleBase += delta
-		if fs := l.fs; fs != nil {
-			fs.heldAt += delta
-			if fs.until != never {
-				fs.until = 0
-			}
-		}
-	}
-	for i := range a.credits {
-		c := &a.credits[i]
-		if c.at += delta; odd {
-			c.n[0], c.n[1] = c.n[1], c.n[0]
-		}
-		for p, n := range c.n {
-			if n != 0 && c.arrived[p] != nil {
-				*c.arrived[p] = 1
-			}
-		}
-	}
-}
-
 // Drain releases every flit wire's in-flight state through release
 // (end-of-run reclamation).
 func (a *Arena) Drain(release func(*flit.Flit)) {

@@ -500,36 +500,6 @@ func TestArenaArmHooks(t *testing.T) {
 	}
 }
 
-// TestArenaShiftKeepsWhatIsOnTheWire: a timeline that jumps without
-// executing cycles — by an odd or an even distance — moves the wires
-// with it: the flit and credits visible next are visible next in the
-// new numbering, flagged in the right bank, and the counters read on.
-func TestArenaShiftKeepsWhatIsOnTheWire(t *testing.T) {
-	for _, to := range []uint64{0, 1, 9} {
-		p := newPair()
-		var arr, cred [2]uint8
-		p.l.NotifyArrival([2]*uint8{&arr[0], &arr[1]})
-		p.cr.NotifyArrival([2]*uint8{&cred[0], &cred[1]})
-		if err := p.l.Send(6, mkFlit(0)); err != nil {
-			t.Fatal(err)
-		}
-		p.cr.Send(6, 3)
-		p.now = 7
-		busy, cycles := p.l.BusyCycles(), p.l.TotalCycles()
-		p.a.Shift(to - p.now)
-		p.now = to
-		if p.l.Take(to) == nil || arr[to&1] == 0 {
-			t.Errorf("shift to %d: the flit is not visible in cycle %d, flagged %v", to, to, arr)
-		}
-		if got := p.cr.Take(to); got != 3 || cred[to&1] == 0 {
-			t.Errorf("shift to %d: took %d credits in cycle %d, flagged %v, want 3", to, got, to, cred)
-		}
-		if p.l.BusyCycles() != busy || p.l.TotalCycles() != cycles {
-			t.Errorf("shift to %d: busy %d and cycles %d, want %d and %d", to, p.l.BusyCycles(), p.l.TotalCycles(), busy, cycles)
-		}
-	}
-}
-
 // TestSendTakeRaceFree: the producer's Send and the consumer's Take of
 // one wire in one cycle touch different slots, so the pooled walk runs
 // them on two goroutines without atomics. Under -race this is the check;

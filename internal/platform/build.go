@@ -278,7 +278,6 @@ func Build(cfg Config) (*Platform, error) {
 		sw.SetProbe(p.collector.NewProbe(sw.ComponentName()))
 	}
 	p.eng.MustRegisterArena(p.swArena)
-	p.eng.OnReset(p.swArena.Shift) // the cycle stamp of BufferedFlitsAt
 	for _, l := range p.links {
 		l.SetProbe(p.collector.NewProbe(l.ComponentName()))
 	}
@@ -286,7 +285,6 @@ func Build(cfg Config) (*Platform, error) {
 	// They read the engine's clock for what they derive from it (CYCLES,
 	// BUSY and FLITS between runs, HELD, snapshots, a fault's cycle).
 	p.wires.SetClock(p.eng.Cycle)
-	p.eng.OnReset(p.wires.Shift)
 	// The collector registers after every data component so its serial
 	// Tick drains behind them; the samplers read only skip-debt-free
 	// state as of the start of the sampling cycle (switch occupancy and

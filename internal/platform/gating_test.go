@@ -277,50 +277,3 @@ func TestGatingDeadlockAbortBitIdentical(t *testing.T) {
 		t.Errorf("reference watchdog verdict %s, want a stall", wantVerdict)
 	}
 }
-
-// TestGatingResetRerunBitIdentical drives the same run/Reset/run
-// sequence gated and ungated on free-running burst traffic: Reset must
-// settle outstanding skip accounting and restart the gating watermarks
-// on the new timeline.
-func TestGatingResetRerunBitIdentical(t *testing.T) {
-	run := func(noGate bool) snapshot {
-		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperBurst})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.NoGate = noGate
-		p, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		p.RunCycles(7_000)
-		p.Engine().Reset()
-		executed, stopped := p.Run(7_000)
-		var buf bytes.Buffer
-		if err := monitor.WriteJSON(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		return snapshot{buf.Bytes(), p.Engine().Cycle(), executed, stopped}
-	}
-	want := run(true)
-	got := run(false)
-	if !got.equal(want) {
-		t.Errorf("gated run/Reset/run diverged from naive: %s", diffLine(want.json, got.json))
-	}
-}
-
-// TestGatingFreshEngineAfterReset checks that a platform which Resets
-// its engine before ever running matches a freshly built platform.
-func TestGatingFreshEngineAfterReset(t *testing.T) {
-	cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := gateSnapshot(t, cfg, 0, false, 100_000, nil)
-	reset := gateSnapshot(t, cfg, 0, false, 100_000,
-		func(t *testing.T, p *platform.Platform) { p.Engine().Reset() })
-	if !reset.equal(fresh) {
-		t.Errorf("Reset-then-Run diverged from fresh engine: %s", diffLine(fresh.json, reset.json))
-	}
-}

@@ -142,10 +142,9 @@ func (p *Platform) captureInit() error {
 	return nil
 }
 
-// FullReset rewinds the platform to its as-built cycle-zero state —
-// component state included, unlike Engine.Reset — by restoring the
-// snapshot captured when construction finished. A fully reset platform
-// is indistinguishable from a freshly built one.
+// FullReset rewinds the platform to its as-built cycle-zero state by
+// restoring the snapshot captured when construction finished. A fully
+// reset platform is indistinguishable from a freshly built one.
 func (p *Platform) FullReset() error {
 	if p.initSnap == nil {
 		return fmt.Errorf("platform %s: no init snapshot", p.cfg.Name)

@@ -407,24 +407,23 @@ func TestForkMatchesColdRuns(t *testing.T) {
 	}
 }
 
-// TestFullResetEqualsFreshBuild checks the restore-from-cycle-0 reset:
-// after a complete run, FullReset rewinds the platform — watchdog and
-// fault campaign included — to a state indistinguishable from a freshly
-// built one, so a second run reproduces the first byte for byte.
+// TestFullResetEqualsFreshBuild checks the restore-from-cycle-0 reset,
+// the one rewind a platform has: after a complete run, FullReset rewinds
+// it — watchdog and fault campaign included — to a state
+// indistinguishable from a freshly built one, so under every kernel a
+// second run reproduces the plain walk's fresh run byte for byte.
 func TestFullResetEqualsFreshBuild(t *testing.T) {
 	cfg := paperSnapConfig(t, 12)
-	run := func(p *platform.Platform) runOutput {
+	run := func(t *testing.T, p *platform.Platform) runOutput {
 		t.Helper()
 		if _, stopped := p.Run(1_000_000); !stopped {
 			t.Fatal("run did not complete")
 		}
 		return capture(t, p)
 	}
-	build := func() *platform.Platform {
-		p, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(t *testing.T, workers int, noGate bool) *platform.Platform {
+		t.Helper()
+		p := buildSnap(t, cfg, workers, noGate, nil)
 		if _, err := p.AttachWatchdog(2_000); err != nil {
 			p.Close()
 			t.Fatal(err)
@@ -438,25 +437,36 @@ func TestFullResetEqualsFreshBuild(t *testing.T) {
 		return p
 	}
 
-	fresh := build()
-	want := run(fresh)
+	fresh := build(t, 0, true)
+	want := run(t, fresh)
 	fresh.Close()
 
-	p := build()
-	defer p.Close()
-	first := run(p)
-	if !first.equal(want) {
-		t.Fatalf("identical builds diverged before any reset: %s", first.diff(want))
-	}
-	if err := p.FullReset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Engine().Cycle(); got != 0 {
-		t.Fatalf("cycle %d after FullReset", got)
-	}
-	second := run(p)
-	if !second.equal(want) {
-		t.Errorf("post-reset run diverged from fresh build: %s", second.diff(want))
+	for _, k := range []struct {
+		name    string
+		workers int
+		noGate  bool
+	}{
+		{"default", 0, false},
+		{"NoGate", 0, true},
+		{"workers=2", 2, false},
+		{"workers=2,NoGate", 2, true},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			p := build(t, k.workers, k.noGate)
+			defer p.Close()
+			if first := run(t, p); !first.equal(want) {
+				t.Fatalf("diverged from the plain fresh build before any reset: %s", first.diff(want))
+			}
+			if err := p.FullReset(); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Engine().Cycle(); got != 0 {
+				t.Fatalf("cycle %d after FullReset", got)
+			}
+			if second := run(t, p); !second.equal(want) {
+				t.Errorf("post-reset run diverged from the plain fresh build: %s", second.diff(want))
+			}
+		})
 	}
 }
 

@@ -110,14 +110,6 @@ func (a *Arena) SkipIdle(from, n uint64) {
 	}
 }
 
-// Shift moves every switch's cycle stamp along an engine rewind
-// (engine.OnReset).
-func (a *Arena) Shift(delta uint64) {
-	for i := range a.sws {
-		a.sws[i].Shift(delta)
-	}
-}
-
 // Drain empties every switch's input lanes through release and clears
 // wormhole locks (end-of-run reclamation).
 func (a *Arena) Drain(release func(*flit.Flit)) {

@@ -126,8 +126,10 @@ type Switch struct {
 	want  []uint64 // some occupied lane is routed to this port (set and cleared within a Tick)
 
 	// flits counts the buffered flits; before is the count at the start
-	// of the cycle tickedAt, the last this switch evaluated (never after a
-	// load or a drain), for the readers that run after it in that cycle.
+	// of the cycle tickedAt, the last this switch evaluated, for the
+	// readers that run after it in that cycle. The clock moves only by
+	// running or by a restore, and a load or a drain sets tickedAt to
+	// never, so a stamp never outlives its timeline.
 	flits, before int
 	tickedAt      uint64
 
@@ -604,15 +606,6 @@ func (s *Switch) SkipIdle(from, n uint64) {
 				s.credits[ol] += int(s.creditIn[ol].TakeBefore(from + n - 1))
 			}
 		}
-	}
-}
-
-// Shift moves the cycle stamp along an engine rewind of delta cycles
-// (engine.OnReset), so a cycle of the old timeline never passes for one
-// of the new.
-func (s *Switch) Shift(delta uint64) {
-	if s.tickedAt != never {
-		s.tickedAt += delta
 	}
 }
 
