@@ -8,9 +8,10 @@
 // window of probeCycles cycles it sums the active elements of every
 // arena gate after each gated cycle (a fast-forwarded cycle adds none).
 // When that sum reaches standDownShare of everything the gates hold in
-// every cycle of the window, the gates stand down: every parked element
-// is paid and woken, the wires' wake hooks go off, and the engine walks
-// the plain schedule for a stretch. When the stretch ends the hooks go
+// every cycle of the window — less where a crew walks the stretch,
+// below — the gates stand down: every parked element is paid and woken,
+// the wires' wake hooks go off, and the engine walks the plain schedule
+// for a stretch. When the stretch ends the hooks go
 // back on and the gates resume with everything active — the first
 // quiet report parks the idle again — for another probe window. A stretch
 // doubles each time a probe finds the network still busy, up to
@@ -18,16 +19,21 @@
 // steady busy run pays one probe window in thousands of cycles, and a
 // run whose load falls is parking again within a stretch.
 //
-// A stretch is also where a pool pays: every element is busy, nothing
-// parks, and the plain schedule is exactly what a pool of workers
-// walks (pool.go). So an engine without workers of its own hands the
-// stretch to one — a worker per poolSpan arena elements, no more than
-// GOMAXPROCS, and no more helper goroutines than a process-wide budget
-// of GOMAXPROCS−1 has free, which platforms running side by side share.
-// Fewer than two workers walk the stretch plain, as a small platform or
-// a one-processor host always does. The helpers are taken when the
-// stretch begins, or goes on into a new run, and given back when it
-// ends or the run does, goroutines included: none outlives a run.
+// A stretch is also where a pool pays: nothing parks, and the plain
+// schedule is exactly what a pool of workers walks (pool.go). So an
+// engine without workers of its own hands the stretch to a crew — a
+// worker per poolSpan arena elements, no more than GOMAXPROCS, and no
+// more helper goroutines than a process-wide budget of GOMAXPROCS−1 has
+// free, which platforms running side by side share. And since a crew
+// of n walks a stretch in about 1/n of the plain walk's time, the probe
+// counts the crew it could hire: a crew of n stands down at
+// standDownShare/n of the arena elements active. A crew of one — a
+// small platform, a one-processor host, a budget held elsewhere — walks
+// the stretch plain, at the share a plain walk needs. The helpers are
+// taken when the stretch begins, or goes on into a new run, and given
+// back when it ends or the run does, goroutines included: none outlives
+// a run. A stretch whose run cannot hire back the crew it counted on
+// stands up instead.
 //
 // None of it shows in results. The plain walk is the reference every
 // gated and pooled walk is held to; a stand-down settles every debt
@@ -43,18 +49,20 @@ import (
 
 // The duty cycle's constants. A probe window is short against a stretch
 // so that a busy run spends almost all of its cycles on the plain walk.
-// The share is where the walks part (EXPERIMENTS.md, "A gate that
-// stands down"): the gates lose 6–20 % on platforms that keep 0.59–1.00
-// of their switches active, and win 1.08–2.1× at 0.15–0.44. The span is
-// where a pool parts from the plain walk on a busy mesh, with margin
-// (EXPERIMENTS.md, "Busy stretches on a pool"): two workers lose at 8
-// switches each, break even between 18 and 32, and win 1.5–1.8× from 50
-// on.
+// The share is where the gated walk parts from the plain one
+// (EXPERIMENTS.md, "A gate that stands down"): the gates lose 6–20 % on
+// platforms that keep 0.59–1.00 of their switches active, and win
+// 1.08–2.1× at 0.15–0.44. A crew of n divides it by n (EXPERIMENTS.md,
+// "Sparse stretches on a pool": two workers meet the gated walk at
+// 0.18–0.20, below 33/128 ≈ 0.26). The span is where a pool parts
+// from the plain walk on a busy mesh, with margin (EXPERIMENTS.md, "Busy
+// stretches on a pool"): two workers lose at 8 switches each, break even
+// between 18 and 32, and win 1.5–1.8× from 50 on.
 const (
 	probeCycles    = 64
 	minStretch     = 256
 	maxStretch     = 8192
-	standDownShare = 33 // sixty-fourths of the arena elements, on average over a window
+	standDownShare = 33 // sixty-fourths of the arena elements, on average over a window, for a crew of one
 	poolSpan       = 64 // arena elements per worker of a pooled stretch, at least
 )
 
@@ -63,9 +71,13 @@ type duty struct {
 	size int    // arena elements under the gates
 	busy int    // active arena elements summed over the window's gated cycles
 	from uint64 // the cycle the probe window began
-	// share is the stand-down threshold in sixty-fourths; a rig may set
-	// it (0 stands down after every window, above 64 never).
-	share   int
+	// share is the stand-down threshold in sixty-fourths for a crew of
+	// one; a rig may set it (0 stands down after every window, above 64
+	// never, whatever the crew).
+	share int
+	// need is the crew the stand-down under way counted on: 1 where the
+	// share pays for the plain walk, more where only a pool pays.
+	need    int
 	down    bool
 	next    uint64 // the cycle the window or the stretch ends
 	stretch uint64 // the next stand-down's length
@@ -107,18 +119,17 @@ func (e *Engine) gatesUp() bool {
 }
 
 // turn is where the gates resume when a stretch has run out and where
-// they stand down when a probe window has found the arenas busy.
+// they stand down when a probe window has found the arenas busy enough
+// for the crew a stretch would get.
 func (e *Engine) turn() bool {
 	d := &e.sched.duty
 	if d.down {
 		e.standUp()
 		return true
 	}
-	// In floating point: a fast-forward may have stretched the window
-	// arbitrarily far.
-	busy := d.size > 0 && float64(d.busy)*64 >= float64(d.share)*float64(e.cycle-d.from)*float64(d.size)
+	d.need = e.needed()
 	d.probe(e.cycle)
-	if !busy {
+	if d.need == 0 || !e.hire() {
 		d.stretch = minStretch
 		return true
 	}
@@ -126,9 +137,32 @@ func (e *Engine) turn() bool {
 	return false
 }
 
+// needed is the smallest crew for which the probe window just ended pays
+// a stand-down, 0 if no crew the host has free now does: a crew of n
+// stands down at share/n of the arena elements active, since the gated
+// walk's cost grows with that share and a pooled walk's falls with its
+// crew. A share above 64 never stands down.
+func (e *Engine) needed() int {
+	d := &e.sched.duty
+	if d.size == 0 || d.share > 64 {
+		return 0
+	}
+	// In floating point: a fast-forward may have stretched the window
+	// arbitrarily far.
+	busy := float64(d.busy) * 64
+	all := float64(d.share) * float64(e.cycle-d.from) * float64(d.size)
+	for n := 1; n <= e.crewSize(helpers.Load()); n++ {
+		if busy*float64(n) >= all {
+			return n
+		}
+	}
+	return 0
+}
+
 // standDown pays every parked component and arena element up to the
 // current cycle, wakes them all — the registry's as wakes a SchedTrace
-// sees — switches the arm hooks off and starts a stretch of plain cycles.
+// sees — switches the arm hooks off and starts a stretch of plain
+// cycles, on the crew turn has hired.
 func (e *Engine) standDown() {
 	s := e.sched
 	e.settle()
@@ -145,7 +179,6 @@ func (e *Engine) standDown() {
 	d := &s.duty
 	d.down, d.next = true, e.cycle+d.stretch
 	d.stretch = min(2*d.stretch, maxStretch)
-	e.hire()
 }
 
 // standUp ends a stand-down — its stretch ran out, the timeline moved,
@@ -172,23 +205,33 @@ func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.dow
 // processors.
 var helpers atomic.Int32
 
-// hire hands the stretch under way to a pool when one pays: a worker per
-// span arena elements, at most GOMAXPROCS, the caller's goroutine and as
-// many helpers as the budget has free. Fewer than two leave it plain.
-func (e *Engine) hire() {
+// crewSize is how many workers a pooled stretch could have while held
+// helpers are taken: one per span arena elements, at most GOMAXPROCS,
+// the caller's goroutine and as many helpers as the budget has free.
+func (e *Engine) crewSize(held int32) int {
 	d := &e.sched.duty
 	procs := runtime.GOMAXPROCS(0)
-	want := int32(min(procs, d.size/d.span) - 1)
+	return max(1, min(procs, d.size/d.span, procs-int(held)))
+}
+
+// hire hands the stretch under way to a crew of crewSize workers. It
+// takes none and reports false where that is fewer than the stand-down
+// needs; a crew of one walks the stretch plain.
+func (e *Engine) hire() bool {
+	d := &e.sched.duty
 	for {
 		held := helpers.Load()
-		n := min(want, int32(procs-1)-held)
-		if n <= 0 {
-			return
+		n := e.crewSize(held)
+		if n < d.need {
+			return false
 		}
-		if helpers.CompareAndSwap(held, held+n) {
-			d.crew = newPool(int(n) + 1)
+		if n < 2 {
+			return true
+		}
+		if helpers.CompareAndSwap(held, held+int32(n-1)) {
+			d.crew = newPool(n)
 			d.crew.enter(e)
-			return
+			return true
 		}
 	}
 }

@@ -213,13 +213,15 @@ func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 	}
 }
 
-// spanArena is an arena of elements that never go quiet, safe to tick
-// from several workers at once: each element keeps its own count, and
-// every TickRange notes whether it covered part of the arena only — a
-// pool's span — and the helpers the stand-down pools hold.
+// spanArena is an arena whose first busy elements never go quiet and
+// whose others are quiet whenever asked, safe to tick from several
+// workers at once: each element keeps its own count, and every
+// TickRange notes whether it covered part of the arena only — a pool's
+// span — and the helpers the stand-down pools hold.
 type spanArena struct {
 	name    string
 	counts  []uint64
+	busy    int
 	partial atomic.Int64
 	peak    atomic.Int32
 }
@@ -247,8 +249,15 @@ func (a *spanArena) TickList(idx []int, c uint64) {
 		a.counts[i]++
 	}
 }
-func (a *spanArena) QuietList(idx []int, c uint64, quiet []int) []int { return quiet }
-func (a *spanArena) ElemSkipIdle(i int, from, n uint64)               { a.counts[i] += n }
+func (a *spanArena) QuietList(idx []int, c uint64, quiet []int) []int {
+	for r, i := range idx {
+		if i >= a.busy {
+			quiet = append(quiet, r)
+		}
+	}
+	return quiet
+}
+func (a *spanArena) ElemSkipIdle(i int, from, n uint64) { a.counts[i] += n }
 
 // stopAt is a Stopper done once it has ticked cycle at.
 type stopAt struct {
@@ -261,14 +270,20 @@ func (s *stopAt) Tick(c uint64)         { s.done = s.done || c >= s.at }
 func (s *stopAt) Commit(uint64)         {}
 func (s *stopAt) Done() bool            { return s.done }
 
-// busyEngine is a gated engine over a 256-element arena that never goes
-// quiet — four workers' worth of poolSpan — and a Stopper done after
-// cycle stop.
-func busyEngine(name string, stop uint64) (*Engine, *spanArena) {
+// shareEngine is a gated engine over a 256-element arena — four
+// workers' worth of poolSpan — whose first busy elements never go quiet.
+func shareEngine(name string, busy int) (*Engine, *spanArena) {
 	e := New()
 	e.SetGated(true)
-	a := &spanArena{name: name, counts: make([]uint64, 4*poolSpan)}
+	a := &spanArena{name: name, counts: make([]uint64, 4*poolSpan), busy: busy}
 	e.MustRegisterArena(a)
+	return e, a
+}
+
+// busyEngine is a shareEngine that never goes quiet, with a Stopper done
+// after cycle stop.
+func busyEngine(name string, stop uint64) (*Engine, *spanArena) {
+	e, a := shareEngine(name, 4*poolSpan)
 	e.MustRegister(&stopAt{at: stop})
 	return e, a
 }
@@ -354,5 +369,116 @@ func TestStandDownPoolBudget(t *testing.T) {
 	}
 	if n := helpers.Load(); n != 0 {
 		t.Errorf("%d helpers held after both runs", n)
+	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS procs.
+func withProcs(t *testing.T, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestGateStandsDownForACrew: the share a stand-down needs falls with
+// the crew a pooled stretch would get — standDownShare/n for a crew of
+// n. An arena 100/256 active, between 33/128 and 33/64, stands down on
+// two processors with a helper free and walks the stretch on the pool;
+// on one processor, or with the budget held elsewhere, its gates stay
+// up, as they always do at 60/256, below 33/128. A share above 64 never
+// stands down, whatever the crew.
+func TestGateStandsDownForACrew(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		procs, held int
+		busy, share int
+		down        bool
+	}{
+		{"crew-of-2", 2, 0, 100, standDownShare, true},
+		{"one-processor", 1, 0, 100, standDownShare, false},
+		{"budget-held", 2, 1, 100, standDownShare, false},
+		{"below-a-crew-of-2", 2, 0, 60, standDownShare, false},
+		{"crew-of-4", 4, 0, 60, standDownShare, true},
+		{"never", 4, 0, 4 * poolSpan, 65, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withProcs(t, tc.procs)
+			helpers.Add(int32(tc.held))
+			defer helpers.Add(-int32(tc.held))
+			e, a := shareEngine("arena", tc.busy)
+			e.sched.duty.share = tc.share
+			e.Run(100) // one probe window, and 36 cycles of what it decided
+			if e.StandingDown() != tc.down || (e.PooledCycles() > 0) != tc.down {
+				t.Errorf("standing down %v after %d pooled cycles, want %v", e.StandingDown(), e.PooledCycles(), tc.down)
+			}
+			if n := helpers.Load(); n != int32(tc.held) {
+				t.Errorf("%d helpers held after the run, want the test's %d", n, tc.held)
+			}
+			for i, c := range a.counts {
+				if c != 100 {
+					t.Fatalf("element %d counts %d cycles after 100", i, c)
+				}
+			}
+		})
+	}
+}
+
+// latch is a component that blocks its walker in cycle at, once, until
+// the test lets it go.
+type latch struct {
+	at             uint64
+	paused, resume chan struct{}
+}
+
+func (l *latch) ComponentName() string { return "latch" }
+func (l *latch) Commit(uint64)         {}
+func (l *latch) Tick(c uint64) {
+	if c == l.at {
+		close(l.paused)
+		<-l.resume
+	}
+}
+
+// TestGateStandsUpWhenCrewLost: a stand-down that counted on a crew of
+// two gives its helper back when its run ends inside the stretch; if
+// another platform holds the budget when the next run begins, it cannot
+// hire the crew back and stands up instead of walking the stretch plain.
+// Once the budget is free again its next probe stands it down anew.
+func TestGateStandsUpWhenCrewLost(t *testing.T) {
+	withProcs(t, 2)
+	a, aa := shareEngine("a", 100)
+	b, _ := shareEngine("b", 100)
+	l := &latch{at: 100, paused: make(chan struct{}), resume: make(chan struct{})}
+	b.MustRegister(l)
+
+	a.Run(100) // stands down at 64 on a crew of two, ends inside the stretch
+	if !a.StandingDown() || helpers.Load() != 0 {
+		t.Fatalf("after 100 cycles: standing down %v with %d helpers held; want down, none held", a.StandingDown(), helpers.Load())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Run(200) // stands down at 64 too, and keeps its helper while the latch holds it
+	}()
+	<-l.paused
+	if n := helpers.Load(); n != 1 {
+		t.Fatalf("%d helpers held by the paused run, want 1", n)
+	}
+	pooled := a.PooledCycles()
+	a.Run(10)
+	if a.StandingDown() || a.PooledCycles() != pooled {
+		t.Errorf("with the budget held: standing down %v, %d cycles pooled; want the gates up and none", a.StandingDown(), a.PooledCycles()-pooled)
+	}
+	close(l.resume)
+	<-done
+	if n := helpers.Load(); n != 0 {
+		t.Errorf("%d helpers held between runs", n)
+	}
+	a.Run(100) // the probe from 100 ends at 164
+	if !a.StandingDown() || a.PooledCycles() == pooled {
+		t.Errorf("with the budget free again: standing down %v, %d cycles pooled", a.StandingDown(), a.PooledCycles()-pooled)
+	}
+	for i, c := range aa.counts {
+		if c != 210 {
+			t.Fatalf("element %d counts %d cycles after 210", i, c)
+		}
 	}
 }

@@ -17,11 +17,11 @@
 // Two optional states pick how a cycle is walked: the clock gates of
 // quiesce.go park idle components, and the worker pool of pool.go
 // recovers the paper's other performance property — every device
-// evaluated concurrently within a cycle. The two meet in duty.go: while
-// nearly everything is busy the gates stand down, and a gated engine
-// without workers of its own walks the stretch on a pool where the
-// platform is big enough to pay for one and the host has the
-// processors, plainly where not. Results are bit-identical whichever
+// evaluated concurrently within a cycle. The two meet in duty.go: where
+// enough is busy the gates stand down, and a gated engine without
+// workers of its own walks the stretch on a pool where the platform is
+// big enough to pay for one and the host has the processors, plainly
+// where not — the more workers, the less busy a stretch need be. Results are bit-identical whichever
 // walk executes them.
 package engine
 
@@ -270,13 +270,14 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	poll = poll && len(e.stoppers)+len(e.aborters) > 0
 	// Enter: the pool syncs its shards with the registry, the gates
 	// their slots (schedEnter); a stand-down stretch that goes on into
-	// this run gets its workers back (duty.go).
+	// this run gets its crew back, or stands up if the budget no longer
+	// has the crew it counted on (duty.go).
 	if e.pool != nil {
 		e.pool.enter(e)
 	} else if e.sched != nil {
 		e.schedEnter()
-		if e.sched.duty.down {
-			e.hire()
+		if e.sched.duty.down && !e.hire() {
+			e.standUp()
 		}
 	}
 	for executed < max {
@@ -386,9 +387,9 @@ func (e *Engine) Gated() bool { return e.gated }
 
 // SetWorkers makes the engine evaluate every cycle on n goroutines,
 // the caller's included (pool.go), gated or not. 0, the default, leaves
-// the choice to the engine: a gated one walks the busy stretches in
-// which its gates stand down on a pool when the platform is big enough
-// to pay for one (duty.go), and every other cycle on the caller's
+// the choice to the engine: a gated one walks the stretches in which
+// its gates stand down on a pool when the platform is big enough to pay
+// for one (duty.go), and every other cycle on the caller's
 // goroutine alone. Workers may exceed the component count; surplus
 // shards are empty. The goroutines of n > 0 start at the next run and
 // stay, asleep between runs, until Close; those of a stand-down stretch

@@ -44,8 +44,8 @@
 // component through an interface, so it rations the looks with a
 // backoff, and it keeps the timers. The arenas themselves only store and
 // evaluate elements (arena.go). On a network busy enough that parking
-// costs more than it saves, the gates stand down for the plain walk
-// (duty.go).
+// costs more than it saves — against the plain walk, or against a pool's
+// — the gates stand down (duty.go).
 package engine
 
 // NeverWake is the wake cycle of a component that only input can

@@ -344,7 +344,8 @@ func Build(cfg Config) (*Platform, error) {
 	}
 	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
 	// goroutines, or on the caller's alone but for the stretches its
-	// gates stand down for, gated unless cfg.NoGate. Results are
+	// gates stand down for, on a pool where one pays, gated unless
+	// cfg.NoGate. Results are
 	// bit-identical whichever it is.
 	if err := p.eng.SetWorkers(cfg.Workers); err != nil {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
@@ -360,8 +361,9 @@ func Build(cfg Config) (*Platform, error) {
 	// wire's Send path: a flit sent to a parked switch or receptor wakes
 	// it for the next cycle, the first it can take the flit in; credits
 	// wake nobody. With workers it only skips globally idle windows and
-	// needs no hooks. While its gates stand down on a busy network the
-	// engine switches the hook off and on again.
+	// needs no hooks. While its gates stand down — on a network too busy
+	// for them, or busy enough for a pool — the engine switches the hook
+	// off and on again.
 	if !cfg.NoGate && cfg.Workers == 0 {
 		if p.arms, err = p.eng.ArmTable(consumers); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)

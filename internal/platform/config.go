@@ -117,11 +117,12 @@ type Config struct {
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
 	// Workers selects how the engine walks a cycle. 0 lets the engine
-	// choose: it walks on the caller's goroutine, and hands the busy
+	// choose: it walks on the caller's goroutine, and hands the
 	// stretches in which its gates stand down to a pool of workers when
 	// the platform has at least 64 switches per worker and the host a
-	// processor to spare (engine/duty.go), whose goroutines end with each
-	// run. N >= 1 forces a pool of N workers on every cycle
+	// processor to spare — a pool of n stands down at 1/n of the load
+	// the plain walk needs (engine/duty.go) — whose goroutines end with
+	// each run. N >= 1 forces a pool of N workers on every cycle
 	// (engine.SetWorkers) — the software analogue of the FPGA evaluating
 	// every device in parallel. Results are bit-identical for every
 	// value. A platform with Workers > 0 holds N-1 goroutines from its

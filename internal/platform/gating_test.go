@@ -11,6 +11,7 @@ package platform_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nocemu/internal/fault"
@@ -163,14 +164,18 @@ func TestGatingArenaScaleMatrix(t *testing.T) {
 // mesh and on the paper platform at its 45 % load, where parking costs
 // more than it saves, and never on the same mesh lightly loaded, where
 // it saves most of the cycle (EXPERIMENTS.md, "A gate that stands
-// down").
+// down"). A 16×16 butterfly at 0.10 keeps about a third of its switches
+// active: too few for the plain walk, enough for a crew of two, so it
+// stands down exactly where the host has a second processor. At 0.02 it
+// keeps too few for any crew once the warm-up's first stretch is behind
+// it (EXPERIMENTS.md, "Sparse stretches on a pool").
 func TestGatingStandsDownWhenBusy(t *testing.T) {
 	paper, err := platform.PaperConfig(platform.PaperOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh := func(inj float64) platform.Config {
-		spec, err := topology.ParseSpec("mesh:w=8,h=8")
+	net := func(topo string, inj float64) platform.Config {
+		spec, err := topology.ParseSpec(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,11 +188,14 @@ func TestGatingStandsDownWhenBusy(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  platform.Config
+		from int // the first cycle watched
 		want bool
 	}{
-		{"paper", paper, true},
-		{"mesh8x8-saturated", mesh(0.3), true},
-		{"mesh8x8-light", mesh(0.02), false},
+		{"paper", paper, 0, true},
+		{"mesh8x8-saturated", net("mesh:w=8,h=8", 0.3), 0, true},
+		{"mesh8x8-light", net("mesh:w=8,h=8", 0.02), 0, false},
+		{"bfly16x16-0.10", net("butterfly:w=16,h=16", 0.10), 0, runtime.GOMAXPROCS(0) > 1},
+		{"bfly16x16-0.02", net("butterfly:w=16,h=16", 0.02), 512, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := platform.Build(tc.cfg)
@@ -195,13 +203,14 @@ func TestGatingStandsDownWhenBusy(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
+			p.RunCycles(uint64(tc.from))
 			down := false
-			for c := 0; c < 2_000 && !down; c += 16 {
+			for c := tc.from; c < 2_000 && !down; c += 16 {
 				p.RunCycles(16)
 				down = p.Engine().StandingDown()
 			}
 			if down != tc.want {
-				t.Errorf("stood down within 2 000 cycles: %v, want %v", down, tc.want)
+				t.Errorf("stood down in cycles %d–1 999: %v, want %v", tc.from, down, tc.want)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,58 +67,73 @@ func checkPooled(t *testing.T, p *platform.Platform) {
 	}
 }
 
-// TestStandDownPoolBitIdentical: with a fault campaign and a watchdog
-// (a SerialTicker) on the busy mesh, the default kernel, the plain walk
-// and two workers agree on every snapshot byte at every 64-cycle
-// boundary through two stand-downs and the stand-up between them; and a
-// RunUntil whose Stoppers are done inside the third stretch stops all
-// three on one cycle, with one snapshot.
-func TestStandDownPoolBitIdentical(t *testing.T) {
-	build := func(t *testing.T, cfg platform.Config, workers int, noGate bool) *platform.Platform {
-		t.Helper()
-		p := buildSnap(t, cfg, workers, noGate, []fault.Spec{
-			{Link: 0, Mode: link.FaultStuck, From: 300, Until: 700},
-			{Link: 1, Mode: link.FaultCorrupt, From: 200, Until: 1000},
-		})
-		if _, err := p.AttachWatchdog(500); err != nil {
-			t.Fatal(err)
-		}
-		return p
+// buildStandDown builds cfg for a walk of standDownKernels with a fault
+// campaign — a stuck and a corrupt window — and a watchdog, a
+// SerialTicker.
+func buildStandDown(t *testing.T, cfg platform.Config, workers int, noGate bool) *platform.Platform {
+	t.Helper()
+	p := buildSnap(t, cfg, workers, noGate, []fault.Spec{
+		{Link: 0, Mode: link.FaultStuck, From: 300, Until: 700},
+		{Link: 1, Mode: link.FaultCorrupt, From: 200, Until: 1000},
+	})
+	if _, err := p.AttachWatchdog(500); err != nil {
+		t.Fatal(err)
 	}
-	snap := func(t *testing.T, p *platform.Platform) []byte {
-		t.Helper()
-		b, err := p.SnapshotBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	return p
+}
 
-	t.Run("boundaries", func(t *testing.T) {
-		const chunk, end = 64, 1088
-		var want [][]byte
-		for _, k := range standDownKernels {
-			p := build(t, busyMesh(t), k.workers, k.noGate)
-			var got [][]byte
-			var downs []bool
-			for c := 0; c < end; c += chunk {
-				p.RunCycles(chunk)
-				got = append(got, snap(t, p))
+func snapBytes(t *testing.T, p *platform.Platform) []byte {
+	t.Helper()
+	b, err := p.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// standDownBoundaries runs cfg under every walk of standDownKernels to
+// cycle 1 088 and holds each walk's snapshot at every 64-cycle boundary
+// to the default kernel's, byte for byte. It returns whether the
+// default kernel stood down at each boundary.
+func standDownBoundaries(t *testing.T, cfg platform.Config) []bool {
+	t.Helper()
+	const chunk, end = 64, 1088
+	var want [][]byte
+	var downs []bool
+	for _, k := range standDownKernels {
+		p := buildStandDown(t, cfg, k.workers, k.noGate)
+		var got [][]byte
+		for c := 0; c < end; c += chunk {
+			p.RunCycles(chunk)
+			got = append(got, snapBytes(t, p))
+			if k.name == "default" {
 				downs = append(downs, p.Engine().StandingDown())
 			}
-			if k.name == "default" {
-				want = got
-				checkPooled(t, p)
-				if !downs[3] || downs[5] || !downs[6] || downs[14] {
-					t.Errorf("standing down at the 64-cycle boundaries: %v; want down through 319, up at 320–383, down from 384, up at 896–959", downs)
-				}
+		}
+		if k.name == "default" {
+			want = got
+			checkPooled(t, p)
+		}
+		p.Close()
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: snapshot at cycle %d differs from the default kernel's", k.name, (i+1)*chunk)
 			}
-			p.Close()
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Errorf("%s: snapshot at cycle %d differs from the default kernel's", k.name, (i+1)*chunk)
-				}
-			}
+		}
+	}
+	return downs
+}
+
+// TestStandDownPoolBitIdentical: with a fault campaign and a watchdog
+// on the busy mesh, the default kernel, the plain walk and two workers
+// agree on every snapshot byte at every 64-cycle boundary through two
+// stand-downs and the stand-up between them; and a RunUntil whose
+// Stoppers are done inside the third stretch stops all three on one
+// cycle, with one snapshot.
+func TestStandDownPoolBitIdentical(t *testing.T) {
+	t.Run("boundaries", func(t *testing.T) {
+		if downs := standDownBoundaries(t, busyMesh(t)); !downs[3] || downs[5] || !downs[6] || downs[14] {
+			t.Errorf("standing down at the 64-cycle boundaries: %v; want down through 319, up at 320–383, down from 384, up at 896–959", downs)
 		}
 	})
 
@@ -130,9 +146,9 @@ func TestStandDownPoolBitIdentical(t *testing.T) {
 		}
 		var want result
 		for _, k := range standDownKernels {
-			p := build(t, cfg, k.workers, k.noGate)
+			p := buildStandDown(t, cfg, k.workers, k.noGate)
 			executed, stopped := p.Run(100_000)
-			got := result{executed, p.Engine().Cycle(), stopped, snap(t, p)}
+			got := result{executed, p.Engine().Cycle(), stopped, snapBytes(t, p)}
 			if k.name == "default" {
 				want = got
 				checkPooled(t, p)
@@ -149,6 +165,31 @@ func TestStandDownPoolBitIdentical(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStandDownSparsePoolBitIdentical: a 16×16 butterfly at 0.10 keeps
+// about a third of its switches active, so its gates stand down for a
+// crew of two — on the busy mesh's schedule where the host has a second
+// processor, never on one — and under the same fault campaign and
+// watchdog every walk agrees on every snapshot byte at every 64-cycle
+// boundary.
+func TestStandDownSparsePoolBitIdentical(t *testing.T) {
+	spec, err := topology.ParseSpec("butterfly:w=16,h=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := platform.NetConfig(platform.NetOptions{Topo: spec, Injection: 0.10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	downs := standDownBoundaries(t, cfg)
+	if runtime.GOMAXPROCS(0) == 1 {
+		if slices.Contains(downs, true) {
+			t.Errorf("standing down at the 64-cycle boundaries on one processor: %v", downs)
+		}
+	} else if !downs[3] || downs[5] || !downs[6] || downs[14] {
+		t.Errorf("standing down at the 64-cycle boundaries: %v; want down through 319, up at 320–383, down from 384, up at 896–959", downs)
+	}
 }
 
 // TestStandDownPoolTraced runs the busy mesh with the probe collector
