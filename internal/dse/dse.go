@@ -9,13 +9,16 @@
 // number:
 //
 //  1. Process-level parallelism: N pool workers each drive their own
-//     platform, composing with the per-run parallel kernel
-//     (Config.PlatformWorkers).
+//     platforms, and each measures a point's forks on a crew of itself
+//     and as many helpers as the process-wide budget of GOMAXPROCS−1
+//     goroutines that simulate beside their caller has free
+//     (engine.TakeHelpers). The budget is shared with the default
+//     kernel's pooled stand-down stretches (Config.PlatformWorkers).
 //  2. Build/warm-start amortization: each structural point is built and
-//     warmed up once; its seed replicates are cloned with Platform.Fork
-//     from the warmed snapshot, and the snapshot is stored under the
-//     key of the warmed state (platform.SnapStore) so a resumed or
-//     repeated sweep skips the warm-up.
+//     warmed up once; its seed replicates restore the warmed snapshot
+//     and reseed (Platform.ReseedFork), and the snapshot is stored
+//     under the key of the warmed state (platform.SnapStore) so a
+//     resumed or repeated sweep skips the warm-up.
 //  3. Pareto pruning: the "pareto" search mode expands lattice
 //     neighbours of the current non-dominated front instead of gridding
 //     exhaustively, evaluating a fraction of the full grid while
@@ -24,8 +27,9 @@
 // Every row is a pure function of the sweep configuration — platform
 // runs are bit-identical across kernel configurations, fork replicates
 // reproduce cold-built twins exactly, a stored snapshot is reused only
-// under a key naming everything its state depends on — so sweep results
-// are deterministic for any worker count and any warm/cold/cached mix.
+// under a key naming everything its state depends on, rows land by fork
+// index whatever crew measured them — so sweep results are deterministic
+// for any worker count, any crew and any warm/cold/cached mix.
 package dse
 
 import (
@@ -106,8 +110,10 @@ type Config struct {
 	// Workers sizes the sweep worker pool (default 1). Each worker
 	// evaluates whole structural points on its own platforms.
 	Workers int
-	// PlatformWorkers selects each platform's inner kernel (0 =
-	// sequential), composing per-run parallelism with pool parallelism.
+	// PlatformWorkers selects each platform's inner kernel: 0 is the
+	// default kernel, which pools only a large platform's stand-down
+	// stretches, on helpers from the same process-wide budget the fork
+	// crews draw on; n > 0 forces a pool of n workers on every cycle.
 	PlatformWorkers int
 	// Search picks the walk (default SearchGrid).
 	Search Search

@@ -1,6 +1,10 @@
 package dse
 
 import (
+	"sync"
+	"sync/atomic"
+
+	"nocemu/internal/engine"
 	"nocemu/internal/platform"
 	"nocemu/internal/resource"
 )
@@ -63,13 +67,14 @@ func (e *evaluator) build(p Point) (*platform.Platform, error) {
 //
 // Warm path (the default): one platform reaches the warmed post-reset
 // state through the snapshot store (restored when stored, otherwise
-// warmed and stored) and measures every fork itself: fork 0 continues,
-// fork i > 0 restores the warmed state and reseeds (ReseedFork), so a
-// replicate pays a restore and its measure window, never a build.
+// warmed and stored) and measures fork 0 by continuing; every other fork
+// restores the warmed state into a platform of the crew and reseeds
+// (ReseedFork), so a replicate pays a restore and its measure window,
+// never a warm-up.
 //
 // Cold path (ColdBuild): every fork builds its own platform and replays
 // the warm-up, reseeding at the fork cycle exactly as Fork does — the
-// ablation baseline. Both paths produce byte-identical rows.
+// ablation baseline. Both paths produce byte-identical rows, on any crew.
 func (e *evaluator) evalPoint(p Point) []Row {
 	if e.cfg.ColdBuild {
 		return e.evalPointCold(p)
@@ -87,34 +92,94 @@ func (e *evaluator) evalPoint(p Point) []Row {
 			return e.errorRows(p, err)
 		}
 	}
-	rows := make([]Row, e.cfg.Forks)
-	for i := range rows {
+	return e.onCrew(p, src, func(pl *platform.Platform, i int) (Row, error) {
 		if i > 0 {
-			if err := src.RestoreBytes(warmed); err != nil {
-				return e.errorRows(p, err)
+			if err := pl.RestoreBytes(warmed); err != nil {
+				return Row{}, err
 			}
-			src.ReseedFork(i)
+			pl.ReseedFork(i)
 		}
-		rows[i] = e.measure(src, p, i, area)
-	}
-	return rows
+		return e.measure(pl, p, i, area), nil
+	})
 }
 
 // evalPointCold is the amortization-free path: per fork, a cold build
 // replaying warm-up and reseed — what the warm path's restore and
 // ReseedFork stand for.
 func (e *evaluator) evalPointCold(p Point) []Row {
-	rows := make([]Row, e.cfg.Forks)
-	for i := range rows {
+	return e.onCrew(p, nil, func(_ *platform.Platform, i int) (Row, error) {
 		pl, err := e.build(p)
 		if err != nil {
-			return e.errorRows(p, err)
+			return Row{}, err
 		}
+		defer pl.Close()
 		pl.RunCycles(e.cfg.WarmupCycles)
 		pl.ResetStats()
 		pl.ReseedFork(i)
-		rows[i] = e.measure(pl, p, i, areaSlices(pl))
-		pl.Close()
+		return e.measure(pl, p, i, areaSlices(pl)), nil
+	})
+}
+
+// onCrew measures the point's forks on a crew: the caller's goroutine
+// and as many helpers, up to Forks−1, as the engine's process-wide
+// budget has free (engine.TakeHelpers); none on a one-processor host or
+// while the budget is held. The caller measures fork 0 first, on own; a
+// shared counter hands out the others in index order to whichever
+// worker is free. Where own is non-nil each helper measures on a twin
+// it builds (e.build: same shape, same faults) and closes; one whose
+// twin fails to build takes no fork, and the rest of the crew, the
+// caller at least, measures them all.
+//
+// Rows land by index, so they do not depend on the crew. The first fork
+// to fail stops the handing out; every fork below it has been handed
+// out already and runs to its end, so the point's rows become errorRows
+// carrying the error of the lowest-index fork that fails, whatever the
+// crew. The helpers are back in the budget, their goroutines gone, when
+// onCrew returns.
+func (e *evaluator) onCrew(p Point, own *platform.Platform, fork func(pl *platform.Platform, i int) (Row, error)) []Row {
+	rows := make([]Row, e.cfg.Forks)
+	errs := make([]error, e.cfg.Forks)
+	var next atomic.Int64 // the last fork handed out
+	var failed atomic.Bool
+	do := func(pl *platform.Platform, i int) {
+		if rows[i], errs[i] = fork(pl, i); errs[i] != nil {
+			failed.Store(true)
+		}
+	}
+	work := func(pl *platform.Platform) {
+		for !failed.Load() {
+			i := int(next.Add(1))
+			if i >= len(rows) {
+				return
+			}
+			do(pl, i)
+		}
+	}
+	n := engine.TakeHelpers(len(rows) - 1)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			var twin *platform.Platform
+			if own != nil {
+				var err error
+				if twin, err = e.build(p); err != nil {
+					return
+				}
+				defer twin.Close()
+			}
+			work(twin)
+		}()
+	}
+	do(own, 0)
+	work(own)
+	wg.Wait()
+	engine.ReturnHelpers(n)
+	for _, err := range errs {
+		if err != nil {
+			return e.errorRows(p, err)
+		}
 	}
 	return rows
 }

@@ -24,9 +24,10 @@
 // engine without workers of its own hands the stretch to a crew — a
 // worker per poolSpan arena elements, no more than GOMAXPROCS, and no
 // more helper goroutines than a process-wide budget of GOMAXPROCS−1 has
-// free, which platforms running side by side share. And since a crew
-// of n walks a stretch in about 1/n of the plain walk's time, the probe
-// counts the crew it could hire: a crew of n stands down at
+// free, which platforms running side by side and the fork crews of
+// sweep points share. And since a crew of n walks a stretch in about
+// 1/n of the plain walk's time, the probe counts the crew it could
+// hire: a crew of n stands down at
 // standDownShare/n of the arena elements active. A crew of one — a
 // small platform, a one-processor host, a budget held elsewhere — walks
 // the stretch plain, at the share a plain walk needs. The helpers are
@@ -198,12 +199,34 @@ func (e *Engine) standUp() {
 // the engine walks the plain schedule, hooks off, until its next probe.
 func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.down }
 
-// helpers is the process-wide budget of the stand-down pools: the
-// goroutines they hold beside their callers', GOMAXPROCS−1 at most
-// together, so that platforms running side by side (serve sessions,
-// sweep workers) never put more spinners on the host than it has
-// processors.
+// helpers is the process-wide budget of the goroutines that simulate
+// beside their callers': the stand-down pools' helpers and the fork
+// helpers a sweep point measures its replicates on (TakeHelpers),
+// GOMAXPROCS−1 at most together, so that platforms running side by side
+// (serve sessions, sweep workers, a point's forks) never put more
+// spinners on the host than it has processors.
 var helpers atomic.Int32
+
+// TakeHelpers takes up to want helpers from the process-wide budget and
+// returns how many it took: as many as it has free, never more than
+// would bring all held past GOMAXPROCS−1, none where want < 1. It never
+// blocks. The caller gives them back with ReturnHelpers once the
+// goroutines it ran on them have exited.
+func TakeHelpers(want int) int {
+	for {
+		held := helpers.Load()
+		n := min(want, runtime.GOMAXPROCS(0)-1-int(held))
+		if n <= 0 {
+			return 0
+		}
+		if helpers.CompareAndSwap(held, held+int32(n)) {
+			return n
+		}
+	}
+}
+
+// ReturnHelpers gives n helpers TakeHelpers took back to the budget.
+func ReturnHelpers(n int) { helpers.Add(-int32(n)) }
 
 // crewSize is how many workers a pooled stretch could have while held
 // helpers are taken: one per span arena elements, at most GOMAXPROCS,
@@ -215,25 +238,20 @@ func (e *Engine) crewSize(held int32) int {
 }
 
 // hire hands the stretch under way to a crew of crewSize workers. It
-// takes none and reports false where that is fewer than the stand-down
+// keeps none and reports false where that is fewer than the stand-down
 // needs; a crew of one walks the stretch plain.
 func (e *Engine) hire() bool {
 	d := &e.sched.duty
-	for {
-		held := helpers.Load()
-		n := e.crewSize(held)
-		if n < d.need {
-			return false
-		}
-		if n < 2 {
-			return true
-		}
-		if helpers.CompareAndSwap(held, held+int32(n-1)) {
-			d.crew = newPool(n)
-			d.crew.enter(e)
-			return true
-		}
+	n := 1 + TakeHelpers(e.crewSize(0)-1)
+	if n < d.need {
+		ReturnHelpers(n - 1)
+		return false
 	}
+	if n > 1 {
+		d.crew = newPool(n)
+		d.crew.enter(e)
+	}
+	return true
 }
 
 // dismiss ends the stretch's pool, if it has one: its goroutines exit
@@ -245,7 +263,7 @@ func (e *Engine) dismiss() {
 	}
 	d.crew.leave()
 	d.crew.close()
-	helpers.Add(-int32(len(d.crew.shards) - 1))
+	ReturnHelpers(len(d.crew.shards) - 1)
 	d.crew = nil
 }
 

@@ -372,6 +372,70 @@ func TestStandDownPoolBudget(t *testing.T) {
 	}
 }
 
+// TestHelperBudgetShared: goroutines taking and giving back helpers
+// with TakeHelpers and ReturnHelpers — as sweep points' fork crews do —
+// while two engines' stand-down pools hire from the same budget never
+// hold more than GOMAXPROCS−1 between them, and the budget is whole
+// again once all have finished.
+func TestHelperBudgetShared(t *testing.T) {
+	limit := runtime.GOMAXPROCS(0) - 1
+	var held, peak atomic.Int32
+	note := func(n int32) {
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	var arenas [2]*spanArena
+	for k := range arenas {
+		e, a := busyEngine(fmt.Sprint("arena", k), NeverWake)
+		arenas[k] = a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				e.Run(300)
+			}
+		}()
+	}
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				n := TakeHelpers(1 + (g+i)%3)
+				note(held.Add(int32(n)))
+				note(helpers.Load())
+				held.Add(-int32(n))
+				ReturnHelpers(n)
+			}
+		}()
+	}
+	wg.Wait()
+	for k, a := range arenas {
+		note(a.peak.Load())
+		for i, c := range a.counts {
+			if c != 1500 {
+				t.Fatalf("engine %d element %d counts %d cycles after 1500", k, i, c)
+			}
+		}
+	}
+	if p := peak.Load(); p > int32(limit) {
+		t.Errorf("%d helpers held at once, budget %d", p, limit)
+	}
+	if n := TakeHelpers(runtime.GOMAXPROCS(0)); n != limit {
+		t.Errorf("took %d helpers after every caller finished, want the whole budget of %d", n, limit)
+	} else {
+		ReturnHelpers(n)
+	}
+	if n := TakeHelpers(0) + TakeHelpers(-1); n != 0 {
+		t.Errorf("took %d helpers asking for none", n)
+	}
+}
+
 // withProcs runs the rest of the test at GOMAXPROCS procs.
 func withProcs(t *testing.T, procs int) {
 	old := runtime.GOMAXPROCS(procs)
@@ -382,9 +446,11 @@ func withProcs(t *testing.T, procs int) {
 // the crew a pooled stretch would get — standDownShare/n for a crew of
 // n. An arena 100/256 active, between 33/128 and 33/64, stands down on
 // two processors with a helper free and walks the stretch on the pool;
-// on one processor, or with the budget held elsewhere, its gates stay
-// up, as they always do at 60/256, below 33/128. A share above 64 never
-// stands down, whatever the crew.
+// on one processor, or with the budget held elsewhere — by a sweep
+// point's fork crew, say — its gates stay up, as they always do at
+// 60/256, below 33/128. Helpers a fork crew holds shrink the crew it
+// counts on, never past the budget. A share above 64 never stands down,
+// whatever the crew.
 func TestGateStandsDownForACrew(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -397,17 +463,27 @@ func TestGateStandsDownForACrew(t *testing.T) {
 		{"budget-held", 2, 1, 100, standDownShare, false},
 		{"below-a-crew-of-2", 2, 0, 60, standDownShare, false},
 		{"crew-of-4", 4, 0, 60, standDownShare, true},
+		{"fork-crew-leaves-2", 4, 2, 100, standDownShare, true},
+		{"fork-crew-leaves-2-of-4", 4, 2, 60, standDownShare, false},
 		{"never", 4, 0, 4 * poolSpan, 65, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withProcs(t, tc.procs)
-			helpers.Add(int32(tc.held))
-			defer helpers.Add(-int32(tc.held))
+			if n := TakeHelpers(tc.held); n != tc.held {
+				t.Fatalf("took %d helpers, want %d", n, tc.held)
+			}
+			defer ReturnHelpers(tc.held)
 			e, a := shareEngine("arena", tc.busy)
 			e.sched.duty.share = tc.share
 			e.Run(100) // one probe window, and 36 cycles of what it decided
+			if n, want := e.crewSize(helpers.Load()), min(tc.procs-tc.held, 4); n != want {
+				t.Errorf("crew size %d with %d helpers held, want %d", n, tc.held, want)
+			}
 			if e.StandingDown() != tc.down || (e.PooledCycles() > 0) != tc.down {
 				t.Errorf("standing down %v after %d pooled cycles, want %v", e.StandingDown(), e.PooledCycles(), tc.down)
+			}
+			if p := a.peak.Load(); p > int32(tc.procs-1) {
+				t.Errorf("%d helpers held during the run, budget %d", p, tc.procs-1)
 			}
 			if n := helpers.Load(); n != int32(tc.held) {
 				t.Errorf("%d helpers held after the run, want the test's %d", n, tc.held)
