@@ -48,7 +48,9 @@ vet:
 # restore either fails or re-saves to its input and runs; a register
 # write is accepted exactly when the constructor accepts the result),
 # and the switch's snapshot face (a restore either fails or re-saves to
-# its input and ticks).
+# its input and ticks), and a whole platform's restore (one section of a
+# real snapshot mutated and re-framed, restored over a platform that
+# already ran: the restore fails, or re-saves its input and runs).
 # The corpora grow under each package's testdata over time; `make fuzz`
 # explores for a few seconds beyond them.
 .PHONY: fuzz
@@ -58,6 +60,7 @@ fuzz:
 	go test -run FuzzServeRequest -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 	go test -run FuzzGeneratorState -fuzz FuzzGeneratorState -fuzztime 5s ./internal/traffic
 	go test -run FuzzSwitchState -fuzz FuzzSwitchState -fuzztime 5s ./internal/switchfab
+	go test -run FuzzPlatformRestore -fuzz FuzzPlatformRestore -fuzztime 5s ./internal/platform
 
 # Coverage profile for CI: runs tier-1 tests with -coverprofile and
 # prints the per-function summary tail (total coverage) to the log.

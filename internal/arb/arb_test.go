@@ -277,3 +277,36 @@ func TestMaskGrantMatchesScanModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundRobinLoadStateBound: a restored round-robin pointer names a
+// requester, 0 to n-1. n itself, one past the last, is rejected at every
+// size — a multiple of 64 too, where it would index the word past the
+// request mask — and the last requester is accepted and re-saved.
+func TestRoundRobinLoadStateBound(t *testing.T) {
+	for _, n := range []int{1, 5, 63, 64, 65, 128, 130} {
+		a, err := New(RoundRobin, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, next := range []int{-1, n, n + 1} {
+			w := state.NewWriter()
+			w.Int(next)
+			if err := a.LoadState(state.NewReader(w.Bytes())); err == nil {
+				t.Errorf("n=%d: round-robin pointer %d accepted", n, next)
+			}
+		}
+		w := state.NewWriter()
+		w.Int(n - 1)
+		if err := a.LoadState(state.NewReader(w.Bytes())); err != nil {
+			t.Fatalf("n=%d: pointer %d: %v", n, n-1, err)
+		}
+		if !bytes.Equal(savedState(a), w.Bytes()) {
+			t.Errorf("n=%d: pointer %d re-saves differently", n, n-1)
+		}
+		req := make([]uint64, Words(n))
+		req[0] = 1
+		if got, ok := a.Grant(req); !ok || got != 0 {
+			t.Errorf("n=%d: from pointer %d, grant %d,%v, want the wrap to 0", n, n-1, got, ok)
+		}
+	}
+}

@@ -234,6 +234,9 @@ func (q *FIFO) Peek() *flit.Flit {
 	return q.Queue.Peek(q.items, 0)
 }
 
+// At returns the k-th buffered flit from the front.
+func (q *FIFO) At(k int) *flit.Flit { return q.Queue.Peek(q.items, k) }
+
 // Push appends a flit. Pushing into a full buffer is a flow-control
 // violation and returns an error.
 func (q *FIFO) Push(f *flit.Flit) error {

@@ -20,9 +20,9 @@ func (q *Queue) SaveState(w *state.Writer, slots []*flit.Flit) {
 }
 
 // LoadState restores the queue into its slots, materializing the queued
-// flits as fresh pool-adoptable images and normalizing the ring to head
-// 0 (the head index is not observable, so the normalized form keeps
-// re-snapshots canonical).
+// flits as pool-adoptable images in the flits the slots held (fresh ones
+// past those) and normalizing the ring to head 0 (the head index is not
+// observable, so the normalized form keeps re-snapshots canonical).
 func (q *Queue) LoadState(r *state.Reader, slots []*flit.Flit) error {
 	capacity := r.Int()
 	size := r.Int()
@@ -35,14 +35,22 @@ func (q *Queue) LoadState(r *state.Reader, slots []*flit.Flit) error {
 	if size < 0 || size > capacity {
 		return fmt.Errorf("snapshot occupancy %d of %d", size, capacity)
 	}
-	clear(slots)
+	// Every flit in the slots is the queue's (Pop clears its slot):
+	// packed to the front, the ones the restored images need are reused.
+	held := 0
+	for i, f := range slots {
+		if f != nil {
+			slots[i], slots[held] = nil, f
+			held++
+		}
+	}
+	clear(slots[size:])
 	q.head, q.size = 0, int32(size)
 	for i := 0; i < size; i++ {
-		f := &flit.Flit{}
-		if err := f.LoadState(r); err != nil {
+		slots[i] = flit.Reuse(slots[i])
+		if err := slots[i].LoadState(r); err != nil {
 			return err
 		}
-		slots[i] = f
 	}
 	return q.Counters.LoadState(r)
 }

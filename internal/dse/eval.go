@@ -80,7 +80,7 @@ func (e *evaluator) evalPoint(p Point) []Row {
 		return e.evalPointCold(p)
 	}
 	src, err := e.store.Warm(e.cfg.stateKey(p), e.cfg.WarmupCycles,
-		func() (*platform.Platform, error) { return e.build(p) })
+		func(bool) (*platform.Platform, error) { return e.build(p) })
 	if err != nil {
 		return e.errorRows(p, err)
 	}

@@ -116,6 +116,15 @@ func (a *Assembler) find(id PacketID) (int, bool) {
 	return len(a.partial), false
 }
 
+// Progress reports how far packet id is assembled: the flits got and
+// the length wanted, with begun false for a packet not begun.
+func (a *Assembler) Progress(id PacketID) (got, want uint16, begun bool) {
+	if i, ok := a.find(id); ok {
+		return a.partial[i].got, a.partial[i].want, true
+	}
+	return 0, 0, false
+}
+
 // Push adds one flit. When the flit completes a packet, Push returns the
 // completed packet description with done=true. The returned packet is a
 // scratch value owned by the assembler and is valid only until the next

@@ -3,20 +3,20 @@
 // Flits are serialized as value images of their exported fields by the
 // component that holds them (a FIFO slot, a link register, a NIC ring);
 // the private pooling links (next, pooled) are identity, not state, and
-// are never written. Restore materializes each image as a fresh heap
-// flit via LoadFlit: the pool's freelists are deliberately dropped on
-// restore (the garbage collector reclaims them) while the shard ledger
-// counters — which already include every live flit — are restored
-// verbatim, so Pool.Live stays exact and a drained platform still
-// audits to zero. A materialized flit has pooled=false, exactly like a
-// freshly allocated one, so its eventual Release routes through the
-// source endpoint's shard as usual and the pool repopulates itself.
+// are never written. Restore materializes each image into a flit the
+// holder held before the load (Reuse; flit identity is not state), or a
+// fresh heap flit when it held fewer. The pool's freelists are
+// deliberately dropped on restore (the garbage collector reclaims them)
+// while the shard ledger counters — which already include every live
+// flit — are restored verbatim, so Pool.Live stays exact and a drained
+// platform still audits to zero. A materialized flit has pooled=false,
+// exactly like a freshly allocated one (a held flit is never pooled), so
+// its eventual Release routes through the source endpoint's shard as
+// usual and the pool repopulates itself.
 package flit
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"nocemu/internal/state"
 )
@@ -37,6 +37,8 @@ func (f *Flit) SaveState(w *state.Writer) {
 }
 
 // LoadState restores the flit image in place (pooling links untouched).
+// An image that breaks a flit's structural invariants (Validate) is
+// rejected: every holder would pass it on to a receiver that panics.
 func (f *Flit) LoadState(r *state.Reader) error {
 	f.Kind = Kind(r.U8())
 	f.Packet = PacketID(r.U64())
@@ -49,7 +51,10 @@ func (f *Flit) LoadState(r *state.Reader) error {
 	f.BirthCycle = r.U64()
 	f.Check = r.U16()
 	f.VC = r.U8()
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return f.Validate()
 }
 
 // SaveFlit writes an optional flit slot: a presence flag, then the
@@ -64,17 +69,30 @@ func SaveFlit(w *state.Writer, f *Flit) {
 	f.SaveState(w)
 }
 
-// LoadFlit reads an optional flit slot, materializing a fresh heap
-// flit for a present image (nil for an absent one).
-func LoadFlit(r *state.Reader) (*Flit, error) {
+// LoadFlit reads an optional flit slot (nil for an absent image). A
+// present image is materialized into spare, a flit its holder owned
+// before the load, when there is one, else into a fresh heap flit.
+func LoadFlit(r *state.Reader, spare *Flit) (*Flit, error) {
 	if !r.Bool() {
 		return nil, r.Err()
 	}
-	f := &Flit{}
+	f := Reuse(spare)
 	if err := f.LoadState(r); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// Reuse returns f reset to a fresh flit's zero state, or a new heap
+// flit when f is nil. A holder restoring its slots passes the flits it
+// held before the load: they are its alone, no pool or other holder
+// can reach them, so loading the same images again allocates nothing.
+func Reuse(f *Flit) *Flit {
+	if f == nil {
+		return &Flit{}
+	}
+	*f = Flit{}
+	return f
 }
 
 // SaveState serializes the partial-assembly table in packet-ID order,
@@ -88,9 +106,11 @@ func (a *Assembler) SaveState(w *state.Writer) {
 	}
 }
 
-// LoadState restores the partial-assembly table. A table naming one
-// packet twice is rejected: the assembler cannot tell which record its
-// next flit continues.
+// LoadState restores the partial-assembly table, which must list each
+// packet once, in packet-ID order, with some but not all of its flits
+// got: a packet named twice is rejected (the assembler cannot tell which
+// record its next flit continues), and so is any table SaveState would
+// not write.
 func (a *Assembler) LoadState(r *state.Reader) error {
 	n := r.Int()
 	if r.Err() != nil {
@@ -101,20 +121,24 @@ func (a *Assembler) LoadState(r *state.Reader) error {
 	}
 	a.partial = a.partial[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {
-		a.partial = append(a.partial, assembly{id: PacketID(r.U64()), got: r.U16(), want: r.U16()})
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	slices.SortFunc(a.partial, func(x, y assembly) int { return cmp.Compare(x.id, y.id) })
-	for i := 1; i < len(a.partial); i++ {
-		if a.partial[i].id == a.partial[i-1].id {
-			id := a.partial[i].id
-			a.partial = a.partial[:0]
-			return fmt.Errorf("flit: assembler snapshot holds packet %d twice", id)
+		st := assembly{id: PacketID(r.U64()), got: r.U16(), want: r.U16()}
+		var err error
+		switch {
+		case r.Err() != nil:
+		case i > 0 && st.id == a.partial[i-1].id:
+			err = fmt.Errorf("flit: assembler snapshot holds packet %d twice", st.id)
+		case i > 0 && st.id < a.partial[i-1].id:
+			err = fmt.Errorf("flit: assembler snapshot lists packet %d after %d", st.id, a.partial[i-1].id)
+		case st.got == 0 || st.got >= st.want:
+			err = fmt.Errorf("flit: assembler snapshot has %d of packet %d's %d flits", st.got, st.id, st.want)
 		}
+		if err != nil {
+			a.partial = a.partial[:0]
+			return err
+		}
+		a.partial = append(a.partial, st)
 	}
-	return nil
+	return r.Err()
 }
 
 // SaveState serializes the shard ledger. The freelists and return ramp
@@ -132,12 +156,12 @@ func (s *Shard) SaveState(w *state.Writer) {
 // flits are rematerialized by their holders, so the saved counters stay
 // exact without them.
 func (s *Shard) LoadState(r *state.Reader) error {
-	name := r.String()
+	name, ok := r.Match(s.name)
 	owner := EndpointID(r.U16())
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if name != s.name || owner != s.owner {
+	if !ok || owner != s.owner {
 		return fmt.Errorf("flit: snapshot shard %q/ep%d, built %q/ep%d", name, owner, s.name, s.owner)
 	}
 	s.free, s.held = nil, nil

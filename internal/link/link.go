@@ -102,6 +102,7 @@ func (l *Link) Send(cycle uint64, f *flit.Flit) error {
 		}
 		l.overruns++
 		l.probe().FlitDrop(cycle, uint64(old.Packet), uint16(old.Src), uint16(old.Dst), old.Index)
+		l.slot[p] = nil // the handler owns it now, even if a stuck fault holds f
 		if l.arena.onDrop != nil {
 			l.arena.onDrop(old, cycle)
 		}

@@ -51,13 +51,22 @@ func (l *Link) LoadState(r *state.Reader) error {
 	if r.Err() == nil && mode > FaultCorrupt {
 		return fmt.Errorf("link %s: snapshot fault mode %d", l.ComponentName(), mode)
 	}
-	cur, err := flit.LoadFlit(r)
+	spare := l.OnWire()
+	cur, err := flit.LoadFlit(r, spare[0])
 	if err != nil {
 		return err
 	}
-	held, err := flit.LoadFlit(r)
+	if cur != nil {
+		spare[0] = spare[1]
+	}
+	held, err := flit.LoadFlit(r, spare[0])
 	if err != nil {
 		return err
+	}
+	for _, f := range [2]*flit.Flit{cur, held} {
+		if f != nil && int(f.VC) >= l.arena.vcs {
+			return fmt.Errorf("link %s: snapshot flit on virtual channel %d of %d", l.ComponentName(), f.VC, l.arena.vcs)
+		}
 	}
 	busy, total, flits := r.U64(), r.U64(), r.U64()
 	now := l.arena.now()
@@ -76,6 +85,35 @@ func (l *Link) LoadState(r *state.Reader) error {
 	}
 	l.SetFault(mode)
 	return r.Err()
+}
+
+// OnWire returns the flits the wire holds, packed to the front in the
+// order they arrive: those on it, the earlier visible first, then one a
+// stuck fault holds. A load reuses them.
+func (l *Link) OnWire() (fs [3]*flit.Flit) {
+	first, second := l.slot[0], l.slot[1]
+	if l.vis[1] < l.vis[0] {
+		first, second = second, first
+	}
+	n := 0
+	for _, f := range [3]*flit.Flit{first, second, l.faults().held} {
+		if f != nil {
+			fs[n] = f
+			n++
+		}
+	}
+	return fs
+}
+
+// Flits calls fn on every flit the arena's wires hold.
+func (a *Arena) Flits(fn func(*flit.Flit)) {
+	for i := range a.links {
+		for _, f := range a.links[i].OnWire() {
+			if f != nil {
+				fn(f)
+			}
+		}
+	}
 }
 
 // SaveState serializes one credit wire: the credits on it and the

@@ -63,8 +63,10 @@ type Platform struct {
 	wdPatience uint64
 	faults     []*fault.Controller
 	faultSpecs [][]fault.Spec
-	// initSnap is the cycle-zero snapshot captured when construction
-	// finishes, backing FullReset.
+	// plan is the snapshot section walk and initSnap the cycle-zero
+	// snapshot backing FullReset, both captured when construction or a
+	// post-build attachment finishes (captureInit).
+	plan     []section
 	initSnap []byte
 	// wires and swArena are the dense stores every wire and switch lives
 	// in; both are snapshot sections (snapshot.go). Only the switches are
@@ -381,9 +383,7 @@ func Build(cfg Config) (*Platform, error) {
 	}
 	// Capture the cycle-zero snapshot backing FullReset. Post-build
 	// attachments (AttachWatchdog, AddFaults) re-capture it.
-	if err := p.captureInit(); err != nil {
-		return nil, fmt.Errorf("platform %s: init snapshot: %w", cfg.Name, err)
-	}
+	p.captureInit()
 	return p, nil
 }
 

@@ -12,9 +12,9 @@
 package platform
 
 import (
-	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"nocemu/internal/engine"
 	"nocemu/internal/state"
@@ -34,112 +34,123 @@ const (
 	secFault     = "fault"
 )
 
-// snapshotPlan returns the platform's section walk: names, types, and
-// the Stateful behind each, in build order. The two arenas are their
-// own sections: element count(s), then every element in index order.
-func (p *Platform) snapshotPlan() (names, types []string, parts []engine.Stateful) {
-	add := func(name, typ string, s engine.Stateful) {
-		names = append(names, name)
-		types = append(types, typ)
-		parts = append(parts, s)
-	}
-	add("engine", secEngine, p.eng)
-	add("pool", secPool, p.pool)
+// section is one entry of the platform's section walk: the frame's name
+// and type, and the Stateful behind it.
+type section struct {
+	name, typ string
+	part      engine.Stateful
+}
+
+// snapshotPlan returns the platform's section walk in build order. The
+// two arenas are their own sections: element count(s), then every
+// element in index order. captureInit stores it as p.plan, so it is
+// built once per construction shape, not per snapshot or restore.
+func (p *Platform) snapshotPlan() []section {
+	plan := []section{{"engine", secEngine, p.eng}, {"pool", secPool, p.pool}}
 	for _, tg := range p.tgs {
-		add(tg.ComponentName(), secTG, tg)
+		plan = append(plan, section{tg.ComponentName(), secTG, tg})
 	}
 	for _, tr := range p.trs {
-		add(tr.ComponentName(), secTR, tr)
+		plan = append(plan, section{tr.ComponentName(), secTR, tr})
 	}
-	add("switches", secSwitchfab, p.swArena)
-	add("wires", secWires, p.wires)
+	plan = append(plan, section{"switches", secSwitchfab, p.swArena}, section{"wires", secWires, p.wires})
 	if p.collector != nil {
-		add("probe", secProbe, p.collector)
+		plan = append(plan, section{"probe", secProbe, p.collector})
 	}
 	if p.wd != nil {
-		add("watchdog", secWatchdog, p.wd)
+		plan = append(plan, section{"watchdog", secWatchdog, p.wd})
 	}
 	for _, fc := range p.faults {
-		add(fc.ComponentName(), secFault, fc)
+		plan = append(plan, section{fc.ComponentName(), secFault, fc})
 	}
-	return names, types, parts
+	return plan
 }
 
 // Snapshot serializes the platform's complete logical state. Call it
 // only between runs (never mid-cycle). The platform keeps running
 // unperturbed afterwards.
 func (p *Platform) Snapshot(out io.Writer) error {
-	names, types, parts := p.snapshotPlan()
-	if err := state.WriteHeader(out, p.cfg.Name, len(parts)); err != nil {
+	if _, err := out.Write(p.AppendSnapshot(nil)); err != nil {
 		return fmt.Errorf("platform %s: snapshot: %w", p.cfg.Name, err)
-	}
-	for i, part := range parts {
-		w := state.NewWriter()
-		part.SaveState(w)
-		s := state.Section{Name: names[i], Type: types[i], Body: w.Bytes()}
-		if err := state.WriteSection(out, s); err != nil {
-			return fmt.Errorf("platform %s: snapshot section %s: %w", p.cfg.Name, names[i], err)
-		}
 	}
 	return nil
 }
 
-// SnapshotBytes is Snapshot into memory.
-func (p *Platform) SnapshotBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.Snapshot(&buf); err != nil {
-		return nil, err
+// SnapshotBytes is Snapshot into memory. It never fails; the error is
+// Snapshot's.
+func (p *Platform) SnapshotBytes() ([]byte, error) { return p.AppendSnapshot(nil), nil }
+
+// AppendSnapshot appends the snapshot to b: the header and every
+// section frame go into one buffer, grown up front by the init
+// snapshot's length, and every body is saved through one reused writer.
+func (p *Platform) AppendSnapshot(b []byte) []byte {
+	b = state.AppendHeader(slices.Grow(b, len(p.initSnap)), p.cfg.Name, len(p.plan))
+	var body state.Writer
+	for _, s := range p.plan {
+		body.Reset()
+		s.part.SaveState(&body)
+		b = state.AppendSection(b, s.name, s.typ, body.Bytes())
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
-// Restore loads a snapshot into the platform, replacing all logical
-// state. The snapshot must come from a platform of the same name and
-// construction shape (topology, devices, tracing, watchdog, fault
-// campaigns); the kernel and gating configuration may differ — that is
-// the point. On error the platform state is undefined; rebuild it.
+// Restore is RestoreBytes from a stream.
 func (p *Platform) Restore(in io.Reader) error {
-	name, sections, err := state.ReadSnapshot(in)
+	b, err := io.ReadAll(in)
 	if err != nil {
 		return fmt.Errorf("platform %s: restore: %w", p.cfg.Name, err)
 	}
-	if name != p.cfg.Name {
-		return fmt.Errorf("platform %s: restore: snapshot is of platform %q", p.cfg.Name, name)
+	return p.RestoreBytes(b)
+}
+
+// RestoreBytes loads a snapshot into the platform, replacing all
+// logical state, in one pass over b: the framing is checked first, then
+// each section is matched in place against the plan and decoded by its
+// component, which keeps no reference to b. The snapshot must come from
+// a platform of the same name and construction shape (topology,
+// devices, tracing, watchdog, fault campaigns); the kernel and gating
+// configuration may differ — that is the point. A framing error leaves
+// the platform untouched; any later error leaves its state undefined,
+// so rebuild it (or FullReset it).
+func (p *Platform) RestoreBytes(b []byte) error {
+	f, err := state.ParseSnapshot(b)
+	if err != nil {
+		return fmt.Errorf("platform %s: restore: %w", p.cfg.Name, err)
 	}
-	names, types, parts := p.snapshotPlan()
-	if len(sections) != len(parts) {
+	if string(f.Platform) != p.cfg.Name {
+		return fmt.Errorf("platform %s: restore: snapshot is of platform %q", p.cfg.Name, f.Platform)
+	}
+	if f.Count != len(p.plan) {
 		return fmt.Errorf("platform %s: restore: snapshot has %d sections, platform needs %d",
-			p.cfg.Name, len(sections), len(parts))
+			p.cfg.Name, f.Count, len(p.plan))
 	}
-	for i, s := range sections {
-		if s.Name != names[i] || s.Type != types[i] {
+	var r state.Reader
+	for i, s := range p.plan {
+		fr := f.Next()
+		if string(fr.Name) != s.name || string(fr.Type) != s.typ {
 			return fmt.Errorf("platform %s: restore: section %d is %s/%s, want %s/%s",
-				p.cfg.Name, i, s.Name, s.Type, names[i], types[i])
+				p.cfg.Name, i, fr.Name, fr.Type, s.name, s.typ)
 		}
-		r := state.NewReader(s.Body)
-		if err := parts[i].LoadState(r); err != nil {
-			return fmt.Errorf("platform %s: restore section %s: %w", p.cfg.Name, s.Name, err)
+		r.Reset(fr.Body)
+		if err := s.part.LoadState(&r); err != nil {
+			return fmt.Errorf("platform %s: restore section %s: %w", p.cfg.Name, s.name, err)
 		}
 		if err := r.Close(); err != nil {
-			return fmt.Errorf("platform %s: restore section %s: %w", p.cfg.Name, s.Name, err)
+			return fmt.Errorf("platform %s: restore section %s: %w", p.cfg.Name, s.name, err)
 		}
 	}
-	return nil
-}
-
-// RestoreBytes is Restore from memory.
-func (p *Platform) RestoreBytes(b []byte) error {
-	return p.Restore(bytes.NewReader(b))
-}
-
-// captureInit refreshes the cycle-zero snapshot backing FullReset.
-func (p *Platform) captureInit() error {
-	snap, err := p.SnapshotBytes()
-	if err != nil {
-		return err
+	if err := p.audit(); err != nil {
+		return fmt.Errorf("platform %s: restore: %w", p.cfg.Name, err)
 	}
-	p.initSnap = snap
 	return nil
+}
+
+// captureInit rebuilds the section walk and the cycle-zero snapshot
+// backing FullReset; construction and every post-build attachment end
+// with it.
+func (p *Platform) captureInit() {
+	p.plan = p.snapshotPlan()
+	p.initSnap = p.AppendSnapshot(nil)
 }
 
 // FullReset rewinds the platform to its as-built cycle-zero state by

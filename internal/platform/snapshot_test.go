@@ -76,7 +76,7 @@ func capture(t *testing.T, p *platform.Platform) runOutput {
 // paperSnapConfig is the paper platform bounded so receptor stoppers
 // end the run, with tracing on so the comparison covers the event
 // stream too.
-func paperSnapConfig(t *testing.T, packets uint64) platform.Config {
+func paperSnapConfig(t testing.TB, packets uint64) platform.Config {
 	t.Helper()
 	cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: packets})
 	if err != nil {
@@ -91,7 +91,7 @@ func paperSnapConfig(t *testing.T, packets uint64) platform.Config {
 // two up; one is built with AllowDeadlock), every source streaming
 // packets to the sink five switches on — a permutation, so each
 // receptor expects exactly that many and the stoppers end the run.
-func torusSnapConfig(t *testing.T, vcs int, packets uint64) platform.Config {
+func torusSnapConfig(t testing.TB, vcs int, packets uint64) platform.Config {
 	t.Helper()
 	cfg, err := platform.NetConfig(platform.NetOptions{
 		Topo:         topology.Spec{Kind: "torus", Param: map[string]int{"w": 4, "h": 4, "minimal": 1, "vcs": vcs}},
@@ -114,7 +114,7 @@ func torusSnapConfig(t *testing.T, vcs int, packets uint64) platform.Config {
 // buildSnap builds cfg with the given kernel and optional fault
 // campaign (the campaign is construction shape: a snapshot taken with
 // faults restores only into a platform that also has them).
-func buildSnap(t *testing.T, cfg platform.Config, workers int, noGate bool, faults []fault.Spec) *platform.Platform {
+func buildSnap(t testing.TB, cfg platform.Config, workers int, noGate bool, faults []fault.Spec) *platform.Platform {
 	t.Helper()
 	cfg.Workers = workers
 	cfg.NoGate = noGate

@@ -88,30 +88,31 @@ func (s *SnapStore) Delete(key string) {
 func (s *SnapStore) Hits() int { return int(s.hits.Load()) }
 
 // Warm returns a platform from build in the state key names: cycles of
-// warm-up run and excluded from statistics. A stored snapshot replaces
-// the warm-up; one that fails to restore (torn, or of another shape)
-// leaves the platform undefined, so it is closed and rebuilt. A freshly
-// warmed state is stored best effort: a store that cannot write costs
-// a later caller its warm-up, never a result.
-func (s *SnapStore) Warm(key string, cycles uint64, build func() (*Platform, error)) (*Platform, error) {
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
+// warm-up run and excluded from statistics. build(asBuilt) supplies the
+// platform: as built when asBuilt is set, else in any state, since a
+// stored snapshot is restored over it. A stored snapshot replaces the
+// warm-up; one that fails to restore (torn, or of another shape) leaves
+// the platform undefined, so it is closed and an as-built one warmed
+// instead. A freshly warmed state is stored best effort: a store that
+// cannot write costs a later caller its warm-up, never a result.
+func (s *SnapStore) Warm(key string, cycles uint64, build func(asBuilt bool) (*Platform, error)) (*Platform, error) {
 	if snap, ok := s.Get(key); ok {
+		p, err := build(false)
+		if err != nil {
+			return nil, err
+		}
 		if p.RestoreBytes(snap) == nil {
 			s.hits.Add(1)
 			return p, nil
 		}
 		p.Close()
-		if p, err = build(); err != nil {
-			return nil, err
-		}
+	}
+	p, err := build(true)
+	if err != nil {
+		return nil, err
 	}
 	p.RunCycles(cycles)
 	p.ResetStats()
-	if snap, err := p.SnapshotBytes(); err == nil {
-		_ = s.Put(key, snap) // best effort, see above
-	}
+	_ = s.Put(key, p.AppendSnapshot(nil)) // best effort, see above
 	return p, nil
 }

@@ -52,8 +52,8 @@ func TestSnapStore(t *testing.T) {
 // its three outcomes — miss, hit, and a stored snapshot that fails to
 // restore — and requires the same state from each.
 func TestWarmRestoresOrWarms(t *testing.T) {
-	build := func(w int) func() (*Platform, error) {
-		return func() (*Platform, error) {
+	build := func(w int) func(bool) (*Platform, error) {
+		return func(bool) (*Platform, error) {
 			cfg, err := NetConfig(NetOptions{
 				Topo:      topology.Spec{Kind: "mesh", Param: map[string]int{"w": w, "h": 2}},
 				Injection: 0.2,

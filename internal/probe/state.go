@@ -93,10 +93,16 @@ func (c *Collector) LoadState(r *state.Reader) error {
 	if nExtra < 0 {
 		return fmt.Errorf("probe: snapshot with %d interned names", nExtra)
 	}
+	// The interned names refill the table and the map they were in; a
+	// name the collector held at the same index is reused, not copied.
 	c.comps = c.comps[:len(c.rings)]
-	c.schedComp = nil
+	clear(c.schedComp)
 	for i := 0; i < nExtra; i++ {
-		name := r.String()
+		var held string
+		if k := len(c.comps); k < cap(c.comps) {
+			held = c.comps[:k+1][k]
+		}
+		name, _ := r.Match(held)
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -145,7 +151,7 @@ func (c *Collector) LoadState(r *state.Reader) error {
 		return fmt.Errorf("probe: snapshot with %d VC stall counters", nVC)
 	}
 	c.vcStalls = c.vcStalls[:0]
-	for i := 0; i < nVC; i++ {
+	for i := 0; i < nVC && r.Err() == nil; i++ {
 		c.vcStalls = append(c.vcStalls, r.U64())
 	}
 	nWins := r.Int()
@@ -156,7 +162,7 @@ func (c *Collector) LoadState(r *state.Reader) error {
 		return fmt.Errorf("probe: snapshot with %d windows", nWins)
 	}
 	c.wins = c.wins[:0]
-	for i := 0; i < nWins; i++ {
+	for i := 0; i < nWins && r.Err() == nil; i++ {
 		c.wins = append(c.wins, WindowTally{
 			Inject: r.U64(), Eject: r.U64(), Route: r.U64(),
 			Stall: r.U64(), Drop: r.U64(),
@@ -170,8 +176,23 @@ func (c *Collector) LoadState(r *state.Reader) error {
 		return fmt.Errorf("probe: snapshot with %d boundary samples", nBound)
 	}
 	c.bound = c.bound[:0]
-	for i := 0; i < nBound; i++ {
+	for i := 0; i < nBound && r.Err() == nil; i++ {
 		c.bound = append(c.bound, boundary{Cycle: r.U64(), Occ: r.U64(), Busy: r.U64()})
 	}
-	return r.Err()
+	if err := r.Err(); err != nil || c.clock == nil {
+		return err
+	}
+	// Every window edge before the restored clock is sampled, and no
+	// later one: the next Tick fills the windows up to its own cycle.
+	now := c.clock()
+	edges := now/c.cfg.Window + min(now%c.cfg.Window, 1)
+	if uint64(len(c.bound)) != edges || len(c.wins) != len(c.bound) {
+		return fmt.Errorf("probe: snapshot at cycle %d with %d window samples and %d tallies, want %d", now, len(c.bound), len(c.wins), edges)
+	}
+	for k, b := range c.bound {
+		if b.Cycle != uint64(k)*c.cfg.Window {
+			return fmt.Errorf("probe: snapshot window sample %d at cycle %d", k, b.Cycle)
+		}
+	}
+	return nil
 }

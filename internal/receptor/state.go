@@ -74,12 +74,12 @@ func (t *TR) SaveState(w *state.Writer) {
 
 // LoadState restores the receptor.
 func (t *TR) LoadState(r *state.Reader) error {
-	mode := r.String()
+	mode, ok := r.Match(string(t.cfg.Mode))
 	hasTrace := r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if Mode(mode) != t.cfg.Mode {
+	if !ok {
 		return fmt.Errorf("receptor %s: snapshot mode %q, built %q", t.cfg.Name, mode, t.cfg.Mode)
 	}
 	if hasTrace != (t.recorded != nil) {
@@ -114,20 +114,19 @@ func (t *TR) LoadState(r *state.Reader) error {
 		if err := t.totLat.LoadState(r); err != nil {
 			return err
 		}
-		var err error
-		if t.headInject, err = loadPacketCycleMap(r); err != nil {
+		if err := loadPacketCycleMap(r, t.headInject); err != nil {
 			return err
 		}
-		if err = t.loadFlowSection(r, true, func(f *flowRow) { f.min = r.U64() }); err != nil {
+		if err := t.loadFlowSection(r, true, func(f *flowRow) { f.min = r.U64() }); err != nil {
 			return err
 		}
 		// A Welford load error is the reader's, reported by r.Err().
-		if err = t.loadFlowSection(r, false, func(f *flowRow) { _ = f.lat.LoadState(r) }); err != nil {
+		if err := t.loadFlowSection(r, false, func(f *flowRow) { _ = f.lat.LoadState(r) }); err != nil {
 			return err
 		}
 		t.congestion = r.U64()
 		if t.cfg.TrackLast {
-			if err = t.loadFlowSection(r, false, func(f *flowRow) { f.last = r.U64() }); err != nil {
+			if err := t.loadFlowSection(r, false, func(f *flowRow) { f.last = r.U64() }); err != nil {
 				return err
 			}
 		}
@@ -141,7 +140,7 @@ func (t *TR) LoadState(r *state.Reader) error {
 			return fmt.Errorf("receptor %s: snapshot with %d trace records", t.cfg.Name, n)
 		}
 		t.recorded.Records = t.recorded.Records[:0]
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			rec := trace.Record{Cycle: r.U64(), Dst: flit.EndpointID(r.U16()), Len: r.U16()}
 			t.recorded.Records = append(t.recorded.Records, rec)
 		}
@@ -162,20 +161,27 @@ func savePacketCycleMap(w *state.Writer, m map[flit.PacketID]uint64) {
 	}
 }
 
-func loadPacketCycleMap(r *state.Reader) (map[flit.PacketID]uint64, error) {
+// loadPacketCycleMap clears m and refills it from the snapshot, keeping
+// the map's storage. The IDs must ascend strictly, as
+// savePacketCycleMap writes them.
+func loadPacketCycleMap(r *state.Reader, m map[flit.PacketID]uint64) error {
 	n := r.Int()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("receptor: map with %d entries", n)
+		return fmt.Errorf("receptor: map with %d entries", n)
 	}
-	m := make(map[flit.PacketID]uint64, n)
-	for i := 0; i < n; i++ {
+	clear(m)
+	var last flit.PacketID
+	for i := 0; i < n && r.Err() == nil; i++ {
 		id := flit.PacketID(r.U64())
-		m[id] = r.U64()
+		if i > 0 && id <= last && r.Err() == nil {
+			return fmt.Errorf("receptor: map lists packet %d after %d", id, last)
+		}
+		m[id], last = r.U64(), id
 	}
-	return m, r.Err()
+	return r.Err()
 }
 
 // loadFlowSection reads one per-source section of the flow table. The
@@ -190,9 +196,11 @@ func (t *TR) loadFlowSection(r *state.Reader, first bool, read func(*flowRow)) e
 	case first && n < 0:
 		return fmt.Errorf("receptor %s: snapshot with %d flows", t.cfg.Name, n)
 	case first:
-		// Grown row by row: no rows of an earlier session survive, and
-		// a count the snapshot's bytes cannot back allocates nothing.
-		t.flows = nil
+		// Refilled row by row over the rows held: every one is
+		// overwritten whole or cut off, so none of an earlier session
+		// survives, and a count the snapshot's bytes cannot back
+		// allocates nothing.
+		t.flows = t.flows[:0]
 	case n != len(t.flows):
 		return fmt.Errorf("receptor %s: snapshot flow sections list %d and %d sources", t.cfg.Name, len(t.flows), n)
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"nocemu/internal/jsonio"
@@ -62,7 +63,7 @@ type Manager struct {
 	wg       sync.WaitGroup // in-flight dispatches; Add under mu after the closed check
 	sessions map[string]*session
 	parked   map[string]bool // sessions this process parked or failed to resume
-	pool     map[string][]*platform.Platform
+	pool     map[string][]pooled
 	clock    uint64 // logical op counter driving LRU eviction
 
 	nOpened, nClosed, nParked, nResumed, nEvicted uint64
@@ -77,7 +78,7 @@ func NewManager(opt Options) *Manager {
 		park:     platform.NewSnapStore(opt.ParkDir),
 		sessions: map[string]*session{},
 		parked:   map[string]bool{},
-		pool:     map[string][]*platform.Platform{},
+		pool:     map[string][]pooled{},
 	}
 	if opt.Workers > 0 {
 		m.sem = make(chan struct{}, opt.Workers)
@@ -175,17 +176,8 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 	m.sessions[req.Sid] = s
 	m.mu.Unlock()
 
-	p, err := m.warmPlatform(s, *req.Platform)
+	p, bv, err := m.warmPlatform(s, *req.Platform)
 	if err != nil {
-		m.mu.Lock()
-		delete(m.sessions, req.Sid)
-		m.mu.Unlock()
-		resp.Err = err.Error()
-		return
-	}
-	bv, err := newBusView(p)
-	if err != nil {
-		p.Close()
 		m.mu.Lock()
 		delete(m.sessions, req.Sid)
 		m.mu.Unlock()
@@ -202,49 +194,78 @@ func (m *Manager) open(req jsonio.ServeRequest, resp *jsonio.ServeResponse) {
 }
 
 // warmPlatform normalizes and keys the session's platform and acquires
-// it in the warmed, statistics-reset state: through the warm-snapshot
-// store, so only the first session of a state pays the warm-up.
-func (m *Manager) warmPlatform(s *session, sp jsonio.ServePlatform) (*platform.Platform, error) {
+// it, with its bus view, in the warmed, statistics-reset state: through
+// the warm-snapshot store, so only the first session of a state pays the
+// warm-up.
+func (m *Manager) warmPlatform(s *session, sp jsonio.ServePlatform) (*platform.Platform, *busView, error) {
 	var err error
 	if s.sp, err = normalizePlatform(sp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pool, warm, err := sessionKeys(s.sp)
-	if err != nil {
-		return nil, err
+	var warm string
+	if s.config, s.key, warm, err = sessionKeys(s.sp); err != nil {
+		return nil, nil, err
 	}
-	s.key = pool
-	acquire := func() (*platform.Platform, error) { return m.acquirePlatform(s.key, s.sp) }
+	var bv *busView
+	acquire := func(asBuilt bool) (p *platform.Platform, err error) {
+		p, bv, err = m.acquirePlatform(s.key, s.sp, asBuilt)
+		return p, err
+	}
 	if s.sp.Warmup == 0 {
-		return acquire()
+		p, err := acquire(true)
+		return p, bv, err
 	}
-	return m.cache.Warm(warm, s.sp.Warmup, acquire)
+	p, err := m.cache.Warm(warm, s.sp.Warmup, acquire)
+	return p, bv, err
 }
 
-// acquirePlatform pops a pooled platform for the pool key (already
-// fully reset) or builds a new one.
-func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform) (*platform.Platform, error) {
+// pooled is an idle platform with the bus view its sessions read it
+// through: the view's classification of the bus is fixed at
+// construction, so it is scanned once per platform, not per session.
+type pooled struct {
+	p   *platform.Platform
+	bus *busView
+}
+
+// acquirePlatform pops a pooled platform for the pool key, with its bus
+// view, or builds one and scans its bus. A pooled platform is in the
+// state its last session left it in: a caller that restores over it (a
+// warm-cache hit, a resume) takes it as it is, and asBuilt resets it
+// first for a caller that needs it as built.
+func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform, asBuilt bool) (*platform.Platform, *busView, error) {
+	var e pooled
 	m.mu.Lock()
 	if l := m.pool[key]; len(l) > 0 {
-		p := l[len(l)-1]
+		e = l[len(l)-1]
+		l[len(l)-1] = pooled{}
 		m.pool[key] = l[:len(l)-1]
-		m.mu.Unlock()
-		return p, nil
 	}
 	m.mu.Unlock()
-	return buildPlatform(sp)
+	if e.p != nil {
+		if !asBuilt || e.p.FullReset() == nil {
+			return e.p, e.bus, nil
+		}
+		e.p.Close() // a failed reset leaves it undefined: build anew
+	}
+	p, err := buildPlatform(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	bv, err := newBusView(p)
+	if err != nil {
+		p.Close()
+		return nil, nil, err
+	}
+	return p, bv, nil
 }
 
-// releasePlatform resets a platform to its as-built state and returns
-// it to the pool (or closes it when the pool is full).
-func (m *Manager) releasePlatform(key string, p *platform.Platform) {
-	if err := p.FullReset(); err != nil {
-		p.Close()
-		return
-	}
+// releasePlatform returns a platform and its bus view to the pool as
+// they are — the next acquirePlatform restores over the platform or
+// resets it — or closes the platform when the pool is full.
+func (m *Manager) releasePlatform(key string, p *platform.Platform, bv *busView) {
 	m.mu.Lock()
 	if !m.closed && len(m.pool[key]) < m.opt.PoolPerKey {
-		m.pool[key] = append(m.pool[key], p)
+		m.pool[key] = append(m.pool[key], pooled{p, bv})
 		m.mu.Unlock()
 		return
 	}
@@ -323,11 +344,7 @@ func (m *Manager) sessionOp(req jsonio.ServeRequest, resp *jsonio.ServeResponse)
 // its platform. Caller holds s.mu; s.p is non-nil. With evicted set
 // the eviction counter is bumped instead of the park counter.
 func (m *Manager) parkLocked(s *session, evicted bool) error {
-	snap, err := s.p.SnapshotBytes()
-	if err != nil {
-		return fmt.Errorf("serve: snapshot session %q: %v", s.id, err)
-	}
-	entry, err := encodePark(parkHeader{Sid: s.id, Platform: s.sp, Cycle: s.bus.cycle()}, snap)
+	entry, err := encodePark(s)
 	if err == nil {
 		err = m.park.Put(parkKey(s.id), entry)
 	}
@@ -335,7 +352,7 @@ func (m *Manager) parkLocked(s *session, evicted bool) error {
 		m.park.Delete(parkKey(s.id)) // a failed Put still serves from memory
 		return fmt.Errorf("serve: park session %q: %v", s.id, err)
 	}
-	p := s.p
+	p, bv := s.p, s.bus
 	s.p, s.bus = nil, nil
 	m.mu.Lock()
 	delete(m.sessions, s.id)
@@ -346,14 +363,14 @@ func (m *Manager) parkLocked(s *session, evicted bool) error {
 		m.nParked++
 	}
 	m.mu.Unlock()
-	m.releasePlatform(s.key, p)
+	m.releasePlatform(s.key, p, bv)
 	return nil
 }
 
 // closeLocked drains the session's platform, asserts no flit leaked,
 // and returns the platform to the pool. Caller holds s.mu.
 func (m *Manager) closeLocked(s *session) error {
-	p := s.p
+	p, bv := s.p, s.bus
 	s.p, s.bus = nil, nil
 	m.mu.Lock()
 	delete(m.sessions, s.id)
@@ -364,7 +381,7 @@ func (m *Manager) closeLocked(s *session) error {
 		p.Close()
 		return fmt.Errorf("serve: session %q leaked %d flits", s.id, live)
 	}
-	m.releasePlatform(s.key, p)
+	m.releasePlatform(s.key, p, bv)
 	return nil
 }
 
@@ -515,12 +532,12 @@ func (m *Manager) Shutdown() error {
 
 	m.mu.Lock()
 	pools := m.pool
-	m.pool = map[string][]*platform.Platform{}
+	m.pool = map[string][]pooled{}
 	m.sessions = map[string]*session{}
 	m.mu.Unlock()
 	for _, l := range pools {
-		for _, p := range l {
-			p.Close()
+		for _, e := range l {
+			e.p.Close()
 		}
 	}
 	return firstErr
@@ -540,9 +557,29 @@ type parkHeader struct {
 
 func parkKey(sid string) string { return "park|" + sid }
 
-func encodePark(h parkHeader, snap []byte) ([]byte, error) {
-	b, err := json.Marshal(h)
-	return append(append(b, '\n'), snap...), err
+// encodePark writes the live session's park entry into one buffer: the
+// header as json.Marshal would write a parkHeader, but with the config's
+// canonical JSON that sessionKeys computed spliced in rather than
+// marshaled again, then the snapshot appended in place.
+func encodePark(s *session) ([]byte, error) {
+	sid, err := json.Marshal(s.id)
+	if err != nil {
+		return nil, err
+	}
+	rest := s.sp
+	rest.Config = nil // the first field, omitted when nil
+	tail, err := json.Marshal(rest)
+	if err != nil {
+		return nil, err
+	}
+	b := append(append([]byte(`{"sid":`), sid...), `,"platform":{"config":`...)
+	b = append(b, s.config...)
+	if len(tail) > 2 {
+		b = append(b, ',')
+	}
+	b = append(b, tail[1:]...)
+	b = strconv.AppendUint(append(b, `,"cycle":`...), s.bus.cycle(), 10)
+	return s.p.AppendSnapshot(append(b, "}\n"...)), nil
 }
 
 // unpark rebuilds a parked session from its entry: the header must name
@@ -563,21 +600,20 @@ func (m *Manager) unpark(s *session, entry []byte) (*platform.Platform, *busView
 	}
 	s.sp = h.Platform
 	var err error
-	if s.key, _, err = sessionKeys(s.sp); err != nil {
+	if s.config, s.key, _, err = sessionKeys(s.sp); err != nil {
 		return nil, nil, err
 	}
-	p, err := m.acquirePlatform(s.key, s.sp)
+	p, bv, err := m.acquirePlatform(s.key, s.sp, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	var bv *busView
 	if err = p.RestoreBytes(snap); err != nil {
 		err = fmt.Errorf("serve: restore session %q: %v", s.id, err)
-	} else if bv, err = newBusView(p); err == nil && bv.cycle() != h.Cycle {
+	} else if bv.cycle() != h.Cycle {
 		err = fmt.Errorf("serve: restore session %q: snapshot at cycle %d, parked at %d", s.id, bv.cycle(), h.Cycle)
 	}
 	if err != nil {
-		p.Close()
+		p.Close() // restored over, or partly: never pooled again
 		return nil, nil, err
 	}
 	return p, bv, nil

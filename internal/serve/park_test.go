@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"nocemu/internal/jsonio"
+	"nocemu/internal/state"
 )
 
 // parkSession opens sid on sp, runs it some cycles and parks it,
@@ -151,5 +153,96 @@ func TestHostileParkEntries(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestParkEntryIsMarshaledHeader: encodePark splices the config JSON
+// sessionKeys computed into the header instead of marshaling it again;
+// the entry must still be json.Marshal's header, a newline and the
+// snapshot, under the default kernel and under one whose fields the
+// state key leaves out.
+func TestParkEntryIsMarshaledHeader(t *testing.T) {
+	for _, sp := range []*jsonio.ServePlatform{loadedPlatform(0, false, 16), loadedPlatform(2, true, 0)} {
+		m := NewManager(Options{})
+		h, snap := parkSession(t, m, `p"<&>`, sp)
+		entry, _ := m.park.Get(parkKey(`p"<&>`))
+		head, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(append(head, '\n'), snap...); !bytes.Equal(entry, want) {
+			t.Errorf("workers=%d: park entry header\n%s\nwant\n%s", sp.Workers, entry[:len(entry)-len(snap)], head)
+		}
+		m.Shutdown()
+	}
+}
+
+// TestPoolAfterFailedResume: a resume whose snapshot fails partway
+// through restoring leaves its platform half-overwritten, so that
+// platform must be closed, never pooled. Two sessions parked side by
+// side pool two platforms; the failed resume takes one, a later open on
+// the same key the other, and that session's transcript must be a
+// fresh manager's — with a warm-up (restored over the pooled platform)
+// and without (reset first).
+func TestPoolAfterFailedResume(t *testing.T) {
+	for _, warmup := range []uint64{0, 32} {
+		t.Run(fmt.Sprintf("warmup=%d", warmup), func(t *testing.T) {
+			sp := loadedPlatform(0, false, warmup)
+			m := NewManager(Options{})
+			defer m.Shutdown()
+			// Both sessions are live at once, so parking them pools two
+			// platforms.
+			for i, op := range []string{jsonio.OpOpen, jsonio.OpStep, jsonio.OpPark} {
+				for _, sid := range []string{"a", "c"} {
+					r := req(uint64(i+1), op, sid)
+					switch op {
+					case jsonio.OpOpen:
+						r.Platform = sp
+					case jsonio.OpStep:
+						r.Cycles = 50
+					}
+					if resp := m.Dispatch(r); !resp.OK {
+						t.Fatalf("%s %s: %s", op, sid, resp.Err)
+					}
+				}
+			}
+			entry, _ := m.park.Get(parkKey("a"))
+			head, snap, _ := bytes.Cut(entry, []byte{'\n'})
+			// Cut the switches section short: every section before it
+			// restores, the switches fail.
+			name, secs, err := state.ReadSnapshot(bytes.NewReader(snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn := state.AppendHeader(nil, name, len(secs))
+			for _, s := range secs {
+				if s.Name == "switches" {
+					s.Body = s.Body[:len(s.Body)/2]
+				}
+				torn = state.AppendSection(torn, s.Name, s.Type, s.Body)
+			}
+			if err := m.park.Put(parkKey("a"), append(append(head, '\n'), torn...)); err != nil {
+				t.Fatal(err)
+			}
+			pooled := m.Stats().PooledPlatforms
+			if pooled != 2 {
+				t.Fatalf("%d pooled platforms after parking two sessions", pooled)
+			}
+			r := m.Dispatch(req(4, jsonio.OpResume, "a"))
+			if r.OK || !strings.HasPrefix(r.Err, "serve: ") || !strings.Contains(r.Err, "switches") {
+				t.Fatalf("resume of a torn entry: %+v, want a serve error naming the switches", r)
+			}
+			st := m.Stats()
+			if st.LiveSessions != 0 || st.ParkedSessions != 2 || st.PooledPlatforms != pooled-1 {
+				t.Fatalf("after the failed resume: %+v, want nothing live, both parked, %d pooled", st, pooled-1)
+			}
+			script := sessionScript("b", sp, 1)
+			got := runScript(m, script)
+			fresh := NewManager(Options{})
+			defer fresh.Shutdown()
+			if want := runScript(fresh, script); !bytes.Equal(got, want) {
+				t.Errorf("after a failed resume:\n%s\nfresh manager:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -34,9 +34,10 @@ const (
 
 // session is one client's pinned platform.
 type session struct {
-	id  string
-	sp  jsonio.ServePlatform // normalized: an inline config
-	key string               // platform pool key
+	id     string
+	sp     jsonio.ServePlatform // normalized: an inline config
+	config []byte               // sp.Config's canonical JSON (sessionKeys)
+	key    string               // platform pool key
 
 	mu  sync.Mutex
 	p   *platform.Platform // nil once parked, closed or failed to open
@@ -89,21 +90,27 @@ func normalizePlatform(sp jsonio.ServePlatform) (jsonio.ServePlatform, error) {
 	return norm, nil
 }
 
-// sessionKeys names a normalized description twice over one state key:
-// the config's canonical JSON (fixed struct: declaration-order keys,
-// sorted maps) with the kernel fields zeroed, since snapshots restore
+// sessionKeys names a normalized description. config is its config's
+// canonical JSON (fixed struct: declaration-order keys, sorted maps),
+// which a park header embeds. pool and warm are two keys over one state
+// key: that JSON with the kernel fields zeroed, since snapshots restore
 // into any kernel, plus the queue depth sessionConfig patches on. The
 // pool key adds the kernel (a pooled platform is a built kernel), the
 // warm-snapshot key the warm-up.
-func sessionKeys(sp jsonio.ServePlatform) (pool, warm string, err error) {
-	f := *sp.Config
-	f.Workers, f.NoGate = 0, false
-	b, err := json.Marshal(f)
-	if err != nil {
-		return "", "", fmt.Errorf("serve: platform key: %v", err)
+func sessionKeys(sp jsonio.ServePlatform) (config []byte, pool, warm string, err error) {
+	if config, err = json.Marshal(sp.Config); err != nil {
+		return nil, "", "", fmt.Errorf("serve: platform key: %v", err)
+	}
+	b := config // the kernel fields are omitted when zero
+	if sp.Config.Workers != 0 || sp.Config.NoGate {
+		f := *sp.Config
+		f.Workers, f.NoGate = 0, false
+		if b, err = json.Marshal(f); err != nil {
+			return nil, "", "", fmt.Errorf("serve: platform key: %v", err)
+		}
 	}
 	state := fmt.Sprintf("serve|%s|queue=%d", b, sp.QueueFlits)
-	return fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Config.Workers, sp.Config.NoGate),
+	return config, fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Config.Workers, sp.Config.NoGate),
 		fmt.Sprintf("%s|warmup=%d", state, sp.Warmup), nil
 }
 

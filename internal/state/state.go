@@ -44,6 +44,9 @@ func NewWriter() *Writer { return &Writer{} }
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the Writer, keeping its storage.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -110,6 +113,10 @@ type Reader struct {
 
 // NewReader returns a Reader over b.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// Reset points the Reader at b with no error, so one Reader can decode
+// section after section.
+func (r *Reader) Reset(b []byte) { *r = Reader{buf: b} }
 
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -245,6 +252,21 @@ func (r *Reader) Blob() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Blob()) }
 
+// Match reads a length-prefixed string and reports whether it is want,
+// comparing in place: got is want itself on a match, so a LoadState
+// that checks a name against its construction allocates nothing, and a
+// copy of what was read otherwise (empty after a decoding error).
+func (r *Reader) Match(want string) (got string, ok bool) {
+	b := r.Blob()
+	if r.err != nil {
+		return "", false
+	}
+	if string(b) == want {
+		return want, true
+	}
+	return string(b), false
+}
+
 // Close verifies the section was consumed exactly: no sticky error and
 // no trailing bytes. Every LoadState should end with it (directly or
 // via the section walker).
@@ -266,64 +288,109 @@ type Section struct {
 	Body []byte
 }
 
+// AppendHeader appends the snapshot stream header to b.
+func AppendHeader(b []byte, platformName string, sections int) []byte {
+	w := Writer{buf: append(b, Magic[:]...)}
+	w.U16(Version)
+	w.String(platformName)
+	w.Int(sections)
+	return w.buf
+}
+
+// AppendSection appends one framed section to b.
+func AppendSection(b []byte, name, typ string, body []byte) []byte {
+	w := Writer{buf: b}
+	w.String(name)
+	w.String(typ)
+	w.Blob(body)
+	return w.buf
+}
+
 // WriteHeader emits the snapshot stream header.
 func WriteHeader(w io.Writer, platformName string, sections int) error {
-	hw := NewWriter()
-	hw.buf = append(hw.buf, Magic[:]...)
-	hw.U16(Version)
-	hw.String(platformName)
-	hw.Int(sections)
-	_, err := w.Write(hw.Bytes())
+	_, err := w.Write(AppendHeader(nil, platformName, sections))
 	return err
 }
 
 // WriteSection emits one framed section.
 func WriteSection(w io.Writer, s Section) error {
-	sw := NewWriter()
-	sw.String(s.Name)
-	sw.String(s.Type)
-	sw.Blob(s.Body)
-	_, err := w.Write(sw.Bytes())
+	_, err := w.Write(AppendSection(nil, s.Name, s.Type, s.Body))
 	return err
 }
 
+// Frame is one section of a parsed snapshot. Its fields alias the bytes
+// ParseSnapshot was given; a LoadState decodes the body and keeps none
+// of it.
+type Frame struct {
+	Name, Type, Body []byte
+}
+
+// Frames is a snapshot whose framing ParseSnapshot has checked: the
+// platform name, the section count, and the sections in order through
+// Next, all aliasing the parsed bytes.
+type Frames struct {
+	Platform []byte
+	Count    int
+	r        Reader // over the section frames
+}
+
+// ParseSnapshot checks a whole snapshot's framing — magic, version,
+// section count, every section frame, no trailing bytes — without
+// copying any of it. Framing errors are returned verbatim so restore
+// fails loudly, before any section is handed out.
+func ParseSnapshot(raw []byte) (Frames, error) {
+	if len(raw) < len(Magic) {
+		return Frames{}, fmt.Errorf("state: snapshot truncated (%d bytes)", len(raw))
+	}
+	if [4]byte(raw[:4]) != Magic {
+		return Frames{}, fmt.Errorf("state: bad snapshot magic %q", raw[:4])
+	}
+	sr := NewReader(raw[4:])
+	if v := sr.U16(); sr.Err() == nil && v != Version {
+		return Frames{}, fmt.Errorf("state: snapshot version %d, this build reads %d", v, Version)
+	}
+	f := Frames{Platform: sr.Blob(), Count: sr.Int()}
+	if sr.Err() != nil {
+		return Frames{}, sr.Err()
+	}
+	if f.Count < 0 || f.Count > 1<<20 {
+		return Frames{}, fmt.Errorf("state: implausible section count %d", f.Count)
+	}
+	f.r = Reader{buf: sr.buf[sr.off:]}
+	for i := 0; i < f.Count; i++ {
+		sr.Blob()
+		sr.Blob()
+		sr.Blob()
+		if sr.Err() != nil {
+			return Frames{}, fmt.Errorf("state: section %d: %w", i, sr.Err())
+		}
+	}
+	if err := sr.Close(); err != nil {
+		return Frames{}, err
+	}
+	return f, nil
+}
+
+// Next returns the next section; call it Count times.
+func (f *Frames) Next() Frame {
+	return Frame{Name: f.r.Blob(), Type: f.r.Blob(), Body: f.r.Blob()}
+}
+
 // ReadSnapshot consumes a whole snapshot stream, returning the platform
-// name and the framed sections. Framing errors (bad magic, version
-// skew, truncation) are returned verbatim so restore fails loudly.
+// name and the framed sections (bodies alias the bytes read).
 func ReadSnapshot(r io.Reader) (platformName string, sections []Section, err error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return "", nil, fmt.Errorf("state: read snapshot: %w", err)
 	}
-	if len(raw) < len(Magic) {
-		return "", nil, fmt.Errorf("state: snapshot truncated (%d bytes)", len(raw))
-	}
-	if [4]byte(raw[:4]) != Magic {
-		return "", nil, fmt.Errorf("state: bad snapshot magic %q", raw[:4])
-	}
-	sr := NewReader(raw[4:])
-	if v := sr.U16(); sr.Err() == nil && v != Version {
-		return "", nil, fmt.Errorf("state: snapshot version %d, this build reads %d", v, Version)
-	}
-	platformName = sr.String()
-	n := sr.Int()
-	if sr.Err() != nil {
-		return "", nil, sr.Err()
-	}
-	if n < 0 || n > 1<<20 {
-		return "", nil, fmt.Errorf("state: implausible section count %d", n)
-	}
-	sections = make([]Section, 0, n)
-	for i := 0; i < n; i++ {
-		s := Section{Name: sr.String(), Type: sr.String()}
-		s.Body = append([]byte(nil), sr.Blob()...)
-		if sr.Err() != nil {
-			return "", nil, fmt.Errorf("state: section %d: %w", i, sr.Err())
-		}
-		sections = append(sections, s)
-	}
-	if err := sr.Close(); err != nil {
+	f, err := ParseSnapshot(raw)
+	if err != nil {
 		return "", nil, err
 	}
-	return platformName, sections, nil
+	sections = make([]Section, f.Count)
+	for i := range sections {
+		fr := f.Next()
+		sections[i] = Section{Name: string(fr.Name), Type: string(fr.Type), Body: fr.Body}
+	}
+	return string(f.Platform), sections, nil
 }

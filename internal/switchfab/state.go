@@ -17,7 +17,9 @@ package switchfab
 
 import (
 	"fmt"
+	"slices"
 
+	"nocemu/internal/flit"
 	"nocemu/internal/state"
 )
 
@@ -136,16 +138,127 @@ func (s *Switch) checkFraming(i int) error {
 	for k := 0; k < s.lanes[i].Len(); k++ {
 		f := s.lanes[i].Peek(s.ring(i), k)
 		if !routed {
-			if !f.Kind.IsHead() {
-				return fmt.Errorf("switchfab %s: snapshot holds an unrouted %s flit at position %d of input lane %d", s.cfg.Name, f.Kind, k, i)
-			}
-			if _, vc, err := s.cfg.Table.Route(s.cfg.Node, f.Dst); err != nil || int(vc) >= s.cfg.NumVC {
-				return fmt.Errorf("switchfab %s: snapshot holds a head flit for endpoint %d on input lane %d, which the table routes nowhere here (%v, class %d)", s.cfg.Name, f.Dst, i, err, vc)
+			if err := s.checkHead(i, k, f); err != nil {
+				return err
 			}
 		}
 		routed = !f.Kind.IsTail()
 	}
 	return nil
+}
+
+// checkHead verifies a flit that reaches the front of input lane i
+// unrouted, at position k of its stream: a head the table routes on one
+// of the switch's channels.
+func (s *Switch) checkHead(i, k int, f *flit.Flit) error {
+	if !f.Kind.IsHead() {
+		return fmt.Errorf("switchfab %s: snapshot holds an unrouted %s flit at position %d of input lane %d", s.cfg.Name, f.Kind, k, i)
+	}
+	if _, vc, err := s.cfg.Table.Route(s.cfg.Node, f.Dst); err != nil || int(vc) >= s.cfg.NumVC {
+		return fmt.Errorf("switchfab %s: snapshot holds a head flit for endpoint %d on input lane %d, which the table routes nowhere here (%v, class %d)", s.cfg.Name, f.Dst, i, err, vc)
+	}
+	return nil
+}
+
+// CheckRestored verifies, once the wires are restored as well, what Tick
+// will do with every input lane: its queue, then the flits its input
+// wire carries on its channel, are one wormhole stream. Where the stream
+// is routed nowhere it takes a head the table routes here
+// (checkFraming's rule, carried across the wire); where it is routed it
+// continues its packet flit by flit, on an output lane the table offers
+// for the packet's destination; and a lane routed for a packet whose head
+// has left holds the lock of its output lane.
+func (s *Switch) CheckRestored() error {
+	numVC := s.cfg.NumVC
+	for i := range s.lanes {
+		routed := s.inRoute[i] != -1
+		var prev *flit.Flit
+		k := 0
+		step := func(f *flit.Flit) error {
+			switch {
+			case !routed:
+				if err := s.checkHead(i, k, f); err != nil {
+					return err
+				}
+			case prev != nil:
+				if f.Packet != prev.Packet || f.Index != prev.Index+1 {
+					return fmt.Errorf("switchfab %s: snapshot input lane %d carries %s after %s", s.cfg.Name, i, f, prev)
+				}
+			default:
+				if err := s.checkRoute(i, f); err != nil {
+					return err
+				}
+			}
+			prev, routed = f, !f.Kind.IsTail()
+			k++
+			return nil
+		}
+		for q := 0; q < s.lanes[i].Len(); q++ {
+			if err := step(s.lanes[i].Peek(s.ring(i), q)); err != nil {
+				return err
+			}
+		}
+		for _, f := range s.inLinks[i/numVC].OnWire() {
+			if f != nil && int(f.VC) == i%numVC {
+				if err := step(f); err != nil {
+					return err
+				}
+			}
+		}
+		if prev == nil && routed {
+			if err := s.checkRoute(i, nil); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkRoute verifies routed input lane i against f, the first flit of
+// its stream (nil for none): a lane whose packet's head has left holds
+// its output lane's lock, and the output lane is one the table offers
+// for f's destination, on the table's channel.
+func (s *Switch) checkRoute(i int, f *flit.Flit) error {
+	out := s.inRoute[i]
+	if (f == nil || !f.Kind.IsHead()) && s.lock[out] != i {
+		return fmt.Errorf("switchfab %s: snapshot routes input lane %d to output lane %d mid-packet, which lane %d holds", s.cfg.Name, i, out, s.lock[out])
+	}
+	if f == nil {
+		return nil
+	}
+	candidates, vc, err := s.cfg.Table.Route(s.cfg.Node, f.Dst)
+	if err == nil && int(vc) == out%s.cfg.NumVC && slices.Contains(candidates, out/s.cfg.NumVC) {
+		return nil
+	}
+	return fmt.Errorf("switchfab %s: snapshot routes input lane %d to output lane %d, which the table does not offer for endpoint %d (%v)", s.cfg.Name, i, out, f.Dst, err)
+}
+
+// Credits returns output port o's credits on channel vc: those it holds
+// and those on their way back to it.
+func (s *Switch) Credits(o, vc int) int {
+	ol := o*s.cfg.NumVC + vc
+	return s.credits[ol] + int(s.creditIn[ol].Pending())
+}
+
+// Inbound returns input port i's flits on channel vc: those its lane
+// buffers and those on their way to it.
+func (s *Switch) Inbound(i, vc int) int {
+	n := s.lanes[i*s.cfg.NumVC+vc].Len()
+	for _, f := range s.inLinks[i].OnWire() {
+		if f != nil && int(f.VC) == vc {
+			n++
+		}
+	}
+	return n
+}
+
+// Flits calls fn on every buffered flit, lane by lane.
+func (s *Switch) Flits(fn func(*flit.Flit)) {
+	for i := range s.lanes {
+		for k := 0; k < s.lanes[i].Len(); k++ {
+			fn(s.lanes[i].Peek(s.ring(i), k))
+		}
+	}
 }
 
 // SaveState serializes the switch arena: the element count (validated
@@ -172,4 +285,14 @@ func (a *Arena) LoadState(r *state.Reader) error {
 		}
 	}
 	return r.Err()
+}
+
+// CheckRestored runs every switch's CheckRestored.
+func (a *Arena) CheckRestored() error {
+	for i := range a.sws {
+		if err := a.sws[i].CheckRestored(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

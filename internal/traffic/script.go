@@ -77,6 +77,10 @@ func (s *ScriptGen) Append(rec ScriptRec) error {
 	return nil
 }
 
+// Queued returns the scripted demands not yet emitted, front first. The
+// slice is the generator's; read it between runs only.
+func (s *ScriptGen) Queued() []ScriptRec { return s.queue[s.pos:] }
+
 // Backlog reports the scripted demands not yet emitted.
 func (s *ScriptGen) Backlog() int { return len(s.queue) - s.pos }
 
@@ -175,7 +179,7 @@ func (s *ScriptGen) LoadState(r *state.Reader) error {
 	if n < 0 {
 		return fmt.Errorf("traffic: snapshot script queue of %d records", n)
 	}
-	var restored ScriptGen
+	restored := ScriptGen{queue: s.queue[:0]} // the queue's storage is reused
 	for i := 0; i < n; i++ {
 		rec := ScriptRec{At: r.U64(), Dst: flit.EndpointID(r.U16()), Len: r.U16(), Payload: r.U32()}
 		if err := r.Err(); err != nil {

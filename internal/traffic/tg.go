@@ -55,6 +55,10 @@ func (t *TG) Generator() Generator { return t.gen }
 // Injector returns the network interface.
 func (t *TG) Injector() *nic.Injector { return t.inj }
 
+// Pending returns the demand the TG holds back until its injector can
+// accept it, if any.
+func (t *TG) Pending() (Demand, bool) { return t.pending, t.hasPending }
+
 // SetProbe attaches the tracing probe to the network interface (nil
 // disables tracing).
 func (t *TG) SetProbe(p *probe.Probe) { t.inj.SetProbe(p) }
