@@ -43,7 +43,7 @@ func main() {
 		warm    = flag.Uint64("warm", 0, "warm-up cycles before measurement")
 		cycles  = flag.Uint64("cycles", 0, "measured cycles per point")
 		seed    = flag.Uint("seed", 0, "platform base seed")
-		workers = flag.Int("workers", 0, "sweep worker pool size (points evaluated at once; each also measures its forks on helper goroutines from a process-wide budget of GOMAXPROCS-1 that the kernels' pooled stretches share)")
+		workers = flag.Int("workers", 0, "dedicated sweep workers (default 1); points also run on helper goroutines from a process-wide budget of GOMAXPROCS-1, as do each point's forks and the kernels' pooled stretches, so one worker already uses every free processor and more oversubscribe")
 		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers, forced on every cycle (0 = the default kernel, which pools only a large platform's stand-down stretches)")
 		search  = flag.String("search", "", "search mode: grid or pareto")
 		objs    = flag.String("objectives", "", "comma-separated Pareto objectives (latency, throughput, area)")

@@ -1,19 +1,24 @@
 // Package dse is the design-space exploration engine (DESIGN.md §15):
 // an orchestrator that sweeps platform configurations — topology spec ×
 // workload × switch buffer depth × injection rate (× optional fault
-// campaigns) — through a worker pool of independent platforms,
+// campaigns) — on independent platforms running side by side,
 // evaluates latency / throughput / area per point, and streams one
 // JSONL result row per (point, fork) to a resumable journal.
 //
 // Three stacked optimizations make sweep throughput the headline
 // number:
 //
-//  1. Process-level parallelism: N pool workers each drive their own
-//     platforms, and each measures a point's forks on a crew of itself
-//     and as many helpers as the process-wide budget of GOMAXPROCS−1
-//     goroutines that simulate beside their caller has free
-//     (engine.TakeHelpers). The budget is shared with the default
-//     kernel's pooled stand-down stretches (Config.PlatformWorkers).
+//  1. Process-level parallelism: the structural points of a batch run
+//     side by side on the Workers sweep workers and on as many helpers
+//     as the process-wide budget of GOMAXPROCS−1 goroutines that
+//     simulate beside their caller has free (engine.TakeHelpers), each
+//     point on its own platforms; and each point measures its forks on
+//     a crew of its own worker and whatever helpers the budget has free
+//     then. One hand-out (crew) serves both levels, and a helper gives
+//     its slot back as soon as it finds no job left, so the last points
+//     of a batch staff their fork crews with it. The budget is shared
+//     with the default kernel's pooled stand-down stretches
+//     (Config.PlatformWorkers).
 //  2. Build/warm-start amortization: each structural point is built and
 //     warmed up once; its seed replicates restore the warmed snapshot
 //     and reseed (Platform.ReseedFork), and the snapshot is stored
@@ -107,8 +112,11 @@ type Config struct {
 	// WorkloadSeed controls workload structural choices (hotspot victim
 	// placement etc).
 	WorkloadSeed uint32
-	// Workers sizes the sweep worker pool (default 1). Each worker
-	// evaluates whole structural points on its own platforms.
+	// Workers is the number of dedicated sweep workers (default 1),
+	// which the helper budget does not count. Each evaluates whole
+	// structural points on its own platforms, and so does every helper
+	// the process-wide budget has free: one worker already keeps every
+	// processor of the budget busy, and more oversubscribe the host.
 	Workers int
 	// PlatformWorkers selects each platform's inner kernel: 0 is the
 	// default kernel, which pools only a large platform's stand-down
@@ -141,7 +149,9 @@ type Config struct {
 	// points have been evaluated (0 = run to completion) — the testing
 	// hook that simulates a killed sweep.
 	StopAfterPoints int
-	// Log, when non-nil, receives progress lines.
+	// Log, when non-nil, receives progress lines: one line per Write,
+	// and one Write at a time, though points complete on several
+	// goroutines.
 	Log io.Writer
 }
 

@@ -1,10 +1,6 @@
 package dse
 
 import (
-	"sync"
-	"sync/atomic"
-
-	"nocemu/internal/engine"
 	"nocemu/internal/platform"
 	"nocemu/internal/resource"
 )
@@ -120,66 +116,36 @@ func (e *evaluator) evalPointCold(p Point) []Row {
 	})
 }
 
-// onCrew measures the point's forks on a crew: the caller's goroutine
-// and as many helpers, up to Forks−1, as the engine's process-wide
-// budget has free (engine.TakeHelpers); none on a one-processor host or
-// while the budget is held. The caller measures fork 0 first, on own; a
-// shared counter hands out the others in index order to whichever
-// worker is free. Where own is non-nil each helper measures on a twin
-// it builds (e.build: same shape, same faults) and closes; one whose
-// twin fails to build takes no fork, and the rest of the crew, the
-// caller at least, measures them all.
+// onCrew measures the point's forks through crew: on the caller's
+// goroutine and as many helpers, up to Forks−1, as the engine's
+// process-wide budget has free. The caller measures fork 0 first, on
+// own. Where own is non-nil each helper measures on a twin it builds
+// (e.build: same shape, same faults) and closes; one whose twin fails to
+// build takes no fork.
 //
-// Rows land by index, so they do not depend on the crew. The first fork
-// to fail stops the handing out; every fork below it has been handed
-// out already and runs to its end, so the point's rows become errorRows
-// carrying the error of the lowest-index fork that fails, whatever the
-// crew. The helpers are back in the budget, their goroutines gone, when
-// onCrew returns.
+// Rows land by index, so they do not depend on the crew; a failed fork
+// makes the point's rows errorRows carrying the error of the
+// lowest-index fork that fails, whatever the crew.
 func (e *evaluator) onCrew(p Point, own *platform.Platform, fork func(pl *platform.Platform, i int) (Row, error)) []Row {
 	rows := make([]Row, e.cfg.Forks)
-	errs := make([]error, e.cfg.Forks)
-	var next atomic.Int64 // the last fork handed out
-	var failed atomic.Bool
-	do := func(pl *platform.Platform, i int) {
-		if rows[i], errs[i] = fork(pl, i); errs[i] != nil {
-			failed.Store(true)
+	on := func(pl *platform.Platform) func(int) error {
+		return func(i int) (err error) {
+			rows[i], err = fork(pl, i)
+			return err
 		}
 	}
-	work := func(pl *platform.Platform) {
-		for !failed.Load() {
-			i := int(next.Add(1))
-			if i >= len(rows) {
-				return
+	var hire func() (func(int) error, func())
+	if own != nil {
+		hire = func() (func(int) error, func()) {
+			twin, err := e.build(p)
+			if err != nil {
+				return nil, nil
 			}
-			do(pl, i)
+			return on(twin), twin.Close
 		}
 	}
-	n := engine.TakeHelpers(len(rows) - 1)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for range n {
-		go func() {
-			defer wg.Done()
-			var twin *platform.Platform
-			if own != nil {
-				var err error
-				if twin, err = e.build(p); err != nil {
-					return
-				}
-				defer twin.Close()
-			}
-			work(twin)
-		}()
-	}
-	do(own, 0)
-	work(own)
-	wg.Wait()
-	engine.ReturnHelpers(n)
-	for _, err := range errs {
-		if err != nil {
-			return e.errorRows(p, err)
-		}
+	if err := crew(len(rows), 1, on(own), hire); err != nil {
+		return e.errorRows(p, err)
 	}
 	return rows
 }

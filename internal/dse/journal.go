@@ -9,8 +9,9 @@ import (
 )
 
 // journal is the append-only completion log: one JSONL row per finished
-// (point, fork), written in completion order (nondeterministic under a
-// parallel pool — the canonical result set is the key-sorted union).
+// (point, fork), written in completion order (nondeterministic wherever
+// points run side by side — the canonical result set is the key-sorted
+// union).
 // A sweep pointed at an existing journal resumes: journaled rows are
 // adopted verbatim and their points are never re-evaluated.
 type journal struct {

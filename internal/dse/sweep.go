@@ -108,6 +108,7 @@ type runner struct {
 	eval *evaluator
 	jnl  *journal
 
+	// mu guards visited, evaluated and Log while a batch's crew runs.
 	mu        sync.Mutex
 	visited   []string // struct keys of points whose rows are in the result
 	evaluated int
@@ -115,27 +116,29 @@ type runner struct {
 	stopped   bool
 }
 
+// logf writes one progress line; the caller holds r.mu, so Log receives
+// one line at a time.
 func (r *runner) logf(format string, args ...any) {
 	if r.cfg.Log != nil {
 		fmt.Fprintf(r.cfg.Log, format+"\n", args...)
 	}
 }
 
-// evalBatch runs one wave of structural points through the worker pool.
-// Journaled points are adopted without evaluation; the StopAfterPoints
-// budget is enforced at dispatch. The batch is a barrier: it returns
-// when every dispatched point's rows are journaled, which keeps the
-// walk deterministic for any worker count.
+// evalBatch runs one wave of structural points through crew: on the
+// Workers sweep workers and as many helpers as the process-wide budget
+// has free, each point measuring its forks on a crew of its own from the
+// same budget. Journaled points are adopted without evaluation; the
+// StopAfterPoints budget is enforced at dispatch. The batch is a
+// barrier: it returns when every point handed out has its rows
+// journaled, or the first failure to journal stopped the handing out,
+// which keeps the walk deterministic for any crew.
 func (r *runner) evalBatch(points []Point) error {
-	type job struct{ p Point }
 	var todo []Point
 	for _, p := range points {
 		key := r.cfg.StructKey(p)
 		if r.jnl.has(func(fork int) string { return r.cfg.RowKey(p, fork) }, r.cfg.Forks) {
-			r.mu.Lock()
 			r.visited = append(r.visited, key)
 			r.resumed++
-			r.mu.Unlock()
 			continue
 		}
 		if r.cfg.StopAfterPoints > 0 && r.evaluated+len(todo) >= r.cfg.StopAfterPoints {
@@ -147,42 +150,19 @@ func (r *runner) evalBatch(points []Point) error {
 	if len(todo) == 0 {
 		return nil
 	}
-	jobs := make(chan job)
-	errc := make(chan error, r.cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				rows := r.eval.evalPoint(jb.p)
-				if err := r.jnl.append(rows); err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-				r.mu.Lock()
-				r.visited = append(r.visited, r.cfg.StructKey(jb.p))
-				r.evaluated++
-				n := r.evaluated
-				r.mu.Unlock()
-				r.logf("dse: %s [%d evaluated]", r.cfg.StructKey(jb.p), n)
-			}
-		}()
-	}
-	for _, p := range todo {
-		jobs <- job{p}
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
+	return crew(len(todo), r.cfg.Workers, func(i int) error {
+		p := todo[i]
+		if err := r.jnl.append(r.eval.evalPoint(p)); err != nil {
+			return err
+		}
+		key := r.cfg.StructKey(p)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.visited = append(r.visited, key)
+		r.evaluated++
+		r.logf("dse: %s [%d evaluated]", key, r.evaluated)
 		return nil
-	}
+	}, nil)
 }
 
 // runGrid evaluates the full cross product.
@@ -244,7 +224,9 @@ func (r *runner) runPareto() error {
 		}
 		sort.Slice(next, func(i, j int) bool { return pointLess(next[i], next[j]) })
 		frontier = next
+		r.mu.Lock()
 		r.logf("dse: wave %d done: front=%d next=%d", wave, len(front), len(next))
+		r.mu.Unlock()
 	}
 	return nil
 }

@@ -24,8 +24,8 @@
 // engine without workers of its own hands the stretch to a crew — a
 // worker per poolSpan arena elements, no more than GOMAXPROCS, and no
 // more helper goroutines than a process-wide budget of GOMAXPROCS−1 has
-// free, which platforms running side by side and the fork crews of
-// sweep points share. And since a crew of n walks a stretch in about
+// free, which platforms running side by side, sweep points and their
+// fork crews share. And since a crew of n walks a stretch in about
 // 1/n of the plain walk's time, the probe counts the crew it could
 // hire: a crew of n stands down at
 // standDownShare/n of the arena elements active. A crew of one — a
@@ -200,10 +200,11 @@ func (e *Engine) standUp() {
 func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.down }
 
 // helpers is the process-wide budget of the goroutines that simulate
-// beside their callers': the stand-down pools' helpers and the fork
-// helpers a sweep point measures its replicates on (TakeHelpers),
+// beside their callers': the stand-down pools' helpers, the point
+// helpers a sweep runs a batch's points on beside its workers and the
+// fork helpers a sweep point measures its replicates on (TakeHelpers),
 // GOMAXPROCS−1 at most together, so that platforms running side by side
-// (serve sessions, sweep workers, a point's forks) never put more
+// (serve sessions, sweep points, a point's forks) never put more
 // spinners on the host than it has processors.
 var helpers atomic.Int32
 

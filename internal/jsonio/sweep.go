@@ -57,8 +57,8 @@ type SweepFile struct {
 	// Seed/WorkloadSeed pin the sweep's randomness.
 	Seed         uint32 `json:"seed,omitempty"`
 	WorkloadSeed uint32 `json:"workload_seed,omitempty"`
-	// Workers sizes the sweep pool; PlatformWorkers each platform's
-	// inner kernel.
+	// Workers is the number of dedicated sweep workers (dse.Config.Workers);
+	// PlatformWorkers each platform's inner kernel.
 	Workers         int `json:"workers,omitempty"`
 	PlatformWorkers int `json:"platform_workers,omitempty"`
 	// Search is "grid" (default) or "pareto".
