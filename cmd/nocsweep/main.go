@@ -44,7 +44,7 @@ func main() {
 		cycles  = flag.Uint64("cycles", 0, "measured cycles per point")
 		seed    = flag.Uint("seed", 0, "platform base seed")
 		workers = flag.Int("workers", 0, "dedicated sweep workers (default 1); points also run on helper goroutines from a process-wide budget of GOMAXPROCS-1, as do each point's forks and the kernels' pooled stretches, so one worker already uses every free processor and more oversubscribe")
-		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers, forced on every cycle (0 = the default kernel, which pools only a large platform's stand-down stretches)")
+		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers, forced on every cycle (0 = the default kernel, which walks only a large platform on a crew)")
 		search  = flag.String("search", "", "search mode: grid or pareto")
 		objs    = flag.String("objectives", "", "comma-separated Pareto objectives (latency, throughput, area)")
 		journal = flag.String("journal", "", "JSONL journal for streaming results and resuming killed sweeps; belongs to one sweep configuration (rows are matched by key: another -warm/-cycles is an error, another -seed or packet length cannot be detected)")

@@ -135,3 +135,12 @@ func deal(n, w int, f func(worker, lo, hi int)) {
 		lo = hi
 	}
 }
+
+// dealtTo is the worker deal gives element i of [0, n) among w.
+func dealtTo(i, n, w int) int {
+	size, rem := n/w, n%w
+	if big := rem * (size + 1); i >= big {
+		return rem + (i-big)/size
+	}
+	return i / (size + 1)
+}

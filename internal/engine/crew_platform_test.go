@@ -1,0 +1,306 @@
+package engine_test
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"nocemu/internal/engine"
+	"nocemu/internal/fault"
+	"nocemu/internal/link"
+	"nocemu/internal/monitor"
+	"nocemu/internal/platform"
+	"nocemu/internal/probe"
+	"nocemu/internal/topology"
+)
+
+// The gated crew on whole platforms. CrewAlways makes a platform of any
+// size walk its gated cycles on a crew — a worker per switch, as many as
+// the host has processors — so the fixtures the platform package pins
+// for the one-core walk (its golden traces and the cycle-600 snapshot),
+// its gating matrices against the plain walk and its FullReset must all
+// hold under it. On one processor the same runs take the one-core walk.
+
+// fixture reads a file the platform package's tests pin.
+func fixture(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "platform", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// build builds cfg, on the gated crew unless plain, and applies setup.
+func build(t *testing.T, cfg platform.Config, plain bool, setup func(p *platform.Platform)) *platform.Platform {
+	t.Helper()
+	cfg.NoGate = plain
+	p, err := platform.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(p)
+	}
+	if !plain {
+		engine.CrewAlways(p.Engine())
+	}
+	return p
+}
+
+// onCrew asserts that the gated crew walked where the host has a second
+// processor, and only there.
+func onCrew(t *testing.T, p *platform.Platform) {
+	t.Helper()
+	if pooled := p.Engine().PooledCycles() > 0; pooled != (runtime.GOMAXPROCS(0) > 1) {
+		t.Errorf("walked on a crew: %v, at GOMAXPROCS %d", pooled, runtime.GOMAXPROCS(0))
+	}
+}
+
+// faults adds a campaign after Build.
+func faults(specs ...fault.Spec) func(p *platform.Platform) {
+	return func(p *platform.Platform) {
+		if _, err := p.AddFaults(specs); err != nil {
+			panic(err)
+		}
+	}
+}
+
+func paper(t *testing.T, opts platform.PaperOptions) platform.Config {
+	t.Helper()
+	cfg, err := platform.PaperConfig(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+func net(t *testing.T, spec string, opts platform.NetOptions) platform.Config {
+	t.Helper()
+	var err error
+	if opts.Topo, err = topology.ParseSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := platform.NetConfig(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+func trace(t *testing.T, p *platform.Platform) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Probe().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGatedCrewGoldenTraces: the gated crew reproduces every golden
+// trace byte for byte — the paper platform's under uniform, trace-driven
+// and faulted traffic, and the flattened butterfly's. A run that traces
+// the scheduler itself keeps the one-core walk, whose parks and wakes
+// its trace records beside the same flit events.
+func TestGatedCrewGoldenTraces(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		cfg        platform.Config
+		setup      func(p *platform.Platform)
+		cycles     uint64 // 0: run until the receptors are done
+	}{
+		{"uniform", "trace_uniform.jsonl", paper(t, platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 5}), nil, 0},
+		{"trace-driven", "trace_trace_driven.jsonl", paper(t, platform.PaperOptions{Traffic: platform.PaperTrace, PacketsPerTG: 4, PacketsPerBurst: 4}), nil, 0},
+		{"faulted", "trace_faulted.jsonl", paper(t, platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6}), faults(
+			fault.Spec{Link: 0, Mode: link.FaultStuck, From: 20, Until: 60},
+			fault.Spec{Link: 1, Mode: link.FaultCorrupt, From: 15, Until: 100},
+			fault.Spec{Link: 14, Mode: link.FaultCorrupt, From: 30, Until: 90},
+			fault.Spec{Link: 6, Mode: link.FaultCorrupt, From: 40, Until: 120},
+			fault.Spec{Link: 6, Mode: link.FaultStuck, From: 70, Until: 85},
+		), 0},
+		{"butterfly", "trace_butterfly.jsonl", net(t, "butterfly:w=3,h=3", platform.NetOptions{Workload: "uniform", Injection: 0.2, PacketsPerTG: 4, Seed: 7}), nil, 4_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Trace = &probe.Config{}
+			p := build(t, tc.cfg, false, tc.setup)
+			if tc.cycles > 0 {
+				p.RunCycles(tc.cycles)
+			} else if _, stopped := p.Run(1_000_000); !stopped {
+				t.Fatal("run did not complete")
+			}
+			if got, want := trace(t, p), fixture(t, tc.file); !bytes.Equal(got, want) {
+				t.Errorf("the gated crew's trace differs from %s", tc.file)
+			}
+			onCrew(t, p)
+		})
+	}
+	t.Run("sched", func(t *testing.T) {
+		cfg := paper(t, platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 5})
+		cfg.Trace = &probe.Config{Sched: true}
+		p := build(t, cfg, false, nil)
+		if _, stopped := p.Run(1_000_000); !stopped {
+			t.Fatal("run did not complete")
+		}
+		if n := p.Engine().PooledCycles(); n != 0 {
+			t.Errorf("a scheduler-traced run walked %d cycles on a crew", n)
+		}
+		var data []byte
+		for _, line := range bytes.SplitAfter(trace(t, p), []byte("\n")) {
+			if !bytes.Contains(line, []byte(`"ring":4294967295`)) {
+				data = append(data, line...)
+			}
+		}
+		if !bytes.Equal(data, fixture(t, "trace_uniform.jsonl")) {
+			t.Error("the scheduler-traced run's flit events differ from trace_uniform.jsonl")
+		}
+	})
+}
+
+// TestGatedCrewSnapshotFixture: the paper platform, walked on the gated
+// crew to cycle 600, snapshots to the committed fixture byte for byte.
+func TestGatedCrewSnapshotFixture(t *testing.T) {
+	cfg := paper(t, platform.PaperOptions{PacketsPerTG: 5})
+	cfg.Trace = &probe.Config{}
+	p := build(t, cfg, false, nil)
+	p.RunCycles(600)
+	snap, err := p.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, fixture(t, "paper_cycle600.nocsnap")) {
+		t.Error("the gated crew's snapshot at cycle 600 differs from paper_cycle600.nocsnap")
+	}
+	onCrew(t, p)
+}
+
+// outcome is what a run shows: the monitor's JSON, the trace, where it
+// ended and why.
+type outcome struct {
+	json, trace     []byte
+	cycle, executed uint64
+	stopped         bool
+	watchdog        string
+	flitsRouted     uint64
+}
+
+func runOutcome(t *testing.T, p *platform.Platform, max uint64) outcome {
+	t.Helper()
+	var o outcome
+	o.executed, o.stopped = p.Run(max)
+	var buf bytes.Buffer
+	if err := monitor.WriteJSON(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	o.json, o.cycle = buf.Bytes(), p.Engine().Cycle()
+	if p.Probe() != nil {
+		o.trace = trace(t, p)
+	}
+	o.flitsRouted = p.Totals().FlitsRouted
+	return o
+}
+
+func (o outcome) differ(want outcome) string {
+	switch {
+	case o.cycle != want.cycle || o.executed != want.executed || o.stopped != want.stopped || o.watchdog != want.watchdog:
+		return fmt.Sprintf("run (%d, %v) to cycle %d, watchdog %q; plain (%d, %v) to %d, %q",
+			o.executed, o.stopped, o.cycle, o.watchdog, want.executed, want.stopped, want.cycle, want.watchdog)
+	case !bytes.Equal(o.json, want.json):
+		return "monitor JSON differs"
+	case !bytes.Equal(o.trace, want.trace):
+		return "trace differs"
+	}
+	return ""
+}
+
+// TestGatedCrewGatingMatrix holds the gated crew to the plain walk on
+// the platform gating matrices' runs: the paper platform under bounded
+// uniform, free-running burst and trace-driven traffic, with a fault
+// campaign and deadlocked by a stuck link under a watchdog, and meshes,
+// a butterfly and a two-lane torus at arena scale.
+func TestGatedCrewGatingMatrix(t *testing.T) {
+	var wd *platform.Watchdog
+	watchdog := func(p *platform.Platform) {
+		faults(fault.Spec{Link: 0, Mode: link.FaultStuck, From: 200, Until: 1 << 40})(p)
+		var err error
+		if wd, err = p.AttachWatchdog(800); err != nil {
+			panic(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   platform.Config
+		setup func(p *platform.Platform)
+		max   uint64
+	}{
+		{"paper/uniform", paper(t, platform.PaperOptions{PacketsPerTG: 40}), nil, 200_000},
+		{"paper/burst", paper(t, platform.PaperOptions{Traffic: platform.PaperBurst}), nil, 25_000},
+		{"paper/trace", paper(t, platform.PaperOptions{Traffic: platform.PaperTrace, PacketsPerTG: 40}), nil, 200_000},
+		{"paper/faulted", paper(t, platform.PaperOptions{PacketsPerTG: 30}), faults(
+			fault.Spec{Link: 0, Mode: link.FaultStuck, From: 500, Until: 2_500},
+			fault.Spec{Link: 1, Mode: link.FaultCorrupt, From: 100, Until: 400},
+		), 100_000},
+		{"paper/deadlock", paper(t, platform.PaperOptions{PacketsPerTG: 50}), watchdog, 50_000},
+		{"mesh8x8-light", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.02}), nil, 3_000},
+		{"mesh8x8-saturated", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.3}), nil, 1_000},
+		{"butterfly4x4", net(t, "butterfly:w=4,h=4", platform.NetOptions{Injection: 0.1}), nil, 2_000},
+		{"torus4x4-dateline", net(t, "torus:w=4,h=4,minimal=1,vcs=2", platform.NetOptions{Injection: 0.2}), nil, 2_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var runs [2]outcome
+			for i, plain := range []bool{true, false} {
+				wd = nil
+				p := build(t, tc.cfg, plain, tc.setup)
+				runs[i] = runOutcome(t, p, tc.max)
+				if wd != nil {
+					stalled, at := wd.Stalled()
+					runs[i].watchdog = fmt.Sprintf("%v@%d", stalled, at)
+				}
+				if !plain {
+					onCrew(t, p)
+				}
+			}
+			if runs[0].flitsRouted == 0 {
+				t.Fatal("no traffic crossed the platform")
+			}
+			if d := runs[1].differ(runs[0]); d != "" {
+				t.Errorf("the gated crew differs from the plain walk: %s", d)
+			}
+		})
+	}
+}
+
+// TestGatedCrewFullReset: after a complete run on the gated crew — a
+// watchdog and a stuck window attached — FullReset rewinds the paper
+// platform to its build, and a second run reproduces the plain walk's
+// fresh run byte for byte.
+func TestGatedCrewFullReset(t *testing.T) {
+	cfg := paper(t, platform.PaperOptions{PacketsPerTG: 12})
+	cfg.Trace = &probe.Config{}
+	setup := func(p *platform.Platform) {
+		if _, err := p.AttachWatchdog(2_000); err != nil {
+			panic(err)
+		}
+		faults(fault.Spec{Link: 0, Mode: link.FaultStuck, From: 100, Until: 300})(p)
+	}
+	want := runOutcome(t, build(t, cfg, true, setup), 1_000_000)
+	if !want.stopped {
+		t.Fatal("the plain run did not complete")
+	}
+	p := build(t, cfg, false, setup)
+	if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
+		t.Fatalf("before any reset: %s", d)
+	}
+	if err := p.FullReset(); err != nil {
+		t.Fatal(err)
+	}
+	if c := p.Engine().Cycle(); c != 0 {
+		t.Fatalf("cycle %d after FullReset", c)
+	}
+	if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
+		t.Errorf("after FullReset: %s", d)
+	}
+	onCrew(t, p)
+}

@@ -1,4 +1,4 @@
-// The duty cycle: a gate that stands down, and a stretch that pools.
+// The duty cycle: a gate that stands down, and a run that hires a crew.
 //
 // Parking pays only where there is something to park. On a busy network
 // nearly every switch is active every cycle, and then the gates'
@@ -8,10 +8,9 @@
 // window of probeCycles cycles it sums the active elements of every
 // arena gate after each gated cycle (a fast-forwarded cycle adds none).
 // When that sum reaches standDownShare of everything the gates hold in
-// every cycle of the window — less where a crew walks the stretch,
-// below — the gates stand down: every parked element is paid and woken,
-// the wires' wake hooks go off, and the engine walks the plain schedule
-// for a stretch. When the stretch ends the hooks go
+// every cycle of the window, the gates stand down: every parked element
+// is paid and woken, the wires' wake hooks go off, and the engine walks
+// the plain schedule for a stretch. When the stretch ends the hooks go
 // back on and the gates resume with everything active — the first
 // quiet report parks the idle again — for another probe window. A stretch
 // doubles each time a probe finds the network still busy, up to
@@ -19,22 +18,21 @@
 // steady busy run pays one probe window in thousands of cycles, and a
 // run whose load falls is parking again within a stretch.
 //
-// A stretch is also where a pool pays: nothing parks, and the plain
-// schedule is exactly what a pool of workers walks (pool.go). So an
-// engine without workers of its own hands the stretch to a crew — a
-// worker per poolSpan arena elements, no more than GOMAXPROCS, and no
-// more helper goroutines than a process-wide budget of GOMAXPROCS−1 has
-// free, which platforms running side by side, sweep points and their
-// fork crews share. And since a crew of n walks a stretch in about
-// 1/n of the plain walk's time, the probe counts the crew it could
-// hire: a crew of n stands down at
-// standDownShare/n of the arena elements active. A crew of one — a
-// small platform, a one-processor host, a budget held elsewhere — walks
-// the stretch plain, at the share a plain walk needs. The helpers are
-// taken when the stretch begins, or goes on into a new run, and given
-// back when it ends or the run does, goroutines included: none outlives
-// a run. A stretch whose run cannot hire back the crew it counted on
-// stands up instead.
+// Both walks pay on a crew (pool.go): an engine without workers of its
+// own hires one for each run — a worker per poolSpan arena elements, no
+// more than GOMAXPROCS, and no more helper goroutines than a
+// process-wide budget of GOMAXPROCS−1 has free, which platforms running
+// side by side, sweep points and their fork crews share. The crew walks
+// the gated cycles over its share of the gates (quiesce.go, crewGates)
+// and the stretches plainly, so the stand-down compares the two walks on
+// the same crew, and the share is one constant whatever its size. A
+// crew of one — a platform under 2·poolSpan elements, a one-processor
+// host, a budget held elsewhere — is the caller's goroutine alone, as is
+// an engine whose Armers or SchedTrace need the one-core gated walk.
+// The helpers are taken when the run begins and given back when it ends,
+// goroutines included: none outlives a run. What a crew is built from —
+// its shards, spans and shares of the gates — stays for the next run of
+// the same crew size and registrations.
 //
 // None of it shows in results. The plain walk is the reference every
 // gated and pooled walk is held to; a stand-down settles every debt
@@ -53,18 +51,19 @@ import (
 // The share is where the gated walk parts from the plain one
 // (EXPERIMENTS.md, "A gate that stands down"): the gates lose 6–20 % on
 // platforms that keep 0.59–1.00 of their switches active, and win
-// 1.08–2.1× at 0.15–0.44. A crew of n divides it by n (EXPERIMENTS.md,
-// "Sparse stretches on a pool": two workers meet the gated walk at
-// 0.18–0.20, below 33/128 ≈ 0.26). The span is where a pool parts
-// from the plain walk on a busy mesh, with margin (EXPERIMENTS.md, "Busy
-// stretches on a pool"): two workers lose at 8 switches each, break even
-// between 18 and 32, and win 1.5–1.8× from 50 on.
+// 1.08–2.1× at 0.15–0.44. On a crew of two (EXPERIMENTS.md, "The gate
+// shards") a mesh breaks even at 0.52–0.65 and a butterfly of 31-port
+// switches near 0.41. The span is
+// where a pool parts from the plain walk on a busy mesh, with margin
+// (EXPERIMENTS.md, "Busy stretches on a pool"): two workers lose at 8
+// switches each, break even between 18 and 32, and win 1.5–1.8× from
+// 50 on.
 const (
 	probeCycles    = 64
 	minStretch     = 256
 	maxStretch     = 8192
-	standDownShare = 33 // sixty-fourths of the arena elements, on average over a window, for a crew of one
-	poolSpan       = 64 // arena elements per worker of a pooled stretch, at least
+	standDownShare = 33 // sixty-fourths of the arena elements, on average over a window
+	poolSpan       = 64 // arena elements per worker of a crew, at least
 )
 
 // duty is the stand-down state of a sched.
@@ -72,23 +71,15 @@ type duty struct {
 	size int    // arena elements under the gates
 	busy int    // active arena elements summed over the window's gated cycles
 	from uint64 // the cycle the probe window began
-	// share is the stand-down threshold in sixty-fourths for a crew of
-	// one; a rig may set it (0 stands down after every window, above 64
-	// never, whatever the crew).
-	share int
-	// need is the crew the stand-down under way counted on: 1 where the
-	// share pays for the plain walk, more where only a pool pays.
-	need    int
+	// share is the stand-down threshold in sixty-fourths; a rig may set
+	// it (0 stands down after every window, above 64 never).
+	share   int
 	down    bool
 	next    uint64 // the cycle the window or the stretch ends
 	stretch uint64 // the next stand-down's length
-	// span is the pooled stretch's arena elements per worker, at least;
-	// a rig may lower it (to 1 at the least).
+	// span is a crew's arena elements per worker, at least; a rig may
+	// lower it (to 1 at the least).
 	span int
-	// crew is the pool walking the stretch in this run, nil while it
-	// walks plain; all its workers but the caller are helpers from the
-	// budget.
-	crew *pool
 }
 
 // count adds the arena gates' active elements after a gated cycle.
@@ -120,17 +111,16 @@ func (e *Engine) gatesUp() bool {
 }
 
 // turn is where the gates resume when a stretch has run out and where
-// they stand down when a probe window has found the arenas busy enough
-// for the crew a stretch would get.
+// they stand down when a probe window has found the arenas busy enough.
 func (e *Engine) turn() bool {
 	d := &e.sched.duty
 	if d.down {
 		e.standUp()
 		return true
 	}
-	d.need = e.needed()
+	down := e.busyEnough()
 	d.probe(e.cycle)
-	if d.need == 0 || !e.hire() {
+	if !down {
 		d.stretch = minStretch
 		return true
 	}
@@ -138,34 +128,26 @@ func (e *Engine) turn() bool {
 	return false
 }
 
-// needed is the smallest crew for which the probe window just ended pays
-// a stand-down, 0 if no crew the host has free now does: a crew of n
-// stands down at share/n of the arena elements active, since the gated
-// walk's cost grows with that share and a pooled walk's falls with its
-// crew. A share above 64 never stands down.
-func (e *Engine) needed() int {
+// busyEnough reports whether the probe window just ended pays a
+// stand-down: its arenas kept share sixty-fourths of their elements
+// active on average. A share above 64 never stands down.
+func (e *Engine) busyEnough() bool {
 	d := &e.sched.duty
 	if d.size == 0 || d.share > 64 {
-		return 0
+		return false
 	}
 	// In floating point: a fast-forward may have stretched the window
 	// arbitrarily far.
-	busy := float64(d.busy) * 64
-	all := float64(d.share) * float64(e.cycle-d.from) * float64(d.size)
-	for n := 1; n <= e.crewSize(helpers.Load()); n++ {
-		if busy*float64(n) >= all {
-			return n
-		}
-	}
-	return 0
+	return float64(d.busy)*64 >= float64(d.share)*float64(e.cycle-d.from)*float64(d.size)
 }
 
 // standDown pays every parked component and arena element up to the
 // current cycle, wakes them all — the registry's as wakes a SchedTrace
 // sees — switches the arm hooks off and starts a stretch of plain
-// cycles, on the crew turn has hired.
+// cycles, on the run's crew if it has one.
 func (e *Engine) standDown() {
 	s := e.sched
+	s.gather()
 	e.settle()
 	for i, on := range s.reg.active {
 		if !on {
@@ -184,14 +166,18 @@ func (e *Engine) standDown() {
 
 // standUp ends a stand-down — its stretch ran out, the timeline moved,
 // or the gates are going away — so whatever comes next finds the hooks
-// on, no pool and a probe window open. The gates are already
-// everything-active; their first quiet report parks the idle again.
+// on and a probe window open, the gates dealt to the run's crew if it
+// has one. The gates are already everything-active; their first quiet
+// report parks the idle again.
 func (e *Engine) standUp() {
-	if d := &e.sched.duty; d.down {
-		e.dismiss()
+	s := e.sched
+	if d := &s.duty; d.down {
 		d.down = false
 		d.probe(e.cycle)
 		e.armHooks(true)
+		if s.crew != nil {
+			s.deal()
+		}
 	}
 }
 
@@ -200,7 +186,7 @@ func (e *Engine) standUp() {
 func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.down }
 
 // helpers is the process-wide budget of the goroutines that simulate
-// beside their callers': the stand-down pools' helpers, the point
+// beside their callers': the crews' helpers, the point
 // helpers a sweep runs a batch's points on beside its workers and the
 // fork helpers a sweep point measures its replicates on (TakeHelpers),
 // GOMAXPROCS−1 at most together, so that platforms running side by side
@@ -229,51 +215,76 @@ func TakeHelpers(want int) int {
 // ReturnHelpers gives n helpers TakeHelpers took back to the budget.
 func ReturnHelpers(n int) { helpers.Add(-int32(n)) }
 
-// crewSize is how many workers a pooled stretch could have while held
-// helpers are taken: one per span arena elements, at most GOMAXPROCS,
-// the caller's goroutine and as many helpers as the budget has free.
+// crewSize is how many workers a crew could have while held helpers
+// are taken: one per span arena elements, at most GOMAXPROCS, the
+// caller's goroutine and as many helpers as the budget has free.
 func (e *Engine) crewSize(held int32) int {
 	d := &e.sched.duty
 	procs := runtime.GOMAXPROCS(0)
 	return max(1, min(procs, d.size/d.span, procs-int(held)))
 }
 
-// hire hands the stretch under way to a crew of crewSize workers. It
-// keeps none and reports false where that is fewer than the stand-down
-// needs; a crew of one walks the stretch plain.
-func (e *Engine) hire() bool {
-	d := &e.sched.duty
-	n := 1 + TakeHelpers(e.crewSize(0)-1)
-	if n < d.need {
-		ReturnHelpers(n - 1)
-		return false
-	}
-	if n > 1 {
-		d.crew = newPool(n)
-		d.crew.enter(e)
-	}
-	return true
-}
-
-// dismiss ends the stretch's pool, if it has one: its goroutines exit
-// and its helpers go back to the budget.
-func (e *Engine) dismiss() {
-	d := &e.sched.duty
-	if d.crew == nil {
+// hire hands the run about to start to a crew of crewSize workers, if
+// that is more than one — the arenas hold at least two spans and the
+// budget has a helper free — and the engine lets its gated walk leave
+// one core: no SchedTrace, whose log follows the one-core walk, and no
+// arm within the cycle of anything but a SerialTicker. The crew is
+// built anew only for a new size or new registrations; its goroutines
+// start here.
+func (e *Engine) hire() {
+	s := e.sched
+	if e.strace != nil || e.soloArms > 0 || s.duty.size < 2*s.duty.span {
 		return
 	}
-	d.crew.leave()
-	d.crew.close()
-	ReturnHelpers(len(d.crew.shards) - 1)
-	d.crew = nil
+	n := 1 + TakeHelpers(e.crewSize(0)-1)
+	if n < 2 {
+		return
+	}
+	p := s.pool
+	if p == nil || len(p.shards) != n {
+		p = newPool(n)
+		s.pool = p
+	}
+	p.deal(e)
+	for _, t := range e.tables {
+		t.route(p)
+	}
+	p.spawn()
+	s.crew = p
+	if !s.duty.down {
+		s.deal()
+		e.armHooks(true)
+	}
+}
+
+// dismiss ends the run's crew, if it has one: the gates are gathered
+// back, its goroutines exit and its helpers go back to the budget.
+func (e *Engine) dismiss() {
+	s := e.sched
+	p := s.crew
+	if p == nil {
+		return
+	}
+	s.gather()
+	p.leave()
+	p.exited.Wait()
+	ReturnHelpers(len(p.shards) - 1)
+	s.crew = nil
+	if !s.duty.down {
+		e.armHooks(true)
+	}
 }
 
 // armHooks switches the hook of every arm table: while the gates stand
 // down everything is awake, and a Send calls nothing.
 func (e *Engine) armHooks(on bool) {
 	for _, t := range e.tables {
-		t.hook = nil
-		if on {
+		switch {
+		case !on:
+			t.hook = nil
+		case e.sched.crew != nil:
+			t.hook = t.sendCrew
+		default:
 			t.hook = t.send
 		}
 	}

@@ -44,7 +44,7 @@ func dutyRig(busy int) (*Engine, *stubArena, *hookWatch) {
 		a.elems[i].busy = NeverWake
 	}
 	e.MustRegisterArena(a)
-	tbl, err := e.ArmTable(nil)
+	tbl, err := e.ArmTable(nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -301,8 +301,9 @@ func settledGoroutines(t *testing.T, want int) {
 }
 
 // TestStandDownPoolLifetime: a gated engine without workers walks its
-// stand-down stretches on a pool where the host has a second processor
-// — and only there, so that a one-processor run never starts one — yet
+// gated cycles and its stand-down stretches on a crew where the host has
+// a second processor — and only there, so that a one-processor run never
+// starts one — yet
 // holds no goroutine and no helper between runs, after a run that ends
 // with its budget or one a Stopper ends inside a stretch alike. Every
 // element counts every cycle either way.
@@ -322,8 +323,8 @@ func TestStandDownPoolLifetime(t *testing.T) {
 	if multi := runtime.GOMAXPROCS(0) > 1; (pooled > 0) != multi || (a.partial.Load() > 0) != multi {
 		t.Errorf("GOMAXPROCS %d: %d cycles walked on a pool, %d partial arena ticks", runtime.GOMAXPROCS(0), pooled, a.partial.Load())
 	}
-	if want := uint64(701 - 64 - 64); pooled != 0 && pooled != want {
-		t.Errorf("%d cycles walked on a pool, want the %d of the stretches", pooled, want)
+	if pooled != 0 && pooled != 701 {
+		t.Errorf("%d cycles walked on a pool, want all 701: the gated ones and the stretches", pooled)
 	}
 	for i, c := range a.counts {
 		if c != 701 {
@@ -442,15 +443,16 @@ func withProcs(t *testing.T, procs int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// TestGateStandsDownForACrew: the share a stand-down needs falls with
-// the crew a pooled stretch would get — standDownShare/n for a crew of
-// n. An arena 100/256 active, between 33/128 and 33/64, stands down on
-// two processors with a helper free and walks the stretch on the pool;
-// on one processor, or with the budget held elsewhere — by a sweep
-// point's fork crew, say — its gates stay up, as they always do at
-// 60/256, below 33/128. Helpers a fork crew holds shrink the crew it
-// counts on, never past the budget. A share above 64 never stands down,
-// whatever the crew.
+// TestGateStandsDownForACrew: the share a stand-down needs is
+// standDownShare whatever the crew, since a crew walks the gated cycles
+// as well as the plain ones. An arena 140/256 active, above 33/64,
+// stands down with a crew of two or four, on one processor and with the
+// budget held elsewhere — by a sweep point's fork crew, say — alike; at
+// 100/256 its gates stay up for every crew. Either walk is on the crew
+// the host and the budget have: helpers a fork crew holds shrink it,
+// never past the budget. A share of 64 stands down only where every
+// element is active in every cycle of the window; one above 64 never
+// does.
 func TestGateStandsDownForACrew(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -458,14 +460,16 @@ func TestGateStandsDownForACrew(t *testing.T) {
 		busy, share int
 		down        bool
 	}{
-		{"crew-of-2", 2, 0, 100, standDownShare, true},
-		{"one-processor", 1, 0, 100, standDownShare, false},
-		{"budget-held", 2, 1, 100, standDownShare, false},
-		{"below-a-crew-of-2", 2, 0, 60, standDownShare, false},
-		{"crew-of-4", 4, 0, 60, standDownShare, true},
-		{"fork-crew-leaves-2", 4, 2, 100, standDownShare, true},
-		{"fork-crew-leaves-2-of-4", 4, 2, 60, standDownShare, false},
+		{"crew-of-2", 2, 0, 140, standDownShare, true},
+		{"one-processor", 1, 0, 140, standDownShare, true},
+		{"budget-held", 2, 1, 140, standDownShare, true},
+		{"below-a-crew-of-2", 2, 0, 100, standDownShare, false},
+		{"crew-of-4", 4, 0, 100, standDownShare, false},
+		{"fork-crew-leaves-2", 4, 2, 140, standDownShare, true},
+		{"fork-crew-leaves-2-of-4", 4, 2, 100, standDownShare, false},
 		{"never", 4, 0, 4 * poolSpan, 65, false},
+		{"share-64-all-busy", 2, 0, 4 * poolSpan, 64, true},
+		{"share-65-all-busy", 2, 0, 4 * poolSpan, 65, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withProcs(t, tc.procs)
@@ -476,11 +480,15 @@ func TestGateStandsDownForACrew(t *testing.T) {
 			e, a := shareEngine("arena", tc.busy)
 			e.sched.duty.share = tc.share
 			e.Run(100) // one probe window, and 36 cycles of what it decided
-			if n, want := e.crewSize(helpers.Load()), min(tc.procs-tc.held, 4); n != want {
-				t.Errorf("crew size %d with %d helpers held, want %d", n, tc.held, want)
+			crew := min(tc.procs-tc.held, 4)
+			if n := e.crewSize(helpers.Load()); n != crew {
+				t.Errorf("crew size %d with %d helpers held, want %d", n, tc.held, crew)
 			}
-			if e.StandingDown() != tc.down || (e.PooledCycles() > 0) != tc.down {
-				t.Errorf("standing down %v after %d pooled cycles, want %v", e.StandingDown(), e.PooledCycles(), tc.down)
+			if e.StandingDown() != tc.down {
+				t.Errorf("standing down %v, want %v", e.StandingDown(), tc.down)
+			}
+			if pooled := e.PooledCycles(); (crew > 1) != (pooled == 100) || crew == 1 && pooled != 0 {
+				t.Errorf("%d cycles walked on a crew of %d, want all or none", pooled, crew)
 			}
 			if p := a.peak.Load(); p > int32(tc.procs-1) {
 				t.Errorf("%d helpers held during the run, budget %d", p, tc.procs-1)
@@ -513,44 +521,43 @@ func (l *latch) Tick(c uint64) {
 	}
 }
 
-// TestGateStandsUpWhenCrewLost: a stand-down that counted on a crew of
-// two gives its helper back when its run ends inside the stretch; if
-// another platform holds the budget when the next run begins, it cannot
-// hire the crew back and stands up instead of walking the stretch plain.
-// Once the budget is free again its next probe stands it down anew.
-func TestGateStandsUpWhenCrewLost(t *testing.T) {
+// TestGateStretchGoesOnWithoutItsCrew: a stand-down gives its crew
+// back when its run ends inside the stretch; if another platform holds
+// the budget when the next run begins, the stretch goes on plainly on
+// the caller's goroutine, and once the budget is free again the next
+// run walks it on a crew anew.
+func TestGateStretchGoesOnWithoutItsCrew(t *testing.T) {
 	withProcs(t, 2)
-	a, aa := shareEngine("a", 100)
-	b, _ := shareEngine("b", 100)
+	a, aa := shareEngine("a", 200)
+	b, _ := shareEngine("b", 200)
 	l := &latch{at: 100, paused: make(chan struct{}), resume: make(chan struct{})}
 	b.MustRegister(l)
 
 	a.Run(100) // stands down at 64 on a crew of two, ends inside the stretch
-	if !a.StandingDown() || helpers.Load() != 0 {
-		t.Fatalf("after 100 cycles: standing down %v with %d helpers held; want down, none held", a.StandingDown(), helpers.Load())
+	if !a.StandingDown() || a.PooledCycles() != 100 || helpers.Load() != 0 {
+		t.Fatalf("after 100 cycles: standing down %v, %d cycles on a crew, %d helpers held; want down, 100, none held", a.StandingDown(), a.PooledCycles(), helpers.Load())
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.Run(200) // stands down at 64 too, and keeps its helper while the latch holds it
+		b.Run(200) // keeps its helper while the latch holds it
 	}()
 	<-l.paused
 	if n := helpers.Load(); n != 1 {
 		t.Fatalf("%d helpers held by the paused run, want 1", n)
 	}
-	pooled := a.PooledCycles()
 	a.Run(10)
-	if a.StandingDown() || a.PooledCycles() != pooled {
-		t.Errorf("with the budget held: standing down %v, %d cycles pooled; want the gates up and none", a.StandingDown(), a.PooledCycles()-pooled)
+	if !a.StandingDown() || a.PooledCycles() != 100 {
+		t.Errorf("with the budget held: standing down %v, %d cycles on a crew; want the stretch going on without one", a.StandingDown(), a.PooledCycles())
 	}
 	close(l.resume)
 	<-done
 	if n := helpers.Load(); n != 0 {
 		t.Errorf("%d helpers held between runs", n)
 	}
-	a.Run(100) // the probe from 100 ends at 164
-	if !a.StandingDown() || a.PooledCycles() == pooled {
-		t.Errorf("with the budget free again: standing down %v, %d cycles pooled", a.StandingDown(), a.PooledCycles()-pooled)
+	a.Run(100)
+	if !a.StandingDown() || a.PooledCycles() != 200 {
+		t.Errorf("with the budget free again: standing down %v, %d cycles on a crew; want down, 200", a.StandingDown(), a.PooledCycles())
 	}
 	for i, c := range aa.counts {
 		if c != 210 {

@@ -17,11 +17,13 @@
 // Two optional states pick how a cycle is walked: the clock gates of
 // quiesce.go park idle components, and the worker pool of pool.go
 // recovers the paper's other performance property — every device
-// evaluated concurrently within a cycle. The two meet in duty.go: where
-// enough is busy the gates stand down, and a gated engine without
-// workers of its own walks the stretch on a pool where the platform is
-// big enough to pay for one and the host has the processors, plainly
-// where not — the more workers, the less busy a stretch need be. Results are bit-identical whichever
+// evaluated concurrently within a cycle. The two meet in duty.go: a
+// gated engine without workers of its own hires a crew for each run
+// where the platform is big enough to pay for one and the host has the
+// processors, and walks its gated cycles on it — every worker its share
+// of the gates, so a big sparse platform ticks only its active devices,
+// on every core — and where enough is busy the gates stand down for the
+// plain walk, on the same crew. Results are bit-identical whichever
 // walk executes them.
 package engine
 
@@ -106,13 +108,17 @@ type Engine struct {
 	// assigning them whole.
 	arenas []Arena
 	tables []*ArmTable // the wires' (quiesce.go); flushed after each gated cycle's quiet report
+	armers []*armer    // every Armer's closure (quiesce.go)
+	// soloArms counts the arms within a cycle that only the one-core
+	// gated walk can make: of anything but a SerialTicker (duty.go, hire).
+	soloArms int
 	// cycle is the completed-cycle counter. It moves only by running or
 	// by LoadState (state.go).
 	cycle uint64
 	// The two optional states, decided in reshape and nowhere else:
 	// sched (quiesce.go) exists iff the engine is gated and has no
-	// workers of its own — its stand-down stretches may borrow a pool
-	// (duty.go) — and pool (pool.go) iff it has. A gated pool keeps no
+	// workers of its own — its runs may hire a crew (duty.go) — and
+	// pool (pool.go) iff it has. A gated pool keeps no
 	// parking state: it skips the windows in which every component is
 	// quiet.
 	gated bool
@@ -269,15 +275,14 @@ func (e *Engine) pollStop() (stop, byStopper bool) {
 func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	poll = poll && len(e.stoppers)+len(e.aborters) > 0
 	// Enter: the pool syncs its shards with the registry, the gates
-	// their slots (schedEnter); a stand-down stretch that goes on into
-	// this run gets its crew back, or stands up if the budget no longer
-	// has the crew it counted on (duty.go).
+	// their slots (schedEnter), and a gated run hires a crew where one
+	// pays (duty.go).
 	if e.pool != nil {
 		e.pool.enter(e)
 	} else if e.sched != nil {
 		e.schedEnter()
-		if e.sched.duty.down && !e.hire() {
-			e.standUp()
+		if max > 0 {
+			e.hire()
 		}
 	}
 	for executed < max {
@@ -296,9 +301,9 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 		e.walk()
 		executed++
 	}
-	// Leave: the workers go back to sleep, a stretch's for good; the
-	// gates pay what the parked are owed, so observers between runs read
-	// the counters a naive schedule would have produced.
+	// Leave: the workers go back to sleep, a crew's for good; the gates
+	// pay what the parked are owed, so observers between runs read the
+	// counters a naive schedule would have produced.
 	if e.pool != nil {
 		e.pool.leave()
 	} else if e.sched != nil {
@@ -308,25 +313,28 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	return executed, stopped
 }
 
-// walk executes one cycle and counts it. A gated engine whose gates
-// stand down (duty.go) walks the plain schedule, on the stretch's pool
-// when it has one.
+// walk executes one cycle and counts it. A gated engine walks its gates
+// on the run's crew when it has one, and whose gates stand down
+// (duty.go) walks the plain schedule, on the crew when it has one.
 func (e *Engine) walk() {
 	switch s := e.sched; {
 	case e.pool != nil:
 		e.pool.walk(e.cycle)
 		e.pooled++
+	case s != nil && s.crew != nil && e.gatesUp():
+		e.crewWalk(s)
+		e.pooled++
+	case s != nil && s.crew != nil:
+		s.crew.walk(e.cycle)
+		e.pooled++
 	case s != nil && e.gatesUp():
-		s.wakeDue(e.cycle)
+		s.wakeDue(&s.heap, &s.reg, e.cycle)
 		s.reg.Tick(e.cycle)
 		s.report(e.cycle)
 		for _, t := range e.tables {
 			t.flush(s, e.cycle+1)
 		}
 		s.duty.count(s.arenas)
-	case s != nil && s.duty.crew != nil:
-		s.duty.crew.walk(e.cycle)
-		e.pooled++
 	default:
 		c := e.cycle
 		for _, comp := range e.components {
@@ -387,13 +395,12 @@ func (e *Engine) Gated() bool { return e.gated }
 
 // SetWorkers makes the engine evaluate every cycle on n goroutines,
 // the caller's included (pool.go), gated or not. 0, the default, leaves
-// the choice to the engine: a gated one walks the stretches in which
-// its gates stand down on a pool when the platform is big enough to pay
-// for one (duty.go), and every other cycle on the caller's
-// goroutine alone. Workers may exceed the component count; surplus
-// shards are empty. The goroutines of n > 0 start at the next run and
-// stay, asleep between runs, until Close; those of a stand-down stretch
-// never outlive the run.
+// the choice to the engine: a gated one walks each run on a crew when
+// the platform is big enough to pay for one (duty.go), and on the
+// caller's goroutine alone where not. Workers may exceed the component
+// count; surplus shards are empty. The goroutines of n > 0 start at the
+// next run and stay, asleep between runs, until Close; a crew's never
+// outlive the run.
 func (e *Engine) SetWorkers(n int) error {
 	if n < 0 {
 		return fmt.Errorf("engine: %d workers", n)
@@ -427,9 +434,9 @@ func (e *Engine) reshape() {
 
 // Close releases the goroutines of an engine with workers (SetWorkers
 // n > 0) — asleep between runs, so they exit at once — and returns when
-// they have. It does nothing on an engine without workers, whose
-// stand-down pools end with their runs, or before the first run, and
-// may be called again. A later run starts them afresh.
+// they have. It does nothing on an engine without workers, whose crews
+// end with their runs, or before the first run, and may be called
+// again. A later run starts them afresh.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.close()

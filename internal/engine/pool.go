@@ -7,32 +7,37 @@
 // endpoint's devices share a worker with their switch — and each cycle
 // is one pass of every worker over its shard, ended by one barrier. An
 // engine with workers (SetWorkers) walks every cycle on one; a gated
-// engine without them, the stretches its gates stand down for, when
-// the platform is big enough (duty.go). No component reads in a cycle
+// engine without them hires one — a crew — for each run where the
+// platform is big enough and the host has the processors, and walks
+// its gated cycles and the stretches its gates stand down for on it
+// (duty.go). No component reads in a cycle
 // what another wrote in it — the cycle boundary lives in the wires'
 // parity slots and the switches' start-of-cycle occupancy — so the
 // schedule is order-independent and any sharding produces results
 // bit-identical to the sequential walks.
 //
-// Synchronization is built for cycle-rate use: the goroutines are
-// spawned at the first run and sleep on a channel between runs (a
-// stand-down stretch's exit when it ends, or its run does); within
-// a run they free-run, meeting at one coordinator-released spin gate
-// per cycle (no per-cycle goroutine spawning, no per-cycle channel
-// traffic). The caller's goroutine is worker 0 and the coordinator: it
-// evaluates its own shard and owns the gate's release. Between the
-// last arrival and the next release — while the workers spin at the
-// gate, on a fully executed cycle — it ticks the SerialTicker
-// components alone, and the run loop (Engine.run) polls the stop
-// predicate and looks for a window to skip. The stop decision is
-// therefore exact.
+// Synchronization is built for cycle-rate use: an engine's own
+// goroutines are spawned at its first run and sleep on a channel
+// between runs; a crew's are spawned when the run hires it and exit when
+// the run ends. Within a run they free-run, meeting at one
+// coordinator-released spin gate per phase of a cycle (no per-cycle
+// goroutine spawning, no per-cycle channel traffic). The caller's
+// goroutine is worker 0 and the coordinator: it evaluates its own shard
+// and owns the gate's release. Between the last arrival and the next
+// release — while the workers spin at the gate, on a fully executed
+// phase — it ticks the SerialTicker components alone, and the run loop
+// (Engine.run) polls the stop predicate and looks for a window to skip.
+// The stop decision is therefore exact.
 //
 // Gating: an engine's own pool parks nothing. Workers always walk their
 // full shards (a quiet component's Tick is a no-op, so this is
 // bit-identical to the gates' per-component parking), and the run loop
 // fast-forwards over the windows in which every component reports quiet
 // (nextWake), paying the skipped cycles into the per-cycle counters with
-// SkipIdle. A stand-down stretch has nothing parked to begin with.
+// SkipIdle. A crew walks a gated cycle in two phases over the worker's
+// share of the gates instead (quiesce.go, crewGates): its active lists,
+// then — once every worker has ticked — its quiet report and the wakes
+// addressed to it. A stand-down stretch has nothing parked to begin with.
 //
 // Flit ownership under sharding: a flit handed from one component to
 // another (via a link) may cross worker shards, but the wire already
@@ -60,37 +65,47 @@ import (
 
 // Gate release commands, carried from the coordinator to the workers.
 const (
-	cmdGo uint32 = iota
-	cmdStop
+	cmdStop   uint32 = iota
+	cmdTick          // walk the worker's shard plainly
+	cmdGated         // walk the worker's share of the gates
+	cmdReport        // report the worker's quiet and apply its wakes
 )
 
-// spinYield bounds the busy-wait at a gate before the spinner yields
-// the processor, so the engine stays live (if slow) even with more
-// workers than GOMAXPROCS.
-const spinYield = 128
+// The busy-wait at a gate before the spinner yields the processor is
+// bounded, so the engine stays live (if slow) even with more workers
+// than GOMAXPROCS: spinYield spins, or spinLong where every worker has
+// a processor of its own — a crew always does — and a yield would only
+// delay it (a gated cycle on a crew meets at the gate twice;
+// EXPERIMENTS.md, "The gate shards").
+const (
+	spinYield = 128
+	spinLong  = 1024
+)
 
-// gate is a coordinator-released barrier. Workers atomically announce
-// arrival and spin on the epoch word; the coordinator waits for all
-// arrivals, performs its serialized work, and releases the epoch with a
-// command. The fields are padded apart so worker arrival traffic does
-// not bounce the cache line the release is published on.
+// gate is a coordinator-released barrier. The coordinator publishes a
+// command and moves the epoch; each worker spins on the epoch, does
+// what the command says and announces its arrival; the coordinator
+// waits for all arrivals before its serialized work and the next
+// release. The fields are padded apart so worker arrival traffic does
+// not bounce the cache line the release is published on; spin, the
+// spins before a yield, is set before the workers start.
 type gate struct {
 	arrived atomic.Int32
 	_       [60]byte
 	epoch   atomic.Uint32
 	cmd     atomic.Uint32
-	_       [56]byte
+	spin    int
+	_       [48]byte
 }
 
-// await announces arrival and spins until the epoch moves past last,
-// returning the new epoch and the release command.
-func (g *gate) await(last uint32) (uint32, uint32) {
-	g.arrived.Add(1)
+// wait spins until the epoch moves past last, returning the new epoch
+// and the release command.
+func (g *gate) wait(last uint32) (uint32, uint32) {
 	for spins := 0; ; spins++ {
 		if e := g.epoch.Load(); e != last {
 			return e, g.cmd.Load()
 		}
-		if spins >= spinYield {
+		if spins >= g.spin {
 			runtime.Gosched()
 			spins = 0
 		}
@@ -98,10 +113,10 @@ func (g *gate) await(last uint32) (uint32, uint32) {
 }
 
 // waitOthers spins until n workers have arrived, then re-arms the
-// arrival counter for the next use of this gate.
+// arrival counter for the next release.
 func (g *gate) waitOthers(n int32) {
 	for spins := 0; g.arrived.Load() != n; spins++ {
-		if spins >= spinYield {
+		if spins >= g.spin {
 			runtime.Gosched()
 			spins = 0
 		}
@@ -117,11 +132,11 @@ func (g *gate) release(cmd uint32) {
 
 // pool is the state of a worker pool: the shards, the goroutines
 // evaluating them and the gate they meet at. An engine with workers
-// keeps one for good (Engine.pool); a gated engine without them hands
-// its stand-down stretches to one (duty.go).
+// keeps one for good (Engine.pool); a gated engine without them keeps
+// one for its crews (sched.pool) and hires it run by run (duty.go).
 type pool struct {
 	// shards are static per-worker component slices, rebuilt only when
-	// the registration count changes (dealRuns).
+	// the registration count changes (deal).
 	shards [][]Component
 	// spans partitions every registered arena's index range into one
 	// contiguous slice per worker (arena.go): an arena is too big to be
@@ -131,38 +146,64 @@ type pool struct {
 	serial  []Component // SerialTicker components, coordinator-only
 	sharded int         // registration count the shards were built from
 	// quies is every component as a Quiescable — empty unless all of
-	// them are, the condition for skipping anything.
+	// them are, the condition for an engine's own pool to skip anything.
 	quies []Quiescable
 
-	work   []chan struct{} // one sleeping goroutine per channel; nil until the first run
-	exited sync.WaitGroup
-	gate   gate
-	// live says the workers are inside a run, spinning at the gate: a
-	// cycle of this run has executed. next carries the cycle to
-	// evaluate to them; it is written before the channel send or gate
-	// release that starts the cycle and read after it, which orders it.
+	// A crew's share of the gates (quiesce.go), built with the shards:
+	// owner is the worker of every registry slot, coordinator (-1) for
+	// a SerialTicker and arenaSlot (-2) for an arena's; gates is each
+	// worker's active lists. deals counts the deals, for the arm tables
+	// routed onto one (ArmTable.route).
+	owner []int32
+	gates []crewGates
+	deals int
+
+	work []chan struct{} // an engine's own workers: one per channel; nil for a crew
+	// helpers are a crew's goroutine bodies, spawned starting at epoch
+	// spawned.
+	helpers []func()
+	spawned uint32
+	exited  sync.WaitGroup
+	gate    gate
+	// live says the workers are awake, spinning at the gate — for an
+	// engine's own pool, once a cycle of the run has executed. next
+	// carries the cycle to evaluate to them; it is written before the
+	// release that starts the phase and read after it, which orders it.
 	live bool
 	next uint64
 }
 
 // newPool returns a pool of n workers, the caller's goroutine among
-// them; its goroutines start at the first enter.
+// them; its goroutines start at the first run.
 func newPool(n int) *pool {
-	return &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
+	p := &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
+	p.gate.spin = spinYield
+	if n <= runtime.GOMAXPROCS(0) {
+		p.gate.spin = spinLong
+	}
+	return p
 }
 
-// enter readies the pool for a run, while every worker sleeps: the
-// goroutines are spawned at the first one, and the components are
-// redistributed if registrations changed since the last.
+// enter readies an engine's own pool for a run, while every worker
+// sleeps: the goroutines are spawned at the first one, and the
+// components are redistributed if registrations changed since the last.
 func (p *pool) enter(e *Engine) {
 	if p.work == nil {
 		p.work = make([]chan struct{}, len(p.shards)-1)
 		p.exited.Add(len(p.work))
+		epoch := p.gate.epoch.Load()
 		for i := range p.work {
 			p.work[i] = make(chan struct{})
-			go p.runWorker(i+1, p.work[i])
+			go p.runWorker(i+1, p.work[i], epoch)
 		}
 	}
+	p.deal(e)
+}
+
+// deal distributes the components to the workers if registrations
+// changed since the last deal: components by runs, arenas by spans,
+// and — on a gated engine — the gates' slots and elements with them.
+func (p *pool) deal(e *Engine) {
 	if p.sharded == len(e.components) {
 		return
 	}
@@ -173,45 +214,92 @@ func (p *pool) enter(e *Engine) {
 	}
 	p.serial = p.serial[:0]
 	p.quies = p.quies[:0]
-	var dealt []Component
-	for _, c := range e.components {
-		if q, ok := c.(Quiescable); ok {
+	p.owner = make([]int32, len(e.components))
+	var dealt []int
+	for i, c := range e.components {
+		if q, ok := c.(Quiescable); ok && e.sched == nil { // a crew skips on its gates
 			p.quies = append(p.quies, q)
 		}
 		if _, ok := c.(SerialTicker); ok {
 			p.serial = append(p.serial, c)
-		} else if e.arenaOf(c) < 0 { // an arena is dealt by index range below, not as a whole
-			dealt = append(dealt, c)
+			p.owner[i] = coordinator
+		} else if e.arenaOf(c) >= 0 { // an arena is dealt by index range below, not as a whole
+			p.owner[i] = arenaSlot
+		} else {
+			dealt = append(dealt, i)
 		}
 	}
 	if len(p.quies) != len(e.components) {
 		p.quies = p.quies[:0]
 	}
-	dealRuns(dealt, p.shards)
+	p.dealRuns(e.components, dealt)
 	dealSpans(e.arenas, p.spans)
+	p.deals++
+	if e.sched != nil {
+		p.shareGates(e)
+	}
 }
 
-// dealRuns deals components to the shards one run at a time — a run is
-// consecutive registrations of one concrete type — cutting each run into
-// contiguous index ranges as dealSpans cuts an arena. The platform
-// registers its generators and its receptors in endpoint order, and
-// endpoint order follows the switch arena's element order, so a
-// generator or receptor lands on the worker whose span holds its switch
-// and the flits between them stay on one core.
-func dealRuns(comps []Component, out [][]Component) {
-	for lo := 0; lo < len(comps); {
-		t, hi := reflect.TypeOf(comps[lo]), lo+1
-		for hi < len(comps) && reflect.TypeOf(comps[hi]) == t {
+// owner values of the registry slots no worker walks.
+const (
+	coordinator int32 = -1 // a SerialTicker
+	arenaSlot   int32 = -2 // an arena, walked by spans
+)
+
+// dealRuns deals the listed registry slots to the workers one run at a
+// time — a run is consecutive registrations of one concrete type —
+// cutting each run into contiguous index ranges as dealSpans cuts an
+// arena. The platform registers its generators and its receptors in
+// endpoint order, and endpoint order follows the switch arena's element
+// order, so a generator or receptor lands on the worker whose span
+// holds its switch and the flits between them stay on one core.
+func (p *pool) dealRuns(comps []Component, slots []int) {
+	for lo := 0; lo < len(slots); {
+		t, hi := reflect.TypeOf(comps[slots[lo]]), lo+1
+		for hi < len(slots) && reflect.TypeOf(comps[slots[hi]]) == t {
 			hi++
 		}
-		run := comps[lo:hi]
-		deal(len(run), len(out), func(w, a, b int) { out[w] = append(out[w], run[a:b]...) })
+		run := slots[lo:hi]
+		deal(len(run), len(p.shards), func(w, a, b int) {
+			for _, i := range run[a:b] {
+				p.shards[w] = append(p.shards[w], comps[i])
+				p.owner[i] = int32(w)
+			}
+		})
 		lo = hi
 	}
 }
 
-// close ends the pool's goroutines — asleep between runs, they exit at
-// once — and returns when they have. The next enter starts them afresh.
+// workerOf is the worker that owns a target on this pool: an arena
+// element's span, a component's shard — the coordinator's for what no
+// worker walks.
+func (p *pool) workerOf(e *Engine, r ref) int32 {
+	if r.arena >= 0 {
+		return int32(dealtTo(int(r.elem), e.arenas[r.arena].Len(), len(p.shards)))
+	}
+	return max(p.owner[r.slot], 0)
+}
+
+// spawn starts a crew's helpers for one run: they spin at the gate from
+// the start, and exit at the run's stop (dismiss). Their bodies are
+// bound once per pool, so a run allocates nothing to start them.
+func (p *pool) spawn() {
+	if p.helpers == nil {
+		for id := 1; id < len(p.shards); id++ {
+			p.helpers = append(p.helpers, func() { p.crewWorker(id) })
+		}
+	}
+	p.exited.Add(len(p.helpers))
+	p.spawned = p.gate.epoch.Load()
+	for _, h := range p.helpers {
+		go h()
+	}
+	p.live = true
+}
+
+// close ends an engine's own pool's goroutines — asleep between runs,
+// they exit at once — and returns when they have. The next enter
+// starts them afresh.
 func (p *pool) close() {
 	for _, ch := range p.work {
 		close(ch)
@@ -231,41 +319,69 @@ func (p *pool) tick(id int, c uint64) {
 	}
 }
 
-// runWorker is the pool goroutine body: sleep on the channel, then
-// free-run, meeting the coordinator at the gate after each cycle until a
-// release says stop.
-func (p *pool) runWorker(id int, wake chan struct{}) {
+// runWorker is the body of an engine's own pool goroutine: sleep on the
+// channel, then serve the releases of the run.
+func (p *pool) runWorker(id int, wake chan struct{}, epoch uint32) {
 	defer p.exited.Done()
-	epoch := p.gate.epoch.Load()
 	for range wake {
-		for cmd := cmdGo; cmd != cmdStop; {
-			p.tick(id, p.next)
-			epoch, cmd = p.gate.await(epoch)
-		}
+		epoch = p.serve(id, epoch)
 	}
 }
 
-// walk executes cycle c: the first of a run wakes the workers, a later
-// one releases them from the gate, where walk leaves them again once
-// every shard has ticked and the SerialTickers have, alone.
-func (p *pool) walk(c uint64) {
-	p.next = c
-	if p.live {
-		p.gate.release(cmdGo)
-	} else {
+// crewWorker is the body of a crew's helper: it serves one run, from
+// the epoch the run spawned it at.
+func (p *pool) crewWorker(id int) {
+	defer p.exited.Done()
+	p.serve(id, p.spawned)
+}
+
+// serve carries out the coordinator's releases, meeting it at the gate
+// after each, until one says stop; it returns the stop's epoch.
+func (p *pool) serve(id int, epoch uint32) uint32 {
+	for {
+		var cmd uint32
+		if epoch, cmd = p.gate.wait(epoch); cmd == cmdStop {
+			return epoch
+		}
+		switch cmd {
+		case cmdTick:
+			p.tick(id, p.next)
+		case cmdGated:
+			p.gates[id].tick(p.next)
+		case cmdReport:
+			p.gates[id].report(id, p.next)
+		}
+		p.gate.arrived.Add(1)
+	}
+}
+
+// start wakes the workers if they sleep and releases them with cmd.
+func (p *pool) start(cmd uint32) {
+	if !p.live {
 		p.live = true
 		for _, ch := range p.work {
 			ch <- struct{}{}
 		}
 	}
+	p.gate.release(cmd)
+}
+
+// join waits until every other worker has done its share of the phase.
+func (p *pool) join() { p.gate.waitOthers(int32(len(p.shards) - 1)) }
+
+// walk executes cycle c plainly: every shard ticks, and then the
+// SerialTickers do, alone.
+func (p *pool) walk(c uint64) {
+	p.next = c
+	p.start(cmdTick)
 	p.tick(0, c)
-	p.gate.waitOthers(int32(len(p.work)))
+	p.join()
 	for _, comp := range p.serial {
 		comp.Tick(c)
 	}
 }
 
-// leave sends the workers back to sleep.
+// leave sends the workers back to sleep — a crew's out of the run.
 func (p *pool) leave() {
 	if p.live {
 		p.live = false

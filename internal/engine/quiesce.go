@@ -43,10 +43,24 @@
 // (sched) has to ask each
 // component through an interface, so it rations the looks with a
 // backoff, and it keeps the timers. The arenas themselves only store and
-// evaluate elements (arena.go). On a network busy enough that parking
-// costs more than it saves — against the plain walk, or against a pool's
-// — the gates stand down (duty.go).
+// evaluate elements (arena.go).
+//
+// Where a run hires a crew (duty.go), the gates are dealt to it
+// (crewGates): each worker keeps the active list, the quiet report, the
+// timers and the park watermarks of the registry slots and arena
+// elements it owns, over the gates' own arrays, and walks only those. A
+// wire's Send queues its reader's wake on the list of the worker that
+// writes the wire, and after the barrier each worker applies the wakes
+// addressed to what it owns. The coordinator keeps the SerialTickers,
+// their timers and what arms them. On a network busy enough that
+// parking costs more than it saves, the gates stand down for the plain
+// walk, on the same crew (duty.go).
 package engine
+
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // NeverWake is the wake cycle of a component that only input can
 // reactivate.
@@ -306,6 +320,15 @@ type sched struct {
 	heap    wakeHeap
 	// duty decides when the gates stand down for the plain walk (duty.go).
 	duty duty
+	// pool is the crew the gates are dealt to, kept between runs and
+	// rebuilt for a new crew size or registration count; crew is pool
+	// while a run has hired it, nil otherwise (duty.go). dealt says the
+	// workers hold the active lists (crewGates); reg then lists the
+	// SerialTickers alone. phaseA says the workers are ticking: an arm
+	// then waits for the coordinator.
+	pool, crew *pool
+	dealt      bool
+	phaseA     bool
 }
 
 func (s *sched) TickList(idx []int, cycle uint64) {
@@ -328,6 +351,12 @@ func (s *sched) report(cycle uint64) {
 // is quiet beyond the next cycle — after every Tick of the cycle, so
 // the answers see the whole cycle.
 func (s *sched) QuietList(idx []int, cycle uint64, quiet []int) []int {
+	return s.look(idx, cycle, quiet, &s.heap)
+}
+
+// look is QuietList with the timers of the parks it reports pushed on h:
+// the registry's heap, or the heap of the worker reporting (crewGates).
+func (s *sched) look(idx []int, cycle uint64, quiet []int, h *wakeHeap) []int {
 	for r, i := range idx {
 		q := s.quies[i]
 		if q == nil || cycle < s.nextTry[i] {
@@ -339,7 +368,7 @@ func (s *sched) QuietList(idx []int, cycle uint64, quiet []int) []int {
 			quiet = append(quiet, r)
 			s.wakeAt[i] = wake
 			if wake != NeverWake {
-				s.heap.push(wakeEntry{wake: wake, idx: i})
+				h.push(wakeEntry{wake: wake, idx: i})
 			}
 		}
 	}
@@ -358,28 +387,51 @@ func (s *sched) valid(ent wakeEntry) bool {
 	return !s.reg.active[ent.idx] && s.wakeAt[ent.idx] == ent.wake
 }
 
-// wakeDue wakes every parked component whose timer has run out.
-func (s *sched) wakeDue(cycle uint64) {
-	for len(s.heap) > 0 && s.heap[0].wake <= cycle {
-		if ent := s.heap.pop(); s.valid(ent) {
-			s.reg.wake(ent.idx, cycle)
+// wakeDue wakes, on gate g, every parked component whose timer on h
+// has run out.
+func (s *sched) wakeDue(h *wakeHeap, g *clockGate, cycle uint64) {
+	for len(*h) > 0 && (*h)[0].wake <= cycle {
+		if ent := h.pop(); s.valid(ent) {
+			g.wake(ent.idx, cycle)
 		}
 	}
 }
 
+// earliest is the earliest standing timer on h, NeverWake for none.
+func (s *sched) earliest(h *wakeHeap) uint64 {
+	for len(*h) > 0 {
+		if top := (*h)[0]; s.valid(top) {
+			return top.wake
+		}
+		h.pop()
+	}
+	return NeverWake
+}
+
+// regGate is the gate that lists registry slot i when it is active: the
+// registry's, or the owning worker's while the gates are dealt.
+func (s *sched) regGate(i int) *clockGate {
+	if s.dealt {
+		if o := s.crew.owner[i]; o >= 0 {
+			return &s.crew.gates[o].reg
+		}
+	}
+	return &s.reg
+}
+
 // nextWake reports whether the whole registry is parked and, if so,
-// until which cycle: its earliest standing timer.
+// until which cycle: its earliest standing timer, the workers' included.
 func (s *sched) nextWake() (uint64, bool) {
-	if len(s.reg.act) > 0 {
+	if len(s.reg.act) > 0 || s.dealt && s.crew.busy() {
 		return 0, false
 	}
-	for len(s.heap) > 0 {
-		if top := s.heap[0]; s.valid(top) {
-			return top.wake, true
+	wake := s.earliest(&s.heap)
+	if s.dealt {
+		for w := range s.crew.gates {
+			wake = min(wake, s.earliest(&s.crew.gates[w].heap))
 		}
-		s.heap.pop()
 	}
-	return NeverWake, true
+	return wake, true
 }
 
 // ref is a resolved Target: its registry slot and, for an arena element,
@@ -424,27 +476,59 @@ func (e *Engine) resolve(t Target) (ref, bool) {
 // scheduler half of the arm-on-input rule for a single hook (the probe
 // collector's emit-time arm; the wires of an arena share an ArmTable).
 // The closure costs a flag test per target when everything is active
-// and is safe to call when gating is off.
+// and is safe to call when gating is off. A target that is no
+// SerialTicker keeps the gated walk on one core: only the coordinator
+// arms within a cycle on a crew.
 func (e *Engine) Armer(targets ...Target) (func(), bool) {
-	refs := make([]ref, len(targets))
+	a := &armer{e: e, refs: make([]ref, len(targets))}
 	for n, t := range targets {
 		r, ok := e.resolve(t)
 		if !ok {
 			return nil, false
 		}
-		refs[n] = r
+		a.refs[n] = r
+		e.noteArm(r)
 	}
-	return func() {
-		for _, r := range refs {
-			if s := e.sched; s == nil {
-				return
-			} else if r.arena < 0 {
-				s.reg.arm(int(r.slot), e.cycle)
-			} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
-				s.wakeElem(r, e.cycle) // gates exist from the first kernel entry
+	e.armers = append(e.armers, a)
+	return a.arm, true
+}
+
+// armer is an Armer's closure: its targets, and whether a worker's Tick
+// asked for them while the coordinator could not arm (late).
+type armer struct {
+	e    *Engine
+	refs []ref
+	late atomic.Bool
+}
+
+func (a *armer) arm() {
+	s := a.e.sched
+	if s == nil {
+		return
+	}
+	if s.phaseA { // the coordinator arms them after the barrier (crewWalk)
+		for _, r := range a.refs {
+			if !s.reg.active[r.slot] && !a.late.Load() {
+				a.late.Store(true)
 			}
 		}
-	}, true
+		return
+	}
+	for _, r := range a.refs {
+		if r.arena < 0 {
+			s.reg.arm(int(r.slot), a.e.cycle)
+		} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
+			s.wakeElem(r, a.e.cycle) // gates exist from the first kernel entry
+		}
+	}
+}
+
+// noteArm counts an arm within the cycle (Armer, ArmTable.Also) that a
+// crew could not make: of anything but a SerialTicker.
+func (e *Engine) noteArm(r ref) {
+	if _, ok := e.components[r.slot].(SerialTicker); !ok || r.arena >= 0 {
+		e.soloArms++
+	}
 }
 
 // ArmTable is the arm-on-input rule of a whole wire population as data:
@@ -456,28 +540,56 @@ func (e *Engine) Armer(targets ...Target) (func(), bool) {
 type ArmTable struct {
 	e    *Engine
 	rows []ref   // per wire: who reads it
+	from []ref   // per wire: who writes it
 	also []int32 // per wire: one more registry slot to arm, -1 for none
 	// pending is the wires whose readers are queued this cycle; cap =
 	// rows, so a cycle in which every wire sends appends without growing.
 	pending []int32
-	// hook is what the wires call (Hook): send — Send, bound once — or
-	// nil while the gates stand down and a Send would find all awake.
-	hook, send func(i int)
+	// hook is what the wires call (Hook): send — Send, bound once — on
+	// one core, sendCrew — crewSend — while the gates are dealt to a
+	// crew, or nil while the gates stand down and a Send would find all
+	// awake.
+	hook, send, sendCrew func(i int)
+	// On a crew of n (route): lists is, per wire, the list a Send queues
+	// its reader on — sent[src*n+dst], src and dst the workers of the
+	// wire's writer and reader — complemented where Also added a slot,
+	// whose arm a worker's Send queues on late[src]. Every list has one
+	// writer.
+	n     int
+	lists []int32
+	sent  []wireList
+	late  []wireList
+	// routed is the crew and deal the lists are for; nil after an Also.
+	routed *pool
+	deal   int
 }
 
-// ArmTable builds the table for a wire population; consumers[i] reads
-// wire i.
-func (e *Engine) ArmTable(consumers []Target) (*ArmTable, error) {
-	t := &ArmTable{
-		e: e, rows: make([]ref, len(consumers)), also: make([]int32, len(consumers)),
-		pending: make([]int32, 0, len(consumers)),
+// wireList is one writer's queue of wires, padded so that no two
+// queues' headers share a cache line.
+type wireList struct {
+	w []int32
+	_ [104]byte
+}
+
+// ArmTable builds the table for a wire population: writers[i] writes
+// wire i, readers[i] reads it.
+func (e *Engine) ArmTable(writers, readers []Target) (*ArmTable, error) {
+	if len(writers) != len(readers) {
+		return nil, errArena("arm table: writers and readers differ in number")
 	}
-	t.send = t.Send
+	t := &ArmTable{
+		e: e, rows: make([]ref, len(readers)), from: make([]ref, len(writers)), also: make([]int32, len(readers)),
+		pending: make([]int32, 0, len(readers)),
+	}
+	t.send, t.sendCrew = t.Send, t.crewSend
 	t.hook = t.send
-	for i, c := range consumers {
+	for i := range readers {
 		var ok bool
-		if t.rows[i], ok = e.resolve(c); !ok {
-			return nil, errArena("arm table: unknown consumer " + c.Name)
+		if t.rows[i], ok = e.resolve(readers[i]); !ok {
+			return nil, errArena("arm table: unknown reader " + readers[i].Name)
+		}
+		if t.from[i], ok = e.resolve(writers[i]); !ok {
+			return nil, errArena("arm table: unknown writer " + writers[i].Name)
 		}
 		t.also[i] = -1
 	}
@@ -497,6 +609,8 @@ func (t *ArmTable) Also(i int, name string) error {
 		return errArena("arm table: cannot also arm " + name)
 	}
 	t.also[i] = r.slot
+	t.routed = nil
+	t.e.noteArm(r)
 	return nil
 }
 
@@ -531,6 +645,259 @@ func (t *ArmTable) flush(s *sched, next uint64) {
 		}
 	}
 	t.pending = t.pending[:0]
+}
+
+// crewSend is Send on a crew: the reader is queued on the writer's list
+// for its owner, which wakes it after the barrier if it is parked
+// (deliver) — no worker reads another's flags. What Also added waits for
+// the coordinator if a worker sends (armLate), and is armed at once if
+// the coordinator does, from a SerialTicker's Tick.
+func (t *ArmTable) crewSend(i int) {
+	l := t.lists[i]
+	if l < 0 {
+		l = ^l
+		if s, a := t.e.sched, t.also[i]; !s.reg.active[a] {
+			if s.phaseA {
+				q := &t.late[l/int32(t.n)].w
+				*q = append(*q, int32(i))
+			} else {
+				s.reg.wake(int(a), t.e.cycle)
+			}
+		}
+	}
+	q := &t.sent[l].w
+	*q = append(*q, int32(i))
+}
+
+// route maps the table onto crew p, unless it is mapped onto its last
+// deal already: the list of each wire's writer and reader, and an empty
+// list for every pair of workers.
+func (t *ArmTable) route(p *pool) {
+	if t.routed == p && t.deal == p.deals {
+		return
+	}
+	t.routed, t.deal = p, p.deals
+	t.n = len(p.shards)
+	t.lists = make([]int32, len(t.rows))
+	for i := range t.rows {
+		t.lists[i] = p.workerOf(t.e, t.from[i])*int32(t.n) + p.workerOf(t.e, t.rows[i])
+		if t.also[i] >= 0 {
+			t.lists[i] = ^t.lists[i]
+		}
+	}
+	t.sent, t.late = make([]wireList, t.n*t.n), make([]wireList, t.n)
+}
+
+// deliver wakes, for the next cycle, the parked readers owned by worker
+// w that every writer queued this cycle.
+func (t *ArmTable) deliver(g *crewGates, w int, next uint64) {
+	s := g.s
+	for v := 0; v < t.n; v++ {
+		q := &t.sent[v*t.n+w].w
+		for _, i := range *q {
+			if r := t.rows[i]; r.arena >= 0 {
+				g.arenas[r.arena].arm(int(r.elem), next)
+			} else {
+				s.regGate(int(r.slot)).arm(int(r.slot), next)
+			}
+		}
+		*q = (*q)[:0]
+	}
+}
+
+// armLate arms what Also added for the wires the workers sent on.
+func (t *ArmTable) armLate(s *sched, cycle uint64) {
+	for v := range t.late {
+		q := &t.late[v].w
+		for _, i := range *q {
+			s.reg.arm(int(t.also[i]), cycle)
+		}
+		*q = (*q)[:0]
+	}
+}
+
+// crewGates is one worker's share of a gated engine's gates on a crew:
+// active lists over the gates' own flags and watermarks for the
+// registry slots (reg) and the arena elements (arenas, by position in
+// Engine.arenas) it owns, its quiet report over them, and the heap of
+// the timers that report sets. Every flag and watermark has one owner,
+// so the workers share the gates' arrays without atomics. As reg's
+// population it is the registry with its own heap.
+type crewGates struct {
+	e      *Engine
+	s      *sched
+	reg    clockGate
+	arenas []clockGate
+	heap   wakeHeap
+	_      [64]byte
+}
+
+func (g *crewGates) TickList(idx []int, cycle uint64) { g.s.TickList(idx, cycle) }
+func (g *crewGates) QuietList(idx []int, cycle uint64, quiet []int) []int {
+	return g.s.look(idx, cycle, quiet, &g.heap)
+}
+func (g *crewGates) ElemSkipIdle(i int, from, n uint64) { g.s.ElemSkipIdle(i, from, n) }
+
+// tick is the worker's first phase of a gated cycle: its timers, then
+// its active lists.
+func (g *crewGates) tick(cycle uint64) {
+	g.s.wakeDue(&g.heap, &g.reg, cycle)
+	g.reg.Tick(cycle)
+	for k := range g.arenas {
+		g.arenas[k].Tick(cycle)
+	}
+}
+
+// report is the second, once every worker has ticked: the worker parks
+// what went quiet and wakes what was sent input, as the one-core walk's
+// report and flush do.
+func (g *crewGates) report(w int, cycle uint64) {
+	for k := range g.arenas {
+		g.arenas[k].report(cycle)
+	}
+	g.reg.report(cycle)
+	for _, t := range g.e.tables {
+		t.deliver(g, w, cycle+1)
+	}
+}
+
+// busy reports whether any worker has something active.
+func (p *pool) busy() bool {
+	for w := range p.gates {
+		g := &p.gates[w]
+		if len(g.reg.act) > 0 {
+			return true
+		}
+		for k := range g.arenas {
+			if len(g.arenas[k].act) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// shareGates builds every worker's share of the gates of s, over their
+// arrays: a deal (pool.deal) fixes who owns what.
+func (p *pool) shareGates(e *Engine) {
+	s, n := e.sched, len(p.shards)
+	owned := make([]int, n)
+	for _, o := range p.owner {
+		if o >= 0 {
+			owned[o]++
+		}
+	}
+	p.gates = make([]crewGates, n)
+	for w := range p.gates {
+		g := &p.gates[w]
+		g.e, g.s = e, s
+		g.reg = clockGate{pop: g, active: s.reg.active, park: s.reg.park,
+			act: make([]int, 0, owned[w]), quiet: make([]int, 0, owned[w])}
+		g.arenas = make([]clockGate, len(s.arenas))
+		for k, a := range s.arenas {
+			span := len(a.active)/n + 1
+			g.arenas[k] = clockGate{pop: a.pop, active: a.active, park: a.park,
+				act: make([]int, 0, span), quiet: make([]int, 0, span)}
+		}
+	}
+}
+
+// deal hands the gates' active lists to the crew: every active registry
+// slot and arena element to the worker that owns it, the SerialTickers
+// staying on reg's.
+func (s *sched) deal() {
+	p := s.crew
+	for w := range p.gates {
+		g := &p.gates[w]
+		g.reg.act = g.reg.act[:0]
+		for k := range g.arenas {
+			g.arenas[k].act = g.arenas[k].act[:0]
+		}
+	}
+	serial := s.reg.act[:0]
+	for _, i := range s.reg.act {
+		switch o := p.owner[i]; o {
+		case coordinator:
+			serial = append(serial, i)
+		case arenaSlot: // its elements are dealt below
+		default:
+			p.gates[o].reg.act = append(p.gates[o].reg.act, i)
+		}
+	}
+	s.reg.act = serial
+	s.reg.ordered = false // crewWalk orders the SerialTickers itself
+	for k, g := range s.arenas {
+		for _, i := range g.act {
+			sh := &p.gates[dealtTo(i, len(g.active), len(p.gates))].arenas[k]
+			sh.act = append(sh.act, i)
+		}
+		g.act = g.act[:0]
+	}
+	s.dealt = true
+}
+
+// gather takes the active lists and the timers back from the crew, as
+// the one-core walk keeps them: every gate's list from its flags. The
+// arenas' slots need nothing: a deal finds them awake — every run entry
+// and every stand-down wakes the registry whole — and nothing parks or
+// arms them while the crew walks.
+func (s *sched) gather() {
+	if !s.dealt {
+		return
+	}
+	s.dealt = false
+	for w := range s.crew.gates {
+		g := &s.crew.gates[w]
+		for _, ent := range g.heap {
+			s.heap.push(ent)
+		}
+		g.heap = g.heap[:0]
+	}
+	s.reg.ordered = true
+	s.reg.relist()
+	for _, g := range s.arenas {
+		g.relist()
+	}
+}
+
+// crewWalk executes a gated cycle on the crew: the workers tick what
+// they have active; the coordinator arms what the workers' Ticks asked
+// it to and ticks the SerialTickers; the workers report their quiet and
+// apply their wakes; the coordinator reports the SerialTickers'. Every
+// worker keeps the timers of what it owns, the coordinator those of the
+// SerialTickers.
+func (e *Engine) crewWalk(s *sched) {
+	p, c := s.crew, e.cycle
+	s.wakeDue(&s.heap, &s.reg, c)
+	if s.reg.dirty {
+		slices.Sort(s.reg.act)
+		s.reg.dirty = false
+	}
+	p.next = c
+	s.phaseA = true
+	p.start(cmdGated)
+	p.gates[0].tick(c)
+	p.join()
+	s.phaseA = false
+	for _, a := range e.armers {
+		if a.late.Load() {
+			a.late.Store(false)
+			a.arm()
+		}
+	}
+	for _, t := range e.tables {
+		t.armLate(s, c)
+	}
+	s.reg.Tick(c)
+	p.start(cmdReport)
+	p.gates[0].report(0, c)
+	p.join()
+	s.reg.report(c)
+	for w := range p.gates {
+		for k := range p.gates[w].arenas {
+			s.duty.busy += len(p.gates[w].arenas[k].act)
+		}
+	}
 }
 
 // schedEnter syncs the gates with the registry and re-activates every

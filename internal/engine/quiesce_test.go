@@ -464,10 +464,17 @@ func TestArmTable(t *testing.T) {
 	e.MustRegister(sink)
 	e.MustRegisterArena(consumers)
 	e.MustRegister(dog)
-	if _, err := e.ArmTable([]Target{{Name: "nobody"}}); err == nil {
+	steps := []Target{{Name: "step"}, {Name: "step"}}
+	if _, err := e.ArmTable(steps[:1], []Target{{Name: "nobody"}}); err == nil {
 		t.Error("a table with an unknown consumer was accepted")
 	}
-	tbl, err := e.ArmTable([]Target{{Name: "consumers", Elem: 1}, {Name: "sink"}})
+	if _, err := e.ArmTable([]Target{{Name: "nobody"}}, []Target{{Name: "sink"}}); err == nil {
+		t.Error("a table with an unknown producer was accepted")
+	}
+	if _, err := e.ArmTable(steps, []Target{{Name: "sink"}}); err == nil {
+		t.Error("a table with more producers than consumers was accepted")
+	}
+	tbl, err := e.ArmTable(steps, []Target{{Name: "consumers", Elem: 1}, {Name: "sink"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,15 +541,17 @@ func TestArmTable(t *testing.T) {
 // elements, 64 of them armed every cycle through the arm table for the
 // next, each busy one to three cycles — so some 130 are active at a time, they park
 // in the cycle they go quiet, and the active list is closed up every
-// cycle. Reported per element-cycle ticked; nothing is allocated.
+// cycle. Reported per element-cycle ticked; nothing is allocated. The
+// gate is the one-core walk's: the rig hires no crew.
 func BenchmarkGateChurn(b *testing.B) {
 	e, churn, a := gatedArena(1024)
 	a.noLog = true
-	self := make([]Target, len(a.elems))
+	e.sched.duty.span = len(a.elems) + 1
+	self, producer := make([]Target, len(a.elems)), make([]Target, len(a.elems))
 	for i := range self {
-		self[i] = Target{Name: "arena", Elem: i}
+		self[i], producer[i] = Target{Name: "arena", Elem: i}, Target{Name: "producer"}
 	}
-	tbl, err := e.ArmTable(self)
+	tbl, err := e.ArmTable(producer, self)
 	if err != nil {
 		b.Fatal(err)
 	}

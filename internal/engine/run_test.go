@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -179,26 +180,28 @@ func far() *stub { return &stub{name: "far", wakes: []uint64{5000}} }
 // (executed, stopped, Cycle()), act in the same cycles, and account for
 // every cycle exactly once — executed or paid as idle — whether the
 // schedule is walked plainly, gated, gated with the gates standing down
-// and resuming every few hundred cycles (plain, or on a pool of one
-// worker per arena element where the host has the processors), or by a
-// pool of 1, 2 or 7 workers, gated or not. It also pins the pool's
-// lifetime: no goroutine before the first run, none after Close.
+// and resuming every few hundred cycles (plain, or on a crew of one
+// worker per arena element where the host has the processors), gated on
+// such a crew with the gates never standing down, or by a pool of 1, 2
+// or 7 workers, gated or not. It also pins the pool's lifetime: no
+// goroutine before the first run, none after Close.
 func TestRunLoopContract(t *testing.T) {
 	walks := []struct {
 		name    string
 		gated   bool
 		workers int
-		down    bool // the gates stand down after every probe window (duty.go)
-		span    int  // arena elements per worker of a pooled stretch; 0 keeps poolSpan
+		share   int // the stand-down share (duty.go): 0 after every probe window, 65 never; -1 keeps standDownShare
+		span    int // arena elements per worker of a crew; 0 keeps poolSpan
 	}{
-		{"ungated", false, 0, false, 0}, // the reference
-		{"gated", true, 0, false, 0},
-		{"gated-standing-down", true, 0, true, 0},
-		{"gated-standing-down-pooled", true, 0, true, 1},
-		{"pool1", true, 1, false, 0},
-		{"pool2", true, 2, false, 0},
-		{"pool7", true, 7, false, 0},
-		{"pool2-ungated", false, 2, false, 0},
+		{"ungated", false, 0, -1, 0}, // the reference
+		{"gated", true, 0, -1, 0},
+		{"gated-standing-down", true, 0, 0, 0},
+		{"gated-standing-down-pooled", true, 0, 0, 1},
+		{"gated-crew", true, 0, 65, 1},
+		{"pool1", true, 1, -1, 0},
+		{"pool2", true, 2, -1, 0},
+		{"pool7", true, 7, -1, 0},
+		{"pool2-ungated", false, 2, -1, 0},
 	}
 	entries := []struct {
 		name  string
@@ -294,8 +297,8 @@ func TestRunLoopContract(t *testing.T) {
 				}
 				defer r.e.Close()
 				r.e.SetGated(w.gated)
-				if w.down {
-					r.e.sched.duty.share = 0
+				if w.share >= 0 {
+					r.e.sched.duty.share = w.share
 				}
 				if w.span > 0 {
 					r.e.sched.duty.span = w.span
@@ -308,7 +311,7 @@ func TestRunLoopContract(t *testing.T) {
 
 				upto := r.e.Cycle()
 				if pooled := r.e.PooledCycles() > 0; w.span > 0 && upto > 2*probeCycles && pooled != (runtime.GOMAXPROCS(0) > 1) {
-					t.Errorf("pooled stretches: %v at GOMAXPROCS %d", pooled, runtime.GOMAXPROCS(0))
+					t.Errorf("walked on a crew: %v at GOMAXPROCS %d", pooled, runtime.GOMAXPROCS(0))
 				}
 				for _, s := range r.stubs {
 					s.check(t, s.name, s.from, upto, s.busy)
@@ -334,13 +337,16 @@ func TestRunLoopContract(t *testing.T) {
 		}
 	}
 
+	// The pool's own workers are counted exactly, by the function they
+	// run; the goroutines of the process, which an earlier test's may
+	// still be leaving, only at most.
 	t.Run("pool-lifetime", func(t *testing.T) {
-		goroutines := func(want int) {
+		workers := func(want int) {
 			t.Helper()
 			// A goroutine Close has waited for may still be on its way out.
-			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != want; runtime.Gosched() {
+			for deadline := time.Now().Add(2 * time.Second); poolWorkers() != want; runtime.Gosched() {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), want)
+					t.Fatalf("%d pool workers, want %d", poolWorkers(), want)
 				}
 			}
 		}
@@ -350,18 +356,23 @@ func TestRunLoopContract(t *testing.T) {
 		if err := e.SetWorkers(7); err != nil {
 			t.Fatal(err)
 		}
-		goroutines(before) // built, never run: holds none
+		workers(0) // built, never run: holds none
+		settledGoroutines(t, before)
 		e.Run(3)
-		goroutines(before + 6)
+		workers(6)
+		settledGoroutines(t, before+6)
 		e.Close()
 		e.Close()
-		goroutines(before)
+		workers(0)
+		settledGoroutines(t, before)
 		e.Run(3) // Close released goroutines, not the engine
-		goroutines(before + 6)
+		workers(6)
+		settledGoroutines(t, before+6)
 		if err := e.SetWorkers(0); err != nil {
 			t.Fatal(err)
 		}
-		goroutines(before)
+		workers(0)
+		settledGoroutines(t, before)
 		if e.Run(3); e.Cycle() != 9 {
 			t.Errorf("cycle = %d after three runs of 3", e.Cycle())
 		}
@@ -369,4 +380,16 @@ func TestRunLoopContract(t *testing.T) {
 			t.Error("a negative worker count was accepted")
 		}
 	})
+}
+
+// poolWorkers counts the goroutines in the body of an engine's own pool
+// (pool.runWorker), from the stacks of all of them.
+func poolWorkers() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte(".(*pool).runWorker("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }

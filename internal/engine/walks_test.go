@@ -19,7 +19,7 @@ import (
 // The wire contract across walks. A wire takes its cycle from the Tick
 // of whoever sends on it, takes from it or faults it, never from the
 // engine; every counter read from it is derived. So every walk of one platform — plain, gated, gated with the
-// gates standing down after every probe window, two workers, and a class
+// gates standing down after every probe window, gated on a crew, two workers, and a class
 // walk that drives Engine.Components itself with its own cycle numbers,
 // as the repository benchmark's does — must leave the same totals, the
 // same LINK-bank reads, the same collector samples at every window
@@ -149,6 +149,7 @@ func TestWireContractAcrossWalks(t *testing.T) {
 		{name: "plain", noGate: true},
 		{name: "gated"},
 		{name: "gated-standing-down", prepare: func(p *platform.Platform) { engine.StandDownAlways(p.Engine()) }},
+		{name: "gated-crew", prepare: func(p *platform.Platform) { engine.CrewAlways(p.Engine()) }},
 		{name: "workers=2", workers: 2},
 		{name: "class-walk", noGate: true, class: true},
 	}

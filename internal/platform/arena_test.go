@@ -5,6 +5,7 @@
 package platform_test
 
 import (
+	"runtime"
 	"testing"
 
 	"nocemu/internal/platform"
@@ -38,6 +39,50 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("256-node mesh RunCycles allocates %.1f objects per 100 cycles, want 0", avg)
+	}
+}
+
+// TestCrewRunAllocs is the run-entry allocation guard: every run of a
+// warmed 32×32 mesh at 0.02 hires a crew where the host has the
+// processors and lets it go at the end, and what the crew is built from
+// stays from run to run. So RunCycles(400) allocates nothing beyond the
+// flits the pool still grows by but what the runtime now and then takes
+// to start a helper goroutine — 0 to 1 object a run on two processors,
+// bounded here by two per helper — where a crew built afresh for every
+// run took about 40. On one processor the run keeps the one-core walk,
+// which allocates nothing.
+func TestCrewRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(32), Injection: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := platform.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunCycles(2_000)
+	pooled := p.Engine().PooledCycles()
+	// testing.AllocsPerRun, but at the test's GOMAXPROCS: it would run
+	// on one processor, where no run hires a crew.
+	p.RunCycles(400)
+	flits := p.Pool().Allocated()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		p.RunCycles(400)
+	}
+	runtime.ReadMemStats(&after)
+	avg := float64(after.Mallocs-before.Mallocs) / 10
+	grown := float64(p.Pool().Allocated()-flits) / 10
+	helpers := min(runtime.GOMAXPROCS(0), 32*32/64) - 1
+	if avg-grown > float64(2*helpers) {
+		t.Errorf("RunCycles(400) allocates %.1f objects per run, the flit pool %.1f of them; want at most %d more", avg, grown, 2*helpers)
+	}
+	if crew := p.Engine().PooledCycles() - pooled; (crew == 11*400) != (runtime.GOMAXPROCS(0) > 1) || crew%(11*400) != 0 {
+		t.Errorf("%d of the runs' %d cycles walked on a crew at GOMAXPROCS %d", crew, 11*400, runtime.GOMAXPROCS(0))
 	}
 }
 

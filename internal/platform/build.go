@@ -119,14 +119,15 @@ func Build(cfg Config) (*Platform, error) {
 		return engine.Target{Name: "switches", Elem: int(s)} // arena index == node
 	}
 	// newWires appends one flit link with its credit links to the wire
-	// arena and records who reads the flit link, for the arm table. The
-	// arena's elements are the inter-switch links in topology order, then
-	// the injection wires in TG order, then the ejection wires. Probes
-	// attach later, at each device's registration, because probe ids
-	// follow build order.
-	var consumers []engine.Target
-	newWires := func(lname, cname string, consumer engine.Target) (*link.Link, []*link.CreditLink) {
+	// arena and records who writes and who reads the flit link, for the
+	// arm table. The arena's elements are the inter-switch links in
+	// topology order, then the injection wires in TG order, then the
+	// ejection wires. Probes attach later, at each device's registration,
+	// because probe ids follow build order.
+	var producers, consumers []engine.Target
+	newWires := func(lname, cname string, producer, consumer engine.Target) (*link.Link, []*link.CreditLink) {
 		l, c := p.wires.NewPair(lname, cname)
+		producers = append(producers, producer)
 		consumers = append(consumers, consumer)
 		return l, c
 	}
@@ -162,7 +163,7 @@ func Build(cfg Config) (*Platform, error) {
 		p.links[i], credits[i] = newWires(
 			fmt.Sprintf("link%d.s%d-s%d", i, ls.From, ls.To),
 			fmt.Sprintf("credit%d.s%d-s%d", i, ls.To, ls.From),
-			swTarget(ls.To))
+			swTarget(ls.From), swTarget(ls.To))
 	}
 	// Wire link endpoints to switch ports by canonical port order.
 	for s := topology.NodeID(0); int(s) < topo.NumSwitches(); s++ {
@@ -198,7 +199,7 @@ func Build(cfg Config) (*Platform, error) {
 			return nil, fmt.Errorf("platform %s: no input port for TG endpoint %d", cfg.Name, spec.Endpoint)
 		}
 		injL, injCr := newWires(fmt.Sprintf("inj%d", spec.Endpoint), fmt.Sprintf("injcr%d", spec.Endpoint),
-			swTarget(ep.Switch))
+			engine.Target{Name: fmt.Sprintf("tg%d", spec.Endpoint)}, swTarget(ep.Switch))
 		if err := sw.ConnectInput(portIdx, injL, injCr...); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -241,7 +242,7 @@ func Build(cfg Config) (*Platform, error) {
 		}
 		trName := fmt.Sprintf("tr%d", spec.Endpoint)
 		ejL, ejCr := newWires(fmt.Sprintf("ej%d", spec.Endpoint), fmt.Sprintf("ejcr%d", spec.Endpoint),
-			engine.Target{Name: trName})
+			swTarget(ep.Switch), engine.Target{Name: trName})
 		depth := spec.BufDepth
 		if depth == 0 {
 			depth = cfg.SwitchBufDepth
@@ -345,10 +346,9 @@ func Build(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, attachErr)
 	}
 	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
-	// goroutines, or on the caller's alone but for the stretches its
-	// gates stand down for, on a pool where one pays, gated unless
-	// cfg.NoGate. Results are
-	// bit-identical whichever it is.
+	// goroutines, or on a crew each run hires where one pays and on the
+	// caller's goroutine alone where not, gated unless cfg.NoGate.
+	// Results are bit-identical whichever it is.
 	if err := p.eng.SetWorkers(cfg.Workers); err != nil {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 	}
@@ -362,12 +362,13 @@ func Build(cfg Config) (*Platform, error) {
 	// arena elements, which requires the arm-on-input rule on every
 	// wire's Send path: a flit sent to a parked switch or receptor wakes
 	// it for the next cycle, the first it can take the flit in; credits
-	// wake nobody. With workers it only skips globally idle windows and
-	// needs no hooks. While its gates stand down — on a network too busy
-	// for them, or busy enough for a pool — the engine switches the hook
-	// off and on again.
+	// wake nobody; the table knows who writes each wire too, so that on
+	// a crew the wake queues on the writer's list. With workers it only
+	// skips globally idle windows and needs no hooks. While its gates
+	// stand down — on a network too busy for them — the engine switches
+	// the hook off and on again.
 	if !cfg.NoGate && cfg.Workers == 0 {
-		if p.arms, err = p.eng.ArmTable(consumers); err != nil {
+		if p.arms, err = p.eng.ArmTable(producers, consumers); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
 		p.wires.SetHooks(p.arms.Hook())
@@ -430,8 +431,8 @@ func (p *Platform) Config() Config { return p.cfg }
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
 // Close releases the engine's worker goroutines (Config.Workers > 0;
-// otherwise there are none between runs: a stand-down stretch's pool
-// ends with its run). It is idempotent, and statistics stay readable;
+// otherwise there are none between runs: a run's crew ends with it).
+// It is idempotent, and statistics stay readable;
 // running the platform again would start them again.
 func (p *Platform) Close() { p.eng.Close() }
 

@@ -29,16 +29,6 @@ func (p *Platform) InjectScript(src flit.EndpointID, rec traffic.ScriptRec) erro
 	return sg.Append(rec)
 }
 
-// ScriptBacklog reports the scripted demands not yet emitted by the TG
-// at src.
-func (p *Platform) ScriptBacklog(src flit.EndpointID) (int, error) {
-	sg, err := p.scriptGen(src)
-	if err != nil {
-		return 0, err
-	}
-	return sg.Backlog(), nil
-}
-
 func (p *Platform) scriptGen(src flit.EndpointID) (*traffic.ScriptGen, error) {
 	tg, ok := p.tgByEndpoint[src]
 	if !ok {

@@ -168,11 +168,10 @@ func TestStandDownPoolBitIdentical(t *testing.T) {
 }
 
 // TestStandDownSparsePoolBitIdentical: a 16×16 butterfly at 0.10 keeps
-// about a third of its switches active, so its gates stand down for a
-// crew of two — on the busy mesh's schedule where the host has a second
-// processor, never on one — and under the same fault campaign and
-// watchdog every walk agrees on every snapshot byte at every 64-cycle
-// boundary.
+// about a third of its switches active, so its gates never stand down,
+// on any host; where the host has a second processor they walk on a
+// crew. Under the same fault campaign and watchdog every walk agrees on
+// every snapshot byte at every 64-cycle boundary.
 func TestStandDownSparsePoolBitIdentical(t *testing.T) {
 	spec, err := topology.ParseSpec("butterfly:w=16,h=16")
 	if err != nil {
@@ -182,13 +181,8 @@ func TestStandDownSparsePoolBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	downs := standDownBoundaries(t, cfg)
-	if runtime.GOMAXPROCS(0) == 1 {
-		if slices.Contains(downs, true) {
-			t.Errorf("standing down at the 64-cycle boundaries on one processor: %v", downs)
-		}
-	} else if !downs[3] || downs[5] || !downs[6] || downs[14] {
-		t.Errorf("standing down at the 64-cycle boundaries: %v; want down through 319, up at 320–383, down from 384, up at 896–959", downs)
+	if downs := standDownBoundaries(t, cfg); slices.Contains(downs, true) {
+		t.Errorf("standing down at the 64-cycle boundaries: %v", downs)
 	}
 }
 

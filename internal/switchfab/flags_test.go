@@ -295,13 +295,14 @@ func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) 
 	}
 	wires := link.NewArena("wires", 4, 1)
 	f := &feeder{pending: &flit.Flit{Kind: flit.HeadTail, Packet: flit.MakePacketID(1, 0), Src: 1, Dst: 100, PacketLen: 1}}
-	var consumers []engine.Target
+	var producers, consumers []engine.Target
 	for i := 0; i < 2; i++ {
 		l, cr := wires.NewPair("in", "incr")
 		if err := sw.ConnectInput(i, l, cr...); err != nil {
 			t.Fatal(err)
 		}
 		f.in = l // input 1 in the end
+		producers = append(producers, engine.Target{Name: "feeder"})
 		consumers = append(consumers, engine.Target{Name: "switches", Elem: 0})
 	}
 	for o := 0; o < 2; o++ {
@@ -310,6 +311,7 @@ func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) 
 			t.Fatal(err)
 		}
 		f.out, f.outCr = append(f.out, l), append(f.outCr, cr[0])
+		producers = append(producers, engine.Target{Name: "switches", Elem: 0})
 		consumers = append(consumers, engine.Target{Name: "feeder"})
 	}
 	e := engine.New()
@@ -317,7 +319,7 @@ func underEngine(t *testing.T, gated bool) (*engine.Engine, *feeder, *spyArena) 
 	e.MustRegisterArena(sws)
 	if gated {
 		e.SetGated(true)
-		arms, err := e.ArmTable(consumers)
+		arms, err := e.ArmTable(producers, consumers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,9 +187,6 @@ func (t *Topology) NumSwitches() int { return t.numSwitches }
 // stable identifier.
 func (t *Topology) Links() []LinkSpec { return t.links }
 
-// Endpoints returns all endpoint attachments.
-func (t *Topology) Endpoints() []EndpointSpec { return t.endpoints }
-
 func (t *Topology) checkNode(s NodeID) error {
 	if s < 0 || int(s) >= t.numSwitches {
 		return fmt.Errorf("topology %s: switch %d out of range [0,%d)", t.name, s, t.numSwitches)
