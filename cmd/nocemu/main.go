@@ -50,7 +50,6 @@ func main() {
 		bufDepth   = flag.Int("buf", 8, "switch input buffer depth (paper platform)")
 		seed       = flag.Uint("seed", 1, "platform seed")
 		cycles     = flag.Uint64("cycles", 10_000_000, "maximum emulated cycles")
-		workers    = flag.Int("workers", 0, "simulation worker goroutines on every cycle (0 = the default kernel, which walks only a large platform on a crew; results are identical)")
 		gate       = flag.Bool("gate", true, "quiescence-aware scheduling (clock gating); false is the ablation, results are identical either way")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of the text report")
 		hist       = flag.Bool("hist", false, "append receptor histograms")
@@ -82,13 +81,7 @@ func main() {
 			cfg.TRs[i].RecordTrace = true
 		}
 	}
-	// Apply only when set so a JSON config's "workers" survives the
-	// flag default; negative values flow through to config validation.
-	if *workers != 0 {
-		cfg.Workers = *workers
-	}
-	// Same idea for -gate: only an explicit flag overrides the config's
-	// "no_gate" field.
+	// Only an explicit -gate overrides the config's "no_gate" field.
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "gate" {
 			cfg.NoGate = !*gate

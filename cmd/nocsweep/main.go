@@ -43,8 +43,7 @@ func main() {
 		warm    = flag.Uint64("warm", 0, "warm-up cycles before measurement")
 		cycles  = flag.Uint64("cycles", 0, "measured cycles per point")
 		seed    = flag.Uint("seed", 0, "platform base seed")
-		workers = flag.Int("workers", 0, "dedicated sweep workers (default 1); points also run on helper goroutines from a process-wide budget of GOMAXPROCS-1, as do each point's forks and the kernels' pooled stretches, so one worker already uses every free processor and more oversubscribe")
-		pwork   = flag.Int("platform-workers", 0, "per-platform kernel workers, forced on every cycle (0 = the default kernel, which walks only a large platform on a crew)")
+		workers = flag.Int("workers", 0, "dedicated sweep workers (default 1); points also run on helper goroutines from a process-wide budget of GOMAXPROCS-1, as do each point's forks and the crews a large platform's runs hire, so one worker already uses every free processor and more oversubscribe")
 		search  = flag.String("search", "", "search mode: grid or pareto")
 		objs    = flag.String("objectives", "", "comma-separated Pareto objectives (latency, throughput, area)")
 		journal = flag.String("journal", "", "JSONL journal for streaming results and resuming killed sweeps; belongs to one sweep configuration (rows are matched by key: another -warm/-cycles is an error, another -seed or packet length cannot be detected)")
@@ -55,14 +54,14 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*config, *topos, *wls, *depths, *injs, *forks, *warm, *cycles,
-		uint32(*seed), *workers, *pwork, *search, *objs, *journal, *cache, *out, *pareto, *quiet); err != nil {
+		uint32(*seed), *workers, *search, *objs, *journal, *cache, *out, *pareto, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "nocsweep:", err)
 		os.Exit(1)
 	}
 }
 
 func run(config, topos, wls, depths, injs string, forks int, warm, cycles uint64,
-	seed uint32, workers, pwork int, search, objs, journal, cache, out, pareto string, quiet bool) error {
+	seed uint32, workers int, search, objs, journal, cache, out, pareto string, quiet bool) error {
 	var cfg dse.Config
 	if config != "" {
 		var err error
@@ -119,9 +118,6 @@ func run(config, topos, wls, depths, injs string, forks int, warm, cycles uint64
 	}
 	if workers > 0 {
 		cfg.Workers = workers
-	}
-	if pwork > 0 {
-		cfg.PlatformWorkers = pwork
 	}
 	if search != "" {
 		cfg.Search = dse.Search(search)

@@ -20,7 +20,7 @@ func TestRunSmoke(t *testing.T) {
 	cache := filepath.Join(dir, "snapcache")
 
 	err := run("", "mesh:w=2,h=2", "uniform", "2,4", "0.1,0.2",
-		2, 200, 300, 1, 1, 0, "grid", "", journal, cache, out, pareto, true)
+		2, 200, 300, 1, 1, "grid", "", journal, cache, out, pareto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunSmoke(t *testing.T) {
 
 	// Resume against the populated journal: identical results bytes.
 	err = run("", "mesh:w=2,h=2", "uniform", "2,4", "0.1,0.2",
-		2, 200, 300, 1, 1, 0, "grid", "", journal, cache, out, pareto, true)
+		2, 200, 300, 1, 1, "grid", "", journal, cache, out, pareto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunConfigFile(t *testing.T) {
 	}
 	out := filepath.Join(dir, "results.jsonl")
 	// -forks 2 overrides the file's implicit 1.
-	err := run(cfgPath, "", "", "", "", 2, 0, 0, 0, 0, 0, "", "", "", "", out, "", true)
+	err := run(cfgPath, "", "", "", "", 2, 0, 0, 0, 0, "", "", "", "", out, "", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +96,16 @@ func TestRunConfigFile(t *testing.T) {
 
 // TestRunBadFlags checks flag errors surface instead of panicking.
 func TestRunBadFlags(t *testing.T) {
-	if err := run("", "mesh:w=", "", "", "", 0, 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
+	if err := run("", "mesh:w=", "", "", "", 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
 		t.Error("bad topology spec accepted")
 	}
-	if err := run("", "mesh:w=2,h=2", "", "two", "", 0, 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
+	if err := run("", "mesh:w=2,h=2", "", "two", "", 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
 		t.Error("bad depth accepted")
 	}
-	if err := run("", "mesh:w=2,h=2", "", "", "fast", 0, 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
+	if err := run("", "mesh:w=2,h=2", "", "", "fast", 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
 		t.Error("bad injection accepted")
 	}
-	if err := run("", "", "", "", "", 0, 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
+	if err := run("", "", "", "", "", 0, 0, 0, 0, 0, "", "", "", "", "", "", true); err == nil {
 		t.Error("empty sweep accepted")
 	}
 }

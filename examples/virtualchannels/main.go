@@ -47,7 +47,6 @@ func run(vcs int) bool {
 	check(err)
 	p, err := platform.Build(cfg)
 	check(err)
-	defer p.Close()
 	wd, err := p.AttachWatchdog(1_000)
 	check(err)
 	cycles, done := p.Run(100_000)

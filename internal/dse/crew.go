@@ -18,17 +18,16 @@ import (
 // crews of the jobs still running can take it.
 //
 // Every worker but the caller runs job unless hire is non-nil: then it
-// calls hire first, runs the job function hire returns and calls the
-// release func when no job is left; a worker whose hire returns a nil
-// job takes none, and the rest of the crew, the caller at least, runs
-// them all.
+// calls hire first and runs the job function hire returns; a worker
+// whose hire returns nil takes none, and the rest of the crew, the
+// caller at least, runs them all.
 //
 // The first job to fail stops the handing out; every job below it has
 // been handed out already and runs to its end, so crew returns the
 // error of the lowest-index job that fails, whatever the crew. Every
 // worker has returned, and every helper is back in the budget, when
 // crew returns.
-func crew(n, workers int, job func(i int) error, hire func() (func(i int) error, func())) error {
+func crew(n, workers int, job func(i int) error, hire func() func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64 // the last job handed out; job 0 is the caller's
 	var failed atomic.Bool
@@ -57,11 +56,9 @@ func crew(n, workers int, job func(i int) error, hire func() (func(i int) error,
 			}
 			job := job
 			if hire != nil {
-				var release func()
-				if job, release = hire(); job == nil {
+				if job = hire(); job == nil {
 					return
 				}
-				defer release()
 			}
 			work(job)
 		}()

@@ -17,7 +17,7 @@
 //     then. One hand-out (crew) serves both levels, and a helper gives
 //     its slot back as soon as it finds no job left, so the last points
 //     of a batch staff their fork crews with it. The budget is shared
-//     with the default kernel's crews (Config.PlatformWorkers).
+//     with the crews each platform's runs hire (engine/duty.go).
 //  2. Build/warm-start amortization: each structural point is built and
 //     warmed up once; its seed replicates restore the warmed snapshot
 //     and reseed (Platform.ReseedFork), and the snapshot is stored
@@ -117,11 +117,6 @@ type Config struct {
 	// the process-wide budget has free: one worker already keeps every
 	// processor of the budget busy, and more oversubscribe the host.
 	Workers int
-	// PlatformWorkers selects each platform's inner kernel: 0 is the
-	// default kernel, which walks only a large platform on a crew, of
-	// helpers from the same process-wide budget the fork crews draw on;
-	// n > 0 forces a pool of n workers on every cycle.
-	PlatformWorkers int
 	// Search picks the walk (default SearchGrid).
 	Search Search
 	// Objectives name the Pareto objectives (default latency,
@@ -366,7 +361,6 @@ func (c *Config) netOptions(p Point) platform.NetOptions {
 		PacketLen:    c.PacketLen,
 		Seed:         c.Seed,
 		WorkloadSeed: c.WorkloadSeed,
-		Workers:      c.PlatformWorkers,
 	}
 }
 

@@ -51,7 +51,6 @@ func (e *evaluator) build(p Point) (*platform.Platform, error) {
 	}
 	if specs := e.cfg.Axes.Faults[p.Fault].Specs; len(specs) > 0 {
 		if _, err := pl.AddFaults(specs); err != nil {
-			pl.Close()
 			return nil, err
 		}
 	}
@@ -80,7 +79,6 @@ func (e *evaluator) evalPoint(p Point) []Row {
 	if err != nil {
 		return e.errorRows(p, err)
 	}
-	defer src.Close()
 	area := areaSlices(src)
 	var warmed []byte
 	if e.cfg.Forks > 1 {
@@ -108,7 +106,6 @@ func (e *evaluator) evalPointCold(p Point) []Row {
 		if err != nil {
 			return Row{}, err
 		}
-		defer pl.Close()
 		pl.RunCycles(e.cfg.WarmupCycles)
 		pl.ResetStats()
 		pl.ReseedFork(i)
@@ -120,8 +117,8 @@ func (e *evaluator) evalPointCold(p Point) []Row {
 // goroutine and as many helpers, up to Forks−1, as the engine's
 // process-wide budget has free. The caller measures fork 0 first, on
 // own. Where own is non-nil each helper measures on a twin it builds
-// (e.build: same shape, same faults) and closes; one whose twin fails to
-// build takes no fork.
+// (e.build: same shape, same faults); one whose twin fails to build
+// takes no fork.
 //
 // Rows land by index, so they do not depend on the crew; a failed fork
 // makes the point's rows errorRows carrying the error of the
@@ -134,14 +131,14 @@ func (e *evaluator) onCrew(p Point, own *platform.Platform, fork func(pl *platfo
 			return err
 		}
 	}
-	var hire func() (func(int) error, func())
+	var hire func() func(int) error
 	if own != nil {
-		hire = func() (func(int) error, func()) {
+		hire = func() func(int) error {
 			twin, err := e.build(p)
 			if err != nil {
-				return nil, nil
+				return nil
 			}
-			return on(twin), twin.Close
+			return on(twin)
 		}
 	}
 	if err := crew(len(rows), 1, on(own), hire); err != nil {

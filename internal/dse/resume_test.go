@@ -315,7 +315,7 @@ func perturb(t *testing.T, v reflect.Value) {
 func TestCacheKeyCompleteness(t *testing.T) {
 	neutral := map[string]bool{
 		// the kernel: snapshots restore into any
-		"Workers": true, "NoGate": true, "PlatformWorkers": true,
+		"Workers": true, "NoGate": true,
 		// applied after the warmed state is reached
 		"Forks": true, "MeasureCycles": true,
 		// what is visited and reported, not what a point's state is

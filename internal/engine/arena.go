@@ -18,8 +18,8 @@
 // instances whose dispatch cost is noise). Arenas register through RegisterArena and appear in
 // the schedule as ONE component each, so every consumer of the registry
 // — the plain walk, Lookup — keeps working unchanged. Three
-// schedulers look inside: the pooled walk shards an arena's index
-// range across workers instead of assigning it whole (pool.go), the
+// schedulers look inside: a crew shards an arena's index range across
+// workers instead of assigning it whole (pool.go), the
 // gated walk parks and wakes its elements one by one (quiesce.go),
 // and the event calendar of internal/tlm gives every element its own
 // processes, as a SystemC kernel would each module.
@@ -27,14 +27,14 @@ package engine
 
 // Arena is a dense, homogeneous population of sub-devices evaluated by
 // range loops. Tick (the Component method) must be equivalent to
-// TickRange over the full range [0, Len()); the pooled walk partitions
+// TickRange over the full range [0, Len()); a crew partitions
 // [0, Len()) into contiguous per-worker spans, so elements must be
 // independent within a cycle, exactly like distinct registered
 // components are.
 type Arena interface {
 	Component
 	// Len returns the element count. It must stay constant once the
-	// engine has run; the pool re-reads it only when the registration
+	// engine has run; a crew re-reads it only when the registration
 	// count changes, the gates never.
 	Len() int
 	// TickRange ticks elements [lo, hi) for the given cycle.
@@ -58,8 +58,8 @@ type Arena interface {
 
 // RegisterArena adds an arena to the evaluation schedule. The arena
 // occupies one slot in the component registry (its ComponentName must
-// be unique like any component's); the pooled walk additionally shards
-// its index range across workers.
+// be unique like any component's); a crew additionally shards its
+// index range across workers.
 func (e *Engine) RegisterArena(a Arena) error {
 	if a == nil {
 		return errArena("nil arena")
@@ -80,11 +80,6 @@ func (e *Engine) MustRegisterArena(a Arena) {
 	if err := e.RegisterArena(a); err != nil {
 		panic(err)
 	}
-}
-
-// Arenas returns the registered arenas in registration order (copied).
-func (e *Engine) Arenas() []Arena {
-	return append([]Arena(nil), e.arenas...)
 }
 
 // arenaOf returns the position in the arena list of a component that

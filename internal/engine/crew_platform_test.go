@@ -23,6 +23,45 @@ import (
 // for the one-core walk (its golden traces and the cycle-600 snapshot),
 // its gating matrices against the plain walk and its FullReset must all
 // hold under it. On one processor the same runs take the one-core walk.
+// Under each, the same runs go on crews of 2, 4, 7 and 16 workers forced
+// on any host (CrewOf): past the paper platform's six switches, and more
+// workers than processors — the crews the platform package cannot force.
+
+// walk is how a platform test runs a gated platform: on CrewAlways's
+// crew (crew 0), or on a crew of crew workers forced on any host,
+// standing down after every probe window when down is set.
+type walk struct {
+	name string
+	crew int
+	down bool
+}
+
+// crewWalks are the walks every platform-level crew test runs.
+var crewWalks = []walk{{"always", 0, false}, {"crew=2", 2, false}, {"crew=4", 4, false}, {"crew=7", 7, false}, {"crew=16", 16, false}}
+
+// prepare applies w to a gated platform's engine.
+func (w walk) prepare(p *platform.Platform) {
+	e := p.Engine()
+	if w.crew == 0 {
+		engine.CrewAlways(e)
+		return
+	}
+	engine.CrewOf(e, w.crew)
+	if w.down {
+		engine.StandDownAlways(e)
+	}
+}
+
+// check asserts that w walked on a crew where it should: a forced crew
+// always, CrewAlways's where the host has a second processor.
+func (w walk) check(t *testing.T, p *platform.Platform) {
+	t.Helper()
+	if w.crew == 0 {
+		onCrew(t, p)
+	} else if p.Engine().PooledCycles() == 0 {
+		t.Errorf("%s walked no cycle on its crew", w.name)
+	}
+}
 
 // fixture reads a file the platform package's tests pin.
 func fixture(t *testing.T, name string) []byte {
@@ -34,10 +73,11 @@ func fixture(t *testing.T, name string) []byte {
 	return b
 }
 
-// build builds cfg, on the gated crew unless plain, and applies setup.
-func build(t *testing.T, cfg platform.Config, plain bool, setup func(p *platform.Platform)) *platform.Platform {
+// build builds cfg, walked by w unless w is nil — the plain walk — and
+// applies setup.
+func build(t *testing.T, cfg platform.Config, w *walk, setup func(p *platform.Platform)) *platform.Platform {
 	t.Helper()
-	cfg.NoGate = plain
+	cfg.NoGate = w == nil
 	p, err := platform.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +85,8 @@ func build(t *testing.T, cfg platform.Config, plain bool, setup func(p *platform
 	if setup != nil {
 		setup(p)
 	}
-	if !plain {
-		engine.CrewAlways(p.Engine())
+	if w != nil {
+		w.prepare(p)
 	}
 	return p
 }
@@ -125,22 +165,26 @@ func TestGatedCrewGoldenTraces(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Trace = &probe.Config{}
-			p := build(t, tc.cfg, false, tc.setup)
-			if tc.cycles > 0 {
-				p.RunCycles(tc.cycles)
-			} else if _, stopped := p.Run(1_000_000); !stopped {
-				t.Fatal("run did not complete")
+			for _, w := range crewWalks {
+				t.Run(w.name, func(t *testing.T) {
+					p := build(t, tc.cfg, &w, tc.setup)
+					if tc.cycles > 0 {
+						p.RunCycles(tc.cycles)
+					} else if _, stopped := p.Run(1_000_000); !stopped {
+						t.Fatal("run did not complete")
+					}
+					if got, want := trace(t, p), fixture(t, tc.file); !bytes.Equal(got, want) {
+						t.Errorf("the gated crew's trace differs from %s", tc.file)
+					}
+					w.check(t, p)
+				})
 			}
-			if got, want := trace(t, p), fixture(t, tc.file); !bytes.Equal(got, want) {
-				t.Errorf("the gated crew's trace differs from %s", tc.file)
-			}
-			onCrew(t, p)
 		})
 	}
 	t.Run("sched", func(t *testing.T) {
 		cfg := paper(t, platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 5})
 		cfg.Trace = &probe.Config{Sched: true}
-		p := build(t, cfg, false, nil)
+		p := build(t, cfg, &walk{name: "crew=4", crew: 4}, nil)
 		if _, stopped := p.Run(1_000_000); !stopped {
 			t.Fatal("run did not complete")
 		}
@@ -164,16 +208,20 @@ func TestGatedCrewGoldenTraces(t *testing.T) {
 func TestGatedCrewSnapshotFixture(t *testing.T) {
 	cfg := paper(t, platform.PaperOptions{PacketsPerTG: 5})
 	cfg.Trace = &probe.Config{}
-	p := build(t, cfg, false, nil)
-	p.RunCycles(600)
-	snap, err := p.SnapshotBytes()
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range crewWalks {
+		t.Run(w.name, func(t *testing.T) {
+			p := build(t, cfg, &w, nil)
+			p.RunCycles(600)
+			snap, err := p.SnapshotBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snap, fixture(t, "paper_cycle600.nocsnap")) {
+				t.Error("the gated crew's snapshot at cycle 600 differs from paper_cycle600.nocsnap")
+			}
+			w.check(t, p)
+		})
 	}
-	if !bytes.Equal(snap, fixture(t, "paper_cycle600.nocsnap")) {
-		t.Error("the gated crew's snapshot at cycle 600 differs from paper_cycle600.nocsnap")
-	}
-	onCrew(t, p)
 }
 
 // outcome is what a run shows: the monitor's JSON, the trace, where it
@@ -215,11 +263,12 @@ func (o outcome) differ(want outcome) string {
 	return ""
 }
 
-// TestGatedCrewGatingMatrix holds the gated crew to the plain walk on
+// TestGatedCrewGatingMatrix holds the gated crews to the plain walk on
 // the platform gating matrices' runs: the paper platform under bounded
-// uniform, free-running burst and trace-driven traffic, with a fault
-// campaign and deadlocked by a stuck link under a watchdog, and meshes,
-// a butterfly and a two-lane torus at arena scale.
+// uniform, free-running burst and trace-driven traffic, warmed by a
+// RunCycles before the run, with a fault campaign and deadlocked by a
+// stuck link under a watchdog, and meshes, a butterfly and a two-lane
+// torus at arena scale.
 func TestGatedCrewGatingMatrix(t *testing.T) {
 	var wd *platform.Watchdog
 	watchdog := func(p *platform.Platform) {
@@ -233,49 +282,58 @@ func TestGatedCrewGatingMatrix(t *testing.T) {
 		name  string
 		cfg   platform.Config
 		setup func(p *platform.Platform)
+		warm  uint64 // RunCycles before the run
 		max   uint64
 	}{
-		{"paper/uniform", paper(t, platform.PaperOptions{PacketsPerTG: 40}), nil, 200_000},
-		{"paper/burst", paper(t, platform.PaperOptions{Traffic: platform.PaperBurst}), nil, 25_000},
-		{"paper/trace", paper(t, platform.PaperOptions{Traffic: platform.PaperTrace, PacketsPerTG: 40}), nil, 200_000},
+		{"paper/uniform", paper(t, platform.PaperOptions{PacketsPerTG: 40}), nil, 0, 200_000},
+		{"paper/burst", paper(t, platform.PaperOptions{Traffic: platform.PaperBurst}), nil, 0, 25_000},
+		{"paper/trace", paper(t, platform.PaperOptions{Traffic: platform.PaperTrace, PacketsPerTG: 40}), nil, 0, 200_000},
+		{"paper/warmed", paper(t, platform.PaperOptions{PacketsPerTG: 30}), nil, 500, 100_000},
 		{"paper/faulted", paper(t, platform.PaperOptions{PacketsPerTG: 30}), faults(
 			fault.Spec{Link: 0, Mode: link.FaultStuck, From: 500, Until: 2_500},
 			fault.Spec{Link: 1, Mode: link.FaultCorrupt, From: 100, Until: 400},
-		), 100_000},
-		{"paper/deadlock", paper(t, platform.PaperOptions{PacketsPerTG: 50}), watchdog, 50_000},
-		{"mesh8x8-light", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.02}), nil, 3_000},
-		{"mesh8x8-saturated", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.3}), nil, 1_000},
-		{"butterfly4x4", net(t, "butterfly:w=4,h=4", platform.NetOptions{Injection: 0.1}), nil, 2_000},
-		{"torus4x4-dateline", net(t, "torus:w=4,h=4,minimal=1,vcs=2", platform.NetOptions{Injection: 0.2}), nil, 2_000},
+		), 0, 100_000},
+		{"paper/deadlock", paper(t, platform.PaperOptions{PacketsPerTG: 50}), watchdog, 0, 50_000},
+		{"mesh8x8-light", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.02}), nil, 0, 3_000},
+		{"mesh8x8-saturated", net(t, "mesh:w=8,h=8", platform.NetOptions{Injection: 0.3}), nil, 0, 1_000},
+		{"butterfly4x4", net(t, "butterfly:w=4,h=4", platform.NetOptions{Injection: 0.1}), nil, 0, 2_000},
+		{"torus4x4-dateline", net(t, "torus:w=4,h=4,minimal=1,vcs=2", platform.NetOptions{Injection: 0.2}), nil, 0, 2_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var runs [2]outcome
-			for i, plain := range []bool{true, false} {
+			run := func(w *walk) outcome {
 				wd = nil
-				p := build(t, tc.cfg, plain, tc.setup)
-				runs[i] = runOutcome(t, p, tc.max)
+				p := build(t, tc.cfg, w, tc.setup)
+				p.RunCycles(tc.warm)
+				o := runOutcome(t, p, tc.max)
 				if wd != nil {
 					stalled, at := wd.Stalled()
-					runs[i].watchdog = fmt.Sprintf("%v@%d", stalled, at)
+					o.watchdog = fmt.Sprintf("%v@%d", stalled, at)
 				}
-				if !plain {
-					onCrew(t, p)
+				if w != nil {
+					w.check(t, p)
 				}
+				return o
 			}
-			if runs[0].flitsRouted == 0 {
+			want := run(nil)
+			if want.flitsRouted == 0 {
 				t.Fatal("no traffic crossed the platform")
 			}
-			if d := runs[1].differ(runs[0]); d != "" {
-				t.Errorf("the gated crew differs from the plain walk: %s", d)
+			for _, w := range crewWalks {
+				t.Run(w.name, func(t *testing.T) {
+					if d := run(&w).differ(want); d != "" {
+						t.Errorf("the gated crew differs from the plain walk: %s", d)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestGatedCrewFullReset: after a complete run on the gated crew — a
+// TestGatedCrewFullReset: after a complete run on a gated crew — a
 // watchdog and a stuck window attached — FullReset rewinds the paper
 // platform to its build, and a second run reproduces the plain walk's
-// fresh run byte for byte.
+// fresh run byte for byte; on a crew of two standing down after every
+// probe window too, the plain walk on a crew.
 func TestGatedCrewFullReset(t *testing.T) {
 	cfg := paper(t, platform.PaperOptions{PacketsPerTG: 12})
 	cfg.Trace = &probe.Config{}
@@ -285,22 +343,26 @@ func TestGatedCrewFullReset(t *testing.T) {
 		}
 		faults(fault.Spec{Link: 0, Mode: link.FaultStuck, From: 100, Until: 300})(p)
 	}
-	want := runOutcome(t, build(t, cfg, true, setup), 1_000_000)
+	want := runOutcome(t, build(t, cfg, nil, setup), 1_000_000)
 	if !want.stopped {
 		t.Fatal("the plain run did not complete")
 	}
-	p := build(t, cfg, false, setup)
-	if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
-		t.Fatalf("before any reset: %s", d)
+	for _, w := range append(crewWalks, walk{"crew=2,standing-down", 2, true}) {
+		t.Run(w.name, func(t *testing.T) {
+			p := build(t, cfg, &w, setup)
+			if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
+				t.Fatalf("before any reset: %s", d)
+			}
+			if err := p.FullReset(); err != nil {
+				t.Fatal(err)
+			}
+			if c := p.Engine().Cycle(); c != 0 {
+				t.Fatalf("cycle %d after FullReset", c)
+			}
+			if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
+				t.Errorf("after FullReset: %s", d)
+			}
+			w.check(t, p)
+		})
 	}
-	if err := p.FullReset(); err != nil {
-		t.Fatal(err)
-	}
-	if c := p.Engine().Cycle(); c != 0 {
-		t.Fatalf("cycle %d after FullReset", c)
-	}
-	if d := runOutcome(t, p, 1_000_000).differ(want); d != "" {
-		t.Errorf("after FullReset: %s", d)
-	}
-	onCrew(t, p)
 }

@@ -18,8 +18,8 @@
 // steady busy run pays one probe window in thousands of cycles, and a
 // run whose load falls is parking again within a stretch.
 //
-// Both walks pay on a crew (pool.go): an engine without workers of its
-// own hires one for each run — a worker per poolSpan arena elements, no
+// Both walks pay on a crew (pool.go): a gated engine hires one for each
+// run — a worker per poolSpan arena elements, no
 // more than GOMAXPROCS, and no more helper goroutines than a
 // process-wide budget of GOMAXPROCS−1 has free, which platforms running
 // side by side, sweep points and their fork crews share. The crew walks
@@ -35,7 +35,7 @@
 // the same crew size and registrations.
 //
 // None of it shows in results. The plain walk is the reference every
-// gated and pooled walk is held to; a stand-down settles every debt
+// gated walk and every crew is held to; a stand-down settles every debt
 // before the first plain cycle, and a stand-up leaves nothing parked.
 // Which walk is on is scheduling ephemera like the rest of sched: never
 // serialized, and restarted — gates up, probing afresh — by rebase.
@@ -80,6 +80,10 @@ type duty struct {
 	// span is a crew's arena elements per worker, at least; a rig may
 	// lower it (to 1 at the least).
 	span int
+	// crew, when a rig sets it, is the size of every run's crew, hired
+	// whatever the platform's size, the host's processors and the
+	// budget: its helpers come from none.
+	crew int
 }
 
 // count adds the arena gates' active elements after a gated cycle.
@@ -228,15 +232,22 @@ func (e *Engine) crewSize(held int32) int {
 // that is more than one — the arenas hold at least two spans and the
 // budget has a helper free — and the engine lets its gated walk leave
 // one core: no SchedTrace, whose log follows the one-core walk, and no
-// arm within the cycle of anything but a SerialTicker. The crew is
-// built anew only for a new size or new registrations; its goroutines
-// start here.
+// arm within the cycle of anything but a SerialTicker. A rig's crew
+// size (duty.crew) replaces crewSize and the budget. The crew is built
+// anew only for a new size or new registrations; its goroutines start
+// here.
 func (e *Engine) hire() {
 	s := e.sched
-	if e.strace != nil || e.soloArms > 0 || s.duty.size < 2*s.duty.span {
+	if e.strace != nil || e.soloArms > 0 {
 		return
 	}
-	n := 1 + TakeHelpers(e.crewSize(0)-1)
+	n := s.duty.crew
+	if n == 0 {
+		if s.duty.size < 2*s.duty.span {
+			return
+		}
+		n = 1 + TakeHelpers(e.crewSize(0)-1)
+	}
 	if n < 2 {
 		return
 	}
@@ -266,9 +277,11 @@ func (e *Engine) dismiss() {
 		return
 	}
 	s.gather()
-	p.leave()
+	p.gate.release(cmdStop)
 	p.exited.Wait()
-	ReturnHelpers(len(p.shards) - 1)
+	if s.duty.crew == 0 {
+		ReturnHelpers(len(p.shards) - 1)
+	}
 	s.crew = nil
 	if !s.duty.down {
 		e.armHooks(true)

@@ -196,11 +196,9 @@ func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 	}{
 		{"LoadState", func(t *testing.T, e *Engine) { restoreCycle(t, e, 0) }},
 		{"SetGated(false)", func(_ *testing.T, e *Engine) { e.SetGated(false) }},
-		{"SetWorkers(2)", func(_ *testing.T, e *Engine) { _ = e.SetWorkers(2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _, w := dutyRig(8)
-			defer e.Close()
 			e.Run(100)
 			tc.end(t, e)
 			if want := []hookFlip{{64, false}}; !slices.Equal(w.flips, want) || *w.tbl.Hook() == nil {
@@ -300,7 +298,7 @@ func settledGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestStandDownPoolLifetime: a gated engine without workers walks its
+// TestStandDownPoolLifetime: a gated engine walks its
 // gated cycles and its stand-down stretches on a crew where the host has
 // a second processor — and only there, so that a one-processor run never
 // starts one — yet

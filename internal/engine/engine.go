@@ -14,15 +14,14 @@
 // of magnitude over event-driven simulation).
 //
 // One Engine drives that schedule through one run loop (run, below).
-// Two optional states pick how a cycle is walked: the clock gates of
-// quiesce.go park idle components, and the worker pool of pool.go
-// recovers the paper's other performance property — every device
-// evaluated concurrently within a cycle. The two meet in duty.go: a
-// gated engine without workers of its own hires a crew for each run
-// where the platform is big enough to pay for one and the host has the
-// processors, and walks its gated cycles on it — every worker its share
-// of the gates, so a big sparse platform ticks only its active devices,
-// on every core — and where enough is busy the gates stand down for the
+// One optional state picks how a cycle is walked: the clock gates of
+// quiesce.go park idle components. A gated run also recovers the
+// paper's other performance property — every device evaluated
+// concurrently within a cycle: where the platform is big enough to pay
+// for it and the host has the processors, the run hires a crew (pool.go,
+// duty.go) and walks its gated cycles on it — every worker its share of
+// the gates, so a big sparse platform ticks only its active devices, on
+// every core — and where enough is busy the gates stand down for the
 // plain walk, on the same crew. Results are bit-identical whichever
 // walk executes them.
 package engine
@@ -30,7 +29,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Component is a synchronous device evaluated once per cycle.
@@ -43,7 +41,7 @@ import (
 // Ticks: the wires' parity slots are the cycle boundary, and the engine
 // never calls Commit.
 //
-// The pooled walk relies on one further discipline, which every
+// A crew's walk relies on one further discipline, which every
 // component of the platform already obeys by construction: during a
 // cycle, a component touches only its own state plus the disjoint
 // per-endpoint halves of the wires it is connected to (a link's
@@ -62,9 +60,9 @@ type Component interface {
 }
 
 // SerialTicker marks a component whose Tick reads state owned by other
-// components — e.g. a watchdog summing platform-wide statistics. The
-// pooled walk evaluates such components alone on the coordinator,
-// after every worker's share of the cycle; the sequential walks run
+// components — e.g. a watchdog summing platform-wide statistics. A
+// crew evaluates such components alone on the coordinator, after every
+// worker's share of the cycle; the one-core walks run
 // them in registration order like any other component. The walks
 // produce identical results provided a SerialTicker is registered after
 // every component it observes (the platform registers watchdogs last)
@@ -99,13 +97,9 @@ type Engine struct {
 	// time so the run loop never rebuilds them.
 	stoppers []Stopper
 	aborters []Aborter
-	// sortedNames caches the Names() result; namesStale marks it for a
-	// re-sort after a registration.
-	sortedNames []string
-	namesStale  bool
 	// arenas lists the components registered through RegisterArena
-	// (arena.go); the pooled walk shards their index ranges instead of
-	// assigning them whole.
+	// (arena.go); a crew shards their index ranges instead of assigning
+	// them whole.
 	arenas []Arena
 	tables []*ArmTable // the wires' (quiesce.go); flushed after each gated cycle's quiet report
 	armers []*armer    // every Armer's closure (quiesce.go)
@@ -115,19 +109,15 @@ type Engine struct {
 	// cycle is the completed-cycle counter. It moves only by running or
 	// by LoadState (state.go).
 	cycle uint64
-	// The two optional states, decided in reshape and nowhere else:
-	// sched (quiesce.go) exists iff the engine is gated and has no
-	// workers of its own — its runs may hire a crew (duty.go) — and
-	// pool (pool.go) iff it has. A gated pool keeps no
-	// parking state: it skips the windows in which every component is
-	// quiet.
+	// The optional state, decided in reshape and nowhere else: sched
+	// (quiesce.go) exists iff the engine is gated; its runs may hire a
+	// crew (duty.go).
 	gated bool
 	sched *sched
-	pool  *pool
 	// strace receives kernel scheduling events (trace.go); nil — the
 	// default — disables them.
 	strace SchedTrace
-	// pooled counts the cycles walked on a pool (PooledCycles).
+	// pooled counts the cycles walked on a crew (PooledCycles).
 	pooled uint64
 }
 
@@ -163,8 +153,6 @@ func (e *Engine) Register(c Component) error {
 	if a, ok := c.(Aborter); ok {
 		e.aborters = append(e.aborters, a)
 	}
-	e.sortedNames = append(e.sortedNames, name)
-	e.namesStale = true
 	return nil
 }
 
@@ -183,18 +171,6 @@ func (e *Engine) Lookup(name string) (Component, bool) {
 		return nil, false
 	}
 	return e.components[i], true
-}
-
-// Names returns the registered component names in sorted order. The
-// sort is cached across calls and refreshed only after a registration;
-// the returned slice is a copy the caller may keep. No kernel path
-// calls Names per cycle — it is a construction/report-time accessor.
-func (e *Engine) Names() []string {
-	if e.namesStale {
-		sort.Strings(e.sortedNames)
-		e.namesStale = false
-	}
-	return append([]string(nil), e.sortedNames...)
 }
 
 // NumComponents returns the number of registered components.
@@ -216,10 +192,9 @@ func (e *Engine) Stoppers() []Stopper {
 // Cycle returns the number of completed cycles.
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
-// PooledCycles returns how many cycles the engine has walked on a pool
-// of workers since it was built — its own (SetWorkers) or a stand-down
-// stretch's (duty.go). Like every scheduling choice it never shows in
-// results.
+// PooledCycles returns how many cycles the engine has walked on a
+// crew since it was built (duty.go). Like every scheduling choice it
+// never shows in results.
 func (e *Engine) PooledCycles() uint64 { return e.pooled }
 
 // Step advances the simulation by exactly one cycle.
@@ -274,12 +249,9 @@ func (e *Engine) pollStop() (stop, byStopper bool) {
 // overshooting the stop by one cycle would break bit-identity.
 func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	poll = poll && len(e.stoppers)+len(e.aborters) > 0
-	// Enter: the pool syncs its shards with the registry, the gates
-	// their slots (schedEnter), and a gated run hires a crew where one
-	// pays (duty.go).
-	if e.pool != nil {
-		e.pool.enter(e)
-	} else if e.sched != nil {
+	// Enter: the gates sync their slots with the registry (schedEnter),
+	// and a gated run hires a crew where one pays (duty.go).
+	if e.sched != nil {
 		e.schedEnter()
 		if max > 0 {
 			e.hire()
@@ -301,12 +273,10 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 		e.walk()
 		executed++
 	}
-	// Leave: the workers go back to sleep, a crew's for good; the gates
-	// pay what the parked are owed, so observers between runs read the
-	// counters a naive schedule would have produced.
-	if e.pool != nil {
-		e.pool.leave()
-	} else if e.sched != nil {
+	// Leave: the crew's goroutines exit; the gates pay what the parked
+	// are owed, so observers between runs read the counters a naive
+	// schedule would have produced.
+	if e.sched != nil {
 		e.dismiss()
 		e.settle()
 	}
@@ -318,9 +288,6 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 // (duty.go) walks the plain schedule, on the crew when it has one.
 func (e *Engine) walk() {
 	switch s := e.sched; {
-	case e.pool != nil:
-		e.pool.walk(e.cycle)
-		e.pooled++
 	case s != nil && s.crew != nil && e.gatesUp():
 		e.crewWalk(s)
 		e.pooled++
@@ -348,16 +315,9 @@ func (e *Engine) walk() {
 // would happen — to the earliest wake, or to the end of the budget if
 // that comes first — and returns the cycles skipped. Only a gated
 // engine skips. The gates carry the skipped cycles as debt on their
-// watermarks; the pool, which keeps none, pays every component on the
-// spot.
+// watermarks.
 func (e *Engine) skip(budget uint64) uint64 {
-	var wake uint64
-	var quiet bool
-	if e.pool != nil {
-		wake, quiet = e.pool.nextWake(e.cycle)
-	} else {
-		wake, quiet = e.sched.nextWake()
-	}
+	wake, quiet := e.sched.nextWake()
 	if !quiet || wake <= e.cycle {
 		return 0
 	}
@@ -369,11 +329,6 @@ func (e *Engine) skip(budget uint64) uint64 {
 		e.strace.SchedFastForward(e.cycle, target)
 	}
 	n := target - e.cycle
-	if e.pool != nil {
-		for _, q := range e.pool.quies {
-			q.SkipIdle(e.cycle, n)
-		}
-	}
 	e.cycle = target
 	return n
 }
@@ -381,10 +336,9 @@ func (e *Engine) skip(budget uint64) uint64 {
 // SetGated enables or disables quiescence-aware scheduling. Disabled
 // (the default for a fresh engine) every component is walked every
 // cycle. Results are bit-identical either way; gating only changes how
-// fast idle cycles execute. A sequential engine gates per component and
+// fast idle cycles execute. A gated engine parks per component and
 // arena element, which needs the arm-on-input hooks of quiesce.go on
-// every path that hands a parked component input; an engine with
-// workers needs none.
+// every path that hands a parked component input.
 func (e *Engine) SetGated(on bool) {
 	e.gated = on
 	e.reshape()
@@ -393,52 +347,20 @@ func (e *Engine) SetGated(on bool) {
 // Gated reports whether quiescence-aware scheduling is enabled.
 func (e *Engine) Gated() bool { return e.gated }
 
-// SetWorkers makes the engine evaluate every cycle on n goroutines,
-// the caller's included (pool.go), gated or not. 0, the default, leaves
-// the choice to the engine: a gated one walks each run on a crew when
-// the platform is big enough to pay for one (duty.go), and on the
-// caller's goroutine alone where not. Workers may exceed the component
-// count; surplus shards are empty. The goroutines of n > 0 start at the
-// next run and stay, asleep between runs, until Close; a crew's never
-// outlive the run.
-func (e *Engine) SetWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("engine: %d workers", n)
-	}
-	e.Close()
-	e.pool = nil
-	if n > 0 {
-		e.pool = newPool(n)
-	}
-	e.reshape()
-	return nil
-}
-
-// reshape is the one decision point for the optional states: the gates
-// exist iff the engine is gated and has no workers. Dropping them
-// settles their outstanding skip accounting first.
+// reshape is the one decision point for the optional state: the gates
+// exist iff the engine is gated. Dropping them settles their
+// outstanding skip accounting first.
 func (e *Engine) reshape() {
-	switch want := e.gated && e.pool == nil; {
-	case want && e.sched == nil:
+	switch {
+	case e.gated && e.sched == nil:
 		s := &sched{duty: duty{share: standDownShare, span: poolSpan}}
 		s.reg = clockGate{pop: s, ordered: true, log: e.logSched}
 		s.duty.restart(e.cycle)
 		e.sched = s
-	case !want && e.sched != nil:
+	case !e.gated && e.sched != nil:
 		e.schedEnter()
 		e.settle()
 		e.standUp()
 		e.sched = nil
-	}
-}
-
-// Close releases the goroutines of an engine with workers (SetWorkers
-// n > 0) — asleep between runs, so they exit at once — and returns when
-// they have. It does nothing on an engine without workers, whose crews
-// end with their runs, or before the first run, and may be called
-// again. A later run starts them afresh.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
 	}
 }

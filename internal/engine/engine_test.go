@@ -124,9 +124,10 @@ func TestLookupAndNames(t *testing.T) {
 	if _, ok := e.Lookup("zzz"); ok {
 		t.Error("Lookup of unknown name succeeded")
 	}
-	names := e.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names() = %v", names)
+	for _, c := range []*phaseRecorder{a, b} {
+		if got, ok := e.Lookup(c.ComponentName()); !ok || got != Component(c) {
+			t.Errorf("Lookup(%s) does not find the component registered under that name", c.ComponentName())
+		}
 	}
 	if e.NumComponents() != 2 {
 		t.Errorf("NumComponents = %d", e.NumComponents())

@@ -89,13 +89,12 @@ func equalDigests(a, b []uint64) bool {
 
 var workerCounts = []int{1, 2, 4, 7, 16}
 
-// pooled gives e a pool of w workers, released when the test ends.
-func pooled(t testing.TB, e *Engine, w int) *Engine {
-	t.Helper()
-	if err := e.SetWorkers(w); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
+// pooled makes e a gated engine whose every run hires a crew of w
+// workers (CrewOf): none of its components parks, so each cycle is a
+// crew's gated walk over them all.
+func pooled(e *Engine, w int) *Engine {
+	e.SetGated(true)
+	CrewOf(e, w)
 	return e
 }
 
@@ -109,7 +108,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 		w := w
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			e, ns := buildChain(t, nodes, 0)
-			p := pooled(t, e, w)
+			p := pooled(e, w)
 			if n := p.Run(cycles); n != cycles {
 				t.Fatalf("Run returned %d", n)
 			}
@@ -125,7 +124,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 
 func TestParallelStepAdvancesOneCycle(t *testing.T) {
 	e, ns := buildChain(t, 3, 0)
-	p := pooled(t, e, 2)
+	p := pooled(e, 2)
 	p.Step()
 	p.Step()
 	if p.Cycle() != 2 {
@@ -148,7 +147,7 @@ func TestParallelRunUntilStopCycleMatchesSequential(t *testing.T) {
 		w := w
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			e, ns := buildChain(t, nodes, doneAt)
-			p := pooled(t, e, w)
+			p := pooled(e, w)
 			n, stopped := p.RunUntil(1000)
 			if n != seqN || stopped != seqStopped {
 				t.Fatalf("RunUntil = (%d,%v), sequential (%d,%v)", n, stopped, seqN, seqStopped)
@@ -162,7 +161,7 @@ func TestParallelRunUntilStopCycleMatchesSequential(t *testing.T) {
 
 func TestParallelRunUntilHitsCap(t *testing.T) {
 	e, _ := buildChain(t, 4, 1<<62)
-	p := pooled(t, e, 3)
+	p := pooled(e, 3)
 	n, stopped := p.RunUntil(25)
 	if stopped || n != 25 {
 		t.Errorf("n=%d stopped=%v, want 25,false", n, stopped)
@@ -171,7 +170,7 @@ func TestParallelRunUntilHitsCap(t *testing.T) {
 
 func TestParallelRunUntilAlreadyDoneRunsZeroCycles(t *testing.T) {
 	e, ns := buildChain(t, 2, 1) // done after the first tick
-	p := pooled(t, e, 2)
+	p := pooled(e, 2)
 	if n, stopped := p.RunUntil(100); n != 1 || !stopped {
 		t.Fatalf("first RunUntil = (%d,%v), want (1,true)", n, stopped)
 	}
@@ -188,9 +187,8 @@ func TestParallelRunUntilAborts(t *testing.T) {
 	for _, w := range []int{1, 3} {
 		e, _ := buildChain(t, 4, 0)
 		e.MustRegister(&aborter{name: "dog", abortAt: 5})
-		p := pooled(t, e, w)
+		p := pooled(e, w)
 		n, stopped := p.RunUntil(1000)
-		p.Close()
 		if stopped || n != 5 {
 			t.Errorf("workers=%d: n=%d stopped=%v, want 5,false", w, n, stopped)
 		}
@@ -227,7 +225,7 @@ func TestParallelSerialTickerSeesQuiescedCycle(t *testing.T) {
 			e.Run(cycles)
 			return obs.seen
 		}
-		p := pooled(t, e, workers)
+		p := pooled(e, workers)
 		p.Run(cycles)
 		return obs.seen
 	}
@@ -248,7 +246,7 @@ func TestParallelSerialTickerSeesQuiescedCycle(t *testing.T) {
 
 func TestParallelPicksUpLateRegistrations(t *testing.T) {
 	e, _ := buildChain(t, 3, 0)
-	p := pooled(t, e, 2)
+	p := pooled(e, 2)
 	p.Run(10)
 	late := &chainNode{name: "late"}
 	e.MustRegister(late)
@@ -260,7 +258,7 @@ func TestParallelPicksUpLateRegistrations(t *testing.T) {
 
 func TestParallelMoreWorkersThanComponents(t *testing.T) {
 	e, ns := buildChain(t, 2, 0)
-	p := pooled(t, e, 8)
+	p := pooled(e, 8)
 	p.Run(20)
 	for _, n := range ns {
 		if n.ticks != 20 {
@@ -270,25 +268,11 @@ func TestParallelMoreWorkersThanComponents(t *testing.T) {
 }
 
 func TestParallelEmptyEngineRuns(t *testing.T) {
-	p := pooled(t, New(), 4)
+	p := pooled(New(), 4)
 	if n := p.Run(5); n != 5 {
 		t.Errorf("Run = %d", n)
 	}
 	if p.Cycle() != 5 {
 		t.Errorf("cycle = %d", p.Cycle())
-	}
-}
-
-func TestParallelCloseIsIdempotentAndEngineSurvives(t *testing.T) {
-	e, _ := buildChain(t, 3, 0)
-	p := pooled(t, e, 3)
-	p.Run(5)
-	p.Close()
-	p.Close()
-	// Close released the goroutines, not the engine: the next run starts
-	// them again (and the cleanup releases those).
-	e.Run(5)
-	if e.Cycle() != 10 {
-		t.Errorf("engine cycle after pool close = %d, want 10", e.Cycle())
 	}
 }

@@ -1,43 +1,36 @@
-// The pooled walk: a cycle evaluated by a worker pool.
+// A crew: a cycle evaluated by a pool of workers.
 //
 // The paper's FPGA evaluates every emulated device concurrently once
-// per clock. A pool recovers that property in software: the registered
+// per clock. A crew recovers that property in software: the registered
 // components are partitioned into per-worker shards — runs of same-type
 // registrations and arenas alike by contiguous index range, so that an
 // endpoint's devices share a worker with their switch — and each cycle
-// is one pass of every worker over its shard, ended by one barrier. An
-// engine with workers (SetWorkers) walks every cycle on one; a gated
-// engine without them hires one — a crew — for each run where the
-// platform is big enough and the host has the processors, and walks
-// its gated cycles and the stretches its gates stand down for on it
-// (duty.go). No component reads in a cycle
-// what another wrote in it — the cycle boundary lives in the wires'
-// parity slots and the switches' start-of-cycle occupancy — so the
-// schedule is order-independent and any sharding produces results
-// bit-identical to the sequential walks.
+// is one pass of every worker over its shard, ended by one barrier. A
+// gated engine hires one for each run where the platform is big enough
+// and the host has the processors, and walks its gated cycles and the
+// stretches its gates stand down for on it (duty.go). No component
+// reads in a cycle what another wrote in it — the cycle boundary lives
+// in the wires' parity slots and the switches' start-of-cycle occupancy
+// — so the schedule is order-independent and any sharding produces
+// results bit-identical to the one-core walks.
 //
-// Synchronization is built for cycle-rate use: an engine's own
-// goroutines are spawned at its first run and sleep on a channel
-// between runs; a crew's are spawned when the run hires it and exit when
-// the run ends. Within a run they free-run, meeting at one
-// coordinator-released spin gate per phase of a cycle (no per-cycle
-// goroutine spawning, no per-cycle channel traffic). The caller's
-// goroutine is worker 0 and the coordinator: it evaluates its own shard
-// and owns the gate's release. Between the last arrival and the next
-// release — while the workers spin at the gate, on a fully executed
-// phase — it ticks the SerialTicker components alone, and the run loop
-// (Engine.run) polls the stop predicate and looks for a window to skip.
-// The stop decision is therefore exact.
+// Synchronization is built for cycle-rate use: a crew's goroutines are
+// spawned when the run hires it and exit when the run ends. Within a
+// run they free-run, meeting at one coordinator-released spin gate per
+// phase of a cycle (no per-cycle goroutine spawning, no per-cycle
+// channel traffic). The caller's goroutine is worker 0 and the
+// coordinator: it evaluates its own shard and owns the gate's release.
+// Between the last arrival and the next release — while the workers
+// spin at the gate, on a fully executed phase — it ticks the
+// SerialTicker components alone, and the run loop (Engine.run) polls
+// the stop predicate and looks for a window to skip. The stop decision
+// is therefore exact.
 //
-// Gating: an engine's own pool parks nothing. Workers always walk their
-// full shards (a quiet component's Tick is a no-op, so this is
-// bit-identical to the gates' per-component parking), and the run loop
-// fast-forwards over the windows in which every component reports quiet
-// (nextWake), paying the skipped cycles into the per-cycle counters with
-// SkipIdle. A crew walks a gated cycle in two phases over the worker's
-// share of the gates instead (quiesce.go, crewGates): its active lists,
-// then — once every worker has ticked — its quiet report and the wakes
-// addressed to it. A stand-down stretch has nothing parked to begin with.
+// A crew walks a gated cycle in two phases over the worker's share of
+// the gates (quiesce.go, crewGates): its active lists, then — once
+// every worker has ticked — its quiet report and the wakes addressed to
+// it. A stand-down stretch has nothing parked to begin with, and is one
+// plain phase per cycle.
 //
 // Flit ownership under sharding: a flit handed from one component to
 // another (via a link) may cross worker shards, but the wire already
@@ -74,8 +67,8 @@ const (
 // The busy-wait at a gate before the spinner yields the processor is
 // bounded, so the engine stays live (if slow) even with more workers
 // than GOMAXPROCS: spinYield spins, or spinLong where every worker has
-// a processor of its own — a crew always does — and a yield would only
-// delay it (a gated cycle on a crew meets at the gate twice;
+// a processor of its own — a hired crew always does — and a yield would
+// only delay it (a gated cycle on a crew meets at the gate twice;
 // EXPERIMENTS.md, "The gate shards").
 const (
 	spinYield = 128
@@ -130,10 +123,9 @@ func (g *gate) release(cmd uint32) {
 	g.epoch.Add(1)
 }
 
-// pool is the state of a worker pool: the shards, the goroutines
-// evaluating them and the gate they meet at. An engine with workers
-// keeps one for good (Engine.pool); a gated engine without them keeps
-// one for its crews (sched.pool) and hires it run by run (duty.go).
+// pool is the state of a crew: the shards, the goroutines evaluating
+// them and the gate they meet at. A gated engine keeps one for its
+// crews (sched.pool) and hires it run by run (duty.go).
 type pool struct {
 	// shards are static per-worker component slices, rebuilt only when
 	// the registration count changes (deal).
@@ -145,9 +137,6 @@ type pool struct {
 	spans   [][]arenaSpan
 	serial  []Component // SerialTicker components, coordinator-only
 	sharded int         // registration count the shards were built from
-	// quies is every component as a Quiescable — empty unless all of
-	// them are, the condition for an engine's own pool to skip anything.
-	quies []Quiescable
 
 	// A crew's share of the gates (quiesce.go), built with the shards:
 	// owner is the worker of every registry slot, coordinator (-1) for
@@ -158,18 +147,15 @@ type pool struct {
 	gates []crewGates
 	deals int
 
-	work []chan struct{} // an engine's own workers: one per channel; nil for a crew
-	// helpers are a crew's goroutine bodies, spawned starting at epoch
+	// helpers are the goroutine bodies, spawned starting at epoch
 	// spawned.
 	helpers []func()
 	spawned uint32
 	exited  sync.WaitGroup
 	gate    gate
-	// live says the workers are awake, spinning at the gate — for an
-	// engine's own pool, once a cycle of the run has executed. next
-	// carries the cycle to evaluate to them; it is written before the
-	// release that starts the phase and read after it, which orders it.
-	live bool
+	// next carries the cycle to evaluate to the workers; it is written
+	// before the release that starts the phase and read after it, which
+	// orders it.
 	next uint64
 }
 
@@ -184,25 +170,9 @@ func newPool(n int) *pool {
 	return p
 }
 
-// enter readies an engine's own pool for a run, while every worker
-// sleeps: the goroutines are spawned at the first one, and the
-// components are redistributed if registrations changed since the last.
-func (p *pool) enter(e *Engine) {
-	if p.work == nil {
-		p.work = make([]chan struct{}, len(p.shards)-1)
-		p.exited.Add(len(p.work))
-		epoch := p.gate.epoch.Load()
-		for i := range p.work {
-			p.work[i] = make(chan struct{})
-			go p.runWorker(i+1, p.work[i], epoch)
-		}
-	}
-	p.deal(e)
-}
-
 // deal distributes the components to the workers if registrations
 // changed since the last deal: components by runs, arenas by spans,
-// and — on a gated engine — the gates' slots and elements with them.
+// and the gates' slots and elements with them.
 func (p *pool) deal(e *Engine) {
 	if p.sharded == len(e.components) {
 		return
@@ -213,13 +183,9 @@ func (p *pool) deal(e *Engine) {
 		p.spans[i] = p.spans[i][:0]
 	}
 	p.serial = p.serial[:0]
-	p.quies = p.quies[:0]
 	p.owner = make([]int32, len(e.components))
 	var dealt []int
 	for i, c := range e.components {
-		if q, ok := c.(Quiescable); ok && e.sched == nil { // a crew skips on its gates
-			p.quies = append(p.quies, q)
-		}
 		if _, ok := c.(SerialTicker); ok {
 			p.serial = append(p.serial, c)
 			p.owner[i] = coordinator
@@ -229,15 +195,10 @@ func (p *pool) deal(e *Engine) {
 			dealt = append(dealt, i)
 		}
 	}
-	if len(p.quies) != len(e.components) {
-		p.quies = p.quies[:0]
-	}
 	p.dealRuns(e.components, dealt)
 	dealSpans(e.arenas, p.spans)
 	p.deals++
-	if e.sched != nil {
-		p.shareGates(e)
-	}
+	p.shareGates(e)
 }
 
 // owner values of the registry slots no worker walks.
@@ -280,9 +241,9 @@ func (p *pool) workerOf(e *Engine, r ref) int32 {
 	return max(p.owner[r.slot], 0)
 }
 
-// spawn starts a crew's helpers for one run: they spin at the gate from
-// the start, and exit at the run's stop (dismiss). Their bodies are
-// bound once per pool, so a run allocates nothing to start them.
+// spawn starts the helpers for one run: they spin at the gate from the
+// start, and exit at the run's stop (dismiss). Their bodies are bound
+// once per pool, so a run allocates nothing to start them.
 func (p *pool) spawn() {
 	if p.helpers == nil {
 		for id := 1; id < len(p.shards); id++ {
@@ -294,18 +255,6 @@ func (p *pool) spawn() {
 	for _, h := range p.helpers {
 		go h()
 	}
-	p.live = true
-}
-
-// close ends an engine's own pool's goroutines — asleep between runs,
-// they exit at once — and returns when they have. The next enter
-// starts them afresh.
-func (p *pool) close() {
-	for _, ch := range p.work {
-		close(ch)
-	}
-	p.work = nil
-	p.exited.Wait()
 }
 
 // tick evaluates worker id's share of cycle c: its arena spans, then
@@ -319,29 +268,15 @@ func (p *pool) tick(id int, c uint64) {
 	}
 }
 
-// runWorker is the body of an engine's own pool goroutine: sleep on the
-// channel, then serve the releases of the run.
-func (p *pool) runWorker(id int, wake chan struct{}, epoch uint32) {
-	defer p.exited.Done()
-	for range wake {
-		epoch = p.serve(id, epoch)
-	}
-}
-
-// crewWorker is the body of a crew's helper: it serves one run, from
-// the epoch the run spawned it at.
+// crewWorker is the body of a helper: it carries out the coordinator's
+// releases of one run, from the epoch the run spawned it at, meeting it
+// at the gate after each, until one says stop.
 func (p *pool) crewWorker(id int) {
 	defer p.exited.Done()
-	p.serve(id, p.spawned)
-}
-
-// serve carries out the coordinator's releases, meeting it at the gate
-// after each, until one says stop; it returns the stop's epoch.
-func (p *pool) serve(id int, epoch uint32) uint32 {
-	for {
+	for epoch := p.spawned; ; {
 		var cmd uint32
 		if epoch, cmd = p.gate.wait(epoch); cmd == cmdStop {
-			return epoch
+			return
 		}
 		switch cmd {
 		case cmdTick:
@@ -355,17 +290,6 @@ func (p *pool) serve(id int, epoch uint32) uint32 {
 	}
 }
 
-// start wakes the workers if they sleep and releases them with cmd.
-func (p *pool) start(cmd uint32) {
-	if !p.live {
-		p.live = true
-		for _, ch := range p.work {
-			ch <- struct{}{}
-		}
-	}
-	p.gate.release(cmd)
-}
-
 // join waits until every other worker has done its share of the phase.
 func (p *pool) join() { p.gate.waitOthers(int32(len(p.shards) - 1)) }
 
@@ -373,39 +297,10 @@ func (p *pool) join() { p.gate.waitOthers(int32(len(p.shards) - 1)) }
 // SerialTickers do, alone.
 func (p *pool) walk(c uint64) {
 	p.next = c
-	p.start(cmdTick)
+	p.gate.release(cmdTick)
 	p.tick(0, c)
 	p.join()
 	for _, comp := range p.serial {
 		comp.Tick(c)
 	}
-}
-
-// leave sends the workers back to sleep — a crew's out of the run.
-func (p *pool) leave() {
-	if p.live {
-		p.live = false
-		p.gate.release(cmdStop)
-	}
-}
-
-// nextWake reports whether every component is quiet as of the cycle
-// before next, and until when. It needs that cycle to have executed in
-// this run: what happened between runs is seen by evaluating a cycle,
-// as the gates do by re-activating every component at entry.
-func (p *pool) nextWake(next uint64) (wake uint64, quiet bool) {
-	if !p.live || len(p.quies) == 0 {
-		return 0, false
-	}
-	wake = NeverWake
-	for _, q := range p.quies {
-		w, quiet := q.NextWake(next - 1)
-		if !quiet {
-			return 0, false
-		}
-		if w < wake {
-			wake = w
-		}
-	}
-	return wake, true
 }

@@ -32,7 +32,7 @@
 //     schedule would have produced.
 //
 // Who is active and who is owed what is one type, clockGate, below. A
-// gated engine without workers instantiates it once over the component
+// gated engine instantiates it once over the component
 // registry and once over the elements of every registered arena; an
 // arena's gate then stands in the arena's registry slot, so gating nests: the
 // registry parks the slot when the arena's gate has nothing active. The
@@ -738,10 +738,9 @@ func (g *crewGates) QuietList(idx []int, cycle uint64, quiet []int) []int {
 }
 func (g *crewGates) ElemSkipIdle(i int, from, n uint64) { g.s.ElemSkipIdle(i, from, n) }
 
-// tick is the worker's first phase of a gated cycle: its timers, then
-// its active lists.
+// tick is the worker's first phase of a gated cycle: its active lists,
+// its timers already woken (crewWalk).
 func (g *crewGates) tick(cycle uint64) {
-	g.s.wakeDue(&g.heap, &g.reg, cycle)
 	g.reg.Tick(cycle)
 	for k := range g.arenas {
 		g.arenas[k].Tick(cycle)
@@ -750,7 +749,8 @@ func (g *crewGates) tick(cycle uint64) {
 
 // report is the second, once every worker has ticked: the worker parks
 // what went quiet and wakes what was sent input, as the one-core walk's
-// report and flush do.
+// report and flush do, and what its timers have due in the next cycle —
+// while no worker ticks, so their SkipIdle may take from their wires.
 func (g *crewGates) report(w int, cycle uint64) {
 	for k := range g.arenas {
 		g.arenas[k].report(cycle)
@@ -759,6 +759,7 @@ func (g *crewGates) report(w int, cycle uint64) {
 	for _, t := range g.e.tables {
 		t.deliver(g, w, cycle+1)
 	}
+	g.s.wakeDue(&g.heap, &g.reg, cycle+1)
 }
 
 // busy reports whether any worker has something active.
@@ -865,17 +866,24 @@ func (s *sched) gather() {
 // it to and ticks the SerialTickers; the workers report their quiet and
 // apply their wakes; the coordinator reports the SerialTickers'. Every
 // worker keeps the timers of what it owns, the coordinator those of the
-// SerialTickers.
+// SerialTickers. Every timer due is woken before any worker ticks, as
+// on the one-core walk: a wake pays the parked its SkipIdle, which takes
+// from wires whose other end may tick on another worker. A worker wakes
+// what its timers have due next in its report; the coordinator wakes
+// the rest — due in the first cycle of a crew or after a skip — here.
 func (e *Engine) crewWalk(s *sched) {
 	p, c := s.crew, e.cycle
 	s.wakeDue(&s.heap, &s.reg, c)
+	for w := range p.gates {
+		s.wakeDue(&p.gates[w].heap, &p.gates[w].reg, c)
+	}
 	if s.reg.dirty {
 		slices.Sort(s.reg.act)
 		s.reg.dirty = false
 	}
 	p.next = c
 	s.phaseA = true
-	p.start(cmdGated)
+	p.gate.release(cmdGated)
 	p.gates[0].tick(c)
 	p.join()
 	s.phaseA = false
@@ -889,7 +897,7 @@ func (e *Engine) crewWalk(s *sched) {
 		t.armLate(s, c)
 	}
 	s.reg.Tick(c)
-	p.start(cmdReport)
+	p.gate.release(cmdReport)
 	p.gates[0].report(0, c)
 	p.join()
 	s.reg.report(c)

@@ -182,16 +182,18 @@ func far() *stub { return &stub{name: "far", wakes: []uint64{5000}} }
 // schedule is walked plainly, gated, gated with the gates standing down
 // and resuming every few hundred cycles (plain, or on a crew of one
 // worker per arena element where the host has the processors), gated on
-// such a crew with the gates never standing down, or by a pool of 1, 2
-// or 7 workers, gated or not. It also pins the pool's lifetime: no
-// goroutine before the first run, none after Close.
+// such a crew with the gates never standing down, or on a crew of 1, 2
+// or 7 workers forced on any host (CrewOf) — the last of them standing
+// down after every probe window, so that it walks the plain schedule on
+// its crew nearly throughout. It also pins a crew's lifetime: its
+// helpers run while the run does, and not before or after.
 func TestRunLoopContract(t *testing.T) {
 	walks := []struct {
-		name    string
-		gated   bool
-		workers int
-		share   int // the stand-down share (duty.go): 0 after every probe window, 65 never; -1 keeps standDownShare
-		span    int // arena elements per worker of a crew; 0 keeps poolSpan
+		name  string
+		gated bool
+		crew  int // a crew forced on every run (CrewOf); 0 leaves it to the host and the budget
+		share int // the stand-down share (duty.go): 0 after every probe window, 65 never; -1 keeps standDownShare
+		span  int // arena elements per worker of a crew; 0 keeps poolSpan
 	}{
 		{"ungated", false, 0, -1, 0}, // the reference
 		{"gated", true, 0, -1, 0},
@@ -201,7 +203,7 @@ func TestRunLoopContract(t *testing.T) {
 		{"pool1", true, 1, -1, 0},
 		{"pool2", true, 2, -1, 0},
 		{"pool7", true, 7, -1, 0},
-		{"pool2-ungated", false, 2, -1, 0},
+		{"pool2-ungated", true, 2, 0, 0},
 	}
 	entries := []struct {
 		name  string
@@ -292,11 +294,10 @@ func TestRunLoopContract(t *testing.T) {
 		for _, w := range walks {
 			t.Run(en.name+"/"+w.name, func(t *testing.T) {
 				r := &contractRig{e: New(), arena: &ledgerArena{name: "arena", elems: make([]ledger, 5)}}
-				if err := r.e.SetWorkers(w.workers); err != nil {
-					t.Fatal(err)
-				}
-				defer r.e.Close()
 				r.e.SetGated(w.gated)
+				if w.crew > 0 {
+					CrewOf(r.e, w.crew)
+				}
 				if w.share >= 0 {
 					r.e.sched.duty.share = w.share
 				}
@@ -312,6 +313,9 @@ func TestRunLoopContract(t *testing.T) {
 				upto := r.e.Cycle()
 				if pooled := r.e.PooledCycles() > 0; w.span > 0 && upto > 2*probeCycles && pooled != (runtime.GOMAXPROCS(0) > 1) {
 					t.Errorf("walked on a crew: %v at GOMAXPROCS %d", pooled, runtime.GOMAXPROCS(0))
+				}
+				if pooled := r.e.PooledCycles() > 0; w.crew > 0 && pooled != (w.crew > 1 && upto > 0) {
+					t.Errorf("walked on a forced crew of %d: %v", w.crew, pooled)
 				}
 				for _, s := range r.stubs {
 					s.check(t, s.name, s.from, upto, s.busy)
@@ -337,58 +341,60 @@ func TestRunLoopContract(t *testing.T) {
 		}
 	}
 
-	// The pool's own workers are counted exactly, by the function they
-	// run; the goroutines of the process, which an earlier test's may
-	// still be leaving, only at most.
+	// A crew's helpers are counted exactly, by the function they run;
+	// the goroutines of the process, which an earlier test's may still
+	// be leaving, only at most. A forced crew takes none from the budget.
 	t.Run("pool-lifetime", func(t *testing.T) {
 		workers := func(want int) {
 			t.Helper()
-			// A goroutine Close has waited for may still be on its way out.
+			// A goroutine dismiss has waited for may still be on its way out.
 			for deadline := time.Now().Add(2 * time.Second); poolWorkers() != want; runtime.Gosched() {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d pool workers, want %d", poolWorkers(), want)
+					t.Fatalf("%d crew helpers, want %d", poolWorkers(), want)
 				}
 			}
 		}
 		before := runtime.NumGoroutine()
 		e := New()
-		e.MustRegister(&stub{name: "busy", busy: true})
-		if err := e.SetWorkers(7); err != nil {
-			t.Fatal(err)
-		}
+		e.SetGated(true)
+		CrewOf(e, 7)
+		var during []int
+		e.MustRegister(&serialProbe{f: func() { during = append(during, poolWorkers(), int(helpers.Load())) }})
 		workers(0) // built, never run: holds none
-		settledGoroutines(t, before)
-		e.Run(3)
-		workers(6)
-		settledGoroutines(t, before+6)
-		e.Close()
-		e.Close()
-		workers(0)
-		settledGoroutines(t, before)
-		e.Run(3) // Close released goroutines, not the engine
-		workers(6)
-		settledGoroutines(t, before+6)
-		if err := e.SetWorkers(0); err != nil {
-			t.Fatal(err)
+		for run := 1; run <= 2; run++ {
+			e.Run(3)
+			workers(0)
+			settledGoroutines(t, before)
+			var want []int
+			for range 3 * run {
+				want = append(want, 6, 0)
+			}
+			if !slices.Equal(during, want) {
+				t.Errorf("(helpers, budget held) in each cycle of %d runs: %v, want %v", run, during, want)
+			}
 		}
-		workers(0)
-		settledGoroutines(t, before)
-		if e.Run(3); e.Cycle() != 9 {
-			t.Errorf("cycle = %d after three runs of 3", e.Cycle())
-		}
-		if err := e.SetWorkers(-3); err == nil {
-			t.Error("a negative worker count was accepted")
+		if e.Cycle() != 6 {
+			t.Errorf("cycle = %d after two runs of 3", e.Cycle())
 		}
 	})
 }
 
-// poolWorkers counts the goroutines in the body of an engine's own pool
-// (pool.runWorker), from the stacks of all of them.
+// serialProbe is a SerialTicker that calls f in every cycle it ticks:
+// on a crew, on the coordinator while the helpers wait at the gate.
+type serialProbe struct{ f func() }
+
+func (p *serialProbe) ComponentName() string { return "probe" }
+func (p *serialProbe) Tick(uint64)           { p.f() }
+func (p *serialProbe) Commit(uint64)         {}
+func (p *serialProbe) TickSerially()         {}
+
+// poolWorkers counts the goroutines in the body of a crew's helper
+// (pool.crewWorker), from the stacks of all of them.
 func poolWorkers() int {
 	buf := make([]byte, 64<<10)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return bytes.Count(buf[:n], []byte(".(*pool).runWorker("))
+			return bytes.Count(buf[:n], []byte(".(*pool).crewWorker("))
 		}
 		buf = make([]byte, 2*len(buf))
 	}

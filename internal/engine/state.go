@@ -6,8 +6,8 @@
 // — is scheduling ephemera that is settled at every kernel exit and
 // restarted by LoadState (quiesce.go, rebase).
 // Because none of it is serialized, a snapshot is configuration-free:
-// the same bytes restore into an engine with or without workers, gated
-// or not, and the runs stay bit-identical.
+// the same bytes restore into an engine gated or not, on a crew or
+// not, and the runs stay bit-identical.
 package engine
 
 import (

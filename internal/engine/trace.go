@@ -10,8 +10,8 @@ package engine
 //
 // Implementations are called on the engine's own goroutine only: park
 // and wake fire inside the gated walk, fast-forward in the run loop
-// between two cycles — with workers, while they spin at the pool's
-// gate. No locking is required.
+// between two cycles. No locking is required: a run with a SchedTrace
+// hires no crew (duty.go).
 type SchedTrace interface {
 	// SchedPark reports that the component was removed from the walk
 	// at the end of the given cycle.

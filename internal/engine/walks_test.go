@@ -19,7 +19,7 @@ import (
 // The wire contract across walks. A wire takes its cycle from the Tick
 // of whoever sends on it, takes from it or faults it, never from the
 // engine; every counter read from it is derived. So every walk of one platform — plain, gated, gated with the
-// gates standing down after every probe window, gated on a crew, two workers, and a class
+// gates standing down after every probe window, gated on a crew, on a crew of two forced on any host, and a class
 // walk that drives Engine.Components itself with its own cycle numbers,
 // as the repository benchmark's does — must leave the same totals, the
 // same LINK-bank reads, the same collector samples at every window
@@ -30,7 +30,6 @@ import (
 type walker struct {
 	name    string
 	noGate  bool
-	workers int
 	prepare func(p *platform.Platform)
 	// class drives the components itself; the engine's counter stays
 	// where it is until the walk sets it to the walk's own cycle.
@@ -150,7 +149,7 @@ func TestWireContractAcrossWalks(t *testing.T) {
 		{name: "gated"},
 		{name: "gated-standing-down", prepare: func(p *platform.Platform) { engine.StandDownAlways(p.Engine()) }},
 		{name: "gated-crew", prepare: func(p *platform.Platform) { engine.CrewAlways(p.Engine()) }},
-		{name: "workers=2", workers: 2},
+		{name: "crew=2", prepare: func(p *platform.Platform) { engine.CrewOf(p.Engine(), 2) }},
 		{name: "class-walk", noGate: true, class: true},
 	}
 	for _, tc := range []struct {
@@ -174,7 +173,7 @@ func TestWireContractAcrossWalks(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Trace = &probe.Config{Window: 100}
-				cfg.NoGate, cfg.Workers = w.noGate, w.workers
+				cfg.NoGate = w.noGate
 				p, err := platform.Build(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -193,7 +192,6 @@ func TestWireContractAcrossWalks(t *testing.T) {
 				got[0] = observe(t, p)
 				w.run(p, end-split)
 				got[1] = observe(t, p)
-				p.Close()
 				if i == 0 {
 					want = got
 					if got[1].totals.FlitsRouted == 0 {

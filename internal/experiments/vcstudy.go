@@ -101,7 +101,6 @@ func vcStudyRun(vcs, perSource int, plen uint16, maxCycles uint64) (cycles uint6
 	if err != nil {
 		return 0, false, 0, err
 	}
-	defer p.Close()
 	if _, err := p.AttachWatchdog(1_000); err != nil {
 		return 0, false, 0, err
 	}

@@ -60,8 +60,7 @@ func (o *Options) applyDefaults() {
 // RunReport is the outcome of a full flow execution.
 type RunReport struct {
 	// Platform is the compiled platform (step 1), still queryable and
-	// runnable. When Config.Workers > 0 the caller owns its worker
-	// pool: call Platform.Close once done with it.
+	// runnable.
 	Platform *platform.Platform
 	// Synthesis is the step-2 estimate (nil when skipped).
 	Synthesis *resource.Report
@@ -96,23 +95,16 @@ func Run(cfg platform.Config, prog control.Program, opt Options) (*RunReport, er
 		return nil, fmt.Errorf("flow: platform compilation: %w", err)
 	}
 
-	// On failure the platform never reaches the caller, so release its
-	// worker pool (a no-op for sequential platforms) before returning.
-	fail := func(err error) (*RunReport, error) {
-		p.Close()
-		return nil, err
-	}
-
 	// Step 2: physical synthesis.
 	var syn *resource.Report
 	if !opt.SkipSynthesis {
 		syn, err = resource.Estimate(p, opt.Target)
 		if err != nil {
-			return fail(fmt.Errorf("flow: synthesis: %w", err))
+			return nil, fmt.Errorf("flow: synthesis: %w", err)
 		}
 		if !syn.Fits() {
-			return fail(fmt.Errorf("flow: platform needs %d slices, target %s has %d",
-				syn.TotalSlices, syn.Target.Name, syn.Target.Slices))
+			return nil, fmt.Errorf("flow: platform needs %d slices, target %s has %d",
+				syn.TotalSlices, syn.Target.Name, syn.Target.Slices)
 		}
 	}
 
@@ -124,7 +116,7 @@ func Run(cfg platform.Config, prog control.Program, opt Options) (*RunReport, er
 	}
 	compiled, err := control.Compile(prog, p.System())
 	if err != nil {
-		return fail(fmt.Errorf("flow: software compilation: %w", err))
+		return nil, fmt.Errorf("flow: software compilation: %w", err)
 	}
 
 	// Warm start: load the snapshot after initialization is validated,
@@ -132,7 +124,7 @@ func Run(cfg platform.Config, prog control.Program, opt Options) (*RunReport, er
 	// what actually runs.
 	if opt.Restore != "" {
 		if err := restoreFrom(p, opt.Restore); err != nil {
-			return fail(fmt.Errorf("flow: restore: %w", err))
+			return nil, fmt.Errorf("flow: restore: %w", err)
 		}
 	}
 
@@ -141,14 +133,14 @@ func Run(cfg platform.Config, prog control.Program, opt Options) (*RunReport, er
 	var res *control.Result
 	if opt.CheckpointEvery > 0 {
 		if custom {
-			return fail(fmt.Errorf("flow: checkpointing drives the run itself and requires the default program"))
+			return nil, fmt.Errorf("flow: checkpointing drives the run itself and requires the default program")
 		}
 		res, err = runCheckpointed(p, prog.Name, opt)
 	} else {
 		res, err = p.Processor().Execute(compiled)
 	}
 	if err != nil {
-		return fail(fmt.Errorf("flow: emulation: %w", err))
+		return nil, fmt.Errorf("flow: emulation: %w", err)
 	}
 	wall := time.Since(start)
 

@@ -113,7 +113,6 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Platform.Close()
 
 	dir := t.TempDir()
 	rep, err := Run(paperCfg(t), control.Program{}, Options{
@@ -124,7 +123,6 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rep.Platform.Close()
 	if !rep.Exec.Stopped {
 		t.Fatal("checkpointed run did not stop")
 	}
@@ -148,7 +146,6 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer warm.Platform.Close()
 	if warm.Totals != ref.Totals {
 		t.Errorf("restored run diverged: %+v vs %+v", warm.Totals, ref.Totals)
 	}

@@ -209,9 +209,6 @@ type File struct {
 	TGs      []TGSpec      `json:"tgs,omitempty"`
 	TRs      []TRSpec      `json:"trs,omitempty"`
 	Seed     uint32        `json:"seed,omitempty"`
-	// Workers selects the simulation kernel (0 = sequential, N >= 1 =
-	// parallel kernel with N workers; results are bit-identical).
-	Workers int `json:"workers,omitempty"`
 	// NoGate disables quiescence-aware scheduling (results are
 	// bit-identical either way; gating only speeds up idle cycles).
 	NoGate bool `json:"no_gate,omitempty"`
@@ -347,7 +344,6 @@ func (f *File) ToConfig(baseDir string) (platform.Config, error) {
 	cfg.Routing = platform.RoutingScheme(f.Routing)
 	cfg.AllowDeadlock = f.AllowDeadlock
 	cfg.Seed = f.Seed
-	cfg.Workers = f.Workers
 	cfg.NoGate = f.NoGate
 	cfg.Trace = f.Trace
 	for _, ov := range f.Overrides {

@@ -45,7 +45,7 @@ const (
 type ServePlatform struct {
 	// Config is a complete inline platform config (same schema as the
 	// nocemu JSON file format). When set, the spec fields below are
-	// ignored except Workers/NoGate overrides and the serve tunables.
+	// ignored except the NoGate override and the serve tunables.
 	Config *File `json:"config,omitempty"`
 	// Topo is a declarative topology spec string, e.g. "mesh:w=4,h=4"
 	// (default). See TOPOLOGIES.md for the registry.
@@ -62,10 +62,9 @@ type ServePlatform struct {
 	// structure (hotspot victim placement).
 	Seed         uint32 `json:"seed,omitempty"`
 	WorkloadSeed uint32 `json:"workload_seed,omitempty"`
-	// Workers selects the platform kernel (0 = sequential); NoGate
-	// disables quiescence gating. Results are bit-identical either way.
-	Workers int  `json:"workers,omitempty"`
-	NoGate  bool `json:"no_gate,omitempty"`
+	// NoGate disables quiescence gating. Results are bit-identical
+	// either way.
+	NoGate bool `json:"no_gate,omitempty"`
 	// Warmup runs this many cycles before the session starts (answers
 	// then reflect steady state); warmed snapshots are cached so later
 	// sessions skip the replay.

@@ -57,10 +57,8 @@ type SweepFile struct {
 	// Seed/WorkloadSeed pin the sweep's randomness.
 	Seed         uint32 `json:"seed,omitempty"`
 	WorkloadSeed uint32 `json:"workload_seed,omitempty"`
-	// Workers is the number of dedicated sweep workers (dse.Config.Workers);
-	// PlatformWorkers each platform's inner kernel.
-	Workers         int `json:"workers,omitempty"`
-	PlatformWorkers int `json:"platform_workers,omitempty"`
+	// Workers is the number of dedicated sweep workers (dse.Config.Workers).
+	Workers int `json:"workers,omitempty"`
 	// Search is "grid" (default) or "pareto".
 	Search string `json:"search,omitempty"`
 	// Objectives name the Pareto objectives (default latency,
@@ -76,19 +74,18 @@ type SweepFile struct {
 // relative journal/cache paths.
 func (f *SweepFile) ToSweep(baseDir string) (dse.Config, error) {
 	cfg := dse.Config{
-		Name:            f.Name,
-		Forks:           f.Forks,
-		WarmupCycles:    f.WarmupCycles,
-		MeasureCycles:   f.MeasureCycles,
-		PacketLen:       f.PacketLen,
-		Seed:            f.Seed,
-		WorkloadSeed:    f.WorkloadSeed,
-		Workers:         f.Workers,
-		PlatformWorkers: f.PlatformWorkers,
-		Search:          dse.Search(f.Search),
-		Objectives:      f.Objectives,
-		Journal:         anchorPath(baseDir, f.Journal),
-		CacheDir:        anchorPath(baseDir, f.CacheDir),
+		Name:          f.Name,
+		Forks:         f.Forks,
+		WarmupCycles:  f.WarmupCycles,
+		MeasureCycles: f.MeasureCycles,
+		PacketLen:     f.PacketLen,
+		Seed:          f.Seed,
+		WorkloadSeed:  f.WorkloadSeed,
+		Workers:       f.Workers,
+		Search:        dse.Search(f.Search),
+		Objectives:    f.Objectives,
+		Journal:       anchorPath(baseDir, f.Journal),
+		CacheDir:      anchorPath(baseDir, f.CacheDir),
 	}
 	if len(f.Topologies) == 0 {
 		return dse.Config{}, fmt.Errorf("jsonio: sweep has no topologies")

@@ -60,7 +60,6 @@ func TestWorkloadObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.RunCycles(2_000)
 	if !p.Drained() {
 		t.Error("bounded workload did not drain in 2000 cycles")
@@ -91,7 +90,6 @@ func TestWorkloadObjectAt1kNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.RunCycles(200)
 	if p.Totals().FlitsReceived == 0 {
 		t.Error("no flits delivered after 200 cycles")
@@ -181,7 +179,6 @@ func TestFlowIncastHotspotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.RunCycles(5_000)
 	if !p.Drained() {
 		t.Error("bounded run did not drain")

@@ -197,7 +197,6 @@ func TestReportsEveryDeviceAtScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			p.RunCycles(300)
 			var buf bytes.Buffer
 			if err := WriteJSON(&buf, p); err != nil {

@@ -17,9 +17,29 @@ func mesh(n int) topology.Spec {
 	return topology.Spec{Kind: "mesh", Param: map[string]int{"w": n, "h": n}}
 }
 
+// allocsPerRun is testing.AllocsPerRun at the test's GOMAXPROCS —
+// AllocsPerRun pins it to 1, where no run hires a crew: after one
+// warming call it calls f runs times and returns the objects allocated
+// and the flits p's pool grew by, per call.
+func allocsPerRun(p *platform.Platform, runs int, f func()) (avg, grown float64) {
+	f()
+	flits := p.Pool().Allocated()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(p.Pool().Allocated()-flits) / float64(runs)
+}
+
 // TestMeshSteadyStateZeroAlloc is the at-scale allocation guard: on a
 // 16×16 mesh (256 nodes, the paper-scale target) the cycle loop must
-// allocate nothing once the flit pool has reached its high-water mark.
+// allocate nothing once the flit pool has reached its high-water mark
+// on one processor. At the test's GOMAXPROCS every run walks on a crew,
+// and may allocate besides the flits the pool grows by only what the
+// runtime takes to start a helper goroutine: two objects per helper at
+// most, as TestCrewRunAllocs bounds it.
 func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -32,13 +52,22 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.RunCycles(50_000)
 	avg := testing.AllocsPerRun(20, func() {
 		p.RunCycles(100)
 	})
 	if avg > 0 {
 		t.Errorf("256-node mesh RunCycles allocates %.1f objects per 100 cycles, want 0", avg)
+	}
+	pooled := p.Engine().PooledCycles()
+	avg, grown := allocsPerRun(p, 20, func() { p.RunCycles(100) })
+	helpers := min(runtime.GOMAXPROCS(0), 16*16/64) - 1
+	if avg-grown > float64(2*helpers) {
+		t.Errorf("at GOMAXPROCS %d RunCycles(100) allocates %.1f objects per run, the flit pool %.1f of them; want at most %d more",
+			runtime.GOMAXPROCS(0), avg, grown, 2*helpers)
+	}
+	if crew := p.Engine().PooledCycles() - pooled; (crew == 21*100) != (helpers > 0) {
+		t.Errorf("%d of the runs' %d cycles walked on a crew at GOMAXPROCS %d", crew, 21*100, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -65,18 +94,7 @@ func TestCrewRunAllocs(t *testing.T) {
 	}
 	p.RunCycles(2_000)
 	pooled := p.Engine().PooledCycles()
-	// testing.AllocsPerRun, but at the test's GOMAXPROCS: it would run
-	// on one processor, where no run hires a crew.
-	p.RunCycles(400)
-	flits := p.Pool().Allocated()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 10 {
-		p.RunCycles(400)
-	}
-	runtime.ReadMemStats(&after)
-	avg := float64(after.Mallocs-before.Mallocs) / 10
-	grown := float64(p.Pool().Allocated()-flits) / 10
+	avg, grown := allocsPerRun(p, 10, func() { p.RunCycles(400) })
 	helpers := min(runtime.GOMAXPROCS(0), 32*32/64) - 1
 	if avg-grown > float64(2*helpers) {
 		t.Errorf("RunCycles(400) allocates %.1f objects per run, the flit pool %.1f of them; want at most %d more", avg, grown, 2*helpers)
@@ -88,21 +106,20 @@ func TestCrewRunAllocs(t *testing.T) {
 
 // TestMeshDrainLeakFree is the at-scale pool guard: after draining a
 // 16×16 mesh mid-flight, every pooled flit must be back on a freelist.
+// (On a crew of four forced on any host: the engine package's
+// TestCrewDrainLeakFree.)
 func TestMeshDrainLeakFree(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Injection: 0.1, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.RunCycles(3_000)
-		p.Drain()
-		if live := p.Pool().Live(); live != 0 {
-			t.Errorf("workers=%d: %d flits still live after drain, want 0", workers, live)
-		}
-		p.Close()
+	cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Injection: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := platform.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunCycles(3_000)
+	p.Drain()
+	if live := p.Pool().Live(); live != 0 {
+		t.Errorf("%d flits still live after drain, want 0", live)
 	}
 }

@@ -24,9 +24,7 @@ func TestLazyBanksAnswerLikeDeclaredOnes(t *testing.T) {
 		"mesh:w=4,h=4": zooConfig(t, "mesh:w=4,h=4", "uniform", 0),
 	} {
 		t.Run(name, func(t *testing.T) {
-			lazy, eager := buildSnap(t, cfg, 0, false, nil), buildSnap(t, cfg, 0, false, nil)
-			defer lazy.Close()
-			defer eager.Close()
+			lazy, eager := buildSnap(t, cfg, false, nil), buildSnap(t, cfg, false, nil)
 			eagerDevs, lazyDevs := eager.System().Attachments(), lazy.System().Attachments()
 			los := make([][]uint32, len(eagerDevs)) // per device: the LO offsets of its wide registers
 			for i, a := range eagerDevs {

@@ -345,29 +345,25 @@ func Build(cfg Config) (*Platform, error) {
 	if attachErr != nil {
 		return nil, fmt.Errorf("platform %s: %w", cfg.Name, attachErr)
 	}
-	// How the engine walks a cycle (DESIGN.md §7): on cfg.Workers
-	// goroutines, or on a crew each run hires where one pays and on the
-	// caller's goroutine alone where not, gated unless cfg.NoGate.
-	// Results are bit-identical whichever it is.
-	if err := p.eng.SetWorkers(cfg.Workers); err != nil {
-		return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
-	}
+	// How the engine walks a cycle (DESIGN.md §7): gated unless
+	// cfg.NoGate, and then on a crew each run hires where one pays and
+	// on the caller's goroutine alone where not. Results are
+	// bit-identical whichever it is.
 	p.eng.SetGated(!cfg.NoGate)
 	proc, err := control.NewProcessor(p.sys, p.eng)
 	if err != nil {
 		return nil, err
 	}
 	p.proc = proc
-	// A gated engine without workers parks individual components and
-	// arena elements, which requires the arm-on-input rule on every
-	// wire's Send path: a flit sent to a parked switch or receptor wakes
-	// it for the next cycle, the first it can take the flit in; credits
-	// wake nobody; the table knows who writes each wire too, so that on
-	// a crew the wake queues on the writer's list. With workers it only
-	// skips globally idle windows and needs no hooks. While its gates
-	// stand down — on a network too busy for them — the engine switches
-	// the hook off and on again.
-	if !cfg.NoGate && cfg.Workers == 0 {
+	// A gated engine parks individual components and arena elements,
+	// which requires the arm-on-input rule on every wire's Send path: a
+	// flit sent to a parked switch or receptor wakes it for the next
+	// cycle, the first it can take the flit in; credits wake nobody; the
+	// table knows who writes each wire too, so that on a crew the wake
+	// queues on the writer's list. While its gates stand down — on a
+	// network too busy for them — the engine switches the hook off and
+	// on again.
+	if !cfg.NoGate {
 		if p.arms, err = p.eng.ArmTable(producers, consumers); err != nil {
 			return nil, fmt.Errorf("platform %s: %w", cfg.Name, err)
 		}
@@ -430,11 +426,10 @@ func (p *Platform) Config() Config { return p.cfg }
 // Engine returns the cycle engine.
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
-// Close releases the engine's worker goroutines (Config.Workers > 0;
-// otherwise there are none between runs: a run's crew ends with it).
-// It is idempotent, and statistics stay readable;
-// running the platform again would start them again.
-func (p *Platform) Close() { p.eng.Close() }
+// Close does nothing: a platform holds no goroutine between runs, since
+// a run's crew ends with it. It stays because the benchmark harness
+// (bench/) still calls it.
+func (p *Platform) Close() {}
 
 // System returns the internal bus system.
 func (p *Platform) System() *bus.System { return p.sys }

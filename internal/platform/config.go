@@ -116,18 +116,6 @@ type Config struct {
 	TRs []TRSpec
 	// Seed is the platform base seed; device seeds derive from it.
 	Seed uint32
-	// Workers selects how the engine walks a cycle. 0 lets the engine
-	// choose: it walks on the caller's goroutine, and hands the
-	// stretches in which its gates stand down to a pool of workers when
-	// the platform has at least 64 switches per worker and the host a
-	// processor to spare — a pool of n stands down at 1/n of the load
-	// the plain walk needs (engine/duty.go) — whose goroutines end with
-	// each run. N >= 1 forces a pool of N workers on every cycle
-	// (engine.SetWorkers) — the software analogue of the FPGA evaluating
-	// every device in parallel. Results are bit-identical for every
-	// value. A platform with Workers > 0 holds N-1 goroutines from its
-	// first run on; call Platform.Close when done with it.
-	Workers int
 	// NoGate disables quiescence-aware scheduling (the software
 	// analogue of clock gating, on by default): with gating the kernel
 	// parks provably idle devices and fast-forwards through globally
@@ -145,7 +133,7 @@ type Config struct {
 	// event stream, and a trace-metrics register bank is attached on the
 	// auxiliary bus. Nil (the default) disables tracing completely — the
 	// hooks stay compiled in but cost nothing. The emitted stream is
-	// bit-identical across kernels (Workers, NoGate).
+	// bit-identical across kernels (NoGate, crews).
 	Trace *probe.Config
 }
 
@@ -197,9 +185,6 @@ func (c *Config) validate() error {
 	}
 	if c.SwitchBufDepth < 1 {
 		return fmt.Errorf("platform %s: buffer depth %d", c.Name, c.SwitchBufDepth)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("platform %s: negative worker count %d", c.Name, c.Workers)
 	}
 	if !routing.ValidPolicy(c.Select) {
 		return fmt.Errorf("platform %s: selection policy %q", c.Name, c.Select)

@@ -1,11 +1,12 @@
 // Determinism property tests for quiescence-aware scheduling: with
-// gating on or off, under the sequential kernel and every tested
-// parallel worker count, the full platform snapshot must be
-// byte-identical — including runs with fault campaigns and runs ended
-// by the deadlock watchdog.
+// gating on or off the full platform snapshot must be byte-identical —
+// including runs with fault campaigns and runs ended by the deadlock
+// watchdog. The same runs on crews of 2, 4, 7 and 16 workers are the
+// engine package's (TestGatedCrewGatingMatrix), where a crew can be
+// forced.
 //
-// External test package for the same reason as parallel_test.go:
-// monitor imports platform.
+// External test package: monitor imports platform, so these tests
+// cannot live inside package platform.
 package platform_test
 
 import (
@@ -20,49 +21,49 @@ import (
 	"nocemu/internal/topology"
 )
 
-// gatingWorkerCounts spans the sequential kernel and a worker sweep
-// past the shard count of the 6-switch platform.
-var gatingWorkerCounts = []int{0, 1, 2, 4, 7, 16}
-
-// gatingVariants enumerates the full kernel matrix.
-func gatingVariants() []struct {
-	workers int
-	noGate  bool
-} {
-	var vs []struct {
-		workers int
-		noGate  bool
-	}
-	for _, w := range gatingWorkerCounts {
-		for _, ng := range []bool{false, true} {
-			vs = append(vs, struct {
-				workers int
-				noGate  bool
-			}{w, ng})
-		}
-	}
-	return vs
+// snapshot captures everything observable about a finished run: the
+// JSON monitor dump (TG/TR/switch/link statistics incl. histograms and
+// latency), the final cycle count, and the RunUntil result.
+type snapshot struct {
+	json     []byte
+	cycle    uint64
+	executed uint64
+	stopped  bool
 }
 
-// gateSnapshot is takeSnapshot plus gating control and an optional
-// post-build hook (fault campaigns, watchdogs).
-func gateSnapshot(t *testing.T, cfg platform.Config, workers int, noGate bool,
+func (s snapshot) equal(o snapshot) bool {
+	return bytes.Equal(s.json, o.json) &&
+		s.cycle == o.cycle && s.executed == o.executed && s.stopped == o.stopped
+}
+
+// diffLine locates the first differing JSON line, for readable failures.
+func diffLine(a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d: plain %q vs gated %q", i+1, al[i], bl[i])
+		}
+	}
+	return "length mismatch"
+}
+
+// gateSnapshot builds cfg gated or not, applies an optional post-build
+// hook (fault campaigns, watchdogs), runs it and captures the snapshot.
+func gateSnapshot(t *testing.T, cfg platform.Config, noGate bool,
 	maxCycles uint64, setup func(t *testing.T, p *platform.Platform)) snapshot {
 	t.Helper()
-	cfg.Workers = workers
 	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
-		t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: %v", noGate, err)
 	}
-	defer p.Close()
 	if setup != nil {
 		setup(t, p)
 	}
 	executed, stopped := p.Run(maxCycles)
 	var buf bytes.Buffer
 	if err := monitor.WriteJSON(&buf, p); err != nil {
-		t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: %v", noGate, err)
 	}
 	return snapshot{
 		json:     buf.Bytes(),
@@ -72,23 +73,16 @@ func gateSnapshot(t *testing.T, cfg platform.Config, workers int, noGate bool,
 	}
 }
 
-// assertGatingMatrix compares every kernel variant against the naive
-// sequential reference.
+// assertGatingMatrix compares the gated kernel against the plain
+// reference and returns the reference.
 func assertGatingMatrix(t *testing.T, cfg platform.Config, maxCycles uint64,
 	setup func(t *testing.T, p *platform.Platform)) snapshot {
 	t.Helper()
-	want := gateSnapshot(t, cfg, 0, true, maxCycles, setup)
-	for _, v := range gatingVariants() {
-		if v.workers == 0 && v.noGate {
-			continue // the reference itself
-		}
-		got := gateSnapshot(t, cfg, v.workers, v.noGate, maxCycles, setup)
-		if !got.equal(want) {
-			t.Errorf("workers=%d noGate=%v diverged: cycle %d vs %d, run (%d,%v) vs (%d,%v); %s",
-				v.workers, v.noGate, got.cycle, want.cycle,
-				got.executed, got.stopped, want.executed, want.stopped,
-				diffLine(want.json, got.json))
-		}
+	want := gateSnapshot(t, cfg, true, maxCycles, setup)
+	if got := gateSnapshot(t, cfg, false, maxCycles, setup); !got.equal(want) {
+		t.Errorf("gated diverged: cycle %d vs %d, run (%d,%v) vs (%d,%v); %s",
+			got.cycle, want.cycle, got.executed, got.stopped, want.executed, want.stopped,
+			diffLine(want.json, got.json))
 	}
 	return want
 }
@@ -200,7 +194,6 @@ func TestGatingStandsDownWhenBusy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			p.RunCycles(uint64(tc.from))
 			down := false
 			for c := tc.from; c < 2_000 && !down; c += 16 {
@@ -248,9 +241,9 @@ func TestGatingDeadlockAbortBitIdentical(t *testing.T) {
 	}
 	// The watchdog verdict (stalled flag + stall cycle) is compared
 	// alongside the snapshot.
-	runOne := func(workers int, noGate bool) (snapshot, string) {
+	runOne := func(noGate bool) (snapshot, string) {
 		var wd *platform.Watchdog
-		s := gateSnapshot(t, cfg, workers, noGate, 50_000, func(t *testing.T, p *platform.Platform) {
+		s := gateSnapshot(t, cfg, noGate, 50_000, func(t *testing.T, p *platform.Platform) {
 			if _, err := p.AddFaults([]fault.Spec{
 				{Link: 0, Mode: link.FaultStuck, From: 200, Until: 1 << 40},
 			}); err != nil {
@@ -264,18 +257,11 @@ func TestGatingDeadlockAbortBitIdentical(t *testing.T) {
 		stalled, at := wd.Stalled()
 		return s, fmt.Sprintf("%v@%d", stalled, at)
 	}
-	want, wantVerdict := runOne(0, true)
-	for _, v := range gatingVariants() {
-		if v.workers == 0 && v.noGate {
-			continue
-		}
-		got, verdict := runOne(v.workers, v.noGate)
-		if !got.equal(want) || verdict != wantVerdict {
-			t.Errorf("workers=%d noGate=%v diverged: watchdog %s vs %s, run (%d,%v) vs (%d,%v); %s",
-				v.workers, v.noGate, verdict, wantVerdict,
-				got.executed, got.stopped, want.executed, want.stopped,
-				diffLine(want.json, got.json))
-		}
+	want, wantVerdict := runOne(true)
+	if got, verdict := runOne(false); !got.equal(want) || verdict != wantVerdict {
+		t.Errorf("gated diverged: watchdog %s vs %s, run (%d,%v) vs (%d,%v); %s",
+			verdict, wantVerdict, got.executed, got.stopped, want.executed, want.stopped,
+			diffLine(want.json, got.json))
 	}
 	if want.stopped {
 		t.Errorf("deadlocked reference run reported a clean stop (executed %d)", want.executed)

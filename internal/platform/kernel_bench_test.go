@@ -7,15 +7,13 @@ import (
 	"nocemu/internal/topology"
 )
 
-// BenchmarkKernelMatrix times one cycle of four platforms under three
-// kernels: the plain sequential walk ("plain", NoGate), the default
-// gated walk ("seq", Workers 0 — which hands the stretches its gates
-// stand down for to a pool when the platform is big enough) and a
-// two-worker pool ("w2"): the paper platform at its 0.45 load, a busy
-// 16×16 mesh, a lightly loaded 32×32 mesh and a 16×16 flattened
-// butterfly. Divide a platform's plain or seq ns/op by its w2 ns/op for
-// the pool's speed-up (EXPERIMENTS.md, "Kernel matrix"). Each run warms
-// the platform up first, untimed.
+// BenchmarkKernelMatrix times one cycle of four platforms under two
+// kernels: the plain one-core walk ("plain", NoGate) and the default
+// gated walk ("seq", which walks each run on a crew when the platform is
+// big enough and the host has the processors): the paper platform at
+// its 0.45 load, a busy 16×16 mesh, a lightly loaded 32×32 mesh and a
+// 16×16 flattened butterfly (EXPERIMENTS.md, "Kernel matrix"). Each run
+// warms the platform up first, untimed.
 func BenchmarkKernelMatrix(b *testing.B) {
 	for _, c := range []struct {
 		name, spec string // spec "" is the paper platform
@@ -27,10 +25,9 @@ func BenchmarkKernelMatrix(b *testing.B) {
 		{"bfly256_010", "butterfly:w=16,h=16", 0.10},
 	} {
 		for _, k := range []struct {
-			name    string
-			workers int
-			noGate  bool
-		}{{"plain", 0, true}, {"seq", 0, false}, {"w2", 2, false}} {
+			name   string
+			noGate bool
+		}{{"plain", true}, {"seq", false}} {
 			b.Run(c.name+"/"+k.name, func(b *testing.B) {
 				var cfg platform.Config
 				var err error
@@ -45,12 +42,11 @@ func BenchmarkKernelMatrix(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.Workers, cfg.NoGate = k.workers, k.noGate
+				cfg.NoGate = k.noGate
 				p, err := platform.Build(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer p.Close()
 				p.RunCycles(2_000)
 				b.ResetTimer()
 				p.RunCycles(uint64(b.N))

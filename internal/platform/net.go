@@ -31,9 +31,8 @@ type NetOptions struct {
 	// WorkloadSeed controls the workload's structural choices (hotspot
 	// victim placement); per-TG random streams derive from Seed.
 	WorkloadSeed uint32
-	// Workers and NoGate select the kernel, as in Config.
-	Workers int
-	NoGate  bool
+	// NoGate selects the kernel, as in Config.
+	NoGate bool
 }
 
 func (o *NetOptions) applyDefaults() {
@@ -58,7 +57,7 @@ func (o *NetOptions) applyDefaults() {
 // appends what it patches onto the lowered Config afterwards.
 func (o NetOptions) Key() string {
 	o.applyDefaults()
-	o.Workers, o.NoGate = 0, false
+	o.NoGate = false
 	return fmt.Sprintf("%+v", o)
 }
 
@@ -120,7 +119,6 @@ func NetConfig(o NetOptions) (Config, error) {
 		Name:     topo.Name(),
 		Topology: topo,
 		Seed:     o.Seed,
-		Workers:  o.Workers,
 		NoGate:   o.NoGate,
 	}
 	for i := range specs {

@@ -1,229 +1,168 @@
-// Determinism property tests for the parallel kernel: for every tested
-// worker count the full platform snapshot (receptor histograms, latency
-// stats, switch and link counters) must be byte-identical to the
-// sequential kernel, on the paper platform and on a 4x4 mesh.
+// Determinism property tests for the parallel walk as the platform API
+// reaches it: no setting picks a worker count, so the default kernel
+// hires a crew from the helper budget wherever the platform is big
+// enough and GOMAXPROCS leaves it helpers. Under GOMAXPROCS 1, 2, 4 and
+// 7 the full platform snapshot (receptor histograms, latency stats,
+// switch and link counters) must be byte-identical to the plain walk's:
+// on the paper platform, which stays below the crew threshold at any
+// GOMAXPROCS, and on a 16×16 mesh, which walks on a crew wherever
+// GOMAXPROCS > 1. A GOMAXPROCS above the host's processors is left out:
+// there a crew's workers spin against each other for the processors,
+// dozens of times slower. Crews of a forced size on any platform and
+// host are the engine package's (TestGatedCrewGatingMatrix).
 //
 // External test package: monitor imports platform, so these tests
 // cannot live inside package platform.
 package platform_test
 
 import (
-	"bytes"
-	"fmt"
+	"runtime"
 	"testing"
 
-	"nocemu/internal/flit"
-	"nocemu/internal/monitor"
 	"nocemu/internal/platform"
-	"nocemu/internal/receptor"
-	"nocemu/internal/topology"
-	"nocemu/internal/traffic"
 )
 
-var parallelWorkerCounts = []int{1, 2, 4, 7}
+var parallelProcs = []int{1, 2, 4, 7}
 
-// snapshot captures everything observable about a finished run: the
-// JSON monitor dump (TG/TR/switch/link statistics incl. histograms and
-// latency), the final cycle count, and the RunUntil result.
-type snapshot struct {
-	json     []byte
-	cycle    uint64
-	executed uint64
-	stopped  bool
+// hostProcs is parallelProcs up to the host's processors.
+func hostProcs() []int {
+	n := 1
+	for n < len(parallelProcs) && parallelProcs[n] <= runtime.NumCPU() {
+		n++
+	}
+	return parallelProcs[:n]
 }
 
-func (s snapshot) equal(o snapshot) bool {
-	return bytes.Equal(s.json, o.json) &&
-		s.cycle == o.cycle && s.executed == o.executed && s.stopped == o.stopped
-}
-
-// takeSnapshot builds a platform from cfg (with the given worker
-// count), runs it, and captures the snapshot.
-func takeSnapshot(t *testing.T, cfg platform.Config, workers int, maxCycles uint64) snapshot {
+// parallelSnapshot runs cfg on the default kernel at GOMAXPROCS procs,
+// as gateSnapshot does, and returns the snapshot with how many of the
+// run's cycles walked on a crew.
+func parallelSnapshot(t *testing.T, cfg platform.Config, procs int, maxCycles uint64,
+	setup func(t *testing.T, p *platform.Platform)) (snapshot, uint64) {
 	t.Helper()
-	cfg.Workers = workers
-	p, err := platform.Build(cfg)
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	defer p.Close()
-	executed, stopped := p.Run(maxCycles)
-	var buf bytes.Buffer
-	if err := monitor.WriteJSON(&buf, p); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return snapshot{
-		json:     buf.Bytes(),
-		cycle:    p.Engine().Cycle(),
-		executed: executed,
-		stopped:  stopped,
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var pooled func() uint64
+	s := gateSnapshot(t, cfg, false, maxCycles, func(t *testing.T, p *platform.Platform) {
+		if setup != nil {
+			setup(t, p)
+		}
+		pooled = p.Engine().PooledCycles
+	})
+	return s, pooled()
 }
 
-// diffLine locates the first differing JSON line, for readable failures.
-func diffLine(a, b []byte) string {
-	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d: sequential %q vs parallel %q", i+1, al[i], bl[i])
+// assertParallel holds the default kernel under every GOMAXPROCS of
+// hostProcs to the plain walk, and checks that it walked on a crew
+// exactly where crew says it must: crew(procs) reports whether the
+// platform hires one at that GOMAXPROCS. It returns the plain walk's
+// snapshot.
+func assertParallel(t *testing.T, cfg func() platform.Config, maxCycles uint64,
+	setup func(t *testing.T, p *platform.Platform), crew func(procs int) bool) snapshot {
+	t.Helper()
+	want := gateSnapshot(t, cfg(), true, maxCycles, setup)
+	for _, procs := range hostProcs() {
+		got, pooled := parallelSnapshot(t, cfg(), procs, maxCycles, setup)
+		if !got.equal(want) {
+			t.Errorf("GOMAXPROCS %d diverged: cycle %d vs %d, run (%d,%v) vs (%d,%v); %s",
+				procs, got.cycle, want.cycle, got.executed, got.stopped,
+				want.executed, want.stopped, diffLine(want.json, got.json))
+		}
+		if (pooled > 0) != crew(procs) {
+			t.Errorf("GOMAXPROCS %d: %d of %d cycles walked on a crew, want a crew: %v",
+				procs, pooled, got.executed, crew(procs))
 		}
 	}
-	return "length mismatch"
+	return want
+}
+
+// never: the paper platform's few switches are below the crew
+// threshold, whatever the host.
+func never(int) bool { return false }
+
+// beyondOne: a 16×16 mesh hires a crew wherever GOMAXPROCS leaves it a
+// helper.
+func beyondOne(procs int) bool { return procs > 1 }
+
+func paperCfg(t *testing.T, opts platform.PaperOptions) func() platform.Config {
+	return func() platform.Config {
+		cfg, err := platform.PaperConfig(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+}
+
+// meshCfg is a 16×16 mesh at 0.1, bounded to packets packets a source
+// where packets > 0 (busyMeshStop's bounding).
+func meshCfg(t *testing.T, packets uint64) func() platform.Config {
+	return func() platform.Config {
+		cfg, err := platform.NetConfig(platform.NetOptions{Topo: mesh(16), Injection: 0.1, Seed: 7, PacketsPerTG: packets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if packets > 0 {
+			for i := range cfg.TRs {
+				cfg.TRs[i].ExpectPackets = 1
+			}
+		}
+		return cfg
+	}
 }
 
 func TestParallelPaperPlatformBitIdentical(t *testing.T) {
 	// Bounded traffic so the receptor stoppers end the run mid-flight:
 	// this also checks the stop cycle, not just free-running statistics.
-	cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxCycles = 200_000
-	want := takeSnapshot(t, cfg, 0, maxCycles)
+	want := assertParallel(t, paperCfg(t, platform.PaperOptions{PacketsPerTG: 40}), 200_000, nil, never)
 	if !want.stopped {
-		t.Fatalf("sequential run did not stop (executed %d)", want.executed)
-	}
-	for _, w := range parallelWorkerCounts {
-		got := takeSnapshot(t, cfg, w, maxCycles)
-		if !got.equal(want) {
-			t.Errorf("workers=%d diverged: cycle %d vs %d, run (%d,%v) vs (%d,%v); %s",
-				w, got.cycle, want.cycle, got.executed, got.stopped,
-				want.executed, want.stopped, diffLine(want.json, got.json))
-		}
+		t.Fatalf("plain run did not stop (executed %d)", want.executed)
 	}
 }
 
 func TestParallelPaperPlatformBurstTraffic(t *testing.T) {
-	cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperBurst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 30_000
-	want := takeSnapshot(t, cfg, 0, cycles)
-	for _, w := range parallelWorkerCounts {
-		got := takeSnapshot(t, cfg, w, cycles)
-		if !got.equal(want) {
-			t.Errorf("workers=%d diverged: %s", w, diffLine(want.json, got.json))
-		}
-	}
-}
-
-// meshConfig builds a fresh 4x4 mesh configuration. A new topology is
-// constructed per call because AddSource/AddSink mutate it.
-func meshConfig(t *testing.T) platform.Config {
-	t.Helper()
-	const w = 4
-	topo, err := topology.Mesh(w, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := platform.Config{
-		Name:     "mesh-4x4-determinism",
-		Topology: topo,
-		Seed:     7,
-	}
-	for x := 0; x < w; x++ {
-		src := flit.EndpointID(x)
-		dst := flit.EndpointID(100 + x)
-		if err := topo.AddSource(src, topology.NodeID(x)); err != nil {
-			t.Fatal(err)
-		}
-		if err := topo.AddSink(dst, topology.NodeID((w-1)*w+x)); err != nil {
-			t.Fatal(err)
-		}
-		cfg.TGs = append(cfg.TGs, platform.TGSpec{
-			Endpoint: src,
-			Gen: &traffic.UniformConfig{
-				LenMin: 2, LenMax: 9, GapMin: 3, GapMax: 20,
-				Dst: traffic.DstConfig{
-					Policy: traffic.DstUniform,
-					Dsts:   []flit.EndpointID{100, 101, 102, 103},
-				},
-				RandomPhase: true,
-			},
-		})
-		cfg.TRs = append(cfg.TRs, platform.TRSpec{Endpoint: dst, Mode: receptor.TraceDriven})
-	}
-	return cfg
+	assertParallel(t, paperCfg(t, platform.PaperOptions{Traffic: platform.PaperBurst}), 30_000, nil, never)
 }
 
 func TestParallelMeshBitIdentical(t *testing.T) {
-	const cycles = 20_000
-	want := takeSnapshot(t, meshConfig(t), 0, cycles)
-	for _, w := range parallelWorkerCounts {
-		got := takeSnapshot(t, meshConfig(t), w, cycles)
-		if !got.equal(want) {
-			t.Errorf("workers=%d diverged: %s", w, diffLine(want.json, got.json))
-		}
-	}
+	assertParallel(t, meshCfg(t, 0), 3_000, nil, beyondOne)
 }
 
-// TestParallelWatchdogSerialTick runs the paper platform with the
-// progress watchdog attached under every worker count. The watchdog's
-// Tick reads statistics owned by other components, which is only
-// race-free because it is a SerialTicker; -race on this test is the
-// regression check for that mechanism.
+// TestParallelWatchdogSerialTick runs the 16×16 mesh with the progress
+// watchdog attached under every GOMAXPROCS of hostProcs. The watchdog's Tick reads
+// statistics owned by other components, which is only race-free because
+// it is a SerialTicker, ticked after the crew's workers are done with
+// the cycle; -race on this test is the regression check for that
+// mechanism.
 func TestParallelWatchdogSerialTick(t *testing.T) {
-	run := func(workers int) (snapshot, bool, uint64) {
-		cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: 25})
-		if err != nil {
+	var wd *platform.Watchdog
+	watch := func(t *testing.T, p *platform.Platform) {
+		var err error
+		if wd, err = p.AttachWatchdog(200); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Workers = workers
-		p, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		wd, err := p.AttachWatchdog(1_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		executed, stopped := p.Run(100_000)
-		var buf bytes.Buffer
-		if err := monitor.WriteJSON(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		stalled, at := wd.Stalled()
-		return snapshot{buf.Bytes(), p.Engine().Cycle(), executed, stopped}, stalled, at
 	}
-	want, wantStalled, wantAt := run(0)
-	for _, w := range parallelWorkerCounts {
-		got, stalled, at := run(w)
+	want := gateSnapshot(t, meshCfg(t, 0)(), true, 3_000, watch)
+	wantStalled, wantAt := wd.Stalled()
+	for _, procs := range hostProcs() {
+		got, pooled := parallelSnapshot(t, meshCfg(t, 0)(), procs, 3_000, watch)
+		stalled, at := wd.Stalled()
 		if !got.equal(want) || stalled != wantStalled || at != wantAt {
-			t.Errorf("workers=%d diverged (stalled %v@%d vs %v@%d): %s",
-				w, stalled, at, wantStalled, wantAt, diffLine(want.json, got.json))
+			t.Errorf("GOMAXPROCS %d diverged (stalled %v@%d vs %v@%d): %s",
+				procs, stalled, at, wantStalled, wantAt, diffLine(want.json, got.json))
+		}
+		if (pooled > 0) != beyondOne(procs) {
+			t.Errorf("GOMAXPROCS %d: %d of %d cycles walked on a crew", procs, pooled, got.executed)
 		}
 	}
 }
 
 // TestParallelRunCyclesThenRunUntil exercises mixed batch entry points
 // on one platform instance: warm-up with RunCycles, then RunUntil to
-// the stop condition, as the experiments package does.
+// the stop condition, as the experiments package does. The bounded
+// mesh stops mid-run, so the stop cycle is checked on a crew too.
 func TestParallelRunCyclesThenRunUntil(t *testing.T) {
-	run := func(workers int) snapshot {
-		cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = workers
-		p, err := platform.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		p.RunCycles(500)
-		executed, stopped := p.Run(100_000)
-		var buf bytes.Buffer
-		if err := monitor.WriteJSON(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		return snapshot{buf.Bytes(), p.Engine().Cycle(), executed, stopped}
-	}
-	want := run(0)
-	for _, w := range parallelWorkerCounts {
-		if got := run(w); !got.equal(want) {
-			t.Errorf("workers=%d diverged: %s", w, diffLine(want.json, got.json))
-		}
+	warm := func(t *testing.T, p *platform.Platform) { p.RunCycles(500) }
+	want := assertParallel(t, meshCfg(t, 30), 100_000, warm, beyondOne)
+	if !want.stopped {
+		t.Fatalf("plain run did not stop (executed %d)", want.executed)
 	}
 }

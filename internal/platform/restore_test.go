@@ -15,17 +15,15 @@ import (
 	"nocemu/internal/traffic"
 )
 
-// restoreKernels are the four kernels a restore over a dirty platform
-// must serve alike.
+// restoreKernels are the kernels a restore over a dirty platform must
+// serve alike. On crews, the engine package's TestRestoreOverDirtyPlatform
+// serves them too.
 var restoreKernels = []struct {
-	name    string
-	workers int
-	noGate  bool
+	name   string
+	noGate bool
 }{
-	{"default", 0, false},
-	{"NoGate", 0, true},
-	{"workers=2", 2, false},
-	{"workers=2,NoGate", 2, true},
+	{"default", false},
+	{"NoGate", true},
 }
 
 // servedConfig is the serve shape: a mesh whose sources are scriptable
@@ -113,8 +111,7 @@ func TestRestoreOverDirtyPlatform(t *testing.T) {
 	for _, pc := range dirtyPlatforms(t) {
 		for _, k := range restoreKernels {
 			t.Run(pc.name+"/"+k.name, func(t *testing.T) {
-				p := buildSnap(t, pc.cfg, k.workers, k.noGate, pc.faults)
-				defer p.Close()
+				p := buildSnap(t, pc.cfg, k.noGate, pc.faults)
 				p.RunCycles(at)
 				snap, err := p.SnapshotBytes()
 				if err != nil {
@@ -133,8 +130,7 @@ func TestRestoreOverDirtyPlatform(t *testing.T) {
 				p.RunCycles(more)
 				got := capture(t, p)
 
-				fresh := buildSnap(t, pc.cfg, k.workers, k.noGate, pc.faults)
-				defer fresh.Close()
+				fresh := buildSnap(t, pc.cfg, k.noGate, pc.faults)
 				if err := fresh.RestoreBytes(snap); err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +153,6 @@ func TestRestoreAllocsFlatInPlatformSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		p.RunCycles(300)
 		snap, err := p.SnapshotBytes()
 		if err != nil {
@@ -208,10 +203,9 @@ func fuzzBases(tb testing.TB) []fuzzBase {
 		{Link: 3, Mode: link.FaultCorrupt, From: 100, Until: 900},
 	}
 	for _, b := range []fuzzBase{{cfg: torusSnapConfig(tb, 2, 40)}, {cfg: paper, faults: faults}} {
-		p := buildSnap(tb, b.cfg, 0, false, b.faults)
+		p := buildSnap(tb, b.cfg, false, b.faults)
 		p.RunCycles(300)
 		b.snap, _ = p.SnapshotBytes()
-		p.Close()
 		bases = append(bases, b)
 	}
 	return bases
@@ -255,8 +249,7 @@ func FuzzPlatformRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, base uint8, sec uint16, off uint32, cut uint8, patch []byte) {
 		b := bases[int(base)%len(bases)]
 		snap := reframe(t, b.snap, int(sec), int(off), cut, patch)
-		p := buildSnap(t, b.cfg, 0, false, b.faults)
-		defer p.Close()
+		p := buildSnap(t, b.cfg, false, b.faults)
 		p.RunCycles(700)
 		if err := p.RestoreBytes(snap); err != nil {
 			return

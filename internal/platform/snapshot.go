@@ -193,8 +193,7 @@ func (p *Platform) ReseedFork(i int) {
 // Post-build attachments (watchdog, fault campaigns) are replicated.
 // Fork 0 is an exact continuation; each fork i > 0 reseeds every TG's
 // random registers with ForkSeed, so the forks explore divergent
-// futures from the same warmed-up state. The caller owns the returned
-// platforms (Close them when Workers > 0).
+// futures from the same warmed-up state.
 func (p *Platform) Fork(n int) ([]*Platform, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("platform %s: fork %d", p.cfg.Name, n)
@@ -204,32 +203,23 @@ func (p *Platform) Fork(n int) ([]*Platform, error) {
 		return nil, err
 	}
 	forks := make([]*Platform, 0, n)
-	fail := func(err error) ([]*Platform, error) {
-		for _, f := range forks {
-			f.Close()
-		}
-		return nil, err
-	}
 	for i := 0; i < n; i++ {
 		f, err := Build(p.cfg)
 		if err != nil {
-			return fail(fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err))
+			return nil, fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err)
 		}
 		if p.wd != nil {
 			if _, err := f.AttachWatchdog(p.wdPatience); err != nil {
-				f.Close()
-				return fail(fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err))
+				return nil, fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err)
 			}
 		}
 		for _, specs := range p.faultSpecs {
 			if _, err := f.AddFaults(specs); err != nil {
-				f.Close()
-				return fail(fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err))
+				return nil, fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err)
 			}
 		}
 		if err := f.RestoreBytes(snap); err != nil {
-			f.Close()
-			return fail(fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err))
+			return nil, fmt.Errorf("platform %s: fork %d: %w", p.cfg.Name, i, err)
 		}
 		f.ReseedFork(i)
 		forks = append(forks, f)

@@ -26,10 +26,6 @@ import (
 	"nocemu/internal/traffic"
 )
 
-// snapWorkerCounts matches the acceptance matrix: sequential plus a
-// sweep past the paper platform's shard count.
-var snapWorkerCounts = []int{0, 1, 4, 16}
-
 // runOutput is every exported byte of a finished run: the monitor JSON
 // (statistics, histograms, latency) and, when tracing is on, the
 // canonical JSONL event stream, plus the final cycle.
@@ -111,20 +107,18 @@ func torusSnapConfig(t testing.TB, vcs int, packets uint64) platform.Config {
 	return cfg
 }
 
-// buildSnap builds cfg with the given kernel and optional fault
-// campaign (the campaign is construction shape: a snapshot taken with
-// faults restores only into a platform that also has them).
-func buildSnap(t testing.TB, cfg platform.Config, workers int, noGate bool, faults []fault.Spec) *platform.Platform {
+// buildSnap builds cfg gated or not, with an optional fault campaign
+// (the campaign is construction shape: a snapshot taken with faults
+// restores only into a platform that also has them).
+func buildSnap(t testing.TB, cfg platform.Config, noGate bool, faults []fault.Spec) *platform.Platform {
 	t.Helper()
-	cfg.Workers = workers
 	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
-		t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: %v", noGate, err)
 	}
 	if faults != nil {
 		if _, err := p.AddFaults(faults); err != nil {
-			p.Close()
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +127,7 @@ func buildSnap(t testing.TB, cfg platform.Config, workers int, noGate bool, faul
 
 // TestSnapshotRestoreContinueBitIdentical is the headline property: a
 // run interrupted at cycle C by Snapshot and continued from Restore —
-// in a fresh platform under any workers × gate configuration, faults on
+// in a fresh platform gated or not, faults on
 // or off — produces monitor JSON and trace bytes identical to the
 // uninterrupted run. The snapshotted platform itself must also continue
 // unperturbed (snapshot is a pure observer).
@@ -148,7 +142,6 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				hotA, _, err := probe.PaperHotLinks()
-				probe.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,20 +149,18 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 			}
 
 			// Uninterrupted reference under the sequential gated kernel.
-			ref := buildSnap(t, cfg, 0, false, specs)
+			ref := buildSnap(t, cfg, false, specs)
 			if _, stopped := ref.Run(1_000_000); !stopped {
 				t.Fatal("reference run did not complete")
 			}
 			want := capture(t, ref)
-			ref.Close()
 
 			// Interrupt a second instance mid-flight.
 			cut := want.cycle / 2
 			if cut == 0 {
 				t.Fatalf("reference stopped at cycle %d; nothing to interrupt", want.cycle)
 			}
-			src := buildSnap(t, cfg, 0, false, specs)
-			defer src.Close()
+			src := buildSnap(t, cfg, false, specs)
 			src.RunCycles(cut)
 			snap, err := src.SnapshotBytes()
 			if err != nil {
@@ -184,29 +175,20 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 				t.Errorf("snapshot perturbed the source run: %s", got.diff(want))
 			}
 
-			// Restore into every kernel configuration and run to the end.
-			for _, workers := range snapWorkerCounts {
-				for _, noGate := range []bool{false, true} {
-					p := buildSnap(t, cfg, workers, noGate, specs)
-					if err := p.RestoreBytes(snap); err != nil {
-						p.Close()
-						t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
-					}
-					if got := p.Engine().Cycle(); got != cut {
-						p.Close()
-						t.Fatalf("workers=%d noGate=%v: restored to cycle %d, want %d",
-							workers, noGate, got, cut)
-					}
-					if _, stopped := p.Run(1_000_000); !stopped {
-						p.Close()
-						t.Fatalf("workers=%d noGate=%v: restored run did not complete", workers, noGate)
-					}
-					got := capture(t, p)
-					p.Close()
-					if !got.equal(want) {
-						t.Errorf("workers=%d noGate=%v diverged after restore: %s",
-							workers, noGate, got.diff(want))
-					}
+			// Restore into either kernel and run to the end.
+			for _, noGate := range []bool{false, true} {
+				p := buildSnap(t, cfg, noGate, specs)
+				if err := p.RestoreBytes(snap); err != nil {
+					t.Fatalf("noGate=%v: %v", noGate, err)
+				}
+				if got := p.Engine().Cycle(); got != cut {
+					t.Fatalf("noGate=%v: restored to cycle %d, want %d", noGate, got, cut)
+				}
+				if _, stopped := p.Run(1_000_000); !stopped {
+					t.Fatalf("noGate=%v: restored run did not complete", noGate)
+				}
+				if got := capture(t, p); !got.equal(want) {
+					t.Errorf("noGate=%v diverged after restore: %s", noGate, got.diff(want))
 				}
 			}
 		})
@@ -216,8 +198,8 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 // TestSnapshotKernelPortability checks configuration independence at
 // both strengths. Byte level: re-snapshotting an untouched platform is
 // idempotent (ring normalization is canonical). Semantic level: a
-// snapshot taken under ANY kernel — sequential or parallel, gated or
-// not — restores into the sequential gated kernel and finishes
+// snapshot taken under either kernel — gated or not — restores into
+// the gated kernel and finishes
 // byte-identically with the uninterrupted reference. (Byte equality
 // across kernels is TestSnapshotBytesIgnoreSchedule's.)
 func TestSnapshotKernelPortability(t *testing.T) {
@@ -232,59 +214,42 @@ func TestSnapshotKernelPortability(t *testing.T) {
 }
 
 func snapshotKernelPortability(t *testing.T, cfg platform.Config) {
-	ref := buildSnap(t, cfg, 0, false, nil)
+	ref := buildSnap(t, cfg, false, nil)
 	if _, stopped := ref.Run(1_000_000); !stopped {
 		t.Fatal("reference run did not complete")
 	}
 	want := capture(t, ref)
-	ref.Close()
 	cut := want.cycle / 2
 	if cut == 0 {
 		t.Fatalf("reference stopped at cycle %d", want.cycle)
 	}
 
-	type variant struct {
-		workers int
-		noGate  bool
-	}
-	variants := []variant{
-		{0, false},
-		{0, true},
-		{4, false},
-		{16, true},
-	}
-	for _, v := range variants {
-		p := buildSnap(t, cfg, v.workers, v.noGate, nil)
+	for _, noGate := range []bool{false, true} {
+		p := buildSnap(t, cfg, noGate, nil)
 		p.RunCycles(cut)
 		snap, err := p.SnapshotBytes()
 		if err != nil {
-			p.Close()
-			t.Fatalf("%+v: %v", v, err)
+			t.Fatalf("noGate=%v: %v", noGate, err)
 		}
 		again, err := p.SnapshotBytes()
-		p.Close()
 		if err != nil {
-			t.Fatalf("%+v: %v", v, err)
+			t.Fatalf("noGate=%v: %v", noGate, err)
 		}
 		if !bytes.Equal(snap, again) {
-			t.Errorf("%+v: re-snapshot differs", v)
+			t.Errorf("noGate=%v: re-snapshot differs", noGate)
 		}
 
-		// Semantic portability: every variant's snapshot continues to the
-		// reference output in the sequential gated kernel.
-		q := buildSnap(t, cfg, 0, false, nil)
+		// Semantic portability: either kernel's snapshot continues to the
+		// reference output in the gated kernel.
+		q := buildSnap(t, cfg, false, nil)
 		if err := q.RestoreBytes(snap); err != nil {
-			q.Close()
-			t.Fatalf("%+v: restore into sequential gated: %v", v, err)
+			t.Fatalf("noGate=%v: restore into gated: %v", noGate, err)
 		}
 		if _, stopped := q.Run(1_000_000); !stopped {
-			q.Close()
-			t.Fatalf("%+v: restored run did not complete", v)
+			t.Fatalf("noGate=%v: restored run did not complete", noGate)
 		}
-		got := capture(t, q)
-		q.Close()
-		if !got.equal(want) {
-			t.Errorf("%+v snapshot diverged after restore: %s", v, got.diff(want))
+		if got := capture(t, q); !got.equal(want) {
+			t.Errorf("noGate=%v snapshot diverged after restore: %s", noGate, got.diff(want))
 		}
 	}
 }
@@ -308,7 +273,6 @@ func TestSnapshotRestoreMesh256(t *testing.T) {
 	}
 	ref.RunCycles(total)
 	want := capture(t, ref)
-	ref.Close()
 
 	src, err := platform.Build(mk())
 	if err != nil {
@@ -316,25 +280,18 @@ func TestSnapshotRestoreMesh256(t *testing.T) {
 	}
 	src.RunCycles(cut)
 	snap, err := src.SnapshotBytes()
-	src.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range snapWorkerCounts {
-		for _, noGate := range []bool{false, true} {
-			p := buildSnap(t, mk(), workers, noGate, nil)
-			if err := p.RestoreBytes(snap); err != nil {
-				p.Close()
-				t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
-			}
-			p.RunCycles(total - cut)
-			got := capture(t, p)
-			p.Close()
-			if !got.equal(want) {
-				t.Errorf("workers=%d noGate=%v diverged after restore: %s",
-					workers, noGate, got.diff(want))
-			}
+	for _, noGate := range []bool{false, true} {
+		p := buildSnap(t, mk(), noGate, nil)
+		if err := p.RestoreBytes(snap); err != nil {
+			t.Fatalf("noGate=%v: %v", noGate, err)
+		}
+		p.RunCycles(total - cut)
+		if got := capture(t, p); !got.equal(want) {
+			t.Errorf("noGate=%v diverged after restore: %s", noGate, got.diff(want))
 		}
 	}
 }
@@ -360,7 +317,6 @@ func TestForkMatchesColdRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
 	src.RunCycles(warm)
 	seed := src.Config().Seed
 
@@ -368,11 +324,6 @@ func TestForkMatchesColdRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, f := range forks {
-			f.Close()
-		}
-	}()
 
 	outs := make([]runOutput, nForks)
 	for i, f := range forks {
@@ -393,7 +344,6 @@ func TestForkMatchesColdRuns(t *testing.T) {
 		}
 		cold.RunCycles(tail)
 		want := capture(t, cold)
-		cold.Close()
 		if !outs[i].equal(want) {
 			t.Errorf("fork %d diverged from its cold-run reference: %s", i, outs[i].diff(want))
 		}
@@ -421,39 +371,32 @@ func TestFullResetEqualsFreshBuild(t *testing.T) {
 		}
 		return capture(t, p)
 	}
-	build := func(t *testing.T, workers int, noGate bool) *platform.Platform {
+	build := func(t *testing.T, noGate bool) *platform.Platform {
 		t.Helper()
-		p := buildSnap(t, cfg, workers, noGate, nil)
+		p := buildSnap(t, cfg, noGate, nil)
 		if _, err := p.AttachWatchdog(2_000); err != nil {
-			p.Close()
 			t.Fatal(err)
 		}
 		if _, err := p.AddFaults([]fault.Spec{
 			{Link: 0, Mode: link.FaultStuck, From: 100, Until: 300},
 		}); err != nil {
-			p.Close()
 			t.Fatal(err)
 		}
 		return p
 	}
 
-	fresh := build(t, 0, true)
+	fresh := build(t, true)
 	want := run(t, fresh)
-	fresh.Close()
 
 	for _, k := range []struct {
-		name    string
-		workers int
-		noGate  bool
+		name   string
+		noGate bool
 	}{
-		{"default", 0, false},
-		{"NoGate", 0, true},
-		{"workers=2", 2, false},
-		{"workers=2,NoGate", 2, true},
+		{"default", false},
+		{"NoGate", true},
 	} {
 		t.Run(k.name, func(t *testing.T) {
-			p := build(t, k.workers, k.noGate)
-			defer p.Close()
+			p := build(t, k.noGate)
 			if first := run(t, p); !first.equal(want) {
 				t.Fatalf("diverged from the plain fresh build before any reset: %s", first.diff(want))
 			}
@@ -474,8 +417,7 @@ func TestFullResetEqualsFreshBuild(t *testing.T) {
 // fails loudly instead of silently restoring garbage.
 func TestRestoreRejectsDrift(t *testing.T) {
 	cfg := paperSnapConfig(t, 10)
-	src := buildSnap(t, cfg, 0, false, nil)
-	defer src.Close()
+	src := buildSnap(t, cfg, false, nil)
 	src.RunCycles(300)
 	snap, err := src.SnapshotBytes()
 	if err != nil {
@@ -484,15 +426,14 @@ func TestRestoreRejectsDrift(t *testing.T) {
 
 	// The same platform name at another channel count: the arena
 	// sections count lanes and credit wires, so this is drift too.
-	two := buildSnap(t, torusSnapConfig(t, 2, 10), 0, false, nil)
-	defer two.Close()
+	two := buildSnap(t, torusSnapConfig(t, 2, 10), false, nil)
 	two.RunCycles(300)
 	twoLane, err := two.SnapshotBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	fresh := func() *platform.Platform { return buildSnap(t, cfg, 0, false, nil) }
+	fresh := func() *platform.Platform { return buildSnap(t, cfg, false, nil) }
 	cases := []struct {
 		name string
 		blob []byte
@@ -519,23 +460,21 @@ func TestRestoreRejectsDrift(t *testing.T) {
 		}},
 		{"shape mismatch", snap, func() *platform.Platform {
 			// Same platform, extra sections: watchdog + fault campaign.
-			p := buildSnap(t, cfg, 0, false, []fault.Spec{
+			p := buildSnap(t, cfg, false, []fault.Spec{
 				{Link: 0, Mode: link.FaultStuck, From: 10, Until: 20},
 			})
 			if _, err := p.AttachWatchdog(1_000); err != nil {
-				p.Close()
 				t.Fatal(err)
 			}
 			return p
 		}},
 		{"vcs=2 into vcs=1", twoLane, func() *platform.Platform {
-			return buildSnap(t, torusSnapConfig(t, 1, 10), 0, false, nil)
+			return buildSnap(t, torusSnapConfig(t, 1, 10), false, nil)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.into()
-			defer p.Close()
 			if err := p.RestoreBytes(tc.blob); err == nil {
 				t.Errorf("%s accepted", tc.name)
 			}
@@ -552,8 +491,7 @@ func TestRestoreRejectsDrift(t *testing.T) {
 //	go test ./internal/platform -run TestGoldenSnapshotFixture -update
 func TestGoldenSnapshotFixture(t *testing.T) {
 	cfg := paperSnapConfig(t, 5)
-	p := buildSnap(t, cfg, 0, false, nil)
-	defer p.Close()
+	p := buildSnap(t, cfg, false, nil)
 	p.RunCycles(600)
 	snap, err := p.SnapshotBytes()
 	if err != nil {
@@ -575,8 +513,7 @@ func TestGoldenSnapshotFixture(t *testing.T) {
 	}
 
 	// The committed fixture must remain loadable and runnable.
-	q := buildSnap(t, cfg, 0, false, nil)
-	defer q.Close()
+	q := buildSnap(t, cfg, false, nil)
 	if err := q.RestoreBytes(want); err != nil {
 		t.Fatalf("fixture does not restore: %v", err)
 	}
@@ -600,13 +537,12 @@ func TestGoldenSnapshotGatedPR19(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := paperSnapConfig(t, 5)
-	ref := buildSnap(t, cfg, 0, false, nil)
-	defer ref.Close()
+	ref := buildSnap(t, cfg, false, nil)
 	ref.RunCycles(600)
 	ref.RunCycles(400)
 	want := capture(t, ref)
 	for _, noGate := range []bool{false, true} {
-		p := buildSnap(t, cfg, 0, noGate, nil)
+		p := buildSnap(t, cfg, noGate, nil)
 		if err := p.RestoreBytes(old); err != nil {
 			t.Fatalf("noGate=%v: the PR 19 fixture does not restore: %v", noGate, err)
 		}
@@ -614,17 +550,14 @@ func TestGoldenSnapshotGatedPR19(t *testing.T) {
 		if got := capture(t, p); !got.equal(want) {
 			t.Errorf("noGate=%v: continued from the PR 19 fixture: %s", noGate, got.diff(want))
 		}
-		p.Close()
 	}
 }
 
 // TestSnapshotBytesIgnoreSchedule: a snapshot says where the platform
 // is, not how the kernel got there. The same run — split over two
-// RunCycles so a settle happens on the way — is snapshotted under the
-// sequential kernel with and without gating and under two workers with
-// and without fast-forward, and all four agree on every byte. The flit
-// pool's allocation ledger is among them: a shard reuses no flit in the
-// cycle it was released in, whichever worker released it first. What
+// RunCycles so a settle happens on the way — is snapshotted with and
+// without gating, and both agree on every byte (on crews:
+// engine.TestCrewSnapshotBytesIgnoreSchedule). What
 // the schedules used to disagree on is where a parked device's
 // returning credits stood: on the wire, or in its counter (DESIGN.md
 // §13).
@@ -653,9 +586,8 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			snap := func(workers int, noGate bool) []state.Section {
-				p := buildSnap(t, r.cfg, workers, noGate, nil)
-				defer p.Close()
+			snap := func(noGate bool) []state.Section {
+				p := buildSnap(t, r.cfg, noGate, nil)
 				p.RunCycles(r.cycles / 3)
 				p.RunCycles(r.cycles - r.cycles/3)
 				b, err := p.SnapshotBytes()
@@ -668,24 +600,18 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 				}
 				return sections
 			}
-			want := snap(0, true)
-			for _, v := range []struct {
-				workers int
-				noGate  bool
-			}{{0, false}, {2, false}, {2, true}} {
-				got := snap(v.workers, v.noGate)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d noGate=%v: %d sections, the ungated sequential kernel writes %d", v.workers, v.noGate, len(got), len(want))
+			want, got := snap(true), snap(false)
+			if len(got) != len(want) {
+				t.Fatalf("gated: %d sections, the ungated kernel writes %d", len(got), len(want))
+			}
+			var differ []string
+			for i := range want {
+				if !bytes.Equal(got[i].Body, want[i].Body) {
+					differ = append(differ, want[i].Name)
 				}
-				var differ []string
-				for i := range want {
-					if !bytes.Equal(got[i].Body, want[i].Body) {
-						differ = append(differ, want[i].Name)
-					}
-				}
-				if len(differ) > 0 {
-					t.Errorf("workers=%d noGate=%v: sections %v differ from the ungated sequential kernel's", v.workers, v.noGate, differ)
-				}
+			}
+			if len(differ) > 0 {
+				t.Errorf("gated: sections %v differ from the ungated kernel's", differ)
 			}
 		})
 	}
@@ -711,7 +637,7 @@ func TestSnapshotBytesIgnoreScheduleHeldFlit(t *testing.T) {
 	cfg.Trace = &probe.Config{}
 	// The wire to hold: the first one the unfaulted run sends a flit over.
 	held := -1
-	scout := buildSnap(t, cfg, 0, true, nil)
+	scout := buildSnap(t, cfg, true, nil)
 	scout.RunCycles(midHold)
 	for i := 0; held < 0; i++ {
 		l, ok := scout.Link(i)
@@ -722,14 +648,12 @@ func TestSnapshotBytesIgnoreScheduleHeldFlit(t *testing.T) {
 			held = i
 		}
 	}
-	scout.Close()
 	type result struct {
 		mid, end []byte
 		out      runOutput
 	}
 	run := func(noGate bool) (r result) {
-		p := buildSnap(t, cfg, 0, noGate, []fault.Spec{{Link: held, Mode: link.FaultStuck, From: 0, Until: until}})
-		defer p.Close()
+		p := buildSnap(t, cfg, noGate, []fault.Spec{{Link: held, Mode: link.FaultStuck, From: 0, Until: until}})
 		moved := func() (n uint64) {
 			for i := 0; ; i++ {
 				l, ok := p.Link(i)
@@ -808,7 +732,6 @@ func TestForkMatchesColdRunsZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer src.Close()
 			src.RunCycles(warm)
 			seed := src.Config().Seed
 
@@ -816,11 +739,6 @@ func TestForkMatchesColdRunsZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer func() {
-				for _, f := range forks {
-					f.Close()
-				}
-			}()
 			outs := make([]runOutput, nForks)
 			for i, f := range forks {
 				f.RunCycles(tail)
@@ -840,7 +758,6 @@ func TestForkMatchesColdRunsZoo(t *testing.T) {
 				}
 				cold.RunCycles(tail)
 				want := capture(t, cold)
-				cold.Close()
 				if !outs[i].equal(want) {
 					t.Errorf("%s fork %d diverged from its cold-run reference: %s",
 						workload, i, outs[i].diff(want))

@@ -20,8 +20,10 @@ import (
 // The default kernel on a busy network: the gates of a 16×16 mesh at
 // 0.30 stand down at cycle 64, up at 320, down at 384 until 896, up
 // again until 960 and down until 1984 (engine/duty.go), and every
-// stretch walks on a pool where the host has a second processor. The
-// tests below hold that walk to the plain one and to an explicit pool.
+// stretch walks on a crew where the host has a second processor. The
+// tests below hold that walk to the plain one; crews forced on any host
+// are the engine package's (TestWireContractAcrossWalks,
+// TestGatedCrewGatingMatrix).
 
 // busyMesh is the 16×16 mesh at 0.30.
 func busyMesh(t *testing.T) platform.Config {
@@ -53,10 +55,9 @@ func busyMeshStop(t *testing.T, packets uint64) platform.Config {
 
 // standDownKernels are the walks the default one is held to.
 var standDownKernels = []struct {
-	name    string
-	workers int
-	noGate  bool
-}{{"default", 0, false}, {"plain", 0, true}, {"workers=2", 2, false}}
+	name   string
+	noGate bool
+}{{"default", false}, {"plain", true}}
 
 // checkPooled asserts that the default kernel walked on a pool exactly
 // where the host lets it: never on one processor.
@@ -70,9 +71,9 @@ func checkPooled(t *testing.T, p *platform.Platform) {
 // buildStandDown builds cfg for a walk of standDownKernels with a fault
 // campaign — a stuck and a corrupt window — and a watchdog, a
 // SerialTicker.
-func buildStandDown(t *testing.T, cfg platform.Config, workers int, noGate bool) *platform.Platform {
+func buildStandDown(t *testing.T, cfg platform.Config, noGate bool) *platform.Platform {
 	t.Helper()
-	p := buildSnap(t, cfg, workers, noGate, []fault.Spec{
+	p := buildSnap(t, cfg, noGate, []fault.Spec{
 		{Link: 0, Mode: link.FaultStuck, From: 300, Until: 700},
 		{Link: 1, Mode: link.FaultCorrupt, From: 200, Until: 1000},
 	})
@@ -101,7 +102,7 @@ func standDownBoundaries(t *testing.T, cfg platform.Config) []bool {
 	var want [][]byte
 	var downs []bool
 	for _, k := range standDownKernels {
-		p := buildStandDown(t, cfg, k.workers, k.noGate)
+		p := buildStandDown(t, cfg, k.noGate)
 		var got [][]byte
 		for c := 0; c < end; c += chunk {
 			p.RunCycles(chunk)
@@ -114,7 +115,6 @@ func standDownBoundaries(t *testing.T, cfg platform.Config) []bool {
 			want = got
 			checkPooled(t, p)
 		}
-		p.Close()
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("%s: snapshot at cycle %d differs from the default kernel's", k.name, (i+1)*chunk)
@@ -125,10 +125,10 @@ func standDownBoundaries(t *testing.T, cfg platform.Config) []bool {
 }
 
 // TestStandDownPoolBitIdentical: with a fault campaign and a watchdog
-// on the busy mesh, the default kernel, the plain walk and two workers
-// agree on every snapshot byte at every 64-cycle boundary through two
+// on the busy mesh, the default kernel and the plain walk agree on every
+// snapshot byte at every 64-cycle boundary through two
 // stand-downs and the stand-up between them; and a RunUntil whose
-// Stoppers are done inside the third stretch stops all three on one
+// Stoppers are done inside the third stretch stops both on one
 // cycle, with one snapshot.
 func TestStandDownPoolBitIdentical(t *testing.T) {
 	t.Run("boundaries", func(t *testing.T) {
@@ -146,7 +146,7 @@ func TestStandDownPoolBitIdentical(t *testing.T) {
 		}
 		var want result
 		for _, k := range standDownKernels {
-			p := buildStandDown(t, cfg, k.workers, k.noGate)
+			p := buildStandDown(t, cfg, k.noGate)
 			executed, stopped := p.Run(100_000)
 			got := result{executed, p.Engine().Cycle(), stopped, snapBytes(t, p)}
 			if k.name == "default" {
@@ -156,7 +156,6 @@ func TestStandDownPoolBitIdentical(t *testing.T) {
 					t.Errorf("stopped %v at cycle %d, standing down %v; want a stop inside the stretch 960–1983", stopped, got.cycle, p.Engine().StandingDown())
 				}
 			}
-			p.Close()
 			if got.executed != want.executed || got.cycle != want.cycle || got.stopped != want.stopped {
 				t.Errorf("%s: %d cycles to cycle %d, stopped %v; the default kernel %d to %d, %v", k.name, got.executed, got.cycle, got.stopped, want.executed, want.cycle, want.stopped)
 			}
@@ -218,8 +217,8 @@ func TestStandDownPoolTraced(t *testing.T) {
 	}
 }
 
-// TestStandDownPoolLifecycle: a platform without workers holds no
-// goroutine between runs — after RunCycles, and after a RunUntil that
+// TestStandDownPoolLifecycle: a platform holds no goroutine between
+// runs — after RunCycles, and after a RunUntil that
 // its Stopper ends inside a pooled stretch — so it needs no Close. Two
 // such platforms standing down at once share the helper budget: their
 // goroutines beside the test's never outnumber GOMAXPROCS−1.

@@ -29,29 +29,27 @@ var faultedSpecs = []fault.Spec{
 }
 
 // runFaulted is runTraced with the faulted campaign added after Build.
-func runFaulted(t *testing.T, workers int, noGate bool) (trace []byte, held, corrupted uint64) {
+func runFaulted(t *testing.T, noGate bool) (trace []byte, held, corrupted uint64) {
 	t.Helper()
 	cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Trace = &probe.Config{}
-	cfg.Workers = workers
 	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
-		t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: %v", noGate, err)
 	}
-	defer p.Close()
 	if _, err := p.AddFaults(faultedSpecs); err != nil {
 		t.Fatal(err)
 	}
 	if _, stopped := p.Run(1_000_000); !stopped {
-		t.Fatalf("workers=%d noGate=%v: run did not complete", workers, noGate)
+		t.Fatalf("noGate=%v: run did not complete", noGate)
 	}
 	var buf bytes.Buffer
 	if err := p.Probe().WriteJSONL(&buf); err != nil {
-		t.Fatalf("workers=%d noGate=%v: export: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: export: %v", noGate, err)
 	}
 	for _, s := range faultedSpecs {
 		l, _ := p.Link(s.Link)
@@ -63,13 +61,14 @@ func runFaulted(t *testing.T, workers int, noGate bool) (trace []byte, held, cor
 
 // TestGoldenTraceFaulted pins what the fault-free golden traces cannot:
 // when a stuck wire holds a flit, when it lets it go, and which flits a
-// corrupting wire flips. The plain, gated and pooled walks must each
-// reproduce the fixture byte for byte — comparing them only with each
+// corrupting wire flips. The plain and gated walks must each reproduce
+// the fixture byte for byte (on crews: the engine package's
+// TestGatedCrewGoldenTraces) — comparing them only with each
 // other would pass a drift they all share. Regenerate deliberately with
 // -update.
 func TestGoldenTraceFaulted(t *testing.T) {
 	path := filepath.Join("testdata", "trace_faulted.jsonl")
-	reference, held, corrupted := runFaulted(t, 0, false)
+	reference, held, corrupted := runFaulted(t, false)
 	if held == 0 || corrupted == 0 {
 		t.Fatalf("campaign held %d cycles and corrupted %d flits; it must do both", held, corrupted)
 	}
@@ -82,14 +81,10 @@ func TestGoldenTraceFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
-	for _, v := range []struct {
-		workers int
-		noGate  bool
-	}{{0, true}, {0, false}, {2, false}} {
-		got, _, _ := runFaulted(t, v.workers, v.noGate)
+	for _, noGate := range []bool{true, false} {
+		got, _, _ := runFaulted(t, noGate)
 		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d noGate=%v trace diverged from %s:\n%s",
-				v.workers, v.noGate, path, firstTraceDiff(want, got))
+			t.Errorf("noGate=%v trace diverged from %s:\n%s", noGate, path, firstTraceDiff(want, got))
 		}
 	}
 }
@@ -104,13 +99,12 @@ func TestFaultedRestoreAtBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int, noGate bool) *platform.Platform {
+	build := func(noGate bool) *platform.Platform {
 		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Trace = &probe.Config{}
-		cfg.Workers = workers
 		cfg.NoGate = noGate
 		p, err := platform.Build(cfg)
 		if err != nil {
@@ -128,18 +122,14 @@ func TestFaultedRestoreAtBoundaries(t *testing.T) {
 		}
 	}
 	for cut := range cuts {
-		src := build(0, false)
+		src := build(false)
 		src.RunCycles(cut)
 		snap, err := src.SnapshotBytes()
-		src.Close()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		for _, v := range []struct {
-			workers int
-			noGate  bool
-		}{{0, true}, {0, false}, {2, false}} {
-			p := build(v.workers, v.noGate)
+		for _, noGate := range []bool{true, false} {
+			p := build(noGate)
 			if err := p.RestoreBytes(snap); err != nil {
 				t.Fatalf("cut %d: %v", cut, err)
 			}
@@ -150,10 +140,8 @@ func TestFaultedRestoreAtBoundaries(t *testing.T) {
 			if err := p.Probe().WriteJSONL(&buf); err != nil {
 				t.Fatal(err)
 			}
-			p.Close()
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("cut %d, workers=%d noGate=%v: trace diverged:\n%s",
-					cut, v.workers, v.noGate, firstTraceDiff(want, buf.Bytes()))
+				t.Errorf("cut %d, noGate=%v: trace diverged:\n%s", cut, noGate, firstTraceDiff(want, buf.Bytes()))
 			}
 		}
 	}
@@ -166,16 +154,13 @@ func TestFaultedRestoreAtBoundaries(t *testing.T) {
 // does not carry these counters; the snapshot does.
 func TestFaultedSnapshotsPinned(t *testing.T) {
 	const want = "6d14ee4d544984275adea93c92fb43e068187ab38fdcf6feb6cc119a9c422518"
-	for _, v := range []struct {
-		workers int
-		noGate  bool
-	}{{0, true}, {0, false}, {2, false}} {
+	for _, noGate := range []bool{true, false} {
 		cfg, err := platform.PaperConfig(platform.PaperOptions{Traffic: platform.PaperUniform, PacketsPerTG: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Trace = &probe.Config{}
-		cfg.Workers, cfg.NoGate = v.workers, v.noGate
+		cfg.NoGate = noGate
 		p, err := platform.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -192,9 +177,8 @@ func TestFaultedSnapshotsPinned(t *testing.T) {
 			}
 			fmt.Fprintf(&log, "%d %x\n", c, sha256.Sum256(b))
 		}
-		p.Close()
 		if got := fmt.Sprintf("%x", sha256.Sum256(log.Bytes())); got != want {
-			t.Errorf("workers=%d noGate=%v: snapshot digest %s, want %s", v.workers, v.noGate, got, want)
+			t.Errorf("noGate=%v: snapshot digest %s, want %s", noGate, got, want)
 		}
 	}
 }

@@ -27,11 +27,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace fixtures")
 
-// traceWorkerCounts spans the sequential kernel and a worker sweep
-// past the 6-switch platform's shard count, including odd counts that
-// leave arena index ranges unevenly partitioned.
-var traceWorkerCounts = []int{0, 1, 2, 4, 7, 16}
-
 // goldenCases are the pinned reference runs: the paper platform under
 // uniform and under trace-driven (recorded burst) traffic, bounded so
 // the receptor stoppers end the run deterministically.
@@ -55,24 +50,22 @@ func goldenCases(t *testing.T) map[string]platform.Config {
 	}
 }
 
-// runTraced builds cfg with tracing on and the given kernel variant,
-// runs it to completion, and exports the canonical JSONL trace.
-func runTraced(t *testing.T, cfg platform.Config, workers int, noGate bool) []byte {
+// runTraced builds cfg with tracing on, gated or not, runs it to
+// completion, and exports the canonical JSONL trace.
+func runTraced(t *testing.T, cfg platform.Config, noGate bool) []byte {
 	t.Helper()
 	cfg.Trace = &probe.Config{}
-	cfg.Workers = workers
 	cfg.NoGate = noGate
 	p, err := platform.Build(cfg)
 	if err != nil {
-		t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: %v", noGate, err)
 	}
-	defer p.Close()
 	if _, stopped := p.Run(1_000_000); !stopped {
-		t.Fatalf("workers=%d noGate=%v: run did not complete", workers, noGate)
+		t.Fatalf("noGate=%v: run did not complete", noGate)
 	}
 	var buf bytes.Buffer
 	if err := p.Probe().WriteJSONL(&buf); err != nil {
-		t.Fatalf("workers=%d noGate=%v: export: %v", workers, noGate, err)
+		t.Fatalf("noGate=%v: export: %v", noGate, err)
 	}
 	return buf.Bytes()
 }
@@ -93,7 +86,7 @@ func TestGoldenTraces(t *testing.T) {
 	for name, cfg := range goldenCases(t) {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "trace_"+strings.ReplaceAll(name, "-", "_")+".jsonl")
-			reference := runTraced(t, cfg, 0, false)
+			reference := runTraced(t, cfg, false)
 			if *updateGolden {
 				if err := os.WriteFile(path, reference, 0o644); err != nil {
 					t.Fatal(err)
@@ -104,18 +97,13 @@ func TestGoldenTraces(t *testing.T) {
 				t.Fatalf("%v (run with -update to generate)", err)
 			}
 			if !bytes.Equal(reference, want) {
-				t.Fatalf("sequential gated trace diverged from %s:\n%s",
+				t.Fatalf("gated trace diverged from %s:\n%s",
 					path, firstTraceDiff(want, reference))
 			}
-			// Every kernel variant must reproduce the fixture exactly.
-			for _, workers := range traceWorkerCounts {
-				for _, noGate := range []bool{false, true} {
-					got := runTraced(t, cfg, workers, noGate)
-					if !bytes.Equal(got, want) {
-						t.Errorf("workers=%d noGate=%v trace diverged:\n%s",
-							workers, noGate, firstTraceDiff(want, got))
-					}
-				}
+			// The plain walk must reproduce the fixture exactly too; crews
+			// do in the engine package's TestGatedCrewGoldenTraces.
+			if got := runTraced(t, cfg, true); !bytes.Equal(got, want) {
+				t.Errorf("plain trace diverged:\n%s", firstTraceDiff(want, got))
 			}
 		})
 	}
@@ -123,24 +111,22 @@ func TestGoldenTraces(t *testing.T) {
 
 // TestTraceObserverEffect checks that attaching the tracing subsystem
 // does not perturb the emulation: the monitor's JSON snapshot must be
-// byte-identical with tracing on and off, across the kernel matrix.
+// byte-identical with tracing on and off, gated or not.
 func TestTraceObserverEffect(t *testing.T) {
 	cfg, err := platform.PaperConfig(platform.PaperOptions{PacketsPerTG: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func(traced bool, workers int, noGate bool) []byte {
+	snapshot := func(traced bool, noGate bool) []byte {
 		c := cfg
 		if traced {
 			c.Trace = &probe.Config{}
 		}
-		c.Workers = workers
 		c.NoGate = noGate
 		p, err := platform.Build(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		if _, stopped := p.Run(1_000_000); !stopped {
 			t.Fatal("run did not complete")
 		}
@@ -150,14 +136,11 @@ func TestTraceObserverEffect(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, workers := range traceWorkerCounts {
-		for _, noGate := range []bool{false, true} {
-			off := snapshot(false, workers, noGate)
-			on := snapshot(true, workers, noGate)
-			if !bytes.Equal(off, on) {
-				t.Errorf("workers=%d noGate=%v: monitor JSON differs with tracing on:\n%s",
-					workers, noGate, firstTraceDiff(off, on))
-			}
+	for _, noGate := range []bool{false, true} {
+		off := snapshot(false, noGate)
+		on := snapshot(true, noGate)
+		if !bytes.Equal(off, on) {
+			t.Errorf("noGate=%v: monitor JSON differs with tracing on:\n%s", noGate, firstTraceDiff(off, on))
 		}
 	}
 }
@@ -177,7 +160,6 @@ func TestTraceOffZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	p.RunCycles(2_000)
 	avg := testing.AllocsPerRun(20, func() {
 		p.RunCycles(100)
@@ -200,7 +182,6 @@ func TestTraceMetricsOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	if _, stopped := p.Run(1_000_000); !stopped {
 		t.Fatal("run did not complete")
 	}

@@ -92,7 +92,7 @@ func (s *SnapStore) Hits() int { return int(s.hits.Load()) }
 // platform: as built when asBuilt is set, else in any state, since a
 // stored snapshot is restored over it. A stored snapshot replaces the
 // warm-up; one that fails to restore (torn, or of another shape) leaves
-// the platform undefined, so it is closed and an as-built one warmed
+// the platform undefined, so it is dropped and an as-built one warmed
 // instead. A freshly warmed state is stored best effort: a store that
 // cannot write costs a later caller its warm-up, never a result.
 func (s *SnapStore) Warm(key string, cycles uint64, build func(asBuilt bool) (*Platform, error)) (*Platform, error) {
@@ -105,7 +105,6 @@ func (s *SnapStore) Warm(key string, cycles uint64, build func(asBuilt bool) (*P
 			s.hits.Add(1)
 			return p, nil
 		}
-		p.Close()
 	}
 	p, err := build(true)
 	if err != nil {

@@ -74,7 +74,6 @@ func TestWarmRestoresOrWarms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		p.RunCycles(200)
 		return p.Totals()
 	}

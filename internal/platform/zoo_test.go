@@ -45,9 +45,8 @@ func zooConfig(t *testing.T, spec, workload string, packets uint64) platform.Con
 }
 
 // TestGoldenButterflyTrace pins the flattened butterfly's exported
-// JSONL event trace byte-for-byte, across the sequential and parallel
-// kernels, gated and ungated — the ISSUE's workers {0,4} × gate
-// matrix. A diff means the generator's wiring order, the DOR route
+// JSONL event trace byte-for-byte, gated and ungated (on crews: the
+// engine package's TestGatedCrewGoldenTraces). A diff means the generator's wiring order, the DOR route
 // tables, or the workload derivation changed.
 func TestGoldenButterflyTrace(t *testing.T) {
 	cfg := zooConfig(t, "butterfly:w=3,h=3", "uniform", 4)
@@ -55,27 +54,25 @@ func TestGoldenButterflyTrace(t *testing.T) {
 	// Zoo receptors carry no packet expectations, so the run is a
 	// fixed cycle window rather than a stopper-terminated one; the
 	// window is long enough for every bounded generator to drain.
-	runZooTraced := func(workers int, noGate bool) []byte {
+	runZooTraced := func(noGate bool) []byte {
 		cfg := cfg
 		cfg.Trace = &probe.Config{}
-		cfg.Workers = workers
 		cfg.NoGate = noGate
 		p, err := platform.Build(cfg)
 		if err != nil {
-			t.Fatalf("workers=%d noGate=%v: %v", workers, noGate, err)
+			t.Fatalf("noGate=%v: %v", noGate, err)
 		}
-		defer p.Close()
 		p.RunCycles(4_000)
 		if !p.Drained() {
-			t.Fatalf("workers=%d noGate=%v: platform did not drain", workers, noGate)
+			t.Fatalf("noGate=%v: platform did not drain", noGate)
 		}
 		var buf bytes.Buffer
 		if err := p.Probe().WriteJSONL(&buf); err != nil {
-			t.Fatalf("workers=%d noGate=%v: export: %v", workers, noGate, err)
+			t.Fatalf("noGate=%v: export: %v", noGate, err)
 		}
 		return buf.Bytes()
 	}
-	reference := runZooTraced(0, false)
+	reference := runZooTraced(false)
 	if *updateGolden {
 		if err := os.WriteFile(path, reference, 0o644); err != nil {
 			t.Fatal(err)
@@ -86,17 +83,11 @@ func TestGoldenButterflyTrace(t *testing.T) {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
 	if !bytes.Equal(reference, want) {
-		t.Fatalf("sequential gated trace diverged from %s:\n%s",
+		t.Fatalf("gated trace diverged from %s:\n%s",
 			path, firstTraceDiff(want, reference))
 	}
-	for _, workers := range []int{0, 4} {
-		for _, noGate := range []bool{false, true} {
-			got := runZooTraced(workers, noGate)
-			if !bytes.Equal(got, want) {
-				t.Errorf("workers=%d noGate=%v trace diverged:\n%s",
-					workers, noGate, firstTraceDiff(want, got))
-			}
-		}
+	if got := runZooTraced(true); !bytes.Equal(got, want) {
+		t.Errorf("plain trace diverged:\n%s", firstTraceDiff(want, got))
 	}
 }
 
@@ -126,7 +117,6 @@ func TestZooScaleBuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			p.RunCycles(300)
 			if tot := p.Totals(); tot.FlitsReceived == 0 {
 				t.Errorf("no flits delivered after 300 cycles (sent %d)", tot.FlitsSent)
@@ -190,7 +180,6 @@ func TestBuildRetainedHeap(t *testing.T) {
 		if got := float64(live()-before) / (1 << 20); got > c.limit {
 			t.Errorf("%s retains %.1f MB after a run, totals, a snapshot, a restore and a full reset, want under %g: some path declares register banks or keeps construction state", c.spec, got, c.limit)
 		}
-		p.Close()
 	}
 }
 
@@ -260,11 +249,9 @@ func BenchmarkBuildNet(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := platform.Build(cfg)
-				if err != nil {
+				if _, err := platform.Build(cfg); err != nil {
 					b.Fatal(err)
 				}
-				p.Close()
 			}
 		})
 	}
@@ -281,14 +268,12 @@ func TestZooDeterministicRebuild(t *testing.T) {
 	}
 	a.RunCycles(2_000)
 	wantOut := capture(t, a)
-	a.Close()
 	b, err := platform.Build(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.RunCycles(2_000)
 	gotOut := capture(t, b)
-	b.Close()
 	if !gotOut.equal(wantOut) {
 		t.Errorf("rebuild diverged: %s", gotOut.diff(wantOut))
 	}
@@ -317,23 +302,17 @@ func TestSnapshotRestoreZooFlows(t *testing.T) {
 	}
 	src.RunCycles(cut)
 	snap, err := src.SnapshotBytes()
-	src.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{0, 4} {
-		p := buildSnap(t, mk(), workers, false, nil)
-		if err := p.RestoreBytes(snap); err != nil {
-			p.Close()
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		p.RunCycles(total - cut)
-		got := capture(t, p)
-		p.Close()
-		if !got.equal(want) {
-			t.Errorf("workers=%d diverged after restore: %s", workers, got.diff(want))
-		}
+	p := buildSnap(t, mk(), false, nil)
+	if err := p.RestoreBytes(snap); err != nil {
+		t.Fatal(err)
+	}
+	p.RunCycles(total - cut)
+	if got := capture(t, p); !got.equal(want) {
+		t.Errorf("diverged after restore: %s", got.diff(want))
 	}
 }
 
@@ -347,9 +326,7 @@ func TestMinimalTorusRejected(t *testing.T) {
 		t.Fatal("deadlock-prone minimal torus routing accepted")
 	}
 	cfg.AllowDeadlock = true
-	p, err := platform.Build(cfg)
-	if err != nil {
+	if _, err := platform.Build(cfg); err != nil {
 		t.Fatalf("AllowDeadlock build: %v", err)
 	}
-	p.Close()
 }

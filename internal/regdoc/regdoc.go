@@ -159,7 +159,6 @@ func banks() ([]SchemaBank, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regdoc: build reference platform: %w", err)
 	}
-	defer p.Close()
 	byType := map[uint32]SchemaBank{}
 	for _, at := range p.System().Attachments() {
 		b, ok := at.Device.(SchemaBank)

@@ -10,31 +10,26 @@ import (
 
 // TestDeterminismMatrix pins the core service guarantee: the response
 // transcript of a scripted session is byte-identical across every
-// execution shape — server dispatch worker caps, platform kernels
-// (sequential and parallel), quiescence gating on and off, and
-// warm-forked versus cold-built session starts. Only the session's
+// execution shape — server dispatch worker caps, quiescence gating on
+// and off, and warm-forked versus cold-built session starts. Only the session's
 // request stream may influence its answers.
 func TestDeterminismMatrix(t *testing.T) {
 	type shape struct {
 		name        string
 		dispatchCap int
-		platWorkers int
 		noGate      bool
 	}
 	shapes := []shape{
-		{"serial/seq/gated", 0, 0, false},
-		{"serial/seq/ungated", 0, 0, true},
-		{"serial/par4/gated", 0, 4, false},
-		{"serial/par4/ungated", 0, 4, true},
-		{"workers4/seq/gated", 4, 0, false},
-		{"workers4/par4/gated", 4, 4, false},
+		{"serial/seq/gated", 0, false},
+		{"serial/seq/ungated", 0, true},
+		{"workers4/seq/gated", 4, false},
 	}
 	var base []byte
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			m := NewManager(Options{Workers: sh.dispatchCap})
 			defer m.Shutdown()
-			sp := loadedPlatform(sh.platWorkers, sh.noGate, 64)
+			sp := loadedPlatform(sh.noGate, 64)
 			got := runScript(m, sessionScript("det", sp, 1))
 			if base == nil {
 				base = got
@@ -59,7 +54,7 @@ func TestDeterminismMatrix(t *testing.T) {
 func TestWarmColdStartsMatch(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Shutdown()
-	sp := loadedPlatform(0, false, 128)
+	sp := loadedPlatform(false, 128)
 	cold := runScript(m, sessionScript("wc", sp, 2))
 	hitsAfterCold := m.Stats().WarmHits
 	warm := runScript(m, sessionScript("wc", sp, 2))
@@ -78,23 +73,17 @@ func TestWarmColdStartsMatch(t *testing.T) {
 
 // TestWarmSnapshotSharedAcrossKernels: the warm-snapshot key names the
 // state, not the kernel — snapshots restore into any — so opens that
-// differ only in workers/no_gate share the first one's warm-up.
+// differ only in no_gate share the first one's warm-up.
 func TestWarmSnapshotSharedAcrossKernels(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Shutdown()
-	base := runScript(m, sessionScript("k", loadedPlatform(0, false, 128), 2))
-	for _, k := range []struct {
-		workers int
-		noGate  bool
-	}{{4, false}, {0, true}} {
-		hits := m.Stats().WarmHits
-		got := runScript(m, sessionScript("k", loadedPlatform(k.workers, k.noGate, 128), 2))
-		if !bytes.Equal(got, base) {
-			t.Errorf("workers=%d no_gate=%v: transcript differs from the sequential gated one", k.workers, k.noGate)
-		}
-		if after := m.Stats().WarmHits; after != hits+1 {
-			t.Errorf("workers=%d no_gate=%v: warm hits %d -> %d, want one more", k.workers, k.noGate, hits, after)
-		}
+	base := runScript(m, sessionScript("k", loadedPlatform(false, 128), 2))
+	hits := m.Stats().WarmHits
+	if got := runScript(m, sessionScript("k", loadedPlatform(true, 128), 2)); !bytes.Equal(got, base) {
+		t.Error("no_gate: transcript differs from the gated one")
+	}
+	if after := m.Stats().WarmHits; after != hits+1 {
+		t.Errorf("no_gate: warm hits %d -> %d, want one more", hits, after)
 	}
 }
 
@@ -105,7 +94,7 @@ func TestWarmSnapshotSharedAcrossKernels(t *testing.T) {
 func TestShorthandIsItsInlineConfig(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Shutdown()
-	short := runScript(m, sessionScript("eq", loadedPlatform(0, false, 128), 2))
+	short := runScript(m, sessionScript("eq", loadedPlatform(false, 128), 2))
 	open, err := jsonio.DecodeServeRequest([]byte(`{"v":1,"op":"open","sid":"eq","platform":{"config":` +
 		`{"topology":{"kind":"mesh","params":{"w":2,"h":2}},` +
 		`"workload":{"kind":"uniform","injection":0.05,"packet_len":2}},"warmup":128}}`))
@@ -135,7 +124,7 @@ func TestShorthandIsItsInlineConfig(t *testing.T) {
 func TestParkResumeAcrossRestart(t *testing.T) {
 	parkDir := t.TempDir()
 	cacheDir := t.TempDir()
-	sp := loadedPlatform(0, false, 32)
+	sp := loadedPlatform(false, 32)
 	script := sessionScript("restart", sp, 3)
 	// The canonical script parks at index 6 and resumes at 7.
 	if script[6].Op != jsonio.OpPark || script[7].Op != jsonio.OpResume {
@@ -176,7 +165,7 @@ func TestShutdownParksLiveSessions(t *testing.T) {
 	parkDir := t.TempDir()
 	m1 := NewManager(Options{ParkDir: parkDir})
 	open := req(1, jsonio.OpOpen, "drain")
-	open.Platform = testPlatform(0, false, 0)
+	open.Platform = testPlatform(false, 0)
 	if r := m1.Dispatch(open); !r.OK {
 		t.Fatalf("open: %s", r.Err)
 	}
@@ -209,7 +198,7 @@ func TestLRUEviction(t *testing.T) {
 	defer m.Shutdown()
 	for i := 0; i < 3; i++ {
 		open := req(uint64(i), jsonio.OpOpen, fmt.Sprintf("lru-%d", i))
-		open.Platform = testPlatform(0, false, 0)
+		open.Platform = testPlatform(false, 0)
 		if r := m.Dispatch(open); !r.OK {
 			t.Fatalf("open %d: %s", i, r.Err)
 		}

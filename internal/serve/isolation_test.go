@@ -58,9 +58,9 @@ func isolationScript(i int) []jsonio.ServeRequest {
 	sid := fmt.Sprintf("iso-%02d", i)
 	var sp *jsonio.ServePlatform
 	if i%2 == 0 {
-		sp = testPlatform(i%3, i%4 == 0, 16)
+		sp = testPlatform(i%4 == 0, 16)
 	} else {
-		sp = loadedPlatform(i%3, false, 16)
+		sp = loadedPlatform(false, 16)
 	}
 	return sessionScript(sid, sp, i)
 }

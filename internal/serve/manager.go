@@ -245,7 +245,7 @@ func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform, asBuilt b
 		if !asBuilt || e.p.FullReset() == nil {
 			return e.p, e.bus, nil
 		}
-		e.p.Close() // a failed reset leaves it undefined: build anew
+		// A failed reset leaves it undefined: build anew.
 	}
 	p, err := buildPlatform(sp)
 	if err != nil {
@@ -253,7 +253,6 @@ func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform, asBuilt b
 	}
 	bv, err := newBusView(p)
 	if err != nil {
-		p.Close()
 		return nil, nil, err
 	}
 	return p, bv, nil
@@ -261,16 +260,13 @@ func (m *Manager) acquirePlatform(key string, sp jsonio.ServePlatform, asBuilt b
 
 // releasePlatform returns a platform and its bus view to the pool as
 // they are — the next acquirePlatform restores over the platform or
-// resets it — or closes the platform when the pool is full.
+// resets it — or drops the platform when the pool is full.
 func (m *Manager) releasePlatform(key string, p *platform.Platform, bv *busView) {
 	m.mu.Lock()
 	if !m.closed && len(m.pool[key]) < m.opt.PoolPerKey {
 		m.pool[key] = append(m.pool[key], pooled{p, bv})
-		m.mu.Unlock()
-		return
 	}
 	m.mu.Unlock()
-	p.Close()
 }
 
 // sessionOp routes an operation to its live session.
@@ -378,7 +374,6 @@ func (m *Manager) closeLocked(s *session) error {
 	m.mu.Unlock()
 	p.Drain()
 	if live := p.Pool().Live(); live != 0 {
-		p.Close()
 		return fmt.Errorf("serve: session %q leaked %d flits", s.id, live)
 	}
 	m.releasePlatform(s.key, p, bv)
@@ -521,7 +516,6 @@ func (m *Manager) Shutdown() error {
 		} else if err = m.parkLocked(s, false); err != nil {
 			// A failed park leaves the session live; it ends with the
 			// process, so its platform is released here.
-			s.p.Close()
 			s.p, s.bus = nil, nil
 		}
 		s.mu.Unlock()
@@ -531,15 +525,9 @@ func (m *Manager) Shutdown() error {
 	}
 
 	m.mu.Lock()
-	pools := m.pool
 	m.pool = map[string][]pooled{}
 	m.sessions = map[string]*session{}
 	m.mu.Unlock()
-	for _, l := range pools {
-		for _, e := range l {
-			e.p.Close()
-		}
-	}
 	return firstErr
 }
 
@@ -613,7 +601,6 @@ func (m *Manager) unpark(s *session, entry []byte) (*platform.Platform, *busView
 		err = fmt.Errorf("serve: restore session %q: snapshot at cycle %d, parked at %d", s.id, bv.cycle(), h.Cycle)
 	}
 	if err != nil {
-		p.Close() // restored over, or partly: never pooled again
 		return nil, nil, err
 	}
 	return p, bv, nil

@@ -100,7 +100,7 @@ func TestHostileParkEntries(t *testing.T) {
 					opt.ParkDir = t.TempDir()
 				}
 				m := NewManager(opt)
-				h, snap := parkSession(t, m, "p", testPlatform(0, false, 16))
+				h, snap := parkSession(t, m, "p", testPlatform(false, 16))
 				if err := m.park.Put(parkKey("p"), c.mutate(h, snap)); err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestHostileParkEntries(t *testing.T) {
 // snapshot, under the default kernel and under one whose fields the
 // state key leaves out.
 func TestParkEntryIsMarshaledHeader(t *testing.T) {
-	for _, sp := range []*jsonio.ServePlatform{loadedPlatform(0, false, 16), loadedPlatform(2, true, 0)} {
+	for _, sp := range []*jsonio.ServePlatform{loadedPlatform(false, 16), loadedPlatform(true, 0)} {
 		m := NewManager(Options{})
 		h, snap := parkSession(t, m, `p"<&>`, sp)
 		entry, _ := m.park.Get(parkKey(`p"<&>`))
@@ -171,7 +171,7 @@ func TestParkEntryIsMarshaledHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := append(append(head, '\n'), snap...); !bytes.Equal(entry, want) {
-			t.Errorf("workers=%d: park entry header\n%s\nwant\n%s", sp.Workers, entry[:len(entry)-len(snap)], head)
+			t.Errorf("no_gate=%v: park entry header\n%s\nwant\n%s", sp.NoGate, entry[:len(entry)-len(snap)], head)
 		}
 		m.Shutdown()
 	}
@@ -187,7 +187,7 @@ func TestParkEntryIsMarshaledHeader(t *testing.T) {
 func TestPoolAfterFailedResume(t *testing.T) {
 	for _, warmup := range []uint64{0, 32} {
 		t.Run(fmt.Sprintf("warmup=%d", warmup), func(t *testing.T) {
-			sp := loadedPlatform(0, false, warmup)
+			sp := loadedPlatform(false, warmup)
 			m := NewManager(Options{})
 			defer m.Shutdown()
 			// Both sessions are live at once, so parking them pools two

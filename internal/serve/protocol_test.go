@@ -97,7 +97,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	reqs := []jsonio.ServeRequest{
 		func() jsonio.ServeRequest {
 			r := req(1, jsonio.OpOpen, "rt")
-			r.Platform = loadedPlatform(2, true, 100)
+			r.Platform = loadedPlatform(true, 100)
 			return r
 		}(),
 		func() jsonio.ServeRequest {

@@ -11,11 +11,10 @@ import (
 
 // testPlatform is the small session platform the suites share: a 2x2
 // mesh (sources 0-3, co-located sinks 4-7).
-func testPlatform(workers int, nogate bool, warmup uint64) *jsonio.ServePlatform {
+func testPlatform(nogate bool, warmup uint64) *jsonio.ServePlatform {
 	return &jsonio.ServePlatform{
 		Topo:     "mesh:w=2,h=2",
 		Workload: "script",
-		Workers:  workers,
 		NoGate:   nogate,
 		Warmup:   warmup,
 	}
@@ -23,8 +22,8 @@ func testPlatform(workers int, nogate bool, warmup uint64) *jsonio.ServePlatform
 
 // loadedPlatform adds a background uniform workload, so answers carry
 // model traffic on top of the scripted transfers.
-func loadedPlatform(workers int, nogate bool, warmup uint64) *jsonio.ServePlatform {
-	sp := testPlatform(workers, nogate, warmup)
+func loadedPlatform(nogate bool, warmup uint64) *jsonio.ServePlatform {
+	sp := testPlatform(nogate, warmup)
 	sp.Workload = "uniform"
 	sp.Injection = 0.05
 	sp.PacketLen = 2
@@ -94,7 +93,7 @@ func TestSessionLifecycle(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Shutdown()
 	sid := "life"
-	script := sessionScript(sid, testPlatform(0, false, 32), 0)
+	script := sessionScript(sid, testPlatform(false, 32), 0)
 	resps := decodeLines(t, runScript(m, script))
 	if len(resps) != len(script) {
 		t.Fatalf("%d responses for %d requests", len(resps), len(script))
@@ -151,7 +150,7 @@ func TestSessionErrors(t *testing.T) {
 	m := NewManager(Options{})
 	defer m.Shutdown()
 	open := req(1, jsonio.OpOpen, "e")
-	open.Platform = testPlatform(0, false, 0)
+	open.Platform = testPlatform(false, 0)
 	if r := m.Dispatch(open); !r.OK {
 		t.Fatalf("open: %s", r.Err)
 	}
@@ -204,7 +203,7 @@ func TestSessionErrors(t *testing.T) {
 func TestShutdownRejectsRequests(t *testing.T) {
 	m := NewManager(Options{})
 	open := req(1, jsonio.OpOpen, "s")
-	open.Platform = testPlatform(0, false, 0)
+	open.Platform = testPlatform(false, 0)
 	if r := m.Dispatch(open); !r.OK {
 		t.Fatalf("open: %s", r.Err)
 	}

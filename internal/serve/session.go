@@ -79,7 +79,7 @@ func normalizePlatform(sp jsonio.ServePlatform) (jsonio.ServePlatform, error) {
 			Seed: sp.Seed,
 		}
 	}
-	f.Workers, f.NoGate = sp.Workers, sp.NoGate
+	f.NoGate = sp.NoGate
 	norm := jsonio.ServePlatform{Config: &f, Warmup: sp.Warmup, FlitBytes: sp.FlitBytes, QueueFlits: sp.QueueFlits}
 	if norm.FlitBytes == 0 {
 		norm.FlitBytes = defaultFlitBytes
@@ -93,7 +93,7 @@ func normalizePlatform(sp jsonio.ServePlatform) (jsonio.ServePlatform, error) {
 // sessionKeys names a normalized description. config is its config's
 // canonical JSON (fixed struct: declaration-order keys, sorted maps),
 // which a park header embeds. pool and warm are two keys over one state
-// key: that JSON with the kernel fields zeroed, since snapshots restore
+// key: that JSON with the kernel field zeroed, since snapshots restore
 // into any kernel, plus the queue depth sessionConfig patches on. The
 // pool key adds the kernel (a pooled platform is a built kernel), the
 // warm-snapshot key the warm-up.
@@ -101,16 +101,16 @@ func sessionKeys(sp jsonio.ServePlatform) (config []byte, pool, warm string, err
 	if config, err = json.Marshal(sp.Config); err != nil {
 		return nil, "", "", fmt.Errorf("serve: platform key: %v", err)
 	}
-	b := config // the kernel fields are omitted when zero
-	if sp.Config.Workers != 0 || sp.Config.NoGate {
+	b := config // the kernel field is omitted when zero
+	if sp.Config.NoGate {
 		f := *sp.Config
-		f.Workers, f.NoGate = 0, false
+		f.NoGate = false
 		if b, err = json.Marshal(f); err != nil {
 			return nil, "", "", fmt.Errorf("serve: platform key: %v", err)
 		}
 	}
 	state := fmt.Sprintf("serve|%s|queue=%d", b, sp.QueueFlits)
-	return config, fmt.Sprintf("%s|workers=%d|no_gate=%t", state, sp.Config.Workers, sp.Config.NoGate),
+	return config, fmt.Sprintf("%s|no_gate=%t", state, sp.Config.NoGate),
 		fmt.Sprintf("%s|warmup=%d", state, sp.Warmup), nil
 }
 

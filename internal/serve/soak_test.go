@@ -30,7 +30,7 @@ func TestSessionChurnSoak(t *testing.T) {
 			sids[i] = fmt.Sprintf("soak-%d-%d", round, i)
 			open := req(1, jsonio.OpOpen, sids[i])
 			// Alternate kernels so pooled platforms of both shapes churn.
-			open.Platform = testPlatform((i%2)*2, false, 8)
+			open.Platform = testPlatform(false, 8)
 			if r := m.Dispatch(open); !r.OK {
 				t.Fatalf("round %d open %s: %s", round, sids[i], r.Err)
 			}

@@ -144,9 +144,11 @@ func TestDispatchesPerSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := p.Engine()
-	procs := eng.NumComponents() - len(eng.Arenas())
-	for _, a := range eng.Arenas() {
-		procs += a.Len()
+	procs := eng.NumComponents()
+	for _, c := range eng.Components() {
+		if a, ok := c.(engine.Arena); ok {
+			procs += a.Len() - 1
+		}
 	}
 	sim, err := New(eng)
 	if err != nil {

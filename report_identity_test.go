@@ -211,7 +211,6 @@ func TestBusReportByteIdentical(t *testing.T) {
 	for _, traf := range []platform.PaperTraffic{platform.PaperUniform, platform.PaperTrace} {
 		t.Run(string(traf), func(t *testing.T) {
 			p := runPaper(t, traf)
-			defer p.Close()
 
 			var want, got bytes.Buffer
 			if err := referenceReport(&want, p); err != nil {
