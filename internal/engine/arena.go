@@ -20,7 +20,8 @@
 // — the plain walk, Lookup — keeps working unchanged. Three
 // schedulers look inside: a crew shards an arena's index range across
 // workers instead of assigning it whole (pool.go), the
-// gated walk parks and wakes its elements one by one (quiesce.go),
+// gated walk parks and wakes its elements one by one and never its slot
+// (quiesce.go),
 // and the event calendar of internal/tlm gives every element its own
 // processes, as a SystemC kernel would each module.
 package engine

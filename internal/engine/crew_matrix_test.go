@@ -19,7 +19,7 @@ import (
 // on any host: a restore over a dirty platform, the collector's window
 // samples, snapshot bytes after the same run, and the flit pool after a
 // drain. The platform package holds the same runs to the plain and the
-// gated one-core walks.
+// default gated walks.
 
 // scriptable makes every source of cfg accept scripted packets.
 func scriptable(cfg platform.Config) platform.Config {

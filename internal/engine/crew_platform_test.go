@@ -20,9 +20,9 @@ import (
 // The gated crew on whole platforms. CrewAlways makes a platform of any
 // size walk its gated cycles on a crew — a worker per switch, as many as
 // the host has processors — so the fixtures the platform package pins
-// for the one-core walk (its golden traces and the cycle-600 snapshot),
+// for the default walk (its golden traces and the cycle-600 snapshot),
 // its gating matrices against the plain walk and its FullReset must all
-// hold under it. On one processor the same runs take the one-core walk.
+// hold under it. On one processor the same runs walk on a crew of one.
 // Under each, the same runs go on crews of 2, 4, 7 and 16 workers forced
 // on any host (CrewOf): past the paper platform's six switches, and more
 // workers than processors — the crews the platform package cannot force.
@@ -143,8 +143,9 @@ func trace(t *testing.T, p *platform.Platform) []byte {
 // TestGatedCrewGoldenTraces: the gated crew reproduces every golden
 // trace byte for byte — the paper platform's under uniform, trace-driven
 // and faulted traffic, and the flattened butterfly's. A run that traces
-// the scheduler itself keeps the one-core walk, whose parks and wakes
-// its trace records beside the same flit events.
+// the scheduler itself walks on a crew of one, whose parks and wakes its
+// trace records beside the same flit events: of components, never of
+// the switch arena, whose slot no crew lists.
 func TestGatedCrewGoldenTraces(t *testing.T) {
 	for _, tc := range []struct {
 		name, file string
@@ -192,10 +193,18 @@ func TestGatedCrewGoldenTraces(t *testing.T) {
 			t.Errorf("a scheduler-traced run walked %d cycles on a crew", n)
 		}
 		var data []byte
+		parks := 0
 		for _, line := range bytes.SplitAfter(trace(t, p), []byte("\n")) {
 			if !bytes.Contains(line, []byte(`"ring":4294967295`)) {
 				data = append(data, line...)
+			} else if bytes.Contains(line, []byte(`"comp":"switches"`)) {
+				t.Errorf("a scheduler event names the switch arena: %s", line)
+			} else if bytes.Contains(line, []byte(`"kind":"park"`)) {
+				parks++
 			}
+		}
+		if parks == 0 {
+			t.Error("the scheduler-traced run recorded no park")
 		}
 		if !bytes.Equal(data, fixture(t, "trace_uniform.jsonl")) {
 			t.Error("the scheduler-traced run's flit events differ from trace_uniform.jsonl")

@@ -18,21 +18,23 @@
 // steady busy run pays one probe window in thousands of cycles, and a
 // run whose load falls is parking again within a stretch.
 //
-// Both walks pay on a crew (pool.go): a gated engine hires one for each
-// run — a worker per poolSpan arena elements, no
-// more than GOMAXPROCS, and no more helper goroutines than a
-// process-wide budget of GOMAXPROCS−1 has free, which platforms running
-// side by side, sweep points and their fork crews share. The crew walks
-// the gated cycles over its share of the gates (quiesce.go, crewGates)
-// and the stretches plainly, so the stand-down compares the two walks on
-// the same crew, and the share is one constant whatever its size. A
-// crew of one — a platform under 2·poolSpan elements, a one-processor
-// host, a budget held elsewhere — is the caller's goroutine alone, as is
-// an engine whose Armers or SchedTrace need the one-core gated walk.
-// The helpers are taken when the run begins and given back when it ends,
-// goroutines included: none outlives a run. What a crew is built from —
-// its shards, spans and shares of the gates — stays for the next run of
-// the same crew size and registrations.
+// Both walks are a crew's (pool.go): a gated engine hires one for each
+// run — a worker per poolSpan arena elements, no more than the
+// processors it may count on (procs: GOMAXPROCS, capped at the host's),
+// and no more helper goroutines than a process-wide budget of procs−1
+// has free, which platforms running side by side, sweep points and
+// their fork crews share. The crew walks the gated cycles over its
+// share of the gates (quiesce.go, crewGates) and the stretches plainly,
+// so the stand-down compares the two walks on the same crew, and the
+// share is one constant whatever its size. A crew of one — a platform
+// under 2·poolSpan elements, a one-processor host, a budget held
+// elsewhere, a run with a SchedTrace — is the caller's goroutine alone:
+// it starts no goroutine and meets no gate. The helpers are taken when
+// the run begins and given back when it ends, goroutines included: none
+// outlives a run. What a crew is built from — its shards, spans, shares
+// of the gates and arm-table routes — stays for the next run of its
+// size, and a crew of each size is kept: a run whose helpers come and go
+// with the budget re-derives the lists, and builds nothing.
 //
 // None of it shows in results. The plain walk is the reference every
 // gated walk and every crew is held to; a stand-down settles every debt
@@ -84,13 +86,6 @@ type duty struct {
 	// whatever the platform's size, the host's processors and the
 	// budget: its helpers come from none.
 	crew int
-}
-
-// count adds the arena gates' active elements after a gated cycle.
-func (d *duty) count(arenas []*clockGate) {
-	for _, g := range arenas {
-		d.busy += len(g.act)
-	}
 }
 
 // probe begins a probe window at the given cycle.
@@ -148,40 +143,30 @@ func (e *Engine) busyEnough() bool {
 // standDown pays every parked component and arena element up to the
 // current cycle, wakes them all — the registry's as wakes a SchedTrace
 // sees — switches the arm hooks off and starts a stretch of plain
-// cycles, on the run's crew if it has one.
+// cycles on the run's crew.
 func (e *Engine) standDown() {
 	s := e.sched
-	s.gather()
-	e.settle()
-	for i, on := range s.reg.active {
+	for i, on := range s.coord.reg.active {
 		if !on {
-			s.reg.wake(i, e.cycle)
+			e.logSched(false, e.cycle, i)
 		}
 	}
-	for _, g := range s.arenas {
-		g.rebase(e.cycle)
-	}
-	s.heap = s.heap[:0]
+	s.restart(e, e.cycle)
 	e.armHooks(false)
 	d := &s.duty
 	d.down, d.next = true, e.cycle+d.stretch
 	d.stretch = min(2*d.stretch, maxStretch)
 }
 
-// standUp ends a stand-down — its stretch ran out, the timeline moved,
-// or the gates are going away — so whatever comes next finds the hooks
-// on and a probe window open, the gates dealt to the run's crew if it
-// has one. The gates are already everything-active; their first quiet
-// report parks the idle again.
+// standUp ends a stand-down — its stretch ran out or the timeline moved
+// — so whatever comes next finds the hooks on and a probe window open.
+// The gates are already everything-active; their first quiet report
+// parks the idle again.
 func (e *Engine) standUp() {
-	s := e.sched
-	if d := &s.duty; d.down {
+	if d := &e.sched.duty; d.down {
 		d.down = false
 		d.probe(e.cycle)
 		e.armHooks(true)
-		if s.crew != nil {
-			s.deal()
-		}
 	}
 }
 
@@ -189,24 +174,30 @@ func (e *Engine) standUp() {
 // the engine walks the plain schedule, hooks off, until its next probe.
 func (e *Engine) StandingDown() bool { return e.sched != nil && e.sched.duty.down }
 
+// procs is the processors a crew may count on: GOMAXPROCS, but no more
+// than the host has. A CPU quota the runtime does not see is not
+// counted; there a crew may still outnumber its processors.
+func procs() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+
 // helpers is the process-wide budget of the goroutines that simulate
 // beside their callers': the crews' helpers, the point
 // helpers a sweep runs a batch's points on beside its workers and the
 // fork helpers a sweep point measures its replicates on (TakeHelpers),
-// GOMAXPROCS−1 at most together, so that platforms running side by side
+// procs()−1 at most together, so that platforms running side by side
 // (serve sessions, sweep points, a point's forks) never put more
 // spinners on the host than it has processors.
 var helpers atomic.Int32
 
 // TakeHelpers takes up to want helpers from the process-wide budget and
 // returns how many it took: as many as it has free, never more than
-// would bring all held past GOMAXPROCS−1, none where want < 1. It never
+// would bring all held past procs()−1 — GOMAXPROCS−1, or fewer where
+// the host has fewer processors — none where want < 1. It never
 // blocks. The caller gives them back with ReturnHelpers once the
 // goroutines it ran on them have exited.
 func TakeHelpers(want int) int {
 	for {
 		held := helpers.Load()
-		n := min(want, runtime.GOMAXPROCS(0)-1-int(held))
+		n := min(want, procs()-1-int(held))
 		if n <= 0 {
 			return 0
 		}
@@ -220,71 +211,62 @@ func TakeHelpers(want int) int {
 func ReturnHelpers(n int) { helpers.Add(-int32(n)) }
 
 // crewSize is how many workers a crew could have while held helpers
-// are taken: one per span arena elements, at most GOMAXPROCS, the
-// caller's goroutine and as many helpers as the budget has free.
+// are taken: one per span arena elements, at most procs(), the caller's
+// goroutine and as many helpers as the budget has free.
 func (e *Engine) crewSize(held int32) int {
 	d := &e.sched.duty
-	procs := runtime.GOMAXPROCS(0)
-	return max(1, min(procs, d.size/d.span, procs-int(held)))
+	n := procs()
+	return max(1, min(n, d.size/d.span, n-int(held)))
 }
 
-// hire hands the run about to start to a crew of crewSize workers, if
-// that is more than one — the arenas hold at least two spans and the
-// budget has a helper free — and the engine lets its gated walk leave
-// one core: no SchedTrace, whose log follows the one-core walk, and no
-// arm within the cycle of anything but a SerialTicker. A rig's crew
-// size (duty.crew) replaces crewSize and the budget. The crew is built
-// anew only for a new size or new registrations; its goroutines start
-// here.
+// hire hands the run about to start to a crew of crewSize workers — one,
+// the caller's goroutine alone, unless the arenas hold at least two
+// spans and the budget has a helper free — or of one where a
+// SchedTrace, whose log follows one walk, is installed. A rig's crew
+// size (duty.crew) replaces crewSize and the budget. A crew of each size
+// is built once and kept: the workers' lists are re-derived from the
+// gates' flags only when the run's crew is not the last run's, or the
+// registrations changed. Its goroutines start here.
 func (e *Engine) hire() {
 	s := e.sched
-	if e.strace != nil || e.soloArms > 0 {
-		return
-	}
-	n := s.duty.crew
-	if n == 0 {
-		if s.duty.size < 2*s.duty.span {
-			return
-		}
+	n := 1
+	switch {
+	case e.strace != nil: // a crew of one: the log is one goroutine's
+	case s.duty.crew > 0:
+		n = s.duty.crew
+	case s.duty.size >= 2*s.duty.span:
 		n = 1 + TakeHelpers(e.crewSize(0)-1)
 	}
-	if n < 2 {
-		return
-	}
-	p := s.pool
-	if p == nil || len(p.shards) != n {
+	p := s.pools[n]
+	if p == nil {
 		p = newPool(n)
-		s.pool = p
+		s.pools[n] = p
 	}
-	p.deal(e)
+	if p.deal(e) || p != s.pool {
+		s.pool = p
+		p.relist(s)
+	}
 	for _, t := range e.tables {
 		t.route(p)
 	}
 	p.spawn()
-	s.crew = p
 	if !s.duty.down {
-		s.deal()
 		e.armHooks(true)
 	}
 }
 
-// dismiss ends the run's crew, if it has one: the gates are gathered
-// back, its goroutines exit and its helpers go back to the budget.
+// dismiss ends the run's crew: its goroutines exit and its helpers go
+// back to the budget. Its lists stay for the next run.
 func (e *Engine) dismiss() {
 	s := e.sched
-	p := s.crew
-	if p == nil {
+	p := s.pool
+	if len(p.shards) == 1 {
 		return
 	}
-	s.gather()
 	p.gate.release(cmdStop)
 	p.exited.Wait()
 	if s.duty.crew == 0 {
 		ReturnHelpers(len(p.shards) - 1)
-	}
-	s.crew = nil
-	if !s.duty.down {
-		e.armHooks(true)
 	}
 }
 
@@ -292,13 +274,9 @@ func (e *Engine) dismiss() {
 // down everything is awake, and a Send calls nothing.
 func (e *Engine) armHooks(on bool) {
 	for _, t := range e.tables {
-		switch {
-		case !on:
-			t.hook = nil
-		case e.sched.crew != nil:
-			t.hook = t.sendCrew
-		default:
-			t.hook = t.send
+		t.hook = nil
+		if on {
+			t.hook = t.queued
 		}
 	}
 }

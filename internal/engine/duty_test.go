@@ -96,11 +96,11 @@ func TestGateStandsDown(t *testing.T) {
 	}
 }
 
-// pulse wakes every 40th cycle and hands every element of its arena
+// pulse wakes every 40th cycle and sends every element of its arena
 // input that keeps it busy for eight cycles.
 type pulse struct {
 	a     *stubArena
-	arm   func()
+	send  *func(i int)
 	ticks int
 }
 
@@ -110,8 +110,8 @@ func (p *pulse) Tick(c uint64) {
 	if c%40 == 0 {
 		for i := range p.a.elems {
 			p.a.elems[i].busy = 8
+			(*p.send)(i)
 		}
-		p.arm()
 	}
 }
 func (p *pulse) Commit(uint64)                    {}
@@ -119,25 +119,33 @@ func (p *pulse) NextWake(c uint64) (uint64, bool) { return c + 40 - c%40, true }
 func (p *pulse) SkipIdle(from, n uint64)          {}
 
 // TestGateProbeCountsSkippedCycles: a probe window averages over its
-// cycles, fast-forwarded ones included. Every element is active in seven
-// of the nine cycles the engine walks per pulse, but it skips the other
-// 31 of 40, so the gate stays up: the pulse ticks on its timer alone,
-// never in a plain stretch.
+// cycles, fast-forwarded ones included. Every element is active after
+// eight of the nine cycles the engine walks per pulse — from the
+// pulse's, whose report wakes them for the next — but it skips the
+// other 31 of 40, so the gate stays up: the pulse ticks on its timer
+// alone, never in a plain stretch.
 func TestGateProbeCountsSkippedCycles(t *testing.T) {
 	e := New()
 	e.SetGated(true)
 	a := &stubArena{name: "arena", elems: make([]stubElem, 8), noLog: true}
 	p := &pulse{a: a}
-	e.MustRegister(p) // ahead of the arena whose input it stages
+	e.MustRegister(p)
 	e.MustRegisterArena(a)
-	var targets []Target
+	var elems, pulses []Target
 	for i := range a.elems {
-		targets = append(targets, Target{Name: "arena", Elem: i})
+		elems, pulses = append(elems, Target{Name: "arena", Elem: i}), append(pulses, Target{Name: "pulse"})
 	}
-	p.arm, _ = e.Armer(targets...)
+	tbl, err := e.ArmTable(pulses, elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.send = tbl.Hook()
 	e.Run(2000)
 	if p.ticks != 2000/40 || e.StandingDown() {
 		t.Errorf("the pulse ticked %d times, standing down %v; want the gate up throughout", p.ticks, e.StandingDown())
+	}
+	if want := uint64(2000 / 40 * 8 * 8); a.ticks != want {
+		t.Errorf("%d element-cycles ticked, want %d: every element in the eight cycles after each pulse", a.ticks, want)
 	}
 	for i, c := range a.counts() {
 		if c != 2000 {
@@ -186,26 +194,34 @@ func TestGateStandDownPaysTheParked(t *testing.T) {
 	}
 }
 
-// TestGateStandUpOnRebaseAndUngating: a restore mid-stretch and an
-// engine that stops gating both end a stand-down at once, hooks on — a
-// later gated run must never find them off.
+// TestGateStandUpOnRebaseAndUngating: a restore mid-stretch ends a
+// stand-down at once, hooks on; an engine that stops gating ends it
+// with the hooks off — nothing parks, so a Send calls nothing — and a
+// later gated run finds them on from its first cycle.
 func TestGateStandUpOnRebaseAndUngating(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		end  func(t *testing.T, e *Engine)
+		on   bool // the hook after end
 	}{
-		{"LoadState", func(t *testing.T, e *Engine) { restoreCycle(t, e, 0) }},
-		{"SetGated(false)", func(_ *testing.T, e *Engine) { e.SetGated(false) }},
+		{"LoadState", func(t *testing.T, e *Engine) { restoreCycle(t, e, 0) }, true},
+		{"SetGated(false)", func(_ *testing.T, e *Engine) { e.SetGated(false) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _, w := dutyRig(8)
 			e.Run(100)
 			tc.end(t, e)
-			if want := []hookFlip{{64, false}}; !slices.Equal(w.flips, want) || *w.tbl.Hook() == nil {
-				t.Errorf("hooks switched at %v and on = %v, want %v and on again", w.flips, *w.tbl.Hook() != nil, want)
+			if want := []hookFlip{{64, false}}; !slices.Equal(w.flips, want) || (*w.tbl.Hook() != nil) != tc.on {
+				t.Errorf("hooks switched at %v and on = %v, want %v and %v", w.flips, *w.tbl.Hook() != nil, want, tc.on)
 			}
 			if s := e.sched; s != nil && (s.duty.down || s.duty.from != 0 || s.duty.next != probeCycles || s.duty.stretch != minStretch) {
 				t.Errorf("after %s: %+v, want up and probing afresh", tc.name, s.duty)
+			}
+			e.SetGated(true)
+			c := e.Cycle()
+			e.Run(1)
+			if want := []hookFlip{{64, false}, {c, true}}; !slices.Equal(w.flips, want) {
+				t.Errorf("a gated run after %s switched the hooks at %v, want %v", tc.name, w.flips, want)
 			}
 		})
 	}
@@ -332,11 +348,11 @@ func TestStandDownPoolLifetime(t *testing.T) {
 }
 
 // TestStandDownPoolBudget: engines that stand down at the same time
-// share one budget of GOMAXPROCS−1 helpers. Each of two 256-element
+// share one budget of procs()−1 helpers. Each of two 256-element
 // engines alone would take all of it (up to three); together they never
 // hold more, and between them they walk a pool where there is a budget.
 func TestStandDownPoolBudget(t *testing.T) {
-	limit := int32(runtime.GOMAXPROCS(0) - 1)
+	limit := int32(procs() - 1)
 	var arenas [2]*spanArena
 	var pooled [2]uint64
 	var wg sync.WaitGroup
@@ -374,10 +390,10 @@ func TestStandDownPoolBudget(t *testing.T) {
 // TestHelperBudgetShared: goroutines taking and giving back helpers
 // with TakeHelpers and ReturnHelpers — as sweep points' fork crews do —
 // while two engines' stand-down pools hire from the same budget never
-// hold more than GOMAXPROCS−1 between them, and the budget is whole
+// hold more than procs()−1 between them, and the budget is whole
 // again once all have finished.
 func TestHelperBudgetShared(t *testing.T) {
-	limit := runtime.GOMAXPROCS(0) - 1
+	limit := procs() - 1
 	var held, peak atomic.Int32
 	note := func(n int32) {
 		for {
@@ -448,7 +464,8 @@ func withProcs(t *testing.T, procs int) {
 // budget held elsewhere — by a sweep point's fork crew, say — alike; at
 // 100/256 its gates stay up for every crew. Either walk is on the crew
 // the host and the budget have: helpers a fork crew holds shrink it,
-// never past the budget. A share of 64 stands down only where every
+// never past the budget, and GOMAXPROCS above the host's processors
+// adds none. A share of 64 stands down only where every
 // element is active in every cycle of the window; one above 64 never
 // does.
 func TestGateStandsDownForACrew(t *testing.T) {
@@ -471,16 +488,21 @@ func TestGateStandsDownForACrew(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			withProcs(t, tc.procs)
-			if n := TakeHelpers(tc.held); n != tc.held {
-				t.Fatalf("took %d helpers, want %d", n, tc.held)
+			// The budget counts no more processors than the host has: on
+			// a smaller host the fork crew holds what there is.
+			host := procs()
+			held := min(tc.held, host-1)
+			n := TakeHelpers(held)
+			defer ReturnHelpers(n)
+			if n != held {
+				t.Fatalf("took %d helpers, want %d", n, held)
 			}
-			defer ReturnHelpers(tc.held)
 			e, a := shareEngine("arena", tc.busy)
 			e.sched.duty.share = tc.share
 			e.Run(100) // one probe window, and 36 cycles of what it decided
-			crew := min(tc.procs-tc.held, 4)
+			crew := min(host-held, 4)
 			if n := e.crewSize(helpers.Load()); n != crew {
-				t.Errorf("crew size %d with %d helpers held, want %d", n, tc.held, crew)
+				t.Errorf("crew size %d with %d helpers held, want %d", n, held, crew)
 			}
 			if e.StandingDown() != tc.down {
 				t.Errorf("standing down %v, want %v", e.StandingDown(), tc.down)
@@ -488,11 +510,11 @@ func TestGateStandsDownForACrew(t *testing.T) {
 			if pooled := e.PooledCycles(); (crew > 1) != (pooled == 100) || crew == 1 && pooled != 0 {
 				t.Errorf("%d cycles walked on a crew of %d, want all or none", pooled, crew)
 			}
-			if p := a.peak.Load(); p > int32(tc.procs-1) {
-				t.Errorf("%d helpers held during the run, budget %d", p, tc.procs-1)
+			if p := a.peak.Load(); p > int32(host-1) {
+				t.Errorf("%d helpers held during the run, budget %d", p, host-1)
 			}
-			if n := helpers.Load(); n != int32(tc.held) {
-				t.Errorf("%d helpers held after the run, want the test's %d", n, tc.held)
+			if n := helpers.Load(); n != int32(held) {
+				t.Errorf("%d helpers held after the run, want the test's %d", n, held)
 			}
 			for i, c := range a.counts {
 				if c != 100 {

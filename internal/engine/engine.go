@@ -13,17 +13,18 @@
 // event management (the property the paper credits for its four orders
 // of magnitude over event-driven simulation).
 //
-// One Engine drives that schedule through one run loop (run, below).
-// One optional state picks how a cycle is walked: the clock gates of
-// quiesce.go park idle components. A gated run also recovers the
-// paper's other performance property — every device evaluated
-// concurrently within a cycle: where the platform is big enough to pay
-// for it and the host has the processors, the run hires a crew (pool.go,
-// duty.go) and walks its gated cycles on it — every worker its share of
-// the gates, so a big sparse platform ticks only its active devices, on
-// every core — and where enough is busy the gates stand down for the
-// plain walk, on the same crew. Results are bit-identical whichever
-// walk executes them.
+// One Engine drives that schedule through one run loop (run, below) and
+// two walks. Ungated, it ticks every component in registration order:
+// the reference. Gated — the one optional state — the clock gates of
+// quiesce.go park idle components, and every run walks them on a crew
+// (pool.go, duty.go): every worker its share of the gates, so a big
+// sparse platform ticks only its active devices, and where enough is
+// busy the gates stand down for the plain walk, on the same crew. Where
+// the platform is big enough to pay for it and the host has the
+// processors, the crew has helpers, recovering the paper's other
+// performance property — every device evaluated concurrently within a
+// cycle; elsewhere it is a crew of one, the caller's goroutine alone.
+// Results are bit-identical whichever walk executes them.
 package engine
 
 import (
@@ -62,7 +63,7 @@ type Component interface {
 // SerialTicker marks a component whose Tick reads state owned by other
 // components — e.g. a watchdog summing platform-wide statistics. A
 // crew evaluates such components alone on the coordinator, after every
-// worker's share of the cycle; the one-core walks run
+// worker's share of the cycle; the ungated walk runs
 // them in registration order like any other component. The walks
 // produce identical results provided a SerialTicker is registered after
 // every component it observes (the platform registers watchdogs last)
@@ -101,23 +102,21 @@ type Engine struct {
 	// (arena.go); a crew shards their index ranges instead of assigning
 	// them whole.
 	arenas []Arena
-	tables []*ArmTable // the wires' (quiesce.go); flushed after each gated cycle's quiet report
+	tables []*ArmTable // the wires' (quiesce.go); delivered in each gated cycle's report
 	armers []*armer    // every Armer's closure (quiesce.go)
-	// soloArms counts the arms within a cycle that only the one-core
-	// gated walk can make: of anything but a SerialTicker (duty.go, hire).
-	soloArms int
 	// cycle is the completed-cycle counter. It moves only by running or
 	// by LoadState (state.go).
 	cycle uint64
 	// The optional state, decided in reshape and nowhere else: sched
-	// (quiesce.go) exists iff the engine is gated; its runs may hire a
+	// (quiesce.go) exists iff the engine is gated; its runs walk on a
 	// crew (duty.go).
 	gated bool
 	sched *sched
 	// strace receives kernel scheduling events (trace.go); nil — the
 	// default — disables them.
 	strace SchedTrace
-	// pooled counts the cycles walked on a crew (PooledCycles).
+	// pooled counts the cycles walked on a crew with helpers
+	// (PooledCycles).
 	pooled uint64
 }
 
@@ -193,8 +192,8 @@ func (e *Engine) Stoppers() []Stopper {
 func (e *Engine) Cycle() uint64 { return e.cycle }
 
 // PooledCycles returns how many cycles the engine has walked on a
-// crew since it was built (duty.go). Like every scheduling choice it
-// never shows in results.
+// crew of two workers or more since it was built (duty.go). Like every
+// scheduling choice it never shows in results.
 func (e *Engine) PooledCycles() uint64 { return e.pooled }
 
 // Step advances the simulation by exactly one cycle.
@@ -249,13 +248,10 @@ func (e *Engine) pollStop() (stop, byStopper bool) {
 // overshooting the stop by one cycle would break bit-identity.
 func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	poll = poll && len(e.stoppers)+len(e.aborters) > 0
-	// Enter: the gates sync their slots with the registry (schedEnter),
-	// and a gated run hires a crew where one pays (duty.go).
+	// Enter: the gates sync with the registry, and a gated run that
+	// walks hires its crew (schedEnter).
 	if e.sched != nil {
-		e.schedEnter()
-		if max > 0 {
-			e.hire()
-		}
+		e.schedEnter(max > 0)
 	}
 	for executed < max {
 		if poll {
@@ -277,35 +273,32 @@ func (e *Engine) run(max uint64, poll bool) (executed uint64, stopped bool) {
 	// are owed, so observers between runs read the counters a naive
 	// schedule would have produced.
 	if e.sched != nil {
-		e.dismiss()
+		if max > 0 {
+			e.dismiss()
+		}
 		e.settle()
 	}
 	return executed, stopped
 }
 
-// walk executes one cycle and counts it. A gated engine walks its gates
-// on the run's crew when it has one, and whose gates stand down
-// (duty.go) walks the plain schedule, on the crew when it has one.
+// walk executes one cycle and counts it. An ungated engine walks its
+// components in registration order — the reference every other walk is
+// held to. A gated one walks its gates on the run's crew (crewWalk) or,
+// while they stand down (duty.go), the plain schedule on the same crew.
 func (e *Engine) walk() {
-	switch s := e.sched; {
-	case s != nil && s.crew != nil && e.gatesUp():
-		e.crewWalk(s)
-		e.pooled++
-	case s != nil && s.crew != nil:
-		s.crew.walk(e.cycle)
-		e.pooled++
-	case s != nil && e.gatesUp():
-		s.wakeDue(&s.heap, &s.reg, e.cycle)
-		s.reg.Tick(e.cycle)
-		s.report(e.cycle)
-		for _, t := range e.tables {
-			t.flush(s, e.cycle+1)
-		}
-		s.duty.count(s.arenas)
-	default:
-		c := e.cycle
+	c := e.cycle
+	if s := e.sched; s == nil {
 		for _, comp := range e.components {
 			comp.Tick(c)
+		}
+	} else {
+		if e.gatesUp() {
+			e.crewWalk(s)
+		} else {
+			s.pool.walk(c)
+		}
+		if len(s.pool.shards) > 1 {
+			e.pooled++
 		}
 	}
 	e.cycle++
@@ -349,18 +342,18 @@ func (e *Engine) Gated() bool { return e.gated }
 
 // reshape is the one decision point for the optional state: the gates
 // exist iff the engine is gated. Dropping them settles their
-// outstanding skip accounting first.
+// outstanding skip accounting first and switches the arm hooks off.
 func (e *Engine) reshape() {
 	switch {
 	case e.gated && e.sched == nil:
-		s := &sched{duty: duty{share: standDownShare, span: poolSpan}}
-		s.reg = clockGate{pop: s, ordered: true, log: e.logSched}
+		s := &sched{duty: duty{share: standDownShare, span: poolSpan}, pools: map[int]*pool{}}
+		s.coord = crewGates{e: e, s: s}
+		s.coord.reg = clockGate{pop: &s.coord, log: e.logSched}
 		s.duty.restart(e.cycle)
 		e.sched = s
 	case !e.gated && e.sched != nil:
-		e.schedEnter()
 		e.settle()
-		e.standUp()
+		e.armHooks(false)
 		e.sched = nil
 	}
 }

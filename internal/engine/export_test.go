@@ -2,7 +2,7 @@ package engine
 
 import "math/rand/v2"
 
-// StandDownAlways makes a gated sequential engine stand its gates down
+// StandDownAlways makes a gated engine stand its gates down
 // after every probe window, however idle: the gated-standing-down walk
 // of the contract tests (walks_test.go).
 func StandDownAlways(e *Engine) { e.sched.duty.share = 0 }
@@ -17,8 +17,9 @@ func CrewAlways(e *Engine) { e.sched.duty.share, e.sched.duty.span = 65, 1 }
 // CrewOf makes every run of a gated engine hire a crew of exactly n
 // workers, whatever the platform's size and the host's processors —
 // more workers than processors spin and yield (spinYield) — and none
-// of them from the helper budget. n = 1 keeps the one-core walk. The
-// gates stand down as they would on a crew the budget paid for.
+// of them from the helper budget. n = 1 is the crew of one: the
+// caller's goroutine alone, with no helper and no gate. The gates stand
+// down as they would on a crew the budget paid for.
 func CrewOf(e *Engine, n int) { e.sched.duty.crew = n }
 
 // Order is how a permuted walk (PermutedRun) orders the ticks of a

@@ -6,13 +6,14 @@
 // registrations and arenas alike by contiguous index range, so that an
 // endpoint's devices share a worker with their switch — and each cycle
 // is one pass of every worker over its shard, ended by one barrier. A
-// gated engine hires one for each run where the platform is big enough
-// and the host has the processors, and walks its gated cycles and the
-// stretches its gates stand down for on it (duty.go). No component
-// reads in a cycle what another wrote in it — the cycle boundary lives
-// in the wires' parity slots and the switches' start-of-cycle occupancy
-// — so the schedule is order-independent and any sharding produces
-// results bit-identical to the one-core walks.
+// gated engine hires one for each run — of one worker, the caller's
+// goroutine, unless the platform is big enough and the host has the
+// processors — and walks its gated cycles and the stretches its gates
+// stand down for on it (duty.go). No component reads in a cycle what
+// another wrote in it — the cycle boundary lives in the wires' parity
+// slots and the switches' start-of-cycle occupancy — so the schedule is
+// order-independent and any sharding produces results bit-identical to
+// the ungated walk.
 //
 // Synchronization is built for cycle-rate use: a crew's goroutines are
 // spawned when the run hires it and exit when the run ends. Within a
@@ -24,7 +25,8 @@
 // spin at the gate, on a fully executed phase — it ticks the
 // SerialTicker components alone, and the run loop (Engine.run) polls
 // the stop predicate and looks for a window to skip. The stop decision
-// is therefore exact.
+// is therefore exact. A crew of one has no helper: it starts no
+// goroutine, and its phases meet at no gate.
 //
 // A crew walks a gated cycle in two phases over the worker's share of
 // the gates (quiesce.go, crewGates): its active lists, then — once
@@ -45,7 +47,7 @@
 // swap by the owner), so no gate ordering is required, and reuse timing
 // cannot perturb simulation state: Acquire fully resets the flit, no
 // component observes flit pointer identity, and no flit is reused in
-// the cycle it was released in, so the pool's ledger is the sequential
+// the cycle it was released in, so the pool's ledger is the plain
 // walk's.
 package engine
 
@@ -66,10 +68,10 @@ const (
 
 // The busy-wait at a gate before the spinner yields the processor is
 // bounded, so the engine stays live (if slow) even with more workers
-// than GOMAXPROCS: spinYield spins, or spinLong where every worker has
-// a processor of its own — a hired crew always does — and a yield would
-// only delay it (a gated cycle on a crew meets at the gate twice;
-// EXPERIMENTS.md, "The gate shards").
+// than processors: spinYield spins, or spinLong where every worker has
+// a processor of its own (procs, duty.go) — a crew the budget paid for
+// always does — and a yield would only delay it (a gated cycle on a
+// crew meets at the gate twice; EXPERIMENTS.md, "The gate shards").
 const (
 	spinYield = 128
 	spinLong  = 1024
@@ -164,18 +166,19 @@ type pool struct {
 func newPool(n int) *pool {
 	p := &pool{shards: make([][]Component, n), spans: make([][]arenaSpan, n), sharded: -1}
 	p.gate.spin = spinYield
-	if n <= runtime.GOMAXPROCS(0) {
+	if n <= procs() {
 		p.gate.spin = spinLong
 	}
 	return p
 }
 
 // deal distributes the components to the workers if registrations
-// changed since the last deal: components by runs, arenas by spans,
-// and the gates' slots and elements with them.
-func (p *pool) deal(e *Engine) {
+// changed since the last deal — components by runs, arenas by spans,
+// and the gates' slots and elements with them — and reports whether it
+// did.
+func (p *pool) deal(e *Engine) bool {
 	if p.sharded == len(e.components) {
-		return
+		return false
 	}
 	p.sharded = len(e.components)
 	for i := range p.shards {
@@ -199,6 +202,7 @@ func (p *pool) deal(e *Engine) {
 	dealSpans(e.arenas, p.spans)
 	p.deals++
 	p.shareGates(e)
+	return true
 }
 
 // owner values of the registry slots no worker walks.
@@ -243,8 +247,12 @@ func (p *pool) workerOf(e *Engine, r ref) int32 {
 
 // spawn starts the helpers for one run: they spin at the gate from the
 // start, and exit at the run's stop (dismiss). Their bodies are bound
-// once per pool, so a run allocates nothing to start them.
+// once per pool, so a run allocates nothing to start them. A crew of
+// one has none.
 func (p *pool) spawn() {
+	if len(p.shards) == 1 {
+		return
+	}
 	if p.helpers == nil {
 		for id := 1; id < len(p.shards); id++ {
 			p.helpers = append(p.helpers, func() { p.crewWorker(id) })
@@ -290,14 +298,26 @@ func (p *pool) crewWorker(id int) {
 	}
 }
 
+// release starts a phase on the helpers; a crew of one has none to
+// start.
+func (p *pool) release(cmd uint32) {
+	if len(p.shards) > 1 {
+		p.gate.release(cmd)
+	}
+}
+
 // join waits until every other worker has done its share of the phase.
-func (p *pool) join() { p.gate.waitOthers(int32(len(p.shards) - 1)) }
+func (p *pool) join() {
+	if len(p.shards) > 1 {
+		p.gate.waitOthers(int32(len(p.shards) - 1))
+	}
+}
 
 // walk executes cycle c plainly: every shard ticks, and then the
 // SerialTickers do, alone.
 func (p *pool) walk(c uint64) {
 	p.next = c
-	p.gate.release(cmdTick)
+	p.release(cmdTick)
 	p.tick(0, c)
 	p.join()
 	for _, comp := range p.serial {

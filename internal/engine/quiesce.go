@@ -31,30 +31,29 @@
 //     reads, stats resets) always see the same numbers the naive
 //     schedule would have produced.
 //
-// Who is active and who is owed what is one type, clockGate, below. A
-// gated engine instantiates it once over the component
-// registry and once over the elements of every registered arena; an
-// arena's gate then stands in the arena's registry slot, so gating nests: the
-// registry parks the slot when the arena's gate has nothing active. The
-// gate never asks an element whether it is quiet: the population's
-// quiet report, run after the cycle's Ticks, names the ones that went
-// quiet. An arena answers it from the state its elements' Ticks just
-// left, and an arena element only ever wakes on input. The registry
-// (sched) has to ask each
-// component through an interface, so it rations the looks with a
-// backoff, and it keeps the timers. The arenas themselves only store and
-// evaluate elements (arena.go).
+// Who is active and who is owed what is one type, clockGate, below: a
+// flag and a watermark per registry slot and per element of every
+// registered arena, and active lists over them. The gated walk is a
+// crew's (duty.go, pool.go), of one worker or more: every worker keeps
+// the active lists, the quiet report, the timers and the park
+// watermarks of the registry slots and arena elements it owns
+// (crewGates), over the gates' shared arrays, and walks only those; an
+// arena's slot itself is never listed, only its elements. The gate
+// never asks an element whether it is quiet: the population's quiet
+// report, run after the cycle's Ticks, names the ones that went quiet.
+// An arena answers it from the state its elements' Ticks just left, and
+// an arena element only ever wakes on input. The registry has to ask
+// each component through an interface, so it rations the looks with a
+// backoff, and it keeps the timers.
 //
-// Where a run hires a crew (duty.go), the gates are dealt to it
-// (crewGates): each worker keeps the active list, the quiet report, the
-// timers and the park watermarks of the registry slots and arena
-// elements it owns, over the gates' own arrays, and walks only those. A
-// wire's Send queues its reader's wake on the list of the worker that
+// A wire's Send queues its reader's wake on the list of the worker that
 // writes the wire, and after the barrier each worker applies the wakes
 // addressed to what it owns. The coordinator keeps the SerialTickers,
-// their timers and what arms them. On a network busy enough that
-// parking costs more than it saves, the gates stand down for the plain
-// walk, on the same crew (duty.go).
+// their timers and what arms them: an arm within the cycle (Armer,
+// ArmTable.Also) reaches SerialTickers only, which the coordinator
+// ticks after every worker's share, in the same cycle. On a network
+// busy enough that parking costs more than it saves, the gates stand
+// down for the plain walk, on the same crew (duty.go).
 package engine
 
 import (
@@ -133,45 +132,31 @@ func (h *wakeHeap) pop() wakeEntry {
 // addressed by index, evaluated in batches, each able to absorb skipped
 // cycles. QuietList reports, as positions in idx, the elements that
 // stay quiet from the next cycle on until input arms them or a timer
-// their population keeps wakes them (Arena has the contract). The
-// registry (sched, below) and every Arena implement it.
+// their population keeps wakes them (Arena has the contract). A
+// worker's share of the registry (crewGates, below) and every Arena
+// implement it.
 type population interface {
 	TickList(idx []int, cycle uint64)
 	QuietList(idx []int, cycle uint64, quiet []int) []int
 	ElemSkipIdle(i int, from, n uint64)
 }
 
-// clockGate schedules one population: it keeps the set of active elements,
-// walks only those, parks the ones its population reports quiet, wakes
-// them on input (arm), and remembers from which cycle each parked
-// element is owed idle cycles. A gate itself ticks and is Quiescable —
-// quiet when nothing in it is active — which is what lets an arena's
-// gate sit in the registry gate's walk.
+// clockGate schedules one population: a flag per element saying whether
+// it is active, the cycle from which each parked element is owed idle
+// cycles, and an active list — the per-cycle walk — that parks the ones
+// its population reports quiet and grows by the ones input wakes.
+// Gates over the same population share the flags and watermarks, each
+// listing the elements it owns.
 type clockGate struct {
-	pop population
-	// ordered makes the walk follow index order: the list is re-derived
-	// from the flags after any wake. The registry needs it (a
-	// SerialTicker must tick behind the components it observes, and the
-	// producers of an arena's input ahead of the arena); arena elements
-	// are order-free and skip the re-derivation.
-	ordered bool
-	dirty   bool // an element was appended to act out of index order
-
+	pop    population
 	active []bool
-	act    []int    // the active elements; the per-cycle walk
+	act    []int    // the active elements this gate owns; the per-cycle walk
 	park   []uint64 // first cycle a parked element has not executed
-	quiet  []int    // scratch of report: positions in act reported quiet; cap = population
+	quiet  []int    // scratch of report: positions in act reported quiet
 	// log, when set, is told of every park (true) and wake (false). The
-	// registry gate reports them to the engine's SchedTrace; arena gates
-	// stay silent, as element scheduling always has.
+	// registry's gates report them to the engine's SchedTrace; arena
+	// gates stay silent, as element scheduling always has.
 	log func(park bool, cycle uint64, i int)
-}
-
-// add appends one active element slot.
-func (g *clockGate) add(cycle uint64) {
-	g.act = append(g.act, len(g.active))
-	g.active = append(g.active, true)
-	g.park = append(g.park, cycle)
 }
 
 // arm re-activates element i at the given cycle if it is parked.
@@ -185,33 +170,22 @@ func (g *clockGate) arm(i int, cycle uint64) {
 }
 
 // wake puts parked element i back on the active list, paying its
-// skip-accounting debt. Appending to act is what makes an element armed
-// mid-walk still tick this cycle (Tick's growing bound).
+// skip-accounting debt.
 func (g *clockGate) wake(i int, cycle uint64) {
 	g.active[i] = true
 	if g.park[i] < cycle {
 		g.pop.ElemSkipIdle(i, g.park[i], cycle-g.park[i])
 	}
 	g.act = append(g.act, i)
-	g.dirty = true
 	if g.log != nil {
 		g.log(false, cycle, i)
 	}
 }
 
-// Tick ticks the active list. The bound grows: an
-// element ticked here may stage input for a parked one, whose arm hook
-// appends it to act, and the next batch picks it up in this same
-// cycle. It was quiet, so its catch-up tick stages nothing and reads
-// nothing another element staged this cycle.
+// Tick ticks the active list.
 func (g *clockGate) Tick(cycle uint64) {
-	if g.ordered && g.dirty {
-		g.relist()
-	}
-	for done := 0; done < len(g.act); {
-		n := len(g.act)
-		g.pop.TickList(g.act[done:n], cycle)
-		done = n
+	if len(g.act) > 0 {
+		g.pop.TickList(g.act, cycle)
 	}
 }
 
@@ -220,6 +194,9 @@ func (g *clockGate) Tick(cycle uint64) {
 // goes idle, a busy one costs nothing here — and closes the list up
 // from the first of them.
 func (g *clockGate) report(cycle uint64) {
+	if len(g.act) == 0 {
+		return
+	}
 	g.quiet = g.pop.QuietList(g.act, cycle, g.quiet[:0])
 	if len(g.quiet) == 0 {
 		return
@@ -242,28 +219,6 @@ func (g *clockGate) report(cycle uint64) {
 	g.act = g.act[:w]
 }
 
-// NextWake implements Quiescable: the gate is quiet when nothing in it
-// is active, until input arms an element.
-func (g *clockGate) NextWake(cycle uint64) (uint64, bool) {
-	return NeverWake, len(g.act) == 0
-}
-
-// SkipIdle implements Quiescable: the per-element watermarks already
-// carry the debt (paid on arm or settle), so the gate as a whole is
-// owed nothing.
-func (g *clockGate) SkipIdle(from, n uint64) {}
-
-// relist re-derives the active list from the flags, in index order.
-func (g *clockGate) relist() {
-	g.act = g.act[:0]
-	for i, on := range g.active {
-		if on {
-			g.act = append(g.act, i)
-		}
-	}
-	g.dirty = false
-}
-
 // settle pays the outstanding skip accounting of every parked element
 // up to the given cycle. Elements stay parked; their watermark
 // advances.
@@ -276,18 +231,17 @@ func (g *clockGate) settle(cycle uint64) {
 	}
 }
 
-// rebase restarts the gate at the given cycle after a LoadState moved
-// the timeline and replaced element state under it: every element is
-// active again with its watermark on the new timeline, and the next
-// executed cycle's quiet report re-derives the parked set from the
-// elements' own state. The caller settles first, so no debt is
-// outstanding.
-func (g *clockGate) rebase(cycle uint64) {
+// restart makes every element active with its watermark at the given
+// cycle: after a LoadState moved the timeline and replaced element
+// state under it, or for a stand-down. The caller settles first, so no
+// debt is outstanding, and re-derives the lists (pool.relist); the next
+// gated cycle's quiet report re-derives the parked set from the
+// elements' own state.
+func (g *clockGate) restart(cycle uint64) {
 	for i := range g.active {
 		g.active[i] = true
 		g.park[i] = cycle
 	}
-	g.relist()
 }
 
 // Target addresses something the gate can park: the registered
@@ -303,133 +257,64 @@ type Target struct {
 // transparent, so delaying it only trims the calls a busy registry pays.
 const parkRetry = 8
 
-// sched is the gating state of a sequential Engine: the registry gate,
-// one gate per registered arena, and the walk the registry gate drives.
-// As the registry gate's population it keeps the park scan and the timers.
+// sched is the gating state of an Engine: the flags and watermarks of
+// every gate, the registry's looks and timers, and the crew that holds
+// the active lists.
 type sched struct {
-	reg    clockGate
-	arenas []*clockGate // by position in Engine.arenas
-	// walk is the component list with every arena replaced by its gate;
-	// quies is walk[i] as a Quiescable, nil when it cannot park.
-	walk  []interface{ Tick(cycle uint64) }
-	quies []Quiescable
-	// nextTry is the cycle from which a component is next asked whether it
-	// is quiet (a wake finds it due); wakeAt the timer its latest park set.
+	// coord is the coordinator's share of the registry: its list is the
+	// SerialTickers', its heap their timers. Its gate's flags and
+	// watermarks are the whole registry's, which every worker's share
+	// reads and writes for the slots it owns.
+	coord crewGates
+	// arenas holds every registered arena's flags and watermarks, by
+	// position in Engine.arenas; the workers' shares list them.
+	arenas []clockGate
+	// quies is every registry slot as a Quiescable, nil where it cannot
+	// park — an arena's slot among them. nextTry is the cycle from which
+	// a component is next asked whether it is quiet (a wake finds it
+	// due); wakeAt the timer its latest park set.
+	quies   []Quiescable
 	nextTry []uint64
 	wakeAt  []uint64
-	heap    wakeHeap
 	// duty decides when the gates stand down for the plain walk (duty.go).
 	duty duty
-	// pool is the crew the gates are dealt to, kept between runs and
-	// rebuilt for a new crew size or registration count; crew is pool
-	// while a run has hired it, nil otherwise (duty.go). dealt says the
-	// workers hold the active lists (crewGates); reg then lists the
-	// SerialTickers alone. phaseA says the workers are ticking: an arm
-	// then waits for the coordinator.
-	pool, crew *pool
-	dealt      bool
-	phaseA     bool
-}
-
-func (s *sched) TickList(idx []int, cycle uint64) {
-	for _, i := range idx {
-		s.walk[i].Tick(cycle)
-	}
-}
-
-// report is the gated cycle's quiet report: every arena gate parks its
-// quiet elements, then the registry gate its quiet components — an
-// arena's slot among them once its gate has nothing active.
-func (s *sched) report(cycle uint64) {
-	for _, g := range s.arenas {
-		g.report(cycle)
-	}
-	s.reg.report(cycle)
-}
-
-// QuietList asks each listed component that is due a look whether it
-// is quiet beyond the next cycle — after every Tick of the cycle, so
-// the answers see the whole cycle.
-func (s *sched) QuietList(idx []int, cycle uint64, quiet []int) []int {
-	return s.look(idx, cycle, quiet, &s.heap)
-}
-
-// look is QuietList with the timers of the parks it reports pushed on h:
-// the registry's heap, or the heap of the worker reporting (crewGates).
-func (s *sched) look(idx []int, cycle uint64, quiet []int, h *wakeHeap) []int {
-	for r, i := range idx {
-		q := s.quies[i]
-		if q == nil || cycle < s.nextTry[i] {
-			continue
-		}
-		if wake, ok := q.NextWake(cycle); !ok {
-			s.nextTry[i] = cycle + parkRetry
-		} else if wake > cycle+1 {
-			quiet = append(quiet, r)
-			s.wakeAt[i] = wake
-			if wake != NeverWake {
-				h.push(wakeEntry{wake: wake, idx: i})
-			}
-		}
-	}
-	return quiet
-}
-
-func (s *sched) ElemSkipIdle(i int, from, n uint64) {
-	if q := s.quies[i]; q != nil {
-		q.SkipIdle(from, n)
-	}
+	// pool is the crew whose workers hold the active lists: the last
+	// run's, kept between runs. pools keeps every crew built, by size,
+	// so that a size that comes back builds nothing (duty.go, hire).
+	// phaseA says the workers are ticking: an arm then waits for the
+	// coordinator.
+	pool   *pool
+	pools  map[int]*pool
+	phaseA bool
 }
 
 // valid reports whether a timer still stands: its component is parked,
 // by the park that set it (or one that set the same cycle).
 func (s *sched) valid(ent wakeEntry) bool {
-	return !s.reg.active[ent.idx] && s.wakeAt[ent.idx] == ent.wake
+	return !s.coord.reg.active[ent.idx] && s.wakeAt[ent.idx] == ent.wake
 }
 
-// wakeDue wakes, on gate g, every parked component whose timer on h
-// has run out.
-func (s *sched) wakeDue(h *wakeHeap, g *clockGate, cycle uint64) {
-	for len(*h) > 0 && (*h)[0].wake <= cycle {
-		if ent := h.pop(); s.valid(ent) {
-			g.wake(ent.idx, cycle)
-		}
-	}
-}
-
-// earliest is the earliest standing timer on h, NeverWake for none.
-func (s *sched) earliest(h *wakeHeap) uint64 {
-	for len(*h) > 0 {
-		if top := (*h)[0]; s.valid(top) {
-			return top.wake
-		}
-		h.pop()
-	}
-	return NeverWake
-}
-
-// regGate is the gate that lists registry slot i when it is active: the
-// registry's, or the owning worker's while the gates are dealt.
+// regGate is the gate that lists registry slot i when it is active: its
+// worker's, or the coordinator's for a SerialTicker.
 func (s *sched) regGate(i int) *clockGate {
-	if s.dealt {
-		if o := s.crew.owner[i]; o >= 0 {
-			return &s.crew.gates[o].reg
-		}
+	if o := s.pool.owner[i]; o >= 0 {
+		return &s.pool.gates[o].reg
 	}
-	return &s.reg
+	return &s.coord.reg
 }
 
 // nextWake reports whether the whole registry is parked and, if so,
 // until which cycle: its earliest standing timer, the workers' included.
+// A wake still queued — a Send between runs, which the next report
+// applies — keeps the cycle walked.
 func (s *sched) nextWake() (uint64, bool) {
-	if len(s.reg.act) > 0 || s.dealt && s.crew.busy() {
+	p := s.pool
+	if len(s.coord.reg.act) > 0 || p.busy() || s.coord.e.queued() {
 		return 0, false
 	}
-	wake := s.earliest(&s.heap)
-	if s.dealt {
-		for w := range s.crew.gates {
-			wake = min(wake, s.earliest(&s.crew.gates[w].heap))
-		}
+	wake := s.coord.earliest()
+	for w := range p.gates {
+		wake = min(wake, p.gates[w].earliest())
 	}
 	return wake, true
 }
@@ -439,15 +324,7 @@ func (s *sched) nextWake() (uint64, bool) {
 // element. Narrow fields: an arm table holds one per wire.
 type ref struct{ arena, elem, slot int32 }
 
-// wakeElem wakes a parked arena element and then the arena's registry
-// slot: the slot parks only on an empty gate and every wake goes through
-// here, so it needs a look only when the element was parked.
-func (s *sched) wakeElem(r ref, cycle uint64) {
-	s.arenas[r.arena].wake(int(r.elem), cycle)
-	s.reg.arm(int(r.slot), cycle)
-}
-
-// logSched forwards the registry gate's transitions to the SchedTrace.
+// logSched forwards the registry gates' transitions to the SchedTrace.
 func (e *Engine) logSched(park bool, cycle uint64, i int) {
 	if e.strace == nil {
 		return
@@ -472,33 +349,56 @@ func (e *Engine) resolve(t Target) (ref, bool) {
 	return ref{arena: int32(k), elem: int32(t.Elem), slot: int32(slot)}, true
 }
 
+// resolveSerial resolves the name of a SerialTicker: what an arm within
+// the cycle may reach.
+func (e *Engine) resolveSerial(name string) (int32, bool) {
+	r, ok := e.resolve(Target{Name: name})
+	if !ok || r.arena >= 0 {
+		return 0, false
+	}
+	_, ok = e.components[r.slot].(SerialTicker)
+	return r.slot, ok
+}
+
 // Armer returns one closure that re-activates every target — the
 // scheduler half of the arm-on-input rule for a single hook (the probe
 // collector's emit-time arm; the wires of an arena share an ArmTable).
-// The closure costs a flag test per target when everything is active
-// and is safe to call when gating is off. A target that is no
-// SerialTicker keeps the gated walk on one core: only the coordinator
-// arms within a cycle on a crew.
+// Every target must be a SerialTicker, or Armer reports false: a target
+// armed within a cycle is armed after the workers' share of it and
+// ticked in the serial phase, in the same cycle. The closure costs a
+// flag test per target when everything is active and is safe to call
+// when gating is off.
 func (e *Engine) Armer(targets ...Target) (func(), bool) {
-	a := &armer{e: e, refs: make([]ref, len(targets))}
+	slots := make([]int32, len(targets))
 	for n, t := range targets {
-		r, ok := e.resolve(t)
+		slot, ok := e.resolveSerial(t.Name)
 		if !ok {
 			return nil, false
 		}
-		a.refs[n] = r
-		e.noteArm(r)
+		slots[n] = slot
 	}
+	return e.armer(slots...).arm, true
+}
+
+// armer returns the armer of the given SerialTicker slots, made on
+// first use: one late flag per target list for crewWalk to look at.
+func (e *Engine) armer(slots ...int32) *armer {
+	for _, a := range e.armers {
+		if slices.Equal(a.slots, slots) {
+			return a
+		}
+	}
+	a := &armer{e: e, slots: slots}
 	e.armers = append(e.armers, a)
-	return a.arm, true
+	return a
 }
 
 // armer is an Armer's closure: its targets, and whether a worker's Tick
 // asked for them while the coordinator could not arm (late).
 type armer struct {
-	e    *Engine
-	refs []ref
-	late atomic.Bool
+	e     *Engine
+	slots []int32
+	late  atomic.Bool
 }
 
 func (a *armer) arm() {
@@ -506,69 +406,53 @@ func (a *armer) arm() {
 	if s == nil {
 		return
 	}
-	if s.phaseA { // the coordinator arms them after the barrier (crewWalk)
-		for _, r := range a.refs {
-			if !s.reg.active[r.slot] && !a.late.Load() {
+	g := &s.coord.reg
+	for _, i := range a.slots {
+		if int(i) < len(g.active) && !g.active[i] {
+			if s.phaseA { // the coordinator arms them after the barrier (crewWalk)
 				a.late.Store(true)
+				return
 			}
+			g.wake(int(i), a.e.cycle)
 		}
-		return
-	}
-	for _, r := range a.refs {
-		if r.arena < 0 {
-			s.reg.arm(int(r.slot), a.e.cycle)
-		} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
-			s.wakeElem(r, a.e.cycle) // gates exist from the first kernel entry
-		}
-	}
-}
-
-// noteArm counts an arm within the cycle (Armer, ArmTable.Also) that a
-// crew could not make: of anything but a SerialTicker.
-func (e *Engine) noteArm(r ref) {
-	if _, ok := e.components[r.slot].(SerialTicker); !ok || r.arena >= 0 {
-		e.soloArms++
 	}
 }
 
 // ArmTable is the arm-on-input rule of a whole wire population as data:
 // a row per wire instead of closures per wire. A wire that puts a flit
-// on view for the next cycle calls Send with its index; the table
-// queues the wake of its reader, and the gated walk applies the queue
-// after the quiet report (flush), so the reader first runs in the cycle
-// it can take the flit. Credits wake nobody: SkipIdle collects them.
+// on view for the next cycle calls its hook with its index; the table
+// queues the wake of its reader on the list of the worker that writes
+// the wire, and that worker's report phase applies it for its reader's
+// owner (deliver), so the reader first runs in the cycle it can take
+// the flit. A Send between runs is applied in the next run's first
+// report. Credits wake nobody: SkipIdle collects them.
 type ArmTable struct {
 	e    *Engine
-	rows []ref   // per wire: who reads it
-	from []ref   // per wire: who writes it
-	also []int32 // per wire: one more registry slot to arm, -1 for none
-	// pending is the wires whose readers are queued this cycle; cap =
-	// rows, so a cycle in which every wire sends appends without growing.
-	pending []int32
-	// hook is what the wires call (Hook): send — Send, bound once — on
-	// one core, sendCrew — crewSend — while the gates are dealt to a
-	// crew, or nil while the gates stand down and a Send would find all
-	// awake.
-	hook, send, sendCrew func(i int)
+	rows []ref    // per wire: who reads it
+	from []ref    // per wire: who writes it
+	also []*armer // per wire: the SerialTicker to arm too, nil for none
+	// hook is what the wires call (Hook): queue, bound once, or nil
+	// before the first run and while the gates stand down and a Send
+	// would find all awake.
+	hook, queued func(i int)
 	// On a crew of n (route): lists is, per wire, the list a Send queues
 	// its reader on — sent[src*n+dst], src and dst the workers of the
-	// wire's writer and reader — complemented where Also added a slot,
-	// whose arm a worker's Send queues on late[src]. Every list has one
-	// writer.
+	// wire's writer and reader. Every list has one writer.
 	n     int
 	lists []int32
 	sent  []wireList
-	late  []wireList
-	// routed is the crew and deal the lists are for; nil after an Also.
+	// routed is the crew and deal the lists are for.
 	routed *pool
 	deal   int
 }
 
 // wireList is one writer's queue of wires, padded so that no two
-// queues' headers share a cache line.
+// queues' headers share a cache line; need is the wires it may hold in
+// a cycle, its capacity from the first route on.
 type wireList struct {
-	w []int32
-	_ [104]byte
+	w    []int32
+	need int
+	_    [96]byte
 }
 
 // ArmTable builds the table for a wire population: writers[i] writes
@@ -578,11 +462,10 @@ func (e *Engine) ArmTable(writers, readers []Target) (*ArmTable, error) {
 		return nil, errArena("arm table: writers and readers differ in number")
 	}
 	t := &ArmTable{
-		e: e, rows: make([]ref, len(readers)), from: make([]ref, len(writers)), also: make([]int32, len(readers)),
-		pending: make([]int32, 0, len(readers)),
+		e: e, rows: make([]ref, len(readers)), from: make([]ref, len(writers)), also: make([]*armer, len(readers)),
+		lists: make([]int32, len(readers)),
 	}
-	t.send, t.sendCrew = t.Send, t.crewSend
-	t.hook = t.send
+	t.queued = t.queue
 	for i := range readers {
 		var ok bool
 		if t.rows[i], ok = e.resolve(readers[i]); !ok {
@@ -591,138 +474,110 @@ func (e *Engine) ArmTable(writers, readers []Target) (*ArmTable, error) {
 		if t.from[i], ok = e.resolve(writers[i]); !ok {
 			return nil, errArena("arm table: unknown writer " + writers[i].Name)
 		}
-		t.also[i] = -1
 	}
 	e.tables = append(e.tables, t)
 	return t, nil
 }
 
 // Hook returns the variable the wires call through; the engine sets it
-// to nil while its gates stand down, and back to Send.
+// while its gates are up, and to nil while they stand down.
 func (t *ArmTable) Hook() *func(i int) { return &t.hook }
 
-// Also makes a flit sent on wire i arm the named plain component too,
-// in the same cycle (the watchdog, on injection wires).
+// Also makes a flit sent on wire i arm the named SerialTicker too, in
+// the same cycle (the watchdog, on injection wires). Anything but a
+// SerialTicker is refused.
 func (t *ArmTable) Also(i int, name string) error {
-	r, ok := t.e.resolve(Target{Name: name})
-	if !ok || r.arena >= 0 || i < 0 || i >= len(t.also) {
+	slot, ok := t.e.resolveSerial(name)
+	if !ok || i < 0 || i >= len(t.also) {
 		return errArena("arm table: cannot also arm " + name)
 	}
-	t.also[i] = r.slot
-	t.routed = nil
-	t.e.noteArm(r)
+	t.also[i] = t.e.armer(slot)
 	return nil
 }
 
-// Send is the wires' hook: wire i put a flit on view for the next
-// cycle. A parked reader is queued; an awake one stays awake, since its
-// quiet report counts the flit arriving. What Also added is armed now.
-// No gates yet means nothing is parked yet.
-func (t *ArmTable) Send(i int) {
-	s := t.e.sched
-	if s == nil {
-		return
+// queue is the wires' hook: wire i put a flit on view for the next
+// cycle. Its reader is queued on the writer's list for its owner, which
+// wakes it after the barrier if it is parked (deliver) — no worker
+// reads another's flags. What Also added is armed as an Armer arms.
+func (t *ArmTable) queue(i int) {
+	if a := t.also[i]; a != nil {
+		a.arm()
 	}
-	if r := t.rows[i]; r.arena < 0 {
-		if int(r.slot) < len(s.reg.active) && !s.reg.active[r.slot] {
-			t.pending = append(t.pending, int32(i))
-		}
-	} else if int(r.arena) < len(s.arenas) && !s.arenas[r.arena].active[r.elem] {
-		t.pending = append(t.pending, int32(i))
-	}
-	if a := t.also[i]; a >= 0 {
-		s.reg.arm(int(a), t.e.cycle)
-	}
-}
-
-// flush wakes the readers queued this cycle for the next one.
-func (t *ArmTable) flush(s *sched, next uint64) {
-	for _, i := range t.pending {
-		if r := t.rows[i]; r.arena < 0 {
-			s.reg.arm(int(r.slot), next)
-		} else if !s.arenas[r.arena].active[r.elem] {
-			s.wakeElem(r, next)
-		}
-	}
-	t.pending = t.pending[:0]
-}
-
-// crewSend is Send on a crew: the reader is queued on the writer's list
-// for its owner, which wakes it after the barrier if it is parked
-// (deliver) — no worker reads another's flags. What Also added waits for
-// the coordinator if a worker sends (armLate), and is armed at once if
-// the coordinator does, from a SerialTicker's Tick.
-func (t *ArmTable) crewSend(i int) {
-	l := t.lists[i]
-	if l < 0 {
-		l = ^l
-		if s, a := t.e.sched, t.also[i]; !s.reg.active[a] {
-			if s.phaseA {
-				q := &t.late[l/int32(t.n)].w
-				*q = append(*q, int32(i))
-			} else {
-				s.reg.wake(int(a), t.e.cycle)
-			}
-		}
-	}
-	q := &t.sent[l].w
+	q := &t.sent[t.lists[i]].w
 	*q = append(*q, int32(i))
 }
 
 // route maps the table onto crew p, unless it is mapped onto its last
 // deal already: the list of each wire's writer and reader, and an empty
-// list for every pair of workers.
+// list for every pair of workers, with room for every wire it may
+// carry in a cycle. What was sent between runs moves to the new lists.
 func (t *ArmTable) route(p *pool) {
 	if t.routed == p && t.deal == p.deals {
 		return
 	}
-	t.routed, t.deal = p, p.deals
-	t.n = len(p.shards)
-	t.lists = make([]int32, len(t.rows))
+	var carried []int32
+	for v := range t.sent {
+		carried = append(carried, t.sent[v].w...)
+	}
+	t.routed, t.deal, t.n = p, p.deals, len(p.shards)
+	if cap(t.sent) < t.n*t.n {
+		t.sent = make([]wireList, t.n*t.n)
+	}
+	t.sent = t.sent[:t.n*t.n]
+	for v := range t.sent {
+		t.sent[v].w, t.sent[v].need = t.sent[v].w[:0], 0
+	}
 	for i := range t.rows {
 		t.lists[i] = p.workerOf(t.e, t.from[i])*int32(t.n) + p.workerOf(t.e, t.rows[i])
-		if t.also[i] >= 0 {
-			t.lists[i] = ^t.lists[i]
+		t.sent[t.lists[i]].need++
+	}
+	for v := range t.sent {
+		if q := &t.sent[v]; cap(q.w) < q.need {
+			q.w = make([]int32, 0, q.need)
 		}
 	}
-	t.sent, t.late = make([]wireList, t.n*t.n), make([]wireList, t.n)
+	for _, i := range carried {
+		q := &t.sent[t.lists[i]].w
+		*q = append(*q, i)
+	}
+}
+
+// queued reports whether any arm table holds a wake for the next report.
+func (e *Engine) queued() bool {
+	for _, t := range e.tables {
+		for v := range t.sent {
+			if len(t.sent[v].w) > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // deliver wakes, for the next cycle, the parked readers owned by worker
 // w that every writer queued this cycle.
 func (t *ArmTable) deliver(g *crewGates, w int, next uint64) {
-	s := g.s
 	for v := 0; v < t.n; v++ {
 		q := &t.sent[v*t.n+w].w
 		for _, i := range *q {
 			if r := t.rows[i]; r.arena >= 0 {
 				g.arenas[r.arena].arm(int(r.elem), next)
 			} else {
-				s.regGate(int(r.slot)).arm(int(r.slot), next)
+				g.s.regGate(int(r.slot)).arm(int(r.slot), next)
 			}
 		}
 		*q = (*q)[:0]
 	}
 }
 
-// armLate arms what Also added for the wires the workers sent on.
-func (t *ArmTable) armLate(s *sched, cycle uint64) {
-	for v := range t.late {
-		q := &t.late[v].w
-		for _, i := range *q {
-			s.reg.arm(int(t.also[i]), cycle)
-		}
-		*q = (*q)[:0]
-	}
-}
-
-// crewGates is one worker's share of a gated engine's gates on a crew:
-// active lists over the gates' own flags and watermarks for the
-// registry slots (reg) and the arena elements (arenas, by position in
-// Engine.arenas) it owns, its quiet report over them, and the heap of
-// the timers that report sets. Every flag and watermark has one owner,
-// so the workers share the gates' arrays without atomics. As reg's
-// population it is the registry with its own heap.
+// crewGates is one worker's share of a gated engine's gates on a crew —
+// or the coordinator's (sched.coord): active lists over the gates' own
+// flags and watermarks for the registry slots (reg) and the arena
+// elements (arenas, by position in Engine.arenas) it owns, its quiet
+// report over them, and the heap of the timers that report sets. Every
+// flag and watermark has one owner, so the workers share the gates'
+// arrays without atomics. As reg's population it is the registry with
+// its own heap.
 type crewGates struct {
 	e      *Engine
 	s      *sched
@@ -732,11 +587,61 @@ type crewGates struct {
 	_      [64]byte
 }
 
-func (g *crewGates) TickList(idx []int, cycle uint64) { g.s.TickList(idx, cycle) }
-func (g *crewGates) QuietList(idx []int, cycle uint64, quiet []int) []int {
-	return g.s.look(idx, cycle, quiet, &g.heap)
+func (g *crewGates) TickList(idx []int, cycle uint64) {
+	for _, i := range idx {
+		g.e.components[i].Tick(cycle)
+	}
 }
-func (g *crewGates) ElemSkipIdle(i int, from, n uint64) { g.s.ElemSkipIdle(i, from, n) }
+
+// QuietList asks each listed component that is due a look whether it
+// is quiet beyond the next cycle — after every Tick of the cycle, so
+// the answers see the whole cycle — and pushes the timers of the parks
+// it reports on the heap.
+func (g *crewGates) QuietList(idx []int, cycle uint64, quiet []int) []int {
+	s := g.s
+	for r, i := range idx {
+		q := s.quies[i]
+		if q == nil || cycle < s.nextTry[i] {
+			continue
+		}
+		if wake, ok := q.NextWake(cycle); !ok {
+			s.nextTry[i] = cycle + parkRetry
+		} else if wake > cycle+1 {
+			quiet = append(quiet, r)
+			s.wakeAt[i] = wake
+			if wake != NeverWake {
+				g.heap.push(wakeEntry{wake: wake, idx: i})
+			}
+		}
+	}
+	return quiet
+}
+
+func (g *crewGates) ElemSkipIdle(i int, from, n uint64) {
+	if q := g.s.quies[i]; q != nil {
+		q.SkipIdle(from, n)
+	}
+}
+
+// wakeDue wakes every parked component whose timer has run out.
+func (g *crewGates) wakeDue(cycle uint64) {
+	for len(g.heap) > 0 && g.heap[0].wake <= cycle {
+		if ent := g.heap.pop(); g.s.valid(ent) {
+			g.reg.wake(ent.idx, cycle)
+		}
+	}
+}
+
+// earliest is the earliest standing timer, NeverWake for none.
+func (g *crewGates) earliest() uint64 {
+	for len(g.heap) > 0 {
+		if top := g.heap[0]; g.s.valid(top) {
+			return top.wake
+		}
+		g.heap.pop()
+	}
+	return NeverWake
+}
 
 // tick is the worker's first phase of a gated cycle: its active lists,
 // its timers already woken (crewWalk).
@@ -748,9 +653,9 @@ func (g *crewGates) tick(cycle uint64) {
 }
 
 // report is the second, once every worker has ticked: the worker parks
-// what went quiet and wakes what was sent input, as the one-core walk's
-// report and flush do, and what its timers have due in the next cycle —
-// while no worker ticks, so their SkipIdle may take from their wires.
+// what went quiet and wakes what was sent input, and what its timers
+// have due in the next cycle — while no worker ticks, so their SkipIdle
+// may take from their wires.
 func (g *crewGates) report(w int, cycle uint64) {
 	for k := range g.arenas {
 		g.arenas[k].report(cycle)
@@ -759,7 +664,7 @@ func (g *crewGates) report(w int, cycle uint64) {
 	for _, t := range g.e.tables {
 		t.deliver(g, w, cycle+1)
 	}
-	g.s.wakeDue(&g.heap, &g.reg, cycle+1)
+	g.wakeDue(cycle + 1)
 }
 
 // busy reports whether any worker has something active.
@@ -779,7 +684,8 @@ func (p *pool) busy() bool {
 }
 
 // shareGates builds every worker's share of the gates of s, over their
-// arrays: a deal (pool.deal) fixes who owns what.
+// arrays, with room for all it owns: a deal (pool.deal) fixes who owns
+// what.
 func (p *pool) shareGates(e *Engine) {
 	s, n := e.sched, len(p.shards)
 	owned := make([]int, n)
@@ -791,8 +697,8 @@ func (p *pool) shareGates(e *Engine) {
 	p.gates = make([]crewGates, n)
 	for w := range p.gates {
 		g := &p.gates[w]
-		g.e, g.s = e, s
-		g.reg = clockGate{pop: g, active: s.reg.active, park: s.reg.park,
+		g.e, g.s, g.heap = e, s, make(wakeHeap, 0, owned[w])
+		g.reg = clockGate{pop: g, active: s.coord.reg.active, park: s.coord.reg.park, log: e.logSched,
 			act: make([]int, 0, owned[w]), quiet: make([]int, 0, owned[w])}
 		g.arenas = make([]clockGate, len(s.arenas))
 		for k, a := range s.arenas {
@@ -801,63 +707,46 @@ func (p *pool) shareGates(e *Engine) {
 				act: make([]int, 0, span), quiet: make([]int, 0, span)}
 		}
 	}
+	if c := &s.coord; cap(c.reg.act) < len(p.serial) {
+		c.reg.act, c.reg.quiet = make([]int, 0, len(p.serial)), make([]int, 0, len(p.serial))
+		c.heap = make(wakeHeap, 0, len(p.serial))
+	}
 }
 
-// deal hands the gates' active lists to the crew: every active registry
-// slot and arena element to the worker that owns it, the SerialTickers
-// staying on reg's.
-func (s *sched) deal() {
-	p := s.crew
+// relist re-derives the active lists from the gates' flags for this
+// crew — every active registry slot on its owner's list, the
+// coordinator's for a SerialTicker, every active arena element on its
+// span's — and drops the timers, which only a park sets. It runs where
+// the lists change hands or the flags change under them: a run on
+// another crew or a new deal (hire), a stand-down and a restore.
+// Slots registered after the deal wait for the next.
+func (p *pool) relist(s *sched) {
+	c := &s.coord
+	c.reg.act, c.heap = c.reg.act[:0], c.heap[:0]
 	for w := range p.gates {
 		g := &p.gates[w]
-		g.reg.act = g.reg.act[:0]
+		g.reg.act, g.heap = g.reg.act[:0], g.heap[:0]
 		for k := range g.arenas {
 			g.arenas[k].act = g.arenas[k].act[:0]
 		}
 	}
-	serial := s.reg.act[:0]
-	for _, i := range s.reg.act {
-		switch o := p.owner[i]; o {
-		case coordinator:
-			serial = append(serial, i)
-		case arenaSlot: // its elements are dealt below
+	for i, o := range p.owner {
+		switch {
+		case !c.reg.active[i] || o == arenaSlot:
+		case o == coordinator:
+			c.reg.act = append(c.reg.act, i)
 		default:
-			p.gates[o].reg.act = append(p.gates[o].reg.act, i)
+			g := &p.gates[o].reg
+			g.act = append(g.act, i)
 		}
 	}
-	s.reg.act = serial
-	s.reg.ordered = false // crewWalk orders the SerialTickers itself
-	for k, g := range s.arenas {
-		for _, i := range g.act {
-			sh := &p.gates[dealtTo(i, len(g.active), len(p.gates))].arenas[k]
-			sh.act = append(sh.act, i)
+	for k := range s.arenas {
+		for i, on := range s.arenas[k].active {
+			if on {
+				g := &p.gates[dealtTo(i, len(s.arenas[k].active), len(p.gates))].arenas[k]
+				g.act = append(g.act, i)
+			}
 		}
-		g.act = g.act[:0]
-	}
-	s.dealt = true
-}
-
-// gather takes the active lists and the timers back from the crew, as
-// the one-core walk keeps them: every gate's list from its flags. The
-// arenas' slots need nothing: a deal finds them awake — every run entry
-// and every stand-down wakes the registry whole — and nothing parks or
-// arms them while the crew walks.
-func (s *sched) gather() {
-	if !s.dealt {
-		return
-	}
-	s.dealt = false
-	for w := range s.crew.gates {
-		g := &s.crew.gates[w]
-		for _, ent := range g.heap {
-			s.heap.push(ent)
-		}
-		g.heap = g.heap[:0]
-	}
-	s.reg.ordered = true
-	s.reg.relist()
-	for _, g := range s.arenas {
-		g.relist()
 	}
 }
 
@@ -866,24 +755,21 @@ func (s *sched) gather() {
 // it to and ticks the SerialTickers; the workers report their quiet and
 // apply their wakes; the coordinator reports the SerialTickers'. Every
 // worker keeps the timers of what it owns, the coordinator those of the
-// SerialTickers. Every timer due is woken before any worker ticks, as
-// on the one-core walk: a wake pays the parked its SkipIdle, which takes
-// from wires whose other end may tick on another worker. A worker wakes
-// what its timers have due next in its report; the coordinator wakes
-// the rest — due in the first cycle of a crew or after a skip — here.
+// SerialTickers. Every timer due is woken before any worker ticks: a
+// wake pays the parked its SkipIdle, which takes from wires whose other
+// end may tick on another worker. A worker wakes what its timers have
+// due next in its report; the coordinator wakes the rest — due in the
+// first cycle of a run or after a skip — here. On a crew of one the
+// phases meet at no gate: the caller's goroutine walks them in turn.
 func (e *Engine) crewWalk(s *sched) {
-	p, c := s.crew, e.cycle
-	s.wakeDue(&s.heap, &s.reg, c)
+	p, c := s.pool, e.cycle
+	s.coord.wakeDue(c)
 	for w := range p.gates {
-		s.wakeDue(&p.gates[w].heap, &p.gates[w].reg, c)
-	}
-	if s.reg.dirty {
-		slices.Sort(s.reg.act)
-		s.reg.dirty = false
+		p.gates[w].wakeDue(c)
 	}
 	p.next = c
 	s.phaseA = true
-	p.gate.release(cmdGated)
+	p.release(cmdGated)
 	p.gates[0].tick(c)
 	p.join()
 	s.phaseA = false
@@ -893,14 +779,14 @@ func (e *Engine) crewWalk(s *sched) {
 			a.arm()
 		}
 	}
-	for _, t := range e.tables {
-		t.armLate(s, c)
+	if !slices.IsSorted(s.coord.reg.act) { // the SerialTickers tick in registration order
+		slices.Sort(s.coord.reg.act)
 	}
-	s.reg.Tick(c)
-	p.gate.release(cmdReport)
+	s.coord.reg.Tick(c)
+	p.release(cmdReport)
 	p.gates[0].report(0, c)
 	p.join()
-	s.reg.report(c)
+	s.coord.reg.report(c)
 	for w := range p.gates {
 		for k := range p.gates[w].arenas {
 			s.duty.busy += len(p.gates[w].arenas[k].act)
@@ -908,41 +794,48 @@ func (e *Engine) crewWalk(s *sched) {
 	}
 }
 
-// schedEnter syncs the gates with the registry and re-activates every
-// parked component. It runs once per kernel entry point: state may have
-// changed between runs (control-plane enables, new fault schedules,
-// stats resets) in ways a parked component's recorded wake cannot see,
-// so everything gets one honestly evaluated cycle and re-parks itself
-// via the normal scan. Arena elements are not re-activated: between
-// runs only input changes them, and input arrives through arm hooks.
-func (e *Engine) schedEnter() {
+// schedEnter opens a run: every parked component is re-activated, the
+// gates grow by what registered since the last run, and a run that
+// walks hires its crew (duty.go). State may have changed between runs
+// (control-plane enables, new fault schedules, stats resets) in ways a
+// parked component's recorded wake cannot see, so everything gets one
+// honestly evaluated cycle and re-parks itself via the normal scan.
+// Arena elements are not re-activated: between runs only input changes
+// them, and input arrives through arm hooks. The wakes go onto the last
+// run's lists before the flags grow, while its crew's shares of them
+// are the registry's own arrays; the hire re-deals them after.
+func (e *Engine) schedEnter(walks bool) {
 	s := e.sched
-	for n := len(s.walk); n < len(e.components); n++ {
-		var c interface{ Tick(cycle uint64) } = e.components[n]
+	if p := s.pool; p != nil { // else nothing has walked, and nothing is parked
+		for i, on := range s.coord.reg.active {
+			if !on {
+				s.regGate(i).wake(i, e.cycle)
+			}
+		}
+		s.coord.heap = s.coord.heap[:0]
+		for w := range p.gates {
+			p.gates[w].heap = p.gates[w].heap[:0]
+		}
+	}
+	for n := len(s.quies); n < len(e.components); n++ {
+		q, _ := e.components[n].(Quiescable)
 		if k := e.arenaOf(e.components[n]); k >= 0 {
 			a := e.arenas[k]
-			g := &clockGate{pop: a, quiet: make([]int, 0, a.Len())}
-			for i := 0; i < a.Len(); i++ {
-				g.add(e.cycle)
-			}
+			g := clockGate{pop: a, active: make([]bool, a.Len()), park: make([]uint64, a.Len())}
+			g.restart(e.cycle)
 			s.arenas = append(s.arenas, g)
 			s.duty.size += a.Len()
-			c = g
+			q = nil
 		}
-		q, _ := c.(Quiescable)
-		s.walk = append(s.walk, c)
 		s.quies = append(s.quies, q)
 		s.nextTry = append(s.nextTry, 0)
 		s.wakeAt = append(s.wakeAt, NeverWake)
-		s.reg.add(e.cycle)
+		s.coord.reg.active = append(s.coord.reg.active, true)
+		s.coord.reg.park = append(s.coord.reg.park, e.cycle)
 	}
-	if cap(s.reg.quiet) < len(s.walk) {
-		s.reg.quiet = make([]int, 0, len(s.walk))
+	if walks {
+		e.hire()
 	}
-	for i := range s.reg.active {
-		s.reg.arm(i, e.cycle)
-	}
-	s.heap = s.heap[:0]
 }
 
 // settle pays the outstanding skip accounting of every parked component
@@ -951,9 +844,22 @@ func (e *Engine) schedEnter() {
 // have produced.
 func (e *Engine) settle() {
 	s := e.sched
-	s.reg.settle(e.cycle)
-	for _, g := range s.arenas {
-		g.settle(e.cycle)
+	s.coord.reg.settle(e.cycle)
+	for k := range s.arenas {
+		s.arenas[k].settle(e.cycle)
+	}
+}
+
+// restart settles every gate and makes everything active at the given
+// cycle, on the crew's lists too.
+func (s *sched) restart(e *Engine, cycle uint64) {
+	e.settle()
+	s.coord.reg.restart(cycle)
+	for k := range s.arenas {
+		s.arenas[k].restart(cycle)
+	}
+	if s.pool != nil {
+		s.pool.relist(s)
 	}
 }
 
@@ -962,17 +868,11 @@ func (e *Engine) settle() {
 // counter moves; then every gate restarts on the new timeline, up and
 // probing afresh.
 func (e *Engine) rebase(cycle uint64) {
-	s := e.sched
-	if s != nil {
-		e.schedEnter()
-		e.settle()
+	if s := e.sched; s != nil {
 		e.standUp()
 		s.duty.restart(cycle)
 		clear(s.nextTry) // the backoff restarts on the new timeline too
-		s.reg.rebase(cycle)
-		for _, g := range s.arenas {
-			g.rebase(cycle)
-		}
+		s.restart(e, cycle)
 	}
 	e.cycle = cycle
 }

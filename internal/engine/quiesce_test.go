@@ -175,15 +175,21 @@ func (s *tickSink) NextWake(cycle uint64) (uint64, bool) {
 }
 func (s *tickSink) SkipIdle(from, n uint64) {}
 
+// serialSink is a tickSink that ticks serially: what an Armer may arm.
+type serialSink struct{ tickSink }
+
+func (*serialSink) TickSerially() {}
+
 // TestGatedArmWakesSameCycle checks the arm-on-input rule in both
-// schedule orders: a NeverWake-parked consumer must tick exactly once
-// in the very cycle a producer's hook arms it, whether the producer's
-// slot comes before or after the consumer's in the walk.
+// registration orders: a NeverWake-parked SerialTicker must tick
+// exactly once in the very cycle a producer's hook arms it, whether the
+// producer's slot comes before or after the consumer's — it ticks in
+// the serial phase, behind every worker's share.
 func TestGatedArmWakesSameCycle(t *testing.T) {
 	for _, producerFirst := range []bool{true, false} {
 		e := New()
 		e.SetGated(true)
-		consumer := &tickSink{name: "consumer"}
+		consumer := &serialSink{tickSink{name: "consumer"}}
 		producer := &armCaller{name: "producer", at: 40}
 		if producerFirst {
 			e.MustRegister(producer)
@@ -302,44 +308,6 @@ func gatedArena(n int) (*Engine, *armCaller, *stubArena) {
 	return e, producer, a
 }
 
-// TestGateElementArmedMidWalk drives the arm-on-input rule at element
-// level: the producer arms element 0, whose Tick in turn arms element 2
-// while the arena's walk is under way. Both must tick in that very
-// cycle; element 1, parked throughout, must never be ticked; and every
-// element's counter must still read the naive schedule's.
-func TestGateElementArmedMidWalk(t *testing.T) {
-	e, producer, a := gatedArena(3)
-	arm0, ok0 := e.Armer(Target{Name: "arena", Elem: 0})
-	arm2, ok2 := e.Armer(Target{Name: "arena", Elem: 2})
-	if _, bad := e.Armer(Target{Name: "arena", Elem: 3}); !ok0 || !ok2 || bad {
-		t.Fatalf("Armer resolution: elem0=%v elem2=%v out-of-range=%v", ok0, ok2, bad)
-	}
-	producer.at = 20
-	producer.armFn = func() { a.elems[0].busy = 2; arm0() }
-	a.elems[0].onTick = func(cycle uint64) {
-		if cycle == 20 {
-			a.elems[2].busy = 1
-			arm2()
-		}
-	}
-	e.Run(50)
-	// Cycle 0 is every element's honest first evaluation. Element 2 is
-	// quiet again once cycle 20 commits and parks at once; element 0 is
-	// busy for two cycles and parks in the second.
-	if got := a.elems[1].ticked; !slices.Equal(got, []uint64{0}) {
-		t.Errorf("parked element 1 ticked at %v, want only cycle 0", got)
-	}
-	if got := a.elems[2].ticked; !slices.Equal(got, []uint64{0, 20}) {
-		t.Errorf("element 2 ticked at %v, want cycle 0 and the cycle it was armed in", got)
-	}
-	if got := a.elems[0].ticked; !slices.Equal(got, []uint64{0, 20, 21}) {
-		t.Errorf("element 0 ticked at %v, want cycle 0 and its two busy cycles", got)
-	}
-	if got := a.counts(); !slices.Equal(got, []uint64{50, 50, 50}) {
-		t.Errorf("element counters after 50 cycles = %v, want all 50", got)
-	}
-}
-
 // TestGateSettlePaysOnce enters and leaves the kernel repeatedly —
 // each exit settles — and checks a parked element is paid every idle
 // cycle exactly once, without being re-activated by the entries.
@@ -396,18 +364,31 @@ func TestGateRebase(t *testing.T) {
 	}
 }
 
+// selfTable gives every element of a gatedArena a wire the producer
+// writes, and returns the hook the wires call.
+func selfTable(t testing.TB, e *Engine, a *stubArena) *func(i int) {
+	t.Helper()
+	self, producer := make([]Target, len(a.elems)), make([]Target, len(a.elems))
+	for i := range self {
+		self[i], producer[i] = Target{Name: "arena", Elem: i}, Target{Name: "producer"}
+	}
+	tbl, err := e.ArmTable(producer, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.Hook()
+}
+
 // TestGateParksOnTheCommitsWord: the gate asks nobody. An element leaves
 // the walk in the very cycle its arena's quiet report names it; a busy
 // element costs the gate no call of its own — the arena is called at
 // most twice a cycle whatever it holds, and once per element only to pay
 // idle cycles, at a wake or a settle; closing the list up keeps its
-// order; and an element armed during the report stays on the list.
+// order; and an element sent input during the report joins the list
+// behind the ones that stay, for the next cycle.
 func TestGateParksOnTheCommitsWord(t *testing.T) {
 	e, producer, a := gatedArena(6)
-	arm := make([]func(), len(a.elems))
-	for i := range arm {
-		arm[i], _ = e.Armer(Target{Name: "arena", Elem: i})
-	}
+	send := selfTable(t, e, a)
 	producer.at = 10
 	producer.armFn = func() {
 		for _, w := range []struct {
@@ -415,36 +396,32 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 			busy uint64
 		}{{1, 3}, {3, 1}, {4, 2}, {5, 3}} {
 			a.elems[w.i].busy = w.busy
-			arm[w.i]()
+			(*send)(w.i)
 		}
 	}
 	a.elems[1].onReport = func(cycle uint64) {
-		if cycle == 11 {
+		if cycle == 12 {
 			a.elems[2].busy = 1
-			arm[2]() // parked since cycle 0; lands behind the list being reported
+			(*send)(2) // parked since cycle 0; lands behind the list being reported
 		}
 	}
-	e.Run(10)
+	e.Run(11)
 	a.batches, a.skips, a.walked = 0, 0, nil
 	e.Run(4)
-	want := [][2]int{{10, 1}, {10, 3}, {10, 4}, {10, 5}, {11, 1}, {11, 4}, {11, 5}, {12, 1}, {12, 5}, {12, 2}}
+	want := [][2]int{{11, 1}, {11, 3}, {11, 4}, {11, 5}, {12, 1}, {12, 4}, {12, 5}, {13, 1}, {13, 5}, {13, 2}}
 	if !slices.Equal(a.walked, want) {
-		t.Errorf("walk from cycle 10 on, as (cycle, element): %v, want %v", a.walked, want)
+		t.Errorf("walk from cycle 11 on, as (cycle, element): %v, want %v", a.walked, want)
 	}
-	// The four elements armed in cycle 10 were settled up to it by the
-	// first Run; element 2 wakes a cycle later with one to pay, and the
-	// settle at the end of the run pays all six, parked by then. Nothing
-	// grows with the ten element-cycles spent busy.
+	// The four elements sent input in cycle 10 were paid up to it by the
+	// first Run's report; element 2 wakes two cycles later with two to
+	// pay, and the settle at the end of the run pays all six, parked by
+	// then. Nothing grows with the ten element-cycles spent busy.
 	if a.skips != 1+6 || a.batches > 2*4 {
 		t.Errorf("%d ElemSkipIdle calls and %d batch calls in 4 cycles, want 7 and at most 8", a.skips, a.batches)
 	}
-	// Element 2 was armed after cycle 11's Ticks: it is paid up to cycle
-	// 10 and ticks from 12. Arming during the quiet report is exact only
-	// for an element that owes nothing per cycle; nothing in the platform
-	// arms there. The others read the naive count.
-	for _, i := range []int{0, 1, 3, 4, 5} {
-		if got := a.elems[i].count; got != 14 {
-			t.Errorf("element %d counts %d cycles after 14", i, got)
+	for i := range a.elems {
+		if got := a.elems[i].count; got != 15 {
+			t.Errorf("element %d counts %d cycles after 15", i, got)
 		}
 	}
 }
@@ -452,12 +429,13 @@ func TestGateParksOnTheCommitsWord(t *testing.T) {
 // TestArmTable: a Send on wire i queues the wake of its reader — an
 // arena element or a plain component — for the next cycle, applied after
 // the quiet report: paid through the sending cycle, not reported on in
-// it, ticked in the one after. What Also added is armed in the sending
-// cycle itself.
+// it, ticked in the one after. What Also added — a SerialTicker, and
+// nothing else — is armed in the sending cycle itself. The hook is off
+// until the first run.
 func TestArmTable(t *testing.T) {
 	e := New()
 	e.SetGated(true)
-	sink, dog := &tickSink{name: "sink"}, &tickSink{name: "dog"}
+	sink, dog := &tickSink{name: "sink"}, &serialSink{tickSink{name: "dog"}}
 	consumers := &stubArena{name: "consumers", elems: make([]stubElem, 2)}
 	step := &armCaller{name: "step"} // the producer
 	e.MustRegister(step)
@@ -481,10 +459,12 @@ func TestArmTable(t *testing.T) {
 	if err := tbl.Also(1, "dog"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Also(2, "dog") == nil || tbl.Also(0, "consumers") == nil || tbl.Also(0, "nobody") == nil {
-		t.Error("Also accepted a row out of range, an arena or an unknown name")
+	if tbl.Also(2, "dog") == nil || tbl.Also(0, "consumers") == nil || tbl.Also(0, "nobody") == nil || tbl.Also(0, "sink") == nil {
+		t.Error("Also accepted a row out of range, an arena, an unknown name or a component that ticks in parallel")
 	}
-	tbl.Send(0)              // before the first kernel entry there are no gates: a no-op
+	if *tbl.Hook() != nil {
+		t.Error("the hook is on before the first kernel entry, when nothing is parked")
+	}
 	var reported [][2]uint64 // (cycle, consumer element)
 	for i := range consumers.elems {
 		consumers.elems[i].onTick = func(cycle uint64) {
@@ -515,7 +495,7 @@ func TestArmTable(t *testing.T) {
 		{at: 5, wire: 0, consumers: []int{1}},
 		{at: 10, wire: 1, dog: true, sink: true},
 	} {
-		step.at, step.armFn = tc.at, func() { tbl.Send(tc.wire) }
+		step.at, step.armFn = tc.at, func() { (*tbl.Hook())(tc.wire) }
 		e.Run(tc.at + 3 - e.Cycle())
 		if got := tickedAt(tc.at); got != nil || slices.Contains(sink.tickedC, tc.at) {
 			t.Errorf("cycle %d: consumers %v (and the sink: %v) ticked in the sending cycle", tc.at, got, slices.Contains(sink.tickedC, tc.at))
@@ -538,23 +518,16 @@ func TestArmTable(t *testing.T) {
 }
 
 // BenchmarkGateChurn times the gate alone: a stub arena of 1 024
-// elements, 64 of them armed every cycle through the arm table for the
-// next, each busy one to three cycles — so some 130 are active at a time, they park
-// in the cycle they go quiet, and the active list is closed up every
-// cycle. Reported per element-cycle ticked; nothing is allocated. The
-// gate is the one-core walk's: the rig hires no crew.
+// elements, 64 of them sent input every cycle through the arm table for
+// the next, each busy one to three cycles — so some 130 are active at a
+// time, they park in the cycle they go quiet, and the active list is
+// closed up every cycle. Reported per element-cycle ticked; nothing is
+// allocated. The rig keeps a crew of one.
 func BenchmarkGateChurn(b *testing.B) {
 	e, churn, a := gatedArena(1024)
 	a.noLog = true
 	e.sched.duty.span = len(a.elems) + 1
-	self, producer := make([]Target, len(a.elems)), make([]Target, len(a.elems))
-	for i := range self {
-		self[i], producer[i] = Target{Name: "arena", Elem: i}, Target{Name: "producer"}
-	}
-	tbl, err := e.ArmTable(producer, self)
-	if err != nil {
-		b.Fatal(err)
-	}
+	send := selfTable(b, e, a)
 	next := 0
 	churn.armFn = func() {
 		churn.at++ // fire again next cycle
@@ -562,7 +535,7 @@ func BenchmarkGateChurn(b *testing.B) {
 			i := next & 1023
 			next += 7 // odd: every element in turn
 			a.elems[i].busy = uint64(1 + next%3)
-			tbl.Send(i)
+			(*send)(i)
 		}
 	}
 	e.Run(64) // the lists reach their final capacity

@@ -288,6 +288,19 @@ func TestRunLoopContract(t *testing.T) {
 			r.add(&stub{name: "late-busy", busy: true})
 			r.run(10)
 		},
+	}, {
+		// Registrations between runs, then an entry that walks nothing
+		// while components are parked: every cycle is still executed or
+		// paid exactly once.
+		name:  "late-registration-zero-run",
+		stubs: func() []Component { return []Component{far(), &stub{name: "idle"}} },
+		drive: func(r *contractRig) {
+			r.run(100)
+			r.add(&stub{name: "late", busy: true})
+			r.add(&stub{name: "later", wakes: []uint64{150}})
+			r.run(0)
+			r.run(100)
+		},
 	}}
 	for _, en := range entries {
 		var ref *contractRig

@@ -4,14 +4,15 @@ package engine
 // window into the gates of quiesce.go and the run loop's skips. Unlike the
 // data-path events the probes emit, scheduling events describe the
 // kernel rather than the emulated platform: which components park,
-// when, and how far the cycle counter fast-forwards legitimately
+// when — never an arena, whose elements park one by one and silently —
+// and how far the cycle counter fast-forwards legitimately
 // depend on the kernel and gating choices, so consumers must not treat
 // these events as emulation results.
 //
 // Implementations are called on the engine's own goroutine only: park
 // and wake fire inside the gated walk, fast-forward in the run loop
 // between two cycles. No locking is required: a run with a SchedTrace
-// hires no crew (duty.go).
+// walks on a crew of one (duty.go, hire).
 type SchedTrace interface {
 	// SchedPark reports that the component was removed from the walk
 	// at the end of the given cycle.

@@ -18,7 +18,7 @@ func mesh(n int) topology.Spec {
 }
 
 // allocsPerRun is testing.AllocsPerRun at the test's GOMAXPROCS —
-// AllocsPerRun pins it to 1, where no run hires a crew: after one
+// AllocsPerRun pins it to 1, where every run walks on a crew of one: after one
 // warming call it calls f runs times and returns the objects allocated
 // and the flits p's pool grew by, per call.
 func allocsPerRun(p *platform.Platform, runs int, f func()) (avg, grown float64) {
@@ -36,7 +36,8 @@ func allocsPerRun(p *platform.Platform, runs int, f func()) (avg, grown float64)
 // TestMeshSteadyStateZeroAlloc is the at-scale allocation guard: on a
 // 16×16 mesh (256 nodes, the paper-scale target) the cycle loop must
 // allocate nothing once the flit pool has reached its high-water mark
-// on one processor. At the test's GOMAXPROCS every run walks on a crew,
+// on one processor, where every run walks on a crew of one. At the
+// test's GOMAXPROCS every run walks on a crew with helpers,
 // and may allocate besides the flits the pool grows by only what the
 // runtime takes to start a helper goroutine: two objects per helper at
 // most, as TestCrewRunAllocs bounds it.
@@ -78,7 +79,7 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 // flits the pool still grows by but what the runtime now and then takes
 // to start a helper goroutine — 0 to 1 object a run on two processors,
 // bounded here by two per helper — where a crew built afresh for every
-// run took about 40. On one processor the run keeps the one-core walk,
+// run took about 40. On one processor the run walks on a crew of one,
 // which allocates nothing.
 func TestCrewRunAllocs(t *testing.T) {
 	if raceEnabled {

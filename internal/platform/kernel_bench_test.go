@@ -8,9 +8,10 @@ import (
 )
 
 // BenchmarkKernelMatrix times one cycle of four platforms under two
-// kernels: the plain one-core walk ("plain", NoGate) and the default
-// gated walk ("seq", which walks each run on a crew when the platform is
-// big enough and the host has the processors): the paper platform at
+// kernels: the plain walk ("plain", NoGate) and the default gated walk
+// ("seq", which walks each run on a crew with helpers when the platform
+// is big enough and the host has the processors, on a crew of one
+// elsewhere): the paper platform at
 // its 0.45 load, a busy 16×16 mesh, a lightly loaded 32×32 mesh and a
 // 16×16 flattened butterfly (EXPERIMENTS.md, "Kernel matrix"). Each run
 // warms the platform up first, untimed.
