@@ -5,25 +5,28 @@ test:
 	go test ./...
 
 # Tier-1.5: race-detector pass over the concurrency-bearing packages.
-# The run-loop contract test (internal/engine) and the pooled walk's
+# The run-loop contract test (internal/engine) and the crew's
 # determinism property tests (including the golden-trace and tracing
-# observer-effect matrices) run the full worker matrix under -race
-# here; slower than tier-1, so a separate target. The wire layer and its
-# endpoints are in it because the pooled walk's race freedom rests on
-# their slot discipline: a wire's producer and consumer touch different
+# observer-effect matrices) run every crew size under -race here;
+# slower than tier-1, so a separate target. The wire layer and its
+# endpoints are in it because the crew's race freedom rests on their
+# slot discipline: a wire's producer and consumer touch different
 # cycle-parity slots and flag banks within one cycle, without atomics.
-# The flit pool is in it for its return ramp, the pooled walk's one
-# cross-worker mutation (a CAS push).
+# The flit pool is in it for its return ramp, the crew's one
+# cross-worker mutation (a CAS push). The forced-crew matrices spin
+# crews of up to 16 on however few processors the host has, so the
+# engine package alone can take minutes: the timeout is well past
+# go test's ten-minute default.
 .PHONY: race
 race:
-	go test -race ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/... \
+	go test -race -timeout 30m ./internal/engine/... ./internal/platform/... ./internal/probe/... ./internal/monitor/... ./internal/dse/... ./internal/serve/... ./cmd/nocserve/... \
 		./internal/link/... ./internal/switchfab/... ./internal/nic/... ./internal/fault/... ./internal/tlm/... ./internal/flit/...
 
 # Full race sweep (everything, including the root-package experiment
 # tests). Slow; for pre-release checks.
 .PHONY: race-all
 race-all:
-	go test -race ./...
+	go test -race -timeout 30m ./...
 
 # The repository benchmark (bench/README.md, BENCHMARK.json): all seven
 # workloads, untraced then traced, each in a child process, into

@@ -62,7 +62,7 @@ func TestRunExampleConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := jsonio.LoadFile(out)
+	cfg, _, err := jsonio.LoadFileRun(out)
 	if err != nil {
 		t.Fatal(err)
 	}

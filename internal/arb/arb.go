@@ -58,9 +58,6 @@ func New(policy Policy, n int) (Arbiter, error) {
 	return a, nil
 }
 
-// N returns the number of requesters.
-func (a *Arbiter) N() int { return a.n }
-
 // Reset restores the arbiter's initial priority state.
 func (a *Arbiter) Reset() {
 	a.next = 0

@@ -24,8 +24,8 @@ func TestNewValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if a.N() != 4 {
-			t.Errorf("%s: N = %d", p, a.N())
+		if a.n != 4 {
+			t.Errorf("%s: n = %d", p, a.n)
 		}
 	}
 }
@@ -200,7 +200,7 @@ func (m *scanModel) grant(n int, req func(int) bool) (int, bool) {
 }
 
 func savedState(a Arbiter) []byte {
-	w := state.NewWriter()
+	w := &state.Writer{}
 	a.SaveState(w)
 	return w.Bytes()
 }
@@ -253,7 +253,7 @@ func TestMaskGrantMatchesScanModel(t *testing.T) {
 					if ok != wantOK || ok && got != want {
 						t.Fatalf("step %d mask %x: grant = %d,%v, scan model %d,%v", step, req, got, ok, want, wantOK)
 					}
-					w := state.NewWriter() // the model's state as SaveState writes it
+					w := &state.Writer{} // the model's state as SaveState writes it
 					switch p {
 					case RoundRobin:
 						w.Int(m.next)
@@ -289,13 +289,13 @@ func TestRoundRobinLoadStateBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, next := range []int{-1, n, n + 1} {
-			w := state.NewWriter()
+			w := &state.Writer{}
 			w.Int(next)
 			if err := a.LoadState(state.NewReader(w.Bytes())); err == nil {
 				t.Errorf("n=%d: round-robin pointer %d accepted", n, next)
 			}
 		}
-		w := state.NewWriter()
+		w := &state.Writer{}
 		w.Int(n - 1)
 		if err := a.LoadState(state.NewReader(w.Bytes())); err != nil {
 			t.Fatalf("n=%d: pointer %d: %v", n, n-1, err)

@@ -214,25 +214,11 @@ func MustNew(name string, capacity int) *FIFO {
 	return f
 }
 
-// Name returns the instance name.
-func (q *FIFO) Name() string { return q.name }
-
 // Cap returns the configured capacity.
 func (q *FIFO) Cap() int { return len(q.items) }
 
 // Empty reports whether the queue is empty.
 func (q *FIFO) Empty() bool { return q.size == 0 }
-
-// Full reports whether the queue has no room for another push.
-func (q *FIFO) Full() bool { return int(q.size) == len(q.items) }
-
-// Peek returns the head flit, or nil when empty.
-func (q *FIFO) Peek() *flit.Flit {
-	if q.size == 0 {
-		return nil
-	}
-	return q.Queue.Peek(q.items, 0)
-}
 
 // At returns the k-th buffered flit from the front.
 func (q *FIFO) At(k int) *flit.Flit { return q.Queue.Peek(q.items, k) }
@@ -261,6 +247,3 @@ func (q *FIFO) SkipIdle(n uint64) { q.Idle(int(q.size), n) }
 
 // Drain removes every queued flit through release (see Queue.Drain).
 func (q *FIFO) Drain(release func(*flit.Flit)) { q.Queue.Drain(q.items, release) }
-
-// ResetStats clears the counters without touching queued flits.
-func (q *FIFO) ResetStats() { q.Reset() }

@@ -25,8 +25,8 @@ func TestNewValidatesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Cap() != 4 || q.Name() != "q" {
-		t.Errorf("cap=%d name=%q", q.Cap(), q.Name())
+	if q.Cap() != 4 {
+		t.Errorf("cap=%d", q.Cap())
 	}
 }
 
@@ -45,8 +45,8 @@ func TestPushVisibleAtOnce(t *testing.T) {
 	if err := q.Push(f); err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 1 || q.Peek() != f {
-		t.Errorf("after the push: len=%d peek=%v", q.Len(), q.Peek())
+	if q.Len() != 1 || q.At(0) != f {
+		t.Errorf("after the push: len=%d peek=%v", q.Len(), q.At(0))
 	}
 	if s := q.Stats(); s.Pushes != 1 || s.Cycles != 0 {
 		t.Errorf("stats = %+v: a push counts itself, not a cycle", s)
@@ -64,8 +64,8 @@ func TestPopTakesEffectAtOnce(t *testing.T) {
 	if got := q.Pop(); got != f0 {
 		t.Errorf("pop = %v, want f0", got)
 	}
-	if q.Len() != 1 || q.Peek() != f1 {
-		t.Errorf("after the pop: len=%d peek=%v", q.Len(), q.Peek())
+	if q.Len() != 1 || q.At(0) != f1 {
+		t.Errorf("after the pop: len=%d peek=%v", q.Len(), q.At(0))
 	}
 	if got := q.Pop(); got != f1 || !q.Empty() {
 		t.Errorf("second pop = %v with len %d, want f1 and an empty queue", got, q.Len())
@@ -90,7 +90,7 @@ func TestSimultaneousPushPopAtFull(t *testing.T) {
 		t.Errorf("push after pop rejected: %v", err)
 	}
 	q.EndCycle()
-	if q.Len() != 1 || q.Peek().Packet.Seq() != 1 {
+	if q.Len() != 1 || q.At(0).Packet.Seq() != 1 {
 		t.Error("simultaneous push/pop produced wrong state")
 	}
 	if s := q.Stats(); s.Cycles != 2 || s.MaxOccupancy != 1 || s.MeanOccupancy != 1 {
@@ -106,8 +106,8 @@ func TestPushErrors(t *testing.T) {
 	if err := q.Push(mkFlit(0)); err != nil {
 		t.Fatal(err)
 	}
-	if !q.Full() {
-		t.Error("Full() false on full buffer")
+	if q.Len() < q.Cap() {
+		t.Error("a full buffer reports room")
 	}
 	if err := q.Push(mkFlit(2)); err == nil {
 		t.Error("push into full buffer accepted")
@@ -149,7 +149,7 @@ func TestStatsCounters(t *testing.T) {
 	if s.MeanOccupancy != 2 {
 		t.Errorf("mean occupancy = %v, want 2", s.MeanOccupancy)
 	}
-	q.ResetStats()
+	q.Reset()
 	s = q.Stats()
 	if s.Pushes != 0 || s.Cycles != 0 || s.MaxOccupancy != 0 {
 		t.Errorf("stats after reset = %+v", s)
@@ -169,7 +169,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 		seq := uint64(0)
 		for _, isPush := range ops {
 			if isPush {
-				if !q.Full() {
+				if q.Len() < q.Cap() {
 					if err := q.Push(mkFlit(seq)); err != nil {
 						return false
 					}
@@ -205,14 +205,14 @@ func TestFIFOOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: occupancy never exceeds capacity under the Full() guard.
+// Property: occupancy never exceeds capacity under the Len() < Cap() guard.
 func TestFIFOCapacityInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := MustNew("q", 3)
 		for c, op := range ops {
 			switch op % 3 {
 			case 0:
-				if !q.Full() {
+				if q.Len() < q.Cap() {
 					if err := q.Push(mkFlit(uint64(c))); err != nil {
 						return false
 					}
@@ -220,7 +220,7 @@ func TestFIFOCapacityInvariant(t *testing.T) {
 			case 1:
 				q.Pop()
 			case 2:
-				if !q.Full() {
+				if q.Len() < q.Cap() {
 					if err := q.Push(mkFlit(uint64(c))); err != nil {
 						return false
 					}
@@ -253,11 +253,11 @@ func TestLazyCommitMatchesEveryCycle(t *testing.T) {
 			for _, q := range []*FIFO{every, lazy} {
 				switch op % 8 {
 				case 0, 1:
-					acted = !q.Full() && q.Push(mkFlit(uint64(c))) == nil
+					acted = q.Len() < q.Cap() && q.Push(mkFlit(uint64(c))) == nil
 				case 2, 3:
 					acted = q.Pop() != nil
 				case 4:
-					q.ResetStats()
+					q.Reset()
 					cycles = 0
 				case 5:
 					if !q.Empty() {

@@ -88,8 +88,6 @@ type System struct {
 	// free[b] is a slot below which bus b has none free: devices are
 	// never detached, so AttachNext resumes its search there.
 	free [NumBuses]uint32
-
-	reads, writes uint64
 }
 
 // NewSystem returns an empty interconnect.
@@ -167,7 +165,6 @@ func (s *System) Read(a Addr) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w %s", ErrNoDevice, a)
 	}
-	s.reads++
 	v, err := d.ReadReg(a.Reg())
 	if err != nil {
 		return 0, fmt.Errorf("bus: read %s (%s): %w", a, d.DeviceName(), err)
@@ -181,7 +178,6 @@ func (s *System) Write(a Addr, v uint32) error {
 	if !ok {
 		return fmt.Errorf("%w %s", ErrNoDevice, a)
 	}
-	s.writes++
 	if err := d.WriteReg(a.Reg(), v); err != nil {
 		return fmt.Errorf("bus: write %s (%s): %w", a, d.DeviceName(), err)
 	}
@@ -217,6 +213,3 @@ func (s *System) Attachments() []Attachment {
 	}
 	return out
 }
-
-// Traffic returns the bus transaction counters (reads, writes).
-func (s *System) Traffic() (reads, writes uint64) { return s.reads, s.writes }

@@ -139,10 +139,6 @@ type Config struct {
 	// of different configurations may share it. Snapshots are always
 	// stored in memory within a sweep.
 	CacheDir string
-	// StopAfterPoints stops dispatching after that many structural
-	// points have been evaluated (0 = run to completion) — the testing
-	// hook that simulates a killed sweep.
-	StopAfterPoints int
 	// Log, when non-nil, receives progress lines: one line per Write,
 	// and one Write at a time, though points complete on several
 	// goroutines.

@@ -16,7 +16,7 @@ import (
 )
 
 // TestSweepResume checks the resumability acceptance criterion: a
-// sweep killed mid-grid (StopAfterPoints) resumes from its journal and
+// sweep killed mid-grid (sweep's stopAfter) resumes from its journal and
 // snapshot cache, and the merged canonical JSONL is byte-identical to
 // an uninterrupted run's.
 func TestSweepResume(t *testing.T) {
@@ -35,13 +35,12 @@ func TestSweepResume(t *testing.T) {
 	first := tinySweep()
 	first.Journal = journal
 	first.CacheDir = cache
-	first.StopAfterPoints = 3
-	fRes, err := Sweep(first)
+	fRes, err := sweep(first, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fRes.Stopped || fRes.Evaluated != 3 {
-		t.Fatalf("first run: stopped=%v evaluated=%d, want stopped after 3", fRes.Stopped, fRes.Evaluated)
+	if !fRes.stopped || fRes.Evaluated != 3 {
+		t.Fatalf("first run: stopped=%v evaluated=%d, want stopped after 3", fRes.stopped, fRes.Evaluated)
 	}
 	jrows, err := LoadJournal(journal)
 	if err != nil {
@@ -63,7 +62,7 @@ func TestSweepResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sRes.Stopped {
+	if sRes.stopped {
 		t.Fatal("resumed run reports stopped")
 	}
 	if sRes.Resumed != 3 || sRes.Evaluated != 5 {
@@ -117,8 +116,7 @@ func TestSweepResumesTornJournalTail(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
 	first := tinySweep()
 	first.Journal = journal
-	first.StopAfterPoints = 3
-	if _, err := Sweep(first); err != nil {
+	if _, err := sweep(first, 3); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.ReadFile(journal)
@@ -319,7 +317,7 @@ func TestCacheKeyCompleteness(t *testing.T) {
 		// applied after the warmed state is reached
 		"Forks": true, "MeasureCycles": true,
 		// what is visited and reported, not what a point's state is
-		"Search": true, "Objectives": true, "StopAfterPoints": true, "Log": true, "Name": true,
+		"Search": true, "Objectives": true, "Log": true, "Name": true,
 		// where results and snapshots go; ColdBuild bypasses the store
 		"Journal": true, "CacheDir": true, "ColdBuild": true,
 	}

@@ -30,8 +30,8 @@ type Result struct {
 	Resumed   int
 	CacheHits int
 	Pruned    int
-	// Stopped reports a sweep ended early by StopAfterPoints.
-	Stopped bool
+	// stopped reports a sweep ended early by sweep's stopAfter.
+	stopped bool
 	// Elapsed is the wall time of the evaluation phase; PointsPerMin is
 	// evaluated structural points per minute of it.
 	Elapsed      time.Duration
@@ -42,7 +42,12 @@ type Result struct {
 // canonical result. Rows land in the journal (when configured) as they
 // complete; the returned row set is the key-sorted union of journaled
 // and freshly evaluated rows for visited points.
-func Sweep(cfg Config) (*Result, error) {
+func Sweep(cfg Config) (*Result, error) { return sweep(cfg, 0) }
+
+// sweep is Sweep that stops dispatching once stopAfter structural
+// points have been evaluated (0: never), as a killed sweep would: the
+// hook the resume tests kill a sweep with.
+func sweep(cfg Config, stopAfter int) (*Result, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -58,10 +63,11 @@ func Sweep(cfg Config) (*Result, error) {
 	defer jnl.close()
 
 	r := &runner{
-		cfg:  &cfg,
-		objs: objs,
-		eval: &evaluator{cfg: &cfg, store: platform.NewSnapStore(cfg.CacheDir)},
-		jnl:  jnl,
+		cfg:       &cfg,
+		stopAfter: stopAfter,
+		objs:      objs,
+		eval:      &evaluator{cfg: &cfg, store: platform.NewSnapStore(cfg.CacheDir)},
+		jnl:       jnl,
 	}
 	start := time.Now()
 	switch cfg.Search {
@@ -80,7 +86,7 @@ func Sweep(cfg Config) (*Result, error) {
 		Evaluated: r.evaluated,
 		Resumed:   r.resumed,
 		CacheHits: r.eval.store.Hits(),
-		Stopped:   r.stopped,
+		stopped:   r.stopped,
 		Elapsed:   elapsed,
 	}
 	res.Pruned = res.GridSize - res.Evaluated - res.Resumed
@@ -113,6 +119,7 @@ type runner struct {
 	visited   []string // struct keys of points whose rows are in the result
 	evaluated int
 	resumed   int
+	stopAfter int
 	stopped   bool
 }
 
@@ -128,7 +135,7 @@ func (r *runner) logf(format string, args ...any) {
 // Workers sweep workers and as many helpers as the process-wide budget
 // has free, each point measuring its forks on a crew of its own from the
 // same budget. Journaled points are adopted without evaluation; the
-// StopAfterPoints budget is enforced at dispatch. The batch is a
+// stopAfter budget is enforced at dispatch. The batch is a
 // barrier: it returns when every point handed out has its rows
 // journaled, or the first failure to journal stopped the handing out,
 // which keeps the walk deterministic for any crew.
@@ -141,7 +148,7 @@ func (r *runner) evalBatch(points []Point) error {
 			r.resumed++
 			continue
 		}
-		if r.cfg.StopAfterPoints > 0 && r.evaluated+len(todo) >= r.cfg.StopAfterPoints {
+		if r.stopAfter > 0 && r.evaluated+len(todo) >= r.stopAfter {
 			r.stopped = true
 			continue
 		}

@@ -165,19 +165,11 @@ func TestCrewSnapshotBytesIgnoreSchedule(t *testing.T) {
 		{"butterfly:w=4,h=4@0.05", net(t, "butterfly:w=4,h=4", platform.NetOptions{Injection: 0.05}), 3001},
 		{"fattree:k=4@0.30", net(t, "fattree:k=4", platform.NetOptions{Injection: 0.30}), 1237},
 	} {
-		snap := func(w *walk) []state.Section {
+		snap := func(w *walk) []state.Frame {
 			p := build(t, r.cfg, w, nil)
 			p.RunCycles(r.cycles / 3)
 			p.RunCycles(r.cycles - r.cycles/3)
-			b, err := p.SnapshotBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, sections, err := state.ReadSnapshot(bytes.NewReader(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sections
+			return sections(t, p)
 		}
 		want := snap(nil)
 		for _, w := range append(crewWalks, walk{"crew=2,standing-down", 2, true}) {
@@ -189,7 +181,7 @@ func TestCrewSnapshotBytesIgnoreSchedule(t *testing.T) {
 				var differ []string
 				for i := range want {
 					if !bytes.Equal(got[i].Body, want[i].Body) {
-						differ = append(differ, want[i].Name)
+						differ = append(differ, string(want[i].Name))
 					}
 				}
 				if len(differ) > 0 {

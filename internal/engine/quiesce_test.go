@@ -99,7 +99,7 @@ func TestGatedAlarmScheduleExact(t *testing.T) {
 // an engine section holding cycle.
 func restoreCycle(t *testing.T, e *Engine, cycle uint64) {
 	t.Helper()
-	w := state.NewWriter()
+	w := &state.Writer{}
 	w.U64(cycle)
 	if err := e.LoadState(state.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)

@@ -164,8 +164,7 @@ func (r *contractRig) note(executed uint64, stopped bool) {
 
 func (r *contractRig) step(k int) {
 	for i := 0; i < k; i++ {
-		r.e.Step()
-		r.note(1, false)
+		r.note(r.e.Run(1), false)
 	}
 }
 func (r *contractRig) run(n uint64)      { r.note(r.e.Run(n), false) }

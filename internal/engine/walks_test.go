@@ -54,7 +54,7 @@ func (w walker) run(p *platform.Platform, n uint64) {
 	}
 	// Reads between runs are at the engine's clock: move it to where the
 	// walk is (LoadState moves no component).
-	cw := state.NewWriter()
+	cw := &state.Writer{}
 	cw.U64(c0 + n)
 	if err := e.LoadState(state.NewReader(cw.Bytes())); err != nil {
 		panic(err)
@@ -67,7 +67,7 @@ type observation struct {
 	links    [][3]uint64 // FLITS, BUSY, CYCLES per inter-switch link, over the LINK bank
 	busy     []uint64    // the collector's per-window link busy-cycles
 	occ      []uint64    // and its boundary occupancy samples
-	sections []state.Section
+	sections []state.Frame
 }
 
 func observe(t *testing.T, p *platform.Platform) observation {
@@ -108,14 +108,26 @@ func observe(t *testing.T, p *platform.Platform) observation {
 		o.busy = append(o.busy, c.WindowBusy(k))
 		o.occ = append(o.occ, c.WindowOcc(k))
 	}
+	o.sections = sections(t, p)
+	return o
+}
+
+// sections is the platform's snapshot, section by section.
+func sections(t *testing.T, p *platform.Platform) []state.Frame {
+	t.Helper()
 	b, err := p.SnapshotBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, o.sections, err = state.ReadSnapshot(bytes.NewReader(b)); err != nil {
+	f, err := state.ParseSnapshot(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	secs := make([]state.Frame, f.Count)
+	for i := range secs {
+		secs[i] = f.Next()
+	}
+	return secs
 }
 
 // differ names what o does not share with want.
@@ -136,7 +148,7 @@ func (o observation) differ(want observation) (out []string) {
 	}
 	for i, s := range want.sections {
 		if !bytes.Equal(o.sections[i].Body, s.Body) {
-			out = append(out, "snapshot section "+s.Name)
+			out = append(out, "snapshot section "+string(s.Name))
 		}
 	}
 	return out

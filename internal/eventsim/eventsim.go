@@ -28,9 +28,6 @@ type Process struct {
 	queuedDelta uint64
 }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
 // updater is a pending signal update.
 type updater interface {
 	// apply commits the staged value; it returns the processes to

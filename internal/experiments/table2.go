@@ -36,23 +36,23 @@ type Table2Result struct {
 
 // Table2Options sizes the measurement runs.
 type Table2Options struct {
-	// EmuCycles, TLMCycles, RTLCycles are the measured run lengths per
-	// backend (defaults 400k / 60k / 8k — each comfortably > 1s of
-	// simulated traffic while keeping the harness fast).
-	EmuCycles uint64
-	TLMCycles uint64
-	RTLCycles uint64
+	// emuCycles, tlmCycles, rtlCycles are the measured run lengths per
+	// backend (400k / 60k / 8k — each comfortably > 1s of simulated
+	// traffic while keeping the harness fast); only tests shorten them.
+	emuCycles uint64
+	tlmCycles uint64
+	rtlCycles uint64
 }
 
 func (o *Table2Options) applyDefaults() {
-	if o.EmuCycles == 0 {
-		o.EmuCycles = 400_000
+	if o.emuCycles == 0 {
+		o.emuCycles = 400_000
 	}
-	if o.TLMCycles == 0 {
-		o.TLMCycles = 60_000
+	if o.tlmCycles == 0 {
+		o.tlmCycles = 60_000
 	}
-	if o.RTLCycles == 0 {
-		o.RTLCycles = 8_000
+	if o.rtlCycles == 0 {
+		o.rtlCycles = 8_000
 	}
 }
 
@@ -124,15 +124,15 @@ func MeasureRTLRate(n uint64) (float64, error) {
 // workload sizes.
 func Table2(opt Table2Options) (*Table2Result, error) {
 	opt.applyDefaults()
-	emuRate, cpp, err := MeasureEmulatorRate(opt.EmuCycles)
+	emuRate, cpp, err := MeasureEmulatorRate(opt.emuCycles)
 	if err != nil {
 		return nil, err
 	}
-	tlmRate, err := MeasureTLMRate(opt.TLMCycles)
+	tlmRate, err := MeasureTLMRate(opt.tlmCycles)
 	if err != nil {
 		return nil, err
 	}
-	rtlRate, err := MeasureRTLRate(opt.RTLCycles)
+	rtlRate, err := MeasureRTLRate(opt.rtlCycles)
 	if err != nil {
 		return nil, err
 	}

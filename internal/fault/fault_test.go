@@ -9,7 +9,7 @@ import (
 func mkLinks(n int) []*link.Link {
 	out := make([]*link.Link, n)
 	for i := range out {
-		out[i] = link.NewLink("l")
+		out[i], _ = link.NewArena("l", 1, 0).NewPair("l", "")
 	}
 	return out
 }

@@ -83,12 +83,26 @@ func TestFlitValidate(t *testing.T) {
 	}
 }
 
+// expand is what a source does with a packet: validate it, then fill
+// one fresh flit per index.
+func expand(p *Packet) ([]*Flit, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	fs := make([]*Flit, p.Len)
+	for i := range fs {
+		fs[i] = &Flit{}
+		p.Fill(fs[i], uint16(i))
+	}
+	return fs, nil
+}
+
 // mustFlits expands a packet that the test knows to be valid.
 func mustFlits(t *testing.T, p *Packet) []*Flit {
 	t.Helper()
-	fs, err := p.Flits()
+	fs, err := expand(p)
 	if err != nil {
-		t.Fatalf("Flits(%+v): %v", p, err)
+		t.Fatalf("expand(%+v): %v", p, err)
 	}
 	return fs
 }
@@ -136,25 +150,21 @@ func TestPacketFlitsFraming(t *testing.T) {
 }
 
 // A zero-length packet would frame no tail flit and jam the wormhole
-// pipeline; Flits must reject it instead of returning an empty slice.
+// pipeline; Validate must reject it.
 func TestPacketFlitsZeroLength(t *testing.T) {
 	p := &Packet{ID: MakePacketID(1, 0), Src: 1, Dst: 2, Len: 0}
-	fs, err := p.Flits()
-	if err == nil {
-		t.Fatalf("zero-length packet accepted: %v", fs)
-	}
-	if fs != nil {
-		t.Errorf("error path returned flits: %v", fs)
+	if err := p.Validate(); err == nil {
+		t.Fatal("zero-length packet accepted")
 	}
 	// Mismatched packet-ID source is equally structural.
 	bad := &Packet{ID: MakePacketID(5, 0), Src: 1, Dst: 2, Len: 2}
-	if _, err := bad.Flits(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("src-mismatched packet accepted")
 	}
 }
 
-// Fill must agree with Flits exactly, field for field, and fully
-// overwrite stale state in a reused flit.
+// Fill must fully overwrite stale state in a reused flit: a reused flit
+// and a fresh one agree field for field.
 func TestPacketFillMatchesFlits(t *testing.T) {
 	for _, n := range []uint16{1, 2, 5} {
 		p := &Packet{ID: MakePacketID(3, 7), Src: 3, Dst: 4, Len: n, Payload: 9, BirthCycle: 11}
@@ -163,7 +173,7 @@ func TestPacketFillMatchesFlits(t *testing.T) {
 			f := Flit{Kind: Body, Packet: 999, Index: 12, Payload: 1, InjectCycle: 5, Check: 3, VC: 2}
 			p.Fill(&f, i)
 			if f != *fs[i] {
-				t.Errorf("len %d flit %d: Fill = %+v, Flits = %+v", n, i, f, *fs[i])
+				t.Errorf("len %d flit %d: reused = %+v, fresh = %+v", n, i, f, *fs[i])
 			}
 		}
 	}
@@ -180,7 +190,7 @@ func TestAssemblerRoundTripProperty(t *testing.T) {
 			Dst: EndpointID(dst), Len: n, Payload: payload, BirthCycle: 42,
 		}
 		a := NewAssembler()
-		fs, err := p.Flits()
+		fs, err := expand(p)
 		if err != nil {
 			return false
 		}
@@ -202,7 +212,7 @@ func TestAssemblerRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return a.Pending() == 0
+		return len(a.partial) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -250,8 +260,8 @@ func TestAssemblerErrors(t *testing.T) {
 	if _, _, err := a.Push(fs[2]); err == nil {
 		t.Error("out-of-order flit accepted")
 	}
-	if a.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", a.Pending())
+	if len(a.partial) != 1 {
+		t.Errorf("pending = %d, want 1", len(a.partial))
 	}
 }
 
@@ -284,9 +294,9 @@ func TestAssemblerStateRoundTrip(t *testing.T) {
 		}
 		tails = append(tails, fs[1])
 	}
-	w := state.NewWriter()
+	w := &state.Writer{}
 	a.SaveState(w)
-	want := state.NewWriter()
+	want := &state.Writer{}
 	want.Int(3)
 	for _, src := range []EndpointID{2, 5, 9} {
 		want.U64(uint64(MakePacketID(src, 0)))
@@ -305,11 +315,11 @@ func TestAssemblerStateRoundTrip(t *testing.T) {
 			t.Errorf("tail of packet %d after the load: done %v, %v", f.Packet, done, err)
 		}
 	}
-	if b.Pending() != 0 {
-		t.Errorf("%d packets pending after their tails", b.Pending())
+	if len(b.partial) != 0 {
+		t.Errorf("%d packets pending after their tails", len(b.partial))
 	}
 
-	dup := state.NewWriter()
+	dup := &state.Writer{}
 	dup.Int(2)
 	for _, got := range []uint16{1, 2} {
 		dup.U64(uint64(MakePacketID(4, 0)))
@@ -319,7 +329,7 @@ func TestAssemblerStateRoundTrip(t *testing.T) {
 	if err := b.LoadState(state.NewReader(dup.Bytes())); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("LoadState of a table naming one packet twice = %v, want an error", err)
 	}
-	if b.Pending() != 0 {
-		t.Errorf("a rejected table left %d packets pending", b.Pending())
+	if len(b.partial) != 0 {
+		t.Errorf("a rejected table left %d packets pending", len(b.partial))
 	}
 }

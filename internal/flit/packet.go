@@ -21,23 +21,9 @@ type Packet struct {
 	BirthCycle uint64
 }
 
-// Validate checks the structural invariants of a packet description.
-func (p *Packet) Validate() error {
-	switch {
-	case p == nil:
-		return fmt.Errorf("packet: nil")
-	case p.Len == 0:
-		return fmt.Errorf("packet: zero length")
-	case p.ID.Src() != p.Src:
-		return fmt.Errorf("packet: id source %d != src %d", p.ID.Src(), p.Src)
-	}
-	return nil
-}
-
 // Fill initializes f as flit i of the packet, overwriting every field:
 // framing kind, identity, payload, birth cycle. InjectCycle is left
-// zero for the NIC to stamp at injection time. This is the in-place
-// (allocation-free) counterpart of Flits; injectors expand packets
+// zero for the NIC to stamp at injection time. Injectors expand packets
 // directly into pool-acquired flits with it.
 func (p *Packet) Fill(f *Flit, i uint16) {
 	*f = Flit{
@@ -58,23 +44,6 @@ func (p *Packet) Fill(f *Flit, i uint16) {
 	case i == p.Len-1:
 		f.Kind = Tail
 	}
-}
-
-// Flits expands the packet into a freshly allocated flit sequence. A
-// zero-length packet is rejected: it would frame no tail flit and jam
-// the wormhole pipeline. Hot paths use Fill with pooled flits instead;
-// Flits remains for tests and the reference (RTL-like) backends.
-func (p *Packet) Flits() ([]*Flit, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]*Flit, p.Len)
-	for i := range out {
-		f := &Flit{}
-		p.Fill(f, uint16(i))
-		out[i] = f
-	}
-	return out, nil
 }
 
 // Assembler reconstructs packets from a stream of flits arriving at one
@@ -101,9 +70,6 @@ type assembly struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler { return &Assembler{} }
-
-// Pending reports how many packets are partially assembled.
-func (a *Assembler) Pending() int { return len(a.partial) }
 
 // find returns the position of the partial packet id, or where it would
 // be inserted. A scan: the slice holds a packet or two.

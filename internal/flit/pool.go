@@ -65,9 +65,6 @@ type Shard struct {
 	released  atomic.Uint64
 }
 
-// Name returns the shard's instance name.
-func (s *Shard) Name() string { return s.name }
-
 // Owner returns the endpoint whose flits recycle through this shard.
 func (s *Shard) Owner() EndpointID { return s.owner }
 

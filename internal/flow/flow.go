@@ -24,9 +24,9 @@ import (
 
 // Options tunes a flow run.
 type Options struct {
-	// Target is the FPGA model used in the synthesis step (default
-	// resource.VirtexIIPro).
-	Target resource.TargetDevice
+	// target is the FPGA model used in the synthesis step (default
+	// resource.VirtexIIPro); only tests pick another.
+	target resource.TargetDevice
 	// MaxCycles caps the default run when the program has no run
 	// directive (default 10M).
 	MaxCycles uint64
@@ -49,8 +49,8 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Target.Slices == 0 {
-		o.Target = resource.VirtexIIPro
+	if o.target.Slices == 0 {
+		o.target = resource.VirtexIIPro
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 10_000_000
@@ -98,7 +98,7 @@ func Run(cfg platform.Config, prog control.Program, opt Options) (*RunReport, er
 	// Step 2: physical synthesis.
 	var syn *resource.Report
 	if !opt.SkipSynthesis {
-		syn, err = resource.Estimate(p, opt.Target)
+		syn, err = resource.Estimate(p, opt.target)
 		if err != nil {
 			return nil, fmt.Errorf("flow: synthesis: %w", err)
 		}

@@ -83,7 +83,7 @@ func TestRunRejectsBadProgram(t *testing.T) {
 
 func TestRunRejectsOversizedPlatform(t *testing.T) {
 	_, err := Run(paperCfg(t), control.Program{}, Options{
-		Target: resource.TargetDevice{Name: "tiny", Slices: 100},
+		target: resource.TargetDevice{Name: "tiny", Slices: 100},
 	})
 	if err == nil {
 		t.Error("oversized platform passed synthesis")

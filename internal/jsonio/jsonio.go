@@ -454,19 +454,6 @@ func load(r io.Reader, baseDir string) (platform.Config, RunSpec, error) {
 	return cfg, f.runSpec(baseDir), nil
 }
 
-// Load parses a JSON configuration from r; baseDir anchors relative
-// trace paths.
-func Load(r io.Reader, baseDir string) (platform.Config, error) {
-	cfg, _, err := load(r, baseDir)
-	return cfg, err
-}
-
-// LoadFile parses a JSON configuration file.
-func LoadFile(path string) (platform.Config, error) {
-	cfg, _, err := LoadFileRun(path)
-	return cfg, err
-}
-
 // LoadFileRun parses a JSON configuration file, returning both the
 // platform configuration and the run-control keys (checkpoint_every,
 // restore).

@@ -17,7 +17,7 @@ func TestExampleLoadsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Load(strings.NewReader(string(data)), ".")
+	cfg, _, err := load(strings.NewReader(string(data)), ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestLoadRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(bytes.NewReader(data), "."); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, _, err := load(bytes.NewReader(data), "."); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
@@ -64,7 +64,7 @@ func TestLoadRejects(t *testing.T) {
 		`{"tgs": [{"endpoint": 0, "model": "uniform", "uniform": {}, "burst": {}}]}`, // only the named model's object
 		`not json`,
 	} {
-		if _, err := Load(strings.NewReader(src), "."); err == nil {
+		if _, _, err := load(strings.NewReader(src), "."); err == nil {
 			t.Errorf("%s accepted", src)
 		}
 	}
@@ -164,14 +164,14 @@ func TestLoadFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := LoadFile(path)
+	cfg, _, err := LoadFileRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Name != "example-ring" {
 		t.Errorf("name = %q", cfg.Name)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "nope.json")); err == nil {
+	if _, _, err := LoadFileRun(filepath.Join(dir, "nope.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -219,7 +219,7 @@ func TestRunControlKeys(t *testing.T) {
 	}
 
 	// LoadFile ignores run control but still accepts the keys.
-	if _, err := LoadFile(path); err != nil {
+	if _, _, err := LoadFileRun(path); err != nil {
 		t.Errorf("LoadFile rejected run-control keys: %v", err)
 	}
 }

@@ -36,7 +36,7 @@ func TestKernelWorkerKeysRejected(t *testing.T) {
 		decode    func() error
 	}{
 		{"file", "workers", func() error {
-			_, err := Load(strings.NewReader(file), "")
+			_, _, err := load(strings.NewReader(file), "")
 			return err
 		}},
 		{"serve-open", "workers", func() error {
@@ -48,7 +48,7 @@ func TestKernelWorkerKeysRejected(t *testing.T) {
 			return err
 		}},
 		{"sweep", "platform_workers", func() error {
-			_, err := LoadSweep(strings.NewReader(withKey(t, SweepExample(), "platform_workers")), "")
+			_, err := LoadSweep(strings.NewReader(withKey(t, sweepExample(), "platform_workers")), "")
 			return err
 		}},
 	} {
@@ -59,7 +59,7 @@ func TestKernelWorkerKeysRejected(t *testing.T) {
 			}
 		})
 	}
-	if _, err := LoadSweep(strings.NewReader(withKey(t, SweepExample(), "workers")), ""); err != nil {
+	if _, err := LoadSweep(strings.NewReader(withKey(t, sweepExample(), "workers")), ""); err != nil {
 		t.Errorf("a sweep's own workers: %v", err)
 	}
 }

@@ -146,19 +146,3 @@ func LoadSweepFile(path string) (dse.Config, error) {
 	defer r.Close()
 	return LoadSweep(r, filepath.Dir(path))
 }
-
-// SweepExample returns a sample sweep configuration (the quickstart
-// JSON cmd/nocgen could emit and the README shows).
-func SweepExample() *SweepFile {
-	return &SweepFile{
-		Name:       "mesh-depth-load",
-		Topologies: []string{"mesh:w=4,h=4", "mesh:w=8,h=8"},
-		Workloads:  []string{"uniform", "hotspot"},
-		BufDepths:  []int{2, 4, 8},
-		Injections: []float64{0.05, 0.1, 0.2},
-		Forks:      4,
-		Search:     "pareto",
-		Journal:    "sweep.journal",
-		CacheDir:   "snapcache",
-	}
-}

@@ -81,10 +81,25 @@ func TestLoadSweepRejects(t *testing.T) {
 	}
 }
 
-// TestSweepExampleLoads pins the documented example to the live schema:
+// sweepExample is a sample sweep configuration.
+func sweepExample() *SweepFile {
+	return &SweepFile{
+		Name:       "mesh-depth-load",
+		Topologies: []string{"mesh:w=4,h=4", "mesh:w=8,h=8"},
+		Workloads:  []string{"uniform", "hotspot"},
+		BufDepths:  []int{2, 4, 8},
+		Injections: []float64{0.05, 0.1, 0.2},
+		Forks:      4,
+		Search:     "pareto",
+		Journal:    "sweep.journal",
+		CacheDir:   "snapcache",
+	}
+}
+
+// TestSweepExampleLoads pins the sample sweep to the live schema:
 // it must marshal, re-load under strict decoding, and lower cleanly.
 func TestSweepExampleLoads(t *testing.T) {
-	ex := SweepExample()
+	ex := sweepExample()
 	text, err := json.Marshal(ex)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,8 @@ import (
 
 func loadString(t *testing.T, src string) (platform.Config, error) {
 	t.Helper()
-	return Load(strings.NewReader(src), ".")
+	cfg, _, err := load(strings.NewReader(src), ".")
+	return cfg, err
 }
 
 // TestTopologyParamsMap: registry kinds size themselves from the params
@@ -61,7 +62,7 @@ func TestWorkloadObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RunCycles(2_000)
-	if !p.Drained() {
+	if !drained(p) {
 		t.Error("bounded workload did not drain in 2000 cycles")
 	}
 	if p.Totals().PacketsReceived == 0 {
@@ -180,7 +181,7 @@ func TestFlowIncastHotspotJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RunCycles(5_000)
-	if !p.Drained() {
+	if !drained(p) {
 		t.Error("bounded run did not drain")
 	}
 	if p.Totals().PacketsReceived == 0 {
@@ -248,4 +249,16 @@ func TestAllowDeadlockJSON(t *testing.T) {
 	if _, err := platform.Build(cfg); err != nil {
 		t.Errorf("allow_deadlock build: %v", err)
 	}
+}
+
+// drained reports whether no traffic remains in flight: every source
+// queue is empty and every packet sent has been received.
+func drained(p *platform.Platform) bool {
+	for _, tg := range p.TGs() {
+		if !tg.Injector().Drained() {
+			return false
+		}
+	}
+	tot := p.Totals()
+	return tot.PacketsSent == tot.PacketsReceived
 }

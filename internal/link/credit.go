@@ -14,18 +14,9 @@ type CreditLink struct {
 	last    uint32
 	elem    int32 // the wire's index among its arena's credit wires
 	at      uint64
-	sent    uint64
+	sent    uint64    // the conservation counter, saved with the wire
 	arrived [2]*uint8 // as Link's
 	arena   *Arena
-}
-
-// NewCreditLink returns an empty credit wire, in an arena of its own
-// (no clock: its snapshot is read at cycle 0).
-func NewCreditLink(name string) *CreditLink {
-	a := NewArena(name, 0, 1)
-	a.credits = append(make([]CreditLink, 0, 1), CreditLink{arena: a})
-	a.cnames = []string{name}
-	return &a.credits[0]
 }
 
 // ComponentName returns the credit wire's instance name.
@@ -78,7 +69,3 @@ func (c *CreditLink) TakeBefore(cycle uint64) uint32 {
 // Pending returns the credits on the wire, visible or not yet, without
 // taking them.
 func (c *CreditLink) Pending() uint32 { return c.n[0] + c.n[1] }
-
-// TotalSent returns the total credits ever sent, for conservation
-// checks in tests.
-func (c *CreditLink) TotalSent() uint64 { return c.sent }

@@ -82,7 +82,7 @@ func TestStuckWireHoldsAtSend(t *testing.T) {
 }
 
 func TestStuckFaultStillDrainsTakenFlit(t *testing.T) {
-	l := NewLink("l")
+	l := newLink("l")
 	if err := l.Send(0, mkFlit(0)); err != nil {
 		t.Fatal(err)
 	}

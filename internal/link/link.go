@@ -75,13 +75,6 @@ type faultState struct {
 	corrupted, heldCycles uint64
 }
 
-// NewLink returns an idle link with the given instance name, in an
-// arena of its own (no clock: the derived counters read cycle 0).
-func NewLink(name string) *Link {
-	l, _ := NewArena(name, 1, 0).NewPair(name, "")
-	return l
-}
-
 // ComponentName returns the link's instance name.
 func (l *Link) ComponentName() string { return l.arena.names[l.elem] }
 

@@ -80,12 +80,6 @@ func NewInjector(endpoint flit.EndpointID, out *link.Link, creditIn *link.Credit
 // Endpoint returns the injector's endpoint identifier.
 func (n *Injector) Endpoint() flit.EndpointID { return n.endpoint }
 
-// NextSeq returns the sequence number the next accepted packet will get.
-func (n *Injector) NextSeq() uint64 { return n.seq }
-
-// QueueCap returns the fixed source-queue capacity in flits.
-func (n *Injector) QueueCap() int { return len(n.ring) }
-
 // CanAccept reports whether a packet of the given flit length fits in
 // the source queue this cycle.
 func (n *Injector) CanAccept(length uint16) bool {
@@ -324,15 +318,9 @@ func (e *Ejector) Drain(release func(*flit.Flit)) {
 	e.asm.Reset()
 }
 
-// FlitsReceived returns the number of flits consumed.
-func (e *Ejector) FlitsReceived() uint64 { return e.flitsReceived }
-
 // CorruptedFlits returns the number of consumed flits whose integrity
 // code did not match (in-flight corruption).
 func (e *Ejector) CorruptedFlits() uint64 { return e.corruptedFlits }
-
-// PendingPackets reports partially reassembled packets.
-func (e *Ejector) PendingPackets() int { return e.asm.Pending() }
 
 // Depth returns the ejector buffer depth (the credits the upstream
 // switch output must be initialized with).

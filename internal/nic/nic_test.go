@@ -9,8 +9,8 @@ import (
 
 func newInjectorPair(t *testing.T, credits, maxFlits int) (*Injector, *link.Link, *link.CreditLink) {
 	t.Helper()
-	out := link.NewLink("out")
-	cr := link.NewCreditLink("cr")
+	out, crs := link.NewArena("out", 1, 1).NewPair("out", "cr")
+	cr := crs[0]
 	inj, err := NewInjector(1, out, cr, credits, maxFlits, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -19,8 +19,8 @@ func newInjectorPair(t *testing.T, credits, maxFlits int) (*Injector, *link.Link
 }
 
 func TestNewInjectorValidates(t *testing.T) {
-	out := link.NewLink("out")
-	cr := link.NewCreditLink("cr")
+	out, crs := link.NewArena("out", 1, 1).NewPair("out", "cr")
+	cr := crs[0]
 	if _, err := NewInjector(1, nil, cr, 1, 1, nil); err == nil {
 		t.Error("nil out accepted")
 	}
@@ -50,9 +50,6 @@ func TestInjectorOffer(t *testing.T) {
 	if id.Src() != 1 || id.Seq() != 0 {
 		t.Errorf("id = %v", id)
 	}
-	if inj.NextSeq() != 1 {
-		t.Errorf("next seq = %d", inj.NextSeq())
-	}
 	if !inj.CanAccept(5) {
 		t.Error("CanAccept(5) false with 5 free slots")
 	}
@@ -61,6 +58,9 @@ func TestInjectorOffer(t *testing.T) {
 	}
 	if _, err := inj.Offer(2, 6, 0, 0); err == nil {
 		t.Error("over-capacity packet accepted")
+	}
+	if id, err := inj.Offer(2, 1, 0, 0); err != nil || id.Seq() != 1 {
+		t.Errorf("next id = %v, %v; want seq 1", id, err)
 	}
 }
 
@@ -137,9 +137,9 @@ func TestInjectorResetStats(t *testing.T) {
 // including many wrap-arounds, and deliver flits in order.
 func TestInjectorRingBounded(t *testing.T) {
 	inj, out, cr := newInjectorPair(t, 4, 8)
-	cap0 := inj.QueueCap()
+	cap0 := len(inj.ring)
 	if cap0 != 8 {
-		t.Fatalf("QueueCap = %d, want 8", cap0)
+		t.Fatalf("queue capacity = %d, want 8", cap0)
 	}
 	var wantSeq uint64
 	cycle := uint64(0)
@@ -159,8 +159,8 @@ func TestInjectorRingBounded(t *testing.T) {
 			wantSeq = f.Packet.Seq()
 			cr.Send(cycle, 1) // immediate credit return: sustained full rate
 		}
-		if inj.QueueCap() != cap0 {
-			t.Fatalf("round %d: QueueCap grew to %d", round, inj.QueueCap())
+		if len(inj.ring) != cap0 {
+			t.Fatalf("round %d: queue capacity grew to %d", round, len(inj.ring))
 		}
 		if st := inj.Stats(); st.PeakQueue > cap0 {
 			t.Fatalf("round %d: peak queue %d exceeds capacity %d", round, st.PeakQueue, cap0)
@@ -178,8 +178,8 @@ func TestInjectorRingBounded(t *testing.T) {
 // state recycles rather than allocates.
 func TestInjectorEjectorPoolLifecycle(t *testing.T) {
 	pool := flit.NewPool()
-	wire := link.NewLink("wire")
-	cr := link.NewCreditLink("cr")
+	wire, crs := link.NewArena("wire", 1, 1).NewPair("wire", "cr")
+	cr := crs[0]
 	inj, err := NewInjector(1, wire, cr, 4, 16, pool.Shard("tg1", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +234,8 @@ func TestInjectorEjectorPoolLifecycle(t *testing.T) {
 // flits that never reached the wire.
 func TestInjectorDrainReleases(t *testing.T) {
 	pool := flit.NewPool()
-	out := link.NewLink("out")
-	cr := link.NewCreditLink("cr")
+	out, crs := link.NewArena("out", 1, 1).NewPair("out", "cr")
+	cr := crs[0]
 	inj, err := NewInjector(1, out, cr, 1, 8, pool.Shard("tg1", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +256,8 @@ func TestInjectorDrainReleases(t *testing.T) {
 }
 
 func TestNewEjectorValidates(t *testing.T) {
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	if _, err := NewEjector(9, nil, cr, 2, nil); err == nil {
 		t.Error("nil in accepted")
 	}
@@ -277,16 +277,17 @@ func TestNewEjectorValidates(t *testing.T) {
 }
 
 func TestEjectorReassemblyAndCredits(t *testing.T) {
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, err := NewEjector(9, in, cr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &flit.Packet{ID: flit.MakePacketID(1, 0), Src: 1, Dst: 9, Len: 3, BirthCycle: 2}
-	flits, err := p.Flits()
-	if err != nil {
-		t.Fatal(err)
+	flits := make([]*flit.Flit, p.Len)
+	for i := range flits {
+		flits[i] = &flit.Flit{}
+		p.Fill(flits[i], uint16(i))
 	}
 	var gotPkts []*flit.Packet
 	var gotFlits int
@@ -308,20 +309,17 @@ func TestEjectorReassemblyAndCredits(t *testing.T) {
 	if len(gotPkts) != 1 || gotPkts[0].ID != p.ID {
 		t.Fatalf("packets = %v", gotPkts)
 	}
-	if ej.FlitsReceived() != 3 {
-		t.Errorf("FlitsReceived = %d", ej.FlitsReceived())
+	if ej.flitsReceived != 3 {
+		t.Errorf("flits received = %d", ej.flitsReceived)
 	}
-	if ej.PendingPackets() != 0 {
-		t.Errorf("pending = %d", ej.PendingPackets())
-	}
-	if cr.TotalSent() != 3 {
-		t.Errorf("credits returned = %d, want 3", cr.TotalSent())
+	if cr.Pending() != 3 {
+		t.Errorf("credits returned = %d, want 3", cr.Pending())
 	}
 }
 
 func TestEjectorPanicsOnMisroute(t *testing.T) {
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, err := NewEjector(9, in, cr, 2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -384,10 +384,6 @@ func Build(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Gated reports whether quiescence-aware scheduling is enabled on the
-// platform's engine.
-func (p *Platform) Gated() bool { return p.eng.Gated() }
-
 // DeriveTGSeed returns the random seed a TG gets: the spec's own seed,
 // or a platform-seed-derived default. Exported so alternative backends
 // (internal/rtl, internal/tlm) generate identical traffic.
@@ -436,9 +432,6 @@ func (p *Platform) System() *bus.System { return p.sys }
 
 // Processor returns the control processor.
 func (p *Platform) Processor() *control.Processor { return p.proc }
-
-// Table returns the routing table.
-func (p *Platform) Table() *routing.Table { return p.table }
 
 // Switches returns the switches indexed by topology node.
 func (p *Platform) Switches() []*switchfab.Switch { return p.switches }

@@ -45,7 +45,7 @@ func TestFaultRunPoolBalance(t *testing.T) {
 	}
 	for _, sh := range pool.Shards() {
 		if sh.Acquired() != sh.Released() {
-			t.Errorf("shard %s: acquired %d released %d", sh.Name(), sh.Acquired(), sh.Released())
+			t.Errorf("shard of endpoint %d: acquired %d released %d", sh.Owner(), sh.Acquired(), sh.Released())
 		}
 	}
 }

@@ -586,7 +586,7 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
-			snap := func(noGate bool) []state.Section {
+			snap := func(noGate bool) []state.Frame {
 				p := buildSnap(t, r.cfg, noGate, nil)
 				p.RunCycles(r.cycles / 3)
 				p.RunCycles(r.cycles - r.cycles/3)
@@ -594,9 +594,13 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, sections, err := state.ReadSnapshot(bytes.NewReader(b))
+				f, err := state.ParseSnapshot(b)
 				if err != nil {
 					t.Fatal(err)
+				}
+				sections := make([]state.Frame, f.Count)
+				for i := range sections {
+					sections[i] = f.Next()
 				}
 				return sections
 			}
@@ -607,7 +611,7 @@ func TestSnapshotBytesIgnoreSchedule(t *testing.T) {
 			var differ []string
 			for i := range want {
 				if !bytes.Equal(got[i].Body, want[i].Body) {
-					differ = append(differ, want[i].Name)
+					differ = append(differ, string(want[i].Name))
 				}
 			}
 			if len(differ) > 0 {

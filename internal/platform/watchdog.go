@@ -114,12 +114,6 @@ func (w *Watchdog) Aborted() bool { return w.stalled }
 // Stalled reports whether the watchdog fired, and at which cycle.
 func (w *Watchdog) Stalled() (bool, uint64) { return w.stalled, w.stalledAt }
 
-// Reset re-arms the watchdog (after clearing the stall cause).
-func (w *Watchdog) Reset(cycle uint64) {
-	w.stalled = false
-	w.lastChange = cycle
-}
-
 // AddFaults registers a fault-injection campaign against the platform's
 // inter-switch links and returns its controller. Must be called before
 // the run starts.

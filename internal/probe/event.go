@@ -152,14 +152,3 @@ const SchedRing = ^uint32(0)
 func (ev Event) MarshalJSONL() ([]byte, error) {
 	return json.Marshal(ev)
 }
-
-// UnmarshalJSONL parses one JSONL line. Unknown fields are rejected so
-// schema drift is caught, not silently dropped.
-func UnmarshalJSONL(line []byte) (Event, error) {
-	var ev Event
-	dec := newStrictDecoder(line)
-	if err := dec.Decode(&ev); err != nil {
-		return Event{}, err
-	}
-	return ev, nil
-}

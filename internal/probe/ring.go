@@ -1,18 +1,5 @@
 package probe
 
-import (
-	"bytes"
-	"encoding/json"
-)
-
-// newStrictDecoder returns a JSON decoder over one line that rejects
-// unknown fields.
-func newStrictDecoder(line []byte) *json.Decoder {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	return dec
-}
-
 // rec is the stored form of an Event: same fields, except the
 // component name is an index into the Collector's interned name table
 // (for ring-drained events the index is the ring id). Keeping the

@@ -155,9 +155,6 @@ func New(cfg Config, ej *nic.Ejector) (*TR, error) {
 // ComponentName implements engine.Component.
 func (t *TR) ComponentName() string { return t.cfg.Name }
 
-// Endpoint returns the receptor's network address.
-func (t *TR) Endpoint() flit.EndpointID { return t.cfg.Endpoint }
-
 // Mode returns the receptor flavor.
 func (t *TR) Mode() Mode { return t.cfg.Mode }
 

@@ -6,6 +6,7 @@ import (
 	"nocemu/internal/flit"
 	"nocemu/internal/link"
 	"nocemu/internal/nic"
+	"nocemu/internal/stats"
 )
 
 // harness feeds flits into a TR through its ejector link.
@@ -19,8 +20,8 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, err := nic.NewEjector(cfg.Endpoint, in, cr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +36,12 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // sendPacket queues a packet's flits with the given inject/birth cycles.
 func (h *harness) sendPacket(src flit.EndpointID, seq uint64, length uint16, inject uint64) {
 	p := &flit.Packet{
-		ID: flit.MakePacketID(src, seq), Src: src, Dst: h.tr.Endpoint(),
+		ID: flit.MakePacketID(src, seq), Src: src, Dst: h.tr.cfg.Endpoint,
 		Len: length, BirthCycle: inject,
 	}
-	fs, err := p.Flits()
-	if err != nil {
-		panic(err)
-	}
-	for _, f := range fs {
+	for i := uint16(0); i < length; i++ {
+		f := &flit.Flit{}
+		p.Fill(f, i)
 		f.InjectCycle = inject
 		h.queue = append(h.queue, f)
 	}
@@ -71,8 +70,8 @@ func (h *harness) idle(n int) {
 }
 
 func TestNewValidation(t *testing.T) {
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, _ := nic.NewEjector(9, in, cr, 2, nil)
 	if _, err := New(Config{Name: "", Endpoint: 9, Mode: Stochastic}, ej); err == nil {
 		t.Error("empty name accepted")
@@ -102,8 +101,8 @@ func TestStochasticHistograms(t *testing.T) {
 		t.Errorf("size bins: 3->%d 5->%d", h.tr.SizeHist().Bin(3), h.tr.SizeHist().Bin(5))
 	}
 	// Back-to-back packets: gaps equal packet lengths (5 and 3).
-	if h.tr.GapHist().Count() != 2 {
-		t.Errorf("gap samples = %d", h.tr.GapHist().Count())
+	if samples(h.tr.GapHist()) != 2 {
+		t.Errorf("gap samples = %d", samples(h.tr.GapHist()))
 	}
 	if st.MeanSize == 0 || st.MeanGap == 0 {
 		t.Errorf("means zero: %+v", st)
@@ -144,7 +143,7 @@ func TestTraceDrivenLatency(t *testing.T) {
 	if st.TotLatencyMean < st.NetLatencyMean {
 		t.Errorf("total %v < network %v", st.TotLatencyMean, st.NetLatencyMean)
 	}
-	if h.tr.LatHist().Count() != 1 {
+	if samples(h.tr.LatHist()) != 1 {
 		t.Error("latency histogram empty")
 	}
 	if h.tr.SizeHist() != nil {
@@ -227,4 +226,13 @@ func TestMultiSourceCongestionBaselines(t *testing.T) {
 	if st.CongestionCycles != 0 {
 		t.Errorf("cross-source congestion = %d, want 0 (separate baselines)", st.CongestionCycles)
 	}
+}
+
+// samples counts what a histogram recorded: its bins and its overflow.
+func samples(h *stats.Histogram) uint64 {
+	n := h.Overflow()
+	for i := 0; i < h.NumBins(); i++ {
+		n += h.Bin(i)
+	}
+	return n
 }

@@ -47,7 +47,7 @@ func driveTrackLast(t *testing.T) *harness {
 }
 
 func saveBytes(tr *TR) []byte {
-	w := state.NewWriter()
+	w := &state.Writer{}
 	tr.SaveState(w)
 	return w.Bytes()
 }
@@ -101,8 +101,8 @@ func TestTrackLastSnapshotRestores(t *testing.T) {
 	if err := h.tr.LoadState(r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("%d bytes left after restore", r.Remaining())
+	if err := r.Close(); err != nil {
+		t.Fatalf("after restore: %v", err)
 	}
 	if got := saveBytes(h.tr); !bytes.Equal(got, want) {
 		t.Error("restored receptor does not write its snapshot back byte for byte")
@@ -125,7 +125,7 @@ func TestLoadRejectsDisagreeingFlowSections(t *testing.T) {
 	// last writes the section for the first n flows, the first source
 	// renamed when asked.
 	last := func(n int, rename bool) []byte {
-		w := state.NewWriter()
+		w := &state.Writer{}
 		w.Int(n)
 		for i := 0; i < n; i++ {
 			fl, _ := tr.Flow(i)
@@ -156,7 +156,7 @@ func TestLoadRejectsDisagreeingFlowSections(t *testing.T) {
 	if !bytes.HasSuffix(empty, make([]byte, 4)) {
 		t.Fatal("an empty receptor's snapshot does not end in its four empty flow fields")
 	}
-	w := state.NewWriter()
+	w := &state.Writer{}
 	w.Int(1 << 40)
 	snap := append(append([]byte(nil), empty[:len(empty)-4]...), w.Bytes()...)
 	err := newHarness(t, trackLastConfig()).tr.LoadState(state.NewReader(snap))

@@ -14,8 +14,8 @@ import (
 // packet from each of srcs, in that order, and its register bank.
 func flowTR(t testing.TB, mode receptor.Mode, trackLast bool, srcs ...flit.EndpointID) (*receptor.TR, *Bank) {
 	t.Helper()
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, err := nic.NewEjector(100, in, cr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,10 +27,7 @@ func flowTR(t testing.TB, mode receptor.Mode, trackLast bool, srcs ...flit.Endpo
 	cycle := uint64(0)
 	for i, src := range srcs {
 		p := &flit.Packet{ID: flit.MakePacketID(src, uint64(i)), Src: src, Dst: 100, Len: 1}
-		fs, err := p.Flits()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fs := flits(p)
 		// Back-date each packet by its position so latencies differ.
 		fs[0].InjectCycle = cycle - min(cycle, uint64(i))
 		if err := in.Send(cycle, fs[0]); err != nil {

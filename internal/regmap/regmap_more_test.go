@@ -12,8 +12,8 @@ import (
 
 func mkTGWith(t *testing.T, gen traffic.Generator) *traffic.TG {
 	t.Helper()
-	out := link.NewLink("o")
-	cr := link.NewCreditLink("c")
+	out, crs := link.NewArena("o", 1, 1).NewPair("o", "c")
+	cr := crs[0]
 	inj, err := nic.NewInjector(0, out, cr, 4, 16, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ import (
 
 func mkTG(t *testing.T, gen traffic.Generator) *traffic.TG {
 	t.Helper()
-	out := link.NewLink("o")
-	cr := link.NewCreditLink("c")
+	out, crs := link.NewArena("o", 1, 1).NewPair("o", "c")
+	cr := crs[0]
 	inj, err := nic.NewInjector(0, out, cr, 4, 16, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestTGDeviceStatsRoundTrip(t *testing.T) {
 
 func mkTR(t *testing.T, mode receptor.Mode) (*receptor.TR, *link.Link, *link.CreditLink) {
 	t.Helper()
-	in := link.NewLink("in")
-	cr := link.NewCreditLink("cr")
+	in, crs := link.NewArena("in", 1, 1).NewPair("in", "cr")
+	cr := crs[0]
 	ej, err := nic.NewEjector(100, in, cr, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +173,7 @@ func feedTR(tr *receptor.TR, in *link.Link, cr *link.CreditLink, n int, length u
 			ID: flit.MakePacketID(1, uint64(i)), Src: 1, Dst: 100,
 			Len: length, BirthCycle: cycle,
 		}
-		fs, err := p.Flits()
-		if err != nil {
-			panic(err)
-		}
-		for _, f := range fs {
+		for _, f := range flits(p) {
 			f.InjectCycle = cycle
 			for in.Busy(cycle) {
 				cycle = pump(tr, in, cr, cycle)
@@ -191,6 +187,16 @@ func feedTR(tr *receptor.TR, in *link.Link, cr *link.CreditLink, n int, length u
 	for i := 0; i < 5; i++ {
 		cycle = pump(tr, in, cr, cycle)
 	}
+}
+
+// flits expands a valid packet into fresh flits.
+func flits(p *flit.Packet) []*flit.Flit {
+	fs := make([]*flit.Flit, p.Len)
+	for i := range fs {
+		fs[i] = &flit.Flit{}
+		p.Fill(fs[i], uint16(i))
+	}
+	return fs
 }
 
 func pump(tr *receptor.TR, in *link.Link, cr *link.CreditLink, cycle uint64) uint64 {
@@ -276,7 +282,7 @@ func TestTRDeviceTraceLatency(t *testing.T) {
 
 func TestSwitchDevice(t *testing.T) {
 	tb := routing.NewTable(1)
-	sw, err := switchfab.New(switchfab.Config{
+	sw, err := switchfab.NewArena("sws", 1).New(switchfab.Config{
 		Name: "sw0", Node: 0, NumIn: 1, NumOut: 1, BufDepth: 2,
 		Arb: arb.RoundRobin, Select: routing.First, Table: tb, Seed: 1,
 	})
@@ -318,7 +324,7 @@ func TestQ8Encoding(t *testing.T) {
 func mkSwitchDevice(t *testing.T) *Bank {
 	t.Helper()
 	tb := routing.NewTable(1)
-	sw, err := switchfab.New(switchfab.Config{
+	sw, err := switchfab.NewArena("sws", 1).New(switchfab.Config{
 		Name: "swX", Node: 0, NumIn: 1, NumOut: 1, BufDepth: 2,
 		Arb: arb.RoundRobin, Select: routing.First, Table: tb, Seed: 1,
 	})

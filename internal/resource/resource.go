@@ -60,12 +60,6 @@ type Bill struct {
 	LUT int // 4-input LUTs
 }
 
-// Add accumulates another bill.
-func (b Bill) Add(o Bill) Bill { return Bill{FF: b.FF + o.FF, LUT: b.LUT + o.LUT} }
-
-// Scale multiplies a bill by n instances.
-func (b Bill) Scale(n int) Bill { return Bill{FF: b.FF * n, LUT: b.LUT * n} }
-
 // Slices converts a bill to Xilinx slices (2 FF + 2 LUT4 per slice)
 // under a packing/control-overhead coefficient k.
 func (b Bill) Slices(k float64) int {
@@ -233,36 +227,10 @@ type Report struct {
 	MaxFrequencyMHz float64
 }
 
-// EstimateTGStochastic returns the slice estimate for a stochastic TG
-// with the given shape.
-func EstimateTGStochastic(paramRegs, counters, queueFlits int) int {
-	return TGStochasticBill(paramRegs, counters, queueFlits).Slices(kTGStochastic)
-}
-
-// EstimateTGTrace returns the slice estimate for a trace-driven TG.
-func EstimateTGTrace(counters, queueFlits int) int {
-	return TGTraceBill(counters, queueFlits).Slices(kTGTrace)
-}
-
-// EstimateTRStochastic returns the slice estimate for a stochastic TR.
-func EstimateTRStochastic(sizeBins, gapBins, counters int) int {
-	return TRStochasticBill(sizeBins, gapBins, counters).Slices(kTRStochastic)
-}
-
-// EstimateTRTrace returns the slice estimate for a trace-driven TR.
-func EstimateTRTrace(latBins, counters int) int {
-	return TRTraceBill(latBins, counters).Slices(kTRTrace)
-}
-
 // EstimateSwitch returns the slice estimate for a switch of one virtual
 // channel per port.
 func EstimateSwitch(numIn, numOut, bufDepth int) int {
 	return SwitchBill(numIn, numOut, 1, bufDepth).Slices(kSwitch)
-}
-
-// EstimateControl returns the slice estimate for the control module.
-func EstimateControl(devices int) int {
-	return ControlBill(devices).Slices(kControl)
 }
 
 // Estimate produces the synthesis report for a built platform.

@@ -14,11 +14,11 @@ func TestCalibrationReproducesPaperTable(t *testing.T) {
 		got  int
 		want int
 	}{
-		{"TG stochastic", EstimateTGStochastic(4, 5, 32), PaperTGStochasticSlices},
-		{"TG trace", EstimateTGTrace(5, 32), PaperTGTraceSlices},
-		{"TR stochastic", EstimateTRStochastic(32, 32, 4), PaperTRStochasticSlices},
-		{"TR trace", EstimateTRTrace(64, 4), PaperTRTraceSlices},
-		{"control", EstimateControl(15), PaperControlSlices},
+		{"TG stochastic", TGStochasticBill(4, 5, 32).Slices(kTGStochastic), PaperTGStochasticSlices},
+		{"TG trace", TGTraceBill(5, 32).Slices(kTGTrace), PaperTGTraceSlices},
+		{"TR stochastic", TRStochasticBill(32, 32, 4).Slices(kTRStochastic), PaperTRStochasticSlices},
+		{"TR trace", TRTraceBill(64, 4).Slices(kTRTrace), PaperTRTraceSlices},
+		{"control", ControlBill(15).Slices(kControl), PaperControlSlices},
 	}
 	for _, c := range cases {
 		if d := math.Abs(float64(c.got - c.want)); d > 1 {
@@ -44,11 +44,11 @@ func TestBillsScaleWithParameters(t *testing.T) {
 		}
 	}
 	// Bigger histograms cost more.
-	if EstimateTRStochastic(128, 128, 4) <= EstimateTRStochastic(8, 8, 4) {
+	if TRStochasticBill(128, 128, 4).Slices(kTRStochastic) <= TRStochasticBill(8, 8, 4).Slices(kTRStochastic) {
 		t.Error("TR area does not grow with bins")
 	}
 	// Longer queues cost more.
-	if EstimateTGStochastic(4, 5, 128) <= EstimateTGStochastic(4, 5, 8) {
+	if TGStochasticBill(4, 5, 128).Slices(kTGStochastic) <= TGStochasticBill(4, 5, 8).Slices(kTGStochastic) {
 		t.Error("TG area does not grow with queue depth")
 	}
 }
@@ -82,14 +82,6 @@ func TestAreaGrowsWithVirtualChannels(t *testing.T) {
 }
 
 func TestBillArithmetic(t *testing.T) {
-	a := Bill{FF: 10, LUT: 20}
-	b := a.Add(Bill{FF: 1, LUT: 2})
-	if b.FF != 11 || b.LUT != 22 {
-		t.Errorf("add = %+v", b)
-	}
-	if s := a.Scale(3); s.FF != 30 || s.LUT != 60 {
-		t.Errorf("scale = %+v", s)
-	}
 	if got := (Bill{FF: 100, LUT: 100}).Slices(1.0); got != 100 {
 		t.Errorf("slices = %d", got)
 	}
@@ -171,11 +163,11 @@ func TestOrderingMatchesPaper(t *testing.T) {
 	// The paper's ordering: stochastic TG is the biggest traffic
 	// device, then TR trace, then TG trace, then TR stochastic, and
 	// the control module is the smallest.
-	tgS := EstimateTGStochastic(4, 5, 32)
-	tgT := EstimateTGTrace(5, 32)
-	trS := EstimateTRStochastic(32, 32, 4)
-	trT := EstimateTRTrace(64, 4)
-	ctl := EstimateControl(15)
+	tgS := TGStochasticBill(4, 5, 32).Slices(kTGStochastic)
+	tgT := TGTraceBill(5, 32).Slices(kTGTrace)
+	trS := TRStochasticBill(32, 32, 4).Slices(kTRStochastic)
+	trT := TRTraceBill(64, 4).Slices(kTRTrace)
+	ctl := ControlBill(15).Slices(kControl)
 	if !(tgS > trT && trT > tgT && tgT > trS && trS > ctl) {
 		t.Errorf("ordering broken: %d %d %d %d %d", tgS, trT, tgT, trS, ctl)
 	}

@@ -39,9 +39,6 @@ func (l *LFSR) Reseed(seed uint32) {
 	l.state = seed
 }
 
-// State returns the current register contents.
-func (l *LFSR) State() uint32 { return l.state }
-
 // Next advances the register one step and returns the new state.
 func (l *LFSR) Next() uint32 {
 	lsb := l.state & 1
@@ -96,43 +93,6 @@ func (l *LFSR) IntRange(lo, hi int) int {
 		panic(fmt.Sprintf("rng: IntRange(%d,%d)", lo, hi))
 	}
 	return lo + l.Intn(hi-lo+1)
-}
-
-// Float64 returns a uniform value in [0, 1) with 32 bits of resolution.
-func (l *LFSR) Float64() float64 {
-	return float64(l.Uint32()) / (1 << 32)
-}
-
-// Bernoulli returns true with probability p (clamped to [0,1]).
-func (l *LFSR) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return l.Float64() < p
-}
-
-// Geometric returns the number of failures before the first success of
-// a Bernoulli(p) process, i.e. a geometrically distributed value with
-// mean (1-p)/p. This is the discrete-time analogue of an exponential
-// inter-arrival and drives the Poisson traffic model. p must be in
-// (0, 1]; it panics otherwise.
-func (l *LFSR) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("rng: Geometric(%g)", p))
-	}
-	n := 0
-	for !l.Bernoulli(p) {
-		n++
-		if n >= 1<<20 {
-			// Statistically unreachable for sane p; guards against a
-			// pathological p from a corrupted register.
-			return n
-		}
-	}
-	return n
 }
 
 // Bernoulli16 returns true with probability p/65536, the fixed-point

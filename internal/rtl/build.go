@@ -18,7 +18,6 @@ type Platform struct {
 	clock  *eventsim.Clock
 	tgs    []*rtlTG
 	trs    map[flit.EndpointID]*rtlTR
-	cycles uint64
 }
 
 // Build constructs the RTL model for a platform configuration. Random
@@ -190,11 +189,7 @@ const clockPeriod = 8
 // RunCycles advances the RTL simulation by n clock cycles.
 func (p *Platform) RunCycles(n uint64) {
 	p.kernel.RunUntil(p.kernel.Now() + eventsim.Time(clockPeriod*n))
-	p.cycles += n
 }
-
-// Cycles returns the clock cycles simulated.
-func (p *Platform) Cycles() uint64 { return p.cycles }
 
 // KernelStats exposes the event kernel's dynamic-work counters.
 func (p *Platform) KernelStats() eventsim.Stats { return p.kernel.Stats() }
@@ -206,23 +201,6 @@ func (p *Platform) PacketsReceived() uint64 {
 		n += tr.packets
 	}
 	return n
-}
-
-// FlitsReceived returns total flits delivered.
-func (p *Platform) FlitsReceived() uint64 {
-	var n uint64
-	for _, tr := range p.trs {
-		n += tr.flits
-	}
-	return n
-}
-
-// PacketsReceivedAt returns packets delivered to one receptor.
-func (p *Platform) PacketsReceivedAt(ep flit.EndpointID) uint64 {
-	if tr, ok := p.trs[ep]; ok {
-		return tr.packets
-	}
-	return 0
 }
 
 // PacketsSent returns total packets injected by all generators.
@@ -243,23 +221,4 @@ func (p *Platform) Done() bool {
 		}
 	}
 	return p.PacketsSent() == p.PacketsReceived()
-}
-
-// RunUntilDone advances until Done or maxCycles; it returns the cycles
-// run and whether it finished.
-func (p *Platform) RunUntilDone(maxCycles uint64) (uint64, bool) {
-	const chunk = 256
-	var run uint64
-	for run < maxCycles {
-		n := uint64(chunk)
-		if run+n > maxCycles {
-			n = maxCycles - run
-		}
-		p.RunCycles(n)
-		run += n
-		if p.Done() {
-			return run, true
-		}
-	}
-	return run, false
 }

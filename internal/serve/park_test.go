@@ -210,16 +210,17 @@ func TestPoolAfterFailedResume(t *testing.T) {
 			head, snap, _ := bytes.Cut(entry, []byte{'\n'})
 			// Cut the switches section short: every section before it
 			// restores, the switches fail.
-			name, secs, err := state.ReadSnapshot(bytes.NewReader(snap))
+			f, err := state.ParseSnapshot(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			torn := state.AppendHeader(nil, name, len(secs))
-			for _, s := range secs {
-				if s.Name == "switches" {
+			torn := state.AppendHeader(nil, string(f.Platform), f.Count)
+			for i := 0; i < f.Count; i++ {
+				s := f.Next()
+				if string(s.Name) == "switches" {
 					s.Body = s.Body[:len(s.Body)/2]
 				}
-				torn = state.AppendSection(torn, s.Name, s.Type, s.Body)
+				torn = state.AppendSection(torn, string(s.Name), string(s.Type), s.Body)
 			}
 			if err := m.park.Put(parkKey("a"), append(append(head, '\n'), torn...)); err != nil {
 				t.Fatal(err)

@@ -16,7 +16,6 @@ package state
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -38,17 +37,11 @@ type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns an empty Writer.
-func NewWriter() *Writer { return &Writer{} }
-
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reset empties the Writer, keeping its storage.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // U64 appends an unsigned varint.
 func (w *Writer) U64(v uint64) {
@@ -120,9 +113,6 @@ func (r *Reader) Reset(b []byte) { *r = Reader{buf: b} }
 
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unconsumed bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
@@ -280,14 +270,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Section is one framed snapshot section: the saving component's name
-// and concrete type, and its private payload.
-type Section struct {
-	Name string
-	Type string
-	Body []byte
-}
-
 // AppendHeader appends the snapshot stream header to b.
 func AppendHeader(b []byte, platformName string, sections int) []byte {
 	w := Writer{buf: append(b, Magic[:]...)}
@@ -304,18 +286,6 @@ func AppendSection(b []byte, name, typ string, body []byte) []byte {
 	w.String(typ)
 	w.Blob(body)
 	return w.buf
-}
-
-// WriteHeader emits the snapshot stream header.
-func WriteHeader(w io.Writer, platformName string, sections int) error {
-	_, err := w.Write(AppendHeader(nil, platformName, sections))
-	return err
-}
-
-// WriteSection emits one framed section.
-func WriteSection(w io.Writer, s Section) error {
-	_, err := w.Write(AppendSection(nil, s.Name, s.Type, s.Body))
-	return err
 }
 
 // Frame is one section of a parsed snapshot. Its fields alias the bytes
@@ -374,23 +344,4 @@ func ParseSnapshot(raw []byte) (Frames, error) {
 // Next returns the next section; call it Count times.
 func (f *Frames) Next() Frame {
 	return Frame{Name: f.r.Blob(), Type: f.r.Blob(), Body: f.r.Blob()}
-}
-
-// ReadSnapshot consumes a whole snapshot stream, returning the platform
-// name and the framed sections (bodies alias the bytes read).
-func ReadSnapshot(r io.Reader) (platformName string, sections []Section, err error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return "", nil, fmt.Errorf("state: read snapshot: %w", err)
-	}
-	f, err := ParseSnapshot(raw)
-	if err != nil {
-		return "", nil, err
-	}
-	sections = make([]Section, f.Count)
-	for i := range sections {
-		fr := f.Next()
-		sections[i] = Section{Name: string(fr.Name), Type: string(fr.Type), Body: fr.Body}
-	}
-	return string(f.Platform), sections, nil
 }

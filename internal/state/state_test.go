@@ -7,7 +7,7 @@ import (
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := &Writer{}
 	w.U64(0)
 	w.U64(math.MaxUint64)
 	w.I64(-12345)
@@ -85,7 +85,7 @@ func TestReaderStickyError(t *testing.T) {
 }
 
 func TestCloseRejectsTrailingBytes(t *testing.T) {
-	w := NewWriter()
+	w := &Writer{}
 	w.U64(1)
 	w.U64(2)
 	r := NewReader(w.Bytes())
@@ -96,7 +96,7 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestBlobLengthGuard(t *testing.T) {
-	w := NewWriter()
+	w := &Writer{}
 	w.U64(1 << 40) // blob length far beyond the buffer
 	r := NewReader(w.Bytes())
 	if b := r.Blob(); b != nil {
@@ -108,44 +108,35 @@ func TestBlobLengthGuard(t *testing.T) {
 }
 
 func TestSnapshotFraming(t *testing.T) {
-	var buf bytes.Buffer
-	secs := []Section{
-		{Name: "engine", Type: "*engine.Engine", Body: []byte{1, 2}},
-		{Name: "tg0", Type: "*traffic.TG", Body: nil},
+	secs := []Frame{
+		{Name: []byte("engine"), Type: []byte("*engine.Engine"), Body: []byte{1, 2}},
+		{Name: []byte("tg0"), Type: []byte("*traffic.TG"), Body: nil},
 	}
-	if err := WriteHeader(&buf, "paper-ref", len(secs)); err != nil {
-		t.Fatal(err)
-	}
+	buf := AppendHeader(nil, "paper-ref", len(secs))
 	for _, s := range secs {
-		if err := WriteSection(&buf, s); err != nil {
-			t.Fatal(err)
-		}
+		buf = AppendSection(buf, string(s.Name), string(s.Type), s.Body)
 	}
-	name, got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	f, err := ParseSnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "paper-ref" {
-		t.Errorf("platform name %q", name)
+	if string(f.Platform) != "paper-ref" {
+		t.Errorf("platform name %q", f.Platform)
 	}
-	if len(got) != len(secs) {
-		t.Fatalf("%d sections, want %d", len(got), len(secs))
+	if f.Count != len(secs) {
+		t.Fatalf("%d sections, want %d", f.Count, len(secs))
 	}
 	for i := range secs {
-		if got[i].Name != secs[i].Name || got[i].Type != secs[i].Type ||
-			!bytes.Equal(got[i].Body, secs[i].Body) {
-			t.Errorf("section %d = %+v, want %+v", i, got[i], secs[i])
+		got := f.Next()
+		if !bytes.Equal(got.Name, secs[i].Name) || !bytes.Equal(got.Type, secs[i].Type) ||
+			!bytes.Equal(got.Body, secs[i].Body) {
+			t.Errorf("section %d = %+v, want %+v", i, got, secs[i])
 		}
 	}
 }
 
 func TestSnapshotFramingRejects(t *testing.T) {
-	good := func() []byte {
-		var buf bytes.Buffer
-		WriteHeader(&buf, "p", 1)
-		WriteSection(&buf, Section{Name: "engine", Type: "t", Body: []byte{9}})
-		return buf.Bytes()
-	}()
+	good := AppendSection(AppendHeader(nil, "p", 1), "engine", "t", []byte{9})
 
 	cases := []struct {
 		name string
@@ -161,8 +152,8 @@ func TestSnapshotFramingRejects(t *testing.T) {
 		}()},
 	}
 	for _, tc := range cases {
-		if _, _, err := ReadSnapshot(bytes.NewReader(tc.raw)); err == nil {
-			t.Errorf("%s: ReadSnapshot accepted malformed input", tc.name)
+		if _, err := ParseSnapshot(tc.raw); err == nil {
+			t.Errorf("%s: ParseSnapshot accepted malformed input", tc.name)
 		}
 	}
 }
@@ -172,30 +163,25 @@ func TestSnapshotFramingRejects(t *testing.T) {
 // re-encode to the identical byte stream (the codec is canonical, which
 // is what makes golden-fixture drift detection meaningful).
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	var seed bytes.Buffer
-	WriteHeader(&seed, "fuzz", 2)
-	WriteSection(&seed, Section{Name: "a", Type: "T", Body: []byte{1, 2, 3}})
-	WriteSection(&seed, Section{Name: "b", Type: "U", Body: nil})
-	f.Add(seed.Bytes())
+	seed := AppendHeader(nil, "fuzz", 2)
+	seed = AppendSection(seed, "a", "T", []byte{1, 2, 3})
+	seed = AppendSection(seed, "b", "U", nil)
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte("NSNP"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		name, secs, err := ReadSnapshot(bytes.NewReader(raw))
+		fr, err := ParseSnapshot(raw)
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteHeader(&out, name, len(secs)); err != nil {
-			t.Fatal(err)
+		out := AppendHeader(nil, string(fr.Platform), fr.Count)
+		for i := 0; i < fr.Count; i++ {
+			s := fr.Next()
+			out = AppendSection(out, string(s.Name), string(s.Type), s.Body)
 		}
-		for _, s := range secs {
-			if err := WriteSection(&out, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(out.Bytes(), raw) {
-			t.Fatalf("re-encode differs: %d bytes in, %d out", len(raw), out.Len())
+		if !bytes.Equal(out, raw) {
+			t.Fatalf("re-encode differs: %d bytes in, %d out", len(raw), len(out))
 		}
 	})
 }

@@ -65,12 +65,6 @@ func (h *Histogram) Add(v uint64) {
 	h.bins[i]++
 }
 
-// Count returns the number of samples recorded.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -78,17 +72,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Overflow returns the number of samples beyond the last bin.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
@@ -143,16 +126,9 @@ func (h *Histogram) Reset() {
 	h.min = math.MaxUint64
 }
 
-// Render draws the histogram as ASCII art, width columns wide, as the
-// paper's monitor displays it on the host PC.
-func (h *Histogram) Render(width int) string {
-	return RenderBins(h.binWidth, h.bins, h.overflow, width)
-}
-
-// RenderBins draws raw histogram bins as ASCII art, width columns wide.
-// It is the rendering behind Histogram.Render, split out so a monitor
-// that reconstructed the bins over the register bus produces the same
-// picture as one holding the Histogram itself.
+// RenderBins draws histogram bins as ASCII art, width columns wide, as
+// the paper's monitor displays them on the host PC from the bins it
+// reads over the register bus.
 func RenderBins(binWidth uint64, bins []uint64, overflow uint64, width int) string {
 	if width < 1 {
 		width = 40
@@ -278,16 +254,4 @@ func (s *Series) YAt(x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MonotoneNonDecreasing reports whether Y never decreases with X by more
-// than tol (used by experiment shape checks).
-func (s *Series) MonotoneNonDecreasing(tol float64) bool {
-	sorted := s.Sorted()
-	for i := 1; i < len(sorted.Points); i++ {
-		if sorted.Points[i].Y < sorted.Points[i-1].Y-tol {
-			return false
-		}
-	}
-	return true
 }

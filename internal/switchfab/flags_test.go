@@ -22,7 +22,7 @@ import (
 // stuck fault, whose release is what wakes the switch.
 
 func savedWire(c *link.CreditLink) []byte {
-	w := state.NewWriter()
+	w := &state.Writer{}
 	c.SaveState(w)
 	return w.Bytes()
 }

@@ -83,7 +83,7 @@ func (d *trickle) feed(start bool) (sent []*flit.Flit) {
 }
 
 func saved(sw *Switch) []byte {
-	w := state.NewWriter()
+	w := &state.Writer{}
 	sw.SaveState(w)
 	return w.Bytes()
 }
@@ -189,7 +189,7 @@ func TestLaneMasksAcrossWords(t *testing.T) {
 		t.Fatalf("lock[2] = %d, lane 66 holds %d flits: want the head gone and the lock held", r.sw.lock[2], r.sw.lanes[66].Len())
 	}
 	arbiter := func() []byte {
-		w := state.NewWriter()
+		w := &state.Writer{}
 		r.sw.arbiters[1].SaveState(w)
 		return w.Bytes()
 	}

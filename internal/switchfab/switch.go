@@ -155,15 +155,6 @@ type Switch struct {
 // never stamps a switch that has evaluated no cycle of the timeline.
 const never = ^uint64(0)
 
-// New builds a switch from its configuration.
-func New(cfg Config) (*Switch, error) {
-	s := &Switch{}
-	if err := initSwitch(s, cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // initSwitch initializes a switch in place: arena elements live as
 // values in the arena's backing slice.
 func initSwitch(s *Switch, cfg Config) error {
@@ -648,16 +639,6 @@ func (s *Switch) BufferedFlitsAt(cycle uint64) int {
 		return s.before
 	}
 	return s.flits
-}
-
-// BufferStats returns the buffer statistics per input lane.
-func (s *Switch) BufferStats() []buffer.Stats {
-	s.settle()
-	out := make([]buffer.Stats, len(s.lanes))
-	for r := range s.lanes {
-		out[r] = s.lanes[r].Stats()
-	}
-	return out
 }
 
 // ResetStats clears the activity counters (and lane counters, the idle

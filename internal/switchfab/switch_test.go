@@ -67,7 +67,8 @@ func (d *testDst) Done() bool      { return len(d.got) >= d.want }
 
 func wire(t *testing.T, eng *engine.Engine, name string) (*link.Link, *link.CreditLink) {
 	t.Helper()
-	return link.NewLink(name), link.NewCreditLink(name + ".cr")
+	l, crs := link.NewArena(name, 1, 1).NewPair(name, name+".cr")
+	return l, crs[0]
 }
 
 func defaultCfg(name string, node topology.NodeID, in, out int, table *routing.Table) Config {
@@ -92,23 +93,23 @@ func TestNewValidates(t *testing.T) {
 		{Name: "s", NumIn: 1, NumOut: 1, NumVC: topology.MaxVCs + 1, BufDepth: 1, Arb: arb.RoundRobin, Select: routing.First, Table: tb},
 	}
 	for i, cfg := range cases {
-		if _, err := New(cfg); err == nil {
+		if _, err := NewArena("sws", 1).New(cfg); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := New(defaultCfg("ok", 0, 2, 2, tb)); err != nil {
+	if _, err := NewArena("sws", 1).New(defaultCfg("ok", 0, 2, 2, tb)); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
 func TestWiringErrors(t *testing.T) {
 	tb := routing.NewTable(1)
-	s, err := New(defaultCfg("s", 0, 1, 1, tb))
+	s, err := NewArena("sws", 1).New(defaultCfg("s", 0, 1, 1, tb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := link.NewLink("l")
-	c := link.NewCreditLink("c")
+	l, cs := link.NewArena("l", 1, 1).NewPair("l", "c")
+	c := cs[0]
 	if err := s.ConnectInput(5, l, c); err == nil {
 		t.Error("out-of-range input accepted")
 	}
@@ -127,8 +128,8 @@ func TestWiringErrors(t *testing.T) {
 	if err := s.ConnectInput(0, l, c); err == nil {
 		t.Error("double input wiring accepted")
 	}
-	ol := link.NewLink("ol")
-	oc := link.NewCreditLink("oc")
+	ol, ocs := link.NewArena("ol", 1, 1).NewPair("ol", "oc")
+	oc := ocs[0]
 	if err := s.ConnectOutput(3, ol, 2, oc); err == nil {
 		t.Error("out-of-range output accepted")
 	}
@@ -161,7 +162,7 @@ func buildSingle(t *testing.T, plan []plannedPacket) (*engine.Engine, *testSrc, 
 	if err := tb.Set(0, 100, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := New(defaultCfg("sw0", 0, 1, 1, tb))
+	sw, err := NewArena("sws", 1).New(defaultCfg("sw0", 0, 1, 1, tb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func buildContention(t *testing.T, perSrc int, pktLen uint16) (*engine.Engine, *
 	if err := tb.Set(0, 100, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := New(defaultCfg("sw0", 0, 2, 1, tb))
+	sw, err := NewArena("sws", 1).New(defaultCfg("sw0", 0, 2, 1, tb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +398,12 @@ func buildLanes(t *testing.T, dsts [2]flit.EndpointID, pktLen uint16) (*engine.E
 	}
 	cfg := defaultCfg("sw0", 0, 2, 1, tb)
 	cfg.NumVC = 2
-	sw, err := New(cfg)
+	sw, err := NewArena("sws", 1).New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wire2 := func(name string) (*link.Link, []*link.CreditLink) {
-		l, c0 := wire(t, eng, name)
-		return l, []*link.CreditLink{c0, link.NewCreditLink(name + ".cr.vc1")}
+		return link.NewArena(name, 1, 2).NewPair(name, name+".cr")
 	}
 	for i, dst := range dsts {
 		l, crs := wire2([]string{"injA", "injB"}[i])
@@ -475,7 +475,7 @@ func TestSelectPortPolicies(t *testing.T) {
 	mk := func(sel routing.Policy) *Switch {
 		cfg := defaultCfg("s", 0, 1, 2, tb)
 		cfg.Select = sel
-		s, err := New(cfg)
+		s, err := NewArena("sws", 1).New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,19 +561,13 @@ func newRig(tb testing.TB, numIn, numOut, numVC, credits int) *rig {
 	}
 	cfg := defaultCfg("sw0", 0, numIn, numOut, table)
 	cfg.NumVC = numVC
-	sw, err := New(cfg)
+	sw, err := NewArena("sws", 1).New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	r := &rig{sw: sw}
-	newWire := func() (*link.Link, []*link.CreditLink) {
-		l := link.NewLink("l")
-		crs := make([]*link.CreditLink, numVC)
-		for v := range crs {
-			crs[v] = link.NewCreditLink("cr")
-		}
-		return l, crs
-	}
+	wires := link.NewArena("wires", numIn+numOut, numVC)
+	newWire := func() (*link.Link, []*link.CreditLink) { return wires.NewPair("l", "cr") }
 	for i := 0; i < numIn; i++ {
 		l, crs := newWire()
 		if err := sw.ConnectInput(i, l, crs...); err != nil {

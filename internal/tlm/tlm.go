@@ -119,9 +119,6 @@ func New(eng *engine.Engine) (*Simulator, error) {
 // Cycle returns the number of completed cycles.
 func (s *Simulator) Cycle() uint64 { return s.cycle }
 
-// Stats returns the scheduling-work counters.
-func (s *Simulator) Stats() Stats { return s.stats }
-
 // step executes one full cycle through the calendar.
 func (s *Simulator) step() {
 	target := s.cycle

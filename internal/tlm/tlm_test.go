@@ -40,8 +40,8 @@ func TestPhaseOrderingPreserved(t *testing.T) {
 	// Ticks in registration order, then one update process per component,
 	// which calls nothing: the components have no update phase.
 	want := []string{"a:tick", "b:tick"}
-	if len(log) != len(want) || sim.Stats().Dispatches != 4 {
-		t.Fatalf("log = %v after %d dispatches, want %v after 4", log, sim.Stats().Dispatches, want)
+	if len(log) != len(want) || sim.stats.Dispatches != 4 {
+		t.Fatalf("log = %v after %d dispatches, want %v after 4", log, sim.stats.Dispatches, want)
 	}
 	for i := range want {
 		if log[i] != want[i] {
@@ -156,7 +156,7 @@ func TestDispatchesPerSignal(t *testing.T) {
 	}
 	const cycles = 50
 	sim.Run(cycles)
-	if got, want := sim.Stats().Dispatches, uint64(2*procs*cycles); got != want {
+	if got, want := sim.stats.Dispatches, uint64(2*procs*cycles); got != want {
 		t.Errorf("dispatches = %d, want %d (2 x %d processes x %d cycles)", got, want, procs, cycles)
 	}
 }
@@ -192,12 +192,12 @@ func TestHeapOpsScaleWithComponentsAndCycles(t *testing.T) {
 	a.Run(10)
 	b := mk(8)
 	b.Run(10)
-	if b.Stats().HeapOps <= a.Stats().HeapOps {
+	if b.stats.HeapOps <= a.stats.HeapOps {
 		t.Error("heap ops do not scale with component count")
 	}
 	c := mk(2)
 	c.Run(100)
-	if c.Stats().HeapOps <= a.Stats().HeapOps {
+	if c.stats.HeapOps <= a.stats.HeapOps {
 		t.Error("heap ops do not scale with cycles")
 	}
 }

@@ -320,15 +320,6 @@ type Edge struct {
 	To   NodeID
 }
 
-// Reachable returns the set of switches reachable from s (including s).
-func (t *Topology) Reachable(s NodeID) map[NodeID]bool {
-	seen := make(map[NodeID]bool)
-	for _, r := range reach(t.Adjacency(), s, make([]int, t.numSwitches), 1, nil) {
-		seen[r] = true
-	}
-	return seen
-}
-
 // reach lists the switches reachable from s (including s) in
 // breadth-first order, into queue's storage. seen is the caller's
 // visited set, one int per switch: an entry equal to stamp is visited,

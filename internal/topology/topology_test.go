@@ -154,6 +154,15 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
+// reachable is the set of switches reach finds from s (s included).
+func reachable(t *Topology, s NodeID) map[NodeID]bool {
+	seen := make(map[NodeID]bool)
+	for _, r := range reach(t.Adjacency(), s, make([]int, t.numSwitches), 1, nil) {
+		seen[r] = true
+	}
+	return seen
+}
+
 func TestReachable(t *testing.T) {
 	tp, _ := New("t", 4)
 	if err := tp.AddLink(0, 1); err != nil {
@@ -163,7 +172,7 @@ func TestReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Switch 3 is isolated.
-	r := tp.Reachable(0)
+	r := reachable(tp, 0)
 	if !r[0] || !r[1] || !r[2] || r[3] {
 		t.Errorf("reachable = %v", r)
 	}
@@ -237,7 +246,7 @@ func TestLine(t *testing.T) {
 	if len(tp.Links()) != 6 {
 		t.Errorf("links = %d, want 6", len(tp.Links()))
 	}
-	r := tp.Reachable(0)
+	r := reachable(tp, 0)
 	for i := NodeID(0); i < 4; i++ {
 		if !r[i] {
 			t.Errorf("switch %d unreachable", i)
@@ -380,7 +389,7 @@ func TestMeshConnectivityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := tp.Reachable(0)
+		r := reachable(tp, 0)
 		if len(r) != w*h {
 			return false
 		}
@@ -450,7 +459,7 @@ func TestTreeShape(t *testing.T) {
 		t.Errorf("leaves = %v", leaves)
 	}
 	// Leaves reach the root.
-	r := tp.Reachable(leaves[0])
+	r := reachable(tp, leaves[0])
 	if !r[0] {
 		t.Error("root unreachable from leaf")
 	}

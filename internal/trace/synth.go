@@ -73,7 +73,6 @@ type CBRConfig struct {
 	NumPackets int
 	Len        uint16
 	Period     uint64
-	StartCycle uint64
 }
 
 // SynthCBR builds a constant-bit-rate trace (Load = Len/Period).
@@ -87,42 +86,12 @@ func SynthCBR(cfg CBRConfig) (*Trace, error) {
 	t := &Trace{Name: cfg.Name}
 	for p := 0; p < cfg.NumPackets; p++ {
 		t.Records = append(t.Records, Record{
-			Cycle: cfg.StartCycle + uint64(p)*cfg.Period,
+			Cycle: uint64(p) * cfg.Period,
 			Dst:   cfg.Dst,
 			Len:   cfg.Len,
 		})
 	}
 	return t, nil
-}
-
-// Merge interleaves traces by cycle into a single ordered trace (stable
-// for equal cycles). Used to build one device's trace from several
-// recorded flows.
-func Merge(name string, traces ...*Trace) (*Trace, error) {
-	out := &Trace{Name: name}
-	idx := make([]int, len(traces))
-	for {
-		best := -1
-		var bestCycle uint64
-		for i, tr := range traces {
-			if idx[i] >= len(tr.Records) {
-				continue
-			}
-			c := tr.Records[idx[i]].Cycle
-			if best == -1 || c < bestCycle {
-				best, bestCycle = i, c
-			}
-		}
-		if best == -1 {
-			break
-		}
-		out.Records = append(out.Records, traces[best].Records[idx[best]])
-		idx[best]++
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Summary describes a trace's aggregate shape — what nocgen prints and

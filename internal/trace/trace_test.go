@@ -271,28 +271,6 @@ func TestSynthCBR(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, _ := SynthCBR(CBRConfig{Name: "a", Dst: 1, NumPackets: 3, Len: 1, Period: 10})
-	b, _ := SynthCBR(CBRConfig{Name: "b", Dst: 2, NumPackets: 3, Len: 1, Period: 7, StartCycle: 1})
-	m, err := Merge("m", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Records) != 6 {
-		t.Fatalf("records = %d", len(m.Records))
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("merged invalid: %v", err)
-	}
-	// Cycles: a={0,10,20} b={1,8,15} -> 0,1,8,10,15,20.
-	want := []uint64{0, 1, 8, 10, 15, 20}
-	for i, r := range m.Records {
-		if r.Cycle != want[i] {
-			t.Errorf("record %d cycle = %d, want %d", i, r.Cycle, want[i])
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	empty := (&Trace{}).Summarize()
 	if empty.Records != 0 || empty.MeanLen != 0 {

@@ -233,7 +233,7 @@ func TestDCGeneratorsSnapshotRoundTrip(t *testing.T) {
 		}
 		r := rng.New(9)
 		drive(g, r, 101) // land mid-flow / mid-wave
-		w := state.NewWriter()
+		w := &state.Writer{}
 		g.(interface{ SaveState(*state.Writer) }).SaveState(w)
 
 		restored, err := mk()
@@ -244,11 +244,10 @@ func TestDCGeneratorsSnapshotRoundTrip(t *testing.T) {
 		if err := restored.(interface{ LoadState(*state.Reader) error }).LoadState(rd); err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		r2 := rng.New(1)
-		r2.Reseed(r.State())
+		r2 := *r // the same register, drawn on apart
 
 		wantD, wantC := drive(g, r, 200)
-		gotD, gotC := drive(restored, r2, 200)
+		gotD, gotC := drive(restored, &r2, 200)
 		if len(gotD) != len(wantD) {
 			t.Fatalf("%s: restored emitted %d packets, want %d", name, len(gotD), len(wantD))
 		}

@@ -81,9 +81,6 @@ func (s *ScriptGen) Append(rec ScriptRec) error {
 // slice is the generator's; read it between runs only.
 func (s *ScriptGen) Queued() []ScriptRec { return s.queue[s.pos:] }
 
-// Backlog reports the scripted demands not yet emitted.
-func (s *ScriptGen) Backlog() int { return len(s.queue) - s.pos }
-
 // ModelName implements Generator.
 func (s *ScriptGen) ModelName() string {
 	if s.inner != nil {

@@ -40,8 +40,8 @@ func TestScriptGenEmitsDueRecordsInOrder(t *testing.T) {
 	if !g.Step(9, r, &d) || d.Dst != 9 {
 		t.Fatalf("third record: got %+v", d)
 	}
-	if g.Backlog() != 0 {
-		t.Fatalf("backlog %d after full emission", g.Backlog())
+	if len(g.Queued()) != 0 {
+		t.Fatalf("backlog %d after full emission", len(g.Queued()))
 	}
 	if g.Exhausted() {
 		t.Fatal("script generators must never report exhaustion")
@@ -127,15 +127,15 @@ func TestScriptGenSaveLoadRoundTrip(t *testing.T) {
 	if !g.Step(3, r, &d) {
 		t.Fatal("first record not emitted")
 	}
-	w := state.NewWriter()
+	w := &state.Writer{}
 	g.SaveState(w)
 
 	restored := NewScript(nil)
 	if err := restored.LoadState(state.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Backlog() != g.Backlog() {
-		t.Fatalf("backlog %d != %d", restored.Backlog(), g.Backlog())
+	if len(restored.Queued()) != len(g.Queued()) {
+		t.Fatalf("backlog %d != %d", len(restored.Queued()), len(g.Queued()))
 	}
 	// Appends after restore continue the same stream.
 	if err := restored.Append(ScriptRec{At: 12, Dst: 4, Len: 1}); err != nil {
@@ -172,7 +172,7 @@ func TestScriptGenLoadRejectsWhatAppendRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := state.NewWriter()
+	w := &state.Writer{}
 	src.tg.SaveState(w)
 	// After the LFSR: the record count, then At, Dst, Len, Payload per
 	// record — one byte each here.

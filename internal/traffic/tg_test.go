@@ -20,8 +20,8 @@ type tgHarness struct {
 
 func newTGHarness(t testing.TB, gen Generator, cfg TGConfig) *tgHarness {
 	t.Helper()
-	out := link.NewLink("out")
-	cr := link.NewCreditLink("cr")
+	out, crs := link.NewArena("out", 1, 1).NewPair("out", "cr")
+	cr := crs[0]
 	inj, err := nic.NewInjector(0, out, cr, 4, 16, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func (h *tgHarness) run(n uint64) (flits int, packets int) {
 }
 
 func TestNewTGValidation(t *testing.T) {
-	out := link.NewLink("o")
-	cr := link.NewCreditLink("c")
+	out, crs := link.NewArena("o", 1, 1).NewPair("o", "c")
+	cr := crs[0]
 	inj, _ := nic.NewInjector(0, out, cr, 1, 1, nil)
 	g, _ := NewUniform(UniformConfig{LenMin: 1, LenMax: 1, Dst: fixedDst(1)})
 	if _, err := NewTG(TGConfig{Name: ""}, g, inj); err == nil {
@@ -124,8 +124,8 @@ func TestTGBackpressureHoldsDemands(t *testing.T) {
 	// Source queue of 16 flits; packets of 8; gap 0 -> generator wants
 	// 1 flit/cycle but the sink never returns credits beyond initial 4.
 	g, _ := NewUniform(UniformConfig{LenMin: 8, LenMax: 8, GapMin: 0, GapMax: 0, Dst: fixedDst(1)})
-	out := link.NewLink("out")
-	cr := link.NewCreditLink("cr")
+	out, crs := link.NewArena("out", 1, 1).NewPair("out", "cr")
+	cr := crs[0]
 	inj, err := nic.NewInjector(0, out, cr, 4, 16, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestTGBackpressureHoldsDemands(t *testing.T) {
 // encodedLen returns the number of bytes save writes — in a TG
 // snapshot, the offset of whatever follows the saved part.
 func encodedLen(save func(*state.Writer)) int {
-	w := state.NewWriter()
+	w := &state.Writer{}
 	save(w)
-	return w.Len()
+	return len(w.Bytes())
 }
 
 // TestTGLoadRejectsZeroLengthPending: a snapshot whose held demand has
@@ -173,7 +173,7 @@ func TestTGLoadRejectsZeroLengthPending(t *testing.T) {
 		src.tg.Tick(c)
 		src.out.Take(c)
 	}
-	w := state.NewWriter()
+	w := &state.Writer{}
 	src.tg.SaveState(w)
 	snap := w.Bytes()
 	// After the LFSR and the generator: hasPending, Dst, Len — one byte

@@ -356,19 +356,6 @@ func (b *Burst) SkipSteps(n uint64) {
 	b.busy -= n
 }
 
-// MeanLoad returns the analytic mean offered load (flits/cycle) of a
-// burst configuration, used by experiments to size parameters: the
-// chain is ON for meanLen/pOnOff cycles per burst and OFF for
-// 1/pOffOn cycles between bursts.
-func (cfg BurstConfig) MeanLoad() float64 {
-	pOn := float64(cfg.POffOn) / 65536
-	pOff := float64(cfg.POnOff) / 65536
-	meanLen := float64(cfg.LenMin+cfg.LenMax) / 2
-	onCycles := meanLen / pOff
-	offCycles := 1 / pOn
-	return onCycles / (onCycles + offCycles)
-}
-
 // PoissonConfig parameterizes the Poisson model: packet creations are a
 // Bernoulli process with per-cycle probability Lambda (Q16), giving
 // geometrically distributed inter-arrival times — the discrete-time

@@ -173,7 +173,7 @@ func TestSharedSinkDrawsMatchCopies(t *testing.T) {
 					t.Fatalf("%s n=%d source %d draw %d: shared list gives %d, a copy %d", kind, n, self, i, x, y)
 				}
 			}
-			if ra.State() != rb.State() {
+			if *ra != *rb {
 				t.Fatalf("%s n=%d: random streams diverged", kind, n)
 			}
 		}

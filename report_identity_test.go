@@ -18,6 +18,7 @@ import (
 	"nocemu/internal/monitor"
 	"nocemu/internal/platform"
 	"nocemu/internal/receptor"
+	"nocemu/internal/stats"
 )
 
 func runPaper(t *testing.T, traf platform.PaperTraffic) *platform.Platform {
@@ -129,14 +130,23 @@ func referenceHistograms(w io.Writer, p *platform.Platform, width int) {
 		fmt.Fprintf(w, "--- %s ---\n", tr.ComponentName())
 		if tr.Mode() == receptor.Stochastic {
 			fmt.Fprintln(w, "packet sizes:")
-			fmt.Fprint(w, tr.SizeHist().Render(width))
+			fmt.Fprint(w, render(tr.SizeHist(), width))
 			fmt.Fprintln(w, "inter-arrival gaps:")
-			fmt.Fprint(w, tr.GapHist().Render(width))
+			fmt.Fprint(w, render(tr.GapHist(), width))
 		} else {
 			fmt.Fprintln(w, "latency:")
-			fmt.Fprint(w, tr.LatHist().Render(width))
+			fmt.Fprint(w, render(tr.LatHist(), width))
 		}
 	}
+}
+
+// render draws a histogram from the struct's own bins.
+func render(h *stats.Histogram, width int) string {
+	bins := make([]uint64, h.NumBins())
+	for i := range bins {
+		bins[i] = h.Bin(i)
+	}
+	return stats.RenderBins(h.BinWidth(), bins, h.Overflow(), width)
 }
 
 // The reference JSON summary mirrors the monitor's exported Summary
