@@ -23,6 +23,7 @@ var apiAllow = map[string]string{
 	"engine.Engine.PooledCycles": "a kernel counter engine and platform tests read; ROADMAP item 10's kernel bank is to expose it",
 	"engine.Engine.StandingDown": "a kernel counter engine and platform tests read; ROADMAP item 10's kernel bank is to expose it",
 	"rtl.Platform.KernelStats":   "the RTL baseline's event counts rtl tests read; ROADMAP item 10's ledger is to report them",
+	"routing.Table.SetVC":        "switchfab's tests route hand-built tables' hops on class 1; the builders set a hop's class with its ports",
 }
 
 // TestNoTestOnlyAPI is the API's tripwire: every exported function and

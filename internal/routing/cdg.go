@@ -71,7 +71,7 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 		}
 		for head := 0; head < len(queue); head++ {
 			st := queue[head]
-			if int(st.sw) >= len(t.rows) {
+			if int(st.sw) >= t.n {
 				continue // Validate reports the table's size separately
 			}
 			e := t.find(st.sw, sink.ID) // ports and class, one cell read

@@ -50,27 +50,45 @@ func ValidPolicy(p Policy) bool {
 // destination) the topology's Router emits, so the switch needs no
 // per-packet state to follow a dateline scheme.
 //
-// The store is flat and a cell is two bytes (DESIGN.md §14, "Table
+// The store is paged and a cell is two bytes (DESIGN.md §14, "Table
 // layout"): a row per switch, a column per destination, each cell the
 // index of a dictionary entry that names a run of the shared candidate
-// pool and the class. Tables repeat themselves — an XY mesh has five
-// distinct entries, a 31-port butterfly 31 — so a lookup is one cold
-// 2-byte load plus loads from a dictionary and a pool that stay in L1.
-// Entries are shared and immutable: Set and SetVC re-point the cell.
+// pool and the class. A row is a run of page ids, and a page — 64
+// cells, or the row's width rounded up to a power of two when that is
+// less — is stored once per distinct content. Tables repeat
+// themselves: an XY mesh has five distinct entries, and a 32×32 one 224
+// distinct pages among its 16 384, so a lookup is one load of a page
+// id, one of the cell, and loads from a dictionary and a pool that stay
+// in L1. Entries and pages are shared and immutable: Set re-points the
+// cell, and its row at the page holding the new content, a new page
+// when none does.
 type Table struct {
 	// col maps a destination id to its column plus one (0: the table has
 	// never seen the id); ids is the inverse. Columns are handed out in
 	// order of first use, so a row is as wide as the destination count
 	// whatever the id numbering.
-	col  []int32
-	ids  []flit.EndpointID
-	rows [][]uint16 // per switch; a row may stop short of len(ids)
+	col []int32
+	ids []flit.EndpointID
+	n   int // switches
+	// Row sw is stride page ids at rows[sw*stride:], enough pages for
+	// every column; page p holds cells[p<<shift : (p+1)<<shift], and page
+	// 0 is all "no route", what a row's new pages start as. pages maps a
+	// page's content hash to a page holding it; a page no row names
+	// simply stays, as an unnamed dictionary entry does.
+	shift  uint8
+	stride int
+	rows   []uint16
+	cells  []uint16
+	pages  map[uint64]uint16
 	// dict[0] is "no route, class 0", what an unset cell says; index is
 	// dict's inverse.
 	dict  []entry
 	index map[entry]uint16
 	pool  []int
 }
+
+// maxShift sizes the largest page: 64 cells.
+const maxShift = 6
 
 // entry is what a cell says: n candidate ports at pool[off:], leaving on
 // class vc. n == 0 means no route.
@@ -80,28 +98,64 @@ type entry struct {
 	vc  uint8
 }
 
-// NewTable returns an empty table for n switches.
+// NewTable returns an empty table for n switches, on 64-cell pages.
 func NewTable(n int) *Table {
-	return &Table{rows: make([][]uint16, n), dict: make([]entry, 1), index: map[entry]uint16{{}: 0}}
+	return &Table{n: n, shift: maxShift, pages: map[uint64]uint16{}, dict: make([]entry, 1), index: map[entry]uint16{{}: 0}}
 }
 
-// newTableFor returns an empty table for n switches sized for sinks: a
-// column each and full-width rows cut from one slab, so filling it
-// reallocates no row. The pool grows as distinct lists arrive.
-func newTableFor(n int, sinks []topology.EndpointSpec) *Table {
+// builder is a table under construction: the table with a column per
+// sink and the flat cells the builders fill, row sw at cells[sw*w:], w
+// a whole number of pages. pack pages them once, so a build hashes each
+// page once rather than copying one per cell written.
+type builder struct {
+	t     *Table
+	cells []uint16
+	w     int
+}
+
+// newBuilder returns a builder for n switches sized for sinks. A row
+// shorter than a 64-cell page gets pages of its width rounded up to a
+// power of two, so a small table is not padded to 64 columns.
+func newBuilder(n int, sinks []topology.EndpointSpec) *builder {
 	t := NewTable(n)
+	t.shift = 0 // before the first page
+	for t.shift < maxShift && 1<<t.shift < len(sinks) {
+		t.shift++
+	}
 	for _, sink := range sinks {
 		t.column(sink.ID)
 	}
-	w := len(t.ids)
-	slab := make([]uint16, len(t.rows)*w)
-	for sw := range t.rows {
-		t.rows[sw] = slab[sw*w : (sw+1)*w : (sw+1)*w]
-	}
-	return t
+	w := t.stride << t.shift
+	return &builder{t: t, cells: make([]uint16, n*w), w: w}
 }
 
-// column returns dst's column, assigning the next free one on first use.
+// set makes the cell of (sw, dst) name ports on class vc; dst must be
+// a sink the builder was sized for.
+func (b *builder) set(sw topology.NodeID, dst flit.EndpointID, ports []int, vc uint8) error {
+	i, err := b.t.intern(sw, dst, ports, vc)
+	if err != nil {
+		return err
+	}
+	b.cells[int(sw)*b.w+int(b.t.col[dst])-1] = i
+	return nil
+}
+
+// pack pages the built cells into the table and returns it.
+func (b *builder) pack() (*Table, error) {
+	t := b.t
+	for slot := range t.rows {
+		page := b.cells[slot<<t.shift : (slot+1)<<t.shift]
+		id, err := t.share(page)
+		if err != nil {
+			return nil, fmt.Errorf("routing: %w", err)
+		}
+		t.rows[slot] = id
+	}
+	return t, nil
+}
+
+// column returns dst's column, assigning the next free one on first use
+// and giving every row another page when the new column needs one.
 func (t *Table) column(dst flit.EndpointID) int {
 	if int(dst) >= len(t.col) {
 		t.col = append(t.col, make([]int32, int(dst)+1-len(t.col))...)
@@ -109,55 +163,136 @@ func (t *Table) column(dst flit.EndpointID) int {
 	if t.col[dst] == 0 {
 		t.ids = append(t.ids, dst)
 		t.col[dst] = int32(len(t.ids))
+		if len(t.ids) > t.stride<<t.shift {
+			t.widen()
+		}
 	}
 	return int(t.col[dst]) - 1
 }
 
-// slot returns the cell of (sw, dst) for writing, widening the row to
-// reach it. sw must be in range.
-func (t *Table) slot(sw topology.NodeID, dst flit.EndpointID) *uint16 {
-	c := t.column(dst)
-	if c >= len(t.rows[sw]) {
-		t.rows[sw] = append(t.rows[sw], make([]uint16, c+1-len(t.rows[sw]))...)
+// widen gives every row one more page, page 0, made with the first.
+func (t *Table) widen() {
+	if t.cells == nil {
+		t.cells = make([]uint16, 1<<t.shift)
+		t.pages[pageHash(t.cells)] = 0
 	}
-	return &t.rows[sw][c]
+	rows := make([]uint16, t.n*(t.stride+1))
+	for sw := 0; sw < t.n; sw++ {
+		copy(rows[sw*(t.stride+1):], t.rows[sw*t.stride:(sw+1)*t.stride])
+	}
+	t.rows, t.stride = rows, t.stride+1
+}
+
+// page returns page p's cells.
+func (t *Table) page(p uint16) []uint16 {
+	lo := int(p) << t.shift
+	return t.cells[lo : lo+1<<t.shift]
 }
 
 // find returns what the cell of (sw, dst) says, the zero entry when the
 // table has no such cell. sw must be in range.
 func (t *Table) find(sw topology.NodeID, dst flit.EndpointID) entry {
 	if int(dst) < len(t.col) {
-		if c := int(t.col[dst]) - 1; c >= 0 && c < len(t.rows[sw]) {
-			return t.dict[t.rows[sw][c]]
+		if c := int(t.col[dst]) - 1; c >= 0 {
+			p := t.rows[int(sw)*t.stride+c>>t.shift]
+			return t.dict[t.cells[int(p)<<t.shift|c&(1<<t.shift-1)]]
 		}
 	}
 	return entry{}
 }
 
-// point makes the cell of (sw, dst) say e, through e's dictionary entry,
-// added on first use. The dictionary is full at 65 536 entries; the cell
-// is untouched then.
-func (t *Table) point(sw topology.NodeID, dst flit.EndpointID, e entry) error {
+// point makes the cell of (sw, dst) name dictionary entry i, its row
+// naming the page that holds the row's new cells.
+func (t *Table) point(sw topology.NodeID, dst flit.EndpointID, i uint16) error {
+	c := t.column(dst)
+	slot := int(sw)*t.stride + c>>t.shift
+	var buf [1 << maxShift]uint16
+	next := buf[:copy(buf[:], t.page(t.rows[slot]))]
+	k := c & (1<<t.shift - 1)
+	if next[k] == i {
+		return nil
+	}
+	next[k] = i
+	id, err := t.share(next)
+	if err != nil {
+		return fmt.Errorf("routing: switch %d dst %d: %w", sw, dst, err)
+	}
+	t.rows[slot] = id
+	return nil
+}
+
+// share returns the page holding cells: the one their content hash
+// finds, or a new page. A hash two contents share keeps the first, so
+// the second is stored once per write (a cost in space, not in
+// answers). The page ids are 16 bits: the table is full at 65 536
+// pages.
+func (t *Table) share(cells []uint16) (uint16, error) {
+	h := pageHash(cells)
+	id, ok := t.pages[h]
+	if ok && slices.Equal(t.page(id), cells) {
+		return id, nil
+	}
+	n := len(t.cells) >> t.shift
+	if n > math.MaxUint16 {
+		return 0, fmt.Errorf("needs a %dth distinct table page", n+1)
+	}
+	t.cells = append(t.cells, cells...)
+	if !ok {
+		t.pages[h] = uint16(n)
+	}
+	return uint16(n), nil
+}
+
+// pageHash is FNV-1a over a page's cells.
+func pageHash(cells []uint16) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range cells {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// intern returns the dictionary index of the entry naming ports on
+// class vc, added on first use. A list some entry already names is
+// reused, pool run included; a new one is appended to the pool. The
+// dictionary is full at 65 536 entries.
+func (t *Table) intern(sw topology.NodeID, dst flit.EndpointID, ports []int, vc uint8) (uint16, error) {
+	e := entry{off: uint32(len(t.pool)), n: uint16(len(ports)), vc: vc}
+	for i, d := range t.dict {
+		if d.n == e.n && slices.Equal(t.pool[d.off:int(d.off)+len(ports)], ports) {
+			if d.vc == vc { // the common case, spared the index's hash
+				return uint16(i), nil
+			}
+			e.off = d.off
+		}
+	}
+	i, err := t.entry(sw, dst, e)
+	if err == nil && int(e.off) == len(t.pool) {
+		t.pool = append(t.pool, ports...)
+	}
+	return i, err
+}
+
+// entry returns e's dictionary index, adding e on first use.
+func (t *Table) entry(sw topology.NodeID, dst flit.EndpointID, e entry) (uint16, error) {
 	i, ok := t.index[e]
 	if !ok {
 		if len(t.dict) > math.MaxUint16 {
-			return fmt.Errorf("routing: switch %d dst %d needs a %dth distinct table entry", sw, dst, len(t.dict)+1)
+			return 0, fmt.Errorf("routing: switch %d dst %d needs a %dth distinct table entry", sw, dst, len(t.dict)+1)
 		}
 		i = uint16(len(t.dict))
 		t.dict = append(t.dict, e)
 		t.index[e] = i
 	}
-	*t.slot(sw, dst) = i
-	return nil
+	return i, nil
 }
 
-// Set replaces the candidate ports for (sw, dst). The experiments use
-// this to pin specific paths (e.g. to construct the paper's two
-// 90%-loaded links). A list some dictionary entry already names is
-// reused, pool run included; a new one is appended to the pool. Nothing
-// is written in place, so rewriting a cell back and forth grows nothing.
+// Set replaces the candidate ports for (sw, dst), keeping its class.
+// The experiments use this to pin specific paths (e.g. to construct the
+// paper's two 90%-loaded links). Nothing is written in place, so
+// rewriting a cell back and forth grows nothing.
 func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error {
-	if int(sw) < 0 || int(sw) >= len(t.rows) {
+	if int(sw) < 0 || int(sw) >= t.n {
 		return fmt.Errorf("routing: switch %d out of range", sw)
 	}
 	if len(ports) == 0 {
@@ -166,24 +301,11 @@ func (t *Table) Set(sw topology.NodeID, dst flit.EndpointID, ports []int) error 
 	if len(ports) > math.MaxUint16 {
 		return fmt.Errorf("routing: %d candidate ports for switch %d dst %d", len(ports), sw, dst)
 	}
-	cell := t.slot(sw, dst)
-	e := entry{off: uint32(len(t.pool)), n: uint16(len(ports)), vc: t.dict[*cell].vc}
-	for i, d := range t.dict {
-		if d.n == e.n && slices.Equal(t.pool[d.off:int(d.off)+len(ports)], ports) {
-			if d.vc == e.vc { // the common case, spared the index's hash
-				*cell = uint16(i)
-				return nil
-			}
-			e.off = d.off
-		}
-	}
-	if err := t.point(sw, dst, e); err != nil {
+	i, err := t.intern(sw, dst, ports, t.find(sw, dst).vc)
+	if err != nil {
 		return err
 	}
-	if int(e.off) == len(t.pool) {
-		t.pool = append(t.pool, ports...)
-	}
-	return nil
+	return t.point(sw, dst, i)
 }
 
 // Lookup returns the candidate output ports at switch sw for packets to
@@ -198,7 +320,7 @@ func (t *Table) Lookup(sw topology.NodeID, dst flit.EndpointID) ([]int, error) {
 // virtual-channel class of the hop, from one read of the cell: what a
 // switch needs for a head flit, Lookup and VC together.
 func (t *Table) Route(sw topology.NodeID, dst flit.EndpointID) ([]int, uint8, error) {
-	if int(sw) < 0 || int(sw) >= len(t.rows) {
+	if int(sw) < 0 || int(sw) >= t.n {
 		return nil, 0, fmt.Errorf("routing: switch %d out of range", sw)
 	}
 	e := t.find(sw, dst)
@@ -215,14 +337,19 @@ func (t *Table) run(e entry) []int {
 }
 
 // SetVC sets the virtual-channel class of the hop (sw, dst) takes; the
-// default is class 0.
+// default is class 0. The builders set the class with the ports; only
+// hand-built tables in tests call this.
 func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
-	if int(sw) < 0 || int(sw) >= len(t.rows) {
+	if int(sw) < 0 || int(sw) >= t.n {
 		return fmt.Errorf("routing: switch %d out of range", sw)
 	}
 	e := t.find(sw, dst)
 	e.vc = vc
-	return t.point(sw, dst, e)
+	i, err := t.entry(sw, dst, e)
+	if err != nil {
+		return err
+	}
+	return t.point(sw, dst, i)
 }
 
 // BuildShortestPath fills a table with all minimal paths: at each
@@ -233,14 +360,14 @@ func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
 // entry.
 func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 	sinks := topo.Sinks()
-	t := newTableFor(topo.NumSwitches(), sinks)
+	b := newBuilder(topo.NumSwitches(), sinks)
 	links := topo.Links()
 	// Reverse adjacency for backward BFS from each sink switch.
 	radj := make([][]topology.NodeID, topo.NumSwitches())
 	for _, l := range links {
 		radj[l.To] = append(radj[l.To], l.From)
 	}
-	var ports []int // scratch: Set copies it
+	var ports []int // scratch: set copies it
 	for _, sink := range sinks {
 		dist := bfsDistances(radj, sink.Switch, topo.NumSwitches())
 		for sw := topology.NodeID(0); int(sw) < topo.NumSwitches(); sw++ {
@@ -256,7 +383,7 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 				if port < 0 {
 					return nil, fmt.Errorf("routing: sink %d has no local port on switch %d", sink.ID, sw)
 				}
-				if err := t.Set(sw, sink.ID, []int{port}); err != nil {
+				if err := b.set(sw, sink.ID, []int{port}, 0); err != nil {
 					return nil, err
 				}
 				continue
@@ -278,12 +405,12 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 			if len(ports) == 0 {
 				return nil, fmt.Errorf("routing: switch %d at distance %d has no descending port to sink %d", sw, d, sink.ID)
 			}
-			if err := t.Set(sw, sink.ID, ports); err != nil {
+			if err := b.set(sw, sink.ID, ports, 0); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return t, nil
+	return b.pack()
 }
 
 // bfsDistances returns hop distances to target over the reversed graph
@@ -332,7 +459,7 @@ func BuildTable(topo *topology.Topology) (*Table, error) {
 func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error) {
 	n := topo.NumSwitches()
 	sinks := topo.Sinks()
-	t := newTableFor(n, sinks)
+	b := newBuilder(n, sinks)
 	links := topo.Links()
 	classes, _ := r.(topology.VCRouter)
 	// The output port toward each neighbour, built once: switch sw's
@@ -364,7 +491,7 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 		}
 		return ns[i].port, true
 	}
-	var ports []int // scratch: Set copies it
+	var ports []int // scratch: set copies it
 	for _, sink := range sinks {
 		for sw := topology.NodeID(0); int(sw) < n; sw++ {
 			if sw == sink.Switch {
@@ -378,7 +505,7 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 				if port < 0 {
 					return nil, fmt.Errorf("routing: sink %d has no local port on switch %d", sink.ID, sw)
 				}
-				if err := t.Set(sw, sink.ID, []int{port}); err != nil {
+				if err := b.set(sw, sink.ID, []int{port}, 0); err != nil {
 					return nil, err
 				}
 				continue
@@ -395,17 +522,16 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 				}
 				ports = append(ports, port)
 			}
-			if err := t.Set(sw, sink.ID, ports); err != nil {
-				return nil, err
-			}
+			var vc uint8
 			if classes != nil {
-				if err := t.SetVC(sw, sink.ID, classes.HopVC(sw, sink.Switch)); err != nil {
-					return nil, err
-				}
+				vc = classes.HopVC(sw, sink.Switch)
+			}
+			if err := b.set(sw, sink.ID, ports, vc); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return t, nil
+	return b.pack()
 }
 
 // Validate walks every (source, sink) pair following first-candidate
@@ -423,10 +549,10 @@ func Validate(topo *topology.Topology, t *Table) error {
 	maxHops := n + 1
 	links := topo.Links()
 	nv := topo.NumVC()
-	for sw, row := range t.rows {
-		for c, i := range row {
-			if vc := t.dict[i].vc; int(vc) >= nv {
-				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, t.ids[c], vc, nv)
+	for sw := topology.NodeID(0); int(sw) < t.n; sw++ {
+		for _, dst := range t.ids {
+			if vc := t.find(sw, dst).vc; int(vc) >= nv {
+				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, dst, vc, nv)
 			}
 		}
 	}

@@ -26,8 +26,8 @@ func TestValidPolicy(t *testing.T) {
 
 func TestTableSetLookup(t *testing.T) {
 	tb := NewTable(2)
-	if len(tb.rows) != 2 {
-		t.Errorf("switches = %d", len(tb.rows))
+	if tb.n != 2 {
+		t.Errorf("switches = %d", tb.n)
 	}
 	if err := tb.Set(5, 1, []int{0}); err == nil {
 		t.Error("out-of-range switch accepted")
@@ -404,10 +404,10 @@ func TestTableSparseIDs(t *testing.T) {
 			}
 		}
 	}
+	if w := len(tb.ids); w != 4 || tb.stride != 1 {
+		t.Errorf("rows are %d columns on %d pages for 4 destinations, want 4 on one", w, tb.stride)
+	}
 	for sw := topology.NodeID(0); sw < 3; sw++ {
-		if w := len(tb.rows[sw]); w != 4 {
-			t.Errorf("switch %d row is %d entries wide for 4 destinations", sw, w)
-		}
 		for i := 0; i < 4; i++ {
 			ports, err := tb.Lookup(sw, flit.EndpointID(100+i))
 			if err != nil || !slices.Equal(ports, []int{int(sw), i}) {
@@ -531,7 +531,7 @@ func TestTableDictionary(t *testing.T) {
 		t.Fatalf("%d routed cells on a 4-switch line with 4 sinks", len(want))
 	}
 	// Switch 1 and switch 2 reach sink 103 through the same entry.
-	if tb.rows[1][tb.col[103]-1] != tb.rows[2][tb.col[103]-1] {
+	if tb.cell(1, 103) != tb.cell(2, 103) {
 		t.Fatal("two cells with the same port and class do not share a dictionary entry")
 	}
 	if err := tb.SetVC(1, 103, 1); err != nil {
@@ -583,6 +583,169 @@ func TestTableDictionary(t *testing.T) {
 	}
 	if err := full.SetVC(0, 255, 7); err != nil { // an entry the dictionary holds
 		t.Errorf("re-pointing at an existing entry in a full dictionary: %v", err)
+	}
+
+	// Pages are shared the same way: three equal rows name one page, a
+	// write to one row moves it to another page and leaves the others
+	// alone, a cell rewritten back and forth grows no page, and writing
+	// the old content back shares the old page again.
+	shared := NewTable(3)
+	for sw := topology.NodeID(0); sw < 3; sw++ {
+		for dst := flit.EndpointID(0); dst < 4; dst++ {
+			if err := shared.Set(sw, dst, []int{int(dst)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if shared.rows[0] != shared.rows[1] || shared.rows[1] != shared.rows[2] {
+		t.Fatalf("three equal rows name pages %v, want one", shared.rows)
+	}
+	var pages, cells int
+	for i := 0; i < 10_000; i++ {
+		ports := []int{7, 8}
+		if i%2 == 1 {
+			ports = []int{9}
+		}
+		if err := shared.Set(1, 2, ports); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			pages, cells = len(shared.pages), len(shared.cells)
+		}
+	}
+	if len(shared.pages) != pages || len(shared.cells) != cells {
+		t.Errorf("after 10 000 alternating Sets: %d pages of %d cells; after the second %d and %d", len(shared.pages), len(shared.cells), pages, cells)
+	}
+	for _, sw := range []topology.NodeID{0, 2} {
+		if ports, _ := shared.Lookup(sw, 2); !slices.Equal(ports, []int{2}) {
+			t.Errorf("switch %d reads %v for endpoint 2 after switch 1's rewrites, want [2]", sw, ports)
+		}
+	}
+	if err := shared.Set(1, 2, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if shared.rows[1] != shared.rows[0] {
+		t.Errorf("row 1 written back names page %d, row 0 page %d; want the shared page again", shared.rows[1], shared.rows[0])
+	}
+}
+
+// TestPagedTableMatchesFlat: the paged table answers every cell as the
+// flat layout it replaced does — ports and class, routed or not — for
+// every registry topology under each routing scheme, before and after
+// overrides written with Set and SetVC, and at the 1 024-node mesh and
+// 256-node butterfly as well as the catalog's small examples.
+func TestPagedTableMatchesFlat(t *testing.T) {
+	type scheme struct {
+		name  string
+		build func(*topology.Topology) (*Table, error)
+		flat  func(*topology.Topology) *flatTable
+	}
+	schemes := []scheme{
+		{"shortest", BuildShortestPath, flatShortestPath},
+		{"router", BuildTable, func(tp *topology.Topology) *flatTable {
+			if r := tp.Router(); r != nil {
+				return flatFromRouter(tp, r)
+			}
+			return flatShortestPath(tp)
+		}},
+		{"updown", func(tp *topology.Topology) (*Table, error) { return BuildFromRouter(tp, &topology.UpDownRouter{}) },
+			func(tp *topology.Topology) *flatTable { return flatFromRouter(tp, &topology.UpDownRouter{}) }},
+	}
+	var specs []topology.Spec
+	for _, g := range topology.List() {
+		specs = append(specs, g.Example)
+	}
+	if !testing.Short() {
+		specs = append(specs,
+			topology.Spec{Kind: "mesh", Param: map[string]int{"w": 32, "h": 32}},
+			topology.Spec{Kind: "butterfly", Param: map[string]int{"w": 16, "h": 16}})
+	}
+	for _, spec := range specs {
+		for _, sc := range schemes {
+			t.Run(spec.String()+"/"+sc.name, func(t *testing.T) {
+				tp, err := topology.FromSpec(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tp.Sinks()) == 0 {
+					sinkPerSwitch(t, tp)
+				}
+				tb, err := sc.build(tp)
+				if err != nil {
+					t.Skipf("%s does not route %s: %v", sc.name, spec, err)
+				}
+				ref := sc.flat(tp)
+				compare := func(when string) {
+					t.Helper()
+					for sw := topology.NodeID(0); int(sw) < tp.NumSwitches(); sw++ {
+						for _, sink := range tp.Sinks() {
+							ports, vc, err := tb.Route(sw, sink.ID)
+							want, wantVC, ok := ref.route(sw, sink.ID)
+							if (err == nil) != ok || !slices.Equal(ports, want) || vc != wantVC {
+								t.Fatalf("%s: Route(%d, %d) = %v class %d (%v), flat reference %v class %d (routed %v)",
+									when, sw, sink.ID, ports, vc, err, want, wantVC, ok)
+							}
+						}
+					}
+				}
+				compare("built")
+				rnd := rand.New(rand.NewSource(int64(len(spec.String()))))
+				sinks := tp.Sinks()
+				for i := 0; i < 500; i++ {
+					sw := topology.NodeID(rnd.Intn(tp.NumSwitches()))
+					dst := sinks[rnd.Intn(len(sinks))].ID
+					if i%3 == 2 {
+						vc := uint8(rnd.Intn(4))
+						if err := tb.SetVC(sw, dst, vc); err != nil {
+							t.Fatal(err)
+						}
+						ref.setVC(sw, dst, vc)
+						continue
+					}
+					ports := make([]int, 1+rnd.Intn(3))
+					for k := range ports {
+						ports[k] = rnd.Intn(8)
+					}
+					if err := tb.Set(sw, dst, ports); err != nil {
+						t.Fatal(err)
+					}
+					ref.set(sw, dst, ports)
+				}
+				compare("after 500 overrides")
+			})
+		}
+	}
+}
+
+// TestTableFootprint: a 32×32 XY mesh's table is its page ids and
+// pages, at most 128 KiB where the flat table was 2 MiB, and a table
+// narrower than a page is paged at its own width.
+func TestTableFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1k-node table in -short mode")
+	}
+	tp, err := topology.Mesh(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkPerSwitch(t, tp)
+	tb, err := BuildTable(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, flat := tb.footprint(), 2*1024*1024; got > 128<<10 {
+		t.Errorf("32×32 mesh table takes %d bytes of pages and page ids, want at most %d (flat: %d)", got, 128<<10, flat)
+	}
+	small, err := topology.Mesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkPerSwitch(t, small)
+	if tb, err = BuildTable(small); err != nil {
+		t.Fatal(err)
+	}
+	if page := 1 << tb.shift; page != 16 {
+		t.Errorf("a 4×4 mesh's 16-column rows are paged %d cells to a page, want 16", page)
 	}
 }
 
