@@ -252,32 +252,52 @@ func TestCrewSizeFlipsRebuildNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.send = tbl.Hook()
+	// batch alternates runs on the two crew sizes and returns the
+	// objects a run allocated on each, on average, after the first run
+	// of each size. MemStats counts every goroutine's objects, so a
+	// stray one from the runtime or the test binary can land in any
+	// batch; a bound fails only when a second, independent batch breaks
+	// it too, as a real per-run allocation does.
 	const runs = 12
-	var ms runtime.MemStats
-	var allocs [3]uint64 // by crew size, after the first run of each
-	for run := range runs {
-		n := 2 - run%2
-		CrewOf(e, n)
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		e.Run(200)
-		runtime.ReadMemStats(&ms)
-		if run >= 2 {
-			allocs[n] += ms.Mallocs - before
+	batches := 0
+	batch := func() (per [3]uint64) {
+		var ms runtime.MemStats
+		var allocs [3]uint64 // by crew size
+		for run := range runs {
+			n := 2 - run%2
+			CrewOf(e, n)
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			e.Run(200)
+			runtime.ReadMemStats(&ms)
+			if run >= 2 {
+				allocs[n] += ms.Mallocs - before
+			}
 		}
+		batches++
+		for n := range allocs {
+			per[n] = allocs[n] / (runs/2 - 1)
+		}
+		return per
 	}
-	if per := allocs[2] / (runs/2 - 1); per > 2 {
-		t.Errorf("a run on a crew of two allocated %d objects, want at most 2", per)
+	bound := [3]uint64{1: 0, 2: 2}
+	first := batch()
+	var second [3]uint64
+	if first[1] > bound[1] || first[2] > bound[2] {
+		second = batch()
 	}
-	if per := allocs[1] / (runs/2 - 1); per != 0 {
-		t.Errorf("a run on a crew of one allocated %d objects, want none", per)
+	if first[2] > bound[2] && second[2] > bound[2] {
+		t.Errorf("a run on a crew of two allocated %d, then %d objects, want at most 2", first[2], second[2])
 	}
-	if want := uint64(runs / 2 * 200); e.PooledCycles() != want {
+	if first[1] > bound[1] && second[1] > bound[1] {
+		t.Errorf("a run on a crew of one allocated %d, then %d objects, want none", first[1], second[1])
+	}
+	if want := uint64(batches * runs / 2 * 200); e.PooledCycles() != want {
 		t.Errorf("%d cycles pooled, want the crew of two's %d", e.PooledCycles(), want)
 	}
 	for i, c := range a.counts {
-		if c != runs*200 {
-			t.Fatalf("element %d counts %d cycles after %d", i, c, runs*200)
+		if want := uint64(batches * runs * 200); c != want {
+			t.Fatalf("element %d counts %d cycles after %d", i, c, want)
 		}
 	}
 }

@@ -8,14 +8,27 @@ import (
 	"nocemu/internal/resource"
 )
 
+// TestScaleGrowsAreaShrinksSpeed: a bigger mesh costs more area and
+// runs slower. The speeds are the best of three Scale runs, each timing
+// both sizes in turn, so one run slowed by whatever else the host runs
+// does not decide the comparison.
 func TestScaleGrowsAreaShrinksSpeed(t *testing.T) {
-	res, err := Scale([]int{2, 4}, 5_000)
-	if err != nil {
-		t.Fatal(err)
+	var res *ScaleResult
+	var best [2]float64
+	for range 3 {
+		r, err := Scale([]int{2, 4}, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 2 {
+			t.Fatalf("rows = %d", len(r.Rows))
+		}
+		for i, row := range r.Rows {
+			best[i] = max(best[i], row.CyclesPerSec)
+		}
+		res = r
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
+	res.Rows[0].CyclesPerSec, res.Rows[1].CyclesPerSec = best[0], best[1]
 	small, big := res.Rows[0], res.Rows[1]
 	if big.Slices <= small.Slices {
 		t.Errorf("area did not grow: %d vs %d", small.Slices, big.Slices)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"nocemu/internal/flit"
 	"nocemu/internal/topology"
 )
 
@@ -23,6 +24,18 @@ import (
 //
 // On a cycle the error names the channels around it — the platform's
 // rejection of e.g. minimal torus routing on a single class.
+//
+// A channel's dependencies are a function of the entry its downstream
+// switch applies for the sink, and a channel (l, vc) is reachable for a
+// sink exactly when the switch l leaves is and that switch's entry for
+// the sink names l on class vc. So the search is over switches, one
+// step per (reachable switch, sink), and none at all when every switch
+// with an outgoing link hosts a source, as on the generators' platforms:
+// then every such switch is reachable for every sink. Each channel
+// keeps the dictionary indices of the entries it met, in sink order,
+// each once; its dependencies are their candidates in that order, each
+// channel once, which is the list a search of (switch, arrival-channel)
+// states records, so the cycle named is the same.
 func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 	links := topo.Links()
 	nv := topo.NumVC()
@@ -30,122 +43,130 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 	if nCh == 0 {
 		return nil
 	}
-	// Every dependency the walk meets, in the order met; they are grouped
-	// and deduplicated below. A channel's dependencies are a function of
-	// the table entry its downstream switch applies, so a state whose
-	// entry is among the last few its channel recorded records nothing:
-	// that drops most repeats (a mesh channel sees one entry per
-	// direction, a run of sinks at a time) before they take memory.
-	type dep struct{ from, to int32 }
-	var found []dep
-	recent := make([][4]entry, nCh) // most recent first
+	// seen[sw] == stamp once sw is reachable for the sink searched;
+	// stamp 1 marks the source switches, reach[:nsrc].
+	seen := make([]uint32, topo.NumSwitches())
+	var reach []topology.NodeID
+	for _, src := range topo.Sources() {
+		if seen[src.Switch] == 0 {
+			seen[src.Switch] = 1
+			reach = append(reach, src.Switch)
+		}
+	}
+	nsrc := len(reach)
+	// When every switch with an outgoing link hosts a source, the
+	// sources reach every channel there is to reach, for every sink.
+	everywhere := true
+	for _, l := range links {
+		everywhere = everywhere && seen[l.From] == 1
+	}
 
-	// Feasible-state BFS per sink. State = (switch, inCh); inCh -1 means
-	// the packet is at its injection switch. A channel determines its
-	// downstream switch, so in-network states are marked by channel alone
-	// and injection states by switch, behind the channels. The marks and
-	// the queue are shared by all sinks: a mark counts when it holds the
-	// current sink's stamp.
-	stateSeen := make([]int, nCh+topo.NumSwitches())
-	stateKey := func(sw topology.NodeID, inCh int) int {
-		if inCh < 0 {
-			return nCh + int(sw)
-		}
-		return inCh
+	w := &depWalk{t: t, topo: topo, links: links, nv: nv,
+		head: make([]int32, nCh), tail: make([]int32, nCh), recent: make([]uint64, nCh)}
+	for i := range w.head {
+		w.head[i] = -1
 	}
-	type state struct {
-		sw   topology.NodeID
-		inCh int
-	}
-	var queue []state
-	srcs := topo.Sources()
-	for i, sink := range topo.Sinks() {
-		stamp := i + 1
-		queue = queue[:0]
-		for _, src := range srcs {
-			k := stateKey(src.Switch, -1)
-			if stateSeen[k] != stamp {
-				stateSeen[k] = stamp
-				queue = append(queue, state{src.Switch, -1})
+	sinks := topo.Sinks()
+	if everywhere && slices.EqualFunc(t.ids[:min(len(sinks), len(t.ids))], sinks, func(id flit.EndpointID, s topology.EndpointSpec) bool { return id == s.ID }) {
+		// Column k is sinks[k], as the builders lay a table out, so the
+		// walk goes switch by switch, a row's cells in sink order. A
+		// page of columns whose cells at the switch and at each of its
+		// neighbours the switch already met together, at an earlier
+		// page, lists nothing new: it is skipped.
+		var keys, key []uint16 // keys: the pages met at sw, back to back
+		for _, sw := range reach {
+			if int(sw) >= t.n {
+				continue
 			}
-		}
-		for head := 0; head < len(queue); head++ {
-			st := queue[head]
-			if int(st.sw) >= t.n {
-				continue // Validate reports the table's size separately
-			}
-			e := t.find(st.sw, sink.ID) // ports and class, one cell read
-			if e.n == 0 {
-				continue // routing gap; Validate reports it separately
-			}
-			vc := int(e.vc)
-			if vc >= nv {
-				continue // class out of range; Validate reports it separately
-			}
-			record := st.inCh >= 0 && !slices.Contains(recent[st.inCh][:], e)
-			if record {
-				r := &recent[st.inCh]
-				copy(r[1:], r[:])
-				r[0] = e
-			}
-			outs := topo.SwitchOutputs(st.sw)
-			for _, p := range t.run(e) {
-				if p < 0 || p >= len(outs) {
+			keys = keys[:0]
+			for slot := 0; slot<<t.shift < len(sinks); slot++ {
+				key = append(key[:0], t.rows[int(sw)*t.stride+slot])
+				for _, oc := range topo.SwitchOutputs(sw) {
+					if oc.Link < 0 {
+						continue
+					}
+					if next := int(links[oc.Link].To); next < t.n {
+						key = append(key, t.rows[next*t.stride+slot])
+					}
+				}
+				if hasKey(keys, key) {
 					continue
 				}
-				oc := outs[p]
-				if oc.Link < 0 {
-					continue // ejection: the packet leaves the network
+				keys = append(keys, key...)
+				for c := slot << t.shift; c < min((slot+1)<<t.shift, len(sinks)); c++ {
+					w.cell(sw, c)
 				}
-				outCh := oc.Link*nv + vc
-				if record {
-					found = append(found, dep{int32(st.inCh), int32(outCh)})
+			}
+		}
+	} else {
+		for k, sink := range sinks {
+			if int(sink.ID) >= len(t.col) || t.col[sink.ID] == 0 {
+				continue // no cell routes to it; Validate reports that
+			}
+			c := int(t.col[sink.ID]) - 1
+			if !everywhere {
+				stamp := uint32(k + 2)
+				reach = reach[:nsrc]
+				for _, sw := range reach {
+					seen[sw] = stamp
 				}
-				next := links[oc.Link].To
-				k := stateKey(next, outCh)
-				if stateSeen[k] != stamp {
-					stateSeen[k] = stamp
-					queue = append(queue, state{next, outCh})
+				for i := 0; i < len(reach); i++ {
+					sw := reach[i]
+					if int(sw) >= t.n {
+						continue // Validate reports the table's size separately
+					}
+					e := t.dict[t.at(sw, c)]
+					if !w.valid(e) {
+						continue // a gap or a bad class; Validate reports it
+					}
+					outs := topo.SwitchOutputs(sw)
+					for _, p := range t.run(e) {
+						if p >= 0 && p < len(outs) && outs[p].Link >= 0 {
+							if next := links[outs[p].Link].To; seen[next] != stamp {
+								seen[next] = stamp
+								reach = append(reach, next)
+							}
+						}
+					}
 				}
+			}
+			for _, sw := range reach {
+				w.cell(sw, c)
 			}
 		}
 	}
 
 	// The dependency graph: the channels some packet can request while
-	// holding c are to[off[c]:off[c+1]]. A stable counting sort by
-	// holding channel keeps each channel's dependencies in the order the
-	// walk first met them, and a stamp per requested channel drops the
-	// repeats. The lists, and so the cycle the search below names, are
-	// those of a set consulted at every dependency, without its hashing.
+	// holding c are to[off[c]:off[c+1]], the candidates of c's entries
+	// in met order, each entry once and each channel once (a stamp per
+	// entry and one per requested channel).
 	off := make([]int32, nCh+1)
-	for _, d := range found {
-		off[d.from+1]++
-	}
-	for c := 0; c < nCh; c++ {
-		off[c+1] += off[c]
-	}
-	to := make([]int32, len(found))
-	cursor := append([]int32(nil), off[:nCh]...)
-	for _, d := range found {
-		to[cursor[d.from]] = d.to
-		cursor[d.from]++
-	}
-	found = nil
-	stamp := cursor // reused: stamp[x] == c+1 once c's list holds x
+	var to []int32
+	listed := make([]int32, len(t.dict)) // listed[d] == c+1 once c's entries held d
+	stamp := w.tail                      // reused: stamp[x] == c+1 once c's list holds x
 	clear(stamp)
-	n := int32(0)
 	for c := 0; c < nCh; c++ {
-		start, end := off[c], off[c+1]
-		off[c] = n
-		for _, x := range to[start:end] {
-			if stamp[x] != int32(c+1) {
-				stamp[x] = int32(c + 1)
-				to[n] = x
-				n++
+		off[c] = int32(len(to))
+		outs := topo.SwitchOutputs(links[c/nv].To)
+		for r := w.head[c]; r >= 0; r = w.met[r].next {
+			d := w.met[r].d
+			if listed[d] == int32(c+1) {
+				continue
+			}
+			listed[d] = int32(c + 1)
+			e := t.dict[d]
+			for _, p := range t.run(e) {
+				if p < 0 || p >= len(outs) || outs[p].Link < 0 {
+					continue
+				}
+				if x := int32(outs[p].Link*nv + int(e.vc)); stamp[x] != int32(c+1) {
+					stamp[x] = int32(c + 1)
+					to = append(to, x)
+				}
 			}
 		}
 	}
-	off[nCh] = n
+	off[nCh] = int32(len(to))
 
 	// Cycle detection over the dependency graph (iterative DFS with
 	// white/grey/black coloring; the grey stack reconstructs the cycle).
@@ -187,6 +208,81 @@ func CheckDeadlockFree(topo *topology.Topology, t *Table) error {
 		}
 	}
 	return nil
+}
+
+// hasKey reports whether key is one of keys, keys of its length stored
+// back to back.
+func hasKey(keys, key []uint16) bool {
+	for i := 0; i < len(keys); i += len(key) {
+		if slices.Equal(keys[i:i+len(key)], key) {
+			return true
+		}
+	}
+	return false
+}
+
+// depWalk collects a channel-dependency graph's raw lists: per channel
+// the dictionary indices of the entries its downstream switch applies,
+// as met[head[c]], then met[.next], ... An entry is listed again only
+// when it is not among the four the channel listed last (recent[c], 16
+// bits each, the latest lowest; index 0, no route, is never listed),
+// which drops nearly every repeat before it takes memory; the lists are
+// deduplicated exactly when the graph is laid out.
+type depWalk struct {
+	t          *Table
+	topo       *topology.Topology
+	links      []topology.LinkSpec
+	nv         int
+	met        []use
+	head, tail []int32
+	recent     []uint64
+}
+
+// use is one entry in a channel's list and the next one's index in met.
+type use struct {
+	d    uint16
+	next int32
+}
+
+// valid reports whether e routes, on a class the topology has.
+func (w *depWalk) valid(e entry) bool { return e.n > 0 && int(e.vc) < w.nv }
+
+// cell lists what the cell of (sw, column c) adds, sw being reachable
+// for the column's sink: each candidate link's channel meets the entry
+// the link's downstream switch applies for that sink. Gaps, bad classes
+// and bad ports add nothing; Validate reports them.
+func (w *depWalk) cell(sw topology.NodeID, c int) {
+	t := w.t
+	if int(sw) >= t.n {
+		return
+	}
+	e := t.dict[t.at(sw, c)]
+	if !w.valid(e) {
+		return
+	}
+	outs := w.topo.SwitchOutputs(sw)
+	for _, p := range t.run(e) {
+		if p < 0 || p >= len(outs) || outs[p].Link < 0 {
+			continue // out of range, or ejection: the packet leaves
+		}
+		l := outs[p].Link
+		next := w.links[l].To
+		if int(next) >= t.n {
+			continue
+		}
+		ch, d := l*w.nv+int(e.vc), t.at(next, c)
+		if r := w.recent[ch]; uint16(r) == d || uint16(r>>16) == d || uint16(r>>32) == d || uint16(r>>48) == d || !w.valid(t.dict[d]) {
+			continue
+		}
+		w.recent[ch] = w.recent[ch]<<16 | uint64(d)
+		w.met = append(w.met, use{d, -1})
+		if i := int32(len(w.met) - 1); w.head[ch] < 0 {
+			w.head[ch] = i
+		} else {
+			w.met[w.tail[ch]].next = i
+		}
+		w.tail[ch] = int32(len(w.met) - 1)
+	}
 }
 
 // cdgCycleError renders the dependency cycle closed by the edge

@@ -107,16 +107,25 @@ func NewTable(n int) *Table {
 // sink and the flat cells the builders fill, row sw at cells[sw*w:], w
 // a whole number of pages. pack pages them once, so a build hashes each
 // page once rather than copying one per cell written.
+//
+// Most cells name one port: memo maps (port, class) to the dictionary
+// index of that entry plus one, so such a cell is interned once per
+// distinct entry rather than once per cell. A class at or above nv goes
+// through intern (Validate rejects it later).
 type builder struct {
 	t     *Table
 	cells []uint16
 	w     int
+	memo  []uint32
+	nv    int
+	ports []int // scratch for a one-port list
 }
 
-// newBuilder returns a builder for n switches sized for sinks. A row
-// shorter than a 64-cell page gets pages of its width rounded up to a
-// power of two, so a small table is not padded to 64 columns.
-func newBuilder(n int, sinks []topology.EndpointSpec) *builder {
+// newBuilder returns a builder for topo's switches sized for sinks. A
+// row shorter than a 64-cell page gets pages of its width rounded up to
+// a power of two, so a small table is not padded to 64 columns.
+func newBuilder(topo *topology.Topology, sinks []topology.EndpointSpec) *builder {
+	n := topo.NumSwitches()
 	t := NewTable(n)
 	t.shift = 0 // before the first page
 	for t.shift < maxShift && 1<<t.shift < len(sinks) {
@@ -125,19 +134,49 @@ func newBuilder(n int, sinks []topology.EndpointSpec) *builder {
 	for _, sink := range sinks {
 		t.column(sink.ID)
 	}
+	radix := 0
+	for sw := topology.NodeID(0); int(sw) < n; sw++ {
+		radix = max(radix, len(topo.SwitchOutputs(sw)))
+	}
+	nv := topo.NumVC()
 	w := t.stride << t.shift
-	return &builder{t: t, cells: make([]uint16, n*w), w: w}
+	return &builder{t: t, cells: make([]uint16, n*w), w: w, memo: make([]uint32, radix*nv), nv: nv}
 }
 
-// set makes the cell of (sw, dst) name ports on class vc; dst must be
-// a sink the builder was sized for.
-func (b *builder) set(sw topology.NodeID, dst flit.EndpointID, ports []int, vc uint8) error {
+// set makes the cell of (sw, column c) name ports on class vc; c is the
+// column of sink dst.
+func (b *builder) set(sw topology.NodeID, c int, dst flit.EndpointID, ports []int, vc uint8) error {
 	i, err := b.t.intern(sw, dst, ports, vc)
-	if err != nil {
+	b.cells[int(sw)*b.w+c] = i
+	return err
+}
+
+// setOne makes the cell of (sw, column c) name port alone on class vc,
+// through the memo.
+func (b *builder) setOne(sw topology.NodeID, c int, dst flit.EndpointID, port int, vc uint8) error {
+	k := port*b.nv + int(vc)
+	if int(vc) < b.nv && b.memo[k] != 0 {
+		b.cells[int(sw)*b.w+c] = uint16(b.memo[k] - 1)
+		return nil
+	}
+	b.ports = append(b.ports[:0], port)
+	if err := b.set(sw, c, dst, b.ports, vc); err != nil {
 		return err
 	}
-	b.cells[int(sw)*b.w+int(b.t.col[dst])-1] = i
+	if int(vc) < b.nv {
+		b.memo[k] = uint32(b.cells[int(sw)*b.w+c]) + 1
+	}
 	return nil
+}
+
+// ejectPort returns the output port of sw that ejects to sink.
+func ejectPort(topo *topology.Topology, sw topology.NodeID, sink flit.EndpointID) (int, error) {
+	for p, oc := range topo.SwitchOutputs(sw) {
+		if oc.Link == -1 && oc.Endpoint == sink {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("routing: sink %d has no local port on switch %d", sink, sw)
 }
 
 // pack pages the built cells into the table and returns it.
@@ -194,11 +233,16 @@ func (t *Table) page(p uint16) []uint16 {
 func (t *Table) find(sw topology.NodeID, dst flit.EndpointID) entry {
 	if int(dst) < len(t.col) {
 		if c := int(t.col[dst]) - 1; c >= 0 {
-			p := t.rows[int(sw)*t.stride+c>>t.shift]
-			return t.dict[t.cells[int(p)<<t.shift|c&(1<<t.shift-1)]]
+			return t.dict[t.at(sw, c)]
 		}
 	}
 	return entry{}
+}
+
+// at returns the dictionary index the cell of (sw, column c) holds.
+func (t *Table) at(sw topology.NodeID, c int) uint16 {
+	p := t.rows[int(sw)*t.stride+c>>t.shift]
+	return t.cells[int(p)<<t.shift|c&(1<<t.shift-1)]
 }
 
 // point makes the cell of (sw, dst) name dictionary entry i, its row
@@ -360,7 +404,7 @@ func (t *Table) SetVC(sw topology.NodeID, dst flit.EndpointID, vc uint8) error {
 // entry.
 func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 	sinks := topo.Sinks()
-	b := newBuilder(topo.NumSwitches(), sinks)
+	b := newBuilder(topo, sinks)
 	links := topo.Links()
 	// Reverse adjacency for backward BFS from each sink switch.
 	radj := make([][]topology.NodeID, topo.NumSwitches())
@@ -369,21 +413,15 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 	}
 	var ports []int // scratch: set copies it
 	for _, sink := range sinks {
+		c := int(b.t.col[sink.ID]) - 1
 		dist := bfsDistances(radj, sink.Switch, topo.NumSwitches())
 		for sw := topology.NodeID(0); int(sw) < topo.NumSwitches(); sw++ {
-			outs := topo.SwitchOutputs(sw)
 			if sw == sink.Switch {
-				port := -1
-				for p, oc := range outs {
-					if oc.Link == -1 && oc.Endpoint == sink.ID {
-						port = p
-						break
-					}
+				port, err := ejectPort(topo, sw, sink.ID)
+				if err == nil {
+					err = b.setOne(sw, c, sink.ID, port, 0)
 				}
-				if port < 0 {
-					return nil, fmt.Errorf("routing: sink %d has no local port on switch %d", sink.ID, sw)
-				}
-				if err := b.set(sw, sink.ID, []int{port}, 0); err != nil {
+				if err != nil {
 					return nil, err
 				}
 				continue
@@ -393,7 +431,7 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 				continue // sink unreachable from here
 			}
 			ports = ports[:0]
-			for p, oc := range outs {
+			for p, oc := range topo.SwitchOutputs(sw) {
 				if oc.Link < 0 {
 					continue
 				}
@@ -402,10 +440,16 @@ func BuildShortestPath(topo *topology.Topology) (*Table, error) {
 					ports = append(ports, p)
 				}
 			}
-			if len(ports) == 0 {
-				return nil, fmt.Errorf("routing: switch %d at distance %d has no descending port to sink %d", sw, d, sink.ID)
+			var err error
+			switch len(ports) {
+			case 0:
+				err = fmt.Errorf("routing: switch %d at distance %d has no descending port to sink %d", sw, d, sink.ID)
+			case 1:
+				err = b.setOne(sw, c, sink.ID, ports[0], 0)
+			default:
+				err = b.set(sw, c, sink.ID, ports, 0)
 			}
-			if err := b.set(sw, sink.ID, ports, 0); err != nil {
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -456,10 +500,14 @@ func BuildTable(topo *topology.Topology) (*Table, error) {
 // would actually route through it. A router that also classifies its
 // hops (topology.VCRouter) has each hop's virtual-channel class stored
 // beside the ports; the ejection hop is always class 0.
+//
+// The table is filled sink by sink, because a router may keep a memo
+// per destination (topology.UpDownRouter does), with one hop buffer and
+// one port buffer for the whole build.
 func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error) {
 	n := topo.NumSwitches()
 	sinks := topo.Sinks()
-	b := newBuilder(n, sinks)
+	b := newBuilder(topo, sinks)
 	links := topo.Links()
 	classes, _ := r.(topology.VCRouter)
 	// The output port toward each neighbour, built once: switch sw's
@@ -467,137 +515,246 @@ func BuildFromRouter(topo *topology.Topology, r topology.Router) (*Table, error)
 	// Links are unique per ordered switch pair, so a neighbour has one
 	// port, and resolving a hop is a binary search over the switch's
 	// radix, not a scan of its outputs per (switch, sink).
-	type nbr struct {
-		sw   topology.NodeID
-		port int
-	}
-	nbrs := make([]nbr, 0, len(links))
+	nbrs := make([]neighbour, 0, len(links))
 	nbrOff := make([]int, n+1)
 	for sw := topology.NodeID(0); int(sw) < n; sw++ {
 		start := len(nbrs)
 		for p, oc := range topo.SwitchOutputs(sw) {
 			if oc.Link >= 0 {
-				nbrs = append(nbrs, nbr{links[oc.Link].To, p})
+				nbrs = append(nbrs, neighbour{links[oc.Link].To, p})
 			}
 		}
-		slices.SortFunc(nbrs[start:], func(a, b nbr) int { return cmp.Compare(a.sw, b.sw) })
+		slices.SortFunc(nbrs[start:], func(a, b neighbour) int { return cmp.Compare(a.sw, b.sw) })
 		nbrOff[sw+1] = len(nbrs)
 	}
-	portTo := func(sw, next topology.NodeID) (int, bool) {
-		ns := nbrs[nbrOff[sw]:nbrOff[sw+1]]
-		i, ok := slices.BinarySearchFunc(ns, next, func(a nbr, next topology.NodeID) int { return cmp.Compare(a.sw, next) })
-		if !ok {
-			return 0, false
-		}
-		return ns[i].port, true
+	// last[sw] is the one-hop cell sw was given last: a router names the
+	// same hop for runs of sinks, and such a cell is a copy.
+	type lastHop struct {
+		next topology.NodeID
+		vc   uint8
+		i    uint16
 	}
-	var ports []int // scratch: set copies it
+	last := make([]lastHop, n)
+	for i := range last {
+		last[i].next = -1
+	}
+	var hops []topology.NodeID
+	var ports []int
 	for _, sink := range sinks {
+		c := int(b.t.col[sink.ID]) - 1
 		for sw := topology.NodeID(0); int(sw) < n; sw++ {
 			if sw == sink.Switch {
-				port := -1
-				for p, oc := range topo.SwitchOutputs(sw) {
-					if oc.Link == -1 && oc.Endpoint == sink.ID {
-						port = p
-						break
-					}
+				port, err := ejectPort(topo, sw, sink.ID)
+				if err == nil {
+					err = b.setOne(sw, c, sink.ID, port, 0)
 				}
-				if port < 0 {
-					return nil, fmt.Errorf("routing: sink %d has no local port on switch %d", sink.ID, sw)
-				}
-				if err := b.set(sw, sink.ID, []int{port}, 0); err != nil {
+				if err != nil {
 					return nil, err
 				}
 				continue
 			}
-			hops := r.NextHops(topo, sw, sink.Switch)
+			hops = r.NextHops(topo, sw, sink.Switch, hops[:0])
 			if len(hops) == 0 {
 				continue
-			}
-			ports = ports[:0]
-			for _, next := range hops {
-				port, ok := portTo(sw, next)
-				if !ok {
-					return nil, fmt.Errorf("routing: %s router wants hop %d->%d but no link exists", r.Name(), sw, next)
-				}
-				ports = append(ports, port)
 			}
 			var vc uint8
 			if classes != nil {
 				vc = classes.HopVC(sw, sink.Switch)
 			}
-			if err := b.set(sw, sink.ID, ports, vc); err != nil {
+			at := int(sw)*b.w + c
+			if l := last[sw]; len(hops) == 1 && l.next == hops[0] && l.vc == vc {
+				b.cells[at] = l.i
+				continue
+			}
+			ports = ports[:0]
+			for _, next := range hops {
+				port, ok := hopPort(nbrs[nbrOff[sw]:nbrOff[sw+1]], next)
+				if !ok {
+					return nil, fmt.Errorf("routing: %s router wants hop %d->%d but no link exists", r.Name(), sw, next)
+				}
+				ports = append(ports, port)
+			}
+			if len(ports) > 1 {
+				if err := b.set(sw, c, sink.ID, ports, vc); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			if err := b.setOne(sw, c, sink.ID, ports[0], vc); err != nil {
 				return nil, err
 			}
+			last[sw] = lastHop{hops[0], vc, b.cells[at]}
 		}
 	}
 	return b.pack()
+}
+
+// neighbour is a switch one link away and the output port toward it.
+type neighbour struct {
+	sw   topology.NodeID
+	port int
+}
+
+// hopPort returns the port toward switch next among ns, a switch's
+// neighbours in ascending order.
+func hopPort(ns []neighbour, next topology.NodeID) (int, bool) {
+	lo, hi := 0, len(ns)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ns[m].sw < next {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ns) && ns[lo].sw == next {
+		return ns[lo].port, true
+	}
+	return 0, false
 }
 
 // Validate walks every (source, sink) pair following first-candidate
 // routing and confirms the path terminates at the sink within a hop
 // budget and stays on virtual channels the topology has, catching
 // routing loops, dead ends and out-of-range classes at
-// platform-compilation time.
+// platform-compilation time. The first failure, in the order classes
+// switch by switch then pairs source by source, is the error.
 //
 // First-candidate routing toward a sink depends on the switch alone, so
-// a walk stops at the first switch an earlier walk already took to that
-// sink: every pair is still checked, in the same order, at a cost of
-// one step per (switch, sink) instead of a full path per pair.
+// every switch either delivers to a sink or fails to, whichever source
+// it is reached from. Validate walks sink by sink: a walk stops at the
+// first switch an earlier walk to the sink already settled, and a
+// stamp per switch marks the settled and the current path, at a cost of
+// one step per (switch, sink). Only when some pair fails is the first
+// failing pair walked again in full, hop by hop, for its message.
 func Validate(topo *topology.Topology, t *Table) error {
-	n := topo.NumSwitches()
-	maxHops := n + 1
+	if err := t.checkClasses(topo.NumVC()); err != nil {
+		return err
+	}
+	srcs, sinks := topo.Sources(), topo.Sinks()
 	links := topo.Links()
-	nv := topo.NumVC()
-	for sw := topology.NodeID(0); int(sw) < t.n; sw++ {
-		for _, dst := range t.ids {
-			if vc := t.find(sw, dst).vc; int(vc) >= nv {
-				return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, dst, vc, nv)
+	// For the sink walked: mark[sw] == stamp while sw is on the current
+	// path, stamp+1 once it delivers and stamp+2 once it fails.
+	mark := make([]uint32, topo.NumSwitches())
+	var path []topology.NodeID
+	badSrc, badSink := len(srcs), 0 // the first failing pair
+	var stamp uint32
+	for k, sink := range sinks {
+		stamp += 3
+		good, bad := stamp+1, stamp+2
+		c := -1
+		if int(sink.ID) < len(t.col) {
+			c = int(t.col[sink.ID]) - 1
+		}
+		for i := 0; i < badSrc; i++ {
+			sw := srcs[i].Switch
+			path = path[:0]
+			verdict := bad
+			for {
+				if m := mark[sw]; m == good || m == bad {
+					verdict = m
+					break
+				} else if m == stamp {
+					break // a loop
+				}
+				mark[sw] = stamp
+				path = append(path, sw)
+				if int(sw) >= t.n || c < 0 {
+					break
+				}
+				e := t.dict[t.at(sw, c)]
+				if e.n == 0 {
+					break
+				}
+				outs := topo.SwitchOutputs(sw)
+				p := t.pool[e.off]
+				if p < 0 || p >= len(outs) {
+					break
+				}
+				if oc := outs[p]; oc.Link >= 0 {
+					sw = links[oc.Link].To
+					continue
+				} else if e.vc == 0 && oc.Endpoint == sink.ID {
+					verdict = good
+				}
+				break
+			}
+			for _, sw := range path {
+				mark[sw] = verdict
+			}
+			if verdict == bad {
+				badSrc, badSink = i, k
 			}
 		}
 	}
-	srcs, sinks := topo.Sources(), topo.Sinks()
-	// Bit k*n+sw: the walk from switch sw delivers to sinks[k].
-	delivers := make([]uint64, (len(sinks)*n+63)/64)
-	var path []topology.NodeID
-	for _, src := range srcs {
-		for k, sink := range sinks {
-			sw := src.Switch
-			path = path[:0]
-			for hop := 0; ; hop++ {
-				if b := k*n + int(sw); delivers[b>>6]>>(b&63)&1 != 0 {
-					break
+	if badSrc < len(srcs) {
+		return walk(topo, t, srcs[badSrc], sinks[badSink])
+	}
+	return nil
+}
+
+// checkClasses returns the first cell, switch by switch and column by
+// column, whose class is not below nv. Only a page holding such a cell
+// is read cell by cell, once, and none is when no dictionary entry has
+// such a class.
+func (t *Table) checkClasses(nv int) error {
+	if !slices.ContainsFunc(t.dict, func(e entry) bool { return int(e.vc) >= nv }) {
+		return nil
+	}
+	// checked[p]: 1 once page p is known clean, 2 once known not to be.
+	checked := make([]uint8, len(t.cells)>>t.shift)
+	for sw := 0; sw < t.n; sw++ {
+		for slot, p := range t.rows[sw*t.stride : (sw+1)*t.stride] {
+			if checked[p] == 0 {
+				checked[p] = 1
+				if slices.ContainsFunc(t.page(p), func(i uint16) bool { return int(t.dict[i].vc) >= nv }) {
+					checked[p] = 2
 				}
-				if hop > maxHops {
-					return fmt.Errorf("routing: loop routing %d->%d (stuck near switch %d)", src.ID, sink.ID, sw)
-				}
-				ports, vc, err := t.Route(sw, sink.ID)
-				if err != nil {
-					return err
-				}
-				outs := topo.SwitchOutputs(sw)
-				p := ports[0]
-				if p < 0 || p >= len(outs) {
-					return fmt.Errorf("routing: switch %d port %d out of range", sw, p)
-				}
-				path = append(path, sw)
-				oc := outs[p]
-				if oc.Link == -1 {
-					if vc != 0 {
-						return fmt.Errorf("routing: switch %d ejects to endpoint %d on virtual channel %d (ejection wires carry 0 only)", sw, sink.ID, vc)
-					}
-					if oc.Endpoint != sink.ID {
-						return fmt.Errorf("routing: path %d->%d ejects at wrong endpoint %d", src.ID, sink.ID, oc.Endpoint)
-					}
-					break
-				}
-				sw = links[oc.Link].To
 			}
-			for _, sw := range path {
-				b := k*n + int(sw)
-				delivers[b>>6] |= 1 << (b & 63)
+			if checked[p] == 1 {
+				continue
+			}
+			for k, i := range t.page(p) {
+				c := slot<<t.shift | k
+				if vc := t.dict[i].vc; c < len(t.ids) && int(vc) >= nv {
+					return fmt.Errorf("routing: switch %d routes to endpoint %d on virtual channel %d of %d", sw, t.ids[c], vc, nv)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// walk follows the first candidates from src toward sink hop by hop,
+// nothing remembered, and returns what stops the path: the message a
+// failing pair gets, or nil once the path delivers.
+func walk(topo *topology.Topology, t *Table, src, sink topology.EndpointSpec) error {
+	maxHops := topo.NumSwitches() + 1
+	links := topo.Links()
+	sw := src.Switch
+	for hop := 0; ; hop++ {
+		if hop > maxHops {
+			return fmt.Errorf("routing: loop routing %d->%d (stuck near switch %d)", src.ID, sink.ID, sw)
+		}
+		ports, vc, err := t.Route(sw, sink.ID)
+		if err != nil {
+			return err
+		}
+		outs := topo.SwitchOutputs(sw)
+		p := ports[0]
+		if p < 0 || p >= len(outs) {
+			return fmt.Errorf("routing: switch %d port %d out of range", sw, p)
+		}
+		oc := outs[p]
+		if oc.Link == -1 {
+			if vc != 0 {
+				return fmt.Errorf("routing: switch %d ejects to endpoint %d on virtual channel %d (ejection wires carry 0 only)", sw, sink.ID, vc)
+			}
+			if oc.Endpoint != sink.ID {
+				return fmt.Errorf("routing: path %d->%d ejects at wrong endpoint %d", src.ID, sink.ID, oc.Endpoint)
+			}
+			return nil
+		}
+		sw = links[oc.Link].To
+	}
 }

@@ -1018,16 +1018,3 @@ func BenchmarkTableLookup(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkValidate times routing.Validate over all 1 024 × 1 024
-// (source, sink) pairs.
-func BenchmarkValidate(b *testing.B) {
-	tp, tb := mesh32(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Validate(tp, tb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

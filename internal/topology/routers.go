@@ -4,9 +4,9 @@ package topology
 // to the topologies they build (SetRouter); routing.BuildTable lowers
 // it into per-switch route tables by asking, for every (switch,
 // destination-switch) pair, which neighbor switches are legal next
-// hops. Returning nil for a pair means the router has no opinion there
-// and the table simply omits the entry (routing.Validate catches the
-// omission if a packet would actually need it).
+// hops. Appending no hop for a pair means the router has no opinion
+// there and the table simply omits the entry (routing.Validate catches
+// the omission if a packet would actually need it).
 //
 // The interface deliberately speaks in switches, not ports: the port
 // mapping is owned by routing.BuildFromRouter, which resolves each
@@ -18,10 +18,12 @@ type Router interface {
 	// Name identifies the routing scheme ("xy", "updown", ...); the
 	// platform layer uses it to honor explicit Config.Routing requests.
 	Name() string
-	// NextHops returns the legal next-hop switches for a packet at
-	// switch `at` destined for an endpoint on switch `dst`. It is not
-	// called with at == dst (delivery is local).
-	NextHops(t *Topology, at, dst NodeID) []NodeID
+	// NextHops appends the legal next-hop switches for a packet at
+	// switch `at` destined for an endpoint on switch `dst` to hops and
+	// returns the result, as append does: a table build asks once per
+	// (switch, sink) and reuses one buffer. It is not called with
+	// at == dst (delivery is local).
+	NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID
 }
 
 // VCRouter is a Router that also classifies its hops: HopVC names the
@@ -49,9 +51,9 @@ type XYRouter struct {
 func (r XYRouter) Name() string { return "xy" }
 
 // NextHops implements Router.
-func (r XYRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
-	x, y := int(at)%r.W, int(at)/r.W
-	dx, dy := int(dst)%r.W, int(dst)/r.W
+func (r XYRouter) NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID {
+	x, y := gridXY(at, r.W)
+	dx, dy := gridXY(dst, r.W)
 	var next NodeID
 	switch {
 	case x < dx:
@@ -63,7 +65,15 @@ func (r XYRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
 	default:
 		next = at - NodeID(r.W)
 	}
-	return []NodeID{next}
+	return append(hops, next)
+}
+
+// gridXY returns switch sw's column and row on a w-wide grid numbered
+// row-major, with one 32-bit division (a table build asks for two per
+// (switch, sink) pair).
+func gridXY(sw NodeID, w int) (x, y int) {
+	y = int(uint32(sw) / uint32(w))
+	return int(sw) - y*w, y
 }
 
 // TorusMinimalRouter is wrap-aware dimension-ordered routing on a
@@ -87,15 +97,15 @@ type TorusMinimalRouter struct {
 func (r TorusMinimalRouter) Name() string { return "torus-minimal" }
 
 // NextHops implements Router.
-func (r TorusMinimalRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
-	x, y := int(at)%r.W, int(at)/r.W
-	dx, dy := int(dst)%r.W, int(dst)/r.W
+func (r TorusMinimalRouter) NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID {
+	x, y := gridXY(at, r.W)
+	dx, dy := gridXY(dst, r.W)
 	if x != dx {
 		nx := ringStep(x, dx, r.W)
-		return []NodeID{NodeID(y*r.W + nx)}
+		return append(hops, NodeID(y*r.W+nx))
 	}
 	ny := ringStep(y, dy, r.H)
-	return []NodeID{NodeID(ny*r.W + x)}
+	return append(hops, NodeID(ny*r.W+x))
 }
 
 // HopVC implements VCRouter.
@@ -138,13 +148,13 @@ type FlatFlyRouter struct {
 func (r FlatFlyRouter) Name() string { return "flatfly-dor" }
 
 // NextHops implements Router.
-func (r FlatFlyRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
-	x, y := int(at)%r.W, int(at)/r.W
-	dx, dy := int(dst)%r.W, int(dst)/r.W
+func (r FlatFlyRouter) NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID {
+	x, y := gridXY(at, r.W)
+	dx, dy := gridXY(dst, r.W)
 	if x != dx {
-		return []NodeID{NodeID(y*r.W + dx)}
+		return append(hops, NodeID(y*r.W+dx))
 	}
-	return []NodeID{NodeID(dy*r.W + x)}
+	return append(hops, NodeID(dy*r.W+x))
 }
 
 // FatTreeRouter routes a k-ary fat-tree (folded Clos) with the
@@ -166,46 +176,38 @@ type FatTreeRouter struct {
 func (r FatTreeRouter) Name() string { return "fattree-updown" }
 
 // NextHops implements Router.
-func (r FatTreeRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
+func (r FatTreeRouter) NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID {
 	half := r.K / 2
 	edgeN := r.K * half    // number of edge switches
 	aggEnd := 2 * edgeN    // agg ids are [edgeN, 2*edgeN)
 	if int(dst) >= edgeN { // endpoints only live on edge switches
-		return nil
+		return hops
 	}
 	dp := int(dst) / half // destination pod
 	switch {
 	case int(at) < edgeN: // at an edge switch
+		// Within the pod the common ancestor is any aggregation switch of
+		// it; across pods the packet climbs, and every aggregation switch
+		// leads to cores. Either way: every aggregation switch of the pod.
 		p := int(at) / half
-		if p == dp {
-			// Common ancestor is any aggregation switch of the pod.
-			hops := make([]NodeID, half)
-			for j := 0; j < half; j++ {
-				hops[j] = NodeID(edgeN + p*half + j)
-			}
-			return hops
-		}
-		// Cross-pod: climb; every aggregation switch leads to cores.
-		hops := make([]NodeID, half)
 		for j := 0; j < half; j++ {
-			hops[j] = NodeID(edgeN + p*half + j)
+			hops = append(hops, NodeID(edgeN+p*half+j))
 		}
 		return hops
 	case int(at) < aggEnd: // at aggregation switch agg(p, j)
 		p := (int(at) - edgeN) / half
 		j := (int(at) - edgeN) % half
 		if p == dp {
-			return []NodeID{dst} // descend to the edge switch
+			return append(hops, dst) // descend to the edge switch
 		}
 		// Climb: agg(p,j) connects to cores (j, y) for all y.
-		hops := make([]NodeID, half)
 		for y := 0; y < half; y++ {
-			hops[y] = NodeID(aggEnd + j*half + y)
+			hops = append(hops, NodeID(aggEnd+j*half+y))
 		}
 		return hops
 	default: // at core switch core(x, y)
 		x := (int(at) - aggEnd) / half
-		return []NodeID{NodeID(edgeN + dp*half + x)} // descend into the pod
+		return append(hops, NodeID(edgeN+dp*half+x)) // descend into the pod
 	}
 }
 
@@ -227,10 +229,14 @@ type UpDownRouter struct {
 
 	// Per-destination memo: table construction iterates destinations in
 	// the outer loop, so caching the last destination's distance fields
-	// turns an O(switches² · edges) build into O(switches · edges).
+	// turns an O(switches² · edges) build into O(switches · edges). The
+	// fields and the search queue are reused from one destination to
+	// the next.
 	lastDst  NodeID
 	downDist []int // hops to dst using only down links; -1 if unreachable
 	cost     []int // min legal up*/down* hops to dst
+	byRank   []NodeID
+	queue    []NodeID
 }
 
 // Name implements Router.
@@ -247,14 +253,10 @@ func (r *UpDownRouter) build(t *Topology) {
 	r.adj = t.Adjacency()
 	queue := []NodeID{0}
 	r.rank[0] = 0
-	next := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range r.adj[cur] {
+	for head := 0; head < len(queue); head++ {
+		for _, e := range r.adj[queue[head]] {
 			if r.rank[e.To] < 0 {
-				r.rank[e.To] = next
-				next++
+				r.rank[e.To] = len(queue)
 				queue = append(queue, e.To)
 			}
 		}
@@ -267,6 +269,20 @@ func (r *UpDownRouter) build(t *Topology) {
 			r.radj[l.To] = append(r.radj[l.To], l.From)
 		}
 	}
+	// The switches in increasing rank order; rank is a permutation of
+	// 0..n-1 for connected graphs, so a bucket sort.
+	r.byRank = make([]NodeID, n)
+	for i := range r.byRank {
+		r.byRank[i] = -1
+	}
+	for v := NodeID(0); int(v) < n; v++ {
+		if rk := r.rank[v]; rk >= 0 {
+			r.byRank[rk] = v
+		}
+	}
+	r.downDist = make([]int, n)
+	r.cost = make([]int, n)
+	r.queue = queue[:0]
 	r.lastDst = -1
 }
 
@@ -274,20 +290,16 @@ func (r *UpDownRouter) build(t *Topology) {
 func (r *UpDownRouter) down(u, v NodeID) bool { return r.rank[v] > r.rank[u] }
 
 // prepare computes downDist and cost for one destination.
-func (r *UpDownRouter) prepare(t *Topology, dst NodeID) {
-	n := t.NumSwitches()
-	r.downDist = make([]int, n)
-	r.cost = make([]int, n)
+func (r *UpDownRouter) prepare(dst NodeID) {
 	for i := range r.downDist {
 		r.downDist[i] = -1
 	}
 
 	// downDist: reverse BFS from dst over down links only.
 	r.downDist[dst] = 0
-	queue := []NodeID{dst}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue := append(r.queue[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, u := range r.radj[cur] {
 			if r.downDist[u] < 0 {
 				r.downDist[u] = r.downDist[cur] + 1
@@ -295,25 +307,16 @@ func (r *UpDownRouter) prepare(t *Topology, dst NodeID) {
 			}
 		}
 	}
+	r.queue = queue
 
 	// cost[v] = min(downDist[v], 1 + min over up-neighbors u of cost[u]).
 	// Up links strictly decrease rank, so evaluating switches in
 	// increasing rank order sees every up-neighbor's final cost first.
-	// rank is a permutation of 0..n-1 for connected graphs; bucket sort.
-	byRank := make([]NodeID, n)
-	for i := range byRank {
-		byRank[i] = -1
-	}
-	for v := NodeID(0); int(v) < n; v++ {
-		if rk := r.rank[v]; rk >= 0 {
-			byRank[rk] = v
-		}
-	}
 	const inf = int(^uint(0) >> 1)
 	for i := range r.cost {
 		r.cost[i] = inf
 	}
-	for _, v := range byRank {
+	for _, v := range r.byRank {
 		if v < 0 {
 			continue
 		}
@@ -335,14 +338,13 @@ func (r *UpDownRouter) prepare(t *Topology, dst NodeID) {
 }
 
 // NextHops implements Router.
-func (r *UpDownRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
+func (r *UpDownRouter) NextHops(t *Topology, at, dst NodeID, hops []NodeID) []NodeID {
 	if r.rank == nil || len(r.rank) != t.NumSwitches() {
 		r.build(t)
 	}
 	if r.lastDst != dst {
-		r.prepare(t, dst)
+		r.prepare(dst)
 	}
-	var hops []NodeID
 	if r.downDist[at] >= 0 {
 		// Descend-only phase: once a packet can reach dst going down,
 		// every candidate keeps descending (never turns back up).
@@ -356,7 +358,7 @@ func (r *UpDownRouter) NextHops(t *Topology, at, dst NodeID) []NodeID {
 	// Climb phase: take up links that stay on a minimal legal path.
 	const inf = int(^uint(0) >> 1)
 	if r.cost[at] == inf {
-		return nil
+		return hops
 	}
 	for _, e := range r.adj[at] {
 		if r.down(at, e.To) {

@@ -150,11 +150,26 @@ func (t *Topology) Terminals() []NodeID {
 }
 
 // buildPortCaches fills the per-switch canonical port lists in one pass
-// over the links and endpoints, and drops the link index.
+// over the links and endpoints, and drops the link index. Every
+// switch's list is a run of one slab per direction, so a pass over the
+// switches' ports reads them in order.
 func (t *Topology) buildPortCaches() {
 	t.linkSet = nil
-	t.inCache = make([][]InConn, t.numSwitches)
-	t.outCache = make([][]OutConn, t.numSwitches)
+	nIn, nOut := make([]int, t.numSwitches), make([]int, t.numSwitches)
+	for _, l := range t.links {
+		nIn[l.To]++
+		nOut[l.From]++
+	}
+	for _, e := range t.endpoints {
+		switch e.Role {
+		case Source:
+			nIn[e.Switch]++
+		case Sink:
+			nOut[e.Switch]++
+		}
+	}
+	t.inCache = carve[InConn](nIn)
+	t.outCache = carve[OutConn](nOut)
 	for i, l := range t.links {
 		t.inCache[l.To] = append(t.inCache[l.To], InConn{Link: i})
 		t.outCache[l.From] = append(t.outCache[l.From], OutConn{Link: i})
@@ -167,6 +182,24 @@ func (t *Topology) buildPortCaches() {
 			t.outCache[e.Switch] = append(t.outCache[e.Switch], OutConn{Link: -1, Endpoint: e.ID})
 		}
 	}
+}
+
+// carve returns a list per count, each empty with capacity its count,
+// as consecutive runs of one slab; a switch without ports gets nil.
+func carve[T any](counts []int) [][]T {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]T, 0, total)
+	lists := make([][]T, len(counts))
+	for i, c := range counts {
+		if c > 0 {
+			lists[i] = slab[len(slab) : len(slab) : len(slab)+c]
+			slab = slab[:len(slab)+c]
+		}
+	}
+	return lists
 }
 
 // New returns an empty topology over n switches.
